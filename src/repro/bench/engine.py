@@ -7,13 +7,10 @@ any previously recorded speedup fails the run):
 
 * **TreeBatch assembly** — vectorised block assembly vs the generic per-node
   builder;
-* **one training epoch** — fast backend (cached transposes, CSR segment
-  reductions, fused pooling / constant-input reuse) vs the reference kernels;
-* **the training overhaul** — the fused-layer + folded-propagation epoch vs
-  the unfused reference autograd graph (final metrics, ledger totals and RNG
-  states asserted identical), the folded vs unfolded propagation chain, and
-  the cross-sweep-point batched trainer vs the per-point loop (all metrics
-  asserted bit-for-bit identical);
+* **one training epoch** — the fast backend (cached transposes, CSR segment
+  reductions, fused layers, folded propagation) vs the unfused reference
+  autograd graph (final metrics, ledger totals and RNG states asserted
+  identical, per-epoch losses to rounding);
 * **MCMC balancing** — the incremental array-backed kernel (delta workload
   updates, maintained candidate set, columnar transcript) vs a faithful
   emulation of the pre-PR from-scratch kernel;
@@ -101,7 +98,6 @@ EPSILONS = (0.5, 1.0, 2.0, 3.0, 4.0)
 TRACKED_SPEEDUPS = (
     "treebatch_assembly",
     "training_epoch",
-    "training_overhaul",
     "mcmc_balancing",
     "greedy_initialization",
     "secure_construction",
@@ -522,105 +518,22 @@ def bench_treebatch(graph, args) -> dict:
 def bench_epoch(graph, split, args) -> dict:
     """Time one steady-state supervised training epoch on each backend.
 
+    The production path (``numpy``: one fused node per layer with closed-form
+    adjoints + the folded ``P Â`` operator) against the oracle (``reference``:
+    the composite autograd graph).  The two build different graphs, so
+    per-epoch losses agree only to rounding; the final metrics, ledger totals
+    and RNG states must match exactly — asserted on each backend's first run.
+
     Measured as the marginal cost ``(t(E epochs) - t(1 epoch)) / (E - 1)`` so
-    one-time setup (model init, constant propagation, prepared matrices) does
-    not pollute the per-epoch number.
+    one-time setup (model init, constant propagation, prepared and folded
+    matrices) does not pollute the per-epoch number.
     """
     epochs = max(args.epochs, 10)
-    results = {}
+    config = _config(args)
+    results = {"devices": graph.num_nodes, "epochs": epochs}
+    outcomes, losses = {}, {}
     for backend in ("numpy", "reference"):
         with use_backend(backend):
-            system = LumosSystem(graph, _config(args), store=ArtifactStore())
-            trainer = system.trainer()
-
-            def run(num_epochs: int) -> float:
-                start = time.perf_counter()
-                trainer.train_supervised(graph.labels, split, epochs=num_epochs)
-                return time.perf_counter() - start
-
-            run(1)  # warm caches (prepared matrices, profiles)
-            long = _best(lambda: run(epochs), args.repeat)
-            short = _best(lambda: run(1), args.repeat)
-            results[f"{backend}_seconds"] = max(long - short, 0.0) / (epochs - 1)
-    results["speedup"] = results["reference_seconds"] / results["numpy_seconds"]
-    return results
-
-
-def bench_training_overhaul(graph, split, args) -> dict:
-    """Time the fused+folded training path against its ablations.
-
-    Three comparisons, each with its correctness asserted before timing:
-
-    * **fused+folded vs unfused reference** — the tracked ``speedup``.  The
-      two paths build different autograd graphs (one node per layer with
-      closed-form adjoints + the folded ``P Â`` operator vs the composite
-      reference ops), so per-epoch losses agree only to rounding; the final
-      metrics, ledger totals and RNG states must match exactly.
-    * **folded vs unfolded propagation** — same fused kernels, with and
-      without collapsing the mean-pool/propagation chain into one operator.
-    * **batched vs per-point sweep training** — the cross-point stacked
-      trainer vs the sequential loop, asserted bit-for-bit identical
-      (including per-epoch losses).
-
-    Epoch timings use the marginal-cost form of ``bench_epoch`` so one-time
-    setup does not pollute the per-epoch numbers.
-    """
-    from repro.core.lumos import run_supervised_many
-
-    epochs = max(args.epochs, 10)
-    base_config = _config(args)
-
-    def _outcome(system, history):
-        return {
-            "test_accuracy": history.test_accuracy,
-            "best_val_accuracy": history.best_val_accuracy,
-            "train_accuracy": tuple(history.train_accuracy),
-            "val_accuracy": tuple(history.val_accuracy),
-            "ledger": tuple(sorted(
-                system.environment.ledger.summary(
-                    system.environment.num_devices
-                ).items()
-            )),
-            "rng_state": repr(system.rng.bit_generator.state),
-        }
-
-    def _fresh_run(config, backend):
-        with use_backend(backend):
-            system = LumosSystem(graph, config, store=ArtifactStore())
-            _, history = system.trainer().train_supervised(
-                graph.labels, split, epochs=epochs
-            )
-        return _outcome(system, history), list(history.losses)
-
-    fused_outcome, fused_losses = _fresh_run(base_config, "numpy")
-    unfolded_outcome, unfolded_losses = _fresh_run(
-        base_config.without_propagation_folding(), "numpy"
-    )
-    reference_outcome, reference_losses = _fresh_run(
-        base_config.without_propagation_folding(), "reference"
-    )
-    for label, outcome, losses in (
-        ("unfused reference", reference_outcome, reference_losses),
-        ("unfolded", unfolded_outcome, unfolded_losses),
-    ):
-        if fused_outcome != outcome:
-            raise AssertionError(
-                f"fused+folded training diverged from the {label} path: "
-                f"{fused_outcome} != {outcome}"
-            )
-        if not np.allclose(fused_losses, losses, rtol=1e-9, atol=1e-12):
-            raise AssertionError(
-                f"fused+folded losses diverged from the {label} path beyond "
-                f"rounding"
-            )
-
-    timings = {}
-    for label, config, backend in (
-        ("fused_folded", base_config, "numpy"),
-        ("fused_unfolded", base_config.without_propagation_folding(), "numpy"),
-        ("reference", base_config.without_propagation_folding(), "reference"),
-    ):
-        with use_backend(backend):
             system = LumosSystem(graph, config, store=ArtifactStore())
             trainer = system.trainer()
 
@@ -629,65 +542,43 @@ def bench_training_overhaul(graph, split, args) -> dict:
                 trainer.train_supervised(graph.labels, split, epochs=num_epochs)
                 return time.perf_counter() - start
 
-            run(1)  # warm caches (prepared + folded matrices, profiles)
+            # The first run on the fresh system is the parity run; it also
+            # warms the caches (prepared + folded matrices, profiles).
+            _, history = trainer.train_supervised(graph.labels, split, epochs=epochs)
+            outcomes[backend] = {
+                "test_accuracy": history.test_accuracy,
+                "best_val_accuracy": history.best_val_accuracy,
+                "train_accuracy": tuple(history.train_accuracy),
+                "val_accuracy": tuple(history.val_accuracy),
+                "ledger": tuple(sorted(
+                    system.environment.ledger.summary(
+                        system.environment.num_devices
+                    ).items()
+                )),
+                "rng_state": repr(system.rng.bit_generator.state),
+            }
+            losses[backend] = list(history.losses)
             # The tracked speedup is a ratio of two marginal costs, so it is
             # twice as sensitive to scheduling noise as a single timing —
             # take the min over two extra repeats to stabilise it.
             long = _best(lambda: run(epochs), args.repeat + 2)
             short = _best(lambda: run(1), args.repeat + 2)
-            timings[label] = max(long - short, 0.0) / (epochs - 1)
-
-    def _sweep(label, train):
-        def fn() -> float:
-            store = ArtifactStore()
-            systems = [
-                LumosSystem(graph, _config(args, epsilon), store=store)
-                for epsilon in EPSILONS
-            ]
-            start = time.perf_counter()
-            results = train(systems)
-            elapsed = time.perf_counter() - start
-            fn.outcome = tuple(
-                (_outcome(system, result.history), tuple(result.history.losses))
-                for system, result in zip(systems, results)
-            )
-            return elapsed
-
-        fn.__name__ = label
-        return fn
-
-    per_point = _sweep(
-        "per_point",
-        lambda systems: [s.run_supervised(split, epochs=epochs) for s in systems],
-    )
-    batched = _sweep(
-        "batched",
-        lambda systems: run_supervised_many(systems, split, epochs=epochs),
-    )
-    per_point_seconds = _best(per_point, args.repeat)
-    batched_seconds = _best(batched, args.repeat)
-    if per_point.outcome != batched.outcome:
+            results[f"{backend}_seconds"] = max(long - short, 0.0) / (epochs - 1)
+    if outcomes["numpy"] != outcomes["reference"]:
         raise AssertionError(
-            "batched sweep training diverged from the per-point loop"
+            "fused training diverged from the reference path: "
+            f"{outcomes['numpy']} != {outcomes['reference']}"
         )
-
-    return {
-        "devices": graph.num_nodes,
-        "epochs": epochs,
-        "fused_folded_epoch_seconds": timings["fused_folded"],
-        "fused_unfolded_epoch_seconds": timings["fused_unfolded"],
-        "reference_epoch_seconds": timings["reference"],
-        "speedup": timings["reference"] / timings["fused_folded"]
-        if timings["fused_folded"] else float("nan"),
-        "folding_speedup": timings["fused_unfolded"] / timings["fused_folded"]
-        if timings["fused_folded"] else float("nan"),
-        "sweep_points": len(EPSILONS),
-        "per_point_sweep_seconds": per_point_seconds,
-        "batched_sweep_seconds": batched_seconds,
-        "batching_speedup": per_point_seconds / batched_seconds
-        if batched_seconds else float("nan"),
-        "test_accuracy": fused_outcome["test_accuracy"],
-    }
+    if not np.allclose(losses["numpy"], losses["reference"], rtol=1e-9, atol=1e-12):
+        raise AssertionError(
+            "fused losses diverged from the reference path beyond rounding"
+        )
+    results["speedup"] = (
+        results["reference_seconds"] / results["numpy_seconds"]
+        if results["numpy_seconds"] else float("nan")
+    )
+    results["test_accuracy"] = outcomes["numpy"]["test_accuracy"]
+    return results
 
 
 def _seed_construct(environment, config, rng):
@@ -758,8 +649,6 @@ def _sweep_seed_path(graph, split, args) -> tuple:
 
 
 def _sweep_engine(graph, split, args):
-    from repro.core.lumos import run_supervised_many
-
     store = ArtifactStore()
     pipeline_seconds = 0.0
     systems = []
@@ -770,9 +659,9 @@ def _sweep_engine(graph, split, args):
         system.tree_batch()  # partition -> construction -> draws -> ldp -> batch
         pipeline_seconds += time.perf_counter() - pipeline_start
         systems.append(system)
-    # Same call the runner's serial path makes: all points' training loops
-    # stacked into batched backend kernels (bit-identical to per-point).
-    run_supervised_many(systems, split)
+    # Same call the runner's serial path makes per sweep point.
+    for system in systems:
+        system.run_supervised(split)
     return time.perf_counter() - start, pipeline_seconds, store
 
 
@@ -1261,19 +1150,6 @@ def main(argv=None, default_output: Optional[Path] = None) -> int:
               f"{epoch['numpy_seconds'] * 1e3:.2f} ms "
               f"vs reference {epoch['reference_seconds'] * 1e3:.2f} ms "
               f"({epoch['speedup']:.2f}x)")
-    if "training_overhaul" in selected:
-        overhaul = sections["training_overhaul"] = _observed(
-            "training_overhaul", bench_training_overhaul, graph, split, args
-        )
-        print(f"[bench_engine] training overhaul ({overhaul['devices']} devices, "
-              f"{overhaul['epochs']} epochs): fused+folded "
-              f"{overhaul['fused_folded_epoch_seconds'] * 1e3:.2f} ms/epoch vs "
-              f"reference {overhaul['reference_epoch_seconds'] * 1e3:.2f} ms "
-              f"({overhaul['speedup']:.2f}x; folding "
-              f"{overhaul['folding_speedup']:.2f}x; "
-              f"batched sweep {overhaul['batched_sweep_seconds']:.2f} s vs "
-              f"per-point {overhaul['per_point_sweep_seconds']:.2f} s, "
-              f"{overhaul['batching_speedup']:.2f}x)")
     if "mcmc_balancing" in selected:
         mcmc = sections["mcmc_balancing"] = _observed(
             "mcmc_balancing", bench_mcmc_balancing, graph, args

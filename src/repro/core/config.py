@@ -27,15 +27,6 @@ SECURE_KERNELS = ("auto", "batched", "reference")
 #: Executor selection values of the parallel runtime (:mod:`repro.runtime`).
 EXECUTORS = ("serial", "process")
 
-#: Trainer compute-backend selection values.  ``"auto"`` inherits whatever
-#: backend is active when training starts (the fast numpy backend by
-#: default); any other value must name a registered
-#: :mod:`repro.nn.backend` backend — including optional ones like
-#: ``"torch"`` — and the trainer switches to it for the duration of the run.
-#: Validated lazily against the registry so configs stay importable without
-#: optional extras installed.
-TRAINER_BACKENDS = ("auto", "numpy", "reference", "dense", "torch")
-
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -124,17 +115,6 @@ class TrainerConfig:
     epsilon: float = 2.0
     pooling: str = "mean"
     negative_samples_per_edge: int = 1
-    # Compute backend the trainer runs under ("auto" inherits the active
-    # backend).  Part of the frozen config so the engine's tree-batch
-    # fingerprint distinguishes backends and cached artifacts (which carry
-    # backend-prepared operators) never mix backends.
-    backend: str = "auto"
-    # Whether the final GCN layer's propagation may be folded with the
-    # mean-pool operator into one precomputed matrix per tree batch
-    # (``fold_chain``).  Only engages on fused backends with a GCN backbone
-    # and mean pooling; the benchmark harness toggles it to measure the
-    # folded-vs-unfolded speedup.
-    fold_propagation: bool = True
 
     def __post_init__(self) -> None:
         if self.backbone not in ("gcn", "gat"):
@@ -145,10 +125,6 @@ class TrainerConfig:
             raise ValueError("epsilon must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.backend not in TRAINER_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {TRAINER_BACKENDS}, got {self.backend!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,14 +175,6 @@ class LumosConfig:
     def with_seed(self, seed: int) -> "LumosConfig":
         """Return a copy with a different random seed."""
         return replace(self, seed=seed)
-
-    def with_trainer_backend(self, backend: str) -> "LumosConfig":
-        """Return a copy training under the named compute backend."""
-        return replace(self, trainer=replace(self.trainer, backend=backend))
-
-    def without_propagation_folding(self) -> "LumosConfig":
-        """Return a copy with pool/adjacency matmul folding disabled."""
-        return replace(self, trainer=replace(self.trainer, fold_propagation=False))
 
     def with_runtime(self, **kwargs) -> "LumosConfig":
         """Return a copy with updated :class:`RuntimeConfig` fields."""

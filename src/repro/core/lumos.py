@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .trainer import (
     TreeBasedGNNTrainer,
     TreeBatch,
     UnsupervisedHistory,
-    train_supervised_many,
 )
 
 
@@ -244,52 +243,3 @@ class LumosSystem:
         result.update(self.environment.ledger.summary(self.environment.num_devices))
         return result
 
-
-def run_supervised_many(
-    systems: Sequence[LumosSystem],
-    split: NodeSplit,
-    epochs: Optional[int] = None,
-) -> List[LumosSupervisedResult]:
-    """Run the supervised task on several systems with one batched trainer.
-
-    The systems of an epsilon sweep share the union-graph structure and
-    differ only in their LDP feature exchange, so their training loops can be
-    stacked along a leading point axis and pushed through batched backend
-    kernels (:func:`repro.core.trainer.train_supervised_many`).  Results are
-    identical — metrics, histories, ledger transcripts, RNG states — to
-    calling :meth:`LumosSystem.run_supervised` on each system in order; when
-    the batching preconditions do not hold this degrades to exactly that
-    sequential loop.
-    """
-    systems = list(systems)
-    if not systems:
-        return []
-    labels = systems[0].graph.labels
-    if labels is None or any(
-        system.graph.labels is None
-        or not np.array_equal(system.graph.labels, labels)
-        for system in systems
-    ):
-        return [system.run_supervised(split, epochs=epochs) for system in systems]
-    trainers = [system.trainer() for system in systems]
-    outcomes = train_supervised_many(trainers, labels, split, epochs=epochs)
-    results: List[LumosSupervisedResult] = []
-    for system, trainer, (_, history) in zip(systems, trainers, outcomes):
-        profile = trainer.communication_profile("supervised")
-        results.append(
-            LumosSupervisedResult(
-                test_accuracy=history.test_accuracy,
-                best_val_accuracy=history.best_val_accuracy,
-                history=history,
-                construction=system.construct_trees(),
-                communication_rounds_per_device=float(
-                    profile["per_device_rounds"].mean()
-                ),
-                simulated_epoch_time=trainer.simulated_epoch_time("supervised"),
-                ledger_summary=system.environment.ledger.summary(
-                    system.environment.num_devices
-                ),
-                fault_summary=trainer.fault_stats if trainer.faults is not None else None,
-            )
-        )
-    return results

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,18 +34,18 @@ from ..faults.config import FaultScenarioConfig
 from ..faults.plan import FaultPlan
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
-from ..gnn.gcn import _COMPRESS_ZERO_FRACTION, GCNLayer
+from ..gnn.gcn import GCNLayer
 from ..gnn.models import EncoderConfig, GNNEncoder
 from ..gnn.pooling import get_pooling
-from ..nn.backend import get_backend, resolve_backend, use_backend
+from ..nn.backend import get_backend
 from ..graph.sparse import symmetric_normalize
 from ..graph.splits import EdgeSplit, NodeSplit
 from ..nn import functional as F
 from ..nn.layers import Linear
 from ..nn.loss import cross_entropy, link_prediction_loss
-from ..nn.module import Module, Parameter
+from ..nn.module import Module
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor, _as_array, no_grad
+from ..nn.tensor import Tensor, no_grad
 from .config import TrainerConfig
 from .constructor import TreeConstructionResult
 from .embedding_init import EmbeddingInitializationResult
@@ -465,7 +464,6 @@ class LumosModel(Module):
         )
         self.encoder = GNNEncoder(feature_dim, encoder_config, rng=rng)
         self.pooling = get_pooling(config.pooling)
-        self.fold_propagation = config.fold_propagation
         self.head = (
             Linear(self.encoder.output_dim, num_classes, rng=rng)
             if num_classes is not None
@@ -493,8 +491,7 @@ class LumosModel(Module):
         if backend.allow_fused and self._uses_mean_pool():
             final = self.encoder.final_layer
             if (
-                self.fold_propagation
-                and isinstance(final, GCNLayer)
+                isinstance(final, GCNLayer)
                 and final.bias is not None
                 and self.head.bias is not None
             ):
@@ -514,8 +511,8 @@ class LumosModel(Module):
                     self.head.bias,
                     batch.pool_row_sums(),
                 )
-            # No fold (GAT backbone or folding disabled): mean-pool and the
-            # classifier head still collapse into one autograd node.
+            # No fold (GAT backbone): mean-pool and the classifier head still
+            # collapse into one autograd node.
             node_embeddings = self.encoder(features, _BatchGraphInput(batch))
             return F.fused_pool_head(
                 node_embeddings,
@@ -866,17 +863,12 @@ class TreeBasedGNNTrainer:
             "trainer.lost_update_rounds", self.fault_stats["lost_update_rounds"]
         )
 
-    def _backend_context(self):
-        """Context manager activating the configured trainer backend.
-
-        ``"auto"`` inherits whatever backend is active at call time (so an
-        outer :func:`use_backend` still governs the run); any other name
-        switches for the duration of the training loop and restores the
-        previous backend afterwards.
-        """
-        if self.config.backend == "auto":
-            return nullcontext(get_backend())
-        return use_backend(self.config.backend)
+    def _resolve_epochs(self, epochs: Optional[int]) -> int:
+        """The explicit ``epochs`` argument, else the configured default."""
+        epochs = self.config.epochs if epochs is None else int(epochs)
+        if epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {epochs}")
+        return epochs
 
     # ------------------------------------------------------------------ #
     # Supervised training (node classification)
@@ -889,20 +881,19 @@ class TreeBasedGNNTrainer:
         log_every: int = 0,
     ) -> Tuple[LumosModel, SupervisedHistory]:
         """Train for node classification and return the model and its history."""
-        with obs.span("trainer.train_supervised", epochs=epochs or self.config.epochs):
-            with self._backend_context():
-                return self._train_supervised_impl(labels, split, epochs, log_every)
+        epochs = self._resolve_epochs(epochs)
+        with obs.span("trainer.train_supervised", epochs=epochs):
+            return self._train_supervised_impl(labels, split, epochs, log_every)
 
     def _train_supervised_impl(
         self,
         labels: np.ndarray,
         split: NodeSplit,
-        epochs: Optional[int],
+        epochs: int,
         log_every: int,
     ) -> Tuple[LumosModel, SupervisedHistory]:
         labels = np.asarray(labels, dtype=np.int64)
         num_classes = int(labels.max()) + 1
-        epochs = epochs if epochs is not None else self.config.epochs
         model = LumosModel(self.feature_dim, num_classes, self.config, rng=self.rng)
         optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         history = SupervisedHistory()
@@ -1003,17 +994,16 @@ class TreeBasedGNNTrainer:
                 "fault injection currently supports the supervised task only; "
                 "train_unsupervised requires an empty fault scenario"
             )
-        with obs.span("trainer.train_unsupervised", epochs=epochs or self.config.epochs):
-            with self._backend_context():
-                return self._train_unsupervised_impl(edge_split, epochs, log_every)
+        epochs = self._resolve_epochs(epochs)
+        with obs.span("trainer.train_unsupervised", epochs=epochs):
+            return self._train_unsupervised_impl(edge_split, epochs, log_every)
 
     def _train_unsupervised_impl(
         self,
         edge_split: EdgeSplit,
-        epochs: Optional[int],
+        epochs: int,
         log_every: int,
     ) -> Tuple[LumosModel, UnsupervisedHistory]:
-        epochs = epochs if epochs is not None else self.config.epochs
         model = LumosModel(self.feature_dim, None, self.config, rng=self.rng)
         optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         history = UnsupervisedHistory()
@@ -1108,365 +1098,6 @@ class TreeBasedGNNTrainer:
                 is_edge = np.zeros(codes.shape[0], dtype=bool)
             pending = pending[(draws == pending_sources) | is_edge]
         return np.stack([sources, candidates], axis=1)
-
-
-# --------------------------------------------------------------------------- #
-# Cross-sweep-point batched training
-# --------------------------------------------------------------------------- #
-def train_supervised_many(
-    trainers: Sequence[TreeBasedGNNTrainer],
-    labels: np.ndarray,
-    split: NodeSplit,
-    epochs: Optional[int] = None,
-) -> List[Tuple[LumosModel, SupervisedHistory]]:
-    """Train several sweep points through stacked backend calls.
-
-    The trainers typically differ only in their privacy budget: sweep points
-    share the union-graph structure and train the same architecture on
-    slightly different feature matrices.  Their parameter sets are stacked
-    along a leading point axis so every epoch runs as a handful of batched
-    kernels (one multi-vector sparse product, slice-wise gemms) instead of
-    one python-level training loop per point.
-
-    The computation is bit-for-bit identical to calling each trainer's
-    :meth:`TreeBasedGNNTrainer.train_supervised` in sequence: the same float
-    operations execute in the same order within every point slice, each
-    trainer's RNG stream is consumed identically (model init, then dropout
-    draws in epoch order), and each environment's ledger receives the same
-    transcript.  The benchmark harness asserts this equivalence.
-
-    Falls back to the sequential loop whenever the batching preconditions do
-    not hold (fewer than two points, non-GCN backbone, non-mean pooling,
-    folding disabled, an unfused backend, heterogeneous configs, or batches
-    that do not share their structure).
-    """
-    trainers = list(trainers)
-    if not trainers:
-        return []
-    if not _can_batch_supervised(trainers):
-        return [
-            trainer.train_supervised(labels, split, epochs=epochs)
-            for trainer in trainers
-        ]
-    with trainers[0]._backend_context():
-        return _train_supervised_batched(trainers, labels, split, epochs)
-
-
-def _can_batch_supervised(trainers: Sequence[TreeBasedGNNTrainer]) -> bool:
-    """Whether the stacked training kernel applies to these trainers."""
-    if len(trainers) < 2:
-        return False
-    # Fault-injected trainers take the per-epoch degradation path, which the
-    # stacked kernel does not model — fall back to the sequential loop.
-    if any(trainer.faults is not None for trainer in trainers):
-        return False
-    first = trainers[0].config
-    for trainer in trainers[1:]:
-        # Points may differ in their privacy budget only — epsilon affects
-        # the feature matrices, which the stacked kernel handles per slice.
-        if dataclasses.replace(trainer.config, epsilon=first.epsilon) != first:
-            return False
-    if first.backbone != "gcn" or first.pooling != "mean":
-        return False
-    if not first.fold_propagation or first.num_layers < 2:
-        return False
-    backend = (
-        get_backend() if first.backend == "auto" else resolve_backend(first.backend)
-    )
-    if not backend.allow_fused:
-        return False
-    base = trainers[0].batch
-    for trainer in trainers[1:]:
-        # Identity of the adjacency pins a shared construction (the engine's
-        # with_initialization re-binding); equal shapes alone are not enough.
-        if trainer.batch.adjacency is not base.adjacency:
-            return False
-        if trainer.batch.features.shape != base.features.shape:
-            return False
-    return True
-
-
-def _train_supervised_batched(
-    trainers: Sequence[TreeBasedGNNTrainer],
-    labels: np.ndarray,
-    split: NodeSplit,
-    epochs: Optional[int],
-) -> List[Tuple[LumosModel, SupervisedHistory]]:
-    labels = np.asarray(labels, dtype=np.int64)
-    num_classes = int(labels.max()) + 1
-    lead = trainers[0]
-    config = lead.config
-    epochs = epochs if epochs is not None else config.epochs
-    backend = get_backend()
-    num_points = len(trainers)
-    start = time.perf_counter()
-
-    # Per-point models built in point order from each trainer's own RNG —
-    # exactly the draws the sequential loop would make.
-    models = [
-        LumosModel(trainer.feature_dim, num_classes, trainer.config, rng=trainer.rng)
-        for trainer in trainers
-    ]
-    layer_names = models[0].encoder._layer_names
-    num_layers = len(layer_names)
-
-    def encoder_layer(model: LumosModel, index: int) -> GCNLayer:
-        return model.encoder._modules[layer_names[index]]
-
-    # Stack every parameter along a leading point axis.  Biases keep a
-    # singleton row axis so broadcasting against (K, rows, dim) activations
-    # unbroadcasts back to per-point bias gradients bit-for-bit.
-    layer_weights = [
-        Parameter(
-            np.stack([encoder_layer(m, i).weight.data for m in models]),
-            name=f"weight_{i}",
-        )
-        for i in range(num_layers)
-    ]
-    layer_biases = [
-        Parameter(
-            np.stack([encoder_layer(m, i).bias.data for m in models])[:, None, :],
-            name=f"bias_{i}",
-        )
-        for i in range(num_layers)
-    ]
-    head_weight = Parameter(
-        np.stack([m.head.weight.data for m in models]), name="head_weight"
-    )
-    head_bias = Parameter(
-        np.stack([m.head.bias.data for m in models])[:, None, :], name="head_bias"
-    )
-    parameters = [*layer_weights, *layer_biases, head_weight, head_bias]
-    optimizer = Adam(parameters, lr=config.learning_rate)
-
-    batch = lead.batch
-    adjacency = batch.adjacency
-    folded = batch.folded_pool_adjacency()
-    row_sums_vector = batch.pool_row_sums()
-    row_sums = row_sums_vector.reshape(1, -1, 1)
-    features_stack = np.stack([trainer.batch.features for trainer in trainers])
-    # Â X is constant across epochs for every point — propagate once.  When
-    # the union graph is dominated by all-zero virtual rows, keep the
-    # compressed pair ``(Â_nz, X_nz)`` instead and run the slim kernels
-    # ``Â_nz (X_nz W)`` per epoch; this mirrors GCNLayer._propagate_constant
-    # so every point slice stays bit-identical to its sequential run (zero
-    # rows are structural — shared across sweep points of one construction).
-    nonzero = np.flatnonzero(features_stack.any(axis=(0, 2)))
-    if nonzero.size <= (1.0 - _COMPRESS_ZERO_FRACTION) * features_stack.shape[1]:
-        propagated = None
-        compressed_matrix = backend.prepare_matrix(
-            sp.csr_matrix(sp.csr_matrix(adjacency)[:, nonzero])
-        )
-        compressed_stack = np.ascontiguousarray(features_stack[:, nonzero, :])
-    else:
-        compressed_matrix = compressed_stack = None
-        propagated = backend.spmm_many(adjacency, features_stack)
-
-    keep_probability = 1.0 - config.dropout
-    use_dropout = config.dropout > 0.0
-
-    def draw_dropout_masks(shape) -> np.ndarray:
-        return np.stack(
-            [
-                (trainer.rng.random(shape) < keep_probability) / keep_probability
-                for trainer in trainers
-            ]
-        )
-
-    weights_mask = split.train_mask.astype(np.float64)
-    total_weight = max(weights_mask.sum(), 1.0)
-
-    first_layer_cache: Optional[tuple] = None
-
-    def first_layer_forward() -> Tensor:
-        # Mirrors GCNLayer._propagate_constant: the evaluation pass at epoch
-        # t sees the same parameter arrays as the gradient pass at t + 1, so
-        # evaluate() stores its layer output here for reuse.
-        nonlocal first_layer_cache
-        weight, bias = layer_weights[0], layer_biases[0]
-        entry = first_layer_cache
-        if entry is None or entry[0] is not weight.data or entry[1] is not bias.data:
-            if propagated is not None:
-                value = propagated @ weight.data + bias.data
-            else:
-                value = (
-                    backend.spmm_many(
-                        compressed_matrix, compressed_stack @ weight.data
-                    )
-                    + bias.data
-                )
-            mask = (value > 0).astype(np.float64)
-            value = value * mask
-            entry = (weight.data, bias.data, value, mask)
-            first_layer_cache = entry
-        value, mask = entry[2], entry[3]
-
-        def backward(grad: np.ndarray) -> None:
-            grad = _as_array(grad) * mask
-            if propagated is not None:
-                weight._accumulate(np.swapaxes(propagated, -1, -2) @ grad)
-            else:
-                weight._accumulate(
-                    np.swapaxes(compressed_stack, -1, -2)
-                    @ backend.spmm_t_many(compressed_matrix, grad)
-                )
-            bias._accumulate(grad)
-
-        return Tensor._make(value, (weight, bias), backward)
-
-    def folded_head_forward(hidden: Tensor) -> Tensor:
-        # Stacked mirror of F.fused_folded_head: slice k runs the same float
-        # operations as the 2-D node on point k (1-D gemv sub-products loop
-        # over the small point axis so the BLAS calls match shape for shape).
-        final_weight, final_bias = layer_weights[-1], layer_biases[-1]
-        combined = final_weight.data @ head_weight.data
-        support = hidden.data @ combined
-        pooled = backend.spmm_many(folded, support)
-        combined_bias = np.stack(
-            [
-                final_bias.data[k, 0] @ head_weight.data[k]
-                for k in range(num_points)
-            ]
-        )[:, None, :]
-        value = (
-            pooled + row_sums * combined_bias + head_bias.data
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            g = _as_array(grad)
-            head_bias._accumulate(g)
-            row_grad = np.stack(
-                [row_sums_vector @ g[k] for k in range(num_points)]
-            )
-            scattered = backend.spmm_t_many(folded, g)
-            projected = np.swapaxes(hidden.data, -1, -2) @ scattered
-            head_weight._accumulate(
-                np.swapaxes(final_weight.data, -1, -2) @ projected
-                + np.swapaxes(final_bias.data, -1, -2) * row_grad[:, None, :]
-            )
-            final_weight._accumulate(
-                projected @ np.swapaxes(head_weight.data, -1, -2)
-            )
-            final_bias._accumulate(
-                np.stack(
-                    [
-                        row_grad[k] @ head_weight.data[k].T
-                        for k in range(num_points)
-                    ]
-                )[:, None, :]
-            )
-            hidden._accumulate(scattered @ np.swapaxes(combined, -1, -2))
-
-        parents = (hidden, final_weight, final_bias, head_weight, head_bias)
-        return Tensor._make(value, parents, backward)
-
-    def forward_train() -> Tensor:
-        hidden = first_layer_forward()
-        if use_dropout:
-            hidden = hidden * Tensor(draw_dropout_masks(hidden.data.shape[1:]))
-        for index in range(1, num_layers - 1):
-            z = F.sparse_matmul_many(adjacency, hidden @ layer_weights[index])
-            hidden = (z + layer_biases[index]).relu()
-            if use_dropout:
-                hidden = hidden * Tensor(draw_dropout_masks(hidden.data.shape[1:]))
-        return folded_head_forward(hidden)
-
-    def evaluate() -> np.ndarray:
-        nonlocal first_layer_cache
-        weight, bias = layer_weights[0], layer_biases[0]
-        if propagated is not None:
-            value = propagated @ weight.data + bias.data
-        else:
-            value = (
-                backend.spmm_many(compressed_matrix, compressed_stack @ weight.data)
-                + bias.data
-            )
-        mask = (value > 0).astype(np.float64)
-        hidden = value * mask
-        first_layer_cache = (weight.data, bias.data, hidden, mask)
-        for index in range(1, num_layers - 1):
-            z = backend.spmm_many(adjacency, hidden)
-            z = z @ layer_weights[index].data + layer_biases[index].data
-            relu_mask = (z > 0).astype(np.float64)
-            hidden = z * relu_mask
-        combined = layer_weights[-1].data @ head_weight.data
-        pooled = backend.spmm_many(folded, hidden @ combined)
-        combined_bias = np.stack(
-            [
-                layer_biases[-1].data[k, 0] @ head_weight.data[k]
-                for k in range(num_points)
-            ]
-        )[:, None, :]
-        eval_logits = pooled + row_sums * combined_bias + head_bias.data
-        return np.argmax(eval_logits, axis=-1)
-
-    histories = [SupervisedHistory() for _ in trainers]
-    best_snapshots: List[Optional[dict]] = [None] * num_points
-    best_predictions: List[Optional[np.ndarray]] = [None] * num_points
-
-    def snapshot(point: int) -> dict:
-        return {
-            "weights": [w.data[point].copy() for w in layer_weights],
-            "biases": [b.data[point, 0].copy() for b in layer_biases],
-            "head_weight": head_weight.data[point].copy(),
-            "head_bias": head_bias.data[point, 0].copy(),
-        }
-
-    for _ in range(epochs):
-        logits = forward_train()
-        # Same single-node loss as the sequential path (slice k of the
-        # stacked call is bit-identical to the 2-D call on point k).
-        loss_vector = F.fused_masked_cross_entropy(
-            logits, labels, weights_mask, total_weight
-        )
-        objective = loss_vector.sum()
-        optimizer.zero_grad()
-        objective.backward()
-        optimizer.step()
-
-        predictions = evaluate()
-        for point, trainer in enumerate(trainers):
-            point_predictions = predictions[point]
-            train_acc = float(
-                (point_predictions[split.train_mask] == labels[split.train_mask]).mean()
-            )
-            val_acc = float(
-                (point_predictions[split.val_mask] == labels[split.val_mask]).mean()
-            )
-            history = histories[point]
-            history.losses.append(float(loss_vector.data[point]))
-            history.train_accuracy.append(train_acc)
-            history.val_accuracy.append(val_acc)
-            if val_acc >= history.best_val_accuracy:
-                history.best_val_accuracy = val_acc
-                best_snapshots[point] = snapshot(point)
-                best_predictions[point] = point_predictions
-            trainer._charge_epoch("supervised")
-
-    if epochs <= 0:
-        predictions = evaluate()
-        for point in range(num_points):
-            best_predictions[point] = predictions[point]
-
-    elapsed = time.perf_counter() - start
-    results: List[Tuple[LumosModel, SupervisedHistory]] = []
-    for point, model in enumerate(models):
-        state = best_snapshots[point]
-        if state is None:
-            state = snapshot(point)
-        for index in range(num_layers):
-            layer = encoder_layer(model, index)
-            layer.weight.data = state["weights"][index]
-            layer.bias.data = state["biases"][index]
-        model.head.weight.data = state["head_weight"]
-        model.head.bias.data = state["head_bias"]
-        history = histories[point]
-        history.test_accuracy = float(
-            (best_predictions[point][split.test_mask] == labels[split.test_mask]).mean()
-        )
-        history.wall_clock_seconds = elapsed
-        results.append((model, history))
-    return results
 
 
 def roc_auc_from_embeddings(

@@ -26,6 +26,7 @@ import numpy as np
 from ..federation.simulator import FederatedEnvironment
 from ..graph.ego import partition_node_level
 from ..graph.graph import Graph
+from ..nn.backend import get_backend
 from .fingerprint import fingerprint_graph, fingerprint_value, stage_key
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -192,13 +193,14 @@ class EmbeddingInitStage(Stage):
 class TreeBatchStage(Stage):
     """Assembly of the block-diagonal union graph the trainer runs on.
 
-    Keyed on the construction and the trainer backend — the LDP features
-    enter the batch as a plain row-fill, so across an epsilon sweep the
-    cached structure is re-bound to the current point's exchange on replay
-    instead of being reassembled (``TreeBatch.with_initialization``).  The
-    backend participates in the key because the artifact carries
-    backend-prepared operators (the folded pool/propagation chain), and
-    cached artifacts must never mix backends.
+    Keyed on the construction and the active compute backend — the LDP
+    features enter the batch as a plain row-fill, so across an epsilon sweep
+    the cached structure is re-bound to the current point's exchange on
+    replay instead of being reassembled (``TreeBatch.with_initialization``).
+    The backend that is active when the stage runs participates in the key
+    because the artifact carries operators prepared by that backend (the
+    folded pool/propagation chain), and cached artifacts must never mix
+    backends.
     """
 
     name = "tree_batch"
@@ -208,12 +210,11 @@ class TreeBatchStage(Stage):
             "batch",
             context.keys["construction"],
             f"d={context.graph.num_features}",
-            f"backend={context.config.trainer.backend}",
+            f"backend={get_backend().name}",
         )
 
     def compute(self, context: PipelineContext) -> Any:
         from ..core.trainer import TreeBatch
-        from ..nn.backend import use_backend
 
         batch = TreeBatch.build(
             context.environment,
@@ -224,14 +225,8 @@ class TreeBatchStage(Stage):
         # Prewarm the pooling operators on the cached artifact: every sweep
         # point re-bound via with_initialization shares them (fold_chain runs
         # once per construction, not once per epsilon).
-        trainer_config = context.config.trainer
-        if trainer_config.fold_propagation:
-            if trainer_config.backend == "auto":
-                batch.folded_pool_adjacency()
-            else:
-                with use_backend(trainer_config.backend):
-                    batch.folded_pool_adjacency()
-            batch.pool_row_sums()
+        batch.folded_pool_adjacency()
+        batch.pool_row_sums()
         return batch
 
     def replay(self, context: PipelineContext, value: Any) -> Any:

@@ -299,16 +299,10 @@ def run_epsilon_sweep(
         for epsilon in epsilons
     ]
     if task == "supervised":
-        # All sweep points share the cached construction, so their training
-        # loops stack into batched backend kernels (bit-identical results,
-        # one pass over the epochs instead of one per point).
-        from ..core.lumos import run_supervised_many
-
         split = split_nodes(graph, seed=scale.seed)
-        sweep_results = run_supervised_many(systems, split)
         return {
-            epsilon: result.test_accuracy
-            for epsilon, result in zip(epsilons, sweep_results)
+            epsilon: system.run_supervised(split).test_accuracy
+            for epsilon, system in zip(epsilons, systems)
         }
     edge_split = split_edges(graph, seed=scale.seed)
     return {

@@ -138,27 +138,6 @@ def edge_attention_softmax(
     return Tensor._make(attention, (src_scores, dst_scores), backward)
 
 
-def sparse_matmul_many(
-    matrix: Union[sp.spmatrix, PreparedMatrix], tensor: Tensor
-) -> Tensor:
-    """Batched :func:`sparse_matmul` over a stacked ``(K, N, d)`` tensor.
-
-    Slice ``k`` of the result is ``matrix @ tensor[k]``; the whole stack goes
-    through one backend call (:meth:`OpsBackend.spmm_many`), which the fast
-    backends collapse into a single multi-vector CSR product.  Used by the
-    cross-sweep-point batched trainer, where ``K`` sweep points share one
-    propagation matrix.
-    """
-    backend = get_backend()
-    prepared = backend.prepare_matrix(matrix)
-    out_data = backend.spmm_many(prepared, tensor.data)
-
-    def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(backend.spmm_t_many(prepared, _as_array(grad)))
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
 def fused_gcn_layer(
     features: Tensor,
     matrix: Union[sp.spmatrix, PreparedMatrix],
@@ -450,42 +429,28 @@ def fused_masked_cross_entropy(
     ``(softmax - onehot) * weights / total`` instead of unwinding the five
     intermediate nodes.
 
-    ``logits`` may be ``(N, C)`` (scalar loss) or a stacked ``(K, N, C)``
-    batch sharing ``targets``/``weights`` across slices (loss vector of
-    shape ``(K,)``, slice ``k`` bit-identical to the 2-D call on
-    ``logits[k]``).
+    ``logits`` is ``(N, C)``; the loss is a scalar.
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     data = logits.data
-    if data.ndim not in (2, 3):
-        raise ValueError("fused_masked_cross_entropy expects 2-D or 3-D logits")
+    if data.ndim != 2:
+        raise ValueError("fused_masked_cross_entropy expects 2-D logits")
     shifted = data - data.max(axis=-1, keepdims=True)
     exp_values = np.exp(shifted)
     denominator = exp_values.sum(axis=-1, keepdims=True)
     log_probabilities = shifted - np.log(denominator)
-    rows = np.arange(data.shape[-2])
-    if data.ndim == 2:
-        picked = log_probabilities[rows, targets]
-    else:
-        # The advanced-index gather returns a transposed-stride (K, N)
-        # view-like array; materialise it C-contiguous so the row reduction
-        # below uses the same pairwise summation as the 1-D per-point sum.
-        picked = np.ascontiguousarray(log_probabilities[:, rows, targets])
+    rows = np.arange(data.shape[0])
+    picked = log_probabilities[rows, targets]
     value = -(picked * weights).sum(axis=-1) / total
     coefficients = weights / total
 
     def backward(grad: np.ndarray) -> None:
         grad = _as_array(grad)
         delta = exp_values / denominator
-        if data.ndim == 2:
-            delta[rows, targets] -= 1.0
-            scale = coefficients * grad
-            logits._accumulate(delta * scale[:, None])
-        else:
-            delta[:, rows, targets] -= 1.0
-            scale = coefficients[None, :] * np.reshape(grad, (-1, 1))
-            logits._accumulate(delta * scale[:, :, None])
+        delta[rows, targets] -= 1.0
+        scale = coefficients * grad
+        logits._accumulate(delta * scale[:, None])
 
     return Tensor._make(value, (logits,), backward)
 

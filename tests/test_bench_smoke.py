@@ -43,7 +43,6 @@ def test_tracked_speedups_include_all_perf_sections():
     assert set(bench_engine.TRACKED_SPEEDUPS) == {
         "treebatch_assembly",
         "training_epoch",
-        "training_overhaul",
         "mcmc_balancing",
         "greedy_initialization",
         "secure_construction",

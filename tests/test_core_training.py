@@ -149,6 +149,28 @@ class TestTrainer:
         assert history.test_auc > 0.5
         assert len(history.losses) == 25
 
+    @pytest.mark.parametrize("task", ["supervised", "unsupervised"])
+    def test_epochs_argument_is_resolved_once_at_entry(self, prepared, task):
+        from repro import obs
+
+        graph = prepared[0]
+        trainer = self._trainer(prepared)
+        if task == "supervised":
+            args = (graph.labels, split_nodes(graph, seed=0))
+            train = trainer.train_supervised
+        else:
+            args = (split_edges(graph, seed=0),)
+            train = trainer.train_unsupervised
+        # An explicit zero is a zero-epoch run, not "use the config default",
+        # and the span reports the count that actually ran.
+        with obs.tracing() as tracer:
+            _, history = train(*args, epochs=0)
+        assert history.losses == []
+        (span,) = [s for s in tracer.spans if s["name"] == f"trainer.train_{task}"]
+        assert span["attributes"]["epochs"] == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            train(*args, epochs=-1)
+
     def test_gat_backbone_runs(self, prepared):
         graph = prepared[0]
         trainer = self._trainer(prepared, backbone="gat")
@@ -234,61 +256,6 @@ class TestLumosSystem:
         assert workloads.shape == (tiny_graph.num_nodes,)
         summary = system.summary()
         assert {"num_devices", "max_workload", "secure_comparisons"} <= set(summary)
-
-    def test_run_supervised_many_matches_sequential(self, tiny_graph):
-        # The batched cross-sweep-point trainer must be observably identical
-        # to running each point in order: losses, accuracies, ledger
-        # summaries and the systems' RNG states all bit-equal.
-        from repro.core.lumos import run_supervised_many
-        from repro.engine.store import ArtifactStore
-
-        split = split_nodes(tiny_graph, seed=0)
-        base = default_config_for("facebook").with_mcmc_iterations(10).with_epochs(4)
-        epsilons = (1.0, 3.0)
-
-        def build():
-            store = ArtifactStore()
-            return [
-                LumosSystem(tiny_graph, base.with_epsilon(epsilon), store=store)
-                for epsilon in epsilons
-            ]
-
-        batched_systems = build()
-        batched = run_supervised_many(batched_systems, split)
-        sequential_systems = build()
-        sequential = [
-            system.run_supervised(split) for system in sequential_systems
-        ]
-        for batched_result, sequential_result in zip(batched, sequential):
-            assert batched_result.test_accuracy == sequential_result.test_accuracy
-            assert batched_result.history.losses == sequential_result.history.losses
-            assert (
-                batched_result.history.val_accuracy
-                == sequential_result.history.val_accuracy
-            )
-            assert batched_result.ledger_summary == sequential_result.ledger_summary
-        for batched_system, sequential_system in zip(
-            batched_systems, sequential_systems
-        ):
-            assert (
-                batched_system.rng.bit_generator.state
-                == sequential_system.rng.bit_generator.state
-            )
-
-    def test_run_supervised_many_single_system_falls_back(self, tiny_graph):
-        from repro.core.lumos import run_supervised_many
-        from repro.engine.store import ArtifactStore
-
-        split = split_nodes(tiny_graph, seed=0)
-        config = default_config_for("facebook").with_mcmc_iterations(10).with_epochs(3)
-        system = LumosSystem(tiny_graph, config, store=ArtifactStore())
-        (result,) = run_supervised_many([system], split)
-        reference = LumosSystem(
-            tiny_graph, config, store=ArtifactStore()
-        ).run_supervised(split)
-        assert result.test_accuracy == reference.test_accuracy
-        assert result.history.losses == reference.history.losses
-        assert run_supervised_many([], split) == []
 
     def test_config_helpers(self):
         config = LumosConfig()

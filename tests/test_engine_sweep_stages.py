@@ -28,6 +28,7 @@ from repro.engine import ArtifactStore, DiskSpillStore
 from repro.engine.store import StoredArtifact
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, split_nodes
+from repro.nn.backend import use_backend
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,22 @@ class TestTreeBatchRebind:
         assert rebound.adjacency is batch.adjacency
         assert rebound.edge_index is batch.edge_index
         np.testing.assert_array_equal(rebound.leaf_rows, fresh.leaf_rows)
+
+    def test_tree_batch_key_follows_the_active_backend(self, graph, config):
+        # The artifact carries operators prepared by whichever backend built
+        # it, so runs under different ambient backends must not share it.
+        split = split_nodes(graph, seed=0)
+        shared = ArtifactStore()
+        with use_backend("reference"):
+            LumosSystem(graph, config, store=shared).run_supervised(split)
+        on_shared = LumosSystem(graph, config, store=shared).run_supervised(split)
+        summary = shared.summary()
+        assert summary["tree_batch"] == {"hits": 0, "misses": 2}
+        assert summary["construction"] == {"hits": 1, "misses": 1}
+
+        fresh = LumosSystem(graph, config, store=ArtifactStore()).run_supervised(split)
+        assert on_shared.test_accuracy == fresh.test_accuracy
+        assert on_shared.history.losses == fresh.history.losses
 
     def test_generic_builder_also_carries_recipe(self, graph):
         _, environment, construction = _constructed(graph)

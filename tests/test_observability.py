@@ -85,6 +85,21 @@ class TestInvisibilityContract:
             )
         assert traced == serial
 
+    def test_traced_serial_sweep_spans_every_point_and_matches_untraced(self):
+        untraced = run_epsilon_sweep(
+            "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+        )
+        with obs.tracing() as tracer:
+            traced = run_epsilon_sweep(
+                "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+            )
+        assert traced == untraced
+        training_spans = [
+            span for span in tracer.spans
+            if span["name"] == "trainer.train_supervised"
+        ]
+        assert len(training_spans) == len(EPSILONS)
+
     def test_untraced_process_payloads_carry_no_obs_key(self):
         from repro.runtime import ProcessExecutor, WorkPlan
 
