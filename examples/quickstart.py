@@ -136,7 +136,8 @@ def main() -> None:
     # identical to the in-process simulation above, while the bytes on the
     # wire are measured and reconciled exactly against the analytic
     # comparison_cost() model (the session raises MeasuredCostMismatch on
-    # any divergence).  Benchmark it with: repro-bench --only secure_transport
+    # any divergence).  Benchmark it with:
+    #   python3 perfbench/run.py --workload secure_construct_3k
     from repro.crypto import RemoteParty
 
     driver = RemoteParty(bit_width=16)

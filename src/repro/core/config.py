@@ -14,16 +14,6 @@ from typing import Optional
 
 from ..faults.config import FaultScenarioConfig
 
-#: Alg. 1 kernel selection values (defined here, on the dependency-free
-#: config leaf; :mod:`repro.core.greedy` imports them).
-GREEDY_KERNELS = ("auto", "batched", "reference")
-
-#: Secure-construction kernel selection values (``"auto"`` resolves to the
-#: batched vectorized-OT kernels; ``"reference"`` keeps the per-comparison
-#: protocol loops).  Selects both the secure greedy kernel and the secure
-#: MCMC kernel of :class:`~repro.core.constructor.TreeConstructor`.
-SECURE_KERNELS = ("auto", "batched", "reference")
-
 #: Executor selection values of the parallel runtime (:mod:`repro.runtime`).
 EXECUTORS = ("serial", "process")
 
@@ -74,30 +64,10 @@ class TreeConstructorConfig:
     mcmc_iterations: int = 300
     degree_comparison_bits: int = 8
     workload_comparison_bits: int = 24
-    # Alg. 1 kernel for clear construction ("auto" resolves to the batched
-    # kernel).  Part of the frozen config so the engine's construction
-    # fingerprint distinguishes kernels and cached artifacts never mix RNG
-    # stream contracts.
-    greedy_kernel: str = "auto"
-    # Kernel used when the constructor runs in secure mode ("auto" resolves
-    # to the batched vectorized-OT kernels for both greedy initialisation
-    # and MCMC balancing; "reference" keeps the per-comparison protocol
-    # loops).  Fingerprinted for the same reason as ``greedy_kernel``.
-    secure_kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.mcmc_iterations < 0:
             raise ValueError("mcmc_iterations must be non-negative")
-        if self.greedy_kernel not in GREEDY_KERNELS:
-            raise ValueError(
-                f"greedy_kernel must be one of {GREEDY_KERNELS}, "
-                f"got {self.greedy_kernel!r}"
-            )
-        if self.secure_kernel not in SECURE_KERNELS:
-            raise ValueError(
-                f"secure_kernel must be one of {SECURE_KERNELS}, "
-                f"got {self.secure_kernel!r}"
-            )
 
 
 @dataclass(frozen=True)

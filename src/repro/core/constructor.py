@@ -67,36 +67,10 @@ class TreeConstructor:
         config: TreeConstructorConfig = TreeConstructorConfig(),
         rng: Optional[np.random.Generator] = None,
         secure: bool = False,
-        mcmc_kernel: str = "auto",
-        greedy_kernel: Optional[str] = None,
     ) -> None:
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng()
         self.secure = secure
-        self.mcmc_kernel = mcmc_kernel
-        # None defers to the (fingerprinted) config knobs: ``greedy_kernel``
-        # in clear mode, ``secure_kernel`` in secure mode (where "auto"
-        # resolves to the batched vectorized-OT kernels — bit-for-bit
-        # equivalent to the reference protocol loops, pinned by
-        # tests/test_secure_batched.py).
-        self.greedy_kernel = greedy_kernel
-
-    def _resolve_greedy_kernel(self) -> str:
-        if self.secure:
-            secure_kernel = self.config.secure_kernel
-            return "batched" if secure_kernel == "auto" else secure_kernel
-        return self.greedy_kernel if self.greedy_kernel is not None else self.config.greedy_kernel
-
-    def _resolve_mcmc_kernel(self) -> str:
-        if self.secure:
-            # "batched" maps onto the incremental kernel's vectorised secure
-            # Alg. 3 path; "auto" lets the balancer fall back to the
-            # reference loop where the incremental kernel does not apply
-            # (non-contiguous device ids).
-            return {"auto": "auto", "batched": "incremental", "reference": "reference"}[
-                self.config.secure_kernel
-            ]
-        return self.mcmc_kernel
 
     def construct(self, environment: FederatedEnvironment) -> TreeConstructionResult:
         """Run the constructor over ``environment`` and install the assignment."""
@@ -117,7 +91,6 @@ class TreeConstructor:
                 accountant=transcript,
                 bit_width=self.config.degree_comparison_bits,
                 rng=self.rng,
-                kernel=self._resolve_greedy_kernel(),
                 secure=self.secure,
             )
             balancer = MCMCBalancer(
@@ -127,7 +100,6 @@ class TreeConstructor:
                 bit_width=self.config.workload_comparison_bits,
                 secure=self.secure,
                 rng=self.rng,
-                kernel=self._resolve_mcmc_kernel(),
             )
             mcmc_result = balancer.run(greedy_assignment)
             assignment = mcmc_result.assignment

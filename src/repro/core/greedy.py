@@ -9,28 +9,28 @@ difference.  When the two buckets are equal *both* endpoints keep the edge
 (both comparisons return ``>=``), which is exactly the behaviour of Alg. 1
 and guarantees the edge-coverage constraint of Eq. 10.
 
-Two kernels implement the loop:
+There is one production path, :func:`greedy_initialization`: all
+directed-edge comparisons run as one numpy block
+(:meth:`~repro.crypto.zero_knowledge.DegreeComparisonProtocol.compare_degrees_many`),
+the accountant is charged with one bulk pattern record and the ledger with
+one columnar :class:`~repro.federation.events.BulkMessageEvent`.  With
+``secure=True`` the outcome bits are produced by the *vectorised
+millionaires' protocol itself* (batched table-OT simulation,
+``execute=True``) rather than the analytic evaluation, so the structural
+information boundary of a per-edge protocol run is preserved while the whole
+block still runs in one pass.
 
-* ``"batched"`` evaluates all directed-edge comparisons as one numpy block
-  (:meth:`~repro.crypto.zero_knowledge.DegreeComparisonProtocol.compare_degrees_many`),
-  charges the accountant with one bulk pattern record and the ledger with one
-  columnar :class:`~repro.federation.events.BulkMessageEvent` — identical
-  totals, canonical transcript and selected sets, at O(E) numpy cost instead
-  of O(E) protocol objects.  In secure mode (``secure=True``) the outcomes
-  are produced by the *vectorised millionaires' protocol itself* (batched
-  table-OT simulation, ``execute=True``) rather than the analytic
-  evaluation, so the structural information boundary of the per-edge loop is
-  preserved while the whole block still runs in one pass;
-* ``"reference"`` is the original per-edge message-level simulation, kept as
-  the parity baseline.
+:func:`greedy_initialization_reference` is the oracle: the per-edge
+message-level protocol loop that ``tests/test_greedy_batched.py`` and
+``tests/test_secure_batched.py`` import and compare the production path
+against (selected sets, accountant totals and capped log, canonical ledger
+transcript, RNG state).  Nothing in ``src/`` calls it and no string, flag or
+config field reaches it.
 
-**RNG stream contract** — neither kernel draws from the shared random stream:
-the simulated 1-out-of-2^m table OTs need no masking randomness, so the
-greedy phase is RNG-transparent and the two kernels leave any seeded
-generator in the same state (pinned by ``tests/test_greedy_batched.py``).
-The ``greedy_kernel`` knob still participates in the engine's construction
-fingerprint so cached artifacts produced by different kernels are never
-aliased should a future kernel start consuming the stream.
+**RNG stream contract** — neither function draws from the shared random
+stream: the simulated 1-out-of-2^m table OTs need no masking randomness, so
+the greedy phase is RNG-transparent and leaves any seeded generator
+untouched (pinned by the same suites).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..crypto.oblivious_transfer import TranscriptAccountant
 from ..crypto.zero_knowledge import DegreeComparisonProtocol
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
-from .config import GREEDY_KERNELS as KERNELS
 from .workload import Assignment
 
 
@@ -51,7 +50,7 @@ def comparison_message_bytes(bits_exchanged: int) -> int:
     """Ledger size of one SECURE_COMPARISON message.
 
     Both directions of a degree comparison carry the same transcript share;
-    the reference loop and the batched kernel both derive their per-message
+    the batched block and the per-edge oracle both derive their per-message
     byte count from this single helper so the two accountings cannot drift.
     """
     return max(1, int(bits_exchanged) // 8)
@@ -62,89 +61,26 @@ def greedy_initialization(
     accountant: Optional[TranscriptAccountant] = None,
     bit_width: int = 8,
     rng: Optional[np.random.Generator] = None,
-    kernel: str = "auto",
     secure: bool = False,
 ) -> Assignment:
     """Run Alg. 1 over the federated environment and return the assignment.
 
-    One secure comparison is executed per *directed* neighbour relation
+    One secure comparison is charged per *directed* neighbour relation
     (matching the per-device loop of Alg. 1, whose complexity is
     ``O(max_v deg(v) * L log L)``).  The transcripts (OT invocations, bits)
     accumulate into ``accountant`` and each comparison is charged to the
     environment's communication ledger as ``SECURE_COMPARISON`` traffic.
 
-    ``kernel`` selects the implementation: ``"batched"`` (vectorised, the
-    default resolution of ``"auto"``) or ``"reference"`` (the per-edge
-    protocol loop).  ``secure`` makes the batched kernel *execute* the
-    vectorised millionaires' protocol for its outcome bits instead of
-    evaluating them analytically (the reference loop always executes the
-    protocol).  All four combinations are equivalent in every recorded
-    observable — selected sets, accountant totals and log, canonical ledger
-    transcript, RNG state (see the module docstring for the RNG stream
-    contract).
+    ``secure`` makes the block *execute* the vectorised millionaires'
+    protocol for its outcome bits instead of evaluating them analytically;
+    every recorded observable is the same either way.  ``rng`` is the
+    construction stream the caller threads through Alg. 1 and Alg. 2; this
+    phase never draws from it (see the module docstring).
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     accountant = accountant if accountant is not None else TranscriptAccountant()
-
-    if kernel == "reference":
-        selected = _select_reference(environment, accountant, bit_width, rng)
-    else:
-        selected = _select_batched(environment, accountant, bit_width, secure)
-
-    assignment = Assignment(selected=selected)
-    environment.apply_assignment(assignment.as_lists())
-    return assignment
-
-
-def _select_reference(
-    environment: FederatedEnvironment,
-    accountant: TranscriptAccountant,
-    bit_width: int,
-    rng: Optional[np.random.Generator],
-) -> Dict[int, Set[int]]:
-    """The per-edge protocol loop (message-level simulation, parity baseline)."""
-    protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant, rng=rng)
-
-    selected: Dict[int, Set[int]] = {device_id: set() for device_id in environment.devices}
-
-    for device_id in environment.device_ids():
-        device = environment.devices[device_id]
-        own_degree = device.degree
-        for neighbor in device.ego.neighbors:
-            neighbor = int(neighbor)
-            neighbor_degree = environment.devices[neighbor].degree
-            # Line 4 of Alg. 1: keep v when round(ln deg(v)) >= round(ln deg(u)).
-            outcome = protocol.compare_degrees(neighbor_degree, own_degree)
-            size_bytes = comparison_message_bytes(outcome.bits_exchanged)
-            environment.exchange(
-                device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
-                description="greedy-degree-comparison",
-            )
-            environment.exchange(
-                neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
-                description="greedy-degree-comparison",
-            )
-            if outcome.left_bucket_ge_right:
-                selected[device_id].add(neighbor)
-    return selected
-
-
-def _select_batched(
-    environment: FederatedEnvironment,
-    accountant: TranscriptAccountant,
-    bit_width: int,
-    secure: bool = False,
-) -> Dict[int, Set[int]]:
-    """Vectorised Alg. 1: all directed-edge comparisons as one numpy block.
-
-    The directed-edge list comes from the environment's cached CSR adjacency
-    (contiguous device ids) or from the directed-edge cache with a
-    searchsorted id join (non-contiguous deployments).  The comparisons run
-    through :meth:`DegreeComparisonProtocol.compare_degrees_many`, the
-    edge-keep decision is one boolean mask, and the ledger is charged with a
-    single columnar event carrying both directions of every edge.
-    """
+    # The directed-edge list comes from the environment's cached CSR
+    # adjacency (contiguous device ids) or from the directed-edge cache with
+    # a searchsorted id join (non-contiguous deployments).
     device_ids = np.asarray(environment.device_ids(), dtype=np.int64)
     num_devices = int(device_ids.shape[0])
     if environment.has_contiguous_ids():
@@ -164,9 +100,10 @@ def _select_batched(
         destination_positions = np.minimum(
             np.searchsorted(device_ids, destinations), num_devices - 1
         )
-        # Every neighbour must be a device of the environment; the reference
-        # loop fails loudly on environment.devices[neighbor], so the batched
-        # id join must not silently map a dangling id onto another device.
+        # Every neighbour must be a device of the environment; the per-edge
+        # oracle fails loudly on environment.devices[neighbor], so the
+        # batched id join must not silently map a dangling id onto another
+        # device.
         if not np.array_equal(device_ids[destination_positions], destinations):
             missing = destinations[device_ids[destination_positions] != destinations]
             raise KeyError(f"unknown neighbour device {int(missing[0])}")
@@ -200,7 +137,56 @@ def _select_batched(
         num_devices, dtype=np.int64
     )
     pieces = np.split(destinations[keep], np.cumsum(keep_counts)[:-1]) if num_devices else []
-    return {
-        int(device_ids[position]): set(pieces[position].tolist())
-        for position in range(num_devices)
-    }
+    return _install(
+        environment,
+        {
+            int(device_ids[position]): set(pieces[position].tolist())
+            for position in range(num_devices)
+        },
+    )
+
+
+def greedy_initialization_reference(
+    environment: FederatedEnvironment,
+    accountant: Optional[TranscriptAccountant] = None,
+    bit_width: int = 8,
+    rng: Optional[np.random.Generator] = None,
+) -> Assignment:
+    """Alg. 1 as the per-edge protocol loop — the equivalence suites' oracle.
+
+    Every directed neighbour relation runs one scalar
+    :meth:`DegreeComparisonProtocol.compare_degrees` and logs its two ledger
+    messages individually.
+    """
+    accountant = accountant if accountant is not None else TranscriptAccountant()
+    protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant, rng=rng)
+
+    selected: Dict[int, Set[int]] = {device_id: set() for device_id in environment.devices}
+
+    for device_id in environment.device_ids():
+        device = environment.devices[device_id]
+        own_degree = device.degree
+        for neighbor in device.ego.neighbors:
+            neighbor = int(neighbor)
+            neighbor_degree = environment.devices[neighbor].degree
+            # Line 4 of Alg. 1: keep v when round(ln deg(v)) >= round(ln deg(u)).
+            outcome = protocol.compare_degrees(neighbor_degree, own_degree)
+            size_bytes = comparison_message_bytes(outcome.bits_exchanged)
+            environment.exchange(
+                device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
+                description="greedy-degree-comparison",
+            )
+            environment.exchange(
+                neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
+                description="greedy-degree-comparison",
+            )
+            if outcome.left_bucket_ge_right:
+                selected[device_id].add(neighbor)
+    return _install(environment, selected)
+
+
+def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -> Assignment:
+    """Wrap the selected sets and install them on the environment's devices."""
+    assignment = Assignment(selected=selected)
+    environment.apply_assignment(assignment.as_lists())
+    return assignment

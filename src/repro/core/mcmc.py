@@ -13,16 +13,24 @@ The iterative balancer repeatedly
 Two execution modes are provided:
 
 * ``secure=True`` runs every workload comparison of Alg. 3 through the
-  simulated CrypTFlow2 protocol — as a *batched* vectorised-OT simulation on
-  the incremental kernel (the ``"auto"`` resolution over contiguous device
-  ids, see :meth:`_IncrementalBalancingKernel.find_max_workload_device_secure`)
-  or as the original per-comparison message-level loop on the reference
-  kernel; the two are bit-for-bit equivalent in every recorded observable
-  (pinned by ``tests/test_secure_batched.py``);
+  simulated CrypTFlow2 protocol;
 * ``secure=False`` (default) evaluates the comparisons in the clear but
   charges the *same* analytic communication cost to the transcript
   accountant and ledger — the resulting assignments are identical, and large
   benchmark graphs stay fast.
+
+:meth:`MCMCBalancer.run` picks the implementation from what it can observe:
+over the contiguous ``0..n-1`` device ids of a node-level partition it runs
+the incremental array-backed kernel (delta workload updates, a maintained
+candidate set, columnar transcript; in secure mode a *batched* vectorised-OT
+Alg. 3, see
+:meth:`_IncrementalBalancingKernel.find_max_workload_device_secure`);
+over any other id set it runs :meth:`MCMCBalancer.run_reference`, the
+from-scratch loop that re-derives Alg. 3 every iteration.  That loop is also
+the oracle: ``tests/test_mcmc_incremental.py`` and
+``tests/test_secure_batched.py`` call it directly and require the two to be
+bit-for-bit equal in every recorded observable.  No string, flag or config
+field selects between them.
 """
 
 from __future__ import annotations
@@ -40,9 +48,6 @@ from ..crypto.zero_knowledge import WorkloadComparisonProtocol
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.simulator import FederatedEnvironment
 from .workload import Assignment
-
-#: Kernel selection values accepted by :class:`MCMCBalancer`.
-KERNELS = ("auto", "incremental", "reference")
 
 
 @dataclass
@@ -73,7 +78,6 @@ def find_max_workload_device(
     protocol: Optional[WorkloadComparisonProtocol] = None,
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
-    charge_ledger: bool = True,
     per_device_ledger: bool = False,
 ) -> int:
     """Alg. 3: return the id of the device with the maximum workload.
@@ -94,16 +98,23 @@ def find_max_workload_device(
     candidates: List[int] = []
     total_neighbor_comparisons = 0
     if protocol is None and not per_device_ledger:
-        # Vectorised evaluation of exactly the same comparisons.
-        workload_array = np.zeros(environment.num_devices, dtype=np.int64)
-        for vertex, value in workloads.items():
-            workload_array[vertex] = value
+        # Vectorised evaluation of exactly the same comparisons, over arrays
+        # aligned to the sorted device ids (the ids need not be 0..n-1).
+        sorted_ids = environment.device_ids()
+        device_ids = np.asarray(sorted_ids, dtype=np.int64)
+        workload_array = np.asarray(
+            [workloads[device_id] for device_id in sorted_ids], dtype=np.int64
+        )
         sources, destinations = environment.directed_edges()
-        neighbor_max = np.zeros(environment.num_devices, dtype=np.int64)
+        neighbor_max = np.zeros_like(workload_array)
         if sources.size:
-            np.maximum.at(neighbor_max, sources, workload_array[destinations])
+            np.maximum.at(
+                neighbor_max,
+                np.searchsorted(device_ids, sources),
+                workload_array[np.searchsorted(device_ids, destinations)],
+            )
         total_neighbor_comparisons = int(sources.size)
-        candidates = np.where(workload_array >= neighbor_max)[0].tolist()
+        candidates = device_ids[workload_array >= neighbor_max].tolist()
         environment.ledger.send(
             sender=SERVER_ID,
             recipient=SERVER_ID,
@@ -143,8 +154,7 @@ def find_max_workload_device(
         _charge_analytic_comparisons(
             accountant, total_neighbor_comparisons + pairwise_comparisons
         )
-    if charge_ledger:
-        _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
+    _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
 
     if protocol is None and not per_device_ledger:
         # Aggregated path: the winner announcements collapse into a single
@@ -298,11 +308,6 @@ class _IncrementalBalancingKernel:
         self._version = 0
         self._next_version = 0
         self._winners_memo: dict = {}
-
-    @staticmethod
-    def supported(environment: FederatedEnvironment) -> bool:
-        """Contiguous ``0..n-1`` device ids (node-level partition layout)."""
-        return environment.has_contiguous_ids()
 
     # ------------------------------------------------------------------ #
     # Alg. 3 (incremental candidate/argmax evaluation)
@@ -611,12 +616,11 @@ class _IncrementalBalancingKernel:
 class MCMCBalancer:
     """Runs Alg. 2 on a federated environment.
 
-    ``kernel`` selects the inner-loop implementation: ``"incremental"`` (the
-    array-backed delta kernel), ``"reference"`` (the from-scratch loop the
-    equivalence tests pin against) or ``"auto"`` (incremental whenever it
-    applies: contiguous device ids).  In secure mode the incremental kernel
-    runs Alg. 3 through the batched vectorised-OT protocol simulation,
-    charging transcripts identical to the early-terminating per-device loop.
+    :meth:`run` uses the array-backed delta kernel over contiguous device
+    ids and the from-scratch loop :meth:`run_reference` otherwise.  In
+    secure mode the delta kernel runs Alg. 3 through the batched
+    vectorised-OT protocol simulation, charging transcripts identical to
+    the early-terminating per-device loop.
     """
 
     def __init__(
@@ -627,18 +631,14 @@ class MCMCBalancer:
         bit_width: int = 24,
         secure: bool = False,
         rng: Optional[np.random.Generator] = None,
-        kernel: str = "auto",
     ) -> None:
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.environment = environment
         self.iterations = iterations
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self.secure = secure
         self.bit_width = bit_width
-        self.kernel = kernel
         self.rng = rng if rng is not None else environment.rng
         self._protocol = (
             WorkloadComparisonProtocol(bit_width=bit_width, accountant=self.accountant, rng=self.rng)
@@ -651,15 +651,12 @@ class MCMCBalancer:
     # ------------------------------------------------------------------ #
     def run(self, initial: Assignment) -> MCMCResult:
         """Execute the MCMC iterations starting from ``initial``."""
-        incremental_ok = _IncrementalBalancingKernel.supported(self.environment)
-        if self.kernel == "incremental" and not incremental_ok:
-            raise ValueError("incremental kernel requires contiguous device ids")
-        if incremental_ok and self.kernel in ("auto", "incremental"):
+        if self.environment.has_contiguous_ids():
             return self._run_incremental(initial)
-        return self._run_reference(initial)
+        return self.run_reference(initial)
 
     def _run_incremental(self, initial: Assignment) -> MCMCResult:
-        """Alg. 2 over the delta kernel; bit-identical to the reference loop."""
+        """Alg. 2 over the delta kernel; bit-identical to :meth:`run_reference`."""
         current = initial.copy()
         kernel = _IncrementalBalancingKernel(self.environment, current)
         history = [kernel.objective]
@@ -780,8 +777,12 @@ class MCMCBalancer:
             iterations=self.iterations,
         )
 
-    def _run_reference(self, initial: Assignment) -> MCMCResult:
-        """The from-scratch loop (secure mode and the equivalence baseline)."""
+    def run_reference(self, initial: Assignment) -> MCMCResult:
+        """Alg. 2 as the from-scratch loop, valid for any device-id set.
+
+        What :meth:`run` executes over non-contiguous ids, and the oracle the
+        equivalence suites compare the delta kernel against.
+        """
         current = initial.copy()
         history = [current.objective()]
         accepted = 0

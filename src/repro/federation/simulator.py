@@ -94,11 +94,13 @@ class FederatedEnvironment:
         return {device_id: device.workload for device_id, device in self.devices.items()}
 
     def workload_array(self) -> np.ndarray:
-        """Workloads as an array indexed by device id."""
-        array = np.zeros(self.num_devices, dtype=np.int64)
-        for device_id, device in self.devices.items():
-            array[device_id] = device.workload
-        return array
+        """Workloads aligned to :meth:`device_ids` (position ``i`` holds the
+        ``i``-th smallest id's workload; for the contiguous ``0..n-1`` layout
+        that is indexing by device id)."""
+        return np.asarray(
+            [self.devices[device_id].workload for device_id in self.device_ids()],
+            dtype=np.int64,
+        )
 
     def max_workload(self) -> int:
         """The objective value f(X) = max_u wl(u) of the current assignment."""

@@ -18,8 +18,10 @@ from repro.core import (
     default_config_for,
 )
 from repro.core.trainer import roc_auc_from_embeddings
+from repro.engine import ArtifactStore
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like, split_edges, split_nodes
+from repro.nn.backend import use_backend
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,32 @@ class TestLumosSystem:
         assert result.communication_rounds_per_device > 0
         assert result.simulated_epoch_time > 0
         assert result.construction.max_workload() <= int(tiny_graph.degrees().max())
+
+    def test_reference_backend_run_equals_the_numpy_run(self, tiny_graph):
+        """End to end, the oracle backend differs from the production one
+        only in the rounding of the per-epoch losses (the two build different
+        autograd graphs); tests/test_nn_backend.py pins the layers."""
+        config = default_config_for("facebook").with_mcmc_iterations(30).with_epochs(12)
+        split = split_nodes(tiny_graph, seed=0)
+        outcomes, losses = {}, {}
+        for backend in ("numpy", "reference"):
+            with use_backend(backend):
+                system = LumosSystem(tiny_graph, config, store=ArtifactStore())
+                result = system.run_supervised(split)
+            outcomes[backend] = (
+                result.test_accuracy,
+                result.best_val_accuracy,
+                result.history.train_accuracy,
+                result.history.val_accuracy,
+                result.ledger_summary,
+                system.rng.bit_generator.state,
+            )
+            losses[backend] = result.history.losses
+        assert outcomes["numpy"] == outcomes["reference"]
+        np.testing.assert_allclose(
+            losses["numpy"], losses["reference"], rtol=1e-9, atol=1e-12
+        )
+        assert len(losses["numpy"]) == 12
 
     def test_unsupervised_end_to_end(self, tiny_graph):
         config = default_config_for("lastfm").with_mcmc_iterations(30).with_epochs(15)

@@ -436,6 +436,12 @@ class TestGracefulDegradation:
         first = _item(config, task="robustness").execute(ArtifactStore())
         second = _item(config, task="robustness").execute(ArtifactStore())
         assert first == second
+        # The scenario shares its whole pipeline prefix with the fault-free
+        # arm, so a store that arm warmed must serve it the same payload.
+        warm = ArtifactStore()
+        _item(task="robustness").execute(warm)
+        assert _item(config, task="robustness").execute(warm) == first
+        assert _item(config, task="robustness").execute(warm) == first
 
     def test_unsupervised_training_rejects_fault_scenarios(self):
         from repro.core import LumosSystem

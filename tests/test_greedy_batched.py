@@ -1,12 +1,13 @@
-"""Equivalence tests pinning the batched greedy kernel to the reference loop.
+"""Equivalence tests pinning batched greedy initialisation to the per-edge loop.
 
-The batched kernel replaces the per-edge secure-comparison protocol loop of
-Alg. 1 with one vectorised comparison block and one columnar ledger event;
-these tests assert that this is purely an implementation change: identical
-selected sets / assignments, accountant totals *and* capped transcript log,
-canonical ledger transcript, and RNG stream consumption (the greedy phase
-draws nothing from the shared stream under either kernel), on both
-contiguous and non-contiguous device ids.
+``greedy_initialization`` replaces the per-edge secure-comparison protocol
+loop of Alg. 1 with one vectorised comparison block and one columnar ledger
+event; these tests call the per-edge oracle
+``greedy_initialization_reference`` directly and assert that the difference
+is purely one of implementation: identical selected sets / assignments,
+accountant totals *and* capped transcript log, canonical ledger transcript,
+and RNG stream consumption (the greedy phase draws nothing from the shared
+stream either way), on both contiguous and non-contiguous device ids.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.oracles import construct_with_oracles
+
 from repro.core import (
     TreeConstructor,
     TreeConstructorConfig,
     greedy_initialization,
 )
+from repro.core.greedy import greedy_initialization_reference
 from repro.crypto import (
     DegreeComparisonProtocol,
     SecureComparator,
@@ -28,7 +32,6 @@ from repro.crypto import (
     log_degree_buckets,
     verify_zero_knowledge_transcript,
 )
-from repro.engine.fingerprint import fingerprint_value
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, generate_small_world, generate_star
 from repro.graph.ego import EgoNetwork
@@ -60,26 +63,28 @@ def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
     return FederatedEnvironment.from_partition(partition, seed=seed)
 
 
-def _run(make_environment, kernel: str, seed: int = 0):
+def _run(make_environment, initialize, seed: int = 0):
     environment = make_environment()
     accountant = TranscriptAccountant()
     rng = np.random.default_rng(seed)
-    assignment = greedy_initialization(
-        environment, accountant=accountant, rng=rng, kernel=kernel
-    )
+    assignment = initialize(environment, accountant=accountant, rng=rng)
     return assignment, environment, accountant, rng
 
 
 def _assert_equivalent(make_environment, seed: int = 0):
-    fast, fast_env, fast_acc, fast_rng = _run(make_environment, "batched", seed)
-    slow, slow_env, slow_acc, slow_rng = _run(make_environment, "reference", seed)
+    fast, fast_env, fast_acc, fast_rng = _run(
+        make_environment, greedy_initialization, seed
+    )
+    slow, slow_env, slow_acc, slow_rng = _run(
+        make_environment, greedy_initialization_reference, seed
+    )
     # Selected sets / installed assignment.
     assert fast.as_lists() == slow.as_lists()
     assert fast_env.workloads() == slow_env.workloads()
     # Accountant totals AND the capped transcript log are bit-identical.
     assert fast_acc.snapshot() == slow_acc.snapshot()
     assert fast_acc._log == slow_acc._log
-    # Ledger: canonical multiset (the batched kernel logs one columnar
+    # Ledger: canonical multiset (the batched block logs one columnar
     # event, the reference loop individual messages), summaries, per-device
     # counts aligned to the actual (possibly non-contiguous) id set.
     assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
@@ -95,7 +100,7 @@ def _assert_equivalent(make_environment, seed: int = 0):
             slow_env.num_devices, device_ids=device_ids
         ),
     )
-    # RNG stream contract: neither kernel draws from the shared stream.
+    # RNG stream contract: neither draws from the shared stream.
     untouched = np.random.default_rng(seed)
     assert fast_rng.bit_generator.state == untouched.bit_generator.state
     assert slow_rng.bit_generator.state == untouched.bit_generator.state
@@ -134,16 +139,15 @@ class TestKernelEquivalence:
         descriptions = {e.description for e in environment.ledger.bulk_message_events}
         assert "greedy-degree-comparison" in descriptions
 
-    def test_kernel_validation(self, social_graph):
-        environment = FederatedEnvironment.from_graph(social_graph, seed=0)
-        with pytest.raises(ValueError):
-            greedy_initialization(environment, kernel="warp-drive")
-
-    @pytest.mark.parametrize("kernel", ["batched", "reference"])
-    def test_dangling_neighbour_id_fails_loudly(self, kernel):
-        # An ego network referencing a vertex with no device must raise under
-        # both kernels (the batched id join must not silently alias it onto
-        # the nearest existing device).
+    @pytest.mark.parametrize(
+        "initialize",
+        [greedy_initialization, greedy_initialization_reference],
+        ids=["batched", "reference"],
+    )
+    def test_dangling_neighbour_id_fails_loudly(self, initialize):
+        # An ego network referencing a vertex with no device must raise on
+        # the production path and the oracle alike (the batched id join must
+        # not silently alias it onto the nearest existing device).
         rng = np.random.default_rng(0)
         partition = {
             2: EgoNetwork(center=2, neighbors=np.array([5, 3]), feature=rng.random(4)),
@@ -151,67 +155,32 @@ class TestKernelEquivalence:
         }
         environment = FederatedEnvironment.from_partition(partition, seed=0)
         with pytest.raises(KeyError):
-            greedy_initialization(environment, kernel=kernel)
+            initialize(environment)
 
     def test_batched_transcript_is_zero_knowledge(self, social_graph):
         environment = FederatedEnvironment.from_graph(social_graph, seed=0)
         accountant = TranscriptAccountant()
         greedy_initialization(
-            environment, accountant=accountant, kernel="batched",
-            rng=np.random.default_rng(0),
+            environment, accountant=accountant, rng=np.random.default_rng(0)
         )
         assert verify_zero_knowledge_transcript(accountant)
 
 
 class TestConstructorAndEngineKeys:
     def test_constructor_level_equivalence(self, social_graph):
-        results = {}
-        for kernel in ("batched", "reference"):
-            environment = FederatedEnvironment.from_graph(social_graph, seed=0)
-            constructor = TreeConstructor(
-                TreeConstructorConfig(mcmc_iterations=40, greedy_kernel=kernel),
-                rng=np.random.default_rng(0),
-            )
-            results[kernel] = constructor.construct(environment)
-        fast, slow = results["batched"], results["reference"]
+        config = TreeConstructorConfig(mcmc_iterations=40)
+        fast = TreeConstructor(config, rng=np.random.default_rng(0)).construct(
+            FederatedEnvironment.from_graph(social_graph, seed=0)
+        )
+        slow_greedy, slow, slow_transcript = construct_with_oracles(
+            FederatedEnvironment.from_graph(social_graph, seed=0),
+            config,
+            np.random.default_rng(0),
+        )
         assert fast.assignment.as_lists() == slow.assignment.as_lists()
-        assert fast.greedy_assignment.as_lists() == slow.greedy_assignment.as_lists()
-        assert fast.mcmc_result.objective_history == slow.mcmc_result.objective_history
-        assert fast.transcript.snapshot() == slow.transcript.snapshot()
-
-    def test_secure_constructor_resolves_secure_kernel(self, social_graph):
-        # Secure "auto" now resolves to the batched vectorized-OT kernels;
-        # "reference" pins the per-comparison protocol loops.
-        batched = TreeConstructor(
-            TreeConstructorConfig(greedy_kernel="reference"), secure=True
-        )
-        assert batched._resolve_greedy_kernel() == "batched"
-        assert batched._resolve_mcmc_kernel() == "auto"
-        pinned = TreeConstructor(
-            TreeConstructorConfig(secure_kernel="reference"), secure=True
-        )
-        assert pinned._resolve_greedy_kernel() == "reference"
-        assert pinned._resolve_mcmc_kernel() == "reference"
-
-    def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            TreeConstructorConfig(greedy_kernel="warp-drive")
-        with pytest.raises(ValueError):
-            TreeConstructorConfig(secure_kernel="warp-drive")
-
-    def test_engine_cache_keys_distinguish_kernels(self):
-        fingerprints = {
-            fingerprint_value(TreeConstructorConfig(greedy_kernel=kernel))
-            for kernel in ("auto", "batched", "reference")
-        }
-        assert len(fingerprints) == 3
-
-    def test_engine_cache_keys_distinguish_secure_kernels(self):
-        fingerprints = {
-            fingerprint_value(TreeConstructorConfig(secure_kernel=kernel))
-            for kernel in ("auto", "batched", "reference")
-        }
-        assert len(fingerprints) == 3
+        assert fast.greedy_assignment.as_lists() == slow_greedy.as_lists()
+        assert fast.mcmc_result.objective_history == slow.objective_history
+        assert fast.transcript.snapshot() == slow_transcript.snapshot()
 
 
 class TestBatchedComparatorParity:

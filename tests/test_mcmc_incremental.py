@@ -1,16 +1,20 @@
 """Equivalence tests pinning the incremental MCMC kernel to the reference loop.
 
-The incremental kernel replaces the from-scratch Alg. 2/3 evaluation with
-array-backed delta updates; these tests assert that this is purely an
-implementation change: identical assignments, objective history, acceptance
-count, secure-comparison accounting, ledger transcript (canonical form) and
-RNG stream consumption, in both clear and secure modes.
+``MCMCBalancer.run`` replaces the from-scratch Alg. 2/3 evaluation with
+array-backed delta updates wherever device ids are contiguous; these tests
+call the from-scratch oracle ``MCMCBalancer.run_reference`` directly and
+assert that the difference is purely one of implementation: identical
+assignments, objective history, acceptance count, secure-comparison
+accounting, ledger transcript (canonical form) and RNG stream consumption,
+in both clear and secure modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from helpers.oracles import construct_with_oracles
 
 from repro.core import (
     Assignment,
@@ -27,8 +31,8 @@ from repro.graph import (
 )
 
 
-def _balanced(graph, *, kernel: str, seed: int = 0, iterations: int = 200,
-              secure: bool = False):
+def _balanced(graph, *, oracle: bool = False, seed: int = 0,
+              iterations: int = 200, secure: bool = False):
     environment = FederatedEnvironment.from_graph(graph, seed=0)
     initial = greedy_initialization(environment, rng=np.random.default_rng(seed))
     balancer = MCMCBalancer(
@@ -36,19 +40,18 @@ def _balanced(graph, *, kernel: str, seed: int = 0, iterations: int = 200,
         iterations=iterations,
         rng=np.random.default_rng(seed + 7),
         secure=secure,
-        kernel=kernel,
     )
-    result = balancer.run(initial)
+    result = balancer.run_reference(initial) if oracle else balancer.run(initial)
     return result, environment, balancer.accountant
 
 
 def _assert_equivalent(graph, *, seed: int = 0, iterations: int = 200,
                        secure: bool = False):
     fast, fast_env, fast_acc = _balanced(
-        graph, kernel="auto", seed=seed, iterations=iterations, secure=secure
+        graph, seed=seed, iterations=iterations, secure=secure
     )
     slow, slow_env, slow_acc = _balanced(
-        graph, kernel="reference", seed=seed, iterations=iterations, secure=secure
+        graph, oracle=True, seed=seed, iterations=iterations, secure=secure
     )
     assert fast.assignment.as_lists() == slow.assignment.as_lists()
     assert fast.objective_history == slow.objective_history
@@ -105,54 +108,31 @@ class TestKernelEquivalence:
         _assert_equivalent(graph, seed=0, iterations=10)
 
     def test_secure_mode(self):
-        # Secure "auto" now routes through the incremental kernel's batched
+        # Secure balancing routes through the incremental kernel's batched
         # protocol path; it must stay indistinguishable from the secure
         # reference loop (deeper sweeps live in tests/test_secure_batched.py).
         graph = generate_small_world(num_nodes=30, k=4, seed=9)
         _assert_equivalent(graph, seed=0, iterations=15, secure=True)
 
     def test_constructor_level_equivalence(self, social_graph):
-        results = {}
-        for kernel in ("incremental", "reference"):
-            environment = FederatedEnvironment.from_graph(social_graph, seed=0)
-            constructor = TreeConstructor(
-                TreeConstructorConfig(mcmc_iterations=60),
-                rng=np.random.default_rng(0),
-                mcmc_kernel=kernel,
-            )
-            results[kernel] = constructor.construct(environment)
-        fast, slow = results["incremental"], results["reference"]
-        assert fast.assignment.as_lists() == slow.assignment.as_lists()
-        assert (
-            fast.mcmc_result.objective_history == slow.mcmc_result.objective_history
+        config = TreeConstructorConfig(mcmc_iterations=60)
+        fast = TreeConstructor(config, rng=np.random.default_rng(0)).construct(
+            FederatedEnvironment.from_graph(social_graph, seed=0)
         )
-        assert fast.transcript.bits == slow.transcript.bits
-
-    def test_kernel_validation(self, social_graph):
-        environment = FederatedEnvironment.from_graph(social_graph, seed=0)
-        with pytest.raises(ValueError):
-            MCMCBalancer(environment, iterations=1, kernel="warp-drive")
-
-    def test_incremental_kernel_requires_contiguous_ids(self):
-        from repro.graph.ego import EgoNetwork
-
-        rng = np.random.default_rng(0)
-        partition = {
-            2: EgoNetwork(center=2, neighbors=np.array([5]), feature=rng.random(4)),
-            5: EgoNetwork(center=5, neighbors=np.array([2]), feature=rng.random(4)),
-        }
-        environment = FederatedEnvironment.from_partition(partition, seed=0)
-        balancer = MCMCBalancer(environment, iterations=1, kernel="incremental")
-        initial = greedy_initialization(environment, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            balancer.run(initial)
+        _, slow, slow_transcript = construct_with_oracles(
+            FederatedEnvironment.from_graph(social_graph, seed=0),
+            config,
+            np.random.default_rng(0),
+        )
+        assert fast.assignment.as_lists() == slow.assignment.as_lists()
+        assert fast.mcmc_result.objective_history == slow.objective_history
+        assert fast.transcript.bits == slow_transcript.bits
 
     def test_secure_incremental_kernel_is_allowed(self, social_graph):
         environment = FederatedEnvironment.from_graph(social_graph, seed=0)
         initial = greedy_initialization(environment, rng=np.random.default_rng(0))
         balancer = MCMCBalancer(
-            environment, iterations=3, secure=True, kernel="incremental",
-            rng=np.random.default_rng(1),
+            environment, iterations=3, secure=True, rng=np.random.default_rng(1),
         )
         result = balancer.run(initial)
         assert result.iterations == 3
@@ -210,7 +190,7 @@ class TestTransferDeltas:
 class TestBulkMessageEvents:
     def test_kernel_transcript_is_columnar(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
-        _, environment, _ = _balanced(graph, kernel="incremental", iterations=50)
+        _, environment, _ = _balanced(graph, iterations=50)
         ledger = environment.ledger
         descriptions = {event.description for event in ledger.bulk_message_events}
         assert "alg3-candidate-announcements" in descriptions
@@ -227,7 +207,7 @@ class TestBulkMessageEvents:
 
     def test_summary_accounts_for_bulk_messages(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
-        _, environment, _ = _balanced(graph, kernel="incremental", iterations=50)
+        _, environment, _ = _balanced(graph, iterations=50)
         ledger = environment.ledger
         eager = len(ledger.messages)
         bulk = sum(event.count for event in ledger.bulk_message_events)

@@ -15,9 +15,12 @@ The randomized property sweeps run a bounded number of cases in tier-1; the
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from helpers.oracles import construct_with_oracles
 from helpers.rng_contract import assert_stream_contract, clone_generator
 
 from repro.core import (
@@ -26,6 +29,7 @@ from repro.core import (
     TreeConstructorConfig,
     greedy_initialization,
 )
+from repro.core.greedy import greedy_initialization_reference
 from repro.crypto import (
     ObliviousTransfer,
     SecureComparator,
@@ -180,9 +184,7 @@ class TestOTBatchContracts:
         """The clear kernels' prose 'draws nothing' contract, now executable."""
         environment = FederatedEnvironment.from_graph(social_graph, seed=0)
         assert_stream_contract(
-            lambda generator: greedy_initialization(
-                environment, rng=generator, kernel="batched"
-            ),
+            lambda generator: greedy_initialization(environment, rng=generator),
             np.random.default_rng(0),
             0,
         )
@@ -274,15 +276,17 @@ class TestWideOT:
         )
 
 
-def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
-    adjacency = {
-        50: [3, 7, 9, 11],
-        3: [50, 7],
-        7: [50, 3, 9],
-        9: [50, 7],
-        11: [50],
-        42: [],
-    }
+_NONCONTIGUOUS_ADJACENCY = {
+    50: [3, 7, 9, 11],
+    3: [50, 7],
+    7: [50, 3, 9],
+    9: [50, 7],
+    11: [50],
+    42: [],
+}
+
+
+def _environment_from_adjacency(adjacency, seed: int = 0) -> FederatedEnvironment:
     rng = np.random.default_rng(seed)
     partition = {
         center: EgoNetwork(
@@ -295,17 +299,24 @@ def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
     return FederatedEnvironment.from_partition(partition, seed=seed)
 
 
-def _run_secure_greedy(make_environment, kernel, seed=0):
+def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
+    return _environment_from_adjacency(_NONCONTIGUOUS_ADJACENCY, seed)
+
+
+def _run_secure_greedy(make_environment, oracle, seed=0):
     environment = make_environment()
     accountant = TranscriptAccountant()
-    rng = np.random.default_rng(seed)
+    # The per-edge oracle always executes the protocol; the production block
+    # does under secure=True.
+    initialize = (
+        greedy_initialization_reference
+        if oracle
+        else partial(greedy_initialization, secure=True)
+    )
     assignment = assert_stream_contract(
-        lambda generator: greedy_initialization(
-            environment, accountant=accountant, rng=generator,
-            kernel=kernel, secure=True,
-        ),
-        rng,
-        0,  # greedy is RNG-transparent under every kernel, secure included
+        lambda generator: initialize(environment, accountant=accountant, rng=generator),
+        np.random.default_rng(seed),
+        0,  # greedy is RNG-transparent on both paths, secure included
     )
     return assignment, environment, accountant
 
@@ -325,8 +336,8 @@ class TestSecureGreedyEquivalence:
         ids=["facebook", "star", "noncontiguous"],
     )
     def test_secure_batched_matches_reference(self, make_environment):
-        fast, fast_env, fast_acc = _run_secure_greedy(make_environment, "batched")
-        slow, slow_env, slow_acc = _run_secure_greedy(make_environment, "reference")
+        fast, fast_env, fast_acc = _run_secure_greedy(make_environment, oracle=False)
+        slow, slow_env, slow_acc = _run_secure_greedy(make_environment, oracle=True)
         assert fast.as_lists() == slow.as_lists()
         assert fast_acc.snapshot() == slow_acc.snapshot()
         assert fast_acc._log == slow_acc._log
@@ -336,7 +347,7 @@ class TestSecureGreedyEquivalence:
         )
 
 
-def _run_secure_balancer(graph, kernel, seed=0, iterations=25):
+def _run_secure_balancer(graph, oracle, seed=0, iterations=25):
     environment = FederatedEnvironment.from_graph(graph, seed=0)
     initial = greedy_initialization(environment, rng=np.random.default_rng(seed))
     balancer = MCMCBalancer(
@@ -344,18 +355,17 @@ def _run_secure_balancer(graph, kernel, seed=0, iterations=25):
         iterations=iterations,
         rng=np.random.default_rng(seed + 7),
         secure=True,
-        kernel=kernel,
     )
-    result = balancer.run(initial)
+    result = balancer.run_reference(initial) if oracle else balancer.run(initial)
     return result, environment, balancer.accountant
 
 
 def _assert_secure_balancing_equivalent(graph, seed=0, iterations=25):
     fast, fast_env, fast_acc = _run_secure_balancer(
-        graph, "incremental", seed, iterations
+        graph, oracle=False, seed=seed, iterations=iterations
     )
     slow, slow_env, slow_acc = _run_secure_balancer(
-        graph, "reference", seed, iterations
+        graph, oracle=True, seed=seed, iterations=iterations
     )
     assert fast.assignment.as_lists() == slow.assignment.as_lists()
     assert fast.objective_history == slow.objective_history
@@ -397,32 +407,77 @@ class TestSecureBalancingEquivalence:
 
     def test_secure_transcript_is_zero_knowledge(self):
         graph = generate_small_world(num_nodes=30, k=4, seed=9)
-        _, _, accountant = _run_secure_balancer(graph, "incremental")
+        _, _, accountant = _run_secure_balancer(graph, oracle=False)
         assert verify_zero_knowledge_transcript(accountant)
 
 
 class TestSecureConstructorEquivalence:
     def test_constructor_level_secure_equivalence(self):
         graph = generate_facebook_like(seed=3, num_nodes=60)
-        results = {}
-        rng_states = {}
-        for secure_kernel in ("batched", "reference"):
-            environment = FederatedEnvironment.from_graph(graph, seed=0)
-            rng = np.random.default_rng(0)
-            constructor = TreeConstructor(
-                TreeConstructorConfig(mcmc_iterations=30, secure_kernel=secure_kernel),
-                rng=rng,
-                secure=True,
-            )
-            results[secure_kernel] = constructor.construct(environment)
-            rng_states[secure_kernel] = rng.bit_generator.state
-        fast, slow = results["batched"], results["reference"]
+        config = TreeConstructorConfig(mcmc_iterations=30)
+        fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
+        fast = TreeConstructor(config, rng=fast_rng, secure=True).construct(
+            FederatedEnvironment.from_graph(graph, seed=0)
+        )
+        slow_greedy, slow, slow_transcript = construct_with_oracles(
+            FederatedEnvironment.from_graph(graph, seed=0), config, slow_rng, secure=True
+        )
         assert fast.assignment.as_lists() == slow.assignment.as_lists()
-        assert fast.greedy_assignment.as_lists() == slow.greedy_assignment.as_lists()
-        assert fast.mcmc_result.objective_history == slow.mcmc_result.objective_history
-        assert fast.transcript.snapshot() == slow.transcript.snapshot()
-        assert fast.transcript._log == slow.transcript._log
-        assert rng_states["batched"] == rng_states["reference"]
+        assert fast.greedy_assignment.as_lists() == slow_greedy.as_lists()
+        assert fast.mcmc_result.objective_history == slow.objective_history
+        assert fast.transcript.snapshot() == slow_transcript.snapshot()
+        assert fast.transcript._log == slow_transcript._log
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class TestNonContiguousConstruction:
+    """Gappy device ids are a supported input of ``TreeConstructor``: the run
+    must equal the same partition relabelled order-preservingly to ``0..n-1``
+    (which takes the incremental kernel instead of the from-scratch loop)."""
+
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    def test_construct_equals_the_contiguous_relabelling(self, secure):
+        config = TreeConstructorConfig(mcmc_iterations=20)
+        environment = _noncontiguous_environment()
+        result = TreeConstructor(
+            config, rng=np.random.default_rng(0), secure=secure
+        ).construct(environment)
+
+        selected = result.assignment.selected
+        for device, neighbors in _NONCONTIGUOUS_ADJACENCY.items():
+            for neighbor in neighbors:
+                assert neighbor in selected[device] or device in selected[neighbor]
+        assert environment.validate_edge_coverage()
+        device_ids = environment.device_ids()
+        np.testing.assert_array_equal(
+            environment.workload_array(), [len(selected[d]) for d in device_ids]
+        )
+        assert environment.max_workload() == result.max_workload()
+
+        rank = {device: position for position, device in enumerate(device_ids)}
+        relabelled = TreeConstructor(
+            config, rng=np.random.default_rng(0), secure=secure
+        ).construct(
+            _environment_from_adjacency(
+                {
+                    rank[device]: [rank[neighbor] for neighbor in neighbors]
+                    for device, neighbors in _NONCONTIGUOUS_ADJACENCY.items()
+                }
+            )
+        )
+        assert result.assignment.as_lists() == {
+            device_ids[device]: [device_ids[neighbor] for neighbor in neighbors]
+            for device, neighbors in relabelled.assignment.as_lists().items()
+        }
+        assert (
+            result.mcmc_result.objective_history
+            == relabelled.mcmc_result.objective_history
+        )
+        assert (
+            result.mcmc_result.accepted_transitions
+            == relabelled.mcmc_result.accepted_transitions
+        )
+        assert result.transcript.snapshot() == relabelled.transcript.snapshot()
 
 
 class TestAccountantCapSemantics:
@@ -501,15 +556,17 @@ class TestSecureModeRNGContract:
         """Transition sampling is the only consumer; kernels draw nothing."""
         graph = generate_small_world(num_nodes=30, k=4, seed=9)
         states = {}
-        for kernel in ("incremental", "reference"):
+        for oracle in (False, True):
             environment = FederatedEnvironment.from_graph(graph, seed=0)
             initial = greedy_initialization(environment, rng=np.random.default_rng(0))
             rng = np.random.default_rng(7)
-            MCMCBalancer(
-                environment, iterations=20, rng=rng, secure=True, kernel=kernel
-            ).run(initial)
-            states[kernel] = rng.bit_generator.state
-        assert states["incremental"] == states["reference"]
+            balancer = MCMCBalancer(environment, iterations=20, rng=rng, secure=True)
+            if oracle:
+                balancer.run_reference(initial)
+            else:
+                balancer.run(initial)
+            states[oracle] = rng.bit_generator.state
+        assert states[False] == states[True]
 
     def test_clone_generator_is_independent(self):
         rng = np.random.default_rng(0)
