@@ -25,6 +25,7 @@ from repro.eval.runner import (
 )
 from repro.faults import FaultScenarioConfig
 from repro.graph import load_dataset, split_nodes
+from repro.runtime import ProcessExecutor
 
 
 def main() -> None:
@@ -75,10 +76,11 @@ def main() -> None:
         "facebook",
         epsilons=[0.5, 1.0, 2.0, 4.0],
         scale=ExperimentScale(num_nodes=300, epochs=20, mcmc_iterations=150),
-        executor="process",   # the default, executor="serial", runs inline
-        max_workers=2,
+        # The default (executor=None) is a SerialExecutor over the
+        # process-wide artifact store.
+        executor=ProcessExecutor(max_workers=2),
     )
-    print("\n=== Parallel epsilon sweep (executor=\"process\") ===")
+    print("\n=== Parallel epsilon sweep (ProcessExecutor, 2 workers) ===")
     for epsilon, accuracy in sweep.items():
         print(f"epsilon={epsilon:<4} test accuracy: {accuracy:.4f}")
 
@@ -160,8 +162,7 @@ def main() -> None:
             "facebook",
             epsilons=[0.5, 2.0, 4.0],
             scale=ExperimentScale(num_nodes=300, epochs=10, mcmc_iterations=150),
-            executor="process",
-            max_workers=2,
+            executor=ProcessExecutor(max_workers=2),
         )
     trace = obs.RunTrace.from_tracer(tracer)
     path = obs.write_chrome_trace(trace, "lumos_trace.json")

@@ -2,7 +2,6 @@
 
 from .config import (
     LumosConfig,
-    RuntimeConfig,
     TrainerConfig,
     TreeConstructorConfig,
     default_config_for,
@@ -26,7 +25,6 @@ from .workload import Assignment, workload_cdf
 
 __all__ = [
     "LumosConfig",
-    "RuntimeConfig",
     "TrainerConfig",
     "TreeConstructorConfig",
     "default_config_for",

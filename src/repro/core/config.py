@@ -10,49 +10,8 @@ single tunable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..faults.config import FaultScenarioConfig
-
-#: Executor selection values of the parallel runtime (:mod:`repro.runtime`).
-EXECUTORS = ("serial", "process")
-
-
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """How independent work items of an experiment are scheduled.
-
-    These knobs select *where* work runs (in-process or across a worker
-    pool), never *what* it computes: the runtime's determinism contract is
-    that results are bit-for-bit identical for every executor, so this
-    section deliberately does **not** participate in any stage or work-item
-    fingerprint (a cached artifact produced under ``executor="process"`` is
-    interchangeable with one produced serially — pinned by
-    ``tests/test_runtime_executor.py``).
-    """
-
-    executor: str = "serial"
-    #: Worker-pool size; ``None`` resolves to ``os.cpu_count()`` (capped by
-    #: the number of scheduled items).
-    max_workers: Optional[int] = None
-    #: How often a crashed or timed-out work item is re-dispatched before it
-    #: is reported as failed.  Items are never silently dropped.
-    retries: int = 1
-    #: Per-item wall-clock budget; a worker exceeding it is killed and its
-    #: item retried.  ``None`` disables the timeout.
-    timeout_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive (or None)")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive (or None)")
 
 
 @dataclass(frozen=True)
@@ -104,10 +63,6 @@ class LumosConfig:
     constructor: TreeConstructorConfig = field(default_factory=TreeConstructorConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     seed: int = 0
-    #: Scheduling knobs only — excluded from every content fingerprint (see
-    #: :class:`RuntimeConfig`): two configs differing only here are the same
-    #: experiment.
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: Fault-injection scenario applied at training time.  Empty by default;
     #: a non-empty scenario enters the work-item fingerprint (so cached
     #: artifacts never mix scenarios) while the pipeline *stage* keys stay
@@ -145,20 +100,6 @@ class LumosConfig:
     def with_seed(self, seed: int) -> "LumosConfig":
         """Return a copy with a different random seed."""
         return replace(self, seed=seed)
-
-    def with_runtime(self, **kwargs) -> "LumosConfig":
-        """Return a copy with updated :class:`RuntimeConfig` fields."""
-        return replace(self, runtime=replace(self.runtime, **kwargs))
-
-    def with_executor(self, executor: str, max_workers: Optional[int] = None) -> "LumosConfig":
-        """Return a copy recording an executor preference (results unchanged).
-
-        The preference is consumed by passing ``config.runtime`` to any
-        scheduling surface — ``run_*(..., executor=config.runtime)`` or
-        :func:`repro.runtime.resolve_executor` — and never changes what a
-        single :class:`~repro.core.lumos.LumosSystem` computes.
-        """
-        return self.with_runtime(executor=executor, max_workers=max_workers)
 
     def with_faults(self, faults: FaultScenarioConfig) -> "LumosConfig":
         """Return a copy training under the given fault scenario."""

@@ -3,7 +3,8 @@
 :class:`LumosSystem` wires the full pipeline together for a given global
 graph: node-level partition, federated environment, heterogeneity-aware tree
 construction, LDP embedding initialisation and tree-based GNN training.  This
-is the class the examples, benchmarks and evaluation harness use.
+is the class the examples, the ``perfbench`` workloads and the work items
+of the evaluation harness use.
 
 Typical usage::
 
@@ -62,9 +63,6 @@ def normalized_graph(graph: Graph) -> Graph:
     return normalized
 
 
-_normalized_graph = normalized_graph
-
-
 @dataclass
 class LumosSupervisedResult:
     """Outcome of a supervised (node classification) Lumos run."""
@@ -114,7 +112,7 @@ class LumosSystem:
         cost_model: Optional[EpochCostModel] = None,
         store: Optional[ArtifactStore] = None,
     ) -> None:
-        self.graph = _normalized_graph(graph)
+        self.graph = normalized_graph(graph)
         self.config = config if config is not None else LumosConfig()
         self.cost_model = cost_model if cost_model is not None else EpochCostModel()
         self.rng = np.random.default_rng(self.config.seed)

@@ -22,7 +22,6 @@ from .store import (
     DiskSpillStore,
     StageStats,
     StoredArtifact,
-    configure_default_store,
     default_store,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "DiskSpillStore",
     "StageStats",
     "StoredArtifact",
-    "configure_default_store",
     "default_store",
     "Pipeline",
     "build_lumos_pipeline",

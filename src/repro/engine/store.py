@@ -420,10 +420,3 @@ def default_store() -> ArtifactStore:
     if _default_store is None:
         _default_store = ArtifactStore()
     return _default_store
-
-
-def configure_default_store(max_entries: int) -> ArtifactStore:
-    """Replace the process-wide store (e.g. to bound memory differently)."""
-    global _default_store
-    _default_store = ArtifactStore(max_entries=max_entries)
-    return _default_store

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import obs
+from ..runtime import Executor, ProcessExecutor
 from . import runner
 from .reporting import (
     cdf_series,
@@ -52,7 +53,7 @@ def figure3(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Label classification accuracy: Lumos vs Centralized vs LPGNN vs Naive FedGNN."""
     results: Dict[str, Dict[str, float]] = {}
@@ -91,7 +92,7 @@ def figure4(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Link prediction ROC-AUC: Lumos vs Centralized vs Naive FedGNN."""
     results: Dict[str, Dict[str, float]] = {}
@@ -125,7 +126,7 @@ def figure5(
     datasets: tuple = DATASETS,
     epsilons: tuple = (0.5, 1.0, 2.0, 4.0),
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, Dict[float, float]]]:
     """Effect of epsilon on Lumos accuracy (supervised) and AUC (unsupervised)."""
     results: Dict[str, Dict[str, Dict[float, float]]] = {"supervised": {}, "unsupervised": {}}
@@ -153,7 +154,7 @@ def figure6(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Accuracy contribution of virtual nodes and tree trimming."""
     results: Dict[str, Dict[str, Dict[str, float]]] = {"supervised": {}, "unsupervised": {}}
@@ -194,7 +195,7 @@ def figure7(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = DATASETS,
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Workload distribution with and without tree trimming."""
     results: Dict[str, Dict[str, object]] = {}
@@ -230,7 +231,7 @@ def figure8(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = DATASETS,
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-epoch communication rounds and simulated training time, with/without TT."""
     results: Dict[str, Dict[str, float]] = {}
@@ -291,7 +292,7 @@ def figure_robustness(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = ("facebook",),
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Lumos under fault scenarios: accuracy, participation and epoch time.
 
@@ -362,7 +363,7 @@ def figure_maintenance(
     datasets: tuple = ("facebook",),
     rounds: int = 24,
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Self-healing tree maintenance under churn (robustness family).
 
@@ -420,7 +421,7 @@ def headline_summary(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     dataset: str = "facebook",
     verbose: bool = True,
-    executor: runner.ExecutorArg = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Accuracy gain vs the federated baseline and the tree-trimming savings."""
     summary = runner.run_headline_summary(dataset, scale=scale, executor=executor)
@@ -474,16 +475,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     collected = {}
     tracer = obs.Tracer() if args.trace else None
     with tempfile.TemporaryDirectory(prefix="repro-figures-") as spill_dir:
+        # None is the run_* default: a SerialExecutor over the process-wide store.
+        executor = None
         if args.executor == "process":
             # One spill directory for the whole invocation, so every run_*
             # call (and every figure, under "all") reuses the warm pipeline
-            # prefix — the parallel analogue of the serial path's
-            # process-wide default store.
-            from ..runtime import ProcessExecutor
-
+            # prefix — the parallel analogue of that process-wide store.
             executor = ProcessExecutor(max_workers=args.workers, spill_dir=spill_dir)
-        else:
-            executor = runner.resolve_executor(args.executor, args.workers)
         with obs.tracing(tracer=tracer) if tracer else _null_context():
             for name in selected:
                 collected[name] = FIGURES[name](scale=scale, executor=executor)

@@ -1,68 +1,51 @@
 """Experiment runner: one entry point per comparison the paper makes.
 
 Every function takes an :class:`ExperimentScale` so the same code drives the
-quick benchmark configurations (small synthetic graphs, tens of epochs) and
-larger runs.  The returned dictionaries are consumed by
-:mod:`repro.eval.figures` and by the pytest benchmarks.
+quick configurations (small synthetic graphs, tens of epochs) and larger
+runs.  The returned dictionaries are consumed by :mod:`repro.eval.figures`
+and by the figure tests under ``benchmarks/``.
 
-All Lumos runs go through the staged execution engine: the sweeps share one
-content-keyed :class:`~repro.engine.store.ArtifactStore`, so stages whose
-inputs do not change between sweep points (e.g. tree construction across an
-epsilon sweep, the whole pre-training pipeline across a backbone sweep) are
-computed once and replayed bit-for-bit afterwards.
-
-Every entry point also takes an ``executor=`` knob (default ``"serial"``,
-the in-process loop below).  ``executor="process"`` (optionally with
-``max_workers=``) schedules the independent arms — sweep points, ablation
-variants, baseline comparisons — across a worker-process pool via
-:mod:`repro.runtime`: the shared pipeline prefix is computed once and handed
-to workers through a disk-spill store, and the merged results are
-bit-for-bit identical to the serial path (metrics, canonical ledger
-transcripts, accountant totals).  An :class:`~repro.runtime.executor.Executor`
-instance is accepted too (e.g. to pin a spill directory, retries or
-timeouts, or to inspect scheduling statistics afterwards).  The ``store=``
-parameter only affects the serial path — worker processes always hydrate
-from the executor's shared spill store.
+Every experiment is a :class:`~repro.runtime.plan.WorkPlan`: an entry point
+describes its independent arms — sweep points, ablation variants, baseline
+comparisons — as work items (the experiment bodies live once, in
+:mod:`repro.runtime.items`) and runs them on ``executor``, the one
+scheduling parameter.  The default is a
+:class:`~repro.runtime.executor.SerialExecutor` over the process-wide
+:func:`~repro.engine.default_store`, so stages whose inputs do not change
+between arms (tree construction across an epsilon sweep, the whole
+pre-training pipeline across a backbone sweep) are computed once and
+replayed bit-for-bit afterwards, within and across calls.  Pass
+``SerialExecutor(store=ArtifactStore())`` to isolate a run from that store,
+or a :class:`~repro.runtime.executor.ProcessExecutor` to fan the arms out
+across worker processes; results are bit-for-bit identical on every executor.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..baselines import (
-    train_centralized_supervised,
-    train_centralized_unsupervised,
-    train_lpgnn_supervised,
-    train_naive_fedgnn_supervised,
-    train_naive_fedgnn_unsupervised,
-)
-from ..core import LumosSystem, default_config_for
-from ..core.config import LumosConfig, RuntimeConfig
-from ..engine import ArtifactStore, default_store
+from ..core import default_config_for
+from ..core.config import LumosConfig
+from ..engine import default_store
 from ..faults import FaultScenarioConfig, default_robustness_scenarios
-from ..graph import Graph, load_dataset, split_edges, split_nodes
 from ..runtime import (
     BaselineItem,
     CallableItem,
     Executor,
     GraphSpec,
     LumosItem,
+    RuntimeReport,
     SerialExecutor,
+    WorkItem,
     WorkPlan,
-    resolve_executor,
 )
+from ..runtime.items import BASELINE_METHODS
 from .metrics import relative_change
-
-#: Type of the ``executor=`` knob shared by every entry point: an executor
-#: name, an :class:`~repro.runtime.executor.Executor` instance, or a
-#: recorded preference (``config.runtime``).
-ExecutorArg = Union[str, Executor, RuntimeConfig, None]
-
 
 def _traced_entry(fn):
     """Wrap an experiment entry point in a ``runner.<name>`` span.
@@ -90,7 +73,7 @@ class ExperimentScale:
 
     @classmethod
     def small(cls) -> "ExperimentScale":
-        """Quick configuration used by the pytest benchmarks."""
+        """Quick configuration (the ``repro-figures`` default; seconds per figure)."""
         return cls(num_nodes=300, epochs=50, mcmc_iterations=100, seed=0)
 
     @classmethod
@@ -104,29 +87,44 @@ class ExperimentScale:
         return cls(num_nodes=None, epochs=300, mcmc_iterations=1000, seed=0)
 
 
-def _prepare(dataset: str, scale: ExperimentScale) -> Graph:
-    return load_dataset(dataset, seed=scale.seed, num_nodes=scale.num_nodes)
+def _run_plan(
+    items: Mapping[Hashable, WorkItem], executor: Optional[Executor]
+) -> Tuple[Dict[Hashable, Any], RuntimeReport]:
+    """Run ``items`` (arm name -> work item) as one plan.
+
+    Returns the arms' values under the same names, in the same order, plus
+    the executor's report.  Arms whose content keys collide run once.
+    """
+    if executor is None:
+        executor = SerialExecutor(store=default_store())
+    plan = WorkPlan(list(items.values()))
+    report = executor.execute(plan)
+    return dict(zip(items, plan.values(report.records))), report
+
+
+def _require_training_task(task: str) -> None:
+    if task not in BASELINE_METHODS:
+        raise ValueError(f"task must be one of {tuple(BASELINE_METHODS)}, got {task!r}")
 
 
 def _graph_spec(dataset: str, scale: ExperimentScale) -> GraphSpec:
-    """The picklable recipe workers rebuild ``_prepare``'s graph from."""
+    """The picklable recipe every arm (in any process) builds its graph from."""
     return GraphSpec(dataset=dataset, seed=scale.seed, num_nodes=scale.num_nodes)
 
 
-def _lumos_item(
-    dataset: str,
-    scale: ExperimentScale,
-    task: str,
-    config: LumosConfig,
-    label: str,
-) -> LumosItem:
-    return LumosItem(
-        graph_spec=_graph_spec(dataset, scale),
-        config=config,
-        task=task,
-        split_seed=scale.seed,
-        label=label,
-    )
+def _lumos_items(
+    dataset: str, scale: ExperimentScale, task: str,
+    configs: Mapping[Hashable, LumosConfig], label_prefix: str,
+) -> Dict[Hashable, LumosItem]:
+    """One ``LumosItem`` per named config, labelled ``<label_prefix><name>``."""
+    spec = _graph_spec(dataset, scale)
+    return {
+        name: LumosItem(
+            graph_spec=spec, config=config, task=task, split_seed=scale.seed,
+            label=f"{label_prefix}{name}",
+        )
+        for name, config in configs.items()
+    }
 
 
 def _lumos_config(dataset: str, scale: ExperimentScale, backbone: str, epsilon: float = 2.0) -> LumosConfig:
@@ -141,44 +139,35 @@ def _lumos_config(dataset: str, scale: ExperimentScale, backbone: str, epsilon: 
 
 
 # --------------------------------------------------------------------------- #
-# Fig. 3 — supervised accuracy comparison
+# Fig. 3 / Fig. 4 — accuracy comparison against the baselines
 # --------------------------------------------------------------------------- #
-def _comparison_parallel(
-    dataset: str,
-    backbone: str,
-    scale: ExperimentScale,
-    methods: List[str],
-    task: str,
-    executor: Executor,
+def _run_comparison(
+    dataset: str, backbone: str, scale: ExperimentScale,
+    methods: Optional[Sequence[str]], task: str, executor: Optional[Executor],
 ) -> Dict[str, float]:
-    """Process-pool path shared by the Fig. 3 / Fig. 4 comparisons."""
+    """One arm per method: Lumos as a ``LumosItem``, baselines as ``BaselineItem``."""
+    allowed = ("lumos",) + BASELINE_METHODS[task]
+    methods = allowed if methods is None else methods
+    if not methods or any(method not in allowed for method in methods):
+        raise ValueError(
+            f"methods must be a non-empty subset of {allowed} for the {task} "
+            f"comparison, got {list(methods)!r}"
+        )
     spec = _graph_spec(dataset, scale)
-    plan = WorkPlan()
-    keys: Dict[str, str] = {}
+    items: Dict[str, WorkItem] = {}
     for method in methods:
+        label = f"{method}/{task}/{dataset}/{backbone}"
         if method == "lumos":
-            keys[method] = plan.add(
-                _lumos_item(
-                    dataset, scale, task,
-                    _lumos_config(dataset, scale, backbone),
-                    label=f"lumos/{task}/{dataset}/{backbone}",
-                )
+            items[method] = LumosItem(
+                graph_spec=spec, config=_lumos_config(dataset, scale, backbone),
+                task=task, split_seed=scale.seed, label=label,
             )
         else:
-            keys[method] = plan.add(
-                BaselineItem(
-                    method=method,
-                    task=task,
-                    graph_spec=spec,
-                    backbone=backbone,
-                    epochs=scale.epochs,
-                    seed=scale.seed,
-                    split_seed=scale.seed,
-                    label=f"{method}/{task}/{dataset}/{backbone}",
-                )
+            items[method] = BaselineItem(
+                method=method, task=task, graph_spec=spec, backbone=backbone,
+                epochs=scale.epochs, seed=scale.seed, split_seed=scale.seed, label=label,
             )
-    report = executor.execute(plan)
-    return {method: report.records[key].value for method, key in keys.items()}
+    return _run_plan(items, executor)[0]
 
 
 @_traced_entry
@@ -187,69 +176,22 @@ def run_supervised_comparison(
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
     methods: Optional[List[str]] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Test accuracy of Lumos and the baselines on one dataset + backbone."""
-    methods = methods or ["lumos", "centralized", "lpgnn", "naive_fedgnn"]
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        return _comparison_parallel(dataset, backbone, scale, methods, "supervised", resolved)
-    graph = _prepare(dataset, scale)
-    split = split_nodes(graph, seed=scale.seed)
-    results: Dict[str, float] = {}
-
-    if "lumos" in methods:
-        system = LumosSystem(graph, _lumos_config(dataset, scale, backbone))
-        results["lumos"] = system.run_supervised(split).test_accuracy
-    if "centralized" in methods:
-        results["centralized"] = train_centralized_supervised(
-            graph, split, backbone=backbone, epochs=scale.epochs, seed=scale.seed
-        ).test_accuracy
-    if "lpgnn" in methods:
-        results["lpgnn"] = train_lpgnn_supervised(
-            graph, split, backbone=backbone, epochs=scale.epochs, seed=scale.seed
-        ).test_accuracy
-    if "naive_fedgnn" in methods:
-        results["naive_fedgnn"] = train_naive_fedgnn_supervised(
-            graph, split, backbone=backbone, epochs=scale.epochs, seed=scale.seed
-        ).test_accuracy
-    return results
+    return _run_comparison(dataset, backbone, scale, methods, "supervised", executor)
 
 
-# --------------------------------------------------------------------------- #
-# Fig. 4 — unsupervised (link prediction) comparison
-# --------------------------------------------------------------------------- #
 @_traced_entry
 def run_unsupervised_comparison(
     dataset: str,
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
     methods: Optional[List[str]] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Test ROC-AUC of Lumos, centralized and naive FedGNN."""
-    methods = methods or ["lumos", "centralized", "naive_fedgnn"]
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        return _comparison_parallel(dataset, backbone, scale, methods, "unsupervised", resolved)
-    graph = _prepare(dataset, scale)
-    edge_split = split_edges(graph, seed=scale.seed)
-    results: Dict[str, float] = {}
-
-    if "lumos" in methods:
-        system = LumosSystem(graph, _lumos_config(dataset, scale, backbone))
-        results["lumos"] = system.run_unsupervised(edge_split).test_auc
-    if "centralized" in methods:
-        results["centralized"] = train_centralized_unsupervised(
-            graph, edge_split, backbone=backbone, epochs=scale.epochs, seed=scale.seed
-        ).test_auc
-    if "naive_fedgnn" in methods:
-        results["naive_fedgnn"] = train_naive_fedgnn_unsupervised(
-            graph, edge_split, backbone=backbone, epochs=scale.epochs, seed=scale.seed
-        ).test_auc
-    return results
+    return _run_comparison(dataset, backbone, scale, methods, "unsupervised", executor)
 
 
 # --------------------------------------------------------------------------- #
@@ -262,53 +204,24 @@ def run_epsilon_sweep(
     epsilons: Optional[List[float]] = None,
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    store: Optional[ArtifactStore] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[float, float]:
     """Lumos accuracy / AUC as a function of the privacy budget ``epsilon``.
 
     Epsilon only affects the LDP exchange onwards: the partition and the tree
     construction are computed for the first point and replayed from the
-    artifact store for every other point.  Under ``executor="process"`` the
-    shared prefix is computed once and the per-point thresholding + training
-    fan out across workers (results bit-for-bit identical to serial).
+    executor's artifact store for every other point.
     """
-    epsilons = epsilons or [0.5, 1.0, 2.0, 4.0]
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        plan = WorkPlan()
-        keys = {
-            epsilon: plan.add(
-                _lumos_item(
-                    dataset, scale, task,
-                    _lumos_config(dataset, scale, backbone, epsilon=epsilon),
-                    label=f"sweep/{task}/{dataset}/eps={epsilon}",
-                )
-            )
-            for epsilon in epsilons
-        }
-        report = resolved.execute(plan)
-        return {epsilon: report.records[key].value for epsilon, key in keys.items()}
-    store = store if store is not None else default_store()
-    graph = _prepare(dataset, scale)
-    systems = [
-        LumosSystem(
-            graph, _lumos_config(dataset, scale, backbone, epsilon=epsilon), store=store
-        )
+    _require_training_task(task)
+    epsilons = [0.5, 1.0, 2.0, 4.0] if epsilons is None else epsilons
+    if not epsilons:
+        raise ValueError("epsilons must name at least one privacy budget")
+    configs = {
+        epsilon: _lumos_config(dataset, scale, backbone, epsilon=epsilon)
         for epsilon in epsilons
-    ]
-    if task == "supervised":
-        split = split_nodes(graph, seed=scale.seed)
-        return {
-            epsilon: system.run_supervised(split).test_accuracy
-            for epsilon, system in zip(epsilons, systems)
-        }
-    edge_split = split_edges(graph, seed=scale.seed)
-    return {
-        epsilon: system.run_unsupervised(edge_split).test_auc
-        for epsilon, system in zip(epsilons, systems)
     }
+    items = _lumos_items(dataset, scale, task, configs, f"sweep/{task}/{dataset}/eps=")
+    return _run_plan(items, executor)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -320,48 +233,23 @@ def run_ablation(
     task: str = "supervised",
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    store: Optional[ArtifactStore] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Lumos vs Lumos w.o. virtual nodes vs Lumos w.o. tree trimming.
 
     The three variants share the node-level partition (and, where the
-    constructor configuration matches, the construction) via the store.
-    Under ``executor="process"`` each arm — including its per-arm tree
-    construction — runs on its own worker.
+    constructor configuration matches, the construction) via the executor's
+    store.
     """
+    _require_training_task(task)
+    base = _lumos_config(dataset, scale, backbone)
     configs = {
-        "lumos": _lumos_config(dataset, scale, backbone),
-        "lumos_wo_vn": _lumos_config(dataset, scale, backbone).without_virtual_nodes(),
-        "lumos_wo_tt": _lumos_config(dataset, scale, backbone).without_tree_trimming(),
+        "lumos": base,
+        "lumos_wo_vn": base.without_virtual_nodes(),
+        "lumos_wo_tt": base.without_tree_trimming(),
     }
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        plan = WorkPlan()
-        keys = {
-            name: plan.add(
-                _lumos_item(
-                    dataset, scale, task, config,
-                    label=f"ablation/{task}/{dataset}/{name}",
-                )
-            )
-            for name, config in configs.items()
-        }
-        report = resolved.execute(plan)
-        return {name: report.records[key].value for name, key in keys.items()}
-    store = store if store is not None else default_store()
-    graph = _prepare(dataset, scale)
-    results: Dict[str, float] = {}
-    for name, config in configs.items():
-        system = LumosSystem(graph, config, store=store)
-        if task == "supervised":
-            split = split_nodes(graph, seed=scale.seed)
-            results[name] = system.run_supervised(split).test_accuracy
-        else:
-            edge_split = split_edges(graph, seed=scale.seed)
-            results[name] = system.run_unsupervised(edge_split).test_auc
-    return results
+    items = _lumos_items(dataset, scale, task, configs, f"ablation/{task}/{dataset}/")
+    return _run_plan(items, executor)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -373,9 +261,7 @@ def run_robustness_sweep(
     scenarios: Optional[Dict[str, FaultScenarioConfig]] = None,
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    store: Optional[ArtifactStore] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Supervised Lumos metrics per fault scenario, relative to a baseline.
 
@@ -384,60 +270,33 @@ def run_robustness_sweep(
     engage at training time, so every arm shares the full pipeline prefix
     (partition, construction, LDP init, tree batch) through the store; the
     per-arm work-item keys differ by the scenario fingerprint, so cached
-    training results never mix scenarios.  A fault-free ``baseline`` arm is
-    added when the grid lacks one, and every arm reports its accuracy delta
-    vs that baseline (``accuracy_vs_baseline_percent``).
-
-    Both the serial path and ``executor="process"`` run the same work plan —
-    serially inline or across the worker pool — and are bit-for-bit
-    identical (the robustness chapter of the runtime determinism contract).
+    training results never mix scenarios (and two empty scenarios collapse
+    to one execution).  A fault-free ``baseline`` arm is added when the grid
+    lacks one, and every arm reports its accuracy delta vs that baseline
+    (``accuracy_vs_baseline_percent``).
     """
-    scenarios = (
-        dict(scenarios) if scenarios is not None else default_robustness_scenarios()
-    )
-    if not any(config.is_empty() for config in scenarios.values()):
+    scenarios = default_robustness_scenarios() if scenarios is None else dict(scenarios)
+    if not any(faults.is_empty() for faults in scenarios.values()):
         scenarios = {"baseline": FaultScenarioConfig(), **scenarios}
-    plan = WorkPlan()
-    keys = {
-        name: plan.add(
-            _lumos_item(
-                dataset,
-                scale,
-                "robustness",
-                _lumos_config(dataset, scale, backbone).with_faults(config),
-                label=f"robustness/{dataset}/{name}",
-            )
-        )
-        for name, config in scenarios.items()
-    }
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is None:
-        # The serial path executes the identical plan inline so both paths
-        # share one code path per item (and the plan's dedupe: two empty
-        # scenarios collapse to one execution).
-        resolved = SerialExecutor(store=store if store is not None else default_store())
-    report = resolved.execute(plan)
-    results = {
-        name: dict(report.records[key].value) for name, key in keys.items()
-    }
-    baseline_name = next(
-        name for name, config in scenarios.items() if config.is_empty()
-    )
+    base = _lumos_config(dataset, scale, backbone)
+    configs = {name: base.with_faults(faults) for name, faults in scenarios.items()}
+    items = _lumos_items(dataset, scale, "robustness", configs, f"robustness/{dataset}/")
+    values, report = _run_plan(items, executor)
+    results = {name: dict(value) for name, value in values.items()}
+    baseline_name = next(name for name, faults in scenarios.items() if faults.is_empty())
     baseline_accuracy = results[baseline_name]["test_accuracy"]
     for entry in results.values():
         entry["accuracy_vs_baseline_percent"] = relative_change(
             baseline_accuracy, entry["test_accuracy"]
         )
-    # Surface the runtime's retry/backoff provenance per arm.  On the serial
-    # path (and any clean process run) these are exactly 1.0 / 0.0, so the
-    # serial-vs-process bit-identity contract extends to them; a chaotic or
-    # flaky run shows its attempt history right in the sweep results.
-    for name, key in keys.items():
-        record = report.records[key]
-        results[name]["attempts"] = float(record.attempts)
-        results[name]["failed_attempts"] = float(
-            len(report.failure_attempts.get(key, ()))
-        )
+    # Surface the runtime's retry/backoff provenance per arm.  On a serial
+    # executor (and any clean process run) these are exactly 1.0 / 0.0, so
+    # the bit-identity contract extends to them; a chaotic or flaky run
+    # shows its attempt history right in the sweep results.
+    for name, item in items.items():
+        key = item.key()
+        results[name]["attempts"] = float(report.records[key].attempts)
+        results[name]["failed_attempts"] = float(len(report.failure_attempts.get(key, ())))
     return results
 
 
@@ -453,8 +312,7 @@ def run_churn_maintenance(
     staleness_bound: float = 0.25,
     rebuild_bound: float = 1.0,
     check_every: int = 6,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Maintain a constructed tree through a churn schedule; report metrics.
 
@@ -462,13 +320,9 @@ def run_churn_maintenance(
     :class:`~repro.maintenance.MaintainedTree`, with a
     :class:`~repro.maintenance.StalenessMonitor` check every ``check_every``
     rounds; the run replays its own mutation journal at the end and asserts
-    bit-identity before returning (``replay_matches_live``).  The body is a
-    module-level callable
-    (``repro.maintenance.churn:churn_maintenance_metrics``), shipped as a
-    ``CallableItem`` so the serial path and ``executor="process"`` execute
-    the identical work plan — the returned dictionary contains only
-    deterministic values, making the two paths bit-for-bit identical like
-    every other entry point.
+    bit-identity before returning (``replay_matches_live``).  The body is the
+    module-level ``repro.maintenance.churn:churn_maintenance_metrics``,
+    shipped as a ``CallableItem``; it returns only deterministic values.
     """
     scenario = (
         scenario
@@ -486,109 +340,44 @@ def run_churn_maintenance(
         "rebuild_bound": rebuild_bound,
         "check_every": check_every,
     }
-    plan = WorkPlan()
-    key = plan.add(
-        CallableItem(
-            target="repro.maintenance.churn:churn_maintenance_metrics",
-            kwargs=tuple(sorted(kwargs.items())),
-            label=f"maintenance/{dataset}",
-        )
+    item = CallableItem(
+        target="repro.maintenance.churn:churn_maintenance_metrics",
+        kwargs=tuple(sorted(kwargs.items())),
+        label=f"maintenance/{dataset}",
     )
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is None:
-        resolved = SerialExecutor(store=default_store())
-    report = resolved.execute(plan)
-    return dict(report.records[key].value)
+    return dict(_run_plan({"maintenance": item}, executor)[0]["maintenance"])
 
 
 # --------------------------------------------------------------------------- #
-# Fig. 7 — workload CDF with / without tree trimming
+# Fig. 7 / Fig. 8 — the system side, with / without tree trimming
 # --------------------------------------------------------------------------- #
+def _trimming_pair(dataset: str, scale: ExperimentScale, task: str) -> Dict[Hashable, LumosItem]:
+    """The Lumos / Lumos w.o. TT arms both system-side figures compare."""
+    base = _lumos_config(dataset, scale, "gcn")
+    configs = {"lumos": base, "lumos_wo_tt": base.without_tree_trimming()}
+    return _lumos_items(dataset, scale, task, configs, f"{task}/{dataset}/")
+
+
 @_traced_entry
 def run_workload_analysis(
     dataset: str,
     scale: ExperimentScale = ExperimentScale(),
-    store: Optional[ArtifactStore] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, np.ndarray]:
-    """Per-device workload arrays for Lumos and Lumos w.o. TT."""
-    graph = _prepare(dataset, scale)
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        plan = WorkPlan()
-        keys = {
-            name: plan.add(
-                _lumos_item(
-                    dataset, scale, "workload", config,
-                    label=f"workload/{dataset}/{name}",
-                )
-            )
-            for name, config in (
-                ("lumos", _lumos_config(dataset, scale, "gcn")),
-                ("lumos_wo_tt", _lumos_config(dataset, scale, "gcn").without_tree_trimming()),
-            )
-        }
-        report = resolved.execute(plan)
-        results = {name: report.records[key].value for name, key in keys.items()}
-        results["degrees"] = graph.degrees()
-        return results
-    store = store if store is not None else default_store()
-    trimmed = LumosSystem(graph, _lumos_config(dataset, scale, "gcn"), store=store)
-    untrimmed = LumosSystem(
-        graph, _lumos_config(dataset, scale, "gcn").without_tree_trimming(), store=store
-    )
-    return {
-        "lumos": trimmed.workload_distribution(),
-        "lumos_wo_tt": untrimmed.workload_distribution(),
-        "degrees": graph.degrees(),
-    }
+    """Per-device workload arrays for Lumos and Lumos w.o. TT (Fig. 7)."""
+    results = _run_plan(_trimming_pair(dataset, scale, "workload"), executor)[0]
+    results["degrees"] = _graph_spec(dataset, scale).load().degrees()
+    return results
 
 
-# --------------------------------------------------------------------------- #
-# Fig. 8 — system cost (communication rounds and epoch time)
-# --------------------------------------------------------------------------- #
 @_traced_entry
 def run_system_cost(
     dataset: str,
     scale: ExperimentScale = ExperimentScale(),
-    store: Optional[ArtifactStore] = None,
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Per-epoch communication rounds and simulated epoch time, with/without TT."""
-    variants = (
-        ("lumos", _lumos_config(dataset, scale, "gcn")),
-        ("lumos_wo_tt", _lumos_config(dataset, scale, "gcn").without_tree_trimming()),
-    )
-    resolved = resolve_executor(executor, max_workers)
-    if resolved is not None:
-        plan = WorkPlan()
-        keys = {
-            name: plan.add(
-                _lumos_item(
-                    dataset, scale, "system_cost", config,
-                    label=f"system_cost/{dataset}/{name}",
-                )
-            )
-            for name, config in variants
-        }
-        report = resolved.execute(plan)
-        return {name: report.records[key].value for name, key in keys.items()}
-    store = store if store is not None else default_store()
-    graph = _prepare(dataset, scale)
-    results: Dict[str, Dict[str, float]] = {}
-    for name, config in variants:
-        system = LumosSystem(graph, config, store=store)
-        trainer = system.trainer()
-        entry: Dict[str, float] = {}
-        for task in ("supervised", "unsupervised"):
-            profile = trainer.communication_profile(task)
-            entry[f"{task}_rounds_per_device"] = float(profile["per_device_rounds"].mean())
-            entry[f"{task}_epoch_time"] = trainer.simulated_epoch_time(task)
-        entry["max_workload"] = float(system.workload_distribution().max())
-        results[name] = entry
-    return results
+    """Per-epoch communication rounds and simulated epoch time, with/without TT (Fig. 8)."""
+    return _run_plan(_trimming_pair(dataset, scale, "system_cost"), executor)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -599,8 +388,7 @@ def run_headline_summary(
     dataset: str = "facebook",
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    executor: ExecutorArg = None,
-    max_workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Reproduce the abstract's three headline numbers on one dataset.
 
@@ -608,12 +396,11 @@ def run_headline_summary(
     * reduction of inter-device communication rounds from tree trimming,
     * reduction of training time from tree trimming.
     """
-    resolved = resolve_executor(executor, max_workers)
     supervised = run_supervised_comparison(
         dataset, backbone=backbone, scale=scale, methods=["lumos", "naive_fedgnn"],
-        executor=resolved,
+        executor=executor,
     )
-    system_cost = run_system_cost(dataset, scale=scale, executor=resolved)
+    system_cost = run_system_cost(dataset, scale=scale, executor=executor)
     accuracy_gain = relative_change(supervised["naive_fedgnn"], supervised["lumos"])
     rounds_saving = -relative_change(
         system_cost["lumos_wo_tt"]["supervised_rounds_per_device"],

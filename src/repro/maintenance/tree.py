@@ -51,7 +51,6 @@ from ..engine.fingerprint import stage_key
 from ..engine.store import ArtifactStore, DiskSpillStore, StoredArtifact
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import CommunicationLedger
-from ..runtime.items import _transcript_digest
 from ..runtime.worker import ChaosConfig, chaos_action
 from .journal import MutationJournal, _encode, read_records
 
@@ -82,6 +81,20 @@ class MaintenanceConfig:
     def __post_init__(self) -> None:
         if self.rebalance_iterations < 0 or self.rebuild_mcmc_iterations < 0:
             raise ValueError("iteration counts must be non-negative")
+
+
+def _transcript_digest(records: List[tuple]) -> str:
+    """Stable digest of a canonical ledger transcript.
+
+    ``message_records()`` is already the canonical sorted form; hashing its
+    reprs gives a cross-process comparable fingerprint without shipping the
+    (potentially large) record list itself.
+    """
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def fresh_assignment(

@@ -34,7 +34,7 @@ Typical use::
     from repro.obs import RunTrace, write_chrome_trace
 
     with obs.tracing() as tracer:
-        run_epsilon_sweep("facebook", executor="process")
+        run_epsilon_sweep("facebook", executor=ProcessExecutor())
     write_chrome_trace(RunTrace.from_tracer(tracer), "sweep-trace.json")
 """
 

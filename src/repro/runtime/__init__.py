@@ -12,7 +12,10 @@ baseline comparisons, figure grids — become picklable
 pipeline prefix once, hands it to workers through a
 :class:`~repro.engine.store.DiskSpillStore`, retries crashed or timed-out
 items, and merges results deterministically — bit-for-bit identical to the
-serial path.  ``docs/architecture.md`` §8 describes the contracts.
+serial path.  Every :mod:`repro.eval.runner` entry point is such a plan,
+run on the ``Executor`` instance passed as ``executor=`` (default: a
+``SerialExecutor`` over the process-wide store).  ``docs/architecture.md``
+§8 describes the contracts.
 """
 
 from .channel import (
@@ -36,7 +39,6 @@ from .executor import (
     SerialExecutor,
     WorkItemFailure,
     backoff_delay,
-    resolve_executor,
 )
 from .items import (
     BaselineItem,
@@ -44,7 +46,6 @@ from .items import (
     GraphSpec,
     LumosItem,
     WorkItem,
-    execute_item,
 )
 from .plan import WarmupRun, WorkPlan, shared_prefix_plan
 from .worker import ChaosConfig, chaos_action
@@ -77,7 +78,5 @@ __all__ = [
     "backoff_delay",
     "channel_pair",
     "chaos_action",
-    "execute_item",
-    "resolve_executor",
     "shared_prefix_plan",
 ]

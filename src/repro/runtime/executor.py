@@ -16,13 +16,12 @@ Two implementations share one contract:
 
 The determinism contract both executors honour: for every item, the
 returned :class:`ItemRecord`'s ``value``, ``ledger_summary``,
-``transcript_digest`` / ``ledger_records``, ``accountant`` and
-``rng_state`` are bit-for-bit identical regardless of executor, worker
-count, scheduling order or retries.  That holds because items are
-self-contained (each builds its own environment and RNG from its config)
-and because the engine's artifact replay is itself bit-for-bit — a worker
-hydrating a cached construction is indistinguishable from one that
-computed it.
+``ledger_records``, ``accountant`` and ``rng_state`` are bit-for-bit
+identical regardless of executor, worker count, scheduling order or
+retries.  That holds because items are self-contained (each builds its own
+environment and RNG from its config) and because the engine's artifact
+replay is itself bit-for-bit — a worker hydrating a cached construction is
+indistinguishable from one that computed it.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs as observability
-from ..core.config import RuntimeConfig
 from ..engine.store import ArtifactStore
-from .items import WorkItem, execute_item
+from .items import WorkItem
 from .plan import WorkPlan, shared_prefix_plan
 from .worker import DONE, ChaosConfig, open_worker_store, result_key, worker_main
 
@@ -114,7 +112,6 @@ class ItemRecord:
     label: str
     value: Any
     ledger_summary: Optional[dict]
-    transcript_digest: Optional[str]
     ledger_records: Optional[tuple]
     accountant: Optional[dict]
     rng_state: Optional[dict]
@@ -133,7 +130,6 @@ class ItemRecord:
             label=item.label or type(item).__name__,
             value=payload["value"],
             ledger_summary=payload["ledger_summary"],
-            transcript_digest=payload["transcript_digest"],
             ledger_records=payload["ledger_records"],
             accountant=payload["accountant"],
             rng_state=payload["rng_state"],
@@ -213,7 +209,7 @@ class SerialExecutor(Executor):
             with observability.span(
                 "runtime.item", label=item.label or type(item).__name__
             ):
-                payload = execute_item(item, store)
+                payload = item.execute(store)
             observability.add_counter("runtime.dispatches")
             report.records[item.key()] = ItemRecord.from_payload(
                 item, payload, duration=time.perf_counter() - item_started
@@ -226,13 +222,12 @@ class SerialExecutor(Executor):
 class ProcessExecutor(Executor):
     """Schedule items across a pool of worker processes.
 
-    Parameters mirror :class:`~repro.core.config.RuntimeConfig`:
-    ``max_workers`` (default ``os.cpu_count()``), ``retries`` (re-dispatch
-    budget for crashed/timed-out items), ``timeout`` (per-item wall-clock
-    budget; item-level ``timeout`` overrides).  ``spill_dir`` pins the
-    shared artifact directory (default: a temporary directory per
-    ``execute`` call, removed afterwards); ``strict`` raises
-    :class:`WorkItemFailure` when any item remains failed.
+    ``max_workers`` sizes the pool (default ``os.cpu_count()``), ``retries``
+    is the re-dispatch budget for crashed/timed-out items and ``timeout``
+    the per-item wall-clock budget (an item-level ``timeout`` overrides
+    it).  ``spill_dir`` pins the shared artifact directory (default: a
+    temporary directory per ``execute`` call, removed afterwards);
+    ``strict`` raises :class:`WorkItemFailure` when any item remains failed.
 
     Retries are re-dispatched after an exponential backoff with
     deterministic seeded jitter (:func:`backoff_delay`, disable with
@@ -272,16 +267,6 @@ class ProcessExecutor(Executor):
         self.backoff_base = backoff_base
         self.backoff_seed = backoff_seed
         self.chaos = chaos
-
-    @classmethod
-    def from_config(cls, config: RuntimeConfig, **overrides) -> "ProcessExecutor":
-        options = {
-            "max_workers": config.max_workers,
-            "retries": config.retries,
-            "timeout": config.timeout_seconds,
-        }
-        options.update(overrides)
-        return cls(**options)
 
     # ------------------------------------------------------------------ #
     # Orchestration
@@ -587,33 +572,3 @@ class ProcessExecutor(Executor):
             result_queue.close()
             report.stats["respawns"] = respawns
             report.stats["max_attempts"] = max(attempts.values(), default=0)
-
-
-def resolve_executor(
-    executor: Union[str, Executor, RuntimeConfig, None],
-    max_workers: Optional[int] = None,
-    **options,
-) -> Optional[Executor]:
-    """Resolve the ``executor=`` knob of the evaluation entry points.
-
-    ``None`` / ``"serial"`` mean the caller's inline loop (returns ``None``);
-    ``"process"`` builds a :class:`ProcessExecutor`; an :class:`Executor`
-    instance passes through so callers can inspect it (or share a spill
-    directory) across calls; a :class:`~repro.core.config.RuntimeConfig`
-    (e.g. ``config.with_executor("process", 4).runtime``) is expanded into
-    the executor it describes.
-    """
-    if executor is None or executor == "serial":
-        return None
-    if isinstance(executor, Executor):
-        return executor
-    if isinstance(executor, RuntimeConfig):
-        if executor.executor == "serial":
-            return None
-        return ProcessExecutor.from_config(executor, **options)
-    if executor == "process":
-        return ProcessExecutor(max_workers=max_workers, **options)
-    raise ValueError(
-        f"unknown executor {executor!r}; use 'serial', 'process', a RuntimeConfig "
-        "or an Executor"
-    )

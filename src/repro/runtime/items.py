@@ -9,22 +9,22 @@ two items that would compute the same result have the same
 :meth:`WorkItem.key`, so a :class:`~repro.runtime.plan.WorkPlan` dedupes
 them to one execution.
 
-Every execution returns the same payload schema (see :func:`execute_item`):
-the item's *value* (the number or array the evaluation harness consumes)
-plus the serialized side state that makes parallel execution auditable —
-the canonical communication-ledger transcript (as a digest, optionally in
-full), the ledger summary, the secure-comparison accountant counters and
-the final RNG state.  The runtime's determinism contract is that all of
-these are bit-for-bit identical no matter which executor (or worker) ran
-the item.
+Every :meth:`WorkItem.execute` returns the same payload schema, so merge and
+equivalence checks never depend on the item flavour: ``value`` (the number
+or array the evaluation harness consumes) plus the serialized side state
+that makes parallel execution auditable — ``ledger_summary``,
+``ledger_records`` (the canonical communication-ledger transcript, only
+under ``keep_transcript=True``), ``accountant`` (the secure-comparison
+counters) and ``rng_state`` (the final RNG state).  The runtime's
+determinism contract is that all of these are bit-for-bit identical no
+matter which executor (or worker) ran the item.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -121,25 +121,10 @@ class WorkItem:
         raise NotImplementedError
 
 
-def _transcript_digest(records: List[tuple]) -> str:
-    """Stable digest of a canonical ledger transcript.
-
-    ``message_records()`` is already the canonical sorted form; hashing its
-    reprs gives a cross-process comparable fingerprint without shipping the
-    (potentially large) record list itself.
-    """
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(repr(record).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def _empty_payload(value: Any) -> Dict[str, Any]:
     return {
         "value": value,
         "ledger_summary": None,
-        "transcript_digest": None,
         "ledger_records": None,
         "accountant": None,
         "rng_state": None,
@@ -154,9 +139,9 @@ class LumosItem(WorkItem):
     ``unsupervised`` train and return the test metric (mirroring
     ``LumosSystem.run_supervised`` / ``run_unsupervised``), ``workload``
     returns the per-device workload array after construction, and
-    ``system_cost`` the Fig. 8 communication/epoch-time entry.  The split is
-    derived from ``split_seed`` exactly like :mod:`repro.eval.runner` does,
-    so a work item is the runner's loop body, made picklable.
+    ``system_cost`` the Fig. 8 communication/epoch-time entry.  This is the
+    one place each of those experiment bodies exists: every
+    :mod:`repro.eval.runner` entry point schedules ``LumosItem`` arms.
     """
 
     graph_spec: GraphSpec = field(default_factory=lambda: GraphSpec(dataset="facebook"))
@@ -165,8 +150,8 @@ class LumosItem(WorkItem):
     split_seed: int = 0
     label: str = ""
     #: Ship the full canonical ledger transcript in the payload (tests,
-    #: audits).  The digest is always included; the full record list is
-    #: opt-in because it can dwarf the value at paper scale.
+    #: audits).  Opt-in because sorting and shipping the record list can
+    #: dwarf the value at paper scale.
     keep_transcript: bool = False
     timeout: Optional[float] = None
 
@@ -257,12 +242,12 @@ class LumosItem(WorkItem):
 
         construction = system.construct_trees()
         ledger = system.environment.ledger
-        records = ledger.message_records()
         return {
             "value": value,
             "ledger_summary": ledger.summary(system.environment.num_devices),
-            "transcript_digest": _transcript_digest(records),
-            "ledger_records": tuple(records) if self.keep_transcript else None,
+            "ledger_records": (
+                tuple(ledger.message_records()) if self.keep_transcript else None
+            ),
             "accountant": construction.transcript.snapshot(),
             "rng_state": system.rng.bit_generator.state,
         }
@@ -361,16 +346,3 @@ class CallableItem(WorkItem):
         module_name, _, attribute = self.target.partition(":")
         function = getattr(importlib.import_module(module_name), attribute)
         return _empty_payload(function(*self.args, **dict(self.kwargs)))
-
-
-def execute_item(item: WorkItem, store: ArtifactStore) -> Dict[str, Any]:
-    """Run one item against ``store`` and return its payload dictionary.
-
-    This is the single entry point both executors share: the serial executor
-    calls it inline, worker processes call it from their task loop.  The
-    payload schema is fixed (``value`` / ``ledger_summary`` /
-    ``transcript_digest`` / ``ledger_records`` / ``accountant`` /
-    ``rng_state``) so merge and equivalence checks never depend on the item
-    flavour.
-    """
-    return item.execute(store)

@@ -10,7 +10,7 @@ requests with two invariants:
   analogue of the engine store's content keys.)
 * **deterministic merge order** — ``requests`` preserves the order items
   were added in, so a caller can reassemble its result structure (a sweep
-  dict, a figure table) identically to the serial loop it replaced.
+  dict, a figure table) identically on every executor.
 
 :func:`shared_prefix_plan` is the scheduling brain: it inspects the engine
 stage fingerprints of the pipeline-backed items and picks the minimal set

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import obs
-from ..engine.store import ArtifactStore, DiskSpillStore, StoredArtifact
-from .items import WorkItem, execute_item
+from ..engine.store import DiskSpillStore, StoredArtifact
 
 #: Control-message tags on the result queue.
 DONE = "done"
@@ -97,27 +96,24 @@ def result_key(item_key: str) -> str:
 
 
 def open_worker_store(
-    spill_directory: Optional[str], max_bytes: int, max_entries: int = 256
-) -> ArtifactStore:
+    spill_directory: str, max_bytes: int, max_entries: int = 256
+) -> DiskSpillStore:
     """The store a worker (or the scheduler) uses for artifact hand-off."""
-    if spill_directory is None:
-        return ArtifactStore(max_entries=max_entries)
     return DiskSpillStore(spill_directory, max_bytes=max_bytes, max_entries=max_entries)
 
 
-def publish_result(store: ArtifactStore, item_key: str, payload: dict) -> None:
+def publish_result(store: DiskSpillStore, item_key: str, payload: dict) -> None:
     """Durably publish an item's payload for the scheduler to hydrate."""
     key = result_key(item_key)
     store.put(key, StoredArtifact(value=payload))
-    if isinstance(store, DiskSpillStore):
-        store.persist(key)
+    store.persist(key)
 
 
 def worker_main(
     worker_id: int,
     task_queue,
     result_queue,
-    spill_directory: Optional[str],
+    spill_directory: str,
     store_bytes: int,
     chaos: Optional[ChaosConfig] = None,
     trace: bool = False,
@@ -141,7 +137,7 @@ def worker_main(
         task = task_queue.get()
         if task is None:
             return
-        ticket, item, attempt = task  # type: int, WorkItem, int
+        ticket, item, attempt = task  # (int, WorkItem, int)
         key = item.key()
         try:
             action = chaos_action(chaos, key, attempt)
@@ -158,11 +154,11 @@ def worker_main(
                         label=item.label or type(item).__name__,
                         attempt=attempt,
                     ):
-                        payload = execute_item(item, store)
+                        payload = item.execute(store)
                 payload = dict(payload)
                 payload["obs"] = tracer.snapshot()
             else:
-                payload = execute_item(item, store)
+                payload = item.execute(store)
             publish_result(store, key, payload)
             result_queue.put((DONE, worker_id, ticket, key, None))
         except BaseException:

@@ -24,6 +24,7 @@ from repro.eval.reporting import (
     summarize_comparison,
 )
 from repro.graph import generate_facebook_like, split_edges, split_nodes
+from repro.runtime import Executor
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,13 @@ class TestLPGNN:
         assert np.all(np.isfinite(encoded))
 
 
+class _NeverRuns(Executor):
+    """An executor that fails the test if validation lets a plan through."""
+
+    def execute(self, plan):
+        raise AssertionError("work was scheduled before the arguments were validated")
+
+
 class TestExperimentRunner:
     def test_supervised_comparison_orders_methods(self):
         from repro.eval.runner import ExperimentScale, run_supervised_comparison
@@ -210,6 +218,41 @@ class TestExperimentRunner:
             cost["lumos"]["supervised_epoch_time"]
             < cost["lumos_wo_tt"]["supervised_epoch_time"]
         )
+
+    @pytest.mark.parametrize("entry_point", ["run_epsilon_sweep", "run_ablation"])
+    @pytest.mark.parametrize("task", ["supervise", "workload", ""])
+    def test_unknown_task_is_rejected_before_any_work(self, entry_point, task):
+        from repro.eval import runner
+
+        with pytest.raises(ValueError, match=r"\('supervised', 'unsupervised'\)"):
+            getattr(runner, entry_point)("facebook", task=task, executor=_NeverRuns())
+
+    def test_unknown_method_is_rejected_before_any_work(self):
+        from repro.eval.runner import run_supervised_comparison, run_unsupervised_comparison
+
+        with pytest.raises(ValueError, match="'lumos', 'centralized', 'lpgnn', 'naive_fedgnn'"):
+            run_supervised_comparison(
+                "facebook", methods=["lumos", "centralised"], executor=_NeverRuns()
+            )
+        # lpgnn has no link-prediction arm: valid for Fig. 3, a typo for Fig. 4.
+        with pytest.raises(ValueError, match="'lumos', 'centralized', 'naive_fedgnn'"):
+            run_unsupervised_comparison(
+                "facebook", methods=["lumos", "lpgnn"], executor=_NeverRuns()
+            )
+
+    def test_explicitly_empty_grids_are_rejected_not_defaulted(self):
+        from repro.eval.runner import (
+            run_epsilon_sweep,
+            run_supervised_comparison,
+            run_unsupervised_comparison,
+        )
+
+        with pytest.raises(ValueError, match="epsilons"):
+            run_epsilon_sweep("facebook", epsilons=[], executor=_NeverRuns())
+        with pytest.raises(ValueError, match="non-empty"):
+            run_supervised_comparison("facebook", methods=[], executor=_NeverRuns())
+        with pytest.raises(ValueError, match="non-empty"):
+            run_unsupervised_comparison("facebook", methods=[], executor=_NeverRuns())
 
     def test_experiment_scales(self):
         from repro.eval.runner import ExperimentScale

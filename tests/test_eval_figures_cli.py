@@ -9,6 +9,7 @@ import pytest
 
 from repro.eval import figures
 from repro.eval.runner import ExperimentScale
+from repro.runtime import CallableItem, ProcessExecutor, WorkPlan
 
 TINY = ExperimentScale(num_nodes=120, epochs=8, mcmc_iterations=15, seed=0)
 
@@ -58,6 +59,9 @@ class TestFigureCLI:
         def fake_figure(scale, executor=None):
             calls["scale"] = scale
             calls["executor"] = executor
+            if executor is not None:  # prove the CLI-built pool is live right now
+                plan = WorkPlan([CallableItem(target="math:sqrt", args=(9.0,))])
+                calls["pool_value"] = plan.values(executor.execute(plan).records)
             return {"facebook": {"max_with_trimming": 3.0}}
 
         monkeypatch.setitem(figures.FIGURES, "fig7", fake_figure)
@@ -65,6 +69,13 @@ class TestFigureCLI:
         assert exit_code == 0
         assert calls["scale"].num_nodes == 300
         assert calls["executor"] is None  # --executor serial is the default
+
+        # --workers implies the process pool, built by the CLI itself over one
+        # spill directory for the whole invocation.
+        assert figures.main(["fig7", "--workers", "2"]) == 0
+        assert isinstance(calls["executor"], ProcessExecutor)
+        assert calls["executor"].max_workers == 2
+        assert calls["pool_value"] == [3.0]
         capsys.readouterr()  # drain output; JSON parsing is covered below
 
     def test_json_dump_parses(self, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.eval.runner import ExperimentScale, run_churn_maintenance
 from repro.faults.config import FaultScenarioConfig
+from repro.runtime import ProcessExecutor
 
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
 
@@ -28,7 +29,7 @@ class TestChurnMaintenanceRunner:
         )
         serial = run_churn_maintenance("facebook", **kwargs)
         process = run_churn_maintenance(
-            "facebook", executor="process", max_workers=2, **kwargs
+            "facebook", executor=ProcessExecutor(max_workers=2), **kwargs
         )
         assert serial == process
 

@@ -21,7 +21,7 @@ from repro import obs
 from repro.core import default_config_for
 from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_epsilon_sweep
-from repro.runtime import GraphSpec, LumosItem
+from repro.runtime import GraphSpec, LumosItem, ProcessExecutor, SerialExecutor
 
 SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
@@ -40,7 +40,7 @@ def _config(epsilon=2.0):
 def _sweep_item(epsilon):
     return LumosItem(
         graph_spec=SPEC, config=_config(epsilon), task="supervised",
-        split_seed=0, label=f"eps={epsilon}",
+        split_seed=0, label=f"eps={epsilon}", keep_transcript=True,
     )
 
 
@@ -76,22 +76,25 @@ class TestInvisibilityContract:
 
     def test_traced_process_sweep_matches_untraced_serial(self):
         serial = run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+            "facebook", epsilons=EPSILONS, scale=SCALE,
+            executor=SerialExecutor(store=ArtifactStore()),
         )
         with obs.tracing():
             traced = run_epsilon_sweep(
                 "facebook", epsilons=EPSILONS, scale=SCALE,
-                executor="process", max_workers=2,
+                executor=ProcessExecutor(max_workers=2),
             )
         assert traced == serial
 
     def test_traced_serial_sweep_spans_every_point_and_matches_untraced(self):
         untraced = run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+            "facebook", epsilons=EPSILONS, scale=SCALE,
+            executor=SerialExecutor(store=ArtifactStore()),
         )
         with obs.tracing() as tracer:
             traced = run_epsilon_sweep(
-                "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+                "facebook", epsilons=EPSILONS, scale=SCALE,
+                executor=SerialExecutor(store=ArtifactStore()),
             )
         assert traced == untraced
         training_spans = [
@@ -101,7 +104,7 @@ class TestInvisibilityContract:
         assert len(training_spans) == len(EPSILONS)
 
     def test_untraced_process_payloads_carry_no_obs_key(self):
-        from repro.runtime import ProcessExecutor, WorkPlan
+        from repro.runtime import WorkPlan
 
         plan = WorkPlan()
         key = plan.add(_sweep_item(2.0))
@@ -118,7 +121,7 @@ class TestMergedRunTrace:
         with obs.tracing() as tracer:
             results = run_epsilon_sweep(
                 "facebook", epsilons=EPSILONS, scale=SCALE,
-                executor="process", max_workers=2,
+                executor=ProcessExecutor(max_workers=2),
             )
         return results, obs.RunTrace.from_tracer(tracer)
 
@@ -277,7 +280,8 @@ def test_tracing_overhead_is_bounded():
 
     def run():
         return run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=scale, store=ArtifactStore()
+            "facebook", epsilons=EPSILONS, scale=scale,
+            executor=SerialExecutor(store=ArtifactStore()),
         )
 
     run()  # warm dataset caches so both timings see the same state

@@ -14,6 +14,7 @@ import pytest
 from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_robustness_sweep
 from repro.faults import FaultScenarioConfig
+from repro.runtime import ProcessExecutor, SerialExecutor
 
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
 
@@ -30,7 +31,8 @@ SCENARIOS = {
 @pytest.fixture(scope="module")
 def serial_results():
     return run_robustness_sweep(
-        "facebook", scenarios=SCENARIOS, scale=SCALE, store=ArtifactStore()
+        "facebook", scenarios=SCENARIOS, scale=SCALE,
+        executor=SerialExecutor(store=ArtifactStore()),
     )
 
 
@@ -40,8 +42,7 @@ class TestRobustnessSweep:
             "facebook",
             scenarios=SCENARIOS,
             scale=SCALE,
-            executor="process",
-            max_workers=2,
+            executor=ProcessExecutor(max_workers=2),
         )
         assert process == serial_results
 
@@ -78,7 +79,7 @@ class TestRobustnessSweep:
                 "dropout": FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)
             },
             scale=SCALE,
-            store=ArtifactStore(),
+            executor=SerialExecutor(store=ArtifactStore()),
         )
         assert "baseline" in results
         assert results["baseline"]["accuracy_vs_baseline_percent"] == 0.0

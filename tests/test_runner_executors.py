@@ -1,9 +1,9 @@
 """Seeded serial-vs-process equivalence of the evaluation entry points.
 
-The runtime's determinism contract, exercised end to end at smoke scale:
-``executor="process"`` must produce **bit-for-bit** the same results as the
-default serial loop — the metrics the entry points return, and (via the
-work-item records) the canonical communication-ledger transcripts, the
+The runtime's determinism contract, exercised end to end at smoke scale: a
+``ProcessExecutor`` must produce **bit-for-bit** the same results as the
+default ``SerialExecutor`` — the metrics the entry points return, and (via
+the work-item records) the canonical communication-ledger transcripts, the
 secure-comparison accountant totals and the final RNG state of every arm.
 """
 
@@ -14,12 +14,15 @@ import pytest
 
 from repro.core import default_config_for
 from repro.engine import ArtifactStore
+from repro.eval import runner
 from repro.eval.runner import (
     ExperimentScale,
     run_ablation,
     run_epsilon_sweep,
 )
+from repro.faults import FaultScenarioConfig
 from repro.runtime import (
+    BaselineItem,
     GraphSpec,
     LumosItem,
     ProcessExecutor,
@@ -29,6 +32,35 @@ from repro.runtime import (
 
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
 EPSILONS = [0.5, 2.0]
+
+
+#: Every ``repro.eval.runner.run_*`` entry point, with the arguments that keep
+#: it at smoke cost.
+ENTRY_POINTS = [
+    ("run_supervised_comparison", {}),
+    ("run_unsupervised_comparison", {}),
+    ("run_epsilon_sweep", {"epsilons": EPSILONS}),
+    ("run_ablation", {"task": "unsupervised"}),
+    ("run_robustness_sweep", {
+        "scenarios": {"dropout": FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)},
+    }),
+    ("run_churn_maintenance", {"rounds": 6, "check_every": 3}),
+    ("run_workload_analysis", {}),
+    ("run_system_cost", {}),
+    ("run_headline_summary", {}),
+]
+
+
+def _assert_equal_in_order(left, right):
+    """Equal dict-for-dict (same key order), arrays by ``np.array_equal``."""
+    if isinstance(left, dict):
+        assert isinstance(right, dict) and list(left) == list(right)
+        for key in left:
+            _assert_equal_in_order(left[key], right[key])
+    elif isinstance(left, np.ndarray):
+        assert np.array_equal(left, right)
+    else:
+        assert left == right
 
 
 def _config(epsilon):
@@ -44,11 +76,12 @@ def _config(epsilon):
 class TestRunnerEquivalence:
     def test_epsilon_sweep_supervised(self):
         serial = run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
+            "facebook", epsilons=EPSILONS, scale=SCALE,
+            executor=SerialExecutor(store=ArtifactStore()),
         )
         process = run_epsilon_sweep(
             "facebook", epsilons=EPSILONS, scale=SCALE,
-            executor="process", max_workers=2,
+            executor=ProcessExecutor(max_workers=2),
         )
         assert serial == process
         assert list(process) == EPSILONS  # merge preserves request order
@@ -56,18 +89,20 @@ class TestRunnerEquivalence:
     def test_epsilon_sweep_unsupervised(self):
         serial = run_epsilon_sweep(
             "facebook", task="unsupervised", epsilons=EPSILONS, scale=SCALE,
-            store=ArtifactStore(),
+            executor=SerialExecutor(store=ArtifactStore()),
         )
         process = run_epsilon_sweep(
             "facebook", task="unsupervised", epsilons=EPSILONS, scale=SCALE,
-            executor="process", max_workers=2,
+            executor=ProcessExecutor(max_workers=2),
         )
         assert serial == process
 
     def test_ablation(self):
-        serial = run_ablation("facebook", scale=SCALE, store=ArtifactStore())
+        serial = run_ablation(
+            "facebook", scale=SCALE, executor=SerialExecutor(store=ArtifactStore())
+        )
         process = run_ablation(
-            "facebook", scale=SCALE, executor="process", max_workers=2
+            "facebook", scale=SCALE, executor=ProcessExecutor(max_workers=2)
         )
         assert serial == process
         assert list(process) == ["lumos", "lumos_wo_vn", "lumos_wo_tt"]
@@ -84,6 +119,15 @@ class TestRunnerEquivalence:
             "facebook", epsilons=EPSILONS, scale=SCALE, executor=executor
         )
         assert first == second
+
+    @pytest.mark.parametrize("name, kwargs", ENTRY_POINTS, ids=[n for n, _ in ENTRY_POINTS])
+    def test_every_entry_point_default_executor_equals_process_pool(self, name, kwargs):
+        entry_point = getattr(runner, name)
+        default = entry_point("facebook", scale=SCALE, **kwargs)
+        process = entry_point(
+            "facebook", scale=SCALE, executor=ProcessExecutor(max_workers=2), **kwargs
+        )
+        _assert_equal_in_order(default, process)
 
 
 class TestRecordEquivalence:
@@ -105,7 +149,6 @@ class TestRecordEquivalence:
             a, b = serial.records[key], process.records[key]
             assert a.value == b.value
             assert a.ledger_summary == b.ledger_summary
-            assert a.transcript_digest == b.transcript_digest
             assert a.ledger_records == b.ledger_records
             assert a.ledger_records is not None and len(a.ledger_records) > 0
             assert a.accountant == b.accountant
@@ -139,3 +182,57 @@ class TestRecordEquivalence:
         store = report.stats["store"]
         assert store["spill_writes"] > 0  # prefix + results published on disk
         assert store["misses"] > 0
+
+
+class TestBaselineItem:
+    SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
+
+    def _item(self, **overrides):
+        fields = dict(
+            method="centralized", task="supervised", graph_spec=self.SPEC,
+            backbone="gcn", epochs=3, seed=0, split_seed=0,
+        )
+        fields.update(overrides)
+        return BaselineItem(**fields)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"method": "lpgnn"},
+            {"task": "unsupervised"},
+            {"backbone": "gat"},
+            {"epochs": 4},
+            {"seed": 1},
+            {"split_seed": 1},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_key_changes_with_every_field(self, override):
+        assert self._item(**override).key() != self._item().key()
+        assert self._item(**override).key() == self._item(**override).key()
+
+    def test_label_and_timeout_do_not_enter_the_key(self):
+        assert self._item().key() == self._item(label="x", timeout=5.0).key()
+
+    def test_invalid_method_for_task_raises(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            self._item(method="lpgnn", task="unsupervised")
+        with pytest.raises(ValueError, match="method must be one of"):
+            self._item(method="lumos")
+        with pytest.raises(ValueError, match="task must be one of"):
+            self._item(task="workload")
+
+    def test_serial_value_equals_process_value(self):
+        plan = WorkPlan(
+            [
+                self._item(method="naive_fedgnn"),
+                self._item(method="naive_fedgnn", task="unsupervised"),
+            ]
+        )
+        serial = SerialExecutor().execute(plan)
+        process = ProcessExecutor(max_workers=2).execute(plan)
+        assert plan.values(serial.records) == plan.values(process.records)
+        for key in plan.requests:
+            # Baselines touch no ledger, accountant or system RNG.
+            assert serial.records[key].ledger_summary is None
+            assert serial.records[key].rng_state is None

@@ -1,10 +1,10 @@
 """Tests of the parallel execution runtime's scheduling machinery.
 
-Covers the plan layer (content-keyed dedupe, runtime-config fingerprint
-exclusion, shared-prefix selection) and the process executor's failure
-semantics: crashed workers are respawned and their items retried, timed-out
-items are killed and retried, deterministic in-worker exceptions and
-exhausted retries are *reported* — never silently dropped.
+Covers the plan layer (content-keyed dedupe, shared-prefix selection) and
+the process executor's failure semantics: crashed workers are respawned and
+their items retried, timed-out items are killed and retried, deterministic
+in-worker exceptions and exhausted retries are *reported* — never silently
+dropped.
 
 The bit-for-bit serial-vs-process equivalence of real experiment runs lives
 in ``tests/test_runner_executors.py``.
@@ -27,7 +27,6 @@ from repro.runtime import (
     SerialExecutor,
     WorkItemFailure,
     WorkPlan,
-    resolve_executor,
     shared_prefix_plan,
 )
 
@@ -105,16 +104,6 @@ class TestWorkPlan:
         assert len(plan) == 2 and plan.duplicate_requests == 1
         assert plan.requests == [first, second, first]
 
-    def test_runtime_config_is_excluded_from_item_and_stage_keys(self):
-        base = _sweep_item(0.5)
-        scheduled = LumosItem(
-            graph_spec=SPEC,
-            config=_config(0.5).with_executor("process", max_workers=8),
-            task="supervised", split_seed=0, label="scheduled",
-        )
-        assert base.key() == scheduled.key()
-        assert base.stage_chain() == scheduled.stage_chain()
-
     def test_epsilon_sweep_shares_prefix_through_tree_batch(self):
         items = [_sweep_item(epsilon) for epsilon in (0.5, 1.0, 2.0)]
         runs = shared_prefix_plan(items)
@@ -140,27 +129,6 @@ class TestWorkPlan:
 
     def test_items_without_chains_produce_no_warmups(self):
         assert shared_prefix_plan([_callable(square, 3)]) == []
-
-    def test_resolve_executor(self):
-        assert resolve_executor(None) is None
-        assert resolve_executor("serial") is None
-        process = resolve_executor("process", max_workers=3)
-        assert isinstance(process, ProcessExecutor) and process.max_workers == 3
-        assert resolve_executor(process) is process
-        with pytest.raises(ValueError):
-            resolve_executor("threads")
-
-    def test_resolve_executor_consumes_runtime_config(self):
-        # config.with_executor records a preference; passing config.runtime
-        # to any scheduling surface expands it into the executor it names.
-        recorded = _config().with_executor("process", max_workers=2).with_runtime(
-            retries=3, timeout_seconds=9.0
-        )
-        executor = resolve_executor(recorded.runtime)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.max_workers == 2
-        assert executor.retries == 3 and executor.timeout == 9.0
-        assert resolve_executor(_config().runtime) is None  # serial default
 
 
 # --------------------------------------------------------------------------- #
