@@ -81,17 +81,17 @@ class GATLayer(Module):
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
         num_nodes = features.data.shape[0]
-        src, dst = edge_index
+        backend = get_backend()
 
-        if get_backend().allow_fused:
+        if backend.allow_fused:
             # Whole layer as a single autograd node: transform, attention
             # logits, leaky-relu + segment softmax, weighted aggregation,
             # head concat/mean, bias and activation with closed-form
-            # adjoints (parity pinned by tests/test_nn_backend.py).
+            # adjoints (parity pinned by tests/test_nn_backend.py), on the
+            # edge plan the backend keeps per edge index.
             return F.fused_gat_layer(
                 features,
-                src,
-                dst,
+                backend.prepare_edges(edge_index, num_nodes),
                 self.weight,
                 self.attention_src,
                 self.attention_dst,
@@ -103,6 +103,7 @@ class GATLayer(Module):
                 activation=activation,
             )
 
+        src, dst = edge_index
         transformed = features @ self.weight  # (N, H*F)
         transformed = transformed.reshape(num_nodes, self.num_heads, self.out_features)
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import PreparedMatrix, get_backend
+from .backend import PreparedEdges, PreparedMatrix, get_backend
 from .tensor import Tensor, _as_array
 
 
@@ -89,55 +89,6 @@ def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return exp_values / (denom_per_edge + 1e-16)
 
 
-def edge_attention_softmax(
-    src_scores: Tensor,
-    dst_scores: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_segments: int,
-    negative_slope: float = 0.2,
-) -> Tensor:
-    """Fused GAT attention kernel: gather + add + leaky-relu + segment softmax.
-
-    Computes ``segment_softmax(leaky_relu(src_scores[src] + dst_scores[dst]))``
-    normalised over the incoming edges of each destination — the attention
-    coefficients of a GAT layer — as **one** autograd node instead of the
-    seven-node composite (two gathers, add, leaky-relu, exp, scatter, divide).
-    All array work runs through the active backend (so the fast backend's
-    cached CSR aggregation matrices serve the segment reductions), and the
-    backward pass uses the closed-form softmax adjoint
-
-        d/d logits = a * (g - segment_sum(a * g)[dst]) * leaky_relu'(logits)
-
-    which matches the composite graph's gradient exactly (the per-segment max
-    shift is constant within a segment and the ``1e-16`` denominator guard is
-    segment-constant too, so both cancel from the adjoint).
-    """
-    backend = get_backend()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    logits = backend.take_rows(src_scores.data, src) + backend.take_rows(dst_scores.data, dst)
-    slope = np.where(logits > 0, 1.0, negative_slope)
-    activated = logits * slope
-    seg_max = backend.segment_max(activated, dst, num_segments)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    exp_values = np.exp(activated - backend.take_rows(seg_max, dst))
-    denominator = backend.segment_sum(exp_values, dst, num_segments) + 1e-16
-    attention = exp_values / backend.take_rows(denominator, dst)
-    num_src_rows = src_scores.data.shape[0]
-    num_dst_rows = dst_scores.data.shape[0]
-
-    def backward(grad: np.ndarray) -> None:
-        grad = _as_array(grad)
-        weighted = attention * grad
-        segment_dot = backend.segment_sum(weighted, dst, num_segments)
-        grad_logits = (weighted - attention * backend.take_rows(segment_dot, dst)) * slope
-        src_scores._accumulate(backend.scatter_rows(grad_logits, src, num_src_rows))
-        dst_scores._accumulate(backend.scatter_rows(grad_logits, dst, num_dst_rows))
-
-    return Tensor._make(attention, (src_scores, dst_scores), backward)
-
-
 def fused_gcn_layer(
     features: Tensor,
     matrix: Union[sp.spmatrix, PreparedMatrix],
@@ -200,8 +151,7 @@ def fused_gcn_layer(
 
 def fused_gat_layer(
     features: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
+    edges: PreparedEdges,
     weight: Tensor,
     attention_src: Tensor,
     attention_dst: Tensor,
@@ -216,40 +166,47 @@ def fused_gat_layer(
 
     Runs the entire layer — linear transform, per-node attention logits,
     leaky-relu + segment softmax over incoming edges, weighted aggregation,
-    head concat/mean, bias, optional activation — as a single node whose
-    forward executes the same float operations as the composite graph (parity
-    is pinned by ``tests/test_nn_backend.py``).  The backward pass applies
-    the closed-form adjoint of every stage in reverse, reusing the stored
-    forward intermediates (``transformed``, ``attention``, ``slope``).
+    head concat/mean, bias, optional activation — as a single node computing
+    what the composite graph computes (parity is pinned by
+    ``tests/test_nn_backend.py`` and ``tests/test_gat_fused_parity.py``).
+
+    ``edges`` is the :class:`~repro.nn.backend.PreparedEdges` plan of the edge
+    index (``backend.prepare_edges``).  Per-edge state is ``(H, E)`` only: the
+    aggregation is one CSR product ``A_h @ T_h`` per head, with the plan as
+    structure and that head's attention as data, so no edge-by-feature array
+    exists in forward (memory ``O(E H + N H F)``).  Backward is ``A_hᵀ @ G_h``
+    for the message adjoint and one sampled dot product per head
+    (``(E, F)`` at a time) for the attention adjoint.
     """
     if activation not in (None, "relu"):
         raise ValueError(f"unsupported fused activation '{activation}'")
-    backend = get_backend()
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
     num_nodes = features.data.shape[0]
-    transformed = (features.data @ weight.data).reshape(num_nodes, num_heads, head_dim)
-    src_vec = attention_src.data.reshape(1, num_heads, head_dim)
-    dst_vec = attention_dst.data.reshape(1, num_heads, head_dim)
-    src_scores = (transformed * src_vec).sum(axis=-1)  # (N, H)
-    dst_scores = (transformed * dst_vec).sum(axis=-1)
+    if edges.num_nodes != num_nodes:
+        raise ValueError("edge plan was prepared for a different number of nodes")
+    heads = range(num_heads)
+    # Head-major (H, N, F): each head's block is the contiguous dense operand
+    # of its sparse product.
+    transformed = np.ascontiguousarray(
+        (features.data @ weight.data).reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
+    )
+    # Source and destination attention vectors side by side, (H, 2, F), so
+    # both per-node scores (and later both their adjoints) are one batched gemm.
+    vectors = np.stack([attention_src.data, attention_dst.data], axis=1)
+    scores = vectors @ transformed.transpose(0, 2, 1)  # (H, 2, N)
 
-    logits = backend.take_rows(src_scores, src) + backend.take_rows(dst_scores, dst)
-    slope = np.where(logits > 0, 1.0, negative_slope)
-    activated = logits * slope
-    seg_max = backend.segment_max(activated, dst, num_nodes)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    exp_values = np.exp(activated - backend.take_rows(seg_max, dst))
-    denominator = backend.segment_sum(exp_values, dst, num_nodes) + 1e-16
-    attention = exp_values / backend.take_rows(denominator, dst)  # (E, H)
-
-    messages = backend.take_rows(transformed, src)  # (E, H, F)
-    weighted = messages * attention[:, :, None]
-    aggregated = backend.segment_sum(weighted, dst, num_nodes)  # (N, H, F)
+    logits = np.take(scores[:, 0], edges.src, axis=1) + np.repeat(
+        scores[:, 1], edges.counts, axis=1
+    )  # (H, E)
+    # Exactly 1.0 / negative_slope like np.where, without its per-element branch.
+    positive = logits > 0
+    slope = positive + ~positive * negative_slope
+    attention = edges.softmax(logits * slope)
+    matrices = [edges.attention_matrix(attention[h]) for h in heads]
+    aggregated = [matrices[h] @ transformed[h] for h in heads]  # H x (N, F)
     if concat_heads:
-        out = aggregated.reshape(num_nodes, num_heads * head_dim)
+        out = np.concatenate(aggregated, axis=1)
     else:
-        out = aggregated.sum(axis=1) * (1.0 / num_heads)
+        out = sum(aggregated[1:], aggregated[0]) * (1.0 / num_heads)
     out = out + bias.data
     mask: Optional[np.ndarray] = None
     if activation == "relu":
@@ -262,31 +219,30 @@ def fused_gat_layer(
             g = g * mask
         bias._accumulate(g)
         if concat_heads:
-            g_agg = g.reshape(num_nodes, num_heads, head_dim)
+            g_heads = np.split(g, num_heads, axis=1)
         else:
-            g_agg = np.broadcast_to(
-                (g * (1.0 / num_heads))[:, None, :], (num_nodes, num_heads, head_dim)
+            g_heads = [g * (1.0 / num_heads)] * num_heads
+        g_transformed = np.empty_like(transformed)
+        g_attention = np.empty_like(attention)
+        g_edges = None
+        for h in heads:
+            g_transformed[h] = matrices[h].T @ g_heads[h]
+            if concat_heads or g_edges is None:  # mean heads share one gradient
+                g_edges = np.repeat(g_heads[h], edges.counts, axis=0)  # (E, F)
+            np.einsum(
+                "ef,ef->e", g_edges, np.take(transformed[h], edges.src, axis=0),
+                out=g_attention[h],
             )
-        g_weighted = backend.take_rows(g_agg, dst)  # (E, H, F)
-        g_messages = g_weighted * attention[:, :, None]
-        g_attention = (g_weighted * messages).sum(axis=-1)  # (E, H)
-        # Closed-form segment-softmax adjoint (the max shift and the 1e-16
-        # denominator guard are segment-constant, so both cancel).
-        weighted_grad = attention * g_attention
-        segment_dot = backend.segment_sum(weighted_grad, dst, num_nodes)
-        g_logits = (
-            weighted_grad - attention * backend.take_rows(segment_dot, dst)
-        ) * slope
-        g_src_scores = backend.scatter_rows(g_logits, src, num_nodes)  # (N, H)
-        g_dst_scores = backend.scatter_rows(g_logits, dst, num_nodes)
-        g_transformed = (
-            g_src_scores[:, :, None] * src_vec
-            + g_dst_scores[:, :, None] * dst_vec
-            + backend.scatter_rows(g_messages, src, num_nodes)
-        )
-        attention_src._accumulate((transformed * g_src_scores[:, :, None]).sum(axis=0))
-        attention_dst._accumulate((transformed * g_dst_scores[:, :, None]).sum(axis=0))
-        flat = g_transformed.reshape(num_nodes, num_heads * head_dim)
+        g_logits = edges.softmax_backward(attention, g_attention) * slope
+        g_scores = np.empty_like(scores)
+        for h in heads:
+            g_scores[h, 0] = np.bincount(edges.src, weights=g_logits[h], minlength=num_nodes)
+        g_scores[:, 1] = edges.segment_sum(g_logits)
+        g_transformed += g_scores.transpose(0, 2, 1) @ vectors
+        g_vectors = g_scores @ transformed  # (H, 2, F)
+        attention_src._accumulate(g_vectors[:, 0])
+        attention_dst._accumulate(g_vectors[:, 1])
+        flat = g_transformed.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
         weight._accumulate(features.data.T @ flat)
         if features.requires_grad:
             features._accumulate(flat @ weight.data.T)

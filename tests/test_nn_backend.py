@@ -98,6 +98,31 @@ class TestKernelParity:
             np.testing.assert_allclose(backend.segment_counts(index, 6), counts)
             np.testing.assert_array_equal(backend.take_rows(values, index[:5]), values[index[:5]])
 
+    @pytest.mark.parametrize(
+        "index, num_segments",
+        [
+            ([3, 0, 3, 5, 0, 3], 7),  # unsorted, segments 1, 2, 4 and 6 empty
+            ([0, 0, 0, 0], 1),  # a single segment
+            ([], 3),  # nothing but empty segments
+        ],
+    )
+    @pytest.mark.parametrize("trailing", [(), (4,)])
+    def test_segment_max_matches_base_kernel(self, index, num_segments, trailing):
+        # The fast backend's sorted-reduceat override against the base class's
+        # np.maximum.at, including -inf for segments that receive no row.
+        index = np.asarray(index, dtype=np.int64)
+        values = np.random.default_rng(2).standard_normal((index.shape[0],) + trailing)
+        expected = OpsBackend().segment_max(values, index, num_segments)
+        with use_backend("numpy") as backend:
+            assert type(backend).segment_max is not OpsBackend.segment_max
+            np.testing.assert_array_equal(
+                backend.segment_max(values, index, num_segments), expected
+            )
+            # second call is served by the cached sort
+            np.testing.assert_array_equal(
+                backend.segment_max(values, index, num_segments), expected
+            )
+
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_segments(self, name):
         values = np.zeros((0, 3))
@@ -154,40 +179,44 @@ class TestAutogradParity:
         np.testing.assert_allclose(w_grad, w_ref, atol=1e-9)
 
     def test_fused_edge_attention_matches_composite(self):
-        # The fused GAT kernel must reproduce the unfused composite graph
+        # The edge plan's softmax and its closed-form adjoint (what the fused
+        # GAT layer runs) must reproduce the unfused composite graph
         # (gather + add + leaky-relu + segment softmax) in both the forward
-        # values and the gradients, on the same backend.
+        # values and the score gradients, on the same backend.
         rng = np.random.default_rng(12)
         num_nodes, num_edges, heads = 9, 40, 3
         src = rng.integers(0, num_nodes, size=num_edges)
         dst = rng.integers(0, num_nodes, size=num_edges)
         scores = rng.standard_normal((num_nodes, heads))
         weights = rng.standard_normal((num_edges, heads))
-        results = {}
-        with use_backend("numpy"):
-            for mode in ("fused", "composite"):
-                src_scores = Tensor(scores.copy(), requires_grad=True)
-                dst_scores = Tensor(scores.copy() * 0.5, requires_grad=True)
-                if mode == "fused":
-                    attention = F.edge_attention_softmax(
-                        src_scores, dst_scores, src, dst, num_nodes, 0.2
-                    )
-                else:
-                    logits = F.gather(src_scores, src) + F.gather(dst_scores, dst)
-                    attention = F.segment_softmax(
-                        logits.leaky_relu(0.2), dst, num_nodes
-                    )
-                (attention * Tensor(weights)).sum().backward()
-                results[mode] = (
-                    attention.data.copy(),
-                    src_scores.grad.copy(),
-                    dst_scores.grad.copy(),
-                )
-        for fused_part, composite_part in zip(results["fused"], results["composite"]):
+        with use_backend("numpy") as backend:
+            src_scores = Tensor(scores.copy(), requires_grad=True)
+            dst_scores = Tensor(scores.copy() * 0.5, requires_grad=True)
+            logits = F.gather(src_scores, src) + F.gather(dst_scores, dst)
+            attention = F.segment_softmax(logits.leaky_relu(0.2), dst, num_nodes)
+            (attention * Tensor(weights)).sum().backward()
+            composite = (attention.data, src_scores.grad, dst_scores.grad)
+
+            # Same maths on the plan: (H, E) arrays in destination-sorted order.
+            plan = backend.prepare_edges(np.stack([src, dst]), num_nodes)
+            edge_logits = (scores[src] + 0.5 * scores[dst])[plan.order].T
+            slope = np.where(edge_logits > 0, 1.0, 0.2)
+            fused_attention = plan.softmax(edge_logits * slope)
+            grad_logits = (
+                plan.softmax_backward(fused_attention, weights[plan.order].T) * slope
+            )
+            src_grad = np.zeros((num_nodes, heads))
+            np.add.at(src_grad, plan.src, grad_logits.T)
+            fused = (
+                fused_attention.T[np.argsort(plan.order)],
+                src_grad,
+                plan.segment_sum(grad_logits).T,
+            )
+        for fused_part, composite_part in zip(fused, composite):
             np.testing.assert_allclose(fused_part, composite_part, atol=1e-12)
         # Per-destination attention sums to one wherever edges land.
         totals = np.zeros((num_nodes, heads))
-        np.add.at(totals, dst, results["fused"][0])
+        np.add.at(totals, dst, fused[0])
         landed = np.unique(dst)
         np.testing.assert_allclose(totals[landed], 1.0, atol=1e-9)
 
