@@ -9,6 +9,11 @@ collected — so the pattern lives here exactly once.
 
 ``None`` is not a cacheable value (it is the miss sentinel); no current user
 caches ``None``.
+
+**A cached value must not reference its anchor.**  The cache holds the value
+strongly and the anchor weakly; a value that points back at its anchor keeps
+it alive, the weak-reference callback never fires and the entry is immortal.
+A value derived from the anchor may share its *arrays*, never the object.
 """
 
 from __future__ import annotations

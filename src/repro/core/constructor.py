@@ -15,8 +15,9 @@ can report both accuracy-side and system-side metrics.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,8 +26,45 @@ from ..federation.simulator import FederatedEnvironment
 from .config import TreeConstructorConfig
 from .greedy import greedy_initialization
 from .mcmc import MCMCBalancer, MCMCResult
-from .tree import LocalGraph, build_star, build_tree
+from .tree import LocalGraph, build_star, build_tree, expected_tree_size
 from .workload import Assignment
+
+
+class CanonicalLocalGraphs(Mapping):
+    """``device -> LocalGraph`` of a construction, built on first access.
+
+    Production reads tree *sizes* only (a function of the workload), so the
+    per-device ``build_tree`` / ``build_star`` graph over the sorted selected
+    neighbours is materialised just for the callers that index or iterate the
+    mapping — canonical by construction, since nothing else is ever built.
+    """
+
+    def __init__(
+        self, assignment: Assignment, device_ids: Iterable[int], use_virtual_nodes: bool
+    ) -> None:
+        self._assignment = assignment
+        self._build = build_tree if use_virtual_nodes else build_star
+        self._graphs = dict.fromkeys(device_ids)  # device -> its graph, once built
+
+    def __getitem__(self, device_id: int) -> LocalGraph:
+        graph = self._graphs[device_id]
+        if graph is None:
+            selected = sorted(self._assignment.selected.get(device_id, ()))
+            graph = self._graphs[device_id] = self._build(device_id, selected)
+        return graph
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graphs)
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def total_nodes(self) -> int:
+        """Total number of local-graph nodes, from the workloads alone."""
+        workloads = [self._assignment.workload(device_id) for device_id in self._graphs]
+        if self._build is build_tree:
+            return sum(map(expected_tree_size, workloads))
+        return sum(workloads) + len(workloads)
 
 
 @dataclass
@@ -34,7 +72,7 @@ class TreeConstructionResult:
     """Everything the tree constructor produces."""
 
     assignment: Assignment
-    local_graphs: Dict[int, LocalGraph]
+    local_graphs: Mapping  # device -> LocalGraph; lazy when built by TreeConstructor
     greedy_assignment: Optional[Assignment] = None
     mcmc_result: Optional[MCMCResult] = None
     transcript: TranscriptAccountant = field(default_factory=TranscriptAccountant)
@@ -56,6 +94,8 @@ class TreeConstructionResult:
 
     def total_tree_nodes(self) -> int:
         """Total number of local-graph nodes across all devices."""
+        if isinstance(self.local_graphs, CanonicalLocalGraphs):
+            return self.local_graphs.total_nodes()
         return sum(graph.num_nodes for graph in self.local_graphs.values())
 
 
@@ -108,21 +148,17 @@ class TreeConstructor:
 
         environment.apply_assignment(assignment.as_lists())
 
-        local_graphs: Dict[int, LocalGraph] = {}
-        for device_id, device in environment.devices.items():
-            selected = sorted(assignment.selected.get(device_id, set()))
-            if self.config.use_virtual_nodes:
-                local_graphs[device_id] = build_tree(device_id, selected)
-            else:
-                local_graphs[device_id] = build_star(device_id, selected)
+        for device_id in environment.devices:
             # Charge the (local, cheap) tree-building computation.
             environment.charge_compute(
-                device_id, cost=float(len(selected)), description="tree-construction"
+                device_id, cost=float(assignment.workload(device_id)), description="tree-construction"
             )
 
         return TreeConstructionResult(
             assignment=assignment,
-            local_graphs=local_graphs,
+            local_graphs=CanonicalLocalGraphs(
+                assignment, environment.devices, self.config.use_virtual_nodes
+            ),
             greedy_assignment=greedy_assignment,
             mcmc_result=mcmc_result,
             transcript=transcript,

@@ -19,53 +19,98 @@ that data never leaves the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..crypto.ldp import FeatureBinPartitioner, FeatureBounds, OneBitMechanism
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
+from ..nn.shared_rows import densify
 from .workload import Assignment
+
+
+class _ReceivedRows(Mapping):
+    """``sender -> recovered feature`` of one receiver, densified on every access."""
+
+    def __init__(self, result: "EmbeddingInitializationResult", receiver: int) -> None:
+        self._rows = partial(result.received_by, receiver)
+
+    def __getitem__(self, sender: int) -> np.ndarray:
+        return self._rows()[sender]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows())
+
+    def __len__(self) -> int:
+        return len(self._rows())
 
 
 @dataclass
 class EmbeddingInitializationResult:
-    """Outcome of the feature-exchange phase."""
+    """Outcome of the feature-exchange phase, kept sparse.
 
-    received_features: Dict[int, Dict[int, np.ndarray]]
+    Message ``m`` went from ``senders[m]`` to ``receivers[m]`` (messages are
+    sorted by receiver, then sender).  Row ``m`` of ``released`` stores the
+    recovered values at the positions that sender released to that receiver;
+    every other position carried the neutral symbol and recovers to
+    ``midpoint``.  Dense rows exist only as on-demand views
+    (:attr:`received_features`, :meth:`packed`, ``Device.received_features``).
+    """
+
+    receivers: np.ndarray
+    senders: np.ndarray
+    released: sp.csr_matrix
+    midpoint: float
+    device_ids: Tuple[int, ...] = ()
     messages_sent: int = 0
     bytes_sent: int = 0
     epsilon: float = 0.0
-    # Flat (receiver, sender, feature-row) arrays over all exchanged messages;
-    # the vectorised TreeBatch assembly consumes these instead of the nested
-    # dictionaries.  Built lazily by :meth:`packed` when absent.
-    packed_receivers: Optional[np.ndarray] = None
-    packed_senders: Optional[np.ndarray] = None
-    packed_features: Optional[np.ndarray] = None
 
-    def feature_for(self, receiver: int, sender: int) -> np.ndarray:
-        """Recovered feature of ``sender`` as seen by ``receiver``."""
-        return self.received_features[receiver][sender]
+    @cached_property
+    def received_features(self) -> Dict[int, Mapping]:
+        """``receiver -> {sender: recovered feature}`` over every device."""
+        return {device_id: _ReceivedRows(self, device_id) for device_id in self.device_ids}
+
+    def received_by(self, receiver: int) -> Dict[int, np.ndarray]:
+        """``sender -> recovered feature`` of the messages ``receiver`` got (dense)."""
+        start, stop = np.searchsorted(self.receivers, [receiver, receiver + 1])
+        rows = densify(self.released[start:stop], self.midpoint)
+        return dict(zip(self.senders[start:stop].tolist(), rows))
 
     def packed(self) -> tuple:
-        """``(receivers, senders, features)`` arrays over all messages."""
-        if self.packed_receivers is None:
-            receivers: List[int] = []
-            senders: List[int] = []
-            rows: List[np.ndarray] = []
-            for receiver, per_sender in self.received_features.items():
-                for sender, feature in per_sender.items():
-                    receivers.append(int(receiver))
-                    senders.append(int(sender))
-                    rows.append(np.asarray(feature, dtype=np.float64))
-            self.packed_receivers = np.asarray(receivers, dtype=np.int64)
-            self.packed_senders = np.asarray(senders, dtype=np.int64)
-            self.packed_features = (
-                np.stack(rows) if rows else np.zeros((0, 0), dtype=np.float64)
-            )
-        return self.packed_receivers, self.packed_senders, self.packed_features
+        """``(receivers, senders, features)`` arrays over all messages (dense)."""
+        return self.receivers, self.senders, densify(self.released, self.midpoint)
+
+    def rows_for(self, receivers: np.ndarray, senders: np.ndarray) -> sp.csr_matrix:
+        """The ``released`` rows of the given pairs, in the given order.
+
+        A pair whose sender never released to that receiver (degenerate
+        trimming corner case) is an empty row: the uninformative midpoint.
+        """
+        released = self.released
+        if not self.receivers.shape[0]:
+            return sp.csr_matrix((receivers.shape[0], released.shape[1]), dtype=np.float64)
+        base = int(max(self.senders.max(), senders.max(initial=0))) + 1
+        codes = self.receivers * base + self.senders  # ascending: the message order
+        wanted = receivers * base + senders
+        positions = np.minimum(np.searchsorted(codes, wanted), codes.shape[0] - 1)
+        lengths = np.where(codes[positions] == wanted, np.diff(released.indptr)[positions], 0)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        source = np.repeat(released.indptr[positions] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return sp.csr_matrix(
+            (released.data[source], released.indices[source], indptr),
+            shape=(wanted.shape[0], released.shape[1]),
+        )
+
+    def install(self, environment: FederatedEnvironment) -> None:
+        """Point every device's ``received_features`` at its view of this exchange."""
+        for device_id, device in environment.devices.items():
+            device.received_features = _ReceivedRows(self, device_id)
 
 
 @dataclass
@@ -87,13 +132,32 @@ class LDPDrawsResult:
     thresholding those uniforms against the Eq. 26 probabilities — cheap and
     epsilon-dependent.  Caching this object lets an epsilon sweep pay the
     draws (and the RNG stream consumption) once per construction.
+
+    Columnar: sender ``i`` is ``sender_ids[i]`` (the environment's device
+    order, in which the stream was consumed) releasing under ``workloads[i]``
+    with bin partition ``bins[i]``; its messages are rows
+    ``offsets[i]:offsets[i + 1]`` of ``receivers`` (ascending) / ``uniforms``.
     """
 
-    per_sender: Dict[int, SenderDraws]
+    sender_ids: np.ndarray
+    workloads: np.ndarray
+    bins: np.ndarray
+    offsets: np.ndarray
+    receivers: np.ndarray
+    uniforms: np.ndarray
 
-    def total_draws(self) -> int:
-        """Number of uniform draws held (released elements, pre-masking)."""
-        return sum(draws.uniforms.size for draws in self.per_sender.values())
+    @property
+    def per_sender(self) -> Dict[int, SenderDraws]:
+        """The draws regrouped per sender (views, for inspection)."""
+        spans = zip(self.offsets[:-1], self.offsets[1:])
+        return {
+            int(sender): SenderDraws(
+                self.receivers[start:stop].tolist(), bins, self.uniforms[start:stop], int(workload)
+            )
+            for sender, bins, workload, (start, stop) in zip(
+                self.sender_ids, self.bins, self.workloads, spans
+            )
+        }
 
 
 class LDPEmbeddingInitializer:
@@ -112,19 +176,6 @@ class LDPEmbeddingInitializer:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.mechanism = OneBitMechanism(epsilon=self.epsilon, bounds=bounds)
 
-    @staticmethod
-    def _requesters(
-        environment: FederatedEnvironment, assignment: Assignment
-    ) -> Dict[int, List[int]]:
-        """Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``."""
-        requesters: Dict[int, List[int]] = {
-            device_id: [] for device_id in environment.devices
-        }
-        for receiver, selected in assignment.selected.items():
-            for sender in selected:
-                requesters[int(sender)].append(int(receiver))
-        return requesters
-
     def draw(
         self,
         environment: FederatedEnvironment,
@@ -133,32 +184,51 @@ class LDPEmbeddingInitializer:
         """Consume the exchange's randomness without touching epsilon.
 
         Draws the per-sender bin partitions and the uniforms the encoder
-        thresholds, in exactly the stream order of the eager exchange, so
-        ``threshold`` (for any epsilon) reproduces the one-shot ``run``
-        bit-for-bit.
+        thresholds, in exactly the stream order of the eager exchange (per
+        sender in device order: the partition, then one ``(receivers, d)``
+        block written into the shared uniforms array), so ``threshold`` (for
+        any epsilon) reproduces the one-shot ``run`` bit-for-bit.
         """
-        per_sender: Dict[int, SenderDraws] = {}
-        for sender_id, receiver_ids in self._requesters(environment, assignment).items():
-            feature = environment.devices[sender_id].ego.feature
-            dimension = feature.shape[0]
-            # The sender's workload controls the privacy split; devices whose
-            # selection ended up empty (possible after trimming) fall back to
-            # a single bin so their feature can still be released once.
-            workload = max(assignment.workload(sender_id), 1)
-            partitioner = FeatureBinPartitioner(dimension, workload, rng=self.rng)
-            receivers_sorted = sorted(receiver_ids)
-            uniforms = (
-                self.rng.random((len(receivers_sorted), dimension))
-                if receivers_sorted
-                else np.zeros((0, dimension), dtype=np.float64)
-            )
-            per_sender[sender_id] = SenderDraws(
-                receivers=receivers_sorted,
-                bin_assignment=partitioner.assignment,
-                uniforms=uniforms,
-                workload=workload,
-            )
-        return LDPDrawsResult(per_sender=per_sender)
+        devices = environment.devices
+        position = {device_id: index for index, device_id in enumerate(devices)}
+        dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
+        # Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``.
+        selected = assignment.selected
+        senders = np.fromiter(
+            (position[int(s)] for chosen in selected.values() for s in chosen), dtype=np.int64
+        )
+        receivers = np.repeat(
+            np.fromiter(selected, dtype=np.int64, count=len(selected)),
+            [len(chosen) for chosen in selected.values()],
+        )
+        order = np.lexsort((receivers, senders))
+        offsets = np.zeros(len(devices) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(senders, minlength=len(devices)), out=offsets[1:])
+        # The sender's workload controls the privacy split; devices whose
+        # selection ended up empty (possible after trimming) fall back to
+        # a single bin so their feature can still be released once.
+        workloads = np.asarray(
+            [max(assignment.workload(device_id), 1) for device_id in devices], dtype=np.int64
+        )
+        # Workloads and bin ids are small: a narrow dtype keeps the per-message
+        # bin gather of ``threshold`` (and its sort by workload) cheap.
+        workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))
+        bins = np.empty((len(devices), dimension), dtype=workloads.dtype)
+        uniforms = np.empty((order.shape[0], dimension), dtype=np.float64)
+        for index, (workload, start, stop) in enumerate(
+            zip(workloads.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        ):
+            bins[index] = FeatureBinPartitioner(dimension, workload, rng=self.rng).assignment
+            if stop > start:
+                self.rng.random(out=uniforms[start:stop])
+        return LDPDrawsResult(
+            sender_ids=np.fromiter(devices, dtype=np.int64, count=len(devices)),
+            workloads=workloads,
+            bins=bins,
+            offsets=offsets,
+            receivers=receivers[order],
+            uniforms=uniforms,
+        )
 
     def threshold(
         self,
@@ -168,82 +238,55 @@ class LDPEmbeddingInitializer:
         """Threshold pre-drawn randomness into the released features.
 
         Consumes no randomness; charges the exchange's communication and
-        compute exactly like the eager ``run``.
+        compute like the eager ``run``.  Only the released positions of a
+        message are thresholded — sender ``s`` releases bin ``k mod wl(s)`` to
+        its ``k``-th receiver — in one columnar pass over all messages.
         """
-        received: Dict[int, Dict[int, np.ndarray]] = {
-            device_id: {} for device_id in environment.devices
-        }
-        messages = 0
-        total_bytes = 0
-
-        packed_receivers: List[np.ndarray] = []
-        packed_senders: List[np.ndarray] = []
-        packed_features: List[np.ndarray] = []
-
-        for sender_id, sender_draws in draws.per_sender.items():
-            feature = environment.devices[sender_id].ego.feature
-            dimension = feature.shape[0]
-            workload = sender_draws.workload
-            receivers_sorted = sender_draws.receivers
-            if receivers_sorted:
-                # One encode over all receivers at once.  The batched call
-                # thresholds the same uniforms in the same (row-major) order
-                # as one encode per receiver, so the released symbols are
-                # bit-for-bit identical to the sequential exchange.
-                ranks = np.arange(len(receivers_sorted)) % workload
-                masks = sender_draws.bin_assignment[None, :] == ranks[:, None]
-                encoded = self.mechanism.encode(
-                    np.broadcast_to(feature, (len(receivers_sorted), dimension)),
-                    workload=workload, dimension=dimension,
-                    selected=masks, uniforms=sender_draws.uniforms,
-                )
-                recovered = self.mechanism.recover(
-                    encoded, workload=workload, dimension=dimension
-                )
-                # Encoded symbols need 2 bits each ({0, 0.5, 1}); account the
-                # transmission of the full d-dimensional message.
-                size_bytes = max(1, (2 * dimension) // 8)
-                for row, receiver_id in enumerate(receivers_sorted):
-                    received[receiver_id][sender_id] = recovered[row]
-                    environment.devices[receiver_id].store_received_feature(
-                        sender_id, recovered[row]
-                    )
-                    environment.exchange(
-                        sender_id, receiver_id, MessageKind.FEATURE_EXCHANGE, size_bytes,
-                        description="ldp-feature",
-                    )
-                messages += len(receivers_sorted)
-                total_bytes += size_bytes * len(receivers_sorted)
-                packed_receivers.append(np.asarray(receivers_sorted, dtype=np.int64))
-                packed_senders.append(
-                    np.full(len(receivers_sorted), sender_id, dtype=np.int64)
-                )
-                packed_features.append(recovered)
-            environment.charge_compute(
-                sender_id, cost=0.1 * len(receivers_sorted), description="ldp-encoding"
-            )
-
-        return EmbeddingInitializationResult(
-            received_features=received,
-            messages_sent=messages,
-            bytes_sent=total_bytes,
-            epsilon=self.epsilon,
-            packed_receivers=(
-                np.concatenate(packed_receivers)
-                if packed_receivers
-                else np.zeros(0, dtype=np.int64)
-            ),
-            packed_senders=(
-                np.concatenate(packed_senders)
-                if packed_senders
-                else np.zeros(0, dtype=np.int64)
-            ),
-            packed_features=(
-                np.concatenate(packed_features)
-                if packed_features
-                else np.zeros((0, 0), dtype=np.float64)
-            ),
+        dimension = draws.bins.shape[1]
+        counts = np.diff(draws.offsets)
+        stream_sender = np.repeat(np.arange(counts.shape[0]), counts)
+        rank = (
+            np.arange(stream_sender.shape[0]) - draws.offsets[stream_sender]
+        ) % draws.workloads[stream_sender]
+        # Emit receiver-major (the order the tree batch and the views read).
+        order = np.lexsort((draws.sender_ids[stream_sender], draws.receivers))
+        sender = stream_sender[order]
+        released = draws.bins[sender] == rank[order].astype(draws.bins.dtype)[:, None]
+        rows, cols = np.divmod(np.flatnonzero(released), dimension)
+        features = np.asarray(
+            [environment.devices[int(d)].ego.feature for d in draws.sender_ids], dtype=np.float64
+        ).reshape(-1, dimension)
+        recovered = self.mechanism.release(
+            features[sender[rows], cols],
+            draws.uniforms[order[rows], cols],
+            draws.workloads[sender[rows]],
+            dimension,
         )
+        indptr = np.zeros(order.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=order.shape[0]), out=indptr[1:])
+
+        # Encoded symbols need 2 bits each ({0, 0.5, 1}); account the
+        # transmission of the full d-dimensional message.
+        size_bytes = max(1, (2 * dimension) // 8)
+        senders, receivers = draws.sender_ids[sender], draws.receivers[order]
+        environment.exchange_many(
+            senders, receivers, MessageKind.FEATURE_EXCHANGE, size_bytes, description="ldp-feature"
+        )
+        environment.ledger.compute_many(
+            draws.sender_ids, 0.1 * counts, description="ldp-encoding"
+        )
+        result = EmbeddingInitializationResult(
+            receivers=receivers,
+            senders=senders,
+            released=sp.csr_matrix((recovered, cols, indptr), shape=released.shape),
+            midpoint=self.bounds.midpoint,
+            device_ids=tuple(environment.devices),
+            messages_sent=int(order.shape[0]),
+            bytes_sent=size_bytes * int(order.shape[0]),
+            epsilon=self.epsilon,
+        )
+        result.install(environment)
+        return result
 
     def run(
         self,

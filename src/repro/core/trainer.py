@@ -45,11 +45,11 @@ from ..nn.layers import Linear
 from ..nn.loss import cross_entropy, link_prediction_loss
 from ..nn.module import Module
 from ..nn.optim import Adam
+from ..nn.shared_rows import SharedRowFeatures
 from ..nn.tensor import Tensor, no_grad
 from .config import TrainerConfig
-from .constructor import TreeConstructionResult
+from .constructor import CanonicalLocalGraphs, TreeConstructionResult
 from .embedding_init import EmbeddingInitializationResult
-from .tree import NodeRole
 
 
 # --------------------------------------------------------------------------- #
@@ -64,19 +64,26 @@ class TreeBatch:
     whenever device ids are the contiguous ``0..n-1`` of a node-level
     partition, and a dense re-indexing otherwise (so pooling into
     ``num_vertices`` rows is well-defined for sparse device ids too).
+
+    The initial embeddings (Eq. 25) are ``layer_input``, held as their
+    *distinct* rows and never as a ``(num_nodes, d)`` matrix: one raw feature
+    per device (sorted-id order; every centre-leaf replica shares it), then
+    one LDP message per neighbour leaf (the recovered values at its released
+    positions, the bounds' midpoint elsewhere); virtual nodes are zero.
+    :attr:`features` is the derived dense view.
     """
 
     num_nodes: int
     num_vertices: int
     adjacency: sp.csr_matrix
     edge_index: np.ndarray
-    features: np.ndarray
+    layer_input: SharedRowFeatures
     leaf_rows: np.ndarray
     leaf_vertices: np.ndarray
     device_slices: Dict[int, Tuple[int, int]]
-    # Refill recipe for the epsilon-dependent feature rows: ``neighbor_rows``
-    # are the feature-matrix rows carrying LDP-recovered features, received
-    # by ``neighbor_receivers`` from ``neighbor_senders``.  Everything else
+    # Refill recipe for the epsilon-dependent rows: the ``k``-th LDP message
+    # sits at node ``neighbor_rows[k]`` and was received by
+    # ``neighbor_receivers[k]`` from ``neighbor_senders[k]``.  Everything else
     # in the batch (structure, centre features) is epsilon-independent, so a
     # cached batch can be re-bound to another sweep point's LDP exchange via
     # :meth:`with_initialization` instead of being rebuilt.
@@ -86,6 +93,31 @@ class TreeBatch:
     _pool_matrix: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _folded_pool_adjacency: Any = field(default=None, repr=False, compare=False)
     _pool_row_sums: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @property
+    def features(self) -> np.ndarray:
+        """Dense ``(num_nodes, d)`` initial embeddings: for tests and the
+        ``reference`` backend's op-for-op oracle, never the production path."""
+        if self._features is None:
+            self._features = self.layer_input.dense()
+        return self._features
+
+    @staticmethod
+    def _factored(
+        feature_rows: np.ndarray,
+        own: sp.csr_matrix,
+        initialization: EmbeddingInitializationResult,
+        receivers: np.ndarray,
+        senders: np.ndarray,
+    ) -> SharedRowFeatures:
+        """Own features stacked on the messages ``receivers`` got from ``senders``."""
+        exchanged = initialization.rows_for(receivers, senders)
+        return SharedRowFeatures(
+            feature_rows,
+            sp.vstack([own, exchanged], format="csr"),
+            np.repeat([0.0, initialization.midpoint], [own.shape[0], exchanged.shape[0]]),
+        )
 
     def mean_pool_matrix(self) -> sp.csr_matrix:
         """Sparse ``(num_vertices, num_nodes)`` operator computing Eq. 31.
@@ -135,22 +167,17 @@ class TreeBatch:
         """Re-bind the batch to another LDP exchange of the same construction.
 
         Returns a batch sharing every epsilon-independent array (adjacency,
-        edge index, leaf maps, pool matrix) with ``self``, with a fresh
-        feature matrix whose neighbour-leaf rows are filled from
-        ``initialization`` — exactly the rows a from-scratch build would
-        produce for it.
+        edge index, leaf maps, pool matrix) with ``self``; only the LDP
+        messages of ``layer_input`` are swapped — for exactly the rows a
+        from-scratch build would hold for ``initialization``.
         """
         if self.neighbor_rows is None:
             raise ValueError("batch was built without a neighbour-refill recipe")
-        features = self.features.copy()
-        if self.neighbor_rows.shape[0]:
-            features[self.neighbor_rows] = self._lookup_received_features(
-                initialization,
-                self.neighbor_receivers,
-                self.neighbor_senders,
-                features.shape[1],
-            )
-        return dataclasses.replace(self, features=features)
+        rows, own = self.layer_input.rows, self.layer_input.values[: self.num_vertices]
+        factored = self._factored(
+            rows, own, initialization, self.neighbor_receivers, self.neighbor_senders
+        )
+        return dataclasses.replace(self, layer_input=factored, _features=None)
 
     @classmethod
     def build(
@@ -201,12 +228,14 @@ class TreeBatch:
         sizes = np.where(w == 0, 1, 3 * w + 1) if use_vn else w + 1
 
         # The canonical layouts are exactly what build_tree / build_star emit
-        # for the (sorted) selected-neighbour lists; a size mismatch means the
+        # for the (sorted) selected-neighbour lists — which is all the lazy
+        # mapping ever builds; in a hand-built dict a size mismatch means the
         # local graphs were constructed differently -> use the generic path.
-        for device_id, size in zip(ids_list, sizes):
-            local_graph = construction.local_graphs.get(device_id)
-            if local_graph is None or local_graph.num_nodes != int(size):
-                return None
+        if not isinstance(construction.local_graphs, CanonicalLocalGraphs):
+            for device_id, size in zip(ids_list, sizes):
+                local_graph = construction.local_graphs.get(device_id)
+                if local_graph is None or local_graph.num_nodes != int(size):
+                    return None
 
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
@@ -260,23 +289,15 @@ class TreeBatch:
             leaf_rows[pair_positions] = neighbor_rows
             leaf_vertices[pair_positions] = flat_neighbors
 
-        # --- features: centre rows carry raw features, neighbour rows carry
-        # the LDP-recovered features, virtual rows stay zero (Eq. 25) --------
-        features = np.zeros((num_nodes, feature_dim), dtype=np.float64)
-        own_features = np.stack(
-            [environment.devices[int(d)].ego.feature for d in ids]
-        ).astype(np.float64, copy=False)
+        # --- features: centre rows share the device's raw feature, neighbour
+        # rows carry one LDP message each, virtual rows stay zero (Eq. 25) ----
+        feature_rows = np.full(num_nodes, -1, dtype=np.int64)
         if use_vn:
-            if total:
-                features[center_rows] = own_features[rep]
-            isolated = w == 0
-            features[offsets[isolated]] = own_features[isolated]
+            feature_rows[center_rows] = rep
+            feature_rows[offsets[w == 0]] = np.flatnonzero(w == 0)
         else:
-            features[offsets] = own_features
-        if total:
-            features[neighbor_rows] = cls._lookup_received_features(
-                initialization, pair_owners, flat_neighbors, feature_dim
-            )
+            feature_rows[offsets] = np.arange(n)
+        feature_rows[neighbor_rows] = n + np.arange(total)
 
         # --- adjacency and edge index, preserving the generic edge order ----
         rows = undirected.ravel()
@@ -296,7 +317,13 @@ class TreeBatch:
             num_vertices=environment.num_devices,
             adjacency=adjacency,
             edge_index=edge_index,
-            features=features,
+            layer_input=cls._factored(
+                feature_rows,
+                cls._own_features(environment, ids_list, feature_dim),
+                initialization,
+                pair_owners,
+                flat_neighbors,
+            ),
             leaf_rows=leaf_rows,
             leaf_vertices=np.searchsorted(ids, leaf_vertices),
             device_slices=device_slices,
@@ -306,39 +333,12 @@ class TreeBatch:
         )
 
     @staticmethod
-    def _lookup_received_features(
-        initialization: EmbeddingInitializationResult,
-        receivers: np.ndarray,
-        senders: np.ndarray,
-        feature_dim: int,
-    ) -> np.ndarray:
-        """Recovered feature per ``(receiver, sender)`` pair, vectorised.
-
-        Pairs for which the sender never released its feature (degenerate
-        trimming corner case) fall back to the uninformative midpoint 0.5.
-        """
-        packed = initialization.packed()
-        stored_receivers, stored_senders, stored_features = packed
-        out = np.full((receivers.shape[0], feature_dim), 0.5, dtype=np.float64)
-        if stored_receivers.shape[0] == 0:
-            return out
-        base = int(
-            max(
-                receivers.max(initial=0),
-                senders.max(initial=0),
-                stored_receivers.max(initial=0),
-                stored_senders.max(initial=0),
-            )
-        ) + 1
-        stored_codes = stored_receivers * base + stored_senders
-        order = np.argsort(stored_codes)
-        stored_codes = stored_codes[order]
-        query_codes = receivers * base + senders
-        positions = np.searchsorted(stored_codes, query_codes)
-        positions = np.minimum(positions, stored_codes.shape[0] - 1)
-        matched = stored_codes[positions] == query_codes
-        out[matched] = stored_features[order[positions[matched]]]
-        return out
+    def _own_features(
+        environment: FederatedEnvironment, ids: List[int], feature_dim: int
+    ) -> sp.csr_matrix:
+        """The devices' raw features, one sparse row per device in ``ids`` order."""
+        features = [environment.devices[device_id].ego.feature for device_id in ids]
+        return sp.csr_matrix(np.asarray(features, dtype=np.float64).reshape(-1, feature_dim))
 
     # ------------------------------------------------------------------ #
     # Generic path: arbitrary local-graph layouts (per-node traversal)
@@ -359,16 +359,16 @@ class TreeBatch:
         neighbor_rows: List[int] = []
         neighbor_receivers: List[int] = []
         neighbor_senders: List[int] = []
+        feature_rows: List[int] = []
         offset = 0
-        feature_blocks: List[np.ndarray] = []
+        ids_list = environment.device_ids()
 
-        for device_id in environment.device_ids():
+        for position, device_id in enumerate(ids_list):
             local_graph = construction.local_graphs[device_id]
-            device = environment.devices[device_id]
             size = local_graph.num_nodes
             device_slices[device_id] = (offset, size)
 
-            block = np.zeros((size, feature_dim), dtype=np.float64)
+            feature_rows.extend([-1] * size)
             for node in local_graph.nodes:
                 global_row = offset + node.local_id
                 if node.vertex is None:
@@ -376,18 +376,12 @@ class TreeBatch:
                 leaf_rows.append(global_row)
                 leaf_vertices.append(int(node.vertex))
                 if node.vertex == device_id:
-                    block[node.local_id] = device.ego.feature
+                    feature_rows[global_row] = position
                 else:
-                    received = initialization.received_features[device_id].get(int(node.vertex))
-                    if received is None:
-                        # The neighbour never released its feature (degenerate
-                        # trimming corner case); use the uninformative midpoint.
-                        received = np.full(feature_dim, 0.5)
-                    block[node.local_id] = received
+                    feature_rows[global_row] = len(ids_list) + len(neighbor_rows)
                     neighbor_rows.append(global_row)
                     neighbor_receivers.append(device_id)
                     neighbor_senders.append(int(node.vertex))
-            feature_blocks.append(block)
 
             for u, v in local_graph.edges:
                 rows.append(offset + u)
@@ -406,24 +400,27 @@ class TreeBatch:
         dst = np.concatenate([np.asarray(rows, dtype=np.int64), np.arange(num_nodes)])
         edge_index = np.stack([src, dst])
 
-        features = (
-            np.concatenate(feature_blocks, axis=0)
-            if feature_blocks
-            else np.zeros((0, feature_dim))
-        )
-        ids = np.asarray(environment.device_ids(), dtype=np.int64)
+        ids = np.asarray(ids_list, dtype=np.int64)
+        receivers = np.asarray(neighbor_receivers, dtype=np.int64)
+        senders = np.asarray(neighbor_senders, dtype=np.int64)
         return cls(
             num_nodes=num_nodes,
             num_vertices=environment.num_devices,
             adjacency=adjacency,
             edge_index=edge_index,
-            features=features,
+            layer_input=cls._factored(
+                np.asarray(feature_rows, dtype=np.int64),
+                cls._own_features(environment, ids_list, feature_dim),
+                initialization,
+                receivers,
+                senders,
+            ),
             leaf_rows=np.asarray(leaf_rows, dtype=np.int64),
             leaf_vertices=np.searchsorted(ids, np.asarray(leaf_vertices, dtype=np.int64)),
             device_slices=device_slices,
             neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
-            neighbor_receivers=np.asarray(neighbor_receivers, dtype=np.int64),
-            neighbor_senders=np.asarray(neighbor_senders, dtype=np.int64),
+            neighbor_receivers=receivers,
+            neighbor_senders=senders,
         )
 
 
@@ -632,13 +629,20 @@ class TreeBasedGNNTrainer:
             if batch is not None
             else TreeBatch.build(environment, construction, initialization, self.feature_dim)
         )
-        self._features = Tensor(self.batch.features)
         # The communication profile, tree sizes and per-epoch ledger charges
         # are static once the assignment is installed — computed once, reused
         # every epoch.
         self._tree_sizes: Optional[np.ndarray] = None
         self._profile_cache: Dict[str, Dict[str, np.ndarray]] = {}
         self._epoch_charge_cache: Dict[str, tuple] = {}
+
+    @property
+    def _features(self):
+        """The batch's layer-0 input: factored, or — for a backend that runs
+        the un-fused graph op for op (``reference``) — the dense tensor."""
+        if get_backend().allow_fused:
+            return self.batch.layer_input
+        return Tensor(self.batch.features)
 
     # ------------------------------------------------------------------ #
     # System metrics

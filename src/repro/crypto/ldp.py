@@ -147,6 +147,25 @@ class OneBitMechanism:
         recovered[encoded == 0.0] = (a - b) / 2.0 * ratio + (a + b) / 2.0
         return recovered
 
+    def release(
+        self, values: np.ndarray, uniforms: np.ndarray, workloads: np.ndarray, dimension: int
+    ) -> np.ndarray:
+        """``recover(encode(...))`` of released elements only, columnar.
+
+        Element ``i`` belongs to a device of workload ``workloads[i]``.  Each
+        distinct workload is one :meth:`encode` + :meth:`recover` call, so the
+        estimates are bit for bit those of one call pair per device.
+        """
+        recovered = np.empty(values.shape, dtype=np.float64)
+        order = np.argsort(workloads, kind="stable")
+        starts = np.flatnonzero(np.diff(workloads[order], prepend=0))  # workloads are >= 1
+        for start, stop in zip(starts, np.append(starts[1:], order.shape[0])):
+            mine = order[start:stop]
+            workload = int(workloads[mine[0]])
+            encoded = self.encode(values[mine], workload, dimension, uniforms=uniforms[mine])
+            recovered[mine] = self.recover(encoded, workload, dimension)
+        return recovered
+
     def encode_and_recover(
         self,
         values: np.ndarray,

@@ -183,11 +183,7 @@ class EmbeddingInitStage(Stage):
         )
 
     def replay(self, context: PipelineContext, value: Any) -> None:
-        devices = context.environment.devices
-        for receiver, per_sender in value.received_features.items():
-            device = devices[receiver]
-            for sender, feature in per_sender.items():
-                device.store_received_feature(sender, feature)
+        value.install(context.environment)
 
 
 class TreeBatchStage(Stage):

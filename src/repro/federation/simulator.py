@@ -221,6 +221,31 @@ class FederatedEnvironment:
                 return
         self.ledger.send(sender, recipient, kind, size_bytes, description)
 
+    def exchange_many(
+        self,
+        senders: np.ndarray,
+        recipients: np.ndarray,
+        kind: MessageKind,
+        size_bytes: int,
+        description: str = "",
+    ) -> None:
+        """One :meth:`exchange` per ``(sender, recipient)`` device pair, recorded columnar.
+
+        Under an availability mask the pairs do go through :meth:`exchange`
+        one by one, so offline endpoints leave their drop records.
+        """
+        known = np.fromiter(self.devices, dtype=np.int64, count=len(self.devices))
+        if not np.isin(np.concatenate([senders, recipients]), known).all():
+            raise KeyError("unknown device in a bulk exchange")
+        if self._availability is not None:
+            for sender, recipient in zip(senders.tolist(), recipients.tolist()):
+                self.exchange(sender, recipient, kind, size_bytes, description)
+            return
+        rounds = np.full(senders.shape[0], self.ledger.current_round, dtype=np.int64)
+        self.ledger.send_many(
+            senders, recipients, kind, np.full_like(rounds, size_bytes), rounds, description
+        )
+
     def charge_compute(self, device_id: int, cost: float, description: str = "") -> None:
         """Charge ``cost`` units of computation to ``device_id``."""
         if device_id not in self.devices:

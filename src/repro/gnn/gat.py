@@ -80,7 +80,7 @@ class GATLayer(Module):
         edge_index = np.asarray(edge_index, dtype=np.int64)
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
-        num_nodes = features.data.shape[0]
+        num_nodes = features.shape[0]
         backend = get_backend()
 
         if backend.allow_fused:

@@ -16,34 +16,10 @@ import scipy.sparse as sp
 
 from ..nn import functional as F
 from ..nn import init
-from ..nn.backend import PreparedMatrix, get_backend
+from ..nn.backend import get_backend
 from ..nn.module import Module, Parameter
+from ..nn.shared_rows import SharedRowFeatures
 from ..nn.tensor import Tensor, _as_array
-
-#: Engage the zero-row compressed propagation only when at least this
-#: fraction of input rows is exactly zero.  Union-graph feature matrices
-#: qualify (virtual tree nodes carry all-zero rows); post-relu hidden
-#: activations do not, which keeps the per-call column-slice cost off the
-#: evaluation path where the input changes every epoch.
-_COMPRESS_ZERO_FRACTION = 0.25
-
-
-def _compress_zero_rows(matrix, data: np.ndarray, backend):
-    """Drop all-zero rows of ``data`` and the matching operator columns.
-
-    ``matrix @ data`` only reads the columns of ``matrix`` paired with
-    nonzero rows of ``data``: the omitted products are exact zeros, so the
-    compressed product equals the full one (up to IEEE ``-0.0``/``+0.0``
-    on rows whose every contribution was dropped, which compare equal).
-    Returns ``None`` when too few rows are zero for the slice to pay off.
-    """
-    nonzero = np.flatnonzero(data.any(axis=1))
-    if nonzero.size > (1.0 - _COMPRESS_ZERO_FRACTION) * data.shape[0]:
-        return None
-    csr = matrix.csr if isinstance(matrix, PreparedMatrix) else sp.csr_matrix(matrix)
-    compressed = backend.prepare_matrix(sp.csr_matrix(csr[:, nonzero]))
-    rows = np.ascontiguousarray(data[nonzero])
-    return compressed, rows, nonzero
 
 
 class GCNLayer(Module):
@@ -78,7 +54,9 @@ class GCNLayer(Module):
         Parameters
         ----------
         features:
-            Node feature tensor of shape ``(N, in_features)``.
+            Node feature tensor of shape ``(N, in_features)`` — or, for the
+            first layer under a fused backend, the same constant input kept
+            factored (:class:`~repro.nn.shared_rows.SharedRowFeatures`).
         adjacency:
             Pre-normalised propagation matrix of shape ``(N, N)``.
         activation:
@@ -87,10 +65,10 @@ class GCNLayer(Module):
             composite path it is applied as a separate tensor op — same
             mathematics either way.
         """
-        if adjacency.shape[0] != features.data.shape[0]:
+        if adjacency.shape[0] != features.shape[0]:
             raise ValueError(
                 f"adjacency has {adjacency.shape[0]} rows but features have "
-                f"{features.data.shape[0]} rows"
+                f"{features.shape[0]} rows"
             )
         backend = get_backend()
         if backend.allow_fused:
@@ -109,7 +87,7 @@ class GCNLayer(Module):
         return out
 
     def _propagate_constant(
-        self, features: Tensor, adjacency, backend, activation: Optional[str] = None
+        self, features, adjacency, backend, activation: Optional[str] = None
     ) -> Tensor:
         """``(adjacency @ features) @ W + b`` for a constant ``features`` input.
 
@@ -118,10 +96,11 @@ class GCNLayer(Module):
 
         * associativity — ``Â (X W) = (Â X) W``, and ``Â X`` is constant
           across epochs for the input layer, so it is propagated once and
-          every subsequent forward is a single dense matmul; when the input
-          is mostly zero rows (see :func:`_compress_zero_rows`) the layer
-          instead keeps the compressed pair ``(Â_nz, X_nz)`` and computes
-          ``Â_nz (X_nz W)`` — a slimmer gemm plus a cheap sparse product;
+          every subsequent forward is a single dense matmul; for a factored
+          input ``X = G R`` (:class:`SharedRowFeatures`) the constant is the
+          folded operator ``Â G`` instead, and a forward is the projection
+          ``R W`` of the distinct rows plus one sparse product
+          ``(Â G)(R W)``;
         * schedule — the trainer runs one gradient forward and one evaluation
           forward per epoch, and the evaluation pass at epoch ``t`` sees the
           same input/weight/bias arrays as the gradient pass at epoch
@@ -134,27 +113,21 @@ class GCNLayer(Module):
         mask into the adjoint), so the whole layer stays one autograd node.
         """
         prepared = backend.prepare_matrix(adjacency)
+        shared = features if isinstance(features, SharedRowFeatures) else None
+        constant = features if shared is not None else features.data
         cached_input = self._propagated_input_cache
         if (
             cached_input is None
             or cached_input[0] is not prepared
-            or cached_input[1] is not features.data
+            or cached_input[1] is not constant
         ):
-            compressed = _compress_zero_rows(prepared, features.data, backend)
-            if compressed is not None:
-                # Mostly-zero input (the union graph's virtual rows): keep
-                # the compressed operand pair and run ``Â_nz (X_nz W)`` per
-                # forward — the slim gemm beats precomputing ``Â X``.
-                cached_input = (prepared, features.data, None, compressed)
+            if shared is not None:
+                propagated = backend.fold_chain([prepared, shared.gather])
             else:
-                cached_input = (
-                    prepared,
-                    features.data,
-                    backend.spmm(prepared, features.data),
-                    None,
-                )
+                propagated = backend.spmm(prepared, constant)
+            cached_input = (prepared, constant, propagated)
             self._propagated_input_cache = cached_input
-        propagated, compressed = cached_input[2], cached_input[3]
+        propagated = cached_input[2]
 
         bias_data = self.bias.data if self.bias is not None else None
         entry = self._forward_cache
@@ -165,16 +138,16 @@ class GCNLayer(Module):
             or entry[2] is not bias_data
             or entry[3] != activation
         ):
-            if propagated is not None:
-                value = propagated @ self.weight.data
+            if shared is not None:
+                value = backend.spmm(propagated, shared.project(self.weight.data))
             else:
-                value = backend.spmm(compressed[0], compressed[1] @ self.weight.data)
+                value = propagated @ self.weight.data
             if bias_data is not None:
-                value = value + bias_data
+                value += bias_data
             mask = None
             if activation == "relu":
-                mask = (value > 0).astype(np.float64)
-                value = value * mask
+                mask = value > 0
+                value *= mask
             entry = (cached_input, self.weight.data, bias_data, activation, value, mask)
             self._forward_cache = entry
         value, mask = entry[4], entry[5]
@@ -184,12 +157,10 @@ class GCNLayer(Module):
             grad = _as_array(grad)
             if mask is not None:
                 grad = grad * mask
-            if propagated is not None:
-                weight._accumulate(propagated.T @ grad)
+            if shared is not None:
+                weight._accumulate(shared.project_adjoint(backend.spmm_t(propagated, grad)))
             else:
-                weight._accumulate(
-                    compressed[1].T @ backend.spmm_t(compressed[0], grad)
-                )
+                weight._accumulate(propagated.T @ grad)
             if bias is not None:
                 bias._accumulate(grad)
 

@@ -56,8 +56,13 @@ class PreparedMatrix:
     __slots__ = ("csr", "csr_t", "__weakref__")
 
     def __init__(self, matrix: sp.spmatrix) -> None:
-        self.csr = matrix.tocsr()
-        self.csr_t = self.csr.T.tocsr()
+        csr = matrix.tocsr()
+        if csr is matrix:
+            # The backend caches this object against ``matrix``: share the
+            # arrays, not the object (see the rule in repro.caching).
+            csr = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+        self.csr = csr
+        self.csr_t = csr.T.tocsr()
 
     @property
     def shape(self):

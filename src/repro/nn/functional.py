@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .backend import PreparedEdges, PreparedMatrix, get_backend
+from .shared_rows import SharedRowFeatures
 from .tensor import Tensor, _as_array
 
 
@@ -150,7 +151,7 @@ def fused_gcn_layer(
 
 
 def fused_gat_layer(
-    features: Tensor,
+    features: Union[Tensor, SharedRowFeatures],
     edges: PreparedEdges,
     weight: Tensor,
     attention_src: Tensor,
@@ -170,7 +171,10 @@ def fused_gat_layer(
     what the composite graph computes (parity is pinned by
     ``tests/test_nn_backend.py`` and ``tests/test_gat_fused_parity.py``).
 
-    ``edges`` is the :class:`~repro.nn.backend.PreparedEdges` plan of the edge
+    ``features`` may be the constant first-layer input kept factored
+    (:class:`~repro.nn.shared_rows.SharedRowFeatures`): the transform and its
+    weight adjoint then run on the distinct rows.  ``edges`` is the
+    :class:`~repro.nn.backend.PreparedEdges` plan of the edge
     index (``backend.prepare_edges``).  Per-edge state is ``(H, E)`` only: the
     aggregation is one CSR product ``A_h @ T_h`` per head, with the plan as
     structure and that head's attention as data, so no edge-by-feature array
@@ -180,14 +184,20 @@ def fused_gat_layer(
     """
     if activation not in (None, "relu"):
         raise ValueError(f"unsupported fused activation '{activation}'")
-    num_nodes = features.data.shape[0]
+    num_nodes = features.shape[0]
     if edges.num_nodes != num_nodes:
         raise ValueError("edge plan was prepared for a different number of nodes")
     heads = range(num_heads)
+    backend = get_backend()
+    shared = isinstance(features, SharedRowFeatures)
+    if shared:
+        support = backend.spmm(features.gather, features.project(weight.data))
+    else:
+        support = features.data @ weight.data
     # Head-major (H, N, F): each head's block is the contiguous dense operand
     # of its sparse product.
     transformed = np.ascontiguousarray(
-        (features.data @ weight.data).reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
+        support.reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
     )
     # Source and destination attention vectors side by side, (H, 2, F), so
     # both per-node scores (and later both their adjoints) are one batched gemm.
@@ -243,11 +253,16 @@ def fused_gat_layer(
         attention_src._accumulate(g_vectors[:, 0])
         attention_dst._accumulate(g_vectors[:, 1])
         flat = g_transformed.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
-        weight._accumulate(features.data.T @ flat)
+        if shared:
+            weight._accumulate(features.project_adjoint(backend.spmm_t(features.gather, flat)))
+        else:
+            weight._accumulate(features.data.T @ flat)
         if features.requires_grad:
             features._accumulate(flat @ weight.data.T)
 
-    parents = (features, weight, attention_src, attention_dst, bias)
+    parents = (weight, attention_src, attention_dst, bias)
+    if features.requires_grad:
+        parents = (features,) + parents
     return Tensor._make(out, parents, backward)
 
 

@@ -81,3 +81,19 @@ def assert_stream_contract(
         "documented replay does not reproduce"
     )
     return result
+
+
+def replay_ldp_draws(
+    rng: np.random.Generator, workloads, receiver_counts, dimension: int
+) -> None:
+    """Replay ``LDPEmbeddingInitializer.draw``'s documented stream and discard it.
+
+    Per sender, in the environment's device order: the bin partition — one
+    ``integers(wl, size=d)`` with ``wl`` the sender's workload (at least 1) —
+    then one ``(receivers, d)`` block of uniforms, skipped for a sender nobody
+    selected.  Epsilon never enters.
+    """
+    for workload, count in zip(workloads, receiver_counts):
+        rng.integers(int(workload), size=dimension)
+        if count:
+            rng.random((int(count), dimension))

@@ -369,8 +369,10 @@ class TestNonContiguousDeviceIds:
         # Positional indexing would silently drop device 5's share.
         np.testing.assert_allclose(costs - baseline, [4.0, 7.0, 4.0], atol=1e-9)
         counts = ledger.per_device_message_counts(3, device_ids=np.array([0, 2, 5]))
+        # message_records() covers both ledger representations (objects and
+        # columnar blocks); field 1 of a record is the sender.
         assert counts.sum() == sum(
-            1 for m in ledger.messages if m.sender in (0, 2, 5)
+            1 for record in ledger.message_records() if record[1] in (0, 2, 5)
         )
         completion = ledger.epoch_completion_time(3, device_ids=np.array([0, 2, 5]))
         assert completion >= costs.max()

@@ -12,6 +12,7 @@ from repro.gnn.models import EncoderConfig, GNNEncoder, GraphInput
 from repro.nn import backend as backend_module
 from repro.nn import functional as F
 from repro.nn.backend import (
+    FastNumpyBackend,
     OpsBackend,
     PreparedMatrix,
     available_backends,
@@ -275,6 +276,27 @@ class TestPreparedMatrices:
             assert isinstance(first, PreparedMatrix)
             # a PreparedMatrix passes through untouched
             assert backend.prepare_matrix(first) is first
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_prepared_matrix_dies_with_its_anchor(self, fmt):
+        # A cached value must not reference its anchor (repro.caching): for
+        # CSR input ``tocsr()`` *is* the input, which used to make every
+        # prepared matrix immortal.  The prepared copy still shares the arrays.
+        import gc
+
+        backend = FastNumpyBackend()
+        matrix = _random_csr(np.random.default_rng(8)).asformat(fmt)
+        before = len(backend._matrix_cache)
+        prepared = backend.prepare_matrix(matrix)
+        assert len(backend._matrix_cache) == before + 1
+        if fmt == "csr":
+            assert prepared.csr is not matrix
+            assert np.shares_memory(prepared.csr.data, matrix.data)
+        expected = matrix @ np.ones((12, 2))
+        del matrix
+        gc.collect()
+        assert len(backend._matrix_cache) == before
+        np.testing.assert_array_equal(backend.spmm(prepared, np.ones((12, 2))), expected)
 
     def test_sparse_matmul_accepts_prepared_matrix(self):
         rng = np.random.default_rng(9)
