@@ -59,13 +59,6 @@ class CanonicalLocalGraphs(Mapping):
     def __len__(self) -> int:
         return len(self._graphs)
 
-    def total_nodes(self) -> int:
-        """Total number of local-graph nodes, from the workloads alone."""
-        workloads = [self._assignment.workload(device_id) for device_id in self._graphs]
-        if self._build is build_tree:
-            return sum(map(expected_tree_size, workloads))
-        return sum(workloads) + len(workloads)
-
 
 @dataclass
 class TreeConstructionResult:
@@ -81,7 +74,8 @@ class TreeConstructionResult:
     # True when local_graphs follow the canonical build_tree / build_star
     # layout over the *sorted* selected-neighbour lists (set by
     # TreeConstructor).  Hand-assembled results leave it False, which routes
-    # TreeBatch.build to the generic per-node path.
+    # TreeBatch.build to the generic per-node path; when True it is trusted —
+    # sizes and layouts then come from the workloads, not from local_graphs.
     canonical_layout: bool = False
 
     def workload_array(self) -> np.ndarray:
@@ -93,10 +87,17 @@ class TreeConstructionResult:
         return self.assignment.objective()
 
     def total_tree_nodes(self) -> int:
-        """Total number of local-graph nodes across all devices."""
-        if isinstance(self.local_graphs, CanonicalLocalGraphs):
-            return self.local_graphs.total_nodes()
-        return sum(graph.num_nodes for graph in self.local_graphs.values())
+        """Total number of local-graph nodes across all devices.
+
+        A canonical layout's sizes follow from the workloads, so the lazy
+        local graphs are not built for it.
+        """
+        if not self.canonical_layout:
+            return sum(graph.num_nodes for graph in self.local_graphs.values())
+        workloads = [self.assignment.workload(device_id) for device_id in self.local_graphs]
+        if self.used_virtual_nodes:
+            return sum(map(expected_tree_size, workloads))
+        return sum(workloads) + len(workloads)
 
 
 class TreeConstructor:

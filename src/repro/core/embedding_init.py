@@ -19,10 +19,9 @@ that data never leaves the device.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,22 +33,6 @@ from ..nn.shared_rows import densify
 from .workload import Assignment
 
 
-class _ReceivedRows(Mapping):
-    """``sender -> recovered feature`` of one receiver, densified on every access."""
-
-    def __init__(self, result: "EmbeddingInitializationResult", receiver: int) -> None:
-        self._rows = partial(result.received_by, receiver)
-
-    def __getitem__(self, sender: int) -> np.ndarray:
-        return self._rows()[sender]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._rows())
-
-    def __len__(self) -> int:
-        return len(self._rows())
-
-
 @dataclass
 class EmbeddingInitializationResult:
     """Outcome of the feature-exchange phase, kept sparse.
@@ -59,28 +42,25 @@ class EmbeddingInitializationResult:
     recovered values at the positions that sender released to that receiver;
     every other position carried the neutral symbol and recovers to
     ``midpoint``.  Dense rows exist only as on-demand views
-    (:attr:`received_features`, :meth:`packed`, ``Device.received_features``).
+    (:attr:`received_features`, :meth:`packed`).
     """
 
     receivers: np.ndarray
     senders: np.ndarray
     released: sp.csr_matrix
     midpoint: float
-    device_ids: Tuple[int, ...] = ()
     messages_sent: int = 0
     bytes_sent: int = 0
     epsilon: float = 0.0
 
     @cached_property
-    def received_features(self) -> Dict[int, Mapping]:
-        """``receiver -> {sender: recovered feature}`` over every device."""
-        return {device_id: _ReceivedRows(self, device_id) for device_id in self.device_ids}
-
-    def received_by(self, receiver: int) -> Dict[int, np.ndarray]:
-        """``sender -> recovered feature`` of the messages ``receiver`` got (dense)."""
-        start, stop = np.searchsorted(self.receivers, [receiver, receiver + 1])
-        rows = densify(self.released[start:stop], self.midpoint)
-        return dict(zip(self.senders[start:stop].tolist(), rows))
+    def received_features(self) -> Dict[int, Dict[int, np.ndarray]]:
+        """``receiver -> {sender: recovered feature}`` over every message (dense)."""
+        table: Dict[int, Dict[int, np.ndarray]] = {}
+        receivers, senders, rows = self.packed()
+        for receiver, sender, row in zip(receivers.tolist(), senders.tolist(), rows):
+            table.setdefault(receiver, {})[sender] = row
+        return table
 
     def packed(self) -> tuple:
         """``(receivers, senders, features)`` arrays over all messages (dense)."""
@@ -106,11 +86,6 @@ class EmbeddingInitializationResult:
             (released.data[source], released.indices[source], indptr),
             shape=(wanted.shape[0], released.shape[1]),
         )
-
-    def install(self, environment: FederatedEnvironment) -> None:
-        """Point every device's ``received_features`` at its view of this exchange."""
-        for device_id, device in environment.devices.items():
-            device.received_features = _ReceivedRows(self, device_id)
 
 
 @dataclass
@@ -275,18 +250,15 @@ class LDPEmbeddingInitializer:
         environment.ledger.compute_many(
             draws.sender_ids, 0.1 * counts, description="ldp-encoding"
         )
-        result = EmbeddingInitializationResult(
+        return EmbeddingInitializationResult(
             receivers=receivers,
             senders=senders,
             released=sp.csr_matrix((recovered, cols, indptr), shape=released.shape),
             midpoint=self.bounds.midpoint,
-            device_ids=tuple(environment.devices),
             messages_sent=int(order.shape[0]),
             bytes_sent=size_bytes * int(order.shape[0]),
             epsilon=self.epsilon,
         )
-        result.install(environment)
-        return result
 
     def run(
         self,

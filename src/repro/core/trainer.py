@@ -48,7 +48,7 @@ from ..nn.optim import Adam
 from ..nn.shared_rows import SharedRowFeatures
 from ..nn.tensor import Tensor, no_grad
 from .config import TrainerConfig
-from .constructor import CanonicalLocalGraphs, TreeConstructionResult
+from .constructor import TreeConstructionResult
 from .embedding_init import EmbeddingInitializationResult
 
 
@@ -227,16 +227,9 @@ class TreeBatch:
         w = np.asarray([block.shape[0] for block in neighbor_lists], dtype=np.int64)
         sizes = np.where(w == 0, 1, 3 * w + 1) if use_vn else w + 1
 
-        # The canonical layouts are exactly what build_tree / build_star emit
-        # for the (sorted) selected-neighbour lists — which is all the lazy
-        # mapping ever builds; in a hand-built dict a size mismatch means the
-        # local graphs were constructed differently -> use the generic path.
-        if not isinstance(construction.local_graphs, CanonicalLocalGraphs):
-            for device_id, size in zip(ids_list, sizes):
-                local_graph = construction.local_graphs.get(device_id)
-                if local_graph is None or local_graph.num_nodes != int(size):
-                    return None
-
+        # ``canonical_layout`` promises exactly what build_tree / build_star
+        # emit for the (sorted) selected-neighbour lists, so the (lazy) local
+        # graphs themselves are never read here.
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
         num_nodes = int(sizes.sum())
@@ -491,6 +484,10 @@ class LumosModel(Module):
                 isinstance(final, GCNLayer)
                 and final.bias is not None
                 and self.head.bias is not None
+                # A one-layer encoder has no hidden tensor to hand the fold:
+                # its input is the factored layer input, which only a
+                # message-passing layer consumes.
+                and self.encoder.config.num_layers > 1
             ):
                 # Fold the final layer's propagation with the pooling
                 # operator (one precomputed ``P Â`` product replaces the

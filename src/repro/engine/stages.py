@@ -182,9 +182,6 @@ class EmbeddingInitStage(Stage):
             context.environment, context.artifacts["ldp_draws"]
         )
 
-    def replay(self, context: PipelineContext, value: Any) -> None:
-        value.install(context.environment)
-
 
 class TreeBatchStage(Stage):
     """Assembly of the block-diagonal union graph the trainer runs on.

@@ -176,9 +176,11 @@ class DiskSpillStore(ArtifactStore):
     recomputed, never crashing the worker that hit it.
     """
 
-    # v2 added the payload checksum field; v1 files (or any unreadable
-    # version) degrade to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 2
+    # v2 added the payload checksum field; v3 marks the columnar LDP artifacts
+    # and the factored ``TreeBatch``, whose pickled layout changed under
+    # unchanged stage keys.  Older files (or any unreadable version) degrade
+    # to a miss and are quarantined like corrupt files.
+    _FORMAT_VERSION = 3
 
     def __init__(
         self,

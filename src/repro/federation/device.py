@@ -12,7 +12,7 @@ stays auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -27,8 +27,9 @@ class Device:
     # --- tree-constructor state -------------------------------------------------
     selected_neighbors: List[int] = field(default_factory=list)
     # --- trainer state ----------------------------------------------------------
-    # After the LDP exchange: a read-only view that densifies a row on access.
-    received_features: Mapping[int, np.ndarray] = field(default_factory=dict)
+    # The bulk LDP exchange keeps its rows sparse on its own result
+    # (``EmbeddingInitializationResult``), not in this dict.
+    received_features: Dict[int, np.ndarray] = field(default_factory=dict)
     received_embeddings: Dict[int, np.ndarray] = field(default_factory=dict)
     vertex_embedding: Optional[np.ndarray] = None
 
@@ -49,7 +50,7 @@ class Device:
 
     def reset_training_state(self) -> None:
         """Drop all per-epoch state (received features / embeddings)."""
-        self.received_features = {}
+        self.received_features.clear()
         self.received_embeddings.clear()
         self.vertex_embedding = None
 
@@ -90,10 +91,7 @@ class Device:
 
     def store_received_feature(self, sender: int, feature: np.ndarray) -> None:
         """Store an encoded/recovered feature received from a neighbour."""
-        self.received_features = {
-            **self.received_features,
-            int(sender): np.asarray(feature, dtype=np.float64),
-        }
+        self.received_features[int(sender)] = np.asarray(feature, dtype=np.float64)
 
     def store_received_embedding(self, sender: int, embedding: np.ndarray) -> None:
         """Store a leaf embedding received from a neighbouring device."""

@@ -39,7 +39,7 @@ from repro.core import (
 from repro.core.constructor import CanonicalLocalGraphs, TreeConstructionResult
 from repro.core.workload import Assignment
 from repro.crypto.ldp import FeatureBounds
-from repro.engine import ArtifactStore
+from repro.engine import ArtifactStore, DiskSpillStore, StoredArtifact
 from repro.federation import FederatedEnvironment
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
@@ -180,7 +180,6 @@ def _check_exchange(case):
     assert received.keys() == expected.keys()
     for pair, row in received.items():
         np.testing.assert_array_equal(row, expected[pair])  # bit for bit
-        np.testing.assert_array_equal(environment.devices[pair[0]].received_features[pair[1]], row)
     receivers, senders, rows = result.packed()
     assert rows.shape == (len(expected), case["dimension"])
     for receiver, sender, row in zip(receivers.tolist(), senders.tolist(), rows):
@@ -200,7 +199,7 @@ def _check_exchange(case):
 # (b) vectorized batch vs the per-node builder; rebind vs fresh build
 # --------------------------------------------------------------------------- #
 def _batches(case):
-    """``(vectorized, generic, environment, construction, draws)`` of a case."""
+    """``(vectorized, generic, environment, construction, draws, initialization)`` of a case."""
     make_environment, assignment, bounds = _materialise(case)
     environment = make_environment()
     initializer = LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(case["seed"]))
@@ -209,11 +208,12 @@ def _batches(case):
     initialization = initializer.threshold(environment, draws)
     construction = _construction(environment, assignment, case["use_virtual_nodes"])
     args = (environment, construction, initialization, case["dimension"])
-    return TreeBatch._build_vectorized(*args), TreeBatch._build_generic(*args), environment, construction, draws
+    batches = TreeBatch._build_vectorized(*args), TreeBatch._build_generic(*args)
+    return (*batches, environment, construction, draws, initialization)
 
 
 def _check_batch(case):
-    vectorized, generic, environment, construction, draws = _batches(case)
+    vectorized, generic, environment, construction, draws, initialization = _batches(case)
     assert vectorized is not None
     for name in ("leaf_rows", "leaf_vertices", "edge_index",
                  "neighbor_rows", "neighbor_receivers", "neighbor_senders"):
@@ -226,9 +226,7 @@ def _check_batch(case):
 
     # The dense view is Eq. 25: own feature, received feature (midpoint where
     # the sender never released), zeros on virtual nodes.
-    received = {
-        device_id: dict(device.received_features) for device_id, device in environment.devices.items()
-    }
+    received = initialization.received_features
     midpoint = np.full(case["dimension"], sum(case["bounds"]) / 2.0)
     for device_id, (offset, _) in vectorized.device_slices.items():
         for node in construction.local_graphs[device_id].nodes:
@@ -238,7 +236,7 @@ def _check_batch(case):
             elif node.vertex == device_id:
                 np.testing.assert_array_equal(row, environment.devices[device_id].ego.feature)
             else:
-                np.testing.assert_array_equal(row, received[device_id].get(node.vertex, midpoint))
+                np.testing.assert_array_equal(row, received.get(device_id, {}).get(node.vertex, midpoint))
 
     other = LDPEmbeddingInitializer(
         0.7, bounds=FeatureBounds(*case["bounds"]), rng=np.random.default_rng(0)
@@ -334,12 +332,41 @@ def guard_graph():
     return generate_facebook_like(seed=3, num_nodes=400)
 
 
-def _config(epochs: int) -> LumosConfig:
+def _config(epochs: int, **trainer) -> LumosConfig:
     return LumosConfig(
         constructor=TreeConstructorConfig(mcmc_iterations=30),
-        trainer=TrainerConfig(epochs=epochs),
+        trainer=TrainerConfig(epochs=epochs, **trainer),
         seed=0,
     )
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "gat"])
+def test_one_layer_encoder_trains_on_the_factored_input(backbone):
+    # Without a hidden layer the factored operand reaches the final layer
+    # itself, which the folded GCN head (it wants a hidden *tensor*) must not
+    # take over.
+    graph = generate_facebook_like(seed=3, num_nodes=120)
+    split = split_nodes(graph, seed=0)
+    config = _config(epochs=4, num_layers=1, backbone=backbone)
+    runs = {}
+    for backend in ("numpy", "reference"):
+        with use_backend(backend):
+            runs[backend] = LumosSystem(graph, config, store=ArtifactStore()).run_supervised(split)
+    assert runs["numpy"].test_accuracy == runs["reference"].test_accuracy
+    np.testing.assert_allclose(
+        runs["numpy"].history.losses, runs["reference"].history.losses, rtol=1e-9, atol=1e-12
+    )
+
+
+def test_spill_files_of_the_previous_layout_miss(tmp_path, monkeypatch):
+    # The LDP and tree-batch artifacts changed their pickled layout under
+    # unchanged stage keys: a spill directory written before must miss.
+    monkeypatch.setattr(DiskSpillStore, "_FORMAT_VERSION", 2)
+    old = DiskSpillStore(tmp_path, max_bytes=1)
+    old.put("key", StoredArtifact(value=np.arange(8)))
+    monkeypatch.undo()
+    store = DiskSpillStore(tmp_path, max_bytes=1)
+    assert store.get("key") is None and store.integrity_failures == 1
 
 
 def test_no_dense_feature_matrix_between_ldp_draws_and_training(guard_graph):
