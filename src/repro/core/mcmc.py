@@ -247,17 +247,12 @@ class _IncrementalBalancingKernel:
         self._neighbors = [
             indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)
         ]
-        # Columnar CSR view used by the batched *secure* Alg. 3 path: per
-        # directed neighbour relation, the owning device, and its 0-based
-        # position within the device's ego-ordered neighbour list (the order
-        # the reference loop's early-terminating comparisons follow).
+        # CSR view used by the batched *secure* Alg. 3 path: row ``v`` lists
+        # ``v``'s neighbours in ego order (the order the reference loop's
+        # early-terminating comparisons follow).
+        self._csr_indptr = indptr
         self._csr_indices = indices
         self._csr_degrees = np.diff(indptr)
-        self._csr_sources = np.repeat(np.arange(n, dtype=np.int64), self._csr_degrees)
-        self._edge_offsets = (
-            np.arange(indices.shape[0], dtype=np.int64)
-            - np.repeat(indptr[:-1], self._csr_degrees)
-        )
         # Alg. 3 device operation 1 always evaluates one comparison per
         # directed neighbour relation, whatever the workloads are.
         self.neighbor_comparisons = int(indices.shape[0])
@@ -308,6 +303,9 @@ class _IncrementalBalancingKernel:
         self._version = 0
         self._next_version = 0
         self._winners_memo: dict = {}
+        # The secure path's counterpart: the speculated comparison pairs (the
+        # plaintext bookkeeping only — the protocol itself runs every call).
+        self._prefix_memo: dict = {}
 
     # ------------------------------------------------------------------ #
     # Alg. 3 (incremental candidate/argmax evaluation)
@@ -348,71 +346,77 @@ class _IncrementalBalancingKernel:
     def find_max_workload_device_secure(
         self, protocol: WorkloadComparisonProtocol, round_index: int
     ) -> int:
-        """Alg. 3 under the batched secure protocol (vectorised part 1).
+        """Alg. 3 under the batched secure protocol, speculate-and-verify.
 
         Executes *exactly* the comparisons the secure reference loop would:
         device ``u`` compares its workload against its neighbours in ego
         order and stops at the first strictly greater one
         (:meth:`WorkloadComparisonProtocol.is_local_maximum`'s early
         termination), so the number of executed protocol runs is
-        value-dependent.  The early-terminated prefix is gathered with one
-        boolean mask and run through the vectorised millionaires' protocol
-        (:meth:`WorkloadComparisonProtocol.compare_workloads_many`); part 2
-        then runs the candidate argmax through the scalar protocol — the
-        candidate set is small — giving accountant counters *and* capped log
-        entry-for-entry identical to the per-device loop.
+        value-dependent.  Which pairs those are is speculated in the clear
+        (one ``other > own`` pass over the CSR rows, memoised per
+        ``_version`` like the clear path's scan); the pairs run through the
+        vectorised millionaires' protocol
+        (:meth:`WorkloadComparisonProtocol.compare_workloads_many`) on every
+        call, and part 2's candidate argmax does the same — giving
+        accountant counters *and* capped log entry-for-entry identical to
+        the per-device loop.
 
-        The maintained candidate flags are cross-checked against the
-        protocol outcomes (mirroring the reference loop's "secure argmax
-        disagrees" guard), and the per-device candidate announcements /
-        per-winner maximum announcements are buffered for a columnar flush.
+        Candidacy is re-derived from the protocol outcomes and checked
+        against the speculation and the maintained flags (mirroring the
+        reference loop's "secure argmax disagrees" guard), and the
+        per-device candidate announcements / per-winner maximum
+        announcements are buffered for a columnar flush.
         """
         workload = self.workload
         n = self.num_devices
-        if self._csr_indices.shape[0]:
-            own = workload[self._csr_sources]
+        memo = self._prefix_memo.get(self._version)
+        if memo is None:
+            indptr, degrees = self._csr_indptr, self._csr_degrees
             other = workload[self._csr_indices]
-            # First strictly-greater neighbour position per device (the
-            # comparison at which is_local_maximum stops), or the device's
-            # degree when no neighbour exceeds it (candidate).
-            sentinel = np.iinfo(np.int64).max
-            exceeds = np.flatnonzero(other > own)
-            first_offset = np.full(n, sentinel, dtype=np.int64)
-            np.minimum.at(first_offset, self._csr_sources[exceeds], self._edge_offsets[exceeds])
-            candidate = first_offset == sentinel
-            executed = np.where(candidate, self._csr_degrees, first_offset + 1)
-            prefix = self._edge_offsets < executed[self._csr_sources]
-            batch = protocol.compare_workloads_many(own[prefix], other[prefix])
-            # Every executed comparison except a non-candidate's last one
-            # returns own >= other; re-derive candidacy from the protocol
-            # outcomes and check it against the maintained flags.
-            losses = np.zeros(n, dtype=np.int64)
-            np.add.at(losses, self._csr_sources[prefix], (~batch.left_ge_right).astype(np.int64))
-            if not np.array_equal(losses == 0, candidate) or not np.array_equal(
-                candidate, self.candidate
-            ):
-                raise RuntimeError(
-                    "secure batched Alg. 3 disagrees with the maintained candidate set"
-                )
-        else:
-            # No neighbour relations: every device is vacuously a local
-            # maximum and no comparison is executed (matching the loop).
-            candidate = np.ones(n, dtype=bool) if n else np.zeros(0, dtype=bool)
+            # A device's first strictly greater neighbour is the comparison
+            # at which is_local_maximum stops; a device without one is a
+            # candidate and compares against its whole row (vacuously so
+            # with no neighbours, matching the loop).
+            hits = np.flatnonzero(other > np.repeat(workload, degrees))
+            cuts = np.searchsorted(hits, indptr)
+            candidate = cuts[1:] == cuts[:-1]
+            stopped = np.flatnonzero(~candidate)
+            executed = degrees.copy()
+            executed[stopped] = hits[cuts[stopped]] - indptr[stopped] + 1
+            # Edge positions of every device's executed prefix, row by row.
+            ends = np.cumsum(executed)
+            prefix = np.arange(ends[-1]) + np.repeat(indptr[:-1] - (ends - executed), executed)
+            memo = (
+                np.repeat(workload, executed),
+                other[prefix],
+                np.repeat(np.arange(n), executed),
+                candidate,
+            )
+            if len(self._prefix_memo) > 8:
+                self._prefix_memo.clear()
+            self._prefix_memo[self._version] = memo
+        own, other, owners, candidate = memo
+        batch = protocol.compare_workloads_many(own, other)
+        # Every executed comparison except a non-candidate's last one
+        # returns own >= other.
+        losses = np.bincount(owners[~batch.left_ge_right], minlength=n)
+        if not np.array_equal(losses == 0, candidate) or not np.array_equal(
+            candidate, self.candidate
+        ):
+            raise RuntimeError(
+                "secure batched Alg. 3 disagrees with the maintained candidate set"
+            )
 
-        candidate_ids = np.flatnonzero(candidate)
-        if candidate_ids.size:
-            candidates = candidate_ids.tolist()
-        else:
-            candidates = [self._fallback_device]
-        candidate_workloads = [int(workload[c]) for c in candidates]
-        pairwise_comparisons = len(candidates) * (len(candidates) - 1)
-        maximum_value = max(candidate_workloads)
-        winners = [c for c, w in zip(candidates, candidate_workloads) if w == maximum_value]
-        # Part 2 runs through the scalar protocol, exactly as the reference
-        # path does (the candidate set is tiny next to the edge set).
-        winner_index = protocol.argmax(candidate_workloads)
-        if candidate_workloads[winner_index] != maximum_value:
+        # The most-loaded device has no greater neighbour, so the verified
+        # candidate set is never empty.
+        candidates = np.flatnonzero(candidate)
+        candidate_workloads = workload[candidates]
+        maximum_value = candidate_workloads.max()
+        winners = candidates[candidate_workloads == maximum_value].tolist()
+        if candidate_workloads[protocol.argmax(candidate_workloads)] != maximum_value:
             raise RuntimeError("secure argmax disagrees with plaintext maximum")
+        pairwise_comparisons = candidates.size * (candidates.size - 1)
 
         self._secure_announce_rounds.append(round_index)
         self._secure_comparison_rounds.append(round_index)

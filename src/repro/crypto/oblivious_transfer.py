@@ -336,21 +336,17 @@ class ObliviousTransfer:
         if not 0 <= choice < len(table):
             raise ValueError("choice out of table range")
         self.accountant.ot_invocations += 1
+        obs.add_counter("crypto.ot_invocations")
         self.accountant.record("ot-n", len(table) * message_bits + 128)
         return int(table[choice])
 
-    def transfer_table_batch(
-        self, tables, choices, message_bits: int = 32, charge: bool = True
-    ):
+    def transfer_table_batch(self, tables, choices, message_bits: int = 32):
         """Run many independent 1-out-of-N table OTs as one numpy block.
 
         ``tables`` is an ``(n, N)`` array — row ``i`` is the sender's truth
         table of position ``i`` — and ``choices`` the receiver's ``n`` table
         indices.  Counter- and log-identical to ``n`` :meth:`transfer_table`
-        calls when ``charge`` is true; ``charge=False`` runs the transfer
-        without touching the accountant, for callers (the batched
-        millionaires' kernel) that charge the canonical *per-comparison*
-        interleaved pattern themselves instead of this blockwise order.
+        calls.
 
         **RNG block-draw contract**: draws **nothing** — like the scalar
         table OT, the simulated lookup needs no masking randomness.
@@ -364,9 +360,33 @@ class ObliviousTransfer:
         ):
             raise ValueError("choice out of table range")
         count = int(choices.shape[0])
-        if charge and count:
+        if count:
             self.accountant.ot_invocations += count
+            obs.add_counter("crypto.ot_invocations", count)
             self.accountant.record_pattern(
                 (("ot-n", tables.shape[1] * message_bits + 128),), count
             )
         return tables[np.arange(count), choices]
+
+    def transfer_packed_table_batch(self, tables, choices, table_size: int):
+        """Run many 1-out-of-N table OTs of **1-bit** messages as one block.
+
+        ``tables[i]`` is the sender's whole truth table packed into one
+        unsigned word (entry ``c`` is bit ``c``) and ``choices[i]`` the
+        receiver's index into it: per position of the two equal-shape arrays
+        the receiver learns what :meth:`transfer_table` returns for the
+        unpacked table.  Charges nothing — the batched millionaires' kernel
+        charges the canonical *per-comparison* interleaved pattern itself
+        instead of this blockwise order.
+
+        **RNG block-draw contract**: draws **nothing**.
+        """
+        tables = np.asarray(tables)
+        choices = np.asarray(choices)
+        if tables.shape != choices.shape or not (tables.dtype.kind == choices.dtype.kind == "u"):
+            raise ValueError("transfer_packed_table_batch expects equal-shape unsigned arrays")
+        if table_size > 8 * tables.dtype.itemsize or (
+            choices.size and int(choices.max()) >= table_size
+        ):
+            raise ValueError("choice out of table range")
+        return ((tables >> choices) & 1).astype(bool)

@@ -145,6 +145,13 @@ class SecureComparator:
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self._ot = ObliviousTransfer(accountant=self.accountant, rng=rng)
         self._rng = rng if rng is not None else np.random.default_rng()
+        # Party B's truth tables per block value b, one packed word each:
+        # bit c is ``c > b`` (greater-than share) / ``c == b`` (equality).
+        table_size = 1 << self.BLOCK_BITS
+        self._equal_tables = np.array([1 << b for b in range(table_size)], dtype=np.uint16)
+        self._greater_tables = np.array(
+            [(1 << table_size) - (2 << b) for b in range(table_size)], dtype=np.uint16
+        )
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -247,18 +254,27 @@ class SecureComparator:
 
         Ties resolve to the earliest index.  Used to pick the most-loaded
         device among the candidate vertex set (Alg. 3, server part 2).
+
+        Speculate-and-verify: the scan's ``n - 1`` pairs ``(values[i], best
+        so far)`` follow from the running maximum, so they run as **one**
+        executed batch (counters and capped log of ``n - 1`` scalar
+        :meth:`compare` calls) and the chain is re-derived from the protocol
+        outcomes alone; a disagreement raises.
         """
-        if not values:
+        if len(values) == 0:
             raise ValueError("argmax of an empty list")
-        best_index = 0
-        for index in range(1, len(values)):
-            outcome = self.compare(values[index], values[best_index])
-            if outcome.left_ge_right and values[index] != values[best_index]:
-                best_index = index
-            elif outcome.left_ge_right and values[index] == values[best_index]:
-                # Equal values: keep the earlier index (deterministic tie-break).
-                continue
-        return best_index
+        values = self._operand_array(values, "values")
+        running = np.maximum.accumulate(values)
+        outcomes = self.compare_batch(values[1:], running[:-1], execute=True).left_ge_right
+        # The best so far after position i sits at the last position whose
+        # comparison returned ">=" (position 0 when none did).
+        last_win = np.arange(values.shape[0])
+        last_win[1:][~outcomes] = 0
+        derived = values[np.maximum.accumulate(last_win)]
+        if not np.array_equal(derived, running):
+            raise RuntimeError("secure argmax disagrees with the speculated running maximum")
+        # Earliest position attaining the final best (deterministic tie-break).
+        return int(np.argmax(derived == derived[-1]))
 
     # ------------------------------------------------------------------ #
     # Protocol internals
@@ -324,65 +340,59 @@ class SecureComparator:
         """Vectorised :meth:`_block_compare` over a whole (uint64) batch.
 
         Runs the same protocol steps as the scalar recursion for *every*
-        position at once: one simulated 1-out-of-2^m table OT per block for
-        the greater-than share and one for the equality share (party B's
-        per-position truth tables are materialised as ``(n, 2^m)`` rows and
-        looked up through :meth:`ObliviousTransfer.transfer_table_batch`),
-        then the logarithmic AND/OR combine tree column-pair by column-pair.
-        The outcome bits are therefore derived exclusively from OT outputs —
+        position at once: both operands are split into ``(blocks, n)``
+        big-endian block values, party B's truth table of each block travels
+        as one packed ``2^m``-bit word (looked up by its block value — no
+        ``(n, 2^m)`` table is built), and two
+        :meth:`ObliviousTransfer.transfer_packed_table_batch` calls return
+        the greater-than and the equality shares of all blocks; then the
+        logarithmic AND/OR combine tree row-pair by row-pair.  The outcome
+        bits are derived exclusively from the OT object's return values —
         the structural information boundary of the scalar loop is preserved.
 
-        Accounting is left to the caller (``charge=False`` table OTs): the
-        scalar loop interleaves the two OTs of each block *per comparison*,
-        while this kernel executes block-by-block *across* comparisons, so
-        the caller charges the canonical per-comparison pattern
-        (:func:`comparison_cost`) to keep the capped log entry-for-entry
-        identical to the loop.
+        Accounting is left to the caller: the scalar loop interleaves the
+        two OTs of each block *per comparison*, while this kernel executes
+        them *across* comparisons, so the caller charges the canonical
+        per-comparison pattern (:func:`comparison_cost`) to keep the capped
+        log entry-for-entry identical to the loop.
 
         **RNG block-draw contract**: draws **nothing** (table OTs need no
         masking randomness).
         """
         num_blocks = (self.bit_width + self.BLOCK_BITS - 1) // self.BLOCK_BITS
         table_size = 1 << self.BLOCK_BITS
+        # One contiguous length-n row per big-endian block.
+        shifts = np.arange(num_blocks - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(self.BLOCK_BITS)
         mask = np.uint64(table_size - 1)
-        count = int(left.shape[0])
-        candidates = np.arange(table_size, dtype=np.uint64)
+        left_blocks = ((left >> shifts) & mask).astype(np.uint8)
+        right_blocks = ((right >> shifts) & mask).astype(np.uint8)
 
-        # Leaf layer: per big-endian block, party A obtains the shares of
-        # every position through two batched 1-out-of-16 OTs.
-        greater = np.zeros((count, num_blocks), dtype=bool)
-        equal = np.zeros((count, num_blocks), dtype=bool)
-        for column, index in enumerate(reversed(range(num_blocks))):
-            shift = np.uint64(index * self.BLOCK_BITS)
-            left_blocks = (left >> shift) & mask
-            right_blocks = (right >> shift) & mask
-            greater_tables = candidates[None, :] > right_blocks[:, None]
-            equal_tables = candidates[None, :] == right_blocks[:, None]
-            choices = left_blocks.astype(np.int64)
-            greater[:, column] = self._ot.transfer_table_batch(
-                greater_tables, choices, message_bits=1, charge=False
-            )
-            equal[:, column] = self._ot.transfer_table_batch(
-                equal_tables, choices, message_bits=1, charge=False
-            )
+        # Leaf layer: party A obtains the shares of every block of every
+        # position through two batched 1-out-of-16 OTs.
+        greater = self._ot.transfer_packed_table_batch(
+            np.take(self._greater_tables, right_blocks), left_blocks, table_size
+        )
+        equal = self._ot.transfer_packed_table_batch(
+            np.take(self._equal_tables, right_blocks), left_blocks, table_size
+        )
 
         # Combine layer: the same logarithmic AND/OR tree as the scalar
-        # recursion, evaluated over whole columns.
-        while greater.shape[1] > 1:
-            width = greater.shape[1]
+        # recursion, evaluated over whole rows.
+        while greater.shape[0] > 1:
+            width = greater.shape[0]
             paired = width - (width % 2)
-            high_greater = greater[:, 0:paired:2]
-            high_equal = equal[:, 0:paired:2]
-            low_greater = greater[:, 1:paired:2]
-            low_equal = equal[:, 1:paired:2]
+            high_greater = greater[0:paired:2]
+            high_equal = equal[0:paired:2]
+            low_greater = greater[1:paired:2]
+            low_equal = equal[1:paired:2]
             next_greater = high_greater | (high_equal & low_greater)
             next_equal = high_equal & low_equal
             if width % 2 == 1:
-                next_greater = np.concatenate([next_greater, greater[:, -1:]], axis=1)
-                next_equal = np.concatenate([next_equal, equal[:, -1:]], axis=1)
+                next_greater = np.concatenate([next_greater, greater[-1:]])
+                next_equal = np.concatenate([next_equal, equal[-1:]])
             greater, equal = next_greater, next_equal
 
-        return greater[:, 0], equal[:, 0]
+        return greater[0], equal[0]
 
 
 def secure_max_index(

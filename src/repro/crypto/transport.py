@@ -250,7 +250,7 @@ def _serve_comparison(channel, config, private_values, send) -> None:
     (``CMP_CHOICES``); this party evaluates the greater-than and equality
     truth tables of its own block values at those choices — exactly the
     lookups :meth:`~repro.crypto.secure_compare.SecureComparator._block_compare_batch`
-    performs through ``transfer_table_batch`` — and responds with the two
+    performs through ``transfer_packed_table_batch`` — and responds with the two
     packed share columns (``CMP_RESPONSE``), padded with stand-in bytes to
     the analytic size of the two 1-out-of-2^m OTs.  The combine tree's
     ``CMP_AND`` traffic is received and discarded (its information content

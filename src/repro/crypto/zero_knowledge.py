@@ -136,7 +136,7 @@ class WorkloadComparisonProtocol:
 
     def argmax(self, workloads: Sequence[int]) -> int:
         """Device operation 2 of Alg. 3: index of the maximum workload."""
-        return self._comparator.argmax([int(value) for value in workloads])
+        return self._comparator.argmax(workloads)
 
     def objective_difference(self, objective_before: int, objective_after: int) -> int:
         """Securely compute ``f(X_t) - f(X'_t)`` (Alg. 2 line 7).

@@ -420,8 +420,9 @@ class MaintainedTree:
         device = int(device)
         if device in self.neighbors:
             raise ValueError(f"device {device} is already present")
+        # Membership lookups only: O(requested degree), never O(devices).
         applied = sorted(
-            {int(v) for v in neighbors} & set(self.neighbors) - {device}
+            {v for v in map(int, neighbors) if v in self.neighbors} - {device}
         )
         self._commit(
             {"seq": self.seq + 1, "op": "insert", "device": device, "neighbors": applied}
@@ -447,7 +448,7 @@ class MaintainedTree:
             raise ValueError(f"device {device} is not present")
         current = self.neighbors[device]
         applied_add = sorted(
-            ({int(v) for v in add} & set(self.neighbors)) - current - {device}
+            {v for v in map(int, add) if v in self.neighbors} - current - {device}
         )
         applied_remove = sorted({int(v) for v in remove} & current)
         self._commit(

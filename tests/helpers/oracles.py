@@ -8,7 +8,9 @@ through Alg. 1 and Alg. 2.  The constructor-level equivalence cases of
 compare it against the same threading over the two oracles
 (:func:`repro.core.greedy.greedy_initialization_reference`,
 :meth:`repro.core.mcmc.MCMCBalancer.run_reference`).  And the LDP feature
-exchange one scalar message at a time (:func:`ldp_exchange_reference`).
+exchange one scalar message at a time (:func:`ldp_exchange_reference`), and
+the candidate argmax one scalar comparison at a time
+(:func:`secure_argmax_reference`).
 """
 
 from __future__ import annotations
@@ -86,3 +88,22 @@ def ldp_exchange_reference(
             )
         environment.charge_compute(sender, 0.1 * len(receivers), description="ldp-encoding")
     return rows
+
+
+def secure_argmax_reference(comparator, values) -> int:
+    """The scalar scan ``SecureComparator.argmax`` runs as one verified batch.
+
+    One ``compare`` per position against the best so far; ties resolve to the
+    earliest index.
+    """
+    if not values:
+        raise ValueError("argmax of an empty list")
+    best_index = 0
+    for index in range(1, len(values)):
+        outcome = comparator.compare(values[index], values[best_index])
+        if outcome.left_ge_right and values[index] != values[best_index]:
+            best_index = index
+        elif outcome.left_ge_right and values[index] == values[best_index]:
+            # Equal values: keep the earlier index (deterministic tie-break).
+            continue
+    return best_index

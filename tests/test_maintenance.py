@@ -48,6 +48,15 @@ def _assert_edges_covered(tree: MaintainedTree) -> None:
             assert covered >= 1, f"edge ({u}, {v}) is uncovered"
 
 
+class _LookupOnlyDict(dict):
+    """Adjacency that may be looked up by device, never enumerated."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a mutation enumerated every present device")
+
+    __iter__ = keys = items = values = _refuse
+
+
 def _tree(num_nodes=30, mcmc=15, journal=None, snapshots=None, seed=0):
     lists, ego, _ = _constructed_tree("facebook", num_nodes, 0, mcmc)
     tree = MaintainedTree.from_construction(
@@ -167,6 +176,29 @@ class TestDeltaOperations:
         assert removed == existing[:1]
         _assert_edges_covered(tree)
         assert tree.counters["degree_updates"] == 1
+
+    def test_mutations_look_devices_up_and_never_enumerate_them(self, tmp_path):
+        """O(requested degree) per mutation, pinned structurally: the same
+        journal records come out when enumerating the adjacency raises."""
+        records = {}
+        for guarded in (False, True):
+            journal = MutationJournal.create(tmp_path / f"guarded-{guarded}.lmj")
+            tree, ego = _tree(journal=journal, snapshots=ArtifactStore())
+            present = tree.present()
+            victim, other = present[0], present[1]
+            if guarded:
+                tree.neighbors = _LookupOnlyDict(tree.neighbors)
+            tree.remove_device(victim)
+            tree.insert_device(victim, list(ego[victim]) + [10_000])
+            tree.update_degree(
+                other, add=present[5:8] + [10_001], remove=sorted(ego[other])[:1]
+            )
+            journal.close()
+            records[guarded] = read_records(journal.path)[0][1:]  # past the genesis
+        assert [record["op"] for record in records[True]] == [
+            "remove", "insert", "update_degree",
+        ]
+        assert records[True] == records[False]
 
     def test_rebalance_preserves_coverage_and_never_worsens_region_much(self):
         tree, _ = _tree()

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import default_config_for
+from repro.core import TreeConstructor, TreeConstructorConfig, default_config_for
 from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_epsilon_sweep
+from repro.federation import FederatedEnvironment
+from repro.graph import generate_facebook_like
 from repro.runtime import GraphSpec, LumosItem, ProcessExecutor, SerialExecutor
 
 SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
@@ -261,6 +264,28 @@ class TestMetricsRegistry:
         with obs.span("nothing") as record:
             record["attributes"]["key"] = "value"  # annotation-style call site
         assert obs.current_tracer() is None
+
+
+# --------------------------------------------------------------------------- #
+# Counters mirror the accountant
+# --------------------------------------------------------------------------- #
+class TestCryptoCounters:
+    def test_crypto_counters_equal_the_accountant_on_a_secure_construction(self):
+        """Every path that bumps the accountant bumps the obs counter too —
+        the scalar table OTs of ``objective_difference`` included."""
+        environment = FederatedEnvironment.from_graph(
+            generate_facebook_like(seed=3, num_nodes=60), seed=0
+        )
+        with obs.tracing() as tracer:
+            result = TreeConstructor(
+                TreeConstructorConfig(mcmc_iterations=10),
+                rng=np.random.default_rng(0),
+                secure=True,
+            ).construct(environment)
+        counters = tracer.metrics.snapshot()["counters"]
+        snapshot = result.transcript.snapshot()
+        assert set(snapshot) == {"messages", "bits", "ot_invocations", "comparisons"}
+        assert {name: counters[f"crypto.{name}"] for name in snapshot} == snapshot
 
 
 # --------------------------------------------------------------------------- #

@@ -15,12 +15,14 @@ The randomized property sweeps run a bounded number of cases in tier-1; the
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers.oracles import construct_with_oracles
+from helpers.oracles import construct_with_oracles, secure_argmax_reference
 from helpers.rng_contract import assert_stream_contract, clone_generator
 
 from repro.core import (
@@ -162,13 +164,50 @@ class TestOTBatchContracts:
             0,
         )
         assert list(got) == [3, 16 + 9]
-        # charge=True matches two scalar transfer_table calls.
+        # Charged like two scalar transfer_table calls.
         loop_acc = TranscriptAccountant()
         loop_ot = ObliviousTransfer(loop_acc, np.random.default_rng(11))
         loop_ot.transfer_table(tuple(range(16)), 3, message_bits=4)
         loop_ot.transfer_table(tuple(range(16, 32)), 9, message_bits=4)
         assert accountant.snapshot() == loop_acc.snapshot()
         assert accountant._log == loop_acc._log
+
+    def test_packed_table_batch_draws_nothing_and_matches_transfer_table(self):
+        values = np.random.default_rng(2)
+        tables = values.integers(0, 1 << 16, size=(3, 40)).astype(np.uint16)
+        choices = values.integers(0, 16, size=(3, 40)).astype(np.uint8)
+        accountant = TranscriptAccountant()
+        got = assert_stream_contract(
+            lambda generator: ObliviousTransfer(
+                accountant, generator
+            ).transfer_packed_table_batch(tables, choices, 16),
+            np.random.default_rng(11),
+            0,
+        )
+        # Accounting is the calling kernel's (canonical per-comparison pattern).
+        assert accountant.snapshot() == TranscriptAccountant().snapshot()
+        assert accountant._log == []
+        scalar = ObliviousTransfer()
+        expected = [
+            scalar.transfer_table(
+                tuple((int(word) >> entry) & 1 for entry in range(16)), int(choice), message_bits=1
+            )
+            for word, choice in zip(tables.ravel(), choices.ravel())
+        ]
+        assert got.dtype == bool and got.shape == tables.shape
+        assert got.ravel().tolist() == [bool(bit) for bit in expected]
+
+    def test_packed_table_batch_validation(self):
+        ot = ObliviousTransfer()
+        words = np.array([3, 5], dtype=np.uint16)
+        with pytest.raises(ValueError):  # a choice past the table
+            ot.transfer_packed_table_batch(words, np.array([0, 16], dtype=np.uint8), 16)
+        with pytest.raises(ValueError):  # a table wider than its word
+            ot.transfer_packed_table_batch(words, np.array([0, 1], dtype=np.uint8), 32)
+        with pytest.raises(ValueError):  # shapes differ
+            ot.transfer_packed_table_batch(words, np.array([0], dtype=np.uint8), 16)
+        with pytest.raises(ValueError):  # signed shifts are not table indices
+            ot.transfer_packed_table_batch(words, np.array([0, -1]), 16)
 
     def test_transfer_batch_validation(self):
         ot = ObliviousTransfer(rng=np.random.default_rng(0))
@@ -194,6 +233,88 @@ class TestOTBatchContracts:
             np.random.default_rng(1),
             0,
         )
+
+
+def _argmax_cases(bit_width: int):
+    top = (1 << bit_width) - 1
+    rng = np.random.default_rng(bit_width)
+    draws = [int(v) for v in rng.integers(0, min(top, (1 << 62) - 1), size=30, endpoint=True)]
+    return {
+        "random": draws,
+        "rising": sorted(draws),
+        "falling": sorted(draws, reverse=True),
+        "ties-earliest-wins": [3, 7, 7, 1, 7, 0],
+        "late-tie-with-first": [top, 0, top],
+        "single": [5],
+        "all-equal": [9] * 6,
+        "top-of-range": [0, top, top - 1, top],
+    }
+
+
+class TestBatchedArgmax:
+    """`argmax` (one verified executed batch) vs the scalar scan it replaced."""
+
+    @pytest.mark.parametrize("bit_width", BIT_WIDTHS)
+    def test_matches_the_scalar_scan(self, bit_width):
+        for label, values in _argmax_cases(bit_width).items():
+            loop_acc = TranscriptAccountant()
+            expected = secure_argmax_reference(
+                SecureComparator(bit_width=bit_width, accountant=loop_acc), values
+            )
+            batch_acc = TranscriptAccountant()
+            comparator = SecureComparator(bit_width=bit_width, accountant=batch_acc)
+            got = assert_stream_contract(
+                lambda _: comparator.argmax(values), np.random.default_rng(1), 0
+            )
+            assert got == expected == values.index(max(values)), label
+            assert batch_acc.snapshot() == loop_acc.snapshot(), label
+            assert batch_acc._log == loop_acc._log, label
+
+    def test_rejects_what_the_scan_rejected(self):
+        comparator = SecureComparator(bit_width=8)
+        with pytest.raises(ValueError):
+            comparator.argmax([])
+        with pytest.raises(ValueError):
+            comparator.argmax([1, 256])
+        with pytest.raises(ValueError):
+            comparator.argmax([1, -1])
+
+
+class _ZeroBitOT(ObliviousTransfer):
+    """A table OT whose receiver learns all-zero bits, whatever was sent."""
+
+    def transfer_packed_table_batch(self, tables, choices, table_size):
+        return np.zeros(np.shape(choices), dtype=bool)
+
+
+class TestOutcomesDeriveOnlyFromOTOutputs:
+    """ROADMAP invariant: no plaintext side path produces a comparison bit."""
+
+    def test_compare_batch_returns_what_the_ot_returned(self):
+        comparator = SecureComparator(bit_width=16)
+        comparator._ot = _ZeroBitOT(comparator.accountant)
+        left, right = _edge_and_random_operands(16, 4)
+        batch = comparator.compare_batch(left, right, execute=True)
+        assert any(l >= r for l, r in zip(left, right))
+        assert not batch.left_ge_right.any()
+
+    def test_argmax_refuses_an_answer_the_protocol_did_not_produce(self):
+        comparator = SecureComparator(bit_width=16)
+        comparator._ot = _ZeroBitOT(comparator.accountant)
+        with pytest.raises(RuntimeError, match="secure argmax disagrees"):
+            comparator.argmax([1, 5, 3])
+
+    def test_secure_alg3_refuses_an_answer_the_protocol_did_not_produce(self):
+        environment = FederatedEnvironment.from_graph(
+            generate_small_world(num_nodes=30, k=4, seed=9), seed=0
+        )
+        initial = greedy_initialization(environment, rng=np.random.default_rng(0))
+        balancer = MCMCBalancer(
+            environment, iterations=3, rng=np.random.default_rng(7), secure=True
+        )
+        balancer._protocol._comparator._ot = _ZeroBitOT(balancer.accountant)
+        with pytest.raises(RuntimeError, match="secure batched Alg. 3 disagrees"):
+            balancer.run(initial)
 
 
 class TestWideOT:
@@ -428,6 +549,37 @@ class TestSecureConstructorEquivalence:
         assert fast.transcript.snapshot() == slow_transcript.snapshot()
         assert fast.transcript._log == slow_transcript._log
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class TestSecureTranscriptGolden:
+    """Everything a secure-kernel rewrite must not move, as one digest.
+
+    Production == oracle cannot see drift in code both sides share
+    (``argmax``, ``compare_batch``); a digest recorded once (at PR 17's
+    commit, before the packed-OT / batched-argmax kernel) can.
+    """
+
+    GOLDEN = "32e7bc98957556c0d44a4a9705ad24814d3402692702ce38dedf7114bf276823"
+
+    def test_secure_construction_digest(self):
+        graph = generate_facebook_like(seed=3, num_nodes=60)
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        rng = np.random.default_rng(0)
+        result = TreeConstructor(
+            TreeConstructorConfig(mcmc_iterations=30), rng=rng, secure=True
+        ).construct(environment)
+        payload = json.dumps(
+            {
+                "selection": result.assignment.as_lists(),
+                "accountant": result.transcript.snapshot(),
+                "log": result.transcript._log,
+                "ledger": environment.ledger.message_records(),
+                "rng": rng.bit_generator.state,
+            },
+            sort_keys=True,
+            default=int,
+        )
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.GOLDEN
 
 
 class TestNonContiguousConstruction:
