@@ -3,7 +3,7 @@
 Every benchmark regenerates one figure (or headline claim) of the paper's
 evaluation section and prints the corresponding series, so that
 ``pytest benchmarks/ --benchmark-only`` produces both timing numbers and the
-paper-vs-measured tables recorded in EXPERIMENTS.md.
+measured series next to the paper's (quoted in each benchmark's docstring).
 
 The default scale is intentionally small (synthetic graphs of a few hundred
 devices, tens of epochs) so the whole suite completes in minutes on a laptop;

@@ -1,6 +1,6 @@
 """Design-choice ablation (beyond the paper's figures): greedy vs greedy+MCMC.
 
-DESIGN.md calls out the two-stage balancing as a design choice worth
+The two-stage balancing (docs/architecture.md §6) is a design choice worth
 quantifying: the greedy initialisation alone already removes most of the
 imbalance for high-degree hubs, and the MCMC iterations then shave off the
 remaining peak.  This bench reports the objective f(X) after each stage.

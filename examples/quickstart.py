@@ -29,8 +29,8 @@ from repro.runtime import ProcessExecutor
 
 
 def main() -> None:
-    # A synthetic stand-in for the Facebook Page-Page graph (see DESIGN.md §2);
-    # pass num_nodes=None to use the full-size synthetic graph.
+    # A synthetic stand-in for the Facebook Page-Page graph (see
+    # repro.graph.generators); pass num_nodes=None for the full-size one.
     graph = load_dataset("facebook", seed=0, num_nodes=300)
     print(f"Loaded {graph.name}: {graph.num_nodes} devices, {graph.num_edges} edges, "
           f"{graph.num_features} features, {graph.num_classes} classes")

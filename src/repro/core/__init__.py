@@ -10,7 +10,7 @@ from .constructor import TreeConstructionResult, TreeConstructor
 from .embedding_init import EmbeddingInitializationResult, LDPEmbeddingInitializer
 from .greedy import greedy_initialization
 from .lumos import LumosSupervisedResult, LumosSystem, LumosUnsupervisedResult
-from .mcmc import MCMCBalancer, MCMCResult, find_max_workload_device
+from .mcmc import MCMCBalancer, MCMCResult
 from .trainer import (
     EpochCostModel,
     LumosModel,
@@ -35,7 +35,6 @@ __all__ = [
     "greedy_initialization",
     "MCMCBalancer",
     "MCMCResult",
-    "find_max_workload_device",
     "TreeBasedGNNTrainer",
     "TreeBatch",
     "LumosModel",

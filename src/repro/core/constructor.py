@@ -65,18 +65,12 @@ class TreeConstructionResult:
     """Everything the tree constructor produces."""
 
     assignment: Assignment
-    local_graphs: Mapping  # device -> LocalGraph; lazy when built by TreeConstructor
+    local_graphs: Mapping  # device -> its build_tree / build_star LocalGraph, lazy
     greedy_assignment: Optional[Assignment] = None
     mcmc_result: Optional[MCMCResult] = None
     transcript: TranscriptAccountant = field(default_factory=TranscriptAccountant)
     used_virtual_nodes: bool = True
     used_tree_trimming: bool = True
-    # True when local_graphs follow the canonical build_tree / build_star
-    # layout over the *sorted* selected-neighbour lists (set by
-    # TreeConstructor).  Hand-assembled results leave it False, which routes
-    # TreeBatch.build to the generic per-node path; when True it is trusted —
-    # sizes and layouts then come from the workloads, not from local_graphs.
-    canonical_layout: bool = False
 
     def workload_array(self) -> np.ndarray:
         """Per-device workloads of the final assignment."""
@@ -89,11 +83,9 @@ class TreeConstructionResult:
     def total_tree_nodes(self) -> int:
         """Total number of local-graph nodes across all devices.
 
-        A canonical layout's sizes follow from the workloads, so the lazy
-        local graphs are not built for it.
+        Sizes follow from the workloads (``build_tree`` / ``build_star`` over
+        the selected neighbours), so the lazy local graphs are not built.
         """
-        if not self.canonical_layout:
-            return sum(graph.num_nodes for graph in self.local_graphs.values())
         workloads = [self.assignment.workload(device_id) for device_id in self.local_graphs]
         if self.used_virtual_nodes:
             return sum(map(expected_tree_size, workloads))
@@ -165,5 +157,4 @@ class TreeConstructor:
             transcript=transcript,
             used_virtual_nodes=self.config.use_virtual_nodes,
             used_tree_trimming=self.config.use_tree_trimming,
-            canonical_layout=True,
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,16 +89,6 @@ class EmbeddingInitializationResult:
 
 
 @dataclass
-class SenderDraws:
-    """Epsilon-independent randomness of one sender's feature release."""
-
-    receivers: List[int]
-    bin_assignment: np.ndarray
-    uniforms: np.ndarray
-    workload: int
-
-
-@dataclass
 class LDPDrawsResult:
     """All random draws of the feature exchange, shared across a sweep.
 
@@ -120,19 +110,6 @@ class LDPDrawsResult:
     offsets: np.ndarray
     receivers: np.ndarray
     uniforms: np.ndarray
-
-    @property
-    def per_sender(self) -> Dict[int, SenderDraws]:
-        """The draws regrouped per sender (views, for inspection)."""
-        spans = zip(self.offsets[:-1], self.offsets[1:])
-        return {
-            int(sender): SenderDraws(
-                self.receivers[start:stop].tolist(), bins, self.uniforms[start:stop], int(workload)
-            )
-            for sender, bins, workload, (start, stop) in zip(
-                self.sender_ids, self.bins, self.workloads, spans
-            )
-        }
 
 
 class LDPEmbeddingInitializer:
@@ -165,12 +142,11 @@ class LDPEmbeddingInitializer:
         any epsilon) reproduces the one-shot ``run`` bit-for-bit.
         """
         devices = environment.devices
-        position = {device_id: index for index, device_id in enumerate(devices)}
         dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
         # Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``.
         selected = assignment.selected
         senders = np.fromiter(
-            (position[int(s)] for chosen in selected.values() for s in chosen), dtype=np.int64
+            (s for chosen in selected.values() for s in chosen), dtype=np.int64
         )
         receivers = np.repeat(
             np.fromiter(selected, dtype=np.int64, count=len(selected)),
@@ -217,6 +193,8 @@ class LDPEmbeddingInitializer:
         message are thresholded — sender ``s`` releases bin ``k mod wl(s)`` to
         its ``k``-th receiver — in one columnar pass over all messages.
         """
+        if not environment.num_devices:
+            raise ValueError("environment has no devices")
         dimension = draws.bins.shape[1]
         counts = np.diff(draws.offsets)
         stream_sender = np.repeat(np.arange(counts.shape[0]), counts)

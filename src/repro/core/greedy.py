@@ -20,22 +20,20 @@ millionaires' protocol itself* (batched table-OT simulation,
 information boundary of a per-edge protocol run is preserved while the whole
 block still runs in one pass.
 
-:func:`greedy_initialization_reference` is the oracle: the per-edge
-message-level protocol loop that ``tests/test_greedy_batched.py`` and
-``tests/test_secure_batched.py`` import and compare the production path
-against (selected sets, accountant totals and capped log, canonical ledger
-transcript, RNG state).  Nothing in ``src/`` calls it and no string, flag or
-config field reaches it.
+Its oracle — the per-edge message-level protocol loop — lives with the tests
+(``tests/helpers/oracles.py``); ``tests/test_greedy_batched.py`` and
+``tests/test_secure_batched.py`` compare the two on selected sets, accountant
+totals and capped log, canonical ledger transcript and RNG state.
 
-**RNG stream contract** — neither function draws from the shared random
+**RNG stream contract** — the phase never draws from the shared random
 stream: the simulated 1-out-of-2^m table OTs need no masking randomness, so
-the greedy phase is RNG-transparent and leaves any seeded generator
-untouched (pinned by the same suites).
+it is RNG-transparent and leaves any seeded generator untouched (pinned by
+the same suites).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -78,39 +76,9 @@ def greedy_initialization(
     phase never draws from it (see the module docstring).
     """
     accountant = accountant if accountant is not None else TranscriptAccountant()
-    # The directed-edge list comes from the environment's cached CSR
-    # adjacency (contiguous device ids) or from the directed-edge cache with
-    # a searchsorted id join (non-contiguous deployments).
-    device_ids = np.asarray(environment.device_ids(), dtype=np.int64)
-    num_devices = int(device_ids.shape[0])
-    if environment.has_contiguous_ids():
-        indptr, indices = environment.adjacency_csr()
-        degrees = np.diff(indptr)
-        sources = np.repeat(device_ids, degrees)
-        destinations = indices
-        source_positions = sources
-        destination_positions = destinations
-    else:
-        sources, destinations = environment.directed_edges()
-        positions = np.searchsorted(device_ids, sources)
-        order = np.argsort(positions, kind="stable")
-        sources = sources[order]
-        destinations = destinations[order]
-        source_positions = positions[order]
-        destination_positions = np.minimum(
-            np.searchsorted(device_ids, destinations), num_devices - 1
-        )
-        # Every neighbour must be a device of the environment; the per-edge
-        # oracle fails loudly on environment.devices[neighbor], so the
-        # batched id join must not silently map a dangling id onto another
-        # device.
-        if not np.array_equal(device_ids[destination_positions], destinations):
-            missing = destinations[device_ids[destination_positions] != destinations]
-            raise KeyError(f"unknown neighbour device {int(missing[0])}")
-        degrees = np.asarray(
-            [environment.devices[int(device_id)].degree for device_id in device_ids],
-            dtype=np.int64,
-        )
+    num_devices = environment.num_devices
+    sources, destinations = environment.directed_edges()
+    degrees = np.bincount(sources, minlength=num_devices)
 
     protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant)
     count = int(sources.shape[0])
@@ -119,7 +87,7 @@ def greedy_initialization(
         # Line 4 of Alg. 1 over all directed edges at once: device u keeps v
         # when round(ln deg(v)) >= round(ln deg(u)).
         batch = protocol.compare_degrees_many(
-            degrees[destination_positions], degrees[source_positions], execute=secure
+            degrees[destinations], degrees[sources], execute=secure
         )
         keep = batch.left_ge_right
         size_bytes = comparison_message_bytes(batch.cost.bits)
@@ -133,60 +101,10 @@ def greedy_initialization(
             description="greedy-degree-comparison",
         )
 
-    keep_counts = np.bincount(source_positions[keep], minlength=num_devices) if count else np.zeros(
-        num_devices, dtype=np.int64
-    )
+    keep_counts = np.bincount(sources[keep], minlength=num_devices)
     pieces = np.split(destinations[keep], np.cumsum(keep_counts)[:-1]) if num_devices else []
-    return _install(
-        environment,
-        {
-            int(device_ids[position]): set(pieces[position].tolist())
-            for position in range(num_devices)
-        },
+    assignment = Assignment(
+        selected={device_id: set(piece.tolist()) for device_id, piece in enumerate(pieces)}
     )
-
-
-def greedy_initialization_reference(
-    environment: FederatedEnvironment,
-    accountant: Optional[TranscriptAccountant] = None,
-    bit_width: int = 8,
-    rng: Optional[np.random.Generator] = None,
-) -> Assignment:
-    """Alg. 1 as the per-edge protocol loop — the equivalence suites' oracle.
-
-    Every directed neighbour relation runs one scalar
-    :meth:`DegreeComparisonProtocol.compare_degrees` and logs its two ledger
-    messages individually.
-    """
-    accountant = accountant if accountant is not None else TranscriptAccountant()
-    protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant, rng=rng)
-
-    selected: Dict[int, Set[int]] = {device_id: set() for device_id in environment.devices}
-
-    for device_id in environment.device_ids():
-        device = environment.devices[device_id]
-        own_degree = device.degree
-        for neighbor in device.ego.neighbors:
-            neighbor = int(neighbor)
-            neighbor_degree = environment.devices[neighbor].degree
-            # Line 4 of Alg. 1: keep v when round(ln deg(v)) >= round(ln deg(u)).
-            outcome = protocol.compare_degrees(neighbor_degree, own_degree)
-            size_bytes = comparison_message_bytes(outcome.bits_exchanged)
-            environment.exchange(
-                device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
-                description="greedy-degree-comparison",
-            )
-            environment.exchange(
-                neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
-                description="greedy-degree-comparison",
-            )
-            if outcome.left_bucket_ge_right:
-                selected[device_id].add(neighbor)
-    return _install(environment, selected)
-
-
-def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -> Assignment:
-    """Wrap the selected sets and install them on the environment's devices."""
-    assignment = Assignment(selected=selected)
     environment.apply_assignment(assignment.as_lists())
     return assignment

@@ -19,18 +19,14 @@ Two execution modes are provided:
   accountant and ledger — the resulting assignments are identical, and large
   benchmark graphs stay fast.
 
-:meth:`MCMCBalancer.run` picks the implementation from what it can observe:
-over the contiguous ``0..n-1`` device ids of a node-level partition it runs
-the incremental array-backed kernel (delta workload updates, a maintained
-candidate set, columnar transcript; in secure mode a *batched* vectorised-OT
-Alg. 3, see
-:meth:`_IncrementalBalancingKernel.find_max_workload_device_secure`);
-over any other id set it runs :meth:`MCMCBalancer.run_reference`, the
-from-scratch loop that re-derives Alg. 3 every iteration.  That loop is also
-the oracle: ``tests/test_mcmc_incremental.py`` and
-``tests/test_secure_batched.py`` call it directly and require the two to be
-bit-for-bit equal in every recorded observable.  No string, flag or config
-field selects between them.
+:meth:`MCMCBalancer.run` is the one implementation: the incremental
+array-backed kernel (delta workload updates, a maintained candidate set,
+columnar transcript; in secure mode a *batched* vectorised-OT Alg. 3, see
+:meth:`_IncrementalBalancingKernel.find_max_workload_device_secure`).  Its
+oracle — the from-scratch loop that re-derives Alg. 3 every iteration, one
+ledger message at a time — lives with the tests (``tests/helpers/oracles.py``);
+``tests/test_mcmc_incremental.py`` and ``tests/test_secure_batched.py``
+require the two to be bit-for-bit equal in every recorded observable.
 """
 
 from __future__ import annotations
@@ -72,109 +68,6 @@ class MCMCResult:
         return self.accepted_transitions / self.iterations if self.iterations else 0.0
 
 
-def find_max_workload_device(
-    environment: FederatedEnvironment,
-    assignment: Assignment,
-    protocol: Optional[WorkloadComparisonProtocol] = None,
-    rng: Optional[np.random.Generator] = None,
-    accountant: Optional[TranscriptAccountant] = None,
-    per_device_ledger: bool = False,
-) -> int:
-    """Alg. 3: return the id of the device with the maximum workload.
-
-    When ``protocol`` is provided, all comparisons run through the secure
-    comparator; otherwise they run in the clear and their cost is charged
-    analytically to ``accountant`` (when given).  ``per_device_ledger``
-    records one ledger message per candidate announcement (exact transcript,
-    used by small examples/tests); the default aggregates the announcements
-    into a single coordination message so thousands of MCMC iterations stay
-    cheap to log.
-    """
-    rng = rng if rng is not None else environment.rng
-    workloads = assignment.workloads()
-
-    # Part 1 (device operation 1): each device compares its workload with its
-    # ego-network neighbours and announces candidacy to the server.
-    candidates: List[int] = []
-    total_neighbor_comparisons = 0
-    if protocol is None and not per_device_ledger:
-        # Vectorised evaluation of exactly the same comparisons, over arrays
-        # aligned to the sorted device ids (the ids need not be 0..n-1).
-        sorted_ids = environment.device_ids()
-        device_ids = np.asarray(sorted_ids, dtype=np.int64)
-        workload_array = np.asarray(
-            [workloads[device_id] for device_id in sorted_ids], dtype=np.int64
-        )
-        sources, destinations = environment.directed_edges()
-        neighbor_max = np.zeros_like(workload_array)
-        if sources.size:
-            np.maximum.at(
-                neighbor_max,
-                np.searchsorted(device_ids, sources),
-                workload_array[np.searchsorted(device_ids, destinations)],
-            )
-        total_neighbor_comparisons = int(sources.size)
-        candidates = device_ids[workload_array >= neighbor_max].tolist()
-        environment.ledger.send(
-            sender=SERVER_ID,
-            recipient=SERVER_ID,
-            kind=MessageKind.SERVER_COORDINATION,
-            size_bytes=environment.num_devices,
-            description="alg3-candidate-announcements",
-        )
-    else:
-        for device_id in environment.device_ids():
-            device = environment.devices[device_id]
-            neighbor_workloads = [workloads[int(v)] for v in device.ego.neighbors]
-            total_neighbor_comparisons += len(neighbor_workloads)
-            if protocol is not None:
-                is_candidate = protocol.is_local_maximum(workloads[device_id], neighbor_workloads)
-            else:
-                is_candidate = all(workloads[device_id] >= other for other in neighbor_workloads)
-            environment.server.receive_candidate(device_id, is_candidate)
-            if is_candidate:
-                candidates.append(device_id)
-
-    # Part 2 (device operation 2): candidates compare among themselves; the
-    # winners (possibly several on ties) report to the server which picks one.
-    if not candidates:
-        # Degenerate case (no edges): every device has workload 0.
-        candidates = [environment.device_ids()[0]]
-    candidate_workloads = [workloads[c] for c in candidates]
-    pairwise_comparisons = len(candidates) * max(len(candidates) - 1, 0)
-    maximum_value = max(candidate_workloads)
-    winners = [c for c, w in zip(candidates, candidate_workloads) if w == maximum_value]
-    if protocol is not None:
-        # Run the comparisons so the secure transcript is exact.
-        winner_index = protocol.argmax(candidate_workloads)
-        if candidate_workloads[winner_index] != maximum_value:
-            raise RuntimeError("secure argmax disagrees with plaintext maximum")
-
-    if accountant is not None and protocol is None:
-        _charge_analytic_comparisons(
-            accountant, total_neighbor_comparisons + pairwise_comparisons
-        )
-    _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
-
-    if protocol is None and not per_device_ledger:
-        # Aggregated path: the winner announcements collapse into a single
-        # coordination message (same bytes, one ledger entry) so thousands of
-        # MCMC iterations stay cheap to log — mirroring the candidate
-        # announcements above.
-        environment.ledger.send(
-            sender=SERVER_ID,
-            recipient=SERVER_ID,
-            kind=MessageKind.SERVER_COORDINATION,
-            size_bytes=len(winners),
-            description="alg3-maximum-announcements",
-        )
-        chosen = environment.server.pick_maximum(winners)
-    else:
-        chosen = environment.server.select_maximum(winners)
-    environment.server.reset_candidates()
-    return int(chosen)
-
-
 def _charge_analytic_comparisons(
     accountant: TranscriptAccountant, count: int, bit_width: int = 24, block_bits: int = 4
 ) -> None:
@@ -195,22 +88,6 @@ def _charge_analytic_comparisons(
     obs.add_counter("crypto.ot_invocations", count * cost.ot_invocations)
     obs.add_counter("crypto.messages", count * cost.messages)
     obs.add_counter("crypto.bits", count * cost.bits)
-
-
-def _charge_comparison_traffic(environment: FederatedEnvironment, count: int) -> None:
-    """Charge aggregated secure-comparison traffic to the environment ledger.
-
-    Alg. 3 traffic belongs to the (one-off) tree-construction phase; we log a
-    single aggregated message so the ledger stays small even for thousands of
-    iterations.
-    """
-    environment.ledger.send(
-        sender=SERVER_ID,
-        recipient=SERVER_ID,
-        kind=MessageKind.SECURE_COMPARISON,
-        size_bytes=count * 8,
-        description="alg3-comparisons",
-    )
 
 
 class _IncrementalBalancingKernel:
@@ -275,7 +152,6 @@ class _IncrementalBalancingKernel:
         self.neighbor_max_count = neighbor_max_count.tolist()
         self.candidate = self.workload >= neighbor_max
         self.objective = int(self.workload.max()) if n else 0
-        self._fallback_device = environment.device_ids()[0] if n else 0
         self._pending: Optional[tuple] = None
         # Columnar transcript buffers: the balancing loop appends plain ints
         # here and flushes one BulkMessageEvent per description at the end of
@@ -327,8 +203,10 @@ class _IncrementalBalancingKernel:
                     candidate_workloads == candidate_workloads.max()
                 ].tolist()
             else:
+                # Only an environment without devices has no candidate; the
+                # loop then skips "device 0", which selects nothing.
                 num_candidates = 1
-                winners = [self._fallback_device]
+                winners = [0]
             if len(self._winners_memo) > 8:
                 self._winners_memo.clear()
             self._winners_memo[self._version] = (winners, num_candidates)
@@ -620,11 +498,10 @@ class _IncrementalBalancingKernel:
 class MCMCBalancer:
     """Runs Alg. 2 on a federated environment.
 
-    :meth:`run` uses the array-backed delta kernel over contiguous device
-    ids and the from-scratch loop :meth:`run_reference` otherwise.  In
-    secure mode the delta kernel runs Alg. 3 through the batched
-    vectorised-OT protocol simulation, charging transcripts identical to
-    the early-terminating per-device loop.
+    :meth:`run` drives the array-backed delta kernel.  In secure mode the
+    kernel runs Alg. 3 through the batched vectorised-OT protocol
+    simulation, charging transcripts identical to the early-terminating
+    per-device loop.
     """
 
     def __init__(
@@ -655,12 +532,6 @@ class MCMCBalancer:
     # ------------------------------------------------------------------ #
     def run(self, initial: Assignment) -> MCMCResult:
         """Execute the MCMC iterations starting from ``initial``."""
-        if self.environment.has_contiguous_ids():
-            return self._run_incremental(initial)
-        return self.run_reference(initial)
-
-    def _run_incremental(self, initial: Assignment) -> MCMCResult:
-        """Alg. 2 over the delta kernel; bit-identical to :meth:`run_reference`."""
         current = initial.copy()
         kernel = _IncrementalBalancingKernel(self.environment, current)
         history = [kernel.objective]
@@ -780,90 +651,6 @@ class MCMCBalancer:
             accepted_transitions=accepted,
             iterations=self.iterations,
         )
-
-    def run_reference(self, initial: Assignment) -> MCMCResult:
-        """Alg. 2 as the from-scratch loop, valid for any device-id set.
-
-        What :meth:`run` executes over non-contiguous ids, and the oracle the
-        equivalence suites compare the delta kernel against.
-        """
-        current = initial.copy()
-        history = [current.objective()]
-        accepted = 0
-
-        for iteration in range(self.iterations):
-            # Line 2: device with the largest workload under X_t.
-            heaviest = find_max_workload_device(
-                self.environment,
-                current,
-                protocol=self._protocol,
-                rng=self.rng,
-                accountant=self.accountant,
-            )
-            source_neighbors = sorted(current.selected.get(heaviest, set()))
-            if not source_neighbors:
-                history.append(current.objective())
-                continue
-
-            # Lines 3-4: sample the step size k and the k neighbours to move.
-            step_limit = max(1, int(round(math.log(len(source_neighbors)))) or 1)
-            step = int(self.rng.integers(1, step_limit + 1))
-            step = min(step, len(source_neighbors))
-            chosen = self.rng.choice(source_neighbors, size=step, replace=False)
-            targets = [int(v) for v in np.atleast_1d(chosen)]
-
-            # Line 5: form X'_t with the transition of Eq. 17.
-            proposal = current.transfer(heaviest, targets)
-            for target in targets:
-                self.environment.exchange(
-                    heaviest, target, MessageKind.SERVER_COORDINATION, 8,
-                    description="mcmc-transition-proposal",
-                )
-
-            # Line 6: device with the largest workload under X'_t.
-            heaviest_after = find_max_workload_device(
-                self.environment,
-                proposal,
-                protocol=self._protocol,
-                rng=self.rng,
-                accountant=self.accountant,
-            )
-
-            # Line 7: f(X_t) - f(X'_t), computed between the two maximal devices.
-            objective_before = current.objective()
-            objective_after = proposal.objective()
-            if self._protocol is not None:
-                difference = self._protocol.objective_difference(objective_before, objective_after)
-            else:
-                difference = objective_before - objective_after
-                _charge_analytic_comparisons(self.accountant, 1, bit_width=self.bit_width)
-            self.environment.exchange(
-                heaviest, heaviest_after, MessageKind.SECURE_COMPARISON, self.bit_width // 8 or 1,
-                description="mcmc-objective-difference",
-            )
-
-            # Line 8: Metropolis-Hastings acceptance (Eq. 18).
-            acceptance_probability = min(1.0, math.exp(min(difference, 50)))
-            if self.rng.random() < acceptance_probability:
-                current = proposal
-                accepted += 1
-                # Line 9: the source device informs the moved neighbours.
-                for target in targets:
-                    self.environment.exchange(
-                        heaviest, target, MessageKind.SERVER_COORDINATION, 8,
-                        description="mcmc-accept-notification",
-                    )
-            history.append(current.objective())
-            self.environment.next_round()
-
-        self.environment.apply_assignment(current.as_lists())
-        return MCMCResult(
-            assignment=current,
-            objective_history=history,
-            accepted_transitions=accepted,
-            iterations=self.iterations,
-        )
-
 
 # --------------------------------------------------------------------------- #
 # Localized rebalance (tree maintenance)

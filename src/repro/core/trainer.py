@@ -59,15 +59,13 @@ from .embedding_init import EmbeddingInitializationResult
 class TreeBatch:
     """Block-diagonal union of all per-device local graphs.
 
-    ``leaf_vertices`` holds, per leaf row, the *position* of the referenced
-    vertex in the sorted device-id order — identical to the global vertex id
-    whenever device ids are the contiguous ``0..n-1`` of a node-level
-    partition, and a dense re-indexing otherwise (so pooling into
-    ``num_vertices`` rows is well-defined for sparse device ids too).
+    ``leaf_vertices`` holds, per leaf row, the id of the referenced vertex
+    (device ids are ``0..n-1``, so pooling scatters into ``num_vertices``
+    rows by id).
 
     The initial embeddings (Eq. 25) are ``layer_input``, held as their
     *distinct* rows and never as a ``(num_nodes, d)`` matrix: one raw feature
-    per device (sorted-id order; every centre-leaf replica shares it), then
+    per device (id order; every centre-leaf replica shares it), then
     one LDP message per neighbour leaf (the recovered values at its released
     positions, the bounds' midpoint elsewhere); virtual nodes are zero.
     :attr:`features` is the derived dense view.
@@ -193,43 +191,23 @@ class TreeBatch:
         raw feature, neighbour leaves carry the LDP-recovered feature received
         from that neighbour, virtual nodes carry zeros.
 
-        Assembly is pure numpy block arithmetic over the canonical tree / star
-        layouts (no per-node python loops); local graphs that do not follow
-        the canonical layout fall back to the generic per-node path.
+        Assembly is pure numpy block arithmetic over the layouts
+        ``build_tree`` / ``build_star`` emit for the sorted selected-neighbour
+        lists (no per-node python loops), so the construction's lazy
+        ``local_graphs`` are never read here.
         """
-        batch = cls._build_vectorized(environment, construction, initialization, feature_dim)
-        if batch is not None:
-            return batch
-        return cls._build_generic(environment, construction, initialization, feature_dim)
-
-    # ------------------------------------------------------------------ #
-    # Fast path: canonical layouts, pure array arithmetic
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _build_vectorized(
-        cls,
-        environment: FederatedEnvironment,
-        construction: TreeConstructionResult,
-        initialization: EmbeddingInitializationResult,
-        feature_dim: int,
-    ) -> Optional["TreeBatch"]:
-        ids_list = environment.device_ids()
-        if not ids_list or not construction.canonical_layout:
-            return None
-        ids = np.asarray(ids_list, dtype=np.int64)
-        n = ids.shape[0]
+        n = environment.num_devices
+        if not n:
+            raise ValueError("environment has no devices")
         use_vn = construction.used_virtual_nodes
 
         as_lists = construction.assignment.as_lists()
         neighbor_lists = [
-            np.asarray(as_lists.get(int(d), ()), dtype=np.int64) for d in ids
+            np.asarray(as_lists.get(device_id, ()), dtype=np.int64) for device_id in range(n)
         ]
         w = np.asarray([block.shape[0] for block in neighbor_lists], dtype=np.int64)
         sizes = np.where(w == 0, 1, 3 * w + 1) if use_vn else w + 1
 
-        # ``canonical_layout`` promises exactly what build_tree / build_star
-        # emit for the (sorted) selected-neighbour lists, so the (lazy) local
-        # graphs themselves are never read here.
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
         num_nodes = int(sizes.sum())
@@ -238,14 +216,13 @@ class TreeBatch:
             np.concatenate(neighbor_lists) if total else np.zeros(0, dtype=np.int64)
         )
         # One entry per (device, selected-neighbour) pair, devices in id order.
-        rep = np.repeat(np.arange(n), w)
+        pair_owners = np.repeat(np.arange(n), w)
         pair_rank = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(w) - w, w)
-        pair_owners = ids[rep]
 
         if use_vn:
-            base = offsets[rep] + 3 * pair_rank
+            base = offsets[pair_owners] + 3 * pair_rank
             triplets = np.empty((total, 3, 2), dtype=np.int64)
-            triplets[:, 0, 0] = offsets[rep]  # root -> parent
+            triplets[:, 0, 0] = offsets[pair_owners]  # root -> parent
             triplets[:, 0, 1] = base + 1
             triplets[:, 1, 0] = base + 1  # parent -> centre leaf
             triplets[:, 1, 1] = base + 2
@@ -256,8 +233,8 @@ class TreeBatch:
             neighbor_rows = base + 3
             leaf_counts = np.where(w == 0, 1, 2 * w)
         else:
-            neighbor_rows = offsets[rep] + 1 + pair_rank
-            undirected = np.stack([offsets[rep], neighbor_rows], axis=1)
+            neighbor_rows = offsets[pair_owners] + 1 + pair_rank
+            undirected = np.stack([offsets[pair_owners], neighbor_rows], axis=1)
             center_rows = None
             leaf_counts = w + 1
 
@@ -267,32 +244,32 @@ class TreeBatch:
         leaf_rows = np.empty(num_leaves, dtype=np.int64)
         leaf_vertices = np.empty(num_leaves, dtype=np.int64)
         if use_vn:
-            pair_positions = leaf_offsets[rep] + 2 * pair_rank
-            leaf_rows[pair_positions] = center_rows
-            leaf_vertices[pair_positions] = pair_owners
-            leaf_rows[pair_positions + 1] = neighbor_rows
-            leaf_vertices[pair_positions + 1] = flat_neighbors
+            pair_leaves = leaf_offsets[pair_owners] + 2 * pair_rank
+            leaf_rows[pair_leaves] = center_rows
+            leaf_vertices[pair_leaves] = pair_owners
+            leaf_rows[pair_leaves + 1] = neighbor_rows
+            leaf_vertices[pair_leaves + 1] = flat_neighbors
             isolated = w == 0
             leaf_rows[leaf_offsets[isolated]] = offsets[isolated]
-            leaf_vertices[leaf_offsets[isolated]] = ids[isolated]
+            leaf_vertices[leaf_offsets[isolated]] = np.flatnonzero(isolated)
         else:
             leaf_rows[leaf_offsets] = offsets
-            leaf_vertices[leaf_offsets] = ids
-            pair_positions = leaf_offsets[rep] + 1 + pair_rank
-            leaf_rows[pair_positions] = neighbor_rows
-            leaf_vertices[pair_positions] = flat_neighbors
+            leaf_vertices[leaf_offsets] = np.arange(n)
+            pair_leaves = leaf_offsets[pair_owners] + 1 + pair_rank
+            leaf_rows[pair_leaves] = neighbor_rows
+            leaf_vertices[pair_leaves] = flat_neighbors
 
         # --- features: centre rows share the device's raw feature, neighbour
         # rows carry one LDP message each, virtual rows stay zero (Eq. 25) ----
         feature_rows = np.full(num_nodes, -1, dtype=np.int64)
         if use_vn:
-            feature_rows[center_rows] = rep
+            feature_rows[center_rows] = pair_owners
             feature_rows[offsets[w == 0]] = np.flatnonzero(w == 0)
         else:
             feature_rows[offsets] = np.arange(n)
         feature_rows[neighbor_rows] = n + np.arange(total)
 
-        # --- adjacency and edge index, preserving the generic edge order ----
+        # --- adjacency and edge index, in the edge order of a per-node traversal ----
         rows = undirected.ravel()
         cols = undirected[:, ::-1].ravel()
         data = np.ones(rows.shape[0], dtype=np.float64)
@@ -302,23 +279,21 @@ class TreeBatch:
         dst = np.concatenate([rows, np.arange(num_nodes)])
         edge_index = np.stack([src, dst])
 
-        device_slices = {
-            int(d): (int(o), int(s)) for d, o, s in zip(ids, offsets, sizes)
-        }
+        device_slices = dict(enumerate(zip(offsets.tolist(), sizes.tolist())))
         return cls(
             num_nodes=num_nodes,
-            num_vertices=environment.num_devices,
+            num_vertices=n,
             adjacency=adjacency,
             edge_index=edge_index,
             layer_input=cls._factored(
                 feature_rows,
-                cls._own_features(environment, ids_list, feature_dim),
+                cls._own_features(environment, environment.device_ids(), feature_dim),
                 initialization,
                 pair_owners,
                 flat_neighbors,
             ),
             leaf_rows=leaf_rows,
-            leaf_vertices=np.searchsorted(ids, leaf_vertices),
+            leaf_vertices=leaf_vertices,
             device_slices=device_slices,
             neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
             neighbor_receivers=np.asarray(pair_owners, dtype=np.int64),
@@ -332,89 +307,6 @@ class TreeBatch:
         """The devices' raw features, one sparse row per device in ``ids`` order."""
         features = [environment.devices[device_id].ego.feature for device_id in ids]
         return sp.csr_matrix(np.asarray(features, dtype=np.float64).reshape(-1, feature_dim))
-
-    # ------------------------------------------------------------------ #
-    # Generic path: arbitrary local-graph layouts (per-node traversal)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _build_generic(
-        cls,
-        environment: FederatedEnvironment,
-        construction: TreeConstructionResult,
-        initialization: EmbeddingInitializationResult,
-        feature_dim: int,
-    ) -> "TreeBatch":
-        device_slices: Dict[int, Tuple[int, int]] = {}
-        rows: List[int] = []
-        cols: List[int] = []
-        leaf_rows: List[int] = []
-        leaf_vertices: List[int] = []
-        neighbor_rows: List[int] = []
-        neighbor_receivers: List[int] = []
-        neighbor_senders: List[int] = []
-        feature_rows: List[int] = []
-        offset = 0
-        ids_list = environment.device_ids()
-
-        for position, device_id in enumerate(ids_list):
-            local_graph = construction.local_graphs[device_id]
-            size = local_graph.num_nodes
-            device_slices[device_id] = (offset, size)
-
-            feature_rows.extend([-1] * size)
-            for node in local_graph.nodes:
-                global_row = offset + node.local_id
-                if node.vertex is None:
-                    continue
-                leaf_rows.append(global_row)
-                leaf_vertices.append(int(node.vertex))
-                if node.vertex == device_id:
-                    feature_rows[global_row] = position
-                else:
-                    feature_rows[global_row] = len(ids_list) + len(neighbor_rows)
-                    neighbor_rows.append(global_row)
-                    neighbor_receivers.append(device_id)
-                    neighbor_senders.append(int(node.vertex))
-
-            for u, v in local_graph.edges:
-                rows.append(offset + u)
-                cols.append(offset + v)
-                rows.append(offset + v)
-                cols.append(offset + u)
-            offset += size
-
-        num_nodes = offset
-        data = np.ones(len(rows), dtype=np.float64)
-        adjacency_raw = sp.csr_matrix(
-            (data, (np.asarray(rows), np.asarray(cols))), shape=(num_nodes, num_nodes)
-        )
-        adjacency = symmetric_normalize(adjacency_raw, self_loops=True)
-        src = np.concatenate([np.asarray(cols, dtype=np.int64), np.arange(num_nodes)])
-        dst = np.concatenate([np.asarray(rows, dtype=np.int64), np.arange(num_nodes)])
-        edge_index = np.stack([src, dst])
-
-        ids = np.asarray(ids_list, dtype=np.int64)
-        receivers = np.asarray(neighbor_receivers, dtype=np.int64)
-        senders = np.asarray(neighbor_senders, dtype=np.int64)
-        return cls(
-            num_nodes=num_nodes,
-            num_vertices=environment.num_devices,
-            adjacency=adjacency,
-            edge_index=edge_index,
-            layer_input=cls._factored(
-                np.asarray(feature_rows, dtype=np.int64),
-                cls._own_features(environment, ids_list, feature_dim),
-                initialization,
-                receivers,
-                senders,
-            ),
-            leaf_rows=np.asarray(leaf_rows, dtype=np.int64),
-            leaf_vertices=np.searchsorted(ids, np.asarray(leaf_vertices, dtype=np.int64)),
-            device_slices=device_slices,
-            neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
-            neighbor_receivers=receivers,
-            neighbor_senders=senders,
-        )
 
 
 class _BatchGraphInput:
@@ -644,19 +536,13 @@ class TreeBasedGNNTrainer:
     # ------------------------------------------------------------------ #
     # System metrics
     # ------------------------------------------------------------------ #
-    def _device_index(self) -> np.ndarray:
-        """Sorted device ids; all per-device arrays are aligned to this order.
-
-        Device ids are *not* assumed to be contiguous ``0..n-1``.
-        """
-        return np.asarray(self.environment.device_ids(), dtype=np.int64)
-
     def tree_sizes(self) -> np.ndarray:
-        """Number of local-graph nodes per device (sorted device-id order)."""
+        """Number of local-graph nodes per device, indexed by device id (as
+        every per-device array of the trainer is)."""
         if self._tree_sizes is None:
-            ids = self._device_index()
+            slices = self.batch.device_slices
             self._tree_sizes = np.asarray(
-                [self.batch.device_slices[int(d)][1] for d in ids], dtype=np.int64
+                [slices[device_id][1] for device_id in range(len(slices))], dtype=np.int64
             )
         return self._tree_sizes.copy()
 
@@ -669,9 +555,6 @@ class TreeBasedGNNTrainer:
         aggregation.  The unsupervised task additionally requests and receives
         negative-sample embeddings — as many as the device's original degree,
         independent of trimming (negatives are non-neighbours).
-
-        All arrays are aligned to the sorted device-id order (also returned
-        under ``"device_ids"``).
         """
         if task not in ("supervised", "unsupervised"):
             raise ValueError("task must be 'supervised' or 'unsupervised'")
@@ -679,17 +562,13 @@ class TreeBasedGNNTrainer:
         if cached is not None:
             return {key: value.copy() for key, value in cached.items()}
 
-        ids = self._device_index()
-        num_devices = ids.shape[0]
-        full_workloads = self.construction.assignment.workload_array()
-        max_id = int(ids.max()) if num_devices else -1
-        if full_workloads.shape[0] <= max_id:
-            full_workloads = np.pad(
-                full_workloads, (0, max_id + 1 - full_workloads.shape[0])
-            )
-        workloads = full_workloads[ids] if num_devices else full_workloads[:0]
+        num_devices = self.environment.num_devices
+        assignment = self.construction.assignment
+        workloads = np.fromiter(
+            map(assignment.workload, range(num_devices)), dtype=np.int64, count=num_devices
+        )
 
-        selected_sets = self.construction.assignment.selected.values()
+        selected_sets = assignment.selected.values()
         all_selected = (
             np.concatenate(
                 [
@@ -700,21 +579,18 @@ class TreeBasedGNNTrainer:
             if any(len(s) for s in selected_sets)
             else np.zeros(0, dtype=np.int64)
         )
-        incoming = np.bincount(
-            np.searchsorted(ids, all_selected), minlength=num_devices
-        ).astype(np.int64)
+        incoming = np.bincount(all_selected, minlength=num_devices).astype(np.int64)
 
         rounds = workloads + incoming + 1
         if task == "unsupervised":
             degrees = np.asarray(
-                [self.environment.devices[int(d)].degree for d in ids], dtype=np.int64
+                [device.degree for device in self.environment.devices.values()], dtype=np.int64
             )
             rounds = rounds + 2 * degrees
         profile = {
             "per_device_rounds": rounds,
             "workloads": workloads,
             "incoming": incoming,
-            "device_ids": ids,
         }
         self._profile_cache[task] = profile
         # Hand out copies: the cached arrays feed later accounting and must
@@ -735,7 +611,7 @@ class TreeBasedGNNTrainer:
             cached = (
                 total_rounds * self.config.output_dim * 8,
                 f"epoch-{task}-rounds:{total_rounds}",
-                self._device_index(),
+                np.arange(self.environment.num_devices),
                 self.tree_sizes().astype(np.float64),
             )
             self._epoch_charge_cache[task] = cached
@@ -774,13 +650,9 @@ class TreeBasedGNNTrainer:
         cached = self._fault_charge_cache.get(task)
         if cached is None:
             profile = self.communication_profile(task)
-            cached = (
-                profile["per_device_rounds"],
-                self._device_index(),
-                self.tree_sizes().astype(np.float64),
-            )
+            cached = (profile["per_device_rounds"], self.tree_sizes().astype(np.float64))
             self._fault_charge_cache[task] = cached
-        per_device_rounds, device_ids, costs = cached
+        per_device_rounds, costs = cached
         online = plan.online_mask(epoch)
         self.environment.set_availability(online)
         masked_rounds = per_device_rounds * online
@@ -794,7 +666,7 @@ class TreeBasedGNNTrainer:
         )
         if online.any():
             self.environment.ledger.compute_many(
-                device_ids[online], costs[online], description="tree-gnn-epoch"
+                np.flatnonzero(online), costs[online], description="tree-gnn-epoch"
             )
         undelivered = online & (plan.evicted_mask(epoch) | plan.lost_mask(epoch))
         undelivered_count = int(undelivered.sum())
@@ -903,7 +775,6 @@ class TreeBasedGNNTrainer:
         start = time.perf_counter()
 
         plan = self._fault_plan(epochs)
-        device_ids = self._device_index() if plan is not None else None
         skipped_updates = 0
 
         for epoch in range(epochs):
@@ -921,9 +792,7 @@ class TreeBasedGNNTrainer:
                 # by the mask sum, so survivors are upweighted to keep the
                 # gradient an unbiased average over present devices
                 # (FedDropoutAvg-style participation reweighting).
-                present_vertices = np.zeros(labels.shape[0], dtype=bool)
-                present_vertices[device_ids[plan.participants(epoch)]] = True
-                round_mask = np.logical_and(split.train_mask, present_vertices)
+                round_mask = np.logical_and(split.train_mask, plan.participants(epoch))
                 if round_mask.any():
                     loss = cross_entropy(logits, labels, mask=round_mask)
                     optimizer.zero_grad()

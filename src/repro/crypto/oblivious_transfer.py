@@ -340,34 +340,6 @@ class ObliviousTransfer:
         self.accountant.record("ot-n", len(table) * message_bits + 128)
         return int(table[choice])
 
-    def transfer_table_batch(self, tables, choices, message_bits: int = 32):
-        """Run many independent 1-out-of-N table OTs as one numpy block.
-
-        ``tables`` is an ``(n, N)`` array — row ``i`` is the sender's truth
-        table of position ``i`` — and ``choices`` the receiver's ``n`` table
-        indices.  Counter- and log-identical to ``n`` :meth:`transfer_table`
-        calls.
-
-        **RNG block-draw contract**: draws **nothing** — like the scalar
-        table OT, the simulated lookup needs no masking randomness.
-        """
-        tables = np.asarray(tables)
-        choices = np.asarray(choices, dtype=np.int64)
-        if tables.ndim != 2 or choices.ndim != 1 or tables.shape[0] != choices.shape[0]:
-            raise ValueError("transfer_table_batch expects (n, N) tables and n choices")
-        if choices.size and not (
-            0 <= int(choices.min()) and int(choices.max()) < tables.shape[1]
-        ):
-            raise ValueError("choice out of table range")
-        count = int(choices.shape[0])
-        if count:
-            self.accountant.ot_invocations += count
-            obs.add_counter("crypto.ot_invocations", count)
-            self.accountant.record_pattern(
-                (("ot-n", tables.shape[1] * message_bits + 128),), count
-            )
-        return tables[np.arange(count), choices]
-
     def transfer_packed_table_batch(self, tables, choices, table_size: int):
         """Run many 1-out-of-N table OTs of **1-bit** messages as one block.
 

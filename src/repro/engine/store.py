@@ -177,10 +177,11 @@ class DiskSpillStore(ArtifactStore):
     """
 
     # v2 added the payload checksum field; v3 marks the columnar LDP artifacts
-    # and the factored ``TreeBatch``, whose pickled layout changed under
-    # unchanged stage keys.  Older files (or any unreadable version) degrade
-    # to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 3
+    # and the factored ``TreeBatch``, v4 ``TreeConstructionResult`` losing a
+    # field — pickled layouts that changed under unchanged stage keys.  Older
+    # files (or any unreadable version) degrade to a miss and are quarantined
+    # like corrupt files.
+    _FORMAT_VERSION = 4
 
     def __init__(
         self,

@@ -2,8 +2,7 @@
 
 The paper presents its evaluation as bar charts and CDF plots; since this
 reproduction is headless, every figure is regenerated as a text table holding
-the same series, which is what the benchmarks print and what EXPERIMENTS.md
-records.
+the same series, which is what the benchmarks print.
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
 """Device abstraction for the node-level federated setting.
 
-A :class:`Device` wraps one :class:`~repro.graph.ego.EgoNetwork` and owns all
-state that the paper keeps on the client side: the (trimmed) neighbour set
-``N_u``, the constructed tree, the encoded features received from neighbours,
-and the locally computed embeddings.  Devices never read each other's private
-attributes directly — all cross-device state movement goes through the
-simulator / ledger so communication is accounted for and the privacy boundary
-stays auditable.
+A :class:`Device` wraps one :class:`~repro.graph.ego.EgoNetwork` and owns the
+tree-constructor state the paper keeps on the client side: the (trimmed)
+neighbour set ``N_u``.  What a device receives and computes while training is
+held columnar by the exchange result and the trainer, not per device.
+Devices never read each other's private attributes directly — all
+cross-device state movement goes through the simulator / ledger so
+communication is accounted for and the privacy boundary stays auditable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from ..graph.ego import EgoNetwork
 
@@ -26,12 +24,6 @@ class Device:
     ego: EgoNetwork
     # --- tree-constructor state -------------------------------------------------
     selected_neighbors: List[int] = field(default_factory=list)
-    # --- trainer state ----------------------------------------------------------
-    # The bulk LDP exchange keeps its rows sparse on its own result
-    # (``EmbeddingInitializationResult``), not in this dict.
-    received_features: Dict[int, np.ndarray] = field(default_factory=dict)
-    received_embeddings: Dict[int, np.ndarray] = field(default_factory=dict)
-    vertex_embedding: Optional[np.ndarray] = None
 
     @property
     def device_id(self) -> int:
@@ -47,12 +39,6 @@ class Device:
     def workload(self) -> int:
         """Current workload ``wl(u)`` = number of selected neighbours."""
         return len(self.selected_neighbors)
-
-    def reset_training_state(self) -> None:
-        """Drop all per-epoch state (received features / embeddings)."""
-        self.received_features.clear()
-        self.received_embeddings.clear()
-        self.vertex_embedding = None
 
     def select_all_neighbors(self) -> None:
         """Initialise the selection with the full neighbour set (no trimming)."""
@@ -88,14 +74,6 @@ class Device:
         vertex = int(vertex)
         if vertex in self.selected_neighbors:
             self.selected_neighbors = [v for v in self.selected_neighbors if v != vertex]
-
-    def store_received_feature(self, sender: int, feature: np.ndarray) -> None:
-        """Store an encoded/recovered feature received from a neighbour."""
-        self.received_features[int(sender)] = np.asarray(feature, dtype=np.float64)
-
-    def store_received_embedding(self, sender: int, embedding: np.ndarray) -> None:
-        """Store a leaf embedding received from a neighbouring device."""
-        self.received_embeddings[int(sender)] = np.asarray(embedding, dtype=np.float64)
 
 
 def build_devices(partition: Dict[int, EgoNetwork]) -> Dict[int, Device]:

@@ -292,22 +292,11 @@ class CommunicationLedger:
             )
         return sorted(records)
 
-    @staticmethod
-    def _positions(device_ids: np.ndarray, devices: np.ndarray):
-        """Map device ids onto positions in the sorted ``device_ids`` array."""
-        positions = np.searchsorted(device_ids, devices)
-        positions = np.minimum(positions, device_ids.shape[0] - 1)
-        valid = device_ids[positions] == devices
-        return positions, valid
-
-    def per_device_message_counts(
-        self, num_devices: int, device_ids: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def per_device_message_counts(self, num_devices: int) -> np.ndarray:
         """Array of message counts charged to each device (as the sender).
 
-        Positional by id ``0..num_devices-1`` by default; deployments with
-        non-contiguous device ids pass the sorted ``device_ids`` array to get
-        counts aligned to it (no id is dropped).
+        Indexed by device id ``0..num_devices-1``, like every per-device
+        array of this ledger.
         """
         sender_blocks = [
             np.asarray(
@@ -320,42 +309,14 @@ class CommunicationLedger:
             for event in self.bulk_message_events
         )
         senders = np.concatenate(sender_blocks)
-        if device_ids is not None:
-            device_ids = np.asarray(device_ids, dtype=np.int64)
-            counts = np.zeros(device_ids.shape[0], dtype=np.int64)
-            if senders.size and device_ids.size:
-                positions, valid = self._positions(device_ids, senders)
-                counts += np.bincount(
-                    positions[valid], minlength=device_ids.shape[0]
-                ).astype(np.int64)
-            return counts
         counts = np.zeros(num_devices, dtype=np.int64)
         senders = senders[(senders >= 0) & (senders < num_devices)]
         if senders.size:
             counts += np.bincount(senders, minlength=num_devices).astype(np.int64)
         return counts
 
-    def per_device_compute(
-        self, num_devices: int, device_ids: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Total compute cost charged to each device.
-
-        Positional by id ``0..num_devices-1`` by default; deployments with
-        non-contiguous device ids pass the sorted ``device_ids`` array to get
-        costs aligned to it (no id is dropped).
-        """
-        if device_ids is not None:
-            device_ids = np.asarray(device_ids, dtype=np.int64)
-            costs = np.zeros(device_ids.shape[0], dtype=np.float64)
-            if device_ids.size:
-                for event in self.compute_events:
-                    position = int(np.searchsorted(device_ids, event.device))
-                    if position < device_ids.shape[0] and device_ids[position] == event.device:
-                        costs[position] += event.cost
-                for bulk in self.bulk_compute_events:
-                    positions, valid = self._positions(device_ids, bulk.devices)
-                    np.add.at(costs, positions[valid], bulk.costs[valid])
-            return costs
+    def per_device_compute(self, num_devices: int) -> np.ndarray:
+        """Total compute cost charged to each device."""
         costs = np.zeros(num_devices, dtype=np.float64)
         for event in self.compute_events:
             if 0 <= event.device < num_devices:
@@ -370,20 +331,15 @@ class CommunicationLedger:
         num_devices: int,
         compute_time_per_unit: float = 1.0,
         communication_latency: float = 0.05,
-        device_ids: Optional[np.ndarray] = None,
     ) -> float:
         """Simulated wall-clock time of one synchronous epoch.
 
         The synchronous protocol finishes when the *slowest* device has
         completed its local computation and sent its messages — this is the
-        straggler effect the tree trimmer mitigates.  Pass ``device_ids``
-        when ids are not contiguous so no device's cost is dropped.
+        straggler effect the tree trimmer mitigates.
         """
-        compute = self.per_device_compute(num_devices, device_ids=device_ids)
-        compute = compute * compute_time_per_unit
-        message_counts = self.per_device_message_counts(
-            num_devices, device_ids=device_ids
-        ).astype(np.float64)
+        compute = self.per_device_compute(num_devices) * compute_time_per_unit
+        message_counts = self.per_device_message_counts(num_devices).astype(np.float64)
         per_device_time = compute + message_counts * communication_latency
         return float(per_device_time.max()) if per_device_time.size else 0.0
 

@@ -29,7 +29,18 @@ from .server import Server
 
 @dataclass
 class FederatedEnvironment:
-    """All parties of one federated deployment plus shared accounting."""
+    """All parties of one federated deployment plus shared accounting.
+
+    Device ids are ``0..n-1`` by type: ``devices`` is keyed ``0, 1, ..., n-1``
+    in that order, key ``i`` holds the ego network centred on vertex ``i``,
+    and every neighbour id is itself a key (one device per vertex of the
+    global graph — the paper's node-level split).  Construction rejects
+    anything else with a ``ValueError``, so indexing a per-device array by
+    id, by position in sorted-id order and by position in ``devices`` are
+    the same thing everywhere downstream.  A caller with another id set
+    relabels before constructing, as
+    :func:`repro.maintenance.tree.fresh_assignment` does.
+    """
 
     devices: Dict[int, Device]
     server: Server
@@ -41,19 +52,38 @@ class FederatedEnvironment:
     _adjacency_csr_cache: Optional[tuple] = field(
         default=None, repr=False, compare=False
     )
-    #: Current-round availability, aligned to ``sorted(device_ids)``.
+    #: Current-round availability, indexed by device id.
     #: ``None`` (the default) means fully available — the fault-free fast
     #: path through :meth:`exchange` is a single ``is None`` check.
     _availability: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _sorted_ids_cache: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def __post_init__(self) -> None:
+        """Enforce the id invariant of the class docstring, in one pass."""
+        n = self.num_devices
+        keys = np.fromiter(self.devices, dtype=np.int64, count=n)
+        centers = np.fromiter(
+            (device.ego.center for device in self.devices.values()), dtype=np.int64, count=n
+        )
+        for ids, complaint in (
+            (keys, f"device ids must be 0..{n - 1} in order: position {{}} holds id {{}}"),
+            (centers, "device {} holds the ego network of vertex {}"),
+        ):
+            wrong = np.flatnonzero(ids != np.arange(n))
+            if wrong.size:
+                raise ValueError(complaint.format(int(wrong[0]), int(ids[wrong[0]])))
+        sources, neighbors = self.directed_edges()
+        dangling = np.flatnonzero((neighbors < 0) | (neighbors >= n))
+        if dangling.size:
+            raise ValueError(
+                f"device {int(sources[dangling[0]])} lists neighbour "
+                f"{int(neighbors[dangling[0]])}, which is not a device"
+            )
+
     @classmethod
     def from_graph(cls, graph: Graph, seed: int = 0) -> "FederatedEnvironment":
         """Split ``graph`` node-level and instantiate one device per vertex."""
@@ -79,27 +109,17 @@ class FederatedEnvironment:
         return len(self.devices)
 
     def device_ids(self) -> List[int]:
-        """Sorted list of device ids."""
-        return sorted(self.devices)
-
-    def has_contiguous_ids(self) -> bool:
-        """Whether device ids are the contiguous ``0..n-1`` of a node-level
-        partition — the precondition of :meth:`adjacency_csr` and of the
-        vectorised balancing/greedy fast paths."""
-        ids = self.device_ids()
-        return not ids or (ids[0] == 0 and ids[-1] == len(ids) - 1)
+        """The device ids, ``[0, ..., n-1]``."""
+        return list(self.devices)
 
     def workloads(self) -> Dict[int, int]:
         """Current workload of every device (selected-neighbour counts)."""
         return {device_id: device.workload for device_id, device in self.devices.items()}
 
     def workload_array(self) -> np.ndarray:
-        """Workloads aligned to :meth:`device_ids` (position ``i`` holds the
-        ``i``-th smallest id's workload; for the contiguous ``0..n-1`` layout
-        that is indexing by device id)."""
+        """Workloads indexed by device id."""
         return np.asarray(
-            [self.devices[device_id].workload for device_id in self.device_ids()],
-            dtype=np.int64,
+            [device.workload for device in self.devices.values()], dtype=np.int64
         )
 
     def max_workload(self) -> int:
@@ -113,43 +133,35 @@ class FederatedEnvironment:
     def directed_edges(self) -> np.ndarray:
         """Directed ``(2, 2E)`` edge index of the union of all ego networks.
 
-        Cached in an explicit attribute after the first call (and invalidated
-        by :meth:`apply_assignment`); used by the vectorised fast path of the
-        MCMC balancer.
+        Sources ascend (device by device, each device's neighbours in ego
+        order).  Cached in an explicit attribute after the first call (and
+        invalidated by :meth:`apply_assignment`); used by the vectorised
+        greedy and balancing kernels.
         """
         if self._directed_edges_cache is not None:
             return self._directed_edges_cache
-        source_blocks: List[np.ndarray] = []
-        destination_blocks: List[np.ndarray] = []
-        for device_id, device in self.devices.items():
-            neighbors = device.ego.neighbors
-            source_blocks.append(np.full(neighbors.shape[0], device_id, dtype=np.int64))
-            destination_blocks.append(neighbors.astype(np.int64, copy=False))
-        if source_blocks:
-            edges = np.stack(
-                [np.concatenate(source_blocks), np.concatenate(destination_blocks)]
-            )
-        else:
-            edges = np.zeros((2, 0), dtype=np.int64)
+        blocks = [device.ego.neighbors for device in self.devices.values()]
+        degrees = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+        edges = np.stack(
+            [
+                np.repeat(np.arange(len(blocks)), degrees),
+                np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64),
+            ]
+        )
         self._directed_edges_cache = edges
         return edges
 
     def adjacency_csr(self) -> tuple:
         """``(indptr, indices)`` CSR view of :meth:`directed_edges`.
 
-        Device ids must be the contiguous ``0..n-1`` of a node-level
-        partition (the same precondition as the vectorised balancing paths).
         Cached alongside the directed-edge cache and invalidated with it.
         """
         if self._adjacency_csr_cache is not None:
             return self._adjacency_csr_cache
         sources, destinations = self.directed_edges()
-        counts = np.bincount(sources, minlength=self.num_devices)
         indptr = np.zeros(self.num_devices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(sources, kind="stable")
-        indices = destinations[order]
-        self._adjacency_csr_cache = (indptr, indices)
+        np.cumsum(np.bincount(sources, minlength=self.num_devices), out=indptr[1:])
+        self._adjacency_csr_cache = (indptr, destinations)
         return self._adjacency_csr_cache
 
     # ------------------------------------------------------------------ #
@@ -158,8 +170,7 @@ class FederatedEnvironment:
     def set_availability(self, mask: Optional[np.ndarray]) -> None:
         """Install the current round's availability mask (or clear it).
 
-        ``mask`` is boolean, aligned to ``sorted(device_ids)`` — the same
-        positional convention as the trainer's device index and
+        ``mask`` is boolean, indexed by device id — the convention of
         :class:`repro.faults.plan.FaultPlan` rows.  ``None`` restores full
         availability; the server is always available.
         """
@@ -178,15 +189,9 @@ class FederatedEnvironment:
         """Whether ``party_id`` participates in the current round."""
         if self._availability is None or party_id == SERVER_ID:
             return True
-        if self._sorted_ids_cache is None or self._sorted_ids_cache.shape[0] != self.num_devices:
-            self._sorted_ids_cache = np.asarray(self.device_ids(), dtype=np.int64)
-        position = int(np.searchsorted(self._sorted_ids_cache, party_id))
-        if (
-            position >= self._sorted_ids_cache.shape[0]
-            or self._sorted_ids_cache[position] != party_id
-        ):
+        if party_id not in self.devices:
             raise KeyError(f"unknown device {party_id}")
-        return bool(self._availability[position])
+        return bool(self._availability[party_id])
 
     # ------------------------------------------------------------------ #
     # Communication and compute accounting
@@ -234,8 +239,8 @@ class FederatedEnvironment:
         Under an availability mask the pairs do go through :meth:`exchange`
         one by one, so offline endpoints leave their drop records.
         """
-        known = np.fromiter(self.devices, dtype=np.int64, count=len(self.devices))
-        if not np.isin(np.concatenate([senders, recipients]), known).all():
+        endpoints = np.concatenate([senders, recipients])
+        if ((endpoints < 0) | (endpoints >= self.num_devices)).any():
             raise KeyError("unknown device in a bulk exchange")
         if self._availability is not None:
             for sender, recipient in zip(senders.tolist(), recipients.tolist()):

@@ -6,8 +6,8 @@ evaluation harness and the benchmarks.  Two families are available:
 * ``"facebook"`` / ``"lastfm"`` — if the real raw files (SNAP "musae"
   Facebook Page-Page / LastFM Asia CSV dumps) are present under
   ``data/<name>/`` they are loaded; otherwise the synthetic stand-ins from
-  :mod:`repro.graph.generators` are generated (see DESIGN.md §2 for why this
-  substitution preserves the evaluation's shape).
+  :mod:`repro.graph.generators` are generated (its module docstring says
+  which properties of the real graphs they preserve).
 * ``"small-world"`` / ``"star"`` — tiny deterministic graphs for tests.
 """
 

@@ -104,9 +104,9 @@ def fresh_assignment(
 ) -> Tuple[Dict[int, List[int]], TranscriptAccountant]:
     """From-scratch construction over an arbitrary adjacency.
 
-    Renumbers the present devices to contiguous ``0..m-1`` (the incremental
-    MCMC kernel and the batched greedy initialisation require contiguous
-    ids), runs the full :class:`~repro.core.constructor.TreeConstructor`
+    Renumbers the present devices to ``0..m-1`` (a ``FederatedEnvironment``
+    accepts no other id set), runs the full
+    :class:`~repro.core.constructor.TreeConstructor`
     pipeline on a synthetic feature-free graph, and maps the balanced
     selection back to the original ids.  Pure function of
     ``(adjacency, mcmc_iterations, seed)`` — both the staleness reference

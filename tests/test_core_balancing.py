@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.oracles import find_max_workload_device
+
 from repro.core import (
     Assignment,
     MCMCBalancer,
     TreeConstructor,
     TreeConstructorConfig,
-    find_max_workload_device,
     greedy_initialization,
 )
 from repro.crypto import TranscriptAccountant

@@ -308,85 +308,31 @@ class TestLumosSystem:
             TreeConstructorConfig(mcmc_iterations=-5)
 
 
-class TestNonContiguousDeviceIds:
-    """tree_sizes / communication_profile must not assume ids are 0..n-1."""
+class TestZeroDevices:
+    """An empty graph constructs and balances; the stages that need a feature
+    row say so instead of dying in a numpy reshape."""
 
     @pytest.fixture()
-    def sparse_id_environment(self):
-        from repro.graph.ego import EgoNetwork
+    def empty(self):
+        from repro.graph import Graph
 
-        rng = np.random.default_rng(0)
-        partition = {
-            0: EgoNetwork(center=0, neighbors=[2], feature=rng.random(4)),
-            2: EgoNetwork(center=2, neighbors=[0, 5], feature=rng.random(4)),
-            5: EgoNetwork(center=5, neighbors=[2], feature=rng.random(4)),
-        }
-        return FederatedEnvironment.from_partition(partition, seed=0)
-
-    def _trainer_for(self, environment):
-        from repro.core import LDPEmbeddingInitializer
-
-        constructor = TreeConstructor(
-            TreeConstructorConfig(use_tree_trimming=False),
-            rng=np.random.default_rng(0),
+        graph = Graph(
+            num_nodes=0, edges=np.zeros((0, 2), dtype=np.int64), features=np.zeros((0, 4))
         )
-        construction = constructor.construct(environment)
-        initialization = LDPEmbeddingInitializer(
-            epsilon=2.0, rng=np.random.default_rng(1)
-        ).run(environment, construction.assignment)
-        return TreeBasedGNNTrainer(
-            environment, construction, initialization, TrainerConfig(epochs=2),
-            rng=np.random.default_rng(2),
-        )
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        construction = TreeConstructor(
+            TreeConstructorConfig(mcmc_iterations=5), rng=np.random.default_rng(0)
+        ).construct(environment)
+        assert construction.max_workload() == 0
+        return environment, construction
 
-    def test_tree_sizes_aligned_to_sorted_ids(self, sparse_id_environment):
-        trainer = self._trainer_for(sparse_id_environment)
-        # Untrimmed workloads: wl(0)=1, wl(2)=2, wl(5)=1 -> tree sizes 3w+1.
-        np.testing.assert_array_equal(trainer.tree_sizes(), [4, 7, 4])
+    def test_ldp_exchange_rejects_an_empty_environment(self, empty):
+        environment, construction = empty
+        initializer = LDPEmbeddingInitializer(epsilon=2.0, rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="environment has no devices"):
+            initializer.run(environment, construction.assignment)
 
-    def test_communication_profile_aligned_to_sorted_ids(self, sparse_id_environment):
-        trainer = self._trainer_for(sparse_id_environment)
-        profile = trainer.communication_profile("supervised")
-        np.testing.assert_array_equal(profile["device_ids"], [0, 2, 5])
-        np.testing.assert_array_equal(profile["workloads"], [1, 2, 1])
-        np.testing.assert_array_equal(profile["incoming"], [1, 2, 1])
-        np.testing.assert_array_equal(profile["per_device_rounds"], [3, 5, 3])
-        assert trainer.simulated_epoch_time("supervised") > 0
-
-    def test_epoch_charge_uses_real_ids(self, sparse_id_environment):
-        trainer = self._trainer_for(sparse_id_environment)
-        trainer._charge_epoch("supervised")
-        bulk = sparse_id_environment.ledger.bulk_compute_events[-1]
-        np.testing.assert_array_equal(bulk.devices, [0, 2, 5])
-        np.testing.assert_array_equal(bulk.costs, [4.0, 7.0, 4.0])
-
-    def test_ledger_per_device_queries_with_sparse_ids(self, sparse_id_environment):
-        trainer = self._trainer_for(sparse_id_environment)
-        ledger = sparse_id_environment.ledger
-        baseline = ledger.per_device_compute(3, device_ids=np.array([0, 2, 5]))
-        trainer._charge_epoch("supervised")
-        costs = ledger.per_device_compute(3, device_ids=np.array([0, 2, 5]))
-        # Positional indexing would silently drop device 5's share.
-        np.testing.assert_allclose(costs - baseline, [4.0, 7.0, 4.0], atol=1e-9)
-        counts = ledger.per_device_message_counts(3, device_ids=np.array([0, 2, 5]))
-        # message_records() covers both ledger representations (objects and
-        # columnar blocks); field 1 of a record is the sender.
-        assert counts.sum() == sum(
-            1 for record in ledger.message_records() if record[1] in (0, 2, 5)
-        )
-        completion = ledger.epoch_completion_time(3, device_ids=np.array([0, 2, 5]))
-        assert completion >= costs.max()
-
-    def test_training_runs_on_sparse_ids(self, sparse_id_environment):
-        from repro.graph.splits import NodeSplit
-
-        trainer = self._trainer_for(sparse_id_environment)
-        labels = np.array([0, 1, 0])
-        split = NodeSplit(
-            train_mask=np.array([True, False, False]),
-            val_mask=np.array([False, True, False]),
-            test_mask=np.array([False, False, True]),
-        )
-        _, history = trainer.train_supervised(labels, split, epochs=2)
-        assert len(history.losses) == 2
-        assert np.isfinite(history.losses[-1])
+    def test_tree_batch_rejects_an_empty_environment(self, empty, prepared):
+        environment, construction = empty
+        with pytest.raises(ValueError, match="environment has no devices"):
+            TreeBatch.build(environment, construction, prepared[3], 4)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.oracles import tree_batch_reference
+
 from repro.core import (
     LDPEmbeddingInitializer,
     LumosSystem,
@@ -150,10 +152,10 @@ class TestTreeBatchVectorized:
         initializer = LDPEmbeddingInitializer(epsilon=2.0, rng=np.random.default_rng(1))
         initialization = initializer.run(environment, construction.assignment)
 
-        fast = TreeBatch._build_vectorized(
+        fast = TreeBatch.build(
             environment, construction, initialization, normalized.num_features
         )
-        generic = TreeBatch._build_generic(
+        generic = tree_batch_reference(
             environment, construction, initialization, normalized.num_features
         )
         assert fast is not None
@@ -183,8 +185,8 @@ class TestTreeBatchVectorized:
         initialization = LDPEmbeddingInitializer(
             epsilon=2.0, rng=np.random.default_rng(1)
         ).run(environment, construction.assignment)
-        fast = TreeBatch._build_vectorized(environment, construction, initialization, 5)
-        generic = TreeBatch._build_generic(environment, construction, initialization, 5)
+        fast = TreeBatch.build(environment, construction, initialization, 5)
+        generic = tree_batch_reference(environment, construction, initialization, 5)
         np.testing.assert_array_equal(fast.features, generic.features)
         np.testing.assert_array_equal(fast.leaf_rows, generic.leaf_rows)
         np.testing.assert_array_equal(fast.leaf_vertices, generic.leaf_vertices)

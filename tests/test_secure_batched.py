@@ -22,7 +22,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers.oracles import construct_with_oracles, secure_argmax_reference
+from helpers.oracles import (
+    construct_with_oracles,
+    greedy_initialization_reference,
+    mcmc_run_reference,
+    secure_argmax_reference,
+)
 from helpers.rng_contract import assert_stream_contract, clone_generator
 
 from repro.core import (
@@ -31,7 +36,6 @@ from repro.core import (
     TreeConstructorConfig,
     greedy_initialization,
 )
-from repro.core.greedy import greedy_initialization_reference
 from repro.crypto import (
     ObliviousTransfer,
     SecureComparator,
@@ -41,7 +45,6 @@ from repro.crypto import (
 )
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, generate_small_world, generate_star
-from repro.graph.ego import EgoNetwork
 
 BIT_WIDTHS = (8, 16, 32, 64)
 
@@ -152,26 +155,6 @@ class TestOTBatchContracts:
         assert batch_acc.snapshot() == loop_acc.snapshot()
         assert batch_acc._log == loop_acc._log
 
-    def test_transfer_table_batch_draws_nothing(self):
-        tables = np.arange(32).reshape(2, 16)
-        rng = np.random.default_rng(11)
-        accountant = TranscriptAccountant()
-        got = assert_stream_contract(
-            lambda generator: ObliviousTransfer(accountant, generator).transfer_table_batch(
-                tables, np.array([3, 9]), message_bits=4
-            ),
-            rng,
-            0,
-        )
-        assert list(got) == [3, 16 + 9]
-        # Charged like two scalar transfer_table calls.
-        loop_acc = TranscriptAccountant()
-        loop_ot = ObliviousTransfer(loop_acc, np.random.default_rng(11))
-        loop_ot.transfer_table(tuple(range(16)), 3, message_bits=4)
-        loop_ot.transfer_table(tuple(range(16, 32)), 9, message_bits=4)
-        assert accountant.snapshot() == loop_acc.snapshot()
-        assert accountant._log == loop_acc._log
-
     def test_packed_table_batch_draws_nothing_and_matches_transfer_table(self):
         values = np.random.default_rng(2)
         tables = values.integers(0, 1 << 16, size=(3, 40)).astype(np.uint16)
@@ -215,8 +198,6 @@ class TestOTBatchContracts:
             ot.transfer_batch([1], [2], [3])
         with pytest.raises(ValueError):
             ot.transfer_batch([1 << 40], [2], [0], message_bits=32)
-        with pytest.raises(ValueError):
-            ot.transfer_table_batch(np.zeros((2, 4)), np.array([0, 4]))
         assert ot.transfer_batch([], [], []).shape == (0,)
 
     def test_clear_batched_kernels_draw_nothing(self, social_graph):
@@ -397,33 +378,6 @@ class TestWideOT:
         )
 
 
-_NONCONTIGUOUS_ADJACENCY = {
-    50: [3, 7, 9, 11],
-    3: [50, 7],
-    7: [50, 3, 9],
-    9: [50, 7],
-    11: [50],
-    42: [],
-}
-
-
-def _environment_from_adjacency(adjacency, seed: int = 0) -> FederatedEnvironment:
-    rng = np.random.default_rng(seed)
-    partition = {
-        center: EgoNetwork(
-            center=center,
-            neighbors=np.asarray(neighbors, dtype=np.int64),
-            feature=rng.random(4),
-        )
-        for center, neighbors in adjacency.items()
-    }
-    return FederatedEnvironment.from_partition(partition, seed=seed)
-
-
-def _noncontiguous_environment(seed: int = 0) -> FederatedEnvironment:
-    return _environment_from_adjacency(_NONCONTIGUOUS_ADJACENCY, seed)
-
-
 def _run_secure_greedy(make_environment, oracle, seed=0):
     environment = make_environment()
     accountant = TranscriptAccountant()
@@ -452,9 +406,8 @@ class TestSecureGreedyEquivalence:
             lambda: FederatedEnvironment.from_graph(
                 generate_star(num_leaves=8, seed=2), seed=0
             ),
-            _noncontiguous_environment,
         ],
-        ids=["facebook", "star", "noncontiguous"],
+        ids=["facebook", "star"],
     )
     def test_secure_batched_matches_reference(self, make_environment):
         fast, fast_env, fast_acc = _run_secure_greedy(make_environment, oracle=False)
@@ -477,7 +430,7 @@ def _run_secure_balancer(graph, oracle, seed=0, iterations=25):
         rng=np.random.default_rng(seed + 7),
         secure=True,
     )
-    result = balancer.run_reference(initial) if oracle else balancer.run(initial)
+    result = mcmc_run_reference(balancer, initial) if oracle else balancer.run(initial)
     return result, environment, balancer.accountant
 
 
@@ -582,56 +535,6 @@ class TestSecureTranscriptGolden:
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.GOLDEN
 
 
-class TestNonContiguousConstruction:
-    """Gappy device ids are a supported input of ``TreeConstructor``: the run
-    must equal the same partition relabelled order-preservingly to ``0..n-1``
-    (which takes the incremental kernel instead of the from-scratch loop)."""
-
-    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
-    def test_construct_equals_the_contiguous_relabelling(self, secure):
-        config = TreeConstructorConfig(mcmc_iterations=20)
-        environment = _noncontiguous_environment()
-        result = TreeConstructor(
-            config, rng=np.random.default_rng(0), secure=secure
-        ).construct(environment)
-
-        selected = result.assignment.selected
-        for device, neighbors in _NONCONTIGUOUS_ADJACENCY.items():
-            for neighbor in neighbors:
-                assert neighbor in selected[device] or device in selected[neighbor]
-        assert environment.validate_edge_coverage()
-        device_ids = environment.device_ids()
-        np.testing.assert_array_equal(
-            environment.workload_array(), [len(selected[d]) for d in device_ids]
-        )
-        assert environment.max_workload() == result.max_workload()
-
-        rank = {device: position for position, device in enumerate(device_ids)}
-        relabelled = TreeConstructor(
-            config, rng=np.random.default_rng(0), secure=secure
-        ).construct(
-            _environment_from_adjacency(
-                {
-                    rank[device]: [rank[neighbor] for neighbor in neighbors]
-                    for device, neighbors in _NONCONTIGUOUS_ADJACENCY.items()
-                }
-            )
-        )
-        assert result.assignment.as_lists() == {
-            device_ids[device]: [device_ids[neighbor] for neighbor in neighbors]
-            for device, neighbors in relabelled.assignment.as_lists().items()
-        }
-        assert (
-            result.mcmc_result.objective_history
-            == relabelled.mcmc_result.objective_history
-        )
-        assert (
-            result.mcmc_result.accepted_transitions
-            == relabelled.mcmc_result.accepted_transitions
-        )
-        assert result.transcript.snapshot() == relabelled.transcript.snapshot()
-
-
 class TestAccountantCapSemantics:
     """`record_pattern` LOG_CAP boundaries and `merge` of capped accountants."""
 
@@ -714,7 +617,7 @@ class TestSecureModeRNGContract:
             rng = np.random.default_rng(7)
             balancer = MCMCBalancer(environment, iterations=20, rng=rng, secure=True)
             if oracle:
-                balancer.run_reference(initial)
+                mcmc_run_reference(balancer, initial)
             else:
                 balancer.run(initial)
             states[oracle] = rng.bit_generator.state
