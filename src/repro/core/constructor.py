@@ -26,7 +26,7 @@ from ..federation.simulator import FederatedEnvironment
 from .config import TreeConstructorConfig
 from .greedy import greedy_initialization
 from .mcmc import MCMCBalancer, MCMCResult
-from .tree import LocalGraph, build_star, build_tree, expected_tree_size
+from .tree import LocalGraph, build_star, build_tree, local_graph_sizes
 from .workload import Assignment
 
 
@@ -86,10 +86,8 @@ class TreeConstructionResult:
         Sizes follow from the workloads (``build_tree`` / ``build_star`` over
         the selected neighbours), so the lazy local graphs are not built.
         """
-        workloads = [self.assignment.workload(device_id) for device_id in self.local_graphs]
-        if self.used_virtual_nodes:
-            return sum(map(expected_tree_size, workloads))
-        return sum(workloads) + len(workloads)
+        workloads = self.assignment.workload_vector(len(self.local_graphs))
+        return int(local_graph_sizes(workloads, self.used_virtual_nodes).sum())
 
 
 class TreeConstructor:
@@ -109,13 +107,6 @@ class TreeConstructor:
         """Run the constructor over ``environment`` and install the assignment."""
         transcript = TranscriptAccountant()
 
-        full = Assignment.from_lists(
-            {
-                device_id: [int(v) for v in device.ego.neighbors]
-                for device_id, device in environment.devices.items()
-            }
-        )
-
         greedy_assignment: Optional[Assignment] = None
         mcmc_result: Optional[MCMCResult] = None
         if self.config.use_tree_trimming:
@@ -134,12 +125,17 @@ class TreeConstructor:
                 secure=self.secure,
                 rng=self.rng,
             )
+            # The balancer installs what it returns.
             mcmc_result = balancer.run(greedy_assignment)
             assignment = mcmc_result.assignment
         else:
-            assignment = full
-
-        environment.apply_assignment(assignment.as_lists())
+            assignment = Assignment.from_lists(
+                {
+                    device_id: device.ego.neighbors.tolist()
+                    for device_id, device in environment.devices.items()
+                }
+            )
+            environment.apply_assignment(assignment.selected)
 
         for device_id in environment.devices:
             # Charge the (local, cheap) tree-building computation.

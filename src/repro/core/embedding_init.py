@@ -144,23 +144,15 @@ class LDPEmbeddingInitializer:
         devices = environment.devices
         dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
         # Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``.
-        selected = assignment.selected
-        senders = np.fromiter(
-            (s for chosen in selected.values() for s in chosen), dtype=np.int64
-        )
-        receivers = np.repeat(
-            np.fromiter(selected, dtype=np.int64, count=len(selected)),
-            [len(chosen) for chosen in selected.values()],
-        )
-        order = np.lexsort((receivers, senders))
+        # Stream order is by sender, then by receiver.
+        receivers, senders = assignment.pairs()
+        order = np.argsort(senders, kind="stable")
         offsets = np.zeros(len(devices) + 1, dtype=np.int64)
         np.cumsum(np.bincount(senders, minlength=len(devices)), out=offsets[1:])
         # The sender's workload controls the privacy split; devices whose
         # selection ended up empty (possible after trimming) fall back to
         # a single bin so their feature can still be released once.
-        workloads = np.asarray(
-            [max(assignment.workload(device_id), 1) for device_id in devices], dtype=np.int64
-        )
+        workloads = np.maximum(assignment.workload_vector(len(devices)), 1)
         # Workloads and bin ids are small: a narrow dtype keeps the per-message
         # bin gather of ``threshold`` (and its sort by workload) cheap.
         workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))

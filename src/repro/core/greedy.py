@@ -101,10 +101,13 @@ def greedy_initialization(
             description="greedy-degree-comparison",
         )
 
-    keep_counts = np.bincount(sources[keep], minlength=num_devices)
-    pieces = np.split(destinations[keep], np.cumsum(keep_counts)[:-1]) if num_devices else []
+    kept = destinations[keep].tolist()
+    row_ends = np.cumsum(np.bincount(sources[keep], minlength=num_devices)).tolist()
     assignment = Assignment(
-        selected={device_id: set(piece.tolist()) for device_id, piece in enumerate(pieces)}
+        selected={
+            device_id: set(kept[start:stop])
+            for device_id, (start, stop) in enumerate(zip([0] + row_ends, row_ends))
+        }
     )
-    environment.apply_assignment(assignment.as_lists())
+    environment.apply_assignment(assignment.selected)
     return assignment

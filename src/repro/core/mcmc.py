@@ -133,15 +133,7 @@ class _IncrementalBalancingKernel:
         # Alg. 3 device operation 1 always evaluates one comparison per
         # directed neighbour relation, whatever the workloads are.
         self.neighbor_comparisons = int(indices.shape[0])
-        neighbor_max = np.zeros(n, dtype=np.int64)
-        neighbor_max_count = np.zeros(n, dtype=np.int64)
-        if indices.shape[0]:
-            sources, destinations = environment.directed_edges()
-            np.maximum.at(neighbor_max, sources, self.workload[destinations])
-            attains = self.workload[destinations] == neighbor_max[sources]
-            neighbor_max_count = np.bincount(
-                sources[attains], minlength=n
-            ).astype(np.int64)
+        neighbor_max, neighbor_max_count = self._neighborhood_maxima(np.arange(n))
         # Maintained per-device maximum over the neighbours' workloads, plus
         # its multiplicity: how many neighbours attain it.  A lowered
         # workload then only forces a neighbourhood rescan where the moving
@@ -387,7 +379,6 @@ class _IncrementalBalancingKernel:
         attainment of the *old* maximum.  Returns the vertices whose maximum
         (not merely its multiplicity) changed.
         """
-        workload = self.workload
         neighbors = self._neighbors
         neighbor_max = self.neighbor_max
         neighbor_max_count = self.neighbor_max_count
@@ -429,19 +420,35 @@ class _IncrementalBalancingKernel:
                         neighbor_max_count[w] -= 1
                         marked.append(w)
             rescan = [w for w in marked if neighbor_max_count[w] == 0]
-        for w in rescan:
-            maximum = 0
-            attained = 0
-            for v in neighbors[w]:
-                value = workload[v]
-                if value > maximum:
-                    maximum, attained = value, 1
-                elif value == maximum:
-                    attained += 1
-            neighbor_max[w] = int(maximum)
-            neighbor_max_count[w] = attained
-            touched.append(w)
+        if rescan:
+            maxima, attained = self._neighborhood_maxima(rescan)
+            for w, maximum, count in zip(rescan, maxima.tolist(), attained.tolist()):
+                neighbor_max[w] = maximum
+                neighbor_max_count[w] = count
+            touched.extend(rescan)
         return touched
+
+    def _neighborhood_maxima(self, vertices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Largest workload among each vertex's neighbours, and how many attain it.
+
+        One segmented pass over the CSR rows of all ``vertices`` (repeats
+        allowed): their neighbours' workloads side by side, then
+        ``maximum.reduceat`` / ``add.reduceat`` per row.  An empty row reads
+        ``(0, 0)`` and holds no segment — ``reduceat`` has no identity for it.
+        """
+        rows = np.asarray(vertices, dtype=np.int64)
+        lengths = self._csr_degrees[rows]
+        starts = np.cumsum(lengths) - lengths
+        flat = np.arange(int(lengths.sum())) + np.repeat(self._csr_indptr[rows] - starts, lengths)
+        values = self.workload[self._csr_indices[flat]]
+        occupied = lengths > 0
+        maxima = np.zeros(rows.shape[0], dtype=np.int64)
+        attained = np.zeros(rows.shape[0], dtype=np.int64)
+        maxima[occupied] = np.maximum.reduceat(values, starts[occupied])
+        attained[occupied] = np.add.reduceat(
+            values == np.repeat(maxima, lengths), starts[occupied]
+        )
+        return maxima, attained
 
     def _refresh_candidates(self, vertices: List[int]) -> None:
         """Re-evaluate candidacy where a workload or a maximum changed."""
@@ -644,7 +651,7 @@ class MCMCBalancer:
                 np.full(len(accept_senders), 8, dtype=np.int64), accept_rounds,
                 description="mcmc-accept-notification",
             )
-        self.environment.apply_assignment(current.as_lists())
+        self.environment.apply_assignment(current.selected)
         return MCMCResult(
             assignment=current,
             objective_history=history,

@@ -50,6 +50,7 @@ from ..nn.tensor import Tensor, no_grad
 from .config import TrainerConfig
 from .constructor import TreeConstructionResult
 from .embedding_init import EmbeddingInitializationResult
+from .tree import local_graph_sizes
 
 
 # --------------------------------------------------------------------------- #
@@ -201,22 +202,15 @@ class TreeBatch:
             raise ValueError("environment has no devices")
         use_vn = construction.used_virtual_nodes
 
-        as_lists = construction.assignment.as_lists()
-        neighbor_lists = [
-            np.asarray(as_lists.get(device_id, ()), dtype=np.int64) for device_id in range(n)
-        ]
-        w = np.asarray([block.shape[0] for block in neighbor_lists], dtype=np.int64)
-        sizes = np.where(w == 0, 1, 3 * w + 1) if use_vn else w + 1
+        # One entry per (device, selected-neighbour) pair, devices in id order.
+        pair_owners, flat_neighbors = construction.assignment.pairs()
+        w = np.bincount(pair_owners, minlength=n)
+        sizes = local_graph_sizes(w, use_vn)
 
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
         num_nodes = int(sizes.sum())
-        total = int(w.sum())
-        flat_neighbors = (
-            np.concatenate(neighbor_lists) if total else np.zeros(0, dtype=np.int64)
-        )
-        # One entry per (device, selected-neighbour) pair, devices in id order.
-        pair_owners = np.repeat(np.arange(n), w)
+        total = pair_owners.shape[0]
         pair_rank = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(w) - w, w)
 
         if use_vn:
@@ -295,9 +289,9 @@ class TreeBatch:
             leaf_rows=leaf_rows,
             leaf_vertices=leaf_vertices,
             device_slices=device_slices,
-            neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
-            neighbor_receivers=np.asarray(pair_owners, dtype=np.int64),
-            neighbor_senders=np.asarray(flat_neighbors, dtype=np.int64),
+            neighbor_rows=neighbor_rows,
+            neighbor_receivers=pair_owners,
+            neighbor_senders=flat_neighbors,
         )
 
     @staticmethod
@@ -446,8 +440,7 @@ class EpochCostModel:
         materialising either's local graphs.
         """
         workloads = np.asarray(workloads, dtype=np.float64)
-        tree_sizes = np.where(workloads > 0, 3.0 * workloads + 1.0, 1.0)
-        return self.epoch_time(tree_sizes, 2.0 * workloads)
+        return self.epoch_time(local_graph_sizes(workloads), 2.0 * workloads)
 
 
 # --------------------------------------------------------------------------- #
@@ -540,9 +533,11 @@ class TreeBasedGNNTrainer:
         """Number of local-graph nodes per device, indexed by device id (as
         every per-device array of the trainer is)."""
         if self._tree_sizes is None:
-            slices = self.batch.device_slices
-            self._tree_sizes = np.asarray(
-                [slices[device_id][1] for device_id in range(len(slices))], dtype=np.int64
+            workloads = np.bincount(
+                self.batch.neighbor_receivers, minlength=self.batch.num_vertices
+            )
+            self._tree_sizes = local_graph_sizes(
+                workloads, self.construction.used_virtual_nodes
             )
         return self._tree_sizes.copy()
 
@@ -562,24 +557,10 @@ class TreeBasedGNNTrainer:
         if cached is not None:
             return {key: value.copy() for key, value in cached.items()}
 
+        # One batch entry per (device, selected neighbour) pair.
         num_devices = self.environment.num_devices
-        assignment = self.construction.assignment
-        workloads = np.fromiter(
-            map(assignment.workload, range(num_devices)), dtype=np.int64, count=num_devices
-        )
-
-        selected_sets = assignment.selected.values()
-        all_selected = (
-            np.concatenate(
-                [
-                    np.fromiter(selected, dtype=np.int64, count=len(selected))
-                    for selected in selected_sets
-                ]
-            )
-            if any(len(s) for s in selected_sets)
-            else np.zeros(0, dtype=np.int64)
-        )
-        incoming = np.bincount(all_selected, minlength=num_devices).astype(np.int64)
+        workloads = np.bincount(self.batch.neighbor_receivers, minlength=num_devices)
+        incoming = np.bincount(self.batch.neighbor_senders, minlength=num_devices)
 
         rounds = workloads + incoming + 1
         if task == "unsupervised":

@@ -191,6 +191,14 @@ def expected_tree_size(workload: int) -> int:
     return 1 if workload == 0 else 3 * workload + 1
 
 
+def local_graph_sizes(workloads: np.ndarray, virtual_nodes: bool = True) -> np.ndarray:
+    """Node counts of the local graphs for an array of workloads: the array
+    form of :func:`expected_tree_size`, or ``wl + 1`` for the plain ego star."""
+    if not virtual_nodes:
+        return workloads + 1
+    return np.where(workloads > 0, 3 * workloads + 1, 1)
+
+
 def count_leaves(local_graph: LocalGraph) -> int:
     """Number of leaf nodes referring to real vertices (2 * workload for trees)."""
     return len(local_graph.leaves()) - (

@@ -11,6 +11,7 @@ statistics used by the evaluation (Fig. 7 CDF).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -195,6 +196,17 @@ class Assignment:
     def as_lists(self) -> Dict[int, List[int]]:
         """Return the selection as sorted lists (stable output format)."""
         return {vertex: sorted(neighbors) for vertex, neighbors in self.selected.items()}
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The selection as flat ``(vertices, neighbours)`` arrays, one entry
+        per selected pair, ordered by vertex and then by neighbour."""
+        counts = [len(neighbors) for neighbors in self.selected.values()]
+        vertices = np.repeat(np.fromiter(self.selected, dtype=np.int64, count=len(counts)), counts)
+        neighbors = np.fromiter(
+            chain.from_iterable(self.selected.values()), dtype=np.int64, count=vertices.shape[0]
+        )
+        order = np.lexsort((neighbors, vertices))
+        return vertices[order], neighbors[order]
 
     def total_selected_edges(self) -> int:
         """Total number of (vertex, neighbour) selections = total leaves / 2."""

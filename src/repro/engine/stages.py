@@ -126,7 +126,7 @@ class TreeConstructionStage(Stage):
         return constructor.construct(context.environment)
 
     def replay(self, context: PipelineContext, value: Any) -> None:
-        context.environment.apply_assignment(value.assignment.as_lists())
+        context.environment.apply_assignment(value.assignment.selected)
 
 
 class LDPDrawsStage(Stage):

@@ -61,20 +61,6 @@ class Device:
             cleaned.append(vertex)
         self.selected_neighbors = sorted(set(cleaned))
 
-    def add_selected_neighbor(self, vertex: int) -> None:
-        """Add one neighbour to the selection (MCMC transition, Eq. 16/17)."""
-        vertex = int(vertex)
-        if not self.ego.has_neighbor(vertex):
-            raise ValueError(f"device {self.device_id} has no neighbour {vertex}")
-        if vertex not in self.selected_neighbors:
-            self.selected_neighbors = sorted(self.selected_neighbors + [vertex])
-
-    def remove_selected_neighbor(self, vertex: int) -> None:
-        """Remove one neighbour from the selection (MCMC transition)."""
-        vertex = int(vertex)
-        if vertex in self.selected_neighbors:
-            self.selected_neighbors = [v for v in self.selected_neighbors if v != vertex]
-
 
 def build_devices(partition: Dict[int, EgoNetwork]) -> Dict[int, Device]:
     """Wrap every ego network of a node-level partition into a :class:`Device`."""

@@ -15,7 +15,8 @@ straggler-aware maximum over devices (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -134,9 +135,10 @@ class FederatedEnvironment:
         """Directed ``(2, 2E)`` edge index of the union of all ego networks.
 
         Sources ascend (device by device, each device's neighbours in ego
-        order).  Cached in an explicit attribute after the first call (and
-        invalidated by :meth:`apply_assignment`); used by the vectorised
-        greedy and balancing kernels.
+        order, which is ascending too).  Cached in an explicit attribute
+        after the first call — no method of the environment changes the ego
+        structure; used by the vectorised greedy and balancing kernels and by
+        :meth:`apply_assignment`'s ownership check.
         """
         if self._directed_edges_cache is not None:
             return self._directed_edges_cache
@@ -154,7 +156,7 @@ class FederatedEnvironment:
     def adjacency_csr(self) -> tuple:
         """``(indptr, indices)`` CSR view of :meth:`directed_edges`.
 
-        Cached alongside the directed-edge cache and invalidated with it.
+        Cached alongside the directed-edge cache.
         """
         if self._adjacency_csr_cache is not None:
             return self._adjacency_csr_cache
@@ -271,15 +273,47 @@ class FederatedEnvironment:
             for device_id, device in self.devices.items()
         }
 
-    def apply_assignment(self, assignment: Dict[int, Iterable[int]]) -> None:
-        """Install a neighbour selection produced by the tree constructor."""
-        # The selection does not alter the ego-network edge structure, but a
-        # changed assignment is the one event after which stale derived state
-        # would be dangerous — drop the caches defensively.
-        self._directed_edges_cache = None
-        self._adjacency_csr_cache = None
-        for device_id, neighbors in assignment.items():
-            self.devices[device_id].select_neighbors(list(neighbors))
+    def apply_assignment(self, assignment: Mapping[int, Iterable[int]]) -> None:
+        """Install a neighbour selection produced by the tree constructor.
+
+        Every device ``assignment`` names gets the ids it maps to, sorted and
+        without duplicates; the other devices keep their selection.  A device
+        can only keep edges it owns, so all ``(device, neighbour)`` pairs are
+        looked up in :meth:`directed_edges` in one pass before anything is
+        installed: an unknown device is a ``KeyError``, a pair that is no edge
+        the ``ValueError`` of :meth:`Device.select_neighbors` naming the first
+        one, and either leaves the environment as it was.
+        """
+        n = self.num_devices
+        selections = [list(chosen) for chosen in assignment.values()]
+        counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
+        device_ids = np.fromiter(assignment, dtype=np.int64, count=len(selections))
+        unknown = np.flatnonzero((device_ids < 0) | (device_ids >= n))
+        if unknown.size:
+            raise KeyError(f"unknown device {int(device_ids[unknown[0]])}")
+        owners = np.repeat(device_ids, counts)
+        chosen = np.fromiter(
+            chain.from_iterable(selections), dtype=np.int64, count=int(counts.sum())
+        )
+        # One integer per pair.  The directed edges' codes ascend (see there);
+        # the sentinel is what a lookup past the last edge reads.
+        codes = owners * n + chosen
+        sources, neighbors = self.directed_edges()
+        edge_codes = np.append(sources * n + neighbors, -1)
+        owned = edge_codes[np.searchsorted(edge_codes[:-1], codes)] == codes
+        offenders = np.flatnonzero(~(owned & (chosen >= 0) & (chosen < n)))
+        if offenders.size:
+            first = offenders[0]
+            raise ValueError(
+                f"device {int(owners[first])} cannot select non-neighbour {int(chosen[first])}"
+            )
+        kept = np.unique(codes)  # by device, then by neighbour
+        bounds = np.searchsorted(kept, np.arange(n + 1) * n).tolist()
+        kept_neighbors = (kept % n).tolist()
+        for device_id in device_ids.tolist():
+            self.devices[device_id].selected_neighbors = kept_neighbors[
+                bounds[device_id] : bounds[device_id + 1]
+            ]
 
     def validate_edge_coverage(self) -> bool:
         """Check the constraint of Eq. 10: every edge is kept by >= 1 endpoint."""

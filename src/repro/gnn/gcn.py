@@ -144,10 +144,7 @@ class GCNLayer(Module):
                 value = propagated @ self.weight.data
             if bias_data is not None:
                 value += bias_data
-            mask = None
-            if activation == "relu":
-                mask = value > 0
-                value *= mask
+            mask = F.relu_(value) if activation == "relu" else None
             entry = (cached_input, self.weight.data, bias_data, activation, value, mask)
             self._forward_cache = entry
         value, mask = entry[4], entry[5]
@@ -158,9 +155,11 @@ class GCNLayer(Module):
             if mask is not None:
                 grad = grad * mask
             if shared is not None:
-                weight._accumulate(shared.project_adjoint(backend.spmm_t(propagated, grad)))
+                weight._accumulate(
+                    shared.project_adjoint(backend.spmm_t(propagated, grad)), donated=True
+                )
             else:
-                weight._accumulate(propagated.T @ grad)
+                weight._accumulate(propagated.T @ grad, donated=True)
             if bias is not None:
                 bias._accumulate(grad)
 

@@ -44,9 +44,10 @@ class EgoNetwork:
     label: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self.neighbors = np.asarray(sorted(int(v) for v in self.neighbors), dtype=np.int64)
+        self.neighbors = np.array(self.neighbors, dtype=np.int64).reshape(-1)
+        self.neighbors.sort()
         self.feature = np.asarray(self.feature, dtype=np.float64)
-        if self.center in set(self.neighbors.tolist()):
+        if self.has_neighbor(self.center):
             raise ValueError("an ego network cannot contain the centre as its own neighbour")
 
     @property
@@ -56,7 +57,8 @@ class EgoNetwork:
 
     def has_neighbor(self, vertex: int) -> bool:
         """Return whether ``vertex`` is a direct neighbour."""
-        return int(vertex) in set(self.neighbors.tolist())
+        position = int(self.neighbors.searchsorted(vertex))
+        return position < self.degree and bool(self.neighbors[position] == vertex)
 
     def edge_tuples(self) -> List[tuple]:
         """Return the canonical ``(min, max)`` tuples of the local edges."""

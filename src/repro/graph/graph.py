@@ -10,7 +10,7 @@ extraction) returns a new instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,11 +54,14 @@ class Graph:
             raise ValueError("edge endpoints must be valid vertex ids")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self loops are not allowed")
-        # Canonicalise: smaller endpoint first, deduplicate, sort.
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        canonical = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges
-        object.__setattr__(self, "edges", canonical)
+        # Canonicalise: smaller endpoint first, deduplicate, sort — on one
+        # integer per edge, whose order is the lexicographic one of the pairs.
+        if edges.size:
+            lo = np.minimum(edges[:, 0], edges[:, 1])
+            hi = np.maximum(edges[:, 0], edges[:, 1])
+            codes = np.unique(lo * self.num_nodes + hi)
+            edges = np.stack([codes // self.num_nodes, codes % self.num_nodes], axis=1)
+        object.__setattr__(self, "edges", edges)
 
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != self.num_nodes:
@@ -119,13 +122,13 @@ class Graph:
         return np.empty(0, dtype=np.int64)
 
     def _build_neighbor_cache(self) -> None:
-        adjacency_lists: Dict[int, List[int]] = {}
-        for u, v in self.edges:
-            adjacency_lists.setdefault(int(u), []).append(int(v))
-            adjacency_lists.setdefault(int(v), []).append(int(u))
-        for vertex in range(self.num_nodes):
-            entries = adjacency_lists.get(vertex, [])
-            self._neighbor_cache[vertex] = np.asarray(sorted(entries), dtype=np.int64)
+        """Neighbour CSR in one pass: both directions of every edge sorted by
+        ``(vertex, neighbour)``, then one slice of that array per vertex."""
+        sources, targets = self.directed_edge_index()
+        ordered = targets[np.lexsort((targets, sources))]
+        row_ends = np.cumsum(np.bincount(sources, minlength=self.num_nodes)).tolist()
+        for vertex, (start, stop) in enumerate(zip([0] + row_ends, row_ends)):
+            self._neighbor_cache[vertex] = ordered[start:stop]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return whether the undirected edge ``(u, v)`` is present."""

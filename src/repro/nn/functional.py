@@ -19,6 +19,13 @@ from .shared_rows import SharedRowFeatures
 from .tensor import Tensor, _as_array
 
 
+def relu_(value: np.ndarray) -> np.ndarray:
+    """Rectify ``value`` in place; returns the ``bool`` mask its adjoint
+    multiplies by (``max(x, 0) > 0`` exactly when ``x > 0``)."""
+    np.maximum(value, 0.0, out=value)
+    return value > 0
+
+
 def sparse_matmul(matrix: Union[sp.spmatrix, PreparedMatrix], tensor: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor: ``matrix @ tensor``.
 
@@ -35,7 +42,7 @@ def sparse_matmul(matrix: Union[sp.spmatrix, PreparedMatrix], tensor: Tensor) ->
     out_data = backend.spmm(prepared, tensor.data)
 
     def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(backend.spmm_t(prepared, _as_array(grad)))
+        tensor._accumulate(backend.spmm_t(prepared, _as_array(grad)), donated=True)
 
     return Tensor._make(out_data, (tensor,), backward)
 
@@ -48,7 +55,7 @@ def gather(tensor: Tensor, index: np.ndarray) -> Tensor:
     num_rows = tensor.data.shape[0]
 
     def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(backend.scatter_rows(_as_array(grad), index, num_rows))
+        tensor._accumulate(backend.scatter_rows(_as_array(grad), index, num_rows), donated=True)
 
     return Tensor._make(out_data, (tensor,), backward)
 
@@ -127,10 +134,7 @@ def fused_gcn_layer(
             out = out + bias.data
         else:
             out = out + np.multiply.outer(bias_operator, bias.data)
-    mask: Optional[np.ndarray] = None
-    if activation == "relu":
-        mask = (out > 0).astype(np.float64)
-        out = out * mask
+    mask = relu_(out) if activation == "relu" else None
 
     def backward(grad: np.ndarray) -> None:
         grad = _as_array(grad)
@@ -140,11 +144,11 @@ def fused_gcn_layer(
             if bias_operator is None:
                 bias._accumulate(grad)
             else:
-                bias._accumulate((grad * bias_operator[:, None]).sum(axis=0))
+                bias._accumulate((grad * bias_operator[:, None]).sum(axis=0), donated=True)
         grad_support = backend.spmm_t(prepared, grad)
-        weight._accumulate(features.data.T @ grad_support)
+        weight._accumulate(features.data.T @ grad_support, donated=True)
         if features.requires_grad:
-            features._accumulate(grad_support @ weight.data.T)
+            features._accumulate(grad_support @ weight.data.T, donated=True)
 
     parents = (features, weight) if bias is None else (features, weight, bias)
     return Tensor._make(out, parents, backward)
@@ -218,10 +222,7 @@ def fused_gat_layer(
     else:
         out = sum(aggregated[1:], aggregated[0]) * (1.0 / num_heads)
     out = out + bias.data
-    mask: Optional[np.ndarray] = None
-    if activation == "relu":
-        mask = (out > 0).astype(np.float64)
-        out = out * mask
+    mask = relu_(out) if activation == "relu" else None
 
     def backward(grad: np.ndarray) -> None:
         g = _as_array(grad)
@@ -254,11 +255,13 @@ def fused_gat_layer(
         attention_dst._accumulate(g_vectors[:, 1])
         flat = g_transformed.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
         if shared:
-            weight._accumulate(features.project_adjoint(backend.spmm_t(features.gather, flat)))
+            weight._accumulate(
+                features.project_adjoint(backend.spmm_t(features.gather, flat)), donated=True
+            )
         else:
-            weight._accumulate(features.data.T @ flat)
+            weight._accumulate(features.data.T @ flat, donated=True)
         if features.requires_grad:
-            features._accumulate(flat @ weight.data.T)
+            features._accumulate(flat @ weight.data.T, donated=True)
 
     parents = (weight, attention_src, attention_dst, bias)
     if features.requires_grad:
@@ -288,9 +291,11 @@ def fused_pool_head(
         g = _as_array(grad)
         if bias is not None:
             bias._accumulate(g)
-        weight._accumulate(pooled.T @ g)
+        weight._accumulate(pooled.T @ g, donated=True)
         if node_embeddings.requires_grad:
-            node_embeddings._accumulate(backend.spmm_t(prepared, g @ weight.data.T))
+            node_embeddings._accumulate(
+                backend.spmm_t(prepared, g @ weight.data.T), donated=True
+            )
 
     parents = (node_embeddings, weight) if bias is None else (node_embeddings, weight, bias)
     return Tensor._make(out, parents, backward)
@@ -342,12 +347,13 @@ def fused_folded_head(
         projected = hidden.data.T @ scattered
         head_weight._accumulate(
             layer_weight.data.T @ projected
-            + np.multiply.outer(layer_bias.data, row_grad)
+            + np.multiply.outer(layer_bias.data, row_grad),
+            donated=True,
         )
-        layer_weight._accumulate(projected @ head_weight.data.T)
-        layer_bias._accumulate(row_grad @ head_weight.data.T)
+        layer_weight._accumulate(projected @ head_weight.data.T, donated=True)
+        layer_bias._accumulate(row_grad @ head_weight.data.T, donated=True)
         if hidden.requires_grad:
-            hidden._accumulate(scattered @ combined.T)
+            hidden._accumulate(scattered @ combined.T, donated=True)
 
     parents = (hidden, layer_weight, layer_bias, head_weight, head_bias)
     return Tensor._make(out, parents, backward)
@@ -421,7 +427,7 @@ def fused_masked_cross_entropy(
         delta = exp_values / denominator
         delta[rows, targets] -= 1.0
         scale = coefficients * grad
-        logits._accumulate(delta * scale[:, None])
+        logits._accumulate(delta * scale[:, None], donated=True)
 
     return Tensor._make(value, (logits,), backward)
 
@@ -442,16 +448,21 @@ def dropout(
         raise ValueError(f"dropout probability must be in [0, 1), got {probability}")
     rng = rng if rng is not None else np.random.default_rng()
     keep_probability = 1.0 - probability
-    mask = (rng.random(tensor.data.shape) < keep_probability) / keep_probability
-    # One fused node instead of the generic broadcasting multiply: same
-    # forward multiply, and the adjoint is the same ``grad * mask`` without
-    # the unbroadcast bookkeeping (the mask always matches the input shape).
-    value = tensor.data * mask
+    # One uniform per entry; the mask stays ``bool``.  Scaling and then
+    # multiplying by the mask in place gives, entry for entry, the bits of
+    # ``x * ((u < keep) / keep)`` (kept: ``x / keep * 1``; dropped: a zero of
+    # ``x``'s sign) without the float64 mask array — forward and adjoint.
+    mask = rng.random(tensor.data.shape) < keep_probability
+    scale = 1.0 / keep_probability
+
+    def scaled_and_masked(array: np.ndarray) -> np.ndarray:
+        out = array * scale
+        return np.multiply(out, mask, out=out)
 
     def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(_as_array(grad) * mask)
+        tensor._accumulate(scaled_and_masked(_as_array(grad)), donated=True)
 
-    return Tensor._make(value, (tensor,), backward)
+    return Tensor._make(scaled_and_masked(tensor.data), (tensor,), backward)
 
 
 def linear(tensor: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -97,18 +97,6 @@ class TestDevice:
         with pytest.raises(ValueError):
             device.select_neighbors([10_000])
 
-    def test_add_remove_selected_neighbor(self, small_graph):
-        partition = partition_node_level(small_graph)
-        device = Device(ego=partition[0])
-        neighbor = int(partition[0].neighbors[0])
-        device.add_selected_neighbor(neighbor)
-        device.add_selected_neighbor(neighbor)  # idempotent
-        assert device.workload == 1
-        device.remove_selected_neighbor(neighbor)
-        assert device.workload == 0
-        with pytest.raises(ValueError):
-            device.add_selected_neighbor(99_999)
-
 
 class TestServer:
     def test_candidate_collection_and_selection(self):
@@ -172,6 +160,62 @@ class TestFederatedEnvironment:
                   for k, vs in full.items()}
         environment.apply_assignment(broken)
         assert not environment.validate_edge_coverage()
+
+    def test_apply_assignment_rejects_what_select_neighbors_rejects(self, small_graph):
+        environment = FederatedEnvironment.from_graph(small_graph, seed=0)
+        n = environment.num_devices
+        neighbor = int(environment.devices[0].ego.neighbors[0])
+        stranger = next(
+            v for v in range(1, n) if not environment.devices[0].ego.has_neighbor(v)
+        )
+        installed = {0: [neighbor], 1: []}
+        environment.apply_assignment(installed)
+        edges = environment.directed_edges()
+        for selection, error, message in [
+            ({1: [], 0: [neighbor, stranger]}, ValueError,
+             f"device 0 cannot select non-neighbour {stranger}"),
+            ({0: [neighbor, n + 3]}, ValueError, f"device 0 cannot select non-neighbour {n + 3}"),
+            ({0: [-1]}, ValueError, "device 0 cannot select non-neighbour -1"),
+            ({0: [0]}, ValueError, "device 0 cannot select non-neighbour 0"),
+            # The first offender in the mapping's order is the one named.
+            ({1: [1], 0: [stranger]}, ValueError, "device 1 cannot select non-neighbour 1"),
+            ({0: [neighbor], n: []}, KeyError, f"unknown device {n}"),
+            ({-1: []}, KeyError, "unknown device -1"),
+        ]:
+            with pytest.raises(error, match=message):
+                environment.apply_assignment(selection)
+            # The single-device door gives the same verdict on the same pair.
+            if error is ValueError:
+                device_id, chosen = next((k, v) for k, v in selection.items() if v)
+                with pytest.raises(ValueError, match=message):
+                    Device(ego=environment.devices[device_id].ego).select_neighbors(chosen)
+            # A rejected assignment installs nothing, not even its valid part.
+            assert environment.assignment()[0] == [neighbor]
+            assert environment.assignment()[1] == []
+            assert environment.directed_edges() is edges
+
+    def test_apply_assignment_sorts_and_collapses_duplicates(self, small_graph):
+        environment = FederatedEnvironment.from_graph(small_graph, seed=0)
+        neighbors = environment.devices[0].ego.neighbors.tolist()
+        assert len(neighbors) >= 2
+        environment.apply_assignment({1: environment.devices[1].ego.neighbors.tolist()})
+        kept = list(environment.devices[1].selected_neighbors)
+        # Lists, sets, arrays and one-shot iterables are all accepted.
+        for chosen in (
+            neighbors[::-1] + neighbors,
+            set(neighbors),
+            np.asarray(neighbors[::-1]),
+            iter(neighbors + neighbors[:1]),
+        ):
+            environment.apply_assignment({0: chosen})
+            assert environment.devices[0].selected_neighbors == neighbors
+            assert all(type(v) is int for v in environment.devices[0].selected_neighbors)
+            # Devices the mapping does not name keep their selection.
+            assert environment.devices[1].selected_neighbors == kept
+        environment.apply_assignment({0: []})
+        assert environment.devices[0].selected_neighbors == []
+        environment.apply_assignment({})
+        assert environment.devices[1].selected_neighbors == kept
 
     def test_directed_edges_cached_and_complete(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)

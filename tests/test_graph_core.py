@@ -131,6 +131,38 @@ class TestGraph:
         np.testing.assert_array_equal(graph.degrees(), [0, 0, 0])
         assert graph.neighbors(0).size == 0
 
+    @settings(max_examples=60, deadline=400)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                    .filter(lambda edge: edge[0] != edge[1]),
+                    max_size=30 if n > 1 else 0,
+                ),
+            )
+        )
+    )
+    def test_neighbor_cache_equals_the_per_edge_loop(self, case):
+        # Isolated vertices, vertices with one edge, duplicate and reversed
+        # edges, the empty graph: the one-pass CSR equals the dictionary the
+        # loop over edges used to fill.
+        num_nodes, edge_list = case
+        graph = from_edge_list(num_nodes, edge_list)
+        expected = {vertex: set() for vertex in range(num_nodes)}
+        for u, v in edge_list:
+            expected[u].add(v)
+            expected[v].add(u)
+        for vertex in range(num_nodes):
+            neighbors = graph.neighbors(vertex)
+            assert neighbors.dtype == np.int64
+            assert neighbors.tolist() == sorted(expected[vertex])
+            assert graph.degree(vertex) == len(expected[vertex])
+        np.testing.assert_array_equal(
+            graph.degrees(), [len(expected[vertex]) for vertex in range(num_nodes)]
+        )
+
     def test_from_edge_list_and_networkx(self):
         graph = from_edge_list(3, [(0, 1), (1, 2)])
         assert graph.num_edges == 2

@@ -23,8 +23,11 @@ from repro.core import (
     TreeConstructorConfig,
     greedy_initialization,
 )
+from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.federation import FederatedEnvironment
 from repro.graph import (
+    EgoNetwork,
+    from_edge_list,
     generate_facebook_like,
     generate_small_world,
     generate_star,
@@ -139,6 +142,128 @@ class TestKernelEquivalence:
         # The batched secure path executed real protocol runs.
         assert balancer.accountant.comparisons > 0
         assert balancer.accountant._log
+
+
+def _double_star(leaves: int):
+    """Two adjacent hubs with ``leaves`` leaves each: every leaf's only
+    neighbour is its hub, so the hub is the unique maximum around it."""
+    edges = [(0, 1)]
+    edges += [(0, 2 + leaf) for leaf in range(leaves)]
+    edges += [(1, 2 + leaves + leaf) for leaf in range(leaves)]
+    return from_edge_list(2 + 2 * leaves, edges)
+
+
+def _scanned_maxima(kernel, vertices):
+    """``_neighborhood_maxima`` as the per-neighbour loop it replaced."""
+    maxima, attained = [], []
+    for w in vertices:
+        maximum, count = 0, 0
+        for v in kernel._neighbors[w]:
+            value = int(kernel.workload[v])
+            if value > maximum:
+                maximum, count = value, 1
+            elif value == maximum:
+                count += 1
+        maxima.append(maximum)
+        attained.append(count)
+    return maxima, attained
+
+
+def _assert_kernel_state_is_from_scratch(kernel):
+    fresh = _IncrementalBalancingKernel(kernel.environment, kernel.assignment.copy())
+    assert kernel.neighbor_max == fresh.neighbor_max
+    assert kernel.neighbor_max_count == fresh.neighbor_max_count
+    np.testing.assert_array_equal(kernel.candidate, fresh.candidate)
+    np.testing.assert_array_equal(kernel.workload, fresh.workload)
+
+
+class _CountingRows:
+    """Adjacency rows that count how many of them were read."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.reads = 0
+
+    def __getitem__(self, vertex):
+        self.reads += 1
+        return self._rows[vertex]
+
+
+class TestSegmentedRescan:
+    """The rescan of a neighbourhood that lost its unique maximum is one
+    segmented pass over CSR rows; the per-neighbour loop is its oracle."""
+
+    def test_double_star_run_matches_the_reference_loop(self):
+        # Every move of a hub rescans all of its leaves.
+        for seed in (0, 1):
+            _assert_equivalent(_double_star(12), seed=seed, iterations=80)
+
+    @pytest.mark.parametrize(
+        "graph, select",
+        [
+            (_double_star(6), "full"),
+            (_double_star(6), "none"),
+            (generate_facebook_like(seed=5, num_nodes=90), "full"),
+            (generate_facebook_like(seed=5, num_nodes=90), "none"),
+        ],
+        ids=["double-star", "double-star-all-zero", "social", "social-all-zero"],
+    )
+    def test_maxima_match_the_per_neighbour_loop(self, graph, select):
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        assignment = Assignment.full(graph)
+        if select == "none":
+            assignment = Assignment(selected={v: set() for v in range(graph.num_nodes)})
+        kernel = _IncrementalBalancingKernel(environment, assignment)
+        vertices = list(range(graph.num_nodes)) + [1, 1, 0]  # repeats allowed
+        maxima, attained = kernel._neighborhood_maxima(vertices)
+        expected = _scanned_maxima(kernel, vertices)
+        assert (maxima.tolist(), attained.tolist()) == expected
+        assert maxima.dtype == attained.dtype == np.int64
+
+    def test_isolated_vertices_read_zero_and_hold_no_segment(self):
+        # Device 1 lists no neighbour although device 0 lists it, device 3 is
+        # isolated outright: empty CSR rows at the front, middle and end.
+        rng = np.random.default_rng(0)
+        egos = {
+            key: EgoNetwork(center=key, neighbors=neighbors, feature=rng.random(2))
+            for key, neighbors in enumerate([[1, 2], [], [0], []])
+        }
+        environment = FederatedEnvironment.from_partition(egos, seed=0)
+        kernel = _IncrementalBalancingKernel(
+            environment, Assignment.from_lists({0: [1, 2], 1: [], 2: [0], 3: []})
+        )
+        for vertices in ([1], [3, 1], [1, 0, 3, 2, 3], [0, 2], []):
+            maxima, attained = kernel._neighborhood_maxima(vertices)
+            assert (maxima.tolist(), attained.tolist()) == _scanned_maxima(kernel, vertices)
+
+    def test_incremental_state_equals_from_scratch_after_apply_and_revert(self):
+        graph = _double_star(5)
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        kernel = _IncrementalBalancingKernel(environment, Assignment.full(graph))
+        kernel.apply(0, [2, 3, 1])  # hub 0 sheds two leaves and the other hub
+        _assert_kernel_state_is_from_scratch(kernel)
+        kernel.revert()  # several simultaneous decrements: the two-phase branch
+        _assert_kernel_state_is_from_scratch(kernel)
+        kernel.apply(1, [0])
+        kernel.commit(int(kernel.workload.max()))
+        kernel.apply(0, [4])
+        _assert_kernel_state_is_from_scratch(kernel)
+
+    def test_a_hub_decrement_reads_only_the_moved_rows(self):
+        # All 2 000 leaves lose their unique maximum at once.  The loop read
+        # one adjacency row per rescanned leaf (2 001 in all); the segmented
+        # pass reads the rows of the moved vertices and nothing else.
+        graph = generate_star(num_leaves=2000, seed=0)
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        kernel = _IncrementalBalancingKernel(environment, Assignment.full(graph))
+        hub = int(np.argmax(kernel.workload))
+        leaf = kernel._neighbors[hub][0]
+        kernel._neighbors = rows = _CountingRows(kernel._neighbors)
+        kernel.apply(hub, [leaf])
+        assert rows.reads <= 2
+        kernel._neighbors = rows._rows
+        assert kernel.neighbor_max.count(1999) == 2000
+        _assert_kernel_state_is_from_scratch(kernel)
 
 
 class TestTransferDeltas:

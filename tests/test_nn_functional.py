@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from helpers.rng_contract import assert_stream_contract, replay_dropout_draw
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -117,6 +119,72 @@ class TestSoftmaxFamily:
         base = F.softmax(Tensor(logits)).data
         shifted = F.softmax(Tensor(logits + 7.5)).data
         np.testing.assert_allclose(base, shifted, atol=1e-10)
+
+
+def _dropout_reference(data, upstream, probability, training, rng):
+    """The formulation ``F.dropout`` replaced: a float64 ``(u < keep) / keep``
+    mask multiplied into the input and, in backward, into the gradient."""
+    if not training or probability <= 0.0:
+        return data, upstream
+    keep = 1.0 - probability
+    mask = (rng.random(data.shape) < keep) / keep
+    return data * mask, upstream * mask
+
+
+def _check_dropout_parity(shape, probability, training, seed):
+    values = np.random.default_rng(seed)
+    data = values.standard_normal(shape) * values.choice([0.0, 1e-300, 1.0, 1e300], size=shape)
+    upstream = values.standard_normal(shape)
+    tensor = Tensor(data.copy(), requires_grad=True)
+    gradient = upstream.copy()
+    draws = training and probability > 0.0
+    out = assert_stream_contract(
+        lambda rng: F.dropout(tensor, probability, training, rng=rng),
+        np.random.default_rng(seed + 1),
+        (lambda twin: replay_dropout_draw(twin, shape)) if draws else 0,
+    )
+    out.backward(gradient)
+    expected_out, expected_grad = _dropout_reference(
+        data, upstream, probability, training, np.random.default_rng(seed + 1)
+    )
+    # Bit for bit, the sign of a dropped entry's zero included.
+    assert out.data.tobytes() == expected_out.tobytes()
+    assert tensor.grad.tobytes() == expected_grad.tobytes()
+    # Neither the input nor the caller's gradient was written to or kept.
+    assert tensor.data.tobytes() == data.tobytes()
+    assert gradient.tobytes() == upstream.tobytes()
+    assert not np.shares_memory(tensor.grad, gradient)
+
+
+dropout_cases = st.tuples(
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    st.sampled_from([0.0, 0.01, 0.5, 0.99]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+
+
+class TestDropoutParity:
+    """``F.dropout`` equals the float64-mask formulation it replaced, forward
+    and backward, and consumes exactly one ``rng.random(shape)``."""
+
+    @settings(max_examples=60, deadline=400)
+    @given(dropout_cases)
+    def test_matches_the_float_mask_formula(self, case):
+        _check_dropout_parity(*case)
+
+    @pytest.mark.slow
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        st.tuples(
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=40),
+            st.sampled_from([0.0, 0.01, 0.5, 0.99]),
+            st.booleans(),
+            st.integers(0, 2**16),
+        )
+    )
+    def test_matches_the_float_mask_formula_wide(self, case):
+        _check_dropout_parity(*case)
 
 
 class TestDropoutAndLinear:

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.tensor import Tensor, as_tensor, concat, no_grad, ones, stack, zeros
+from repro.nn import functional as F
+from repro.nn.tensor import (
+    Tensor,
+    _as_array,
+    _unbroadcast,
+    as_tensor,
+    concat,
+    no_grad,
+    ones,
+    stack,
+    zeros,
+)
 
 
 def numerical_gradient(function, value: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -323,3 +338,158 @@ class TestPropertyBased:
 
         expected = numerical_gradient(scalar_function, array.copy())
         np.testing.assert_allclose(tensor.grad, expected, atol=1e-4)
+
+
+# --------------------------------------------------------------------------- #
+# Gradient ownership: donated not copied, added in place, released early
+# --------------------------------------------------------------------------- #
+def _copying_accumulate(self, grad, donated=False):
+    """``Tensor._accumulate`` before gradients were donated: copy the first
+    contribution, allocate a new sum for every later one, own nothing."""
+    if not self.requires_grad:
+        return
+    grad = _unbroadcast(_as_array(grad), self.data.shape)
+    self.grad = grad.copy() if self.grad is None else self.grad + grad
+
+
+def _diamond(rng, rows, cols, broadcast):
+    a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    b = Tensor(rng.standard_normal((cols,) if broadcast else (rows, cols)), requires_grad=True)
+    y = a + b  # hands one gradient object to both parents
+    square = y * y
+    out = (square + y).sum()
+    out.backward()
+    return [a, b], [y, square, out]
+
+
+def _two_fused_consumers(rng, rows, cols, broadcast):
+    x = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((cols, 3)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(3), requires_grad=True)
+    matrix = sp.csr_matrix(rng.random((rows, rows)) < 0.5, dtype=np.float64)
+    index = rng.integers(rows, size=2 * rows)
+    hidden = x * 2.0  # interior: both of its consumers donate
+    dropped = F.dropout(hidden, 0.5, True, rng)
+    pooled = F.fused_pool_head(hidden, matrix, weight, bias if broadcast else None)
+    # ... and so do two consumers of the leaf itself.
+    gathered = F.gather(x, index)
+    propagated = F.sparse_matmul(matrix, x)
+    out = dropped.sum() + pooled.sum() + (gathered * gathered).sum() + propagated.sum()
+    out.backward()
+    return [x, weight, bias], [hidden, dropped, pooled, gathered, propagated, out]
+
+
+def _two_rounds_without_zero_grad(rng, rows, cols, broadcast):
+    a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    b = Tensor(rng.standard_normal((cols,) if broadcast else (rows, cols)), requires_grad=True)
+    interior = []
+    for scale in (1.0, -0.5):
+        y = a * b + a
+        out = (F.dropout(y, 0.5, True, rng) * scale).sum()
+        out.backward()
+        interior += [y, out]
+    return [a, b], interior
+
+
+_SCENARIOS = [_diamond, _two_fused_consumers, _two_rounds_without_zero_grad]
+
+
+def _check_ownership(scenario, rows, cols, broadcast, seed):
+    with mock.patch.object(Tensor, "_accumulate", _copying_accumulate):
+        copied_leaves, copied_interior = scenario(
+            np.random.default_rng(seed), rows, cols, broadcast
+        )
+    leaves, interior = scenario(np.random.default_rng(seed), rows, cols, broadcast)
+    for leaf, copied in zip(leaves, copied_leaves):
+        if copied.grad is None:
+            assert leaf.grad is None
+        else:
+            assert leaf.grad.tobytes() == copied.grad.tobytes()
+            assert leaf.grad.shape == leaf.data.shape and leaf.grad.flags.writeable
+    # Every array a producer can see still holds what the forward pass wrote.
+    for tensor, copied in zip(leaves + interior, copied_leaves + copied_interior):
+        assert tensor.data.tobytes() == copied.data.tobytes()
+    owned = [leaf.grad for leaf in leaves if leaf.grad is not None]
+    for first, second in combinations(owned, 2):
+        assert not np.shares_memory(first, second)
+    # Interior nodes are released by the sweep; leaves keep their gradients.
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+
+
+ownership_cases = st.tuples(
+    st.sampled_from(_SCENARIOS),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+
+
+class TestGradientOwnership:
+    @settings(max_examples=60, deadline=400)
+    @given(ownership_cases)
+    def test_leaf_gradients_equal_the_copying_accumulation(self, case):
+        _check_ownership(*case)
+
+    @pytest.mark.slow
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from(_SCENARIOS),
+            st.integers(1, 40),
+            st.integers(1, 24),
+            st.booleans(),
+            st.integers(0, 2**16),
+        )
+    )
+    def test_leaf_gradients_equal_the_copying_accumulation_wide(self, case):
+        _check_ownership(*case)
+
+    def test_the_upstream_gradient_is_neither_kept_nor_written(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        upstream = np.full((2, 3), 2.0)
+        (a + 1.0).backward(upstream)
+        (a + 1.0).backward(upstream)  # adds into a.grad in place
+        np.testing.assert_array_equal(upstream, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        assert not np.shares_memory(a.grad, upstream)
+
+    def test_second_backward_over_a_swept_graph_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        y = a * 2.0
+        out = y.sum()
+        out.backward()
+        with pytest.raises(RuntimeError, match="already swept"):
+            out.backward()
+        # ... also when the swept node sits inside a new graph.
+        with pytest.raises(RuntimeError, match="already swept"):
+            (y * 3.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, np.full(3, 2.0))  # untouched by both
+
+
+class TestRowReduction:
+    """The ``einsum`` behind every bias gradient is ``sum(axis=0)``, bit for bit."""
+
+    @settings(max_examples=80, deadline=400)
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 20),
+        st.sampled_from(["C", "F", "strided"]),
+        st.integers(0, 2**16),
+    )
+    def test_equals_sum_over_rows(self, rows, cols, layout, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((rows, cols)) * rng.choice([1e-8, 1.0, 1e8], size=(rows, cols))
+        if layout == "F":
+            matrix = np.asfortranarray(matrix)
+        elif layout == "strided":
+            matrix = np.repeat(matrix, 2, axis=1)[:, ::2]
+        reduced = _unbroadcast(matrix, (cols,))
+        assert reduced.tobytes() == matrix.sum(axis=0).tobytes()
+        assert reduced.shape == (cols,) and not np.shares_memory(reduced, matrix)
+
+    def test_the_bias_sized_gradient(self):
+        grad = np.random.default_rng(0).standard_normal((112_483, 16))
+        for matrix in (grad, np.asfortranarray(grad)):
+            assert _unbroadcast(matrix, (16,)).tobytes() == matrix.sum(axis=0).tobytes()
