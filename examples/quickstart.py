@@ -143,7 +143,6 @@ def main() -> None:
     from repro.crypto import RemoteParty
 
     driver = RemoteParty(bit_width=16)
-    driver.precompute_pads(64)  # OT-extension-style bulk pad draw
     outcome = driver.compare_batch([7, 200, 41], [9, 100, 41])
     print("\n=== Two-party secure comparison over real transport ===")
     print(f"left >= right:          {[bool(bit) for bit in outcome.left_ge_right]}")

@@ -15,7 +15,6 @@ from .secure_compare import (
     SecureComparator,
     comparison_cost,
     operand_array,
-    secure_max_index,
 )
 from .transport import (
     MeasuredCostMismatch,
@@ -24,7 +23,6 @@ from .transport import (
     RemoteParty,
     RemotePartyError,
     TransportReport,
-    chaos_comparison_probe,
 )
 from .zero_knowledge import (
     DegreeComparisonOutcome,
@@ -50,14 +48,12 @@ __all__ = [
     "BatchComparisonResult",
     "comparison_cost",
     "operand_array",
-    "secure_max_index",
     "MeasuredCostMismatch",
     "RemoteComparisonOutcome",
     "RemoteOTOutcome",
     "RemoteParty",
     "RemotePartyError",
     "TransportReport",
-    "chaos_comparison_probe",
     "DegreeComparisonProtocol",
     "DegreeComparisonOutcome",
     "WorkloadComparisonProtocol",

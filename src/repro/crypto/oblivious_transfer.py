@@ -131,11 +131,6 @@ class ObliviousTransfer:
     ) -> None:
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self._rng = rng if rng is not None else np.random.default_rng()
-        #: Precomputed pad blocks per message width (OT-extension-style):
-        #: ``message_bits -> (block, cursor)`` where ``block`` is an
-        #: ``(n, 2)`` array drawn by :meth:`precompute_pads` and ``cursor``
-        #: counts consumed rows.  See the stream contract on that method.
-        self._pad_pools: dict = {}
 
     # ------------------------------------------------------------------ #
     # Pad generation (the only RNG touchpoint of the OT simulation)
@@ -157,65 +152,6 @@ class ObliviousTransfer:
                 dtype=np.uint64, endpoint=True,
             )
         return self._rng.integers(1 << message_bits, size=(count, 2))
-
-    def precompute_pads(self, count: int, message_bits: int = 32) -> int:
-        """Precompute ``count`` OT pad pairs in one bulk block draw.
-
-        OT-extension-style amortisation: a two-party deployment draws the
-        whole batch's masking material up front so per-transfer latency is
-        transport, not pad generation.  Subsequent :meth:`transfer` /
-        :meth:`transfer_batch` calls of the same ``message_bits`` consume the
-        pool row by row before drawing live.
-
-        **RNG block-draw contract**: consumes exactly the ``(count, 2)``
-        block the pooled transfers would otherwise have drawn at call time —
-        pad values, consumption order and the generator's final state are all
-        bit-for-bit identical to the pool-free path (pinned by
-        ``tests/test_secure_transport.py`` via
-        ``tests/helpers/rng_contract.py``).  Pools of different widths are
-        independent; re-precomputing appends to the unconsumed remainder.
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        block = self._draw_pad_block(count, message_bits)
-        existing = self._pad_pools.get(message_bits)
-        if existing is not None:
-            remainder, cursor = existing
-            block = np.concatenate([remainder[cursor:], block], axis=0)
-        self._pad_pools[message_bits] = (block, 0)
-        return int(block.shape[0])
-
-    def pooled_pads(self, message_bits: int = 32) -> int:
-        """Number of precomputed pad pairs currently available at this width."""
-        entry = self._pad_pools.get(message_bits)
-        if entry is None:
-            return 0
-        block, cursor = entry
-        return int(block.shape[0]) - cursor
-
-    def _take_pads(self, count: int, message_bits: int) -> np.ndarray:
-        """Return ``(count, 2)`` pads: pool rows first, then a live draw.
-
-        Values and stream consumption are identical to a pool-free run: the
-        pool rows *are* the values the live draw would have produced (just
-        drawn earlier, in the same order), and the remainder continues the
-        stream exactly where the pool block left it.
-        """
-        entry = self._pad_pools.get(message_bits)
-        if entry is None:
-            return self._draw_pad_block(count, message_bits)
-        block, cursor = entry
-        available = block.shape[0] - cursor
-        if available >= count:
-            taken = block[cursor:cursor + count]
-            if cursor + count == block.shape[0]:
-                self._pad_pools.pop(message_bits)
-            else:
-                self._pad_pools[message_bits] = (block, cursor + count)
-            return taken
-        self._pad_pools.pop(message_bits)
-        fresh = self._draw_pad_block(count - available, message_bits)
-        return np.concatenate([block[cursor:], fresh], axis=0)
 
     def transfer(self, message_zero: int, message_one: int, choice: int, message_bits: int = 32) -> OTResult:
         """Run one OT: the receiver with ``choice`` learns exactly one message.
@@ -241,11 +177,10 @@ class ObliviousTransfer:
         # receiver obtains only the pad of its chosen index (this is the step
         # a real protocol realises with public-key base OTs).  Narrow widths
         # keep the historical two-scalar draw (stream-compatible with every
-        # pinned transcript); wide widths and pooled pads go through the
-        # block path, which consumes the stream identically.
-        pool = self._pad_pools.get(message_bits)
-        if pool is not None or message_bits >= _WIDE_PAD_BITS:
-            pads = self._take_pads(1, message_bits)
+        # pinned transcript); wide widths go through the block path, which
+        # consumes the stream identically.
+        if message_bits >= _WIDE_PAD_BITS:
+            pads = self._draw_pad_block(1, message_bits)
             pad_zero, pad_one = int(pads[0, 0]), int(pads[0, 1])
         else:
             pad_zero = int(self._rng.integers(modulus))
@@ -274,9 +209,7 @@ class ObliviousTransfer:
         per-value algorithm as scalar draws of the same dtype, so the stream
         is left bit-for-bit where ``n`` scalar :meth:`transfer` calls
         (pad_zero then pad_one, per position) would leave it — pinned by
-        ``tests/helpers/rng_contract.py``.  Pads precomputed via
-        :meth:`precompute_pads` are consumed first, with identical values
-        and final stream state.
+        ``tests/helpers/rng_contract.py``.
         """
         wide = message_bits >= _WIDE_PAD_BITS
         messages_zero = self._operand_array(messages_zero, "message_zero", message_bits)
@@ -293,7 +226,7 @@ class ObliviousTransfer:
         count = int(choices.shape[0])
         if count == 0:
             return np.zeros(0, dtype=np.uint64 if wide else np.int64)
-        pads = self._take_pads(count, message_bits)
+        pads = self._draw_pad_block(count, message_bits)
         masked = np.stack([messages_zero ^ pads[:, 0], messages_one ^ pads[:, 1]], axis=1)
         rows = np.arange(count)
         chosen = masked[rows, choices] ^ pads[rows, choices]

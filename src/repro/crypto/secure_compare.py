@@ -179,29 +179,6 @@ class SecureComparator:
             ot_invocations=self.accountant.ot_invocations - ots_before,
         )
 
-    def compare_many(
-        self, pairs: List[Tuple[int, int]], execute: bool = False
-    ) -> List[ComparisonResult]:
-        """Compare a batch of pairs (each pair is an independent protocol run).
-
-        Vectorised over :meth:`compare_batch`: the outcomes, the accountant
-        totals and the transcript log are identical to running
-        :meth:`compare` once per pair.
-        """
-        if not pairs:
-            return []
-        left = [pair[0] for pair in pairs]
-        right = [pair[1] for pair in pairs]
-        batch = self.compare_batch(left, right, execute=execute)
-        return [
-            ComparisonResult(
-                left_ge_right=bool(outcome),
-                bits_exchanged=batch.cost.bits,
-                ot_invocations=batch.cost.ot_invocations,
-            )
-            for outcome in batch.left_ge_right
-        ]
-
     def compare_batch(self, left, right, execute: bool = False) -> BatchComparisonResult:
         """Evaluate many independent comparisons as one numpy block.
 
@@ -216,7 +193,7 @@ class SecureComparator:
         * ``False`` (the clear-mode default) evaluates them directly and
           charges the analytic per-comparison pattern;
         * ``True`` runs the millionaires' block protocol itself, vectorised
-          over the batch (:meth:`_block_compare_batch` — every outcome is
+          over the batch (:meth:`execute_batch` — every outcome is
           derived only from simulated table-OT outputs, the same structural
           information boundary as the scalar loop).  This is the path secure
           construction uses.
@@ -235,19 +212,33 @@ class SecureComparator:
         right = self._operand_array(right, "right")
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError("compare_batch expects two 1-D arrays of equal length")
-        cost = comparison_cost(self.bit_width, block_bits=self.BLOCK_BITS)
-        count = int(left.shape[0])
         if execute:
-            greater, equal = self._block_compare_batch(left, right)
-            outcomes = greater | equal
+            right_blocks = self.block_rows(right)
+            outcomes = self.execute_batch(
+                left, lambda left_blocks: self.leaf_shares(left_blocks, right_blocks)
+            )
         else:
             outcomes = left >= right
+        cost = self.charge_batch(int(left.shape[0]))
+        return BatchComparisonResult(left_ge_right=outcomes, cost=cost)
+
+    def charge_batch(self, count: int) -> ComparisonCost:
+        """Charge ``count`` comparisons their canonical transcript; return its cost.
+
+        The one accountant + obs charge of every batch, however its outcome
+        bits were produced (clear, executed in process, or executed against a
+        remote party): the per-comparison interleaved pattern of
+        :func:`comparison_cost`, not the blockwise execution order, so the
+        capped log is entry-for-entry that of ``count`` scalar
+        :meth:`compare` calls.
+        """
+        cost = comparison_cost(self.bit_width, block_bits=self.BLOCK_BITS)
         self.accountant.ot_invocations += cost.ot_invocations * count
         self.accountant.record_pattern(cost.pattern, count)
         self.accountant.comparisons += count
         obs.add_counter("crypto.ot_invocations", cost.ot_invocations * count)
         obs.add_counter("crypto.comparisons", count)
-        return BatchComparisonResult(left_ge_right=outcomes, cost=cost)
+        return cost
 
     def argmax(self, values: List[int]) -> int:
         """Return the index of the maximum via pairwise secure comparisons.
@@ -334,50 +325,69 @@ class SecureComparator:
 
         return greater_flags[0], equal_flags[0]
 
-    def _block_compare_batch(
-        self, left: np.ndarray, right: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_block_compare` over a whole (uint64) batch.
+    def block_rows(self, values: np.ndarray) -> np.ndarray:
+        """Split a uint64 batch into ``(blocks, n)`` big-endian block values.
 
-        Runs the same protocol steps as the scalar recursion for *every*
-        position at once: both operands are split into ``(blocks, n)``
-        big-endian block values, party B's truth table of each block travels
-        as one packed ``2^m``-bit word (looked up by its block value — no
-        ``(n, 2^m)`` table is built), and two
-        :meth:`ObliviousTransfer.transfer_packed_table_batch` calls return
-        the greater-than and the equality shares of all blocks; then the
-        logarithmic AND/OR combine tree row-pair by row-pair.  The outcome
-        bits are derived exclusively from the OT object's return values —
-        the structural information boundary of the scalar loop is preserved.
-
-        Accounting is left to the caller: the scalar loop interleaves the
-        two OTs of each block *per comparison*, while this kernel executes
-        them *across* comparisons, so the caller charges the canonical
-        per-comparison pattern (:func:`comparison_cost`) to keep the capped
-        log entry-for-entry identical to the loop.
-
-        **RNG block-draw contract**: draws **nothing** (table OTs need no
-        masking randomness).
+        Block-major, so every later step streams one contiguous length-``n``
+        row per block.
         """
         num_blocks = (self.bit_width + self.BLOCK_BITS - 1) // self.BLOCK_BITS
-        table_size = 1 << self.BLOCK_BITS
-        # One contiguous length-n row per big-endian block.
         shifts = np.arange(num_blocks - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(self.BLOCK_BITS)
-        mask = np.uint64(table_size - 1)
-        left_blocks = ((left >> shifts) & mask).astype(np.uint8)
-        right_blocks = ((right >> shifts) & mask).astype(np.uint8)
+        mask = np.uint64((1 << self.BLOCK_BITS) - 1)
+        return ((values >> shifts) & mask).astype(np.uint8)
 
-        # Leaf layer: party A obtains the shares of every block of every
-        # position through two batched 1-out-of-16 OTs.
+    def leaf_shares(
+        self, left_blocks: np.ndarray, right_blocks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Party B's side of the leaf layer: ``(greater, equal)`` share bits.
+
+        ``right_blocks`` are party B's own block values, ``left_blocks`` the
+        equal-shape choices party A sent.  The truth table of each block
+        travels as one packed ``2^m``-bit word (looked up by its block value
+        — no ``(n, 2^m)`` table is built) and two
+        :meth:`ObliviousTransfer.transfer_packed_table_batch` calls return
+        the greater-than and the equality share of every position; a choice
+        outside the table raises ``ValueError``.
+        """
+        table_size = 1 << self.BLOCK_BITS
         greater = self._ot.transfer_packed_table_batch(
             np.take(self._greater_tables, right_blocks), left_blocks, table_size
         )
         equal = self._ot.transfer_packed_table_batch(
             np.take(self._equal_tables, right_blocks), left_blocks, table_size
         )
+        return greater, equal
 
-        # Combine layer: the same logarithmic AND/OR tree as the scalar
-        # recursion, evaluated over whole rows.
+    def execute_batch(self, left: np.ndarray, leaf_source) -> np.ndarray:
+        """Vectorised :meth:`_block_compare` over a whole (uint64) batch.
+
+        Runs the same protocol steps as the scalar recursion for *every*
+        position at once, as party A: ``left`` is split into ``(blocks, n)``
+        block rows (:meth:`block_rows`), ``leaf_source(left_blocks)`` returns
+        party B's ``(greater, equal)`` leaf shares as two bool matrices of
+        that shape, and the logarithmic AND/OR tree (:meth:`_combine`)
+        reduces them to ``left >= right``.  The leaf source is the only thing
+        that differs between deployments: in process it is
+        :meth:`leaf_shares` over party B's block rows, across a process
+        boundary (:class:`~repro.crypto.transport.RemoteParty`) the frames
+        that carry the same lookups.  The outcome bits are derived
+        exclusively from what the source returned — the structural
+        information boundary of the scalar loop is preserved.
+
+        Accounting is left to the caller (:meth:`charge_batch`): the scalar
+        loop interleaves the two OTs of each block *per comparison*, while
+        this kernel executes them *across* comparisons.
+
+        **RNG block-draw contract**: draws **nothing** (table OTs need no
+        masking randomness).
+        """
+        greater, equal = self._combine(*leaf_source(self.block_rows(left)))
+        # left >= right  <=>  left > right or left == right
+        return greater | equal
+
+    @staticmethod
+    def _combine(greater: np.ndarray, equal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The scalar recursion's AND/OR combine tree, over whole block rows."""
         while greater.shape[0] > 1:
             width = greater.shape[0]
             paired = width - (width % 2)
@@ -391,16 +401,4 @@ class SecureComparator:
                 next_greater = np.concatenate([next_greater, greater[-1:]])
                 next_equal = np.concatenate([next_equal, equal[-1:]])
             greater, equal = next_greater, next_equal
-
         return greater[0], equal[0]
-
-
-def secure_max_index(
-    values: List[int],
-    bit_width: int = 32,
-    accountant: Optional[TranscriptAccountant] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
-    """Convenience wrapper: index of the maximum of ``values`` via secure comparison."""
-    comparator = SecureComparator(bit_width=bit_width, accountant=accountant, rng=rng)
-    return comparator.argmax([int(v) for v in values])

@@ -15,8 +15,14 @@ boundary so the cost becomes *measured*:
   :class:`~repro.crypto.oblivious_transfer.TranscriptAccountant`, and the
   optional :class:`~repro.federation.network.CommunicationLedger`.
 
-Because the driver draws exactly the pad blocks and charges exactly the
-canonical transcript patterns the in-process kernels do, a remote session is
+This module is **framing and reconciliation only**.  The millionaires'
+protocol exists once, in :class:`~repro.crypto.secure_compare.SecureComparator`:
+the driver hands its ``execute_batch`` kernel a leaf source that fetches
+party B's shares as ``CMP_CHOICES`` / ``CMP_RESPONSE`` frames, the party
+answers each of them through the comparator's ``leaf_shares`` lookup, and
+the comparator's ``charge_batch`` charges the accountant.  Because both
+deployments run that one kernel, and the OT driver draws exactly the pad
+block the in-process ``transfer_batch`` does, a remote session is
 **bit-for-bit equivalent** to the in-process simulation in results,
 accountant counters and capped log, canonical ledger transcript, and RNG
 stream state.  The equivalence is asserted by ``tests/test_secure_transport.py``.
@@ -34,26 +40,27 @@ model rather than a smaller cousin of it.  :meth:`RemoteParty.compare_batch`
 and :meth:`RemoteParty.transfer_batch` re-derive the analytic total and
 raise :class:`MeasuredCostMismatch` if the bytes that actually crossed the
 channel diverge — the contract fails loudly, never silently.  Session
-``CONTROL`` handshakes (hello / result reveal / goodbye) and ``OBS``
-snapshots are *not* protocol traffic; they are reported separately and
-excluded from the reconciliation, as is the channel's fixed per-frame
-header (:data:`~repro.runtime.channel.FRAME_OVERHEAD_BYTES`).
+``CONTROL`` handshakes (hello / result reveal / goodbye) are *not* protocol
+traffic; they are reported separately and excluded from the reconciliation,
+as is the channel's fixed per-frame header
+(:data:`~repro.runtime.channel.FRAME_OVERHEAD_BYTES`).
 
 Failure model
 -------------
 A party killed mid-session (e.g. by a :class:`~repro.runtime.worker.ChaosConfig`
-schedule — see :func:`chaos_comparison_probe`) surfaces on the driver as a
-typed :class:`RemotePartyError` (wrapping the channel's timeout/EOF error),
-never a hang: every channel receive is deadline-bounded.
+schedule — ``tests/helpers/chaos_probe.py`` dispatches one into a runtime
+worker) surfaces on the driver as a typed :class:`RemotePartyError`
+(wrapping the channel's timeout/EOF error), never a hang: every channel
+receive is deadline-bounded.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -90,8 +97,8 @@ class TransportReport:
     ``protocol_payload_bytes`` covers only the ``OT_*`` / ``CMP_*`` frames
     the analytic model prices (and equals ``analytic_payload_bytes`` — the
     driver raises otherwise); ``control_payload_bytes`` is session framing
-    (handshakes, result reveal, obs snapshots); ``wire_bytes`` is everything
-    including the per-frame channel header.
+    (handshakes, result reveal); ``wire_bytes`` is everything including the
+    per-frame channel header.
     """
 
     frames: int
@@ -119,7 +126,6 @@ class RemoteComparisonOutcome:
     left_ge_right: np.ndarray
     cost: ComparisonCost
     report: TransportReport
-    remote_obs: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,10 @@ class RemoteOTOutcome:
     chosen_messages: np.ndarray
     message_bits: int
     report: TransportReport
-    remote_obs: Optional[dict] = None
 
+
+#: Ledger ids of the two ends of a session on the transport side-list.
+DRIVER_PARTY, REMOTE_PARTY = 0, 1
 
 #: Protocol frame kinds priced by the analytic model (everything else is
 #: session overhead).
@@ -185,7 +193,6 @@ def party_main(
     config: dict,
     private_values: bytes,
     chaos: Optional[ChaosConfig] = None,
-    trace: bool = False,
 ) -> None:
     """Serve one secure session as the remote party, then exit.
 
@@ -212,14 +219,7 @@ def party_main(
         channel.send(kind, payload)
 
     try:
-        if trace:
-            with obs.tracing(process=f"party/{session_key}") as tracer:
-                with obs.span("transport.party", op=config.get("op", "?")):
-                    _serve_session(channel, config, private_values, guard_send)
-                snapshot = tracer.snapshot()
-            guard_send(FrameKind.OBS, json.dumps(snapshot).encode("utf-8"))
-        else:
-            _serve_session(channel, config, private_values, guard_send)
+        _serve_session(channel, config, private_values, guard_send)
         guard_send(FrameKind.CONTROL, b"bye")
     except ChannelError:
         # Driver vanished: nothing left to report to.
@@ -246,41 +246,39 @@ def _serve_session(channel, config, private_values, send) -> None:
 def _serve_comparison(channel, config, private_values, send) -> None:
     """Party B of the millionaires' protocol: holds ``right``, serves tables.
 
-    Per big-endian block column the driver sends its choice blocks
-    (``CMP_CHOICES``); this party evaluates the greater-than and equality
-    truth tables of its own block values at those choices — exactly the
-    lookups :meth:`~repro.crypto.secure_compare.SecureComparator._block_compare_batch`
-    performs through ``transfer_packed_table_batch`` — and responds with the two
-    packed share columns (``CMP_RESPONSE``), padded with stand-in bytes to
+    Per big-endian block row the driver sends its choice blocks
+    (``CMP_CHOICES``, one byte per comparison); this party answers them
+    through :meth:`~repro.crypto.secure_compare.SecureComparator.leaf_shares`
+    — the packed-table lookup the in-process party B performs, whose range
+    check rejects a choice byte outside the table — and responds with the
+    two packed share rows (``CMP_RESPONSE``), padded with stand-in bytes to
     the analytic size of the two 1-out-of-2^m OTs.  The combine tree's
     ``CMP_AND`` traffic is received and discarded (its information content
     is a local computation in the collapsed simulation; the frames exist to
     realise the modeled Beaver-triple bytes on a real wire).
     """
     count = int(config["count"])
-    bit_width = int(config["bit_width"])
-    block_bits = int(config["block_bits"])
+    comparator = SecureComparator(bit_width=int(config["bit_width"]))
     right = np.frombuffer(private_values, dtype="<u8").astype(np.uint64)
     if right.shape[0] != count:
         raise ValueError("private operand count mismatch")
-    cost = comparison_cost(bit_width, block_bits=block_bits)
-    per_ot_bytes = ((1 << block_bits) + 128) // 8
-    mask = np.uint64((1 << block_bits) - 1)
+    right_blocks = comparator.block_rows(right)
+    # The two OTs of a block, less the choice byte the driver already sent.
+    per_ot_bytes = ((1 << comparator.BLOCK_BITS) + 128) // 8
+    budget = 2 * per_ot_bytes * count - count
 
     send(FrameKind.CONTROL, b"ready")
-    for index in reversed(range(cost.num_blocks)):
+    for blocks in right_blocks:
         _, payload = channel.recv(expected=(FrameKind.CMP_CHOICES,))
-        choices = np.frombuffer(payload, dtype=np.uint8, count=count).astype(np.uint64)
-        right_blocks = (right >> np.uint64(index * block_bits)) & mask
-        greater = choices > right_blocks
-        equal = choices == right_blocks
+        if len(payload) != count:
+            raise ValueError(f"CMP_CHOICES carries {len(payload)} bytes for {count} comparisons")
+        greater, equal = comparator.leaf_shares(np.frombuffer(payload, dtype=np.uint8), blocks)
         body = _pack_bits(greater) + _pack_bits(equal)
-        budget = 2 * per_ot_bytes * count - count
         send(FrameKind.CMP_RESPONSE, body + b"\x00" * (budget - len(body)))
-    width = cost.num_blocks
+    width = right_blocks.shape[0]
     while width > 1:
         channel.recv(expected=(FrameKind.CMP_AND,))
-        width = width // 2 + width % 2
+        width -= width // 2
     channel.recv(expected=(FrameKind.CONTROL,))  # done
 
 
@@ -336,38 +334,23 @@ class RemoteParty:
         timeout: float = DEFAULT_SESSION_TIMEOUT,
         chaos: Optional[ChaosConfig] = None,
         ledger=None,
-        left_party: int = 0,
-        right_party: int = 1,
-        trace_remote: bool = False,
-        start_method: Optional[str] = None,
     ) -> None:
-        if bit_width <= 0 or bit_width > 64:
-            raise ValueError("bit_width must be in [1, 64]")
-        self.bit_width = bit_width
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
+        self._comparator = SecureComparator(bit_width, accountant=self.accountant, rng=rng)
         self._ot = ObliviousTransfer(accountant=self.accountant, rng=rng)
+        self.bit_width = bit_width
         self.timeout = timeout
         self.chaos = chaos
         self.ledger = ledger
-        self.left_party = left_party
-        self.right_party = right_party
-        self.trace_remote = trace_remote
-        self.start_method = start_method
 
     # -- infrastructure ------------------------------------------------ #
-    def _mp_context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
+    @staticmethod
+    def _mp_context():
         # Mirror the runtime executor's choice: fork on Linux (cheap, keeps
         # warm imports), the platform default elsewhere.
         if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
-
-    def precompute_pads(self, count: int, message_bits: int = 32) -> int:
-        """Bulk-draw OT pads ahead of a session (see
-        :meth:`ObliviousTransfer.precompute_pads`)."""
-        return self._ot.precompute_pads(count, message_bits)
 
     @staticmethod
     def _start_party(process) -> None:
@@ -390,7 +373,7 @@ class RemoteParty:
         else:
             process.start()
 
-    def _run_session(self, config: dict, private_values: bytes, protocol) -> Tuple[object, TransportReport, Optional[dict]]:
+    def _run_session(self, config: dict, private_values: bytes, protocol) -> Tuple[object, TransportReport]:
         """Spawn the party, run ``protocol(channel)``, reconcile, clean up."""
         context = self._mp_context()
         driver_end, party_end = channel_pair(
@@ -398,26 +381,18 @@ class RemoteParty:
         )
         process = context.Process(
             target=party_main,
-            args=(party_end, config, private_values, self.chaos, self.trace_remote),
+            args=(party_end, config, private_values, self.chaos),
             daemon=True,
         )
         self._start_party(process)
         # The child owns its endpoint now; with fork the parent must drop its
         # duplicate so a dead child reads as EOF, not an open pipe.
         party_end.close()
-        remote_obs: Optional[dict] = None
         try:
-            kind, payload = self._recv(driver_end, (FrameKind.CONTROL,), config)
+            self._recv(driver_end, (FrameKind.CONTROL,))  # ready
             result = protocol(driver_end)
             self._send(driver_end, FrameKind.CONTROL, b"done")
-            while True:
-                kind, payload = self._recv(
-                    driver_end, (FrameKind.CONTROL, FrameKind.OBS), config
-                )
-                if kind is FrameKind.OBS:
-                    remote_obs = json.loads(payload.decode("utf-8"))
-                    continue
-                break
+            self._recv(driver_end, (FrameKind.CONTROL,))  # bye
         except ChannelError as exc:
             process.join(timeout=1.0)
             exitcode = process.exitcode
@@ -457,112 +432,91 @@ class RemoteParty:
                 f"{report.analytic_payload_bytes} "
                 f"(by kind: {report.by_kind})"
             )
-        return result, report, remote_obs
+        return result, report
 
     def _send(self, channel: PartyChannel, kind: FrameKind, payload: bytes) -> None:
         size = channel.send(kind, payload)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
-                self.left_party, self.right_party, kind.name,
+                DRIVER_PARTY, REMOTE_PARTY, kind.name,
                 size, size + 9, description="secure-transport",
             )
 
-    def _recv(self, channel: PartyChannel, expected, config) -> Tuple[FrameKind, bytes]:
+    def _recv(self, channel: PartyChannel, expected) -> Tuple[FrameKind, bytes]:
         kind, payload = channel.recv(expected=expected)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
-                self.right_party, self.left_party, kind.name,
+                REMOTE_PARTY, DRIVER_PARTY, kind.name,
                 len(payload), len(payload) + 9, description="secure-transport",
             )
         return kind, payload
 
     # -- comparison session -------------------------------------------- #
+    def _fetch_leaf_shares(self, channel: PartyChannel, left_blocks: np.ndarray):
+        """The kernel's leaf source over the wire: party B's ``(greater, equal)``.
+
+        One ``CMP_CHOICES`` / ``CMP_RESPONSE`` exchange per block row, then
+        the combine tree's modeled Beaver bytes as stand-in ``CMP_AND``
+        frames: one per level, 1 byte per gate per comparison.
+        """
+        width, count = left_blocks.shape
+        greater = np.empty(left_blocks.shape, dtype=bool)
+        equal = np.empty(left_blocks.shape, dtype=bool)
+        packed = -(-count // 8)
+        for row, choices in enumerate(left_blocks):
+            self._send(channel, FrameKind.CMP_CHOICES, choices.tobytes())
+            _, payload = self._recv(channel, (FrameKind.CMP_RESPONSE,))
+            greater[row] = _unpack_bits(payload[:packed], count)
+            equal[row] = _unpack_bits(payload[packed:2 * packed], count)
+        while width > 1:
+            self._send(channel, FrameKind.CMP_AND, b"\x00" * (width // 2 * count))
+            width -= width // 2
+        return greater, equal
+
     def compare_batch(self, left, right, session_key: str = "cmp-session") -> RemoteComparisonOutcome:
         """Run ``left[i] >= right[i]`` with ``right`` held by the remote party.
 
         Bit-for-bit equivalent to
-        ``SecureComparator(...).compare_batch(left, right, execute=True)``:
-        same outcome bits (the leaf shares received over the wire are the
-        same table lookups, the combine tree is the same column recursion),
-        same accountant counters and capped log (the canonical
-        per-comparison pattern of :func:`comparison_cost` is charged, as the
-        in-process batch kernel does), no RNG draws (table OTs need no
-        masking randomness), and — when a ledger is attached — the same
-        canonical ``SECURE_COMPARISON`` message charge as the in-process
-        callers, with the physical frames recorded on the transport
-        side-list only.
+        ``SecureComparator(...).compare_batch(left, right, execute=True)``
+        because it *is* that kernel
+        (:meth:`~repro.crypto.secure_compare.SecureComparator.execute_batch`
+        and ``charge_batch``) with party B's leaf shares fetched over the
+        wire: same outcome bits, same accountant counters and capped log, no
+        RNG draws (table OTs need no masking randomness), and — when a
+        ledger is attached — the same canonical ``SECURE_COMPARISON``
+        message charge as the in-process callers, with the physical frames
+        recorded on the transport side-list only.  An empty batch starts no
+        session.
         """
         left = operand_array(left, "left", self.bit_width)
         right = operand_array(right, "right", self.bit_width)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError("compare_batch expects two 1-D arrays of equal length")
         count = int(left.shape[0])
-        block_bits = SecureComparator.BLOCK_BITS
-        cost = comparison_cost(self.bit_width, block_bits=block_bits)
+        cost = comparison_cost(self.bit_width, block_bits=SecureComparator.BLOCK_BITS)
+        if count == 0:
+            return RemoteComparisonOutcome(
+                np.zeros(0, dtype=bool), cost, TransportReport(0, 0, 0, 0, 0, {})
+            )
         config = {
             "op": "compare",
             "session_key": session_key,
             "count": count,
             "bit_width": self.bit_width,
-            "block_bits": block_bits,
             "analytic_bytes": count * (cost.bits // 8),
         }
-        per_ot_bytes = ((1 << block_bits) + 128) // 8
-        mask = np.uint64((1 << block_bits) - 1)
 
         def protocol(channel: PartyChannel):
-            greater = np.zeros((count, cost.num_blocks), dtype=bool)
-            equal = np.zeros((count, cost.num_blocks), dtype=bool)
-            packed = -(-count // 8)
             with obs.span("transport.compare", count=count, bit_width=self.bit_width):
-                for column, index in enumerate(reversed(range(cost.num_blocks))):
-                    blocks = (left >> np.uint64(index * block_bits)) & mask
-                    self._send(
-                        channel, FrameKind.CMP_CHOICES,
-                        blocks.astype(np.uint8).tobytes(),
-                    )
-                    _, payload = self._recv(channel, (FrameKind.CMP_RESPONSE,), config)
-                    greater[:, column] = _unpack_bits(payload[:packed], count)
-                    equal[:, column] = _unpack_bits(payload[packed:2 * packed], count)
-                # The same logarithmic AND/OR combine tree as the in-process
-                # batch kernel, with the modeled Beaver bytes realised as
-                # stand-in CMP_AND frames (1 byte per gate per comparison).
-                while greater.shape[1] > 1:
-                    width = greater.shape[1]
-                    paired = width - (width % 2)
-                    gates = paired // 2
-                    self._send(channel, FrameKind.CMP_AND, b"\x00" * (gates * count))
-                    high_greater = greater[:, 0:paired:2]
-                    high_equal = equal[:, 0:paired:2]
-                    low_greater = greater[:, 1:paired:2]
-                    low_equal = equal[:, 1:paired:2]
-                    next_greater = high_greater | (high_equal & low_greater)
-                    next_equal = high_equal & low_equal
-                    if width % 2 == 1:
-                        next_greater = np.concatenate(
-                            [next_greater, greater[:, -1:]], axis=1
-                        )
-                        next_equal = np.concatenate([next_equal, equal[:, -1:]], axis=1)
-                    greater, equal = next_greater, next_equal
-            return greater[:, 0] | equal[:, 0]
+                return self._comparator.execute_batch(
+                    left, partial(self._fetch_leaf_shares, channel)
+                )
 
-        outcomes, report, remote_obs = self._run_session(
-            config, right.astype("<u8").tobytes(), protocol
-        )
-        # Canonical accounting: identical to SecureComparator.compare_batch.
-        self.accountant.ot_invocations += cost.ot_invocations * count
-        self.accountant.record_pattern(cost.pattern, count)
-        self.accountant.comparisons += count
-        obs.add_counter("crypto.ot_invocations", cost.ot_invocations * count)
-        obs.add_counter("crypto.comparisons", count)
-        if self.ledger is not None and count:
-            charge_comparison_ledger(
-                self.ledger, count, cost, self.left_party, self.right_party
-            )
-        self._attach_remote(remote_obs)
-        return RemoteComparisonOutcome(
-            left_ge_right=outcomes, cost=cost, report=report, remote_obs=remote_obs
-        )
+        outcomes, report = self._run_session(config, right.astype("<u8").tobytes(), protocol)
+        self._comparator.charge_batch(count)
+        if self.ledger is not None:
+            charge_comparison_ledger(self.ledger, count, cost, DRIVER_PARTY, REMOTE_PARTY)
+        return RemoteComparisonOutcome(left_ge_right=outcomes, cost=cost, report=report)
 
     # -- OT session ----------------------------------------------------- #
     def transfer_batch(
@@ -578,8 +532,7 @@ class RemoteParty:
 
         Bit-for-bit equivalent to
         :meth:`ObliviousTransfer.transfer_batch`: pads come from the same
-        block draw on the driver's RNG (pool-aware — see
-        :meth:`precompute_pads`), the accountant is charged the identical
+        block draw on the driver's RNG, the accountant is charged the identical
         ``("ot", 2 * message_bits + 128)`` pattern, and the values the
         remote party unmasks equal the in-process results.  The remote
         reveal of the learned values (so this method can return them) rides
@@ -618,11 +571,10 @@ class RemoteParty:
 
         def protocol(channel: PartyChannel):
             with obs.span("transport.ot", count=count, message_bits=message_bits):
-                _, payload = self._recv(channel, (FrameKind.OT_REQUEST,), config)
+                _, payload = self._recv(channel, (FrameKind.OT_REQUEST,))
                 wire_choices = _unpack_values(payload, count, 8).astype(np.int64)
-                # Same block draw as the in-process kernel (pool-aware).
-                pads = self._ot._take_pads(count, message_bits)
-                pads = pads.astype(np.uint64)
+                # Same block draw as the in-process kernel.
+                pads = self._ot._draw_pad_block(count, message_bits).astype(np.uint64)
                 masked_zero = messages_zero.astype(np.uint64) ^ pads[:, 0]
                 masked_one = messages_one.astype(np.uint64) ^ pads[:, 1]
                 rows = np.arange(count)
@@ -633,28 +585,16 @@ class RemoteParty:
                     + _pack_values(masked_one, bytes_per)
                     + _pack_values(chosen_pads, 8),
                 )
-                _, reveal = self._recv(channel, (FrameKind.CONTROL,), config)
+                _, reveal = self._recv(channel, (FrameKind.CONTROL,))
             return _unpack_values(reveal, count, 8)
 
-        learned, report, remote_obs = self._run_session(
+        learned, report = self._run_session(
             config, choices.astype(np.uint8).tobytes(), protocol
         )
         self.accountant.ot_invocations += count
         self.accountant.record_pattern((("ot", 2 * message_bits + 128),), count)
-        self._attach_remote(remote_obs)
         results = learned if wide else learned.astype(np.int64)
-        return RemoteOTOutcome(
-            chosen_messages=results,
-            message_bits=message_bits,
-            report=report,
-            remote_obs=remote_obs,
-        )
-
-    @staticmethod
-    def _attach_remote(remote_obs: Optional[dict]) -> None:
-        tracer = obs.current_tracer()
-        if tracer is not None and remote_obs is not None:
-            tracer.attach_remote(remote_obs)
+        return RemoteOTOutcome(chosen_messages=results, message_bits=message_bits, report=report)
 
 
 def charge_comparison_ledger(
@@ -685,38 +625,3 @@ def charge_comparison_ledger(
         np.full(2 * count, round_index, dtype=np.int64),
         description=description,
     )
-
-
-def chaos_comparison_probe(
-    count: int = 16,
-    bit_width: int = 16,
-    seed: int = 0,
-    crash_rate: float = 1.0,
-    timeout: float = 5.0,
-) -> dict:
-    """Run one small remote comparison under a chaos schedule (runtime probe).
-
-    Importable-by-name for
-    :class:`~repro.runtime.items.CallableItem`, so the runtime's chaos tests
-    can dispatch a real two-party session into a worker: with
-    ``crash_rate=1.0`` the party is hard-killed before its first send and
-    the driver's typed :class:`RemotePartyError` propagates out of the
-    worker as a ``FailedAttempt`` — never a hang, because every channel
-    receive is deadline-bounded.  Returns the outcome summary when the
-    session survives the schedule.
-    """
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 1 << bit_width, size=(2, count))
-    driver = RemoteParty(
-        bit_width=bit_width,
-        timeout=timeout,
-        chaos=ChaosConfig(seed=seed, crash_rate=crash_rate),
-    )
-    outcome = driver.compare_batch(
-        values[0], values[1], session_key=f"chaos-probe-{seed}"
-    )
-    return {
-        "count": count,
-        "true_fraction": float(outcome.left_ge_right.mean()),
-        "wire_bytes": outcome.report.wire_bytes,
-    }

@@ -74,7 +74,7 @@ class FrameKind(IntEnum):
     CMP_CHOICES = 3   #: comparison batch: receiver block choices
     CMP_RESPONSE = 4  #: comparison batch: sender table responses
     CMP_AND = 5       #: comparison batch: AND-combine gate traffic
-    OBS = 6           #: remote party's tracer snapshot (never protocol data)
+    # Tags are wire format and never renumbered: 6 stays unassigned.
     ERROR = 7         #: remote party's typed failure report
 
 

@@ -17,7 +17,6 @@ from repro.crypto import (
     TranscriptAccountant,
     WorkloadComparisonProtocol,
     log_degree_bucket,
-    secure_max_index,
     verify_zero_knowledge_transcript,
 )
 
@@ -100,11 +99,6 @@ class TestSecureComparator:
         wide = SecureComparator(bit_width=48, rng=np.random.default_rng(0)).compare(1, 2)
         assert wide.bits_exchanged > narrow.bits_exchanged
 
-    def test_compare_many(self):
-        comparator = SecureComparator(bit_width=8, rng=np.random.default_rng(0))
-        results = comparator.compare_many([(1, 2), (9, 4), (3, 3)])
-        assert [r.left_ge_right for r in results] == [False, True, True]
-
     def test_argmax(self):
         comparator = SecureComparator(bit_width=16, rng=np.random.default_rng(0))
         assert comparator.argmax([3, 9, 2, 9]) == 1  # earliest index wins ties
@@ -137,9 +131,6 @@ class TestSecureComparator:
     def test_comparison_correctness_property(self, left, right):
         comparator = SecureComparator(bit_width=20, rng=np.random.default_rng(left ^ right))
         assert comparator.compare(left, right).left_ge_right == (left >= right)
-
-    def test_secure_max_index_helper(self):
-        assert secure_max_index([4, 1, 9, 9], rng=np.random.default_rng(0)) == 2
 
 
 class TestZeroKnowledgeProtocols:

@@ -148,20 +148,6 @@ class TestBatchedComparatorParity:
         assert batch_acc.snapshot() == loop_acc.snapshot()
         assert batch_acc._log == loop_acc._log
 
-    def test_compare_many_is_vectorised_but_identical(self):
-        pairs = [(1, 2), (9, 4), (3, 3), (255, 0)]
-        loop_acc = TranscriptAccountant()
-        loop = SecureComparator(bit_width=8, accountant=loop_acc)
-        expected = [loop.compare(l, r) for l, r in pairs]
-
-        many_acc = TranscriptAccountant()
-        results = SecureComparator(bit_width=8, accountant=many_acc).compare_many(pairs)
-        assert [r.left_ge_right for r in results] == [r.left_ge_right for r in expected]
-        assert [r.bits_exchanged for r in results] == [r.bits_exchanged for r in expected]
-        assert [r.ot_invocations for r in results] == [r.ot_invocations for r in expected]
-        assert many_acc.snapshot() == loop_acc.snapshot()
-        assert SecureComparator(bit_width=8).compare_many([]) == []
-
     def test_compare_batch_validates_bounds(self):
         comparator = SecureComparator(bit_width=8)
         with pytest.raises(ValueError):

@@ -52,3 +52,32 @@ def test_no_oracle_lives_in_core_or_crypto(modules):
         if name.endswith("_reference")
     ]
     assert not oracles
+
+
+#: Crypto-layer names deleted because nothing outside the tests reached them.
+RETIRED_CRYPTO_NAMES = {
+    "chaos_comparison_probe",
+    "compare_many",
+    "secure_max_index",
+    "precompute_pads",
+    "trace_remote",
+}
+
+
+def test_retired_crypto_names_stay_gone(modules):
+    # Neither as a module attribute, nor as a function, class or method, nor
+    # as a parameter of one.
+    found = []
+    for module in modules:
+        if not module.__name__.startswith("repro.crypto"):
+            continue
+        found += [f"{module.__name__}.{name}" for name in RETIRED_CRYPTO_NAMES & set(vars(module))]
+        for dotted in _callables_defined_in(module):
+            value = module
+            for part in dotted.split("."):
+                value = getattr(value, part)
+            # A class's parameters are those of its ``__init__``, listed on its own.
+            parameters = () if inspect.isclass(value) else inspect.signature(value).parameters
+            names = {dotted.rpartition(".")[2], *parameters}
+            found += [f"{module.__name__}.{dotted}: {name}" for name in RETIRED_CRYPTO_NAMES & names]
+    assert not found

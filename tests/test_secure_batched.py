@@ -361,22 +361,6 @@ class TestWideOT:
         with pytest.raises(ValueError):
             ot.transfer(1 << 64, 0, 0, message_bits=64)
 
-    def test_precomputed_pool_matches_pool_free_at_64_bits(self):
-        m0 = np.array([self.TOP, 7, 0], dtype=np.uint64)
-        m1 = np.array([0, self.TOP, self.TOP], dtype=np.uint64)
-        choices = np.array([1, 0, 1])
-        pooled_ot = ObliviousTransfer(rng=np.random.default_rng(4))
-        assert pooled_ot.precompute_pads(3, 64) == 3
-        assert pooled_ot.pooled_pads(64) == 3
-        pooled = pooled_ot.transfer_batch(m0, m1, choices, message_bits=64)
-        assert pooled_ot.pooled_pads(64) == 0
-        live_ot = ObliviousTransfer(rng=np.random.default_rng(4))
-        live = live_ot.transfer_batch(m0, m1, choices, message_bits=64)
-        assert np.array_equal(pooled, live)
-        assert (
-            pooled_ot._rng.bit_generator.state == live_ot._rng.bit_generator.state
-        )
-
 
 def _run_secure_greedy(make_environment, oracle, seed=0):
     environment = make_environment()

@@ -23,6 +23,8 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import zlib
 
 import numpy as np
@@ -37,9 +39,14 @@ from repro.crypto import (
     RemotePartyError,
     SecureComparator,
     TranscriptAccountant,
+    TransportReport,
     comparison_cost,
 )
-from repro.crypto.transport import charge_comparison_ledger, ot_payload_bytes
+from repro.crypto.transport import (
+    _serve_comparison,
+    charge_comparison_ledger,
+    ot_payload_bytes,
+)
 from repro.federation import CommunicationLedger, TransportFrame
 from repro.runtime import (
     CallableItem,
@@ -283,6 +290,24 @@ class TestRemoteComparisonEquivalence:
         assert outcome.chosen_messages.shape == (0,)
         assert outcome.report.frames == 0
 
+    def test_empty_comparison_batch_short_circuits(self, monkeypatch):
+        # The same empty-batch rule as the OT session: no party process, no
+        # frames, nothing on the ledger's transport side-list.
+        def no_session(*_args, **_kwargs):
+            raise AssertionError("an empty batch must not start a session")
+
+        monkeypatch.setattr(RemoteParty, "_run_session", no_session)
+        ledger = CommunicationLedger()
+        driver = RemoteParty(bit_width=8, timeout=TIMEOUT, ledger=ledger)
+        outcome = driver.compare_batch([], [])
+        assert outcome.left_ge_right.shape == (0,)
+        assert outcome.left_ge_right.dtype == bool
+        assert outcome.report == TransportReport(0, 0, 0, 0, 0, {})
+        assert outcome.report == driver.transfer_batch([], [], []).report
+        assert not ledger.transport_frames
+        assert not ledger.message_records()
+        assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+
     def test_operand_validation_mirrors_the_in_process_kernel(self):
         driver = RemoteParty(bit_width=8, timeout=TIMEOUT)
         with pytest.raises(ValueError):
@@ -337,31 +362,101 @@ class TestRemoteOTEquivalence:
         )
         assert outcome.report.protocol_payload_bytes == outcome.report.analytic_payload_bytes
 
-    def test_precomputed_pads_keep_the_stream_and_results_identical(self):
-        message_bits, count = 32, 12
-        zero, one, choices = _ot_messages(message_bits, count, seed=9)
-        partial = 5  # pool smaller than the batch: pool rows + live remainder
 
-        rng = np.random.default_rng(13)
-        driver = RemoteParty(rng=rng, timeout=TIMEOUT)
-        pooled = assert_stream_contract(
-            lambda _generator: driver.precompute_pads(partial, message_bits),
-            rng, 2 * partial,
-            draw=lambda g, n: g.integers(1 << message_bits, size=(n // 2, 2)),
-        )
-        assert pooled == partial
-        outcome = assert_stream_contract(
-            lambda _generator: driver.transfer_batch(
-                zero, one, choices, message_bits=message_bits
-            ),
-            rng, 2 * (count - partial),
-            draw=lambda g, n: g.integers(1 << message_bits, size=(n // 2, 2)),
-        )
+# --------------------------------------------------------------------------- #
+# One kernel: outcome bits come from the wire, the protocol from the comparator
+# --------------------------------------------------------------------------- #
+#: A CMP_CHOICES body the party must refuse although its CRC is valid.
+BAD_CHOICES = {
+    "byte outside the table": (lambda count: b"\x10" * count, "choice out of table range"),
+    "one byte too many": (lambda count: b"\x01" * (count + 1), "CMP_CHOICES carries"),
+    "one byte too few": (lambda count: b"\x01" * (count - 1), "CMP_CHOICES carries"),
+}
 
-        pool_free = ObliviousTransfer(
-            TranscriptAccountant(), np.random.default_rng(13)
-        ).transfer_batch(zero, one, choices, message_bits=message_bits)
-        assert np.array_equal(outcome.chosen_messages, pool_free)
+
+class TestPartyRejectsMalformedChoices:
+    @pytest.mark.parametrize("case", sorted(BAD_CHOICES))
+    def test_serve_comparison_raises_on_a_crc_valid_bad_frame(self, case):
+        make_body, message = BAD_CHOICES[case]
+        count = 5
+        driver, party = channel_pair(timeout=TIMEOUT)
+        config = {"op": "compare", "count": count, "bit_width": 8}
+        private = np.arange(count, dtype="<u8").tobytes()
+        raised = []
+
+        def serve():
+            try:
+                _serve_comparison(party, config, private, party.send)
+            except ValueError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            driver.recv(expected=(FrameKind.CONTROL,))  # ready
+            driver.send(FrameKind.CMP_CHOICES, make_body(count))
+            thread.join(timeout=TIMEOUT)
+            assert not thread.is_alive()
+        finally:
+            driver.close()
+            thread.join(timeout=TIMEOUT)
+            party.close()
+        assert len(raised) == 1 and message in str(raised[0])
+
+    @pytest.mark.transport_smoke
+    @pytest.mark.parametrize("case", sorted(BAD_CHOICES))
+    def test_the_refusal_reaches_the_driver_as_a_typed_error(self, case, monkeypatch):
+        make_body, message = BAD_CHOICES[case]
+        original = RemoteParty._send
+
+        def corrupting(self, channel, kind, payload):
+            if kind is FrameKind.CMP_CHOICES:
+                payload = make_body(len(payload))
+            original(self, channel, kind, payload)
+
+        monkeypatch.setattr(RemoteParty, "_send", corrupting)
+        driver = RemoteParty(bit_width=8, timeout=TIMEOUT)
+        with pytest.raises(RemotePartyError, match=f"ValueError: .*{message}"):
+            driver.compare_batch([3, 200, 7], [5, 100, 7], session_key="bad-choices")
+        # A refused session charges nothing.
+        assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+
+
+@pytest.mark.transport_smoke
+class TestOneKernel:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stubbed OT reaches the party process by fork inheritance",
+    )
+    def test_outcomes_derive_only_from_what_crossed_the_wire(self, monkeypatch):
+        # Transport twin of TestOutcomesDeriveOnlyFromOTOutputs: the party's
+        # table OT yields all-zero bits, so every CMP_RESPONSE body is zeros
+        # of the analytic size (the session still reconciles) — and the
+        # driver, which holds only ``left``, must answer all-False.
+        monkeypatch.setattr(
+            ObliviousTransfer,
+            "transfer_packed_table_batch",
+            lambda self, tables, choices, table_size: np.zeros(np.shape(choices), dtype=bool),
+        )
+        left, right = _operands(16, count=6, seed=2)
+        assert any(l >= r for l, r in zip(left, right))
+        outcome = RemoteParty(bit_width=16, timeout=TIMEOUT).compare_batch(left, right)
+        assert not outcome.left_ge_right.any()
+        assert outcome.report.protocol_payload_bytes == outcome.report.analytic_payload_bytes
+
+    def test_both_deployments_run_the_comparators_combine_step(self, monkeypatch):
+        calls = []
+
+        def all_greater(greater, equal):
+            calls.append(greater.shape)
+            return np.ones(greater.shape[1], dtype=bool), np.zeros(equal.shape[1], dtype=bool)
+
+        monkeypatch.setattr(SecureComparator, "_combine", staticmethod(all_greater))
+        left, right = [1, 2, 3], [200, 100, 50]
+        local = SecureComparator(bit_width=8).compare_batch(left, right, execute=True)
+        remote = RemoteParty(bit_width=8, timeout=TIMEOUT).compare_batch(left, right)
+        assert calls == [(2, 3), (2, 3)]
+        assert local.left_ge_right.all() and remote.left_ge_right.all()
 
 
 # --------------------------------------------------------------------------- #
@@ -428,7 +523,7 @@ class TestChaosPeerDeath:
         plan = WorkPlan()
         plan.add(
             CallableItem(
-                target="repro.crypto.transport:chaos_comparison_probe",
+                target="helpers.chaos_probe:chaos_comparison_probe",
                 kwargs=(
                     ("bit_width", 8), ("count", 4), ("crash_rate", 1.0),
                     ("seed", 0), ("timeout", 5.0),
@@ -451,7 +546,7 @@ class TestChaosPeerDeath:
         plan = WorkPlan()
         plan.add(
             CallableItem(
-                target="repro.crypto.transport:chaos_comparison_probe",
+                target="helpers.chaos_probe:chaos_comparison_probe",
                 kwargs=(
                     ("bit_width", 8), ("count", 6), ("crash_rate", 0.0),
                     ("seed", 1), ("timeout", 10.0),
