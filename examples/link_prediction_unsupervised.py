@@ -41,7 +41,11 @@ def main() -> None:
         .with_mcmc_iterations(args.mcmc)
         .with_epochs(args.epochs)
     )
-    lumos_result = LumosSystem(graph, config).run_unsupervised(edge_split, log_every=20)
+    lumos_result = LumosSystem(graph, config).run_unsupervised(edge_split)
+    history = lumos_result.history
+    for epoch in range(19, len(history.losses), 20):
+        print(f"[lumos unsupervised] epoch {epoch + 1}/{len(history.losses)} "
+              f"loss={history.losses[epoch]:.4f} val_auc={history.val_auc[epoch]:.4f}")
     centralized = train_centralized_unsupervised(
         graph, edge_split, backbone=args.backbone, epochs=args.epochs
     )

@@ -46,7 +46,11 @@ def main() -> None:
 
     system = LumosSystem(graph, config)
     split = split_nodes(graph, train_fraction=0.5, val_fraction=0.25, seed=0)
-    result = system.run_supervised(split, log_every=20)
+    result = system.run_supervised(split)
+    history = result.history
+    for epoch in range(19, len(history.losses), 20):
+        print(f"[lumos supervised] epoch {epoch + 1}/{len(history.losses)} "
+              f"loss={history.losses[epoch]:.4f} val_acc={history.val_accuracy[epoch]:.4f}")
 
     print("\n=== Lumos results ===")
     print(f"test accuracy:                    {result.test_accuracy:.4f}")

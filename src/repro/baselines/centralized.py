@@ -3,24 +3,28 @@
 The server holds the entire graph — edges, features and labels — and trains a
 standard 2-layer GCN or GAT.  This is the non-private reference Lumos is
 compared against in Fig. 3 and Fig. 4.
+
+The two training bodies every comparison method ends in live here too:
+:func:`fit_node_classifier` and :func:`fit_link_predictor` are model set-up
+plus the closures they hand the shared loop, :func:`repro.nn.fit.fit`; a
+method differs only in the structure, features and labels it passes in.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
+from ..eval.metrics import accuracy
+from ..gnn.link_prediction import link_prediction_objective, roc_auc_from_embeddings
 from ..gnn.models import EncoderConfig, GraphInput, LinkPredictor, NodeClassifier
 from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit, NodeSplit
-from ..nn.loss import cross_entropy, link_prediction_loss
-from ..nn import functional as F
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor, no_grad
-from ..eval.metrics import roc_auc_score
+from ..nn.fit import fit
+from ..nn.loss import cross_entropy
+from ..nn.tensor import Tensor
 
 
 @dataclass
@@ -34,7 +38,10 @@ class CentralizedResult:
     wall_clock_seconds: float = 0.0
 
 
-def _encoder_config(backbone: str, hidden_dim: int, output_dim: int, dropout: float, num_heads: int) -> EncoderConfig:
+def encoder_config(
+    backbone: str, hidden_dim: int, output_dim: int, dropout: float, num_heads: int
+) -> EncoderConfig:
+    """The paper's two-layer encoder with the baselines' shared keyword arguments."""
     return EncoderConfig(
         backbone=backbone,
         num_layers=2,
@@ -42,6 +49,80 @@ def _encoder_config(backbone: str, hidden_dim: int, output_dim: int, dropout: fl
         output_dim=output_dim,
         dropout=dropout,
         num_heads=num_heads,
+    )
+
+
+def fit_node_classifier(
+    structure: Graph,
+    features: np.ndarray,
+    train_labels: np.ndarray,
+    true_labels: np.ndarray,
+    split: NodeSplit,
+    encoder: EncoderConfig,
+    learning_rate: float,
+    epochs: int,
+    rng: np.random.Generator,
+) -> CentralizedResult:
+    """Train a node classifier on ``(structure, features, train_labels)``.
+
+    Whatever a method noised goes in through those three; validation and test
+    accuracy are always scored against ``true_labels`` (the devices evaluate
+    locally against their own ground truth).
+    """
+    graph_input = GraphInput.from_graph(structure)
+    model = NodeClassifier(features.shape[1], int(true_labels.max()) + 1, encoder, rng=rng)
+    inputs = Tensor(features)
+
+    def loss(_epoch: int) -> Tensor:
+        return cross_entropy(model(inputs, graph_input), train_labels, mask=split.train_mask)
+
+    def evaluate():
+        predictions = np.argmax(model(inputs, graph_input).data, axis=1)
+        return accuracy(true_labels, predictions, split.val_mask), predictions
+
+    run = fit(model, learning_rate, epochs, loss, evaluate)
+    return CentralizedResult(
+        test_accuracy=accuracy(true_labels, run.best_output, split.test_mask),
+        best_val_metric=run.best_metric,
+        losses=run.losses,
+        wall_clock_seconds=run.seconds,
+    )
+
+
+def fit_link_predictor(
+    structure: Graph,
+    train_pairs: np.ndarray,
+    edge_split: EdgeSplit,
+    encoder: EncoderConfig,
+    learning_rate: float,
+    epochs: int,
+    rng: np.random.Generator,
+) -> CentralizedResult:
+    """Train a link predictor on ``structure`` (its edges and features),
+    supervised on ``train_pairs``; AUC is scored on the split's true edges."""
+    graph_input = GraphInput.from_graph(structure)
+    model = LinkPredictor(structure.num_features, encoder, rng=rng)
+    inputs = Tensor(structure.features)
+    objective = link_prediction_objective(train_pairs, structure.num_nodes, rng)
+
+    def loss(_epoch: int) -> Tensor:
+        return objective(model(inputs, graph_input))
+
+    def evaluate():
+        embeddings = model(inputs, graph_input).data
+        return (
+            roc_auc_from_embeddings(embeddings, edge_split.val_edges, edge_split.val_negatives),
+            embeddings,
+        )
+
+    run = fit(model, learning_rate, epochs, loss, evaluate)
+    return CentralizedResult(
+        test_auc=roc_auc_from_embeddings(
+            run.best_output, edge_split.test_edges, edge_split.test_negatives
+        ),
+        best_val_metric=run.best_metric,
+        losses=run.losses,
+        wall_clock_seconds=run.seconds,
     )
 
 
@@ -60,47 +141,12 @@ def train_centralized_supervised(
     """Train a centralized node classifier and report test accuracy."""
     if graph.labels is None:
         raise ValueError("supervised training requires labels")
-    rng = np.random.default_rng(seed)
     graph = graph.normalized_features(0.0, 1.0)
-    graph_input = GraphInput.from_graph(graph)
-    model = NodeClassifier(
-        graph.num_features,
-        graph.num_classes,
-        _encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
-        rng=rng,
+    return fit_node_classifier(
+        graph, graph.features, graph.labels, graph.labels, split,
+        encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
+        learning_rate, epochs, np.random.default_rng(seed),
     )
-    optimizer = Adam(model.parameters(), lr=learning_rate)
-    features = Tensor(graph.features)
-    labels = graph.labels
-    result = CentralizedResult()
-    best_state = None
-    start = time.perf_counter()
-
-    for _ in range(epochs):
-        model.train()
-        logits = model(features, graph_input)
-        loss = cross_entropy(logits, labels, mask=split.train_mask)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        result.losses.append(loss.item())
-
-        with no_grad():
-            model.eval()
-            predictions = np.argmax(model(features, graph_input).data, axis=1)
-        val_accuracy = float((predictions[split.val_mask] == labels[split.val_mask]).mean())
-        if val_accuracy >= result.best_val_metric:
-            result.best_val_metric = val_accuracy
-            best_state = model.state_dict()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    with no_grad():
-        model.eval()
-        predictions = np.argmax(model(features, graph_input).data, axis=1)
-    result.test_accuracy = float((predictions[split.test_mask] == labels[split.test_mask]).mean())
-    result.wall_clock_seconds = time.perf_counter() - start
-    return result
 
 
 def train_centralized_unsupervised(
@@ -116,74 +162,9 @@ def train_centralized_unsupervised(
     seed: int = 0,
 ) -> CentralizedResult:
     """Train a centralized link predictor and report test ROC-AUC."""
-    rng = np.random.default_rng(seed)
-    graph = graph.normalized_features(0.0, 1.0)
-    training_graph = edge_split.training_graph(graph)
-    graph_input = GraphInput.from_graph(training_graph)
-    model = LinkPredictor(
-        graph.num_features,
-        _encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
-        rng=rng,
+    training_graph = edge_split.training_graph(graph.normalized_features(0.0, 1.0))
+    return fit_link_predictor(
+        training_graph, edge_split.train_edges, edge_split,
+        encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
+        learning_rate, epochs, np.random.default_rng(seed),
     )
-    optimizer = Adam(model.parameters(), lr=learning_rate)
-    features = Tensor(graph.features)
-    train_pairs = np.asarray(edge_split.train_edges, dtype=np.int64)
-    existing = {tuple(sorted((int(u), int(v)))) for u, v in train_pairs}
-    result = CentralizedResult()
-    best_state = None
-    start = time.perf_counter()
-
-    for _ in range(epochs):
-        model.train()
-        embeddings = model(features, graph_input)
-        negatives = _sample_negatives(train_pairs, existing, graph.num_nodes, rng)
-        loss = link_prediction_loss(
-            F.gather(embeddings, train_pairs[:, 0]),
-            F.gather(embeddings, train_pairs[:, 1]),
-            F.gather(embeddings, negatives[:, 1]),
-        )
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        result.losses.append(loss.item())
-
-        with no_grad():
-            model.eval()
-            eval_embeddings = model(features, graph_input).data
-        val_auc = _pair_auc(eval_embeddings, edge_split.val_edges, edge_split.val_negatives)
-        if val_auc >= result.best_val_metric:
-            result.best_val_metric = val_auc
-            best_state = model.state_dict()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    with no_grad():
-        model.eval()
-        final_embeddings = model(features, graph_input).data
-    result.test_auc = _pair_auc(final_embeddings, edge_split.test_edges, edge_split.test_negatives)
-    result.wall_clock_seconds = time.perf_counter() - start
-    return result
-
-
-def _sample_negatives(
-    positive_pairs: np.ndarray, existing: set, num_nodes: int, rng: np.random.Generator
-) -> np.ndarray:
-    negatives = np.empty_like(positive_pairs)
-    for index, (u, _) in enumerate(positive_pairs):
-        candidate = int(rng.integers(num_nodes))
-        for _ in range(20):
-            if candidate != int(u) and tuple(sorted((int(u), candidate))) not in existing:
-                break
-            candidate = int(rng.integers(num_nodes))
-        negatives[index] = (int(u), candidate)
-    return negatives
-
-
-def _pair_auc(embeddings: np.ndarray, positives: np.ndarray, negatives: np.ndarray) -> float:
-    positives = np.asarray(positives, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    positive_scores = np.sum(embeddings[positives[:, 0]] * embeddings[positives[:, 1]], axis=1)
-    negative_scores = np.sum(embeddings[negatives[:, 0]] * embeddings[negatives[:, 1]], axis=1)
-    scores = np.concatenate([positive_scores, negative_scores])
-    targets = np.concatenate([np.ones(len(positive_scores)), np.zeros(len(negative_scores))])
-    return roc_auc_score(targets, scores)

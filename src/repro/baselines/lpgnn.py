@@ -19,22 +19,16 @@ Section VIII-C of the Lumos paper.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..crypto.ldp import FeatureBounds, OneBitMechanism, RandomizedResponse
-from ..gnn.models import EncoderConfig, GraphInput, NodeClassifier
 from ..graph.graph import Graph
 from ..graph.sparse import row_normalize
 from ..graph.splits import NodeSplit
-from ..nn.loss import cross_entropy
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor, no_grad
-from .centralized import CentralizedResult
+from .centralized import CentralizedResult, encoder_config, fit_node_classifier
 
 
 @dataclass(frozen=True)
@@ -111,48 +105,9 @@ def train_lpgnn_supervised(
     rng = np.random.default_rng(seed)
     denoised_features = encode_features_lpgnn(graph, config, rng)
     noisy_labels = encode_labels_lpgnn(graph, split, config, rng)
-
-    graph_input = GraphInput.from_graph(graph)  # LPGNN's server knows the true structure
-    model = NodeClassifier(
-        graph.num_features,
-        graph.num_classes,
-        EncoderConfig(backbone=backbone, hidden_dim=hidden_dim, output_dim=output_dim,
-                      dropout=dropout, num_heads=num_heads),
-        rng=rng,
+    # LPGNN's server knows the true structure.
+    return fit_node_classifier(
+        graph, denoised_features, noisy_labels, graph.labels, split,
+        encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
+        learning_rate, epochs, rng,
     )
-    optimizer = Adam(model.parameters(), lr=learning_rate)
-    features = Tensor(denoised_features)
-    true_labels = graph.labels
-    result = CentralizedResult()
-    best_state = None
-    start = time.perf_counter()
-
-    for _ in range(epochs):
-        model.train()
-        logits = model(features, graph_input)
-        loss = cross_entropy(logits, noisy_labels, mask=split.train_mask)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        result.losses.append(loss.item())
-
-        with no_grad():
-            model.eval()
-            predictions = np.argmax(model(features, graph_input).data, axis=1)
-        val_accuracy = float(
-            (predictions[split.val_mask] == true_labels[split.val_mask]).mean()
-        )
-        if val_accuracy >= result.best_val_metric:
-            result.best_val_metric = val_accuracy
-            best_state = model.state_dict()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    with no_grad():
-        model.eval()
-        predictions = np.argmax(model(features, graph_input).data, axis=1)
-    result.test_accuracy = float(
-        (predictions[split.test_mask] == true_labels[split.test_mask]).mean()
-    )
-    result.wall_clock_seconds = time.perf_counter() - start
-    return result

@@ -15,22 +15,20 @@ and Fig. 4 that Lumos beats by 30-75% relative accuracy.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..crypto.ldp import GaussianMechanism, RandomizedResponse
-from ..gnn.models import EncoderConfig, GraphInput, LinkPredictor, NodeClassifier
 from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit, NodeSplit
-from ..nn import functional as F
-from ..nn.loss import cross_entropy, link_prediction_loss
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor, no_grad
-from ..eval.metrics import roc_auc_score
-from .centralized import CentralizedResult, _pair_auc, _sample_negatives
+from .centralized import (
+    CentralizedResult,
+    encoder_config,
+    fit_link_predictor,
+    fit_node_classifier,
+)
 
 
 @dataclass(frozen=True)
@@ -128,50 +126,11 @@ def train_naive_fedgnn_supervised(
         raise ValueError("supervised training requires labels")
     rng = np.random.default_rng(seed)
     noisy_graph, noisy_labels = perturb_graph(graph, config, rng)
-    graph_input = GraphInput.from_graph(noisy_graph)
-    model = NodeClassifier(
-        noisy_graph.num_features,
-        graph.num_classes,
-        EncoderConfig(backbone=backbone, hidden_dim=hidden_dim, output_dim=output_dim,
-                      dropout=dropout, num_heads=num_heads),
-        rng=rng,
+    return fit_node_classifier(
+        noisy_graph, noisy_graph.features, noisy_labels, graph.labels, split,
+        encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
+        learning_rate, epochs, rng,
     )
-    optimizer = Adam(model.parameters(), lr=learning_rate)
-    features = Tensor(noisy_graph.features)
-    true_labels = graph.labels
-    result = CentralizedResult()
-    best_state = None
-    start = time.perf_counter()
-
-    for _ in range(epochs):
-        model.train()
-        logits = model(features, graph_input)
-        loss = cross_entropy(logits, noisy_labels, mask=split.train_mask)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        result.losses.append(loss.item())
-
-        with no_grad():
-            model.eval()
-            predictions = np.argmax(model(features, graph_input).data, axis=1)
-        val_accuracy = float(
-            (predictions[split.val_mask] == true_labels[split.val_mask]).mean()
-        )
-        if val_accuracy >= result.best_val_metric:
-            result.best_val_metric = val_accuracy
-            best_state = model.state_dict()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    with no_grad():
-        model.eval()
-        predictions = np.argmax(model(features, graph_input).data, axis=1)
-    result.test_accuracy = float(
-        (predictions[split.test_mask] == true_labels[split.test_mask]).mean()
-    )
-    result.wall_clock_seconds = time.perf_counter() - start
-    return result
 
 
 def train_naive_fedgnn_unsupervised(
@@ -189,52 +148,11 @@ def train_naive_fedgnn_unsupervised(
 ) -> CentralizedResult:
     """Train the naive baseline for link prediction (AUC evaluated on true edges)."""
     rng = np.random.default_rng(seed)
-    training_graph = edge_split.training_graph(graph)
-    noisy_graph, _ = perturb_graph(training_graph, config, rng)
-    graph_input = GraphInput.from_graph(noisy_graph)
-    model = LinkPredictor(
-        noisy_graph.num_features,
-        EncoderConfig(backbone=backbone, hidden_dim=hidden_dim, output_dim=output_dim,
-                      dropout=dropout, num_heads=num_heads),
-        rng=rng,
-    )
-    optimizer = Adam(model.parameters(), lr=learning_rate)
-    features = Tensor(noisy_graph.features)
+    noisy_graph, _ = perturb_graph(edge_split.training_graph(graph), config, rng)
     # The server only sees the noised edges, so it supervises on them.
     train_pairs = noisy_graph.edges if noisy_graph.num_edges else edge_split.train_edges
-    train_pairs = np.asarray(train_pairs, dtype=np.int64)
-    existing = {tuple(sorted((int(u), int(v)))) for u, v in train_pairs}
-    result = CentralizedResult()
-    best_state = None
-    start = time.perf_counter()
-
-    for _ in range(epochs):
-        model.train()
-        embeddings = model(features, graph_input)
-        negatives = _sample_negatives(train_pairs, existing, graph.num_nodes, rng)
-        loss = link_prediction_loss(
-            F.gather(embeddings, train_pairs[:, 0]),
-            F.gather(embeddings, train_pairs[:, 1]),
-            F.gather(embeddings, negatives[:, 1]),
-        )
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        result.losses.append(loss.item())
-
-        with no_grad():
-            model.eval()
-            eval_embeddings = model(features, graph_input).data
-        val_auc = _pair_auc(eval_embeddings, edge_split.val_edges, edge_split.val_negatives)
-        if val_auc >= result.best_val_metric:
-            result.best_val_metric = val_auc
-            best_state = model.state_dict()
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    with no_grad():
-        model.eval()
-        final_embeddings = model(features, graph_input).data
-    result.test_auc = _pair_auc(final_embeddings, edge_split.test_edges, edge_split.test_negatives)
-    result.wall_clock_seconds = time.perf_counter() - start
-    return result
+    return fit_link_predictor(
+        noisy_graph, train_pairs, edge_split,
+        encoder_config(backbone, hidden_dim, output_dim, dropout, num_heads),
+        learning_rate, epochs, rng,
+    )

@@ -43,7 +43,6 @@ class TrainerConfig:
     epochs: int = 300
     epsilon: float = 2.0
     pooling: str = "mean"
-    negative_samples_per_edge: int = 1
 
     def __post_init__(self) -> None:
         if self.backbone not in ("gcn", "gat"):

@@ -17,7 +17,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -180,15 +179,12 @@ class LumosSystem:
         self,
         split: NodeSplit,
         epochs: Optional[int] = None,
-        log_every: int = 0,
     ) -> LumosSupervisedResult:
         """Train and evaluate the supervised node-classification task."""
         if self.graph.labels is None:
             raise ValueError("supervised training requires a labeled graph")
         trainer = self.trainer()
-        _, history = trainer.train_supervised(
-            self.graph.labels, split, epochs=epochs, log_every=log_every
-        )
+        _, history = trainer.train_supervised(self.graph.labels, split, epochs=epochs)
         profile = trainer.communication_profile("supervised")
         return LumosSupervisedResult(
             test_accuracy=history.test_accuracy,
@@ -205,11 +201,10 @@ class LumosSystem:
         self,
         edge_split: EdgeSplit,
         epochs: Optional[int] = None,
-        log_every: int = 0,
     ) -> LumosUnsupervisedResult:
         """Train and evaluate the unsupervised link-prediction task."""
         trainer = self.trainer()
-        _, history = trainer.train_unsupervised(edge_split, epochs=epochs, log_every=log_every)
+        _, history = trainer.train_unsupervised(edge_split, epochs=epochs)
         profile = trainer.communication_profile("unsupervised")
         return LumosUnsupervisedResult(
             test_auc=history.test_auc,

@@ -16,12 +16,15 @@ The federated character of the computation is preserved by the communication
 accounting (:meth:`TreeBasedGNNTrainer.communication_profile` and the epoch
 cost model), which reflects what each *device* would have computed and sent:
 its own tree, its own leaf-embedding exchanges, its own loss share.
+
+The optimisation loop itself is :func:`repro.nn.fit.fit`, shared with the
+baselines: ``train_supervised`` / ``train_unsupervised`` are model set-up plus
+the loss, evaluation and per-epoch charging closures they hand it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -29,24 +32,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
-from ..crypto.ldp import FeatureBounds
+from ..eval.metrics import accuracy
 from ..faults.config import FaultScenarioConfig
 from ..faults.plan import FaultPlan
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
 from ..gnn.gcn import GCNLayer
+from ..gnn.link_prediction import link_prediction_objective, roc_auc_from_embeddings
 from ..gnn.models import EncoderConfig, GNNEncoder
 from ..gnn.pooling import get_pooling
 from ..nn.backend import get_backend
 from ..graph.sparse import symmetric_normalize
 from ..graph.splits import EdgeSplit, NodeSplit
 from ..nn import functional as F
+from ..nn.fit import fit
 from ..nn.layers import Linear
-from ..nn.loss import cross_entropy, link_prediction_loss
+from ..nn.loss import cross_entropy
 from ..nn.module import Module
-from ..nn.optim import Adam
 from ..nn.shared_rows import SharedRowFeatures
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor
 from .config import TrainerConfig
 from .constructor import TreeConstructionResult
 from .embedding_init import EmbeddingInitializationResult
@@ -303,18 +307,6 @@ class TreeBatch:
         return sp.csr_matrix(np.asarray(features, dtype=np.float64).reshape(-1, feature_dim))
 
 
-class _BatchGraphInput:
-    """Adapter exposing the union graph in the format GNNEncoder expects."""
-
-    def __init__(self, batch: TreeBatch) -> None:
-        self.adjacency = batch.adjacency
-        self.edge_index = batch.edge_index
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.adjacency.shape[0])
-
-
 # --------------------------------------------------------------------------- #
 # The Lumos model: encoder over trees + cross-device POOL + task heads
 # --------------------------------------------------------------------------- #
@@ -351,7 +343,7 @@ class LumosModel(Module):
 
     def vertex_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """Run message passing on every tree and pool leaves per vertex (Eq. 31)."""
-        node_embeddings = self.encoder(features, _BatchGraphInput(batch))
+        node_embeddings = self.encoder(features, batch)
         if self._uses_mean_pool() and get_backend().allow_fused:
             # Gather + mean-pool fused into one sparse product (same maths,
             # one kernel instead of three).
@@ -381,7 +373,7 @@ class LumosModel(Module):
                 # absorb the classifier head into the same node: the two
                 # weight matrices collapse to one ``(hidden, classes)``
                 # product so every kernel runs at ``num_classes`` width.
-                hidden = self.encoder.forward_hidden(features, _BatchGraphInput(batch))
+                hidden = self.encoder.forward_hidden(features, batch)
                 return F.fused_folded_head(
                     hidden,
                     batch.folded_pool_adjacency(),
@@ -393,7 +385,7 @@ class LumosModel(Module):
                 )
             # No fold (GAT backbone): mean-pool and the classifier head still
             # collapse into one autograd node.
-            node_embeddings = self.encoder(features, _BatchGraphInput(batch))
+            node_embeddings = self.encoder(features, batch)
             return F.fused_pool_head(
                 node_embeddings,
                 batch.mean_pool_matrix(),
@@ -486,24 +478,22 @@ class TreeBasedGNNTrainer:
         batch: Optional[TreeBatch] = None,
         faults: Optional[FaultScenarioConfig] = None,
     ) -> None:
+        if not environment.num_devices:
+            raise ValueError("environment has no devices")
         self.environment = environment
         self.construction = construction
         self.initialization = initialization
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng()
         self.cost_model = cost_model if cost_model is not None else EpochCostModel()
-        # An empty scenario is normalised to None so the fault-free training
-        # path is selected by a single ``is None`` check and stays
-        # bit-identical to the pre-fault implementation.
+        # An empty scenario is normalised to None: the fault-free run is the
+        # ``plan is None`` case of every step below.
         self.faults = faults if faults is not None and not faults.is_empty() else None
         #: Populated by :meth:`train_supervised`; under an empty plan it
         #: reports full participation.
         self.fault_stats: Optional[Dict[str, float]] = None
-        self._fault_plans: Dict[int, FaultPlan] = {}
-        self._fault_charge_cache: Dict[str, tuple] = {}
 
-        sample_feature = next(iter(environment.devices.values())).ego.feature
-        self.feature_dim = int(sample_feature.shape[0])
+        self.feature_dim = int(environment.devices[0].ego.feature.shape[0])
         # A pre-assembled union graph (e.g. the pipeline's cached tree_batch
         # artifact) can be injected; otherwise it is built here.
         self.batch = (
@@ -511,12 +501,9 @@ class TreeBasedGNNTrainer:
             if batch is not None
             else TreeBatch.build(environment, construction, initialization, self.feature_dim)
         )
-        # The communication profile, tree sizes and per-epoch ledger charges
-        # are static once the assignment is installed — computed once, reused
-        # every epoch.
-        self._tree_sizes: Optional[np.ndarray] = None
-        self._profile_cache: Dict[str, Dict[str, np.ndarray]] = {}
-        self._epoch_charge_cache: Dict[str, tuple] = {}
+        # task -> (rounds, compute costs, ids) of every device in one epoch:
+        # static once the assignment is installed, charged every epoch.
+        self._epoch_work: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def _features(self):
@@ -532,14 +519,8 @@ class TreeBasedGNNTrainer:
     def tree_sizes(self) -> np.ndarray:
         """Number of local-graph nodes per device, indexed by device id (as
         every per-device array of the trainer is)."""
-        if self._tree_sizes is None:
-            workloads = np.bincount(
-                self.batch.neighbor_receivers, minlength=self.batch.num_vertices
-            )
-            self._tree_sizes = local_graph_sizes(
-                workloads, self.construction.used_virtual_nodes
-            )
-        return self._tree_sizes.copy()
+        workloads = np.bincount(self.batch.neighbor_receivers, minlength=self.batch.num_vertices)
+        return local_graph_sizes(workloads, self.construction.used_virtual_nodes)
 
     def communication_profile(self, task: str = "supervised") -> Dict[str, np.ndarray]:
         """Per-device inter-device communication rounds in one training epoch.
@@ -553,10 +534,6 @@ class TreeBasedGNNTrainer:
         """
         if task not in ("supervised", "unsupervised"):
             raise ValueError("task must be 'supervised' or 'unsupervised'")
-        cached = self._profile_cache.get(task)
-        if cached is not None:
-            return {key: value.copy() for key, value in cached.items()}
-
         # One batch entry per (device, selected neighbour) pair.
         num_devices = self.environment.num_devices
         workloads = np.bincount(self.batch.neighbor_receivers, minlength=num_devices)
@@ -568,101 +545,65 @@ class TreeBasedGNNTrainer:
                 [device.degree for device in self.environment.devices.values()], dtype=np.int64
             )
             rounds = rounds + 2 * degrees
-        profile = {
-            "per_device_rounds": rounds,
-            "workloads": workloads,
-            "incoming": incoming,
-        }
-        self._profile_cache[task] = profile
-        # Hand out copies: the cached arrays feed later accounting and must
-        # not be mutable through the returned dictionary.
-        return {key: value.copy() for key, value in profile.items()}
+        return {"per_device_rounds": rounds, "workloads": workloads, "incoming": incoming}
 
     def simulated_epoch_time(self, task: str = "supervised") -> float:
         """Simulated wall-clock duration of one synchronous epoch (Fig. 8b)."""
         profile = self.communication_profile(task)
         return self.cost_model.epoch_time(self.tree_sizes(), profile["per_device_rounds"])
 
-    def _charge_epoch(self, task: str) -> None:
-        """Charge one epoch's communication and compute to the ledger (aggregated)."""
-        cached = self._epoch_charge_cache.get(task)
-        if cached is None:
-            profile = self.communication_profile(task)
-            total_rounds = int(profile["per_device_rounds"].sum())
-            cached = (
-                total_rounds * self.config.output_dim * 8,
-                f"epoch-{task}-rounds:{total_rounds}",
-                np.arange(self.environment.num_devices),
+    def _device_work(self, task: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-device ``(rounds, compute costs, ids)`` of one ``task`` epoch, memoised."""
+        if task not in self._epoch_work:
+            self._epoch_work[task] = (
+                self.communication_profile(task)["per_device_rounds"],
                 self.tree_sizes().astype(np.float64),
+                np.arange(self.environment.num_devices),
             )
-            self._epoch_charge_cache[task] = cached
-        size_bytes, description, device_ids, costs = cached
-        self.environment.ledger.send(
-            sender=0,
-            recipient=0,
-            kind=MessageKind.EMBEDDING_EXCHANGE,
-            size_bytes=size_bytes,
-            description=description,
-        )
-        self.environment.ledger.compute_many(device_ids, costs, description="tree-gnn-epoch")
-        self.environment.next_round()
+        return self._epoch_work[task]
 
-    # ------------------------------------------------------------------ #
-    # Fault injection (graceful degradation)
-    # ------------------------------------------------------------------ #
-    def _fault_plan(self, epochs: int) -> Optional[FaultPlan]:
-        """Compile (and cache) the fault schedule for an ``epochs``-round run."""
-        if self.faults is None:
-            return None
-        plan = self._fault_plans.get(epochs)
-        if plan is None:
-            plan = FaultPlan.compile(self.faults, self.environment.num_devices, epochs)
-            self._fault_plans[epochs] = plan
-        return plan
+    def _charge_epoch(self, task: str, plan: Optional[FaultPlan], epoch: int) -> None:
+        """Charge one epoch's communication and compute to the ledger (aggregated).
 
-    def _charge_epoch_faulted(self, task: str, plan: FaultPlan, epoch: int) -> None:
-        """Charge one degraded epoch: only online devices work and send.
-
-        Dropped-out devices are charged nothing.  Evicted stragglers and
-        lost updates *did* transmit, so their rounds stay in the charged
-        total; the undelivered payload is additionally logged on the
-        ledger's drop channel.
+        Without a plan every device works and sends.  Under one, only the
+        round's online devices do: dropped-out devices are charged nothing,
+        while evicted stragglers and lost updates *did* transmit, so their
+        rounds stay in the charged total and the undelivered payload is
+        additionally logged on the ledger's drop channel.
         """
-        cached = self._fault_charge_cache.get(task)
-        if cached is None:
-            profile = self.communication_profile(task)
-            cached = (profile["per_device_rounds"], self.tree_sizes().astype(np.float64))
-            self._fault_charge_cache[task] = cached
-        per_device_rounds, costs = cached
-        online = plan.online_mask(epoch)
-        self.environment.set_availability(online)
-        masked_rounds = per_device_rounds * online
-        total_rounds = int(masked_rounds.sum())
-        self.environment.ledger.send(
+        rounds, costs, devices = self._device_work(task)
+        ledger = self.environment.ledger
+        if plan is not None:
+            online = plan.online_mask(epoch)
+            self.environment.set_availability(online)
+            devices = np.flatnonzero(online)
+            rounds, costs = rounds[devices], costs[devices]
+        total_rounds = int(rounds.sum())
+        ledger.send(
             sender=0,
             recipient=0,
             kind=MessageKind.EMBEDDING_EXCHANGE,
             size_bytes=total_rounds * self.config.output_dim * 8,
             description=f"epoch-{task}-rounds:{total_rounds}",
         )
-        if online.any():
-            self.environment.ledger.compute_many(
-                np.flatnonzero(online), costs[online], description="tree-gnn-epoch"
-            )
-        undelivered = online & (plan.evicted_mask(epoch) | plan.lost_mask(epoch))
-        undelivered_count = int(undelivered.sum())
-        if undelivered_count:
-            self.environment.ledger.drop(
-                sender=0,
-                recipient=0,
-                kind=MessageKind.EMBEDDING_EXCHANGE,
-                size_bytes=int(masked_rounds[undelivered].sum())
-                * self.config.output_dim
-                * 8,
-                description=f"epoch-{task}-undelivered:{undelivered_count}",
-            )
+        if devices.size:
+            ledger.compute_many(devices, costs, description="tree-gnn-epoch")
+        if plan is not None:
+            undelivered = (plan.evicted_mask(epoch) | plan.lost_mask(epoch))[devices]
+            undelivered_count = int(undelivered.sum())
+            if undelivered_count:
+                ledger.drop(
+                    sender=0,
+                    recipient=0,
+                    kind=MessageKind.EMBEDDING_EXCHANGE,
+                    size_bytes=int(rounds[undelivered].sum()) * self.config.output_dim * 8,
+                    description=f"epoch-{task}-undelivered:{undelivered_count}",
+                )
         self.environment.next_round()
 
+    # ------------------------------------------------------------------ #
+    # Fault injection (graceful degradation)
+    # ------------------------------------------------------------------ #
     def _fault_epoch_times(self, plan: FaultPlan, task: str) -> np.ndarray:
         """Per-round simulated epoch durations under the fault schedule.
 
@@ -671,19 +612,14 @@ class TreeBasedGNNTrainer:
         the server stops waiting for them — which is exactly how a round
         deadline caps straggler damage.
         """
-        profile = self.communication_profile(task)
+        rounds, costs, _ = self._device_work(task)
         per_device = (
-            self.tree_sizes().astype(np.float64) * self.cost_model.compute_per_node
-            + profile["per_device_rounds"].astype(np.float64)
-            * self.cost_model.time_per_round
+            costs * self.cost_model.compute_per_node
+            + rounds.astype(np.float64) * self.cost_model.time_per_round
         )
         counted = plan.online & ~plan.evicted
         effective = per_device[None, :] * plan.latency * counted
-        if effective.size:
-            round_max = effective.max(axis=1)
-        else:
-            round_max = np.zeros(plan.num_rounds, dtype=np.float64)
-        return self.cost_model.fixed_overhead + round_max
+        return self.cost_model.fixed_overhead + effective.max(axis=1)
 
     def _finalize_fault_stats(self, plan: Optional[FaultPlan], task: str, skipped_updates: int) -> None:
         if plan is None:
@@ -706,23 +642,10 @@ class TreeBasedGNNTrainer:
             self.fault_stats = stats
             self.environment.set_availability(None)
         obs.set_gauge("trainer.mean_participation", self.fault_stats["mean_participation"])
-        obs.add_counter("trainer.skipped_updates", self.fault_stats["skipped_updates"])
-        obs.add_counter(
-            "trainer.offline_device_rounds", self.fault_stats["offline_device_rounds"]
-        )
-        obs.add_counter(
-            "trainer.evicted_device_rounds", self.fault_stats["evicted_device_rounds"]
-        )
-        obs.add_counter(
-            "trainer.lost_update_rounds", self.fault_stats["lost_update_rounds"]
-        )
-
-    def _resolve_epochs(self, epochs: Optional[int]) -> int:
-        """The explicit ``epochs`` argument, else the configured default."""
-        epochs = self.config.epochs if epochs is None else int(epochs)
-        if epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {epochs}")
-        return epochs
+        for counter in (
+            "skipped_updates", "offline_device_rounds", "evicted_device_rounds", "lost_update_rounds"
+        ):
+            obs.add_counter(f"trainer.{counter}", self.fault_stats[counter])
 
     # ------------------------------------------------------------------ #
     # Supervised training (node classification)
@@ -732,103 +655,56 @@ class TreeBasedGNNTrainer:
         labels: np.ndarray,
         split: NodeSplit,
         epochs: Optional[int] = None,
-        log_every: int = 0,
     ) -> Tuple[LumosModel, SupervisedHistory]:
         """Train for node classification and return the model and its history."""
-        epochs = self._resolve_epochs(epochs)
+        epochs = self.config.epochs if epochs is None else int(epochs)
         with obs.span("trainer.train_supervised", epochs=epochs):
-            return self._train_supervised_impl(labels, split, epochs, log_every)
+            labels = np.asarray(labels, dtype=np.int64)
+            model = LumosModel(self.feature_dim, int(labels.max()) + 1, self.config, rng=self.rng)
+            plan = (
+                FaultPlan.compile(self.faults, self.environment.num_devices, epochs)
+                if self.faults is not None
+                else None
+            )
+            train_accuracy: List[float] = []
+            predictions = None
 
-    def _train_supervised_impl(
-        self,
-        labels: np.ndarray,
-        split: NodeSplit,
-        epochs: int,
-        log_every: int,
-    ) -> Tuple[LumosModel, SupervisedHistory]:
-        labels = np.asarray(labels, dtype=np.int64)
-        num_classes = int(labels.max()) + 1
-        model = LumosModel(self.feature_dim, num_classes, self.config, rng=self.rng)
-        optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
-        history = SupervisedHistory()
-        best_state = None
-        best_predictions: Optional[np.ndarray] = None
-        start = time.perf_counter()
+            def loss(epoch: int) -> Optional[Tensor]:
+                logits = model.logits(self.batch, self._features)
+                mask = split.train_mask
+                if plan is not None:
+                    # Graceful degradation: only this round's participants
+                    # contribute training vertices.  ``cross_entropy`` divides
+                    # by the mask sum, so survivors are upweighted to keep the
+                    # gradient an unbiased average over present devices
+                    # (FedDropoutAvg-style participation reweighting).  With
+                    # no participant holding a training vertex the server
+                    # skips the update (the forward pass still ran on every
+                    # online device).
+                    mask = np.logical_and(mask, plan.participants(epoch))
+                    if not mask.any():
+                        return None
+                return cross_entropy(logits, labels, mask=mask)
 
-        plan = self._fault_plan(epochs)
-        skipped_updates = 0
+            def evaluate() -> Tuple[float, np.ndarray]:
+                nonlocal predictions
+                predictions = np.argmax(model.logits(self.batch, self._features).data, axis=1)
+                return accuracy(labels, predictions, split.val_mask), predictions
 
-        for epoch in range(epochs):
-            model.train()
-            logits = model.logits(self.batch, self._features)
-            if plan is None:
-                loss = cross_entropy(logits, labels, mask=split.train_mask)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                loss_value = loss.item()
-            else:
-                # Graceful degradation: only this round's participants
-                # contribute training vertices.  ``cross_entropy`` divides
-                # by the mask sum, so survivors are upweighted to keep the
-                # gradient an unbiased average over present devices
-                # (FedDropoutAvg-style participation reweighting).
-                round_mask = np.logical_and(split.train_mask, plan.participants(epoch))
-                if round_mask.any():
-                    loss = cross_entropy(logits, labels, mask=round_mask)
-                    optimizer.zero_grad()
-                    loss.backward()
-                    optimizer.step()
-                    loss_value = loss.item()
-                else:
-                    # No participant holds a training vertex this round: the
-                    # server skips the update (the forward pass still ran on
-                    # every online device).
-                    optimizer.zero_grad()
-                    loss_value = 0.0
-                    skipped_updates += 1
+            def after_epoch(epoch: int) -> None:
+                train_accuracy.append(accuracy(labels, predictions, split.train_mask))
+                self._charge_epoch("supervised", plan, epoch)
 
-            with no_grad():
-                model.eval()
-                eval_logits = model.logits(self.batch, self._features)
-                predictions = np.argmax(eval_logits.data, axis=1)
-            train_acc = float((predictions[split.train_mask] == labels[split.train_mask]).mean())
-            val_acc = float((predictions[split.val_mask] == labels[split.val_mask]).mean())
-            history.losses.append(loss_value)
-            history.train_accuracy.append(train_acc)
-            history.val_accuracy.append(val_acc)
-            if val_acc >= history.best_val_accuracy:
-                history.best_val_accuracy = val_acc
-                best_state = model.state_dict()
-                # Evaluation is deterministic, so the best epoch's predictions
-                # are exactly what re-running the model on the best state
-                # would produce — keep them and skip the final forward pass.
-                best_predictions = predictions
-            if plan is None:
-                self._charge_epoch("supervised")
-            else:
-                self._charge_epoch_faulted("supervised", plan, epoch)
-            if log_every and (epoch + 1) % log_every == 0:
-                print(
-                    f"[lumos supervised] epoch {epoch + 1}/{epochs} "
-                    f"loss={loss_value:.4f} val_acc={val_acc:.4f}"
-                )
-
-        if best_state is not None:
-            model.load_state_dict(best_state)
-        if best_predictions is not None:
-            final_predictions = best_predictions
-        else:
-            with no_grad():
-                model.eval()
-                final_logits = model.logits(self.batch, self._features)
-                final_predictions = np.argmax(final_logits.data, axis=1)
-        history.test_accuracy = float(
-            (final_predictions[split.test_mask] == labels[split.test_mask]).mean()
-        )
-        history.wall_clock_seconds = time.perf_counter() - start
-        self._finalize_fault_stats(plan, "supervised", skipped_updates)
-        return model, history
+            run = fit(model, self.config.learning_rate, epochs, loss, evaluate, after_epoch)
+            self._finalize_fault_stats(plan, "supervised", run.skipped_updates)
+            return model, SupervisedHistory(
+                losses=run.losses,
+                train_accuracy=train_accuracy,
+                val_accuracy=run.metrics,
+                test_accuracy=accuracy(labels, run.best_output, split.test_mask),
+                best_val_accuracy=run.best_metric,
+                wall_clock_seconds=run.seconds,
+            )
 
     # ------------------------------------------------------------------ #
     # Unsupervised training (link prediction)
@@ -837,7 +713,6 @@ class TreeBasedGNNTrainer:
         self,
         edge_split: EdgeSplit,
         epochs: Optional[int] = None,
-        log_every: int = 0,
     ) -> Tuple[LumosModel, UnsupervisedHistory]:
         """Train with the link-prediction objective of Eq. 33."""
         if self.faults is not None:
@@ -845,126 +720,35 @@ class TreeBasedGNNTrainer:
                 "fault injection currently supports the supervised task only; "
                 "train_unsupervised requires an empty fault scenario"
             )
-        epochs = self._resolve_epochs(epochs)
+        epochs = self.config.epochs if epochs is None else int(epochs)
         with obs.span("trainer.train_unsupervised", epochs=epochs):
-            return self._train_unsupervised_impl(edge_split, epochs, log_every)
-
-    def _train_unsupervised_impl(
-        self,
-        edge_split: EdgeSplit,
-        epochs: int,
-        log_every: int,
-    ) -> Tuple[LumosModel, UnsupervisedHistory]:
-        model = LumosModel(self.feature_dim, None, self.config, rng=self.rng)
-        optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
-        history = UnsupervisedHistory()
-        best_state = None
-        best_embeddings: Optional[np.ndarray] = None
-        start = time.perf_counter()
-
-        train_pairs = np.asarray(edge_split.train_edges, dtype=np.int64)
-        edge_codes = self._encode_pairs(train_pairs)
-
-        for epoch in range(epochs):
-            model.train()
-            embeddings = model.vertex_embeddings(self.batch, self._features)
-            negatives = self._sample_negative_pairs(train_pairs, edge_codes)
-            loss = link_prediction_loss(
-                F.gather(embeddings, train_pairs[:, 0]),
-                F.gather(embeddings, train_pairs[:, 1]),
-                F.gather(embeddings, negatives[:, 1]),
+            model = LumosModel(self.feature_dim, None, self.config, rng=self.rng)
+            objective = link_prediction_objective(
+                edge_split.train_edges, self.environment.num_devices, self.rng
             )
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
 
-            with no_grad():
-                model.eval()
-                eval_embeddings = model.vertex_embeddings(self.batch, self._features)
-            val_auc = roc_auc_from_embeddings(
-                eval_embeddings.data, edge_split.val_edges, edge_split.val_negatives
-            )
-            history.losses.append(loss.item())
-            history.val_auc.append(val_auc)
-            if val_auc >= history.best_val_auc:
-                history.best_val_auc = val_auc
-                best_state = model.state_dict()
-                # Evaluation embeddings are deterministic given the state —
-                # reuse the best epoch's instead of a final forward pass.
-                best_embeddings = eval_embeddings.data
-            self._charge_epoch("unsupervised")
-            if log_every and (epoch + 1) % log_every == 0:
-                print(
-                    f"[lumos unsupervised] epoch {epoch + 1}/{epochs} "
-                    f"loss={loss.item():.4f} val_auc={val_auc:.4f}"
+            def loss(_epoch: int) -> Tensor:
+                return objective(model.vertex_embeddings(self.batch, self._features))
+
+            def evaluate() -> Tuple[float, np.ndarray]:
+                embeddings = model.vertex_embeddings(self.batch, self._features).data
+                return (
+                    roc_auc_from_embeddings(
+                        embeddings, edge_split.val_edges, edge_split.val_negatives
+                    ),
+                    embeddings,
                 )
 
-        if best_state is not None:
-            model.load_state_dict(best_state)
-        if best_embeddings is None:
-            with no_grad():
-                model.eval()
-                best_embeddings = model.vertex_embeddings(self.batch, self._features).data
-        history.test_auc = roc_auc_from_embeddings(
-            best_embeddings, edge_split.test_edges, edge_split.test_negatives
-        )
-        history.wall_clock_seconds = time.perf_counter() - start
-        return model, history
-
-    def _encode_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Sorted unique codes ``min * base + max`` of undirected vertex pairs."""
-        base = max(self.environment.num_devices, int(pairs.max()) + 1 if pairs.size else 1)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        return np.unique(lo * base + hi)
-
-    def _sample_negative_pairs(self, positive_pairs: np.ndarray, edge_codes: np.ndarray) -> np.ndarray:
-        """One negative ``(u, w)`` per positive ``(u, v)`` with ``(u, w)`` not an edge.
-
-        Vectorised rejection sampling: every still-invalid row redraws its
-        candidate, up to 20 rounds (after which the last candidate is kept,
-        mirroring the bounded retry of the scalar sampler).  ``edge_codes``
-        is the sorted pair encoding produced by :meth:`_encode_pairs`.
-        """
-        num_vertices = self.environment.num_devices
-        base = max(num_vertices, int(positive_pairs.max()) + 1 if positive_pairs.size else 1)
-        sources = positive_pairs[:, 0].astype(np.int64)
-        candidates = np.empty(sources.shape[0], dtype=np.int64)
-        pending = np.arange(sources.shape[0])
-        for _ in range(20):
-            if pending.size == 0:
-                break
-            draws = self.rng.integers(num_vertices, size=pending.shape[0])
-            candidates[pending] = draws
-            pending_sources = sources[pending]
-            lo = np.minimum(pending_sources, draws)
-            hi = np.maximum(pending_sources, draws)
-            codes = lo * base + hi
-            if edge_codes.size:
-                positions = np.minimum(
-                    np.searchsorted(edge_codes, codes), edge_codes.shape[0] - 1
-                )
-                is_edge = edge_codes[positions] == codes
-            else:
-                is_edge = np.zeros(codes.shape[0], dtype=bool)
-            pending = pending[(draws == pending_sources) | is_edge]
-        return np.stack([sources, candidates], axis=1)
-
-
-def roc_auc_from_embeddings(
-    embeddings: np.ndarray, positive_edges: np.ndarray, negative_edges: np.ndarray
-) -> float:
-    """ROC-AUC of inner-product scores on positive vs negative vertex pairs."""
-    from ..eval.metrics import roc_auc_score
-
-    positive_edges = np.asarray(positive_edges, dtype=np.int64)
-    negative_edges = np.asarray(negative_edges, dtype=np.int64)
-    positive_scores = np.sum(
-        embeddings[positive_edges[:, 0]] * embeddings[positive_edges[:, 1]], axis=1
-    )
-    negative_scores = np.sum(
-        embeddings[negative_edges[:, 0]] * embeddings[negative_edges[:, 1]], axis=1
-    )
-    scores = np.concatenate([positive_scores, negative_scores])
-    targets = np.concatenate([np.ones(len(positive_scores)), np.zeros(len(negative_scores))])
-    return roc_auc_score(targets, scores)
+            run = fit(
+                model, self.config.learning_rate, epochs, loss, evaluate,
+                lambda epoch: self._charge_epoch("unsupervised", None, epoch),
+            )
+            return model, UnsupervisedHistory(
+                losses=run.losses,
+                val_auc=run.metrics,
+                test_auc=roc_auc_from_embeddings(
+                    run.best_output, edge_split.test_edges, edge_split.test_negatives
+                ),
+                best_val_auc=run.best_metric,
+                wall_clock_seconds=run.seconds,
+            )

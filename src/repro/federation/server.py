@@ -1,107 +1,42 @@
 """The central server of the federated system.
 
 In Lumos the server's role is intentionally minimal: it coordinates the MCMC
-iterations of the tree constructor (collecting candidate-vertex announcements
-and selecting among the candidates, Alg. 3) and synchronises training rounds.
-It never sees raw features, labels, degrees or workloads — only protocol
-control messages — and the :class:`Server` class enforces that by storing
-nothing beyond opaque candidate ids and round counters.
+iterations of the tree constructor (breaking ties among the devices that
+report a maximal workload, Alg. 3).  It never sees raw features, labels,
+degrees or workloads — only protocol control messages — and the
+:class:`Server` class enforces that by storing nothing beyond its own
+random stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-
-from .events import SERVER_ID, MessageKind
-from .network import CommunicationLedger
 
 
 @dataclass
 class Server:
     """Minimal coordinator for the synchronous federated protocol."""
 
-    ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    _candidates: List[int] = field(default_factory=list)
-
-    # ------------------------------------------------------------------ #
-    # Alg. 3 coordination
-    # ------------------------------------------------------------------ #
-    def receive_candidate(self, device_id: int, is_candidate: bool) -> None:
-        """Record a device's candidate announcement (Alg. 3, lines 14-16)."""
-        self.ledger.send(
-            sender=device_id,
-            recipient=SERVER_ID,
-            kind=MessageKind.SERVER_COORDINATION,
-            size_bytes=1,
-            description="candidate-announcement",
-        )
-        if is_candidate:
-            self._candidates.append(int(device_id))
-
-    def candidate_vertex_set(self) -> List[int]:
-        """Return the collected candidate vertex set (CVS)."""
-        return list(self._candidates)
-
-    def select_maximum(self, winners: List[int]) -> int:
-        """Pick the final maximum-workload device.
-
-        ``winners`` are the devices reporting that they hold the largest
-        workload among the CVS; if several report (ties), the server selects
-        one uniformly at random, exactly as footnote 5 of the paper states.
-        """
-        if not winners:
-            raise ValueError("no device reported a maximal workload")
-        for device_id in winners:
-            self.ledger.send(
-                sender=device_id,
-                recipient=SERVER_ID,
-                kind=MessageKind.SERVER_COORDINATION,
-                size_bytes=1,
-                description="maximum-announcement",
-            )
-        if len(winners) == 1:
-            return int(winners[0])
-        return int(self.rng.choice(winners))
 
     def pick_maximum(self, winners: List[int]) -> int:
-        """Tie-break among ``winners`` without per-winner ledger messages.
+        """Pick the final maximum-workload device (Alg. 3).
 
-        Same selection semantics (and RNG consumption) as
-        :meth:`select_maximum`; used by the aggregated clear-mode balancing
-        path, which logs the winner announcements as a single coordination
-        message of ``len(winners)`` bytes instead of one message per winner.
-        ``Generator.choice`` without weights reduces to one bounded
+        ``winners`` are the devices reporting that they hold the largest
+        workload among the candidate vertex set; if several report (ties),
+        the server selects one uniformly at random, exactly as footnote 5 of
+        the paper states.  The announcements themselves are logged by the
+        caller (one aggregated coordination message of ``len(winners)``
+        bytes).  ``Generator.choice`` without weights reduces to one bounded
         ``integers`` draw, so the direct draw below consumes the stream
-        bit-identically while skipping ``choice``'s array conversion.
+        bit-identically to ``rng.choice(winners)`` while skipping its array
+        conversion; a single winner draws nothing.
         """
         if not winners:
             raise ValueError("no device reported a maximal workload")
         if len(winners) == 1:
             return int(winners[0])
         return int(winners[int(self.rng.integers(0, len(winners)))])
-
-    def reset_candidates(self) -> None:
-        """Clear the candidate set before a new Alg. 3 invocation."""
-        self._candidates.clear()
-
-    # ------------------------------------------------------------------ #
-    # Round synchronisation
-    # ------------------------------------------------------------------ #
-    def broadcast(self, device_ids: List[int], size_bytes: int, description: str = "") -> None:
-        """Record a broadcast from the server to the listed devices."""
-        for device_id in device_ids:
-            self.ledger.send(
-                sender=SERVER_ID,
-                recipient=device_id,
-                kind=MessageKind.SERVER_COORDINATION,
-                size_bytes=size_bytes,
-                description=description,
-            )
-
-    def advance_round(self) -> int:
-        """Move the whole system to the next synchronous round."""
-        return self.ledger.next_round()

@@ -98,7 +98,7 @@ class FederatedEnvironment:
         """Instantiate the environment from an existing ego-network partition."""
         ledger = CommunicationLedger()
         rng = np.random.default_rng(seed)
-        server = Server(ledger=ledger, rng=np.random.default_rng(seed + 1))
+        server = Server(rng=np.random.default_rng(seed + 1))
         devices = build_devices(partition)
         return cls(devices=devices, server=server, ledger=ledger, rng=rng)
 

@@ -1,7 +1,12 @@
-"""GNN layers (GCN, GAT), encoders, task heads and pooling functions."""
+"""GNN layers (GCN, GAT), encoders, task heads, pooling and link-prediction helpers."""
 
 from .gat import GATLayer
 from .gcn import GCNLayer
+from .link_prediction import (
+    link_prediction_objective,
+    negative_sampler,
+    roc_auc_from_embeddings,
+)
 from .models import (
     EncoderConfig,
     GNNEncoder,
@@ -21,6 +26,9 @@ __all__ = [
     "NodeClassifier",
     "LinkPredictor",
     "build_edge_index",
+    "negative_sampler",
+    "link_prediction_objective",
+    "roc_auc_from_embeddings",
     "mean_pool",
     "sum_pool",
     "max_pool",

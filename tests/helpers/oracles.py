@@ -151,7 +151,13 @@ def find_max_workload_device(
                 is_candidate = protocol.is_local_maximum(workloads[device_id], neighbor_workloads)
             else:
                 is_candidate = all(workloads[device_id] >= other for other in neighbor_workloads)
-            environment.server.receive_candidate(device_id, is_candidate)
+            environment.ledger.send(
+                sender=device_id,
+                recipient=SERVER_ID,
+                kind=MessageKind.SERVER_COORDINATION,
+                size_bytes=1,
+                description="candidate-announcement",
+            )
             if is_candidate:
                 candidates.append(device_id)
 
@@ -188,11 +194,16 @@ def find_max_workload_device(
             size_bytes=len(winners),
             description="alg3-maximum-announcements",
         )
-        chosen = environment.server.pick_maximum(winners)
     else:
-        chosen = environment.server.select_maximum(winners)
-    environment.server.reset_candidates()
-    return int(chosen)
+        for device_id in winners:
+            environment.ledger.send(
+                sender=device_id,
+                recipient=SERVER_ID,
+                kind=MessageKind.SERVER_COORDINATION,
+                size_bytes=1,
+                description="maximum-announcement",
+            )
+    return int(environment.server.pick_maximum(winners))
 
 
 def _charge_comparison_traffic(environment: FederatedEnvironment, count: int) -> None:

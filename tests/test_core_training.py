@@ -17,6 +17,13 @@ from repro.core import (
     TreeConstructorConfig,
     default_config_for,
 )
+from repro.baselines import (
+    train_centralized_supervised,
+    train_centralized_unsupervised,
+    train_lpgnn_supervised,
+    train_naive_fedgnn_supervised,
+    train_naive_fedgnn_unsupervised,
+)
 from repro.core.trainer import roc_auc_from_embeddings
 from repro.engine import ArtifactStore
 from repro.federation import FederatedEnvironment, MessageKind
@@ -218,6 +225,60 @@ class TestTrainer:
         assert roc_auc_from_embeddings(embeddings, positives, negatives) == 1.0
 
 
+BASELINES = {
+    "centralized_supervised": train_centralized_supervised,
+    "centralized_unsupervised": train_centralized_unsupervised,
+    "lpgnn_supervised": train_lpgnn_supervised,
+    "naive_fedgnn_supervised": train_naive_fedgnn_supervised,
+    "naive_fedgnn_unsupervised": train_naive_fedgnn_unsupervised,
+}
+ENTRY_POINTS = ["lumos_supervised", "lumos_unsupervised", *BASELINES]
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+class TestEpochsBoundary:
+    """The seven training entry points share one loop, so one boundary."""
+
+    @pytest.fixture()
+    def train(self, prepared, entry_point):
+        """``train(epochs)`` -> the entry point's history / result."""
+        graph, environment, construction, initialization = prepared
+        supervised = entry_point.endswith("_supervised")
+        split = split_nodes(graph, seed=0) if supervised else split_edges(graph, seed=0)
+        if entry_point in BASELINES:
+            return lambda epochs: BASELINES[entry_point](graph, split, epochs=epochs, seed=0)
+
+        def lumos(epochs):
+            trainer = TreeBasedGNNTrainer(
+                environment, construction, initialization, TrainerConfig(),
+                rng=np.random.default_rng(0),
+            )
+            if supervised:
+                return trainer.train_supervised(graph.labels, split, epochs=epochs)[1]
+            return trainer.train_unsupervised(split, epochs=epochs)[1]
+
+        return lumos
+
+    def test_negative_epochs_are_rejected(self, train):
+        with pytest.raises(ValueError, match="epochs must be non-negative"):
+            train(-3)
+
+    def test_zero_epochs_report_the_untrained_model(self, train, entry_point, monkeypatch):
+        from repro.nn.optim import Adam
+
+        result = train(0)
+        per_epoch = {name: value for name, value in vars(result).items() if isinstance(value, list)}
+        assert "losses" in per_epoch
+        assert all(value == [] for value in per_epoch.values()), per_epoch
+        # With the optimizer frozen the model stays untrained, so the test
+        # metric read from an epoch's kept output must be the zero-epoch one.
+        monkeypatch.setattr(Adam, "step", lambda self: None)
+        frozen = train(2)
+        assert len(frozen.losses) == 2
+        metric = "test_accuracy" if entry_point.endswith("_supervised") else "test_auc"
+        assert getattr(result, metric) == getattr(frozen, metric)
+
+
 class TestLumosSystem:
     def test_supervised_end_to_end(self, tiny_graph):
         config = default_config_for("facebook").with_mcmc_iterations(30).with_epochs(20)
@@ -336,3 +397,8 @@ class TestZeroDevices:
         environment, construction = empty
         with pytest.raises(ValueError, match="environment has no devices"):
             TreeBatch.build(environment, construction, prepared[3], 4)
+
+    def test_trainer_rejects_an_empty_environment(self, empty, prepared):
+        environment, construction = empty
+        with pytest.raises(ValueError, match="environment has no devices"):
+            TreeBasedGNNTrainer(environment, construction, prepared[3], TrainerConfig())

@@ -18,6 +18,8 @@ from repro.federation import (
 from repro.graph import partition_node_level
 from repro.graph.ego import EgoNetwork
 
+from helpers.rng_contract import assert_stream_contract
+
 
 class TestMessagesAndLedger:
     def test_message_validation(self):
@@ -99,28 +101,24 @@ class TestDevice:
 
 
 class TestServer:
-    def test_candidate_collection_and_selection(self):
+    @pytest.mark.parametrize("winners", [[5], [2, 7], [9, 1, 4, 4, 8]])
+    def test_pick_maximum_consumes_the_stream_as_choice_does(self, winners):
+        # The Alg. 3 oracle announces per device on the ledger itself and then
+        # calls ``pick_maximum``; what keeps production == oracle is that the
+        # tie-break is ``rng.choice(winners)`` — same value, same stream, and
+        # no draw at all for a single winner.
         server = Server(rng=np.random.default_rng(0))
-        server.receive_candidate(3, True)
-        server.receive_candidate(4, False)
-        server.receive_candidate(5, True)
-        assert server.candidate_vertex_set() == [3, 5]
-        assert server.select_maximum([5]) == 5
-        server.reset_candidates()
-        assert server.candidate_vertex_set() == []
+        expected = []
+        chosen = assert_stream_contract(
+            lambda _rng: server.pick_maximum(winners),
+            server.rng,
+            lambda twin: expected.append(winners[0] if len(winners) == 1 else twin.choice(winners)),
+        )
+        assert chosen == int(expected[0])
 
-    def test_select_maximum_tie_break_is_among_winners(self):
-        server = Server(rng=np.random.default_rng(0))
-        winner = server.select_maximum([2, 7])
-        assert winner in (2, 7)
-        with pytest.raises(ValueError):
-            server.select_maximum([])
-
-    def test_broadcast_records_messages(self):
-        server = Server()
-        server.broadcast([0, 1, 2], size_bytes=16)
-        assert server.ledger.total_messages() == 3
-        assert server.ledger.total_bytes() == 48
+    def test_pick_maximum_needs_a_winner(self):
+        with pytest.raises(ValueError, match="no device reported"):
+            Server().pick_maximum([])
 
 
 class TestFederatedEnvironment:

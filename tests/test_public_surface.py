@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -63,15 +64,38 @@ RETIRED_CRYPTO_NAMES = {
     "trace_remote",
 }
 
+#: The per-message Alg. 3 methods only the oracle drove, and the round helpers
+#: only a test did.
+RETIRED_SERVER_NAMES = {
+    "receive_candidate",
+    "candidate_vertex_set",
+    "select_maximum",
+    "reset_candidates",
+    "broadcast",
+    "advance_round",
+}
 
-def test_retired_crypto_names_stay_gone(modules):
-    # Neither as a module attribute, nor as a function, class or method, nor
-    # as a parameter of one.
+#: What the copied training loops carried, gone with them (``repro.nn.fit``).
+RETIRED_TRAINING_NAMES = {
+    "log_every",
+    "negative_samples_per_edge",
+    "_BatchGraphInput",
+    "_charge_epoch_faulted",
+    "_train_supervised_impl",
+    "_train_unsupervised_impl",
+    "_pair_auc",
+    "_sample_negatives",
+}
+
+
+def _retired_names_found(modules, packages, retired):
+    """Where a retired name survives under ``packages``: as a module
+    attribute, as a function, class or method, or as a parameter of one."""
     found = []
     for module in modules:
-        if not module.__name__.startswith("repro.crypto"):
+        if not module.__name__.startswith(packages):
             continue
-        found += [f"{module.__name__}.{name}" for name in RETIRED_CRYPTO_NAMES & set(vars(module))]
+        found += [f"{module.__name__}.{name}" for name in retired & set(vars(module))]
         for dotted in _callables_defined_in(module):
             value = module
             for part in dotted.split("."):
@@ -79,5 +103,27 @@ def test_retired_crypto_names_stay_gone(modules):
             # A class's parameters are those of its ``__init__``, listed on its own.
             parameters = () if inspect.isclass(value) else inspect.signature(value).parameters
             names = {dotted.rpartition(".")[2], *parameters}
-            found += [f"{module.__name__}.{dotted}: {name}" for name in RETIRED_CRYPTO_NAMES & names]
-    assert not found
+            found += [f"{module.__name__}.{dotted}: {name}" for name in retired & names]
+    return found
+
+
+def test_retired_crypto_names_stay_gone(modules):
+    assert not _retired_names_found(modules, "repro.crypto", RETIRED_CRYPTO_NAMES)
+
+
+def test_retired_server_and_training_names_stay_gone(modules):
+    assert not _retired_names_found(modules, "repro.federation", RETIRED_SERVER_NAMES)
+    assert not _retired_names_found(
+        modules, ("repro.core", "repro.baselines"), RETIRED_TRAINING_NAMES
+    )
+
+
+def test_one_module_steps_an_optimizer(modules):
+    # Lumos and the baselines train through ``repro.nn.fit.fit``; a second
+    # ``backward`` + ``step`` anywhere under ``src/repro`` is a copied loop.
+    loops = [
+        module.__name__
+        for module in modules
+        if re.search(r"\.backward\(\).*?\.step\(\)", inspect.getsource(module), re.DOTALL)
+    ]
+    assert loops == ["repro.nn.fit"]
