@@ -137,11 +137,13 @@ class TreeConstructor:
             )
             environment.apply_assignment(assignment.selected)
 
-        for device_id in environment.devices:
-            # Charge the (local, cheap) tree-building computation.
-            environment.charge_compute(
-                device_id, cost=float(assignment.workload(device_id)), description="tree-construction"
-            )
+        # Charge the (local, cheap) tree-building computation.
+        num_devices = environment.num_devices
+        environment.ledger.compute_many(
+            np.arange(num_devices),
+            assignment.workload_vector(num_devices).astype(np.float64),
+            description="tree-construction",
+        )
 
         return TreeConstructionResult(
             assignment=assignment,

@@ -98,13 +98,12 @@ class LDPDrawsResult:
     epsilon-dependent.  Caching this object lets an epsilon sweep pay the
     draws (and the RNG stream consumption) once per construction.
 
-    Columnar: sender ``i`` is ``sender_ids[i]`` (the environment's device
-    order, in which the stream was consumed) releasing under ``workloads[i]``
-    with bin partition ``bins[i]``; its messages are rows
-    ``offsets[i]:offsets[i + 1]`` of ``receivers`` (ascending) / ``uniforms``.
+    Columnar and indexed by device id (the order in which the stream was
+    consumed): device ``i`` releases under ``workloads[i]`` with bin
+    partition ``bins[i]``; its messages are rows ``offsets[i]:offsets[i + 1]``
+    of ``receivers`` (ascending) / ``uniforms``.
     """
 
-    sender_ids: np.ndarray
     workloads: np.ndarray
     bins: np.ndarray
     offsets: np.ndarray
@@ -165,7 +164,6 @@ class LDPEmbeddingInitializer:
             if stop > start:
                 self.rng.random(out=uniforms[start:stop])
         return LDPDrawsResult(
-            sender_ids=np.fromiter(devices, dtype=np.int64, count=len(devices)),
             workloads=workloads,
             bins=bins,
             offsets=offsets,
@@ -194,17 +192,17 @@ class LDPEmbeddingInitializer:
             np.arange(stream_sender.shape[0]) - draws.offsets[stream_sender]
         ) % draws.workloads[stream_sender]
         # Emit receiver-major (the order the tree batch and the views read).
-        order = np.lexsort((draws.sender_ids[stream_sender], draws.receivers))
-        sender = stream_sender[order]
-        released = draws.bins[sender] == rank[order].astype(draws.bins.dtype)[:, None]
+        order = np.lexsort((stream_sender, draws.receivers))
+        senders = stream_sender[order]
+        released = draws.bins[senders] == rank[order].astype(draws.bins.dtype)[:, None]
         rows, cols = np.divmod(np.flatnonzero(released), dimension)
         features = np.asarray(
-            [environment.devices[int(d)].ego.feature for d in draws.sender_ids], dtype=np.float64
+            [device.ego.feature for device in environment.devices.values()], dtype=np.float64
         ).reshape(-1, dimension)
         recovered = self.mechanism.release(
-            features[sender[rows], cols],
+            features[senders[rows], cols],
             draws.uniforms[order[rows], cols],
-            draws.workloads[sender[rows]],
+            draws.workloads[senders[rows]],
             dimension,
         )
         indptr = np.zeros(order.shape[0] + 1, dtype=np.int64)
@@ -213,12 +211,12 @@ class LDPEmbeddingInitializer:
         # Encoded symbols need 2 bits each ({0, 0.5, 1}); account the
         # transmission of the full d-dimensional message.
         size_bytes = max(1, (2 * dimension) // 8)
-        senders, receivers = draws.sender_ids[sender], draws.receivers[order]
+        receivers = draws.receivers[order]
         environment.exchange_many(
             senders, receivers, MessageKind.FEATURE_EXCHANGE, size_bytes, description="ldp-feature"
         )
         environment.ledger.compute_many(
-            draws.sender_ids, 0.1 * counts, description="ldp-encoding"
+            np.arange(counts.shape[0]), 0.1 * counts, description="ldp-encoding"
         )
         return EmbeddingInitializationResult(
             receivers=receivers,

@@ -13,7 +13,7 @@ There is one production path, :func:`greedy_initialization`: all
 directed-edge comparisons run as one numpy block
 (:meth:`~repro.crypto.zero_knowledge.DegreeComparisonProtocol.compare_degrees_many`),
 the accountant is charged with one bulk pattern record and the ledger with
-one columnar :class:`~repro.federation.events.BulkMessageEvent`.  With
+one ``send_many`` block (both directions of every edge).  With
 ``secure=True`` the outcome bits are produced by the *vectorised
 millionaires' protocol itself* (batched table-OT simulation,
 ``execute=True``) rather than the analytic evaluation, so the structural

@@ -146,10 +146,10 @@ class _IncrementalBalancingKernel:
         self.objective = int(self.workload.max()) if n else 0
         self._pending: Optional[tuple] = None
         # Columnar transcript buffers: the balancing loop appends plain ints
-        # here and flushes one BulkMessageEvent per description at the end of
-        # the run — identical traffic to the eager reference loop (compare
-        # with CommunicationLedger.message_records) without allocating one
-        # message object per protocol step.
+        # here and flushes one ``send_many`` block per description at the end
+        # of the run — identical traffic to the eager reference loop (compare
+        # with CommunicationLedger.message_records) without one ledger call
+        # per protocol step.
         self._candidate_rounds: List[int] = []
         self._comparison_rounds: List[int] = []
         self._comparison_counts: List[int] = []
@@ -547,8 +547,8 @@ class MCMCBalancer:
         rng = self.rng
         round_index = ledger.current_round
         # Columnar buffers for the device-to-device traffic of the loop; the
-        # same messages environment.exchange would log, flushed as bulk
-        # events after the last iteration.
+        # same messages environment.exchange would log, flushed as one
+        # ``send_many`` block per description after the last iteration.
         proposal_senders: List[int] = []
         proposal_recipients: List[int] = []
         proposal_rounds: List[int] = []

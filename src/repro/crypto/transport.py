@@ -137,7 +137,7 @@ class RemoteOTOutcome:
     report: TransportReport
 
 
-#: Ledger ids of the two ends of a session on the transport side-list.
+#: Ledger ids of the two ends of a session in the ledger's frame table.
 DRIVER_PARTY, REMOTE_PARTY = 0, 1
 
 #: Protocol frame kinds priced by the analytic model (everything else is
@@ -321,7 +321,7 @@ class RemoteParty:
     patterns), and optionally a :class:`~repro.federation.network.CommunicationLedger`
     — modeled ``SECURE_COMPARISON`` traffic is charged exactly as the
     in-process callers charge it, while the physical frames are attributed
-    to the ledger's transport side-list
+    to the ledger's frame table
     (:meth:`~repro.federation.network.CommunicationLedger.record_transport_frame`),
     keeping the canonical transcript untouched.
     """
@@ -485,7 +485,7 @@ class RemoteParty:
         RNG draws (table OTs need no masking randomness), and — when a
         ledger is attached — the same canonical ``SECURE_COMPARISON``
         message charge as the in-process callers, with the physical frames
-        recorded on the transport side-list only.  An empty batch starts no
+        recorded in the frame table only.  An empty batch starts no
         session.
         """
         left = operand_array(left, "left", self.bit_width)

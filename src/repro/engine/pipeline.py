@@ -5,9 +5,12 @@ objects over a :class:`~repro.engine.stages.PipelineContext`, consulting an
 :class:`~repro.engine.store.ArtifactStore` before every stage:
 
 * **miss** — the stage computes for real; the pipeline records the stage's
-  RNG consumption and communication-ledger delta alongside the value;
+  RNG consumption and the rows the communication ledger gained since a
+  :meth:`~repro.federation.network.CommunicationLedger.mark` alongside the
+  value;
 * **hit** — the stage's cached value is replayed: the ledger delta is
-  appended to the fresh environment's ledger, the shared RNG is fast-forwarded
+  appended to the fresh environment's ledger (rounds shifted to where that
+  ledger stands), the shared RNG is fast-forwarded
   to the post-stage state, and the stage's ``replay`` hook re-installs cheap
   derived state (assignments, received features).
 
@@ -18,11 +21,9 @@ a warm run from a cold one — results are bit-for-bit identical.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional
 
 from .. import obs
-from ..federation.events import ComputeEvent
 from .stages import PipelineContext, Stage, lumos_stages
 from .store import ArtifactStore, StoredArtifact, default_store
 
@@ -94,9 +95,9 @@ class Pipeline:
                 self.store.record_miss(stage.name)
                 trace_span["attributes"]["cache"] = "miss"
                 obs.add_counter(f"engine.stage.{stage.name}.misses")
-                marks = self._ledger_marks(context)
+                mark = self._ledger_mark(context)
                 value = stage.compute(context)
-                artifact = self._capture(context, value, marks)
+                artifact = self._capture(context, value, mark)
                 self.store.put(key, artifact)
         context.artifacts[stage.name] = value
         context.keys[stage.name] = key
@@ -105,92 +106,25 @@ class Pipeline:
     # Side-effect capture / replay
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _ledger_marks(context: PipelineContext):
+    def _ledger_mark(context: PipelineContext):
         environment = context.environment
-        if environment is None:
-            return (0, 0, 0, 0, 0)
-        ledger = environment.ledger
-        return (
-            len(ledger.messages),
-            len(ledger.compute_events),
-            len(ledger.bulk_compute_events),
-            len(ledger.bulk_message_events),
-            ledger.current_round,
-        )
+        return environment.ledger.mark() if environment is not None else None
 
     @staticmethod
-    def _capture(context: PipelineContext, value, marks) -> StoredArtifact:
-        (
-            messages_before,
-            events_before,
-            bulk_before,
-            bulk_messages_before,
-            round_before,
-        ) = marks
-        ledger = context.environment.ledger if context.environment is not None else None
-        messages: tuple = ()
-        compute_events: tuple = ()
-        bulk_events: tuple = ()
-        bulk_messages: tuple = ()
-        rounds_delta = 0
-        if ledger is not None:
-            messages = tuple(ledger.messages[messages_before:])
-            compute_events = tuple(
-                (event.device, event.cost, event.round_index, event.description)
-                for event in ledger.compute_events[events_before:]
-            )
-            bulk_events = tuple(ledger.bulk_compute_events[bulk_before:])
-            bulk_messages = tuple(ledger.bulk_message_events[bulk_messages_before:])
-            rounds_delta = ledger.current_round - round_before
+    def _capture(context: PipelineContext, value, mark) -> StoredArtifact:
+        environment = context.environment
         return StoredArtifact(
             value=value,
             rng_state=context.rng.bit_generator.state,
-            messages=messages,
-            compute_events=compute_events,
-            bulk_events=bulk_events,
-            bulk_messages=bulk_messages,
-            rounds_delta=rounds_delta,
-            base_round=round_before,
+            ledger_delta=environment.ledger.since(mark) if environment is not None else None,
         )
 
     @staticmethod
     def _replay_side_effects(context: PipelineContext, artifact: StoredArtifact) -> None:
         if artifact.rng_state is not None:
             context.rng.bit_generator.state = artifact.rng_state
-        environment = context.environment
-        if environment is None:
-            return
-        ledger = environment.ledger
-        offset = ledger.current_round - artifact.base_round
-        if offset == 0:
-            ledger.messages.extend(artifact.messages)
-        else:
-            ledger.messages.extend(
-                dataclasses.replace(message, round_index=message.round_index + offset)
-                for message in artifact.messages
-            )
-        ledger.compute_events.extend(
-            ComputeEvent(
-                device=device,
-                cost=cost,
-                round_index=round_index + offset,
-                description=description,
-            )
-            for device, cost, round_index, description in artifact.compute_events
-        )
-        if offset == 0:
-            ledger.bulk_compute_events.extend(artifact.bulk_events)
-            ledger.bulk_message_events.extend(artifact.bulk_messages)
-        else:
-            ledger.bulk_compute_events.extend(
-                dataclasses.replace(event, round_index=event.round_index + offset)
-                for event in artifact.bulk_events
-            )
-            ledger.bulk_message_events.extend(
-                dataclasses.replace(event, round_indices=event.round_indices + offset)
-                for event in artifact.bulk_messages
-            )
-        ledger.current_round += artifact.rounds_delta
+        if context.environment is not None and artifact.ledger_delta is not None:
+            context.environment.ledger.replay(artifact.ledger_delta)
 
 
 def build_lumos_pipeline(store: Optional[ArtifactStore] = None) -> Pipeline:

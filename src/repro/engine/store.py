@@ -21,7 +21,7 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -47,20 +47,16 @@ class StoredArtifact:
     ``value`` is the stage's return value.  ``rng_state`` is the bit-generator
     state of the pipeline RNG *after* the stage ran, so a cache hit leaves the
     shared RNG stream exactly where a cold run would have — downstream stages
-    (and training) are bit-for-bit identical either way.  ``messages`` /
-    ``compute_events`` / ``rounds_delta`` capture the communication-ledger
-    delta the stage produced, replayed into the (fresh) environment's ledger
-    on a hit so system-side accounting does not depend on cache state.
+    (and training) are bit-for-bit identical either way.  ``ledger_delta`` is
+    the rows the communication ledger gained while the stage ran
+    (:meth:`~repro.federation.network.CommunicationLedger.since`), replayed
+    into the (fresh) environment's ledger on a hit so system-side accounting
+    does not depend on cache state.
     """
 
     value: Any
     rng_state: Optional[dict] = None
-    messages: Tuple = ()
-    compute_events: Tuple = ()
-    bulk_events: Tuple = ()
-    bulk_messages: Tuple = ()
-    rounds_delta: int = 0
-    base_round: int = 0
+    ledger_delta: Any = None
 
 
 class ArtifactStore:
@@ -178,10 +174,11 @@ class DiskSpillStore(ArtifactStore):
 
     # v2 added the payload checksum field; v3 marks the columnar LDP artifacts
     # and the factored ``TreeBatch``, v4 ``TreeConstructionResult`` losing a
-    # field — pickled layouts that changed under unchanged stage keys.  Older
-    # files (or any unreadable version) degrade to a miss and are quarantined
-    # like corrupt files.
-    _FORMAT_VERSION = 4
+    # field, v5 ``StoredArtifact``'s single ``ledger_delta`` and
+    # ``LDPDrawsResult`` losing ``sender_ids`` — pickled layouts that changed
+    # under unchanged stage keys.  Older files (or any unreadable version)
+    # degrade to a miss and are quarantined like corrupt files.
+    _FORMAT_VERSION = 5
 
     def __init__(
         self,
@@ -380,8 +377,7 @@ class DiskSpillStore(ArtifactStore):
         """Cheap footprint estimate: array buffers plus a per-object floor."""
         seen: set = set()
         total = 0
-        stack = [artifact.value, artifact.messages, artifact.compute_events,
-                 artifact.bulk_events, artifact.bulk_messages]
+        stack = [artifact.value, artifact.ledger_delta]
         while stack:
             obj = stack.pop()
             identity = id(obj)

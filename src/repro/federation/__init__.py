@@ -1,15 +1,7 @@
 """Federated runtime simulator: devices, server, communication accounting."""
 
 from .device import Device, build_devices
-from .events import (
-    SERVER_ID,
-    BulkComputeEvent,
-    BulkMessageEvent,
-    ComputeEvent,
-    Message,
-    MessageKind,
-    TransportFrame,
-)
+from .events import SERVER_ID, MessageKind
 from .network import CommunicationLedger
 from .server import Server
 from .simulator import FederatedEnvironment
@@ -18,13 +10,8 @@ __all__ = [
     "Device",
     "build_devices",
     "Server",
-    "BulkComputeEvent",
-    "BulkMessageEvent",
-    "Message",
-    "ComputeEvent",
     "MessageKind",
     "SERVER_ID",
-    "TransportFrame",
     "CommunicationLedger",
     "FederatedEnvironment",
 ]

@@ -1,12 +1,8 @@
-"""Message and event records for the federated runtime simulator."""
+"""Traffic categories and the server's pseudo id for the federated ledger."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
-
-import numpy as np
 
 
 class MessageKind(Enum):
@@ -29,144 +25,3 @@ class MessageKind(Enum):
 
 SERVER_ID = -1
 """Pseudo device id used for the central server in message records."""
-
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A single directed message between two parties."""
-
-    sender: int
-    recipient: int
-    kind: MessageKind
-    size_bytes: int
-    round_index: int
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError("message size must be non-negative")
-
-    @property
-    def is_device_to_device(self) -> bool:
-        """True when neither endpoint is the server."""
-        return self.sender != SERVER_ID and self.recipient != SERVER_ID
-
-
-@dataclass(frozen=True, slots=True)
-class TransportFrame:
-    """A physical frame observed on a two-party secure-transport channel.
-
-    Unlike :class:`Message` — the *logical* protocol traffic the paper's
-    communication model counts — a transport frame is what actually crossed
-    the wire when a secure session ran over a real
-    :class:`~repro.runtime.channel.PartyChannel`: ``payload_bytes`` of
-    protocol data plus channel framing overhead, totalling ``wire_bytes``.
-    Frames are kept out of the canonical message transcript so measured
-    transport never perturbs the modeled accounting; they live in their own
-    ledger side-list for attribution and reconciliation.
-    """
-
-    sender: int
-    recipient: int
-    kind: str
-    payload_bytes: int
-    wire_bytes: int
-    round_index: int
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise ValueError("frame payload size must be non-negative")
-        if self.wire_bytes < self.payload_bytes:
-            raise ValueError("wire size must include the payload")
-
-
-@dataclass(slots=True)
-class ComputeEvent:
-    """A unit of simulated local computation on one device."""
-
-    device: int
-    cost: float
-    round_index: int
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError("compute cost must be non-negative")
-
-
-@dataclass(slots=True)
-class BulkComputeEvent:
-    """One round's local computation over many devices, stored columnar.
-
-    Semantically equivalent to one :class:`ComputeEvent` per ``(device,
-    cost)`` pair; used by the per-epoch trainer accounting where creating
-    hundreds of event objects per epoch is measurable overhead.  The arrays
-    are treated as immutable once recorded.
-    """
-
-    devices: "np.ndarray"
-    costs: "np.ndarray"
-    round_index: int
-    description: str = ""
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.costs.sum())
-
-
-@dataclass(slots=True)
-class BulkMessageEvent:
-    """Many directed messages of one kind/description, stored columnar.
-
-    Semantically equivalent to one :class:`Message` per position; used by the
-    MCMC balancing kernel, whose thousands of iterations would otherwise
-    allocate one message object per protocol step.  ``senders``,
-    ``recipients``, ``sizes`` and ``round_indices`` are parallel ``int64``
-    arrays (a scalar field of the logical messages is simply a constant
-    array).  The arrays are treated as immutable once recorded.
-    """
-
-    senders: "np.ndarray"
-    recipients: "np.ndarray"
-    kind: MessageKind
-    sizes: "np.ndarray"
-    round_indices: "np.ndarray"
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        shape = self.senders.shape
-        if (
-            self.recipients.shape != shape
-            or self.sizes.shape != shape
-            or self.round_indices.shape != shape
-        ):
-            raise ValueError("bulk message columns must have matching shapes")
-
-    @property
-    def count(self) -> int:
-        return int(self.senders.shape[0])
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.sizes.sum())
-
-    @property
-    def device_to_device_count(self) -> int:
-        return int(((self.senders != SERVER_ID) & (self.recipients != SERVER_ID)).sum())
-
-    def expand(self) -> list:
-        """Materialise the logical :class:`Message` objects (tests/debugging)."""
-        return [
-            Message(
-                sender=int(sender),
-                recipient=int(recipient),
-                kind=self.kind,
-                size_bytes=int(size),
-                round_index=int(round_index),
-                description=self.description,
-            )
-            for sender, recipient, size, round_index in zip(
-                self.senders, self.recipients, self.sizes, self.round_indices
-            )
-        ]

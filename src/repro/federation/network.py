@@ -4,120 +4,198 @@ The paper reports two system metrics (Fig. 8): the average number of
 inter-device communication rounds per device per epoch, and the training time
 per epoch.  Neither requires real networking — both are deterministic
 functions of *what* the protocol sends and *how much* each device computes.
-:class:`CommunicationLedger` records every message and compute event so the
-evaluation harness can reproduce those metrics, and the straggler model of
-:meth:`CommunicationLedger.epoch_completion_time` captures why workload
-imbalance slows the synchronous system down (the epoch ends only when the
-slowest device finishes).
+:class:`CommunicationLedger` records every message, undelivered message,
+transport frame and unit of local computation as one row of a columnar table
+so the evaluation harness can reproduce those metrics; the straggler-bound
+epoch time itself is :meth:`repro.core.trainer.EpochCostModel.epoch_time`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .events import (
-    SERVER_ID,
-    BulkComputeEvent,
-    BulkMessageEvent,
-    ComputeEvent,
-    Message,
-    MessageKind,
-    TransportFrame,
-)
+from .events import SERVER_ID, MessageKind
 
 
-@dataclass
-class CommunicationLedger:
-    """Append-only log of messages and compute events with summary queries.
+class _Table:
+    """Append-only rows of one record type, stored column by column.
 
-    Messages exist in two equivalent representations: individual
-    :class:`Message` objects (``messages``) and columnar
-    :class:`BulkMessageEvent` blocks (``bulk_message_events``, written by hot
-    protocol loops).  Every summary query accounts for both, so callers never
-    need to know which representation a phase used.
+    Rows live in sealed *blocks* — one 1-D numpy array per column, ``round``
+    first, each row's interned label code last — plus one open *tail* of row
+    tuples.  :meth:`append` grows the tail (one cheap call per row);
+    :meth:`extend` seals the tail and adds its arrays as one block, the label
+    column a stride-0 ``np.broadcast_to`` view of one code, so a kernel block
+    carries no per-row label bytes (pickle and ``deepcopy`` materialise the
+    view; nothing depends on it).  Reads seal the tail and reduce block by
+    block.  Sealed blocks are never mutated, so a delta (:meth:`since`) shares
+    them.  ``floors`` maps a column to its lower bound, ``0`` or a column.
     """
 
-    messages: List[Message] = field(default_factory=list)
-    compute_events: List[ComputeEvent] = field(default_factory=list)
-    bulk_compute_events: List[BulkComputeEvent] = field(default_factory=list)
-    bulk_message_events: List[BulkMessageEvent] = field(default_factory=list)
-    #: Messages that never reached their recipient (offline endpoint, lost
-    #: in transit, or evicted past the round deadline).  Kept out of
-    #: ``messages`` so every existing traffic summary and the canonical
-    #: :meth:`message_records` transcript are untouched by fault injection.
-    dropped: List[Message] = field(default_factory=list)
-    #: Physical frames observed when a secure session ran over a real
-    #: transport channel (:mod:`repro.crypto.transport`).  Like ``dropped``,
-    #: this is a side-list: the canonical :meth:`message_records` transcript
-    #: and every modeled traffic summary are untouched by it, so a run that
-    #: executes its comparisons over the wire stays transcript-identical to
-    #: the in-process simulation while still attributing measured bytes.
-    transport_frames: List[TransportFrame] = field(default_factory=list)
-    current_round: int = 0
+    def __init__(self, columns: Dict[str, type], floors: Dict[str, object]) -> None:
+        self.columns = tuple(columns)
+        self._dtypes = (*columns.values(), np.int64)
+        self._floors = [
+            (self.columns.index(name), None if floor == 0 else self.columns.index(floor))
+            for name, floor in floors.items()
+        ]
+        self.labels: List[tuple] = []
+        self._codes: Dict[tuple, int] = {}
+        self._blocks: List[tuple] = []
+        self._tail: List[tuple] = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _code(self, label: tuple) -> int:
+        if label not in self._codes:
+            self._codes[label] = len(self.labels)
+            self.labels.append(label)
+        return self._codes[label]
+
+    def _check(self, values, bulk: bool) -> None:
+        """The one validation of both append paths: every floor holds."""
+        for column, floor in self._floors:
+            below = values[column] < (0 if floor is None else values[floor])
+            if below.any() if bulk else below:
+                bound = "0" if floor is None else self.columns[floor]
+                raise ValueError(f"{self.columns[column]} must not be below {bound}")
+
+    def append(self, label: tuple, *values) -> None:
+        """Record one row (``values`` in column order) under ``label``."""
+        self._check(values, bulk=False)
+        self._tail.append((*values, self._code(label)))
+        self._size += 1
+
+    def extend(self, label: tuple, *columns) -> None:
+        """Record one block of rows (one array per column) under ``label``."""
+        columns = [np.asarray(column, dtype) for column, dtype in zip(columns, self._dtypes)]
+        shapes = {column.shape for column in columns}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        self._check(columns, bulk=True)
+        count = columns[0].shape[0]
+        if count:
+            self._seal().append((*columns, np.broadcast_to(np.int64(self._code(label)), count)))
+            self._size += count
+
+    def _seal(self) -> List[tuple]:
+        if self._tail:
+            columns = zip(*self._tail)
+            self._blocks.append(tuple(map(np.array, columns, self._dtypes)))
+            self._tail = []
+        return self._blocks
+
+    def column(self, name: str) -> List[np.ndarray]:
+        """The blocks' arrays of one column, in recorded order."""
+        index = self.columns.index(name)
+        return [block[index] for block in self._seal()]
+
+    def total(self, name: str):
+        """Sum of one column, reduced block by block in recorded order."""
+        return sum(column.sum().item() for column in self.column(name))
+
+    def label_counts(self) -> Dict[tuple, int]:
+        """Rows per label, in the order labels were first recorded."""
+        counts = np.zeros(len(self.labels), dtype=np.int64)
+        for block in self._seal():
+            counts += np.bincount(block[-1], minlength=len(self.labels))
+        return {label: int(count) for label, count in zip(self.labels, counts) if count}
+
+    def rows(self) -> List[tuple]:
+        """Every row in recorded order: its column values, then its label."""
+        rows: List[tuple] = []
+        for block in self._seal():
+            labels = [self.labels[code] for code in block[-1].tolist()]
+            values = zip(*(column.tolist() for column in block[:-1]), labels)
+            rows.extend((*row, *label) for *row, label in values)
+        return rows
+
+    def mark(self) -> int:
+        return len(self._seal())
+
+    def since(self, mark: int) -> tuple:
+        """``(labels, blocks)`` recorded after ``mark``."""
+        return tuple(self.labels), self._seal()[mark:]
+
+    def replay(self, delta: tuple, offset: int) -> None:
+        """Append a :meth:`since` delta, its rounds shifted by ``offset``."""
+        labels, blocks = delta
+        codes = np.array([self._code(label) for label in labels], dtype=np.int64)
+        relabel = not np.array_equal(codes, np.arange(codes.shape[0]))
+        self._seal()
+        for rounds, *middle, label in blocks:
+            self._blocks.append(
+                (rounds + offset if offset else rounds, *middle, codes[label] if relabel else label)
+            )
+            self._size += rounds.shape[0]
+
+
+class _LedgerDelta(NamedTuple):
+    """What a ledger recorded after a mark (see :meth:`CommunicationLedger.since`)."""
+
+    base_round: int
+    rounds: int
+    tables: tuple
+
+
+class CommunicationLedger:
+    """Append-only log of traffic and computation, with summary queries.
+
+    Four :class:`_Table` s, every row stamped with its round: ``messages``
+    (the modeled protocol traffic, labelled ``(kind, description)``;
+    :meth:`message_records` is its canonical transcript), ``dropped``
+    (messages that never reached their recipient — offline endpoint, lost in
+    transit, evicted past the round deadline — kept out of ``messages`` so
+    fault injection never perturbs the transcript), ``frames`` (physical
+    frames of a secure session over a real transport channel,
+    :mod:`repro.crypto.transport`: measured evidence beside the modeled
+    traffic, never part of it) and ``computation`` (local compute, labelled
+    ``(description,)``).
+    """
+
+    def __init__(self) -> None:
+        message = {"round": np.int64, "sender": np.int64, "recipient": np.int64}
+        self.messages = _Table({**message, "size": np.int64}, floors={"size": 0})
+        self.dropped = _Table({**message, "size": np.int64}, floors={"size": 0})
+        self.frames = _Table(
+            {**message, "payload": np.int64, "wire": np.int64},
+            floors={"payload": 0, "wire": "payload"},
+        )
+        self.computation = _Table(
+            {"round": np.int64, "device": np.int64, "cost": np.float64}, floors={"cost": 0}
+        )
+        self.current_round = 0
+
+    def _tables(self) -> Tuple[_Table, ...]:
+        return (self.messages, self.dropped, self.frames, self.computation)
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
     def send(
-        self,
-        sender: int,
-        recipient: int,
-        kind: MessageKind,
-        size_bytes: int,
-        description: str = "",
-    ) -> Message:
+        self, sender: int, recipient: int, kind: MessageKind, size_bytes: int, description: str = ""
+    ) -> None:
         """Record a directed message in the current round."""
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            size_bytes=int(size_bytes),
-            round_index=self.current_round,
-            description=description,
+        self.messages.append(
+            (kind.value, description), self.current_round, sender, recipient, int(size_bytes)
         )
-        self.messages.append(message)
-        return message
 
     def send_many(
-        self,
-        senders,
-        recipients,
-        kind: MessageKind,
-        sizes,
-        round_indices,
-        description: str = "",
-    ) -> BulkMessageEvent:
-        """Record many directed messages of one kind/description, columnar.
+        self, senders, recipients, kind: MessageKind, sizes, round_indices, description: str = ""
+    ) -> None:
+        """:meth:`send` per position under that position's round, as one block.
 
-        Semantically identical to calling :meth:`send` per position (with the
-        recorded per-position round), but stores one
-        :class:`BulkMessageEvent`; used by the MCMC balancing kernel where
-        allocating one message object per protocol step is measurable
-        overhead.
+        For callers where one call per protocol step would be the cost (the
+        MCMC balancing kernel, the greedy block, the LDP exchange).
         """
-        event = BulkMessageEvent(
-            senders=np.asarray(senders, dtype=np.int64),
-            recipients=np.asarray(recipients, dtype=np.int64),
-            kind=kind,
-            sizes=np.asarray(sizes, dtype=np.int64),
-            round_indices=np.asarray(round_indices, dtype=np.int64),
-            description=description,
-        )
-        self.bulk_message_events.append(event)
-        return event
+        self.messages.extend((kind.value, description), round_indices, senders, recipients, sizes)
 
     def drop(
-        self,
-        sender: int,
-        recipient: int,
-        kind: MessageKind,
-        size_bytes: int,
-        description: str = "",
-    ) -> Message:
+        self, sender: int, recipient: int, kind: MessageKind, size_bytes: int, description: str = ""
+    ) -> None:
         """Record a message that never reached its recipient.
 
         Whether the sender's bandwidth was also charged is the caller's
@@ -125,16 +203,15 @@ class CommunicationLedger:
         while an undelivered send (offline recipient, loss in transit,
         deadline eviction) pairs a normal :meth:`send` with a drop record.
         """
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            size_bytes=int(size_bytes),
-            round_index=self.current_round,
-            description=description,
+        self.dropped.append(
+            (kind.value, description), self.current_round, sender, recipient, int(size_bytes)
         )
-        self.dropped.append(message)
-        return message
+
+    def drop_many(
+        self, senders, recipients, kind: MessageKind, sizes, round_indices, description: str = ""
+    ) -> None:
+        """:meth:`drop` per position, as one block (see :meth:`send_many`)."""
+        self.dropped.extend((kind.value, description), round_indices, senders, recipients, sizes)
 
     def record_transport_frame(
         self,
@@ -144,7 +221,7 @@ class CommunicationLedger:
         payload_bytes: int,
         wire_bytes: int,
         description: str = "",
-    ) -> TransportFrame:
+    ) -> None:
         """Attribute one measured transport frame to its party endpoints.
 
         ``kind`` is the transport-level frame tag (a
@@ -152,44 +229,25 @@ class CommunicationLedger:
         :class:`MessageKind` — the frame is physical evidence alongside the
         modeled traffic, never part of it.
         """
-        frame = TransportFrame(
-            sender=sender,
-            recipient=recipient,
-            kind=str(kind),
-            payload_bytes=int(payload_bytes),
-            wire_bytes=int(wire_bytes),
-            round_index=self.current_round,
-            description=description,
+        self.frames.append(
+            (str(kind), description),
+            self.current_round,
+            sender,
+            recipient,
+            int(payload_bytes),
+            int(wire_bytes),
         )
-        self.transport_frames.append(frame)
-        return frame
 
-    def compute(self, device: int, cost: float, description: str = "") -> ComputeEvent:
+    def compute(self, device: int, cost: float, description: str = "") -> None:
         """Record ``cost`` units of local computation on ``device``."""
-        event = ComputeEvent(
-            device=device, cost=float(cost), round_index=self.current_round, description=description
-        )
-        self.compute_events.append(event)
-        return event
+        self.computation.append((description,), self.current_round, device, float(cost))
 
-    def compute_many(self, devices, costs, description: str = "") -> BulkComputeEvent:
-        """Record one round of computation over many devices at once.
-
-        Semantically identical to calling :meth:`compute` per ``(device,
-        cost)`` pair, but stored columnar (one :class:`BulkComputeEvent`);
-        used by the trainer's per-epoch accounting where creating hundreds of
-        event objects per epoch is measurable overhead.
-        """
-        event = BulkComputeEvent(
-            devices=np.asarray(devices, dtype=np.int64),
-            costs=np.asarray(costs, dtype=np.float64),
-            round_index=self.current_round,
-            description=description,
+    def compute_many(self, devices, costs, description: str = "") -> None:
+        """:meth:`compute` per ``(device, cost)`` pair in this round, as one block."""
+        devices = np.asarray(devices, dtype=np.int64)
+        self.computation.extend(
+            (description,), np.full(devices.shape, self.current_round), devices, costs
         )
-        if event.devices.shape != event.costs.shape:
-            raise ValueError("devices and costs must have matching shapes")
-        self.bulk_compute_events.append(event)
-        return event
 
     def next_round(self) -> int:
         """Advance the synchronous round counter."""
@@ -197,185 +255,90 @@ class CommunicationLedger:
         return self.current_round
 
     def reset(self) -> None:
-        """Clear all recorded events."""
-        self.messages.clear()
-        self.compute_events.clear()
-        self.bulk_compute_events.clear()
-        self.bulk_message_events.clear()
-        self.dropped.clear()
-        self.transport_frames.clear()
-        self.current_round = 0
+        """Clear all recorded rows and the round counter."""
+        self.__init__()
 
     # ------------------------------------------------------------------ #
-    # Summaries
+    # Deltas (the execution engine's replay of a cached stage)
     # ------------------------------------------------------------------ #
-    def total_messages(self, kinds: Optional[Iterable[MessageKind]] = None) -> int:
-        """Number of messages, optionally restricted to some kinds."""
-        if kinds is None:
-            return len(self.messages) + sum(
-                event.count for event in self.bulk_message_events
-            )
-        wanted = set(kinds)
-        return sum(1 for message in self.messages if message.kind in wanted) + sum(
-            event.count for event in self.bulk_message_events if event.kind in wanted
+    def mark(self) -> tuple:
+        """A position in the log for :meth:`since`."""
+        return (self.current_round, *(table.mark() for table in self._tables()))
+
+    def since(self, mark: Optional[tuple] = None) -> _LedgerDelta:
+        """The rows every table gained after ``mark`` (``None``: ever) and the rounds."""
+        base_round, *starts = mark if mark is not None else (0,) * (1 + len(self._tables()))
+        return _LedgerDelta(
+            base_round=base_round,
+            rounds=self.current_round - base_round,
+            tables=tuple(table.since(start) for table, start in zip(self._tables(), starts)),
         )
 
-    def total_bytes(self, kinds: Optional[Iterable[MessageKind]] = None) -> int:
-        """Bytes transferred, optionally restricted to some kinds."""
-        wanted = set(kinds) if kinds is not None else None
-        return sum(
-            message.size_bytes
-            for message in self.messages
-            if wanted is None or message.kind in wanted
-        ) + sum(
-            event.total_bytes
-            for event in self.bulk_message_events
-            if wanted is None or event.kind in wanted
-        )
+    def replay(self, delta: _LedgerDelta) -> None:
+        """Append a :meth:`since` delta as if recorded from this ledger's round."""
+        offset = self.current_round - delta.base_round
+        for table, rows in zip(self._tables(), delta.tables):
+            table.replay(rows, offset)
+        self.current_round += delta.rounds
 
-    def total_transport_frames(self) -> int:
-        """Number of physical frames attributed from transport channels."""
-        return len(self.transport_frames)
-
-    def total_transport_payload_bytes(self) -> int:
-        """Measured protocol payload bytes that crossed real channels."""
-        return sum(frame.payload_bytes for frame in self.transport_frames)
-
-    def total_transport_wire_bytes(self) -> int:
-        """Measured bytes on the wire, including channel framing overhead."""
-        return sum(frame.wire_bytes for frame in self.transport_frames)
-
-    def total_dropped_messages(self) -> int:
-        """Number of messages that never reached their recipient."""
-        return len(self.dropped)
-
-    def total_dropped_bytes(self) -> int:
-        """Undelivered payload bytes (see :meth:`drop` for charging rules)."""
-        return sum(message.size_bytes for message in self.dropped)
-
-    def device_to_device_messages(self) -> int:
-        """Messages where neither endpoint is the server."""
-        return sum(1 for message in self.messages if message.is_device_to_device) + sum(
-            event.device_to_device_count for event in self.bulk_message_events
-        )
-
+    # ------------------------------------------------------------------ #
+    # Queries
+    # ------------------------------------------------------------------ #
     def message_records(self) -> List[tuple]:
         """Canonical multiset of all logged traffic, sorted.
 
-        Expands both representations into ``(round, sender, recipient, kind,
-        size, description)`` tuples and sorts them — within one synchronous
-        round the protocol imposes no message order, so this is the form two
-        transcripts are compared in (tests, debugging).
+        ``(round, sender, recipient, kind, size, description)`` tuples of
+        plain ``int`` / ``str`` — within one synchronous round the protocol
+        imposes no message order, so this is the form two transcripts are
+        compared in (tests, the maintenance state digest).
         """
-        records = [
-            (
-                message.round_index,
-                message.sender,
-                message.recipient,
-                message.kind.value,
-                message.size_bytes,
-                message.description,
-            )
-            for message in self.messages
-        ]
-        for event in self.bulk_message_events:
-            records.extend(
-                (
-                    message.round_index,
-                    message.sender,
-                    message.recipient,
-                    message.kind.value,
-                    message.size_bytes,
-                    message.description,
-                )
-                for message in event.expand()
-            )
-        return sorted(records)
+        return sorted(
+            (round_index, sender, recipient, kind, size, description)
+            for round_index, sender, recipient, size, kind, description in self.messages.rows()
+        )
 
     def per_device_message_counts(self, num_devices: int) -> np.ndarray:
-        """Array of message counts charged to each device (as the sender).
-
-        Indexed by device id ``0..num_devices-1``, like every per-device
-        array of this ledger.
-        """
-        sender_blocks = [
-            np.asarray(
-                [m.sender for m in self.messages if m.sender != SERVER_ID],
-                dtype=np.int64,
-            )
-        ]
-        sender_blocks.extend(
-            event.senders[event.senders != SERVER_ID]
-            for event in self.bulk_message_events
-        )
-        senders = np.concatenate(sender_blocks)
+        """Messages each device ``0..num_devices-1`` sent."""
         counts = np.zeros(num_devices, dtype=np.int64)
-        senders = senders[(senders >= 0) & (senders < num_devices)]
-        if senders.size:
-            counts += np.bincount(senders, minlength=num_devices).astype(np.int64)
+        for senders in self.messages.column("sender"):
+            senders = senders[(senders >= 0) & (senders < num_devices)]
+            counts += np.bincount(senders, minlength=num_devices)
         return counts
 
     def per_device_compute(self, num_devices: int) -> np.ndarray:
-        """Total compute cost charged to each device."""
+        """Compute cost charged to each device ``0..num_devices-1``."""
         costs = np.zeros(num_devices, dtype=np.float64)
-        for event in self.compute_events:
-            if 0 <= event.device < num_devices:
-                costs[event.device] += event.cost
-        for bulk in self.bulk_compute_events:
-            in_range = (bulk.devices >= 0) & (bulk.devices < num_devices)
-            np.add.at(costs, bulk.devices[in_range], bulk.costs[in_range])
+        table = self.computation
+        for devices, charged in zip(table.column("device"), table.column("cost")):
+            in_range = (devices >= 0) & (devices < num_devices)
+            np.add.at(costs, devices[in_range], charged[in_range])
         return costs
-
-    def epoch_completion_time(
-        self,
-        num_devices: int,
-        compute_time_per_unit: float = 1.0,
-        communication_latency: float = 0.05,
-    ) -> float:
-        """Simulated wall-clock time of one synchronous epoch.
-
-        The synchronous protocol finishes when the *slowest* device has
-        completed its local computation and sent its messages — this is the
-        straggler effect the tree trimmer mitigates.
-        """
-        compute = self.per_device_compute(num_devices) * compute_time_per_unit
-        message_counts = self.per_device_message_counts(num_devices).astype(np.float64)
-        per_device_time = compute + message_counts * communication_latency
-        return float(per_device_time.max()) if per_device_time.size else 0.0
 
     def summary(self, num_devices: Optional[int] = None) -> Dict[str, float]:
         """Return the headline counters as a dictionary."""
+        messages = self.messages
+        device_to_device = sum(
+            int(((senders != SERVER_ID) & (recipients != SERVER_ID)).sum())
+            for senders, recipients in zip(messages.column("sender"), messages.column("recipient"))
+        )
         result: Dict[str, float] = {
-            "total_messages": float(self.total_messages()),
-            "total_bytes": float(self.total_bytes()),
-            "device_to_device_messages": float(self.device_to_device_messages()),
+            "total_messages": float(len(messages)),
+            "total_bytes": float(messages.total("size")),
+            "device_to_device_messages": float(device_to_device),
             "rounds": float(self.current_round),
-            "total_compute": float(
-                sum(event.cost for event in self.compute_events)
-                + sum(event.total_cost for event in self.bulk_compute_events)
-            ),
+            "total_compute": float(self.computation.total("cost")),
         }
         if num_devices:
-            result["avg_messages_per_device"] = result["device_to_device_messages"] / num_devices
-        # Drop counters appear only when something was actually dropped, so
-        # fault-free summaries stay byte-identical to the pre-fault layout.
-        if self.dropped:
-            result["dropped_messages"] = float(self.total_dropped_messages())
-            result["dropped_bytes"] = float(self.total_dropped_bytes())
-        # Transport counters likewise appear only when a secure session
-        # actually ran over a real channel, so simulation-only summaries
-        # keep their historical layout.
-        if self.transport_frames:
-            result["transport_frames"] = float(self.total_transport_frames())
-            result["transport_payload_bytes"] = float(
-                self.total_transport_payload_bytes()
-            )
-            result["transport_wire_bytes"] = float(self.total_transport_wire_bytes())
-        by_kind: Dict[str, int] = defaultdict(int)
-        for message in self.messages:
-            by_kind[message.kind.value] += 1
-        for event in self.bulk_message_events:
-            by_kind[event.kind.value] += event.count
-        for kind, count in by_kind.items():
-            result[f"messages_{kind}"] = float(count)
+            result["avg_messages_per_device"] = device_to_device / num_devices
+        # Drop and transport counters appear only when such rows exist, so
+        # fault-free, simulation-only summaries keep their layout.
+        if len(self.dropped):
+            result["dropped_messages"] = float(len(self.dropped))
+            result["dropped_bytes"] = float(self.dropped.total("size"))
+        if len(self.frames):
+            result["transport_frames"] = float(len(self.frames))
+            result["transport_payload_bytes"] = float(self.frames.total("payload"))
+            result["transport_wire_bytes"] = float(self.frames.total("wire"))
+        for (kind, _description), count in messages.label_counts().items():
+            result[f"messages_{kind}"] = result.get(f"messages_{kind}", 0.0) + count
         return result

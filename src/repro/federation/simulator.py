@@ -4,12 +4,12 @@
 communication ledger.  Lumos' tree constructor and GNN trainer operate on an
 environment instance rather than on raw graphs, which keeps the privacy
 boundary explicit: any cross-device data movement must go through
-:meth:`FederatedEnvironment.exchange`, which records it.
+:meth:`FederatedEnvironment.exchange_many`, which records it.
 
-The environment also owns the simulated clock: per-device compute is charged
-through :meth:`charge_compute`, and an epoch's wall-clock estimate is the
-straggler-aware maximum over devices (see
-:meth:`repro.federation.network.CommunicationLedger.epoch_completion_time`).
+Per-device compute is charged to the same ledger (:meth:`charge_compute`,
+or ``ledger.compute_many`` for a whole round); the simulated epoch time — the
+slowest device's finish, the straggler effect the tree trimmer mitigates — is
+:meth:`repro.core.trainer.EpochCostModel.epoch_time`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class FederatedEnvironment:
     )
     #: Current-round availability, indexed by device id.
     #: ``None`` (the default) means fully available — the fault-free fast
-    #: path through :meth:`exchange` is a single ``is None`` check.
+    #: path through :meth:`exchange_many` is a single ``is None`` check.
     _availability: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
@@ -199,34 +199,10 @@ class FederatedEnvironment:
     # Communication and compute accounting
     # ------------------------------------------------------------------ #
     def exchange(
-        self,
-        sender: int,
-        recipient: int,
-        kind: MessageKind,
-        size_bytes: int,
-        description: str = "",
+        self, sender: int, recipient: int, kind: MessageKind, size_bytes: int, description: str = ""
     ) -> None:
-        """Record a device-to-device (or device-server) message.
-
-        Under an availability mask, a message from an offline sender is
-        suppressed — nothing is transmitted or charged, only a drop record
-        is kept — while a message to an offline recipient is transmitted
-        (the sender cannot know) and therefore charged normally *plus*
-        logged as undelivered.
-        """
-        if sender != SERVER_ID and sender not in self.devices:
-            raise KeyError(f"unknown sender device {sender}")
-        if recipient != SERVER_ID and recipient not in self.devices:
-            raise KeyError(f"unknown recipient device {recipient}")
-        if self._availability is not None:
-            if not self.is_available(sender):
-                self.ledger.drop(sender, recipient, kind, size_bytes, description)
-                return
-            if not self.is_available(recipient):
-                self.ledger.send(sender, recipient, kind, size_bytes, description)
-                self.ledger.drop(sender, recipient, kind, size_bytes, description)
-                return
-        self.ledger.send(sender, recipient, kind, size_bytes, description)
+        """Record one device-to-device message: :meth:`exchange_many` of one pair."""
+        self.exchange_many(np.array([sender]), np.array([recipient]), kind, size_bytes, description)
 
     def exchange_many(
         self,
@@ -236,22 +212,31 @@ class FederatedEnvironment:
         size_bytes: int,
         description: str = "",
     ) -> None:
-        """One :meth:`exchange` per ``(sender, recipient)`` device pair, recorded columnar.
+        """Record one message per ``(sender, recipient)`` device pair, columnar.
 
-        Under an availability mask the pairs do go through :meth:`exchange`
-        one by one, so offline endpoints leave their drop records.
+        Both endpoints must be devices; anything else (the server included)
+        is a ``KeyError``.  Under an availability mask, a message from an
+        offline sender is suppressed — nothing is transmitted or charged,
+        only a drop row is kept — while a message to an offline recipient is
+        transmitted (the sender cannot know) and therefore charged normally
+        *plus* logged as undelivered.
         """
         endpoints = np.concatenate([senders, recipients])
-        if ((endpoints < 0) | (endpoints >= self.num_devices)).any():
-            raise KeyError("unknown device in a bulk exchange")
-        if self._availability is not None:
-            for sender, recipient in zip(senders.tolist(), recipients.tolist()):
-                self.exchange(sender, recipient, kind, size_bytes, description)
-            return
+        unknown = np.flatnonzero((endpoints < 0) | (endpoints >= self.num_devices))
+        if unknown.size:
+            raise KeyError(f"unknown device {int(endpoints[unknown[0]])}")
         rounds = np.full(senders.shape[0], self.ledger.current_round, dtype=np.int64)
-        self.ledger.send_many(
-            senders, recipients, kind, np.full_like(rounds, size_bytes), rounds, description
-        )
+        sizes = np.full_like(rounds, size_bytes)
+        if self._availability is not None:
+            sent = self._availability[senders]
+            lost = ~(sent & self._availability[recipients])
+            self.ledger.drop_many(
+                senders[lost], recipients[lost], kind, sizes[lost], rounds[lost], description
+            )
+            senders, recipients, sizes, rounds = (
+                column[sent] for column in (senders, recipients, sizes, rounds)
+            )
+        self.ledger.send_many(senders, recipients, kind, sizes, rounds, description)
 
     def charge_compute(self, device_id: int, cost: float, description: str = "") -> None:
         """Charge ``cost`` units of computation to ``device_id``."""

@@ -286,7 +286,7 @@ def churn_maintenance_metrics(
             "final_objective": float(tree.objective()),
             "replay_matches_live": 1.0,
             "mean_participation": plan.summary()["mean_participation"],
-            "ledger_messages": float(tree.ledger.total_messages()),
+            "ledger_messages": float(len(tree.ledger.messages)),
             "comparisons": float(tree.accountant.comparisons),
         }
         for name in ("joins", "leaves", "rebalances", "rebuilds", "edges_added"):

@@ -365,7 +365,7 @@ class MaintainedTree:
         hasher.update(_transcript_digest(self.ledger.message_records()).encode("utf-8"))
         hasher.update(
             f"rounds={self.ledger.current_round};"
-            f"dropped={self.ledger.total_dropped_messages()}".encode("utf-8")
+            f"dropped={len(self.ledger.dropped)}".encode("utf-8")
         )
         hasher.update(
             json.dumps(self.accountant.snapshot(), sort_keys=True).encode("utf-8")

@@ -30,7 +30,6 @@ from .channel import (
 )
 from .executor import (
     DEFAULT_BACKOFF_BASE,
-    DEFAULT_STORE_BYTES,
     Executor,
     FailedAttempt,
     ItemRecord,
@@ -48,7 +47,7 @@ from .items import (
     WorkItem,
 )
 from .plan import WarmupRun, WorkPlan, shared_prefix_plan
-from .worker import ChaosConfig, chaos_action
+from .worker import DEFAULT_STORE_BYTES, ChaosConfig, chaos_action
 
 __all__ = [
     "BaselineItem",

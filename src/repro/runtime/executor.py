@@ -44,9 +44,6 @@ from .items import WorkItem
 from .plan import WorkPlan, shared_prefix_plan
 from .worker import DONE, ChaosConfig, open_worker_store, result_key, worker_main
 
-#: Default byte budget of the shared spill store (scheduler and workers).
-DEFAULT_STORE_BYTES = 256 * 1024 * 1024
-
 #: How often the scheduler polls the result queue / worker liveness.
 _POLL_SECONDS = 0.05
 
@@ -244,9 +241,7 @@ class ProcessExecutor(Executor):
         retries: int = 1,
         timeout: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        store_bytes: int = DEFAULT_STORE_BYTES,
         strict: bool = True,
-        start_method: Optional[str] = None,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_seed: int = 0,
         chaos: Optional[ChaosConfig] = None,
@@ -261,9 +256,7 @@ class ProcessExecutor(Executor):
         self.retries = retries
         self.timeout = timeout
         self.spill_dir = spill_dir
-        self.store_bytes = store_bytes
         self.strict = strict
-        self.start_method = start_method
         self.backoff_base = backoff_base
         self.backoff_seed = backoff_seed
         self.chaos = chaos
@@ -294,7 +287,7 @@ class ProcessExecutor(Executor):
             directory = cleanup.name
         try:
             with observability.span("runtime.execute", items=len(items)):
-                store = open_worker_store(directory, self.store_bytes)
+                store = open_worker_store(directory)
                 warm_started = time.perf_counter()
                 with observability.span("runtime.warmup"):
                     report.stats["warmup_runs"] = self._warm_shared_prefix(items, store)
@@ -331,9 +324,8 @@ class ProcessExecutor(Executor):
                 store.persist(key)
         return len(runs)
 
-    def _mp_context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
+    @staticmethod
+    def _mp_context():
         # On Linux, fork keeps warm per-process caches (loaded graphs,
         # backend state) visible to workers for free.  Everywhere else use
         # the platform default (spawn on Windows *and* macOS — forking a
@@ -378,7 +370,7 @@ class ProcessExecutor(Executor):
             process = context.Process(
                 target=worker_main,
                 args=(worker_id, task_queues[worker_id], result_queue,
-                      directory, self.store_bytes, self.chaos, trace_workers),
+                      directory, self.chaos, trace_workers),
                 daemon=True,
             )
             process.start()

@@ -207,6 +207,7 @@ class LumosItem(WorkItem):
             result = system.run_supervised(split)
             trainer = system.trainer()
             stats = trainer.fault_stats or {}
+            traffic = system.environment.ledger.summary()
             value = {
                 "test_accuracy": result.test_accuracy,
                 "best_val_accuracy": result.best_val_accuracy,
@@ -219,12 +220,8 @@ class LumosItem(WorkItem):
                 "evicted_device_rounds": stats.get("evicted_device_rounds", 0.0),
                 "lost_update_rounds": stats.get("lost_update_rounds", 0.0),
                 "skipped_updates": stats.get("skipped_updates", 0.0),
-                "dropped_messages": float(
-                    system.environment.ledger.total_dropped_messages()
-                ),
-                "dropped_bytes": float(
-                    system.environment.ledger.total_dropped_bytes()
-                ),
+                "dropped_messages": traffic.get("dropped_messages", 0.0),
+                "dropped_bytes": traffic.get("dropped_bytes", 0.0),
             }
         elif self.task == "workload":
             value = system.workload_distribution()

@@ -35,6 +35,9 @@ from ..engine.store import DiskSpillStore, StoredArtifact
 DONE = "done"
 FAIL = "fail"
 
+#: Byte budget of the shared spill store (scheduler and workers).
+DEFAULT_STORE_BYTES = 256 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -95,11 +98,9 @@ def result_key(item_key: str) -> str:
     return f"workitem-result/{item_key}"
 
 
-def open_worker_store(
-    spill_directory: str, max_bytes: int, max_entries: int = 256
-) -> DiskSpillStore:
+def open_worker_store(spill_directory: str) -> DiskSpillStore:
     """The store a worker (or the scheduler) uses for artifact hand-off."""
-    return DiskSpillStore(spill_directory, max_bytes=max_bytes, max_entries=max_entries)
+    return DiskSpillStore(spill_directory, max_bytes=DEFAULT_STORE_BYTES, max_entries=256)
 
 
 def publish_result(store: DiskSpillStore, item_key: str, payload: dict) -> None:
@@ -114,7 +115,6 @@ def worker_main(
     task_queue,
     result_queue,
     spill_directory: str,
-    store_bytes: int,
     chaos: Optional[ChaosConfig] = None,
     trace: bool = False,
 ) -> None:
@@ -132,7 +132,7 @@ def worker_main(
     # clear the ambient slot first; parent-side spans must never leak into
     # (or double-count within) worker snapshots.
     obs.set_tracer(None)
-    store = open_worker_store(spill_directory, store_bytes)
+    store = open_worker_store(spill_directory)
     while True:
         task = task_queue.get()
         if task is None:

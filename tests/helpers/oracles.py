@@ -7,7 +7,9 @@ Every production kernel has exactly one oracle, and it lives here, not in
 (:func:`mcmc_run_reference`), the union graph by per-node traversal
 (:func:`tree_batch_reference`), the LDP feature exchange one scalar message
 at a time (:func:`ldp_exchange_reference`) and the candidate argmax one
-scalar comparison at a time (:func:`secure_argmax_reference`).
+scalar comparison at a time (:func:`secure_argmax_reference`), and the
+communication ledger's columnar tables as plain lists of rows
+(:class:`LedgerOracle`).
 
 ``TreeConstructor`` threads one ``rng`` and one ``TranscriptAccountant``
 through Alg. 1 and Alg. 2; :func:`construct_with_oracles` is the same
@@ -474,3 +476,104 @@ def secure_argmax_reference(comparator, values) -> int:
             # Equal values: keep the earlier index (deterministic tie-break).
             continue
     return best_index
+
+
+# --------------------------------------------------------------------------- #
+# Communication ledger
+# --------------------------------------------------------------------------- #
+class LedgerOracle:
+    """``CommunicationLedger`` as four lists of row tuples, one per table.
+
+    Rows use the tables' layout: the column values (round first), then the
+    label — ``(round, sender, recipient, size, kind, description)`` for
+    messages and drops, ``(round, sender, recipient, payload, wire, kind,
+    description)`` for frames, ``(round, device, cost, description)`` for
+    computation.  Every bulk call is one row per position; every query is a
+    loop over the rows.
+    """
+
+    def __init__(self) -> None:
+        self.messages: List[tuple] = []
+        self.dropped: List[tuple] = []
+        self.frames: List[tuple] = []
+        self.computation: List[tuple] = []
+        self.current_round = 0
+
+    def send(self, sender, recipient, kind, size_bytes, description=""):
+        self.messages.append(
+            (self.current_round, sender, recipient, size_bytes, kind.value, description)
+        )
+
+    def send_many(self, senders, recipients, kind, sizes, round_indices, description=""):
+        for row in zip(round_indices, senders, recipients, sizes):
+            self.messages.append((*row, kind.value, description))
+
+    def drop(self, sender, recipient, kind, size_bytes, description=""):
+        self.dropped.append(
+            (self.current_round, sender, recipient, size_bytes, kind.value, description)
+        )
+
+    def drop_many(self, senders, recipients, kind, sizes, round_indices, description=""):
+        for row in zip(round_indices, senders, recipients, sizes):
+            self.dropped.append((*row, kind.value, description))
+
+    def record_transport_frame(self, sender, recipient, kind, payload, wire, description=""):
+        self.frames.append(
+            (self.current_round, sender, recipient, payload, wire, kind, description)
+        )
+
+    def compute(self, device, cost, description=""):
+        self.computation.append((self.current_round, device, cost, description))
+
+    def compute_many(self, devices, costs, description=""):
+        for device, cost in zip(devices, costs):
+            self.compute(device, cost, description)
+
+    def next_round(self):
+        self.current_round += 1
+        return self.current_round
+
+    @staticmethod
+    def shifted(rows: List[tuple], offset: int) -> List[tuple]:
+        return [(row[0] + offset, *row[1:]) for row in rows]
+
+    def message_records(self) -> List[tuple]:
+        return sorted((r, s, t, kind, size, d) for r, s, t, size, kind, d in self.messages)
+
+    def per_device_message_counts(self, num_devices: int) -> np.ndarray:
+        counts = np.zeros(num_devices, dtype=np.int64)
+        for _, sender, *_ in self.messages:
+            if 0 <= sender < num_devices:
+                counts[sender] += 1
+        return counts
+
+    def per_device_compute(self, num_devices: int) -> np.ndarray:
+        costs = np.zeros(num_devices, dtype=np.float64)
+        for _, device, cost, _ in self.computation:
+            if 0 <= device < num_devices:
+                costs[device] += cost
+        return costs
+
+    def summary(self, num_devices: Optional[int] = None) -> Dict[str, float]:
+        result = {
+            "total_messages": float(len(self.messages)),
+            "total_bytes": float(sum(row[3] for row in self.messages)),
+            "device_to_device_messages": float(
+                sum(1 for row in self.messages if SERVER_ID not in (row[1], row[2]))
+            ),
+            "rounds": float(self.current_round),
+            "total_compute": float(sum(row[2] for row in self.computation)),
+        }
+        if num_devices:
+            result["avg_messages_per_device"] = result["device_to_device_messages"] / num_devices
+        if self.dropped:
+            result["dropped_messages"] = float(len(self.dropped))
+            result["dropped_bytes"] = float(sum(row[3] for row in self.dropped))
+        if self.frames:
+            result["transport_frames"] = float(len(self.frames))
+            result["transport_payload_bytes"] = float(sum(row[3] for row in self.frames))
+            result["transport_wire_bytes"] = float(sum(row[4] for row in self.frames))
+        for row in self.messages:
+            key = f"messages_{row[4]}"
+            result[key] = result.get(key, 0.0) + 1
+        return result

@@ -78,7 +78,7 @@ class TestEmbeddingInitialization:
 
     def test_ledger_records_feature_exchange(self, prepared):
         _, environment, _, initialization = prepared
-        count = environment.ledger.total_messages([MessageKind.FEATURE_EXCHANGE])
+        count = environment.ledger.summary()["messages_feature_exchange"]
         assert count == initialization.messages_sent
 
     def test_validation(self):

@@ -85,7 +85,7 @@ class TestDrawThresholdSplit:
         draws_high = LDPEmbeddingInitializer(
             epsilon=4.0, rng=np.random.default_rng(3)
         ).draw(environment, construction.assignment)
-        for column in ("sender_ids", "workloads", "bins", "offsets", "receivers", "uniforms"):
+        for column in ("workloads", "bins", "offsets", "receivers", "uniforms"):
             np.testing.assert_array_equal(getattr(draws_low, column), getattr(draws_high, column))
 
     def test_threshold_consumes_no_randomness(self, graph):

@@ -358,8 +358,8 @@ class TestAvailability:
 
     def test_no_mask_is_the_fast_path(self, environment):
         environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
-        assert environment.ledger.total_messages() == 1
-        assert environment.ledger.total_dropped_messages() == 0
+        assert environment.ledger.summary()["total_messages"] == 1
+        assert len(environment.ledger.dropped) == 0
         assert "dropped_messages" not in environment.ledger.summary()
 
     def test_offline_sender_is_suppressed_and_uncharged(self, environment):
@@ -367,20 +367,20 @@ class TestAvailability:
         mask[0] = False
         environment.set_availability(mask)
         environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
-        assert environment.ledger.total_messages() == 0
-        assert environment.ledger.total_bytes() == 0
-        assert environment.ledger.total_dropped_messages() == 1
-        assert environment.ledger.total_dropped_bytes() == 10
+        summary = environment.ledger.summary()
+        assert summary["total_messages"] == 0
+        assert summary["total_bytes"] == 0
+        assert summary["dropped_messages"] == 1
+        assert summary["dropped_bytes"] == 10
 
     def test_offline_recipient_is_charged_but_undelivered(self, environment):
         mask = np.ones(environment.num_devices, dtype=bool)
         mask[1] = False
         environment.set_availability(mask)
         environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
-        assert environment.ledger.total_messages() == 1
-        assert environment.ledger.total_bytes() == 10
-        assert environment.ledger.total_dropped_messages() == 1
         summary = environment.ledger.summary()
+        assert summary["total_messages"] == 1
+        assert summary["total_bytes"] == 10
         assert summary["dropped_messages"] == 1
         assert summary["dropped_bytes"] == 10
 
@@ -401,9 +401,10 @@ class TestAvailability:
     def test_reset_clears_drop_records(self, environment):
         environment.set_availability(np.zeros(environment.num_devices, dtype=bool))
         environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
-        assert environment.ledger.total_dropped_messages() == 1
+        assert len(environment.ledger.dropped) == 1
         environment.ledger.reset()
-        assert environment.ledger.total_dropped_messages() == 0
+        assert len(environment.ledger.dropped) == 0
+        assert "dropped_messages" not in environment.ledger.summary()
 
 
 # --------------------------------------------------------------------------- #

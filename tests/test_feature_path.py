@@ -303,7 +303,7 @@ class TestGeneratedParity:
         _check_first_layer(case)
 
     def test_offline_endpoints_leave_drop_records(self):
-        """Under an availability mask the bulk exchange is the per-message one."""
+        """Under an availability mask the bulk exchange keeps per-pair drop rows."""
         make_environment, assignment, bounds = _materialise(UGLY)
         environment = make_environment()
         environment.set_availability(np.array([True, False, True, True, True]))
@@ -312,8 +312,9 @@ class TestGeneratedParity:
         )
         # Device 1 (offline) sends to 2 and receives from 0: its own message
         # is suppressed, the one addressed to it is charged and undelivered.
-        assert [(m.sender, m.recipient) for m in environment.ledger.dropped] == [(0, 1), (1, 2)]
-        assert environment.ledger.total_messages() == 3
+        dropped = environment.ledger.dropped.rows()
+        assert [(sender, recipient) for _, sender, recipient, *_ in dropped] == [(0, 1), (1, 2)]
+        assert len(environment.ledger.messages) == 3
 
 
 # --------------------------------------------------------------------------- #

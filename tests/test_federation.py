@@ -10,7 +10,6 @@ from repro.federation import (
     CommunicationLedger,
     Device,
     FederatedEnvironment,
-    Message,
     MessageKind,
     Server,
     build_devices,
@@ -23,24 +22,27 @@ from helpers.rng_contract import assert_stream_contract
 
 class TestMessagesAndLedger:
     def test_message_validation(self):
-        with pytest.raises(ValueError):
-            Message(sender=0, recipient=1, kind=MessageKind.OTHER, size_bytes=-1, round_index=0)
+        with pytest.raises(ValueError, match="size must not be below 0"):
+            CommunicationLedger().send(0, 1, MessageKind.OTHER, -1)
 
     def test_is_device_to_device(self):
-        device_msg = Message(0, 1, MessageKind.FEATURE_EXCHANGE, 10, 0)
-        server_msg = Message(0, SERVER_ID, MessageKind.SERVER_COORDINATION, 10, 0)
-        assert device_msg.is_device_to_device
-        assert not server_msg.is_device_to_device
+        ledger = CommunicationLedger()
+        ledger.send(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        ledger.send(0, SERVER_ID, MessageKind.SERVER_COORDINATION, 10)
+        ledger.send_many([SERVER_ID], [2], MessageKind.MODEL_SYNC, [4], [0])
+        assert ledger.summary()["device_to_device_messages"] == 1
 
     def test_ledger_counts(self):
         ledger = CommunicationLedger()
         ledger.send(0, 1, MessageKind.FEATURE_EXCHANGE, 100)
         ledger.send(1, SERVER_ID, MessageKind.SERVER_COORDINATION, 10)
         ledger.compute(0, 2.5)
-        assert ledger.total_messages() == 2
-        assert ledger.total_messages([MessageKind.FEATURE_EXCHANGE]) == 1
-        assert ledger.total_bytes() == 110
-        assert ledger.device_to_device_messages() == 1
+        summary = ledger.summary()
+        assert summary["total_messages"] == 2
+        assert summary["messages_feature_exchange"] == 1
+        assert summary["total_bytes"] == 110
+        assert summary["device_to_device_messages"] == 1
+        assert summary["total_compute"] == 2.5
 
     def test_per_device_counters(self):
         ledger = CommunicationLedger()
@@ -52,19 +54,13 @@ class TestMessagesAndLedger:
         ledger.compute(1, 4.0)
         np.testing.assert_allclose(ledger.per_device_compute(3), [0, 4.0, 0])
 
-    def test_epoch_completion_time_is_straggler_bound(self):
-        ledger = CommunicationLedger()
-        ledger.compute(0, 1.0)
-        ledger.compute(1, 10.0)
-        time = ledger.epoch_completion_time(2, compute_time_per_unit=1.0, communication_latency=0.0)
-        assert time == pytest.approx(10.0)
-
     def test_rounds_and_reset(self):
         ledger = CommunicationLedger()
         assert ledger.next_round() == 1
         ledger.send(0, 1, MessageKind.OTHER, 1)
         ledger.reset()
-        assert ledger.total_messages() == 0
+        assert ledger.summary()["total_messages"] == 0
+        assert ledger.message_records() == []
         assert ledger.current_round == 0
 
     def test_summary_contains_kind_breakdown(self):
@@ -78,6 +74,83 @@ class TestMessagesAndLedger:
         ledger = CommunicationLedger()
         with pytest.raises(ValueError):
             ledger.compute(0, -1.0)
+
+    @pytest.mark.parametrize(
+        "scalar, bulk, complaint",
+        [
+            (
+                lambda ledger: ledger.send(0, 1, MessageKind.OTHER, -5),
+                lambda ledger: ledger.send_many([0], [1], MessageKind.OTHER, [-5], [0]),
+                "size must not be below 0",
+            ),
+            (
+                lambda ledger: ledger.drop(0, 1, MessageKind.OTHER, -5),
+                lambda ledger: ledger.drop_many([0], [1], MessageKind.OTHER, [-5], [0]),
+                "size must not be below 0",
+            ),
+            (
+                lambda ledger: ledger.compute(0, -2.0),
+                lambda ledger: ledger.compute_many([0], [-2.0]),
+                "cost must not be below 0",
+            ),
+            (
+                lambda ledger: ledger.record_transport_frame(0, 1, "CONTROL", -1, 0),
+                lambda ledger: ledger.frames.extend(("CONTROL", ""), [0], [0], [1], [-1], [0]),
+                "payload must not be below 0",
+            ),
+            (
+                lambda ledger: ledger.record_transport_frame(0, 1, "CONTROL", 10, 9),
+                lambda ledger: ledger.frames.extend(("CONTROL", ""), [0], [0], [1], [10], [9]),
+                "wire must not be below payload",
+            ),
+            (
+                None,
+                lambda ledger: ledger.send_many([0, 1], [1], MessageKind.OTHER, [1], [0]),
+                "1-D and of one length",
+            ),
+            (
+                None,
+                lambda ledger: ledger.compute_many([[0]], [[1.0]]),
+                "1-D and of one length",
+            ),
+            (
+                None,
+                lambda ledger: ledger.send_many(0, 1, MessageKind.OTHER, 1, 0),
+                "1-D and of one length",
+            ),
+        ],
+        ids=["send", "drop", "compute", "payload", "wire", "ragged", "2-d", "0-d"],
+    )
+    def test_scalar_and_bulk_rows_share_one_validation(self, scalar, bulk, complaint):
+        ledger = CommunicationLedger()
+        ledger.send(0, 1, MessageKind.OTHER, 3)
+        before = (ledger.summary(), ledger.message_records())
+        for record in (scalar, bulk):
+            if record is not None:
+                with pytest.raises(ValueError, match=complaint):
+                    record(ledger)
+        # A rejected row leaves nothing behind.
+        assert (ledger.summary(), ledger.message_records()) == before
+
+    def test_numpy_scalars_never_reach_the_transcript(self):
+        from repro.maintenance.tree import _transcript_digest
+
+        transcripts = []
+        for sender in (np.int64(3), 3):
+            ledger = CommunicationLedger()
+            ledger.send(sender, np.int32(1), MessageKind.OTHER, np.int64(7))
+            ledger.send(sender, 2, MessageKind.OTHER, 1, description="x")
+            transcripts.append(ledger.message_records())
+        bulk = CommunicationLedger()
+        bulk.send_many(np.array([3]), [1], MessageKind.OTHER, [7], [0])
+        bulk.send_many([3.0], np.array([2], dtype=np.int32), MessageKind.OTHER, [1], [0], "x")
+        transcripts.append(bulk.message_records())
+        bulk.send_many([], [], MessageKind.OTHER, [], [], description="y")
+        transcripts.append(bulk.message_records())
+        assert transcripts[0] == [(0, 3, 1, "other", 7, ""), (0, 3, 2, "other", 1, "x")]
+        assert all(records == transcripts[0] for records in transcripts)
+        assert all(type(value) in (int, str) for record in transcripts[0] for value in record)
+        assert len({_transcript_digest(records) for records in transcripts}) == 1
 
 
 class TestDevice:
@@ -140,6 +213,14 @@ class TestFederatedEnvironment:
         environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         with pytest.raises(KeyError):
             environment.exchange(0, 10_000, MessageKind.FEATURE_EXCHANGE, 10)
+        # The server is no device: an exchange endpoint is one.
+        with pytest.raises(KeyError, match=f"unknown device {SERVER_ID}"):
+            environment.exchange(SERVER_ID, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        with pytest.raises(KeyError, match=f"unknown device {SERVER_ID}"):
+            environment.exchange_many(
+                np.array([0, 1]), np.array([1, SERVER_ID]), MessageKind.FEATURE_EXCHANGE, 10
+            )
+        assert environment.ledger.summary()["total_messages"] == 1
         with pytest.raises(KeyError):
             environment.charge_compute(10_000, 1.0)
 

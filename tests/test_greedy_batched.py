@@ -100,7 +100,7 @@ class TestKernelEquivalence:
     def test_auto_resolves_to_batched(self, social_graph):
         environment = FederatedEnvironment.from_graph(social_graph, seed=0)
         greedy_initialization(environment, rng=np.random.default_rng(0))
-        descriptions = {e.description for e in environment.ledger.bulk_message_events}
+        descriptions = {description for _kind, description in environment.ledger.messages.labels}
         assert "greedy-degree-comparison" in descriptions
 
     def test_batched_transcript_is_zero_knowledge(self, social_graph):

@@ -66,8 +66,8 @@ def _assert_equivalent(graph, *, seed: int = 0, iterations: int = 200,
     assert fast_acc.messages == slow_acc.messages
     assert fast_acc.bits == slow_acc.bits
     # The ledgers carry the same traffic (canonical per-round multiset: the
-    # kernel logs columnar bulk events, the reference loop individual
-    # messages).
+    # kernel logs a few ``send_many`` blocks, the reference loop one
+    # ``exchange`` per message).
     assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
     assert fast_env.ledger.summary(fast_env.num_devices) == slow_env.ledger.summary(
         slow_env.num_devices
@@ -312,30 +312,25 @@ class TestTransferDeltas:
         assert copied.workload_vector(social_graph.num_nodes) is not vector
 
 
-class TestBulkMessageEvents:
+class TestKernelTranscriptBlocks:
     def test_kernel_transcript_is_columnar(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
         _, environment, _ = _balanced(graph, iterations=50)
-        ledger = environment.ledger
-        descriptions = {event.description for event in ledger.bulk_message_events}
+        table = environment.ledger.messages
+        descriptions = {description for _kind, description in table.labels}
         assert "alg3-candidate-announcements" in descriptions
         assert "alg3-comparisons" in descriptions
-        # Expansion agrees with the columnar counters.
-        for event in ledger.bulk_message_events:
-            expanded = event.expand()
-            assert len(expanded) == event.count
-            assert sum(m.size_bytes for m in expanded) == event.total_bytes
-            assert (
-                sum(1 for m in expanded if m.is_device_to_device)
-                == event.device_to_device_count
-            )
+        # One block per flushed description, not one row per protocol step.
+        assert len(table.column("round")) <= len(table.labels)
+        assert len(table) > 10 * len(table.labels)
 
     def test_summary_accounts_for_bulk_messages(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
         _, environment, _ = _balanced(graph, iterations=50)
         ledger = environment.ledger
-        eager = len(ledger.messages)
-        bulk = sum(event.count for event in ledger.bulk_message_events)
-        assert bulk > 0
-        assert ledger.total_messages() == eager + bulk
-        assert ledger.summary()["total_messages"] == float(eager + bulk)
+        summary = ledger.summary()
+        records = ledger.message_records()
+        assert summary["total_messages"] == len(records) == len(ledger.messages)
+        assert summary["total_bytes"] == sum(record[4] for record in records)
+        by_kind = sum(value for key, value in summary.items() if key.startswith("messages_"))
+        assert by_kind == len(records)

@@ -89,12 +89,14 @@ class TestDegreePrivacy:
         environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
         greedy_initialization(environment, rng=np.random.default_rng(0))
         degree_values = set(int(d) for d in privacy_graph.degrees())
-        for message in environment.ledger.messages:
-            if message.kind is MessageKind.SECURE_COMPARISON:
-                assert "deg" not in message.description or "comparison" in message.description
+        records = environment.ledger.message_records()
+        assert records
+        for _round, _sender, _recipient, kind, size, description in records:
+            if kind == MessageKind.SECURE_COMPARISON.value:
+                assert "deg" not in description or "comparison" in description
                 # Message sizes are protocol transcript sizes, orders of
                 # magnitude larger than any plausible raw degree encoding.
-                assert message.size_bytes > max(degree_values)
+                assert size > max(degree_values)
 
     def test_server_only_sees_candidate_ids(self, privacy_graph):
         """Alg. 3: the server learns which devices are candidates, not workloads."""
@@ -104,12 +106,14 @@ class TestDegreePrivacy:
         environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
         assignment = Assignment.full(privacy_graph)
         find_max_workload_device(environment, assignment, per_device_ledger=True)
-        server_messages = [
-            message for message in environment.ledger.messages
-            if message.kind is MessageKind.SERVER_COORDINATION
+        server_sizes = [
+            size
+            for _round, _sender, _recipient, kind, size, _description
+            in environment.ledger.message_records()
+            if kind == MessageKind.SERVER_COORDINATION.value
         ]
-        assert server_messages, "Alg. 3 must involve the server"
-        assert all(message.size_bytes <= 1 for message in server_messages)
+        assert server_sizes, "Alg. 3 must involve the server"
+        assert all(size <= 1 for size in server_sizes)
 
     def test_labels_never_enter_the_ledger(self, privacy_graph):
         """Labels are used locally only (paper §IV-B): no label-bearing messages."""
@@ -119,5 +123,5 @@ class TestDegreePrivacy:
         ).construct(environment)
         initializer = LDPEmbeddingInitializer(epsilon=2.0, rng=np.random.default_rng(1))
         initializer.run(environment, construction.assignment)
-        descriptions = {message.description for message in environment.ledger.messages}
+        descriptions = {record[5] for record in environment.ledger.message_records()}
         assert all("label" not in description for description in descriptions)

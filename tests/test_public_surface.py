@@ -87,6 +87,29 @@ RETIRED_TRAINING_NAMES = {
     "_sample_negatives",
 }
 
+#: The ledger's second representation and everything that read it: the event
+#: classes, the unused straggler model, the per-quantity accessors (the query
+#: surface is ``summary`` / ``message_records`` / ``per_device_*``), and the
+#: two ``ProcessExecutor`` knobs nothing passed.
+RETIRED_LEDGER_NAMES = {
+    "Message",
+    "BulkMessageEvent",
+    "ComputeEvent",
+    "BulkComputeEvent",
+    "TransportFrame",
+    "epoch_completion_time",
+    "total_messages",
+    "total_bytes",
+    "device_to_device_messages",
+    "total_dropped_messages",
+    "total_dropped_bytes",
+    "total_transport_frames",
+    "total_transport_payload_bytes",
+    "total_transport_wire_bytes",
+    "start_method",
+    "store_bytes",
+}
+
 
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
@@ -127,3 +150,9 @@ def test_one_module_steps_an_optimizer(modules):
         if re.search(r"\.backward\(\).*?\.step\(\)", inspect.getsource(module), re.DOTALL)
     ]
     assert loops == ["repro.nn.fit"]
+
+
+def test_retired_ledger_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules, ("repro.federation", "repro.engine", "repro.runtime"), RETIRED_LEDGER_NAMES
+    )

@@ -47,7 +47,7 @@ from repro.crypto.transport import (
     charge_comparison_ledger,
     ot_payload_bytes,
 )
-from repro.federation import CommunicationLedger, TransportFrame
+from repro.federation import CommunicationLedger
 from repro.runtime import (
     CallableItem,
     ChannelClosed,
@@ -258,12 +258,12 @@ class TestRemoteComparisonEquivalence:
         assert remote_acc._log == local_acc._log
 
         # Canonical ledger transcript: identical to the factored in-process
-        # charge; the physical frames live only on the transport side-list.
+        # charge; the physical frames live only in the frame table.
         twin_ledger = CommunicationLedger()
         charge_comparison_ledger(twin_ledger, count, outcome.cost, 0, 1)
         assert remote_ledger.message_records() == twin_ledger.message_records()
-        assert not twin_ledger.transport_frames
-        assert remote_ledger.transport_frames
+        assert not len(twin_ledger.frames)
+        assert len(remote_ledger.frames)
 
         # Measured == analytic, exactly.
         cost = comparison_cost(bit_width, block_bits=SecureComparator.BLOCK_BITS)
@@ -276,9 +276,9 @@ class TestRemoteComparisonEquivalence:
         )
         assert set(outcome.report.by_kind) >= {"CMP_CHOICES", "CMP_RESPONSE", "CMP_AND"}
 
-        # Every frame of the session is attributed on the ledger side-list.
-        assert remote_ledger.total_transport_frames() == outcome.report.frames
-        assert remote_ledger.total_transport_wire_bytes() == outcome.report.wire_bytes
+        # Every frame of the session is attributed in the ledger's frame table.
+        assert len(remote_ledger.frames) == outcome.report.frames
+        assert remote_ledger.frames.total("wire") == outcome.report.wire_bytes
         summary = remote_ledger.summary()
         assert summary["transport_frames"] == outcome.report.frames
         assert summary["transport_wire_bytes"] == outcome.report.wire_bytes
@@ -292,7 +292,7 @@ class TestRemoteComparisonEquivalence:
 
     def test_empty_comparison_batch_short_circuits(self, monkeypatch):
         # The same empty-batch rule as the OT session: no party process, no
-        # frames, nothing on the ledger's transport side-list.
+        # frames, nothing in the ledger's frame table.
         def no_session(*_args, **_kwargs):
             raise AssertionError("an empty batch must not start a session")
 
@@ -304,7 +304,7 @@ class TestRemoteComparisonEquivalence:
         assert outcome.left_ge_right.dtype == bool
         assert outcome.report == TransportReport(0, 0, 0, 0, 0, {})
         assert outcome.report == driver.transfer_batch([], [], []).report
-        assert not ledger.transport_frames
+        assert not len(ledger.frames)
         assert not ledger.message_records()
         assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
 
@@ -569,12 +569,15 @@ class TestLedgerTransportFrames:
     def test_side_list_never_touches_the_canonical_transcript(self):
         ledger = CommunicationLedger()
         before = ledger.message_records()
-        frame = ledger.record_transport_frame(0, 1, "CMP_CHOICES", 40, 49)
-        assert isinstance(frame, TransportFrame)
+        ledger.next_round()
+        ledger.record_transport_frame(0, 1, "CMP_CHOICES", 40, 49, description="s")
         assert ledger.message_records() == before
-        assert ledger.total_transport_frames() == 1
-        assert ledger.total_transport_payload_bytes() == 40
-        assert ledger.total_transport_wire_bytes() == 49
+        assert ledger.frames.rows() == [(1, 0, 1, 40, 49, "CMP_CHOICES", "s")]
+        summary = ledger.summary()
+        assert summary["transport_frames"] == 1
+        assert summary["transport_payload_bytes"] == 40
+        assert summary["transport_wire_bytes"] == 49
+        assert summary["total_messages"] == 0
 
     def test_summary_keys_appear_only_when_frames_exist(self):
         ledger = CommunicationLedger()
@@ -585,14 +588,16 @@ class TestLedgerTransportFrames:
         assert summary["transport_payload_bytes"] == 5
         assert summary["transport_wire_bytes"] == 14
         ledger.reset()
-        assert not ledger.transport_frames
+        assert not len(ledger.frames)
         assert "transport_frames" not in ledger.summary()
 
     def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            TransportFrame(0, 1, "CONTROL", payload_bytes=-1, wire_bytes=0, round_index=0)
-        with pytest.raises(ValueError):
-            TransportFrame(0, 1, "CONTROL", payload_bytes=10, wire_bytes=9, round_index=0)
+        ledger = CommunicationLedger()
+        with pytest.raises(ValueError, match="payload must not be below 0"):
+            ledger.record_transport_frame(0, 1, "CONTROL", payload_bytes=-1, wire_bytes=0)
+        with pytest.raises(ValueError, match="wire must not be below payload"):
+            ledger.record_transport_frame(0, 1, "CONTROL", payload_bytes=10, wire_bytes=9)
+        assert not len(ledger.frames)
 
 
 # --------------------------------------------------------------------------- #
