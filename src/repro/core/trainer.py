@@ -73,7 +73,6 @@ class TreeBatch:
     per device (id order; every centre-leaf replica shares it), then
     one LDP message per neighbour leaf (the recovered values at its released
     positions, the bounds' midpoint elsewhere); virtual nodes are zero.
-    :attr:`features` is the derived dense view.
     """
 
     num_nodes: int
@@ -96,15 +95,6 @@ class TreeBatch:
     _pool_matrix: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _folded_pool_adjacency: Any = field(default=None, repr=False, compare=False)
     _pool_row_sums: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @property
-    def features(self) -> np.ndarray:
-        """Dense ``(num_nodes, d)`` initial embeddings: for tests and the
-        ``reference`` backend's op-for-op oracle, never the production path."""
-        if self._features is None:
-            self._features = self.layer_input.dense()
-        return self._features
 
     @staticmethod
     def _factored(
@@ -143,9 +133,9 @@ class TreeBatch:
         """Mean-pool and propagation folded into one prepared operator.
 
         ``P (Â H W + 1 bᵀ) = (P Â) (H W) + (P 1) ⊗ b`` — the constant chain
-        ``P Â`` is collapsed once per batch (``OpsBackend.fold_chain``) so the
+        ``P Â`` is collapsed once per batch (``FastNumpyBackend.fold_chain``) so the
         final GCN layer plus pooling costs a single sparse product per epoch
-        instead of two.  The result is a backend-agnostic
+        instead of two.  The result is a
         :class:`~repro.nn.backend.PreparedMatrix`, cached on the batch; the
         engine prewarms it on the cached ``tree_batch`` artifact so every
         sweep point re-bound via :meth:`with_initialization` shares it.
@@ -180,7 +170,7 @@ class TreeBatch:
         factored = self._factored(
             rows, own, initialization, self.neighbor_receivers, self.neighbor_senders
         )
-        return dataclasses.replace(self, layer_input=factored, _features=None)
+        return dataclasses.replace(self, layer_input=factored)
 
     @classmethod
     def build(
@@ -344,7 +334,7 @@ class LumosModel(Module):
     def vertex_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """Run message passing on every tree and pool leaves per vertex (Eq. 31)."""
         node_embeddings = self.encoder(features, batch)
-        if self._uses_mean_pool() and get_backend().allow_fused:
+        if self._uses_mean_pool():
             # Gather + mean-pool fused into one sparse product (same maths,
             # one kernel instead of three).
             return F.sparse_matmul(batch.mean_pool_matrix(), node_embeddings)
@@ -355,8 +345,7 @@ class LumosModel(Module):
         """Class logits per vertex (supervised task, Eq. 32)."""
         if self.head is None:
             raise RuntimeError("model was built without a classification head")
-        backend = get_backend()
-        if backend.allow_fused and self._uses_mean_pool():
+        if self._uses_mean_pool():
             final = self.encoder.final_layer
             if (
                 isinstance(final, GCNLayer)
@@ -504,14 +493,6 @@ class TreeBasedGNNTrainer:
         # task -> (rounds, compute costs, ids) of every device in one epoch:
         # static once the assignment is installed, charged every epoch.
         self._epoch_work: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    @property
-    def _features(self):
-        """The batch's layer-0 input: factored, or — for a backend that runs
-        the un-fused graph op for op (``reference``) — the dense tensor."""
-        if get_backend().allow_fused:
-            return self.batch.layer_input
-        return Tensor(self.batch.features)
 
     # ------------------------------------------------------------------ #
     # System metrics
@@ -670,7 +651,7 @@ class TreeBasedGNNTrainer:
             predictions = None
 
             def loss(epoch: int) -> Optional[Tensor]:
-                logits = model.logits(self.batch, self._features)
+                logits = model.logits(self.batch, self.batch.layer_input)
                 mask = split.train_mask
                 if plan is not None:
                     # Graceful degradation: only this round's participants
@@ -688,7 +669,8 @@ class TreeBasedGNNTrainer:
 
             def evaluate() -> Tuple[float, np.ndarray]:
                 nonlocal predictions
-                predictions = np.argmax(model.logits(self.batch, self._features).data, axis=1)
+                logits = model.logits(self.batch, self.batch.layer_input)
+                predictions = np.argmax(logits.data, axis=1)
                 return accuracy(labels, predictions, split.val_mask), predictions
 
             def after_epoch(epoch: int) -> None:
@@ -728,10 +710,10 @@ class TreeBasedGNNTrainer:
             )
 
             def loss(_epoch: int) -> Tensor:
-                return objective(model.vertex_embeddings(self.batch, self._features))
+                return objective(model.vertex_embeddings(self.batch, self.batch.layer_input))
 
             def evaluate() -> Tuple[float, np.ndarray]:
-                embeddings = model.vertex_embeddings(self.batch, self._features).data
+                embeddings = model.vertex_embeddings(self.batch, self.batch.layer_input).data
                 return (
                     roc_auc_from_embeddings(
                         embeddings, edge_split.val_edges, edge_split.val_negatives

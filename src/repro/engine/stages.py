@@ -26,7 +26,6 @@ import numpy as np
 from ..federation.simulator import FederatedEnvironment
 from ..graph.ego import partition_node_level
 from ..graph.graph import Graph
-from ..nn.backend import get_backend
 from .fingerprint import fingerprint_graph, fingerprint_value, stage_key
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -186,14 +185,10 @@ class EmbeddingInitStage(Stage):
 class TreeBatchStage(Stage):
     """Assembly of the block-diagonal union graph the trainer runs on.
 
-    Keyed on the construction and the active compute backend — the LDP
-    features enter the batch as a plain row-fill, so across an epsilon sweep
-    the cached structure is re-bound to the current point's exchange on
-    replay instead of being reassembled (``TreeBatch.with_initialization``).
-    The backend that is active when the stage runs participates in the key
-    because the artifact carries operators prepared by that backend (the
-    folded pool/propagation chain), and cached artifacts must never mix
-    backends.
+    Keyed on the construction and the feature dimension — the LDP features
+    enter the batch as a plain row-fill, so across an epsilon sweep the
+    cached structure is re-bound to the current point's exchange on replay
+    instead of being reassembled (``TreeBatch.with_initialization``).
     """
 
     name = "tree_batch"
@@ -203,7 +198,6 @@ class TreeBatchStage(Stage):
             "batch",
             context.keys["construction"],
             f"d={context.graph.num_features}",
-            f"backend={get_backend().name}",
         )
 
     def compute(self, context: PipelineContext) -> Any:

@@ -74,61 +74,29 @@ class GATLayer(Module):
 
         ``edge_index`` should include self loops; :func:`repro.gnn.models.
         build_edge_index` adds them.  ``activation`` (``"relu"``) is folded
-        into the fused layer node when the backend allows fusion, and applied
-        as a separate tensor op on the composite path.
+        into the layer node.
         """
         edge_index = np.asarray(edge_index, dtype=np.int64)
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
-        num_nodes = features.shape[0]
-        backend = get_backend()
-
-        if backend.allow_fused:
-            # Whole layer as a single autograd node: transform, attention
-            # logits, leaky-relu + segment softmax, weighted aggregation,
-            # head concat/mean, bias and activation with closed-form
-            # adjoints (parity pinned by tests/test_nn_backend.py), on the
-            # edge plan the backend keeps per edge index.
-            return F.fused_gat_layer(
-                features,
-                backend.prepare_edges(edge_index, num_nodes),
-                self.weight,
-                self.attention_src,
-                self.attention_dst,
-                self.bias,
-                self.num_heads,
-                self.out_features,
-                self.concat_heads,
-                self.negative_slope,
-                activation=activation,
-            )
-
-        src, dst = edge_index
-        transformed = features @ self.weight  # (N, H*F)
-        transformed = transformed.reshape(num_nodes, self.num_heads, self.out_features)
-
-        # Per-node attention logits: (N, H)
-        src_scores = (transformed * self.attention_src.reshape(1, self.num_heads, self.out_features)).sum(axis=-1)
-        dst_scores = (transformed * self.attention_dst.reshape(1, self.num_heads, self.out_features)).sum(axis=-1)
-
-        # Per-edge logits and softmax over incoming edges of each destination.
-        edge_logits = F.gather(src_scores, src) + F.gather(dst_scores, dst)
-        edge_logits = edge_logits.leaky_relu(self.negative_slope)
-        attention = F.segment_softmax(edge_logits, dst, num_nodes)  # (E, H)
-
-        # Weighted aggregation of source embeddings into destinations.
-        messages = F.gather(transformed, src)  # (E, H, F)
-        weighted = messages * attention.reshape(-1, self.num_heads, 1)
-        aggregated = F.scatter_add(weighted, dst, num_nodes)  # (N, H, F)
-
-        if self.concat_heads:
-            out = aggregated.reshape(num_nodes, self.num_heads * self.out_features)
-        else:
-            out = aggregated.mean(axis=1)
-        out = out + self.bias
-        if activation == "relu":
-            out = out.relu()
-        return out
+        # Whole layer as a single autograd node: transform, attention logits,
+        # leaky-relu + segment softmax, weighted aggregation, head
+        # concat/mean, bias and activation with closed-form adjoints (parity
+        # with the composite graph pinned by tests/test_gat_fused_parity.py),
+        # on the edge plan the backend keeps per edge index.
+        return F.fused_gat_layer(
+            features,
+            get_backend().prepare_edges(edge_index, features.shape[0]),
+            self.weight,
+            self.attention_src,
+            self.attention_dst,
+            self.bias,
+            self.num_heads,
+            self.out_features,
+            self.concat_heads,
+            self.negative_slope,
+            activation=activation,
+        )
 
     def __repr__(self) -> str:
         return (

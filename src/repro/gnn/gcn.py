@@ -55,36 +55,23 @@ class GCNLayer(Module):
         ----------
         features:
             Node feature tensor of shape ``(N, in_features)`` — or, for the
-            first layer under a fused backend, the same constant input kept
-            factored (:class:`~repro.nn.shared_rows.SharedRowFeatures`).
+            first layer, the same constant input kept factored
+            (:class:`~repro.nn.shared_rows.SharedRowFeatures`).
         adjacency:
             Pre-normalised propagation matrix of shape ``(N, N)``.
         activation:
-            Optional activation (``"relu"``) folded into the layer.  On the
-            fused paths it executes inside the single layer node; on the
-            composite path it is applied as a separate tensor op — same
-            mathematics either way.
+            Optional activation (``"relu"``) folded into the single layer
+            node.
         """
         if adjacency.shape[0] != features.shape[0]:
             raise ValueError(
                 f"adjacency has {adjacency.shape[0]} rows but features have "
                 f"{features.shape[0]} rows"
             )
-        backend = get_backend()
-        if backend.allow_fused:
-            if not features.requires_grad:
-                return self._propagate_constant(features, adjacency, backend, activation)
-            # Whole layer (spmm -> affine -> activation) as one autograd node.
-            return F.fused_gcn_layer(
-                features, adjacency, self.weight, self.bias, activation=activation
-            )
-        support = features @ self.weight
-        out = F.sparse_matmul(adjacency, support)
-        if self.bias is not None:
-            out = out + self.bias
-        if activation == "relu":
-            out = out.relu()
-        return out
+        if not features.requires_grad:
+            return self._propagate_constant(features, adjacency, get_backend(), activation)
+        # Whole layer (spmm -> affine -> activation) as one autograd node.
+        return F.fused_gcn_layer(features, adjacency, self.weight, self.bias, activation=activation)
 
     def _propagate_constant(
         self, features, adjacency, backend, activation: Optional[str] = None

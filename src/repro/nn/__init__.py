@@ -4,19 +4,15 @@ This subpackage replaces the PyTorch dependency of the original Lumos
 implementation.  It is intentionally small but complete for the needs of the
 paper: dense/sparse linear algebra with reverse-mode autodiff, GNN-oriented
 scatter/gather primitives, Glorot initialisation, dropout, Adam/SGD and the
-supervised / unsupervised losses used in the evaluation.
+supervised / unsupervised losses used in the evaluation.  Every kernel runs on
+the one numpy backend :func:`get_backend` returns; each GNN layer and loss is
+one fused autograd node, and its composite (op-for-op) form is the test
+oracle in ``tests/helpers/oracles.py``.
 """
 
 from . import functional
 from . import init
-from .backend import (
-    OpsBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from .backend import get_backend
 from .layers import MLP, Dropout, LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from .loss import (
     binary_cross_entropy_with_logits,
@@ -32,12 +28,7 @@ from .tensor import Tensor, as_tensor, concat, no_grad, ones, stack, zeros
 __all__ = [
     "functional",
     "init",
-    "OpsBackend",
-    "available_backends",
     "get_backend",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "Tensor",
     "as_tensor",
     "concat",

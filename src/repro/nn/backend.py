@@ -1,48 +1,30 @@
-"""Pluggable compute backends for the nn / gnn kernels.
+"""The compute backend for the nn / gnn kernels.
 
 Every dense/sparse kernel that :mod:`repro.nn.functional` (and through it the
-GCN / GAT encoders) relies on is routed through an :class:`OpsBackend`.  The
-backend owns exactly the operations whose implementation strategy matters for
-performance or hardware portability:
+GCN / GAT encoders) relies on is a method of the one
+:class:`FastNumpyBackend` that :func:`get_backend` returns.  It owns exactly
+the operations whose implementation strategy matters for performance:
 
 * ``spmm`` / ``spmm_t`` — multiplication by a constant sparse propagation
   matrix (and by its transpose, for the backward pass);
 * ``take_rows`` / ``scatter_rows`` — row gather and its duplicate-aware
   adjoint;
 * ``segment_sum`` / ``segment_counts`` / ``segment_max`` — unsorted segment
-  reductions used by pooling and by the composite GAT edge softmax;
+  reductions used by pooling;
 * ``prepare_edges`` — the per-edge-index :class:`PreparedEdges` plan the
   fused GAT layer runs on.
 
-Two backends ship with the repository — one production path and one oracle:
-
-``numpy`` (default)
-    Optimised numpy/scipy kernels: the sparse matrix and its transpose are
-    prepared once and cached, segment reductions go through a cached CSR
-    aggregation matrix or a cached stable sort instead of ``np.add.at`` /
-    ``np.maximum.at`` (which are unbuffered and an order of magnitude
-    slower), and the GAT edge plan is built once per edge index.  Model-level
-    fusion (single-node GCN / GAT /
-    pool / loss kernels, propagation folded with mean pooling) engages under
-    it.
-
-``reference``
-    The straightforward kernels the original implementation used
-    (``np.add.at``, per-call transposes), executing the un-fused computation
-    graph op for op.  Numerically this is the ground truth the fast kernels
-    are tested against.
-
-Use :func:`set_backend` to switch globally or :func:`use_backend` as a
-context manager — the ambient backend is the only selector; no config field
-names one.  :func:`register_backend` is *the* extension point for an
-accelerator backend: implement :class:`OpsBackend` on device tensors and
-register a factory under a new name.
+The sparse matrix and its transpose are prepared once and cached, segment
+reductions go through a cached CSR aggregation matrix or a cached stable sort
+instead of ``np.add.at`` / ``np.maximum.at`` (which are unbuffered and an
+order of magnitude slower), and the GAT edge plan is built once per edge
+index.  The ``np.add.at`` kernels and the composite (un-fused) layer graphs
+are the oracles in ``tests/helpers/oracles.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +54,17 @@ class PreparedMatrix:
 MatrixLike = Union[sp.spmatrix, PreparedMatrix]
 
 
+def _counts(index: np.ndarray, num_segments: int) -> np.ndarray:
+    """Rows per segment; ``IndexError`` for an id outside ``[0, num_segments)``."""
+    _check_segment_ids(index, num_segments)
+    return np.bincount(index, minlength=num_segments)
+
+
+def _check_segment_ids(index: np.ndarray, num_segments: int) -> None:
+    if index.size and not 0 <= index.min() <= index.max() < num_segments:
+        raise IndexError(f"segment id out of range for {num_segments} segments")
+
+
 class SortedRuns:
     """Stable sort of a segment-id array into contiguous runs.
 
@@ -85,9 +78,7 @@ class SortedRuns:
 
     def __init__(self, index: np.ndarray, num_segments: int) -> None:
         self.order = np.argsort(index, kind="stable")
-        self.counts = np.bincount(index, minlength=num_segments)  # rejects negative ids
-        if self.counts.shape[0] != num_segments:
-            raise IndexError(f"segment id out of range for {num_segments} segments")
+        self.counts = _counts(index, num_segments)
         self.segments = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.segments]
 
@@ -168,6 +159,7 @@ class PreparedEdges(SortedRuns):
 
 def _aggregation_matrix(index: np.ndarray, num_segments: int) -> sp.csr_matrix:
     """``(num_segments, len(index))`` 0/1 matrix whose product sums rows per segment."""
+    _check_segment_ids(index, num_segments)
     num_rows = index.shape[0]
     return sp.csr_matrix(
         (np.ones(num_rows, dtype=np.float64), (index, np.arange(num_rows))),
@@ -175,104 +167,8 @@ def _aggregation_matrix(index: np.ndarray, num_segments: int) -> sp.csr_matrix:
     )
 
 
-class OpsBackend:
-    """Interface of a compute backend (the default methods are the reference
-    numpy kernels; subclasses override what they can do faster)."""
-
-    name = "abstract"
-    #: Whether model-level fast paths (fused pooling matrices, reuse of
-    #: constant-input layer outputs across forward passes) may be taken while
-    #: this backend is active.  The reference backend keeps it off so that it
-    #: executes the un-fused computation graph op for op.
-    allow_fused = True
-
-    # ------------------------------------------------------------------ #
-    # Sparse matmul
-    # ------------------------------------------------------------------ #
-    def prepare_matrix(self, matrix: MatrixLike) -> MatrixLike:
-        """Pre-process a constant sparse matrix for repeated products."""
-        return matrix
-
-    def spmm(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        """``matrix @ dense`` for a constant sparse ``matrix``."""
-        csr = matrix.csr if isinstance(matrix, PreparedMatrix) else matrix.tocsr()
-        return csr @ dense
-
-    def spmm_t(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        """``matrix.T @ dense`` (the adjoint of :meth:`spmm`)."""
-        if isinstance(matrix, PreparedMatrix):
-            return matrix.csr_t @ dense
-        return matrix.tocsr().T.tocsr() @ dense
-
-    def fold_chain(self, matrices: Sequence[MatrixLike]) -> MatrixLike:
-        """Collapse a chain of constant sparse operators into one operator.
-
-        ``fold_chain([A, B, C])`` returns an operator equal to ``A @ B @ C``
-        in a representation the backend's :meth:`spmm` accepts.  The chain
-        members must all be constants (no gradients flow into them), which
-        is exactly the situation for propagation matrices:
-        the mean-pool matrix composed with the normalised tree adjacency can
-        be precomputed once per tree batch and reused for every epoch and
-        every sweep point that shares the construction.
-        """
-        if not matrices:
-            raise ValueError("fold_chain requires at least one matrix")
-        product: Optional[sp.csr_matrix] = None
-        for matrix in matrices:
-            csr = matrix.csr if isinstance(matrix, PreparedMatrix) else sp.csr_matrix(matrix)
-            product = csr if product is None else product @ csr
-        return self.prepare_matrix(product)
-
-    # ------------------------------------------------------------------ #
-    # Row gather / scatter
-    # ------------------------------------------------------------------ #
-    def take_rows(self, data: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """``data[index]`` along the first axis."""
-        return data[index]
-
-    def scatter_rows(self, values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
-        """Adjoint of :meth:`take_rows`: ``out[index[i]] += values[i]``."""
-        out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
-        np.add.at(out, index, values)
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Segment reductions (unsorted segment ids along the first axis)
-    # ------------------------------------------------------------------ #
-    def segment_sum(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """``out[k] = sum_{i: index[i] == k} values[i]``."""
-        return self.scatter_rows(values, index, num_segments)
-
-    def segment_counts(self, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """Number of rows per segment, as float64."""
-        counts = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(counts, index, 1.0)
-        return counts
-
-    def segment_max(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """Per-segment elementwise maximum (``-inf`` for empty segments)."""
-        out = np.full((num_segments,) + values.shape[1:], -np.inf)
-        np.maximum.at(out, index, values)
-        return out
-
-    # ------------------------------------------------------------------ #
-    # GAT edge plan
-    # ------------------------------------------------------------------ #
-    def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:
-        """Pre-process a constant ``(2, E)`` edge index for the fused GAT layer."""
-        return PreparedEdges(edge_index, num_nodes)
-
-
-class ReferenceBackend(OpsBackend):
-    """The seed implementation's kernels, kept verbatim as numerical ground
-    truth (per-call transposes, unbuffered ``np.add.at`` accumulation)."""
-
-    name = "reference"
-    allow_fused = False
-
-
-class FastNumpyBackend(OpsBackend):
-    """Optimised numpy/scipy kernels (the default backend).
+class FastNumpyBackend:
+    """Optimised numpy/scipy kernels.
 
     Two caches make the hot paths cheap:
 
@@ -294,28 +190,11 @@ class FastNumpyBackend(OpsBackend):
     training).
     """
 
-    name = "numpy"
-
     def __init__(self) -> None:
         self._matrix_cache = IdentityCache()
         self._segment_cache = IdentityCache()
 
-    # -- sparse matmul -------------------------------------------------- #
-    def prepare_matrix(self, matrix: MatrixLike) -> PreparedMatrix:
-        if isinstance(matrix, PreparedMatrix):
-            return matrix
-        prepared = self._matrix_cache.get(matrix)
-        if prepared is None:
-            prepared = self._matrix_cache.put(matrix, PreparedMatrix(matrix))
-        return prepared
-
-    def spmm(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        return self.prepare_matrix(matrix).csr @ dense
-
-    def spmm_t(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        return self.prepare_matrix(matrix).csr_t @ dense
-
-    # -- segment reductions --------------------------------------------- #
+    # -- per-index caches ----------------------------------------------- #
     def _per_index(self, index: np.ndarray, size: int, build: Callable):
         """``build(index, size)``, cached against the memory ``index`` reads."""
         anchor, key = index, (build, int(size))
@@ -327,7 +206,50 @@ class FastNumpyBackend(OpsBackend):
             value = self._segment_cache.put(anchor, build(index, int(size)), extra=key)
         return value
 
+    # -- sparse matmul -------------------------------------------------- #
+    def prepare_matrix(self, matrix: MatrixLike) -> PreparedMatrix:
+        """Pre-process a constant sparse matrix for repeated products."""
+        if isinstance(matrix, PreparedMatrix):
+            return matrix
+        prepared = self._matrix_cache.get(matrix)
+        if prepared is None:
+            prepared = self._matrix_cache.put(matrix, PreparedMatrix(matrix))
+        return prepared
+
+    def spmm(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
+        """``matrix @ dense`` for a constant sparse ``matrix``."""
+        return self.prepare_matrix(matrix).csr @ dense
+
+    def spmm_t(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
+        """``matrix.T @ dense`` (the adjoint of :meth:`spmm`)."""
+        return self.prepare_matrix(matrix).csr_t @ dense
+
+    def fold_chain(self, matrices: Sequence[MatrixLike]) -> PreparedMatrix:
+        """Collapse a chain of constant sparse operators into one operator.
+
+        ``fold_chain([A, B, C])`` returns an operator equal to ``A @ B @ C``
+        that :meth:`spmm` accepts.  The chain members must all be constants
+        (no gradients flow into them), which is exactly the situation for
+        propagation matrices: the mean-pool matrix composed with the
+        normalised tree adjacency can be precomputed once per tree batch and
+        reused for every epoch and every sweep point that shares the
+        construction.
+        """
+        if not matrices:
+            raise ValueError("fold_chain requires at least one matrix")
+        product: Optional[sp.csr_matrix] = None
+        for matrix in matrices:
+            csr = matrix.csr if isinstance(matrix, PreparedMatrix) else sp.csr_matrix(matrix)
+            product = csr if product is None else product @ csr
+        return self.prepare_matrix(product)
+
+    # -- row gather / scatter ------------------------------------------- #
+    def take_rows(self, data: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """``data[index]`` along the first axis."""
+        return data[index]
+
     def scatter_rows(self, values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+        """Adjoint of :meth:`take_rows`: ``out[index[i]] += values[i]``."""
         if values.size == 0:
             return np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
         matrix = self._per_index(index, num_rows, _aggregation_matrix)
@@ -337,77 +259,32 @@ class FastNumpyBackend(OpsBackend):
         out = matrix @ flat
         return np.asarray(out, dtype=np.float64).reshape((num_rows,) + values.shape[1:])
 
+    # -- segment reductions (unsorted segment ids along the first axis) -- #
+    def segment_sum(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+        """``out[k] = sum_{i: index[i] == k} values[i]``."""
+        return self.scatter_rows(values, index, num_segments)
+
     def segment_counts(self, index: np.ndarray, num_segments: int) -> np.ndarray:
-        return np.bincount(index, minlength=num_segments).astype(np.float64)
+        """Number of rows per segment, as float64."""
+        return _counts(index, num_segments).astype(np.float64)
 
     def segment_max(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+        """Per-segment elementwise maximum (``-inf`` for empty segments)."""
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         if index.shape[0]:
             runs = self._per_index(index, num_segments, SortedRuns)
             out[runs.segments] = np.maximum.reduceat(values[runs.order], runs.starts, axis=0)
         return out
 
+    # -- GAT edge plan -------------------------------------------------- #
     def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:
+        """The :class:`PreparedEdges` plan of a constant ``(2, E)`` edge index."""
         return self._per_index(edge_index, num_nodes, PreparedEdges)
 
 
-# --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-_FACTORIES: Dict[str, Callable[[], OpsBackend]] = {
-    "numpy": FastNumpyBackend,
-    "reference": ReferenceBackend,
-}
-_instances: Dict[str, OpsBackend] = {}
-_active: Optional[OpsBackend] = None
+_BACKEND = FastNumpyBackend()
 
 
-def register_backend(name: str, factory: Callable[[], OpsBackend]) -> None:
-    """Install a backend factory under ``name`` (e.g. a torch/GPU backend)."""
-    _FACTORIES[name] = factory
-    _instances.pop(name, None)
-
-
-def available_backends() -> list:
-    """Names of all registered backends."""
-    return sorted(_FACTORIES)
-
-
-def _instantiate(name: str) -> OpsBackend:
-    if name not in _FACTORIES:
-        raise KeyError(f"unknown backend '{name}'; available: {available_backends()}")
-    if name not in _instances:
-        _instances[name] = _FACTORIES[name]()
-    return _instances[name]
-
-
-def get_backend() -> OpsBackend:
-    """Return the active compute backend (default: the fast numpy backend)."""
-    global _active
-    if _active is None:
-        _active = _instantiate("numpy")
-    return _active
-
-
-def set_backend(backend: Union[str, OpsBackend]) -> OpsBackend:
-    """Switch the active backend globally; returns the new active backend."""
-    global _active
-    _active = _instantiate(backend) if isinstance(backend, str) else backend
-    return _active
-
-
-@contextmanager
-def use_backend(backend: Union[str, OpsBackend]) -> Iterator[OpsBackend]:
-    """Context manager that temporarily switches the active backend.
-
-    The previous backend is restored on *every* exit path — including an
-    exception raised by the body or by the switch itself — so a failing
-    sweep point can never leak its backend into the next one.
-    """
-    global _active
-    previous = get_backend()
-    try:
-        yield set_backend(backend)
-    finally:
-        _active = previous
-
+def get_backend() -> FastNumpyBackend:
+    """The compute backend every kernel runs on (one per process)."""
+    return _BACKEND

@@ -3,8 +3,8 @@
 These functions complement :class:`repro.nn.tensor.Tensor` with the graph-
 specific primitives GCN and GAT need: multiplication by a *constant* sparse
 matrix (the normalised adjacency), row gathering / scatter-add for edge-wise
-computation, segment softmax for attention coefficients and the usual
-classification heads (softmax / log-softmax) plus dropout.
+computation, the fused single-node GCN / GAT / pooling / loss kernels and the
+usual classification heads (softmax / log-softmax) plus dropout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def sparse_matmul(matrix: Union[sp.spmatrix, PreparedMatrix], tensor: Tensor) ->
     it); the gradient w.r.t. ``tensor`` is ``matrix.T @ grad``.  This is the
     workhorse of GCN message passing where ``matrix`` is the symmetrically
     normalised adjacency.  The kernels (including the transposed product of
-    the backward pass) are supplied by the active :mod:`repro.nn.backend`.
+    the backward pass) are supplied by :mod:`repro.nn.backend`.
     """
     if not (sp.issparse(matrix) or isinstance(matrix, PreparedMatrix)):
         raise TypeError("sparse_matmul expects a scipy sparse matrix")
@@ -76,27 +76,6 @@ def scatter_add(tensor: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     return Tensor._make(out_data, (tensor,), backward)
 
 
-def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax of ``values`` normalised within each segment.
-
-    Used by GAT to normalise attention logits over the incoming edges of each
-    destination node.  ``values`` may be of shape ``(E,)`` or ``(E, H)`` for
-    multi-head attention; segments are defined along the first axis.
-    """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    # Subtract the per-segment max for numerical stability.  The max is a
-    # constant shift within each segment: its gradient contribution cancels
-    # exactly in the softmax, so treating it as a constant is correct.
-    seg_max = get_backend().segment_max(values.data, segment_ids, num_segments)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-
-    shifted = values - Tensor(seg_max[segment_ids])
-    exp_values = shifted.exp()
-    denom = scatter_add(exp_values, segment_ids, num_segments)
-    denom_per_edge = gather(denom, segment_ids)
-    return exp_values / (denom_per_edge + 1e-16)
-
-
 def fused_gcn_layer(
     features: Tensor,
     matrix: Union[sp.spmatrix, PreparedMatrix],
@@ -110,7 +89,7 @@ def fused_gcn_layer(
     Computes ``act(M @ (X W) + b)`` — spmm, affine and activation in a single
     node with closed-form adjoints, instead of the four-node composite
     (matmul, sparse matmul, bias add, relu).  ``M`` may be the plain
-    propagation matrix or a folded chain (:meth:`OpsBackend.fold_chain`), e.g.
+    propagation matrix or a folded chain (:meth:`FastNumpyBackend.fold_chain`), e.g.
     ``pool @ adjacency`` for the last layer of the Lumos model; when the fold
     absorbs a row-scaling prefix, ``bias_operator`` carries that prefix's row
     sums ``s`` so the bias enters as ``s ⊗ b`` (``M (X W + 1 bᵀ) = M X W +
@@ -172,8 +151,8 @@ def fused_gat_layer(
     Runs the entire layer — linear transform, per-node attention logits,
     leaky-relu + segment softmax over incoming edges, weighted aggregation,
     head concat/mean, bias, optional activation — as a single node computing
-    what the composite graph computes (parity is pinned by
-    ``tests/test_nn_backend.py`` and ``tests/test_gat_fused_parity.py``).
+    what the composite graph computes (parity with that graph, the oracle in
+    ``tests/helpers/oracles.py``, is pinned by ``tests/test_gat_fused_parity.py``).
 
     ``features`` may be the constant first-layer input kept factored
     (:class:`~repro.nn.shared_rows.SharedRowFeatures`): the transform and its
@@ -321,7 +300,7 @@ def fused_folded_head(
     wide gemm, the sparse product and every intermediate run at
     ``num_classes`` columns instead of ``hidden_dim``.  Like propagation
     folding this reassociates float ops (the benchmark gates it on exact
-    final metrics and rtol-level losses against the reference path).
+    final metrics and rtol-level losses against the composite oracle).
 
     Adjoints (``g`` the incoming gradient, ``S = Mᵀ g``, ``T = Hᵀ S``,
     ``r = sᵀ g``):
@@ -471,17 +450,3 @@ def linear(tensor: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
     if bias is not None:
         out = out + bias
     return out
-
-
-def embedding_mean(tensor: Tensor, index_groups: Union[np.ndarray, list]) -> Tensor:
-    """Average rows of ``tensor`` grouped by ``index_groups``.
-
-    Convenience wrapper over :func:`scatter_add` used by the POOL layer: the
-    groups are given as an integer segment id per row.
-    """
-    index_groups = np.asarray(index_groups, dtype=np.int64)
-    num_segments = int(index_groups.max()) + 1 if index_groups.size else 0
-    sums = scatter_add(tensor, index_groups, num_segments)
-    counts = get_backend().segment_counts(index_groups, num_segments)
-    counts = np.maximum(counts, 1.0).reshape(-1, *([1] * (tensor.data.ndim - 1)))
-    return sums / Tensor(counts)

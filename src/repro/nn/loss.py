@@ -7,7 +7,6 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from .backend import get_backend
 from .tensor import Tensor
 
 
@@ -35,18 +34,13 @@ def cross_entropy(
     if targets.shape[0] != logits.data.shape[0]:
         raise ValueError("logits and targets must agree on the first dimension")
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        weights = mask.astype(np.float64)
-        total = max(weights.sum(), 1.0)
-        if get_backend().allow_fused:
-            # Single-node loss: forward bits match the composite chain
-            # below; backward is the closed-form softmax adjoint.
-            return F.fused_masked_cross_entropy(logits, targets, weights, total)
+        weights = np.asarray(mask, dtype=bool).astype(np.float64)
+        # Single-node loss: forward bits match the composite chain
+        # ``-(log_softmax[targets] * weights).sum() / total``; backward is the
+        # closed-form softmax adjoint.
+        return F.fused_masked_cross_entropy(logits, targets, weights, max(weights.sum(), 1.0))
     log_probabilities = F.log_softmax(logits, axis=-1)
-    picked = F.gather_rows_columns(log_probabilities, targets)
-    if mask is not None:
-        return -(picked * Tensor(weights)).sum() / total
-    return -picked.mean()
+    return -F.gather_rows_columns(log_probabilities, targets).mean()
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

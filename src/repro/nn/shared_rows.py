@@ -56,7 +56,7 @@ class SharedRowFeatures:
         )
 
     def dense(self) -> np.ndarray:
-        """The ``(N, d)`` matrix itself (tests, and an un-fused backend's oracle)."""
+        """The ``(N, d)`` matrix itself (for tests and the composite oracles)."""
         zero_row = np.zeros((1, self.shape[1]))  # what rows == -1 picks
         return np.vstack([densify(self.values, self.fill), zero_row])[self.rows]
 

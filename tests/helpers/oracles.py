@@ -7,9 +7,12 @@ Every production kernel has exactly one oracle, and it lives here, not in
 (:func:`mcmc_run_reference`), the union graph by per-node traversal
 (:func:`tree_batch_reference`), the LDP feature exchange one scalar message
 at a time (:func:`ldp_exchange_reference`) and the candidate argmax one
-scalar comparison at a time (:func:`secure_argmax_reference`), and the
+scalar comparison at a time (:func:`secure_argmax_reference`), the
 communication ledger's columnar tables as plain lists of rows
-(:class:`LedgerOracle`).
+(:class:`LedgerOracle`), the compute backend's kernels as ``np.add.at`` /
+``np.maximum.at`` accumulation (:class:`ReferenceKernels`), and every fused
+GNN layer, the Lumos head and the masked loss as the composite autograd graph
+of plain ``Tensor`` ops they replace (:func:`install_composite_forms`).
 
 ``TreeConstructor`` threads one ``rng`` and one ``TranscriptAccountant``
 through Alg. 1 and Alg. 2; :func:`construct_with_oracles` is the same
@@ -21,12 +24,13 @@ of ``test_mcmc_incremental``, ``test_greedy_batched`` and
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core import MCMCBalancer, MCMCResult, TreeBatch, TreeConstructorConfig
+from repro.core import trainer as trainer_module
 from repro.core.constructor import TreeConstructionResult
 from repro.core.embedding_init import EmbeddingInitializationResult
 from repro.core.greedy import comparison_message_bytes
@@ -39,7 +43,14 @@ from repro.crypto import (
 )
 from repro.crypto.ldp import FeatureBinPartitioner, OneBitMechanism
 from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
+from repro.gnn.gat import GATLayer
+from repro.gnn.gcn import GCNLayer
 from repro.graph.sparse import symmetric_normalize
+from repro.nn import backend as backend_module
+from repro.nn import functional as F
+from repro.nn.backend import PreparedEdges, PreparedMatrix
+from repro.nn.shared_rows import SharedRowFeatures
+from repro.nn.tensor import Tensor
 
 
 # --------------------------------------------------------------------------- #
@@ -577,3 +588,166 @@ class LedgerOracle:
             key = f"messages_{row[4]}"
             result[key] = result.get(key, 0.0) + 1
         return result
+
+
+# --------------------------------------------------------------------------- #
+# Compute kernels
+# --------------------------------------------------------------------------- #
+def _csr(matrix) -> sp.csr_matrix:
+    return matrix.csr if isinstance(matrix, PreparedMatrix) else sp.csr_matrix(matrix)
+
+
+class ReferenceKernels:
+    """``FastNumpyBackend``'s interface the straightforward way: per-call CSR
+    conversions and transposes, unbuffered ``np.add.at`` / ``np.maximum.at``
+    accumulation, no caches."""
+
+    def prepare_matrix(self, matrix):
+        return matrix
+
+    def spmm(self, matrix, dense: np.ndarray) -> np.ndarray:
+        return _csr(matrix) @ dense
+
+    def spmm_t(self, matrix, dense: np.ndarray) -> np.ndarray:
+        return _csr(matrix).T.tocsr() @ dense
+
+    def fold_chain(self, matrices: Sequence) -> sp.csr_matrix:
+        if not matrices:
+            raise ValueError("fold_chain requires at least one matrix")
+        product = _csr(matrices[0])
+        for matrix in matrices[1:]:
+            product = product @ _csr(matrix)
+        return product
+
+    def take_rows(self, data: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return data[index]
+
+    def scatter_rows(self, values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+        out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
+        np.add.at(out, index, values)
+        return out
+
+    def segment_sum(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+        return self.scatter_rows(values, index, num_segments)
+
+    def segment_counts(self, index: np.ndarray, num_segments: int) -> np.ndarray:
+        counts = np.zeros(num_segments, dtype=np.float64)
+        np.add.at(counts, index, 1.0)
+        return counts
+
+    def segment_max(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+        out = np.full((num_segments,) + values.shape[1:], -np.inf)
+        np.maximum.at(out, index, values)
+        return out
+
+    def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:
+        return PreparedEdges(edge_index, num_nodes)
+
+
+def install_kernels(monkeypatch, kernels) -> None:
+    """Make ``kernels`` what ``get_backend()`` returns for the rest of the test
+    (a :class:`ReferenceKernels`, or a fresh ``FastNumpyBackend`` with empty
+    caches)."""
+    monkeypatch.setattr(backend_module, "_BACKEND", kernels)
+
+
+# --------------------------------------------------------------------------- #
+# Composite layer graphs
+# --------------------------------------------------------------------------- #
+def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Softmax of ``(E,)`` or ``(E, H)`` ``values`` within each segment of the
+    first axis, as gather / exp / scatter-add nodes (GAT's edge softmax)."""
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    # The per-segment max is a constant shift within each segment: its
+    # gradient contribution cancels exactly in the softmax.
+    seg_max = ReferenceKernels().segment_max(values.data, segment_ids, num_segments)
+    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
+    exp_values = (values - Tensor(seg_max[segment_ids])).exp()
+    denominator = F.gather(F.scatter_add(exp_values, segment_ids, num_segments), segment_ids)
+    return exp_values / (denominator + 1e-16)
+
+
+def composite_gcn(features, matrix, weight, bias=None, activation=None) -> Tensor:
+    """``act(M (X W) + b)`` as four nodes (``F.fused_gcn_layer``'s oracle)."""
+    out = F.sparse_matmul(matrix, features @ weight)
+    if bias is not None:
+        out = out + bias
+    return out.relu() if activation == "relu" else out
+
+
+def composite_gat(
+    features, edge_index, weight, attention_src, attention_dst, bias,
+    num_heads, out_features, concat_heads, negative_slope=0.2, activation=None,
+) -> Tensor:
+    """Multi-head GAT as gather / segment-softmax / scatter nodes
+    (``F.fused_gat_layer``'s oracle)."""
+    num_nodes = features.shape[0]
+    src, dst = np.asarray(edge_index, dtype=np.int64)
+    transformed = (features @ weight).reshape(num_nodes, num_heads, out_features)
+    src_scores = (transformed * attention_src.reshape(1, num_heads, out_features)).sum(axis=-1)
+    dst_scores = (transformed * attention_dst.reshape(1, num_heads, out_features)).sum(axis=-1)
+    edge_logits = (F.gather(src_scores, src) + F.gather(dst_scores, dst)).leaky_relu(negative_slope)
+    attention = segment_softmax(edge_logits, dst, num_nodes)  # (E, H)
+    weighted = F.gather(transformed, src) * attention.reshape(-1, num_heads, 1)
+    aggregated = F.scatter_add(weighted, dst, num_nodes)  # (N, H, F)
+    if concat_heads:
+        out = aggregated.reshape(num_nodes, num_heads * out_features)
+    else:
+        out = aggregated.mean(axis=1)
+    out = out + bias
+    return out.relu() if activation == "relu" else out
+
+
+def _dense(features):
+    if isinstance(features, SharedRowFeatures):
+        return Tensor(features.dense())
+    return features
+
+
+def gcn_layer_forward(layer: GCNLayer, features, adjacency, activation=None) -> Tensor:
+    """``GCNLayer.forward`` as the composite graph, on the dense input."""
+    return composite_gcn(_dense(features), adjacency, layer.weight, layer.bias, activation)
+
+
+def gat_layer_forward(layer: GATLayer, features, edge_index, activation=None) -> Tensor:
+    """``GATLayer.forward`` as the composite graph, on the dense input."""
+    return composite_gat(
+        _dense(features), edge_index, layer.weight, layer.attention_src,
+        layer.attention_dst, layer.bias, layer.num_heads, layer.out_features,
+        layer.concat_heads, layer.negative_slope, activation,
+    )
+
+
+def lumos_vertex_embeddings(model, batch: TreeBatch, features) -> Tensor:
+    """``LumosModel.vertex_embeddings`` as encoder, leaf gather and pooling."""
+    node_embeddings = model.encoder(features, batch)
+    leaf_embeddings = F.gather(node_embeddings, batch.leaf_rows)
+    return model.pooling(leaf_embeddings, batch.leaf_vertices, batch.num_vertices)
+
+
+def lumos_logits(model, batch: TreeBatch, features) -> Tensor:
+    """``LumosModel.logits`` without the fold: the head on the pooled embeddings."""
+    if model.head is None:
+        raise RuntimeError("model was built without a classification head")
+    return model.head(lumos_vertex_embeddings(model, batch, features))
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray, mask=None) -> Tensor:
+    """``cross_entropy`` as log-softmax, gather and (masked) mean nodes."""
+    picked = F.gather_rows_columns(
+        F.log_softmax(logits, axis=-1), np.asarray(targets, dtype=np.int64)
+    )
+    if mask is None:
+        return -picked.mean()
+    weights = np.asarray(mask, dtype=bool).astype(np.float64)
+    return -(picked * Tensor(weights)).sum() / max(weights.sum(), 1.0)
+
+
+def install_composite_forms(monkeypatch) -> None:
+    """Run the GCN / GAT layers, the Lumos pooling and head, and the trainer's
+    supervised loss as their composite graphs for the rest of the test."""
+    monkeypatch.setattr(GCNLayer, "forward", gcn_layer_forward)
+    monkeypatch.setattr(GATLayer, "forward", gat_layer_forward)
+    monkeypatch.setattr(trainer_module.LumosModel, "vertex_embeddings", lumos_vertex_embeddings)
+    monkeypatch.setattr(trainer_module.LumosModel, "logits", lumos_logits)
+    monkeypatch.setattr(trainer_module, "cross_entropy", cross_entropy)

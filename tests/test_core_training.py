@@ -28,7 +28,8 @@ from repro.core.trainer import roc_auc_from_embeddings
 from repro.engine import ArtifactStore
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like, split_edges, split_nodes
-from repro.nn.backend import use_backend
+
+from helpers.oracles import install_composite_forms
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestTreeBatch:
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
         assert batch.num_nodes == construction.total_tree_nodes()
         assert batch.num_vertices == graph.num_nodes
-        assert batch.features.shape == (batch.num_nodes, graph.num_features)
+        assert batch.layer_input.dense().shape == (batch.num_nodes, graph.num_features)
         assert batch.adjacency.shape == (batch.num_nodes, batch.num_nodes)
 
     def test_leaf_mapping_covers_every_vertex(self, prepared):
@@ -103,22 +104,24 @@ class TestTreeBatch:
     def test_center_leaves_carry_raw_features(self, prepared):
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
+        dense = batch.layer_input.dense()
         for device_id, (offset, _) in batch.device_slices.items():
             local_graph = construction.local_graphs[device_id]
             for node in local_graph.nodes:
                 if node.vertex == device_id:
                     np.testing.assert_allclose(
-                        batch.features[offset + node.local_id], graph.features[device_id]
+                        dense[offset + node.local_id], graph.features[device_id]
                     )
 
     def test_virtual_nodes_have_zero_features(self, prepared):
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
+        dense = batch.layer_input.dense()
         for device_id, (offset, _) in batch.device_slices.items():
             local_graph = construction.local_graphs[device_id]
             for node in local_graph.nodes:
                 if node.vertex is None:
-                    np.testing.assert_allclose(batch.features[offset + node.local_id], 0.0)
+                    np.testing.assert_allclose(dense[offset + node.local_id], 0.0)
 
     def test_no_edges_between_different_trees(self, prepared):
         graph, environment, construction, initialization = prepared
@@ -290,18 +293,19 @@ class TestLumosSystem:
         assert result.simulated_epoch_time > 0
         assert result.construction.max_workload() <= int(tiny_graph.degrees().max())
 
-    def test_reference_backend_run_equals_the_numpy_run(self, tiny_graph):
-        """End to end, the oracle backend differs from the production one
-        only in the rounding of the per-epoch losses (the two build different
-        autograd graphs); tests/test_nn_backend.py pins the layers."""
+    def test_composite_run_equals_the_production_run(self, tiny_graph, monkeypatch):
+        """End to end, the composite oracle graphs differ from the fused
+        production ones only in the rounding of the per-epoch losses;
+        tests/test_nn_backend.py pins the layers."""
         config = default_config_for("facebook").with_mcmc_iterations(30).with_epochs(12)
         split = split_nodes(tiny_graph, seed=0)
         outcomes, losses = {}, {}
-        for backend in ("numpy", "reference"):
-            with use_backend(backend):
-                system = LumosSystem(tiny_graph, config, store=ArtifactStore())
-                result = system.run_supervised(split)
-            outcomes[backend] = (
+        for path in ("production", "composite"):
+            if path == "composite":
+                install_composite_forms(monkeypatch)
+            system = LumosSystem(tiny_graph, config, store=ArtifactStore())
+            result = system.run_supervised(split)
+            outcomes[path] = (
                 result.test_accuracy,
                 result.best_val_accuracy,
                 result.history.train_accuracy,
@@ -309,12 +313,12 @@ class TestLumosSystem:
                 result.ledger_summary,
                 system.rng.bit_generator.state,
             )
-            losses[backend] = result.history.losses
-        assert outcomes["numpy"] == outcomes["reference"]
+            losses[path] = result.history.losses
+        assert outcomes["production"] == outcomes["composite"]
         np.testing.assert_allclose(
-            losses["numpy"], losses["reference"], rtol=1e-9, atol=1e-12
+            losses["production"], losses["composite"], rtol=1e-9, atol=1e-12
         )
-        assert len(losses["numpy"]) == 12
+        assert len(losses["production"]) == 12
 
     def test_unsupervised_end_to_end(self, tiny_graph):
         config = default_config_for("lastfm").with_mcmc_iterations(30).with_epochs(15)

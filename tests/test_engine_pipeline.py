@@ -165,7 +165,7 @@ class TestTreeBatchVectorized:
         np.testing.assert_array_equal(fast.leaf_rows, generic.leaf_rows)
         np.testing.assert_array_equal(fast.leaf_vertices, generic.leaf_vertices)
         np.testing.assert_array_equal(fast.edge_index, generic.edge_index)
-        np.testing.assert_array_equal(fast.features, generic.features)
+        np.testing.assert_array_equal(fast.layer_input.dense(), generic.layer_input.dense())
         assert (fast.adjacency != generic.adjacency).nnz == 0
 
     def test_isolated_vertices_get_single_center_leaf(self):
@@ -187,7 +187,7 @@ class TestTreeBatchVectorized:
         ).run(environment, construction.assignment)
         fast = TreeBatch.build(environment, construction, initialization, 5)
         generic = tree_batch_reference(environment, construction, initialization, 5)
-        np.testing.assert_array_equal(fast.features, generic.features)
+        np.testing.assert_array_equal(fast.layer_input.dense(), generic.layer_input.dense())
         np.testing.assert_array_equal(fast.leaf_rows, generic.leaf_rows)
         np.testing.assert_array_equal(fast.leaf_vertices, generic.leaf_vertices)
         assert fast.device_slices == generic.device_slices

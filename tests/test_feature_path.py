@@ -8,8 +8,8 @@ computation it replaced:
     message (bit-equal rows, equal transcript, equal RNG stream);
 (b) ``TreeBatch.build`` vs the per-node ``tree_batch_reference``
     (bit-equal dense view), and ``with_initialization`` vs a fresh build;
-(c) the first GCN / GAT layer on the factored operand vs the ``reference``
-    backend on the dense view (``rtol = 1e-10``).
+(c) the first GCN / GAT layer on the factored operand vs its composite
+    oracle on the dense view (``rtol = 1e-10``).
 
 The generated assignments include isolated vertices, senders nobody selected,
 workload-1 senders (all ``d`` positions released), pairs whose sender never
@@ -45,10 +45,15 @@ from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
 from repro.graph import generate_facebook_like, split_nodes
 from repro.graph.ego import EgoNetwork
-from repro.nn.backend import use_backend
 from repro.nn.tensor import Tensor
 
-from helpers.oracles import ldp_exchange_reference, tree_batch_reference
+from helpers.oracles import (
+    gat_layer_forward,
+    gcn_layer_forward,
+    install_composite_forms,
+    ldp_exchange_reference,
+    tree_batch_reference,
+)
 from helpers.rng_contract import assert_stream_contract, replay_ldp_draws
 
 
@@ -213,8 +218,9 @@ def _check_batch(case):
     np.testing.assert_array_equal(vectorized.layer_input.rows, generic.layer_input.rows)
     assert vectorized.device_slices == generic.device_slices
     assert (vectorized.adjacency != generic.adjacency).nnz == 0
-    np.testing.assert_array_equal(vectorized.features, generic.features)  # bit for bit
-    assert vectorized.features.shape == (vectorized.num_nodes, case["dimension"])
+    dense = vectorized.layer_input.dense()
+    np.testing.assert_array_equal(dense, generic.layer_input.dense())  # bit for bit
+    assert dense.shape == (vectorized.num_nodes, case["dimension"])
 
     # The dense view is Eq. 25: own feature, received feature (midpoint where
     # the sender never released), zeros on virtual nodes.
@@ -222,7 +228,7 @@ def _check_batch(case):
     midpoint = np.full(case["dimension"], sum(case["bounds"]) / 2.0)
     for device_id, (offset, _) in vectorized.device_slices.items():
         for node in construction.local_graphs[device_id].nodes:
-            row = vectorized.features[offset + node.local_id]
+            row = dense[offset + node.local_id]
             if node.vertex is None:
                 assert not row.any()
             elif node.vertex == device_id:
@@ -235,36 +241,35 @@ def _check_batch(case):
     ).threshold(environment, draws)
     rebound = vectorized.with_initialization(other)
     fresh = TreeBatch.build(environment, construction, other, case["dimension"])
-    np.testing.assert_array_equal(rebound.features, fresh.features)
+    np.testing.assert_array_equal(rebound.layer_input.dense(), fresh.layer_input.dense())
     assert rebound.adjacency is vectorized.adjacency
     assert rebound.layer_input.rows is vectorized.layer_input.rows
 
 
 # --------------------------------------------------------------------------- #
-# (c) first layer on the factored operand vs the reference backend, dense
+# (c) first layer on the factored operand vs the composite oracle, dense
 # --------------------------------------------------------------------------- #
-def _first_layer(backend, layer, features, structure, upstream):
+def _first_layer(forward, layer, features, structure, upstream):
     layer.zero_grad()
-    with use_backend(backend):
-        out = layer(features, structure, activation="relu")
-        (out * Tensor(upstream)).sum().backward()
+    out = forward(layer, features, structure, activation="relu")
+    (out * Tensor(upstream)).sum().backward()
     return out.data, layer.weight.grad, layer.bias.grad
 
 
 def _check_first_layer(case):
     batch = _batches(case)[0]
     rng = np.random.default_rng(case["seed"])
-    for layer, structure in (
-        (GCNLayer(case["dimension"], 3, rng=rng), batch.adjacency),
-        (GATLayer(case["dimension"], 2, num_heads=2, rng=rng), batch.edge_index),
+    for layer, structure, oracle in (
+        (GCNLayer(case["dimension"], 3, rng=rng), batch.adjacency, gcn_layer_forward),
+        (GATLayer(case["dimension"], 2, num_heads=2, rng=rng), batch.edge_index, gat_layer_forward),
     ):
         layer.bias.data = rng.standard_normal(layer.bias.data.shape)
         upstream = rng.standard_normal((batch.num_nodes, layer.bias.data.shape[0]))
+        dense_input = Tensor(batch.layer_input.dense())
         dense = [
-            part.copy()
-            for part in _first_layer("reference", layer, Tensor(batch.features), structure, upstream)
+            part.copy() for part in _first_layer(oracle, layer, dense_input, structure, upstream)
         ]
-        factored = _first_layer("numpy", layer, batch.layer_input, structure, upstream)
+        factored = _first_layer(type(layer).forward, layer, batch.layer_input, structure, upstream)
         for factored_part, dense_part in zip(factored, dense):
             np.testing.assert_allclose(factored_part, dense_part, rtol=1e-10, atol=1e-12)
 
@@ -334,20 +339,19 @@ def _config(epochs: int, **trainer) -> LumosConfig:
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "gat"])
-def test_one_layer_encoder_trains_on_the_factored_input(backbone):
+def test_one_layer_encoder_trains_on_the_factored_input(backbone, monkeypatch):
     # Without a hidden layer the factored operand reaches the final layer
     # itself, which the folded GCN head (it wants a hidden *tensor*) must not
     # take over.
     graph = generate_facebook_like(seed=3, num_nodes=120)
     split = split_nodes(graph, seed=0)
     config = _config(epochs=4, num_layers=1, backbone=backbone)
-    runs = {}
-    for backend in ("numpy", "reference"):
-        with use_backend(backend):
-            runs[backend] = LumosSystem(graph, config, store=ArtifactStore()).run_supervised(split)
-    assert runs["numpy"].test_accuracy == runs["reference"].test_accuracy
+    production = LumosSystem(graph, config, store=ArtifactStore()).run_supervised(split)
+    install_composite_forms(monkeypatch)
+    composite = LumosSystem(graph, config, store=ArtifactStore()).run_supervised(split)
+    assert production.test_accuracy == composite.test_accuracy
     np.testing.assert_allclose(
-        runs["numpy"].history.losses, runs["reference"].history.losses, rtol=1e-9, atol=1e-12
+        production.history.losses, composite.history.losses, rtol=1e-9, atol=1e-12
     )
 
 
@@ -388,7 +392,6 @@ def test_no_dense_feature_matrix_between_ldp_draws_and_training(guard_graph):
     dense = batch.num_nodes * system.graph.num_features * 8
     assert setup_peak - start < 1.0 * dense
     assert train_peak - start < 1.2 * dense
-    assert batch._features is None  # nobody asked for the dense view
 
 
 def test_repeated_runs_leave_live_memory_flat(guard_graph):

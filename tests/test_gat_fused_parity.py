@@ -1,4 +1,5 @@
-"""The fused GAT layer against its oracle, the composite autograd graph.
+"""The fused GAT layer against its oracle, the composite autograd graph
+(``gat_layer_forward`` in ``tests/helpers/oracles.py``).
 
 Generated edge lists (destinations without an edge, duplicate edges, self
 loops, unsorted ``dst``, one node, ``E = 0``), plan reuse across passes, and a
@@ -18,23 +19,17 @@ from hypothesis import strategies as st
 from repro.caching import IdentityCache
 from repro.gnn.gat import GATLayer
 from repro.gnn.models import GraphInput
-from repro.nn.backend import FastNumpyBackend, PreparedEdges, use_backend
+from repro.nn.backend import FastNumpyBackend, PreparedEdges
 from repro.nn.tensor import Tensor
 
-
-def _composite_backend() -> FastNumpyBackend:
-    """The fast kernels with fusion switched off: the composite graph."""
-    backend = FastNumpyBackend()
-    backend.allow_fused = False
-    return backend
+from helpers.oracles import gat_layer_forward, install_kernels
 
 
-def _layer_pass(backend, layer, features_data, edge_index, upstream, activation):
+def _layer_pass(forward, layer, features_data, edge_index, upstream, activation):
     layer.zero_grad()
-    with use_backend(backend):
-        features = Tensor(features_data.copy(), requires_grad=True)
-        out = layer(features, edge_index, activation=activation)
-        (out * Tensor(upstream)).sum().backward()
+    features = Tensor(features_data.copy(), requires_grad=True)
+    out = forward(layer, features, edge_index, activation=activation)
+    (out * Tensor(upstream)).sum().backward()
     return (
         out.data,
         features.grad,
@@ -74,8 +69,8 @@ def _check_parity(case):
     features = rng.standard_normal((case["nodes"], 3))
     upstream = rng.standard_normal((case["nodes"], layer.output_dim))
     args = (layer, features, case["edge_index"], upstream, case["activation"])
-    composite = [part.copy() for part in _layer_pass(_composite_backend(), *args)]
-    fused = _layer_pass("numpy", *args)
+    composite = [part.copy() for part in _layer_pass(gat_layer_forward, *args)]
+    fused = _layer_pass(GATLayer.forward, *args)
     for fused_part, composite_part in zip(fused, composite):
         np.testing.assert_allclose(fused_part, composite_part, atol=1e-10)
 
@@ -98,9 +93,8 @@ class TestGeneratedParity:
                          rng=np.random.default_rng(0))
         layer.bias.data = np.arange(layer.output_dim, dtype=np.float64)
         features = Tensor(np.ones((4, 3)), requires_grad=True)
-        with use_backend("numpy"):
-            out = layer(features, np.zeros((2, 0), dtype=np.int64))
-            out.sum().backward()
+        out = layer(features, np.zeros((2, 0), dtype=np.int64))
+        out.sum().backward()
         np.testing.assert_array_equal(out.data, np.tile(layer.bias.data, (4, 1)))
         assert not features.grad.any()
 
@@ -109,7 +103,7 @@ class TestGeneratedParity:
             PreparedEdges(np.array([[0, 5], [1, 1]]), 3)
         with pytest.raises(IndexError):
             PreparedEdges(np.array([[0, 1], [1, 3]]), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             PreparedEdges(np.array([[0, 1], [-1, 1]]), 3)
 
 
@@ -128,7 +122,7 @@ class TestPlanReuse:
         features = rng.standard_normal((12, 4))
         upstream = rng.standard_normal((12, layer.output_dim))
         backend = FastNumpyBackend()
-        backend.allow_fused = fused
+        install_kernels(monkeypatch, backend)
 
         builds = []
         original_put = IdentityCache.put
@@ -139,7 +133,8 @@ class TestPlanReuse:
             return original_put(cache, anchor, value, extra)
 
         monkeypatch.setattr(IdentityCache, "put", counting_put)
-        args = (backend, layer, features, graph_input.edge_index, upstream, "relu")
+        forward = GATLayer.forward if fused else gat_layer_forward
+        args = (forward, layer, features, graph_input.edge_index, upstream, "relu")
         first = [part.copy() for part in _layer_pass(*args)]
         built_by_first_pass = list(builds)
         second = _layer_pass(*args)
@@ -160,7 +155,7 @@ class TestPlanReuse:
         assert len(backend._segment_cache) == 0
 
 
-def test_fused_layer_allocates_no_edge_by_feature_array():
+def test_fused_layer_allocates_no_edge_by_feature_array(monkeypatch):
     # Structural guard in place of a timing test: one fused forward + backward
     # must stay well below the footprint of (E, H, F) temporaries — the old
     # gather/multiply/scatter path peaked above four of them.
@@ -170,12 +165,12 @@ def test_fused_layer_allocates_no_edge_by_feature_array():
     layer = GATLayer(8, head_dim, num_heads=heads, rng=rng)
     features = Tensor(rng.standard_normal((nodes, 8)), requires_grad=True)
     upstream = Tensor(rng.standard_normal((nodes, layer.output_dim)))
-    with use_backend(FastNumpyBackend()):
-        tracemalloc.start()
-        try:
-            out = layer(features, edge_index, activation="relu")
-            (out * upstream).sum().backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    install_kernels(monkeypatch, FastNumpyBackend())  # the edge plan is built in the trace
+    tracemalloc.start()
+    try:
+        out = layer(features, edge_index, activation="relu")
+        (out * upstream).sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 2 * edges * heads * head_dim * 8

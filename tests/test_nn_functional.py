@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers.oracles import segment_softmax
 from helpers.rng_contract import assert_stream_contract, replay_dropout_draw
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -67,29 +68,31 @@ class TestGatherScatter:
 
 
 class TestSegmentSoftmax:
+    """The composite GAT oracle's edge softmax."""
+
     def test_sums_to_one_per_segment(self):
         values = Tensor(np.array([1.0, 2.0, 0.5, 3.0, -1.0]))
         segment_ids = np.array([0, 0, 1, 1, 1])
-        out = F.segment_softmax(values, segment_ids, num_segments=2)
+        out = segment_softmax(values, segment_ids, num_segments=2)
         assert out.data[:2].sum() == pytest.approx(1.0)
         assert out.data[2:].sum() == pytest.approx(1.0)
 
     def test_matches_plain_softmax_within_single_segment(self):
         values = np.array([0.1, 2.0, -1.0])
-        out = F.segment_softmax(Tensor(values), np.zeros(3, dtype=int), 1)
+        out = segment_softmax(Tensor(values), np.zeros(3, dtype=int), 1)
         expected = np.exp(values - values.max())
         expected /= expected.sum()
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_multihead_shape(self):
         values = Tensor(np.random.default_rng(0).normal(size=(6, 4)))
-        out = F.segment_softmax(values, np.array([0, 0, 1, 1, 2, 2]), 3)
+        out = segment_softmax(values, np.array([0, 0, 1, 1, 2, 2]), 3)
         assert out.data.shape == (6, 4)
         np.testing.assert_allclose(out.data.reshape(3, 2, 4).sum(axis=1), np.ones((3, 4)))
 
     def test_gradient_is_finite(self):
         values = Tensor(np.array([100.0, -100.0, 50.0]), requires_grad=True)
-        out = F.segment_softmax(values, np.array([0, 0, 0]), 1)
+        out = segment_softmax(values, np.array([0, 0, 0]), 1)
         out.sum().backward()
         assert np.all(np.isfinite(values.grad))
 
@@ -211,8 +214,3 @@ class TestDropoutAndLinear:
         bias = Tensor(np.array([1.0, 2.0, 3.0]))
         out = F.linear(x, weight, bias)
         np.testing.assert_allclose(out.data, [[2, 3, 4], [2, 3, 4]])
-
-    def test_embedding_mean_groups(self):
-        tensor = Tensor(np.array([[2.0], [4.0], [6.0]]))
-        out = F.embedding_mean(tensor, np.array([0, 0, 1]))
-        np.testing.assert_allclose(out.data, [[3.0], [6.0]])

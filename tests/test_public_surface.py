@@ -110,6 +110,21 @@ RETIRED_LEDGER_NAMES = {
     "store_bytes",
 }
 
+#: The backend registry and everything that selected the un-fused graphs in
+#: production: one numpy backend remains, and the composite forms (with the
+#: edge softmax they used) are the oracles in tests/helpers/oracles.py.
+RETIRED_BACKEND_NAMES = {
+    "ReferenceBackend",
+    "OpsBackend",
+    "allow_fused",
+    "register_backend",
+    "available_backends",
+    "set_backend",
+    "use_backend",
+    "segment_softmax",
+    "embedding_mean",
+}
+
 
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
@@ -123,9 +138,10 @@ def _retired_names_found(modules, packages, retired):
             value = module
             for part in dotted.split("."):
                 value = getattr(value, part)
-            # A class's parameters are those of its ``__init__``, listed on its own.
-            parameters = () if inspect.isclass(value) else inspect.signature(value).parameters
-            names = {dotted.rpartition(".")[2], *parameters}
+            # A class's parameters are those of its ``__init__``, listed on its
+            # own; its attributes (``allow_fused = True``) are names it holds.
+            members = vars(value) if inspect.isclass(value) else inspect.signature(value).parameters
+            names = {dotted.rpartition(".")[2], *members}
             found += [f"{module.__name__}.{dotted}: {name}" for name in retired & names]
     return found
 
@@ -155,4 +171,10 @@ def test_one_module_steps_an_optimizer(modules):
 def test_retired_ledger_names_stay_gone(modules):
     assert not _retired_names_found(
         modules, ("repro.federation", "repro.engine", "repro.runtime"), RETIRED_LEDGER_NAMES
+    )
+
+
+def test_retired_backend_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules, ("repro.nn", "repro.gnn", "repro.core", "repro.engine"), RETIRED_BACKEND_NAMES
     )
