@@ -26,7 +26,7 @@ from typing import Dict, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..crypto.ldp import FeatureBinPartitioner, FeatureBounds, OneBitMechanism
+from ..crypto.ldp import FeatureBounds, OneBitMechanism, bin_assignment
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
 from ..nn.shared_rows import densify
@@ -88,6 +88,64 @@ class EmbeddingInitializationResult:
         )
 
 
+#: The scratch block of ``draw`` holds ``1 / _BLOCK_SHARE`` of the stream's
+#: rows, or one sender's rows if that is more.  On the 4 000-device benchmark
+#: graph the draw takes the same time (52 ms, single thread) for shares 16 to
+#: 512, and from 32 on its traced peak no longer falls (0.18 of the dense
+#: ``(messages, d)`` array; 0.29 at 8, 0.44 at 4).
+_BLOCK_SHARE = 32
+
+
+def _draw_released(
+    rng: np.random.Generator, workloads: np.ndarray, offsets: np.ndarray, dimension: int
+) -> tuple:
+    """Draw the exchange's stream and keep only the released uniforms.
+
+    Per sender ``s`` in device order: its bin partition, then one uniform per
+    element of its stream rows ``offsets[s]:offsets[s + 1]``.  Row ``k`` of
+    the sender releases bin ``k mod wl(s)``.  The uniforms land in a reusable
+    scratch block that holds whole senders; when the next sender does not
+    fit, one mask of the block's released positions reads them out and the
+    block is drawn over again.
+
+    Returns ``(data, indices, indptr)``: the kept uniforms and their feature
+    positions as per-block pieces in stream order, and ``indptr`` with the
+    kept count of row ``m`` at ``m + 1``.
+    """
+    num_devices, messages = workloads.shape[0], int(offsets[-1])
+    counts = np.diff(offsets)
+    stream_sender = np.repeat(np.arange(num_devices), counts)
+    rank = ((np.arange(messages) - offsets[stream_sender]) % workloads[stream_sender]).astype(
+        workloads.dtype
+    )
+    bins = np.empty((num_devices, dimension), dtype=workloads.dtype)
+    block = np.empty((max(1, messages // _BLOCK_SHARE, int(counts.max())), dimension))
+    # Positions stay in the narrowest dtype until the CSR's int32 is assembled.
+    position = np.min_scalar_type(dimension - 1)
+    data, indices = [np.empty(0)], [np.empty(0, dtype=position)]
+    indptr = np.zeros(messages + 1, dtype=np.int64)
+
+    def keep(start: int, stop: int) -> None:
+        """Keep the released uniforms of stream rows ``start:stop``, the block's head."""
+        released = np.flatnonzero(bins[stream_sender[start:stop]] == rank[start:stop, None])
+        data.append(block.ravel()[released])
+        rows, cols = np.divmod(released, dimension)
+        indices.append(cols.astype(position))
+        indptr[start + 1 : stop + 1] = np.bincount(rows, minlength=stop - start)
+
+    random, base = rng.random, 0  # stream row of the block's first row
+    for index, (workload, start, stop) in enumerate(
+        zip(workloads.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+    ):
+        bins[index] = bin_assignment(dimension, workload, rng)
+        if stop - base > block.shape[0]:
+            keep(base, start)
+            base = start
+        random(out=block[start - base : stop - base])
+    keep(base, messages)
+    return data, indices, indptr
+
+
 @dataclass
 class LDPDrawsResult:
     """All random draws of the feature exchange, shared across a sweep.
@@ -99,16 +157,18 @@ class LDPDrawsResult:
     draws (and the RNG stream consumption) once per construction.
 
     Columnar and indexed by device id (the order in which the stream was
-    consumed): device ``i`` releases under ``workloads[i]`` with bin
-    partition ``bins[i]``; its messages are rows ``offsets[i]:offsets[i + 1]``
-    of ``receivers`` (ascending) / ``uniforms``.
+    consumed): device ``i`` releases under ``workloads[i]``; its messages are
+    rows ``offsets[i]:offsets[i + 1]`` of ``receivers`` (ascending) /
+    ``uniforms``.  ``uniforms`` is a ``(messages, d)`` CSR matrix that keeps
+    only the released positions of each message — bin ``k mod wl(i)`` of the
+    sender's partition for its ``k``-th receiver, ``indices`` the feature
+    positions — and drops the drawn uniforms no receiver ever sees.
     """
 
     workloads: np.ndarray
-    bins: np.ndarray
     offsets: np.ndarray
     receivers: np.ndarray
-    uniforms: np.ndarray
+    uniforms: sp.csr_matrix
 
 
 class LDPEmbeddingInitializer:
@@ -136,39 +196,48 @@ class LDPEmbeddingInitializer:
 
         Draws the per-sender bin partitions and the uniforms the encoder
         thresholds, in exactly the stream order of the eager exchange (per
-        sender in device order: the partition, then one ``(receivers, d)``
-        block written into the shared uniforms array), so ``threshold`` (for
-        any epsilon) reproduces the one-shot ``run`` bit-for-bit.
+        sender in device order: the partition, then the sender's
+        ``(receivers, d)`` uniforms), so ``threshold`` (for any epsilon)
+        reproduces the one-shot ``run`` bit-for-bit.  Only the released
+        uniforms are kept (see :func:`_draw_released`): no ``(messages, d)``
+        array exists.
+
+        Raises
+        ------
+        ValueError
+            If the environment has no devices or its features no elements.
         """
         devices = environment.devices
-        dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
+        if not devices:
+            raise ValueError("environment has no devices")
+        num_devices = len(devices)
+        dimension = next(iter(devices.values())).ego.feature.shape[0]
+        if not dimension:
+            raise ValueError("features have no elements to release")
         # Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``.
         # Stream order is by sender, then by receiver.
         receivers, senders = assignment.pairs()
-        order = np.argsort(senders, kind="stable")
-        offsets = np.zeros(len(devices) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(senders, minlength=len(devices)), out=offsets[1:])
+        receivers = receivers[np.argsort(senders, kind="stable")]
+        messages = receivers.shape[0]
+        offsets = np.zeros(num_devices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(senders, minlength=num_devices), out=offsets[1:])
         # The sender's workload controls the privacy split; devices whose
         # selection ended up empty (possible after trimming) fall back to
         # a single bin so their feature can still be released once.
-        workloads = np.maximum(assignment.workload_vector(len(devices)), 1)
-        # Workloads and bin ids are small: a narrow dtype keeps the per-message
-        # bin gather of ``threshold`` (and its sort by workload) cheap.
-        workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))
-        bins = np.empty((len(devices), dimension), dtype=workloads.dtype)
-        uniforms = np.empty((order.shape[0], dimension), dtype=np.float64)
-        for index, (workload, start, stop) in enumerate(
-            zip(workloads.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
-        ):
-            bins[index] = FeatureBinPartitioner(dimension, workload, rng=self.rng).assignment
-            if stop > start:
-                self.rng.random(out=uniforms[start:stop])
+        workloads = np.maximum(assignment.workload_vector(num_devices), 1)
+        # Workloads and bin ids are small: a narrow dtype keeps the released
+        # mask of the draw (and ``release``'s sort by workload) cheap.
+        workloads = workloads.astype(np.min_scalar_type(int(workloads.max())))
+        data, indices, indptr = _draw_released(self.rng, workloads, offsets, dimension)
+        # Assemble one column at a time; rebinding frees that column's pieces.
+        data = np.concatenate(data)
+        indices = np.concatenate(indices, dtype=np.int32)
+        np.cumsum(indptr, out=indptr)
         return LDPDrawsResult(
             workloads=workloads,
-            bins=bins,
             offsets=offsets,
-            receivers=receivers[order],
-            uniforms=uniforms,
+            receivers=receivers,
+            uniforms=sp.csr_matrix((data, indices, indptr), shape=(messages, dimension)),
         )
 
     def threshold(
@@ -179,34 +248,46 @@ class LDPEmbeddingInitializer:
         """Threshold pre-drawn randomness into the released features.
 
         Consumes no randomness; charges the exchange's communication and
-        compute like the eager ``run``.  Only the released positions of a
-        message are thresholded — sender ``s`` releases bin ``k mod wl(s)`` to
-        its ``k``-th receiver — in one columnar pass over all messages.
+        compute like the eager ``run``.  ``draws`` kept only the released
+        positions of each message, so thresholding is one columnar pass over
+        them after a receiver-major reordering of the rows.
+
+        Raises
+        ------
+        ValueError
+            If the environment has no devices, or ``draws`` were made for an
+            environment with another device count or feature dimension.
         """
-        if not environment.num_devices:
+        num_devices = environment.num_devices
+        if not num_devices:
             raise ValueError("environment has no devices")
-        dimension = draws.bins.shape[1]
+        if draws.workloads.shape[0] != num_devices:
+            raise ValueError(
+                f"draws were made for {draws.workloads.shape[0]} devices, "
+                f"the environment has {num_devices}"
+            )
+        dimension = draws.uniforms.shape[1]
+        features = np.asarray(
+            [device.ego.feature for device in environment.devices.values()], dtype=np.float64
+        )
+        if features.shape[1] != dimension:
+            raise ValueError(
+                f"draws were made for {dimension}-dimensional features, "
+                f"the environment's have {features.shape[1]}"
+            )
         counts = np.diff(draws.offsets)
-        stream_sender = np.repeat(np.arange(counts.shape[0]), counts)
-        rank = (
-            np.arange(stream_sender.shape[0]) - draws.offsets[stream_sender]
-        ) % draws.workloads[stream_sender]
+        stream_sender = np.repeat(np.arange(num_devices), counts)
         # Emit receiver-major (the order the tree batch and the views read).
         order = np.lexsort((stream_sender, draws.receivers))
         senders = stream_sender[order]
-        released = draws.bins[senders] == rank[order].astype(draws.bins.dtype)[:, None]
-        rows, cols = np.divmod(np.flatnonzero(released), dimension)
-        features = np.asarray(
-            [device.ego.feature for device in environment.devices.values()], dtype=np.float64
-        ).reshape(-1, dimension)
+        uniforms = draws.uniforms[order]
+        element_senders = np.repeat(senders, np.diff(uniforms.indptr))
         recovered = self.mechanism.release(
-            features[senders[rows], cols],
-            draws.uniforms[order[rows], cols],
-            draws.workloads[senders[rows]],
+            features[element_senders, uniforms.indices],
+            uniforms.data,
+            draws.workloads[element_senders],
             dimension,
         )
-        indptr = np.zeros(order.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=order.shape[0]), out=indptr[1:])
 
         # Encoded symbols need 2 bits each ({0, 0.5, 1}); account the
         # transmission of the full d-dimensional message.
@@ -216,12 +297,14 @@ class LDPEmbeddingInitializer:
             senders, receivers, MessageKind.FEATURE_EXCHANGE, size_bytes, description="ldp-feature"
         )
         environment.ledger.compute_many(
-            np.arange(counts.shape[0]), 0.1 * counts, description="ldp-encoding"
+            np.arange(num_devices), 0.1 * counts, description="ldp-encoding"
         )
         return EmbeddingInitializationResult(
             receivers=receivers,
             senders=senders,
-            released=sp.csr_matrix((recovered, cols, indptr), shape=released.shape),
+            released=sp.csr_matrix(
+                (recovered, uniforms.indices, uniforms.indptr), shape=uniforms.shape
+            ),
             midpoint=self.bounds.midpoint,
             messages_sent=int(order.shape[0]),
             bytes_sent=size_bytes * int(order.shape[0]),

@@ -205,8 +205,11 @@ class Assignment:
         neighbors = np.fromiter(
             chain.from_iterable(self.selected.values()), dtype=np.int64, count=vertices.shape[0]
         )
-        order = np.lexsort((neighbors, vertices))
-        return vertices[order], neighbors[order]
+        # Pairs are distinct: one sort of ``vertex * size + neighbour`` codes
+        # orders them as a lexsort of the two columns would, in a third of the
+        # time (it is a tenth of the LDP draw at 4 000 devices).
+        size = int(max(vertices.max(initial=-1), neighbors.max(initial=-1))) + 1
+        return np.divmod(np.sort(vertices * size + neighbors), size)
 
     def total_selected_edges(self) -> int:
         """Total number of (vertex, neighbour) selections = total leaves / 2."""

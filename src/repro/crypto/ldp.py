@@ -179,12 +179,18 @@ class OneBitMechanism:
         return self.recover(encoded, workload, dimension=dimension)
 
 
+def bin_assignment(dimension: int, num_bins: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the bin id of each of ``dimension`` feature indices, uniform over ``num_bins``."""
+    return rng.integers(num_bins, size=dimension)
+
+
 class FeatureBinPartitioner:
     """Random partition of the ``d`` feature indices into ``wl`` bins.
 
     Lumos sends the ``k``-th bin to the ``k``-th (remaining) neighbour so the
     union of all transmissions covers every element while each neighbour sees
-    only ``d / wl`` encoded elements (paper §VI-A).
+    only ``d / wl`` encoded elements (paper §VI-A).  The draw is
+    :func:`bin_assignment`.
     """
 
     def __init__(self, dimension: int, num_bins: int, rng: Optional[np.random.Generator] = None) -> None:
@@ -195,8 +201,7 @@ class FeatureBinPartitioner:
         rng = rng if rng is not None else np.random.default_rng()
         self.dimension = dimension
         self.num_bins = num_bins
-        assignment = rng.integers(num_bins, size=dimension)
-        self._assignment = assignment
+        self._assignment = bin_assignment(dimension, num_bins, rng)
 
     @property
     def assignment(self) -> np.ndarray:

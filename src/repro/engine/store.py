@@ -175,10 +175,12 @@ class DiskSpillStore(ArtifactStore):
     # v2 added the payload checksum field; v3 marks the columnar LDP artifacts
     # and the factored ``TreeBatch``, v4 ``TreeConstructionResult`` losing a
     # field, v5 ``StoredArtifact``'s single ``ledger_delta`` and
-    # ``LDPDrawsResult`` losing ``sender_ids`` — pickled layouts that changed
-    # under unchanged stage keys.  Older files (or any unreadable version)
-    # degrade to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 5
+    # ``LDPDrawsResult`` losing ``sender_ids``, v6 ``LDPDrawsResult`` keeping
+    # only the released uniforms (a CSR ``uniforms``, no ``bins``) — pickled
+    # layouts that changed under unchanged stage keys.  Older files (or any
+    # unreadable version) degrade to a miss and are quarantined like corrupt
+    # files.
+    _FORMAT_VERSION = 6
 
     def __init__(
         self,

@@ -140,7 +140,7 @@ class GCNLayer(Module):
         def backward(grad: np.ndarray) -> None:
             grad = _as_array(grad)
             if mask is not None:
-                grad = grad * mask
+                np.multiply(grad, mask, out=grad)
             if shared is not None:
                 weight._accumulate(
                     shared.project_adjoint(backend.spmm_t(propagated, grad)), donated=True

@@ -118,7 +118,7 @@ def fused_gcn_layer(
     def backward(grad: np.ndarray) -> None:
         grad = _as_array(grad)
         if mask is not None:
-            grad = grad * mask
+            np.multiply(grad, mask, out=grad)
         if bias is not None:
             if bias_operator is None:
                 bias._accumulate(grad)
@@ -206,7 +206,7 @@ def fused_gat_layer(
     def backward(grad: np.ndarray) -> None:
         g = _as_array(grad)
         if mask is not None:
-            g = g * mask
+            np.multiply(g, mask, out=g)
         bias._accumulate(g)
         if concat_heads:
             g_heads = np.split(g, num_heads, axis=1)
@@ -433,15 +433,16 @@ def dropout(
     # ``x``'s sign) without the float64 mask array — forward and adjoint.
     mask = rng.random(tensor.data.shape) < keep_probability
     scale = 1.0 / keep_probability
-
-    def scaled_and_masked(array: np.ndarray) -> np.ndarray:
-        out = array * scale
-        return np.multiply(out, mask, out=out)
+    out = tensor.data * scale
+    np.multiply(out, mask, out=out)
 
     def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(scaled_and_masked(_as_array(grad)), donated=True)
+        grad = _as_array(grad)
+        grad *= scale
+        np.multiply(grad, mask, out=grad)
+        tensor._accumulate(grad, donated=True)
 
-    return Tensor._make(scaled_and_masked(tensor.data), (tensor,), backward)
+    return Tensor._make(out, (tensor,), backward)
 
 
 def linear(tensor: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

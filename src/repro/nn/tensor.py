@@ -207,6 +207,11 @@ class Tensor:
         handed to no other tensor.  Closures that pass their incoming gradient
         through (``+``, ``reshape``, ...) give one object to several parents,
         or a view of the child's buffer, and must not donate.
+
+        Because every buffer has one owner, the buffer :meth:`backward` hands a
+        closure is its node's alone and dies right after the closure returns:
+        the closure may consume it — mask or scale it in place, or donate it
+        to a parent — instead of allocating a copy.
         """
         if not self.requires_grad:
             return
@@ -220,6 +225,11 @@ class Tensor:
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate ``grad`` (default: ones) from this tensor.
+
+        ``grad`` itself is never written: the root's buffer is a copy.  Each
+        closure receives its node's gradient buffer, which no other tensor
+        references and which is dropped as soon as the closure returns, so
+        the closure may overwrite it (see :meth:`_accumulate`).
 
         Raises
         ------
@@ -236,7 +246,7 @@ class Tensor:
                     "for scalar tensors"
                 )
             grad = np.ones_like(self.data)
-        self._accumulate(grad)
+        self._accumulate(np.array(grad, dtype=np.float64), donated=True)
 
         ordered: list[Tensor] = []
         visited: set[int] = set()

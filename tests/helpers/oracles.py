@@ -6,7 +6,10 @@ Every production kernel has exactly one oracle, and it lives here, not in
 (:func:`find_max_workload_device`) inside Alg. 2 as the from-scratch loop
 (:func:`mcmc_run_reference`), the union graph by per-node traversal
 (:func:`tree_batch_reference`), the LDP feature exchange one scalar message
-at a time (:func:`ldp_exchange_reference`) and the candidate argmax one
+at a time (:func:`ldp_exchange_reference`) — and, for the layout of its
+draws, over the dense ``(messages, d)`` uniforms
+(:func:`ldp_draw_reference`, :func:`ldp_threshold_reference`) — the
+candidate argmax one
 scalar comparison at a time (:func:`secure_argmax_reference`), the
 communication ledger's columnar tables as plain lists of rows
 (:class:`LedgerOracle`), the compute backend's kernels as ``np.add.at`` /
@@ -24,6 +27,7 @@ of ``test_mcmc_incremental``, ``test_greedy_batched`` and
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -468,6 +472,99 @@ def ldp_exchange_reference(
             )
         environment.charge_compute(sender, 0.1 * len(receivers), description="ldp-encoding")
     return rows
+
+
+@dataclass
+class DenseLDPDraws:
+    """The feature exchange's draws kept whole: device ``i``'s bin partition
+    ``bins[i]`` and every drawn uniform, ``(messages, d)`` in stream order."""
+
+    workloads: np.ndarray
+    bins: np.ndarray
+    offsets: np.ndarray
+    receivers: np.ndarray
+    uniforms: np.ndarray
+
+    def released(self) -> np.ndarray:
+        """``(messages, d)`` mask of the positions each message releases, in
+        stream order: bin ``k mod wl(s)`` to sender ``s``'s ``k``-th receiver."""
+        counts = np.diff(self.offsets)
+        stream_sender = np.repeat(np.arange(counts.shape[0]), counts)
+        rank = (
+            np.arange(stream_sender.shape[0]) - self.offsets[stream_sender]
+        ) % self.workloads[stream_sender]
+        return self.bins[stream_sender] == rank.astype(self.bins.dtype)[:, None]
+
+    def released_uniforms(self) -> sp.csr_matrix:
+        """The uniforms at the released positions, as ``LDPDrawsResult`` keeps them."""
+        released = self.released()
+        rows, cols = np.nonzero(released)
+        indptr = np.concatenate([[0], np.cumsum(released.sum(axis=1))])
+        return sp.csr_matrix((self.uniforms[rows, cols], cols, indptr), shape=released.shape)
+
+
+def ldp_draw_reference(initializer, environment, assignment) -> DenseLDPDraws:
+    """``LDPEmbeddingInitializer.draw`` with every uniform kept: per sender, the
+    partition, then one ``(receivers, d)`` block of the dense array."""
+    devices = environment.devices
+    dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
+    receivers, senders = assignment.pairs()
+    order = np.argsort(senders, kind="stable")
+    offsets = np.zeros(len(devices) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(senders, minlength=len(devices)), out=offsets[1:])
+    workloads = np.maximum(assignment.workload_vector(len(devices)), 1)
+    workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))
+    bins = np.empty((len(devices), dimension), dtype=workloads.dtype)
+    uniforms = np.empty((order.shape[0], dimension), dtype=np.float64)
+    for index, (workload, start, stop) in enumerate(
+        zip(workloads.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+    ):
+        bins[index] = FeatureBinPartitioner(dimension, workload, rng=initializer.rng).assignment
+        if stop > start:
+            initializer.rng.random(out=uniforms[start:stop])
+    return DenseLDPDraws(workloads, bins, offsets, receivers[order], uniforms)
+
+
+def ldp_threshold_reference(
+    initializer, environment, draws: DenseLDPDraws
+) -> EmbeddingInitializationResult:
+    """``LDPEmbeddingInitializer.threshold`` over the dense draws: the released
+    mask of every message, reordered receiver-major, selects what to encode."""
+    dimension = draws.bins.shape[1]
+    counts = np.diff(draws.offsets)
+    stream_sender = np.repeat(np.arange(counts.shape[0]), counts)
+    order = np.lexsort((stream_sender, draws.receivers))
+    senders = stream_sender[order]
+    released = draws.released()[order]
+    rows, cols = np.divmod(np.flatnonzero(released), dimension)
+    features = np.asarray(
+        [device.ego.feature for device in environment.devices.values()], dtype=np.float64
+    ).reshape(-1, dimension)
+    recovered = initializer.mechanism.release(
+        features[senders[rows], cols],
+        draws.uniforms[order[rows], cols],
+        draws.workloads[senders[rows]],
+        dimension,
+    )
+    indptr = np.zeros(order.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=order.shape[0]), out=indptr[1:])
+    size_bytes = max(1, (2 * dimension) // 8)
+    receivers = draws.receivers[order]
+    environment.exchange_many(
+        senders, receivers, MessageKind.FEATURE_EXCHANGE, size_bytes, description="ldp-feature"
+    )
+    environment.ledger.compute_many(
+        np.arange(counts.shape[0]), 0.1 * counts, description="ldp-encoding"
+    )
+    return EmbeddingInitializationResult(
+        receivers=receivers,
+        senders=senders,
+        released=sp.csr_matrix((recovered, cols, indptr), shape=released.shape),
+        midpoint=initializer.bounds.midpoint,
+        messages_sent=int(order.shape[0]),
+        bytes_sent=size_bytes * int(order.shape[0]),
+        epsilon=initializer.epsilon,
+    )
 
 
 def secure_argmax_reference(comparator, values) -> int:

@@ -397,6 +397,15 @@ class TestZeroDevices:
         with pytest.raises(ValueError, match="environment has no devices"):
             initializer.run(environment, construction.assignment)
 
+    def test_ldp_draw_rejects_an_empty_environment(self, empty):
+        # It used to return an empty result that only ``threshold`` refused.
+        environment, construction = empty
+        initializer = LDPEmbeddingInitializer(epsilon=2.0, rng=np.random.default_rng(1))
+        state = initializer.rng.bit_generator.state
+        with pytest.raises(ValueError, match="environment has no devices"):
+            initializer.draw(environment, construction.assignment)
+        assert initializer.rng.bit_generator.state == state
+
     def test_tree_batch_rejects_an_empty_environment(self, empty, prepared):
         environment, construction = empty
         with pytest.raises(ValueError, match="environment has no devices"):

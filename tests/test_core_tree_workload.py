@@ -157,6 +157,14 @@ class TestAssignment:
         assignment = Assignment.from_lists({0: [5, 2], 2: [0], 5: [0]})
         assert assignment.as_lists()[0] == [2, 5]
 
+    @given(st.dictionaries(st.integers(0, 40), st.sets(st.integers(0, 40), max_size=6), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_are_the_selection_by_vertex_then_neighbour(self, selected):
+        vertices, neighbors = Assignment(selected=selected).pairs()
+        expected = sorted((vertex, neighbor) for vertex, chosen in selected.items() for neighbor in chosen)
+        assert list(zip(vertices.tolist(), neighbors.tolist())) == expected
+        assert vertices.dtype == neighbors.dtype == np.int64
+
     def test_argmax_empty_raises(self):
         with pytest.raises(ValueError):
             Assignment(selected={}).argmax_workload()

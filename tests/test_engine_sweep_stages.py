@@ -84,8 +84,12 @@ class TestDrawThresholdSplit:
         draws_high = LDPEmbeddingInitializer(
             epsilon=4.0, rng=np.random.default_rng(3)
         ).draw(environment, construction.assignment)
-        for column in ("workloads", "bins", "offsets", "receivers", "uniforms"):
+        for column in ("workloads", "offsets", "receivers"):
             np.testing.assert_array_equal(getattr(draws_low, column), getattr(draws_high, column))
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(draws_low.uniforms, part), getattr(draws_high.uniforms, part)
+            )
 
     def test_threshold_consumes_no_randomness(self, graph):
         _, environment, construction = _constructed(graph)

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.gnn.gat import GATLayer
+from repro.gnn.gcn import GCNLayer
 from repro.nn import functional as F
 from repro.nn.tensor import (
     Tensor,
@@ -391,7 +393,56 @@ def _two_rounds_without_zero_grad(rng, rows, cols, broadcast):
     return [a, b], interior
 
 
-_SCENARIOS = [_diamond, _two_fused_consumers, _two_rounds_without_zero_grad]
+def _masked_layers(rng, rows, cols, broadcast):
+    """The four adjoints that mask their incoming gradient in place: a fused
+    GCN and a fused GAT layer with ``relu``, a constant-input ``GCNLayer``
+    with ``relu`` and ``F.dropout`` — as ``(x, forwards, leaves)``."""
+    x = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    matrix = sp.csr_matrix(rng.random((rows, rows)) < 0.5, dtype=np.float64)
+    loops = np.tile(np.arange(rows), (2, 1))
+    edge_index = np.concatenate([rng.integers(rows, size=(2, 2 * rows)), loops], axis=1)
+    gcn = GCNLayer(cols, 3, bias=broadcast, rng=rng)
+    gat = GATLayer(cols, 2, num_heads=2, concat_heads=broadcast, rng=rng)
+    constant = GCNLayer(cols, 3, rng=rng)
+    for layer in (gcn, gat, constant):
+        if layer.bias is not None:  # so that relu keeps some entries and drops others
+            layer.bias.data = rng.standard_normal(layer.bias.data.shape)
+    forwards = [
+        lambda features: gcn(features, matrix, activation="relu"),
+        lambda features: gat(features, edge_index, activation="relu"),
+        lambda features: constant(Tensor(features.data), matrix, activation="relu"),
+        lambda features: F.dropout(features, 0.5, True, rng),
+    ]
+    leaves = [x, *gcn.parameters(), *gat.parameters(), *constant.parameters()]
+    return x, forwards, leaves
+
+
+def _masked_mid_graph(rng, rows, cols, broadcast):
+    x, forwards, leaves = _masked_layers(rng, rows, cols, broadcast)
+    hidden = x * 2.0
+    masked = [forward(hidden) for forward in forwards]
+    # Each masked output has two consumers, so its buffer sums two
+    # contributions before its adjoint masks it.
+    out = sum(((node * node).sum() + node.sum() for node in masked), Tensor(0.0))
+    out.backward()
+    return leaves, [hidden, *masked, out]
+
+
+def _masked_roots(rng, rows, cols, broadcast):
+    x, forwards, leaves = _masked_layers(rng, rows, cols, broadcast)
+    roots = [forward(x) for forward in forwards]
+    for root in roots:
+        root.backward(rng.standard_normal(root.shape))
+    return leaves, roots
+
+
+_SCENARIOS = [
+    _diamond,
+    _two_fused_consumers,
+    _two_rounds_without_zero_grad,
+    _masked_mid_graph,
+    _masked_roots,
+]
 
 
 def _check_ownership(scenario, rows, cols, broadcast, seed):
@@ -454,6 +505,20 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(upstream, np.full((2, 3), 2.0))
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
         assert not np.shares_memory(a.grad, upstream)
+
+    @pytest.mark.parametrize("masked", range(4))
+    def test_a_masked_root_leaves_the_upstream_gradient_as_it_was(self, masked):
+        # The masked adjoints multiply the buffer they receive in place; at
+        # the root that buffer must be the root's copy, not the caller's.
+        rng = np.random.default_rng(masked)
+        x, forwards, _ = _masked_layers(rng, 5, 4, True)
+        root = forwards[masked](x)
+        upstream = rng.standard_normal(root.shape)
+        kept = upstream.copy()
+        root.backward(upstream)
+        assert upstream.tobytes() == kept.tobytes()
+        if x.grad is not None:  # the constant-input layer has no path to x
+            assert not np.shares_memory(x.grad, upstream)
 
     def test_second_backward_over_a_swept_graph_raises(self):
         a = Tensor(np.ones(3), requires_grad=True)
