@@ -27,6 +27,9 @@ class TreeConstructorConfig:
     def __post_init__(self) -> None:
         if self.mcmc_iterations < 0:
             raise ValueError("mcmc_iterations must be non-negative")
+        for name in ("degree_comparison_bits", "workload_comparison_bits"):
+            if not 1 <= getattr(self, name) <= 64:
+                raise ValueError(f"{name} must be in [1, 64]")
 
 
 @dataclass(frozen=True)

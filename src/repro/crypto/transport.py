@@ -47,17 +47,15 @@ as is the channel's fixed per-frame header
 
 Failure model
 -------------
-A party killed mid-session (e.g. by a :class:`~repro.runtime.worker.ChaosConfig`
-schedule — ``tests/helpers/chaos_probe.py`` dispatches one into a runtime
-worker) surfaces on the driver as a typed :class:`RemotePartyError`
-(wrapping the channel's timeout/EOF error), never a hang: every channel
-receive is deadline-bounded.
+A party killed mid-session surfaces on the driver as a typed
+:class:`RemotePartyError` (wrapping the channel's timeout/EOF error and
+carrying the party's exit code), never a hang: every channel receive is
+deadline-bounded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -73,7 +71,6 @@ from ..runtime.channel import (
     PartyChannel,
     channel_pair,
 )
-from ..runtime.worker import ChaosConfig, chaos_action
 from .oblivious_transfer import ObliviousTransfer, TranscriptAccountant
 from .secure_compare import ComparisonCost, SecureComparator, comparison_cost, operand_array
 
@@ -188,39 +185,18 @@ def ot_payload_bytes(message_bits: int) -> int:
 # --------------------------------------------------------------------- #
 # Party process (the far side of the channel)
 # --------------------------------------------------------------------- #
-def party_main(
-    channel: PartyChannel,
-    config: dict,
-    private_values: bytes,
-    chaos: Optional[ChaosConfig] = None,
-) -> None:
+def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> None:
     """Serve one secure session as the remote party, then exit.
 
     ``config`` carries the public session parameters (op, count, widths);
     ``private_values`` the party's own operands, delivered out-of-band via
     process spawn arguments — private inputs never cross the channel.
-
-    A :class:`~repro.runtime.worker.ChaosConfig` schedule is evaluated
-    before every frame this party sends (``chaos_action`` over the session
-    key and step index): a ``crash`` draw hard-kills the process mid-protocol
-    with ``os._exit``, exactly like a SIGKILL, which the driver must surface
-    as a typed error.
     """
     # Like runtime workers: never inherit the parent's ambient tracer.
     obs.set_tracer(None)
-    session_key = str(config.get("session_key", "secure-session"))
-    step = 0
-
-    def guard_send(kind: FrameKind, payload: bytes) -> None:
-        nonlocal step
-        step += 1
-        if chaos_action(chaos, f"{session_key}/step-{step}", 1) == "crash":
-            os._exit(86)
-        channel.send(kind, payload)
-
     try:
-        _serve_session(channel, config, private_values, guard_send)
-        guard_send(FrameKind.CONTROL, b"bye")
+        _serve_session(channel, config, private_values)
+        channel.send(FrameKind.CONTROL, b"bye")
     except ChannelError:
         # Driver vanished: nothing left to report to.
         pass
@@ -233,17 +209,17 @@ def party_main(
         channel.close()
 
 
-def _serve_session(channel, config, private_values, send) -> None:
+def _serve_session(channel, config, private_values) -> None:
     op = config["op"]
     if op == "compare":
-        _serve_comparison(channel, config, private_values, send)
+        _serve_comparison(channel, config, private_values)
     elif op == "ot":
-        _serve_ot(channel, config, private_values, send)
+        _serve_ot(channel, config, private_values)
     else:
         raise ValueError(f"unknown session op {op!r}")
 
 
-def _serve_comparison(channel, config, private_values, send) -> None:
+def _serve_comparison(channel, config, private_values) -> None:
     """Party B of the millionaires' protocol: holds ``right``, serves tables.
 
     Per big-endian block row the driver sends its choice blocks
@@ -267,14 +243,14 @@ def _serve_comparison(channel, config, private_values, send) -> None:
     per_ot_bytes = ((1 << comparator.BLOCK_BITS) + 128) // 8
     budget = 2 * per_ot_bytes * count - count
 
-    send(FrameKind.CONTROL, b"ready")
+    channel.send(FrameKind.CONTROL, b"ready")
     for blocks in right_blocks:
         _, payload = channel.recv(expected=(FrameKind.CMP_CHOICES,))
         if len(payload) != count:
             raise ValueError(f"CMP_CHOICES carries {len(payload)} bytes for {count} comparisons")
         greater, equal = comparator.leaf_shares(np.frombuffer(payload, dtype=np.uint8), blocks)
         body = _pack_bits(greater) + _pack_bits(equal)
-        send(FrameKind.CMP_RESPONSE, body + b"\x00" * (budget - len(body)))
+        channel.send(FrameKind.CMP_RESPONSE, body + b"\x00" * (budget - len(body)))
     width = right_blocks.shape[0]
     while width > 1:
         channel.recv(expected=(FrameKind.CMP_AND,))
@@ -282,7 +258,7 @@ def _serve_comparison(channel, config, private_values, send) -> None:
     channel.recv(expected=(FrameKind.CONTROL,))  # done
 
 
-def _serve_ot(channel, config, private_values, send) -> None:
+def _serve_ot(channel, config, private_values) -> None:
     """OT receiver: holds the choice bits, learns the chosen messages.
 
     Sends its choices in a u64-per-position ``OT_REQUEST`` (the 64-bit slot
@@ -296,8 +272,8 @@ def _serve_ot(channel, config, private_values, send) -> None:
     bytes_per = message_bits // 8
     choices = np.frombuffer(private_values, dtype=np.uint8, count=count).astype(np.int64)
 
-    send(FrameKind.CONTROL, b"ready")
-    send(FrameKind.OT_REQUEST, _pack_values(choices.astype(np.uint64), 8))
+    channel.send(FrameKind.CONTROL, b"ready")
+    channel.send(FrameKind.OT_REQUEST, _pack_values(choices.astype(np.uint64), 8))
     _, payload = channel.recv(expected=(FrameKind.OT_RESPONSE,))
     masked_zero = _unpack_values(payload, count, bytes_per)
     offset = count * bytes_per
@@ -305,7 +281,7 @@ def _serve_ot(channel, config, private_values, send) -> None:
     pads = _unpack_values(payload[2 * offset:], count, 8)
     masked = np.where(choices.astype(bool), masked_one, masked_zero)
     learned = masked ^ pads
-    send(FrameKind.CONTROL, _pack_values(learned, 8))
+    channel.send(FrameKind.CONTROL, _pack_values(learned, 8))
     channel.recv(expected=(FrameKind.CONTROL,))  # done
 
 
@@ -332,15 +308,15 @@ class RemoteParty:
         accountant: Optional[TranscriptAccountant] = None,
         rng: Optional[np.random.Generator] = None,
         timeout: float = DEFAULT_SESSION_TIMEOUT,
-        chaos: Optional[ChaosConfig] = None,
         ledger=None,
     ) -> None:
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self._comparator = SecureComparator(bit_width, accountant=self.accountant, rng=rng)
         self._ot = ObliviousTransfer(accountant=self.accountant, rng=rng)
         self.bit_width = bit_width
         self.timeout = timeout
-        self.chaos = chaos
         self.ledger = ledger
 
     # -- infrastructure ------------------------------------------------ #
@@ -381,7 +357,7 @@ class RemoteParty:
         )
         process = context.Process(
             target=party_main,
-            args=(party_end, config, private_values, self.chaos),
+            args=(party_end, config, private_values),
             daemon=True,
         )
         self._start_party(process)

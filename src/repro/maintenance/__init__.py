@@ -16,17 +16,10 @@ staleness:
   localized rebalance or a full rebuild past configured bounds;
 * :mod:`~repro.maintenance.churn` — schedule compilation from
   :class:`~repro.faults.FaultPlan`, the deterministic metrics entry point
-  behind ``run_churn_maintenance``, and the chaos kill-replay harness.
+  behind ``run_churn_maintenance``.
 """
 
-from .churn import (
-    apply_schedule,
-    churn_maintenance_metrics,
-    compile_churn_schedule,
-    first_crash_seq,
-    resume_schedule,
-    run_schedule,
-)
+from .churn import apply_schedule, churn_maintenance_metrics, compile_churn_schedule
 from .journal import MutationJournal, read_records
 from .monitor import StalenessMonitor, StalenessReport
 from .tree import MaintainedTree, MaintenanceConfig, fresh_assignment
@@ -42,7 +35,4 @@ __all__ = [
     "compile_churn_schedule",
     "apply_schedule",
     "churn_maintenance_metrics",
-    "run_schedule",
-    "resume_schedule",
-    "first_crash_seq",
 ]

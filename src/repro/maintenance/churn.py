@@ -1,23 +1,15 @@
-"""Churn-driven maintenance runs: schedules, metrics and the chaos harness.
+"""Churn-driven maintenance runs: schedules and metrics.
 
 Bridges the fault layer to the maintenance layer: a compiled
 :class:`~repro.faults.FaultPlan` churn chain becomes a flat, state-free
 mutation *schedule* (``compile_churn_schedule``), which drives a
 :class:`~repro.maintenance.tree.MaintainedTree` through real joins/leaves
-instead of masks.  Two consumers share the schedule:
-
-* :func:`churn_maintenance_metrics` — the module-level ``CallableItem``
-  target behind ``eval.runner.run_churn_maintenance``; it returns a fully
-  deterministic metrics dictionary (counters, objectives, digests — no
-  wall-clock values), which is what makes serial vs process execution
-  bit-identical, and asserts ``replay(journal) == live`` inline before
-  returning;
-* the kill-replay harness (:func:`run_schedule`, :func:`first_crash_seq`) —
-  a child process runs the schedule with a :class:`ChaosConfig` that kills
-  it mid-journal-write; the parent recovers the torn journal, finishes the
-  schedule, and the acceptance contract is digest equality with an
-  uninterrupted run.  Used by both the tests and the gate-tracked
-  ``tree_maintenance`` bench section.
+instead of masks.  :func:`churn_maintenance_metrics` is the module-level
+``CallableItem`` target behind ``eval.runner.run_churn_maintenance``; it
+returns a fully deterministic metrics dictionary (counters, objectives,
+digests — no wall-clock values), which is what makes serial vs process
+execution bit-identical, and asserts ``replay(journal) == live`` inline
+before returning.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from ..faults.config import FaultScenarioConfig
 from ..faults.plan import FaultPlan
 from ..federation.simulator import FederatedEnvironment
 from ..graph import load_dataset
-from ..runtime.worker import ChaosConfig, chaos_action
 from .journal import MutationJournal
 from .monitor import StalenessMonitor
 from .tree import MaintainedTree, MaintenanceConfig
@@ -43,8 +34,6 @@ __all__ = [
     "compile_churn_schedule",
     "apply_schedule",
     "churn_maintenance_metrics",
-    "run_schedule",
-    "first_crash_seq",
 ]
 
 #: Schedule entries: ("remove", device) | ("insert", device, neighbors) |
@@ -115,99 +104,6 @@ def _constructed_tree(
         for vertex in range(graph.num_nodes)
     }
     return construction.assignment.as_lists(), ego, graph.num_nodes
-
-
-# --------------------------------------------------------------------------- #
-# Kill-replay harness
-# --------------------------------------------------------------------------- #
-def first_crash_seq(chaos: ChaosConfig, num_mutations: int) -> Optional[int]:
-    """The seq of the first mutation whose journal append will crash.
-
-    Pure function (mirrors the tree's ``chaos_action`` keying), so the
-    parent process can predict where its child will die — and pick a chaos
-    seed that lands the kill mid-schedule rather than at either edge.
-    """
-    for seq in range(1, num_mutations + 1):
-        if chaos_action(chaos, f"maintenance/{seq}", 1) == "crash":
-            return seq
-    return None
-
-
-def run_schedule(
-    journal_path: str,
-    snapshot_dir: str,
-    dataset: str = "facebook",
-    num_nodes: Optional[int] = 120,
-    seed: int = 0,
-    scenario: FaultScenarioConfig = FaultScenarioConfig(
-        join_rate=0.30, leave_rate=0.10, fault_seed=13
-    ),
-    rounds: int = 10,
-    mcmc_iterations: int = 40,
-    rebalance_every: int = 4,
-    maintenance_seed: int = 0,
-    chaos: Optional[ChaosConfig] = None,
-) -> str:
-    """Build the tree, run the full churn schedule, return the state digest.
-
-    Module-level (and fork/spawn-safe) so it can be the target of the chaos
-    child process: with a crashing ``chaos`` the process dies with exit code
-    86 mid-journal-write and never returns.
-    """
-    from ..engine.store import DiskSpillStore
-
-    lists, ego, num_devices = _constructed_tree(
-        dataset, num_nodes, seed, mcmc_iterations
-    )
-    plan = FaultPlan.compile(scenario, num_devices, rounds)
-    schedule = compile_churn_schedule(plan, ego, rebalance_every=rebalance_every)
-    journal = MutationJournal.create(journal_path)
-    snapshots = DiskSpillStore(snapshot_dir, max_bytes=64 * 1024 * 1024)
-    tree = MaintainedTree.from_construction(
-        lists,
-        ego,
-        MaintenanceConfig(seed=maintenance_seed),
-        journal=journal,
-        snapshots=snapshots,
-        chaos=chaos,
-    )
-    apply_schedule(tree, schedule)
-    digest = tree.state_digest()
-    journal.close()
-    return digest
-
-
-def resume_schedule(
-    journal_path: str,
-    snapshot_dir: str,
-    dataset: str = "facebook",
-    num_nodes: Optional[int] = 120,
-    seed: int = 0,
-    scenario: FaultScenarioConfig = FaultScenarioConfig(
-        join_rate=0.30, leave_rate=0.10, fault_seed=13
-    ),
-    rounds: int = 10,
-    mcmc_iterations: int = 40,
-    rebalance_every: int = 4,
-) -> Tuple[str, int]:
-    """Recover a (possibly torn) journal and finish the schedule.
-
-    Returns ``(state digest, resume index)``.  The resume index is simply
-    the recovered ``tree.seq`` — each schedule entry journals exactly one
-    mutation, which is the invariant that makes crash recovery a slice.
-    """
-    from ..engine.store import DiskSpillStore
-
-    _, ego, num_devices = _constructed_tree(dataset, num_nodes, seed, mcmc_iterations)
-    plan = FaultPlan.compile(scenario, num_devices, rounds)
-    schedule = compile_churn_schedule(plan, ego, rebalance_every=rebalance_every)
-    snapshots = DiskSpillStore(snapshot_dir, max_bytes=64 * 1024 * 1024)
-    tree = MaintainedTree.recover(journal_path, snapshots)
-    resumed_at = tree.seq
-    apply_schedule(tree, schedule, start=resumed_at)
-    digest = tree.state_digest()
-    tree.journal.close()
-    return digest, resumed_at
 
 
 # --------------------------------------------------------------------------- #

@@ -3,9 +3,8 @@
 The journal is the durability primitive of tree maintenance: every mutation
 of a :class:`~repro.maintenance.tree.MaintainedTree` is written here *before*
 it is applied (write-ahead order), so a process killed at any instant —
-including mid-``write`` via the runtime's :class:`ChaosConfig` — leaves a
-file from which :meth:`MaintainedTree.replay` reconstructs the exact
-pre-kill tree.
+including in the middle of a ``write`` — leaves a file from which
+:meth:`MaintainedTree.replay` reconstructs the exact pre-kill tree.
 
 File format (all integers little-endian)::
 
@@ -35,7 +34,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .. import obs
 
@@ -144,22 +143,6 @@ class MutationJournal:
         obs.add_counter("maintenance.journal_appends")
         obs.add_counter("maintenance.journal_bytes", len(frame))
         obs.observe("maintenance.fsync_seconds", time.perf_counter() - started)
-
-    def append_torn(self, record: Dict[str, Any], keep_bytes: Optional[int] = None) -> None:
-        """Write a deliberately *incomplete* frame (crash injection).
-
-        Flushes a strict prefix of the frame — by default the length prefix
-        plus half the payload — exactly what a kill between ``write`` and
-        completion leaves behind.  The caller is expected to die right after
-        (``os._exit``); :meth:`recover` then truncates these bytes.
-        """
-        frame = _frame(record)
-        if keep_bytes is None:
-            keep_bytes = _PREFIX.size + (len(frame) - _PREFIX.size) // 2
-        keep_bytes = max(1, min(int(keep_bytes), len(frame) - 1))
-        self._file.write(frame[:keep_bytes])
-        self._file.flush()
-        os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if not self._file.closed:

@@ -23,8 +23,8 @@ replays verify against.  The full determinism contract is
 ``MaintainedTree.replay(journal, snapshots).state_digest() ==
 live.state_digest()`` where the digest covers the adjacency, the selection,
 the RNG bit-generator state, the canonical ledger transcript and the
-secure-comparison accountant — bit for bit, including after a mid-write
-``os._exit`` kill injected through :class:`~repro.runtime.ChaosConfig`.
+secure-comparison accountant — bit for bit, including after a process is
+killed in the middle of a journal write.
 
 Snapshots are atomic versioned artifacts: the full state is published
 through an :class:`~repro.engine.store.ArtifactStore` (its fingerprint
@@ -37,8 +37,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -51,7 +49,6 @@ from ..engine.fingerprint import stage_key
 from ..engine.store import ArtifactStore, DiskSpillStore, StoredArtifact
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import CommunicationLedger
-from ..runtime.worker import ChaosConfig, chaos_action
 from .journal import MutationJournal, _encode, read_records
 
 __all__ = ["MaintenanceConfig", "MaintainedTree", "fresh_assignment"]
@@ -81,6 +78,8 @@ class MaintenanceConfig:
     def __post_init__(self) -> None:
         if self.rebalance_iterations < 0 or self.rebuild_mcmc_iterations < 0:
             raise ValueError("iteration counts must be non-negative")
+        if not 1 <= self.comparison_bits <= 64:
+            raise ValueError("comparison_bits must be in [1, 64]")
 
 
 def _transcript_digest(records: List[tuple]) -> str:
@@ -163,8 +162,6 @@ class MaintainedTree:
         counters: Optional[Dict[str, int]] = None,
         journal: Optional[MutationJournal] = None,
         snapshots: Optional[ArtifactStore] = None,
-        chaos: Optional[ChaosConfig] = None,
-        chaos_attempt: int = 1,
     ) -> None:
         self.neighbors = neighbors
         self.assignment = assignment
@@ -179,8 +176,6 @@ class MaintainedTree:
             self.counters.update(counters)
         self.journal = journal
         self.snapshots = snapshots
-        self.chaos = chaos
-        self.chaos_attempt = chaos_attempt
 
     # ------------------------------------------------------------------ #
     # Construction / restoration
@@ -194,7 +189,6 @@ class MaintainedTree:
         *,
         journal: Optional[MutationJournal] = None,
         snapshots: Optional[ArtifactStore] = None,
-        chaos: Optional[ChaosConfig] = None,
     ) -> "MaintainedTree":
         """Wrap a construction result; journal a genesis snapshot if enabled."""
         if journal is not None and snapshots is None:
@@ -217,7 +211,6 @@ class MaintainedTree:
             chain=genesis,
             journal=journal,
             snapshots=snapshots,
-            chaos=chaos,
         )
         if journal is not None:
             key, digest = tree._publish_snapshot()
@@ -233,8 +226,6 @@ class MaintainedTree:
         *,
         journal: Optional[MutationJournal] = None,
         snapshots: Optional[ArtifactStore] = None,
-        chaos: Optional[ChaosConfig] = None,
-        chaos_attempt: int = 1,
     ) -> "MaintainedTree":
         rng = np.random.default_rng(0)
         rng.bit_generator.state = state["rng_state"]
@@ -251,8 +242,6 @@ class MaintainedTree:
             counters=dict(state["counters"]),
             journal=journal,
             snapshots=snapshots,
-            chaos=chaos,
-            chaos_attempt=chaos_attempt,
         )
 
     @classmethod
@@ -263,8 +252,6 @@ class MaintainedTree:
         *,
         records: Optional[List[Dict[str, Any]]] = None,
         journal: Optional[MutationJournal] = None,
-        chaos: Optional[ChaosConfig] = None,
-        chaos_attempt: int = 1,
     ) -> "MaintainedTree":
         """Reconstruct the live tree from the journal + snapshot store.
 
@@ -289,13 +276,7 @@ class MaintainedTree:
             raise RuntimeError(
                 f"{journal_path}: no snapshot (not even genesis) could be loaded"
             )
-        tree = cls._from_state(
-            state,
-            journal=journal,
-            snapshots=snapshots,
-            chaos=chaos,
-            chaos_attempt=chaos_attempt,
-        )
+        tree = cls._from_state(state, journal=journal, snapshots=snapshots)
         if tree.state_digest() != records[start]["state_digest"]:
             raise RuntimeError(
                 f"{journal_path}: snapshot at seq {tree.seq} fails digest check"
@@ -311,29 +292,14 @@ class MaintainedTree:
         return tree
 
     @classmethod
-    def recover(
-        cls,
-        journal_path,
-        snapshots: ArtifactStore,
-        *,
-        chaos: Optional[ChaosConfig] = None,
-    ) -> "MaintainedTree":
+    def recover(cls, journal_path, snapshots: ArtifactStore) -> "MaintainedTree":
         """Crash recovery: truncate the torn journal tail, replay, reattach.
 
         The returned tree keeps appending to the *same* journal, so the
-        replay contract keeps holding after recovery.  Chaos injection (if
-        any) continues at attempt 2 — beyond the default ``max_attempt`` —
-        mirroring the runtime's retries-converge guarantee.
+        replay contract keeps holding after recovery.
         """
         journal, records = MutationJournal.recover(journal_path)
-        return cls.replay(
-            journal_path,
-            snapshots,
-            records=records,
-            journal=journal,
-            chaos=chaos,
-            chaos_attempt=2,
-        )
+        return cls.replay(journal_path, snapshots, records=records, journal=journal)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -514,23 +480,9 @@ class MaintainedTree:
     # ------------------------------------------------------------------ #
     def _commit(self, record: Dict[str, Any]):
         """Write-ahead: durably journal ``record``, then apply it."""
-        self._journal_append(record)
+        if self.journal is not None:
+            self.journal.append(record)
         return self._apply_record(record)
-
-    def _journal_append(self, record: Dict[str, Any]) -> None:
-        if self.journal is None:
-            return
-        action = chaos_action(
-            self.chaos, f"maintenance/{record['seq']}", self.chaos_attempt
-        )
-        if action == "crash":
-            # A mid-write kill: flush a torn frame, then die like SIGKILL
-            # would — no exception handlers, no atexit, no journal close.
-            self.journal.append_torn(record)
-            os._exit(86)
-        elif action == "stall":
-            time.sleep(self.chaos.stall_seconds)
-        self.journal.append(record)
 
     def _apply_record(self, record: Dict[str, Any]):
         if record["seq"] != self.seq + 1:

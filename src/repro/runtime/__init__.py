@@ -47,7 +47,7 @@ from .items import (
     WorkItem,
 )
 from .plan import WarmupRun, WorkPlan, shared_prefix_plan
-from .worker import DEFAULT_STORE_BYTES, ChaosConfig, chaos_action
+from .worker import DEFAULT_STORE_BYTES
 
 __all__ = [
     "BaselineItem",
@@ -56,7 +56,6 @@ __all__ = [
     "ChannelError",
     "ChannelStats",
     "ChannelTimeout",
-    "ChaosConfig",
     "DEFAULT_BACKOFF_BASE",
     "DEFAULT_STORE_BYTES",
     "Executor",
@@ -76,6 +75,5 @@ __all__ = [
     "WorkPlan",
     "backoff_delay",
     "channel_pair",
-    "chaos_action",
     "shared_prefix_plan",
 ]

@@ -22,7 +22,7 @@ while ``wire_bytes_*`` tells the true on-the-wire total.
 Failure surfaces are typed, never silent:
 
 * :class:`ChannelClosed` — the peer's end is gone (EOF / broken pipe),
-  e.g. a chaos-killed party; mapped by callers onto the runtime's
+  e.g. a killed party; mapped by callers onto the runtime's
   :class:`~repro.runtime.executor.FailedAttempt` machinery.
 * :class:`ChannelTimeout` — no frame within the deadline; every receive is
   bounded, so a dead peer can never hang the driver.

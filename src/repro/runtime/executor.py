@@ -42,7 +42,7 @@ from .. import obs as observability
 from ..engine.store import ArtifactStore
 from .items import WorkItem
 from .plan import WorkPlan, shared_prefix_plan
-from .worker import DONE, ChaosConfig, open_worker_store, result_key, worker_main
+from .worker import DONE, open_worker_store, result_key, worker_main
 
 #: How often the scheduler polls the result queue / worker liveness.
 _POLL_SECONDS = 0.05
@@ -229,10 +229,7 @@ class ProcessExecutor(Executor):
     Retries are re-dispatched after an exponential backoff with
     deterministic seeded jitter (:func:`backoff_delay`, disable with
     ``backoff_base=0``); the accumulated wait is reported as
-    ``backoff_seconds`` in the runtime stats.  ``chaos`` installs a seeded
-    :class:`~repro.runtime.worker.ChaosConfig` fault schedule in every
-    worker — test-only machinery for proving the crash/timeout/retry path
-    preserves the determinism contract.
+    ``backoff_seconds`` in the runtime stats.
     """
 
     def __init__(
@@ -244,12 +241,13 @@ class ProcessExecutor(Executor):
         strict: bool = True,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_seed: int = 0,
-        chaos: Optional[ChaosConfig] = None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if retries < 0:
             raise ValueError("retries must be non-negative")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
         if backoff_base < 0:
             raise ValueError("backoff_base must be non-negative")
         self.max_workers = max_workers
@@ -259,13 +257,16 @@ class ProcessExecutor(Executor):
         self.strict = strict
         self.backoff_base = backoff_base
         self.backoff_seed = backoff_seed
-        self.chaos = chaos
 
     # ------------------------------------------------------------------ #
     # Orchestration
     # ------------------------------------------------------------------ #
     def execute(self, plan: WorkPlan) -> RuntimeReport:
         items = plan.unique_items()
+        # A deadline that has passed at dispatch would make completion a race
+        # against the result poll, so reject it before any worker spawns.
+        if any(item.timeout is not None and item.timeout <= 0 for item in items):
+            raise ValueError("timeout must be positive")
         report = RuntimeReport(
             stats={
                 "executor": "process",
@@ -370,7 +371,7 @@ class ProcessExecutor(Executor):
             process = context.Process(
                 target=worker_main,
                 args=(worker_id, task_queues[worker_id], result_queue,
-                      directory, self.chaos, trace_workers),
+                      directory, trace_workers),
                 daemon=True,
             )
             process.start()

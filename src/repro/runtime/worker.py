@@ -21,12 +21,7 @@ resume from whatever artifacts the first attempt already persisted.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import time
 import traceback
-from dataclasses import dataclass
-from typing import Optional
 
 from .. import obs
 from ..engine.store import DiskSpillStore, StoredArtifact
@@ -37,60 +32,6 @@ FAIL = "fail"
 
 #: Byte budget of the shared spill store (scheduler and workers).
 DEFAULT_STORE_BYTES = 256 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Deterministic worker-fault injection for chaos-testing the runtime.
-
-    Each ``(item key, attempt)`` pair maps through a seeded hash to one
-    uniform draw that selects an action: ``crash`` hard-kills the worker
-    mid-item (``os._exit``, so no exception handler runs — exactly the
-    failure mode the scheduler's liveness pass owns), ``stall`` sleeps for
-    ``stall_seconds`` before executing (with an item timeout below the stall
-    this exercises the deadline-kill path).  Injection applies only to
-    attempts ``<= max_attempt`` so retries are guaranteed to converge
-    whenever the executor's ``retries`` budget covers it.
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_seconds: float = 5.0
-    max_attempt: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "stall_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.crash_rate + self.stall_rate > 1.0:
-            raise ValueError("crash_rate + stall_rate must not exceed 1")
-        if self.stall_seconds < 0:
-            raise ValueError("stall_seconds must be non-negative")
-        if self.max_attempt < 0:
-            raise ValueError("max_attempt must be non-negative")
-
-
-def chaos_action(
-    chaos: Optional[ChaosConfig], item_key: str, attempt: int
-) -> Optional[str]:
-    """The injected action for this ``(item, attempt)``, or ``None``.
-
-    Pure function of ``(chaos.seed, item_key, attempt)`` — the schedule is
-    identical no matter which worker picks the item up or when.
-    """
-    if chaos is None or attempt > chaos.max_attempt:
-        return None
-    digest = hashlib.sha256(
-        f"chaos/{chaos.seed}/{attempt}/{item_key}".encode("utf-8")
-    ).digest()
-    uniform = int.from_bytes(digest[:8], "little") / 2.0**64
-    if uniform < chaos.crash_rate:
-        return "crash"
-    if uniform < chaos.crash_rate + chaos.stall_rate:
-        return "stall"
-    return None
 
 
 def result_key(item_key: str) -> str:
@@ -115,7 +56,6 @@ def worker_main(
     task_queue,
     result_queue,
     spill_directory: str,
-    chaos: Optional[ChaosConfig] = None,
     trace: bool = False,
 ) -> None:
     """Serve work items until the ``None`` sentinel arrives.
@@ -140,13 +80,6 @@ def worker_main(
         ticket, item, attempt = task  # (int, WorkItem, int)
         key = item.key()
         try:
-            action = chaos_action(chaos, key, attempt)
-            if action == "crash":
-                # Simulate a hard worker death: bypass every exception
-                # handler and atexit hook, exactly like a SIGKILL would.
-                os._exit(86)
-            elif action == "stall":
-                time.sleep(chaos.stall_seconds)
             if trace:
                 with obs.tracing(process=f"worker-{worker_id}") as tracer:
                     with obs.span(

@@ -372,6 +372,14 @@ class TestLumosSystem:
         with pytest.raises(ValueError):
             TreeConstructorConfig(mcmc_iterations=-5)
 
+    @pytest.mark.parametrize("field", ["degree_comparison_bits", "workload_comparison_bits"])
+    def test_comparison_widths_must_lie_in_1_to_64(self, field):
+        for bits in (0, 65, 99):
+            with pytest.raises(ValueError, match=rf"{field} must be in \[1, 64\]"):
+                TreeConstructorConfig(**{field: bits})
+        for bits in (1, 64):
+            assert getattr(TreeConstructorConfig(**{field: bits}), field) == bits
+
 
 class TestZeroDevices:
     """An empty graph constructs and balances; the stages that need a feature

@@ -1,36 +1,40 @@
 """Self-healing tree maintenance: journal, delta ops, replay, kill-replay.
 
 The maintenance layer's acceptance contract is bit-identity: for any run —
-uninterrupted, replayed from the journal, or recovered after a mid-write
-``os._exit`` kill injected through ``ChaosConfig`` — ``state_digest()``
-(assignment, adjacency, ledger transcript, secure-comparison accountant,
-RNG bit-generator state, counters) must be identical.  These tests pin that
-contract plus the structural invariants of the delta operations.
+uninterrupted, replayed from the journal, or recovered after a kill in the
+middle of a journal write (``helpers.crash_points.journal_crash_point``) —
+``state_digest()`` (assignment, adjacency, ledger transcript,
+secure-comparison accountant, RNG bit-generator state, counters) must be
+identical.  These tests pin that contract plus the structural invariants of
+the delta operations.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 
-import numpy as np
 import pytest
+
+from helpers.crash_points import (
+    CRASH_EXIT_CODE,
+    JournalCrash,
+    churn_schedule,
+    journal_crash_point,
+    resume_schedule,
+    run_schedule,
+)
 
 from repro.engine.store import ArtifactStore, DiskSpillStore
 from repro.faults.config import FaultScenarioConfig
-from repro.faults.plan import FaultPlan
 from repro.maintenance import (
     MaintainedTree,
     MaintenanceConfig,
     MutationJournal,
     StalenessMonitor,
-    compile_churn_schedule,
-    first_crash_seq,
     read_records,
-    resume_schedule,
-    run_schedule,
 )
 from repro.maintenance.churn import _constructed_tree
-from repro.runtime.worker import ChaosConfig
+from repro.maintenance.journal import MAGIC, _frame
 
 
 def _assert_edges_covered(tree: MaintainedTree) -> None:
@@ -82,11 +86,48 @@ class TestJournal:
         ]
         assert valid == path.stat().st_size
 
+    def test_recovery_from_a_cut_at_every_byte_offset(self, tmp_path):
+        """A journal cut anywhere recovers to its longest prefix of whole
+        records, truncated on disk so that the next append reads back."""
+        path = tmp_path / "j.lmj"
+        records = [
+            {"seq": 1, "op": "remove", "device": 3},
+            {"seq": 2, "op": "insert", "device": 3, "neighbors": [1, 2]},
+            {"seq": 3, "op": "rebalance", "region": [1, 2, 3], "iterations": 4},
+        ]
+        ends = [len(MAGIC)]
+        with MutationJournal.create(path) as journal:
+            for record in records:
+                journal.append(record)
+                ends.append(path.stat().st_size)
+        data = path.read_bytes()
+        follow_up = {"seq": 9, "op": "remove", "device": 7}
+        for cut in range(len(MAGIC), len(data) + 1):
+            path.write_bytes(data[:cut])
+            whole = sum(end <= cut for end in ends) - 1
+            journal, survived = MutationJournal.recover(path)
+            assert survived == records[:whole], cut
+            assert path.stat().st_size == ends[whole], cut
+            journal.append(follow_up)
+            journal.close()
+            assert read_records(path) == (records[:whole] + [follow_up], path.stat().st_size)
+
+    def test_a_cut_inside_magic_is_a_wrong_file(self, tmp_path):
+        path = tmp_path / "j.lmj"
+        with MutationJournal.create(path) as journal:
+            journal.append({"seq": 1, "op": "remove", "device": 3})
+        data = path.read_bytes()
+        for cut in range(len(MAGIC)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="bad magic"):
+                MutationJournal.recover(path)
+
     def test_torn_tail_is_truncated_on_recover_and_appends_extend(self, tmp_path):
         path = tmp_path / "j.lmj"
         journal = MutationJournal.create(path)
         journal.append({"seq": 1, "op": "remove", "device": 3})
-        journal.append_torn({"seq": 2, "op": "remove", "device": 4})
+        with journal_crash_point(2, in_process=True), pytest.raises(JournalCrash):
+            journal.append({"seq": 2, "op": "remove", "device": 4})
         journal.close()
 
         records, valid = read_records(path)
@@ -106,7 +147,7 @@ class TestJournal:
         path = tmp_path / "j.lmj"
         journal = MutationJournal.create(path)
         journal.append({"seq": 1, "op": "remove", "device": 3})
-        journal.append_torn({"seq": 2, "op": "remove", "device": 4}, keep_bytes=1)
+        journal._file.write(_frame({"seq": 2, "op": "remove", "device": 4})[:1])
         journal.close()
         _, survived = MutationJournal.recover(path)
         assert [r["seq"] for r in survived] == [1]
@@ -131,6 +172,17 @@ class TestJournal:
 
 
 class TestDeltaOperations:
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MaintenanceConfig(rebalance_iterations=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            MaintenanceConfig(rebuild_mcmc_iterations=-1)
+        for bits in (0, 65, 99):
+            with pytest.raises(ValueError, match=r"comparison_bits must be in \[1, 64\]"):
+                MaintenanceConfig(comparison_bits=bits)
+        MaintenanceConfig(comparison_bits=1)
+        MaintenanceConfig(comparison_bits=64)
+
     def test_construction_covers_every_edge(self):
         tree, _ = _tree()
         _assert_edges_covered(tree)
@@ -301,39 +353,48 @@ _KILL_SCENARIO = dict(
 
 
 class TestKillReplay:
+    def test_a_kill_at_every_mutation_recovers_to_the_uninterrupted_run(
+        self, tmp_path
+    ):
+        kr = _KILL_SCENARIO
+        _, _, schedule = churn_schedule(**kr)
+        assert len(schedule) == 32
+        clean = run_schedule(tmp_path / "clean.lmj", tmp_path / "clean-snap", **kr)
+        for seq in range(1, len(schedule) + 1):
+            journal = tmp_path / f"torn-{seq}.lmj"
+            snapshots = tmp_path / f"torn-{seq}-snap"
+            with journal_crash_point(seq, in_process=True):
+                with pytest.raises(JournalCrash):
+                    run_schedule(journal, snapshots, **kr)
+
+            records, valid = read_records(journal)
+            assert journal.stat().st_size > valid, seq  # the torn frame
+            assert [r["seq"] for r in records[1:]] == list(range(1, seq))
+
+            recovered, resumed_at = resume_schedule(journal, snapshots, **kr)
+            assert resumed_at == seq - 1
+            assert recovered == clean, seq  # bit-identical state digest
+            # The recovered journal on disk replays to the same state.
+            store = DiskSpillStore(snapshots, max_bytes=64 * 1024 * 1024)
+            assert MaintainedTree.replay(journal, store).state_digest() == clean, seq
+
     def test_mid_write_kill_then_recovery_matches_uninterrupted_run(
         self, tmp_path
     ):
         kr = _KILL_SCENARIO
-        _, ego, devices = _constructed_tree(
-            kr["dataset"], kr["num_nodes"], kr["seed"], kr["mcmc_iterations"]
-        )
-        plan = FaultPlan.compile(kr["scenario"], devices, kr["rounds"])
-        schedule = compile_churn_schedule(
-            plan, ego, rebalance_every=kr["rebalance_every"]
-        )
-        assert len(schedule) > 3
-        chaos = crash_seq = None
-        for chaos_seed in range(64):
-            candidate = ChaosConfig(seed=chaos_seed, crash_rate=0.05)
-            predicted = first_crash_seq(candidate, len(schedule))
-            if predicted is not None and 1 < predicted < len(schedule):
-                chaos, crash_seq = candidate, predicted
-                break
-        assert chaos is not None, "no chaos seed crashes mid-schedule"
-
-        clean = run_schedule(
-            str(tmp_path / "clean.lmj"), str(tmp_path / "clean-snap"), **kr
-        )
+        crash_seq = 17
+        clean = run_schedule(tmp_path / "clean.lmj", tmp_path / "clean-snap", **kr)
         context = multiprocessing.get_context("fork")
-        child = context.Process(
-            target=run_schedule,
-            args=(str(tmp_path / "torn.lmj"), str(tmp_path / "torn-snap")),
-            kwargs={**kr, "chaos": chaos},
-        )
-        child.start()
+        # Installed before the fork: the child inherits the patched append.
+        with journal_crash_point(crash_seq):
+            child = context.Process(
+                target=run_schedule,
+                args=(tmp_path / "torn.lmj", tmp_path / "torn-snap"),
+                kwargs=kr,
+            )
+            child.start()
         child.join(timeout=120)
-        assert child.exitcode == 86  # the chaos worker's os._exit code
+        assert child.exitcode == CRASH_EXIT_CODE
 
         # The journal on disk ends in a torn frame from the mid-write kill.
         records, valid = read_records(tmp_path / "torn.lmj")
@@ -341,19 +402,15 @@ class TestKillReplay:
         assert [r["seq"] for r in records[1:]] == list(range(1, crash_seq))
 
         recovered, resumed_at = resume_schedule(
-            str(tmp_path / "torn.lmj"), str(tmp_path / "torn-snap"), **kr
+            tmp_path / "torn.lmj", tmp_path / "torn-snap", **kr
         )
         assert resumed_at == crash_seq - 1
         assert recovered == clean  # bit-identical state digest
 
     def test_uninterrupted_schedule_is_deterministic(self, tmp_path):
         kr = _KILL_SCENARIO
-        first = run_schedule(
-            str(tmp_path / "a.lmj"), str(tmp_path / "a-snap"), **kr
-        )
-        second = run_schedule(
-            str(tmp_path / "b.lmj"), str(tmp_path / "b-snap"), **kr
-        )
+        first = run_schedule(tmp_path / "a.lmj", tmp_path / "a-snap", **kr)
+        second = run_schedule(tmp_path / "b.lmj", tmp_path / "b-snap", **kr)
         assert first == second
 
 
@@ -423,11 +480,9 @@ class TestChurnSoak:
             mcmc_iterations=25,
             rebalance_every=5,
         )
-        clean = run_schedule(
-            str(tmp_path / "soak.lmj"), str(tmp_path / "soak-snap"), **scenario
-        )
+        clean = run_schedule(tmp_path / "soak.lmj", tmp_path / "soak-snap", **scenario)
         recovered, resumed_at = resume_schedule(
-            str(tmp_path / "soak.lmj"), str(tmp_path / "soak-snap"), **scenario
+            tmp_path / "soak.lmj", tmp_path / "soak-snap", **scenario
         )
         assert recovered == clean
         assert resumed_at >= 0

@@ -126,6 +126,22 @@ RETIRED_BACKEND_NAMES = {
 }
 
 
+#: The fault injection production code carried for the tests: the seeded
+#: schedule, the parameters that threaded it through the runtime worker, the
+#: two-party transport and the maintained tree, the torn-frame writer and the
+#: kill-replay harness.  The crash points live in tests/helpers/crash_points.py.
+RETIRED_CHAOS_NAMES = {
+    "ChaosConfig",
+    "chaos_action",
+    "chaos",
+    "chaos_attempt",
+    "first_crash_seq",
+    "append_torn",
+    "run_schedule",
+    "resume_schedule",
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -178,3 +194,15 @@ def test_retired_backend_names_stay_gone(modules):
     assert not _retired_names_found(
         modules, ("repro.nn", "repro.gnn", "repro.core", "repro.engine"), RETIRED_BACKEND_NAMES
     )
+
+
+def test_retired_chaos_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules, ("repro.runtime", "repro.crypto", "repro.maintenance"), RETIRED_CHAOS_NAMES
+    )
+
+
+def test_no_module_mentions_chaos(modules):
+    # Fault injection is installed by the tests, so no source under
+    # src/repro — docstrings included — has a word for it.
+    assert not [m.__name__ for m in modules if "chaos" in inspect.getsource(m).lower()]

@@ -1,19 +1,21 @@
-"""Chaos-hardening of the parallel runtime: seeded kills, stalls, backoff.
+"""The parallel runtime under killed and stalled workers, and its backoff.
 
-The scheduler's promise under injected worker faults: every item still
-completes (retries converge because injection applies only to attempts
-``<= max_attempt``), the merged report is **bit-identical** to a fault-free
-serial run, and the failure provenance — which attempt died, on which
-worker, crash vs timeout — is recorded per item.
+The scheduler's promise under worker faults: every item still completes
+(retries converge because the crash point spends only the first attempts),
+the merged report is **bit-identical** to a fault-free serial run, and the
+failure provenance — which attempt died, on which worker, crash vs timeout —
+is recorded per item.  The faults are real: ``helpers.crash_points`` makes a
+worker ``os._exit`` or sleep inside the item's ``execute``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from helpers.crash_points import item_crash_point
+
 from repro.core import default_config_for
 from repro.runtime import (
-    ChaosConfig,
     FailedAttempt,
     GraphSpec,
     LumosItem,
@@ -21,7 +23,6 @@ from repro.runtime import (
     SerialExecutor,
     WorkPlan,
     backoff_delay,
-    chaos_action,
 )
 
 SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
@@ -63,48 +64,8 @@ def _assert_records_match(fault_free, chaotic, plan):
 
 
 # --------------------------------------------------------------------------- #
-# Unit: the deterministic injection & backoff primitives
+# Unit: the deterministic backoff
 # --------------------------------------------------------------------------- #
-class TestChaosAction:
-    def test_pure_function_of_seed_key_attempt(self):
-        chaos = ChaosConfig(seed=3, crash_rate=0.5, stall_rate=0.5)
-        actions = {chaos_action(chaos, f"item-{i}", 1) for i in range(50)}
-        assert actions <= {"crash", "stall"}
-        assert len(actions) == 2  # both outcomes occur across keys
-        for i in range(50):
-            assert chaos_action(chaos, f"item-{i}", 1) == chaos_action(
-                chaos, f"item-{i}", 1
-            )
-
-    def test_injection_stops_after_max_attempt(self):
-        chaos = ChaosConfig(seed=0, crash_rate=1.0, max_attempt=2)
-        assert chaos_action(chaos, "item", 1) == "crash"
-        assert chaos_action(chaos, "item", 2) == "crash"
-        assert chaos_action(chaos, "item", 3) is None
-
-    def test_none_config_injects_nothing(self):
-        assert chaos_action(None, "item", 1) is None
-
-    def test_rates_partition_the_unit_interval(self):
-        assert chaos_action(ChaosConfig(crash_rate=1.0), "item", 1) == "crash"
-        assert chaos_action(ChaosConfig(stall_rate=1.0), "item", 1) == "stall"
-        assert chaos_action(ChaosConfig(), "item", 1) is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"crash_rate": 1.5},
-            {"stall_rate": -0.1},
-            {"crash_rate": 0.6, "stall_rate": 0.6},
-            {"stall_seconds": -1.0},
-            {"max_attempt": -1},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ChaosConfig(**kwargs)
-
-
 class TestBackoffDelay:
     def test_zero_base_disables_backoff(self):
         assert backoff_delay(0, "item", 3, 0.0) == 0.0
@@ -151,14 +112,13 @@ class TestBackoffDelay:
 # Integration: chaotic pools still satisfy the determinism contract
 # --------------------------------------------------------------------------- #
 class TestChaoticPool:
-    def test_crashed_workers_retry_and_match_fault_free_serial(self):
+    def test_crashed_workers_retry_and_match_fault_free_serial(self, tmp_path):
         plan = _plan()
         fault_free = SerialExecutor().execute(plan)
-        chaos = ChaosConfig(seed=5, crash_rate=1.0, max_attempt=1)
-        chaotic = ProcessExecutor(
-            max_workers=2, retries=2, chaos=chaos,
-            backoff_base=0.01, backoff_seed=5,
-        ).execute(plan)
+        with item_crash_point(LumosItem, tmp_path):
+            chaotic = ProcessExecutor(
+                max_workers=2, retries=2, backoff_base=0.01, backoff_seed=5,
+            ).execute(plan)
 
         _assert_records_match(fault_free, chaotic, plan)
         assert chaotic.stats["crashes"] >= len(plan)
@@ -175,17 +135,15 @@ class TestChaoticPool:
             assert failed.kind == "crash"
             assert failed.attempt == 1
             assert failed.worker is not None
+            assert "exit code 86" in failed.reason
 
-    def test_stalled_workers_hit_the_deadline_and_recover(self):
+    def test_stalled_workers_hit_the_deadline_and_recover(self, tmp_path):
         plan = _plan(epsilons=(2.0,), timeout=2.0)
         fault_free = SerialExecutor().execute(plan)
-        chaos = ChaosConfig(
-            seed=1, stall_rate=1.0, stall_seconds=30.0, max_attempt=1
-        )
-        chaotic = ProcessExecutor(
-            max_workers=1, retries=1, chaos=chaos,
-            backoff_base=0.01, backoff_seed=1,
-        ).execute(plan)
+        with item_crash_point(LumosItem, tmp_path, stall_seconds=30.0):
+            chaotic = ProcessExecutor(
+                max_workers=1, retries=1, backoff_base=0.01, backoff_seed=1,
+            ).execute(plan)
 
         _assert_records_match(fault_free, chaotic, plan)
         assert chaotic.stats["timeouts"] >= 1
@@ -195,35 +153,33 @@ class TestChaoticPool:
         assert failed.kind == "timeout"
         assert failed.attempt == 1
 
-    def test_chaos_runs_are_reproducible(self):
+    def test_chaos_runs_are_reproducible(self, tmp_path):
         plan = _plan(epsilons=(0.5,))
-        chaos = ChaosConfig(seed=9, crash_rate=1.0, max_attempt=1)
 
-        def run():
-            return ProcessExecutor(
-                max_workers=1, retries=1, chaos=chaos,
-                backoff_base=0.0,
-            ).execute(plan)
+        def run(markers):
+            markers.mkdir()
+            with item_crash_point(LumosItem, markers):
+                return ProcessExecutor(
+                    max_workers=1, retries=1, backoff_base=0.0,
+                ).execute(plan)
 
-        first, second = run(), run()
+        first, second = run(tmp_path / "first"), run(tmp_path / "second")
         [key] = plan.requests
         assert first.records[key].value == second.records[key].value
         assert [f.kind for f in first.failure_attempts[key]] == [
             f.kind for f in second.failure_attempts[key]
         ]
 
-    def test_exhausted_chaos_budget_reports_every_attempt(self):
-        # max_attempt above the retry budget: the item can never finish and
-        # the failure must carry one provenance entry per attempt.
+    def test_exhausted_chaos_budget_reports_every_attempt(self, tmp_path):
+        # More attempts die than the retry budget covers: the item can never
+        # finish and the failure must carry one provenance entry per attempt.
         from repro.runtime import WorkItemFailure
 
         plan = _plan(epsilons=(0.5,))
-        chaos = ChaosConfig(seed=2, crash_rate=1.0, max_attempt=10)
-        executor = ProcessExecutor(
-            max_workers=1, retries=1, chaos=chaos, backoff_base=0.0
-        )
-        with pytest.raises(WorkItemFailure) as excinfo:
-            executor.execute(plan)
+        executor = ProcessExecutor(max_workers=1, retries=1, backoff_base=0.0)
+        with item_crash_point(LumosItem, tmp_path, attempts=10):
+            with pytest.raises(WorkItemFailure) as excinfo:
+                executor.execute(plan)
         [key] = plan.requests
         attempts = excinfo.value.failure_attempts[key]
         assert [f.attempt for f in attempts] == [1, 2]

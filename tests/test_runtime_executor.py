@@ -186,6 +186,23 @@ class TestExecutors:
         report = lenient.execute(plan)
         assert list(report.failures) == [plan.requests[0]]
 
+    def test_non_positive_executor_timeout_is_rejected(self):
+        for timeout in (0.0, -1.0):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                ProcessExecutor(timeout=timeout)
+
+    def test_non_positive_item_timeouts_are_rejected_before_any_worker_spawns(
+        self, monkeypatch
+    ):
+        def no_pool():
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(ProcessExecutor, "_mp_context", staticmethod(no_pool))
+        for timeout in (0.0, -1.0):
+            item = CallableItem(target=f"{__name__}:square", args=(3,), timeout=timeout)
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                ProcessExecutor(max_workers=1).execute(WorkPlan([item]))
+
     def test_in_worker_exception_is_reported_with_traceback(self):
         plan = WorkPlan([_callable(raise_error)])
         with pytest.raises(WorkItemFailure) as excinfo:

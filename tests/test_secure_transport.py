@@ -17,8 +17,10 @@ Contracts pinned here:
   against ``comparison_cost()`` / ``ot_payload_bytes()``, and tampered
   accounting raises :class:`MeasuredCostMismatch` instead of passing silently;
 * **typed failure surfaces** — CRC/length/kind violations, timeouts, closed
-  pipes, and chaos-killed peers all raise typed errors, never hang, and a
-  kill inside a runtime worker surfaces as a ``FailedAttempt``.
+  pipes, and killed peers all raise typed errors, never hang, and a kill
+  inside a runtime worker surfaces as a ``FailedAttempt``.  The kills are
+  real: ``helpers.crash_points`` makes the party process ``os._exit``
+  before its N-th frame.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers.crash_points import party_dies_before_send
 from helpers.rng_contract import assert_stream_contract
 
 from repro.crypto import (
@@ -53,14 +56,12 @@ from repro.runtime import (
     ChannelClosed,
     ChannelError,
     ChannelTimeout,
-    ChaosConfig,
     FrameCorruption,
     FrameKind,
     PartyChannel,
     ProcessExecutor,
     WorkItemFailure,
     WorkPlan,
-    chaos_action,
     channel_pair,
 )
 from repro.runtime.channel import FRAME_OVERHEAD_BYTES, HEADER, MAX_FRAME_BYTES
@@ -222,6 +223,12 @@ class TestPartyChannel:
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError):
             channel_pair(timeout=0.0)
+
+    def test_remote_party_timeout_must_be_positive(self):
+        # Rejected at construction, not at the first session.
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                RemoteParty(timeout=timeout)
 
 
 # --------------------------------------------------------------------------- #
@@ -386,7 +393,7 @@ class TestPartyRejectsMalformedChoices:
 
         def serve():
             try:
-                _serve_comparison(party, config, private, party.send)
+                _serve_comparison(party, config, private)
             except ValueError as exc:
                 raised.append(exc)
 
@@ -486,49 +493,38 @@ class TestMeasuredCostContract:
 
 
 # --------------------------------------------------------------------------- #
-# Failure model: chaos-killed peers are typed errors, never hangs
+# Failure model: killed peers are typed errors, never hangs
 # --------------------------------------------------------------------------- #
 @pytest.mark.transport_smoke
 class TestChaosPeerDeath:
     def test_party_killed_before_first_frame_is_a_typed_error(self):
-        driver = RemoteParty(
-            bit_width=8, timeout=5.0, chaos=ChaosConfig(seed=0, crash_rate=1.0)
-        )
-        with pytest.raises(RemotePartyError) as excinfo:
-            driver.compare_batch([1, 2], [2, 1], session_key="chaos-kill")
+        driver = RemoteParty(bit_width=8, timeout=5.0)
+        with party_dies_before_send(1), pytest.raises(RemotePartyError) as excinfo:
+            driver.compare_batch([1, 2], [2, 1], session_key="party-kill")
         assert "exit code 86" in str(excinfo.value)
 
     def test_party_killed_mid_ot_session_is_a_typed_error(self):
-        # Pick a seed whose schedule survives the first two party sends
-        # (ready, OT_REQUEST) and kills the third (the result reveal) — a
-        # genuine mid-protocol death with frames already on the wire.
-        session_key = "chaos-mid-ot"
-        seed = next(
-            s for s in range(1000)
-            if chaos_action(ChaosConfig(seed=s, crash_rate=0.5), f"{session_key}/step-1", 1) is None
-            and chaos_action(ChaosConfig(seed=s, crash_rate=0.5), f"{session_key}/step-2", 1) is None
-            and chaos_action(ChaosConfig(seed=s, crash_rate=0.5), f"{session_key}/step-3", 1) == "crash"
-        )
-        driver = RemoteParty(
-            timeout=5.0, chaos=ChaosConfig(seed=seed, crash_rate=0.5)
-        )
-        with pytest.raises(RemotePartyError, match="exit code 86"):
-            driver.transfer_batch([1, 2], [3, 4], [0, 1], session_key=session_key)
+        # The party survives its first two sends (ready, OT_REQUEST) and dies
+        # before the third (the result reveal) — a genuine mid-protocol death
+        # with frames already on the wire.
+        driver = RemoteParty(timeout=5.0)
+        with party_dies_before_send(3), pytest.raises(RemotePartyError, match="exit code 86"):
+            driver.transfer_batch([1, 2], [3, 4], [0, 1], session_key="mid-ot")
 
     def test_killed_party_inside_a_worker_surfaces_as_failed_attempt(self):
         # The full runtime path: a worker dispatches a real two-party session,
-        # chaos hard-kills the party, and the driver's typed error must come
+        # the party is hard-killed, and the driver's typed error must come
         # back as FailedAttempt provenance — never a hang (every receive is
         # deadline-bounded).
         plan = WorkPlan()
         plan.add(
             CallableItem(
-                target="helpers.chaos_probe:chaos_comparison_probe",
+                target="helpers.crash_points:party_comparison_probe",
                 kwargs=(
-                    ("bit_width", 8), ("count", 4), ("crash_rate", 1.0),
+                    ("bit_width", 8), ("count", 4), ("die_before_send", 1),
                     ("seed", 0), ("timeout", 5.0),
                 ),
-                label="chaos-probe", timeout=60.0,
+                label="killed-probe", timeout=60.0,
             )
         )
         executor = ProcessExecutor(max_workers=1, retries=0, backoff_base=0.0)
@@ -538,18 +534,18 @@ class TestChaosPeerDeath:
         attempts = excinfo.value.failure_attempts[key]
         assert [failed.kind for failed in attempts] == ["error"]
         assert "RemotePartyError" in attempts[0].reason
+        assert "exit code 86" in attempts[0].reason
 
     def test_probe_without_chaos_completes_inside_a_worker(self):
-        # Control arm: the same nested-process path succeeds when the chaos
-        # schedule injects nothing (this also exercises spawning a party from
-        # a daemonic pool worker).
+        # Control arm: the same nested-process path succeeds when no crash
+        # point is installed (this also exercises spawning a party from a
+        # daemonic pool worker).
         plan = WorkPlan()
         plan.add(
             CallableItem(
-                target="helpers.chaos_probe:chaos_comparison_probe",
+                target="helpers.crash_points:party_comparison_probe",
                 kwargs=(
-                    ("bit_width", 8), ("count", 6), ("crash_rate", 0.0),
-                    ("seed", 1), ("timeout", 10.0),
+                    ("bit_width", 8), ("count", 6), ("seed", 1), ("timeout", 10.0),
                 ),
                 label="probe", timeout=60.0,
             )
