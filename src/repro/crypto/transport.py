@@ -66,6 +66,7 @@ import numpy as np
 from .. import obs
 from ..federation.events import MessageKind
 from ..runtime.channel import (
+    FRAME_OVERHEAD_BYTES,
     ChannelError,
     FrameKind,
     PartyChannel,
@@ -166,10 +167,6 @@ def _unpack_values(payload: bytes, count: int, bytes_per: int) -> np.ndarray:
     return full.reshape(-1).view("<u8").astype(np.uint64)
 
 
-def _pack_bits(flags: np.ndarray) -> bytes:
-    return np.packbits(flags.astype(np.uint8)).tobytes()
-
-
 def _unpack_bits(payload: bytes, count: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
     return bits.astype(bool)
@@ -228,7 +225,9 @@ def _serve_comparison(channel, config, private_values) -> None:
     — the packed-table lookup the in-process party B performs, whose range
     check rejects a choice byte outside the table — and responds with the
     two packed share rows (``CMP_RESPONSE``), padded with stand-in bytes to
-    the analytic size of the two 1-out-of-2^m OTs.  The combine tree's
+    the analytic size of the two 1-out-of-2^m OTs.  The response buffer is
+    allocated once per session: each row overwrites its head with the share
+    rows, and the zero stand-in tail is never rebuilt.  The combine tree's
     ``CMP_AND`` traffic is received and discarded (its information content
     is a local computation in the collapsed simulation; the frames exist to
     realise the modeled Beaver-triple bytes on a real wire).
@@ -241,7 +240,8 @@ def _serve_comparison(channel, config, private_values) -> None:
     right_blocks = comparator.block_rows(right)
     # The two OTs of a block, less the choice byte the driver already sent.
     per_ot_bytes = ((1 << comparator.BLOCK_BITS) + 128) // 8
-    budget = 2 * per_ot_bytes * count - count
+    response = np.zeros(2 * per_ot_bytes * count - count, dtype=np.uint8)
+    packed = -(-count // 8)
 
     channel.send(FrameKind.CONTROL, b"ready")
     for blocks in right_blocks:
@@ -249,8 +249,9 @@ def _serve_comparison(channel, config, private_values) -> None:
         if len(payload) != count:
             raise ValueError(f"CMP_CHOICES carries {len(payload)} bytes for {count} comparisons")
         greater, equal = comparator.leaf_shares(np.frombuffer(payload, dtype=np.uint8), blocks)
-        body = _pack_bits(greater) + _pack_bits(equal)
-        channel.send(FrameKind.CMP_RESPONSE, body + b"\x00" * (budget - len(body)))
+        response[:packed] = np.packbits(greater)
+        response[packed:2 * packed] = np.packbits(equal)
+        channel.send(FrameKind.CMP_RESPONSE, response)
     width = right_blocks.shape[0]
     while width > 1:
         channel.recv(expected=(FrameKind.CMP_AND,))
@@ -362,7 +363,7 @@ class RemoteParty:
         )
         self._start_party(process)
         # The child owns its endpoint now; with fork the parent must drop its
-        # duplicate so a dead child reads as EOF, not an open pipe.
+        # duplicate so a dead child reads as EOF, not an open socket.
         party_end.close()
         try:
             self._recv(driver_end, (FrameKind.CONTROL,))  # ready
@@ -410,20 +411,20 @@ class RemoteParty:
             )
         return result, report
 
-    def _send(self, channel: PartyChannel, kind: FrameKind, payload: bytes) -> None:
+    def _send(self, channel: PartyChannel, kind: FrameKind, payload) -> None:
         size = channel.send(kind, payload)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
                 DRIVER_PARTY, REMOTE_PARTY, kind.name,
-                size, size + 9, description="secure-transport",
+                size, size + FRAME_OVERHEAD_BYTES, description="secure-transport",
             )
 
-    def _recv(self, channel: PartyChannel, expected) -> Tuple[FrameKind, bytes]:
+    def _recv(self, channel: PartyChannel, expected) -> Tuple[FrameKind, bytearray]:
         kind, payload = channel.recv(expected=expected)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
                 REMOTE_PARTY, DRIVER_PARTY, kind.name,
-                len(payload), len(payload) + 9, description="secure-transport",
+                len(payload), len(payload) + FRAME_OVERHEAD_BYTES, description="secure-transport",
             )
         return kind, payload
 
@@ -433,19 +434,21 @@ class RemoteParty:
 
         One ``CMP_CHOICES`` / ``CMP_RESPONSE`` exchange per block row, then
         the combine tree's modeled Beaver bytes as stand-in ``CMP_AND``
-        frames: one per level, 1 byte per gate per comparison.
+        frames: one per level, 1 byte per gate per comparison, each a slice
+        of one zero array sized for the first (widest) level.
         """
         width, count = left_blocks.shape
         greater = np.empty(left_blocks.shape, dtype=bool)
         equal = np.empty(left_blocks.shape, dtype=bool)
         packed = -(-count // 8)
         for row, choices in enumerate(left_blocks):
-            self._send(channel, FrameKind.CMP_CHOICES, choices.tobytes())
+            self._send(channel, FrameKind.CMP_CHOICES, choices)
             _, payload = self._recv(channel, (FrameKind.CMP_RESPONSE,))
             greater[row] = _unpack_bits(payload[:packed], count)
             equal[row] = _unpack_bits(payload[packed:2 * packed], count)
+        stand_ins = np.zeros(width // 2 * count, dtype=np.uint8)
         while width > 1:
-            self._send(channel, FrameKind.CMP_AND, b"\x00" * (width // 2 * count))
+            self._send(channel, FrameKind.CMP_AND, stand_ins[: width // 2 * count])
             width -= width // 2
         return greater, equal
 

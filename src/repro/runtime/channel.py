@@ -6,12 +6,13 @@ and "communication" is a Python function call whose cost the
 :class:`~repro.crypto.oblivious_transfer.TranscriptAccountant` *models*.
 This module supplies the missing physical layer so the two parties can run
 as separate OS processes (:mod:`repro.crypto.transport`): a
-:class:`PartyChannel` wraps one end of a duplex
-:func:`multiprocessing.Pipe` and moves opaque byte payloads as *frames* —
+:class:`PartyChannel` wraps one end of a :func:`socket.socketpair` and
+moves opaque byte payloads as *frames* —
 
 ``[length: u32][crc32: u32][kind: u8][payload: length bytes]``
 
-— with a CRC-32 integrity check on every receive, a typed
+— and nothing else, checksummed once on each side and copied only by the
+kernel — with a CRC-32 integrity check on every receive, a typed
 :class:`FrameKind` tag so protocol steps are self-describing on the wire,
 and per-kind byte accounting on both directions.  The 9-byte header is the
 channel's own overhead and is reported separately from protocol payload
@@ -24,10 +25,12 @@ Failure surfaces are typed, never silent:
 * :class:`ChannelClosed` — the peer's end is gone (EOF / broken pipe),
   e.g. a killed party; mapped by callers onto the runtime's
   :class:`~repro.runtime.executor.FailedAttempt` machinery.
-* :class:`ChannelTimeout` — no frame within the deadline; every receive is
-  bounded, so a dead peer can never hang the driver.
-* :class:`FrameCorruption` — CRC mismatch, unknown kind tag, or an
-  unexpected frame kind mid-protocol.
+* :class:`ChannelTimeout` — no complete frame within the deadline; one
+  deadline covers the whole frame, so neither a dead peer nor one that
+  stalls mid-frame can hang the driver.
+* :class:`FrameCorruption` — CRC mismatch, a length field above
+  :data:`MAX_FRAME_BYTES`, a frame cut short by EOF, unknown kind tag, or
+  an unexpected frame kind mid-protocol.
 
 The channel is transport only: it never touches RNG streams, accountants,
 or ledgers, so layering it under the crypto kernels cannot perturb any
@@ -36,8 +39,9 @@ pinned bit-for-bit contract.
 
 from __future__ import annotations
 
-import multiprocessing
+import socket
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -51,12 +55,13 @@ HEADER = struct.Struct("<IIB")
 #: Bytes of channel overhead per frame (the header above).
 FRAME_OVERHEAD_BYTES = HEADER.size
 
-#: Hard cap on a single frame's payload; a corrupted length field must not
-#: make the receiver attempt a multi-gigabyte allocation.
+#: Hard cap on a single frame's payload, on send and receive alike; a
+#: corrupted length field must not make the receiver attempt a
+#: multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Default bound on every receive.  Generous for same-host pipes; the point
-#: is that *no* receive is unbounded.
+#: Default bound on every receive.  Generous for same-host sockets; the
+#: point is that *no* receive is unbounded.
 DEFAULT_TIMEOUT_SECONDS = 30.0
 
 
@@ -83,11 +88,11 @@ class ChannelError(RuntimeError):
 
 
 class ChannelClosed(ChannelError):
-    """The peer's end of the pipe is gone (EOF or broken pipe)."""
+    """The peer's end of the socket is gone (EOF or broken pipe)."""
 
 
 class ChannelTimeout(ChannelError):
-    """No frame arrived within the receive deadline."""
+    """No complete frame arrived within the receive deadline."""
 
 
 class FrameCorruption(ChannelError):
@@ -135,20 +140,20 @@ class ChannelStats:
 class PartyChannel:
     """One endpoint of a framed duplex byte channel between two parties.
 
-    Wraps a :class:`multiprocessing.connection.Connection`; both pipe ends
-    are fork- and spawn-picklable, so a channel endpoint can be handed to a
-    child process through :class:`multiprocessing.Process` args.
+    Wraps one end of a connected stream socket (:func:`channel_pair`); a
+    child process started with the ``fork`` method inherits an endpoint
+    through :class:`multiprocessing.Process` args.
     """
 
     def __init__(
         self,
-        connection,
+        sock: socket.socket,
         party: str,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
     ) -> None:
         if timeout <= 0:
             raise ValueError("timeout must be positive")
-        self._connection = connection
+        self._socket = sock
         self.party = party
         self.timeout = timeout
         self.stats = ChannelStats()
@@ -157,9 +162,11 @@ class PartyChannel:
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(self, kind: FrameKind, payload: bytes = b"") -> int:
-        """Frame ``payload`` under ``kind`` and write it to the pipe.
+    def send(self, kind: FrameKind, payload=b"") -> int:
+        """Frame ``payload`` under ``kind`` and write it to the socket.
 
+        ``payload`` is any C-contiguous buffer (bytes, a numpy array, a
+        memoryview), checksummed and written in place after the header.
         Returns the payload byte count (what the measured-vs-analytic
         contract sums); header overhead is tracked in :attr:`stats` but not
         returned, to keep call sites aligned with the analytic model.
@@ -167,24 +174,27 @@ class PartyChannel:
         if self._closed:
             raise ChannelClosed(f"{self.party}: channel already closed")
         kind = FrameKind(kind)
-        payload = bytes(payload)
-        if len(payload) > MAX_FRAME_BYTES:
+        view = memoryview(payload)
+        length = view.nbytes
+        if length > MAX_FRAME_BYTES:
             raise ValueError(
-                f"frame payload of {len(payload)} bytes exceeds cap {MAX_FRAME_BYTES}"
+                f"frame payload of {length} bytes exceeds cap {MAX_FRAME_BYTES}"
             )
-        header = HEADER.pack(len(payload), zlib.crc32(payload), int(kind))
+        header = HEADER.pack(length, zlib.crc32(view), int(kind))
         try:
-            self._connection.send_bytes(header + payload)
-        except (BrokenPipeError, EOFError, OSError) as exc:
+            self._socket.settimeout(None)  # only receives carry a deadline
+            self._socket.sendall(header)
+            self._socket.sendall(view)
+        except OSError as exc:
             raise ChannelClosed(f"{self.party}: peer hung up during send") from exc
         self.stats.frames_sent += 1
-        self.stats.payload_bytes_sent += len(payload)
+        self.stats.payload_bytes_sent += length
         self.stats.by_kind_sent[kind.name] = (
-            self.stats.by_kind_sent.get(kind.name, 0) + len(payload)
+            self.stats.by_kind_sent.get(kind.name, 0) + length
         )
         obs.add_counter("channel.frames_sent")
-        obs.add_counter("channel.bytes_sent", len(payload) + FRAME_OVERHEAD_BYTES)
-        return len(payload)
+        obs.add_counter("channel.bytes_sent", length + FRAME_OVERHEAD_BYTES)
+        return length
 
     # ------------------------------------------------------------------ #
     # Receiving
@@ -193,13 +203,14 @@ class PartyChannel:
         self,
         expected: Optional[Tuple[FrameKind, ...]] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[FrameKind, bytes]:
+    ) -> Tuple[FrameKind, bytearray]:
         """Receive one frame, verify its CRC, and return ``(kind, payload)``.
 
-        Every receive is bounded by ``timeout`` (falling back to the
-        channel default), so a crashed peer surfaces as
-        :class:`ChannelTimeout` / :class:`ChannelClosed` rather than a hang.
-        With ``expected`` set, a frame of any other kind raises
+        One deadline, ``timeout`` (falling back to the channel default),
+        covers the whole frame, so a crashed or stalled peer surfaces as
+        :class:`ChannelTimeout` / :class:`ChannelClosed` rather than a hang;
+        a receive abandoned mid-frame closes this endpoint.  With
+        ``expected`` set, a frame of any other kind raises
         :class:`FrameCorruption` — except :attr:`FrameKind.ERROR`, whose
         payload is re-raised here as a :class:`ChannelError` carrying the
         peer's own failure text.
@@ -207,23 +218,28 @@ class PartyChannel:
         if self._closed:
             raise ChannelClosed(f"{self.party}: channel already closed")
         deadline = self.timeout if timeout is None else timeout
-        try:
-            if not self._connection.poll(deadline):
-                raise ChannelTimeout(
-                    f"{self.party}: no frame within {deadline:.3f}s"
-                )
-            raw = self._connection.recv_bytes()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ChannelClosed(f"{self.party}: peer hung up during recv") from exc
-        if len(raw) < FRAME_OVERHEAD_BYTES:
+        expires = time.monotonic() + deadline
+        header = bytearray(FRAME_OVERHEAD_BYTES)
+        got = self._fill(header, 0, expires, deadline)
+        if got == 0:
+            raise ChannelClosed(f"{self.party}: peer hung up during recv")
+        if got < FRAME_OVERHEAD_BYTES:
             raise FrameCorruption(
-                f"{self.party}: truncated frame of {len(raw)} bytes"
+                f"{self.party}: truncated frame: EOF after {got} of "
+                f"{FRAME_OVERHEAD_BYTES} header bytes"
             )
-        length, crc, kind_tag = HEADER.unpack_from(raw)
-        payload = raw[FRAME_OVERHEAD_BYTES:]
-        if length != len(payload):
+        length, crc, kind_tag = HEADER.unpack(header)
+        if length > MAX_FRAME_BYTES:
+            self.close()
             raise FrameCorruption(
-                f"{self.party}: length field {length} != payload {len(payload)}"
+                f"{self.party}: length field {length} exceeds cap {MAX_FRAME_BYTES}"
+            )
+        payload = bytearray(length)
+        got = self._fill(payload, FRAME_OVERHEAD_BYTES, expires, deadline)
+        if got < length:
+            raise FrameCorruption(
+                f"{self.party}: truncated frame: length field {length}, "
+                f"EOF after {got} payload bytes"
             )
         if zlib.crc32(payload) != crc:
             raise FrameCorruption(f"{self.party}: CRC mismatch on {length}-byte frame")
@@ -232,12 +248,12 @@ class PartyChannel:
         except ValueError as exc:
             raise FrameCorruption(f"{self.party}: unknown frame kind {kind_tag}") from exc
         self.stats.frames_received += 1
-        self.stats.payload_bytes_received += len(payload)
+        self.stats.payload_bytes_received += length
         self.stats.by_kind_received[kind.name] = (
-            self.stats.by_kind_received.get(kind.name, 0) + len(payload)
+            self.stats.by_kind_received.get(kind.name, 0) + length
         )
         obs.add_counter("channel.frames_received")
-        obs.add_counter("channel.bytes_received", len(payload) + FRAME_OVERHEAD_BYTES)
+        obs.add_counter("channel.bytes_received", length + FRAME_OVERHEAD_BYTES)
         if expected is not None and kind not in expected:
             if kind is FrameKind.ERROR:
                 raise ChannelError(
@@ -250,11 +266,40 @@ class PartyChannel:
             )
         return kind, payload
 
+    def _fill(self, buffer: bytearray, offset: int, expires: float, deadline: float) -> int:
+        """Read into ``buffer`` until it is full or the peer closes.
+
+        Returns the bytes read.  ``offset`` is how much of the frame was
+        read before ``buffer``: a timeout after any byte of the frame closes
+        this endpoint.
+        """
+        view = memoryview(buffer)
+        got = 0
+        while got < len(buffer):
+            remaining = expires - time.monotonic()
+            try:
+                if remaining <= 0:
+                    raise socket.timeout
+                self._socket.settimeout(remaining)
+                read = self._socket.recv_into(view[got:])
+            except socket.timeout as exc:
+                if offset + got:
+                    self.close()
+                raise ChannelTimeout(
+                    f"{self.party}: no complete frame within {deadline:.3f}s"
+                ) from exc
+            except OSError as exc:
+                raise ChannelClosed(f"{self.party}: peer hung up during recv") from exc
+            if read == 0:
+                break
+            got += read
+        return got
+
     def close(self) -> None:
         """Close this endpoint; further sends and receives raise."""
         if not self._closed:
             self._closed = True
-            self._connection.close()
+            self._socket.close()
 
     def __enter__(self) -> "PartyChannel":
         return self
@@ -268,7 +313,9 @@ def channel_pair(
     parties: Tuple[str, str] = ("driver", "party"),
 ) -> Tuple[PartyChannel, PartyChannel]:
     """Create a connected duplex channel pair, one endpoint per party."""
-    left, right = multiprocessing.Pipe(duplex=True)
+    if timeout <= 0:  # before the sockets exist, so none is left unclosed
+        raise ValueError("timeout must be positive")
+    left, right = socket.socketpair()
     return (
         PartyChannel(left, party=parties[0], timeout=timeout),
         PartyChannel(right, party=parties[1], timeout=timeout),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -98,6 +99,11 @@ def _ot_messages(message_bits: int, count: int, seed: int):
     return zero, one, choices
 
 
+def _raw_write(channel: PartyChannel, data: bytes) -> None:
+    """Put ``data`` on ``channel``'s socket as is, bypassing the framing."""
+    channel._socket.sendall(data)
+
+
 # --------------------------------------------------------------------------- #
 # Channel unit tests (both endpoints in-process; no subprocess needed)
 # --------------------------------------------------------------------------- #
@@ -136,31 +142,71 @@ class TestPartyChannel:
         driver.close()
         party.close()
 
+    def test_wire_carries_exactly_header_and_payload(self):
+        # No second length prefix, no padding: the peer socket sees the
+        # 9-byte header and the caller's buffer, byte for byte.
+        driver, party = channel_pair(timeout=TIMEOUT)
+        payload = np.arange(40, dtype="<u4")
+        sent = driver.send(FrameKind.CMP_RESPONSE, payload)
+        expected = HEADER.pack(
+            payload.nbytes, zlib.crc32(payload.tobytes()), int(FrameKind.CMP_RESPONSE)
+        ) + payload.tobytes()
+        driver.close()
+        raw = b""
+        while chunk := party._socket.recv(1 << 16):
+            raw += chunk
+        assert sent == payload.nbytes
+        assert raw == expected
+        assert len(raw) == driver.stats.wire_bytes_sent
+        party.close()
+
+    def test_any_contiguous_buffer_is_a_payload(self):
+        driver, party = channel_pair(timeout=TIMEOUT)
+        rows = np.arange(6, dtype="<u8").reshape(2, 3)
+        for payload in (rows, memoryview(b"view"), bytearray(b"array"), rows[1]):
+            assert driver.send(FrameKind.CMP_AND, payload) == memoryview(payload).nbytes
+            _, received = party.recv(expected=(FrameKind.CMP_AND,))
+            assert received == memoryview(payload).tobytes()
+        with pytest.raises(BufferError, match="C-contiguous"):
+            driver.send(FrameKind.CMP_AND, rows[:, 0])
+        driver.close()
+        party.close()
+
     def test_crc_corruption_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
         body = b"payload"
-        header = HEADER.pack(len(body), zlib.crc32(body) ^ 0xDEADBEEF, 0)
-        driver._connection.send_bytes(header + body)
+        _raw_write(driver, HEADER.pack(len(body), zlib.crc32(body) ^ 0xDEADBEEF, 0) + body)
         with pytest.raises(FrameCorruption, match="CRC mismatch"):
             party.recv()
         driver.close()
         party.close()
 
     def test_length_field_mismatch_is_detected(self):
+        # A length field claiming more than the peer sends before it hangs
+        # up is a truncated frame, whatever else follows.
         driver, party = channel_pair(timeout=TIMEOUT)
         body = b"payload"
-        header = HEADER.pack(len(body) + 3, zlib.crc32(body), 0)
-        driver._connection.send_bytes(header + body)
-        with pytest.raises(FrameCorruption, match="length field"):
+        _raw_write(driver, HEADER.pack(len(body) + 3, zlib.crc32(body), 0) + body)
+        driver.close()
+        with pytest.raises(FrameCorruption, match="length field 10, EOF after 7"):
+            party.recv()
+        party.close()
+
+    def test_length_field_above_the_cap_is_rejected_before_allocating(self):
+        # No payload follows and the writer stays open: a receiver that
+        # believed the header would wait out its deadline instead.
+        driver, party = channel_pair(timeout=TIMEOUT)
+        _raw_write(driver, HEADER.pack(MAX_FRAME_BYTES + 1, 0, 0))
+        with pytest.raises(FrameCorruption, match="exceeds cap"):
+            party.recv(timeout=5.0)
+        with pytest.raises(ChannelClosed):
             party.recv()
         driver.close()
-        party.close()
 
     def test_unknown_kind_tag_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
         body = b"x"
-        header = HEADER.pack(len(body), zlib.crc32(body), 250)
-        driver._connection.send_bytes(header + body)
+        _raw_write(driver, HEADER.pack(len(body), zlib.crc32(body), 250) + body)
         with pytest.raises(FrameCorruption, match="unknown frame kind"):
             party.recv()
         driver.close()
@@ -168,11 +214,34 @@ class TestPartyChannel:
 
     def test_truncated_frame_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
-        driver._connection.send_bytes(b"\x00\x01")  # shorter than the header
+        _raw_write(driver, b"\x00\x01")  # shorter than the header
+        driver.close()
         with pytest.raises(FrameCorruption, match="truncated"):
             party.recv()
-        driver.close()
         party.close()
+
+    def test_frame_cut_inside_its_payload_is_truncated(self):
+        driver, party = channel_pair(timeout=TIMEOUT)
+        body = bytes(range(100))
+        _raw_write(driver, HEADER.pack(len(body), zlib.crc32(body), 0) + body[:40])
+        driver.close()
+        with pytest.raises(FrameCorruption, match="truncated"):
+            party.recv()
+        party.close()
+
+    def test_peer_stalling_mid_frame_hits_the_deadline(self):
+        # The deadline covers the whole frame, not just its first byte.
+        driver, party = channel_pair(timeout=TIMEOUT)
+        body = bytes(1000)
+        _raw_write(driver, HEADER.pack(len(body), zlib.crc32(body), 0) + body[:500])
+        started = time.monotonic()
+        with pytest.raises(ChannelTimeout):
+            party.recv(timeout=0.2)
+        assert time.monotonic() - started < 1.0
+        # Half a frame was consumed: the endpoint cannot resynchronise.
+        with pytest.raises(ChannelClosed, match="already closed"):
+            party.recv()
+        driver.close()
 
     def test_unexpected_kind_mid_protocol_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
@@ -194,6 +263,9 @@ class TestPartyChannel:
         driver, party = channel_pair(timeout=TIMEOUT)
         with pytest.raises(ChannelTimeout):
             driver.recv(timeout=0.05)
+        # Nothing of a frame was read: the endpoint stays usable.
+        party.send(FrameKind.CONTROL, b"late")
+        assert driver.recv(timeout=TIMEOUT) == (FrameKind.CONTROL, b"late")
         driver.close()
         party.close()
 
@@ -290,6 +362,34 @@ class TestRemoteComparisonEquivalence:
         assert summary["transport_frames"] == outcome.report.frames
         assert summary["transport_wire_bytes"] == outcome.report.wire_bytes
         assert "transport_frames" not in twin_ledger.summary()
+
+    def test_frames_larger_than_the_socket_buffer(self):
+        # 8192 24-bit comparisons: each CMP_RESPONSE is ~290 KB, more than
+        # one socket buffer, so every frame takes several reads and writes.
+        bit_width, count = 24, 8192
+        rng = np.random.default_rng(29)
+        left = rng.integers(0, 1 << bit_width, size=count)
+        right = rng.integers(0, 1 << bit_width, size=count)
+        right[::7] = left[::7]
+
+        remote_acc = TranscriptAccountant()
+        driver = RemoteParty(bit_width=bit_width, accountant=remote_acc, timeout=TIMEOUT)
+        outcome = driver.compare_batch(left, right, session_key="large-frames")
+
+        local_acc = TranscriptAccountant()
+        batch = SecureComparator(bit_width=bit_width, accountant=local_acc).compare_batch(
+            left, right, execute=True
+        )
+        assert np.array_equal(outcome.left_ge_right, batch.left_ge_right)
+        assert np.array_equal(outcome.left_ge_right, left >= right)
+        assert remote_acc.snapshot() == local_acc.snapshot()
+        assert remote_acc._log == local_acc._log
+
+        cost = comparison_cost(bit_width, block_bits=SecureComparator.BLOCK_BITS)
+        per_ot_bytes = ((1 << SecureComparator.BLOCK_BITS) + 128) // 8
+        assert outcome.report.by_kind["CMP_RESPONSE"] == 6 * (2 * per_ot_bytes - 1) * count
+        assert outcome.report.analytic_payload_bytes == count * cost.bits // 8
+        assert outcome.report.protocol_payload_bytes == outcome.report.analytic_payload_bytes
 
     def test_empty_ot_batch_short_circuits(self):
         driver = RemoteParty(timeout=TIMEOUT)
