@@ -40,6 +40,7 @@ import numpy as np
 from ..crypto.oblivious_transfer import TranscriptAccountant
 from ..crypto.zero_knowledge import DegreeComparisonProtocol
 from ..federation.events import MessageKind
+from ..federation.network import constant_column
 from ..federation.simulator import FederatedEnvironment
 from .workload import Assignment
 
@@ -90,14 +91,13 @@ def greedy_initialization(
             degrees[destinations], degrees[sources], execute=secure
         )
         keep = batch.left_ge_right
-        size_bytes = comparison_message_bytes(batch.cost.bits)
-        round_index = environment.ledger.current_round
-        environment.ledger.send_many(
+        ledger = environment.ledger
+        ledger.send_many(
             np.concatenate([sources, destinations]),
             np.concatenate([destinations, sources]),
             MessageKind.SECURE_COMPARISON,
-            np.full(2 * count, size_bytes, dtype=np.int64),
-            np.full(2 * count, round_index, dtype=np.int64),
+            constant_column(comparison_message_bytes(batch.cost.bits), 2 * count),
+            constant_column(ledger.current_round, 2 * count),
             description="greedy-degree-comparison",
         )
 

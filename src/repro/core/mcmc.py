@@ -42,6 +42,7 @@ from ..crypto.oblivious_transfer import TranscriptAccountant
 from ..crypto.secure_compare import comparison_cost
 from ..crypto.zero_knowledge import WorkloadComparisonProtocol
 from ..federation.events import SERVER_ID, MessageKind
+from ..federation.network import constant_column
 from ..federation.simulator import FederatedEnvironment
 from .workload import Assignment
 
@@ -146,10 +147,10 @@ class _IncrementalBalancingKernel:
         self.objective = int(self.workload.max()) if n else 0
         self._pending: Optional[tuple] = None
         # Columnar transcript buffers: the balancing loop appends plain ints
-        # here and flushes one ``send_many`` block per description at the end
-        # of the run — identical traffic to the eager reference loop (compare
-        # with CommunicationLedger.message_records) without one ledger call
-        # per protocol step.
+        # here and flush_transcript writes them as ``send_many`` blocks at the
+        # end of the run — identical traffic to the eager reference loop
+        # (compare with CommunicationLedger.message_records) without one
+        # ledger call per protocol step.
         self._candidate_rounds: List[int] = []
         self._comparison_rounds: List[int] = []
         self._comparison_counts: List[int] = []
@@ -298,14 +299,20 @@ class _IncrementalBalancingKernel:
         return self.environment.server.pick_maximum(winners)
 
     def flush_transcript(self) -> None:
-        """Emit the buffered Alg. 3 traffic as columnar ledger events."""
+        """Emit the buffered Alg. 3 traffic as columnar ledger events.
+
+        Secure mode's per-device candidate announcements are one block per
+        Alg. 3 call, every block's sender column the same read-only
+        ``arange(n)`` and its other columns stride-0, so ``k`` calls cost the
+        ledger one ``arange(n)`` plus O(k), not ``k * n`` rows of columns.
+        """
         ledger = self.environment.ledger
         if self._candidate_rounds:
             calls = len(self._candidate_rounds)
-            server = np.full(calls, SERVER_ID, dtype=np.int64)
+            server = constant_column(SERVER_ID, calls)
             ledger.send_many(
                 server, server, MessageKind.SERVER_COORDINATION,
-                np.full(calls, self.num_devices, dtype=np.int64),
+                constant_column(self.num_devices, calls),
                 self._candidate_rounds,
                 description="alg3-candidate-announcements",
             )
@@ -322,22 +329,17 @@ class _IncrementalBalancingKernel:
                 description="alg3-maximum-announcements",
             )
         if self._secure_announce_rounds:
-            calls = len(self._secure_announce_rounds)
-            device_ids = np.arange(self.num_devices, dtype=np.int64)
-            announce_senders = np.tile(device_ids, calls)
-            announce_rounds = np.repeat(
-                np.asarray(self._secure_announce_rounds, dtype=np.int64),
-                self.num_devices,
-            )
-            ledger.send_many(
-                announce_senders,
-                np.full(announce_senders.shape[0], SERVER_ID, dtype=np.int64),
-                MessageKind.SERVER_COORDINATION,
-                np.ones(announce_senders.shape[0], dtype=np.int64),
-                announce_rounds,
-                description="candidate-announcement",
-            )
-            server = np.full(calls, SERVER_ID, dtype=np.int64)
+            n = self.num_devices
+            device_ids = np.arange(n, dtype=np.int64)
+            device_ids.flags.writeable = False
+            server, one = constant_column(SERVER_ID, n), constant_column(1, n)
+            for round_index in self._secure_announce_rounds:
+                ledger.send_many(
+                    device_ids, server, MessageKind.SERVER_COORDINATION, one,
+                    constant_column(round_index, n),
+                    description="candidate-announcement",
+                )
+            server = constant_column(SERVER_ID, len(self._secure_announce_rounds))
             ledger.send_many(
                 server, server, MessageKind.SECURE_COMPARISON,
                 np.asarray(self._secure_comparison_counts, dtype=np.int64) * 8,
@@ -345,12 +347,12 @@ class _IncrementalBalancingKernel:
                 description="alg3-comparisons",
             )
         if self._secure_winner_ids:
-            winner_senders = np.asarray(self._secure_winner_ids, dtype=np.int64)
+            winners = len(self._secure_winner_ids)
             ledger.send_many(
-                winner_senders,
-                np.full(winner_senders.shape[0], SERVER_ID, dtype=np.int64),
+                self._secure_winner_ids,
+                constant_column(SERVER_ID, winners),
                 MessageKind.SERVER_COORDINATION,
-                np.ones(winner_senders.shape[0], dtype=np.int64),
+                constant_column(1, winners),
                 self._secure_winner_rounds,
                 description="maximum-announcement",
             )
@@ -633,22 +635,20 @@ class MCMCBalancer:
         if proposal_senders:
             ledger.send_many(
                 proposal_senders, proposal_recipients, MessageKind.SERVER_COORDINATION,
-                np.full(len(proposal_senders), 8, dtype=np.int64), proposal_rounds,
+                constant_column(8, len(proposal_senders)), proposal_rounds,
                 description="mcmc-transition-proposal",
             )
         if objective_senders:
             ledger.send_many(
                 objective_senders, objective_recipients, MessageKind.SECURE_COMPARISON,
-                np.full(
-                    len(objective_senders), self.bit_width // 8 or 1, dtype=np.int64
-                ),
+                constant_column(self.bit_width // 8 or 1, len(objective_senders)),
                 objective_rounds,
                 description="mcmc-objective-difference",
             )
         if accept_senders:
             ledger.send_many(
                 accept_senders, accept_recipients, MessageKind.SERVER_COORDINATION,
-                np.full(len(accept_senders), 8, dtype=np.int64), accept_rounds,
+                constant_column(8, len(accept_senders)), accept_rounds,
                 description="mcmc-accept-notification",
             )
         self.environment.apply_assignment(current.selected)

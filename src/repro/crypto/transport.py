@@ -65,6 +65,7 @@ import numpy as np
 
 from .. import obs
 from ..federation.events import MessageKind
+from ..federation.network import constant_column
 from ..runtime.channel import (
     FRAME_OVERHEAD_BYTES,
     ChannelError,
@@ -590,17 +591,15 @@ def charge_comparison_ledger(
     ``max(1, cost.bits // 8)`` bytes — the same shape the in-process
     callers (e.g. the greedy kernel) charge, factored here so the remote
     driver and any in-process twin charge identically and their canonical
-    transcripts stay comparable.
+    transcripts stay comparable.  Two blocks, ``left → right`` then
+    ``right → left``, every column of both stride-0: a batch costs the
+    ledger a few hundred bytes whatever ``count`` is.
     """
-    size_bytes = max(1, cost.bits // 8)
-    round_index = ledger.current_round
-    forward = np.full(count, left_party, dtype=np.int64)
-    backward = np.full(count, right_party, dtype=np.int64)
-    ledger.send_many(
-        np.concatenate([forward, backward]),
-        np.concatenate([backward, forward]),
-        MessageKind.SECURE_COMPARISON,
-        np.full(2 * count, size_bytes, dtype=np.int64),
-        np.full(2 * count, round_index, dtype=np.int64),
-        description=description,
-    )
+    size = constant_column(max(1, cost.bits // 8), count)
+    rounds = constant_column(ledger.current_round, count)
+    left, right = constant_column(left_party, count), constant_column(right_party, count)
+    for senders, recipients in ((left, right), (right, left)):
+        ledger.send_many(
+            senders, recipients, MessageKind.SECURE_COMPARISON, size, rounds,
+            description=description,
+        )

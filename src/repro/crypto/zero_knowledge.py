@@ -145,14 +145,17 @@ class WorkloadComparisonProtocol:
         of their workloads.  Only the difference — which the MH acceptance
         rule needs — is revealed; we account the communication of the
         CrypTFlow2 subtraction circuit (one comparison plus one masked
-        exchange of ``bit_width`` bits).
+        exchange of ``bit_width`` bits).  The comparison is a one-element
+        executed batch (:meth:`SecureComparator.compare_batch`), charged
+        exactly as one scalar :meth:`SecureComparator.compare`.
         """
-        result = self._comparator.compare(int(objective_before), int(objective_after))
+        before, after = int(objective_before), int(objective_after)
+        result = self._comparator.compare_batch([before], [after], execute=True)
         self.accountant.record("secure-subtraction", self._comparator.bit_width * 2)
-        difference = int(objective_before) - int(objective_after)
+        difference = before - after
         # Consistency check between the secure comparison and the difference
         # (both derive from the same private inputs).
-        if (difference >= 0) != result.left_ge_right:
+        if (difference >= 0) != bool(result.left_ge_right[0]):
             raise RuntimeError("secure comparison disagrees with computed difference")
         return difference
 

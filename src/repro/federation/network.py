@@ -19,18 +19,53 @@ import numpy as np
 from .events import SERVER_ID, MessageKind
 
 
+def constant_column(value: int, count) -> np.ndarray:
+    """``count`` rows of ``value``: one stride-0 read-only ``int64`` view.
+
+    The form a bulk recording site passes a column that is the same in every
+    row of its block (a round, a size, a fixed endpoint), so the block stores
+    eight bytes for it, not eight per row.  ``count`` is a length or a shape.
+    """
+    return np.broadcast_to(np.int64(value), count)
+
+
+def _read_only(column, dtype=None) -> np.ndarray:
+    """``column`` as an array no write can reach the ledger through.
+
+    A read-only array (a stride-0 view, a shared column) is kept as the very
+    object given; a writable one is wrapped in a read-only view of it.
+    """
+    column = np.asarray(column, dtype)
+    if column.flags.writeable:
+        column = column.view()
+        column.flags.writeable = False
+    return column
+
+
+def _map_rows(column: np.ndarray, function) -> np.ndarray:
+    """``function`` applied row-wise; a stride-0 column stays stride-0."""
+    if column.strides == (0,):
+        return np.broadcast_to(function(column[:1]), column.shape)
+    return function(column)
+
+
 class _Table:
     """Append-only rows of one record type, stored column by column.
 
     Rows live in sealed *blocks* — one 1-D numpy array per column, ``round``
     first, each row's interned label code last — plus one open *tail* of row
     tuples.  :meth:`append` grows the tail (one cheap call per row);
-    :meth:`extend` seals the tail and adds its arrays as one block, the label
-    column a stride-0 ``np.broadcast_to`` view of one code, so a kernel block
-    carries no per-row label bytes (pickle and ``deepcopy`` materialise the
-    view; nothing depends on it).  Reads seal the tail and reduce block by
-    block.  Sealed blocks are never mutated, so a delta (:meth:`since`) shares
-    them.  ``floors`` maps a column to its lower bound, ``0`` or a column.
+    :meth:`extend` seals the tail and adds its arrays as one block.  A block
+    stores only what is distinct about it: the label column is a stride-0
+    ``np.broadcast_to`` view of one code, a column the caller passes as a
+    view (:func:`constant_column`) or as an array shared with other blocks
+    stays that view or that array, and :meth:`replay` shifts a stride-0
+    column without materialising it.  Every stored column is read-only, so
+    no reader of :meth:`column`, no :meth:`since` delta and no replayed block
+    can rewrite the log.  Pickle and ``deepcopy`` materialise every column
+    (a copy shares nothing with its original; the copy is read-only too).
+    Reads seal the tail and reduce block by block.  ``floors`` maps a column
+    to its lower bound, ``0`` or a column.
     """
 
     def __init__(self, columns: Dict[str, type], floors: Dict[str, object]) -> None:
@@ -69,22 +104,27 @@ class _Table:
         self._tail.append((*values, self._code(label)))
         self._size += 1
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled and deep-copied columns are fresh writable arrays.
+        self.__dict__.update(state)
+        self._blocks = [tuple(map(_read_only, block)) for block in self._blocks]
+
     def extend(self, label: tuple, *columns) -> None:
         """Record one block of rows (one array per column) under ``label``."""
-        columns = [np.asarray(column, dtype) for column, dtype in zip(columns, self._dtypes)]
+        columns = [_read_only(column, dtype) for column, dtype in zip(columns, self._dtypes)]
         shapes = {column.shape for column in columns}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {sorted(shapes)}")
         self._check(columns, bulk=True)
         count = columns[0].shape[0]
         if count:
-            self._seal().append((*columns, np.broadcast_to(np.int64(self._code(label)), count)))
+            self._seal().append((*columns, constant_column(self._code(label), count)))
             self._size += count
 
     def _seal(self) -> List[tuple]:
         if self._tail:
             columns = zip(*self._tail)
-            self._blocks.append(tuple(map(np.array, columns, self._dtypes)))
+            self._blocks.append(tuple(map(_read_only, columns, self._dtypes)))
             self._tail = []
         return self._blocks
 
@@ -127,9 +167,11 @@ class _Table:
         relabel = not np.array_equal(codes, np.arange(codes.shape[0]))
         self._seal()
         for rounds, *middle, label in blocks:
-            self._blocks.append(
-                (rounds + offset if offset else rounds, *middle, codes[label] if relabel else label)
-            )
+            if offset:
+                rounds = _map_rows(rounds, lambda column: column + offset)
+            if relabel:
+                label = _map_rows(label, codes.__getitem__)
+            self._blocks.append(tuple(map(_read_only, (rounds, *middle, label))))
             self._size += rounds.shape[0]
 
 
@@ -189,7 +231,11 @@ class CommunicationLedger:
         """:meth:`send` per position under that position's round, as one block.
 
         For callers where one call per protocol step would be the cost (the
-        MCMC balancing kernel, the greedy block, the LDP exchange).
+        MCMC balancing kernel, the greedy block, the LDP exchange).  The
+        caller hands its arrays over: the block stores them (or read-only
+        views of them) uncopied, so the caller must not write into them
+        afterwards.  A column that is one value in every row should be a
+        :func:`constant_column`, and one array may serve several blocks.
         """
         self.messages.extend((kind.value, description), round_indices, senders, recipients, sizes)
 
@@ -246,7 +292,7 @@ class CommunicationLedger:
         """:meth:`compute` per ``(device, cost)`` pair in this round, as one block."""
         devices = np.asarray(devices, dtype=np.int64)
         self.computation.extend(
-            (description,), np.full(devices.shape, self.current_round), devices, costs
+            (description,), constant_column(self.current_round, devices.shape), devices, costs
         )
 
     def next_round(self) -> int:

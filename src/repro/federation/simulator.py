@@ -24,7 +24,7 @@ from ..graph.ego import EgoNetwork, partition_node_level
 from ..graph.graph import Graph
 from .device import Device, build_devices
 from .events import SERVER_ID, MessageKind
-from .network import CommunicationLedger
+from .network import CommunicationLedger, constant_column
 from .server import Server
 
 
@@ -225,18 +225,19 @@ class FederatedEnvironment:
         unknown = np.flatnonzero((endpoints < 0) | (endpoints >= self.num_devices))
         if unknown.size:
             raise KeyError(f"unknown device {int(endpoints[unknown[0]])}")
-        rounds = np.full(senders.shape[0], self.ledger.current_round, dtype=np.int64)
-        sizes = np.full_like(rounds, size_bytes)
+        ledger, round_index = self.ledger, self.ledger.current_round
+
+        def record(log, senders, recipients) -> None:
+            count = senders.shape
+            size, rounds = constant_column(size_bytes, count), constant_column(round_index, count)
+            log(senders, recipients, kind, size, rounds, description)
+
         if self._availability is not None:
             sent = self._availability[senders]
             lost = ~(sent & self._availability[recipients])
-            self.ledger.drop_many(
-                senders[lost], recipients[lost], kind, sizes[lost], rounds[lost], description
-            )
-            senders, recipients, sizes, rounds = (
-                column[sent] for column in (senders, recipients, sizes, rounds)
-            )
-        self.ledger.send_many(senders, recipients, kind, sizes, rounds, description)
+            record(ledger.drop_many, senders[lost], recipients[lost])
+            senders, recipients = senders[sent], recipients[sent]
+        record(ledger.send_many, senders, recipients)
 
     def charge_compute(self, device_id: int, cost: float, description: str = "") -> None:
         """Charge ``cost`` units of computation to ``device_id``."""

@@ -171,6 +171,18 @@ class TestZeroKnowledgeProtocols:
         assert protocol.objective_difference(10, 7) == 3
         assert protocol.objective_difference(4, 9) == -5
 
+    @pytest.mark.parametrize("before, after", [(10, 7), (4, 9), (0, 0), ((1 << 24) - 1, 0)])
+    def test_objective_difference_charges_one_scalar_comparison(self, before, after):
+        # The one-element executed batch leaves the accountant — counters and
+        # capped log — exactly where a scalar compare plus the subtraction
+        # record would.
+        batched, scalar = TranscriptAccountant(), TranscriptAccountant()
+        WorkloadComparisonProtocol(accountant=batched).objective_difference(before, after)
+        SecureComparator(bit_width=24, accountant=scalar).compare(before, after)
+        scalar.record("secure-subtraction", 48)
+        assert batched.snapshot() == scalar.snapshot()
+        assert batched._log == scalar._log
+
     def test_transcript_contains_no_operand_values(self):
         accountant = TranscriptAccountant()
         protocol = WorkloadComparisonProtocol(accountant=accountant, rng=np.random.default_rng(0))

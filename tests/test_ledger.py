@@ -3,9 +3,14 @@
 Random programs mix every recording call — single rows, bulk blocks (empty
 ones and ragged per-row rounds included), drops, transport frames, compute
 and round advances — on a ledger and on :class:`helpers.oracles.LedgerOracle`
-and then compare every query.  The same programs pin the engine's capture
-path (``mark`` → ``since`` → pickle → ``replay`` into a ledger some rounds
-ahead) and that a ``deepcopy`` shares nothing with its original.
+and then compare every query.  A bulk column comes as a list, as a stride-0
+view of one value, or as a slice of one read-only array that every block of
+the program shares.  The same programs pin the engine's capture path
+(``mark`` → ``since`` → ``replay`` into a ledger some rounds ahead, pickled
+and not), that a replayed stride-0 column stays stride-0, that every stored
+column is read-only, and that a ``deepcopy`` shares nothing with its
+original.  Two ``tracemalloc`` guards hold the bulk recording sites to
+O(blocks) bytes, not O(rows).
 
 Costs are multiples of 1/4, so every summation order gives the same float
 and the comparisons stay exact.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +28,13 @@ from hypothesis import strategies as st
 import pytest
 
 from helpers.oracles import LedgerOracle
-from repro.federation import SERVER_ID, CommunicationLedger, MessageKind
+from repro.core.mcmc import _IncrementalBalancingKernel
+from repro.core.workload import Assignment
+from repro.crypto import TranscriptAccountant, WorkloadComparisonProtocol
+from repro.crypto.secure_compare import comparison_cost
+from repro.crypto.transport import charge_comparison_ledger
+from repro.federation import SERVER_ID, CommunicationLedger, FederatedEnvironment, MessageKind
+from repro.graph import Graph
 
 NUM_DEVICES = 4
 TABLES = ("messages", "dropped", "frames", "computation")
@@ -33,25 +45,58 @@ ids = st.integers(SERVER_ID, NUM_DEVICES + 1)  # the server and out-of-range ids
 kinds = st.sampled_from(list(MessageKind))
 descriptions = st.sampled_from(["", "a", "b"])
 sizes = st.integers(0, 100)
+rounds = st.integers(0, 8)
 costs = st.integers(0, 400).map(lambda quarter: quarter / 4)
 
 
-def _columns(draw, *elements):
-    """Parallel lists, one per element strategy, of one drawn length (maybe 0)."""
+def _shared(values) -> np.ndarray:
+    """One read-only array of valid column values that blocks slice into."""
+    array = np.resize(np.asarray(values), 64)
+    array.flags.writeable = False
+    return array
+
+
+#: Per bulk column type, its element strategy and the array its "shared"
+#: columns are slices of.
+COLUMNS = {
+    "id": (ids, _shared(np.arange(SERVER_ID, NUM_DEVICES + 2))),
+    "size": (sizes, _shared(np.arange(0, 101, 7))),
+    "round": (rounds, _shared(np.arange(9))),
+    "cost": (costs, _shared(np.arange(0, 401, 13) / 4)),
+}
+
+
+def _columns(draw, *names):
+    """Parallel columns, one per :data:`COLUMNS` type, of one drawn length (maybe 0).
+
+    Each is a list, a stride-0 view of one drawn value, or a slice of the
+    type's shared array.
+    """
     length = draw(st.integers(0, 6))
-    return [draw(st.lists(element, min_size=length, max_size=length)) for element in elements]
+    columns = []
+    for name in names:
+        element, shared = COLUMNS[name]
+        form = draw(st.sampled_from(["list", "constant", "shared"]))
+        if form == "list":
+            columns.append(draw(st.lists(element, min_size=length, max_size=length)))
+        elif form == "constant":
+            columns.append(np.broadcast_to(shared.dtype.type(draw(element)), length))
+        else:
+            start = draw(st.integers(0, shared.shape[0] - length))
+            columns.append(shared[start : start + length])
+    return columns
 
 
 @st.composite
 def message_blocks(draw):
     """``send_many`` / ``drop_many`` arguments, per-row rounds ragged."""
-    senders, recipients, sized, rounds = _columns(draw, ids, ids, sizes, st.integers(0, 8))
-    return senders, recipients, draw(kinds), sized, rounds, draw(descriptions)
+    senders, recipients, sized, rounded = _columns(draw, "id", "id", "size", "round")
+    return senders, recipients, draw(kinds), sized, rounded, draw(descriptions)
 
 
 @st.composite
 def compute_blocks(draw):
-    devices, charged = _columns(draw, ids, costs)
+    devices, charged = _columns(draw, "id", "cost")
     return devices, charged, draw(descriptions)
 
 
@@ -106,6 +151,19 @@ def _assert_matches(ledger: CommunicationLedger, oracle: LedgerOracle) -> None:
         assert len(table) == len(rows), name
 
 
+def _blocks(ledger: CommunicationLedger) -> list:
+    """Every stored block of every table, label column included."""
+    return [block for name in TABLES for block in getattr(ledger, name).since(0)[1]]
+
+
+def _assert_shares_nothing(copied: CommunicationLedger, original: CommunicationLedger) -> None:
+    theirs = [column for block in _blocks(original) for column in block]
+    for block in _blocks(copied):
+        for column in block:
+            assert not column.flags.writeable
+            assert not any(np.may_share_memory(column, other) for other in theirs)
+
+
 def _check_program(prefix, suffix, target_prefix, ahead):
     ledger, oracle = CommunicationLedger(), LedgerOracle()
     _run(prefix, ledger, oracle)
@@ -114,6 +172,7 @@ def _check_program(prefix, suffix, target_prefix, ahead):
     round_at_mark = oracle.current_round
     twin = copy.deepcopy(ledger)
     twin_oracle = copy.deepcopy(oracle)
+    _assert_shares_nothing(twin, ledger)
     _run(suffix, ledger, oracle)
     _assert_matches(ledger, oracle)
 
@@ -123,22 +182,37 @@ def _check_program(prefix, suffix, target_prefix, ahead):
     twin.compute(0, 1.0)
     _assert_matches(ledger, oracle)
 
-    # since(mark) survives pickling and replays `ahead` rounds later into a
-    # ledger with rows (and labels) of its own.
-    delta = pickle.loads(pickle.dumps(ledger.since(mark)))
-    target, target_oracle = CommunicationLedger(), LedgerOracle()
-    _run(target_prefix, target, target_oracle)
-    while target.current_round < round_at_mark + ahead:
-        target.next_round()
-        target_oracle.next_round()
-    offset = target.current_round - round_at_mark
-    target.replay(delta)
-    for name, start in sizes_at_mark.items():
-        getattr(target_oracle, name).extend(
-            LedgerOracle.shifted(getattr(oracle, name)[start:], offset)
-        )
-    target_oracle.current_round += oracle.current_round - round_at_mark
-    _assert_matches(target, target_oracle)
+    # since(mark), as is and through a pickle, replays `ahead` rounds later
+    # into a ledger with rows (and labels) of its own.
+    live = ledger.since(mark)
+    replayed = []
+    for delta in (live, pickle.loads(pickle.dumps(live))):
+        target, target_oracle = CommunicationLedger(), LedgerOracle()
+        _run(target_prefix, target, target_oracle)
+        while target.current_round < round_at_mark + ahead:
+            target.next_round()
+            target_oracle.next_round()
+        offset = target.current_round - round_at_mark
+        target_mark = target.mark()
+        target.replay(delta)
+        for name, start in sizes_at_mark.items():
+            getattr(target_oracle, name).extend(
+                LedgerOracle.shifted(getattr(oracle, name)[start:], offset)
+            )
+        target_oracle.current_round += oracle.current_round - round_at_mark
+        _assert_matches(target, target_oracle)
+        replayed.append(target.since(target_mark))
+
+    # Not pickled, a replayed stride-0 column (a shifted round, a recoded
+    # label) is still stride-0; a pickle materialises every column (the
+    # spilled layout); either way every replayed column is read-only.
+    direct, unpickled = (delta.tables for delta in replayed)
+    for (_, source), (_, blocks), (_, materialised) in zip(live.tables, direct, unpickled):
+        for source_block, block, dense in zip(source, blocks, materialised, strict=True):
+            for source_column, column, dense_column in zip(source_block, block, dense, strict=True):
+                assert not column.flags.writeable and not dense_column.flags.writeable
+                assert source_column.strides != (0,) or column.strides == (0,)
+                assert dense_column.strides == (dense_column.itemsize,)
 
 
 @settings(**TIER1)
@@ -168,3 +242,69 @@ def test_since_without_a_mark_is_the_whole_log():
     replayed.replay(ledger.since())
     assert replayed.summary(2) == ledger.summary(2)
     assert replayed.computation.rows() == ledger.computation.rows()
+
+
+def test_a_write_through_a_column_raises():
+    ledger = CommunicationLedger()
+    sizes = np.array([3, 4])
+    ledger.send_many([0, 1], [1, 0], MessageKind.OTHER, sizes, [0, 0])
+    ledger.send(0, 1, MessageKind.OTHER, 5)
+    for column in ledger.messages.column("size"):
+        with pytest.raises(ValueError):
+            column[0] = 99
+    assert ledger.summary()["total_bytes"] == 12.0
+
+
+def test_a_write_through_a_since_delta_raises_and_leaves_the_log_alone():
+    ledger = CommunicationLedger()
+    ledger.send_many([0, 1], [1, 0], MessageKind.OTHER, [3, 4], [0, 0])
+    ledger.next_round()
+    ledger.send(1, 0, MessageKind.OTHER, 5)
+    records = ledger.message_records()
+    _, blocks = ledger.since().tables[0]
+    for column in (column for block in blocks for column in block):
+        with pytest.raises(ValueError):
+            column[...] = 7
+    assert ledger.message_records() == records
+
+
+def _traced_growth(action) -> int:
+    """Bytes still allocated after ``action()`` that were not before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_charging_a_million_comparisons_costs_bytes_per_block_not_per_row():
+    cost = comparison_cost(24)
+    charge_comparison_ledger(CommunicationLedger(), 4, cost, 0, 1)  # first-call allocations
+    ledger = CommunicationLedger()
+    grown = _traced_growth(lambda: charge_comparison_ledger(ledger, 1_000_000, cost, 0, 1))
+    assert grown < 64 * 1024
+    np.testing.assert_array_equal(ledger.per_device_message_counts(2), [1_000_000, 1_000_000])
+    assert ledger.summary()["total_bytes"] == 2_000_000 * (cost.bits // 8)
+
+
+def test_flushing_secure_alg3_calls_costs_one_arange_plus_bytes_per_call():
+    n, calls = 2000, 40
+    ring = np.arange(n)
+    graph = Graph(n, np.stack([ring, (ring + 1) % n], axis=1), np.zeros((n, 1)))
+    environment = FederatedEnvironment.from_graph(graph, seed=0)
+    # Device i covers edge (i, i + 1); device 0 also covers (n - 1, 0), so
+    # it is the one most-loaded device and every call has one winner.
+    selected = {device: [device + 1] for device in range(n - 2)}
+    selected.update({0: [1, n - 1], n - 2: [n - 1], n - 1: []})
+    kernel = _IncrementalBalancingKernel(environment, Assignment.from_lists(selected))
+    protocol = WorkloadComparisonProtocol(
+        bit_width=24, accountant=TranscriptAccountant(), rng=np.random.default_rng(0)
+    )
+    for round_index in range(calls):
+        assert kernel.find_max_workload_device_secure(protocol, round_index) == 0
+    grown = _traced_growth(kernel.flush_transcript)
+    assert grown <= 8 * n + 2048 * calls
+    counts = environment.ledger.messages.label_counts()
+    assert counts[(MessageKind.SERVER_COORDINATION.value, "candidate-announcement")] == calls * n

@@ -272,7 +272,8 @@ class TestMetricsRegistry:
 class TestCryptoCounters:
     def test_crypto_counters_equal_the_accountant_on_a_secure_construction(self):
         """Every path that bumps the accountant bumps the obs counter too —
-        the scalar table OTs of ``objective_difference`` included."""
+        ``objective_difference``'s one-element executed batch and its
+        ``secure-subtraction`` record included."""
         environment = FederatedEnvironment.from_graph(
             generate_facebook_like(seed=3, num_nodes=60), seed=0
         )

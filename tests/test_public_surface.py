@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +208,54 @@ def test_no_module_mentions_chaos(modules):
     # Fault injection is installed by the tests, so no source under
     # src/repro — docstrings included — has a word for it.
     assert not [m.__name__ for m in modules if "chaos" in inspect.getsource(m).lower()]
+
+
+#: The bulk recording calls of ``CommunicationLedger``, and the numpy
+#: builders that would fill one of their columns with one repeated value.
+BULK_RECORDERS = {"send_many", "drop_many", "compute_many"}
+CONSTANT_BUILDERS = {"full", "ones", "full_like", "tile"}
+
+
+def _builds_constant(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in CONSTANT_BUILDERS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    )
+
+
+def test_no_bulk_recording_builds_a_constant_column():
+    # A column that is one value in every row of a block is a stride-0
+    # ``constant_column``, never ``len(block)`` copies: a ledger block stores
+    # only what is distinct about it.  Flags a builder anywhere in a recording
+    # call's arguments, or a local name a builder was assigned to.
+    root = Path(repro.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            built = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and any(map(_builds_constant, ast.walk(node.value)))
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for call in ast.walk(function):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in BULK_RECORDERS
+                ):
+                    continue
+                arguments = [*call.args, *(keyword.value for keyword in call.keywords)]
+                if any(
+                    _builds_constant(node) or (isinstance(node, ast.Name) and node.id in built)
+                    for argument in arguments
+                    for node in ast.walk(argument)
+                ):
+                    found.add(f"{path.relative_to(root)}:{call.lineno}")
+    assert not found, sorted(found)
