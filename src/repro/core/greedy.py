@@ -10,10 +10,11 @@ difference.  When the two buckets are equal *both* endpoints keep the edge
 and guarantees the edge-coverage constraint of Eq. 10.
 
 There is one production path, :func:`greedy_initialization`: all
-directed-edge comparisons run as one numpy block
-(:meth:`~repro.crypto.zero_knowledge.DegreeComparisonProtocol.compare_degrees_many`),
-the accountant is charged with one bulk pattern record and the ledger with
-one ``send_many`` block (both directions of every edge).  With
+directed-edge comparisons run on the :func:`log_degree_buckets` of their
+endpoints as one numpy block
+(:meth:`~repro.crypto.secure_compare.SecureComparator.compare_batch`), the
+accountant is charged with one bulk pattern record and the ledger with one
+``send_many`` block (both directions of every edge).  With
 ``secure=True`` the outcome bits are produced by the *vectorised
 millionaires' protocol itself* (batched table-OT simulation,
 ``execute=True``) rather than the analytic evaluation, so the structural
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ..crypto.oblivious_transfer import TranscriptAccountant
-from ..crypto.zero_knowledge import DegreeComparisonProtocol
+from ..crypto.secure_compare import SecureComparator
 from ..federation.events import MessageKind
 from ..federation.network import constant_column
 from ..federation.simulator import FederatedEnvironment
@@ -53,6 +54,21 @@ def comparison_message_bytes(bits_exchanged: int) -> int:
     byte count from this single helper so the two accountings cannot drift.
     """
     return max(1, int(bits_exchanged) // 8)
+
+
+def log_degree_buckets(degrees) -> np.ndarray:
+    """``round(ln(degree))`` per degree (0 for degree 0): what Alg. 1 compares.
+
+    The logarithm both shrinks the bit width of the secure comparison and
+    ignores small degree differences.  ``np.rint`` rounds halves to even
+    exactly like python's ``round``.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    buckets = np.zeros(degrees.shape, dtype=np.int64)
+    positive = degrees > 0
+    if positive.any():
+        buckets[positive] = np.rint(np.log(degrees[positive])).astype(np.int64)
+    return buckets
 
 
 def greedy_initialization(
@@ -79,16 +95,16 @@ def greedy_initialization(
     accountant = accountant if accountant is not None else TranscriptAccountant()
     num_devices = environment.num_devices
     sources, destinations = environment.directed_edges()
-    degrees = np.bincount(sources, minlength=num_devices)
+    buckets = log_degree_buckets(np.bincount(sources, minlength=num_devices))
 
-    protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant)
+    comparator = SecureComparator(bit_width=bit_width, accountant=accountant)
     count = int(sources.shape[0])
     keep = np.zeros(0, dtype=bool)
     if count:
         # Line 4 of Alg. 1 over all directed edges at once: device u keeps v
         # when round(ln deg(v)) >= round(ln deg(u)).
-        batch = protocol.compare_degrees_many(
-            degrees[destinations], degrees[sources], execute=secure
+        batch = comparator.compare_batch(
+            buckets[destinations], buckets[sources], execute=secure
         )
         keep = batch.left_ge_right
         ledger = environment.ledger

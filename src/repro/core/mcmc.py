@@ -39,8 +39,7 @@ import numpy as np
 
 from .. import obs
 from ..crypto.oblivious_transfer import TranscriptAccountant
-from ..crypto.secure_compare import comparison_cost
-from ..crypto.zero_knowledge import WorkloadComparisonProtocol
+from ..crypto.secure_compare import SecureComparator, comparison_cost
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import constant_column
 from ..federation.simulator import FederatedEnvironment
@@ -89,6 +88,27 @@ def _charge_analytic_comparisons(
     obs.add_counter("crypto.ot_invocations", count * cost.ot_invocations)
     obs.add_counter("crypto.messages", count * cost.messages)
     obs.add_counter("crypto.bits", count * cost.bits)
+
+
+def secure_objective_difference(
+    comparator: SecureComparator, objective_before: int, objective_after: int
+) -> int:
+    """Securely compute ``f(X_t) - f(X'_t)`` (Alg. 2 line 7).
+
+    The two maximum-workload devices jointly compute the signed difference
+    of their workloads.  Only the difference — which the MH acceptance rule
+    needs — is revealed; the communication charged is that of the
+    CrypTFlow2 subtraction circuit: one executed comparison plus one masked
+    exchange of ``2 * bit_width`` bits.
+    """
+    before, after = int(objective_before), int(objective_after)
+    result = comparator.compare_batch([before], [after], execute=True)
+    comparator.accountant.record("secure-subtraction", comparator.bit_width * 2)
+    difference = before - after
+    # Both derive from the same private inputs, so they must agree.
+    if (difference >= 0) != bool(result.left_ge_right[0]):
+        raise RuntimeError("secure comparison disagrees with computed difference")
+    return difference
 
 
 class _IncrementalBalancingKernel:
@@ -215,23 +235,21 @@ class _IncrementalBalancingKernel:
         return self.environment.server.pick_maximum(winners)
 
     def find_max_workload_device_secure(
-        self, protocol: WorkloadComparisonProtocol, round_index: int
+        self, comparator: SecureComparator, round_index: int
     ) -> int:
         """Alg. 3 under the batched secure protocol, speculate-and-verify.
 
         Executes *exactly* the comparisons the secure reference loop would:
         device ``u`` compares its workload against its neighbours in ego
-        order and stops at the first strictly greater one
-        (:meth:`WorkloadComparisonProtocol.is_local_maximum`'s early
-        termination), so the number of executed protocol runs is
-        value-dependent.  Which pairs those are is speculated in the clear
-        (one ``other > own`` pass over the CSR rows, memoised per
-        ``_version`` like the clear path's scan); the pairs run through the
-        vectorised millionaires' protocol
-        (:meth:`WorkloadComparisonProtocol.compare_workloads_many`) on every
-        call, and part 2's candidate argmax does the same — giving
-        accountant counters *and* capped log entry-for-entry identical to
-        the per-device loop.
+        order and stops at the first strictly greater one, so the number of
+        executed protocol runs is value-dependent.  Which pairs those are is
+        speculated in the clear (one ``other > own`` pass over the CSR rows,
+        memoised per ``_version`` like the clear path's scan); the pairs run
+        through the vectorised millionaires' protocol
+        (:meth:`~repro.crypto.secure_compare.SecureComparator.compare_batch`
+        with ``execute=True``) on every call, and part 2's candidate argmax
+        does the same — giving accountant counters *and* capped log
+        entry-for-entry identical to the per-device loop.
 
         Candidacy is re-derived from the protocol outcomes and checked
         against the speculation and the maintained flags (mirroring the
@@ -246,7 +264,7 @@ class _IncrementalBalancingKernel:
             indptr, degrees = self._csr_indptr, self._csr_degrees
             other = workload[self._csr_indices]
             # A device's first strictly greater neighbour is the comparison
-            # at which is_local_maximum stops; a device without one is a
+            # at which its scan stops; a device without one is a
             # candidate and compares against its whole row (vacuously so
             # with no neighbours, matching the loop).
             hits = np.flatnonzero(other > np.repeat(workload, degrees))
@@ -268,7 +286,7 @@ class _IncrementalBalancingKernel:
                 self._prefix_memo.clear()
             self._prefix_memo[self._version] = memo
         own, other, owners, candidate = memo
-        batch = protocol.compare_workloads_many(own, other)
+        batch = comparator.compare_batch(own, other, execute=True)
         # Every executed comparison except a non-candidate's last one
         # returns own >= other.
         losses = np.bincount(owners[~batch.left_ge_right], minlength=n)
@@ -285,7 +303,7 @@ class _IncrementalBalancingKernel:
         candidate_workloads = workload[candidates]
         maximum_value = candidate_workloads.max()
         winners = candidates[candidate_workloads == maximum_value].tolist()
-        if candidate_workloads[protocol.argmax(candidate_workloads)] != maximum_value:
+        if candidate_workloads[comparator.argmax(candidate_workloads)] != maximum_value:
             raise RuntimeError("secure argmax disagrees with plaintext maximum")
         pairwise_comparisons = candidates.size * (candidates.size - 1)
 
@@ -530,10 +548,8 @@ class MCMCBalancer:
         self.secure = secure
         self.bit_width = bit_width
         self.rng = rng if rng is not None else environment.rng
-        self._protocol = (
-            WorkloadComparisonProtocol(bit_width=bit_width, accountant=self.accountant, rng=self.rng)
-            if secure
-            else None
+        self._comparator = (
+            SecureComparator(bit_width=bit_width, accountant=self.accountant) if secure else None
         )
 
     # ------------------------------------------------------------------ #
@@ -563,9 +579,9 @@ class MCMCBalancer:
 
         for iteration in range(self.iterations):
             # Line 2: device with the largest workload under X_t.
-            if self._protocol is not None:
+            if self._comparator is not None:
                 heaviest = kernel.find_max_workload_device_secure(
-                    self._protocol, round_index
+                    self._comparator, round_index
                 )
             else:
                 heaviest = kernel.find_max_workload_device(self.accountant, round_index)
@@ -592,9 +608,9 @@ class MCMCBalancer:
                 proposal_rounds.append(round_index)
 
             # Line 6: device with the largest workload under X'_t.
-            if self._protocol is not None:
+            if self._comparator is not None:
                 heaviest_after = kernel.find_max_workload_device_secure(
-                    self._protocol, round_index
+                    self._comparator, round_index
                 )
             else:
                 heaviest_after = kernel.find_max_workload_device(
@@ -604,9 +620,9 @@ class MCMCBalancer:
             # Line 7: f(X_t) - f(X'_t); the winner of Alg. 3 attains the
             # maximum, so both objectives are single workload lookups.
             objective_after = int(kernel.workload[heaviest_after])
-            if self._protocol is not None:
-                difference = self._protocol.objective_difference(
-                    objective_before, objective_after
+            if self._comparator is not None:
+                difference = secure_objective_difference(
+                    self._comparator, objective_before, objective_after
                 )
             else:
                 difference = objective_before - objective_after

@@ -7,11 +7,10 @@ from .ldp import (
     OneBitMechanism,
     RandomizedResponse,
 )
-from .oblivious_transfer import ObliviousTransfer, OTResult, TranscriptAccountant
+from .oblivious_transfer import TranscriptAccountant
 from .secure_compare import (
     BatchComparisonResult,
     ComparisonCost,
-    ComparisonResult,
     SecureComparator,
     comparison_cost,
     operand_array,
@@ -19,18 +18,9 @@ from .secure_compare import (
 from .transport import (
     MeasuredCostMismatch,
     RemoteComparisonOutcome,
-    RemoteOTOutcome,
     RemoteParty,
     RemotePartyError,
     TransportReport,
-)
-from .zero_knowledge import (
-    DegreeComparisonOutcome,
-    DegreeComparisonProtocol,
-    WorkloadComparisonProtocol,
-    log_degree_bucket,
-    log_degree_buckets,
-    verify_zero_knowledge_transcript,
 )
 
 __all__ = [
@@ -39,25 +29,15 @@ __all__ = [
     "FeatureBinPartitioner",
     "GaussianMechanism",
     "RandomizedResponse",
-    "ObliviousTransfer",
-    "OTResult",
     "TranscriptAccountant",
     "SecureComparator",
-    "ComparisonResult",
     "ComparisonCost",
     "BatchComparisonResult",
     "comparison_cost",
     "operand_array",
     "MeasuredCostMismatch",
     "RemoteComparisonOutcome",
-    "RemoteOTOutcome",
     "RemoteParty",
     "RemotePartyError",
     "TransportReport",
-    "DegreeComparisonProtocol",
-    "DegreeComparisonOutcome",
-    "WorkloadComparisonProtocol",
-    "log_degree_bucket",
-    "log_degree_buckets",
-    "verify_zero_knowledge_transcript",
 ]

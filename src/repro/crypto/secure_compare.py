@@ -7,15 +7,19 @@ bit.  CrypTFlow2 (Rathee et al., CCS 2020) realises this with a recursive
 block decomposition over 1-out-of-2^m OTs with complexity ``O(L log L)`` for
 ``L``-bit inputs.
 
-This module simulates that protocol at the message level:
+This module simulates that protocol at the message level, over whole
+batches at once:
 
-* :class:`SecureComparator.compare` decomposes both inputs into 4-bit blocks,
-  evaluates per-block equality/greater-than shares through the simulated OT
-  channel, and combines them with a logarithmic tree — so the *communication
-  pattern and cost* mirror the real protocol; and
-* the public API returns only the boolean result, never the operand of the
+* :meth:`SecureComparator.execute_batch` decomposes both operand batches
+  into 4-bit blocks, obtains per-block equality/greater-than shares through
+  the simulated table OT, and combines them with a logarithmic tree — so the
+  *communication pattern and cost* mirror the real protocol; and
+* the public API returns only the comparison bits, never the operand of the
   other party, which is what the rest of the system relies on (Definition 2,
   zero-knowledge degree comparison).
+
+The one-comparison-at-a-time form of the protocol is the oracle of this
+kernel and lives with the tests (``tests/helpers/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,20 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from .oblivious_transfer import ObliviousTransfer, TranscriptAccountant
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Public outcome of a secure comparison between two private integers."""
-
-    left_ge_right: bool
-    bits_exchanged: int
-    ot_invocations: int
-
-    @property
-    def left_lt_right(self) -> bool:
-        return not self.left_ge_right
+from .oblivious_transfer import TranscriptAccountant, transfer_packed_table_batch
 
 
 @dataclass(frozen=True)
@@ -50,10 +41,10 @@ class ComparisonCost:
     The block protocol's communication depends only on the bit width — never
     on the operand values — so one comparison's transcript is a fixed pattern
     of messages.  ``pattern`` is the exact ``(description, bits)`` sequence
-    :meth:`SecureComparator.compare` records: ``2 * num_blocks`` 1-out-of-2^m
-    OTs followed by ``num_blocks - 1`` AND-gate rounds.  The batched kernels
-    (and the MCMC balancer's analytic charger) derive their accounting from
-    this single source so the two paths cannot drift.
+    one comparison records: ``2 * num_blocks`` 1-out-of-2^m OTs followed by
+    ``num_blocks - 1`` AND-gate rounds.  The batched kernels (and the MCMC
+    balancer's analytic charger) derive their accounting from this single
+    source so the two paths cannot drift.
     """
 
     bit_width: int
@@ -102,8 +93,14 @@ def operand_array(values, name: str, bit_width: int) -> np.ndarray:
             array = np.asarray(values, dtype=np.int64)
         except OverflowError:
             # Python ints above 2**63 - 1 (legal under bit_width=64)
-            # only fit the unsigned dtype; negatives raise here too.
-            array = np.asarray(values, dtype=np.uint64)
+            # only fit the unsigned dtype; a batch mixing them with a
+            # negative, or holding 2**64 or more, fits neither.
+            try:
+                array = np.asarray(values, dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(
+                    f"{name} must be non-negative and fit in {bit_width} bits"
+                ) from None
     if array.size:
         if array.dtype != np.uint64 and int(array.min()) < 0:
             raise ValueError(f"{name} must be non-negative")
@@ -119,14 +116,6 @@ class BatchComparisonResult:
     left_ge_right: np.ndarray
     cost: ComparisonCost
 
-    @property
-    def count(self) -> int:
-        return int(self.left_ge_right.shape[0])
-
-    @property
-    def bits_per_comparison(self) -> int:
-        return self.cost.bits
-
 
 class SecureComparator:
     """Two-party secure comparison with CrypTFlow2-style cost accounting."""
@@ -137,14 +126,11 @@ class SecureComparator:
         self,
         bit_width: int = 32,
         accountant: Optional[TranscriptAccountant] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
         if bit_width <= 0 or bit_width > 64:
             raise ValueError("bit_width must be in [1, 64]")
         self.bit_width = bit_width
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
-        self._ot = ObliviousTransfer(accountant=self.accountant, rng=rng)
-        self._rng = rng if rng is not None else np.random.default_rng()
         # Party B's truth tables per block value b, one packed word each:
         # bit c is ``c > b`` (greater-than share) / ``c == b`` (equality).
         table_size = 1 << self.BLOCK_BITS
@@ -156,37 +142,14 @@ class SecureComparator:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def compare(self, left: int, right: int) -> ComparisonResult:
-        """Return whether ``left >= right`` revealing only that bit.
-
-        ``left`` is held by party A and ``right`` by party B; both values
-        must be non-negative and fit in ``bit_width`` bits.
-        """
-        self._validate(left, "left")
-        self._validate(right, "right")
-        bits_before = self.accountant.bits
-        ots_before = self.accountant.ot_invocations
-
-        greater, equal = self._block_compare(int(left), int(right))
-        # left >= right  <=>  left > right or left == right
-        result = bool(greater or equal)
-
-        self.accountant.comparisons += 1
-        obs.add_counter("crypto.comparisons")
-        return ComparisonResult(
-            left_ge_right=result,
-            bits_exchanged=self.accountant.bits - bits_before,
-            ot_invocations=self.accountant.ot_invocations - ots_before,
-        )
-
     def compare_batch(self, left, right, execute: bool = False) -> BatchComparisonResult:
         """Evaluate many independent comparisons as one numpy block.
 
         ``left[i] >= right[i]`` for parallel 1-D integer arrays.  Every
-        comparison is charged exactly the transcript of one
-        :meth:`compare` run (same counters, same capped log entries, in the
-        same per-comparison pattern), so a batch is indistinguishable from
-        the equivalent python loop in all recorded observables.
+        comparison is charged exactly the transcript of one protocol run
+        (same counters, same capped log entries, in the same per-comparison
+        pattern), so a batch is indistinguishable from the equivalent
+        one-at-a-time loop in all recorded observables.
 
         ``execute`` selects how the outcome bits are produced:
 
@@ -194,22 +157,19 @@ class SecureComparator:
           charges the analytic per-comparison pattern;
         * ``True`` runs the millionaires' block protocol itself, vectorised
           over the batch (:meth:`execute_batch` — every outcome is
-          derived only from simulated table-OT outputs, the same structural
-          information boundary as the scalar loop).  This is the path secure
-          construction uses.
+          derived only from simulated table-OT outputs).  This is the path
+          secure construction uses.
 
         The two paths are bit-identical in results, accountant counters and
         capped log (the executed path charges the canonical per-comparison
         interleaved pattern, not its blockwise execution order — a constant
         transcript reordering the protocol's synchronous rounds permit).
 
-        **RNG block-draw contract**: draws **nothing** from the comparator's
-        RNG under either path (the simulated 1-out-of-2^m table OTs need no
-        masking randomness) — batched and looped execution leave any shared
-        random stream in the same state.
+        **RNG block-draw contract**: draws **nothing** under either path (the
+        simulated 1-out-of-2^m table OTs need no masking randomness).
         """
-        left = self._operand_array(left, "left")
-        right = self._operand_array(right, "right")
+        left = operand_array(left, "left", self.bit_width)
+        right = operand_array(right, "right", self.bit_width)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError("compare_batch expects two 1-D arrays of equal length")
         if execute:
@@ -229,8 +189,8 @@ class SecureComparator:
         bits were produced (clear, executed in process, or executed against a
         remote party): the per-comparison interleaved pattern of
         :func:`comparison_cost`, not the blockwise execution order, so the
-        capped log is entry-for-entry that of ``count`` scalar
-        :meth:`compare` calls.
+        capped log is entry-for-entry that of ``count`` comparisons run one
+        at a time.
         """
         cost = comparison_cost(self.bit_width, block_bits=self.BLOCK_BITS)
         self.accountant.ot_invocations += cost.ot_invocations * count
@@ -248,13 +208,13 @@ class SecureComparator:
 
         Speculate-and-verify: the scan's ``n - 1`` pairs ``(values[i], best
         so far)`` follow from the running maximum, so they run as **one**
-        executed batch (counters and capped log of ``n - 1`` scalar
-        :meth:`compare` calls) and the chain is re-derived from the protocol
+        executed batch (counters and capped log of the ``n - 1`` comparisons
+        of the sequential scan) and the chain is re-derived from the protocol
         outcomes alone; a disagreement raises.
         """
         if len(values) == 0:
             raise ValueError("argmax of an empty list")
-        values = self._operand_array(values, "values")
+        values = operand_array(values, "values", self.bit_width)
         running = np.maximum.accumulate(values)
         outcomes = self.compare_batch(values[1:], running[:-1], execute=True).left_ge_right
         # The best so far after position i sits at the last position whose
@@ -270,61 +230,6 @@ class SecureComparator:
     # ------------------------------------------------------------------ #
     # Protocol internals
     # ------------------------------------------------------------------ #
-    def _validate(self, value: int, name: str) -> None:
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative")
-        if value >= (1 << self.bit_width):
-            raise ValueError(f"{name} does not fit in {self.bit_width} bits")
-
-    def _operand_array(self, values, name: str) -> np.ndarray:
-        """Validate a batch operand (see :func:`operand_array`)."""
-        return operand_array(values, name, self.bit_width)
-
-    def _blocks(self, value: int) -> List[int]:
-        """Split ``value`` into big-endian 4-bit blocks."""
-        num_blocks = (self.bit_width + self.BLOCK_BITS - 1) // self.BLOCK_BITS
-        blocks = []
-        for index in reversed(range(num_blocks)):
-            blocks.append((value >> (index * self.BLOCK_BITS)) & ((1 << self.BLOCK_BITS) - 1))
-        return blocks
-
-    def _block_compare(self, left: int, right: int) -> Tuple[bool, bool]:
-        """Return (left > right, left == right) using the block recursion."""
-        left_blocks = self._blocks(left)
-        right_blocks = self._blocks(right)
-
-        # Leaf layer: for every block, party A obtains secret-shared
-        # greater-than and equality bits through 1-out-of-16 OTs where party B
-        # is the sender holding the truth tables of its block value.
-        greater_flags: List[bool] = []
-        equal_flags: List[bool] = []
-        table_size = 1 << self.BLOCK_BITS
-        for left_block, right_block in zip(left_blocks, right_blocks):
-            greater_table = tuple(int(candidate > right_block) for candidate in range(table_size))
-            equal_table = tuple(int(candidate == right_block) for candidate in range(table_size))
-            greater_flags.append(bool(self._ot.transfer_table(greater_table, left_block, message_bits=1)))
-            equal_flags.append(bool(self._ot.transfer_table(equal_table, left_block, message_bits=1)))
-
-        # Combine layer: logarithmic AND/OR tree, each level costing one round
-        # of (simulated) Beaver-triple multiplications, accounted per node.
-        while len(greater_flags) > 1:
-            next_greater: List[bool] = []
-            next_equal: List[bool] = []
-            for index in range(0, len(greater_flags) - 1, 2):
-                high_greater, high_equal = greater_flags[index], equal_flags[index]
-                low_greater, low_equal = greater_flags[index + 1], equal_flags[index + 1]
-                # gt = gt_high OR (eq_high AND gt_low); eq = eq_high AND eq_low
-                self.accountant.record("and-gate", 2 * self.BLOCK_BITS)
-                next_greater.append(high_greater or (high_equal and low_greater))
-                next_equal.append(high_equal and low_equal)
-            if len(greater_flags) % 2 == 1:
-                next_greater.append(greater_flags[-1])
-                next_equal.append(equal_flags[-1])
-            greater_flags = next_greater
-            equal_flags = next_equal
-
-        return greater_flags[0], equal_flags[0]
-
     def block_rows(self, values: np.ndarray) -> np.ndarray:
         """Split a uint64 batch into ``(blocks, n)`` big-endian block values.
 
@@ -345,24 +250,24 @@ class SecureComparator:
         equal-shape choices party A sent.  The truth table of each block
         travels as one packed ``2^m``-bit word (looked up by its block value
         — no ``(n, 2^m)`` table is built) and two
-        :meth:`ObliviousTransfer.transfer_packed_table_batch` calls return
-        the greater-than and the equality share of every position; a choice
-        outside the table raises ``ValueError``.
+        :func:`~repro.crypto.oblivious_transfer.transfer_packed_table_batch`
+        calls return the greater-than and the equality share of every
+        position; a choice outside the table raises ``ValueError``.
         """
         table_size = 1 << self.BLOCK_BITS
-        greater = self._ot.transfer_packed_table_batch(
+        greater = transfer_packed_table_batch(
             np.take(self._greater_tables, right_blocks), left_blocks, table_size
         )
-        equal = self._ot.transfer_packed_table_batch(
+        equal = transfer_packed_table_batch(
             np.take(self._equal_tables, right_blocks), left_blocks, table_size
         )
         return greater, equal
 
     def execute_batch(self, left: np.ndarray, leaf_source) -> np.ndarray:
-        """Vectorised :meth:`_block_compare` over a whole (uint64) batch.
+        """The millionaires' block protocol over a whole (uint64) batch.
 
-        Runs the same protocol steps as the scalar recursion for *every*
-        position at once, as party A: ``left`` is split into ``(blocks, n)``
+        Runs the protocol steps of one comparison for *every* position at
+        once, as party A: ``left`` is split into ``(blocks, n)``
         block rows (:meth:`block_rows`), ``leaf_source(left_blocks)`` returns
         party B's ``(greater, equal)`` leaf shares as two bool matrices of
         that shape, and the logarithmic AND/OR tree (:meth:`_combine`)
@@ -372,11 +277,11 @@ class SecureComparator:
         boundary (:class:`~repro.crypto.transport.RemoteParty`) the frames
         that carry the same lookups.  The outcome bits are derived
         exclusively from what the source returned — the structural
-        information boundary of the scalar loop is preserved.
+        information boundary of the protocol.
 
-        Accounting is left to the caller (:meth:`charge_batch`): the scalar
-        loop interleaves the two OTs of each block *per comparison*, while
-        this kernel executes them *across* comparisons.
+        Accounting is left to the caller (:meth:`charge_batch`): the
+        protocol interleaves the two OTs of each block *per comparison*,
+        while this kernel executes them *across* comparisons.
 
         **RNG block-draw contract**: draws **nothing** (table OTs need no
         masking randomness).
@@ -387,7 +292,12 @@ class SecureComparator:
 
     @staticmethod
     def _combine(greater: np.ndarray, equal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The scalar recursion's AND/OR combine tree, over whole block rows."""
+        """The protocol's AND/OR combine tree, over whole block rows.
+
+        ``gt = gt_high | (eq_high & gt_low)`` and ``eq = eq_high & eq_low``
+        per adjacent pair of block rows, an odd last row carried up, until
+        one row is left.
+        """
         while greater.shape[0] > 1:
             width = greater.shape[0]
             paired = width - (width % 2)

@@ -1,18 +1,18 @@
-"""Two-party secure execution over a real transport channel.
+"""Two-party secure comparison over a real transport channel.
 
-Everything below :class:`~repro.crypto.secure_compare.SecureComparator` was
-built (PR 5) as a *single-process* simulation: both protocol parties live in
-one interpreter, "communication" is a function call, and cost is what the
-analytic :func:`~repro.crypto.secure_compare.comparison_cost` model says it
-should be.  This module runs the same protocols across a real process
-boundary so the cost becomes *measured*:
+In process, :class:`~repro.crypto.secure_compare.SecureComparator` simulates
+both protocol parties in one interpreter: "communication" is a function
+call, and cost is what the analytic
+:func:`~repro.crypto.secure_compare.comparison_cost` model says it should
+be.  This module runs the same protocol across a real process boundary so
+the cost becomes *measured*:
 
-* a party process (:func:`party_main`) holds one side's private operands and
-  serves the sender/receiver half of the protocol over a
+* a party process (:func:`party_main`) holds party B's private operands and
+  serves its half of the millionaires' protocol over a
   :class:`~repro.runtime.channel.PartyChannel`;
-* a :class:`RemoteParty` driver holds the other side's operands **and all of
-  the session's bookkeeping** — the RNG, the
-  :class:`~repro.crypto.oblivious_transfer.TranscriptAccountant`, and the
+* a :class:`RemoteParty` driver holds party A's operands **and all of the
+  session's bookkeeping** — the
+  :class:`~repro.crypto.oblivious_transfer.TranscriptAccountant` and the
   optional :class:`~repro.federation.network.CommunicationLedger`.
 
 This module is **framing and reconciliation only**.  The millionaires'
@@ -21,28 +21,26 @@ the driver hands its ``execute_batch`` kernel a leaf source that fetches
 party B's shares as ``CMP_CHOICES`` / ``CMP_RESPONSE`` frames, the party
 answers each of them through the comparator's ``leaf_shares`` lookup, and
 the comparator's ``charge_batch`` charges the accountant.  Because both
-deployments run that one kernel, and the OT driver draws exactly the pad
-block the in-process ``transfer_batch`` does, a remote session is
-**bit-for-bit equivalent** to the in-process simulation in results,
-accountant counters and capped log, canonical ledger transcript, and RNG
-stream state.  The equivalence is asserted by ``tests/test_secure_transport.py``.
+deployments run that one kernel, a remote session is **bit-for-bit
+equivalent** to the in-process simulation in results, accountant counters
+and capped log, and canonical ledger transcript, and neither draws from any
+random stream.  The equivalence is asserted by
+``tests/test_secure_transport.py``.
 
 Measured-vs-analytic contract
 -----------------------------
 Frame payloads are sized so that the *protocol* frames of a session (the
-``OT_*`` / ``CMP_*`` kinds) total **exactly** the bytes the analytic model
-charges — ``count * comparison_cost(bit_width).bits // 8`` for a comparison
-batch, ``count * (2 * message_bits + 128) // 8`` for an OT batch.  Where the
-analytic model counts material this simulation does not need to move (base-OT
-masks, Beaver-triple shares), the frames carry deterministic stand-in bytes
-of the modeled size, so the wire is an honest physical realisation of the
-model rather than a smaller cousin of it.  :meth:`RemoteParty.compare_batch`
-and :meth:`RemoteParty.transfer_batch` re-derive the analytic total and
-raise :class:`MeasuredCostMismatch` if the bytes that actually crossed the
-channel diverge — the contract fails loudly, never silently.  Session
-``CONTROL`` handshakes (hello / result reveal / goodbye) are *not* protocol
-traffic; they are reported separately and excluded from the reconciliation,
-as is the channel's fixed per-frame header
+``CMP_*`` kinds) total **exactly** the bytes the analytic model charges —
+``count * comparison_cost(bit_width).bits // 8``.  Where the analytic model
+counts material this simulation does not need to move (base-OT masks,
+Beaver-triple shares), the frames carry deterministic stand-in bytes of the
+modeled size, so the wire is an honest physical realisation of the model
+rather than a smaller cousin of it.  :meth:`RemoteParty.compare_batch`
+re-derives the analytic total and raises :class:`MeasuredCostMismatch` if the
+bytes that actually crossed the channel diverge — the contract fails loudly,
+never silently.  Session ``CONTROL`` handshakes (ready / done / goodbye) are
+*not* protocol traffic; they are reported separately and excluded from the
+reconciliation, as is the channel's fixed per-frame header
 (:data:`~repro.runtime.channel.FRAME_OVERHEAD_BYTES`).
 
 Failure model
@@ -73,7 +71,7 @@ from ..runtime.channel import (
     PartyChannel,
     channel_pair,
 )
-from .oblivious_transfer import ObliviousTransfer, TranscriptAccountant
+from .oblivious_transfer import TranscriptAccountant
 from .secure_compare import ComparisonCost, SecureComparator, comparison_cost, operand_array
 
 #: Default bound on every driver-side receive; a dead or wedged party must
@@ -93,11 +91,10 @@ class MeasuredCostMismatch(RemotePartyError):
 class TransportReport:
     """Measured transport accounting for one two-party session.
 
-    ``protocol_payload_bytes`` covers only the ``OT_*`` / ``CMP_*`` frames
-    the analytic model prices (and equals ``analytic_payload_bytes`` — the
-    driver raises otherwise); ``control_payload_bytes`` is session framing
-    (handshakes, result reveal); ``wire_bytes`` is everything including the
-    per-frame channel header.
+    ``protocol_payload_bytes`` covers only the ``CMP_*`` frames the analytic
+    model prices (and equals ``analytic_payload_bytes`` — the driver raises
+    otherwise); ``control_payload_bytes`` is session framing (handshakes);
+    ``wire_bytes`` is everything including the per-frame channel header.
     """
 
     frames: int
@@ -127,45 +124,16 @@ class RemoteComparisonOutcome:
     report: TransportReport
 
 
-@dataclass(frozen=True)
-class RemoteOTOutcome:
-    """Result of a 1-out-of-2 OT batch executed across the process boundary."""
-
-    chosen_messages: np.ndarray
-    message_bits: int
-    report: TransportReport
-
-
 #: Ledger ids of the two ends of a session in the ledger's frame table.
 DRIVER_PARTY, REMOTE_PARTY = 0, 1
 
 #: Protocol frame kinds priced by the analytic model (everything else is
 #: session overhead).
 PROTOCOL_KINDS = (
-    FrameKind.OT_REQUEST.name,
-    FrameKind.OT_RESPONSE.name,
     FrameKind.CMP_CHOICES.name,
     FrameKind.CMP_RESPONSE.name,
     FrameKind.CMP_AND.name,
 )
-
-
-# --------------------------------------------------------------------- #
-# Byte packing helpers (shared by both parties)
-# --------------------------------------------------------------------- #
-def _pack_values(values: np.ndarray, bytes_per: int) -> bytes:
-    """Little-endian pack of uint64 ``values`` at ``bytes_per`` bytes each."""
-    full = np.ascontiguousarray(values, dtype="<u8")
-    view = full.view(np.uint8).reshape(-1, 8)
-    return view[:, :bytes_per].tobytes()
-
-
-def _unpack_values(payload: bytes, count: int, bytes_per: int) -> np.ndarray:
-    """Inverse of :func:`_pack_values`: ``count`` uint64 values."""
-    raw = np.frombuffer(payload, dtype=np.uint8, count=count * bytes_per)
-    full = np.zeros((count, 8), dtype=np.uint8)
-    full[:, :bytes_per] = raw.reshape(count, bytes_per)
-    return full.reshape(-1).view("<u8").astype(np.uint64)
 
 
 def _unpack_bits(payload: bytes, count: int) -> np.ndarray:
@@ -173,27 +141,20 @@ def _unpack_bits(payload: bytes, count: int) -> np.ndarray:
     return bits.astype(bool)
 
 
-def ot_payload_bytes(message_bits: int) -> int:
-    """Analytic wire bytes of one 1-out-of-2 OT (``message_bits % 8 == 0``)."""
-    if message_bits % 8 != 0:
-        raise ValueError("remote OT requires message_bits divisible by 8")
-    return (2 * message_bits + 128) // 8
-
-
 # --------------------------------------------------------------------- #
 # Party process (the far side of the channel)
 # --------------------------------------------------------------------- #
 def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> None:
-    """Serve one secure session as the remote party, then exit.
+    """Serve one comparison session as the remote party, then exit.
 
-    ``config`` carries the public session parameters (op, count, widths);
+    ``config`` carries the public session parameters (count, bit width);
     ``private_values`` the party's own operands, delivered out-of-band via
     process spawn arguments — private inputs never cross the channel.
     """
     # Like runtime workers: never inherit the parent's ambient tracer.
     obs.set_tracer(None)
     try:
-        _serve_session(channel, config, private_values)
+        _serve_comparison(channel, config, private_values)
         channel.send(FrameKind.CONTROL, b"bye")
     except ChannelError:
         # Driver vanished: nothing left to report to.
@@ -205,16 +166,6 @@ def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> No
             pass
     finally:
         channel.close()
-
-
-def _serve_session(channel, config, private_values) -> None:
-    op = config["op"]
-    if op == "compare":
-        _serve_comparison(channel, config, private_values)
-    elif op == "ot":
-        _serve_ot(channel, config, private_values)
-    else:
-        raise ValueError(f"unknown session op {op!r}")
 
 
 def _serve_comparison(channel, config, private_values) -> None:
@@ -260,43 +211,15 @@ def _serve_comparison(channel, config, private_values) -> None:
     channel.recv(expected=(FrameKind.CONTROL,))  # done
 
 
-def _serve_ot(channel, config, private_values) -> None:
-    """OT receiver: holds the choice bits, learns the chosen messages.
-
-    Sends its choices in a u64-per-position ``OT_REQUEST`` (the 64-bit slot
-    stands in for the receiver half of the base-OT material the analytic
-    128-bit term prices), unmasks the driver's ``OT_RESPONSE``, and reveals
-    the learned values back over ``CONTROL`` so the driver can return them —
-    the reveal is session overhead, not protocol traffic.
-    """
-    count = int(config["count"])
-    message_bits = int(config["message_bits"])
-    bytes_per = message_bits // 8
-    choices = np.frombuffer(private_values, dtype=np.uint8, count=count).astype(np.int64)
-
-    channel.send(FrameKind.CONTROL, b"ready")
-    channel.send(FrameKind.OT_REQUEST, _pack_values(choices.astype(np.uint64), 8))
-    _, payload = channel.recv(expected=(FrameKind.OT_RESPONSE,))
-    masked_zero = _unpack_values(payload, count, bytes_per)
-    offset = count * bytes_per
-    masked_one = _unpack_values(payload[offset:], count, bytes_per)
-    pads = _unpack_values(payload[2 * offset:], count, 8)
-    masked = np.where(choices.astype(bool), masked_one, masked_zero)
-    learned = masked ^ pads
-    channel.send(FrameKind.CONTROL, _pack_values(learned, 8))
-    channel.recv(expected=(FrameKind.CONTROL,))  # done
-
-
 # --------------------------------------------------------------------- #
-# Driver (owns RNG, accountant, ledger)
+# Driver (owns accountant, ledger)
 # --------------------------------------------------------------------- #
 class RemoteParty:
-    """Drive secure sessions against a party running in another process.
+    """Drive comparison sessions against a party running in another process.
 
-    The driver is the bookkeeping side: it owns the RNG (pad draws follow
-    the exact block-draw contracts of the in-process kernels), the
-    :class:`TranscriptAccountant` (charged with the canonical per-operation
-    patterns), and optionally a :class:`~repro.federation.network.CommunicationLedger`
+    The driver is the bookkeeping side: it owns the
+    :class:`TranscriptAccountant` (charged with the canonical per-comparison
+    pattern), and optionally a :class:`~repro.federation.network.CommunicationLedger`
     — modeled ``SECURE_COMPARISON`` traffic is charged exactly as the
     in-process callers charge it, while the physical frames are attributed
     to the ledger's frame table
@@ -308,15 +231,13 @@ class RemoteParty:
         self,
         bit_width: int = 32,
         accountant: Optional[TranscriptAccountant] = None,
-        rng: Optional[np.random.Generator] = None,
         timeout: float = DEFAULT_SESSION_TIMEOUT,
         ledger=None,
     ) -> None:
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
-        self._comparator = SecureComparator(bit_width, accountant=self.accountant, rng=rng)
-        self._ot = ObliviousTransfer(accountant=self.accountant, rng=rng)
+        self._comparator = SecureComparator(bit_width, accountant=self.accountant)
         self.bit_width = bit_width
         self.timeout = timeout
         self.ledger = ledger
@@ -375,7 +296,7 @@ class RemoteParty:
             process.join(timeout=1.0)
             exitcode = process.exitcode
             raise RemotePartyError(
-                f"session {config['session_key']!r} ({config['op']}) failed: {exc}"
+                f"session {config['session_key']!r} failed: {exc}"
                 + (f" [party exit code {exitcode}]" if exitcode not in (None, 0) else "")
             ) from exc
         finally:
@@ -479,7 +400,6 @@ class RemoteParty:
                 np.zeros(0, dtype=bool), cost, TransportReport(0, 0, 0, 0, 0, {})
             )
         config = {
-            "op": "compare",
             "session_key": session_key,
             "count": count,
             "bit_width": self.bit_width,
@@ -497,84 +417,6 @@ class RemoteParty:
         if self.ledger is not None:
             charge_comparison_ledger(self.ledger, count, cost, DRIVER_PARTY, REMOTE_PARTY)
         return RemoteComparisonOutcome(left_ge_right=outcomes, cost=cost, report=report)
-
-    # -- OT session ----------------------------------------------------- #
-    def transfer_batch(
-        self,
-        messages_zero,
-        messages_one,
-        remote_choices,
-        message_bits: int = 32,
-        session_key: str = "ot-session",
-    ) -> RemoteOTOutcome:
-        """Run a 1-out-of-2 OT batch: this driver is the sender, the remote
-        party holds the choice bits and learns the chosen messages.
-
-        Bit-for-bit equivalent to
-        :meth:`ObliviousTransfer.transfer_batch`: pads come from the same
-        block draw on the driver's RNG, the accountant is charged the identical
-        ``("ot", 2 * message_bits + 128)`` pattern, and the values the
-        remote party unmasks equal the in-process results.  The remote
-        reveal of the learned values (so this method can return them) rides
-        on ``CONTROL`` frames, outside the priced protocol traffic.
-        """
-        bytes_per = message_bits // 8
-        per_position = ot_payload_bytes(message_bits)  # validates divisibility
-        messages_zero = ObliviousTransfer._operand_array(
-            messages_zero, "message_zero", message_bits
-        )
-        messages_one = ObliviousTransfer._operand_array(
-            messages_one, "message_one", message_bits
-        )
-        choices = np.asarray(remote_choices, dtype=np.int64)
-        if (
-            messages_zero.ndim != 1
-            or messages_zero.shape != messages_one.shape
-            or messages_zero.shape != choices.shape
-        ):
-            raise ValueError("transfer_batch expects three 1-D arrays of equal length")
-        if choices.size and not np.isin(choices, (0, 1)).all():
-            raise ValueError("choice must be 0 or 1")
-        count = int(choices.shape[0])
-        wide = messages_zero.dtype == np.uint64
-        if count == 0:
-            empty = np.zeros(0, dtype=np.uint64 if wide else np.int64)
-            report = TransportReport(0, 0, 0, 0, 0, {})
-            return RemoteOTOutcome(empty, message_bits, report)
-        config = {
-            "op": "ot",
-            "session_key": session_key,
-            "count": count,
-            "message_bits": message_bits,
-            "analytic_bytes": count * per_position,
-        }
-
-        def protocol(channel: PartyChannel):
-            with obs.span("transport.ot", count=count, message_bits=message_bits):
-                _, payload = self._recv(channel, (FrameKind.OT_REQUEST,))
-                wire_choices = _unpack_values(payload, count, 8).astype(np.int64)
-                # Same block draw as the in-process kernel.
-                pads = self._ot._draw_pad_block(count, message_bits).astype(np.uint64)
-                masked_zero = messages_zero.astype(np.uint64) ^ pads[:, 0]
-                masked_one = messages_one.astype(np.uint64) ^ pads[:, 1]
-                rows = np.arange(count)
-                chosen_pads = pads[rows, wire_choices]
-                self._send(
-                    channel, FrameKind.OT_RESPONSE,
-                    _pack_values(masked_zero, bytes_per)
-                    + _pack_values(masked_one, bytes_per)
-                    + _pack_values(chosen_pads, 8),
-                )
-                _, reveal = self._recv(channel, (FrameKind.CONTROL,))
-            return _unpack_values(reveal, count, 8)
-
-        learned, report = self._run_session(
-            config, choices.astype(np.uint8).tobytes(), protocol
-        )
-        self.accountant.ot_invocations += count
-        self.accountant.record_pattern((("ot", 2 * message_bits + 128),), count)
-        results = learned if wide else learned.astype(np.int64)
-        return RemoteOTOutcome(chosen_messages=results, message_bits=message_bits, report=report)
 
 
 def charge_comparison_ledger(

@@ -68,18 +68,16 @@ DEFAULT_TIMEOUT_SECONDS = 30.0
 class FrameKind(IntEnum):
     """Self-describing tag carried by every frame.
 
-    The OT/comparison kinds mirror the message pattern the analytic
+    The comparison kinds mirror the message pattern the analytic
     :func:`~repro.crypto.secure_compare.comparison_cost` model charges, so
     per-kind byte totals line up one-to-one with accountant categories.
     """
 
     CONTROL = 0       #: session setup / teardown handshakes
-    OT_REQUEST = 1    #: receiver -> sender: choice bits / table indices
-    OT_RESPONSE = 2   #: sender -> receiver: masked messages + pads
+    # Tags are wire format and never renumbered: 1, 2 and 6 stay unassigned.
     CMP_CHOICES = 3   #: comparison batch: receiver block choices
     CMP_RESPONSE = 4  #: comparison batch: sender table responses
     CMP_AND = 5       #: comparison batch: AND-combine gate traffic
-    # Tags are wire format and never renumbered: 6 stays unassigned.
     ERROR = 7         #: remote party's typed failure report
 
 

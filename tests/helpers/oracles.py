@@ -9,8 +9,9 @@ Every production kernel has exactly one oracle, and it lives here, not in
 at a time (:func:`ldp_exchange_reference`) — and, for the layout of its
 draws, over the dense ``(messages, d)`` uniforms
 (:func:`ldp_draw_reference`, :func:`ldp_threshold_reference`) — the
-candidate argmax one
-scalar comparison at a time (:func:`secure_argmax_reference`), the
+millionaires' protocol one comparison and one block at a time
+(:func:`secure_compare_reference`), the candidate argmax as its scalar scan
+(:func:`secure_argmax_reference`), the
 communication ledger's columnar tables as plain lists of rows
 (:class:`LedgerOracle`), the compute backend's kernels as ``np.add.at`` /
 ``np.maximum.at`` accumulation (:class:`ReferenceKernels`), and every fused
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.core import MCMCBalancer, MCMCResult, TreeBatch, TreeConstructorConfig
 from repro.core import trainer as trainer_module
 from repro.core.constructor import TreeConstructionResult
@@ -40,11 +42,7 @@ from repro.core.embedding_init import EmbeddingInitializationResult
 from repro.core.greedy import comparison_message_bytes
 from repro.core.mcmc import _charge_analytic_comparisons
 from repro.core.workload import Assignment
-from repro.crypto import (
-    DegreeComparisonProtocol,
-    TranscriptAccountant,
-    WorkloadComparisonProtocol,
-)
+from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.crypto.ldp import FeatureBinPartitioner, OneBitMechanism
 from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
 from repro.gnn.gat import GATLayer
@@ -68,12 +66,12 @@ def greedy_initialization_reference(
 ) -> Assignment:
     """Alg. 1 as the per-edge protocol loop — the equivalence suites' oracle.
 
-    Every directed neighbour relation runs one scalar
-    :meth:`DegreeComparisonProtocol.compare_degrees` and logs its two ledger
-    messages individually.
+    Every directed neighbour relation runs one :func:`secure_compare_reference`
+    on the two :func:`log_degree_bucket_reference` values and logs its two
+    ledger messages individually.
     """
     accountant = accountant if accountant is not None else TranscriptAccountant()
-    protocol = DegreeComparisonProtocol(bit_width=bit_width, accountant=accountant, rng=rng)
+    comparator = SecureComparator(bit_width=bit_width, accountant=accountant)
 
     selected: Dict[int, Set[int]] = {device_id: set() for device_id in environment.devices}
 
@@ -84,8 +82,13 @@ def greedy_initialization_reference(
             neighbor = int(neighbor)
             neighbor_degree = environment.devices[neighbor].degree
             # Line 4 of Alg. 1: keep v when round(ln deg(v)) >= round(ln deg(u)).
-            outcome = protocol.compare_degrees(neighbor_degree, own_degree)
-            size_bytes = comparison_message_bytes(outcome.bits_exchanged)
+            bits_before = accountant.bits
+            keep = secure_compare_reference(
+                comparator,
+                log_degree_bucket_reference(neighbor_degree),
+                log_degree_bucket_reference(own_degree),
+            )
+            size_bytes = comparison_message_bytes(accountant.bits - bits_before)
             environment.exchange(
                 device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
                 description="greedy-degree-comparison",
@@ -94,7 +97,7 @@ def greedy_initialization_reference(
                 neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
                 description="greedy-degree-comparison",
             )
-            if outcome.left_bucket_ge_right:
+            if keep:
                 selected[device_id].add(neighbor)
     return _install(environment, selected)
 
@@ -112,16 +115,18 @@ def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -
 def find_max_workload_device(
     environment: FederatedEnvironment,
     assignment: Assignment,
-    protocol: Optional[WorkloadComparisonProtocol] = None,
+    comparator: Optional[SecureComparator] = None,
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
     per_device_ledger: bool = False,
 ) -> int:
     """Alg. 3: return the id of the device with the maximum workload.
 
-    When ``protocol`` is provided, all comparisons run through the secure
-    comparator; otherwise they run in the clear and their cost is charged
-    analytically to ``accountant`` (when given).  ``per_device_ledger``
+    When ``comparator`` is provided, every comparison runs the protocol one
+    at a time (:func:`secure_compare_reference`, :func:`secure_argmax_reference`)
+    and is charged to the comparator's accountant; otherwise they run in the
+    clear and their cost is charged analytically to ``accountant`` (when
+    given).  ``per_device_ledger``
     records one ledger message per candidate announcement (exact transcript,
     used by small examples/tests); the default aggregates the announcements
     into a single coordination message so thousands of MCMC iterations stay
@@ -134,7 +139,7 @@ def find_max_workload_device(
     # ego-network neighbours and announces candidacy to the server.
     candidates: List[int] = []
     total_neighbor_comparisons = 0
-    if protocol is None and not per_device_ledger:
+    if comparator is None and not per_device_ledger:
         # Vectorised evaluation of exactly the same comparisons, over arrays
         # aligned to the sorted device ids (the ids need not be 0..n-1).
         sorted_ids = environment.device_ids()
@@ -164,8 +169,13 @@ def find_max_workload_device(
             device = environment.devices[device_id]
             neighbor_workloads = [workloads[int(v)] for v in device.ego.neighbors]
             total_neighbor_comparisons += len(neighbor_workloads)
-            if protocol is not None:
-                is_candidate = protocol.is_local_maximum(workloads[device_id], neighbor_workloads)
+            if comparator is not None:
+                # Device operation 1: am I >= every neighbour?  The scan stops
+                # at the first neighbour that is greater.
+                is_candidate = all(
+                    secure_compare_reference(comparator, workloads[device_id], other)
+                    for other in neighbor_workloads
+                )
             else:
                 is_candidate = all(workloads[device_id] >= other for other in neighbor_workloads)
             environment.ledger.send(
@@ -187,19 +197,19 @@ def find_max_workload_device(
     pairwise_comparisons = len(candidates) * max(len(candidates) - 1, 0)
     maximum_value = max(candidate_workloads)
     winners = [c for c, w in zip(candidates, candidate_workloads) if w == maximum_value]
-    if protocol is not None:
+    if comparator is not None:
         # Run the comparisons so the secure transcript is exact.
-        winner_index = protocol.argmax(candidate_workloads)
+        winner_index = secure_argmax_reference(comparator, candidate_workloads)
         if candidate_workloads[winner_index] != maximum_value:
             raise RuntimeError("secure argmax disagrees with plaintext maximum")
 
-    if accountant is not None and protocol is None:
+    if accountant is not None and comparator is None:
         _charge_analytic_comparisons(
             accountant, total_neighbor_comparisons + pairwise_comparisons
         )
     _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
 
-    if protocol is None and not per_device_ledger:
+    if comparator is None and not per_device_ledger:
         # Aggregated path: the winner announcements collapse into a single
         # coordination message (same bytes, one ledger entry) so thousands of
         # MCMC iterations stay cheap to log — mirroring the candidate
@@ -243,7 +253,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
     """Alg. 2 as the from-scratch loop — the oracle of ``MCMCBalancer.run``.
 
     Takes the balancer as ``self``: it reads the balancer's environment, rng,
-    accountant and (in secure mode) protocol.
+    accountant and (in secure mode) comparator.
     """
     current = initial.copy()
     history = [current.objective()]
@@ -254,7 +264,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         heaviest = find_max_workload_device(
             self.environment,
             current,
-            protocol=self._protocol,
+            comparator=self._comparator,
             rng=self.rng,
             accountant=self.accountant,
         )
@@ -282,7 +292,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         heaviest_after = find_max_workload_device(
             self.environment,
             proposal,
-            protocol=self._protocol,
+            comparator=self._comparator,
             rng=self.rng,
             accountant=self.accountant,
         )
@@ -290,8 +300,11 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         # Line 7: f(X_t) - f(X'_t), computed between the two maximal devices.
         objective_before = current.objective()
         objective_after = proposal.objective()
-        if self._protocol is not None:
-            difference = self._protocol.objective_difference(objective_before, objective_after)
+        if self._comparator is not None:
+            # One comparison, then the masked exchange of the subtraction.
+            secure_compare_reference(self._comparator, objective_before, objective_after)
+            self.accountant.record("secure-subtraction", 2 * self.bit_width)
+            difference = objective_before - objective_after
         else:
             difference = objective_before - objective_after
             _charge_analytic_comparisons(self.accountant, 1, bit_width=self.bit_width)
@@ -567,23 +580,92 @@ def ldp_threshold_reference(
     )
 
 
-def secure_argmax_reference(comparator, values) -> int:
+# --------------------------------------------------------------------------- #
+# Secure comparison
+# --------------------------------------------------------------------------- #
+def secure_compare_reference(comparator: SecureComparator, left: int, right: int) -> bool:
+    """One millionaires' comparison ``left >= right``, one block at a time.
+
+    The oracle of ``SecureComparator.execute_batch`` + ``charge_batch``:
+    both operands split into big-endian ``BLOCK_BITS`` blocks; party A
+    obtains each block's greater-than and equality share through a
+    1-out-of-2^m OT on party B's explicit truth table, charged as it runs
+    (one ``ot-n`` record each); a logarithmic AND/OR tree combines the shares
+    (one ``and-gate`` record per node).  The comparator's accountant and the
+    obs counters see what one comparison of a batch charges.
+    """
+    bit_width, block_bits = comparator.bit_width, comparator.BLOCK_BITS
+    for name, value in (("left", left), ("right", right)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if value >= 1 << bit_width:
+            raise ValueError(f"{name} does not fit in {bit_width} bits")
+    accountant = comparator.accountant
+    table_size = 1 << block_bits
+    greater: List[bool] = []
+    equal: List[bool] = []
+    for index in reversed(range(-(-bit_width // block_bits))):
+        left_block = (int(left) >> (index * block_bits)) & (table_size - 1)
+        right_block = (int(right) >> (index * block_bits)) & (table_size - 1)
+        for shares, table in (
+            (greater, [candidate > right_block for candidate in range(table_size)]),
+            (equal, [candidate == right_block for candidate in range(table_size)]),
+        ):
+            # The receiver learns table[left_block] and nothing else.
+            accountant.ot_invocations += 1
+            obs.add_counter("crypto.ot_invocations")
+            accountant.record("ot-n", table_size + 128)
+            shares.append(table[left_block])
+    while len(greater) > 1:
+        next_greater: List[bool] = []
+        next_equal: List[bool] = []
+        for index in range(0, len(greater) - 1, 2):
+            # gt = gt_high OR (eq_high AND gt_low); eq = eq_high AND eq_low
+            accountant.record("and-gate", 2 * block_bits)
+            next_greater.append(greater[index] or (equal[index] and greater[index + 1]))
+            next_equal.append(equal[index] and equal[index + 1])
+        if len(greater) % 2 == 1:
+            next_greater.append(greater[-1])
+            next_equal.append(equal[-1])
+        greater, equal = next_greater, next_equal
+    accountant.comparisons += 1
+    obs.add_counter("crypto.comparisons")
+    return greater[0] or equal[0]
+
+
+def secure_argmax_reference(comparator: SecureComparator, values) -> int:
     """The scalar scan ``SecureComparator.argmax`` runs as one verified batch.
 
-    One ``compare`` per position against the best so far; ties resolve to the
-    earliest index.
+    One :func:`secure_compare_reference` per position against the best so
+    far; ties resolve to the earliest index.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("argmax of an empty list")
     best_index = 0
     for index in range(1, len(values)):
-        outcome = comparator.compare(values[index], values[best_index])
-        if outcome.left_ge_right and values[index] != values[best_index]:
+        won = secure_compare_reference(comparator, values[index], values[best_index])
+        # Equal values keep the earlier index (deterministic tie-break).
+        if won and values[index] != values[best_index]:
             best_index = index
-        elif outcome.left_ge_right and values[index] == values[best_index]:
-            # Equal values: keep the earlier index (deterministic tie-break).
-            continue
     return best_index
+
+
+def log_degree_bucket_reference(degree: int) -> int:
+    """``round(ln(degree))`` of one degree, 0 for degree 0 — Alg. 1's bucket."""
+    return int(round(math.log(degree))) if degree > 0 else 0
+
+
+#: The only transcript entries the comparison protocols write: message
+#: descriptions and sizes, never an operand.
+ZERO_KNOWLEDGE_ENTRIES = ("ot-n", "and-gate", "secure-subtraction")
+
+
+def transcript_reveals_only_sizes(accountant: TranscriptAccountant) -> bool:
+    """Whether every logged entry is a whitelisted ``description:bits`` pair."""
+    return all(
+        entry.split(":")[0] in ZERO_KNOWLEDGE_ENTRIES and entry.split(":")[1].isdigit()
+        for entry in accountant._log
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -3,9 +3,9 @@
 Every batched kernel in this codebase documents exactly what it consumes
 from the shared ``np.random.Generator`` — either *nothing* (the secure
 comparison kernels: simulated table OTs need no masking randomness) or an
-explicit block draw that is bit-for-bit the scalar loop's consumption (the
-batched 1-out-of-2 OT draws ``2 * n`` pad values).  Prose contracts rot;
-:func:`assert_stream_contract` turns them into executable assertions.
+explicit block draw (the LDP draws, the fault plan's churn block, dropout).
+Prose contracts rot; :func:`assert_stream_contract` turns them into
+executable assertions.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.core import (
     TreeConstructorConfig,
     greedy_initialization,
 )
-from repro.crypto import TranscriptAccountant
+from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, generate_star
 
@@ -72,14 +72,12 @@ class TestFindMaxWorkloadDevice:
         assert assignment.workload(chosen) == assignment.objective()
 
     def test_secure_path_agrees_with_fast_path(self, small_graph):
-        from repro.crypto import WorkloadComparisonProtocol
-
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         assignment = Assignment.full(small_graph)
         fast = find_max_workload_device(environment, assignment)
-        protocol = WorkloadComparisonProtocol(rng=np.random.default_rng(0))
         secure = find_max_workload_device(
-            environment, assignment, protocol=protocol, per_device_ledger=True
+            environment, assignment, comparator=SecureComparator(bit_width=24),
+            per_device_ledger=True,
         )
         assert assignment.workload(fast) == assignment.workload(secure)
 

@@ -1,35 +1,41 @@
-"""Tests for oblivious transfer, secure comparison and the ZK protocols."""
+"""Tests for the transcript accountant, secure comparison and Alg. 2's
+secure objective difference."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import (
-    ComparisonResult,
-    DegreeComparisonProtocol,
-    ObliviousTransfer,
-    SecureComparator,
-    TranscriptAccountant,
-    WorkloadComparisonProtocol,
-    log_degree_bucket,
-    verify_zero_knowledge_transcript,
+from helpers.oracles import (
+    log_degree_bucket_reference,
+    secure_compare_reference,
+    transcript_reveals_only_sizes,
 )
+
+from repro import obs
+from repro.core.greedy import log_degree_buckets
+from repro.core.mcmc import secure_objective_difference
+from repro.crypto import SecureComparator, TranscriptAccountant
+from repro.crypto.oblivious_transfer import transfer_packed_table_batch
+
+TOP_64 = (1 << 64) - 1
+
+
+def _executed(comparator, left, right):
+    return comparator.compare_batch([left], [right], execute=True)
 
 
 class TestTranscriptAccountant:
     def test_record_and_snapshot(self):
         accountant = TranscriptAccountant()
-        accountant.record("ot", 64)
-        accountant.record_ot(32)
+        accountant.record("ot-n", 144)
+        accountant.record("and-gate", 8)
         snapshot = accountant.snapshot()
         assert snapshot["messages"] == 2
-        assert snapshot["bits"] == 64 + (2 * 32 + 128)
-        assert snapshot["ot_invocations"] == 1
+        assert snapshot["bits"] == 144 + 8
+        assert snapshot["ot_invocations"] == 0
 
     def test_merge(self):
         a, b = TranscriptAccountant(), TranscriptAccountant()
@@ -42,157 +48,270 @@ class TestTranscriptAccountant:
         assert a.comparisons == 3
 
 
-class TestObliviousTransfer:
-    def test_receiver_gets_chosen_message(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        result0 = ot.transfer(11, 22, choice=0)
-        result1 = ot.transfer(11, 22, choice=1)
-        assert result0.chosen_message == 11
-        assert result1.chosen_message == 22
-
-    def test_communication_is_accounted(self):
-        accountant = TranscriptAccountant()
-        ot = ObliviousTransfer(accountant=accountant, rng=np.random.default_rng(0))
-        ot.transfer(1, 2, choice=0, message_bits=16)
-        assert accountant.ot_invocations == 1
-        assert accountant.bits == 2 * 16 + 128
-
-    def test_validation(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ot.transfer(1, 2, choice=2)
-        with pytest.raises(ValueError):
-            ot.transfer(2 ** 40, 2, choice=0, message_bits=32)
-
-    def test_transfer_table(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        table = tuple(range(16))
-        assert ot.transfer_table(table, 7, message_bits=4) == 7
-        with pytest.raises(ValueError):
-            ot.transfer_table(table, 20)
-
-    @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1), st.integers(0, 1))
-    @settings(max_examples=30, deadline=None)
-    def test_transfer_correctness_property(self, m0, m1, choice):
-        ot = ObliviousTransfer(rng=np.random.default_rng(m0 ^ m1))
-        result = ot.transfer(m0, m1, choice, message_bits=16)
-        assert result.chosen_message == (m1 if choice else m0)
-
-
 class TestSecureComparator:
     def test_basic_comparisons(self):
-        comparator = SecureComparator(bit_width=16, rng=np.random.default_rng(0))
-        assert comparator.compare(5, 3).left_ge_right
-        assert not comparator.compare(3, 5).left_ge_right
-        assert comparator.compare(7, 7).left_ge_right
+        comparator = SecureComparator(bit_width=16)
+        batch = comparator.compare_batch([5, 3, 7], [3, 5, 7], execute=True)
+        assert batch.left_ge_right.tolist() == [True, False, True]
 
     def test_result_reports_costs(self):
-        comparator = SecureComparator(bit_width=32, rng=np.random.default_rng(0))
-        result = comparator.compare(1000, 999)
-        assert isinstance(result, ComparisonResult)
-        assert result.bits_exchanged > 0
-        assert result.ot_invocations > 0
-        assert result.left_lt_right is False
+        batch = _executed(SecureComparator(bit_width=32), 1000, 999)
+        assert batch.left_ge_right.shape == (1,)
+        assert batch.cost.bits > 0
+        assert batch.cost.ot_invocations > 0
 
     def test_cost_grows_with_bit_width(self):
-        narrow = SecureComparator(bit_width=8, rng=np.random.default_rng(0)).compare(1, 2)
-        wide = SecureComparator(bit_width=48, rng=np.random.default_rng(0)).compare(1, 2)
-        assert wide.bits_exchanged > narrow.bits_exchanged
+        narrow = _executed(SecureComparator(bit_width=8), 1, 2)
+        wide = _executed(SecureComparator(bit_width=48), 1, 2)
+        assert wide.cost.bits > narrow.cost.bits
 
     def test_argmax(self):
-        comparator = SecureComparator(bit_width=16, rng=np.random.default_rng(0))
+        comparator = SecureComparator(bit_width=16)
         assert comparator.argmax([3, 9, 2, 9]) == 1  # earliest index wins ties
         with pytest.raises(ValueError):
             comparator.argmax([])
 
     def test_validation(self):
-        comparator = SecureComparator(bit_width=8, rng=np.random.default_rng(0))
+        comparator = SecureComparator(bit_width=8)
         with pytest.raises(ValueError):
-            comparator.compare(-1, 2)
+            comparator.compare_batch([-1], [2], execute=True)
         with pytest.raises(ValueError):
-            comparator.compare(2, 300)
+            comparator.compare_batch([2], [300], execute=True)
         with pytest.raises(ValueError):
             SecureComparator(bit_width=0)
         with pytest.raises(ValueError):
             SecureComparator(bit_width=65)
         # 64-bit operands are legal since the batch kernels went uint64.
-        assert SecureComparator(bit_width=64).compare(2 ** 64 - 1, 0).left_ge_right
+        assert _executed(SecureComparator(bit_width=64), 2 ** 64 - 1, 0).left_ge_right[0]
 
     def test_accountant_accumulates_comparisons(self):
         accountant = TranscriptAccountant()
-        comparator = SecureComparator(bit_width=16, accountant=accountant,
-                                      rng=np.random.default_rng(0))
-        comparator.compare(10, 20)
-        comparator.compare(20, 10)
+        comparator = SecureComparator(bit_width=16, accountant=accountant)
+        _executed(comparator, 10, 20)
+        _executed(comparator, 20, 10)
         assert accountant.comparisons == 2
 
     @given(st.integers(0, 2 ** 20 - 1), st.integers(0, 2 ** 20 - 1))
     @settings(max_examples=60, deadline=None)
     def test_comparison_correctness_property(self, left, right):
-        comparator = SecureComparator(bit_width=20, rng=np.random.default_rng(left ^ right))
-        assert comparator.compare(left, right).left_ge_right == (left >= right)
+        batch_acc, oracle_acc = TranscriptAccountant(), TranscriptAccountant()
+        batch = _executed(SecureComparator(bit_width=20, accountant=batch_acc), left, right)
+        oracle = secure_compare_reference(
+            SecureComparator(bit_width=20, accountant=oracle_acc), left, right
+        )
+        assert bool(batch.left_ge_right[0]) == oracle == (left >= right)
+        assert batch_acc.snapshot() == oracle_acc.snapshot()
+        assert batch_acc._log == oracle_acc._log
+
+
+class TestTableOT:
+    """The 1-out-of-N table OT of 1-bit messages behind every protocol leaf."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_receiver_gets_chosen_entry(self, dtype):
+        table_size = 8 * np.dtype(dtype).itemsize
+        rng = np.random.default_rng(table_size)
+        top = np.iinfo(dtype).max
+        tables = rng.integers(0, top, size=64, dtype=dtype, endpoint=True)
+        tables[:2] = top, 0
+        choices = rng.integers(0, table_size, size=64).astype(np.uint8)
+        choices[:2] = table_size - 1  # the last entry of a full and an empty table
+        got = transfer_packed_table_batch(tables, choices, table_size)
+        # Entry c of a table is character c of its little-endian bit string.
+        expected = [
+            format(int(word), f"0{table_size}b")[::-1][int(choice)] == "1"
+            for word, choice in zip(tables, choices)
+        ]
+        assert got.dtype == bool
+        assert got.tolist() == expected
+
+    @given(st.integers(0, (1 << 16) - 1), st.integers(0, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_transfer_correctness_property(self, word, choice):
+        got = transfer_packed_table_batch(
+            np.array([word], dtype=np.uint16), np.array([choice], dtype=np.uint8), 16
+        )
+        assert bool(got[0]) == bool(word & (1 << choice))
+
+    def test_empty_batch_transfers_nothing(self):
+        got = transfer_packed_table_batch(
+            np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=np.uint8), 16
+        )
+        assert got.dtype == bool and got.shape == (0,)
+
+    def test_leaf_shares_are_the_block_truth_tables(self):
+        comparator = SecureComparator(bit_width=4)
+        left, right = np.meshgrid(np.arange(16, dtype=np.uint8), np.arange(16, dtype=np.uint8))
+        greater, equal = comparator.leaf_shares(left.reshape(1, -1), right.reshape(1, -1))
+        assert greater.ravel().tolist() == (left > right).ravel().tolist()
+        assert equal.ravel().tolist() == (left == right).ravel().tolist()
+
+    def test_executing_the_protocol_charges_nothing(self):
+        # The OTs and the combine tree are free; only charge_batch charges.
+        accountant = TranscriptAccountant()
+        comparator = SecureComparator(bit_width=16, accountant=accountant)
+        left = np.array([5, 300, 0], dtype=np.uint64)
+        right_blocks = comparator.block_rows(np.array([7, 300, 65535], dtype=np.uint64))
+        with obs.tracing() as tracer:
+            outcomes = comparator.execute_batch(
+                left, lambda left_blocks: comparator.leaf_shares(left_blocks, right_blocks)
+            )
+        assert outcomes.tolist() == [False, True, False]
+        assert accountant.snapshot() == TranscriptAccountant().snapshot()
+        assert accountant._log == []
+        assert tracer.metrics.snapshot()["counters"] == {}
+
+
+class TestWideComparisons:
+    """64-bit operands run the protocol through the uint64 path."""
+
+    EDGES = [0, 1, (1 << 63) - 1, 1 << 63, TOP_64 - 1, TOP_64]
+
+    def test_64_bit_edges_match_the_oracle(self):
+        pairs = [(left, right) for left in self.EDGES for right in self.EDGES]
+        batch_acc, oracle_acc = TranscriptAccountant(), TranscriptAccountant()
+        batch = SecureComparator(64, accountant=batch_acc).compare_batch(
+            [left for left, _ in pairs], [right for _, right in pairs], execute=True
+        )
+        oracle = SecureComparator(64, accountant=oracle_acc)
+        expected = [secure_compare_reference(oracle, left, right) for left, right in pairs]
+        assert batch.left_ge_right.tolist() == expected
+        assert expected == [left >= right for left, right in pairs]
+        assert batch_acc.snapshot() == oracle_acc.snapshot()
+        assert batch_acc._log == oracle_acc._log
+
+    def test_uint64_arrays_pass_through_both_paths(self):
+        left = np.array(self.EDGES, dtype=np.uint64)
+        right = left[::-1].copy()
+        executed = SecureComparator(64).compare_batch(left, right, execute=True)
+        analytic = SecureComparator(64).compare_batch(left, right)
+        expected = [l >= r for l, r in zip(self.EDGES, self.EDGES[::-1])]
+        assert executed.left_ge_right.tolist() == analytic.left_ge_right.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "operands",
+        [[1 << 64], [TOP_64, 1 << 64], [-1, 1 << 63], [-1]],
+        ids=["two-to-the-64", "top-then-two-to-the-64", "negative-then-wide", "negative"],
+    )
+    def test_out_of_range_64_bit_operands_are_rejected(self, operands):
+        comparator = SecureComparator(bit_width=64)
+        zeros = [0] * len(operands)
+        with pytest.raises(ValueError):
+            comparator.compare_batch(operands, zeros, execute=True)
+        with pytest.raises(ValueError):
+            comparator.compare_batch(zeros, operands)
+        with pytest.raises(ValueError):
+            comparator.argmax(operands)
+        # A batch is rejected whole, before anything is charged.
+        assert comparator.accountant.snapshot() == TranscriptAccountant().snapshot()
+        with pytest.raises(ValueError):
+            for value in operands:
+                secure_compare_reference(comparator, value, 0)
+
+
+class TestBlockDecomposition:
+    @pytest.mark.parametrize("bit_width", [1, 5, 8, 63, 64])
+    def test_block_rows_are_big_endian_blocks(self, bit_width):
+        comparator = SecureComparator(bit_width=bit_width)
+        top = (1 << bit_width) - 1
+        values = [0, top, top >> 1, 1 << (bit_width - 1)]
+        rows = comparator.block_rows(np.array(values, dtype=np.uint64))
+        num_blocks = -(-bit_width // 4)
+        assert rows.dtype == np.uint8 and rows.shape == (num_blocks, len(values))
+        for column, value in enumerate(values):
+            assert rows[:, column].tolist() == [
+                (value >> (4 * block)) & 15 for block in reversed(range(num_blocks))
+            ]
+
+
+class TestChargeBatch:
+    @pytest.mark.parametrize("bit_width", [1, 5, 12, 20, 63, 64])
+    def test_charges_count_times_the_oracle_transcript(self, bit_width):
+        oracle_acc = TranscriptAccountant()
+        oracle = SecureComparator(bit_width, accountant=oracle_acc)
+        for left, right in ((0, 0), (1, 0), (0, 1)):
+            secure_compare_reference(oracle, left, right)
+        charged = TranscriptAccountant()
+        cost = SecureComparator(bit_width, accountant=charged).charge_batch(3)
+        assert charged.snapshot() == oracle_acc.snapshot()
+        assert charged._log == oracle_acc._log
+        assert cost.num_blocks == -(-bit_width // 4)
+        assert (3 * cost.messages, 3 * cost.bits) == (oracle_acc.messages, oracle_acc.bits)
+
+    def test_an_empty_batch_charges_nothing(self):
+        accountant = TranscriptAccountant()
+        comparator = SecureComparator(bit_width=24, accountant=accountant)
+        assert comparator.compare_batch([], [], execute=True).left_ge_right.shape == (0,)
+        assert accountant.snapshot() == TranscriptAccountant().snapshot()
+        assert accountant._log == []
+
+
+class TestOracleValidation:
+    def test_the_scalar_oracle_rejects_what_the_batch_rejects(self):
+        comparator = SecureComparator(bit_width=8)
+        for left, right in ((-1, 2), (2, 300)):
+            with pytest.raises(ValueError):
+                secure_compare_reference(comparator, left, right)
+            with pytest.raises(ValueError):
+                comparator.compare_batch([left], [right], execute=True)
 
 
 class TestZeroKnowledgeProtocols:
+    """Definition 2's comparisons: Alg. 1's degree buckets and Alg. 2's
+    objective difference, revealing only comparison bits and sizes."""
+
     def test_log_degree_bucket(self):
-        assert log_degree_bucket(0) == 0
-        assert log_degree_bucket(1) == 0
-        assert log_degree_bucket(3) == 1
-        assert log_degree_bucket(20) == 3
-        assert log_degree_bucket(150) == 5
+        degrees = [0, 1, 3, 20, 150]
+        assert log_degree_buckets(degrees).tolist() == [0, 0, 1, 3, 5]
+        assert [log_degree_bucket_reference(d) for d in degrees] == [0, 0, 1, 3, 5]
 
     def test_degree_comparison_uses_buckets(self):
-        protocol = DegreeComparisonProtocol(rng=np.random.default_rng(0))
         # Degrees 10 and 12 share the bucket round(ln) = 2: both >= each other.
-        assert protocol.compare_degrees(10, 12).left_bucket_ge_right
-        assert protocol.compare_degrees(12, 10).left_bucket_ge_right
         # Degree 100 (bucket 5) vs degree 2 (bucket 1).
-        assert protocol.compare_degrees(100, 2).left_bucket_ge_right
-        assert not protocol.compare_degrees(2, 100).left_bucket_ge_right
-
-    def test_degree_comparison_accounts_bits(self):
-        accountant = TranscriptAccountant()
-        protocol = DegreeComparisonProtocol(accountant=accountant, rng=np.random.default_rng(0))
-        outcome = protocol.compare_degrees(5, 50)
-        assert outcome.bits_exchanged > 0
-        assert accountant.comparisons == 1
-
-    def test_workload_protocol_local_maximum(self):
-        protocol = WorkloadComparisonProtocol(rng=np.random.default_rng(0))
-        assert protocol.is_local_maximum(10, [3, 9, 10])
-        assert not protocol.is_local_maximum(5, [3, 9])
-
-    def test_workload_protocol_argmax(self):
-        protocol = WorkloadComparisonProtocol(rng=np.random.default_rng(0))
-        assert protocol.argmax([4, 8, 2]) == 1
-
-    def test_objective_difference_matches_plain_subtraction(self):
-        protocol = WorkloadComparisonProtocol(rng=np.random.default_rng(0))
-        assert protocol.objective_difference(10, 7) == 3
-        assert protocol.objective_difference(4, 9) == -5
-
-    @pytest.mark.parametrize("before, after", [(10, 7), (4, 9), (0, 0), ((1 << 24) - 1, 0)])
-    def test_objective_difference_charges_one_scalar_comparison(self, before, after):
-        # The one-element executed batch leaves the accountant — counters and
-        # capped log — exactly where a scalar compare plus the subtraction
-        # record would.
-        batched, scalar = TranscriptAccountant(), TranscriptAccountant()
-        WorkloadComparisonProtocol(accountant=batched).objective_difference(before, after)
-        SecureComparator(bit_width=24, accountant=scalar).compare(before, after)
-        scalar.record("secure-subtraction", 48)
-        assert batched.snapshot() == scalar.snapshot()
-        assert batched._log == scalar._log
-
-    def test_transcript_contains_no_operand_values(self):
-        accountant = TranscriptAccountant()
-        protocol = WorkloadComparisonProtocol(accountant=accountant, rng=np.random.default_rng(0))
-        protocol.is_local_maximum(12345, [678, 999])
-        protocol.objective_difference(55, 44)
-        assert verify_zero_knowledge_transcript(accountant)
+        left, right = log_degree_buckets([10, 12, 100, 2]), log_degree_buckets([12, 10, 2, 100])
+        batch = SecureComparator(bit_width=8).compare_batch(left, right, execute=True)
+        assert batch.left_ge_right.tolist() == [True, True, True, False]
 
     @given(st.integers(1, 300), st.integers(1, 300))
     @settings(max_examples=30, deadline=None)
     def test_degree_comparison_property(self, left, right):
-        protocol = DegreeComparisonProtocol(rng=np.random.default_rng(left * 301 + right))
-        expected = log_degree_bucket(left) >= log_degree_bucket(right)
-        assert protocol.compare_degrees(left, right).left_bucket_ge_right == expected
+        buckets = log_degree_buckets([left, right])
+        batch = SecureComparator(bit_width=8).compare_batch(
+            buckets[:1], buckets[1:], execute=True
+        )
+        expected = log_degree_bucket_reference(left) >= log_degree_bucket_reference(right)
+        assert bool(batch.left_ge_right[0]) == expected
+
+    def test_objective_difference_matches_plain_subtraction(self):
+        comparator = SecureComparator(bit_width=24)
+        assert secure_objective_difference(comparator, 10, 7) == 3
+        assert secure_objective_difference(comparator, 4, 9) == -5
+
+    @pytest.mark.parametrize("before, after", [(10, 7), (4, 9), (0, 0), ((1 << 24) - 1, 0)])
+    def test_objective_difference_charges_one_scalar_comparison(self, before, after):
+        # The one-element executed batch leaves the accountant — counters and
+        # capped log — exactly where one scalar protocol comparison plus the
+        # subtraction record would.
+        batched, oracle = TranscriptAccountant(), TranscriptAccountant()
+        secure_objective_difference(SecureComparator(24, accountant=batched), before, after)
+        secure_compare_reference(SecureComparator(24, accountant=oracle), before, after)
+        oracle.record("secure-subtraction", 48)
+        assert batched.snapshot() == oracle.snapshot()
+        assert batched._log == oracle._log
+
+    def test_objective_difference_refuses_a_disagreeing_comparison(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.crypto.secure_compare.transfer_packed_table_batch",
+            lambda tables, choices, table_size: np.zeros(np.shape(choices), dtype=bool),
+        )
+        with pytest.raises(RuntimeError, match="disagrees with computed difference"):
+            secure_objective_difference(SecureComparator(bit_width=24), 10, 7)
+
+    def test_transcript_contains_no_operand_values(self):
+        accountant = TranscriptAccountant()
+        comparator = SecureComparator(bit_width=24, accountant=accountant)
+        comparator.compare_batch([12345, 12345], [678, 999], execute=True)
+        secure_objective_difference(comparator, 55, 44)
+        assert transcript_reveals_only_sizes(accountant)
+        accountant.record("workload=12345", 8)
+        assert not transcript_reveals_only_sizes(accountant)

@@ -30,7 +30,7 @@ import pytest
 from helpers.oracles import LedgerOracle
 from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.core.workload import Assignment
-from repro.crypto import TranscriptAccountant, WorkloadComparisonProtocol
+from repro.crypto import SecureComparator
 from repro.crypto.secure_compare import comparison_cost
 from repro.crypto.transport import charge_comparison_ledger
 from repro.federation import SERVER_ID, CommunicationLedger, FederatedEnvironment, MessageKind
@@ -299,11 +299,9 @@ def test_flushing_secure_alg3_calls_costs_one_arange_plus_bytes_per_call():
     selected = {device: [device + 1] for device in range(n - 2)}
     selected.update({0: [1, n - 1], n - 2: [n - 1], n - 1: []})
     kernel = _IncrementalBalancingKernel(environment, Assignment.from_lists(selected))
-    protocol = WorkloadComparisonProtocol(
-        bit_width=24, accountant=TranscriptAccountant(), rng=np.random.default_rng(0)
-    )
+    comparator = SecureComparator(bit_width=24)
     for round_index in range(calls):
-        assert kernel.find_max_workload_device_secure(protocol, round_index) == 0
+        assert kernel.find_max_workload_device_secure(comparator, round_index) == 0
     grown = _traced_growth(kernel.flush_transcript)
     assert grown <= 8 * n + 2048 * calls
     counts = environment.ledger.messages.label_counts()

@@ -10,17 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.oracles import transcript_reveals_only_sizes
+
 from repro.core import (
     LDPEmbeddingInitializer,
     TreeConstructor,
     TreeConstructorConfig,
     greedy_initialization,
 )
-from repro.crypto import (
-    OneBitMechanism,
-    TranscriptAccountant,
-    verify_zero_knowledge_transcript,
-)
+from repro.crypto import OneBitMechanism, TranscriptAccountant
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like
 
@@ -82,7 +80,7 @@ class TestDegreePrivacy:
         environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
         accountant = TranscriptAccountant()
         greedy_initialization(environment, accountant=accountant, rng=np.random.default_rng(0))
-        assert verify_zero_knowledge_transcript(accountant)
+        assert transcript_reveals_only_sizes(accountant)
 
     def test_ledger_messages_carry_no_degree_payload(self, privacy_graph):
         """Secure-comparison ledger entries record only byte counts."""

@@ -144,6 +144,44 @@ RETIRED_CHAOS_NAMES = {
 }
 
 
+#: The protocol surface production never ran: the 1-out-of-2 OT with its pad
+#: draws and its two-party session, the one-at-a-time comparator (its
+#: oracle is ``secure_compare_reference`` in tests/helpers/oracles.py), and
+#: the zero-knowledge wrappers that only passed through to ``SecureComparator``.
+RETIRED_PROTOCOL_NAMES = {
+    "ObliviousTransfer",
+    "OTResult",
+    "record_ot",
+    "transfer_batch",
+    "transfer_table",
+    "_draw_pad_block",
+    "RemoteOTOutcome",
+    "ot_payload_bytes",
+    "_serve_ot",
+    "_serve_session",
+    "_pack_values",
+    "_unpack_values",
+    "OT_REQUEST",
+    "OT_RESPONSE",
+    "ComparisonResult",
+    "bits_per_comparison",
+    "_operand_array",
+    "compare",
+    "_block_compare",
+    "zero_knowledge",
+    "DegreeComparisonProtocol",
+    "DegreeComparisonOutcome",
+    "WorkloadComparisonProtocol",
+    "compare_degrees",
+    "compare_degrees_many",
+    "compare_workloads_many",
+    "is_local_maximum",
+    "objective_difference",
+    "log_degree_bucket",
+    "verify_zero_knowledge_transcript",
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -202,6 +240,21 @@ def test_retired_chaos_names_stay_gone(modules):
     assert not _retired_names_found(
         modules, ("repro.runtime", "repro.crypto", "repro.maintenance"), RETIRED_CHAOS_NAMES
     )
+
+
+def test_retired_protocol_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules, ("repro.crypto", "repro.core", "repro.runtime"), RETIRED_PROTOCOL_NAMES
+    )
+
+
+def test_no_comparator_takes_a_random_stream():
+    # The table OTs need no masking randomness, so nothing on the comparison
+    # path has a generator to draw from.
+    from repro.crypto import RemoteParty, SecureComparator
+
+    for cls in (SecureComparator, RemoteParty):
+        assert "rng" not in inspect.signature(cls).parameters
 
 
 def test_no_module_mentions_chaos(modules):

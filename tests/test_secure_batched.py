@@ -1,6 +1,6 @@
 """Equivalence tests for the batched secure-mode construction kernels.
 
-The batched secure kernels (vectorised OT simulation,
+The batched secure kernels (the packed table-OT simulation,
 ``SecureComparator.compare_batch(execute=True)``, the secure greedy kernel
 and the incremental balancer's secure Alg. 3 path) must be *bit-for-bit*
 indistinguishable from the per-comparison reference loops in every recorded
@@ -27,6 +27,8 @@ from helpers.oracles import (
     greedy_initialization_reference,
     mcmc_run_reference,
     secure_argmax_reference,
+    secure_compare_reference,
+    transcript_reveals_only_sizes,
 )
 from helpers.rng_contract import assert_stream_contract, clone_generator
 
@@ -36,13 +38,8 @@ from repro.core import (
     TreeConstructorConfig,
     greedy_initialization,
 )
-from repro.crypto import (
-    ObliviousTransfer,
-    SecureComparator,
-    TranscriptAccountant,
-    WorkloadComparisonProtocol,
-    verify_zero_knowledge_transcript,
-)
+from repro.crypto import SecureComparator, TranscriptAccountant
+from repro.crypto.oblivious_transfer import transfer_packed_table_batch
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, generate_small_world, generate_star
 
@@ -65,7 +62,7 @@ def _edge_and_random_operands(bit_width: int, seed: int, count: int = 40):
 def _compare_looped(bit_width, left, right):
     accountant = TranscriptAccountant()
     comparator = SecureComparator(bit_width=bit_width, accountant=accountant)
-    outcomes = [comparator.compare(l, r).left_ge_right for l, r in zip(left, right)]
+    outcomes = [secure_compare_reference(comparator, l, r) for l, r in zip(left, right)]
     return outcomes, accountant
 
 
@@ -80,7 +77,7 @@ def _compare_batched(bit_width, left, right, execute):
 
 
 class TestCompareBatchEquivalence:
-    """`compare_batch` (executed protocol) vs the looped scalar protocol."""
+    """`compare_batch` (executed protocol) vs the one-at-a-time oracle."""
 
     @pytest.mark.parametrize("bit_width", BIT_WIDTHS)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -91,7 +88,7 @@ class TestCompareBatchEquivalence:
         assert batch_outcomes == loop_outcomes
         assert batch_acc.snapshot() == loop_acc.snapshot()
         assert batch_acc._log == loop_acc._log
-        assert verify_zero_knowledge_transcript(batch_acc)
+        assert transcript_reveals_only_sizes(batch_acc)
 
     @pytest.mark.parametrize("bit_width", BIT_WIDTHS)
     def test_analytic_and_executed_paths_agree(self, bit_width):
@@ -113,92 +110,36 @@ class TestCompareBatchEquivalence:
         assert batch_acc.snapshot() == loop_acc.snapshot()
         assert batch_acc._log == loop_acc._log
 
-    def test_workload_protocol_batch_executes(self):
-        accountant = TranscriptAccountant()
-        protocol = WorkloadComparisonProtocol(bit_width=24, accountant=accountant)
-        batch = protocol.compare_workloads_many([5, 3, 7], [5, 9, 1])
-        assert list(batch.left_ge_right) == [True, False, True]
-        assert accountant.comparisons == 3
-
-
 class TestOTBatchContracts:
-    """Batched OT kernels: equivalence plus the RNG block-draw contract."""
+    """The packed table OT: what the receiver learns, and no RNG draws."""
 
-    def test_transfer_batch_draws_exactly_two_per_position(self):
-        message_bits = 16
-        modulus = 1 << message_bits
-        count = 25
-        rng_values = np.random.default_rng(5)
-        m0 = rng_values.integers(0, modulus, size=count)
-        m1 = rng_values.integers(0, modulus, size=count)
-        choices = rng_values.integers(0, 2, size=count)
-
-        batch_acc = TranscriptAccountant()
-        rng = np.random.default_rng(7)
-        chosen = assert_stream_contract(
-            lambda generator: ObliviousTransfer(batch_acc, generator).transfer_batch(
-                m0, m1, choices, message_bits=message_bits
-            ),
-            rng,
-            # Documented contract: one (n, 2) block draw == 2n scalar draws.
-            2 * count,
-            draw=lambda generator, n: generator.integers(modulus, size=(n // 2, 2)),
-        )
-
-        loop_acc = TranscriptAccountant()
-        loop_ot = ObliviousTransfer(loop_acc, np.random.default_rng(7))
-        expected = [
-            loop_ot.transfer(int(a), int(b), int(c), message_bits=message_bits).chosen_message
-            for a, b, c in zip(m0, m1, choices)
-        ]
-        assert list(chosen) == expected
-        assert batch_acc.snapshot() == loop_acc.snapshot()
-        assert batch_acc._log == loop_acc._log
-
-    def test_packed_table_batch_draws_nothing_and_matches_transfer_table(self):
+    def test_packed_table_batch_draws_nothing_and_looks_up_the_table(self):
         values = np.random.default_rng(2)
         tables = values.integers(0, 1 << 16, size=(3, 40)).astype(np.uint16)
         choices = values.integers(0, 16, size=(3, 40)).astype(np.uint8)
-        accountant = TranscriptAccountant()
         got = assert_stream_contract(
-            lambda generator: ObliviousTransfer(
-                accountant, generator
-            ).transfer_packed_table_batch(tables, choices, 16),
+            lambda _: transfer_packed_table_batch(tables, choices, 16),
             np.random.default_rng(11),
             0,
         )
-        # Accounting is the calling kernel's (canonical per-comparison pattern).
-        assert accountant.snapshot() == TranscriptAccountant().snapshot()
-        assert accountant._log == []
-        scalar = ObliviousTransfer()
+        # The receiver learns entry ``choice`` of the unpacked 16-entry table.
         expected = [
-            scalar.transfer_table(
-                tuple((int(word) >> entry) & 1 for entry in range(16)), int(choice), message_bits=1
-            )
+            [(int(word) >> entry) & 1 for entry in range(16)][int(choice)]
             for word, choice in zip(tables.ravel(), choices.ravel())
         ]
         assert got.dtype == bool and got.shape == tables.shape
         assert got.ravel().tolist() == [bool(bit) for bit in expected]
 
     def test_packed_table_batch_validation(self):
-        ot = ObliviousTransfer()
         words = np.array([3, 5], dtype=np.uint16)
         with pytest.raises(ValueError):  # a choice past the table
-            ot.transfer_packed_table_batch(words, np.array([0, 16], dtype=np.uint8), 16)
+            transfer_packed_table_batch(words, np.array([0, 16], dtype=np.uint8), 16)
         with pytest.raises(ValueError):  # a table wider than its word
-            ot.transfer_packed_table_batch(words, np.array([0, 1], dtype=np.uint8), 32)
+            transfer_packed_table_batch(words, np.array([0, 1], dtype=np.uint8), 32)
         with pytest.raises(ValueError):  # shapes differ
-            ot.transfer_packed_table_batch(words, np.array([0], dtype=np.uint8), 16)
+            transfer_packed_table_batch(words, np.array([0], dtype=np.uint8), 16)
         with pytest.raises(ValueError):  # signed shifts are not table indices
-            ot.transfer_packed_table_batch(words, np.array([0, -1]), 16)
-
-    def test_transfer_batch_validation(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ot.transfer_batch([1], [2], [3])
-        with pytest.raises(ValueError):
-            ot.transfer_batch([1 << 40], [2], [0], message_bits=32)
-        assert ot.transfer_batch([], [], []).shape == (0,)
+            transfer_packed_table_batch(words, np.array([0, -1]), 16)
 
     def test_clear_batched_kernels_draw_nothing(self, social_graph):
         """The clear kernels' prose 'draws nothing' contract, now executable."""
@@ -261,19 +202,21 @@ class TestBatchedArgmax:
             comparator.argmax([1, -1])
 
 
-class _ZeroBitOT(ObliviousTransfer):
+@pytest.fixture()
+def zero_bit_ot(monkeypatch):
     """A table OT whose receiver learns all-zero bits, whatever was sent."""
+    monkeypatch.setattr(
+        "repro.crypto.secure_compare.transfer_packed_table_batch",
+        lambda tables, choices, table_size: np.zeros(np.shape(choices), dtype=bool),
+    )
 
-    def transfer_packed_table_batch(self, tables, choices, table_size):
-        return np.zeros(np.shape(choices), dtype=bool)
 
-
+@pytest.mark.usefixtures("zero_bit_ot")
 class TestOutcomesDeriveOnlyFromOTOutputs:
     """ROADMAP invariant: no plaintext side path produces a comparison bit."""
 
     def test_compare_batch_returns_what_the_ot_returned(self):
         comparator = SecureComparator(bit_width=16)
-        comparator._ot = _ZeroBitOT(comparator.accountant)
         left, right = _edge_and_random_operands(16, 4)
         batch = comparator.compare_batch(left, right, execute=True)
         assert any(l >= r for l, r in zip(left, right))
@@ -281,7 +224,6 @@ class TestOutcomesDeriveOnlyFromOTOutputs:
 
     def test_argmax_refuses_an_answer_the_protocol_did_not_produce(self):
         comparator = SecureComparator(bit_width=16)
-        comparator._ot = _ZeroBitOT(comparator.accountant)
         with pytest.raises(RuntimeError, match="secure argmax disagrees"):
             comparator.argmax([1, 5, 3])
 
@@ -293,73 +235,8 @@ class TestOutcomesDeriveOnlyFromOTOutputs:
         balancer = MCMCBalancer(
             environment, iterations=3, rng=np.random.default_rng(7), secure=True
         )
-        balancer._protocol._comparator._ot = _ZeroBitOT(balancer.accountant)
         with pytest.raises(RuntimeError, match="secure batched Alg. 3 disagrees"):
             balancer.run(initial)
-
-
-class TestWideOT:
-    """64-bit operands: ``modulus = 2**64`` no longer fits numpy's default
-    int64 bounded draw, so wide widths take an explicit uint64 pad path."""
-
-    TOP = (1 << 64) - 1
-
-    def test_scalar_transfer_at_the_64_bit_edge(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        assert ot.transfer(self.TOP, 0, 0, message_bits=64).chosen_message == self.TOP
-        assert ot.transfer(0, self.TOP, 1, message_bits=64).chosen_message == self.TOP
-        assert ot.transfer(self.TOP, self.TOP, 1, message_bits=64).chosen_message == self.TOP
-
-    def test_batch_matches_scalar_loop_at_64_bits(self):
-        m0 = np.array([self.TOP, 0, self.TOP - 1, 12345], dtype=np.uint64)
-        m1 = np.array([0, self.TOP, 1, self.TOP], dtype=np.uint64)
-        choices = np.array([0, 1, 1, 0])
-        batch_acc = TranscriptAccountant()
-        rng = np.random.default_rng(3)
-        chosen = assert_stream_contract(
-            lambda generator: ObliviousTransfer(batch_acc, generator).transfer_batch(
-                m0, m1, choices, message_bits=64
-            ),
-            rng,
-            2 * 4,
-            draw=lambda g, n: g.integers(
-                0, (1 << 64) - 1, size=(n // 2, 2), dtype=np.uint64, endpoint=True
-            ),
-        )
-        assert chosen.dtype == np.uint64
-        loop_acc = TranscriptAccountant()
-        loop_ot = ObliviousTransfer(loop_acc, np.random.default_rng(3))
-        expected = [
-            loop_ot.transfer(int(a), int(b), int(c), message_bits=64).chosen_message
-            for a, b, c in zip(m0, m1, choices)
-        ]
-        assert [int(value) for value in chosen] == expected
-        assert batch_acc.snapshot() == loop_acc.snapshot()
-        assert batch_acc._log == loop_acc._log
-
-    def test_63_bit_batches_stay_on_the_historical_stream(self):
-        # The widest narrow width: its modulus (2**63) is still a legal int64
-        # exclusive bound, so streams pinned before the uint64 fix must not
-        # shift.
-        chosen = assert_stream_contract(
-            lambda generator: ObliviousTransfer(
-                TranscriptAccountant(), generator
-            ).transfer_batch([5, 1], [9, 2], [1, 0], message_bits=63),
-            np.random.default_rng(1),
-            2 * 2,
-            draw=lambda g, n: g.integers(1 << 63, size=(n // 2, 2)),
-        )
-        assert chosen.dtype == np.int64
-        assert list(chosen) == [9, 1]
-
-    def test_out_of_range_64_bit_operands_are_rejected(self):
-        ot = ObliviousTransfer(rng=np.random.default_rng(0))
-        with pytest.raises((ValueError, OverflowError)):
-            ot.transfer_batch([1 << 64], [0], [0], message_bits=64)
-        with pytest.raises(ValueError):
-            ot.transfer_batch([-1], [0], [0], message_bits=64)
-        with pytest.raises(ValueError):
-            ot.transfer(1 << 64, 0, 0, message_bits=64)
 
 
 def _run_secure_greedy(make_environment, oracle, seed=0):
@@ -466,7 +343,7 @@ class TestSecureBalancingEquivalence:
     def test_secure_transcript_is_zero_knowledge(self):
         graph = generate_small_world(num_nodes=30, k=4, seed=9)
         _, _, accountant = _run_secure_balancer(graph, oracle=False)
-        assert verify_zero_knowledge_transcript(accountant)
+        assert transcript_reveals_only_sizes(accountant)
 
 
 class TestSecureConstructorEquivalence:

@@ -9,13 +9,13 @@ nightly job.
 Contracts pinned here:
 
 * **bit-for-bit equivalence** — a :class:`RemoteParty` session produces the
-  same results, accountant counters + capped log, canonical ledger
-  transcript, and final RNG state as the in-process simulation
-  (``SecureComparator.compare_batch(execute=True)`` /
-  ``ObliviousTransfer.transfer_batch``);
+  same results, accountant counters + capped log, and canonical ledger
+  transcript as the in-process simulation
+  (``SecureComparator.compare_batch(execute=True)``), and draws nothing from
+  any random stream;
 * **measured == analytic** — protocol frame payloads reconcile exactly
-  against ``comparison_cost()`` / ``ot_payload_bytes()``, and tampered
-  accounting raises :class:`MeasuredCostMismatch` instead of passing silently;
+  against ``comparison_cost()``, and tampered accounting raises
+  :class:`MeasuredCostMismatch` instead of passing silently;
 * **typed failure surfaces** — CRC/length/kind violations, timeouts, closed
   pipes, and killed peers all raise typed errors, never hang, and a kill
   inside a runtime worker surfaces as a ``FailedAttempt``.  The kills are
@@ -38,7 +38,6 @@ from helpers.rng_contract import assert_stream_contract
 
 from repro.crypto import (
     MeasuredCostMismatch,
-    ObliviousTransfer,
     RemoteParty,
     RemotePartyError,
     SecureComparator,
@@ -46,11 +45,7 @@ from repro.crypto import (
     TransportReport,
     comparison_cost,
 )
-from repro.crypto.transport import (
-    _serve_comparison,
-    charge_comparison_ledger,
-    ot_payload_bytes,
-)
+from repro.crypto.transport import _serve_comparison, charge_comparison_ledger
 from repro.federation import CommunicationLedger
 from repro.runtime import (
     CallableItem,
@@ -85,20 +80,6 @@ def _operands(bit_width: int, count: int, seed: int):
     return left, right
 
 
-def _ot_messages(message_bits: int, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    top = (1 << message_bits) - 1
-    zero = rng.integers(0, top, size=count, dtype=np.uint64, endpoint=True)
-    one = rng.integers(0, top, size=count, dtype=np.uint64, endpoint=True)
-    choices = rng.integers(0, 2, size=count)
-    if message_bits == 64:
-        zero[:2] = [(1 << 64) - 1, 0]
-        one[:2] = [0, (1 << 64) - 1]
-    if message_bits < 64:
-        return zero.astype(np.int64), one.astype(np.int64), choices
-    return zero, one, choices
-
-
 def _raw_write(channel: PartyChannel, data: bytes) -> None:
     """Put ``data`` on ``channel``'s socket as is, bypassing the framing."""
     channel._socket.sendall(data)
@@ -110,21 +91,21 @@ def _raw_write(channel: PartyChannel, data: bytes) -> None:
 class TestPartyChannel:
     def test_roundtrip_and_stats(self):
         driver, party = channel_pair(timeout=TIMEOUT)
-        sent = driver.send(FrameKind.OT_REQUEST, b"abcde")
+        sent = driver.send(FrameKind.CMP_CHOICES, b"abcde")
         assert sent == 5
         driver.send(FrameKind.CONTROL)  # empty payload is legal
-        kind, payload = party.recv(expected=(FrameKind.OT_REQUEST,))
-        assert kind is FrameKind.OT_REQUEST and payload == b"abcde"
+        kind, payload = party.recv(expected=(FrameKind.CMP_CHOICES,))
+        assert kind is FrameKind.CMP_CHOICES and payload == b"abcde"
         kind, payload = party.recv()
         assert kind is FrameKind.CONTROL and payload == b""
 
         assert driver.stats.frames_sent == 2
         assert driver.stats.payload_bytes_sent == 5
-        assert driver.stats.by_kind_sent == {"OT_REQUEST": 5, "CONTROL": 0}
+        assert driver.stats.by_kind_sent == {"CMP_CHOICES": 5, "CONTROL": 0}
         assert driver.stats.wire_bytes_sent == 5 + 2 * FRAME_OVERHEAD_BYTES
         assert party.stats.frames_received == 2
         assert party.stats.payload_bytes_received == 5
-        assert party.stats.by_kind_received == {"OT_REQUEST": 5, "CONTROL": 0}
+        assert party.stats.by_kind_received == {"CMP_CHOICES": 5, "CONTROL": 0}
         assert party.stats.wire_bytes_received == 5 + 2 * FRAME_OVERHEAD_BYTES
         snapshot = driver.stats.snapshot()
         assert snapshot["frames_sent"] == 2
@@ -246,8 +227,8 @@ class TestPartyChannel:
     def test_unexpected_kind_mid_protocol_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
         driver.send(FrameKind.CONTROL, b"hello")
-        with pytest.raises(FrameCorruption, match="expected OT_REQUEST"):
-            party.recv(expected=(FrameKind.OT_REQUEST,))
+        with pytest.raises(FrameCorruption, match="expected CMP_CHOICES"):
+            party.recv(expected=(FrameKind.CMP_CHOICES,))
         driver.close()
         party.close()
 
@@ -315,21 +296,17 @@ class TestRemoteComparisonEquivalence:
 
         remote_acc = TranscriptAccountant()
         remote_ledger = CommunicationLedger()
-        rng = np.random.default_rng(11)
         driver = RemoteParty(
-            bit_width=bit_width, accountant=remote_acc, rng=rng,
-            timeout=TIMEOUT, ledger=remote_ledger,
+            bit_width=bit_width, accountant=remote_acc, timeout=TIMEOUT, ledger=remote_ledger,
         )
         # RNG contract: a remote comparison draws nothing (table OTs need no
         # masking randomness) — same as the in-process kernel.
         outcome = assert_stream_contract(
-            lambda _generator: driver.compare_batch(left, right), rng, 0
+            lambda _generator: driver.compare_batch(left, right), np.random.default_rng(11), 0
         )
 
         local_acc = TranscriptAccountant()
-        comparator = SecureComparator(
-            bit_width=bit_width, accountant=local_acc, rng=np.random.default_rng(11)
-        )
+        comparator = SecureComparator(bit_width=bit_width, accountant=local_acc)
         batch = comparator.compare_batch(left, right, execute=True)
 
         assert np.array_equal(outcome.left_ge_right, batch.left_ge_right)
@@ -391,15 +368,8 @@ class TestRemoteComparisonEquivalence:
         assert outcome.report.analytic_payload_bytes == count * cost.bits // 8
         assert outcome.report.protocol_payload_bytes == outcome.report.analytic_payload_bytes
 
-    def test_empty_ot_batch_short_circuits(self):
-        driver = RemoteParty(timeout=TIMEOUT)
-        outcome = driver.transfer_batch([], [], [])
-        assert outcome.chosen_messages.shape == (0,)
-        assert outcome.report.frames == 0
-
     def test_empty_comparison_batch_short_circuits(self, monkeypatch):
-        # The same empty-batch rule as the OT session: no party process, no
-        # frames, nothing in the ledger's frame table.
+        # No party process, no frames, nothing in the ledger's frame table.
         def no_session(*_args, **_kwargs):
             raise AssertionError("an empty batch must not start a session")
 
@@ -410,7 +380,6 @@ class TestRemoteComparisonEquivalence:
         assert outcome.left_ge_right.shape == (0,)
         assert outcome.left_ge_right.dtype == bool
         assert outcome.report == TransportReport(0, 0, 0, 0, 0, {})
-        assert outcome.report == driver.transfer_batch([], [], []).report
         assert not len(ledger.frames)
         assert not ledger.message_records()
         assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
@@ -422,52 +391,9 @@ class TestRemoteComparisonEquivalence:
         with pytest.raises(ValueError):
             driver.compare_batch([300], [1])
         with pytest.raises(ValueError):
-            driver.transfer_batch([1], [2], [5])
+            driver.compare_batch([-1], [1])
         with pytest.raises(ValueError):
             RemoteParty(bit_width=0)
-        with pytest.raises(ValueError):
-            # Remote OT moves whole bytes on the wire.
-            driver.transfer_batch([1], [2], [1], message_bits=12)
-
-
-# --------------------------------------------------------------------------- #
-# Two-party equivalence: OT sessions (including the 64-bit pad fix)
-# --------------------------------------------------------------------------- #
-@pytest.mark.transport_smoke
-class TestRemoteOTEquivalence:
-    @pytest.mark.parametrize("message_bits", (32, 64))
-    def test_matches_in_process_transfer_batch(self, message_bits):
-        count = 17
-        zero, one, choices = _ot_messages(message_bits, count, seed=5)
-
-        remote_acc = TranscriptAccountant()
-        rng = np.random.default_rng(7)
-        driver = RemoteParty(accountant=remote_acc, rng=rng, timeout=TIMEOUT)
-        if message_bits >= 64:
-            replay = lambda g, n: g.integers(
-                0, (1 << 64) - 1, size=(n // 2, 2), dtype=np.uint64, endpoint=True
-            )
-        else:
-            replay = lambda g, n: g.integers(1 << message_bits, size=(n // 2, 2))
-        outcome = assert_stream_contract(
-            lambda _generator: driver.transfer_batch(
-                zero, one, choices, message_bits=message_bits
-            ),
-            rng, 2 * count, draw=replay,
-        )
-
-        local_acc = TranscriptAccountant()
-        local = ObliviousTransfer(local_acc, np.random.default_rng(7)).transfer_batch(
-            zero, one, choices, message_bits=message_bits
-        )
-        assert np.array_equal(outcome.chosen_messages, local)
-        assert outcome.chosen_messages.dtype == local.dtype
-        assert remote_acc.snapshot() == local_acc.snapshot()
-        assert remote_acc._log == local_acc._log
-        assert outcome.report.protocol_payload_bytes == count * ot_payload_bytes(
-            message_bits
-        )
-        assert outcome.report.protocol_payload_bytes == outcome.report.analytic_payload_bytes
 
 
 # --------------------------------------------------------------------------- #
@@ -541,9 +467,8 @@ class TestOneKernel:
         # of the analytic size (the session still reconciles) — and the
         # driver, which holds only ``left``, must answer all-False.
         monkeypatch.setattr(
-            ObliviousTransfer,
-            "transfer_packed_table_batch",
-            lambda self, tables, choices, table_size: np.zeros(np.shape(choices), dtype=bool),
+            "repro.crypto.secure_compare.transfer_packed_table_batch",
+            lambda tables, choices, table_size: np.zeros(np.shape(choices), dtype=bool),
         )
         left, right = _operands(16, count=6, seed=2)
         assert any(l >= r for l, r in zip(left, right))
@@ -603,13 +528,19 @@ class TestChaosPeerDeath:
             driver.compare_batch([1, 2], [2, 1], session_key="party-kill")
         assert "exit code 86" in str(excinfo.value)
 
-    def test_party_killed_mid_ot_session_is_a_typed_error(self):
-        # The party survives its first two sends (ready, OT_REQUEST) and dies
-        # before the third (the result reveal) — a genuine mid-protocol death
-        # with frames already on the wire.
-        driver = RemoteParty(timeout=5.0)
+    def test_party_killed_mid_comparison_session_is_a_typed_error(self):
+        # An 8-bit comparison has two block rows.  The party survives its
+        # first two sends (ready, the first CMP_RESPONSE) and dies before the
+        # second response — a genuine mid-protocol death with frames already
+        # on the wire.
+        ledger = CommunicationLedger()
+        driver = RemoteParty(bit_width=8, timeout=5.0, ledger=ledger)
         with party_dies_before_send(3), pytest.raises(RemotePartyError, match="exit code 86"):
-            driver.transfer_batch([1, 2], [3, 4], [0, 1], session_key="mid-ot")
+            driver.compare_batch([1, 2], [3, 4], session_key="mid-comparison")
+        assert "CMP_RESPONSE" in {kind for kind, _ in ledger.frames.labels}
+        # A session that died charges nothing to the canonical transcript.
+        assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+        assert not ledger.message_records()
 
     def test_killed_party_inside_a_worker_surfaces_as_failed_attempt(self):
         # The full runtime path: a worker dispatches a real two-party session,
@@ -706,38 +637,17 @@ class TestEquivalenceSweep:
         left, right = _operands(bit_width, count=33, seed=bit_width)
         count = len(left)
         remote_acc = TranscriptAccountant()
-        rng = np.random.default_rng(bit_width)
-        driver = RemoteParty(
-            bit_width=bit_width, accountant=remote_acc, rng=rng, timeout=TIMEOUT
-        )
+        driver = RemoteParty(bit_width=bit_width, accountant=remote_acc, timeout=TIMEOUT)
         outcome = assert_stream_contract(
-            lambda _generator: driver.compare_batch(left, right), rng, 0
+            lambda _generator: driver.compare_batch(left, right),
+            np.random.default_rng(bit_width),
+            0,
         )
         local_acc = TranscriptAccountant()
-        batch = SecureComparator(
-            bit_width=bit_width, accountant=local_acc,
-            rng=np.random.default_rng(bit_width),
-        ).compare_batch(left, right, execute=True)
+        batch = SecureComparator(bit_width=bit_width, accountant=local_acc).compare_batch(
+            left, right, execute=True
+        )
         assert np.array_equal(outcome.left_ge_right, batch.left_ge_right)
         assert remote_acc.snapshot() == local_acc.snapshot()
         assert remote_acc._log == local_acc._log
         assert outcome.report.protocol_payload_bytes == count * outcome.cost.bits // 8
-
-    @pytest.mark.parametrize("message_bits", (8, 16, 24, 32, 48, 64))
-    def test_ot_equivalence_across_widths(self, message_bits):
-        count = 29
-        zero, one, choices = _ot_messages(message_bits, count, seed=message_bits)
-        remote_acc = TranscriptAccountant()
-        rng = np.random.default_rng(message_bits)
-        driver = RemoteParty(accountant=remote_acc, rng=rng, timeout=TIMEOUT)
-        outcome = driver.transfer_batch(zero, one, choices, message_bits=message_bits)
-        local_acc = TranscriptAccountant()
-        local = ObliviousTransfer(
-            local_acc, np.random.default_rng(message_bits)
-        ).transfer_batch(zero, one, choices, message_bits=message_bits)
-        assert np.array_equal(outcome.chosen_messages, local)
-        assert remote_acc.snapshot() == local_acc.snapshot()
-        assert remote_acc._log == local_acc._log
-        assert outcome.report.protocol_payload_bytes == count * ot_payload_bytes(
-            message_bits
-        )
