@@ -37,6 +37,7 @@ from ..faults.config import FaultScenarioConfig
 from ..faults.plan import FaultPlan
 from ..federation.events import MessageKind
 from ..federation.simulator import FederatedEnvironment
+from ..gnn.gat import GATLayer
 from ..gnn.gcn import GCNLayer
 from ..gnn.link_prediction import link_prediction_objective, roc_auc_from_embeddings
 from ..gnn.models import EncoderConfig, GNNEncoder
@@ -95,6 +96,7 @@ class TreeBatch:
     _pool_matrix: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _folded_pool_adjacency: Any = field(default=None, repr=False, compare=False)
     _pool_row_sums: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _pooled_edge_index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def _factored(
@@ -154,13 +156,32 @@ class TreeBatch:
             ).ravel()
         return self._pool_row_sums
 
+    def pooled_edge_index(self) -> np.ndarray:
+        """The columns of ``edge_index`` that end at a leaf row, in order.
+
+        Pooling (Eq. 31) reads the leaf rows only, and an attention layer's
+        row depends on nothing but its own incoming edges: a final GAT layer
+        over these edges gives every leaf row the bits of the full layer (the
+        same edges, in the same order), and the rows pooling never reads have
+        zero gradient either way.  Built lazily and cached on the batch as an
+        array of its own, so the backend keeps one edge plan for it.
+        """
+        if self._pooled_edge_index is None:
+            is_leaf = np.zeros(self.num_nodes, dtype=bool)
+            is_leaf[self.leaf_rows] = True
+            keep = np.flatnonzero(is_leaf[self.edge_index[1]])
+            self._pooled_edge_index = np.stack(
+                [self.edge_index[0][keep], self.edge_index[1][keep]]
+            )
+        return self._pooled_edge_index
+
     def with_initialization(
         self, initialization: EmbeddingInitializationResult
     ) -> "TreeBatch":
         """Re-bind the batch to another LDP exchange of the same construction.
 
         Returns a batch sharing every epsilon-independent array (adjacency,
-        edge index, leaf maps, pool matrix) with ``self``; only the LDP
+        edge indices, leaf maps, pool matrix) with ``self``; only the LDP
         messages of ``layer_input`` are swapped — for exactly the rows a
         from-scratch build would hold for ``initialization``.
         """
@@ -331,9 +352,21 @@ class LumosModel(Module):
     def _uses_mean_pool(self) -> bool:
         return self.pooling is get_pooling("mean")
 
+    def _node_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
+        """The encoder's output, exact on the rows pooling reads.
+
+        A GAT final layer attends over the edges that end at a leaf only
+        (:meth:`TreeBatch.pooled_edge_index`); its other rows hold the bias.
+        """
+        final = self.encoder.final_layer
+        if isinstance(final, GATLayer):
+            hidden = self.encoder.forward_hidden(features, batch)
+            return final(hidden, batch.pooled_edge_index())
+        return self.encoder(features, batch)
+
     def vertex_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """Run message passing on every tree and pool leaves per vertex (Eq. 31)."""
-        node_embeddings = self.encoder(features, batch)
+        node_embeddings = self._node_embeddings(batch, features)
         if self._uses_mean_pool():
             # Gather + mean-pool fused into one sparse product (same maths,
             # one kernel instead of three).
@@ -374,7 +407,7 @@ class LumosModel(Module):
                 )
             # No fold (GAT backbone): mean-pool and the classifier head still
             # collapse into one autograd node.
-            node_embeddings = self.encoder(features, batch)
+            node_embeddings = self._node_embeddings(batch, features)
             return F.fused_pool_head(
                 node_embeddings,
                 batch.mean_pool_matrix(),

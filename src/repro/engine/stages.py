@@ -211,9 +211,12 @@ class TreeBatchStage(Stage):
         )
         # Prewarm the pooling operators on the cached artifact: every sweep
         # point re-bound via with_initialization shares them (fold_chain runs
-        # once per construction, not once per epsilon).
+        # once per construction, not once per epsilon; the GAT edge plan is
+        # kept once per pooled edge index).
         batch.folded_pool_adjacency()
         batch.pool_row_sums()
+        if context.config.trainer.backbone == "gat":
+            batch.pooled_edge_index()
         return batch
 
     def replay(self, context: PipelineContext, value: Any) -> Any:

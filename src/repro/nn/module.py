@@ -98,6 +98,16 @@ class Module:
                     f"expected {parameter.data.shape}, got {value.shape}"
                 )
             parameter.data = value.copy()
+        for module in self.modules():
+            module.drop_memos()
+
+    def drop_memos(self) -> None:
+        """Release any output this module keeps for a later pass.
+
+        :meth:`load_state_dict` calls it on every module: a memo keyed on the
+        replaced parameter arrays can never hit again.  The default keeps
+        nothing.
+        """
 
     def zero_grad(self) -> None:
         """Clear the gradients of every parameter."""

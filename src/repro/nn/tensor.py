@@ -37,7 +37,23 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 _GRAD_ENABLED = True
 
 
-class no_grad:
+class _GradMode:
+    """Sets whether operations record the autograd graph, restoring on exit."""
+
+    enabled = True
+
+    def __enter__(self) -> "_GradMode":
+        global _GRAD_ENABLED
+        self._previous = _GRAD_ENABLED
+        _GRAD_ENABLED = self.enabled
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._previous
+
+
+class no_grad(_GradMode):
     """Context manager that disables gradient recording.
 
     Mirrors ``torch.no_grad``: operations executed inside the context do not
@@ -46,15 +62,15 @@ class no_grad:
     per-segment max inside the edge softmax).
     """
 
-    def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
+    enabled = False
 
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
+
+class enable_grad(_GradMode):
+    """Context manager that re-enables gradient recording inside ``no_grad``.
+
+    Mirrors ``torch.enable_grad``: a layer that runs in an evaluation pass
+    but keeps its output for the next gradient pass records its node anyway.
+    """
 
 
 def is_grad_enabled() -> bool:

@@ -11,7 +11,8 @@ computation it replaced:
 (b) ``TreeBatch.build`` vs the per-node ``tree_batch_reference``
     (bit-equal dense view), and ``with_initialization`` vs a fresh build;
 (c) the first GCN / GAT layer on the factored operand vs its composite
-    oracle on the dense view (``rtol = 1e-10``).
+    oracle on the dense view, entry by entry within ``8 eps`` times the sum of
+    the magnitudes of the terms behind the entry.
 
 The generated assignments include isolated vertices, senders nobody selected,
 workload-1 senders (all ``d`` positions released), pairs whose sender never
@@ -43,15 +44,12 @@ from repro.core import (
     TreeConstructorConfig,
     embedding_init,
 )
-from repro.core.constructor import CanonicalLocalGraphs, TreeConstructionResult
 from repro.core.workload import Assignment
 from repro.crypto.ldp import FeatureBounds
 from repro.engine import ArtifactStore, DiskSpillStore, StoredArtifact
-from repro.federation import FederatedEnvironment
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
 from repro.graph import generate_facebook_like, split_nodes
-from repro.graph.ego import EgoNetwork
 from repro.nn.tensor import Tensor
 
 from helpers.oracles import (
@@ -61,9 +59,11 @@ from helpers.oracles import (
     ldp_draw_reference,
     ldp_exchange_reference,
     ldp_threshold_reference,
+    segment_softmax,
     tree_batch_reference,
 )
 from helpers.rng_contract import assert_stream_contract, replay_ldp_draws
+from helpers.tree_cases import canonical_construction, exchange_cases, materialise
 
 
 # --------------------------------------------------------------------------- #
@@ -71,9 +71,6 @@ from helpers.rng_contract import assert_stream_contract, replay_ldp_draws
 # --------------------------------------------------------------------------- #
 TIER1 = dict(max_examples=25, deadline=1000)
 WIDE = dict(max_examples=400, deadline=None)
-
-#: Which endpoint keeps an edge ``(u, v)``: ``u``, ``v`` or both (Eq. 10).
-KEEPERS = ("u", "v", "both")
 
 #: Every ugly case at once: vertex 4 isolated, 3 selected by nobody, 1 a
 #: workload-1 sender, 0 a workload-0 sender (one bin), and the first
@@ -87,65 +84,6 @@ UGLY = dict(
     bounds=(0.0, 1.0),
     seed=11,
 )
-
-
-@st.composite
-def exchange_cases(draw, max_devices: int, max_dimension: int):
-    devices = draw(st.integers(2, max_devices))
-    pairs = st.tuples(st.integers(0, devices - 1), st.integers(0, devices - 1)).filter(
-        lambda pair: pair[0] < pair[1]
-    )
-    edges = draw(st.lists(pairs, max_size=3 * devices, unique=True))
-    return dict(
-        ids=list(range(devices)),
-        edges=[(u, v, draw(st.sampled_from(KEEPERS))) for u, v in edges],
-        dimension=draw(st.integers(1, max_dimension)),
-        use_virtual_nodes=draw(st.booleans()),
-        drop_first_pair=draw(st.booleans()),
-        bounds=draw(st.sampled_from([(0.0, 1.0), (-1.0, 3.0)])),
-        seed=draw(st.integers(0, 2**16)),
-    )
-
-
-def _materialise(case):
-    """``(environment factory, assignment, bounds)`` of a generated case."""
-    ids = case["ids"]
-    rng = np.random.default_rng(case["seed"])
-    features = rng.random((len(ids), case["dimension"])) * (rng.random((len(ids), 1)) < 0.8)
-    neighbors = {device_id: [] for device_id in ids}
-    selected = {device_id: [] for device_id in ids}
-    for u, v, keeper in case["edges"]:
-        u, v = ids[u], ids[v]
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-        if keeper in ("u", "both"):
-            selected[u].append(v)
-        if keeper in ("v", "both"):
-            selected[v].append(u)
-    low, high = case["bounds"]
-
-    def environment() -> FederatedEnvironment:
-        return FederatedEnvironment.from_partition(
-            {
-                device_id: EgoNetwork(
-                    center=device_id,
-                    neighbors=neighbors[device_id],
-                    feature=low + (high - low) * features[index],
-                )
-                for index, device_id in enumerate(ids)
-            },
-            seed=0,
-        )
-
-    return environment, Assignment.from_lists(selected), FeatureBounds(low, high)
-
-
-def _construction(environment, assignment, use_virtual_nodes) -> TreeConstructionResult:
-    return TreeConstructionResult(
-        assignment=assignment,
-        local_graphs=CanonicalLocalGraphs(assignment, environment.devices, use_virtual_nodes),
-        used_virtual_nodes=use_virtual_nodes,
-    )
 
 
 def _without_first_pair(assignment: Assignment) -> Assignment:
@@ -162,7 +100,7 @@ def _without_first_pair(assignment: Assignment) -> Assignment:
 # (a) columnar threshold vs one scalar encode + recover per message
 # --------------------------------------------------------------------------- #
 def _check_exchange(case):
-    make_environment, assignment, bounds = _materialise(case)
+    make_environment, assignment, bounds = materialise(case)
     epsilon = 0.5 + case["seed"] % 7
 
     oracle_environment, oracle_rng = make_environment(), np.random.default_rng(case["seed"])
@@ -245,7 +183,7 @@ def _assert_csr_equal(actual, expected):
 
 
 def _check_sparse_draws(case):
-    make_environment, _, bounds = _materialise(
+    make_environment, _, bounds = materialise(
         dict(case, ids=list(range(case["devices"])), edges=[(u, v, "both") for u, v in case["edges"]])
     )
     assignment = TreeConstructor(
@@ -308,16 +246,16 @@ class TestReleasedOnlyDraws:
         # Draws for fewer devices used to read the first devices' features
         # silently; draws with a sender the environment lacks died in a bare
         # IndexError.
-        make_environment, _, bounds = _materialise(UGLY)
-        other, selection, _ = _materialise(dict(UGLY, ids=list(range(devices)), edges=edges))
+        make_environment, _, bounds = materialise(UGLY)
+        other, selection, _ = materialise(dict(UGLY, ids=list(range(devices)), edges=edges))
         initializer = LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(0))
         draws = initializer.draw(other(), selection)
         with pytest.raises(ValueError, match=f"draws were made for {devices} devices"):
             initializer.threshold(make_environment(), draws)
 
     def test_threshold_rejects_draws_of_another_feature_dimension(self):
-        make_environment, assignment, bounds = _materialise(UGLY)
-        wider, _, _ = _materialise(dict(UGLY, dimension=UGLY["dimension"] + 1))
+        make_environment, assignment, bounds = materialise(UGLY)
+        wider, _, _ = materialise(dict(UGLY, dimension=UGLY["dimension"] + 1))
         initializer = LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(0))
         draws = initializer.draw(wider(), assignment)
         with pytest.raises(ValueError, match="draws were made for 5-dimensional features"):
@@ -329,13 +267,13 @@ class TestReleasedOnlyDraws:
 # --------------------------------------------------------------------------- #
 def _batches(case):
     """``(vectorized, generic, environment, construction, draws, initialization)`` of a case."""
-    make_environment, assignment, bounds = _materialise(case)
+    make_environment, assignment, bounds = materialise(case)
     environment = make_environment()
     initializer = LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(case["seed"]))
     exchanged = _without_first_pair(assignment) if case["drop_first_pair"] else assignment
     draws = initializer.draw(environment, exchanged)
     initialization = initializer.threshold(environment, draws)
-    construction = _construction(environment, assignment, case["use_virtual_nodes"])
+    construction = canonical_construction(environment, assignment, case["use_virtual_nodes"])
     args = (environment, construction, initialization, case["dimension"])
     batches = TreeBatch.build(*args), tree_batch_reference(*args)
     return (*batches, environment, construction, draws, initialization)
@@ -388,9 +326,93 @@ def _first_layer(forward, layer, features, structure, upstream):
     return out.data, layer.weight.grad, layer.bias.grad
 
 
-def _check_first_layer(case):
+#: The failing case of the wide sweep under ``rtol=1e-10``: one weight-gradient
+#: entry of the GAT layer sums to 0.0164 from terms of size ~30, so its
+#: relative error (2e-10) says nothing; against its summands it reads 0.96 eps.
+CANCELLING = dict(
+    ids=list(range(28)),
+    edges=[(0, 25, "both")],
+    dimension=33,
+    use_virtual_nodes=False,
+    drop_first_pair=False,
+    bounds=(-1.0, 3.0),
+    seed=627,
+)
+
+#: Allowed rounding per entry, in units of ``eps * sum |terms|``.  The wide
+#: sweep reads at most ~2; in the pinned cases a weight entry moved by 1e-9
+#: relative reads >= 4e3.
+SUMMAND_MULTIPLE = 8.0
+
+
+def _summand_scales(layer, features, structure, upstream):
+    """``sum |terms|`` behind every entry of ``(out, weight.grad, bias.grad)``.
+
+    Each entry is bounded by the magnitudes of the products it sums, every
+    factor an upper bound of its own summands: ``X W`` on the factored rows
+    sums ``(X - fill) W + fill (1ᵀ W)``, so its terms are bounded by ``|X| +
+    2 |fill|`` times ``|W|``, and the upstream gradient by ``|upstream|``
+    (``relu``'s mask only drops terms).  GAT adds its attention ``α``: an
+    aggregated term carries ``α (1 + L + Σ α L)``, the rounding of the edge
+    logits (their summands ``L``) through the softmax, and the attention
+    adjoint's terms enter the input gradient through both attention vectors.
+    """
+    rows = features.dense()
+    fill = np.append(features.fill, 0.0)[features.rows]  # row -1 is zeros
+    rows_abs = np.abs(rows) + 2.0 * np.abs(fill)[:, None]
+    support_abs = rows_abs @ np.abs(layer.weight.data)
+    upstream_abs = np.abs(upstream)
+    bias_abs = np.abs(layer.bias.data)
+    bias_grad = upstream_abs.sum(axis=0)
+    if isinstance(layer, GCNLayer):
+        adjacency = abs(structure)
+        out = adjacency @ support_abs + bias_abs
+        return out, rows_abs.T @ (adjacency.T @ upstream_abs), bias_grad
+
+    src, dst = structure
+    nodes, heads, width = rows.shape[0], layer.num_heads, layer.out_features
+    support = (rows @ layer.weight.data).reshape(nodes, heads, width)
+    logits = (support[src] * layer.attention_src.data).sum(-1) + (
+        support[dst] * layer.attention_dst.data
+    ).sum(-1)
+    logits = np.where(logits > 0, logits, layer.negative_slope * logits)
+    attention = segment_softmax(Tensor(logits), dst, nodes).data  # (E, H)
+    support_abs = support_abs.reshape(nodes, heads, width)
+    vectors_abs = np.abs(layer.attention_src.data), np.abs(layer.attention_dst.data)
+    logit_terms = (support_abs[src] * vectors_abs[0]).sum(-1) + (
+        support_abs[dst] * vectors_abs[1]
+    ).sum(-1)
+    per_destination = np.zeros((nodes, heads))
+    np.add.at(per_destination, dst, attention * logit_terms)
+    weights = attention * (1.0 + logit_terms + per_destination[dst])
+    aggregated = np.zeros((nodes, heads, width))
+    np.add.at(aggregated, dst, weights[..., None] * support_abs[src])
+    if layer.concat_heads:
+        out = aggregated.reshape(nodes, heads * width)
+        head_grads = upstream_abs.reshape(nodes, heads, width)
+    else:
+        out = aggregated.mean(axis=1)
+        head_grads = np.repeat(upstream_abs[:, None] / heads, heads, axis=1)
+    edge_grads = (head_grads[dst] * support_abs[src]).sum(-1)
+    per_destination = np.zeros((nodes, heads))
+    np.add.at(per_destination, dst, attention * edge_grads)
+    logit_grads = attention * (edge_grads + per_destination[dst])
+    support_grad = np.zeros((nodes, heads, width))
+    np.add.at(support_grad, src, weights[..., None] * head_grads[dst])
+    for index, vector_abs in zip((src, dst), vectors_abs):
+        score_grads = np.zeros((nodes, heads))
+        np.add.at(score_grads, index, logit_grads)
+        support_grad += score_grads[..., None] * vector_abs
+    weight_grad = rows_abs.T @ support_grad.reshape(nodes, heads * width)
+    return out + bias_abs, weight_grad, bias_grad
+
+
+def _check_first_layer(case, perturbation: float = 0.0):
+    """Factored layer vs dense oracle, entry by entry within the summand bound;
+    ``perturbation`` moves one weight entry (relative) on the factored side."""
     batch = _batches(case)[0]
     rng = np.random.default_rng(case["seed"])
+    eps = np.finfo(np.float64).eps
     for layer, structure, oracle in (
         (GCNLayer(case["dimension"], 3, rng=rng), batch.adjacency, gcn_layer_forward),
         (GATLayer(case["dimension"], 2, num_heads=2, rng=rng), batch.edge_index, gat_layer_forward),
@@ -401,9 +423,19 @@ def _check_first_layer(case):
         dense = [
             part.copy() for part in _first_layer(oracle, layer, dense_input, structure, upstream)
         ]
+        if perturbation:
+            layer.weight.data = layer.weight.data.copy()
+            layer.weight.data[0, 0] *= 1.0 + perturbation
         factored = _first_layer(type(layer).forward, layer, batch.layer_input, structure, upstream)
-        for factored_part, dense_part in zip(factored, dense):
-            np.testing.assert_allclose(factored_part, dense_part, rtol=1e-10, atol=1e-12)
+        scales = _summand_scales(layer, batch.layer_input, structure, upstream)
+        for name, factored_part, dense_part, scale in zip(
+            ("out", "weight.grad", "bias.grad"), factored, dense, scales
+        ):
+            excess = np.abs(factored_part - dense_part) - SUMMAND_MULTIPLE * eps * scale
+            assert (excess <= 0).all(), (
+                f"{type(layer).__name__} {name}: {int((excess > 0).sum())} entries beyond "
+                f"{SUMMAND_MULTIPLE} eps * sum |terms|, worst by {excess.max():.3g}"
+            )
 
 
 class TestGeneratedParity:
@@ -427,9 +459,16 @@ class TestGeneratedParity:
     def test_first_layer_matches_reference_on_dense_view(self, case):
         _check_first_layer(case)
 
+    @pytest.mark.parametrize("case", [UGLY, CANCELLING], ids=["ugly", "cancelling"])
+    def test_first_layer_check_sees_one_weight_entry_moved_by_1e_9(self, case):
+        _check_first_layer(case)
+        with pytest.raises(AssertionError, match="beyond"):
+            _check_first_layer(case, perturbation=1e-9)
+
     @pytest.mark.slow
     @settings(**WIDE)
     @given(exchange_cases(max_devices=30, max_dimension=40))
+    @example(CANCELLING)
     def test_feature_path_wide(self, case):
         _check_exchange(case)
         _check_batch(case)
@@ -437,7 +476,7 @@ class TestGeneratedParity:
 
     def test_offline_endpoints_leave_drop_records(self):
         """Under an availability mask the bulk exchange keeps per-pair drop rows."""
-        make_environment, assignment, bounds = _materialise(UGLY)
+        make_environment, assignment, bounds = materialise(UGLY)
         environment = make_environment()
         environment.set_availability(np.array([True, False, True, True, True]))
         LDPEmbeddingInitializer(2.0, bounds=bounds, rng=np.random.default_rng(0)).run(

@@ -21,6 +21,8 @@ from repro.nn.tensor import (
     _unbroadcast,
     as_tensor,
     concat,
+    enable_grad,
+    is_grad_enabled,
     no_grad,
     ones,
     stack,
@@ -293,6 +295,16 @@ class TestNoGrad:
             pass
         tensor = Tensor([1.0], requires_grad=True)
         assert (tensor * 1.0).requires_grad
+
+    def test_enable_grad_records_inside_no_grad_and_restores_it(self):
+        tensor = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with enable_grad():
+                out = tensor * 2.0
+            assert not is_grad_enabled()
+        assert out.requires_grad
+        out.backward(np.ones(1))
+        np.testing.assert_array_equal(tensor.grad, [2.0])
 
 
 class TestPropertyBased:
