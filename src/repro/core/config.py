@@ -9,6 +9,8 @@ single tunable).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from ..faults.config import FaultScenarioConfig
@@ -45,17 +47,22 @@ class TrainerConfig:
     learning_rate: float = 0.01
     epochs: int = 300
     epsilon: float = 2.0
-    pooling: str = "mean"
 
     def __post_init__(self) -> None:
+        # Everything is checked here, before partition, LDP and MCMC run:
+        # a bad value must not fail late or train to NaN weights.
         if self.backbone not in ("gcn", "gat"):
             raise ValueError(f"unknown backbone '{self.backbone}'")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("num_layers", "hidden_dim", "output_dim", "num_heads", "epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from ..gnn.gat import GATLayer
 from ..gnn.gcn import GCNLayer
 from ..gnn.link_prediction import link_prediction_objective, roc_auc_from_embeddings
 from ..gnn.models import EncoderConfig, GNNEncoder
-from ..gnn.pooling import get_pooling
 from ..nn.backend import get_backend
 from ..graph.sparse import symmetric_normalize
 from ..graph.splits import EdgeSplit, NodeSplit
@@ -342,15 +341,11 @@ class LumosModel(Module):
             num_heads=config.num_heads,
         )
         self.encoder = GNNEncoder(feature_dim, encoder_config, rng=rng)
-        self.pooling = get_pooling(config.pooling)
         self.head = (
             Linear(self.encoder.output_dim, num_classes, rng=rng)
             if num_classes is not None
             else None
         )
-
-    def _uses_mean_pool(self) -> bool:
-        return self.pooling is get_pooling("mean")
 
     def _node_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """The encoder's output, exact on the rows pooling reads.
@@ -365,56 +360,53 @@ class LumosModel(Module):
         return self.encoder(features, batch)
 
     def vertex_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
-        """Run message passing on every tree and pool leaves per vertex (Eq. 31)."""
+        """Run message passing on every tree and mean-pool leaves per vertex (Eq. 31).
+
+        Leaf gather and mean pooling are one sparse product (same maths, one
+        kernel instead of three).
+        """
         node_embeddings = self._node_embeddings(batch, features)
-        if self._uses_mean_pool():
-            # Gather + mean-pool fused into one sparse product (same maths,
-            # one kernel instead of three).
-            return F.sparse_matmul(batch.mean_pool_matrix(), node_embeddings)
-        leaf_embeddings = F.gather(node_embeddings, batch.leaf_rows)
-        return self.pooling(leaf_embeddings, batch.leaf_vertices, batch.num_vertices)
+        return F.sparse_matmul(batch.mean_pool_matrix(), node_embeddings)
 
     def logits(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """Class logits per vertex (supervised task, Eq. 32)."""
         if self.head is None:
             raise RuntimeError("model was built without a classification head")
-        if self._uses_mean_pool():
-            final = self.encoder.final_layer
-            if (
-                isinstance(final, GCNLayer)
-                and final.bias is not None
-                and self.head.bias is not None
-                # A one-layer encoder has no hidden tensor to hand the fold:
-                # its input is the factored layer input, which only a
-                # message-passing layer consumes.
-                and self.encoder.config.num_layers > 1
-            ):
-                # Fold the final layer's propagation with the pooling
-                # operator (one precomputed ``P Â`` product replaces the
-                # propagate-then-pool pair, see folded_pool_adjacency) and
-                # absorb the classifier head into the same node: the two
-                # weight matrices collapse to one ``(hidden, classes)``
-                # product so every kernel runs at ``num_classes`` width.
-                hidden = self.encoder.forward_hidden(features, batch)
-                return F.fused_folded_head(
-                    hidden,
-                    batch.folded_pool_adjacency(),
-                    final.weight,
-                    final.bias,
-                    self.head.weight,
-                    self.head.bias,
-                    batch.pool_row_sums(),
-                )
-            # No fold (GAT backbone): mean-pool and the classifier head still
-            # collapse into one autograd node.
-            node_embeddings = self._node_embeddings(batch, features)
-            return F.fused_pool_head(
-                node_embeddings,
-                batch.mean_pool_matrix(),
+        final = self.encoder.final_layer
+        if (
+            isinstance(final, GCNLayer)
+            and final.bias is not None
+            and self.head.bias is not None
+            # A one-layer encoder has no hidden tensor to hand the fold:
+            # its input is the factored layer input, which only a
+            # message-passing layer consumes.
+            and self.encoder.config.num_layers > 1
+        ):
+            # Fold the final layer's propagation with the pooling
+            # operator (one precomputed ``P Â`` product replaces the
+            # propagate-then-pool pair, see folded_pool_adjacency) and
+            # absorb the classifier head into the same node: the two
+            # weight matrices collapse to one ``(hidden, classes)``
+            # product so every kernel runs at ``num_classes`` width.
+            hidden = self.encoder.forward_hidden(features, batch)
+            return F.fused_folded_head(
+                hidden,
+                batch.folded_pool_adjacency(),
+                final.weight,
+                final.bias,
                 self.head.weight,
                 self.head.bias,
+                batch.pool_row_sums(),
             )
-        return self.head(self.vertex_embeddings(batch, features))
+        # No fold (GAT backbone): mean-pool and the classifier head still
+        # collapse into one autograd node.
+        node_embeddings = self._node_embeddings(batch, features)
+        return F.fused_pool_head(
+            node_embeddings,
+            batch.mean_pool_matrix(),
+            self.head.weight,
+            self.head.bias,
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -14,10 +14,21 @@ Three mechanisms are implemented:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """``ValueError`` unless the privacy budget is positive and finite.
+
+    A bare ``epsilon <= 0`` test lets NaN and ``inf`` through; either would
+    release data under no meaningful guarantee.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"privacy budget epsilon must be positive and finite, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,7 @@ class OneBitMechanism:
     NEUTRAL = 0.5
 
     def __init__(self, epsilon: float, bounds: FeatureBounds = FeatureBounds()) -> None:
-        if epsilon <= 0:
-            raise ValueError("privacy budget epsilon must be positive")
+        _check_epsilon(epsilon)
         self.epsilon = float(epsilon)
         self.bounds = bounds
 
@@ -223,8 +233,9 @@ class GaussianMechanism:
     """(epsilon, delta)-DP Gaussian noise addition (Dwork & Roth, 2014)."""
 
     def __init__(self, epsilon: float, delta: float = 1e-5, sensitivity: float = 1.0) -> None:
-        if epsilon <= 0 or not 0 < delta < 1:
-            raise ValueError("require epsilon > 0 and delta in (0, 1)")
+        _check_epsilon(epsilon)
+        if not 0 < delta < 1:
+            raise ValueError("require delta in (0, 1)")
         self.epsilon = epsilon
         self.delta = delta
         self.sensitivity = sensitivity
@@ -250,8 +261,7 @@ class RandomizedResponse:
     """
 
     def __init__(self, epsilon: float, num_categories: int = 2) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(epsilon)
         if num_categories < 2:
             raise ValueError("need at least two categories")
         self.epsilon = epsilon

@@ -1,14 +1,12 @@
 """Evaluation harness: metrics, experiment runner and figure reproduction."""
 
 from . import reporting
-from .metrics import accuracy, confusion_matrix, f1_macro, relative_change, roc_auc_score
+from .metrics import accuracy, relative_change, roc_auc_score
 
 __all__ = [
     "reporting",
     "accuracy",
     "roc_auc_score",
-    "f1_macro",
-    "confusion_matrix",
     "relative_change",
 ]
 

@@ -65,37 +65,6 @@ def _average_ranks(sorted_values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def f1_macro(targets: np.ndarray, predictions: np.ndarray, num_classes: Optional[int] = None) -> float:
-    """Macro-averaged F1 score (extra metric, not in the paper's tables)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    predictions = np.asarray(predictions, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(targets.max(initial=0), predictions.max(initial=0))) + 1
-    scores = []
-    for c in range(num_classes):
-        true_positive = float(np.sum((predictions == c) & (targets == c)))
-        false_positive = float(np.sum((predictions == c) & (targets != c)))
-        false_negative = float(np.sum((predictions != c) & (targets == c)))
-        if true_positive == 0:
-            scores.append(0.0)
-            continue
-        precision = true_positive / (true_positive + false_positive)
-        recall = true_positive / (true_positive + false_negative)
-        scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(scores)) if scores else 0.0
-
-
-def confusion_matrix(targets: np.ndarray, predictions: np.ndarray, num_classes: Optional[int] = None) -> np.ndarray:
-    """Confusion matrix with rows = true classes, columns = predicted classes."""
-    targets = np.asarray(targets, dtype=np.int64)
-    predictions = np.asarray(predictions, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(targets.max(initial=0), predictions.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (targets, predictions), 1)
-    return matrix
-
-
 def relative_change(reference: float, value: float) -> float:
     """Relative change ``(value - reference) / reference`` in percent."""
     if reference == 0:

@@ -113,10 +113,6 @@ class FederatedEnvironment:
         """The device ids, ``[0, ..., n-1]``."""
         return list(self.devices)
 
-    def workloads(self) -> Dict[int, int]:
-        """Current workload of every device (selected-neighbour counts)."""
-        return {device_id: device.workload for device_id, device in self.devices.items()}
-
     def workload_array(self) -> np.ndarray:
         """Workloads indexed by device id."""
         return np.asarray(
@@ -126,10 +122,6 @@ class FederatedEnvironment:
     def max_workload(self) -> int:
         """The objective value f(X) = max_u wl(u) of the current assignment."""
         return int(self.workload_array().max()) if self.devices else 0
-
-    def degrees(self) -> Dict[int, int]:
-        """Private degrees (only used by tests / oracles, never by protocols)."""
-        return {device_id: device.degree for device_id, device in self.devices.items()}
 
     def directed_edges(self) -> np.ndarray:
         """Directed ``(2, 2E)`` edge index of the union of all ego networks.
@@ -252,13 +244,6 @@ class FederatedEnvironment:
     # ------------------------------------------------------------------ #
     # Assignment helpers used by the tree constructor
     # ------------------------------------------------------------------ #
-    def assignment(self) -> Dict[int, List[int]]:
-        """Current neighbour selection ``(N_1, ..., N_|V|)`` per device."""
-        return {
-            device_id: list(device.selected_neighbors)
-            for device_id, device in self.devices.items()
-        }
-
     def apply_assignment(self, assignment: Mapping[int, Iterable[int]]) -> None:
         """Install a neighbour selection produced by the tree constructor.
 
@@ -300,17 +285,6 @@ class FederatedEnvironment:
             self.devices[device_id].selected_neighbors = kept_neighbors[
                 bounds[device_id] : bounds[device_id + 1]
             ]
-
-    def validate_edge_coverage(self) -> bool:
-        """Check the constraint of Eq. 10: every edge is kept by >= 1 endpoint."""
-        for device_id, device in self.devices.items():
-            for neighbor in device.ego.neighbors:
-                neighbor = int(neighbor)
-                kept_here = neighbor in device.selected_neighbors
-                kept_there = device_id in self.devices[neighbor].selected_neighbors
-                if not (kept_here or kept_there):
-                    return False
-        return True
 
     def summary(self) -> Dict[str, float]:
         """Headline counters of the environment."""

@@ -1,4 +1,8 @@
-"""GNN layers (GCN, GAT), encoders, task heads, pooling and link-prediction helpers."""
+"""GNN layers (GCN, GAT), encoders, task heads and link-prediction helpers.
+
+The cross-device POOL layer (mean pooling, Eq. 31) is one sparse product in
+:class:`repro.core.trainer.LumosModel`.
+"""
 
 from .gat import GATLayer
 from .gcn import GCNLayer
@@ -7,15 +11,7 @@ from .link_prediction import (
     negative_sampler,
     roc_auc_from_embeddings,
 )
-from .models import (
-    EncoderConfig,
-    GNNEncoder,
-    GraphInput,
-    LinkPredictor,
-    NodeClassifier,
-    build_edge_index,
-)
-from .pooling import POOLING_FUNCTIONS, get_pooling, max_pool, mean_pool, sum_pool
+from .models import EncoderConfig, GNNEncoder, GraphInput, LinkPredictor, NodeClassifier
 
 __all__ = [
     "GCNLayer",
@@ -25,13 +21,7 @@ __all__ = [
     "GNNEncoder",
     "NodeClassifier",
     "LinkPredictor",
-    "build_edge_index",
     "negative_sampler",
     "link_prediction_objective",
     "roc_auc_from_embeddings",
-    "mean_pool",
-    "sum_pool",
-    "max_pool",
-    "get_pooling",
-    "POOLING_FUNCTIONS",
 ]

@@ -76,9 +76,9 @@ class GATLayer(Module):
     ) -> Tensor:
         """Apply attention over ``edge_index`` (shape ``(2, E)``, src -> dst).
 
-        ``edge_index`` should include self loops; :func:`repro.gnn.models.
-        build_edge_index` adds them.  ``activation`` (``"relu"``) is folded
-        into the layer node.
+        ``edge_index`` should include self loops;
+        ``Graph.directed_edge_index(add_self_loops=True)`` adds them.
+        ``activation`` (``"relu"``) is folded into the layer node.
         """
         edge_index = np.asarray(edge_index, dtype=np.int64)
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graph.sparse import symmetric_normalize
-from ..nn import functional as F
 from ..nn.layers import Dropout, Linear
 from ..nn.module import Module
 from ..nn.tensor import Tensor
@@ -56,26 +55,12 @@ class GraphInput:
         if self.edge_index.ndim != 2 or self.edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
 
-    @property
-    def num_nodes(self) -> int:
-        return int(self.adjacency.shape[0])
-
     @classmethod
     def from_graph(cls, graph) -> "GraphInput":
         """Build the propagation structures from a :class:`repro.graph.Graph`."""
         adjacency = symmetric_normalize(graph.adjacency(), self_loops=True)
         edge_index = graph.directed_edge_index(add_self_loops=True)
         return cls(adjacency, edge_index)
-
-    @classmethod
-    def from_adjacency(cls, adjacency: sp.spmatrix) -> "GraphInput":
-        """Build from a raw (unnormalised) adjacency matrix."""
-        adjacency = adjacency.tocsr()
-        coo = adjacency.tocoo()
-        n = adjacency.shape[0]
-        src = np.concatenate([coo.col, np.arange(n)])
-        dst = np.concatenate([coo.row, np.arange(n)])
-        return cls(symmetric_normalize(adjacency, self_loops=True), np.stack([src, dst]))
 
 
 class GNNEncoder(Module):
@@ -173,14 +158,10 @@ class NodeClassifier(Module):
         """Return class logits for every node."""
         return self.head(self.encoder(features, graph_input))
 
-    def predict(self, features: Tensor, graph_input: GraphInput) -> np.ndarray:
-        """Return the arg-max class prediction per node."""
-        logits = self.forward(features, graph_input)
-        return np.argmax(logits.data, axis=1)
-
 
 class LinkPredictor(Module):
-    """Encoder + inner-product decoder for link prediction (Eq. 4)."""
+    """Encoder for link prediction; :mod:`repro.gnn.link_prediction` scores its
+    embeddings with the inner-product decoder (Eq. 4)."""
 
     def __init__(
         self,
@@ -194,26 +175,3 @@ class LinkPredictor(Module):
     def forward(self, features: Tensor, graph_input: GraphInput) -> Tensor:
         """Return node embeddings."""
         return self.encoder(features, graph_input)
-
-    def score_pairs(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
-        """Return logits (inner products) for the vertex ``pairs`` (shape (P, 2))."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        left = F.gather(embeddings, pairs[:, 0])
-        right = F.gather(embeddings, pairs[:, 1])
-        return (left * right).sum(axis=-1)
-
-    def predict_proba(self, embeddings: Tensor, pairs: np.ndarray) -> np.ndarray:
-        """Return edge-existence probabilities for ``pairs``."""
-        return self.score_pairs(embeddings, pairs).sigmoid().data
-
-
-def build_edge_index(adjacency: sp.spmatrix, add_self_loops: bool = True) -> np.ndarray:
-    """Return a ``(2, E)`` directed edge index from a sparse adjacency."""
-    coo = adjacency.tocoo()
-    src = coo.col
-    dst = coo.row
-    if add_self_loops:
-        n = adjacency.shape[0]
-        src = np.concatenate([src, np.arange(n)])
-        dst = np.concatenate([dst, np.arange(n)])
-    return np.stack([src, dst]).astype(np.int64)

@@ -12,14 +12,12 @@ from .generators import (
     generate_star,
     generate_social_graph,
 )
-from .graph import Graph, from_edge_list, from_networkx
+from .graph import Graph
 from .splits import EdgeSplit, NodeSplit, sample_negative_edges, split_edges, split_nodes
 from . import sparse
 
 __all__ = [
     "Graph",
-    "from_edge_list",
-    "from_networkx",
     "EgoNetwork",
     "partition_node_level",
     "validate_partition",

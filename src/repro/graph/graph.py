@@ -3,14 +3,14 @@
 The :class:`Graph` class stores an undirected, simple graph with per-node
 feature vectors and (optionally) integer labels, which is exactly the data
 model of the paper's datasets (Facebook Page-Page and LastFM Asia).  It is an
-immutable value object: every transformation (subgraphing, edge splits, ego
-extraction) returns a new instance.
+immutable value object: every transformation (edge splits, feature scaling)
+returns a new instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,10 +105,6 @@ class Graph:
             np.add.at(degree, self.edges[:, 1], 1)
         return degree
 
-    def degree(self, vertex: int) -> int:
-        """Return the degree of ``vertex``."""
-        return len(self.neighbors(vertex))
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Return the sorted neighbour ids of ``vertex`` (cached)."""
         if vertex < 0 or vertex >= self.num_nodes:
@@ -129,10 +125,6 @@ class Graph:
         row_ends = np.cumsum(np.bincount(sources, minlength=self.num_nodes)).tolist()
         for vertex, (start, stop) in enumerate(zip([0] + row_ends, row_ends)):
             self._neighbor_cache[vertex] = ordered[start:stop]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return whether the undirected edge ``(u, v)`` is present."""
-        return v in set(self.neighbors(u).tolist())
 
     def edge_set(self) -> set:
         """Return the set of canonical ``(min, max)`` edge tuples."""
@@ -183,24 +175,6 @@ class Graph:
             name=self.name,
         )
 
-    def subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Return the induced subgraph on ``vertices`` (relabelled 0..k-1)."""
-        vertices = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        mapping = {int(old): new for new, old in enumerate(vertices)}
-        kept = [
-            (mapping[int(u)], mapping[int(v)])
-            for u, v in self.edges
-            if int(u) in mapping and int(v) in mapping
-        ]
-        edges = np.asarray(kept, dtype=np.int64).reshape(-1, 2)
-        return Graph(
-            num_nodes=len(vertices),
-            edges=edges,
-            features=self.features[vertices],
-            labels=self.labels[vertices] if self.labels is not None else None,
-            name=f"{self.name}-sub",
-        )
-
     def normalized_features(self, lower: float = 0.0, upper: float = 1.0) -> "Graph":
         """Return a copy with features min-max scaled into ``[lower, upper]``.
 
@@ -232,27 +206,3 @@ class Graph:
             "avg_degree": float(degrees.mean()) if self.num_nodes else 0.0,
             "max_degree": int(degrees.max()) if self.num_nodes else 0,
         }
-
-
-def from_edge_list(
-    num_nodes: int,
-    edge_list: Iterable[Tuple[int, int]],
-    features: Optional[np.ndarray] = None,
-    labels: Optional[np.ndarray] = None,
-    name: str = "graph",
-) -> Graph:
-    """Build a :class:`Graph` from an iterable of edge tuples."""
-    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
-    if features is None:
-        features = np.zeros((num_nodes, 1), dtype=np.float64)
-    return Graph(num_nodes=num_nodes, edges=edges, features=features, labels=labels, name=name)
-
-
-def from_networkx(nx_graph, features: Optional[np.ndarray] = None, labels=None, name: str = "graph") -> Graph:
-    """Convert a ``networkx`` graph (nodes must be 0..n-1) to :class:`Graph`."""
-    num_nodes = nx_graph.number_of_nodes()
-    edges = np.asarray([(int(u), int(v)) for u, v in nx_graph.edges() if u != v], dtype=np.int64)
-    edges = edges.reshape(-1, 2)
-    if features is None:
-        features = np.zeros((num_nodes, 1), dtype=np.float64)
-    return Graph(num_nodes=num_nodes, edges=edges, features=features, labels=labels, name=name)

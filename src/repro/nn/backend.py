@@ -9,16 +9,14 @@ the operations whose implementation strategy matters for performance:
   matrix (and by its transpose, for the backward pass);
 * ``take_rows`` / ``scatter_rows`` — row gather and its duplicate-aware
   adjoint;
-* ``segment_sum`` / ``segment_counts`` / ``segment_max`` — unsorted segment
-  reductions used by pooling;
 * ``prepare_edges`` — the per-edge-index :class:`PreparedEdges` plan the
   fused GAT layer runs on.
 
-The sparse matrix and its transpose are prepared once and cached, segment
-reductions go through a cached CSR aggregation matrix or a cached stable sort
-instead of ``np.add.at`` / ``np.maximum.at`` (which are unbuffered and an
-order of magnitude slower), and the GAT edge plan is built once per edge
-index.  The ``np.add.at`` kernels and the composite (un-fused) layer graphs
+The sparse matrix and its transpose are prepared once and cached, the
+gather adjoint goes through a cached CSR aggregation matrix instead of
+``np.add.at`` (which is unbuffered and an order of magnitude slower), and the
+GAT edge plan, whose segment reductions run on a cached stable sort, is built
+once per edge index.  The ``np.add.at`` kernels and the composite (un-fused) layer graphs
 are the oracles in ``tests/helpers/oracles.py``.
 """
 
@@ -54,46 +52,24 @@ class PreparedMatrix:
 MatrixLike = Union[sp.spmatrix, PreparedMatrix]
 
 
-def _counts(index: np.ndarray, num_segments: int) -> np.ndarray:
-    """Rows per segment; ``IndexError`` for an id outside ``[0, num_segments)``."""
-    _check_segment_ids(index, num_segments)
-    return np.bincount(index, minlength=num_segments)
-
-
 def _check_segment_ids(index: np.ndarray, num_segments: int) -> None:
     if index.size and not 0 <= index.min() <= index.max() < num_segments:
         raise IndexError(f"segment id out of range for {num_segments} segments")
 
 
-class SortedRuns:
-    """Stable sort of a segment-id array into contiguous runs.
-
-    ``order`` lists the rows segment by segment (original order kept within a
-    segment), ``counts[k]`` is the length of segment ``k``, ``segments`` the
-    ids of the non-empty ones and ``starts`` where each of those begins in
-    ``order`` — the offsets ``ufunc.reduceat`` wants.
-    """
-
-    __slots__ = ("order", "counts", "segments", "starts")
-
-    def __init__(self, index: np.ndarray, num_segments: int) -> None:
-        self.order = np.argsort(index, kind="stable")
-        self.counts = _counts(index, num_segments)
-        self.segments = np.flatnonzero(self.counts)
-        self.starts = (np.cumsum(self.counts) - self.counts)[self.segments]
-
-
-class PreparedEdges(SortedRuns):
+class PreparedEdges:
     """Structure of a constant ``(2, E)`` edge index, prepared once for GAT.
 
-    The edges are stably sorted by destination (:class:`SortedRuns` over the
-    ``dst`` row), so everything the attention layer does per destination is a
-    contiguous run: the segment max / sum of the edge softmax are
-    ``ufunc.reduceat`` calls, the destination side of an edge is an
-    ``np.repeat``, and ``(indptr, indices)`` is the CSR structure of the
-    ``N x N`` aggregation matrix whose *data* is one head's attention row of
-    the current step (:meth:`attention_matrix`).  Read as CSC the same three
-    arrays are its transpose, which is all the backward pass needs.
+    The edges are stably sorted by destination (``order``, original order
+    kept within a destination), so everything the attention layer does per
+    destination is a contiguous run: the segment max / sum of the edge
+    softmax are ``ufunc.reduceat`` calls at ``starts`` (where the run of each
+    node in ``segments``, those with an incoming edge, begins), the
+    destination side of an edge is an ``np.repeat``, and ``(indptr,
+    indices)`` is the CSR structure of the ``N x N`` aggregation matrix whose
+    *data* is one head's attention row of the current step
+    (:meth:`attention_matrix`).  Read as CSC the same three arrays are its
+    transpose, which is all the backward pass needs.
 
     Per-edge arrays handed to or returned by the methods are ``(H, E)`` in
     this destination-sorted order (``order`` maps back to the caller's).
@@ -102,14 +78,22 @@ class PreparedEdges(SortedRuns):
     it enters neither stage fingerprints nor pickles.
     """
 
-    __slots__ = ("num_nodes", "src", "run_lengths", "indices", "indptr")
+    __slots__ = (
+        "num_nodes", "order", "counts", "segments", "starts", "src", "run_lengths",
+        "indices", "indptr",
+    )
 
     def __init__(self, edge_index: np.ndarray, num_nodes: int) -> None:
         edge_index = np.asarray(edge_index, dtype=np.int64)
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
-        super().__init__(edge_index[1], num_nodes)
+        dst = edge_index[1]
+        _check_segment_ids(dst, num_nodes)
         self.num_nodes = int(num_nodes)
+        self.order = np.argsort(dst, kind="stable")
+        self.counts = np.bincount(dst, minlength=num_nodes)
+        self.segments = np.flatnonzero(self.counts)
+        self.starts = (np.cumsum(self.counts) - self.counts)[self.segments]
         self.run_lengths = self.counts[self.segments]
         self.src = edge_index[0][self.order]
         if self.src.size and not 0 <= self.src.min() <= self.src.max() < num_nodes:
@@ -175,11 +159,11 @@ class FastNumpyBackend:
     * :meth:`prepare_matrix` converts a propagation matrix to CSR **once**
       and also stores its transpose, so the backward pass never re-transposes
       (the seed code paid an O(nnz) transpose per backward call);
-    * per distinct index array, segment sums build a CSR aggregation matrix
-      and segment maxima a stable sort (:class:`SortedRuns`) once and reuse
-      them, replacing ``np.add.at`` / ``np.maximum.at`` (unbuffered, slow)
-      with the C-optimised sparse matmul and ``reduceat``;
-      :meth:`prepare_edges` keeps the GAT plan of an edge index the same way.
+    * per distinct index array, the gather adjoint builds a CSR aggregation
+      matrix once and reuses it, replacing ``np.add.at`` (unbuffered, slow)
+      with the C-optimised sparse matmul; :meth:`prepare_edges` keeps the
+      GAT plan of an edge index (a stable sort by destination, whose runs
+      its ``reduceat`` calls read) the same way.
 
     Both caches key on ``id()`` of the input object guarded by a weak
     reference, so entries die with the arrays they describe; an index that is
@@ -258,23 +242,6 @@ class FastNumpyBackend:
         flat = values.reshape(values.shape[0], -1)
         out = matrix @ flat
         return np.asarray(out, dtype=np.float64).reshape((num_rows,) + values.shape[1:])
-
-    # -- segment reductions (unsorted segment ids along the first axis) -- #
-    def segment_sum(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """``out[k] = sum_{i: index[i] == k} values[i]``."""
-        return self.scatter_rows(values, index, num_segments)
-
-    def segment_counts(self, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """Number of rows per segment, as float64."""
-        return _counts(index, num_segments).astype(np.float64)
-
-    def segment_max(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-        """Per-segment elementwise maximum (``-inf`` for empty segments)."""
-        out = np.full((num_segments,) + values.shape[1:], -np.inf)
-        if index.shape[0]:
-            runs = self._per_index(index, num_segments, SortedRuns)
-            out[runs.segments] = np.maximum.reduceat(values[runs.order], runs.starts, axis=0)
-        return out
 
     # -- GAT edge plan -------------------------------------------------- #
     def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:

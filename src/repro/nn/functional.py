@@ -2,9 +2,10 @@
 
 These functions complement :class:`repro.nn.tensor.Tensor` with the graph-
 specific primitives GCN and GAT need: multiplication by a *constant* sparse
-matrix (the normalised adjacency), row gathering / scatter-add for edge-wise
-computation, the fused single-node GCN / GAT / pooling / loss kernels and the
-usual classification heads (softmax / log-softmax) plus dropout.
+matrix (the normalised adjacency or the mean-pool operator), row gathering,
+the fused single-node GCN / GAT / pooling / loss kernels, dropout and the
+affine map.  Their composite (op-for-op) forms, with the scatter-add and
+log-softmax those use, are the oracles in ``tests/helpers/``.
 """
 
 from __future__ import annotations
@@ -56,22 +57,6 @@ def gather(tensor: Tensor, index: np.ndarray) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         tensor._accumulate(backend.scatter_rows(_as_array(grad), index, num_rows), donated=True)
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
-def scatter_add(tensor: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``tensor`` into ``num_segments`` buckets given by ``index``.
-
-    ``out[k] = sum_{i : index[i] == k} tensor[i]``.  The gradient of a bucket
-    flows back equally (as a copy) to every row that contributed to it.
-    """
-    backend = get_backend()
-    index = np.asarray(index, dtype=np.int64)
-    out_data = backend.segment_sum(tensor.data, index, num_segments)
-
-    def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(backend.take_rows(_as_array(grad), index))
 
     return Tensor._make(out_data, (tensor,), backward)
 
@@ -336,37 +321,6 @@ def fused_folded_head(
 
     parents = (hidden, layer_weight, layer_bias, head_weight, head_bias)
     return Tensor._make(out, parents, backward)
-
-
-def gather_rows_columns(tensor: Tensor, column_index: np.ndarray) -> Tensor:
-    """Pick one entry per row: ``out[i] = tensor[i, column_index[i]]``.
-
-    Used by the cross-entropy loss to select the log-probability of the
-    target class of each node.
-    """
-    column_index = np.asarray(column_index, dtype=np.int64)
-    rows = np.arange(tensor.data.shape[0])
-    out_data = tensor.data[rows, column_index]
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(tensor.data)
-        np.add.at(full, (rows, column_index), _as_array(grad))
-        tensor._accumulate(full)
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
-def softmax(tensor: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = tensor - Tensor(tensor.data.max(axis=axis, keepdims=True))
-    exp_values = shifted.exp()
-    return exp_values / exp_values.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(tensor: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = tensor - Tensor(tensor.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def fused_masked_cross_entropy(

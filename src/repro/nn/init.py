@@ -24,31 +24,6 @@ def xavier_uniform(
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(
-    shape: Tuple[int, ...],
-    gain: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in, fan_out = _compute_fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(
-    shape: Tuple[int, ...],
-    negative_slope: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """He/Kaiming uniform initialisation for ReLU-family activations."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in, _ = _compute_fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + negative_slope ** 2))
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (used for biases)."""
     return np.zeros(shape, dtype=np.float64)

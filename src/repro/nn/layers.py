@@ -1,4 +1,4 @@
-"""Generic (non graph-specific) neural network layers."""
+"""Generic (non graph-specific) layers: the classifier head and dropout."""
 
 from __future__ import annotations
 
@@ -52,74 +52,3 @@ class Dropout(Module):
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.probability})"
-
-
-class ReLU(Module):
-    """Rectified linear unit."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.leaky_relu(self.negative_slope)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
-
-
-class MLP(Module):
-    """Multi-layer perceptron used as a READ-out / decoder head.
-
-    The paper's decoder for vertex tasks is "single or multi-layer
-    perceptrons" (Eq. 3); this class covers both.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        hidden_features: int,
-        out_features: int,
-        num_layers: int = 2,
-        dropout: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("MLP needs at least one layer")
-        self.num_layers = num_layers
-        dims = (
-            [in_features]
-            + [hidden_features] * (num_layers - 1)
-            + [out_features]
-        )
-        for index in range(num_layers):
-            self.add_module(f"linear_{index}", Linear(dims[index], dims[index + 1], rng=rng))
-            if index < num_layers - 1:
-                self.add_module(f"act_{index}", ReLU())
-                if dropout > 0:
-                    self.add_module(f"drop_{index}", Dropout(dropout, rng=rng))
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        out = inputs
-        for module in self._modules.values():
-            out = module(out)
-        return out

@@ -40,11 +40,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module under ``name``."""
         self._modules[name] = module
@@ -63,10 +58,6 @@ class Module:
             yield (f"{prefix}{name}", parameter)
         for module_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{module_name}.")
-
-    def children(self) -> Iterator["Module"]:
-        """Yield immediate child modules."""
-        yield from self._modules.values()
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""
@@ -109,11 +100,6 @@ class Module:
         nothing.
         """
 
-    def zero_grad(self) -> None:
-        """Clear the gradients of every parameter."""
-        for parameter in self.parameters():
-            parameter.zero_grad()
-
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively (affects dropout)."""
         self.training = mode
@@ -125,29 +111,8 @@ class Module:
         """Set evaluation mode recursively."""
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(parameter.data.size for parameter in self.parameters())
-
     # ------------------------------------------------------------------ #
     # Call protocol
     # ------------------------------------------------------------------ #
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Chain modules, feeding each output into the next module."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        for index, module in enumerate(modules):
-            self.add_module(str(index), module)
-
-    def forward(self, inputs):
-        for module in self._modules.values():
-            inputs = module(inputs)
-        return inputs

@@ -1,71 +1,19 @@
-"""Optimizers: SGD (with momentum) and Adam.
+"""The optimizer: Adam.
 
-The paper trains all models with Adam at learning rate 0.01; SGD is provided
-for completeness and for tests that check optimizer-agnostic behaviour.
+The paper trains all models with Adam at learning rate 0.01, and so do Lumos
+and every baseline here (through :func:`repro.nn.fit.fit`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from .module import Parameter
 
 
-class Optimizer:
-    """Base class holding the parameter list and the ``zero_grad`` helper."""
-
-    def __init__(self, parameters: Iterable[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for index, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                if self._velocity[index] is None:
-                    self._velocity[index] = np.zeros_like(parameter.data)
-                self._velocity[index] = self.momentum * self._velocity[index] + grad
-                grad = self._velocity[index]
-            parameter.data = parameter.data - self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba, 2015)."""
 
     def __init__(
@@ -76,7 +24,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         beta1, beta2 = betas
@@ -90,6 +40,11 @@ class Adam(Optimizer):
         self._step_count = 0
         self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
         self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
+        for parameter in self.parameters:
+            parameter.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

@@ -6,13 +6,15 @@ originally implemented on PyTorch; since the reproduction environment offers
 only numpy/scipy, we re-implement the small slice of an autograd engine that
 GCN / GAT training requires:
 
-* broadcasting-aware elementwise arithmetic,
-* matrix multiplication (dense and a sparse-constant variant in
-  :mod:`repro.nn.functional`),
-* gather / scatter-add for edge-wise graph operations,
-* the usual nonlinearities, reductions and a numerically stable
-  log-softmax, and
+* broadcasting-aware ``+``, ``*`` and negation,
+* matrix multiplication (dense here; the sparse-constant product, the row
+  gather and the fused layer / loss nodes are in :mod:`repro.nn.functional`),
+* ``sum`` / ``mean`` reductions and ``exp`` / ``log`` / ``clip``, and
 * reverse-mode backpropagation over a dynamically recorded DAG.
+
+Nothing more: every op here is one a production run records.  The ops only
+the composite test oracles need (``-``, ``/``, ``reshape``, ``relu``, ...)
+live with them in ``tests/helpers/autograd.py``.
 
 Design notes
 ------------
@@ -28,7 +30,7 @@ every interior node behind it, so a recorded graph backpropagates once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,28 +162,9 @@ class Tensor:
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (a view, not a copy)."""
-        return self.data
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
@@ -190,10 +173,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but detached from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        """Return a detached deep copy of this tensor."""
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -305,27 +284,11 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward)
 
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return self.__add__(other)
-
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
         return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data - other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-            other_t._accumulate(-grad)
-
-        return Tensor._make(out_data, (self, other_t), backward)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -336,32 +299,6 @@ class Tensor:
             other_t._accumulate(grad * self.data)
 
         return Tensor._make(out_data, (self, other_t), backward)
-
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_t.data)
-            other_t._accumulate(-grad * self.data / (other_t.data ** 2))
-
-        return Tensor._make(out_data, (self, other_t), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -385,42 +322,6 @@ class Tensor:
                     other_t._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
 
         return Tensor._make(out_data, (self, other_t), backward)
-
-    # ------------------------------------------------------------------ #
-    # Shape manipulation
-    # ------------------------------------------------------------------ #
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def transpose(self, axes: Optional[Tuple[int, ...]] = None) -> "Tensor":
-        out_data = np.transpose(self.data, axes)
-
-        def backward(grad: np.ndarray) -> None:
-            if axes is None:
-                self._accumulate(np.transpose(grad))
-            else:
-                inverse = np.argsort(axes)
-                self._accumulate(np.transpose(grad, inverse))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -448,25 +349,6 @@ class Tensor:
             count = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        """Maximum reduction (gradient flows to the arg-max entries)."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            grad_arr = _as_array(grad)
-            if axis is None:
-                mask = (self.data == self.data.max()).astype(np.float64)
-                mask /= mask.sum()
-                self._accumulate(mask * grad_arr)
-                return
-            expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(np.float64)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            g = grad_arr if keepdims else np.expand_dims(grad_arr, axis=axis)
-            self._accumulate(mask * g)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
     # ------------------------------------------------------------------ #
@@ -486,40 +368,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(np.float64)
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        mask = np.where(self.data > 0, 1.0, negative_slope)
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def clip(self, minimum: float, maximum: float) -> "Tensor":
         out_data = np.clip(self.data, minimum, maximum)
         mask = ((self.data >= minimum) & (self.data <= maximum)).astype(np.float64)
@@ -528,49 +376,3 @@ class Tensor:
             self._accumulate(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
-
-
-def as_tensor(value: Union[Tensor, ArrayLike], requires_grad: bool = False) -> Tensor:
-    """Coerce ``value`` into a :class:`Tensor`."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, requires_grad=requires_grad)
-
-
-def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    """Return a zero-filled tensor."""
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    """Return a ones-filled tensor."""
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along an existing axis with gradient support."""
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, stop)
-            tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)

@@ -15,8 +15,10 @@ millionaires' protocol one comparison and one block at a time
 communication ledger's columnar tables as plain lists of rows
 (:class:`LedgerOracle`), the compute backend's kernels as ``np.add.at`` /
 ``np.maximum.at`` accumulation (:class:`ReferenceKernels`), and every fused
-GNN layer, the Lumos head and the masked loss as the composite autograd graph
-of plain ``Tensor`` ops they replace (:func:`install_composite_forms`).
+GNN layer, the Lumos pooling and head and the masked loss as the composite
+autograd graph of ``Tensor`` ops they replace (:func:`install_composite_forms`;
+the ops only those graphs record are in ``helpers.autograd``).  The vertex
+cover of Eq. 10 is checked the plain way too (:func:`edge_coverage_holds`).
 
 ``TreeConstructor`` threads one ``rng`` and one ``TranscriptAccountant``
 through Alg. 1 and Alg. 2; :func:`construct_with_oracles` is the same
@@ -47,12 +49,25 @@ from repro.crypto.ldp import FeatureBinPartitioner, OneBitMechanism
 from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
+from repro.gnn.models import GraphInput
 from repro.graph.sparse import symmetric_normalize
 from repro.nn import backend as backend_module
 from repro.nn import functional as F
 from repro.nn.backend import PreparedEdges, PreparedMatrix
 from repro.nn.shared_rows import SharedRowFeatures
 from repro.nn.tensor import Tensor
+
+from .autograd import (
+    div,
+    gather_rows_columns,
+    leaky_relu,
+    log_softmax,
+    mean_pool,
+    relu,
+    reshape,
+    scatter_add,
+    sub,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -107,6 +122,19 @@ def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -
     assignment = Assignment(selected=selected)
     environment.apply_assignment(assignment.as_lists())
     return assignment
+
+
+def edge_coverage_holds(environment: FederatedEnvironment) -> bool:
+    """The constraint of Eq. 10 on the installed selection: every edge is
+    kept by at least one of its endpoints."""
+    for device_id, device in environment.devices.items():
+        for neighbor in device.ego.neighbors:
+            neighbor = int(neighbor)
+            kept_here = neighbor in device.selected_neighbors
+            kept_there = device_id in environment.devices[neighbor].selected_neighbors
+            if not (kept_here or kept_there):
+                return False
+    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -806,14 +834,6 @@ class ReferenceKernels:
         np.add.at(out, index, values)
         return out
 
-    def segment_sum(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-        return self.scatter_rows(values, index, num_segments)
-
-    def segment_counts(self, index: np.ndarray, num_segments: int) -> np.ndarray:
-        counts = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(counts, index, 1.0)
-        return counts
-
     def segment_max(self, values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         np.maximum.at(out, index, values)
@@ -841,9 +861,9 @@ def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) 
     # gradient contribution cancels exactly in the softmax.
     seg_max = ReferenceKernels().segment_max(values.data, segment_ids, num_segments)
     seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    exp_values = (values - Tensor(seg_max[segment_ids])).exp()
-    denominator = F.gather(F.scatter_add(exp_values, segment_ids, num_segments), segment_ids)
-    return exp_values / (denominator + 1e-16)
+    exp_values = sub(values, seg_max[segment_ids]).exp()
+    denominator = F.gather(scatter_add(exp_values, segment_ids, num_segments), segment_ids)
+    return div(exp_values, denominator + 1e-16)
 
 
 def composite_gcn(features, matrix, weight, bias=None, activation=None) -> Tensor:
@@ -851,7 +871,7 @@ def composite_gcn(features, matrix, weight, bias=None, activation=None) -> Tenso
     out = F.sparse_matmul(matrix, features @ weight)
     if bias is not None:
         out = out + bias
-    return out.relu() if activation == "relu" else out
+    return relu(out) if activation == "relu" else out
 
 
 def composite_gat(
@@ -862,19 +882,28 @@ def composite_gat(
     (``F.fused_gat_layer``'s oracle)."""
     num_nodes = features.shape[0]
     src, dst = np.asarray(edge_index, dtype=np.int64)
-    transformed = (features @ weight).reshape(num_nodes, num_heads, out_features)
-    src_scores = (transformed * attention_src.reshape(1, num_heads, out_features)).sum(axis=-1)
-    dst_scores = (transformed * attention_dst.reshape(1, num_heads, out_features)).sum(axis=-1)
-    edge_logits = (F.gather(src_scores, src) + F.gather(dst_scores, dst)).leaky_relu(negative_slope)
+    transformed = reshape(features @ weight, num_nodes, num_heads, out_features)
+    src_scores = (transformed * reshape(attention_src, 1, num_heads, out_features)).sum(axis=-1)
+    dst_scores = (transformed * reshape(attention_dst, 1, num_heads, out_features)).sum(axis=-1)
+    edge_logits = leaky_relu(F.gather(src_scores, src) + F.gather(dst_scores, dst), negative_slope)
     attention = segment_softmax(edge_logits, dst, num_nodes)  # (E, H)
-    weighted = F.gather(transformed, src) * attention.reshape(-1, num_heads, 1)
-    aggregated = F.scatter_add(weighted, dst, num_nodes)  # (N, H, F)
+    weighted = F.gather(transformed, src) * reshape(attention, -1, num_heads, 1)
+    aggregated = scatter_add(weighted, dst, num_nodes)  # (N, H, F)
     if concat_heads:
-        out = aggregated.reshape(num_nodes, num_heads * out_features)
+        out = reshape(aggregated, num_nodes, num_heads * out_features)
     else:
         out = aggregated.mean(axis=1)
     out = out + bias
-    return out.relu() if activation == "relu" else out
+    return relu(out) if activation == "relu" else out
+
+
+def graph_input_from_adjacency(adjacency) -> GraphInput:
+    """An encoder input from a raw (unnormalised) adjacency: the normalised
+    propagation matrix and the edge index, both with self loops."""
+    coo = sp.coo_matrix(adjacency)
+    loops = np.arange(adjacency.shape[0])
+    edge_index = np.stack([np.concatenate([coo.col, loops]), np.concatenate([coo.row, loops])])
+    return GraphInput(symmetric_normalize(adjacency, self_loops=True), edge_index)
 
 
 def _dense(features):
@@ -898,10 +927,10 @@ def gat_layer_forward(layer: GATLayer, features, edge_index, activation=None) ->
 
 
 def lumos_vertex_embeddings(model, batch: TreeBatch, features) -> Tensor:
-    """``LumosModel.vertex_embeddings`` as encoder, leaf gather and pooling."""
+    """``LumosModel.vertex_embeddings`` as encoder, leaf gather and mean pooling."""
     node_embeddings = model.encoder(features, batch)
     leaf_embeddings = F.gather(node_embeddings, batch.leaf_rows)
-    return model.pooling(leaf_embeddings, batch.leaf_vertices, batch.num_vertices)
+    return mean_pool(leaf_embeddings, batch.leaf_vertices, batch.num_vertices)
 
 
 def lumos_logits(model, batch: TreeBatch, features) -> Tensor:
@@ -911,15 +940,11 @@ def lumos_logits(model, batch: TreeBatch, features) -> Tensor:
     return model.head(lumos_vertex_embeddings(model, batch, features))
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, mask=None) -> Tensor:
-    """``cross_entropy`` as log-softmax, gather and (masked) mean nodes."""
-    picked = F.gather_rows_columns(
-        F.log_softmax(logits, axis=-1), np.asarray(targets, dtype=np.int64)
-    )
-    if mask is None:
-        return -picked.mean()
+def cross_entropy(logits: Tensor, targets: np.ndarray, mask) -> Tensor:
+    """``cross_entropy`` as log-softmax, gather and masked mean nodes."""
+    picked = gather_rows_columns(log_softmax(logits, axis=-1), targets)
     weights = np.asarray(mask, dtype=bool).astype(np.float64)
-    return -(picked * Tensor(weights)).sum() / max(weights.sum(), 1.0)
+    return div(-(picked * Tensor(weights)).sum(), max(weights.sum(), 1.0))
 
 
 def install_composite_forms(monkeypatch) -> None:

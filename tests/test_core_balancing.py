@@ -62,7 +62,7 @@ class TestGreedyInitialization:
 
     def test_assignment_installed_on_environment(self, social_environment):
         assignment = greedy_initialization(social_environment, rng=np.random.default_rng(0))
-        assert social_environment.workloads() == assignment.workloads()
+        assert social_environment.workload_array().tolist() == assignment.workload_array().tolist()
 
 
 class TestFindMaxWorkloadDevice:

@@ -366,11 +366,37 @@ class TestLumosSystem:
         with pytest.raises(ValueError):
             TrainerConfig(backbone="sage")
         with pytest.raises(ValueError):
-            TrainerConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(epsilon=-1.0)
-        with pytest.raises(ValueError):
             TreeConstructorConfig(mcmc_iterations=-5)
+
+    @pytest.mark.parametrize(
+        "field, value, extra",
+        [
+            ("epsilon", float("nan"), {}),
+            ("epsilon", float("inf"), {}),
+            ("epsilon", float("-inf"), {}),
+            ("epsilon", -1.0, {}),
+            ("learning_rate", float("inf"), {}),
+            ("learning_rate", float("nan"), {}),
+            ("learning_rate", 0.0, {}),
+            ("num_heads", 0, {"backbone": "gat"}),
+            ("epochs", 2.5, {}),
+            ("epochs", 0, {}),
+            ("num_layers", 0, {}),
+            ("hidden_dim", 0, {}),
+            ("output_dim", 0, {}),
+            ("dropout", 1.0, {}),
+            ("dropout", -0.1, {}),
+            ("dropout", float("nan"), {}),
+        ],
+    )
+    def test_config_rejects_what_would_fail_late_or_silently(self, field, value, extra):
+        # Each of these used to pass construction and then train to NaN
+        # weights, divide by zero, or fail only after partition, LDP and MCMC.
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value}, **extra)
+        if field == "epsilon":
+            with pytest.raises(ValueError, match=field):
+                LumosConfig().with_epsilon(value)
 
     @pytest.mark.parametrize("field", ["degree_comparison_bits", "workload_comparison_bits"])
     def test_comparison_widths_must_lie_in_1_to_64(self, field):

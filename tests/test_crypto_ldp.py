@@ -16,6 +16,17 @@ from repro.crypto import (
 )
 
 
+@pytest.mark.parametrize(
+    "mechanism", [OneBitMechanism, GaussianMechanism, RandomizedResponse], ids=lambda m: m.__name__
+)
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_every_mechanism_rejects_a_non_finite_or_non_positive_epsilon(mechanism, epsilon):
+    # NaN and inf pass a bare ``epsilon <= 0`` test, and would release data
+    # under no meaningful guarantee.
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        mechanism(epsilon)
+
+
 class TestFeatureBounds:
     def test_properties(self):
         bounds = FeatureBounds(-1.0, 3.0)
@@ -98,8 +109,6 @@ class TestOneBitMechanism:
             assert a <= np.exp(epsilon) * b + 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OneBitMechanism(epsilon=0.0)
         mechanism = OneBitMechanism(epsilon=1.0)
         with pytest.raises(ValueError):
             mechanism.per_element_epsilon(0, 5)
@@ -148,9 +157,7 @@ class TestGaussianMechanism:
         assert abs(noisy.std() - mechanism.sigma) < 0.05 * mechanism.sigma
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianMechanism(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta"):
             GaussianMechanism(1.0, delta=2.0)
 
 
@@ -180,8 +187,6 @@ class TestRandomizedResponse:
         assert set(np.unique(noisy)) <= {0, 1}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.0)
         with pytest.raises(ValueError):
             RandomizedResponse(1.0, num_categories=1)
 

@@ -52,6 +52,7 @@ from repro.gnn.gcn import GCNLayer
 from repro.graph import generate_facebook_like, split_nodes
 from repro.nn.tensor import Tensor
 
+from helpers.autograd import zero_grad
 from helpers.oracles import (
     gat_layer_forward,
     gcn_layer_forward,
@@ -320,7 +321,7 @@ def _check_batch(case):
 # (c) first layer on the factored operand vs the composite oracle, dense
 # --------------------------------------------------------------------------- #
 def _first_layer(forward, layer, features, structure, upstream):
-    layer.zero_grad()
+    zero_grad(layer)
     out = forward(layer, features, structure, activation="relu")
     (out * Tensor(upstream)).sum().backward()
     return out.data, layer.weight.grad, layer.bias.grad

@@ -17,6 +17,7 @@ from repro.federation import (
 from repro.graph import partition_node_level
 from repro.graph.ego import EgoNetwork
 
+from helpers.oracles import edge_coverage_holds
 from helpers.rng_contract import assert_stream_contract
 
 
@@ -159,7 +160,7 @@ class TestDevice:
         devices = build_devices(partition)
         assert len(devices) == small_graph.num_nodes
         assert devices[0].device_id == 0
-        assert devices[0].degree == small_graph.degree(0)
+        assert devices[0].degree == small_graph.degrees()[0]
 
     def test_neighbor_selection_rules(self, small_graph):
         partition = partition_node_level(small_graph)
@@ -199,14 +200,14 @@ class TestFederatedEnvironment:
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         assert environment.num_devices == small_graph.num_nodes
         assert environment.device_ids() == list(range(small_graph.num_nodes))
-        assert environment.degrees()[0] == small_graph.degree(0)
+        assert environment.devices[0].degree == small_graph.degrees()[0]
 
     def test_workload_tracking(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         assert environment.max_workload() == 0
         environment.devices[0].select_all_neighbors()
-        assert environment.max_workload() == small_graph.degree(0)
-        assert environment.workloads()[0] == small_graph.degree(0)
+        assert environment.max_workload() == small_graph.degrees()[0]
+        assert environment.workload_array()[0] == small_graph.degrees()[0]
 
     def test_exchange_validates_endpoints(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
@@ -231,14 +232,16 @@ class TestFederatedEnvironment:
             for device_id, device in environment.devices.items()
         }
         environment.apply_assignment(full)
-        assert environment.validate_edge_coverage()
-        assert environment.assignment() == {k: sorted(v) for k, v in full.items()}
+        assert edge_coverage_holds(environment)
+        assert {k: d.selected_neighbors for k, d in environment.devices.items()} == {
+            k: sorted(v) for k, v in full.items()
+        }
         # Dropping an edge from both sides breaks coverage.
         u, v = int(small_graph.edges[0, 0]), int(small_graph.edges[0, 1])
         broken = {k: [n for n in vs if not (k == u and n == v) and not (k == v and n == u)]
                   for k, vs in full.items()}
         environment.apply_assignment(broken)
-        assert not environment.validate_edge_coverage()
+        assert not edge_coverage_holds(environment)
 
     def test_apply_assignment_rejects_what_select_neighbors_rejects(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
@@ -269,8 +272,8 @@ class TestFederatedEnvironment:
                 with pytest.raises(ValueError, match=message):
                     Device(ego=environment.devices[device_id].ego).select_neighbors(chosen)
             # A rejected assignment installs nothing, not even its valid part.
-            assert environment.assignment()[0] == [neighbor]
-            assert environment.assignment()[1] == []
+            assert environment.devices[0].selected_neighbors == [neighbor]
+            assert environment.devices[1].selected_neighbors == []
             assert environment.directed_edges() is edges
 
     def test_apply_assignment_sorts_and_collapses_duplicates(self, small_graph):

@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 
 from repro.caching import IdentityCache
 from repro.gnn.gat import GATLayer
-from repro.gnn.models import GraphInput
 from repro.nn.backend import FastNumpyBackend, PreparedEdges
 from repro.nn.tensor import Tensor
 
-from helpers.oracles import gat_layer_forward, install_kernels
+from helpers.autograd import zero_grad
+from helpers.oracles import gat_layer_forward, graph_input_from_adjacency, install_kernels
 
 
 def _layer_pass(forward, layer, features_data, edge_index, upstream, activation):
-    layer.zero_grad()
+    zero_grad(layer)
     features = Tensor(features_data.copy(), requires_grad=True)
     out = forward(layer, features, edge_index, activation=activation)
     (out * Tensor(upstream)).sum().backward()
@@ -115,7 +115,7 @@ class TestPlanReuse:
     @pytest.mark.parametrize("fused", [True, False])
     def test_second_pass_builds_nothing(self, fused, monkeypatch):
         rng = np.random.default_rng(3)
-        graph_input = GraphInput.from_adjacency(
+        graph_input = graph_input_from_adjacency(
             sp.csr_matrix((rng.random((12, 12)) < 0.3).astype(np.float64))
         )
         layer = GATLayer(4, 3, num_heads=2, rng=rng)

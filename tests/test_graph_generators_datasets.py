@@ -112,8 +112,8 @@ class TestSocialGenerators:
         assert small.degrees().min() >= 1
         star = generate_star(num_leaves=5)
         assert star.num_nodes == 6
-        assert star.degree(0) == 5
-        assert all(star.degree(v) == 1 for v in range(1, 6))
+        assert star.degrees()[0] == 5
+        assert star.degrees()[1:].tolist() == [1] * 5
 
     @given(st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)

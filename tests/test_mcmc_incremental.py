@@ -27,7 +27,7 @@ from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.federation import FederatedEnvironment
 from repro.graph import (
     EgoNetwork,
-    from_edge_list,
+    Graph,
     generate_facebook_like,
     generate_small_world,
     generate_star,
@@ -150,7 +150,8 @@ def _double_star(leaves: int):
     edges = [(0, 1)]
     edges += [(0, 2 + leaf) for leaf in range(leaves)]
     edges += [(1, 2 + leaves + leaf) for leaf in range(leaves)]
-    return from_edge_list(2 + 2 * leaves, edges)
+    num_nodes = 2 + 2 * leaves
+    return Graph(num_nodes=num_nodes, edges=np.asarray(edges), features=np.zeros((num_nodes, 1)))
 
 
 def _scanned_maxima(kernel, vertices):

@@ -10,18 +10,20 @@ import scipy.sparse as sp
 
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
-from repro.gnn.models import EncoderConfig, GNNEncoder, GraphInput
+from repro.gnn.models import EncoderConfig, GNNEncoder
 from repro.nn import functional as F
 from repro.nn.backend import FastNumpyBackend, PreparedMatrix, get_backend
 from repro.nn.loss import cross_entropy
 from repro.nn.tensor import Tensor
 
+from helpers.autograd import leaky_relu, scatter_add, zero_grad
 from helpers.oracles import (
     ReferenceKernels,
     composite_gcn,
     cross_entropy as composite_cross_entropy,
     gat_layer_forward,
     gcn_layer_forward,
+    graph_input_from_adjacency,
     install_composite_forms,
     install_kernels,
     segment_softmax,
@@ -57,17 +59,14 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("trailing", [(), (5,), (3, 4)])
-    def test_scatter_and_segment_ops(self, name, trailing):
+    def test_scatter_and_take_rows(self, name, trailing):
         rng = np.random.default_rng(1)
         index = rng.integers(0, 6, size=40)
         values = rng.random((40,) + trailing)
         expected = np.zeros((6,) + trailing)
         np.add.at(expected, index, values)
-        counts = np.bincount(index, minlength=6).astype(np.float64)
         backend = KERNELS[name]()
-        np.testing.assert_allclose(backend.segment_sum(values, index, 6), expected, atol=1e-12)
         np.testing.assert_allclose(backend.scatter_rows(values, index, 6), expected, atol=1e-12)
-        np.testing.assert_allclose(backend.segment_counts(index, 6), counts)
         np.testing.assert_array_equal(backend.take_rows(values, index[:5]), values[index[:5]])
 
     @pytest.mark.parametrize(
@@ -79,34 +78,64 @@ class TestKernelParity:
         ],
     )
     @pytest.mark.parametrize("trailing", [(), (4,)])
-    def test_segment_max_matches_base_kernel(self, index, num_segments, trailing):
-        # The backend's sorted reduceat against the oracle's np.maximum.at,
-        # including -inf for segments that receive no row.
+    def test_edge_plan_segment_sum_and_softmax_match_add_at(self, index, num_segments, trailing):
+        # The GAT edge plan's sorted reduceat against the oracle's
+        # np.maximum.at / np.add.at, with the index as the destination row.
+        # Logits of order 1e3 overflow exp unless every destination is shifted
+        # by its own max, so the softmax pins the per-destination max.
         index = np.asarray(index, dtype=np.int64)
-        values = np.random.default_rng(2).standard_normal((index.shape[0],) + trailing)
-        expected = ReferenceKernels().segment_max(values, index, num_segments)
+        edge_index = np.stack([np.zeros_like(index), index])
         backend = FastNumpyBackend()
-        np.testing.assert_array_equal(backend.segment_max(values, index, num_segments), expected)
-        # second call is served by the cached sort
-        np.testing.assert_array_equal(backend.segment_max(values, index, num_segments), expected)
+        plan = backend.prepare_edges(edge_index, num_segments)
+        values = 1e3 * np.random.default_rng(2).standard_normal((index.shape[0],) + trailing)
+        sorted_values = np.moveaxis(values[plan.order], 0, -1)  # (..., E), dst-sorted
+
+        expected_sum = np.zeros((num_segments,) + trailing)
+        np.add.at(expected_sum, index, values)
+        np.testing.assert_allclose(
+            plan.segment_sum(sorted_values), np.moveaxis(expected_sum, 0, -1), rtol=1e-12
+        )
+
+        shifted = values - ReferenceKernels().segment_max(values, index, num_segments)[index]
+        denominator = np.zeros((num_segments,) + trailing)
+        np.add.at(denominator, index, np.exp(shifted))
+        expected_attention = np.exp(shifted) / (denominator[index] + 1e-16)
+        attention = plan.softmax(sorted_values)
+        assert np.isfinite(attention).all()
+        np.testing.assert_allclose(
+            attention, np.moveaxis(expected_attention[plan.order], 0, -1), rtol=1e-12
+        )
+        # a second prepare of the same edge index is served by the cached sort
+        assert backend.prepare_edges(edge_index, num_segments) is plan
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_segments(self, name):
         values = np.zeros((0, 3))
         index = np.zeros(0, dtype=np.int64)
-        out = KERNELS[name]().segment_sum(values, index, 4)
+        out = KERNELS[name]().scatter_rows(values, index, 4)
         assert out.shape == (4, 3)
         assert not out.any()
 
-    @pytest.mark.parametrize("kernel", ["segment_sum", "segment_counts", "segment_max"])
+    @pytest.mark.parametrize("kernel", ["scatter_rows", "prepare_edges"])
     @pytest.mark.parametrize("bad_id", [2, 3, -1])
     def test_out_of_range_segment_id_raises(self, kernel, bad_id):
         # An id outside [0, num_segments) is an error, never an output of the
         # wrong shape (bincount alone grows the result to the largest id).
         index = np.array([0, bad_id])
-        args = (index, 2) if kernel == "segment_counts" else (np.ones((2, 3)), index, 2)
+        if kernel == "prepare_edges":  # the destination row is the segment id
+            args = (np.stack([np.zeros(2, dtype=np.int64), index]), 2)
+        else:
+            args = (np.ones((2, 3)), index, 2)
         with pytest.raises(IndexError, match="segment id out of range"):
             getattr(FastNumpyBackend(), kernel)(*args)
+
+    @pytest.mark.parametrize("bad_id", [2, 3, -1])
+    def test_out_of_range_edge_source_raises(self, bad_id):
+        # The edge plan checks the source row too: a bad source would index
+        # outside the aggregation matrix's columns.
+        edge_index = np.array([[0, bad_id], [0, 1]])
+        with pytest.raises(IndexError, match="edge source out of range"):
+            FastNumpyBackend().prepare_edges(edge_index, 2)
 
 
 class TestAutogradParity:
@@ -166,7 +195,7 @@ class TestAutogradParity:
         src_scores = Tensor(scores.copy(), requires_grad=True)
         dst_scores = Tensor(scores.copy() * 0.5, requires_grad=True)
         logits = F.gather(src_scores, src) + F.gather(dst_scores, dst)
-        attention = segment_softmax(logits.leaky_relu(0.2), dst, num_nodes)
+        attention = segment_softmax(leaky_relu(logits, 0.2), dst, num_nodes)
         (attention * Tensor(weights)).sum().backward()
         composite = (attention.data, src_scores.grad, dst_scores.grad)
 
@@ -194,7 +223,7 @@ class TestAutogradParity:
     def test_encoder_parity_across_backends(self, monkeypatch):
         rng = np.random.default_rng(5)
         adjacency = _random_csr(rng, 9, 9)
-        graph_input = GraphInput.from_adjacency(adjacency)
+        graph_input = graph_input_from_adjacency(adjacency)
         features_data = rng.random((9, 4))
         for backbone in ("gcn", "gat"):
             config = EncoderConfig(
@@ -220,7 +249,7 @@ class TestAutogradParity:
                 # Use a fixed data array per backend by re-seeding the values.
                 source.data[:] = np.arange(15, dtype=np.float64).reshape(5, 3)
                 gathered = F.gather(source, index)
-                pooled = F.scatter_add(gathered, index % 4, 4)
+                pooled = scatter_add(gathered, index % 4, 4)
                 (pooled * pooled).sum().backward()
                 grads[name] = source.grad.copy()
         np.testing.assert_allclose(grads["numpy"], grads["reference"], atol=1e-9)
@@ -284,19 +313,15 @@ class TestParameterRebindInvariant:
 
     def test_optimizers_rebind_parameter_data(self):
         from repro.nn.module import Parameter
-        from repro.nn.optim import SGD, Adam
+        from repro.nn.optim import Adam
 
-        for make_optimizer in (
-            lambda params: Adam(params, lr=0.1),
-            lambda params: SGD(params, lr=0.1),
-        ):
-            parameter = Parameter(np.ones((3, 2)))
-            parameter.grad = np.ones((3, 2))
-            optimizer = make_optimizer([parameter])
-            before = parameter.data
-            optimizer.step()
-            assert parameter.data is not before
-            np.testing.assert_array_equal(before, np.ones((3, 2)))
+        parameter = Parameter(np.ones((3, 2)))
+        parameter.grad = np.ones((3, 2))
+        optimizer = Adam([parameter], lr=0.1)
+        before = parameter.data
+        optimizer.step()
+        assert parameter.data is not before
+        np.testing.assert_array_equal(before, np.ones((3, 2)))
 
     def test_load_state_dict_rebinds_parameter_data(self):
         rng = np.random.default_rng(0)
@@ -474,7 +499,7 @@ class TestFusedLayerParity:
         upstream = rng.standard_normal((nodes, out_dim))
         results = {}
         for mode, forward in (("fused", GATLayer.forward), ("composite", gat_layer_forward)):
-            layer.zero_grad()
+            zero_grad(layer)
             features = Tensor(features_data.copy(), requires_grad=True)
             out = forward(layer, features, edge_index, activation="relu")
             (out * Tensor(upstream)).sum().backward()
@@ -558,7 +583,7 @@ class TestFusedLayerParity:
         layer = GCNLayer(4, 3, rng=np.random.default_rng(46))
         results = {}
         for mode, forward in (("fused", GCNLayer.forward), ("composite", gcn_layer_forward)):
-            layer.zero_grad()
+            zero_grad(layer)
             features = Tensor(features_data.copy(), requires_grad=True)
             out = forward(layer, features, adjacency, activation="relu")
             (out * out).sum().backward()

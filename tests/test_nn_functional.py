@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers.autograd import gather_rows_columns, log_softmax, scatter_add
 from helpers.oracles import segment_softmax
 from helpers.rng_contract import assert_stream_contract, replay_dropout_draw
 from repro.nn import functional as F
@@ -44,24 +45,24 @@ class TestGatherScatter:
 
     def test_scatter_add_forward(self):
         tensor = Tensor(np.array([[1.0], [2.0], [3.0]]))
-        out = F.scatter_add(tensor, np.array([0, 1, 0]), num_segments=2)
+        out = scatter_add(tensor, np.array([0, 1, 0]), num_segments=2)
         np.testing.assert_allclose(out.data, [[4.0], [2.0]])
 
     def test_scatter_add_backward_copies_gradient(self):
         tensor = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = F.scatter_add(tensor, np.array([1, 1, 0]), num_segments=2)
+        out = scatter_add(tensor, np.array([1, 1, 0]), num_segments=2)
         (out * Tensor(np.array([[1.0, 1.0], [5.0, 5.0]]))).sum().backward()
         np.testing.assert_allclose(tensor.grad, [[5, 5], [5, 5], [1, 1]])
 
     def test_gather_then_scatter_roundtrip(self):
         tensor = Tensor(np.arange(8, dtype=float).reshape(4, 2))
         index = np.arange(4)
-        out = F.scatter_add(F.gather(tensor, index), index, num_segments=4)
+        out = scatter_add(F.gather(tensor, index), index, num_segments=4)
         np.testing.assert_allclose(out.data, tensor.data)
 
     def test_gather_rows_columns(self):
         tensor = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
-        out = F.gather_rows_columns(tensor, np.array([1, 0, 1]))
+        out = gather_rows_columns(tensor, np.array([1, 0, 1]))
         np.testing.assert_allclose(out.data, [1.0, 2.0, 5.0])
         out.sum().backward()
         np.testing.assert_allclose(tensor.grad, [[0, 1], [1, 0], [0, 1]])
@@ -97,30 +98,26 @@ class TestSegmentSoftmax:
         assert np.all(np.isfinite(values.grad))
 
 
-class TestSoftmaxFamily:
-    def test_softmax_rows_sum_to_one(self):
-        logits = Tensor(np.random.default_rng(1).normal(size=(5, 3)))
-        out = F.softmax(logits)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5))
+class TestLogSoftmax:
+    """The composite cross-entropy oracle's log-softmax."""
 
     def test_log_softmax_is_log_of_softmax(self):
-        logits = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
-        np.testing.assert_allclose(
-            F.log_softmax(logits).data, np.log(F.softmax(logits).data), atol=1e-10
-        )
+        logits = np.random.default_rng(2).normal(size=(4, 3))
+        softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(log_softmax(Tensor(logits)).data, np.log(softmax), atol=1e-10)
 
     def test_log_softmax_stable_for_large_logits(self):
         logits = Tensor(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
-        out = F.log_softmax(logits).data
+        out = log_softmax(logits).data
         assert np.all(np.isfinite(out))
 
     @given(st.integers(2, 6), st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
-    def test_softmax_invariant_to_shift(self, rows, cols):
+    def test_log_softmax_invariant_to_shift(self, rows, cols):
         rng = np.random.default_rng(rows * 10 + cols)
         logits = rng.normal(size=(rows, cols))
-        base = F.softmax(Tensor(logits)).data
-        shifted = F.softmax(Tensor(logits + 7.5)).data
+        base = log_softmax(Tensor(logits)).data
+        shifted = log_softmax(Tensor(logits + 7.5)).data
         np.testing.assert_allclose(base, shifted, atol=1e-10)
 
 

@@ -1,4 +1,5 @@
-"""Unit and property-based tests for the autograd Tensor."""
+"""Unit and property-based tests for the autograd Tensor (and the ops only
+the composite oracles record, ``helpers.autograd``)."""
 
 from __future__ import annotations
 
@@ -19,15 +20,12 @@ from repro.nn.tensor import (
     Tensor,
     _as_array,
     _unbroadcast,
-    as_tensor,
-    concat,
     enable_grad,
     is_grad_enabled,
     no_grad,
-    ones,
-    stack,
-    zeros,
 )
+
+from helpers.autograd import div, leaky_relu, relu, reshape, sub
 
 
 def numerical_gradient(function, value: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -82,12 +80,6 @@ class TestTensorBasics:
         tensor.zero_grad()
         assert tensor.grad is None
 
-    def test_len_and_size(self):
-        tensor = Tensor(np.zeros((4, 2)))
-        assert len(tensor) == 4
-        assert tensor.size == 8
-        assert tensor.ndim == 2
-
     def test_backward_requires_grad(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
@@ -96,13 +88,6 @@ class TestTensorBasics:
         tensor = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(RuntimeError):
             tensor.backward()
-
-    def test_factories(self):
-        assert np.all(zeros((2, 2)).data == 0)
-        assert np.all(ones(3).data == 1)
-        assert as_tensor([1.0]).shape == (1,)
-        existing = Tensor([1.0])
-        assert as_tensor(existing) is existing
 
 
 class TestArithmetic:
@@ -118,7 +103,6 @@ class TestArithmetic:
         out = (a + 5.0).sum()
         out.backward()
         np.testing.assert_allclose(a.grad, [1.0, 1.0])
-        np.testing.assert_allclose((5.0 + Tensor([1.0])).data, [6.0])
 
     def test_mul_backward(self):
         a = Tensor([2.0, 3.0], requires_grad=True)
@@ -130,28 +114,21 @@ class TestArithmetic:
     def test_sub_and_neg(self):
         a = Tensor([2.0], requires_grad=True)
         b = Tensor([7.0], requires_grad=True)
-        (a - b).sum().backward()
+        sub(a, b).sum().backward()
         np.testing.assert_allclose(a.grad, [1.0])
         np.testing.assert_allclose(b.grad, [-1.0])
         c = Tensor([3.0], requires_grad=True)
         (-c).sum().backward()
         np.testing.assert_allclose(c.grad, [-1.0])
-        np.testing.assert_allclose((1.0 - Tensor([0.25])).data, [0.75])
+        np.testing.assert_allclose(sub(1.0, Tensor([0.25])).data, [0.75])
 
     def test_div_backward(self):
         a = Tensor([6.0], requires_grad=True)
         b = Tensor([2.0], requires_grad=True)
-        (a / b).sum().backward()
+        div(a, b).sum().backward()
         np.testing.assert_allclose(a.grad, [0.5])
         np.testing.assert_allclose(b.grad, [-1.5])
-        np.testing.assert_allclose((1.0 / Tensor([4.0])).data, [0.25])
-
-    def test_pow_backward(self):
-        a = Tensor([3.0], requires_grad=True)
-        (a ** 2).sum().backward()
-        np.testing.assert_allclose(a.grad, [6.0])
-        with pytest.raises(TypeError):
-            _ = a ** Tensor([2.0])
+        np.testing.assert_allclose(div(1.0, Tensor([4.0])).data, [0.25])
 
     def test_matmul_backward(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
@@ -183,18 +160,8 @@ class TestArithmetic:
 class TestShapesAndReductions:
     def test_reshape_backward(self):
         a = Tensor(np.arange(6, dtype=float), requires_grad=True)
-        a.reshape(2, 3).sum().backward()
+        reshape(a, 2, 3).sum().backward()
         np.testing.assert_allclose(a.grad, np.ones(6))
-
-    def test_transpose_backward(self):
-        a = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        (a.T * Tensor(np.arange(6, dtype=float).reshape(3, 2))).sum().backward()
-        assert a.grad.shape == (2, 3)
-
-    def test_getitem_backward_accumulates_duplicates(self):
-        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        a[np.array([0, 0, 2])].sum().backward()
-        np.testing.assert_allclose(a.grad, [2.0, 0.0, 1.0])
 
     def test_sum_axis_keepdims(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -213,47 +180,18 @@ class TestShapesAndReductions:
         a.mean(axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, np.full((2, 3), 1 / 3))
 
-    def test_max_reduction_gradient(self):
-        a = Tensor(np.array([1.0, 5.0, 3.0]), requires_grad=True)
-        a.max().backward()
-        np.testing.assert_allclose(a.grad, [0.0, 1.0, 0.0])
-
-    def test_max_axis(self):
-        a = Tensor(np.array([[1.0, 2.0], [5.0, 0.0]]), requires_grad=True)
-        out = a.max(axis=1)
-        np.testing.assert_allclose(out.data, [2.0, 5.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [[0, 1], [1, 0]])
-
-    def test_stack_and_concat(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        stacked = stack([a, b], axis=0)
-        assert stacked.shape == (2, 2)
-        stacked.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 1.0])
-        a.zero_grad(), b.zero_grad()
-        joined = concat([a, b], axis=0)
-        assert joined.shape == (4,)
-        (joined * Tensor([1.0, 2.0, 3.0, 4.0])).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 2.0])
-        np.testing.assert_allclose(b.grad, [3.0, 4.0])
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize(
-        "name",
-        ["relu", "sigmoid", "tanh", "exp"],
-    )
-    def test_elementwise_gradients_match_numerical(self, name):
+    @pytest.mark.parametrize("op", [relu, Tensor.exp], ids=["relu", "exp"])
+    def test_elementwise_gradients_match_numerical(self, op):
         rng = np.random.default_rng(0)
         value = rng.normal(size=(3, 2))
         tensor = Tensor(value.copy(), requires_grad=True)
-        getattr(tensor, name)().sum().backward()
+        op(tensor).sum().backward()
 
         def scalar_function(x):
-            t = Tensor(x)
-            return getattr(t, name)().sum().item()
+            return op(Tensor(x)).sum().item()
 
         expected = numerical_gradient(scalar_function, value.copy())
         np.testing.assert_allclose(tensor.grad, expected, atol=1e-4)
@@ -266,7 +204,7 @@ class TestNonlinearities:
 
     def test_leaky_relu(self):
         tensor = Tensor(np.array([-2.0, 3.0]), requires_grad=True)
-        out = tensor.leaky_relu(0.1)
+        out = leaky_relu(tensor, 0.1)
         np.testing.assert_allclose(out.data, [-0.2, 3.0])
         out.sum().backward()
         np.testing.assert_allclose(tensor.grad, [0.1, 1.0])
@@ -275,12 +213,6 @@ class TestNonlinearities:
         tensor = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
         tensor.clip(0.0, 1.0).sum().backward()
         np.testing.assert_allclose(tensor.grad, [0.0, 1.0, 0.0])
-
-    def test_sigmoid_saturation_is_finite(self):
-        tensor = Tensor(np.array([-1000.0, 1000.0]))
-        out = tensor.sigmoid().data
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
 class TestNoGrad:
@@ -323,8 +255,8 @@ class TestPropertyBased:
     @given(small_arrays)
     @settings(max_examples=40, deadline=None)
     def test_relu_is_idempotent(self, array):
-        once = Tensor(array).relu().data
-        twice = Tensor(once).relu().data
+        once = relu(Tensor(array)).data
+        twice = relu(Tensor(once)).data
         np.testing.assert_allclose(once, twice)
 
     @given(small_arrays)

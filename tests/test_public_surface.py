@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -182,6 +183,91 @@ RETIRED_PROTOCOL_NAMES = {
 }
 
 
+#: The model surface only tests reached: the autograd ops, layers, optimizer,
+#: losses, initialisers and functional kernels nobody trains with, the pooling
+#: knob with its ``sum`` / ``max`` fork (mean pooling, Eq. 31, is the one
+#: readout), and the metric / graph / environment helpers only tests called.
+#: The ops the composite oracles still record live in tests/helpers/autograd.py.
+RETIRED_AUTOGRAD_NAMES = {
+    "__sub__",
+    "__rsub__",
+    "__truediv__",
+    "__rtruediv__",
+    "__pow__",
+    "__radd__",
+    "__rmul__",
+    "T",
+    "ndim",
+    "numpy",
+    "reshape",
+    "transpose",
+    "max",
+    "relu",
+    "leaky_relu",
+    "sigmoid",
+    "tanh",
+    "as_tensor",
+    "ones",
+    "stack",
+    "concat",
+    "MLP",
+    "ReLU",
+    "LeakyReLU",
+    "Sigmoid",
+    "Tanh",
+    "Sequential",
+    "SGD",
+    "Optimizer",
+    "nll_loss",
+    "mse_loss",
+    "binary_cross_entropy_with_logits",
+    "_abs",
+    "xavier_normal",
+    "kaiming_uniform",
+    "scatter_add",
+    "gather_rows_columns",
+    "log_softmax",
+    "segment_counts",
+    "segment_max",
+    "register_parameter",
+    "children",
+    "num_parameters",
+    "pooling",
+    "get_pooling",
+    "POOLING_FUNCTIONS",
+    "mean_pool",
+    "sum_pool",
+    "max_pool",
+    "_uses_mean_pool",
+    "build_edge_index",
+    "from_adjacency",
+    "predict",
+    "score_pairs",
+    "predict_proba",
+    "f1_macro",
+    "confusion_matrix",
+    "subgraph",
+    "has_edge",
+    "from_edge_list",
+    "from_networkx",
+    "validate_edge_coverage",
+}
+
+#: Retired members whose names live on under another owner (``Adam.zero_grad``,
+#: ``PreparedEdges.softmax``, ``init.zeros``, ``Device.degree``, parameters
+#: called ``size`` or ``assignment``): gone from these owners only.
+RETIRED_AUTOGRAD_MEMBERS = {
+    "repro.nn.tensor": {"zeros"},
+    "repro.nn.tensor.Tensor": {"__getitem__", "__len__", "copy", "size"},
+    "repro.nn.functional": {"softmax"},
+    "repro.nn.backend.FastNumpyBackend": {"segment_sum"},
+    "repro.nn.module.Module": {"zero_grad", "forward"},
+    "repro.gnn.models.GraphInput": {"num_nodes"},
+    "repro.graph.graph.Graph": {"degree"},
+    "repro.federation.simulator.FederatedEnvironment": {"degrees", "workloads", "assignment"},
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -246,6 +332,40 @@ def test_retired_protocol_names_stay_gone(modules):
     assert not _retired_names_found(
         modules, ("repro.crypto", "repro.core", "repro.runtime"), RETIRED_PROTOCOL_NAMES
     )
+
+
+def test_retired_autograd_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules,
+        ("repro.nn", "repro.gnn", "repro.eval", "repro.graph", "repro.federation", "repro.core"),
+        RETIRED_AUTOGRAD_NAMES,
+    )
+    survivors = []
+    for owner, names in RETIRED_AUTOGRAD_MEMBERS.items():
+        value = _resolve(owner)
+        survivors += [f"{owner}.{name}" for name in names if hasattr(value, name)]
+    assert not survivors
+
+
+def test_training_has_one_pooling():
+    # Mean pooling (Eq. 31) is the readout; there is no knob to choose another.
+    from repro.core import TrainerConfig
+
+    assert "pooling" not in {field.name for field in dataclasses.fields(TrainerConfig)}
+
+
+def _resolve(dotted: str):
+    """The module or class ``dotted`` names."""
+    parts = dotted.split(".")
+    for stop in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:stop]))
+        except ImportError:
+            continue
+        for part in parts[stop:]:
+            value = getattr(value, part)
+        return value
+    raise ImportError(dotted)
 
 
 def test_no_comparator_takes_a_random_stream():
