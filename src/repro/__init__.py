@@ -6,7 +6,7 @@ Top-level subpackages
 ``repro.nn``
     Numpy autograd / neural-network substrate (replaces PyTorch).
 ``repro.graph``
-    Graph data structures, ego-network partition, synthetic datasets, splits.
+    Graph data structures, node-level partition, synthetic datasets, splits.
 ``repro.gnn``
     GCN / GAT layers, encoders and task heads.
 ``repro.crypto``

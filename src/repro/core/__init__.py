@@ -20,7 +20,6 @@ from .trainer import (
     UnsupervisedHistory,
     roc_auc_from_embeddings,
 )
-from .tree import LocalGraph, LocalNode, NodeRole, build_star, build_tree, expected_tree_size
 from .workload import Assignment, workload_cdf
 
 __all__ = [
@@ -45,12 +44,6 @@ __all__ = [
     "LumosSystem",
     "LumosSupervisedResult",
     "LumosUnsupervisedResult",
-    "LocalGraph",
-    "LocalNode",
-    "NodeRole",
-    "build_tree",
-    "build_star",
-    "expected_tree_size",
     "Assignment",
     "workload_cdf",
 ]

@@ -5,19 +5,19 @@ Orchestrates the full pipeline:
 1. start from the untrimmed assignment (every device keeps every neighbour);
 2. if tree trimming is enabled, run the greedy initialisation (Alg. 1) and
    the MCMC iteration (Alg. 2) to balance workloads;
-3. build the per-device local graph — the virtual-node tree of Section V-A,
-   or the plain ego star for the "Lumos w.o. VN" ablation.
+3. charge the per-device local-graph build — the virtual-node tree of
+   Section V-A, or the plain ego star for the "Lumos w.o. VN" ablation; the
+   trainer lays every tree out columnar (``TreeBatch.build``).
 
-The result bundles the final assignment, the local graphs, the balancing
-history and the secure-comparison transcript so that the evaluation harness
-can report both accuracy-side and system-side metrics.
+The result bundles the final assignment, the balancing history and the
+secure-comparison transcript so that the evaluation harness can report both
+accuracy-side and system-side metrics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,38 +26,8 @@ from ..federation.simulator import FederatedEnvironment
 from .config import TreeConstructorConfig
 from .greedy import greedy_initialization
 from .mcmc import MCMCBalancer, MCMCResult
-from .tree import LocalGraph, build_star, build_tree, local_graph_sizes
+from .tree import local_graph_sizes
 from .workload import Assignment
-
-
-class CanonicalLocalGraphs(Mapping):
-    """``device -> LocalGraph`` of a construction, built on first access.
-
-    Production reads tree *sizes* only (a function of the workload), so the
-    per-device ``build_tree`` / ``build_star`` graph over the sorted selected
-    neighbours is materialised just for the callers that index or iterate the
-    mapping — canonical by construction, since nothing else is ever built.
-    """
-
-    def __init__(
-        self, assignment: Assignment, device_ids: Iterable[int], use_virtual_nodes: bool
-    ) -> None:
-        self._assignment = assignment
-        self._build = build_tree if use_virtual_nodes else build_star
-        self._graphs = dict.fromkeys(device_ids)  # device -> its graph, once built
-
-    def __getitem__(self, device_id: int) -> LocalGraph:
-        graph = self._graphs[device_id]
-        if graph is None:
-            selected = sorted(self._assignment.selected.get(device_id, ()))
-            graph = self._graphs[device_id] = self._build(device_id, selected)
-        return graph
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._graphs)
-
-    def __len__(self) -> int:
-        return len(self._graphs)
 
 
 @dataclass
@@ -65,7 +35,7 @@ class TreeConstructionResult:
     """Everything the tree constructor produces."""
 
     assignment: Assignment
-    local_graphs: Mapping  # device -> its build_tree / build_star LocalGraph, lazy
+    num_devices: int
     greedy_assignment: Optional[Assignment] = None
     mcmc_result: Optional[MCMCResult] = None
     transcript: TranscriptAccountant = field(default_factory=TranscriptAccountant)
@@ -81,12 +51,9 @@ class TreeConstructionResult:
         return self.assignment.objective()
 
     def total_tree_nodes(self) -> int:
-        """Total number of local-graph nodes across all devices.
-
-        Sizes follow from the workloads (``build_tree`` / ``build_star`` over
-        the selected neighbours), so the lazy local graphs are not built.
-        """
-        workloads = self.assignment.workload_vector(len(self.local_graphs))
+        """Total number of local-graph nodes across all devices: a function
+        of the workloads (:func:`~repro.core.tree.local_graph_sizes`)."""
+        workloads = self.assignment.workload_vector(self.num_devices)
         return int(local_graph_sizes(workloads, self.used_virtual_nodes).sum())
 
 
@@ -129,11 +96,10 @@ class TreeConstructor:
             mcmc_result = balancer.run(greedy_assignment)
             assignment = mcmc_result.assignment
         else:
-            assignment = Assignment.from_lists(
-                {
-                    device_id: device.ego.neighbors.tolist()
-                    for device_id, device in environment.devices.items()
-                }
+            indptr, indices = environment.adjacency_csr()
+            rows = np.split(indices, indptr[1:-1])
+            assignment = Assignment(
+                selected={device_id: set(row.tolist()) for device_id, row in enumerate(rows)}
             )
             environment.apply_assignment(assignment.selected)
 
@@ -147,9 +113,7 @@ class TreeConstructor:
 
         return TreeConstructionResult(
             assignment=assignment,
-            local_graphs=CanonicalLocalGraphs(
-                assignment, environment.devices, self.config.use_virtual_nodes
-            ),
+            num_devices=num_devices,
             greedy_assignment=greedy_assignment,
             mcmc_result=mcmc_result,
             transcript=transcript,

@@ -207,11 +207,10 @@ class LDPEmbeddingInitializer:
         ValueError
             If the environment has no devices or its features no elements.
         """
-        devices = environment.devices
-        if not devices:
+        num_devices = environment.num_devices
+        if not num_devices:
             raise ValueError("environment has no devices")
-        num_devices = len(devices)
-        dimension = next(iter(devices.values())).ego.feature.shape[0]
+        dimension = environment.features.shape[1]
         if not dimension:
             raise ValueError("features have no elements to release")
         # Who requests my feature?  ``r`` requests ``s`` when ``s in N_r``.
@@ -267,9 +266,7 @@ class LDPEmbeddingInitializer:
                 f"the environment has {num_devices}"
             )
         dimension = draws.uniforms.shape[1]
-        features = np.asarray(
-            [device.ego.feature for device in environment.devices.values()], dtype=np.float64
-        )
+        features = environment.features
         if features.shape[1] != dimension:
             raise ValueError(
                 f"draws were made for {dimension}-dimensional features, "

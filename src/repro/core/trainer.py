@@ -206,10 +206,9 @@ class TreeBatch:
         raw feature, neighbour leaves carry the LDP-recovered feature received
         from that neighbour, virtual nodes carry zeros.
 
-        Assembly is pure numpy block arithmetic over the layouts
-        ``build_tree`` / ``build_star`` emit for the sorted selected-neighbour
-        lists (no per-node python loops), so the construction's lazy
-        ``local_graphs`` are never read here.
+        Assembly is pure numpy block arithmetic over every device's tree (or
+        star) at once, its neighbour leaves in ascending order; no per-device
+        local graph exists.
         """
         n = environment.num_devices
         if not n:
@@ -295,7 +294,7 @@ class TreeBatch:
             edge_index=edge_index,
             layer_input=cls._factored(
                 feature_rows,
-                cls._own_features(environment, environment.device_ids(), feature_dim),
+                cls._own_features(environment, feature_dim),
                 initialization,
                 pair_owners,
                 flat_neighbors,
@@ -309,12 +308,10 @@ class TreeBatch:
         )
 
     @staticmethod
-    def _own_features(
-        environment: FederatedEnvironment, ids: List[int], feature_dim: int
-    ) -> sp.csr_matrix:
-        """The devices' raw features, one sparse row per device in ``ids`` order."""
-        features = [environment.devices[device_id].ego.feature for device_id in ids]
-        return sp.csr_matrix(np.asarray(features, dtype=np.float64).reshape(-1, feature_dim))
+    def _own_features(environment: FederatedEnvironment, feature_dim: int) -> sp.csr_matrix:
+        """The devices' raw features, one sparse row per device in id order:
+        the only feature a device reads in clear is its own."""
+        return sp.csr_matrix(environment.features.reshape(-1, feature_dim))
 
 
 # --------------------------------------------------------------------------- #
@@ -439,7 +436,7 @@ class EpochCostModel:
         """Epoch time implied by a workload distribution alone.
 
         Derives the structural quantities from the workloads — ``3*wl + 1``
-        tree nodes (:func:`repro.core.tree.expected_tree_size`) and ``2*wl``
+        tree nodes (:func:`repro.core.tree.local_graph_sizes`) and ``2*wl``
         communication rounds (one upload + one download per kept neighbour)
         — so the maintenance layer's :class:`StalenessMonitor` can price a
         maintained tree against a from-scratch reconstruction without
@@ -507,7 +504,7 @@ class TreeBasedGNNTrainer:
         #: reports full participation.
         self.fault_stats: Optional[Dict[str, float]] = None
 
-        self.feature_dim = int(environment.devices[0].ego.feature.shape[0])
+        self.feature_dim = int(initialization.released.shape[1])
         # A pre-assembled union graph (e.g. the pipeline's cached tree_batch
         # artifact) can be injected; otherwise it is built here.
         self.batch = (
@@ -547,10 +544,7 @@ class TreeBasedGNNTrainer:
 
         rounds = workloads + incoming + 1
         if task == "unsupervised":
-            degrees = np.asarray(
-                [device.degree for device in self.environment.devices.values()], dtype=np.int64
-            )
-            rounds = rounds + 2 * degrees
+            rounds = rounds + 2 * np.diff(self.environment.indptr)
         return {"per_device_rounds": rounds, "workloads": workloads, "incoming": incoming}
 
     def simulated_epoch_time(self, task: str = "supervised") -> float:

@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 import numpy as np
 
 from ..federation.simulator import FederatedEnvironment
-from ..graph.ego import partition_node_level
-from ..graph.graph import Graph
+from ..graph.graph import Graph, partition_node_level
 from .fingerprint import fingerprint_graph, fingerprint_value, stage_key
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -78,12 +77,13 @@ class Stage:
 
 
 class PartitionStage(Stage):
-    """Node-level partition of the global graph into ego networks.
+    """Node-level partition of the global graph: its read-only neighbour CSR
+    and feature matrix (:func:`~repro.graph.graph.partition_node_level`).
 
-    The partition depends only on the graph; the (fresh, per-run) federated
-    environment is rebuilt from it on both the compute and the replay path,
-    because devices carry mutable per-run state that must not be shared
-    between systems.
+    The partition depends only on the graph.  Its arrays are never written,
+    so every system of a sweep shares them; each run gets a fresh federated
+    environment over them (its own ledger, random streams and installed
+    selection) on both the compute and the replay path.
     """
 
     name = "partition"

@@ -176,11 +176,13 @@ class DiskSpillStore(ArtifactStore):
     # and the factored ``TreeBatch``, v4 ``TreeConstructionResult`` losing a
     # field, v5 ``StoredArtifact``'s single ``ledger_delta`` and
     # ``LDPDrawsResult`` losing ``sender_ids``, v6 ``LDPDrawsResult`` keeping
-    # only the released uniforms (a CSR ``uniforms``, no ``bins``) — pickled
-    # layouts that changed under unchanged stage keys.  Older files (or any
-    # unreadable version) degrade to a miss and are quarantined like corrupt
-    # files.
-    _FORMAT_VERSION = 6
+    # only the released uniforms (a CSR ``uniforms``, no ``bins``), v7 the
+    # partition as ``(indptr, indices, features)`` arrays and
+    # ``TreeConstructionResult.num_devices`` replacing ``local_graphs`` —
+    # pickled layouts that changed under unchanged stage keys.  Older files
+    # (or any unreadable version) degrade to a miss and are quarantined like
+    # corrupt files.
+    _FORMAT_VERSION = 7
 
     def __init__(
         self,

@@ -6,157 +6,140 @@ environment instance rather than on raw graphs, which keeps the privacy
 boundary explicit: any cross-device data movement must go through
 :meth:`FederatedEnvironment.exchange_many`, which records it.
 
-Per-device compute is charged to the same ledger (:meth:`charge_compute`,
-or ``ledger.compute_many`` for a whole round); the simulated epoch time — the
-slowest device's finish, the straggler effect the tree trimmer mitigates — is
+Per-device compute is charged to the same ledger (``ledger.compute_many``
+for a whole round); the simulated epoch time — the slowest device's finish,
+the straggler effect the tree trimmer mitigates — is
 :meth:`repro.core.trainer.EpochCostModel.epoch_time`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..graph.ego import EgoNetwork, partition_node_level
-from ..graph.graph import Graph
-from .device import Device, build_devices
-from .events import SERVER_ID, MessageKind
+from ..graph.graph import Graph, partition_node_level
+from .events import MessageKind
 from .network import CommunicationLedger, constant_column
 from .server import Server
 
 
-@dataclass
+@dataclass(eq=False)
 class FederatedEnvironment:
     """All parties of one federated deployment plus shared accounting.
 
-    Device ids are ``0..n-1`` by type: ``devices`` is keyed ``0, 1, ..., n-1``
-    in that order, key ``i`` holds the ego network centred on vertex ``i``,
-    and every neighbour id is itself a key (one device per vertex of the
-    global graph — the paper's node-level split).  Construction rejects
-    anything else with a ``ValueError``, so indexing a per-device array by
-    id, by position in sorted-id order and by position in ``devices`` are
-    the same thing everywhere downstream.  A caller with another id set
-    relabels before constructing, as
+    A device is a row.  Device ``v`` (one vertex of the global graph — the
+    paper's node-level split) sees exactly row ``v`` of two read-only arrays:
+    its neighbours ``indices[indptr[v]:indptr[v + 1]]``, strictly ascending,
+    and its own feature ``features[v]``.  Device ids are therefore ``0..n-1``
+    by construction, and indexing a per-device array by id is the only
+    indexing there is.  Construction validates the CSR and rejects a
+    malformed one with a ``ValueError`` naming the first offender.  A caller
+    with another id set relabels before constructing, as
     :func:`repro.maintenance.tree.fresh_assignment` does.
+
+    The arrays are never written, so environments built from one partition
+    share them.  The per-run state is the ledger, the random streams, the
+    availability mask and :attr:`selection`.
     """
 
-    devices: Dict[int, Device]
+    indptr: np.ndarray
+    indices: np.ndarray
+    features: np.ndarray
     server: Server
     ledger: CommunicationLedger
     rng: np.random.Generator
-    _directed_edges_cache: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _adjacency_csr_cache: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
+    #: The installed neighbour selection: one code ``device * n + neighbour``
+    #: per kept pair, ascending (by device, then by neighbour).  Empty until
+    #: :meth:`apply_assignment` installs one.
+    selection: np.ndarray = field(init=False, repr=False)
     #: Current-round availability, indexed by device id.
     #: ``None`` (the default) means fully available — the fault-free fast
     #: path through :meth:`exchange_many` is a single ``is None`` check.
-    _availability: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
+    _availability: Optional[np.ndarray] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def __post_init__(self) -> None:
-        """Enforce the id invariant of the class docstring, in one pass."""
-        n = self.num_devices
-        keys = np.fromiter(self.devices, dtype=np.int64, count=n)
-        centers = np.fromiter(
-            (device.ego.center for device in self.devices.values()), dtype=np.int64, count=n
-        )
-        for ids, complaint in (
-            (keys, f"device ids must be 0..{n - 1} in order: position {{}} holds id {{}}"),
-            (centers, "device {} holds the ego network of vertex {}"),
-        ):
-            wrong = np.flatnonzero(ids != np.arange(n))
-            if wrong.size:
-                raise ValueError(complaint.format(int(wrong[0]), int(ids[wrong[0]])))
-        sources, neighbors = self.directed_edges()
-        dangling = np.flatnonzero((neighbors < 0) | (neighbors >= n))
-        if dangling.size:
+        """Validate the CSR of the class docstring and freeze the arrays."""
+        indptr, indices = (_read_only(_device_ids(array)) for array in (self.indptr, self.indices))
+        features = _read_only(np.asarray(self.features, dtype=np.float64))
+        if indptr.ndim != 1 or not indptr.size or indices.ndim != 1:
+            raise ValueError("indptr and indices must be 1-D, indptr with n + 1 entries")
+        if indptr[0] != 0:
+            raise ValueError(f"indptr must start at 0, not {int(indptr[0])}")
+        drops = np.flatnonzero(np.diff(indptr) < 0)
+        if drops.size:
+            raise ValueError(f"indptr decreases at device {int(drops[0])}")
+        if indptr[-1] != indices.shape[0]:
             raise ValueError(
-                f"device {int(sources[dangling[0]])} lists neighbour "
-                f"{int(neighbors[dangling[0]])}, which is not a device"
+                f"indptr ends at {int(indptr[-1])}, but indices holds {indices.shape[0]} ids"
             )
+        n = indptr.shape[0] - 1
+        sources = np.repeat(np.arange(n), np.diff(indptr))
+        for offenders, complaint in (
+            (np.flatnonzero((indices < 0) | (indices >= n)), "which is not a device"),
+            (np.flatnonzero(indices == sources), "which is itself"),
+            (
+                1 + np.flatnonzero((sources[1:] == sources[:-1]) & (indices[1:] <= indices[:-1])),
+                "out of ascending order",
+            ),
+        ):
+            if offenders.size:
+                first = offenders[0]
+                raise ValueError(
+                    f"device {int(sources[first])} lists neighbour {int(indices[first])}, "
+                    + complaint
+                )
+        if features.ndim != 2 or features.shape[0] != n:
+            raise ValueError(f"features must have one row per device: {features.shape} for {n}")
+        self.indptr, self.indices, self.features = indptr, indices, features
+        self.selection = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def from_graph(cls, graph: Graph, seed: int = 0) -> "FederatedEnvironment":
         """Split ``graph`` node-level and instantiate one device per vertex."""
-        partition = partition_node_level(graph)
-        return cls.from_partition(partition, seed=seed)
+        return cls.from_partition(partition_node_level(graph), seed=seed)
 
     @classmethod
     def from_partition(
-        cls, partition: Dict[int, EgoNetwork], seed: int = 0
+        cls, partition: Tuple[np.ndarray, np.ndarray, np.ndarray], seed: int = 0
     ) -> "FederatedEnvironment":
-        """Instantiate the environment from an existing ego-network partition."""
-        ledger = CommunicationLedger()
-        rng = np.random.default_rng(seed)
-        server = Server(rng=np.random.default_rng(seed + 1))
-        devices = build_devices(partition)
-        return cls(devices=devices, server=server, ledger=ledger, rng=rng)
+        """Instantiate the environment from a node-level partition
+        ``(indptr, indices, features)``."""
+        indptr, indices, features = partition
+        return cls(
+            indptr=indptr,
+            indices=indices,
+            features=features,
+            server=Server(rng=np.random.default_rng(seed + 1)),
+            ledger=CommunicationLedger(),
+            rng=np.random.default_rng(seed),
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
     def num_devices(self) -> int:
-        return len(self.devices)
-
-    def device_ids(self) -> List[int]:
-        """The device ids, ``[0, ..., n-1]``."""
-        return list(self.devices)
+        return self.indptr.shape[0] - 1
 
     def workload_array(self) -> np.ndarray:
-        """Workloads indexed by device id."""
-        return np.asarray(
-            [device.workload for device in self.devices.values()], dtype=np.int64
-        )
-
-    def max_workload(self) -> int:
-        """The objective value f(X) = max_u wl(u) of the current assignment."""
-        return int(self.workload_array().max()) if self.devices else 0
+        """Workloads of the installed selection, indexed by device id."""
+        n = self.num_devices
+        return np.bincount(self.selection // max(n, 1), minlength=n)
 
     def directed_edges(self) -> np.ndarray:
-        """Directed ``(2, 2E)`` edge index of the union of all ego networks.
-
-        Sources ascend (device by device, each device's neighbours in ego
-        order, which is ascending too).  Cached in an explicit attribute
-        after the first call — no method of the environment changes the ego
-        structure; used by the vectorised greedy and balancing kernels and by
-        :meth:`apply_assignment`'s ownership check.
-        """
-        if self._directed_edges_cache is not None:
-            return self._directed_edges_cache
-        blocks = [device.ego.neighbors for device in self.devices.values()]
-        degrees = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
-        edges = np.stack(
-            [
-                np.repeat(np.arange(len(blocks)), degrees),
-                np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64),
-            ]
-        )
-        self._directed_edges_cache = edges
-        return edges
+        """Directed ``(2, 2E)`` edge index of the CSR: sources ascend, and
+        each device's neighbours ascend after it."""
+        sources = np.repeat(np.arange(self.num_devices), np.diff(self.indptr))
+        return np.stack([sources, self.indices])
 
     def adjacency_csr(self) -> tuple:
-        """``(indptr, indices)`` CSR view of :meth:`directed_edges`.
-
-        Cached alongside the directed-edge cache.
-        """
-        if self._adjacency_csr_cache is not None:
-            return self._adjacency_csr_cache
-        sources, destinations = self.directed_edges()
-        indptr = np.zeros(self.num_devices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=self.num_devices), out=indptr[1:])
-        self._adjacency_csr_cache = (indptr, destinations)
-        return self._adjacency_csr_cache
+        """The read-only ``(indptr, indices)`` pair itself."""
+        return self.indptr, self.indices
 
     # ------------------------------------------------------------------ #
     # Availability (fault injection)
@@ -164,14 +147,17 @@ class FederatedEnvironment:
     def set_availability(self, mask: Optional[np.ndarray]) -> None:
         """Install the current round's availability mask (or clear it).
 
-        ``mask`` is boolean, indexed by device id — the convention of
-        :class:`repro.faults.plan.FaultPlan` rows.  ``None`` restores full
-        availability; the server is always available.
+        ``mask`` is boolean (anything else is a ``TypeError``), indexed by
+        device id — the convention of :class:`repro.faults.plan.FaultPlan`
+        rows.  ``None`` restores full availability; the server is always
+        available.
         """
         if mask is None:
             self._availability = None
             return
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise TypeError(f"availability mask must be boolean, not {mask.dtype}")
         if mask.shape != (self.num_devices,):
             raise ValueError(
                 f"availability mask must have shape ({self.num_devices},), "
@@ -179,23 +165,9 @@ class FederatedEnvironment:
             )
         self._availability = mask.copy()
 
-    def is_available(self, party_id: int) -> bool:
-        """Whether ``party_id`` participates in the current round."""
-        if self._availability is None or party_id == SERVER_ID:
-            return True
-        if party_id not in self.devices:
-            raise KeyError(f"unknown device {party_id}")
-        return bool(self._availability[party_id])
-
     # ------------------------------------------------------------------ #
-    # Communication and compute accounting
+    # Communication accounting
     # ------------------------------------------------------------------ #
-    def exchange(
-        self, sender: int, recipient: int, kind: MessageKind, size_bytes: int, description: str = ""
-    ) -> None:
-        """Record one device-to-device message: :meth:`exchange_many` of one pair."""
-        self.exchange_many(np.array([sender]), np.array([recipient]), kind, size_bytes, description)
-
     def exchange_many(
         self,
         senders: np.ndarray,
@@ -206,14 +178,14 @@ class FederatedEnvironment:
     ) -> None:
         """Record one message per ``(sender, recipient)`` device pair, columnar.
 
-        Both endpoints must be devices; anything else (the server included)
-        is a ``KeyError``.  Under an availability mask, a message from an
-        offline sender is suppressed — nothing is transmitted or charged,
-        only a drop row is kept — while a message to an offline recipient is
-        transmitted (the sender cannot know) and therefore charged normally
-        *plus* logged as undelivered.
+        Both endpoints must be devices: a non-integer id is a ``TypeError``,
+        any other id (the server included) a ``KeyError``.  Under an
+        availability mask, a message from an offline sender is suppressed —
+        nothing is transmitted or charged, only a drop row is kept — while a
+        message to an offline recipient is transmitted (the sender cannot
+        know) and therefore charged normally *plus* logged as undelivered.
         """
-        endpoints = np.concatenate([senders, recipients])
+        endpoints = np.concatenate([_device_ids(senders), _device_ids(recipients)])
         unknown = np.flatnonzero((endpoints < 0) | (endpoints >= self.num_devices))
         if unknown.size:
             raise KeyError(f"unknown device {int(endpoints[unknown[0]])}")
@@ -231,12 +203,6 @@ class FederatedEnvironment:
             senders, recipients = senders[sent], recipients[sent]
         record(ledger.send_many, senders, recipients)
 
-    def charge_compute(self, device_id: int, cost: float, description: str = "") -> None:
-        """Charge ``cost`` units of computation to ``device_id``."""
-        if device_id not in self.devices:
-            raise KeyError(f"unknown device {device_id}")
-        self.ledger.compute(device_id, cost, description)
-
     def next_round(self) -> int:
         """Advance the global synchronous round."""
         return self.ledger.next_round()
@@ -250,24 +216,28 @@ class FederatedEnvironment:
         Every device ``assignment`` names gets the ids it maps to, sorted and
         without duplicates; the other devices keep their selection.  A device
         can only keep edges it owns, so all ``(device, neighbour)`` pairs are
-        looked up in :meth:`directed_edges` in one pass before anything is
-        installed: an unknown device is a ``KeyError``, a pair that is no edge
-        the ``ValueError`` of :meth:`Device.select_neighbors` naming the first
-        one, and either leaves the environment as it was.
+        looked up in the CSR in one pass before anything is installed: a
+        non-integer id is a ``TypeError``, an unknown device a ``KeyError``,
+        a pair that is no edge a ``ValueError`` naming the first one, and
+        each leaves the environment as it was.
         """
         n = self.num_devices
-        selections = [list(chosen) for chosen in assignment.values()]
-        counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
-        device_ids = np.fromiter(assignment, dtype=np.int64, count=len(selections))
+        blocks = [
+            chosen if isinstance(chosen, np.ndarray) else np.array(list(chosen))
+            for chosen in assignment.values()
+        ]
+        device_ids = _device_ids(np.array(list(assignment)))
+        for block in blocks:
+            _device_ids(block)
         unknown = np.flatnonzero((device_ids < 0) | (device_ids >= n))
         if unknown.size:
             raise KeyError(f"unknown device {int(device_ids[unknown[0]])}")
+        counts = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
         owners = np.repeat(device_ids, counts)
-        chosen = np.fromiter(
-            chain.from_iterable(selections), dtype=np.int64, count=int(counts.sum())
-        )
-        # One integer per pair.  The directed edges' codes ascend (see there);
-        # the sentinel is what a lookup past the last edge reads.
+        chosen = np.concatenate([np.zeros(0, np.int64), *blocks], dtype=np.int64, casting="unsafe")
+        # One integer per pair.  The CSR's codes ascend (rows ascend, and each
+        # row's neighbours ascend within it); the sentinel is what a lookup
+        # past the last edge reads.
         codes = owners * n + chosen
         sources, neighbors = self.directed_edges()
         edge_codes = np.append(sources * n + neighbors, -1)
@@ -278,13 +248,12 @@ class FederatedEnvironment:
             raise ValueError(
                 f"device {int(owners[first])} cannot select non-neighbour {int(chosen[first])}"
             )
-        kept = np.unique(codes)  # by device, then by neighbour
-        bounds = np.searchsorted(kept, np.arange(n + 1) * n).tolist()
-        kept_neighbors = (kept % n).tolist()
-        for device_id in device_ids.tolist():
-            self.devices[device_id].selected_neighbors = kept_neighbors[
-                bounds[device_id] : bounds[device_id + 1]
-            ]
+        named = np.zeros(n, dtype=bool)
+        named[device_ids] = True
+        kept = self.selection[~named[self.selection // max(n, 1)]]
+        # Sorted codes are by device, then by neighbour; codes are >= 0.
+        merged = np.sort(np.concatenate([kept, codes]))
+        self.selection = merged[np.diff(merged, prepend=-1) != 0]
 
     def summary(self) -> Dict[str, float]:
         """Headline counters of the environment."""
@@ -296,3 +265,20 @@ class FederatedEnvironment:
         }
         result.update(self.ledger.summary(self.num_devices))
         return result
+
+
+def _device_ids(values: np.ndarray) -> np.ndarray:
+    """``values`` as an array of ids; a float, bool or other non-integer id is
+    a ``TypeError`` (an empty array of any dtype has no id to complain about)."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        first = values.flat[0].item()
+        raise TypeError(f"device ids must be integers, got {first!r} ({values.dtype})")
+    return values.astype(np.int64, copy=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``."""
+    view = array.view()
+    view.flags.writeable = False
+    return view

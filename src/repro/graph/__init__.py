@@ -1,7 +1,6 @@
-"""Graph substrate: data structures, ego partition, generators and splits."""
+"""Graph substrate: data structures, node-level partition, generators and splits."""
 
 from .datasets import available_datasets, load_dataset
-from .ego import EgoNetwork, partition_node_level, validate_partition
 from .generators import (
     FACEBOOK_SPEC,
     LASTFM_SPEC,
@@ -12,15 +11,13 @@ from .generators import (
     generate_star,
     generate_social_graph,
 )
-from .graph import Graph
+from .graph import Graph, partition_node_level
 from .splits import EdgeSplit, NodeSplit, sample_negative_edges, split_edges, split_nodes
 from . import sparse
 
 __all__ = [
     "Graph",
-    "EgoNetwork",
     "partition_node_level",
-    "validate_partition",
     "SocialGraphSpec",
     "FACEBOOK_SPEC",
     "LASTFM_SPEC",

@@ -9,8 +9,9 @@ returns a new instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,9 +31,12 @@ class Graph:
     features:
         Float array of shape ``(n, d)`` with one feature vector per vertex.
     labels:
-        Optional integer array of shape ``(n,)`` with class labels.
+        Optional array of shape ``(n,)`` with non-negative integer class labels.
     name:
         Human-readable dataset name.
+
+    Edge endpoints and labels must be integers (integral floats are taken as
+    such) and features finite; anything else is a ``ValueError``.
     """
 
     num_nodes: int
@@ -40,12 +44,9 @@ class Graph:
     features: np.ndarray
     labels: Optional[np.ndarray] = None
     name: str = "graph"
-    _neighbor_cache: Dict[int, np.ndarray] = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = _integers(self.edges, "edge endpoints")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -69,12 +70,23 @@ class Graph:
                 f"features must have shape (num_nodes, d); got {features.shape} "
                 f"for {self.num_nodes} nodes"
             )
+        infinite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if infinite.size:
+            raise ValueError(
+                f"features must be finite: vertex {int(infinite[0])} has a NaN or inf"
+            )
         object.__setattr__(self, "features", features)
 
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _integers(self.labels, "labels")
             if labels.shape != (self.num_nodes,):
                 raise ValueError("labels must have shape (num_nodes,)")
+            negative = np.flatnonzero(labels < 0)
+            if negative.size:
+                raise ValueError(
+                    f"labels must be non-negative: vertex {int(negative[0])} has "
+                    f"{int(labels[negative[0]])}"
+                )
             object.__setattr__(self, "labels", labels)
 
     # ------------------------------------------------------------------ #
@@ -106,25 +118,25 @@ class Graph:
         return degree
 
     def neighbors(self, vertex: int) -> np.ndarray:
-        """Return the sorted neighbour ids of ``vertex`` (cached)."""
+        """Return the sorted neighbour ids of ``vertex``: a read-only row of :attr:`csr`."""
+        if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)):
+            raise TypeError(f"vertex ids are integers, not {type(vertex).__name__} {vertex!r}")
         if vertex < 0 or vertex >= self.num_nodes:
             raise ValueError(f"vertex {vertex} out of range [0, {self.num_nodes})")
-        cached = self._neighbor_cache.get(vertex)
-        if cached is not None:
-            return cached
-        if not self._neighbor_cache and self.num_edges:
-            self._build_neighbor_cache()
-            return self._neighbor_cache.get(vertex, np.empty(0, dtype=np.int64))
-        return np.empty(0, dtype=np.int64)
+        indptr, indices = self.csr
+        return indices[indptr[vertex] : indptr[vertex + 1]]
 
-    def _build_neighbor_cache(self) -> None:
-        """Neighbour CSR in one pass: both directions of every edge sorted by
-        ``(vertex, neighbour)``, then one slice of that array per vertex."""
+    @cached_property
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, indices)`` neighbour CSR, built on first use:
+        both directions of every edge sorted by ``(vertex, neighbour)``, so row
+        ``v`` lists ``v``'s neighbours in ascending order."""
         sources, targets = self.directed_edge_index()
-        ordered = targets[np.lexsort((targets, sources))]
-        row_ends = np.cumsum(np.bincount(sources, minlength=self.num_nodes)).tolist()
-        for vertex, (start, stop) in enumerate(zip([0] + row_ends, row_ends)):
-            self._neighbor_cache[vertex] = ordered[start:stop]
+        indices = targets[np.lexsort((targets, sources))]
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=self.num_nodes), out=indptr[1:])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
     def edge_set(self) -> set:
         """Return the set of canonical ``(min, max)`` edge tuples."""
@@ -206,3 +218,29 @@ class Graph:
             "avg_degree": float(degrees.mean()) if self.num_nodes else 0.0,
             "max_degree": int(degrees.max()) if self.num_nodes else 0,
         }
+
+
+def partition_node_level(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ``graph`` into its devices: ``(indptr, indices, features)``.
+
+    This mirrors the experimental setup of the paper: "We split the graphs
+    into |V| ego networks so that each device represented by one vertex in
+    the graph holds its corresponding ego network".  Device ``v`` is row
+    ``v``: its neighbours ``indices[indptr[v]:indptr[v + 1]]`` and its own
+    feature ``features[v]``.  The three arrays are read-only and shared with
+    ``graph``; no per-vertex object is built.
+    """
+    indptr, indices = graph.csr
+    features = graph.features.view()
+    features.flags.writeable = False
+    return indptr, indices, features
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; a non-integral or non-finite entry is a ``ValueError``."""
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        fractional = np.flatnonzero(~np.isfinite(array) | (array != np.round(array)))
+        if fractional.size:
+            raise ValueError(f"{what} must be integers, got {float(array.flat[fractional[0]])}")
+    return array.astype(np.int64, copy=False)

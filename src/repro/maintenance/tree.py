@@ -103,8 +103,8 @@ def fresh_assignment(
 ) -> Tuple[Dict[int, List[int]], TranscriptAccountant]:
     """From-scratch construction over an arbitrary adjacency.
 
-    Renumbers the present devices to ``0..m-1`` (a ``FederatedEnvironment``
-    accepts no other id set), runs the full
+    Renumbers the present devices to ``0..m-1`` (a ``FederatedEnvironment``'s
+    device ids are its CSR row indices), runs the full
     :class:`~repro.core.constructor.TreeConstructor`
     pipeline on a synthetic feature-free graph, and maps the balanced
     selection back to the original ids.  Pure function of

@@ -4,8 +4,9 @@ Every production kernel has exactly one oracle, and it lives here, not in
 ``src/``: Alg. 1 as the per-edge protocol loop
 (:func:`greedy_initialization_reference`), Alg. 3 from scratch
 (:func:`find_max_workload_device`) inside Alg. 2 as the from-scratch loop
-(:func:`mcmc_run_reference`), the union graph by per-node traversal
-(:func:`tree_batch_reference`), the LDP feature exchange one scalar message
+(:func:`mcmc_run_reference`), the union graph by per-node traversal of
+one :class:`LocalGraph` per device (:func:`tree_batch_reference`, over
+:func:`build_tree` / :func:`build_star`), the LDP feature exchange one scalar message
 at a time (:func:`ldp_exchange_reference`) — and, for the layout of its
 draws, over the dense ``(messages, d)`` uniforms
 (:func:`ldp_draw_reference`, :func:`ldp_threshold_reference`) — the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -88,14 +90,12 @@ def greedy_initialization_reference(
     accountant = accountant if accountant is not None else TranscriptAccountant()
     comparator = SecureComparator(bit_width=bit_width, accountant=accountant)
 
-    selected: Dict[int, Set[int]] = {device_id: set() for device_id in environment.devices}
+    degrees = np.diff(environment.indptr).tolist()
+    selected: Dict[int, Set[int]] = {device_id: set() for device_id in range(len(degrees))}
 
-    for device_id in environment.device_ids():
-        device = environment.devices[device_id]
-        own_degree = device.degree
-        for neighbor in device.ego.neighbors:
-            neighbor = int(neighbor)
-            neighbor_degree = environment.devices[neighbor].degree
+    for device_id, own_degree in enumerate(degrees):
+        for neighbor in neighbors_of(environment, device_id):
+            neighbor_degree = degrees[neighbor]
             # Line 4 of Alg. 1: keep v when round(ln deg(v)) >= round(ln deg(u)).
             bits_before = accountant.bits
             keep = secure_compare_reference(
@@ -104,12 +104,12 @@ def greedy_initialization_reference(
                 log_degree_bucket_reference(own_degree),
             )
             size_bytes = comparison_message_bytes(accountant.bits - bits_before)
-            environment.exchange(
-                device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
+            exchange(
+                environment, device_id, neighbor, MessageKind.SECURE_COMPARISON, size_bytes,
                 description="greedy-degree-comparison",
             )
-            environment.exchange(
-                neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
+            exchange(
+                environment, neighbor, device_id, MessageKind.SECURE_COMPARISON, size_bytes,
                 description="greedy-degree-comparison",
             )
             if keep:
@@ -124,14 +124,42 @@ def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -
     return assignment
 
 
+def neighbors_of(environment: FederatedEnvironment, device_id: int) -> List[int]:
+    """Device ``device_id``'s neighbours: its row of the environment's CSR."""
+    indptr, indices = environment.adjacency_csr()
+    return indices[indptr[device_id] : indptr[device_id + 1]].tolist()
+
+
+def installed_selection(environment: FederatedEnvironment) -> Dict[int, List[int]]:
+    """``device -> sorted kept neighbours`` of the installed selection, every
+    device listed (decoded from ``environment.selection``)."""
+    n = environment.num_devices
+    selected: Dict[int, List[int]] = {device_id: [] for device_id in range(n)}
+    for code in environment.selection.tolist():
+        selected[code // n].append(code % n)
+    return selected
+
+
+def exchange(environment, sender, recipient, kind, size_bytes, description="") -> None:
+    """One device-to-device message: ``exchange_many`` of one pair."""
+    environment.exchange_many(
+        np.array([sender]), np.array([recipient]), kind, size_bytes, description
+    )
+
+
+def charge_compute(environment, device_id: int, cost: float, description: str = "") -> None:
+    """Charge ``cost`` units of computation to device ``device_id``."""
+    environment.ledger.compute(device_id, cost, description)
+
+
 def edge_coverage_holds(environment: FederatedEnvironment) -> bool:
     """The constraint of Eq. 10 on the installed selection: every edge is
     kept by at least one of its endpoints."""
-    for device_id, device in environment.devices.items():
-        for neighbor in device.ego.neighbors:
-            neighbor = int(neighbor)
-            kept_here = neighbor in device.selected_neighbors
-            kept_there = device_id in environment.devices[neighbor].selected_neighbors
+    selected = installed_selection(environment)
+    for device_id in range(environment.num_devices):
+        for neighbor in neighbors_of(environment, device_id):
+            kept_here = neighbor in selected[device_id]
+            kept_there = device_id in selected[neighbor]
             if not (kept_here or kept_there):
                 return False
     return True
@@ -168,23 +196,17 @@ def find_max_workload_device(
     candidates: List[int] = []
     total_neighbor_comparisons = 0
     if comparator is None and not per_device_ledger:
-        # Vectorised evaluation of exactly the same comparisons, over arrays
-        # aligned to the sorted device ids (the ids need not be 0..n-1).
-        sorted_ids = environment.device_ids()
-        device_ids = np.asarray(sorted_ids, dtype=np.int64)
+        # Vectorised evaluation of exactly the same comparisons.
         workload_array = np.asarray(
-            [workloads[device_id] for device_id in sorted_ids], dtype=np.int64
+            [workloads[device_id] for device_id in range(environment.num_devices)],
+            dtype=np.int64,
         )
         sources, destinations = environment.directed_edges()
         neighbor_max = np.zeros_like(workload_array)
         if sources.size:
-            np.maximum.at(
-                neighbor_max,
-                np.searchsorted(device_ids, sources),
-                workload_array[np.searchsorted(device_ids, destinations)],
-            )
+            np.maximum.at(neighbor_max, sources, workload_array[destinations])
         total_neighbor_comparisons = int(sources.size)
-        candidates = device_ids[workload_array >= neighbor_max].tolist()
+        candidates = np.flatnonzero(workload_array >= neighbor_max).tolist()
         environment.ledger.send(
             sender=SERVER_ID,
             recipient=SERVER_ID,
@@ -193,9 +215,8 @@ def find_max_workload_device(
             description="alg3-candidate-announcements",
         )
     else:
-        for device_id in environment.device_ids():
-            device = environment.devices[device_id]
-            neighbor_workloads = [workloads[int(v)] for v in device.ego.neighbors]
+        for device_id in range(environment.num_devices):
+            neighbor_workloads = [workloads[v] for v in neighbors_of(environment, device_id)]
             total_neighbor_comparisons += len(neighbor_workloads)
             if comparator is not None:
                 # Device operation 1: am I >= every neighbour?  The scan stops
@@ -220,7 +241,7 @@ def find_max_workload_device(
     # winners (possibly several on ties) report to the server which picks one.
     if not candidates:
         # Degenerate case (no edges): every device has workload 0.
-        candidates = [environment.device_ids()[0]]
+        candidates = [0]
     candidate_workloads = [workloads[c] for c in candidates]
     pairwise_comparisons = len(candidates) * max(len(candidates) - 1, 0)
     maximum_value = max(candidate_workloads)
@@ -311,8 +332,8 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         # Line 5: form X'_t with the transition of Eq. 17.
         proposal = current.transfer(heaviest, targets)
         for target in targets:
-            self.environment.exchange(
-                heaviest, target, MessageKind.SERVER_COORDINATION, 8,
+            exchange(
+                self.environment, heaviest, target, MessageKind.SERVER_COORDINATION, 8,
                 description="mcmc-transition-proposal",
             )
 
@@ -336,8 +357,9 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         else:
             difference = objective_before - objective_after
             _charge_analytic_comparisons(self.accountant, 1, bit_width=self.bit_width)
-        self.environment.exchange(
-            heaviest, heaviest_after, MessageKind.SECURE_COMPARISON, self.bit_width // 8 or 1,
+        exchange(
+            self.environment, heaviest, heaviest_after, MessageKind.SECURE_COMPARISON,
+            self.bit_width // 8 or 1,
             description="mcmc-objective-difference",
         )
 
@@ -348,8 +370,8 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
             accepted += 1
             # Line 9: the source device informs the moved neighbours.
             for target in targets:
-                self.environment.exchange(
-                    heaviest, target, MessageKind.SERVER_COORDINATION, 8,
+                exchange(
+                    self.environment, heaviest, target, MessageKind.SERVER_COORDINATION, 8,
                     description="mcmc-accept-notification",
                 )
         history.append(current.objective())
@@ -390,8 +412,162 @@ def construct_with_oracles(
 
 
 # --------------------------------------------------------------------------- #
-# Union graph
+# Local graphs and the union graph
 # --------------------------------------------------------------------------- #
+class NodeRole(Enum):
+    """Role of a node inside a local (per-device) graph."""
+
+    CENTER_LEAF = "center_leaf"
+    NEIGHBOR_LEAF = "neighbor_leaf"
+    PARENT = "parent"
+    ROOT = "root"
+    CENTER = "center"  # used by the star (no-virtual-node) variant
+
+
+@dataclass(frozen=True)
+class LocalNode:
+    """One node of a local graph: ``vertex`` is the global vertex id the node
+    refers to, or ``None`` for virtual nodes."""
+
+    local_id: int
+    role: NodeRole
+    vertex: Optional[int]
+
+
+@dataclass
+class LocalGraph:
+    """One device's tree (or star), node by node."""
+
+    owner: int
+    nodes: List[LocalNode]
+    edges: List[Tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        ids = [node.local_id for node in self.nodes]
+        if ids != list(range(len(self.nodes))):
+            raise ValueError("local node ids must be consecutive starting at 0")
+        for u, v in self.edges:
+            if not (0 <= u < len(self.nodes) and 0 <= v < len(self.nodes)):
+                raise ValueError("edge endpoint out of range")
+            if u == v:
+                raise ValueError("self loops are not allowed in local graphs")
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    def leaves(self) -> List[LocalNode]:
+        """All nodes that refer to a global vertex (leaf pairs or star nodes)."""
+        return [node for node in self.nodes if node.vertex is not None]
+
+    def nodes_for_vertex(self, vertex: int) -> List[LocalNode]:
+        """All local nodes referring to global ``vertex``."""
+        return [node for node in self.nodes if node.vertex == vertex]
+
+    def neighbor_vertices(self) -> List[int]:
+        """Global ids of the neighbour vertices present in this local graph."""
+        return sorted({node.vertex for node in self.nodes if node.role is NodeRole.NEIGHBOR_LEAF})
+
+    def depth(self) -> int:
+        """Longest path (in edges) from the root (or star centre) to any node."""
+        if not self.edges:
+            return 0
+        adjacency: Dict[int, List[int]] = {node.local_id: [] for node in self.nodes}
+        for u, v in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        roots = [n.local_id for n in self.nodes if n.role in (NodeRole.ROOT, NodeRole.CENTER)]
+        root = roots[0] if roots else 0
+        depth = {root: 0}
+        frontier = [root]
+        while frontier:  # breadth-first from the root
+            next_frontier = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if neighbor not in depth:
+                        depth[neighbor] = depth[node] + 1
+                        next_frontier.append(neighbor)
+            frontier = next_frontier
+        return max(depth.values())
+
+    def is_tree(self) -> bool:
+        """Whether the local graph is connected and acyclic."""
+        if self.num_nodes == 0:
+            return True
+        if self.num_edges != self.num_nodes - 1:
+            return False
+        parent = list(range(self.num_nodes))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in self.edges:
+            parent[find(u)] = find(v)
+        return len({find(x) for x in range(self.num_nodes)}) == 1
+
+
+def build_tree(owner: int, neighbors: Sequence[int]) -> LocalGraph:
+    """The Lumos tree ``T(owner)`` over the selected ``neighbors`` (Fig. 2):
+    one root, one parent per leaf pair, one centre-leaf replica and one
+    neighbour leaf per pair.  An empty selection still gets a one-node graph
+    (the owner's centre leaf) so its own feature participates in pooling."""
+    if not neighbors:
+        return LocalGraph(owner, [LocalNode(0, NodeRole.CENTER_LEAF, owner)], [])
+    nodes = [LocalNode(0, NodeRole.ROOT, None)]
+    edges: List[Tuple[int, int]] = []
+    for neighbor in neighbors:
+        parent = len(nodes)
+        nodes += [
+            LocalNode(parent, NodeRole.PARENT, None),
+            LocalNode(parent + 1, NodeRole.CENTER_LEAF, owner),
+            LocalNode(parent + 2, NodeRole.NEIGHBOR_LEAF, int(neighbor)),
+        ]
+        edges += [(0, parent), (parent, parent + 1), (parent, parent + 2)]
+    return LocalGraph(owner, nodes, edges)
+
+
+def build_star(owner: int, neighbors: Sequence[int]) -> LocalGraph:
+    """The plain ego star of the "Lumos w.o. VN" ablation: the centre joined
+    directly to each selected neighbour, no virtual nodes, no replication."""
+    nodes = [LocalNode(0, NodeRole.CENTER, owner)]
+    nodes += [
+        LocalNode(offset, NodeRole.NEIGHBOR_LEAF, int(neighbor))
+        for offset, neighbor in enumerate(neighbors, start=1)
+    ]
+    return LocalGraph(owner, nodes, [(0, offset) for offset in range(1, len(nodes))])
+
+
+def expected_tree_size(workload: int) -> int:
+    """Number of nodes of a Lumos tree for a given workload (3*wl + 1)."""
+    if workload < 0:
+        raise ValueError("workload must be non-negative")
+    return 1 if workload == 0 else 3 * workload + 1
+
+
+def count_leaves(local_graph: LocalGraph) -> int:
+    """Number of leaf nodes referring to real vertices (2 * workload for trees)."""
+    centers = any(node.role is NodeRole.CENTER for node in local_graph.nodes)
+    return len(local_graph.leaves()) - centers
+
+
+def canonical_local_graphs(construction: TreeConstructionResult) -> Dict[int, LocalGraph]:
+    """``device -> LocalGraph`` of a construction: :func:`build_tree` (or
+    :func:`build_star`) over each device's sorted selected neighbours."""
+    build = build_tree if construction.used_virtual_nodes else build_star
+    selected = construction.assignment.selected
+    return {
+        device_id: build(device_id, sorted(selected.get(device_id, ())))
+        for device_id in range(construction.num_devices)
+    }
+
+
 def tree_batch_reference(
     environment: FederatedEnvironment,
     construction: TreeConstructionResult,
@@ -400,7 +576,7 @@ def tree_batch_reference(
 ) -> TreeBatch:
     """``TreeBatch.build`` by per-node traversal of the local graphs.
 
-    Reads ``construction.local_graphs`` node by node, where the production
+    Reads :func:`canonical_local_graphs` node by node, where the production
     path derives the same layout from the workloads.
     """
     cls = TreeBatch
@@ -414,10 +590,9 @@ def tree_batch_reference(
     neighbor_senders: List[int] = []
     feature_rows: List[int] = []
     offset = 0
-    ids_list = environment.device_ids()
+    num_devices = environment.num_devices
 
-    for position, device_id in enumerate(ids_list):
-        local_graph = construction.local_graphs[device_id]
+    for device_id, local_graph in canonical_local_graphs(construction).items():
         size = local_graph.num_nodes
         device_slices[device_id] = (offset, size)
 
@@ -429,9 +604,9 @@ def tree_batch_reference(
             leaf_rows.append(global_row)
             leaf_vertices.append(int(node.vertex))
             if node.vertex == device_id:
-                feature_rows[global_row] = position
+                feature_rows[global_row] = device_id
             else:
-                feature_rows[global_row] = len(ids_list) + len(neighbor_rows)
+                feature_rows[global_row] = num_devices + len(neighbor_rows)
                 neighbor_rows.append(global_row)
                 neighbor_receivers.append(device_id)
                 neighbor_senders.append(int(node.vertex))
@@ -453,23 +628,22 @@ def tree_batch_reference(
     dst = np.concatenate([np.asarray(rows, dtype=np.int64), np.arange(num_nodes)])
     edge_index = np.stack([src, dst])
 
-    ids = np.asarray(ids_list, dtype=np.int64)
     receivers = np.asarray(neighbor_receivers, dtype=np.int64)
     senders = np.asarray(neighbor_senders, dtype=np.int64)
     return cls(
         num_nodes=num_nodes,
-        num_vertices=environment.num_devices,
+        num_vertices=num_devices,
         adjacency=adjacency,
         edge_index=edge_index,
         layer_input=cls._factored(
             np.asarray(feature_rows, dtype=np.int64),
-            cls._own_features(environment, ids_list, feature_dim),
+            cls._own_features(environment, feature_dim),
             initialization,
             receivers,
             senders,
         ),
         leaf_rows=np.asarray(leaf_rows, dtype=np.int64),
-        leaf_vertices=np.searchsorted(ids, np.asarray(leaf_vertices, dtype=np.int64)),
+        leaf_vertices=np.asarray(leaf_vertices, dtype=np.int64),
         device_slices=device_slices,
         neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
         neighbor_receivers=receivers,
@@ -487,17 +661,17 @@ def ldp_exchange_reference(
     """The feature exchange one message at a time: ``(receiver, sender) -> row``.
 
     One scalar ``OneBitMechanism.encode`` + ``recover`` per message, one
-    ``exchange`` per message and one ``charge_compute`` per sender — the
-    oracle of the columnar ``LDPEmbeddingInitializer.draw`` / ``threshold``.
+    :func:`exchange` per message and one :func:`charge_compute` per sender —
+    the oracle of the columnar ``LDPEmbeddingInitializer.draw`` / ``threshold``.
     """
     mechanism = OneBitMechanism(epsilon=epsilon, bounds=bounds)
-    requesters: Dict[int, list] = {device_id: [] for device_id in environment.devices}
+    requesters: Dict[int, list] = {device_id: [] for device_id in range(environment.num_devices)}
     for receiver, chosen in assignment.selected.items():
         for sender in chosen:
             requesters[int(sender)].append(int(receiver))
     rows: Dict[Tuple[int, int], np.ndarray] = {}
     for sender, receivers in requesters.items():
-        feature = environment.devices[sender].ego.feature
+        feature = environment.features[sender]
         dimension = feature.shape[0]
         workload = max(assignment.workload(sender), 1)
         partitioner = FeatureBinPartitioner(dimension, workload, rng=rng)
@@ -507,11 +681,11 @@ def ldp_exchange_reference(
                 selected=partitioner.mask_for_bin(rank % workload), rng=rng,
             )
             rows[(receiver, sender)] = mechanism.recover(encoded, workload, dimension=dimension)
-            environment.exchange(
-                sender, receiver, MessageKind.FEATURE_EXCHANGE,
+            exchange(
+                environment, sender, receiver, MessageKind.FEATURE_EXCHANGE,
                 max(1, (2 * dimension) // 8), description="ldp-feature",
             )
-        environment.charge_compute(sender, 0.1 * len(receivers), description="ldp-encoding")
+        charge_compute(environment, sender, 0.1 * len(receivers), description="ldp-encoding")
     return rows
 
 
@@ -547,15 +721,14 @@ class DenseLDPDraws:
 def ldp_draw_reference(initializer, environment, assignment) -> DenseLDPDraws:
     """``LDPEmbeddingInitializer.draw`` with every uniform kept: per sender, the
     partition, then one ``(receivers, d)`` block of the dense array."""
-    devices = environment.devices
-    dimension = next((d.ego.feature.shape[0] for d in devices.values()), 0)
+    num_devices, dimension = environment.features.shape
     receivers, senders = assignment.pairs()
     order = np.argsort(senders, kind="stable")
-    offsets = np.zeros(len(devices) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(senders, minlength=len(devices)), out=offsets[1:])
-    workloads = np.maximum(assignment.workload_vector(len(devices)), 1)
+    offsets = np.zeros(num_devices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(senders, minlength=num_devices), out=offsets[1:])
+    workloads = np.maximum(assignment.workload_vector(num_devices), 1)
     workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))
-    bins = np.empty((len(devices), dimension), dtype=workloads.dtype)
+    bins = np.empty((num_devices, dimension), dtype=workloads.dtype)
     uniforms = np.empty((order.shape[0], dimension), dtype=np.float64)
     for index, (workload, start, stop) in enumerate(
         zip(workloads.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
@@ -578,9 +751,7 @@ def ldp_threshold_reference(
     senders = stream_sender[order]
     released = draws.released()[order]
     rows, cols = np.divmod(np.flatnonzero(released), dimension)
-    features = np.asarray(
-        [device.ego.feature for device in environment.devices.values()], dtype=np.float64
-    ).reshape(-1, dimension)
+    features = environment.features
     recovered = initializer.mechanism.release(
         features[senders[rows], cols],
         draws.uniforms[order[rows], cols],

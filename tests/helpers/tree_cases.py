@@ -11,14 +11,21 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core.constructor import CanonicalLocalGraphs, TreeConstructionResult
+from repro.core.constructor import TreeConstructionResult
 from repro.core.workload import Assignment
 from repro.crypto.ldp import FeatureBounds
 from repro.federation import FederatedEnvironment
-from repro.graph.ego import EgoNetwork
 
 #: Which endpoint keeps an edge ``(u, v)``: ``u``, ``v`` or both (Eq. 10).
 KEEPERS = ("u", "v", "both")
+
+
+def csr_from_lists(neighbor_lists):
+    """``(indptr, indices)`` whose row ``v`` is ``neighbor_lists[v]``, sorted."""
+    rows = [sorted(neighbors) for neighbors in neighbor_lists]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    return indptr, indices
 
 
 @st.composite
@@ -59,16 +66,9 @@ def materialise(case):
     low, high = case["bounds"]
 
     def environment() -> FederatedEnvironment:
+        indptr, indices = csr_from_lists(neighbors[device_id] for device_id in ids)
         return FederatedEnvironment.from_partition(
-            {
-                device_id: EgoNetwork(
-                    center=device_id,
-                    neighbors=neighbors[device_id],
-                    feature=low + (high - low) * features[index],
-                )
-                for index, device_id in enumerate(ids)
-            },
-            seed=0,
+            (indptr, indices, low + (high - low) * features), seed=0
         )
 
     return environment, Assignment.from_lists(selected), FeatureBounds(low, high)
@@ -78,6 +78,6 @@ def canonical_construction(environment, assignment, use_virtual_nodes) -> TreeCo
     """The construction result that installs ``assignment`` as it is."""
     return TreeConstructionResult(
         assignment=assignment,
-        local_graphs=CanonicalLocalGraphs(assignment, environment.devices, use_virtual_nodes),
+        num_devices=environment.num_devices,
         used_virtual_nodes=use_virtual_nodes,
     )

@@ -29,7 +29,7 @@ from repro.engine import ArtifactStore
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like, split_edges, split_nodes
 
-from helpers.oracles import install_composite_forms
+from helpers.oracles import canonical_local_graphs, install_composite_forms
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +105,9 @@ class TestTreeBatch:
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
         dense = batch.layer_input.dense()
+        local_graphs = canonical_local_graphs(construction)
         for device_id, (offset, _) in batch.device_slices.items():
-            local_graph = construction.local_graphs[device_id]
-            for node in local_graph.nodes:
+            for node in local_graphs[device_id].nodes:
                 if node.vertex == device_id:
                     np.testing.assert_allclose(
                         dense[offset + node.local_id], graph.features[device_id]
@@ -117,9 +117,9 @@ class TestTreeBatch:
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
         dense = batch.layer_input.dense()
+        local_graphs = canonical_local_graphs(construction)
         for device_id, (offset, _) in batch.device_slices.items():
-            local_graph = construction.local_graphs[device_id]
-            for node in local_graph.nodes:
+            for node in local_graphs[device_id].nodes:
                 if node.vertex is None:
                     np.testing.assert_allclose(dense[offset + node.local_id], 0.0)
 

@@ -1,4 +1,9 @@
-"""Tests for tree construction and the workload-balancing problem state."""
+"""Tests for the local trees and the workload-balancing problem state.
+
+The per-device trees are the oracle's (``helpers.oracles.build_tree`` /
+``build_star``); production lays them out columnar (``TreeBatch.build``,
+``local_graph_sizes``), and the generated cases below pin the two together.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +12,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Assignment,
+from repro.core import Assignment, TreeConstructionResult, workload_cdf
+from repro.core.tree import local_graph_sizes
+from repro.graph import generate_facebook_like, generate_star
+
+from helpers.oracles import (
     LocalGraph,
     LocalNode,
     NodeRole,
     build_star,
     build_tree,
+    canonical_local_graphs,
+    count_leaves,
     expected_tree_size,
-    workload_cdf,
 )
-from repro.core.tree import count_leaves
-from repro.graph import generate_facebook_like, generate_star
+
+
+def selections(max_devices: int):
+    """``device -> selected neighbours`` over ``0..n-1``, empty selections included."""
+    return st.integers(1, max_devices).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(0, n - 1), max_size=min(n, 6)), min_size=n, max_size=n
+        ).map(lambda rows: {d: row - {d} for d, row in enumerate(rows)})
+    )
+
+
+def _check_sizes(selected, virtual_nodes):
+    # ``local_graph_sizes`` and ``total_tree_nodes`` are what production
+    # keeps of the per-device graphs: they must count those graphs' nodes.
+    construction = TreeConstructionResult(
+        assignment=Assignment(selected=selected),
+        num_devices=len(selected),
+        used_virtual_nodes=virtual_nodes,
+    )
+    graphs = canonical_local_graphs(construction)
+    workloads = np.array([len(selected[d]) for d in range(len(selected))], dtype=np.int64)
+    sizes = local_graph_sizes(workloads, virtual_nodes)
+    assert sizes.tolist() == [graphs[d].num_nodes for d in range(len(selected))]
+    assert construction.total_tree_nodes() == sum(graph.num_nodes for graph in graphs.values())
+    for device, graph in graphs.items():
+        assert graph.is_tree() and graph.owner == device
+        assert graph.neighbor_vertices() == sorted(selected[device])
+        workload = len(selected[device])
+        assert count_leaves(graph) == ((2 * workload or 1) if virtual_nodes else workload)
 
 
 class TestTreeConstruction:
@@ -101,6 +137,17 @@ class TestTreeConstruction:
         tree = build_tree(0, list(range(1, workload + 1)))
         assert tree.num_nodes == expected_tree_size(workload)
         assert tree.is_tree()
+
+    @settings(max_examples=40, deadline=1000)
+    @given(selections(max_devices=8), st.booleans())
+    def test_local_graph_sizes_match_the_per_device_graphs(self, selected, virtual_nodes):
+        _check_sizes(selected, virtual_nodes)
+
+    @pytest.mark.slow
+    @settings(max_examples=400, deadline=None)
+    @given(selections(max_devices=40), st.booleans())
+    def test_local_graph_sizes_match_the_per_device_graphs_wide(self, selected, virtual_nodes):
+        _check_sizes(selected, virtual_nodes)
 
 
 class TestAssignment:

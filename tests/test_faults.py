@@ -29,7 +29,7 @@ from repro.faults import (
     default_robustness_scenarios,
     schedule_digest,
 )
-from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
+from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import load_dataset, split_edges, split_nodes
 from repro.runtime import (
     CallableItem,
@@ -38,6 +38,8 @@ from repro.runtime import (
     ProcessExecutor,
     WorkPlan,
 )
+
+from helpers.oracles import exchange
 
 SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
 
@@ -357,7 +359,7 @@ class TestAvailability:
         return FederatedEnvironment.from_graph(graph)
 
     def test_no_mask_is_the_fast_path(self, environment):
-        environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         assert environment.ledger.summary()["total_messages"] == 1
         assert len(environment.ledger.dropped) == 0
         assert "dropped_messages" not in environment.ledger.summary()
@@ -366,7 +368,7 @@ class TestAvailability:
         mask = np.ones(environment.num_devices, dtype=bool)
         mask[0] = False
         environment.set_availability(mask)
-        environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         summary = environment.ledger.summary()
         assert summary["total_messages"] == 0
         assert summary["total_bytes"] == 0
@@ -377,22 +379,21 @@ class TestAvailability:
         mask = np.ones(environment.num_devices, dtype=bool)
         mask[1] = False
         environment.set_availability(mask)
-        environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         summary = environment.ledger.summary()
         assert summary["total_messages"] == 1
         assert summary["total_bytes"] == 10
         assert summary["dropped_messages"] == 1
         assert summary["dropped_bytes"] == 10
 
-    def test_server_is_always_available(self, environment):
-        environment.set_availability(np.zeros(environment.num_devices, dtype=bool))
-        assert environment.is_available(SERVER_ID)
-
     def test_clearing_the_mask_restores_full_availability(self, environment):
         environment.set_availability(np.zeros(environment.num_devices, dtype=bool))
-        assert not environment.is_available(0)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        assert environment.ledger.summary()["total_messages"] == 0
         environment.set_availability(None)
-        assert environment.is_available(0)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        assert environment.ledger.summary()["total_messages"] == 1
+        assert len(environment.ledger.dropped) == 1
 
     def test_mask_shape_is_validated(self, environment):
         with pytest.raises(ValueError):
@@ -400,7 +401,7 @@ class TestAvailability:
 
     def test_reset_clears_drop_records(self, environment):
         environment.set_availability(np.zeros(environment.num_devices, dtype=bool))
-        environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         assert len(environment.ledger.dropped) == 1
         environment.ledger.reset()
         assert len(environment.ledger.dropped) == 0

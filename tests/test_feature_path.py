@@ -54,6 +54,7 @@ from repro.nn.tensor import Tensor
 
 from helpers.autograd import zero_grad
 from helpers.oracles import (
+    canonical_local_graphs,
     gat_layer_forward,
     gcn_layer_forward,
     install_composite_forms,
@@ -109,10 +110,9 @@ def _check_exchange(case):
 
     environment, rng = make_environment(), np.random.default_rng(case["seed"])
     initializer = LDPEmbeddingInitializer(epsilon, bounds=bounds, rng=rng)
-    workloads = [max(assignment.workload(d), 1) for d in environment.devices]
-    requested = [
-        sum(d in chosen for chosen in assignment.selected.values()) for d in environment.devices
-    ]
+    devices = range(environment.num_devices)
+    workloads = [max(assignment.workload(d), 1) for d in devices]
+    requested = [sum(d in chosen for chosen in assignment.selected.values()) for d in devices]
     draws = assert_stream_contract(
         lambda _: initializer.draw(environment, assignment),
         rng,
@@ -297,13 +297,14 @@ def _check_batch(case):
     # the sender never released), zeros on virtual nodes.
     received = initialization.received_features
     midpoint = np.full(case["dimension"], sum(case["bounds"]) / 2.0)
+    local_graphs = canonical_local_graphs(construction)
     for device_id, (offset, _) in vectorized.device_slices.items():
-        for node in construction.local_graphs[device_id].nodes:
+        for node in local_graphs[device_id].nodes:
             row = dense[offset + node.local_id]
             if node.vertex is None:
                 assert not row.any()
             elif node.vertex == device_id:
-                np.testing.assert_array_equal(row, environment.devices[device_id].ego.feature)
+                np.testing.assert_array_equal(row, environment.features[device_id])
             else:
                 np.testing.assert_array_equal(row, received.get(device_id, {}).get(node.vertex, midpoint))
 

@@ -1,24 +1,26 @@
-"""Tests for the federated runtime: devices, server, ledger, environment."""
+"""Tests for the federated runtime: server, ledger, environment."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Assignment
 from repro.federation import (
     SERVER_ID,
     CommunicationLedger,
-    Device,
     FederatedEnvironment,
     MessageKind,
     Server,
-    build_devices,
 )
-from repro.graph import partition_node_level
-from repro.graph.ego import EgoNetwork
+from repro.graph import Graph, generate_star, partition_node_level
 
-from helpers.oracles import edge_coverage_holds
+from helpers.oracles import edge_coverage_holds, exchange, installed_selection, neighbors_of
 from helpers.rng_contract import assert_stream_contract
+from helpers.tree_cases import csr_from_lists
 
 
 class TestMessagesAndLedger:
@@ -154,26 +156,6 @@ class TestMessagesAndLedger:
         assert len({_transcript_digest(records) for records in transcripts}) == 1
 
 
-class TestDevice:
-    def test_build_devices(self, small_graph):
-        partition = partition_node_level(small_graph)
-        devices = build_devices(partition)
-        assert len(devices) == small_graph.num_nodes
-        assert devices[0].device_id == 0
-        assert devices[0].degree == small_graph.degrees()[0]
-
-    def test_neighbor_selection_rules(self, small_graph):
-        partition = partition_node_level(small_graph)
-        device = Device(ego=partition[0])
-        device.select_all_neighbors()
-        assert device.workload == device.degree
-        first_neighbor = int(partition[0].neighbors[0])
-        device.select_neighbors([first_neighbor])
-        assert device.selected_neighbors == [first_neighbor]
-        with pytest.raises(ValueError):
-            device.select_neighbors([10_000])
-
-
 class TestServer:
     @pytest.mark.parametrize("winners", [[5], [2, 7], [9, 1, 4, 4, 8]])
     def test_pick_maximum_consumes_the_stream_as_choice_does(self, winners):
@@ -196,46 +178,51 @@ class TestServer:
 
 
 class TestFederatedEnvironment:
-    def test_from_graph_builds_one_device_per_vertex(self, small_graph):
+    def test_from_graph_holds_the_graphs_csr_and_features(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         assert environment.num_devices == small_graph.num_nodes
-        assert environment.device_ids() == list(range(small_graph.num_nodes))
-        assert environment.devices[0].degree == small_graph.degrees()[0]
+        np.testing.assert_array_equal(np.diff(environment.indptr), small_graph.degrees())
+        np.testing.assert_array_equal(neighbors_of(environment, 0), small_graph.neighbors(0))
+        np.testing.assert_array_equal(environment.features, small_graph.features)
+        # Read-only arrays shared with the graph, not per-device copies.
+        for array, source in zip(
+            (environment.indptr, environment.indices, environment.features),
+            (*small_graph.csr, small_graph.features),
+        ):
+            assert np.shares_memory(array, source)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_workload_tracking(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        assert environment.max_workload() == 0
-        environment.devices[0].select_all_neighbors()
-        assert environment.max_workload() == small_graph.degrees()[0]
+        assert environment.workload_array().tolist() == [0] * small_graph.num_nodes
+        environment.apply_assignment({0: small_graph.neighbors(0)})
+        assert environment.workload_array().max() == small_graph.degrees()[0]
         assert environment.workload_array()[0] == small_graph.degrees()[0]
 
     def test_exchange_validates_endpoints(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        environment.exchange(0, 1, MessageKind.FEATURE_EXCHANGE, 10)
+        exchange(environment, 0, 1, MessageKind.FEATURE_EXCHANGE, 10)
         with pytest.raises(KeyError):
-            environment.exchange(0, 10_000, MessageKind.FEATURE_EXCHANGE, 10)
+            exchange(environment, 0, 10_000, MessageKind.FEATURE_EXCHANGE, 10)
         # The server is no device: an exchange endpoint is one.
         with pytest.raises(KeyError, match=f"unknown device {SERVER_ID}"):
-            environment.exchange(SERVER_ID, 1, MessageKind.FEATURE_EXCHANGE, 10)
+            exchange(environment, SERVER_ID, 1, MessageKind.FEATURE_EXCHANGE, 10)
         with pytest.raises(KeyError, match=f"unknown device {SERVER_ID}"):
             environment.exchange_many(
                 np.array([0, 1]), np.array([1, SERVER_ID]), MessageKind.FEATURE_EXCHANGE, 10
             )
         assert environment.ledger.summary()["total_messages"] == 1
-        with pytest.raises(KeyError):
-            environment.charge_compute(10_000, 1.0)
 
     def test_assignment_roundtrip_and_coverage(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         full = {
-            device_id: [int(v) for v in device.ego.neighbors]
-            for device_id, device in environment.devices.items()
+            device_id: neighbors_of(environment, device_id)
+            for device_id in range(environment.num_devices)
         }
         environment.apply_assignment(full)
         assert edge_coverage_holds(environment)
-        assert {k: d.selected_neighbors for k, d in environment.devices.items()} == {
-            k: sorted(v) for k, v in full.items()
-        }
+        assert installed_selection(environment) == {k: sorted(v) for k, v in full.items()}
         # Dropping an edge from both sides breaks coverage.
         u, v = int(small_graph.edges[0, 0]), int(small_graph.edges[0, 1])
         broken = {k: [n for n in vs if not (k == u and n == v) and not (k == v and n == u)]
@@ -243,17 +230,15 @@ class TestFederatedEnvironment:
         environment.apply_assignment(broken)
         assert not edge_coverage_holds(environment)
 
-    def test_apply_assignment_rejects_what_select_neighbors_rejects(self, small_graph):
+    def test_apply_assignment_rejects_non_neighbours(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         n = environment.num_devices
-        neighbor = int(environment.devices[0].ego.neighbors[0])
-        stranger = next(
-            v for v in range(1, n) if not environment.devices[0].ego.has_neighbor(v)
-        )
+        neighbor = neighbors_of(environment, 0)[0]
+        stranger = next(v for v in range(1, n) if v not in neighbors_of(environment, 0))
         installed = {0: [neighbor], 1: []}
         environment.apply_assignment(installed)
-        edges = environment.directed_edges()
-        for selection, error, message in [
+        selection = environment.selection
+        for selection_map, error, message in [
             ({1: [], 0: [neighbor, stranger]}, ValueError,
              f"device 0 cannot select non-neighbour {stranger}"),
             ({0: [neighbor, n + 3]}, ValueError, f"device 0 cannot select non-neighbour {n + 3}"),
@@ -265,23 +250,17 @@ class TestFederatedEnvironment:
             ({-1: []}, KeyError, "unknown device -1"),
         ]:
             with pytest.raises(error, match=message):
-                environment.apply_assignment(selection)
-            # The single-device door gives the same verdict on the same pair.
-            if error is ValueError:
-                device_id, chosen = next((k, v) for k, v in selection.items() if v)
-                with pytest.raises(ValueError, match=message):
-                    Device(ego=environment.devices[device_id].ego).select_neighbors(chosen)
+                environment.apply_assignment(selection_map)
             # A rejected assignment installs nothing, not even its valid part.
-            assert environment.devices[0].selected_neighbors == [neighbor]
-            assert environment.devices[1].selected_neighbors == []
-            assert environment.directed_edges() is edges
+            assert environment.selection is selection
+            assert installed_selection(environment)[0] == [neighbor]
 
     def test_apply_assignment_sorts_and_collapses_duplicates(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        neighbors = environment.devices[0].ego.neighbors.tolist()
+        neighbors = neighbors_of(environment, 0)
         assert len(neighbors) >= 2
-        environment.apply_assignment({1: environment.devices[1].ego.neighbors.tolist()})
-        kept = list(environment.devices[1].selected_neighbors)
+        environment.apply_assignment({1: neighbors_of(environment, 1)})
+        kept = installed_selection(environment)[1]
         # Lists, sets, arrays and one-shot iterables are all accepted.
         for chosen in (
             neighbors[::-1] + neighbors,
@@ -290,20 +269,21 @@ class TestFederatedEnvironment:
             iter(neighbors + neighbors[:1]),
         ):
             environment.apply_assignment({0: chosen})
-            assert environment.devices[0].selected_neighbors == neighbors
-            assert all(type(v) is int for v in environment.devices[0].selected_neighbors)
+            assert installed_selection(environment)[0] == neighbors
             # Devices the mapping does not name keep their selection.
-            assert environment.devices[1].selected_neighbors == kept
+            assert installed_selection(environment)[1] == kept
         environment.apply_assignment({0: []})
-        assert environment.devices[0].selected_neighbors == []
+        assert installed_selection(environment)[0] == []
         environment.apply_assignment({})
-        assert environment.devices[1].selected_neighbors == kept
+        assert installed_selection(environment)[1] == kept
 
-    def test_directed_edges_cached_and_complete(self, small_graph):
+    def test_directed_edges_are_the_csr(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        edges = environment.directed_edges()
-        assert edges.shape == (2, 2 * small_graph.num_edges)
-        assert environment.directed_edges() is edges
+        sources, targets = environment.directed_edges()
+        assert sources.shape == (2 * small_graph.num_edges,)
+        np.testing.assert_array_equal(np.bincount(sources), small_graph.degrees())
+        assert targets.tolist() == environment.indices.tolist()
+        assert environment.adjacency_csr()[1] is environment.indices
 
     def test_summary_keys(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
@@ -311,45 +291,201 @@ class TestFederatedEnvironment:
         assert {"num_devices", "max_workload", "total_messages"} <= set(summary)
 
 
-def _partition(egos):
-    """``key -> EgoNetwork`` from ``(key, centre, neighbours)`` triples."""
-    rng = np.random.default_rng(0)
-    return {
-        key: EgoNetwork(center=center, neighbors=neighbors, feature=rng.random(4))
-        for key, center, neighbors in egos
-    }
+def _environment(indptr, indices, features=None):
+    n = max(len(indptr) - 1, 0)
+    features = np.zeros((n, 2)) if features is None else features
+    return FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
 
 
-class TestDeviceIdBoundary:
-    """Device ids are ``0..n-1`` by type: any other partition is a
-    ``ValueError`` at construction, so no kernel ever sees one."""
+class TestMalformedCSR:
+    """A row index is a device id, so the CSR is all there is to validate:
+    a malformed one is a ``ValueError`` naming the first offender."""
 
     @pytest.mark.parametrize(
-        "egos, offender",
+        "indptr, indices, features, complaint",
         [
-            ([(0, 0, [2]), (2, 2, [0, 5]), (5, 5, [2])], "position 1 holds id 2"),
-            ([(-1, -1, [0]), (0, 0, [-1])], "position 0 holds id -1"),
-            ([(1, 1, [0]), (0, 0, [1])], "position 0 holds id 1"),
-            ([(0, 0, [1]), (1, 5, [0])], "device 1 holds the ego network of vertex 5"),
-            ([(0, 0, [1, 3]), (1, 1, [0])], "device 0 lists neighbour 3"),
-            ([(0, 0, [1]), (1, 1, [-2, 0])], "device 1 lists neighbour -2"),
+            ([], [], np.zeros((0, 2)), "indptr with n \\+ 1 entries"),
+            ([[0, 1]], [0], np.zeros((1, 2)), "indptr with n \\+ 1 entries"),
+            ([1, 2], [0], np.zeros((1, 2)), "indptr must start at 0, not 1"),
+            ([0, 2, 1, 3], [1, 2, 0], np.zeros((3, 2)), "indptr decreases at device 1"),
+            ([0, 1, 2], [1, 0, 0], np.zeros((2, 2)), "indptr ends at 2, but indices holds 3 ids"),
+            ([0, 2, 3], [1, 3, 0], None, "device 0 lists neighbour 3, which is not a device"),
+            ([0, 1, 3], [1, -2, 0], None, "device 1 lists neighbour -2, which is not a device"),
+            ([0, 1, 3], [1, 0, 1], None, "device 1 lists neighbour 1, which is itself"),
+            ([0, 2, 3, 4], [2, 1, 0, 0], None, "device 0 lists neighbour 1, out of ascending order"),
+            ([0, 1, 3, 4], [1, 2, 2, 1], None, "device 1 lists neighbour 2, out of ascending order"),
+            ([0, 1, 2], [1, 0], np.zeros((3, 2)), "one row per device: \\(3, 2\\) for 2"),
+            ([0, 1, 2], [1, 0], np.zeros(2), "one row per device: \\(2,\\) for 2"),
         ],
-        ids=["gappy", "negative", "unordered", "mis-keyed", "dangling", "negative-neighbour"],
+        ids=[
+            "no-indptr", "2-d-indptr", "indptr-offset", "indptr-decreases", "indptr-overruns",
+            "dangling", "negative-neighbour", "self", "descending", "duplicate",
+            "feature-rows", "feature-vector",
+        ],
     )
-    def test_malformed_partitions_are_rejected(self, egos, offender):
-        partition = _partition(egos)
-        with pytest.raises(ValueError, match=offender):
-            FederatedEnvironment.from_partition(partition, seed=0)
-        with pytest.raises(ValueError, match=offender):
+    def test_malformed_partitions_are_rejected(self, indptr, indices, features, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            _environment(indptr, indices, features)
+        with pytest.raises(ValueError, match=complaint):
             FederatedEnvironment(
-                devices=build_devices(partition),
+                indptr=np.asarray(indptr, dtype=np.int64),
+                indices=np.asarray(indices, dtype=np.int64),
+                features=np.zeros((max(len(indptr) - 1, 0), 2)) if features is None else features,
                 server=Server(),
                 ledger=CommunicationLedger(),
                 rng=np.random.default_rng(0),
             )
 
     def test_node_level_partitions_pass(self, small_graph):
-        partition = partition_node_level(small_graph)
-        environment = FederatedEnvironment.from_partition(partition, seed=0)
-        assert environment.device_ids() == list(range(small_graph.num_nodes))
-        assert FederatedEnvironment.from_partition({}, seed=0).max_workload() == 0
+        environment = FederatedEnvironment.from_partition(partition_node_level(small_graph), seed=0)
+        assert environment.num_devices == small_graph.num_nodes
+        empty = _environment([0], [], np.zeros((0, 3)))
+        assert empty.num_devices == 0 and empty.workload_array().tolist() == []
+
+
+class TestDeviceIdTypes:
+    """A device id is an integer: a float or bool id used to be truncated
+    (``0.5`` read as device 0, ``True`` as device 1); it is a ``TypeError``.
+    An unknown integer id stays a ``KeyError``."""
+
+    @pytest.fixture()
+    def environment(self):
+        return _environment(*csr_from_lists([[1, 2], [0], [0]]))
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda env: env.exchange_many(
+                np.array([0.5]), np.array([1.2]), MessageKind.OTHER, 1), TypeError),
+            (lambda env: env.exchange_many(
+                np.array([True]), np.array([0]), MessageKind.OTHER, 1), TypeError),
+            (lambda env: env.apply_assignment({0: [1.9]}), TypeError),
+            (lambda env: env.apply_assignment({0: np.array([1.0])}), TypeError),
+            (lambda env: env.apply_assignment({0.7: [1]}), TypeError),
+            (lambda env: env.apply_assignment({True: [0]}), TypeError),
+            (lambda env: env.set_availability(np.array([0.5, 0.0, 2.0])), TypeError),
+            (lambda env: env.set_availability(np.array([1, 0, 1])), TypeError),
+            (lambda env: env.exchange_many(
+                np.array([0]), np.array([3]), MessageKind.OTHER, 1), KeyError),
+            (lambda env: env.apply_assignment({3: []}), KeyError),
+        ],
+        ids=[
+            "float-exchange", "bool-exchange", "float-neighbour", "float-array-neighbour",
+            "float-device", "bool-device", "float-mask", "integer-mask",
+            "unknown-exchange", "unknown-device",
+        ],
+    )
+    def test_non_integer_ids_are_type_errors(self, environment, call, error):
+        environment.apply_assignment({0: [1]})
+        selection = environment.selection
+        with pytest.raises(error):
+            call(environment)
+        assert environment.selection is selection
+        assert environment.ledger.message_records() == []
+        assert environment.summary()["max_workload"] == 1
+
+
+#: Generated federations.  Graph cases: isolated vertices, stars, one
+#: device, the empty graph.  Asymmetric cases: each device lists its own
+#: neighbours, so ``u`` may list ``v`` while ``v`` lists nothing (the
+#: partitions the balancing kernel is pinned on, see test_mcmc_incremental).
+TIER1 = dict(max_examples=30, deadline=1000)
+WIDE = dict(max_examples=400, deadline=None)
+
+
+@st.composite
+def federations(draw, max_devices: int):
+    """``(graph or None, neighbour lists, selection, partial re-selection)``."""
+    n = draw(st.integers(0, max_devices))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    edges = draw(st.lists(pairs, max_size=3 * n if n > 1 else 0))
+    graph = None
+    if draw(st.booleans()):
+        graph = Graph(num_nodes=n, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                      features=np.arange(2.0 * n).reshape(n, 2))
+        lists = [graph.neighbors(v).tolist() for v in range(n)]
+    else:
+        lists = [sorted({v for u, v in edges if u == device}) for device in range(n)]
+    keep = st.lists(st.booleans(), min_size=len(sum(lists, [])), max_size=len(sum(lists, [])))
+    kept = iter(draw(keep))
+    selection = {device: [v for v in row if next(kept)] for device, row in enumerate(lists)}
+    renamed = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True)) if n else []
+    reselection = {device: draw(st.sets(st.sampled_from(lists[device])))
+                   if lists[device] else set() for device in renamed}
+    return graph, lists, selection, reselection
+
+
+EXAMPLES = [
+    # isolated vertices around one edge, a star, one device, the empty graph
+    (Graph(num_nodes=4, edges=np.array([[1, 2]]), features=np.zeros((4, 2))),
+     [[], [2], [1], []], {0: [], 1: [2], 2: [], 3: []}, {2: {1}}),
+    (generate_star(num_leaves=4, seed=0), None, None, {0: set()}),
+    (Graph(num_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 2))), [[]], {0: []}, {0: set()}),
+    (Graph(num_nodes=0, edges=np.zeros((0, 2)), features=np.zeros((0, 2))), [], {}, {}),
+    # device 1 lists no neighbour although device 0 lists it; 3 is isolated
+    (None, [[1, 2], [], [0], []], {0: [1], 1: [], 2: [0], 3: []}, {0: {2}, 3: set()}),
+]
+
+
+def _check_federation(case):
+    graph, lists, selection, reselection = case
+    if lists is None:  # a whole graph, everything selected
+        lists = [graph.neighbors(v).tolist() for v in range(graph.num_nodes)]
+        selection = dict(enumerate(lists))
+    n = len(lists)
+    environment = (
+        FederatedEnvironment.from_graph(graph, seed=0)
+        if graph is not None
+        else _environment(*csr_from_lists(lists))
+    )
+    assert environment.num_devices == n
+    for device in range(n):
+        assert neighbors_of(environment, device) == lists[device]
+        if graph is not None:
+            np.testing.assert_array_equal(neighbors_of(environment, device), graph.neighbors(device))
+
+    environment.apply_assignment(selection)
+    installed = {device: sorted(selection.get(device, ())) for device in range(n)}
+    assert installed_selection(environment) == installed
+    np.testing.assert_array_equal(environment.workload_array(), [len(installed[d]) for d in range(n)])
+    kept = {(u, v) for u, row in installed.items() for v in row}
+    covered = all((u, v) in kept or (v, u) in kept for u in range(n) for v in lists[u])
+    assert edge_coverage_holds(environment) is covered
+    if graph is not None:
+        assert covered is Assignment.from_lists(installed).covers_all_edges(graph)
+
+    # A partial mapping replaces the named devices' selections only.
+    environment.apply_assignment(reselection)
+    installed.update({device: sorted(chosen) for device, chosen in reselection.items()})
+    assert installed_selection(environment) == installed
+    # A mapping with one non-neighbour installs nothing.
+    strangers = [(u, v) for u in range(n) for v in range(n) if v != u and v not in lists[u]]
+    if strangers:
+        u, v = strangers[0]
+        before = environment.selection
+        with pytest.raises(ValueError, match=f"device {u} cannot select non-neighbour {v}"):
+            environment.apply_assignment({**{w: [] for w in range(n)}, u: [v]})
+        assert environment.selection is before
+
+
+def _with_examples(test):
+    for case in EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+class TestGeneratedFederations:
+    @settings(**TIER1)
+    @given(federations(max_devices=8))
+    @_with_examples
+    def test_rows_and_selection_round_trip(self, case):
+        _check_federation(case)
+
+    @pytest.mark.slow
+    @settings(**WIDE)
+    @given(federations(max_devices=40))
+    @_with_examples
+    def test_rows_and_selection_round_trip_wide(self, case):
+        _check_federation(case)

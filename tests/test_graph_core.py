@@ -1,4 +1,4 @@
-"""Tests for the Graph data structure, sparse helpers, ego partition and splits."""
+"""Tests for the Graph data structure, sparse helpers, node-level partition and splits."""
 
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
-    EgoNetwork,
     Graph,
     partition_node_level,
     sample_negative_edges,
     split_edges,
     split_nodes,
-    validate_partition,
 )
 from repro.graph.sparse import (
     add_self_loops,
@@ -29,6 +27,48 @@ def triangle_graph() -> Graph:
     features = np.arange(6, dtype=float).reshape(3, 2)
     return Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2], [0, 2]]), features=features,
                  labels=np.array([0, 1, 0]))
+
+
+def graph_cases(max_nodes):
+    """``(num_nodes, edge list)``: isolated vertices, vertices with one edge,
+    duplicate and reversed edges, the empty graph."""
+    return st.integers(0, max_nodes).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                .filter(lambda edge: edge[0] != edge[1]),
+                max_size=3 * n if n > 1 else 0,
+            ),
+        )
+    )
+
+
+def _check_csr_rows(case):
+    # The one-pass CSR equals the dictionary a loop over the edges fills, and
+    # the node-level partition is that CSR plus the features, read-only.
+    num_nodes, edge_list = case
+    edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    features = np.arange(2.0 * num_nodes).reshape(num_nodes, 2)
+    graph = Graph(num_nodes=num_nodes, edges=edges, features=features)
+    expected = {vertex: set() for vertex in range(num_nodes)}
+    for u, v in edge_list:
+        expected[u].add(v)
+        expected[v].add(u)
+    indptr, indices, partition_features = partition_node_level(graph)
+    assert indptr is graph.csr[0] and indices is graph.csr[1]
+    assert indptr.tolist() == np.cumsum([0] + [len(expected[v]) for v in range(num_nodes)]).tolist()
+    for vertex in range(num_nodes):
+        neighbors = graph.neighbors(vertex)
+        assert neighbors.dtype == np.int64
+        assert neighbors.tolist() == sorted(expected[vertex])
+        assert indices[indptr[vertex] : indptr[vertex + 1]].tolist() == sorted(expected[vertex])
+    np.testing.assert_array_equal(
+        graph.degrees(), [len(expected[vertex]) for vertex in range(num_nodes)]
+    )
+    np.testing.assert_array_equal(partition_features, features)
+    for array in (indptr, indices, partition_features):
+        assert not array.flags.writeable
 
 
 class TestGraph:
@@ -69,9 +109,42 @@ class TestGraph:
     def test_neighbors_and_degree(self):
         graph = triangle_graph()
         np.testing.assert_array_equal(graph.neighbors(0), [1, 2])
+        np.testing.assert_array_equal(graph.neighbors(np.int32(2)), [0, 1])
         assert graph.degrees()[1] == 2
         with pytest.raises(ValueError):
             graph.neighbors(99)
+
+    @pytest.mark.parametrize("vertex", [0.5, 1.0, True, np.float64(0.0), "0"])
+    def test_neighbors_of_a_non_integer_is_a_type_error(self, vertex):
+        # 0.5 used to read as no vertex at all (an empty row), True as vertex 1.
+        with pytest.raises(TypeError, match="vertex ids are integers"):
+            triangle_graph().neighbors(vertex)
+
+    @pytest.mark.parametrize(
+        "edges, features, labels, complaint",
+        [
+            ([[0, 1.7]], np.zeros((3, 1)), None, "edge endpoints must be integers, got 1.7"),
+            ([[0, np.nan]], np.zeros((3, 1)), None, "edge endpoints must be integers, got nan"),
+            ([[0, 1]], np.zeros((3, 1)), [0.5, 0, 1], "labels must be integers, got 0.5"),
+            ([[0, 1]], np.zeros((3, 1)), [0, -1, 1], "non-negative: vertex 1 has -1"),
+            ([[0, 1]], [[0.0], [np.nan], [1.0]], None, "finite: vertex 1 has a NaN or inf"),
+            ([[0, 1]], [[0.0], [1.0], [-np.inf]], None, "finite: vertex 2 has a NaN or inf"),
+        ],
+        ids=["fractional-edge", "nan-edge", "fractional-label", "negative-label",
+             "nan-feature", "inf-feature"],
+    )
+    def test_rejects_malformed_inputs(self, edges, features, labels, complaint):
+        # Each was accepted silently: 1.7 stored as 1, 0.5 as label 0, -1 as
+        # the last class, NaN features trained on.
+        with pytest.raises(ValueError, match=complaint):
+            Graph(num_nodes=3, edges=np.asarray(edges), features=np.asarray(features),
+                  labels=labels)
+
+    def test_integral_floats_are_integers(self):
+        graph = Graph(num_nodes=3, edges=np.array([[0.0, 1.0]]), features=np.zeros((3, 1)),
+                      labels=np.array([0.0, 2.0, 1.0]))
+        assert graph.edges.tolist() == [[0, 1]] and graph.labels.tolist() == [0, 2, 1]
+        assert graph.edges.dtype == graph.labels.dtype == np.int64
 
     def test_edge_set_is_canonical(self):
         edge_set = triangle_graph().edge_set()
@@ -121,36 +194,15 @@ class TestGraph:
         assert graph.neighbors(0).size == 0
 
     @settings(max_examples=60, deadline=400)
-    @given(
-        st.integers(0, 12).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(
-                    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
-                    .filter(lambda edge: edge[0] != edge[1]),
-                    max_size=30 if n > 1 else 0,
-                ),
-            )
-        )
-    )
-    def test_neighbor_cache_equals_the_per_edge_loop(self, case):
-        # Isolated vertices, vertices with one edge, duplicate and reversed
-        # edges, the empty graph: the one-pass CSR equals the dictionary the
-        # loop over edges used to fill.
-        num_nodes, edge_list = case
-        edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
-        graph = Graph(num_nodes=num_nodes, edges=edges, features=np.zeros((num_nodes, 1)))
-        expected = {vertex: set() for vertex in range(num_nodes)}
-        for u, v in edge_list:
-            expected[u].add(v)
-            expected[v].add(u)
-        for vertex in range(num_nodes):
-            neighbors = graph.neighbors(vertex)
-            assert neighbors.dtype == np.int64
-            assert neighbors.tolist() == sorted(expected[vertex])
-        np.testing.assert_array_equal(
-            graph.degrees(), [len(expected[vertex]) for vertex in range(num_nodes)]
-        )
+    @given(graph_cases(12))
+    def test_csr_rows_equal_the_per_edge_loop(self, case):
+        _check_csr_rows(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=400, deadline=None)
+    @given(graph_cases(60))
+    def test_csr_rows_equal_the_per_edge_loop_wide(self, case):
+        _check_csr_rows(case)
 
 
 class TestSparseHelpers:
@@ -182,39 +234,25 @@ class TestSparseHelpers:
         assert eigenvalues.min() > -1e-10
 
 
-class TestEgoPartition:
-    def test_partition_covers_all_vertices_and_edges(self, small_graph):
-        partition = partition_node_level(small_graph)
-        assert len(partition) == small_graph.num_nodes
-        validate_partition(small_graph, partition)
-
-    def test_ego_network_contents(self, small_graph):
-        partition = partition_node_level(small_graph)
-        ego = partition[0]
-        assert ego.center == 0
-        np.testing.assert_array_equal(ego.neighbors, small_graph.neighbors(0))
-        np.testing.assert_allclose(ego.feature, small_graph.features[0])
-        assert ego.label == int(small_graph.labels[0])
-        assert ego.degree == len(small_graph.neighbors(0))
-
-    def test_ego_network_rejects_self_neighbour(self):
-        with pytest.raises(ValueError):
-            EgoNetwork(center=1, neighbors=[1, 2], feature=np.zeros(2))
-
-    def test_validate_partition_detects_tampering(self, small_graph):
-        partition = partition_node_level(small_graph)
-        tampered = dict(partition)
-        ego = tampered[0]
-        tampered[0] = EgoNetwork(
-            center=0, neighbors=ego.neighbors[:-1], feature=ego.feature, label=ego.label
+class TestNodeLevelPartition:
+    def test_partition_is_the_graphs_csr_and_features(self, small_graph):
+        indptr, indices, features = partition_node_level(small_graph)
+        assert indptr.shape == (small_graph.num_nodes + 1,)
+        np.testing.assert_array_equal(indices[indptr[0] : indptr[1]], small_graph.neighbors(0))
+        assert np.shares_memory(features, small_graph.features)
+        # Every edge appears once from each endpoint, nothing else does.
+        sources = np.repeat(np.arange(small_graph.num_nodes), np.diff(indptr))
+        assert {(min(u, v), max(u, v)) for u, v in zip(sources.tolist(), indices.tolist())} == (
+            small_graph.edge_set()
         )
-        with pytest.raises(ValueError):
-            validate_partition(small_graph, tampered)
+        assert indices.shape == (2 * small_graph.num_edges,)
 
-    def test_edge_tuples_are_canonical(self):
-        ego = EgoNetwork(center=5, neighbors=[2, 7], feature=np.zeros(1))
-        assert ego.edge_tuples() == [(2, 5), (5, 7)]
-        assert ego.has_neighbor(2) and not ego.has_neighbor(3)
+    def test_partition_cannot_be_tampered_with(self, small_graph):
+        for array in partition_node_level(small_graph):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # The graph's own feature matrix stays writable: the view is read-only.
+        assert small_graph.features.flags.writeable
 
 
 class TestSplits:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers.oracles import construct_with_oracles, mcmc_run_reference
+from helpers.tree_cases import csr_from_lists
 
 from repro.core import (
     Assignment,
@@ -26,7 +27,6 @@ from repro.core import (
 from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.federation import FederatedEnvironment
 from repro.graph import (
-    EgoNetwork,
     Graph,
     generate_facebook_like,
     generate_small_world,
@@ -224,12 +224,9 @@ class TestSegmentedRescan:
     def test_isolated_vertices_read_zero_and_hold_no_segment(self):
         # Device 1 lists no neighbour although device 0 lists it, device 3 is
         # isolated outright: empty CSR rows at the front, middle and end.
-        rng = np.random.default_rng(0)
-        egos = {
-            key: EgoNetwork(center=key, neighbors=neighbors, feature=rng.random(2))
-            for key, neighbors in enumerate([[1, 2], [], [0], []])
-        }
-        environment = FederatedEnvironment.from_partition(egos, seed=0)
+        indptr, indices = csr_from_lists([[1, 2], [], [0], []])
+        features = np.random.default_rng(0).random((4, 2))
+        environment = FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
         kernel = _IncrementalBalancingKernel(
             environment, Assignment.from_lists({0: [1, 2], 1: [], 2: [0], 3: []})
         )

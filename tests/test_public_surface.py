@@ -268,6 +268,46 @@ RETIRED_AUTOGRAD_MEMBERS = {
 }
 
 
+#: The per-vertex federation objects: a device is a row of the environment's
+#: CSR and feature matrix, so the device / ego-network wrappers, the Graph's
+#: per-vertex neighbour cache, the environment's test-only accessors and the
+#: per-device local graphs (now the tree oracle in tests/helpers/oracles.py)
+#: are gone from ``src/``.
+RETIRED_FEDERATION_NAMES = {
+    "Device",
+    "build_devices",
+    "select_all_neighbors",
+    "select_neighbors",
+    "selected_neighbors",
+    "EgoNetwork",
+    "validate_partition",
+    "edge_tuples",
+    "has_neighbor",
+    "_neighbor_cache",
+    "_build_neighbor_cache",
+    "_directed_edges_cache",
+    "_adjacency_csr_cache",
+    "device_ids",
+    "is_available",
+    "charge_compute",
+    "LocalGraph",
+    "LocalNode",
+    "NodeRole",
+    "build_tree",
+    "build_star",
+    "expected_tree_size",
+    "count_leaves",
+    "CanonicalLocalGraphs",
+}
+
+#: Retired members whose names live on under other owners (``max_workload``
+#: of a construction, ``exchange`` in the oracles).
+RETIRED_FEDERATION_MEMBERS = {
+    "repro.federation.simulator.FederatedEnvironment": {"devices", "max_workload", "exchange"},
+    "repro.core.constructor.TreeConstructionResult": {"local_graphs"},
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -344,6 +384,20 @@ def test_retired_autograd_names_stay_gone(modules):
     for owner, names in RETIRED_AUTOGRAD_MEMBERS.items():
         value = _resolve(owner)
         survivors += [f"{owner}.{name}" for name in names if hasattr(value, name)]
+    assert not survivors
+
+
+def test_retired_federation_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules,
+        ("repro.federation", "repro.graph", "repro.core", "repro.engine"),
+        RETIRED_FEDERATION_NAMES,
+    )
+    survivors = []
+    for owner, names in RETIRED_FEDERATION_MEMBERS.items():
+        value = _resolve(owner)
+        members = {*vars(value), *(field.name for field in dataclasses.fields(value))}
+        survivors += [f"{owner}.{name}" for name in names & members]
     assert not survivors
 
 
@@ -432,3 +486,50 @@ def test_no_bulk_recording_builds_a_constant_column():
                 ):
                     found.add(f"{path.relative_to(root)}:{call.lineno}")
     assert not found, sorted(found)
+
+
+#: Where ``src/`` may read ``FederatedEnvironment.features``: the LDP release
+#: (each sender perturbs its own row before it crosses to a receiver) and the
+#: trainer's own-feature rows (each device reads its own row in clear).
+FEATURE_READERS = {"core/embedding_init.py:LDPEmbeddingInitializer", "core/trainer.py:TreeBatch._own_features"}
+
+
+def feature_readers(root: Path) -> set:
+    """``path:Class.function`` of every ``<environment>.features`` read under
+    ``root``: an attribute ``features`` taken of a name or attribute called
+    ``environment``.  The environment's own module is its owner, not a reader.
+    """
+    readers = set()
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = [*scope, node.name]
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "features"
+            and (getattr(node.value, "id", None) == "environment"
+                 or getattr(node.value, "attr", None) == "environment")
+        ):
+            readers.add(f"{path}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative != "federation/simulator.py":
+            visit(ast.parse(path.read_text()), [], relative)
+    return readers
+
+
+def test_only_the_ldp_release_and_own_rows_read_environment_features():
+    # The privacy boundary is the ledger: nothing crosses devices unrecorded.
+    # The feature matrix holds every device's private row, so any other
+    # reader could move one device's feature to another off the ledger.
+    readers = feature_readers(Path(repro.__file__).parent)
+    assert readers, "the guard no longer sees the feature reads it is meant to police"
+    strays = {
+        reader
+        for reader in readers
+        if not any(reader == allowed or reader.startswith(allowed + ".") for allowed in FEATURE_READERS)
+    }
+    assert not strays, sorted(strays)
