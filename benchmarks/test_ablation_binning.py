@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto import FeatureBinPartitioner, OneBitMechanism
+from repro.crypto import OneBitMechanism
+from repro.crypto.ldp import bin_assignment
 from repro.eval.reporting import format_table
 
 
@@ -28,11 +29,11 @@ def test_binning_reduces_recovery_error(benchmark, scale):
         full_mechanism = OneBitMechanism(epsilon=epsilon)
         binned_errors, full_errors = [], []
         for feature in features:
-            partitioner = FeatureBinPartitioner(dimension, workload, rng=rng)
+            bins = bin_assignment(dimension, workload, rng)
             # Binned strategy: per-element budget eps*wl/d, one bin per message.
             recovered = binned_mechanism.encode_and_recover(
                 feature, workload=workload, dimension=dimension,
-                selected=partitioner.mask_for_bin(0), rng=rng,
+                selected=bins == 0, rng=rng,
             )
             binned_errors.append(np.mean((recovered - feature) ** 2))
             # Full strategy: every element encoded in every message, so the

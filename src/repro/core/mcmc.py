@@ -111,6 +111,13 @@ def secure_objective_difference(
     return difference
 
 
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    segment side by side, and where each segment begins among them."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths), offsets
+
+
 class _IncrementalBalancingKernel:
     """Array-backed incremental state for the balancing loop (clear + secure).
 
@@ -192,8 +199,9 @@ class _IncrementalBalancingKernel:
         self._version = 0
         self._next_version = 0
         self._winners_memo: dict = {}
-        # The secure path's counterpart: the speculated comparison pairs (the
-        # plaintext bookkeeping only — the protocol itself runs every call).
+        # The secure path's counterpart: the speculated executed prefixes and
+        # comparison pairs (the plaintext bookkeeping only — the protocol
+        # itself runs every call), see _speculate.
         self._prefix_memo: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -243,9 +251,10 @@ class _IncrementalBalancingKernel:
         device ``u`` compares its workload against its neighbours in ego
         order and stops at the first strictly greater one, so the number of
         executed protocol runs is value-dependent.  Which pairs those are is
-        speculated in the clear (one ``other > own`` pass over the CSR rows,
-        memoised per ``_version`` like the clear path's scan); the pairs run
-        through the vectorised millionaires' protocol
+        speculated in the clear as each device's executed-prefix length,
+        kept per ``_version`` (:meth:`_speculate`): the call after
+        :meth:`apply` re-derives only the rows the transfer touched.  The
+        pairs run through the vectorised millionaires' protocol
         (:meth:`~repro.crypto.secure_compare.SecureComparator.compare_batch`
         with ``execute=True``) on every call, and part 2's candidate argmax
         does the same — giving accountant counters *and* capped log
@@ -261,31 +270,8 @@ class _IncrementalBalancingKernel:
         n = self.num_devices
         memo = self._prefix_memo.get(self._version)
         if memo is None:
-            indptr, degrees = self._csr_indptr, self._csr_degrees
-            other = workload[self._csr_indices]
-            # A device's first strictly greater neighbour is the comparison
-            # at which its scan stops; a device without one is a
-            # candidate and compares against its whole row (vacuously so
-            # with no neighbours, matching the loop).
-            hits = np.flatnonzero(other > np.repeat(workload, degrees))
-            cuts = np.searchsorted(hits, indptr)
-            candidate = cuts[1:] == cuts[:-1]
-            stopped = np.flatnonzero(~candidate)
-            executed = degrees.copy()
-            executed[stopped] = hits[cuts[stopped]] - indptr[stopped] + 1
-            # Edge positions of every device's executed prefix, row by row.
-            ends = np.cumsum(executed)
-            prefix = np.arange(ends[-1]) + np.repeat(indptr[:-1] - (ends - executed), executed)
-            memo = (
-                np.repeat(workload, executed),
-                other[prefix],
-                np.repeat(np.arange(n), executed),
-                candidate,
-            )
-            if len(self._prefix_memo) > 8:
-                self._prefix_memo.clear()
-            self._prefix_memo[self._version] = memo
-        own, other, owners, candidate = memo
+            memo = self._speculate()
+        _, candidate, _, owners, own, other = memo
         batch = comparator.compare_batch(own, other, execute=True)
         # Every executed comparison except a non-candidate's last one
         # returns own >= other.
@@ -297,10 +283,13 @@ class _IncrementalBalancingKernel:
                 "secure batched Alg. 3 disagrees with the maintained candidate set"
             )
 
-        # The most-loaded device has no greater neighbour, so the verified
-        # candidate set is never empty.
         candidates = np.flatnonzero(candidate)
         candidate_workloads = workload[candidates]
+        if not n:
+            # The most-loaded device has no greater neighbour, so only a
+            # federation without devices has no candidate; like the clear
+            # path, the loop then skips "device 0", which selects nothing.
+            candidates = candidate_workloads = np.zeros(1, dtype=np.int64)
         maximum_value = candidate_workloads.max()
         winners = candidates[candidate_workloads == maximum_value].tolist()
         if candidate_workloads[comparator.argmax(candidate_workloads)] != maximum_value:
@@ -315,6 +304,76 @@ class _IncrementalBalancingKernel:
         self._secure_winner_ids.extend(winners)
         self._secure_winner_rounds.extend([round_index] * len(winners))
         return self.environment.server.pick_maximum(winners)
+
+    def _speculate(self) -> tuple:
+        """Speculate this version's Alg. 3 comparisons; memoise and return them.
+
+        Returns ``(executed, candidate, partners, owners, own, other)``: per
+        device the length of the neighbour-row prefix its scan executes and
+        its candidacy, then per executed comparison the neighbour and the
+        device of the pair and their workloads (the protocol operands).  A
+        row's scan reads only its own workload and those of the neighbours
+        in its prefix (the first strictly greater one included), so right
+        after :meth:`apply` only the rows of the moved vertices and the
+        rows whose base prefix holds one of them are rescanned, over the
+        proposal's base version; any other miss (the first call, or a state
+        no call evaluated) rescans every row.  The flat operands are then
+        rebuilt from the prefix lengths.  Only the current version and the
+        pending proposal's base stay memoised — the two states the loop can
+        return to.
+        """
+        n = self.num_devices
+        base = None
+        if self._pending is not None:
+            source, record, base_version = self._pending
+            base = self._prefix_memo.get(base_version)
+        if base is None:
+            rows = np.arange(n)
+            executed = np.empty(n, dtype=np.int64)
+            candidate = np.empty(n, dtype=bool)
+            memo = {}
+        else:
+            executed, candidate, partners, owners = base[:4]
+            moved = [source] + [target for target, _ in record]
+            is_moved = np.zeros(n, dtype=bool)
+            is_moved[moved] = True
+            rows = np.concatenate([moved, owners[is_moved[partners]]])
+            executed, candidate = executed.copy(), candidate.copy()
+            memo = {base_version: base}
+        executed[rows], candidate[rows] = self._scan_prefixes(rows)
+        # The edge positions of every device's executed prefix, row by row.
+        prefix, _ = _segment_positions(self._csr_indptr[:-1], executed)
+        partners = self._csr_indices[prefix]
+        owners = np.repeat(np.arange(n), executed)
+        # Workloads are non-negative, so the uint64 view is the protocol's
+        # operand dtype at no copy.
+        workload = self.workload.view(np.uint64)
+        result = (executed, candidate, partners, owners, workload[owners], workload[partners])
+        memo[self._version] = result
+        self._prefix_memo = memo
+        return result
+
+    def _scan_prefixes(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's executed-prefix length and candidacy, in one segmented pass.
+
+        A device's first strictly greater neighbour is the comparison at
+        which its scan stops; a device without one is a candidate and
+        compares against its whole row (vacuously so with no neighbours,
+        matching the loop).  ``rows`` may repeat.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self._csr_degrees[rows]
+        flat, starts = _segment_positions(self._csr_indptr[rows], lengths)
+        workload = self.workload
+        hits = np.flatnonzero(
+            workload[self._csr_indices[flat]] > np.repeat(workload[rows], lengths)
+        )
+        cuts = np.searchsorted(hits, starts)
+        candidate = cuts == np.searchsorted(hits, starts + lengths)
+        executed = lengths
+        stopped = np.flatnonzero(~candidate)
+        executed[stopped] = hits[cuts[stopped]] - starts[stopped] + 1
+        return executed, candidate
 
     def flush_transcript(self) -> None:
         """Emit the buffered Alg. 3 traffic as columnar ledger events.
@@ -458,8 +517,7 @@ class _IncrementalBalancingKernel:
         """
         rows = np.asarray(vertices, dtype=np.int64)
         lengths = self._csr_degrees[rows]
-        starts = np.cumsum(lengths) - lengths
-        flat = np.arange(int(lengths.sum())) + np.repeat(self._csr_indptr[rows] - starts, lengths)
+        flat, starts = _segment_positions(self._csr_indptr[rows], lengths)
         values = self.workload[self._csr_indices[flat]]
         occupied = lengths > 0
         maxima = np.zeros(rows.shape[0], dtype=np.int64)

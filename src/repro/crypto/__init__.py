@@ -1,7 +1,6 @@
 """Privacy substrate: LDP mechanisms and secure comparison protocols."""
 
 from .ldp import (
-    FeatureBinPartitioner,
     FeatureBounds,
     GaussianMechanism,
     OneBitMechanism,
@@ -26,7 +25,6 @@ from .transport import (
 __all__ = [
     "FeatureBounds",
     "OneBitMechanism",
-    "FeatureBinPartitioner",
     "GaussianMechanism",
     "RandomizedResponse",
     "TranscriptAccountant",

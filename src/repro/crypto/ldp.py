@@ -5,7 +5,7 @@ Three mechanisms are implemented:
 * :class:`OneBitMechanism` — the 1-bit encoder of Ding et al. (NeurIPS 2017)
   with the exact probabilities of paper Eq. 26 and the unbiased recovery of
   Eq. 27.  Lumos uses it (combined with element binning, see
-  :class:`FeatureBinPartitioner`) to release node features to neighbours.
+  :func:`bin_assignment`) to release node features to neighbours.
 * :class:`GaussianMechanism` — used by the naive FedGNN baseline to noise
   features before uploading them to the server.
 * :class:`RandomizedResponse` — used by the naive FedGNN baseline to noise
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -190,43 +190,14 @@ class OneBitMechanism:
 
 
 def bin_assignment(dimension: int, num_bins: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the bin id of each of ``dimension`` feature indices, uniform over ``num_bins``."""
-    return rng.integers(num_bins, size=dimension)
+    """Draw the bin id of each of ``dimension`` feature indices, uniform over ``num_bins``.
 
-
-class FeatureBinPartitioner:
-    """Random partition of the ``d`` feature indices into ``wl`` bins.
-
-    Lumos sends the ``k``-th bin to the ``k``-th (remaining) neighbour so the
-    union of all transmissions covers every element while each neighbour sees
-    only ``d / wl`` encoded elements (paper §VI-A).  The draw is
-    :func:`bin_assignment`.
+    The random partition of the ``d`` feature indices into ``wl`` bins:
+    Lumos sends the ``k``-th bin to the ``k``-th (remaining) neighbour, so
+    the union of all transmissions covers every element while each
+    neighbour sees only ``d / wl`` encoded elements (paper §VI-A).
     """
-
-    def __init__(self, dimension: int, num_bins: int, rng: Optional[np.random.Generator] = None) -> None:
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
-        if num_bins <= 0:
-            raise ValueError("num_bins must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
-        self.dimension = dimension
-        self.num_bins = num_bins
-        self._assignment = bin_assignment(dimension, num_bins, rng)
-
-    @property
-    def assignment(self) -> np.ndarray:
-        """Bin id of every feature index."""
-        return self._assignment
-
-    def mask_for_bin(self, bin_index: int) -> np.ndarray:
-        """Boolean mask of the feature indices that belong to ``bin_index``."""
-        if not 0 <= bin_index < self.num_bins:
-            raise ValueError(f"bin index {bin_index} out of range [0, {self.num_bins})")
-        return self._assignment == bin_index
-
-    def masks(self) -> Sequence[np.ndarray]:
-        """All bin masks in order."""
-        return [self.mask_for_bin(index) for index in range(self.num_bins)]
+    return rng.integers(num_bins, size=dimension)
 
 
 class GaussianMechanism:
@@ -282,9 +253,3 @@ class RandomizedResponse:
         offsets = rng.integers(1, self.num_categories, size=values.shape)
         flipped = (values + offsets) % self.num_categories
         return np.where(keep, values, flipped)
-
-    def randomize_bits(self, bits: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Binary special case (used for adjacency-matrix perturbation)."""
-        if self.num_categories != 2:
-            raise ValueError("randomize_bits requires a binary mechanism")
-        return self.randomize(np.asarray(bits, dtype=np.int64), rng=rng)

@@ -52,10 +52,11 @@ class TranscriptAccountant:
         """
         if count <= 0 or not pattern:
             return
+        pattern_bits = sum(bits for _, bits in pattern)
         self.messages += len(pattern) * count
-        self.bits += sum(bits for _, bits in pattern) * count
+        self.bits += pattern_bits * count
         obs.add_counter("crypto.messages", len(pattern) * count)
-        obs.add_counter("crypto.bits", sum(bits for _, bits in pattern) * count)
+        obs.add_counter("crypto.bits", pattern_bits * count)
         remaining = self.LOG_CAP - len(self._log)
         if remaining > 0:
             entries = [f"{description}:{bits}" for description, bits in pattern]

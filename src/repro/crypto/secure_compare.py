@@ -33,6 +33,9 @@ import numpy as np
 from .. import obs
 from .oblivious_transfer import TranscriptAccountant, transfer_packed_table_batch
 
+#: Candidate dtypes of the block split, narrowest first.
+_SPLIT_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
 
 @dataclass(frozen=True)
 class ComparisonCost:
@@ -131,13 +134,15 @@ class SecureComparator:
             raise ValueError("bit_width must be in [1, 64]")
         self.bit_width = bit_width
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
-        # Party B's truth tables per block value b, one packed word each:
-        # bit c is ``c > b`` (greater-than share) / ``c == b`` (equality).
-        table_size = 1 << self.BLOCK_BITS
-        self._equal_tables = np.array([1 << b for b in range(table_size)], dtype=np.uint16)
-        self._greater_tables = np.array(
-            [(1 << table_size) - (2 << b) for b in range(table_size)], dtype=np.uint16
+        # The block split's dtype, shifts and mask (see block_rows).
+        self._block_dtype = np.dtype(
+            next(dtype for dtype in _SPLIT_DTYPES if np.iinfo(dtype).bits >= bit_width)
         )
+        num_blocks = -(-bit_width // self.BLOCK_BITS)
+        self._block_shifts = (
+            np.arange(num_blocks - 1, -1, -1, dtype=self._block_dtype)[:, None] * self.BLOCK_BITS
+        )
+        self._block_mask = self._block_dtype.type((1 << self.BLOCK_BITS) - 1)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -234,12 +239,13 @@ class SecureComparator:
         """Split a uint64 batch into ``(blocks, n)`` big-endian block values.
 
         Block-major, so every later step streams one contiguous length-``n``
-        row per block.
+        row per block.  The split runs in the narrowest unsigned dtype that
+        holds ``bit_width`` (uint8/16/32/64, a multiple of the block width,
+        so the narrowing drops only bits no block reads); the shifts and the
+        mask are the comparator's, built once.
         """
-        num_blocks = (self.bit_width + self.BLOCK_BITS - 1) // self.BLOCK_BITS
-        shifts = np.arange(num_blocks - 1, -1, -1, dtype=np.uint64)[:, None] * np.uint64(self.BLOCK_BITS)
-        mask = np.uint64((1 << self.BLOCK_BITS) - 1)
-        return ((values >> shifts) & mask).astype(np.uint8)
+        narrow = values.astype(self._block_dtype, copy=False)
+        return ((narrow >> self._block_shifts) & self._block_mask).astype(np.uint8)
 
     def leaf_shares(
         self, left_blocks: np.ndarray, right_blocks: np.ndarray
@@ -247,20 +253,21 @@ class SecureComparator:
         """Party B's side of the leaf layer: ``(greater, equal)`` share bits.
 
         ``right_blocks`` are party B's own block values, ``left_blocks`` the
-        equal-shape choices party A sent.  The truth table of each block
-        travels as one packed ``2^m``-bit word (looked up by its block value
-        — no ``(n, 2^m)`` table is built) and two
+        equal-shape choices party A sent.  Party B computes the truth table
+        of each block ``b`` as one packed ``2^m``-bit word, bit ``c`` set
+        where the choice ``c`` satisfies it: equality ``1 << b``, greater
+        ``2^m - (2 << b)`` (every ``c > b``), in uint16 — no ``(n, 2^m)``
+        table is built.  Two
         :func:`~repro.crypto.oblivious_transfer.transfer_packed_table_batch`
         calls return the greater-than and the equality share of every
         position; a choice outside the table raises ``ValueError``.
         """
         table_size = 1 << self.BLOCK_BITS
-        greater = transfer_packed_table_batch(
-            np.take(self._greater_tables, right_blocks), left_blocks, table_size
-        )
-        equal = transfer_packed_table_batch(
-            np.take(self._equal_tables, right_blocks), left_blocks, table_size
-        )
+        equal_words = np.left_shift(np.uint16(1), right_blocks, dtype=np.uint16)
+        # 2^16 - (2 << b) wraps to -(2 << b) in uint16.
+        greater_words = np.negative(np.left_shift(equal_words, 1, dtype=np.uint16))
+        greater = transfer_packed_table_batch(greater_words, left_blocks, table_size)
+        equal = transfer_packed_table_batch(equal_words, left_blocks, table_size)
         return greater, equal
 
     def execute_batch(self, left: np.ndarray, leaf_source) -> np.ndarray:
@@ -275,7 +282,7 @@ class SecureComparator:
         that differs between deployments: in process it is
         :meth:`leaf_shares` over party B's block rows, across a process
         boundary (:class:`~repro.crypto.transport.RemoteParty`) the frames
-        that carry the same lookups.  The outcome bits are derived
+        that carry the same OTs.  The outcome bits are derived
         exclusively from what the source returned — the structural
         information boundary of the protocol.
 

@@ -19,7 +19,7 @@ This module is **framing and reconciliation only**.  The millionaires'
 protocol exists once, in :class:`~repro.crypto.secure_compare.SecureComparator`:
 the driver hands its ``execute_batch`` kernel a leaf source that fetches
 party B's shares as ``CMP_CHOICES`` / ``CMP_RESPONSE`` frames, the party
-answers each of them through the comparator's ``leaf_shares`` lookup, and
+answers each of them through the comparator's ``leaf_shares``, and
 the comparator's ``charge_batch`` charges the accountant.  Because both
 deployments run that one kernel, a remote session is **bit-for-bit
 equivalent** to the in-process simulation in results, accountant counters
@@ -174,7 +174,7 @@ def _serve_comparison(channel, config, private_values) -> None:
     Per big-endian block row the driver sends its choice blocks
     (``CMP_CHOICES``, one byte per comparison); this party answers them
     through :meth:`~repro.crypto.secure_compare.SecureComparator.leaf_shares`
-    — the packed-table lookup the in-process party B performs, whose range
+    — the packed-table OTs the in-process party B runs, whose range
     check rejects a choice byte outside the table — and responds with the
     two packed share rows (``CMP_RESPONSE``), padded with stand-in bytes to
     the analytic size of the two 1-out-of-2^m OTs.  The response buffer is

@@ -42,11 +42,34 @@ def _read_only(column, dtype=None) -> np.ndarray:
     return column
 
 
+def _constant_value(column: np.ndarray) -> Optional[int]:
+    """The one value of a stride-0 integer column; ``None`` for any other column.
+
+    Reductions read such a column as that value times its length instead of
+    streaming it.  A float column keeps numpy's summation order.
+    """
+    if column.strides == (0,) and column.dtype.kind in "iu":
+        return int(column[0])
+    return None
+
+
 def _map_rows(column: np.ndarray, function) -> np.ndarray:
     """``function`` applied row-wise; a stride-0 column stays stride-0."""
     if column.strides == (0,):
         return np.broadcast_to(function(column[:1]), column.shape)
     return function(column)
+
+
+def _device_to_device(senders: np.ndarray, recipients: np.ndarray) -> int:
+    """Rows of one message block with neither endpoint the server."""
+    off_server = True
+    for column in (senders, recipients):
+        value = _constant_value(column)
+        if value is None:
+            off_server = off_server & (column != SERVER_ID)
+        elif value == SERVER_ID:
+            return 0
+    return senders.shape[0] if off_server is True else int(off_server.sum())
 
 
 class _Table:
@@ -135,13 +158,21 @@ class _Table:
 
     def total(self, name: str):
         """Sum of one column, reduced block by block in recorded order."""
-        return sum(column.sum().item() for column in self.column(name))
+        total = 0
+        for column in self.column(name):
+            value = _constant_value(column)
+            total += column.sum().item() if value is None else value * column.shape[0]
+        return total
 
     def label_counts(self) -> Dict[tuple, int]:
         """Rows per label, in the order labels were first recorded."""
         counts = np.zeros(len(self.labels), dtype=np.int64)
         for block in self._seal():
-            counts += np.bincount(block[-1], minlength=len(self.labels))
+            code = _constant_value(block[-1])
+            if code is None:
+                counts += np.bincount(block[-1], minlength=len(self.labels))
+            else:
+                counts[code] += block[-1].shape[0]
         return {label: int(count) for label, count in zip(self.labels, counts) if count}
 
     def rows(self) -> List[tuple]:
@@ -364,8 +395,7 @@ class CommunicationLedger:
         """Return the headline counters as a dictionary."""
         messages = self.messages
         device_to_device = sum(
-            int(((senders != SERVER_ID) & (recipients != SERVER_ID)).sum())
-            for senders, recipients in zip(messages.column("sender"), messages.column("recipient"))
+            map(_device_to_device, messages.column("sender"), messages.column("recipient"))
         )
         result: Dict[str, float] = {
             "total_messages": float(len(messages)),

@@ -47,7 +47,7 @@ from repro.core.greedy import comparison_message_bytes
 from repro.core.mcmc import _charge_analytic_comparisons
 from repro.core.workload import Assignment
 from repro.crypto import SecureComparator, TranscriptAccountant
-from repro.crypto.ldp import FeatureBinPartitioner, OneBitMechanism
+from repro.crypto.ldp import OneBitMechanism, bin_assignment
 from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
@@ -240,9 +240,10 @@ def find_max_workload_device(
     # Part 2 (device operation 2): candidates compare among themselves; the
     # winners (possibly several on ties) report to the server which picks one.
     if not candidates:
-        # Degenerate case (no edges): every device has workload 0.
+        # Only a federation without devices has no candidate: "device 0",
+        # which selects nothing, wins.
         candidates = [0]
-    candidate_workloads = [workloads[c] for c in candidates]
+    candidate_workloads = [workloads.get(c, 0) for c in candidates]
     pairwise_comparisons = len(candidates) * max(len(candidates) - 1, 0)
     maximum_value = max(candidate_workloads)
     winners = [c for c, w in zip(candidates, candidate_workloads) if w == maximum_value]
@@ -649,6 +650,36 @@ def tree_batch_reference(
         neighbor_receivers=receivers,
         neighbor_senders=senders,
     )
+
+
+class FeatureBinPartitioner:
+    """Random partition of the ``d`` feature indices into ``wl`` bins, as masks.
+
+    The per-sender view of :func:`repro.crypto.ldp.bin_assignment` (same
+    draw) the one-message-at-a-time oracles read their bins from.
+    """
+
+    def __init__(
+        self, dimension: int, num_bins: int, rng: Optional[np.random.Generator] = None
+    ) -> None:
+        if dimension <= 0:
+            raise ValueError("dimension must be positive")
+        if num_bins <= 0:
+            raise ValueError("num_bins must be positive")
+        rng = rng if rng is not None else np.random.default_rng()
+        self.dimension = dimension
+        self.num_bins = num_bins
+        self.assignment = bin_assignment(dimension, num_bins, rng)
+
+    def mask_for_bin(self, bin_index: int) -> np.ndarray:
+        """Boolean mask of the feature indices that belong to ``bin_index``."""
+        if not 0 <= bin_index < self.num_bins:
+            raise ValueError(f"bin index {bin_index} out of range [0, {self.num_bins})")
+        return self.assignment == bin_index
+
+    def masks(self) -> Sequence[np.ndarray]:
+        """All bin masks in order."""
+        return [self.mask_for_bin(index) for index in range(self.num_bins)]
 
 
 def ldp_exchange_reference(

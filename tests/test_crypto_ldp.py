@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.oracles import FeatureBinPartitioner
+
 from repro.crypto import (
-    FeatureBinPartitioner,
     FeatureBounds,
     GaussianMechanism,
     OneBitMechanism,
@@ -167,11 +168,12 @@ class TestRandomizedResponse:
         assert mechanism.keep_probability == pytest.approx(0.75)
 
     def test_flipped_values_are_valid_categories(self):
-        mechanism = RandomizedResponse(epsilon=0.5, num_categories=5)
         rng = np.random.default_rng(0)
-        values = rng.integers(5, size=1000)
-        noisy = mechanism.randomize(values, rng=rng)
-        assert noisy.min() >= 0 and noisy.max() < 5
+        for categories in (2, 5):
+            mechanism = RandomizedResponse(epsilon=0.5, num_categories=categories)
+            values = rng.integers(categories, size=1000)
+            noisy = mechanism.randomize(values, rng=rng)
+            assert noisy.min() >= 0 and noisy.max() < categories
 
     def test_empirical_keep_rate(self):
         mechanism = RandomizedResponse(epsilon=1.0, num_categories=4)
@@ -179,12 +181,6 @@ class TestRandomizedResponse:
         values = np.zeros(30_000, dtype=int)
         noisy = mechanism.randomize(values, rng=rng)
         assert abs((noisy == 0).mean() - mechanism.keep_probability) < 0.02
-
-    def test_randomize_bits_requires_binary(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(1.0, num_categories=3).randomize_bits(np.array([0, 1]))
-        noisy = RandomizedResponse(1.0, num_categories=2).randomize_bits(np.array([0, 1, 1]))
-        assert set(np.unique(noisy)) <= {0, 1}
 
     def test_validation(self):
         with pytest.raises(ValueError):

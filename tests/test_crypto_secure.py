@@ -224,6 +224,74 @@ class TestBlockDecomposition:
             ]
 
 
+#: Widths on both sides of every change of the block split's dtype.
+SPLIT_EDGE_WIDTHS = (1, 8, 9, 16, 17, 32, 33, 64)
+
+
+@st.composite
+def width_and_operands(draw, widths=st.integers(1, 64)):
+    """A bit width and operand pairs of it: random ones, ``0``, ``2^w - 1``
+    and equal pairs."""
+    bit_width = draw(widths)
+    top = (1 << bit_width) - 1
+    values = st.integers(0, top)
+    pairs = draw(st.lists(st.tuples(values, values), max_size=6))
+    equal = draw(st.lists(values, max_size=3))
+    pairs += [(0, top), (top, 0), (0, 0), (top, top)] + [(value, value) for value in equal]
+    return bit_width, pairs
+
+
+class TestComputedBlockProtocol:
+    """The narrowed block split and party B's computed truth words."""
+
+    @staticmethod
+    def _scalar_blocks(value, bit_width):
+        return [(value >> (4 * block)) & 15 for block in reversed(range(-(-bit_width // 4)))]
+
+    @given(st.one_of(width_and_operands(), width_and_operands(st.sampled_from(SPLIT_EDGE_WIDTHS))))
+    @settings(max_examples=80, deadline=None)
+    def test_block_rows_match_the_per_value_split(self, case):
+        bit_width, pairs = case
+        comparator = SecureComparator(bit_width=bit_width)
+        values = [value for pair in pairs for value in pair]
+        rows = comparator.block_rows(np.array(values, dtype=np.uint64))
+        assert rows.dtype == np.uint8
+        assert rows.T.tolist() == [self._scalar_blocks(value, bit_width) for value in values]
+
+    @pytest.mark.parametrize("bit_width", SPLIT_EDGE_WIDTHS)
+    def test_the_split_runs_in_the_narrowest_dtype(self, bit_width):
+        comparator = SecureComparator(bit_width=bit_width)
+        expected = next(bits for bits in (8, 16, 32, 64) if bits >= bit_width)
+        assert comparator._block_dtype == np.dtype(f"uint{expected}")
+
+    @given(width_and_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_executed_outcomes_are_the_comparisons(self, case):
+        bit_width, pairs = case
+        left, right = zip(*pairs)
+        outcomes = SecureComparator(bit_width=bit_width).compare_batch(left, right, execute=True)
+        assert outcomes.left_ge_right.tolist() == [a >= b for a, b in pairs]
+
+    def test_truth_words_are_their_definition_for_every_block_value(self, monkeypatch):
+        # Party B's words as handed to the OT: bit c of the greater word is
+        # c > b, bit c of the equality word is c == b.
+        words = []
+
+        def recording_transfer(tables, choices, table_size):
+            words.append(tables)
+            return transfer_packed_table_batch(tables, choices, table_size)
+
+        monkeypatch.setattr(
+            "repro.crypto.secure_compare.transfer_packed_table_batch", recording_transfer
+        )
+        blocks = np.arange(16, dtype=np.uint8)
+        SecureComparator(bit_width=4).leaf_shares(np.zeros(16, dtype=np.uint8), blocks)
+        greater, equal = words
+        assert greater.dtype == equal.dtype == np.uint16
+        assert greater.tolist() == [sum(1 << c for c in range(16) if c > b) for b in range(16)]
+        assert equal.tolist() == [sum(1 << c for c in range(16) if c == b) for b in range(16)]
+
+
 class TestChargeBatch:
     @pytest.mark.parametrize("bit_width", [1, 5, 12, 20, 63, 64])
     def test_charges_count_times_the_oracle_transcript(self, bit_width):

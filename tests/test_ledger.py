@@ -9,8 +9,10 @@ the program shares.  The same programs pin the engine's capture path
 (``mark`` → ``since`` → ``replay`` into a ledger some rounds ahead, pickled
 and not), that a replayed stride-0 column stays stride-0, that every stored
 column is read-only, and that a ``deepcopy`` shares nothing with its
-original.  Two ``tracemalloc`` guards hold the bulk recording sites to
-O(blocks) bytes, not O(rows).
+original.  The reductions (column totals, label counts, ``summary``) read a
+stride-0 integer column as one value; a generated test holds them to those
+of a deep copy, whose columns are all materialised.  Two ``tracemalloc``
+guards hold the bulk recording sites to O(blocks) bytes, not O(rows).
 
 Costs are multiples of 1/4, so every summation order gives the same float
 and the comparisons stay exact.
@@ -23,7 +25,7 @@ import pickle
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -34,6 +36,7 @@ from repro.crypto import SecureComparator
 from repro.crypto.secure_compare import comparison_cost
 from repro.crypto.transport import charge_comparison_ledger
 from repro.federation import SERVER_ID, CommunicationLedger, FederatedEnvironment, MessageKind
+from repro.federation.network import constant_column
 from repro.graph import Graph
 
 NUM_DEVICES = 4
@@ -231,6 +234,36 @@ def test_ledger_equals_the_row_oracle(prefix, suffix, target_prefix, ahead):
 )
 def test_ledger_equals_the_row_oracle_wide(prefix, suffix, target_prefix, ahead):
     _check_program(prefix, suffix, target_prefix, ahead)
+
+
+def _constant_endpoint_blocks():
+    """Message blocks whose constant endpoint is the server, a device, or both."""
+    kind, server = MessageKind.OTHER, SERVER_ID
+    return [
+        ("send_many", (constant_column(server, 3), [0, 1, server], kind, [4] * 3, [0] * 3, "a")),
+        ("send_many", ([0, server, 2], constant_column(1, 3), kind, [1, 2, 3], [2] * 3, "b")),
+        ("send_many", (constant_column(2, 2), constant_column(3, 2), kind, [5, 6], [1, 1], "")),
+        ("drop_many", (constant_column(2, 2), constant_column(server, 2), kind, [5, 6], [1, 2])),
+    ]
+
+
+@settings(**TIER1)
+@given(programs)
+@example(_constant_endpoint_blocks())
+def test_reductions_over_stride_0_columns_equal_the_materialised_ones(program):
+    ledger = CommunicationLedger()
+    _run(program, ledger)
+    # A deep copy materialises every column: its reductions stream them all.
+    dense = copy.deepcopy(ledger)
+    assert all(column.strides != (0,) for block in _blocks(dense) for column in block)
+    for name in TABLES:
+        table, materialised = getattr(ledger, name), getattr(dense, name)
+        for column in table.columns:
+            total, expected = table.total(column), materialised.total(column)
+            assert total == expected and type(total) is type(expected), (name, column)
+        assert table.label_counts() == materialised.label_counts(), name
+    for num_devices in (None, NUM_DEVICES):
+        assert ledger.summary(num_devices) == dense.summary(num_devices)
 
 
 def test_since_without_a_mark_is_the_whole_log():

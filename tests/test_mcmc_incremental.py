@@ -25,6 +25,7 @@ from repro.core import (
     greedy_initialization,
 )
 from repro.core.mcmc import _IncrementalBalancingKernel
+from repro.crypto import SecureComparator
 from repro.federation import FederatedEnvironment
 from repro.graph import (
     Graph,
@@ -332,3 +333,144 @@ class TestKernelTranscriptBlocks:
         assert summary["total_bytes"] == sum(record[4] for record in records)
         by_kind = sum(value for key, value in summary.items() if key.startswith("messages_"))
         assert by_kind == len(records)
+
+
+def _scanned_prefixes(kernel):
+    """Alg. 3's executed prefixes as the per-device scan the loop runs, rebuilt
+    from scratch: ``(executed, candidate, partners, owners, own, other)``."""
+    workload = kernel.workload.tolist()
+    executed, candidate, partners, owners = [], [], [], []
+    for device, row in enumerate(kernel._neighbors):
+        stop = next((i for i, v in enumerate(row) if workload[v] > workload[device]), None)
+        length = len(row) if stop is None else stop + 1
+        executed.append(length)
+        candidate.append(stop is None)
+        partners += row[:length]
+        owners += [device] * length
+    own = [workload[device] for device in owners]
+    other = [workload[v] for v in partners]
+    return executed, candidate, partners, owners, own, other
+
+
+def _assert_prefixes_are_from_scratch(kernel):
+    memo = kernel._prefix_memo[kernel._version]
+    assert [array.tolist() for array in memo] == list(_scanned_prefixes(kernel))
+
+
+def _walk_case(name):
+    """``(environment, assignment)`` of one speculation-walk case."""
+    if name == "star":
+        graph = generate_star(num_leaves=12, seed=0)
+        return FederatedEnvironment.from_graph(graph, seed=0), Assignment.full(graph)
+    if name == "social":
+        graph = generate_facebook_like(seed=4, num_nodes=70)
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        return environment, greedy_initialization(environment, rng=np.random.default_rng(0))
+    if name == "isolated":
+        # Isolated devices at the front, middle and end of the CSR.
+        lists = [[], [2, 3], [1, 3, 5], [1, 2], [], [2, 6], [5], []]
+    else:
+        # A ring of twelve: every device holds two neighbours, all workloads tie.
+        lists = [[(v - 1) % 12, (v + 1) % 12] for v in range(12)]
+    indptr, indices = csr_from_lists(lists)
+    features = np.zeros((len(lists), 1))
+    environment = FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
+    return environment, Assignment.from_lists({v: list(row) for v, row in enumerate(lists)})
+
+
+class TestSecureSpeculation:
+    """The secure Alg. 3 keeps each device's executed-prefix length per kernel
+    version and, after a transfer, re-derives only the rows it touched."""
+
+    @pytest.mark.parametrize("case", ["star", "isolated", "ring", "social"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prefix_lengths_equal_a_from_scratch_scan_along_a_walk(self, case, seed):
+        environment, assignment = _walk_case(case)
+        kernel = _IncrementalBalancingKernel(environment, assignment)
+        comparator = SecureComparator(bit_width=24)
+        rng = np.random.default_rng(seed)
+        for step in range(40):
+            # Skipping some calls leaves versions no call evaluated: the
+            # next call then scans every row.
+            if rng.random() < 0.8:
+                kernel.find_max_workload_device_secure(comparator, step)
+                _assert_prefixes_are_from_scratch(kernel)
+            holders = [v for v, chosen in kernel.assignment.selected.items() if chosen]
+            if not holders:
+                break
+            source = int(rng.choice(holders))
+            chosen = sorted(kernel.assignment.selected[source])
+            size = int(rng.integers(1, len(chosen) + 1))
+            kernel.apply(source, [int(v) for v in rng.choice(chosen, size, replace=False)])
+            kernel.find_max_workload_device_secure(comparator, step)
+            _assert_prefixes_are_from_scratch(kernel)
+            if rng.random() < 0.5:
+                kernel.commit(int(kernel.workload.max()))
+            else:
+                kernel.revert()
+            _assert_kernel_state_is_from_scratch(kernel)
+
+    def test_a_speculation_miss_reads_only_the_touched_rows(self, monkeypatch):
+        # A ring of 2 000 where every device keeps both neighbours, except
+        # that 499 keeps none and 501 keeps only 502.  Moving 500's edge to
+        # 501 changes those two workloads: the miss rescans their rows and
+        # 502's, whose prefix holds 501 — not 499's, whose scan stops at 498
+        # before it reaches 500, and none of the other 1 996 rows.
+        lists = [[(v - 1) % 2000, (v + 1) % 2000] for v in range(2000)]
+        selected = {v: list(row) for v, row in enumerate(lists)}
+        selected[499], selected[501] = [], [502]
+        indptr, indices = csr_from_lists(lists)
+        environment = FederatedEnvironment.from_partition(
+            (indptr, indices, np.zeros((2000, 1))), seed=0
+        )
+        kernel = _IncrementalBalancingKernel(environment, Assignment.from_lists(selected))
+        comparator = SecureComparator(bit_width=24)
+        scanned = []
+        scan = kernel._scan_prefixes
+        monkeypatch.setattr(
+            kernel, "_scan_prefixes", lambda rows: scanned.append(list(rows)) or scan(rows)
+        )
+        kernel.find_max_workload_device_secure(comparator, 0)
+        assert [len(rows) for rows in scanned] == [2000]  # the cold call
+        scanned.clear()
+        kernel.apply(500, [501])
+        kernel.find_max_workload_device_secure(comparator, 0)
+        assert len(scanned) == 1 and sorted(set(scanned[0])) == [500, 501, 502]
+        assert len(scanned[0]) == 5  # rows may repeat: 500 and 501 hold each other
+        _assert_prefixes_are_from_scratch(kernel)
+        # A revert returns to a memoised version: nothing is rescanned.
+        scanned.clear()
+        kernel.revert()
+        kernel.find_max_workload_device_secure(comparator, 1)
+        assert scanned == []
+        _assert_prefixes_are_from_scratch(kernel)
+
+
+class TestTinyFederations:
+    """0, 1 and 2 devices construct in clear and secure mode as the reference
+    loops do (a federation without devices selects nothing)."""
+
+    @pytest.mark.parametrize(
+        "lists", [[], [[]], [[], []], [[1], [0]]], ids=["none", "one", "two-isolated", "two-linked"]
+    )
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    def test_construction_matches_the_reference_loops(self, lists, secure):
+        config = TreeConstructorConfig(mcmc_iterations=6)
+        indptr, indices = csr_from_lists(lists)
+        features = np.zeros((len(lists), 2))
+
+        def environment():
+            return FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
+
+        fast_env, slow_env = environment(), environment()
+        fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
+        fast = TreeConstructor(config, rng=fast_rng, secure=secure).construct(fast_env)
+        _, slow, slow_transcript = construct_with_oracles(slow_env, config, slow_rng, secure=secure)
+        assert fast.assignment.as_lists() == slow.assignment.as_lists()
+        assert fast.mcmc_result.objective_history == slow.objective_history
+        assert fast.transcript.snapshot() == slow_transcript.snapshot()
+        assert fast.transcript._log == slow_transcript._log
+        assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        if not lists:
+            assert fast.assignment.as_lists() == {} and fast.total_tree_nodes() == 0
