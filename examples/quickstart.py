@@ -6,7 +6,7 @@ This script covers the public API in ~40 lines:
 2. configure Lumos (tree constructor + tree-based GNN trainer),
 3. train a supervised node classifier with feature and degree protection,
 4. inspect both the accuracy and the system-side metrics,
-5. trace a parallel sweep and export a Perfetto-loadable Chrome trace.
+5. trace a sweep and export a Perfetto-loadable Chrome trace.
 
 Run with::
 
@@ -25,7 +25,6 @@ from repro.eval.runner import (
 )
 from repro.faults import FaultScenarioConfig
 from repro.graph import load_dataset, split_nodes
-from repro.runtime import ProcessExecutor
 
 
 def main() -> None:
@@ -72,19 +71,16 @@ def main() -> None:
     for stage, stats in gat_system.engine_stats().items():
         print(f"stage {stage:<14} hits={stats['hits']} misses={stats['misses']}")
 
-    # Independent experiment arms can also be scheduled across worker
-    # processes (repro.runtime): the shared pipeline prefix is computed once,
-    # per-point work fans out, and the merged results are bit-for-bit
-    # identical to the serial loop — same numbers, sooner on multi-core.
+    # An experiment is a work plan (repro.runtime): its arms run one after
+    # another on one artifact store (by default the process-wide one), so the
+    # epsilon-free pipeline prefix is computed for the first point and
+    # replayed bit-for-bit for the others.
     sweep = run_epsilon_sweep(
         "facebook",
         epsilons=[0.5, 1.0, 2.0, 4.0],
         scale=ExperimentScale(num_nodes=300, epochs=20, mcmc_iterations=150),
-        # The default (executor=None) is a SerialExecutor over the
-        # process-wide artifact store.
-        executor=ProcessExecutor(max_workers=2),
     )
-    print("\n=== Parallel epsilon sweep (ProcessExecutor, 2 workers) ===")
+    print("\n=== Epsilon sweep (one work plan, shared stages) ===")
     for epsilon, accuracy in sweep.items():
         print(f"epsilon={epsilon:<4} test accuracy: {accuracy:.4f}")
 
@@ -158,21 +154,19 @@ def main() -> None:
     # Every layer is instrumented with zero-dependency spans and counters
     # (repro.obs).  Tracing is invisible to the computation — results,
     # ledger, accountant and RNG state are bit-for-bit identical with the
-    # tracer on or off — and worker processes ship their spans home inside
-    # the result payloads, so one merged trace covers the whole pool.
+    # tracer on or off.
     with obs.tracing() as tracer:
         run_epsilon_sweep(
             "facebook",
             epsilons=[0.5, 2.0, 4.0],
             scale=ExperimentScale(num_nodes=300, epochs=10, mcmc_iterations=150),
-            executor=ProcessExecutor(max_workers=2),
         )
     trace = obs.RunTrace.from_tracer(tracer)
     path = obs.write_chrome_trace(trace, "lumos_trace.json")
     print("\n=== Observability: traced sweep ===")
     print(obs.summary_table(trace))
     print(f"Chrome trace written to {path} — open https://ui.perfetto.dev and "
-          "load it to see one track per worker")
+          "load it to see the span tree")
 
 
 if __name__ == "__main__":

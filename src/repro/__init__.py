@@ -23,9 +23,9 @@ Top-level subpackages
 ``repro.baselines``
     Centralized GNN, LPGNN, and the naive federated GNN baseline.
 ``repro.runtime``
-    Parallel execution runtime: a multi-process scheduler of independent
-    engine work items (sweep points, ablation arms, baselines) with
-    bit-for-bit deterministic merging.
+    Content-keyed work items (sweep points, ablation arms, baselines)
+    collected in deduplicating work plans, and the two-party transport's
+    framed channel.
 ``repro.eval``
     Metrics, experiment runner and per-figure reproduction entry points.
 """

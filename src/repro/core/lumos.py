@@ -132,9 +132,7 @@ class LumosSystem:
     def advance(self, through: str):
         """Run the pipeline up to and including stage ``through`` (cached).
 
-        Returns that stage's artifact.  The parallel runtime uses this to
-        compute a shared stage prefix once before fanning work items out to
-        worker processes.
+        Returns that stage's artifact.
         """
         return self._stage(through)
 

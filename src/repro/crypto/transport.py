@@ -151,7 +151,7 @@ def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> No
     ``private_values`` the party's own operands, delivered out-of-band via
     process spawn arguments — private inputs never cross the channel.
     """
-    # Like runtime workers: never inherit the parent's ambient tracer.
+    # A forked party never records into the parent's ambient tracer.
     obs.set_tracer(None)
     try:
         _serve_comparison(channel, config, private_values)
@@ -245,32 +245,11 @@ class RemoteParty:
     # -- infrastructure ------------------------------------------------ #
     @staticmethod
     def _mp_context():
-        # Mirror the runtime executor's choice: fork on Linux (cheap, keeps
-        # warm imports), the platform default elsewhere.
+        # Fork on Linux (cheap, keeps warm imports), the platform default
+        # elsewhere.
         if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
-
-    @staticmethod
-    def _start_party(process) -> None:
-        """Start the party process, even from inside a daemonic pool worker.
-
-        ``multiprocessing`` forbids daemonic processes from having children
-        only as an exit-time join policy; ``_run_session`` joins (and on
-        failure terminates) the party within its own scope, so when the
-        driver itself runs inside a runtime worker the flag is lifted for
-        the duration of the start call.
-        """
-        current = multiprocessing.current_process()
-        config = getattr(current, "_config", None)
-        if isinstance(config, dict) and config.get("daemon"):
-            config["daemon"] = False
-            try:
-                process.start()
-            finally:
-                config["daemon"] = True
-        else:
-            process.start()
 
     def _run_session(self, config: dict, private_values: bytes, protocol) -> Tuple[object, TransportReport]:
         """Spawn the party, run ``protocol(channel)``, reconcile, clean up."""
@@ -283,7 +262,7 @@ class RemoteParty:
             args=(party_end, config, private_values),
             daemon=True,
         )
-        self._start_party(process)
+        process.start()
         # The child owns its endpoint now; with fork the parent must drop its
         # duplicate so a dead child reads as EOF, not an open socket.
         party_end.close()

@@ -59,24 +59,6 @@ class Pipeline:
                 break
         return context
 
-    def stage_keys(self, context: PipelineContext) -> "dict[str, str]":
-        """Derive every stage's cache key *without* computing any artifact.
-
-        Stage keys are functions of the context's graph, config and the
-        preceding stages' keys only — never of computed values — so the full
-        fingerprint chain of a run can be known up front.  This is what the
-        parallel runtime (:mod:`repro.runtime`) plans with: work items whose
-        chains collide dedupe to one execution, and the longest prefix shared
-        between items is computed once and handed to workers through a
-        :class:`~repro.engine.store.DiskSpillStore`.
-
-        ``context.keys`` is filled in as a side effect (same slot the
-        executing pipeline uses), and the mapping is returned in stage order.
-        """
-        for stage in self.stages:
-            context.keys[stage.name] = stage.key(context)
-        return {stage.name: context.keys[stage.name] for stage in self.stages}
-
     def _run_stage(self, stage: Stage, context: PipelineContext) -> None:
         with obs.span(f"engine.stage.{stage.name}") as trace_span:
             key = stage.key(context)

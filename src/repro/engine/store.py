@@ -169,7 +169,7 @@ class DiskSpillStore(ArtifactStore):
     reload: a truncated or corrupted file is *quarantined* (renamed to
     ``*.quarantined`` so ``__contains__`` stops advertising it, preserved
     for post-mortem) and degrades to a cache miss — the artifact is simply
-    recomputed, never crashing the worker that hit it.
+    recomputed, never crashing the process that hit it.
     """
 
     # v2 added the payload checksum field; v3 marks the columnar LDP artifacts
@@ -306,8 +306,8 @@ class DiskSpillStore(ArtifactStore):
             checksum=np.frombuffer(checksum, dtype=np.uint8),
             payload=payload,
         )
-        # Per-process temp name: concurrent writers of one key (two sweeps,
-        # a scheduler's worker pool) must not interleave into one file; the
+        # Per-process temp name: concurrent writers of one key (two sweeps
+        # sharing a directory) must not interleave into one file; the
         # final rename publishes a complete file atomically, so readers in
         # other processes see either the previous complete file or this one,
         # never a torn write (stress-tested by
@@ -323,10 +323,10 @@ class DiskSpillStore(ArtifactStore):
     def persist(self, key: str) -> bool:
         """Force-publish the entry under ``key`` to disk (without evicting).
 
-        Returns ``True`` when the key is durably on disk afterwards.  This
-        is the hand-off primitive of the parallel runtime: the scheduler
-        persists the shared pipeline prefix (and workers persist their
-        results) so any process pointed at the directory can hydrate them.
+        Returns ``True`` when the key is durably on disk afterwards.
+        :class:`~repro.maintenance.tree.MaintainedTree` persists each
+        snapshot it journals, so a recovering process pointed at the
+        directory can hydrate it.
         """
         artifact = self._entries.get(key)
         if artifact is not None:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .. import obs
-from ..runtime import Executor, ProcessExecutor
+from ..engine import ArtifactStore
 from . import runner
 from .reporting import (
     cdf_series,
@@ -53,7 +52,7 @@ def figure3(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Label classification accuracy: Lumos vs Centralized vs LPGNN vs Naive FedGNN."""
     results: Dict[str, Dict[str, float]] = {}
@@ -62,7 +61,7 @@ def figure3(
         for backbone in backbones:
             key = f"{dataset}/{backbone}"
             results[key] = runner.run_supervised_comparison(
-                dataset, backbone, scale, executor=executor
+                dataset, backbone, scale, store=store
             )
             rows.append(
                 [
@@ -92,7 +91,7 @@ def figure4(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Link prediction ROC-AUC: Lumos vs Centralized vs Naive FedGNN."""
     results: Dict[str, Dict[str, float]] = {}
@@ -101,7 +100,7 @@ def figure4(
         for backbone in backbones:
             key = f"{dataset}/{backbone}"
             results[key] = runner.run_unsupervised_comparison(
-                dataset, backbone, scale, executor=executor
+                dataset, backbone, scale, store=store
             )
             rows.append(
                 [
@@ -126,7 +125,7 @@ def figure5(
     datasets: tuple = DATASETS,
     epsilons: tuple = (0.5, 1.0, 2.0, 4.0),
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, Dict[float, float]]]:
     """Effect of epsilon on Lumos accuracy (supervised) and AUC (unsupervised)."""
     results: Dict[str, Dict[str, Dict[float, float]]] = {"supervised": {}, "unsupervised": {}}
@@ -135,7 +134,7 @@ def figure5(
         for dataset in datasets:
             sweep = runner.run_epsilon_sweep(
                 dataset, task=task, epsilons=list(epsilons), scale=scale,
-                executor=executor,
+                store=store,
             )
             results[task][dataset] = sweep
             rows.append([dataset] + [sweep[e] for e in epsilons])
@@ -154,7 +153,7 @@ def figure6(
     datasets: tuple = DATASETS,
     backbones: tuple = ("gcn", "gat"),
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Accuracy contribution of virtual nodes and tree trimming."""
     results: Dict[str, Dict[str, Dict[str, float]]] = {"supervised": {}, "unsupervised": {}}
@@ -165,7 +164,7 @@ def figure6(
                 key = f"{dataset}/{backbone}"
                 ablation = runner.run_ablation(
                     dataset, task=task, backbone=backbone, scale=scale,
-                    executor=executor,
+                    store=store,
                 )
                 results[task][key] = ablation
                 rows.append(
@@ -195,12 +194,12 @@ def figure7(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = DATASETS,
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Workload distribution with and without tree trimming."""
     results: Dict[str, Dict[str, object]] = {}
     for dataset in datasets:
-        analysis = runner.run_workload_analysis(dataset, scale=scale, executor=executor)
+        analysis = runner.run_workload_analysis(dataset, scale=scale, store=store)
         trimmed = analysis["lumos"]
         untrimmed = analysis["lumos_wo_tt"]
         results[dataset] = {
@@ -231,13 +230,13 @@ def figure8(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = DATASETS,
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-epoch communication rounds and simulated training time, with/without TT."""
     results: Dict[str, Dict[str, float]] = {}
     rows = []
     for dataset in datasets:
-        cost = runner.run_system_cost(dataset, scale=scale, executor=executor)
+        cost = runner.run_system_cost(dataset, scale=scale, store=store)
         for task in ("supervised", "unsupervised"):
             with_tt = cost["lumos"][f"{task}_rounds_per_device"]
             without_tt = cost["lumos_wo_tt"][f"{task}_rounds_per_device"]
@@ -292,7 +291,7 @@ def figure_robustness(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     datasets: tuple = ("facebook",),
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Lumos under fault scenarios: accuracy, participation and epoch time.
 
@@ -303,21 +302,10 @@ def figure_robustness(
     """
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for dataset in datasets:
-        sweep = runner.run_robustness_sweep(dataset, scale=scale, executor=executor)
+        sweep = runner.run_robustness_sweep(dataset, scale=scale, store=store)
         results[dataset] = sweep
         if verbose:
             print(f"\n[Robustness] Lumos under unreliable federations — {dataset}")
-            # Runtime retry/backoff provenance per arm (surfaced from
-            # RuntimeReport.failure_attempts via run_robustness_sweep): a
-            # clean run is all "1 attempt"; a flaky one shows its history.
-            retry_parts = [
-                f"{name}: {int(entry['attempts'])} attempt(s), "
-                f"{int(entry['failed_attempts'])} failed"
-                for name, entry in sweep.items()
-                if "attempts" in entry
-            ]
-            if retry_parts:
-                print("runtime attempts — " + "; ".join(retry_parts))
             # The fault_summary columns (skipped updates, evicted straggler
             # device-rounds, dropped bytes) surface the graceful-degradation
             # accounting in the table, not just the raw result dictionaries.
@@ -363,7 +351,6 @@ def figure_maintenance(
     datasets: tuple = ("facebook",),
     rounds: int = 24,
     verbose: bool = True,
-    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Self-healing tree maintenance under churn (robustness family).
 
@@ -375,9 +362,7 @@ def figure_maintenance(
     results: Dict[str, Dict[str, float]] = {}
     rows = []
     for dataset in datasets:
-        metrics = runner.run_churn_maintenance(
-            dataset, rounds=rounds, scale=scale, executor=executor
-        )
+        metrics = runner.run_churn_maintenance(dataset, rounds=rounds, scale=scale)
         results[dataset] = metrics
         rows.append(
             [
@@ -421,10 +406,10 @@ def headline_summary(
     scale: runner.ExperimentScale = runner.ExperimentScale(),
     dataset: str = "facebook",
     verbose: bool = True,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, float]:
     """Accuracy gain vs the federated baseline and the tree-trimming savings."""
-    summary = runner.run_headline_summary(dataset, scale=scale, executor=executor)
+    summary = runner.run_headline_summary(dataset, scale=scale, store=store)
     if verbose:
         print("\n[Headline] Abstract claims (paper: +39.48% acc, -35.16% rounds, -17.74% time)")
         print(summarize_comparison(
@@ -457,34 +442,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("figure", choices=sorted(FIGURES) + ["all"], help="which figure to run")
     parser.add_argument("--scale", default="small", choices=["small", "medium", "paper"])
     parser.add_argument("--json", dest="as_json", action="store_true", help="dump results as JSON")
-    parser.add_argument("--executor", default="serial", choices=["serial", "process"],
-                        help="schedule independent experiment arms across a "
-                             "worker-process pool (results are identical)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker-pool size (implies --executor process)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="record spans and metrics across the whole "
-                             "invocation (all processes) and write a Chrome "
-                             "trace-event JSON loadable in Perfetto")
+                             "invocation and write a Chrome trace-event JSON "
+                             "loadable in Perfetto")
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        args.executor = "process"
 
     scale = _scale_from_name(args.scale)
     selected = sorted(FIGURES) if args.figure == "all" else [args.figure]
     collected = {}
     tracer = obs.Tracer() if args.trace else None
-    with tempfile.TemporaryDirectory(prefix="repro-figures-") as spill_dir:
-        # None is the run_* default: a SerialExecutor over the process-wide store.
-        executor = None
-        if args.executor == "process":
-            # One spill directory for the whole invocation, so every run_*
-            # call (and every figure, under "all") reuses the warm pipeline
-            # prefix — the parallel analogue of that process-wide store.
-            executor = ProcessExecutor(max_workers=args.workers, spill_dir=spill_dir)
-        with obs.tracing(tracer=tracer) if tracer else _null_context():
-            for name in selected:
-                collected[name] = FIGURES[name](scale=scale, executor=executor)
+    with obs.tracing(tracer=tracer) if tracer else _null_context():
+        for name in selected:
+            collected[name] = FIGURES[name](scale=scale)
     if args.as_json:
         print(json.dumps(_to_jsonable(collected), indent=2))
     if tracer is not None:

@@ -8,42 +8,30 @@ and by the figure tests under ``benchmarks/``.
 Every experiment is a :class:`~repro.runtime.plan.WorkPlan`: an entry point
 describes its independent arms — sweep points, ablation variants, baseline
 comparisons — as work items (the experiment bodies live once, in
-:mod:`repro.runtime.items`) and runs them on ``executor``, the one
-scheduling parameter.  The default is a
-:class:`~repro.runtime.executor.SerialExecutor` over the process-wide
+:mod:`repro.runtime.items`) and runs them one after another on ``store``,
+the one artifact store of the plan.  The default is the process-wide
 :func:`~repro.engine.default_store`, so stages whose inputs do not change
 between arms (tree construction across an epsilon sweep, the whole
 pre-training pipeline across a backbone sweep) are computed once and
 replayed bit-for-bit afterwards, within and across calls.  Pass
-``SerialExecutor(store=ArtifactStore())`` to isolate a run from that store,
-or a :class:`~repro.runtime.executor.ProcessExecutor` to fan the arms out
-across worker processes; results are bit-for-bit identical on every executor.
+``store=ArtifactStore()`` to isolate a run from that store.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..core import default_config_for
 from ..core.config import LumosConfig
-from ..engine import default_store
+from ..engine import ArtifactStore, default_store
 from ..faults import FaultScenarioConfig, default_robustness_scenarios
-from ..runtime import (
-    BaselineItem,
-    CallableItem,
-    Executor,
-    GraphSpec,
-    LumosItem,
-    RuntimeReport,
-    SerialExecutor,
-    WorkItem,
-    WorkPlan,
-)
+from ..maintenance.churn import churn_maintenance_metrics
+from ..runtime import BaselineItem, GraphSpec, LumosItem, WorkItem, WorkPlan
 from ..runtime.items import BASELINE_METHODS
 from .metrics import relative_change
 
@@ -88,18 +76,20 @@ class ExperimentScale:
 
 
 def _run_plan(
-    items: Mapping[Hashable, WorkItem], executor: Optional[Executor]
-) -> Tuple[Dict[Hashable, Any], RuntimeReport]:
-    """Run ``items`` (arm name -> work item) as one plan.
+    items: Mapping[Hashable, WorkItem], store: Optional[ArtifactStore]
+) -> Dict[Hashable, Any]:
+    """Run ``items`` (arm name -> work item) as one plan on one store.
 
-    Returns the arms' values under the same names, in the same order, plus
-    the executor's report.  Arms whose content keys collide run once.
+    Returns the arms' values under the same names, in the same order.  Arms
+    whose content keys collide run once.
     """
-    if executor is None:
-        executor = SerialExecutor(store=default_store())
+    store = default_store() if store is None else store
     plan = WorkPlan(list(items.values()))
-    report = executor.execute(plan)
-    return dict(zip(items, plan.values(report.records))), report
+    values = {}
+    for item in plan.unique_items():
+        with obs.span("runtime.item", label=item.label or type(item).__name__):
+            values[item.key()] = item.execute(store)["value"]
+    return {name: values[key] for name, key in zip(items, plan.requests)}
 
 
 def _require_training_task(task: str) -> None:
@@ -108,7 +98,7 @@ def _require_training_task(task: str) -> None:
 
 
 def _graph_spec(dataset: str, scale: ExperimentScale) -> GraphSpec:
-    """The picklable recipe every arm (in any process) builds its graph from."""
+    """The recipe every arm builds its graph from."""
     return GraphSpec(dataset=dataset, seed=scale.seed, num_nodes=scale.num_nodes)
 
 
@@ -143,7 +133,7 @@ def _lumos_config(dataset: str, scale: ExperimentScale, backbone: str, epsilon: 
 # --------------------------------------------------------------------------- #
 def _run_comparison(
     dataset: str, backbone: str, scale: ExperimentScale,
-    methods: Optional[Sequence[str]], task: str, executor: Optional[Executor],
+    methods: Optional[Sequence[str]], task: str, store: Optional[ArtifactStore],
 ) -> Dict[str, float]:
     """One arm per method: Lumos as a ``LumosItem``, baselines as ``BaselineItem``."""
     allowed = ("lumos",) + BASELINE_METHODS[task]
@@ -167,7 +157,7 @@ def _run_comparison(
                 method=method, task=task, graph_spec=spec, backbone=backbone,
                 epochs=scale.epochs, seed=scale.seed, split_seed=scale.seed, label=label,
             )
-    return _run_plan(items, executor)[0]
+    return _run_plan(items, store)
 
 
 @_traced_entry
@@ -176,10 +166,10 @@ def run_supervised_comparison(
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
     methods: Optional[List[str]] = None,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, float]:
     """Test accuracy of Lumos and the baselines on one dataset + backbone."""
-    return _run_comparison(dataset, backbone, scale, methods, "supervised", executor)
+    return _run_comparison(dataset, backbone, scale, methods, "supervised", store)
 
 
 @_traced_entry
@@ -188,10 +178,10 @@ def run_unsupervised_comparison(
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
     methods: Optional[List[str]] = None,
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, float]:
     """Test ROC-AUC of Lumos, centralized and naive FedGNN."""
-    return _run_comparison(dataset, backbone, scale, methods, "unsupervised", executor)
+    return _run_comparison(dataset, backbone, scale, methods, "unsupervised", store)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,13 +194,13 @@ def run_epsilon_sweep(
     epsilons: Optional[List[float]] = None,
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[float, float]:
     """Lumos accuracy / AUC as a function of the privacy budget ``epsilon``.
 
     Epsilon only affects the LDP exchange onwards: the partition and the tree
     construction are computed for the first point and replayed from the
-    executor's artifact store for every other point.
+    artifact store for every other point.
     """
     _require_training_task(task)
     epsilons = [0.5, 1.0, 2.0, 4.0] if epsilons is None else epsilons
@@ -221,7 +211,7 @@ def run_epsilon_sweep(
         for epsilon in epsilons
     }
     items = _lumos_items(dataset, scale, task, configs, f"sweep/{task}/{dataset}/eps=")
-    return _run_plan(items, executor)[0]
+    return _run_plan(items, store)
 
 
 # --------------------------------------------------------------------------- #
@@ -233,12 +223,12 @@ def run_ablation(
     task: str = "supervised",
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, float]:
     """Lumos vs Lumos w.o. virtual nodes vs Lumos w.o. tree trimming.
 
     The three variants share the node-level partition (and, where the
-    constructor configuration matches, the construction) via the executor's
+    constructor configuration matches, the construction) via the artifact
     store.
     """
     _require_training_task(task)
@@ -249,7 +239,7 @@ def run_ablation(
         "lumos_wo_tt": base.without_tree_trimming(),
     }
     items = _lumos_items(dataset, scale, task, configs, f"ablation/{task}/{dataset}/")
-    return _run_plan(items, executor)[0]
+    return _run_plan(items, store)
 
 
 # --------------------------------------------------------------------------- #
@@ -261,7 +251,7 @@ def run_robustness_sweep(
     scenarios: Optional[Dict[str, FaultScenarioConfig]] = None,
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Supervised Lumos metrics per fault scenario, relative to a baseline.
 
@@ -281,22 +271,13 @@ def run_robustness_sweep(
     base = _lumos_config(dataset, scale, backbone)
     configs = {name: base.with_faults(faults) for name, faults in scenarios.items()}
     items = _lumos_items(dataset, scale, "robustness", configs, f"robustness/{dataset}/")
-    values, report = _run_plan(items, executor)
-    results = {name: dict(value) for name, value in values.items()}
+    results = {name: dict(value) for name, value in _run_plan(items, store).items()}
     baseline_name = next(name for name, faults in scenarios.items() if faults.is_empty())
     baseline_accuracy = results[baseline_name]["test_accuracy"]
     for entry in results.values():
         entry["accuracy_vs_baseline_percent"] = relative_change(
             baseline_accuracy, entry["test_accuracy"]
         )
-    # Surface the runtime's retry/backoff provenance per arm.  On a serial
-    # executor (and any clean process run) these are exactly 1.0 / 0.0, so
-    # the bit-identity contract extends to them; a chaotic or flaky run
-    # shows its attempt history right in the sweep results.
-    for name, item in items.items():
-        key = item.key()
-        results[name]["attempts"] = float(report.records[key].attempts)
-        results[name]["failed_attempts"] = float(len(report.failure_attempts.get(key, ())))
     return results
 
 
@@ -312,7 +293,6 @@ def run_churn_maintenance(
     staleness_bound: float = 0.25,
     rebuild_bound: float = 1.0,
     check_every: int = 6,
-    executor: Optional[Executor] = None,
 ) -> Dict[str, float]:
     """Maintain a constructed tree through a churn schedule; report metrics.
 
@@ -320,32 +300,28 @@ def run_churn_maintenance(
     :class:`~repro.maintenance.MaintainedTree`, with a
     :class:`~repro.maintenance.StalenessMonitor` check every ``check_every``
     rounds; the run replays its own mutation journal at the end and asserts
-    bit-identity before returning (``replay_matches_live``).  The body is the
-    module-level ``repro.maintenance.churn:churn_maintenance_metrics``,
-    shipped as a ``CallableItem``; it returns only deterministic values.
+    bit-identity before returning (``replay_matches_live``).  The body is
+    :func:`repro.maintenance.churn.churn_maintenance_metrics`; it returns
+    only deterministic values.  One arm never dedupes, and the run keeps its
+    own journal and snapshot store, so this entry point is no work plan and
+    takes no ``store``.
     """
     scenario = (
         scenario
         if scenario is not None
         else FaultScenarioConfig(join_rate=0.30, leave_rate=0.10, fault_seed=13)
     )
-    kwargs = {
-        "dataset": dataset,
-        "num_nodes": scale.num_nodes,
-        "seed": scale.seed,
-        "scenario": scenario,
-        "rounds": rounds,
-        "mcmc_iterations": scale.mcmc_iterations,
-        "staleness_bound": staleness_bound,
-        "rebuild_bound": rebuild_bound,
-        "check_every": check_every,
-    }
-    item = CallableItem(
-        target="repro.maintenance.churn:churn_maintenance_metrics",
-        kwargs=tuple(sorted(kwargs.items())),
-        label=f"maintenance/{dataset}",
+    return churn_maintenance_metrics(
+        dataset=dataset,
+        num_nodes=scale.num_nodes,
+        seed=scale.seed,
+        scenario=scenario,
+        rounds=rounds,
+        mcmc_iterations=scale.mcmc_iterations,
+        staleness_bound=staleness_bound,
+        rebuild_bound=rebuild_bound,
+        check_every=check_every,
     )
-    return dict(_run_plan({"maintenance": item}, executor)[0]["maintenance"])
 
 
 # --------------------------------------------------------------------------- #
@@ -362,10 +338,10 @@ def _trimming_pair(dataset: str, scale: ExperimentScale, task: str) -> Dict[Hash
 def run_workload_analysis(
     dataset: str,
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, np.ndarray]:
     """Per-device workload arrays for Lumos and Lumos w.o. TT (Fig. 7)."""
-    results = _run_plan(_trimming_pair(dataset, scale, "workload"), executor)[0]
+    results = _run_plan(_trimming_pair(dataset, scale, "workload"), store)
     results["degrees"] = _graph_spec(dataset, scale).load().degrees()
     return results
 
@@ -374,10 +350,10 @@ def run_workload_analysis(
 def run_system_cost(
     dataset: str,
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-epoch communication rounds and simulated epoch time, with/without TT (Fig. 8)."""
-    return _run_plan(_trimming_pair(dataset, scale, "system_cost"), executor)[0]
+    return _run_plan(_trimming_pair(dataset, scale, "system_cost"), store)
 
 
 # --------------------------------------------------------------------------- #
@@ -388,7 +364,7 @@ def run_headline_summary(
     dataset: str = "facebook",
     backbone: str = "gcn",
     scale: ExperimentScale = ExperimentScale(),
-    executor: Optional[Executor] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> Dict[str, float]:
     """Reproduce the abstract's three headline numbers on one dataset.
 
@@ -398,9 +374,9 @@ def run_headline_summary(
     """
     supervised = run_supervised_comparison(
         dataset, backbone=backbone, scale=scale, methods=["lumos", "naive_fedgnn"],
-        executor=executor,
+        store=store,
     )
-    system_cost = run_system_cost(dataset, scale=scale, executor=executor)
+    system_cost = run_system_cost(dataset, scale=scale, store=store)
     accuracy_gain = relative_change(supervised["naive_fedgnn"], supervised["lumos"])
     rounds_saving = -relative_change(
         system_cost["lumos_wo_tt"]["supervised_rounds_per_device"],

@@ -236,8 +236,8 @@ def schedule_digest(
 ) -> str:
     """Compile ``config`` and digest the schedule.
 
-    Module-level so it can be shipped across process boundaries as a
-    ``CallableItem`` target (``repro.faults.plan:schedule_digest``) to prove
-    the replay is bit-for-bit identical in a worker process.
+    Module-level so a fresh process can import and run it by name, which
+    is how the tests prove the replay is bit-for-bit identical across
+    processes.
     """
     return FaultPlan.compile(config, num_devices, num_rounds).schedule_digest()

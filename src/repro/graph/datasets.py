@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from typing import Callable, Dict, Optional
 
@@ -110,8 +111,14 @@ def load_dataset(name: str, seed: int = 0, num_nodes: Optional[int] = None) -> G
     seed:
         Random seed for the synthetic generators.
     num_nodes:
-        Optional override of the synthetic graph size.
+        Optional override of the synthetic graph size: a positive integer
+        (``TypeError`` for a bool or non-integer, ``ValueError`` below 1).
     """
+    if num_nodes is not None:
+        if isinstance(num_nodes, bool) or not isinstance(num_nodes, numbers.Integral):
+            raise TypeError(f"num_nodes must be an integer or None, got {num_nodes!r}")
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be at least 1, got {num_nodes}")
     key = name.lower().replace("_", "-")
     if key in ("facebook", "synthetic-facebook", "facebook-page-page"):
         real_dir = _real_dataset_dir("facebook")
@@ -124,9 +131,13 @@ def load_dataset(name: str, seed: int = 0, num_nodes: Optional[int] = None) -> G
             return load_musae_style(real_dir, "lastfm")
         return generators.generate_lastfm_like(seed=seed, num_nodes=num_nodes)
     if key == "small-world":
-        return generators.generate_small_world(num_nodes=num_nodes or 100, seed=seed)
+        return generators.generate_small_world(
+            num_nodes=100 if num_nodes is None else num_nodes, seed=seed
+        )
     if key == "star":
-        return generators.generate_star(num_leaves=(num_nodes - 1) if num_nodes else 5, seed=seed)
+        return generators.generate_star(
+            num_leaves=5 if num_nodes is None else num_nodes - 1, seed=seed
+        )
     raise KeyError(f"unknown dataset '{name}'; available: facebook, lastfm, small-world, star")
 
 

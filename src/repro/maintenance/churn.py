@@ -4,16 +4,16 @@ Bridges the fault layer to the maintenance layer: a compiled
 :class:`~repro.faults.FaultPlan` churn chain becomes a flat, state-free
 mutation *schedule* (``compile_churn_schedule``), which drives a
 :class:`~repro.maintenance.tree.MaintainedTree` through real joins/leaves
-instead of masks.  :func:`churn_maintenance_metrics` is the module-level
-``CallableItem`` target behind ``eval.runner.run_churn_maintenance``; it
-returns a fully deterministic metrics dictionary (counters, objectives,
-digests — no wall-clock values), which is what makes serial vs process
-execution bit-identical, and asserts ``replay(journal) == live`` inline
-before returning.
+instead of masks.  :func:`churn_maintenance_metrics` is the body of
+``eval.runner.run_churn_maintenance``; it returns a fully deterministic
+metrics dictionary (counters, objectives, digests — no wall-clock values),
+so two runs of one configuration are bit-identical, and asserts
+``replay(journal) == live`` inline before returning.
 """
 
 from __future__ import annotations
 
+import numbers
 import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -107,7 +107,7 @@ def _constructed_tree(
 
 
 # --------------------------------------------------------------------------- #
-# Runner entry point body (CallableItem target)
+# Runner entry point body
 # --------------------------------------------------------------------------- #
 def churn_maintenance_metrics(
     dataset: str = "facebook",
@@ -128,12 +128,20 @@ def churn_maintenance_metrics(
     Constructs the tree, drives the full churn schedule through journalled
     delta operations with periodic :class:`StalenessMonitor` checks, then
     replays the journal and asserts bit-identity with the live tree before
-    returning.  No wall-clock numbers appear in the result, so the serial
-    and process executors produce identical payloads (the runner's
-    determinism contract).
+    returning.  No wall-clock numbers appear in the result, so two runs of
+    one configuration return identical dictionaries.  ``check_every`` must
+    be a non-negative integer; 0 means no staleness checks.
     """
     from ..engine.store import DiskSpillStore
 
+    if (
+        isinstance(check_every, bool)
+        or not isinstance(check_every, numbers.Integral)
+        or check_every < 0
+    ):
+        raise ValueError(
+            f"check_every must be a non-negative integer (0: no checks), got {check_every!r}"
+        )
     lists, ego, num_devices = _constructed_tree(
         dataset, num_nodes, seed, mcmc_iterations
     )
@@ -194,7 +202,7 @@ def churn_maintenance_metrics(
         metrics["final_staleness"] = summary["final_staleness"]
         # Escalation breakdown per action and the snapshot store's traffic
         # counters.  All deterministic (counts of deterministic events), so
-        # the serial/process bit-identity contract extends to them.
+        # the run-to-run bit-identity contract extends to them.
         for action in ("none", "rebalance", "rebuild"):
             metrics[f"escalations_{action}"] = float(
                 sum(1 for report in monitor.reports if report.action == action)

@@ -4,7 +4,7 @@ The subsystem has two halves:
 
 * the data model — :class:`Tracer` (hierarchical spans with wall + CPU
   time), :class:`MetricsRegistry` (counters/gauges/histograms),
-  :class:`RunTrace` (the deterministic cross-process merge) and the
+  :class:`RunTrace` (the whole-run view of the snapshots) and the
   exporters in :mod:`repro.obs.export` (JSON-lines spans, Chrome
   trace-event JSON for Perfetto, a summary table);
 * the *ambient* instrumentation API below — module-level helpers the hot
@@ -24,9 +24,9 @@ Instrumentation must be *bit-for-bit invisible* to the system it observes:
    build: result payloads (metrics, canonical ledger transcript,
    accountant totals, RNG state) carry no observability fields at all, so
    equality checks over payloads — e.g. the ``faults`` empty-scenario
-   contract — are unaffected.  With tracing *enabled*, payloads may grow
-   an ``obs`` side-channel entry, but every contract-covered field stays
-   identical to the untraced run.
+   contract — are unaffected.  With tracing *enabled* the payloads stay
+   identical to the untraced run's; spans and metrics live only in the
+   tracer.
 
 Typical use::
 
@@ -34,7 +34,7 @@ Typical use::
     from repro.obs import RunTrace, write_chrome_trace
 
     with obs.tracing() as tracer:
-        run_epsilon_sweep("facebook", executor=ProcessExecutor())
+        run_epsilon_sweep("facebook")
     write_chrome_trace(RunTrace.from_tracer(tracer), "sweep-trace.json")
 """
 

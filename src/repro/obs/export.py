@@ -7,10 +7,9 @@ Three consumers of a :class:`~repro.obs.runtrace.RunTrace`:
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON object format (``{"traceEvents": [...]}``), loadable in
   ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev).  One thread
-  track per process of the run — the scheduler on the first track, each
-  worker on its own — with complete (``ph: "X"``) events whose wall
-  durations are the span lengths and whose args carry the CPU time and the
-  span attributes.
+  track per process snapshot of the trace, with complete (``ph: "X"``)
+  events whose wall durations are the span lengths and whose args carry
+  the CPU time and the span attributes.
 * :func:`summary_table` — a human-readable roll-up (per-span-name call
   counts and total wall/CPU, then the merged counters) for terminals.
 
@@ -34,8 +33,8 @@ __all__ = [
 ]
 
 #: Single logical process id of the whole run in the Chrome export; tracks
-#: are separated by tid (one per repro process), which is what puts the
-#: scheduler and every worker side by side under one timeline.
+#: are separated by tid (one per process snapshot), so every snapshot of a
+#: trace lands under one timeline.
 _CHROME_PID = 1
 
 

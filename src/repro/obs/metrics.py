@@ -2,15 +2,16 @@
 
 A :class:`MetricsRegistry` is the numeric half of a
 :class:`~repro.obs.tracer.Tracer`: instrumentation hooks in the hot layers
-(engine stages, stores, the runtime scheduler, the trainer, the crypto
-accountant, tree maintenance) feed it through the ambient helpers in
+(engine stages, stores, the trainer, the crypto accountant, tree
+maintenance) feed it through the ambient helpers in
 :mod:`repro.obs`.  Everything is plain python floats in plain dictionaries:
 
 * zero dependencies, picklable, JSON-serialisable as-is;
 * :meth:`snapshot` returns sorted-key dictionaries, so two registries fed
   the same events in the same order serialise byte-identically;
-* :meth:`merge` folds a snapshot back in (the scheduler merging worker
-  snapshots), summing counters and histograms and taking the later gauge.
+* :meth:`merge` folds a snapshot back in (a :class:`~repro.obs.RunTrace`
+  merging its process snapshots), summing counters and histograms and
+  taking the later gauge.
 
 The registry records *observations about* a run — it must never feed back
 into one.  Nothing here draws RNG, enters a fingerprint, or is consulted by
@@ -70,7 +71,7 @@ class MetricsRegistry:
         }
 
     def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. shipped back by a worker) into this
+        """Fold a :meth:`snapshot` (e.g. another process's) into this
         registry: counters and histograms accumulate, gauges last-write-win."""
         if not snapshot:
             return

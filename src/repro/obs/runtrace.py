@@ -1,10 +1,9 @@
-"""The merged, whole-run view: one trace across scheduler and workers.
+"""The whole-run view the exporters consume.
 
-A :class:`RunTrace` is a flat, ordered list of process snapshots — the main
-process first, then every worker snapshot in the deterministic order the
-scheduler attached them (plan-request order).  It is the unit the exporters
-in :mod:`repro.obs.export` consume and the object the ``--trace`` CLI knobs
-hand to them.
+A :class:`RunTrace` is a flat, ordered list of process snapshots (one per
+:class:`~repro.obs.tracer.Tracer`, the ``main`` process first).  It is the
+unit the exporters in :mod:`repro.obs.export` consume and the object the
+``--trace`` CLI knobs hand to them.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ __all__ = ["RunTrace"]
 
 @dataclass
 class RunTrace:
-    """Ordered process snapshots of one run (main first, workers after)."""
+    """Ordered process snapshots of one run (main first)."""
 
     snapshots: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "RunTrace":
-        """Fold a tracer and its attached worker snapshots into one trace."""
-        return cls(snapshots=[tracer.snapshot()] + list(tracer.remote_snapshots))
+        """The trace of one tracer's run."""
+        return cls(snapshots=[tracer.snapshot()])
 
     # ------------------------------------------------------------------ #
     # Views

@@ -10,14 +10,11 @@ thread-local machinery (the repro runs one logical task per process).
 Timestamps are *epoch-anchored monotonics*: the tracer captures
 ``time.time() - time.perf_counter()`` once at construction and every span
 start is ``anchor + perf_counter()``.  Durations therefore come from the
-monotonic clock (immune to NTP jumps) while start times from two processes
-of one run land on a shared absolute axis — which is what lets the Chrome
-trace export lay worker tracks next to the scheduler's.
+monotonic clock (immune to NTP jumps) while start times land on an
+absolute axis the Chrome trace export can use as-is.
 
 Everything a tracer accumulates is plain dicts of str/float, so
-:meth:`snapshot` is picklable and travels through the runtime's existing
-result-payload channel; :meth:`attach_remote` is how the scheduler folds
-worker snapshots back in (in plan-request order — see
+:meth:`snapshot` is picklable and exporters read it as data (see
 :class:`~repro.obs.runtrace.RunTrace`).
 
 The tracer is an *observer only*: it never draws RNG, never touches a
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .metrics import MetricsRegistry
 
@@ -45,8 +42,6 @@ class Tracer:
         #: ``id`` / ``parent`` / ``name`` / ``start`` (epoch seconds) /
         #: ``wall`` / ``cpu`` (seconds) / ``attributes``.
         self.spans: List[Dict[str, Any]] = []
-        #: Snapshots attached from other processes (scheduler-side merge).
-        self.remote_snapshots: List[Dict[str, Any]] = []
         self._stack: List[int] = []  # open span ids, innermost last
         self._next_id = 0
         # Epoch anchor: absolute timestamps from the monotonic clock.
@@ -79,7 +74,7 @@ class Tracer:
             self.spans.append(record)
 
     # ------------------------------------------------------------------ #
-    # Cross-process aggregation
+    # Export
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:
         """This process's spans and metrics as one picklable dictionary."""
@@ -88,13 +83,3 @@ class Tracer:
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
         }
-
-    def attach_remote(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Adopt another process's :meth:`snapshot` (scheduler-side).
-
-        Call order defines the merged trace's process order, so the caller
-        is responsible for a deterministic order (the process executor
-        attaches in plan-request order).
-        """
-        if snapshot:
-            self.remote_snapshots.append(snapshot)

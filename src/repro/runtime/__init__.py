@@ -1,21 +1,17 @@
-"""Parallel execution runtime: a multi-process scheduler over the engine.
+"""Experiment work plans and the two-party transport's framing.
 
 The engine (:mod:`repro.engine`) made the expensive pipeline phases
-content-keyed and replayable; this package makes them *schedulable*.
-Independent engine invocations — epsilon-sweep points, ablation arms,
-baseline comparisons, figure grids — become picklable
+content-keyed and replayable; this package describes experiments in those
+terms.  Independent engine invocations — epsilon-sweep points, ablation
+arms, baseline comparisons, figure grids — become content-keyed
 :class:`~repro.runtime.items.WorkItem` objects collected in a deduplicating
-:class:`~repro.runtime.plan.WorkPlan`; an
-:class:`~repro.runtime.executor.Executor` then runs the plan either inline
-(:class:`~repro.runtime.executor.SerialExecutor`) or across a worker pool
-(:class:`~repro.runtime.executor.ProcessExecutor`) that computes the shared
-pipeline prefix once, hands it to workers through a
-:class:`~repro.engine.store.DiskSpillStore`, retries crashed or timed-out
-items, and merges results deterministically — bit-for-bit identical to the
-serial path.  Every :mod:`repro.eval.runner` entry point is such a plan,
-run on the ``Executor`` instance passed as ``executor=`` (default: a
-``SerialExecutor`` over the process-wide store).  ``docs/architecture.md``
-§8 describes the contracts.
+:class:`~repro.runtime.plan.WorkPlan`.  Every :mod:`repro.eval.runner`
+entry point is such a plan, run as a loop over its unique items on one
+:class:`~repro.engine.store.ArtifactStore` (``store=``, default: the
+process-wide :func:`~repro.engine.default_store`), so arms that share
+pipeline stages compute them once.  :mod:`repro.runtime.channel` is the
+framed byte channel the two-party secure transport runs over.
+``docs/architecture.md`` §8 describes the contracts.
 """
 
 from .channel import (
@@ -28,52 +24,26 @@ from .channel import (
     PartyChannel,
     channel_pair,
 )
-from .executor import (
-    DEFAULT_BACKOFF_BASE,
-    Executor,
-    FailedAttempt,
-    ItemRecord,
-    ProcessExecutor,
-    RuntimeReport,
-    SerialExecutor,
-    WorkItemFailure,
-    backoff_delay,
-)
 from .items import (
     BaselineItem,
-    CallableItem,
     GraphSpec,
     LumosItem,
     WorkItem,
 )
-from .plan import WarmupRun, WorkPlan, shared_prefix_plan
-from .worker import DEFAULT_STORE_BYTES
+from .plan import WorkPlan
 
 __all__ = [
     "BaselineItem",
-    "CallableItem",
     "ChannelClosed",
     "ChannelError",
     "ChannelStats",
     "ChannelTimeout",
-    "DEFAULT_BACKOFF_BASE",
-    "DEFAULT_STORE_BYTES",
-    "Executor",
-    "FailedAttempt",
     "FrameCorruption",
     "FrameKind",
     "GraphSpec",
-    "ItemRecord",
     "LumosItem",
     "PartyChannel",
-    "ProcessExecutor",
-    "RuntimeReport",
-    "SerialExecutor",
-    "WarmupRun",
     "WorkItem",
-    "WorkItemFailure",
     "WorkPlan",
-    "backoff_delay",
     "channel_pair",
-    "shared_prefix_plan",
 ]

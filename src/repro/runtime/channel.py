@@ -23,8 +23,8 @@ while ``wire_bytes_*`` tells the true on-the-wire total.
 Failure surfaces are typed, never silent:
 
 * :class:`ChannelClosed` — the peer's end is gone (EOF / broken pipe),
-  e.g. a killed party; mapped by callers onto the runtime's
-  :class:`~repro.runtime.executor.FailedAttempt` machinery.
+  e.g. a killed party; :class:`~repro.crypto.transport.RemoteParty` maps
+  it onto a typed ``RemotePartyError``.
 * :class:`ChannelTimeout` — no complete frame within the deadline; one
   deadline covers the whole frame, so neither a dead peer nor one that
   stalls mid-frame can hang the driver.

@@ -1,35 +1,30 @@
-"""Picklable work items: the unit the parallel runtime schedules.
+"""Content-keyed work items: the arms a work plan runs.
 
 A work item is a *self-contained, content-keyed* description of one engine
 invocation — an epsilon-sweep point, an ablation arm, a baseline training
-run, one cell of a figure grid.  Self-contained means a worker process can
-execute it from the pickled description alone (graphs travel as
-:class:`GraphSpec`, never as live object references); content-keyed means
-two items that would compute the same result have the same
-:meth:`WorkItem.key`, so a :class:`~repro.runtime.plan.WorkPlan` dedupes
-them to one execution.
+run, one cell of a figure grid.  Self-contained means the item carries
+everything the run needs (graphs travel as :class:`GraphSpec` recipes,
+reloaded deterministically); content-keyed means two items that would
+compute the same result have the same :meth:`WorkItem.key`, so a
+:class:`~repro.runtime.plan.WorkPlan` dedupes them to one execution.
 
-Every :meth:`WorkItem.execute` returns the same payload schema, so merge and
+Every :meth:`WorkItem.execute` returns the same payload schema, so
 equivalence checks never depend on the item flavour: ``value`` (the number
 or array the evaluation harness consumes) plus the serialized side state
-that makes parallel execution auditable — ``ledger_summary``,
-``ledger_records`` (the canonical communication-ledger transcript, only
-under ``keep_transcript=True``), ``accountant`` (the secure-comparison
-counters) and ``rng_state`` (the final RNG state).  The runtime's
-determinism contract is that all of these are bit-for-bit identical no
-matter which executor (or worker) ran the item.
+that makes a run auditable — ``ledger_summary``, ``ledger_records`` (the
+canonical communication-ledger transcript, only under
+``keep_transcript=True``), ``accountant`` (the secure-comparison counters)
+and ``rng_state`` (the final RNG state).  A fresh-store run and a run that
+replays cached stages return all of these bit-for-bit identical.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, Optional
 
 from ..core.config import LumosConfig
-from ..engine.fingerprint import fingerprint_graph, fingerprint_value, stage_key
+from ..engine.fingerprint import fingerprint_value, stage_key
 from ..engine.store import ArtifactStore
 from ..graph import load_dataset, split_edges, split_nodes
 from ..graph.graph import Graph
@@ -45,33 +40,22 @@ BASELINE_METHODS = {
 
 
 # --------------------------------------------------------------------------- #
-# Graph hand-off
+# Graph recipe
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GraphSpec:
-    """How a worker obtains the experiment's graph.
+    """How an item obtains the experiment's graph: a dataset recipe.
 
-    Preferred form: a dataset recipe (``name``/``seed``/``num_nodes``) —
-    cheap to pickle and reproduced deterministically by
-    :func:`repro.graph.load_dataset` in any process.  An in-memory graph can
-    be shipped inline instead (``graph=``); its fingerprint then keys the
-    item, so a recipe item and an inline item never alias even when they
-    would load equal bytes.
+    ``dataset``/``seed``/``num_nodes`` are cheap to key and reproduced
+    deterministically by :func:`repro.graph.load_dataset`.
     """
 
-    dataset: Optional[str] = None
+    dataset: str
     seed: int = 0
     num_nodes: Optional[int] = None
-    graph: Optional[Graph] = None
-
-    def __post_init__(self) -> None:
-        if (self.dataset is None) == (self.graph is None):
-            raise ValueError("provide exactly one of dataset= or graph=")
 
     def load(self) -> Graph:
         """Materialise the graph (memoised per process and per spec)."""
-        if self.graph is not None:
-            return self.graph
         token = (self.dataset, self.seed, self.num_nodes)
         cached = _GRAPH_CACHE.get(token)
         if cached is None:
@@ -80,14 +64,12 @@ class GraphSpec:
         return cached
 
     def fingerprint(self) -> str:
-        if self.graph is not None:
-            return f"graph:{fingerprint_graph(self.graph)}"
         return f"dataset:{self.dataset}:{self.seed}:{self.num_nodes}"
 
 
-#: Per-process memo of loaded dataset graphs: a worker executing several
-#: items of one sweep loads (and fingerprints, and normalizes) the graph
-#: once.  Keyed by recipe, so distinct specs never alias.
+#: Per-process memo of loaded dataset graphs: the items of one sweep load
+#: (and fingerprint, and normalize) the graph once.  Keyed by recipe, so
+#: distinct specs never alias.
 _GRAPH_CACHE: Dict[tuple, Graph] = {}
 
 
@@ -95,27 +77,18 @@ _GRAPH_CACHE: Dict[tuple, Graph] = {}
 # Item taxonomy
 # --------------------------------------------------------------------------- #
 class WorkItem:
-    """One schedulable unit of work.
+    """One unit of a work plan.
 
     Subclasses implement :meth:`key` (content fingerprint — equal keys mean
-    "same computation", the dedupe and result-merge identity), and
-    :meth:`execute` (run in whatever process the executor chose).
-    :meth:`stage_chain` additionally exposes the engine stage fingerprints
-    of pipeline-backed items so the scheduler can compute shared prefixes
-    once (items without a pipeline return ``()``).
+    "same computation", the dedupe and result-merge identity) and
+    :meth:`execute` (run against the plan's artifact store).
     """
 
-    #: Optional human label (worker logs, failure reports).
+    #: Optional human label (the ``runtime.item`` span's attribute).
     label: str = ""
-    #: Optional per-item wall-clock budget (seconds); overrides the
-    #: executor's default when set.
-    timeout: Optional[float] = None
 
     def key(self) -> str:
         raise NotImplementedError
-
-    def stage_chain(self) -> Tuple[Tuple[str, str], ...]:
-        return ()
 
     def execute(self, store: ArtifactStore) -> Dict[str, Any]:
         raise NotImplementedError
@@ -153,7 +126,6 @@ class LumosItem(WorkItem):
     #: audits).  Opt-in because sorting and shipping the record list can
     #: dwarf the value at paper scale.
     keep_transcript: bool = False
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.task not in LUMOS_TASKS:
@@ -177,19 +149,6 @@ class LumosItem(WorkItem):
         if not self.config.faults.is_empty():
             parts.append(f"faults={fingerprint_value(self.config.faults)}")
         return stage_key(*parts)
-
-    def stage_chain(self) -> Tuple[Tuple[str, str], ...]:
-        from ..core.lumos import normalized_graph
-        from ..engine.pipeline import build_lumos_pipeline
-        from ..engine.stages import PipelineContext
-
-        graph = normalized_graph(self.graph_spec.load())
-        pipeline = build_lumos_pipeline(store=ArtifactStore())
-        context = PipelineContext(
-            graph=graph, config=self.config, rng=np.random.default_rng(self.config.seed)
-        )
-        keys = pipeline.stage_keys(context)
-        return tuple((stage.name, keys[stage.name]) for stage in pipeline.stages)
 
     def execute(self, store: ArtifactStore) -> Dict[str, Any]:
         from ..core.lumos import LumosSystem
@@ -262,7 +221,6 @@ class BaselineItem(WorkItem):
     seed: int = 0
     split_seed: int = 0
     label: str = ""
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         methods = BASELINE_METHODS.get(self.task)
@@ -309,37 +267,3 @@ class BaselineItem(WorkItem):
             graph, edge_split, backbone=self.backbone, epochs=self.epochs, seed=self.seed
         )
         return _empty_payload(result.test_auc)
-
-
-@dataclass(frozen=True)
-class CallableItem(WorkItem):
-    """An arbitrary importable callable — the escape hatch for custom grids.
-
-    ``target`` is ``"package.module:function"``; arguments must be picklable
-    *and* fingerprintable (plain scalars/containers/dataclasses — see
-    :func:`repro.engine.fingerprint.fingerprint_value`), which is what makes
-    the item content-keyed rather than identity-keyed.
-    """
-
-    target: str = ""
-    args: tuple = ()
-    kwargs: tuple = ()  # sorted (name, value) pairs; a dict is not hashable
-    label: str = ""
-    timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if ":" not in self.target:
-            raise ValueError("target must look like 'package.module:function'")
-
-    def key(self) -> str:
-        return stage_key(
-            "callable",
-            self.target,
-            fingerprint_value(tuple(self.args)),
-            fingerprint_value(tuple(self.kwargs)),
-        )
-
-    def execute(self, store: ArtifactStore) -> Dict[str, Any]:
-        module_name, _, attribute = self.target.partition(":")
-        function = getattr(importlib.import_module(module_name), attribute)
-        return _empty_payload(function(*self.args, **dict(self.kwargs)))

@@ -4,9 +4,6 @@ The recovery paths are proved by killing real processes, but nothing in
 ``src/`` knows how: each crash point here patches the one function a
 process should die in and then lets unchanged production code run into it.
 
-* :func:`item_crash_point` — a work item's ``execute`` in a
-  ``ProcessExecutor`` worker.  Installed in the parent before the pool
-  forks, so every worker inherits it.
 * :func:`party_dies_before_send` — ``PartyChannel.send`` in the two-party
   transport's party process, by swapping ``repro.crypto.transport.party_main``
   for a wrapper.
@@ -19,24 +16,16 @@ no exception handler, ``finally`` or atexit hook runs — what a SIGKILL does.
 
 :func:`run_schedule` / :func:`resume_schedule` are the kill-replay harness:
 one churn schedule through a journalled ``MaintainedTree``, and its
-recovery from a torn journal.  :func:`party_comparison_probe` is a
-two-party session a runtime worker runs by name
-(``helpers.crash_points:party_comparison_probe``).
+recovery from a torn journal.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import hashlib
 import os
-import time
 from typing import Optional, Tuple
 from unittest import mock
 
-import numpy as np
-
-from repro.crypto import RemoteParty
 from repro.crypto import transport
 from repro.engine.store import DiskSpillStore
 from repro.faults.config import FaultScenarioConfig
@@ -58,38 +47,6 @@ CRASH_EXIT_CODE = 86
 # --------------------------------------------------------------------------- #
 # Crash points
 # --------------------------------------------------------------------------- #
-def item_crash_point(
-    item_class, marker_dir, *, attempts: int = 1, stall_seconds: Optional[float] = None
-):
-    """The first ``attempts`` attempts at every ``item_class`` item die.
-
-    Each attempt claims one marker file per item key with ``O_EXCL``; an
-    attempt that finds every marker taken runs the item normally, whichever
-    worker it lands on.  With ``stall_seconds`` the claiming attempt sleeps
-    instead of dying, which past the item's timeout is the deadline kill.
-    """
-    original = item_class.execute
-
-    def execute(self, store):
-        name = hashlib.sha256(self.key().encode("utf-8")).hexdigest()
-        for attempt in range(attempts):
-            try:
-                marker = os.open(
-                    os.path.join(marker_dir, f"{name}.{attempt}"),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                continue
-            os.close(marker)
-            if stall_seconds is None:
-                os._exit(CRASH_EXIT_CODE)
-            time.sleep(stall_seconds)
-            break
-        return original(self, store)
-
-    return mock.patch.object(item_class, "execute", execute)
-
-
 def party_dies_before_send(send_number: int):
     """Every party process started in the block dies before its
     ``send_number``-th frame (1 is the ``ready`` handshake)."""
@@ -138,42 +95,6 @@ def journal_crash_point(seq: int, *, in_process: bool = False):
         os._exit(CRASH_EXIT_CODE)
 
     return mock.patch.object(MutationJournal, "append", append)
-
-
-# --------------------------------------------------------------------------- #
-# A two-party session a worker runs by name
-# --------------------------------------------------------------------------- #
-def party_comparison_probe(
-    count: int = 16,
-    bit_width: int = 16,
-    seed: int = 0,
-    die_before_send: Optional[int] = None,
-    timeout: float = 5.0,
-) -> dict:
-    """Run one small remote comparison, its party optionally killed.
-
-    Dispatched as a ``CallableItem`` (workers inherit the suite's
-    ``sys.path``, which is how ``helpers.*`` resolves there), it puts a real
-    two-party session inside a runtime worker: the crash point is installed
-    in the worker, the party dies, and the driver's typed
-    ``RemotePartyError`` leaves the worker as a ``FailedAttempt`` — never a
-    hang, because every channel receive is deadline-bounded.
-    """
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 1 << bit_width, size=(2, count))
-    driver = RemoteParty(bit_width=bit_width, timeout=timeout)
-    crash = (
-        contextlib.nullcontext()
-        if die_before_send is None
-        else party_dies_before_send(die_before_send)
-    )
-    with crash:
-        outcome = driver.compare_batch(values[0], values[1], session_key=f"probe-{seed}")
-    return {
-        "count": count,
-        "true_fraction": float(outcome.left_ge_right.mean()),
-        "wire_bytes": outcome.report.wire_bytes,
-    }
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ from repro.eval.reporting import (
     summarize_comparison,
 )
 from repro.graph import generate_facebook_like, split_edges, split_nodes
-from repro.runtime import Executor
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +171,15 @@ class TestLPGNN:
         assert np.all(np.isfinite(encoded))
 
 
-class _NeverRuns(Executor):
-    """An executor that fails the test if validation lets a plan through."""
+@pytest.fixture
+def never_runs(monkeypatch):
+    """Fail the test if validation lets a plan through."""
+    from repro.eval import runner
 
-    def execute(self, plan):
+    def run_plan(items, store):
         raise AssertionError("work was scheduled before the arguments were validated")
+
+    monkeypatch.setattr(runner, "_run_plan", run_plan)
 
 
 class TestExperimentRunner:
@@ -213,26 +216,22 @@ class TestExperimentRunner:
 
     @pytest.mark.parametrize("entry_point", ["run_epsilon_sweep", "run_ablation"])
     @pytest.mark.parametrize("task", ["supervise", "workload", ""])
-    def test_unknown_task_is_rejected_before_any_work(self, entry_point, task):
+    def test_unknown_task_is_rejected_before_any_work(self, entry_point, task, never_runs):
         from repro.eval import runner
 
         with pytest.raises(ValueError, match=r"\('supervised', 'unsupervised'\)"):
-            getattr(runner, entry_point)("facebook", task=task, executor=_NeverRuns())
+            getattr(runner, entry_point)("facebook", task=task)
 
-    def test_unknown_method_is_rejected_before_any_work(self):
+    def test_unknown_method_is_rejected_before_any_work(self, never_runs):
         from repro.eval.runner import run_supervised_comparison, run_unsupervised_comparison
 
         with pytest.raises(ValueError, match="'lumos', 'centralized', 'lpgnn', 'naive_fedgnn'"):
-            run_supervised_comparison(
-                "facebook", methods=["lumos", "centralised"], executor=_NeverRuns()
-            )
+            run_supervised_comparison("facebook", methods=["lumos", "centralised"])
         # lpgnn has no link-prediction arm: valid for Fig. 3, a typo for Fig. 4.
         with pytest.raises(ValueError, match="'lumos', 'centralized', 'naive_fedgnn'"):
-            run_unsupervised_comparison(
-                "facebook", methods=["lumos", "lpgnn"], executor=_NeverRuns()
-            )
+            run_unsupervised_comparison("facebook", methods=["lumos", "lpgnn"])
 
-    def test_explicitly_empty_grids_are_rejected_not_defaulted(self):
+    def test_explicitly_empty_grids_are_rejected_not_defaulted(self, never_runs):
         from repro.eval.runner import (
             run_epsilon_sweep,
             run_supervised_comparison,
@@ -240,11 +239,11 @@ class TestExperimentRunner:
         )
 
         with pytest.raises(ValueError, match="epsilons"):
-            run_epsilon_sweep("facebook", epsilons=[], executor=_NeverRuns())
+            run_epsilon_sweep("facebook", epsilons=[])
         with pytest.raises(ValueError, match="non-empty"):
-            run_supervised_comparison("facebook", methods=[], executor=_NeverRuns())
+            run_supervised_comparison("facebook", methods=[])
         with pytest.raises(ValueError, match="non-empty"):
-            run_unsupervised_comparison("facebook", methods=[], executor=_NeverRuns())
+            run_unsupervised_comparison("facebook", methods=[])
 
     def test_experiment_scales(self):
         from repro.eval.runner import ExperimentScale

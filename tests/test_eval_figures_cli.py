@@ -9,7 +9,6 @@ import pytest
 
 from repro.eval import figures
 from repro.eval.runner import ExperimentScale
-from repro.runtime import CallableItem, ProcessExecutor, WorkPlan
 
 TINY = ExperimentScale(num_nodes=120, epochs=8, mcmc_iterations=15, seed=0)
 
@@ -56,33 +55,28 @@ class TestFigureCLI:
         # training run; the real figure functions are covered above.
         calls = {}
 
-        def fake_figure(scale, executor=None):
+        def fake_figure(scale):
             calls["scale"] = scale
-            calls["executor"] = executor
-            if executor is not None:  # prove the CLI-built pool is live right now
-                plan = WorkPlan([CallableItem(target="math:sqrt", args=(9.0,))])
-                calls["pool_value"] = plan.values(executor.execute(plan).records)
             return {"facebook": {"max_with_trimming": 3.0}}
 
         monkeypatch.setitem(figures.FIGURES, "fig7", fake_figure)
         exit_code = figures.main(["fig7", "--scale", "small"])
         assert exit_code == 0
         assert calls["scale"].num_nodes == 300
-        assert calls["executor"] is None  # --executor serial is the default
-
-        # --workers implies the process pool, built by the CLI itself over one
-        # spill directory for the whole invocation.
-        assert figures.main(["fig7", "--workers", "2"]) == 0
-        assert isinstance(calls["executor"], ProcessExecutor)
-        assert calls["executor"].max_workers == 2
-        assert calls["pool_value"] == [3.0]
         capsys.readouterr()  # drain output; JSON parsing is covered below
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--executor", "process"]])
+    def test_scheduling_flags_are_gone(self, flag, capsys):
+        # A plan is one loop on one store: the CLI has nothing to schedule.
+        with pytest.raises(SystemExit):
+            figures.main(["fig7", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_dump_parses(self, capsys, monkeypatch):
         monkeypatch.setitem(
             figures.FIGURES,
             "fig8",
-            lambda scale, executor=None: {"x": np.float64(1.5), "y": np.array([1, 2])},
+            lambda scale: {"x": np.float64(1.5), "y": np.array([1, 2])},
         )
         figures.main(["fig8", "--json"])
         output = capsys.readouterr().out

@@ -5,12 +5,12 @@ Three contracts under test:
 1. **Schedules are deterministic** — a :class:`FaultPlan` is a pure function
    of ``(config, num_devices, num_rounds)``, its RNG blocks are drawn in a
    fixed order so enabling one mechanism never shifts another's schedule,
-   and the replay is bit-for-bit identical in a worker process.
+   and the replay is bit-for-bit identical in a fresh process.
 2. **Empty scenarios are invisible** — the default config and any empty
    scenario (whatever its ``fault_seed``) produce the *same* work-item key
    and byte-identical payloads (metrics, canonical ledger transcript,
    accountant, RNG state), while non-empty scenarios get distinct keys but
-   identical stage chains (the pipeline prefix stays shared).
+   identical pipeline stage keys (the pipeline prefix stays shared).
 3. **The federation degrades gracefully** — availability masks suppress or
    drop messages with the right charging semantics, and the trainer
    survives rounds with zero participants.
@@ -18,11 +18,15 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import default_config_for
+from repro.core.lumos import normalized_graph
 from repro.engine import ArtifactStore
+from repro.engine.stages import PipelineContext, lumos_stages
 from repro.faults import (
     FaultPlan,
     FaultScenarioConfig,
@@ -31,13 +35,7 @@ from repro.faults import (
 )
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import load_dataset, split_edges, split_nodes
-from repro.runtime import (
-    CallableItem,
-    GraphSpec,
-    LumosItem,
-    ProcessExecutor,
-    WorkPlan,
-)
+from repro.runtime import GraphSpec, LumosItem
 
 from helpers.oracles import exchange
 
@@ -58,6 +56,18 @@ def _item(faults=None, task="supervised"):
     return LumosItem(
         graph_spec=SPEC, config=_config(faults), task=task, keep_transcript=True
     )
+
+
+def _stage_keys(item):
+    """Every pipeline stage's cache key for ``item``, computing no artifact."""
+    context = PipelineContext(
+        graph=normalized_graph(item.graph_spec.load()),
+        config=item.config,
+        rng=np.random.default_rng(item.config.seed),
+    )
+    for stage in lumos_stages():
+        context.keys[stage.name] = stage.key(context)
+    return context.keys
 
 
 # --------------------------------------------------------------------------- #
@@ -196,13 +206,10 @@ class TestFaultPlan:
             straggler_rate=0.2, round_deadline=2.5, message_loss_rate=0.05,
             fault_seed=16,
         )
-        item = CallableItem(
-            target="repro.faults.plan:schedule_digest",
-            args=(config, 29, 7),
-            label="schedule-digest",
-        )
-        report = ProcessExecutor(max_workers=1).execute(WorkPlan([item]))
-        assert report.records[item.key()].value == schedule_digest(config, 29, 7)
+        # spawn: the child imports everything afresh and inherits no state.
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            digest = pool.apply_async(schedule_digest, (config, 29, 7)).get(timeout=120)
+        assert digest == schedule_digest(config, 29, 7)
 
 
 # --------------------------------------------------------------------------- #
@@ -335,11 +342,11 @@ class TestFaultKeys:
         b = _item(FaultScenarioConfig(dropout_rate=0.3, fault_seed=2))
         assert a.key() != b.key()
 
-    def test_stage_chain_is_fault_invariant(self):
+    def test_stage_keys_are_fault_invariant(self):
         # Scenarios only change the training loop, never the pipeline
         # prefix — so every scenario shares the cached construction stages.
         hostile = FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)
-        assert _item().stage_chain() == _item(hostile).stage_chain()
+        assert _stage_keys(_item()) == _stage_keys(_item(hostile))
 
     def test_empty_scenario_payload_is_bit_identical(self):
         # The acceptance criterion: metrics, canonical ledger transcript,

@@ -138,6 +138,18 @@ class TestDatasetRegistry:
         with pytest.raises(KeyError):
             load_dataset("cora")
 
+    @pytest.mark.parametrize("name", ["facebook", "lastfm", "small-world", "star"])
+    def test_num_nodes_is_checked_never_resized(self, name):
+        # A size of 0 once fell back to the default size (small-world, star)
+        # or failed deep inside the generator with an unrelated message.
+        for size in (0, -5):
+            with pytest.raises(ValueError, match="num_nodes"):
+                load_dataset(name, num_nodes=size)
+        for size in (2.5, True, "60"):
+            with pytest.raises(TypeError, match="num_nodes"):
+                load_dataset(name, num_nodes=size)
+        assert load_dataset(name, num_nodes=np.int64(60)).num_nodes == 60
+
     def test_available_datasets_lists_all(self):
         datasets = available_datasets()
         assert {"facebook", "lastfm", "small-world", "star"} <= set(datasets)

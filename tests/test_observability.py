@@ -4,11 +4,10 @@ all the *invisibility contract*.
 The contract has three clauses (see ``repro.obs``): instrumentation never
 draws from any RNG, nothing observability-related enters fingerprints or the
 canonical ledger/accountant state, and a run with the tracer disabled is
-bit-for-bit identical to an untraced run — while an *enabled* tracer adds
-only the ``obs`` side-channel to worker payloads.  The tests here pin all
-three clauses on the serial path and through the process executor, then
-check the exporters: the Chrome trace-event JSON must be schema-valid and
-carry one named track per worker process.
+bit-for-bit identical to an untraced run — and so is a run with the
+tracer enabled.  The tests here pin all three clauses on single items and
+whole sweeps, then check the exporters: the Chrome trace-event JSON must be
+schema-valid and carry a named track for the traced process.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_epsilon_sweep
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like
-from repro.runtime import GraphSpec, LumosItem, ProcessExecutor, SerialExecutor
+from repro.runtime import GraphSpec, LumosItem
 
 SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
@@ -77,27 +76,13 @@ class TestInvisibilityContract:
             name.startswith("engine.stage.") for name in tracer.metrics.counters
         )
 
-    def test_traced_process_sweep_matches_untraced_serial(self):
-        serial = run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=SCALE,
-            executor=SerialExecutor(store=ArtifactStore()),
-        )
-        with obs.tracing():
-            traced = run_epsilon_sweep(
-                "facebook", epsilons=EPSILONS, scale=SCALE,
-                executor=ProcessExecutor(max_workers=2),
-            )
-        assert traced == serial
-
     def test_traced_serial_sweep_spans_every_point_and_matches_untraced(self):
         untraced = run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=SCALE,
-            executor=SerialExecutor(store=ArtifactStore()),
+            "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
         )
         with obs.tracing() as tracer:
             traced = run_epsilon_sweep(
-                "facebook", epsilons=EPSILONS, scale=SCALE,
-                executor=SerialExecutor(store=ArtifactStore()),
+                "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
             )
         assert traced == untraced
         training_spans = [
@@ -106,65 +91,39 @@ class TestInvisibilityContract:
         ]
         assert len(training_spans) == len(EPSILONS)
 
-    def test_untraced_process_payloads_carry_no_obs_key(self):
-        from repro.runtime import WorkPlan
-
-        plan = WorkPlan()
-        key = plan.add(_sweep_item(2.0))
-        report = ProcessExecutor(max_workers=1).execute(plan)
-        assert report.records[key].obs is None
-
 
 # --------------------------------------------------------------------------- #
-# Cross-process aggregation (the acceptance scenario)
+# A traced sweep, end to end
 # --------------------------------------------------------------------------- #
-class TestMergedRunTrace:
+class TestTracedSweep:
     @pytest.fixture(scope="class")
     def traced_sweep(self):
         with obs.tracing() as tracer:
             results = run_epsilon_sweep(
-                "facebook", epsilons=EPSILONS, scale=SCALE,
-                executor=ProcessExecutor(max_workers=2),
+                "facebook", epsilons=EPSILONS, scale=SCALE, store=ArtifactStore()
             )
         return results, obs.RunTrace.from_tracer(tracer)
 
-    def test_worker_snapshots_are_merged(self, traced_sweep):
+    def test_item_spans_cover_items_and_stages(self, traced_sweep):
         _, trace = traced_sweep
-        processes = trace.processes()
-        assert processes[0] == "main"
-        assert any(name.startswith("worker-") for name in processes)
-
-    def test_worker_spans_cover_items_and_stages(self, traced_sweep):
-        _, trace = traced_sweep
-        worker_spans = [
-            span for span in trace.spans()
-            if span["process"].startswith("worker-")
-        ]
-        names = {span["name"] for span in worker_spans}
+        assert trace.processes() == ["main"]
+        names = {span["name"] for span in trace.spans()}
         assert "runtime.item" in names
         assert any(name.startswith("engine.stage.") for name in names)
-        for span in worker_spans:
+        for span in trace.spans():
             assert span["wall"] >= 0.0
             assert span["cpu"] >= 0.0
 
-    def test_merged_metrics_sum_across_processes(self, traced_sweep):
-        _, trace = traced_sweep
-        counters = trace.merged_metrics()["counters"]
-        assert counters["runtime.dispatches"] == float(len(EPSILONS))
-        assert counters["crypto.comparisons"] > 0.0
-
-    def test_merge_order_is_plan_request_order(self, traced_sweep):
-        """Worker snapshots follow the plan's item order, not completion."""
+    def test_item_spans_follow_plan_request_order(self, traced_sweep):
         _, trace = traced_sweep
         labels = [
             span["attributes"]["label"]
             for span in trace.spans()
             if span["name"] == "runtime.item"
-            and span["process"].startswith("worker-")
         ]
         assert labels == [f"sweep/supervised/facebook/eps={e}" for e in EPSILONS]
 
-    def test_chrome_export_has_one_track_per_worker(self, traced_sweep, tmp_path):
+    def test_chrome_export_names_the_main_track(self, traced_sweep, tmp_path):
         _, trace = traced_sweep
         path = obs.write_chrome_trace(trace, tmp_path / "sweep.json")
         document = json.loads(path.read_text())
@@ -173,8 +132,7 @@ class TestMergedRunTrace:
             for event in document["traceEvents"]
             if event.get("name") == "thread_name"
         }
-        assert "main" in thread_names
-        assert any(name.startswith("worker-") for name in thread_names)
+        assert thread_names == {"main"}
 
     def test_summary_table_mentions_stages_and_counters(self, traced_sweep):
         _, trace = traced_sweep
@@ -306,8 +264,7 @@ def test_tracing_overhead_is_bounded():
 
     def run():
         return run_epsilon_sweep(
-            "facebook", epsilons=EPSILONS, scale=scale,
-            executor=SerialExecutor(store=ArtifactStore()),
+            "facebook", epsilons=EPSILONS, scale=scale, store=ArtifactStore()
         )
 
     run()  # warm dataset caches so both timings see the same state

@@ -311,6 +311,48 @@ RETIRED_FEDERATION_MEMBERS = {
 }
 
 
+#: The process runtime: the worker pool with its deadline, retry and backoff
+#: machinery and report types, the executor classes and the ``executor=``
+#: parameter that chose one, the shared-prefix warm-up and the stage-key
+#: planning behind it, the callable escape hatch, the party start that lifted
+#: a pool worker's daemon flag, and the tracer's cross-process merge.  A plan
+#: is a loop over its unique items on one store (``eval.runner._run_plan``).
+RETIRED_RUNTIME_NAMES = {
+    "Executor",
+    "SerialExecutor",
+    "ProcessExecutor",
+    "WorkItemFailure",
+    "FailedAttempt",
+    "RuntimeReport",
+    "ItemRecord",
+    "backoff_delay",
+    "DEFAULT_BACKOFF_BASE",
+    "BACKOFF_CAP_SECONDS",
+    "shared_prefix_plan",
+    "WarmupRun",
+    "stage_chain",
+    "stage_keys",
+    "CallableItem",
+    "worker_main",
+    "open_worker_store",
+    "DEFAULT_STORE_BYTES",
+    "executor",
+    "attach_remote",
+    "_start_party",
+}
+
+#: Retired members whose names live on under other owners (the transport's
+#: ``timeout``): the items' deadline, the plan's report helpers, and the
+#: inline-graph form of a ``GraphSpec`` that no caller used.
+RETIRED_RUNTIME_MEMBERS = {
+    "repro.runtime.items.WorkItem": {"timeout"},
+    "repro.runtime.items.LumosItem": {"timeout"},
+    "repro.runtime.items.BaselineItem": {"timeout"},
+    "repro.runtime.plan.WorkPlan": {"values", "duplicate_requests", "__len__"},
+    "repro.runtime.items.GraphSpec": {"graph"},
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -402,6 +444,25 @@ def test_retired_federation_names_stay_gone(modules):
         members = {*vars(value), *(field.name for field in dataclasses.fields(value))}
         survivors += [f"{owner}.{name}" for name in names & members]
     assert not survivors
+
+
+def test_retired_runtime_names_stay_gone(modules):
+    assert not _retired_names_found(
+        modules,
+        ("repro.runtime", "repro.eval", "repro.engine", "repro.obs", "repro.core", "repro.crypto"),
+        RETIRED_RUNTIME_NAMES,
+    )
+    survivors = []
+    for owner, names in RETIRED_RUNTIME_MEMBERS.items():
+        value = _resolve(owner)
+        members = set(vars(value))
+        if dataclasses.is_dataclass(value):
+            members |= {field.name for field in dataclasses.fields(value)}
+        survivors += [f"{owner}.{name}" for name in names & members]
+    assert not survivors
+    from repro.obs import Tracer
+
+    assert "remote_snapshots" not in vars(Tracer())
 
 
 def test_training_has_one_pooling():

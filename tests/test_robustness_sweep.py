@@ -1,10 +1,8 @@
-"""Serial-vs-process equivalence and semantics of the robustness sweep.
+"""Semantics of the robustness sweep.
 
-``run_robustness_sweep`` fans fault scenarios through the same work-plan
-machinery as the epsilon sweep, so it inherits the runtime's determinism
-contract: the process executor must reproduce the serial loop bit-for-bit.
-The sweep always carries an empty baseline arm so every scenario reports an
-``accuracy_vs_baseline_percent`` delta.
+``run_robustness_sweep`` runs fault scenarios through the same work plan as
+the epsilon sweep.  The sweep always carries an empty baseline arm so every
+scenario reports an ``accuracy_vs_baseline_percent`` delta.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import pytest
 from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_robustness_sweep
 from repro.faults import FaultScenarioConfig
-from repro.runtime import ProcessExecutor, SerialExecutor
 
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
 
@@ -31,21 +28,11 @@ SCENARIOS = {
 @pytest.fixture(scope="module")
 def serial_results():
     return run_robustness_sweep(
-        "facebook", scenarios=SCENARIOS, scale=SCALE,
-        executor=SerialExecutor(store=ArtifactStore()),
+        "facebook", scenarios=SCENARIOS, scale=SCALE, store=ArtifactStore()
     )
 
 
 class TestRobustnessSweep:
-    def test_process_executor_matches_serial_bit_for_bit(self, serial_results):
-        process = run_robustness_sweep(
-            "facebook",
-            scenarios=SCENARIOS,
-            scale=SCALE,
-            executor=ProcessExecutor(max_workers=2),
-        )
-        assert process == serial_results
-
     def test_every_scenario_is_reported(self, serial_results):
         assert set(serial_results) == set(SCENARIOS)
 
@@ -79,7 +66,7 @@ class TestRobustnessSweep:
                 "dropout": FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)
             },
             scale=SCALE,
-            executor=SerialExecutor(store=ArtifactStore()),
+            store=ArtifactStore(),
         )
         assert "baseline" in results
         assert results["baseline"]["accuracy_vs_baseline_percent"] == 0.0

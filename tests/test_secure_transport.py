@@ -17,9 +17,8 @@ Contracts pinned here:
   against ``comparison_cost()``, and tampered accounting raises
   :class:`MeasuredCostMismatch` instead of passing silently;
 * **typed failure surfaces** — CRC/length/kind violations, timeouts, closed
-  pipes, and killed peers all raise typed errors, never hang, and a kill
-  inside a runtime worker surfaces as a ``FailedAttempt``.  The kills are
-  real: ``helpers.crash_points`` makes the party process ``os._exit``
+  pipes, and killed peers all raise typed errors and never hang.  The kills
+  are real: ``helpers.crash_points`` makes the party process ``os._exit``
   before its N-th frame.
 """
 
@@ -48,16 +47,12 @@ from repro.crypto import (
 from repro.crypto.transport import _serve_comparison, charge_comparison_ledger
 from repro.federation import CommunicationLedger
 from repro.runtime import (
-    CallableItem,
     ChannelClosed,
     ChannelError,
     ChannelTimeout,
     FrameCorruption,
     FrameKind,
     PartyChannel,
-    ProcessExecutor,
-    WorkItemFailure,
-    WorkPlan,
     channel_pair,
 )
 from repro.runtime.channel import FRAME_OVERHEAD_BYTES, HEADER, MAX_FRAME_BYTES
@@ -541,52 +536,6 @@ class TestChaosPeerDeath:
         # A session that died charges nothing to the canonical transcript.
         assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
         assert not ledger.message_records()
-
-    def test_killed_party_inside_a_worker_surfaces_as_failed_attempt(self):
-        # The full runtime path: a worker dispatches a real two-party session,
-        # the party is hard-killed, and the driver's typed error must come
-        # back as FailedAttempt provenance — never a hang (every receive is
-        # deadline-bounded).
-        plan = WorkPlan()
-        plan.add(
-            CallableItem(
-                target="helpers.crash_points:party_comparison_probe",
-                kwargs=(
-                    ("bit_width", 8), ("count", 4), ("die_before_send", 1),
-                    ("seed", 0), ("timeout", 5.0),
-                ),
-                label="killed-probe", timeout=60.0,
-            )
-        )
-        executor = ProcessExecutor(max_workers=1, retries=0, backoff_base=0.0)
-        with pytest.raises(WorkItemFailure) as excinfo:
-            executor.execute(plan)
-        [key] = plan.requests
-        attempts = excinfo.value.failure_attempts[key]
-        assert [failed.kind for failed in attempts] == ["error"]
-        assert "RemotePartyError" in attempts[0].reason
-        assert "exit code 86" in attempts[0].reason
-
-    def test_probe_without_chaos_completes_inside_a_worker(self):
-        # Control arm: the same nested-process path succeeds when no crash
-        # point is installed (this also exercises spawning a party from a
-        # daemonic pool worker).
-        plan = WorkPlan()
-        plan.add(
-            CallableItem(
-                target="helpers.crash_points:party_comparison_probe",
-                kwargs=(
-                    ("bit_width", 8), ("count", 6), ("seed", 1), ("timeout", 10.0),
-                ),
-                label="probe", timeout=60.0,
-            )
-        )
-        report = ProcessExecutor(max_workers=1, retries=1, backoff_base=0.0).execute(plan)
-        [key] = plan.requests
-        value = report.records[key].value
-        assert value["count"] == 6
-        assert value["wire_bytes"] > 0
-        assert 0.0 <= value["true_fraction"] <= 1.0
 
 
 # --------------------------------------------------------------------------- #

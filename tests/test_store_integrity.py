@@ -2,7 +2,7 @@
 
 ``DiskSpillStore`` persists evicted artifacts as ``.npz`` files.  A partial
 write (process kill mid-spill), filesystem bit rot, or a stale-format file
-from an older revision must never crash the worker that reloads it — the
+from an older revision must never crash the process that reloads it — the
 contract is *miss, quarantine, recompute*:
 
 * every spilled payload carries a SHA-256 checksum, verified before the

@@ -12,9 +12,8 @@ points:
 Defs on :data:`KEEP` are production API that these small runs do not
 trigger (ROADMAP item 8's keep-list), or error paths no correct run takes,
 and are left out of the report.  Code
-that runs only in a forked child (the two-party transport's party, the
-runtime's worker processes) is invisible to the hook, so those entry points
-are on the keep-list too, and what only they call shows up as unreached.
+that runs only in a forked child (the two-party transport's party) is
+invisible to the hook, so its entry points are on the keep-list too, and what only they call shows up as unreached.
 
 This is a report, not a gate: it takes minutes (the figures dominate) and a
 def a larger run would reach can appear in it.  Run from the repository
@@ -48,12 +47,9 @@ KEEP: Set[Tuple[str, str]] = {
     ("maintenance/tree.py", "MaintainedTree.recover"),
     ("maintenance/journal.py", "MutationJournal.recover"),
     ("graph/datasets.py", "load_musae_style"),
-    ("runtime/executor.py", "backoff_delay"),
-    ("runtime/executor.py", "ProcessExecutor._run_pool.give_up_or_retry"),
     ("nn/tensor.py", "_released"),
     ("crypto/transport.py", "party_main"),
     ("crypto/transport.py", "_serve_comparison"),
-    ("runtime/worker.py", "worker_main"),
 }
 
 
