@@ -54,7 +54,7 @@ class Assignment:
     @classmethod
     def from_lists(cls, lists: Mapping[int, Iterable[int]]) -> "Assignment":
         """Build from a mapping of vertex -> iterable of selected neighbours."""
-        return cls(selected={int(k): set(int(v) for v in vs) for k, vs in lists.items()})
+        return cls(selected={int(k): set(map(int, vs)) for k, vs in lists.items()})
 
     def copy(self) -> "Assignment":
         """Deep copy (cheap: sets of ints)."""

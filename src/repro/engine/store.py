@@ -178,11 +178,12 @@ class DiskSpillStore(ArtifactStore):
     # ``LDPDrawsResult`` losing ``sender_ids``, v6 ``LDPDrawsResult`` keeping
     # only the released uniforms (a CSR ``uniforms``, no ``bins``), v7 the
     # partition as ``(indptr, indices, features)`` arrays and
-    # ``TreeConstructionResult.num_devices`` replacing ``local_graphs`` —
-    # pickled layouts that changed under unchanged stage keys.  Older files
-    # (or any unreadable version) degrade to a miss and are quarantined like
-    # corrupt files.
-    _FORMAT_VERSION = 7
+    # ``TreeConstructionResult.num_devices`` replacing ``local_graphs``, v8
+    # the ledger table's open tail as typed column buffers instead of row
+    # tuples — pickled layouts that changed under unchanged stage keys.  Older
+    # files (or any unreadable version) degrade to a miss and are quarantined
+    # like corrupt files.
+    _FORMAT_VERSION = 8
 
     def __init__(
         self,

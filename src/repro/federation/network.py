@@ -12,6 +12,7 @@ epoch time itself is :meth:`repro.core.trainer.EpochCostModel.epoch_time`.
 
 from __future__ import annotations
 
+import array
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -76,8 +77,12 @@ class _Table:
     """Append-only rows of one record type, stored column by column.
 
     Rows live in sealed *blocks* — one 1-D numpy array per column, ``round``
-    first, each row's interned label code last — plus one open *tail* of row
-    tuples.  :meth:`append` grows the tail (one cheap call per row);
+    first, each row's interned label code last — plus one open *tail*: one
+    typed ``array.array`` buffer per column (``q`` for an integer column,
+    ``d`` for a float one).  :meth:`append` writes one value into each
+    buffer, so a run of single-row records allocates no object the garbage
+    collector tracks, and a value the column's type cannot hold (a float
+    sender or size) is a ``TypeError`` that leaves no partial row;
     :meth:`extend` seals the tail and adds its arrays as one block.  A block
     stores only what is distinct about it: the label column is a stride-0
     ``np.broadcast_to`` view of one code, a column the caller passes as a
@@ -87,8 +92,9 @@ class _Table:
     no reader of :meth:`column`, no :meth:`since` delta and no replayed block
     can rewrite the log.  Pickle and ``deepcopy`` materialise every column
     (a copy shares nothing with its original; the copy is read-only too).
-    Reads seal the tail and reduce block by block.  ``floors`` maps a column
-    to its lower bound, ``0`` or a column.
+    Reads seal the tail (each buffer becomes a read-only ``np.frombuffer``
+    view, and the tail starts over in fresh buffers) and reduce block by
+    block.  ``floors`` maps a column to its lower bound, ``0`` or a column.
     """
 
     def __init__(self, columns: Dict[str, type], floors: Dict[str, object]) -> None:
@@ -101,7 +107,9 @@ class _Table:
         self.labels: List[tuple] = []
         self._codes: Dict[tuple, int] = {}
         self._blocks: List[tuple] = []
-        self._tail: List[tuple] = []
+        self._tail = [
+            array.array("d" if np.dtype(dtype).kind == "f" else "q") for dtype in self._dtypes
+        ]
         self._size = 0
 
     def __len__(self) -> int:
@@ -124,7 +132,16 @@ class _Table:
     def append(self, label: tuple, *values) -> None:
         """Record one row (``values`` in column order) under ``label``."""
         self._check(values, bulk=False)
-        self._tail.append((*values, self._code(label)))
+        tail = self._tail
+        rows = len(tail[-1])
+        try:
+            for buffer, value in zip(tail, values):
+                buffer.append(value)
+        except (TypeError, OverflowError):
+            for buffer in tail:
+                del buffer[rows:]
+            raise
+        tail[-1].append(self._code(label))
         self._size += 1
 
     def __setstate__(self, state: dict) -> None:
@@ -145,10 +162,11 @@ class _Table:
             self._size += count
 
     def _seal(self) -> List[tuple]:
-        if self._tail:
-            columns = zip(*self._tail)
-            self._blocks.append(tuple(map(_read_only, columns, self._dtypes)))
-            self._tail = []
+        tail = self._tail
+        if tail[-1]:
+            columns = map(np.frombuffer, tail, self._dtypes)
+            self._blocks.append(tuple(map(_read_only, columns)))
+            self._tail = [array.array(buffer.typecode) for buffer in tail]
         return self._blocks
 
     def column(self, name: str) -> List[np.ndarray]:
@@ -253,7 +271,7 @@ class CommunicationLedger:
     ) -> None:
         """Record a directed message in the current round."""
         self.messages.append(
-            (kind.value, description), self.current_round, sender, recipient, int(size_bytes)
+            (kind.value, description), self.current_round, sender, recipient, size_bytes
         )
 
     def send_many(
@@ -281,7 +299,7 @@ class CommunicationLedger:
         deadline eviction) pairs a normal :meth:`send` with a drop record.
         """
         self.dropped.append(
-            (kind.value, description), self.current_round, sender, recipient, int(size_bytes)
+            (kind.value, description), self.current_round, sender, recipient, size_bytes
         )
 
     def drop_many(
@@ -311,13 +329,13 @@ class CommunicationLedger:
             self.current_round,
             sender,
             recipient,
-            int(payload_bytes),
-            int(wire_bytes),
+            payload_bytes,
+            wire_bytes,
         )
 
     def compute(self, device: int, cost: float, description: str = "") -> None:
         """Record ``cost`` units of local computation on ``device``."""
-        self.computation.append((description,), self.current_round, device, float(cost))
+        self.computation.append((description,), self.current_round, device, cost)
 
     def compute_many(self, devices, costs, description: str = "") -> None:
         """:meth:`compute` per ``(device, cost)`` pair in this round, as one block."""

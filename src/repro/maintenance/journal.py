@@ -16,8 +16,10 @@ File format (all integers little-endian)::
 
 Records are canonical JSON (``sort_keys=True``, compact separators) so the
 byte stream — and therefore the hash chain the tree derives from it — is
-identical across processes and platforms.  Each append is flushed and
-``fsync``'d before the mutation is applied.
+identical across processes and platforms.  One module-level encoder produces
+those bytes, once per record: :meth:`MutationJournal.append` returns the
+payload it framed, and the tree hashes that same payload into its chain.
+Each append is flushed and ``fsync``'d before the mutation is applied.
 
 A *torn tail* (partial frame from a mid-write kill) is expected, not an
 error: :func:`read_records` stops at the first incomplete or checksum-failing
@@ -46,13 +48,18 @@ MAGIC = b"LUMOSJRNL1\n"
 _PREFIX = struct.Struct("<II")  # (payload length, crc32)
 
 
+#: The one canonical encoder (``json.dumps`` would build a fresh encoder per
+#: call for these non-default arguments).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _encode(record: Dict[str, Any]) -> bytes:
     """Canonical JSON bytes of one record (the hashed/checksummed form)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(record).encode("utf-8")
 
 
-def _frame(record: Dict[str, Any]) -> bytes:
-    payload = _encode(record)
+def _frame(payload: bytes) -> bytes:
+    """One frame: length and CRC32 prefix, then the canonical ``payload``."""
     return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -128,14 +135,19 @@ class MutationJournal:
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record (write + flush + fsync)."""
-        frame = _frame(record)
+    def append(self, record: Dict[str, Any]) -> bytes:
+        """Durably append one record (write + flush + fsync).
+
+        Returns the record's canonical payload, the bytes the tree's hash
+        chain covers, so a record is encoded once.
+        """
+        payload = _encode(record)
+        frame = _frame(payload)
         if obs.current_tracer() is None:
             self._file.write(frame)
             self._file.flush()
             os.fsync(self._file.fileno())
-            return
+            return payload
         started = time.perf_counter()
         self._file.write(frame)
         self._file.flush()
@@ -143,6 +155,7 @@ class MutationJournal:
         obs.add_counter("maintenance.journal_appends")
         obs.add_counter("maintenance.journal_bytes", len(frame))
         obs.observe("maintenance.fsync_seconds", time.perf_counter() - started)
+        return payload
 
     def close(self) -> None:
         if not self._file.closed:

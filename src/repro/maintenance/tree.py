@@ -38,6 +38,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -76,24 +77,59 @@ class MaintenanceConfig:
     comparison_bits: int = 24
 
     def __post_init__(self) -> None:
-        if self.rebalance_iterations < 0 or self.rebuild_mcmc_iterations < 0:
-            raise ValueError("iteration counts must be non-negative")
+        _count(self.rebalance_iterations, "rebalance_iterations")
+        _count(self.rebuild_mcmc_iterations, "rebuild_mcmc_iterations")
         if not 1 <= self.comparison_bits <= 64:
             raise ValueError("comparison_bits must be in [1, 64]")
+
+
+#: Entries hashed per ``update`` call: bounded chunks, never one whole-state string.
+_CHUNK = 1024
+
+
+def _hash_chunks(hasher, entries: Iterable[str]) -> None:
+    """Feed ``entries`` to ``hasher`` concatenated, ``_CHUNK`` entries per update."""
+    entries = iter(entries)
+    while True:
+        chunk = list(islice(entries, _CHUNK))
+        if not chunk:
+            return
+        hasher.update("".join(chunk).encode("utf-8"))
 
 
 def _transcript_digest(records: List[tuple]) -> str:
     """Stable digest of a canonical ledger transcript.
 
     ``message_records()`` is already the canonical sorted form; hashing its
-    reprs gives a cross-process comparable fingerprint without shipping the
-    (potentially large) record list itself.
+    reprs, one line each, gives a cross-process comparable fingerprint
+    without shipping the (potentially large) record list itself.
     """
     digest = hashlib.sha256()
-    for record in records:
-        digest.update(repr(record).encode("utf-8"))
-        digest.update(b"\n")
+    _hash_chunks(digest, (f"{record!r}\n" for record in records))
     return digest.hexdigest()
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``: an ``int`` or numpy integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} is an integer, not {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def _device_ids(values: Iterable) -> List[int]:
+    """Every value as a device id; a list of plain ``int`` s is checked by type alone."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_integer(value, "a device id") for value in values]
+
+
+def _count(value, name: str) -> int:
+    """A non-negative iteration count (``TypeError`` / ``ValueError`` otherwise)."""
+    count = _integer(value, name)
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 def fresh_assignment(
@@ -193,9 +229,7 @@ class MaintainedTree:
         """Wrap a construction result; journal a genesis snapshot if enabled."""
         if journal is not None and snapshots is None:
             raise ValueError("journaling requires a snapshot store (genesis state)")
-        neighbors = {
-            int(v): {int(u) for u in adjacent} for v, adjacent in adjacency.items()
-        }
+        neighbors = {int(v): set(map(int, adjacent)) for v, adjacent in adjacency.items()}
         assignment = Assignment.from_lists(assignment_lists)
         for vertex in neighbors:
             assignment.selected.setdefault(vertex, set())
@@ -288,7 +322,7 @@ class MaintainedTree:
                         f"{journal_path}: replay diverged at seq {record['seq']}"
                     )
                 continue
-            tree._apply_record(record)
+            tree._apply_record(record, _encode(record))
         return tree
 
     @classmethod
@@ -321,12 +355,9 @@ class MaintainedTree:
         """SHA-256 over the complete maintained state (the replay witness)."""
         hasher = hashlib.sha256()
         hasher.update(f"seq={self.seq};chain={self.chain}".encode("utf-8"))
-        for vertex in self.present():
-            hasher.update(
-                f"adj:{vertex}:{sorted(self.neighbors[vertex])}".encode("utf-8")
-            )
-        for vertex, selected in sorted(self.assignment.selected.items()):
-            hasher.update(f"sel:{vertex}:{sorted(selected)}".encode("utf-8"))
+        neighbors, selected = self.neighbors, self.assignment.selected
+        _hash_chunks(hasher, (f"adj:{v}:{sorted(neighbors[v])}" for v in sorted(neighbors)))
+        _hash_chunks(hasher, (f"sel:{v}:{sorted(selected[v])}" for v in sorted(selected)))
         hasher.update(repr(self.rng.bit_generator.state).encode("utf-8"))
         hasher.update(_transcript_digest(self.ledger.message_records()).encode("utf-8"))
         hasher.update(
@@ -383,12 +414,12 @@ class MaintainedTree:
     # ------------------------------------------------------------------ #
     def insert_device(self, device: int, neighbors: Iterable[int]) -> List[int]:
         """Join ``device`` with edges to every *present* requested neighbour."""
-        device = int(device)
+        device = _integer(device, "a device id")
         if device in self.neighbors:
             raise ValueError(f"device {device} is already present")
         # Membership lookups only: O(requested degree), never O(devices).
         applied = sorted(
-            {v for v in map(int, neighbors) if v in self.neighbors} - {device}
+            set(filter(self.neighbors.__contains__, _device_ids(neighbors))) - {device}
         )
         self._commit(
             {"seq": self.seq + 1, "op": "insert", "device": device, "neighbors": applied}
@@ -397,7 +428,7 @@ class MaintainedTree:
 
     def remove_device(self, device: int) -> None:
         """Leave: drop ``device`` and every edge (and selection) touching it."""
-        device = int(device)
+        device = _integer(device, "a device id")
         if device not in self.neighbors:
             raise ValueError(f"device {device} is not present")
         self._commit({"seq": self.seq + 1, "op": "remove", "device": device})
@@ -409,14 +440,15 @@ class MaintainedTree:
         remove: Iterable[int] = (),
     ) -> Tuple[List[int], List[int]]:
         """Change a present device's edge set (adds filtered to present peers)."""
-        device = int(device)
+        device = _integer(device, "a device id")
+        add, remove = _device_ids(add), _device_ids(remove)
         if device not in self.neighbors:
             raise ValueError(f"device {device} is not present")
         current = self.neighbors[device]
         applied_add = sorted(
-            {v for v in map(int, add) if v in self.neighbors} - current - {device}
+            set(filter(self.neighbors.__contains__, add)) - current - {device}
         )
-        applied_remove = sorted({int(v) for v in remove} & current)
+        applied_remove = sorted(set(remove) & current)
         self._commit(
             {
                 "seq": self.seq + 1,
@@ -434,18 +466,20 @@ class MaintainedTree:
         iterations: Optional[int] = None,
     ) -> Dict[str, int]:
         """Localized Alg. 2 pass; default region = heaviest device + its hood."""
+        iterations = (
+            self.config.rebalance_iterations
+            if iterations is None
+            else _count(iterations, "iterations")
+        )
         if region is None:
             if not self.neighbors:
                 return {"accepted": 0, "moves": 0, "comparisons": 0}
             heaviest = self.assignment.argmax_workload()
-            region = sorted({heaviest} | self.neighbors.get(heaviest, set()))
-        iterations = (
-            self.config.rebalance_iterations if iterations is None else int(iterations)
-        )
+            region = {heaviest} | self.neighbors.get(heaviest, set())
         record = {
             "seq": self.seq + 1,
             "op": "rebalance",
-            "region": sorted(int(v) for v in region),
+            "region": sorted(_device_ids(region)),
             "iterations": iterations,
         }
         return self._commit(record)
@@ -460,7 +494,7 @@ class MaintainedTree:
         iterations = (
             self.config.rebuild_mcmc_iterations
             if mcmc_iterations is None
-            else int(mcmc_iterations)
+            else _count(mcmc_iterations, "mcmc_iterations")
         )
         seed = int.from_bytes(
             hashlib.sha256(f"rebuild:{self.chain}".encode("utf-8")).digest()[:4],
@@ -480,11 +514,14 @@ class MaintainedTree:
     # ------------------------------------------------------------------ #
     def _commit(self, record: Dict[str, Any]):
         """Write-ahead: durably journal ``record``, then apply it."""
-        if self.journal is not None:
-            self.journal.append(record)
-        return self._apply_record(record)
+        if self.journal is None:
+            payload = _encode(record)
+        else:
+            payload = self.journal.append(record)
+        return self._apply_record(record, payload)
 
-    def _apply_record(self, record: Dict[str, Any]):
+    def _apply_record(self, record: Dict[str, Any], payload: bytes):
+        """Apply ``record`` and extend the chain over its canonical ``payload``."""
         if record["seq"] != self.seq + 1:
             raise RuntimeError(
                 f"journal gap: expected seq {self.seq + 1}, got {record['seq']}"
@@ -505,30 +542,32 @@ class MaintainedTree:
         else:
             raise ValueError(f"unknown journal op {op!r}")
         self.seq = record["seq"]
-        self.chain = hashlib.sha256(
-            f"{self.chain}|".encode("utf-8") + _encode(record)
-        ).hexdigest()
+        self.chain = hashlib.sha256(f"{self.chain}|".encode("utf-8") + payload).hexdigest()
         return result
 
     # ------------------------------------------------------------------ #
     # Delta operations (shared by live mutation and replay)
     # ------------------------------------------------------------------ #
-    def _assign_edge(self, device: int, neighbor: int) -> None:
-        """Cover a new edge: the lighter endpoint keeps it (smaller id ties)."""
-        device_load = len(self.assignment.selected.get(device, ()))
-        neighbor_load = len(self.assignment.selected.get(neighbor, ()))
-        if (device_load, device) <= (neighbor_load, neighbor):
-            keeper, kept = device, neighbor
-        else:
-            keeper, kept = neighbor, device
-        self.assignment.selected.setdefault(keeper, set()).add(kept)
+    # Every present device has a selection set (genesis, insert and rebuild
+    # create one, only a removal drops it), so the ops index it directly.
+    def _link(self, device: int, neighbors: List[int]) -> None:
+        """Add the edges ``(device, v)`` to the neighbours' adjacency and cover
+        each by its lighter endpoint (the smaller id on ties), one pass."""
+        adjacency, selected = self.neighbors, self.assignment.selected
+        mine = selected[device]
+        for neighbor in neighbors:
+            adjacency[neighbor].add(device)
+            theirs = selected[neighbor]
+            load, their_load = len(mine), len(theirs)
+            if load < their_load or (load == their_load and device < neighbor):
+                mine.add(neighbor)
+            else:
+                theirs.add(device)
 
     def _do_insert(self, device: int, neighbors: List[int]) -> List[int]:
         self.neighbors[device] = set(neighbors)
         self.assignment.selected.setdefault(device, set())
-        for neighbor in neighbors:
-            self.neighbors[neighbor].add(device)
-            self._assign_edge(device, neighbor)
+        self._link(device, neighbors)
         if neighbors:
             _charge_analytic_comparisons(
                 self.accountant, len(neighbors), bit_width=self.config.comparison_bits
@@ -546,11 +585,12 @@ class MaintainedTree:
         return neighbors
 
     def _do_remove(self, device: int) -> None:
-        dropped = sorted(self.neighbors.pop(device))
+        adjacency, selected = self.neighbors, self.assignment.selected
+        dropped = adjacency.pop(device)
         for neighbor in dropped:
-            self.neighbors[neighbor].discard(device)
-            self.assignment.selected.get(neighbor, set()).discard(device)
-        self.assignment.selected.pop(device, None)
+            adjacency[neighbor].discard(device)
+            selected[neighbor].discard(device)
+        selected.pop(device, None)
         self.ledger.send(
             device,
             SERVER_ID,
@@ -565,15 +605,14 @@ class MaintainedTree:
     def _do_update_degree(
         self, device: int, add: List[int], remove: List[int]
     ) -> Tuple[List[int], List[int]]:
+        adjacency, selected = self.neighbors, self.assignment.selected
         for neighbor in remove:
-            self.neighbors[device].discard(neighbor)
-            self.neighbors[neighbor].discard(device)
-            self.assignment.selected.get(device, set()).discard(neighbor)
-            self.assignment.selected.get(neighbor, set()).discard(device)
-        for neighbor in add:
-            self.neighbors[device].add(neighbor)
-            self.neighbors[neighbor].add(device)
-            self._assign_edge(device, neighbor)
+            adjacency[device].discard(neighbor)
+            adjacency[neighbor].discard(device)
+            selected[device].discard(neighbor)
+            selected[neighbor].discard(device)
+        adjacency[device].update(add)
+        self._link(device, add)
         if add:
             _charge_analytic_comparisons(
                 self.accountant, len(add), bit_width=self.config.comparison_bits

@@ -38,7 +38,7 @@ from repro.maintenance import (
     compile_churn_schedule,
 )
 from repro.maintenance.churn import _constructed_tree
-from repro.maintenance.journal import _PREFIX, _frame
+from repro.maintenance.journal import _PREFIX, _encode, _frame
 
 #: Exit code of every process a crash point kills.
 CRASH_EXIT_CODE = 86
@@ -86,7 +86,7 @@ def journal_crash_point(seq: int, *, in_process: bool = False):
     def append(self, record):
         if record["seq"] != seq:
             return original(self, record)
-        frame = _frame(record)
+        frame = _frame(_encode(record))
         self._file.write(frame[: _PREFIX.size + (len(frame) - _PREFIX.size) // 2])
         self._file.flush()
         os.fsync(self._file.fileno())

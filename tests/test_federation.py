@@ -155,6 +155,50 @@ class TestMessagesAndLedger:
         assert all(type(value) in (int, str) for record in transcripts[0] for value in record)
         assert len({_transcript_digest(records) for records in transcripts}) == 1
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            lambda ledger: ledger.send(1.7, 2, MessageKind.OTHER, 8),
+            lambda ledger: ledger.send(1, np.float64(2.0), MessageKind.OTHER, 8),
+            lambda ledger: ledger.send(1, 2, MessageKind.OTHER, 8.9),
+            lambda ledger: ledger.drop(1.7, 2, MessageKind.OTHER, 8),
+            lambda ledger: ledger.drop(1, 2, MessageKind.OTHER, 8.9),
+            lambda ledger: ledger.record_transport_frame(0.5, 1, "CONTROL", 10, 20),
+            lambda ledger: ledger.record_transport_frame(0, 1, "CONTROL", 10.5, 20),
+            lambda ledger: ledger.record_transport_frame(0, 1, "CONTROL", 10, 20.5),
+            lambda ledger: ledger.compute(0.5, 1.0),
+        ],
+        ids=[
+            "send-sender", "send-recipient", "send-size", "drop-sender", "drop-size",
+            "frame-sender", "frame-payload", "frame-wire", "compute-device",
+        ],
+    )
+    def test_a_float_id_or_size_is_a_type_error_that_leaves_no_row(self, record):
+        """Integer columns hold integers: a float is refused, never truncated."""
+        ledger = CommunicationLedger()
+        ledger.send(0, 1, MessageKind.OTHER, 3)
+        ledger.record_transport_frame(0, 1, "CONTROL", 1, 2)
+        ledger.compute(0, 1.5)
+        tables = ("messages", "dropped", "frames", "computation")
+
+        def contents():
+            return ledger.summary(), [getattr(ledger, name).rows() for name in tables]
+
+        before = contents()
+        with pytest.raises(TypeError):
+            record(ledger)
+        assert contents() == before
+        # The table still takes rows after the refused one.
+        ledger.send(2, 3, MessageKind.OTHER, 4)
+        assert ledger.message_records()[-1] == (0, 2, 3, "other", 4, "")
+
+    def test_compute_cost_stays_float(self):
+        ledger = CommunicationLedger()
+        ledger.compute(0, 2)
+        ledger.compute(np.int64(1), np.float32(0.25))
+        assert ledger.computation.rows() == [(0, 0, 2.0, ""), (0, 1, 0.25, "")]
+        np.testing.assert_array_equal(ledger.per_device_compute(2), [2.0, 0.25])
+
 
 class TestServer:
     @pytest.mark.parametrize("winners", [[5], [2, 7], [9, 1, 4, 4, 8]])

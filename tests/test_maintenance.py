@@ -11,9 +11,15 @@ the delta operations.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 
+import numpy as np
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers.crash_points import (
     CRASH_EXIT_CODE,
@@ -34,7 +40,7 @@ from repro.maintenance import (
     read_records,
 )
 from repro.maintenance.churn import _constructed_tree
-from repro.maintenance.journal import MAGIC, _frame
+from repro.maintenance.journal import MAGIC, _encode, _frame
 
 
 def _assert_edges_covered(tree: MaintainedTree) -> None:
@@ -147,7 +153,7 @@ class TestJournal:
         path = tmp_path / "j.lmj"
         journal = MutationJournal.create(path)
         journal.append({"seq": 1, "op": "remove", "device": 3})
-        journal._file.write(_frame({"seq": 2, "op": "remove", "device": 4})[:1])
+        journal._file.write(_frame(_encode({"seq": 2, "op": "remove", "device": 4}))[:1])
         journal.close()
         _, survived = MutationJournal.recover(path)
         assert [r["seq"] for r in survived] == [1]
@@ -182,6 +188,11 @@ class TestDeltaOperations:
                 MaintenanceConfig(comparison_bits=bits)
         MaintenanceConfig(comparison_bits=1)
         MaintenanceConfig(comparison_bits=64)
+        for count in (2.5, 3.0, True, "4"):
+            with pytest.raises(TypeError, match="is an integer"):
+                MaintenanceConfig(rebalance_iterations=count)
+            with pytest.raises(TypeError, match="is an integer"):
+                MaintenanceConfig(rebuild_mcmc_iterations=count)
 
     def test_construction_covers_every_edge(self):
         tree, _ = _tree()
@@ -277,6 +288,138 @@ class TestDeltaOperations:
         chain0 = tree.chain
         tree.remove_device(tree.present()[0])
         assert tree.seq == 1 and tree.chain != chain0
+
+
+_REJECTED = {
+    "rebuild-negative": (lambda tree: tree.rebuild(mcmc_iterations=-3), ValueError),
+    "rebuild-float": (lambda tree: tree.rebuild(mcmc_iterations=4.0), TypeError),
+    "rebuild-bool": (lambda tree: tree.rebuild(mcmc_iterations=True), TypeError),
+    "rebalance-negative": (lambda tree: tree.rebalance(iterations=-5), ValueError),
+    "rebalance-fraction": (lambda tree: tree.rebalance(iterations=2.9), TypeError),
+    "rebalance-float-region": (
+        lambda tree: tree.rebalance(region=[2, 3.5], iterations=2), TypeError
+    ),
+    "remove-float": (lambda tree: tree.remove_device(2.7), TypeError),
+    "remove-bool": (lambda tree: tree.remove_device(True), TypeError),
+    "insert-float-device": (lambda tree: tree.insert_device(1.0, [2, 3]), TypeError),
+    "insert-float-neighbors": (lambda tree: tree.insert_device(1, [0.9, 1.2]), TypeError),
+    "insert-bool-neighbor": (lambda tree: tree.insert_device(1, [2, False]), TypeError),
+    "update-float-remove": (lambda tree: tree.update_degree(0, remove=[2.0]), TypeError),
+    "update-float-add": (lambda tree: tree.update_degree(0, add=[5.5]), TypeError),
+    "update-bool-device": (lambda tree: tree.update_degree(False, add=[5]), TypeError),
+}
+
+
+class TestRejectedCalls:
+    """A call the tree rejects journals nothing: the live tree and the
+    journal stay in step, and the journal still replays to the live state."""
+
+    @pytest.mark.parametrize("name", sorted(_REJECTED))
+    def test_a_rejected_call_leaves_the_journal_replayable(self, tmp_path, name):
+        call, error = _REJECTED[name]
+        journal = MutationJournal.create(tmp_path / "j.lmj")
+        snapshots = ArtifactStore()
+        tree, _ = _tree(journal=journal, snapshots=snapshots)
+        tree.remove_device(1)  # device 1 is absent, device 0 keeps an edge to 2
+        tree.update_degree(0, add=[2])
+        before = (tree.seq, tree.chain, tree.state_digest(), journal.path.stat().st_size)
+        with pytest.raises(error):
+            call(tree)
+        after = (tree.seq, tree.chain, tree.state_digest(), journal.path.stat().st_size)
+        assert after == before
+        tree.rebalance(iterations=3)  # the next record takes the next seq
+        live = tree.state_digest()
+        journal.close()
+        assert [r["seq"] for r in read_records(journal.path)[0]] == [0, 1, 2, 3]
+        assert MaintainedTree.replay(journal.path, snapshots).state_digest() == live
+
+    def test_numpy_integer_ids_and_counts_are_accepted(self, tmp_path):
+        records = []
+        for wrap in (int, np.int64, np.int32):
+            journal = MutationJournal.create(tmp_path / f"{wrap.__name__}.lmj")
+            tree, ego = _tree(journal=journal, snapshots=ArtifactStore())
+            tree.remove_device(wrap(1))
+            tree.insert_device(wrap(1), [wrap(v) for v in ego[1]])
+            tree.update_degree(wrap(0), add=[wrap(5)], remove=[wrap(2)])
+            tree.rebalance(region=[wrap(0), wrap(5)], iterations=wrap(3))
+            tree.rebuild(mcmc_iterations=wrap(4))
+            journal.close()
+            records.append(journal.path.read_bytes())
+        assert records[0] == records[1] == records[2]
+
+
+def _pinned_schedule(journal_path):
+    """A seeded, journalled schedule of 300 mutations: inserts, removes,
+    degree updates, rebalances (default and explicit regions), rebuilds
+    and one snapshot.  Returns the finished tree; the journal is closed."""
+    lists, ego, _ = _constructed_tree("facebook", 60, 0, 15)
+    journal = MutationJournal.create(journal_path)
+    tree = MaintainedTree.from_construction(
+        lists, ego, MaintenanceConfig(seed=7), journal=journal, snapshots=ArtifactStore()
+    )
+    rng = np.random.default_rng(2024)
+    absent = []
+    for step in range(1, 301):
+        present = tree.present()
+        if step % 100 == 0:
+            tree.rebuild(mcmc_iterations=10)
+        elif step % 25 == 0:
+            tree.rebalance(iterations=8)
+        elif step == 160:
+            tree.snapshot()
+            tree.rebalance(region=present[:12], iterations=5)
+        elif absent and rng.random() < 0.4:
+            device = absent.pop(int(rng.integers(len(absent))))
+            extra = [int(v) for v in rng.choice(present, size=3, replace=False)]
+            tree.insert_device(device, ego[device] + extra)
+        elif rng.random() < 0.5:
+            device = int(rng.choice(present))
+            tree.remove_device(device)
+            absent.append(device)
+        else:
+            device = int(rng.choice(present))
+            add = [int(v) for v in rng.choice(present, size=2, replace=False)]
+            tree.update_degree(device, add=add, remove=sorted(tree.neighbors[device])[:1])
+    journal.close()
+    return tree
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestPinnedBytes:
+    """The bytes maintenance produces, pinned across versions.
+
+    Replay == live compares two runs of one version; these values were
+    recorded once, so any change to the journal encoding, the chain or the
+    state digest fails here."""
+
+    def test_a_seeded_schedule_reproduces_the_recorded_bytes(self, tmp_path):
+        tree = _pinned_schedule(tmp_path / "pinned.lmj")
+        records, _ = read_records(tmp_path / "pinned.lmj")
+        assert tree.seq == 300
+        assert {record["op"] for record in records} == {
+            "genesis", "insert", "remove", "update_degree", "rebalance", "rebuild", "snapshot",
+        }
+        assert hashlib.sha256((tmp_path / "pinned.lmj").read_bytes()).hexdigest() == (
+            "6ca692eccd9ee1948c429dc8a987eaed983fbc0d9e69909836dcc4020503e431"
+        )
+        assert tree.chain == "ee4282979d8297980d3ff5a34fe3bcd3f591499a6c03fe84a7226f592171eff8"
+        assert tree.state_digest() == (
+            "94cb5d0921a0fcd138a19164d84f4e29889e5ec36113a43bb8165a759977dfd0"
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), _json_values, max_size=6))
+    def test_encode_is_canonical_json(self, record):
+        assert _encode(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        ).encode()
 
 
 class TestSnapshotReplay:
