@@ -242,10 +242,12 @@ class SecureComparator:
         row per block.  The split runs in the narrowest unsigned dtype that
         holds ``bit_width`` (uint8/16/32/64, a multiple of the block width,
         so the narrowing drops only bits no block reads); the shifts and the
-        mask are the comparator's, built once.
+        mask are the comparator's, built once, and the mask is applied in
+        place, so the split allocates one ``(blocks, n)`` array in that dtype.
         """
-        narrow = values.astype(self._block_dtype, copy=False)
-        return ((narrow >> self._block_shifts) & self._block_mask).astype(np.uint8)
+        rows = values.astype(self._block_dtype, copy=False) >> self._block_shifts
+        rows &= self._block_mask
+        return rows.astype(np.uint8, copy=False)
 
     def leaf_shares(
         self, left_blocks: np.ndarray, right_blocks: np.ndarray

@@ -17,10 +17,11 @@ the cost becomes *measured*:
 
 This module is **framing and reconciliation only**.  The millionaires'
 protocol exists once, in :class:`~repro.crypto.secure_compare.SecureComparator`:
-the driver hands its ``execute_batch`` kernel a leaf source that fetches
-party B's shares as ``CMP_CHOICES`` / ``CMP_RESPONSE`` frames, the party
-answers each of them through the comparator's ``leaf_shares``, and
-the comparator's ``charge_batch`` charges the accountant.  Because both
+the driver hands its ``execute_batch`` kernel a leaf source that sends every
+block row's choices as one ``CMP_CHOICES`` frame and reads party B's shares
+back as one ``CMP_RESPONSE`` frame per row, the party answers each row
+through the comparator's ``leaf_shares``, and the comparator's
+``charge_batch`` charges the accountant.  Because both
 deployments run that one kernel, a remote session is **bit-for-bit
 equivalent** to the in-process simulation in results, accountant counters
 and capped log, and canonical ledger transcript, and neither draws from any
@@ -38,9 +39,12 @@ modeled size, so the wire is an honest physical realisation of the model
 rather than a smaller cousin of it.  :meth:`RemoteParty.compare_batch`
 re-derives the analytic total and raises :class:`MeasuredCostMismatch` if the
 bytes that actually crossed the channel diverge — the contract fails loudly,
-never silently.  Session ``CONTROL`` handshakes (ready / done / goodbye) are
-*not* protocol traffic; they are reported separately and excluded from the
-reconciliation, as is the channel's fixed per-frame header
+never silently.  The stand-in bytes of a session are slices of one read-only
+zero buffer the driver allocates before the party forks; a response carries
+them first, so the party checksums them once per session and each row's
+CRC-32 continues from theirs.  Session ``CONTROL`` handshakes (ready / done
+/ goodbye) are *not* protocol traffic; they are reported separately and
+excluded from the reconciliation, as is the channel's fixed per-frame header
 (:data:`~repro.runtime.channel.FRAME_OVERHEAD_BYTES`).
 
 Failure model
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
+import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple
@@ -66,10 +71,13 @@ from ..federation.events import MessageKind
 from ..federation.network import constant_column
 from ..runtime.channel import (
     FRAME_OVERHEAD_BYTES,
+    MAX_FRAME_BYTES,
     ChannelError,
+    FrameCorruption,
     FrameKind,
     PartyChannel,
     channel_pair,
+    check_timeout,
 )
 from .oblivious_transfer import TranscriptAccountant
 from .secure_compare import ComparisonCost, SecureComparator, comparison_cost, operand_array
@@ -136,25 +144,50 @@ PROTOCOL_KINDS = (
 )
 
 
-def _unpack_bits(payload: bytes, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
-    return bits.astype(bool)
+#: ``CMP_RESPONSE`` payload bytes per comparison and block row: the analytic
+#: size of the block's two 1-out-of-2^m OTs, less the choice byte the driver
+#: already sent in ``CMP_CHOICES``.
+RESPONSE_BYTES = 2 * (((1 << SecureComparator.BLOCK_BITS) + 128) // 8) - 1
+
+
+def _response_layout(count: int) -> Tuple[int, int]:
+    """``(stand-in bytes, packed share-row bytes)`` of one ``CMP_RESPONSE``.
+
+    A response is ``[stand-in | greater bits | equal bits]``: the stand-in
+    first, so its CRC is a per-session constant the share rows continue.
+    """
+    packed = -(-count // 8)
+    return RESPONSE_BYTES * count - 2 * packed, packed
+
+
+def _stand_in(count: int, bit_width: int) -> bytes:
+    """The session's zero stand-in bytes: one read-only buffer for both sides.
+
+    Sized for the widest stand-in a frame carries — a response's head, or
+    the combine tree's first ``CMP_AND`` level (one byte per gate per
+    comparison).  The driver allocates it before the party forks; the
+    party's response heads and the driver's ``CMP_AND`` frames are slices of
+    it, so neither side builds a stand-in per frame.
+    """
+    blocks = comparison_cost(bit_width, block_bits=SecureComparator.BLOCK_BITS).num_blocks
+    return bytes(max(_response_layout(count)[0], blocks // 2 * count))
 
 
 # --------------------------------------------------------------------- #
 # Party process (the far side of the channel)
 # --------------------------------------------------------------------- #
-def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> None:
+def party_main(channel: PartyChannel, config: dict, private_values: bytes, stand_in: bytes) -> None:
     """Serve one comparison session as the remote party, then exit.
 
     ``config`` carries the public session parameters (count, bit width);
     ``private_values`` the party's own operands, delivered out-of-band via
-    process spawn arguments — private inputs never cross the channel.
+    process spawn arguments — private inputs never cross the channel —
+    and ``stand_in`` the session's zero stand-in buffer (:func:`_stand_in`).
     """
     # A forked party never records into the parent's ambient tracer.
     obs.set_tracer(None)
     try:
-        _serve_comparison(channel, config, private_values)
+        _serve_comparison(channel, config, private_values, stand_in)
         channel.send(FrameKind.CONTROL, b"bye")
     except ChannelError:
         # Driver vanished: nothing left to report to.
@@ -168,43 +201,47 @@ def party_main(channel: PartyChannel, config: dict, private_values: bytes) -> No
         channel.close()
 
 
-def _serve_comparison(channel, config, private_values) -> None:
+def _serve_comparison(channel, config, private_values, stand_in) -> None:
     """Party B of the millionaires' protocol: holds ``right``, serves tables.
 
-    Per big-endian block row the driver sends its choice blocks
-    (``CMP_CHOICES``, one byte per comparison); this party answers them
+    The driver sends the choice blocks of every big-endian block row as one
+    ``CMP_CHOICES`` frame (one byte per comparison per row): the leaf OTs do
+    not depend on one another, so they share one round.  This party reads
+    the whole frame before it sends anything, then answers row by row
     through :meth:`~repro.crypto.secure_compare.SecureComparator.leaf_shares`
-    — the packed-table OTs the in-process party B runs, whose range
-    check rejects a choice byte outside the table — and responds with the
-    two packed share rows (``CMP_RESPONSE``), padded with stand-in bytes to
-    the analytic size of the two 1-out-of-2^m OTs.  The response buffer is
-    allocated once per session: each row overwrites its head with the share
-    rows, and the zero stand-in tail is never rebuilt.  The combine tree's
-    ``CMP_AND`` traffic is received and discarded (its information content
-    is a local computation in the collapsed simulation; the frames exist to
-    realise the modeled Beaver-triple bytes on a real wire).
+    — the packed-table OTs the in-process party B runs, whose range check
+    rejects a choice byte outside the table — with one ``CMP_RESPONSE`` per
+    row: the stand-in head that pads the response to the analytic size of
+    the two 1-out-of-2^m OTs, then the two packed share rows.  The head is a
+    slice of ``stand_in`` checksummed once per session; each row's CRC-32
+    continues from it over the share rows alone, and no response buffer is
+    allocated.  The combine tree's ``CMP_AND`` traffic is received and
+    discarded (its information content is a local computation in the
+    collapsed simulation; the frames exist to realise the modeled
+    Beaver-triple bytes on a real wire).
     """
     count = int(config["count"])
     comparator = SecureComparator(bit_width=int(config["bit_width"]))
-    right = np.frombuffer(private_values, dtype="<u8").astype(np.uint64)
+    right = np.frombuffer(private_values, dtype="<u8").astype(np.uint64, copy=False)
     if right.shape[0] != count:
         raise ValueError("private operand count mismatch")
     right_blocks = comparator.block_rows(right)
-    # The two OTs of a block, less the choice byte the driver already sent.
-    per_ot_bytes = ((1 << comparator.BLOCK_BITS) + 128) // 8
-    response = np.zeros(2 * per_ot_bytes * count - count, dtype=np.uint8)
-    packed = -(-count // 8)
-
-    channel.send(FrameKind.CONTROL, b"ready")
-    for blocks in right_blocks:
-        _, payload = channel.recv(expected=(FrameKind.CMP_CHOICES,))
-        if len(payload) != count:
-            raise ValueError(f"CMP_CHOICES carries {len(payload)} bytes for {count} comparisons")
-        greater, equal = comparator.leaf_shares(np.frombuffer(payload, dtype=np.uint8), blocks)
-        response[:packed] = np.packbits(greater)
-        response[packed:2 * packed] = np.packbits(equal)
-        channel.send(FrameKind.CMP_RESPONSE, response)
     width = right_blocks.shape[0]
+    head_bytes, _ = _response_layout(count)
+    head = memoryview(stand_in)[:head_bytes]
+    head_crc = zlib.crc32(head)
+    channel.send(FrameKind.CONTROL, b"ready")
+    _, payload = channel.recv(expected=(FrameKind.CMP_CHOICES,))
+    if len(payload) != width * count:
+        raise ValueError(
+            f"CMP_CHOICES carries {len(payload)} bytes for {width} x {count} choices"
+        )
+    choices = np.frombuffer(payload, dtype=np.uint8).reshape(width, count)
+    for row_choices, blocks in zip(choices, right_blocks):
+        greater, equal = comparator.leaf_shares(row_choices, blocks)
+        greater, equal = np.packbits(greater), np.packbits(equal)
+        crc = zlib.crc32(equal, zlib.crc32(greater, head_crc))
+        channel.send(FrameKind.CMP_RESPONSE, head, greater, equal, crc=crc)
     while width > 1:
         channel.recv(expected=(FrameKind.CMP_AND,))
         width -= width // 2
@@ -234,12 +271,10 @@ class RemoteParty:
         timeout: float = DEFAULT_SESSION_TIMEOUT,
         ledger=None,
     ) -> None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        self.timeout = check_timeout(timeout)
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self._comparator = SecureComparator(bit_width, accountant=self.accountant)
         self.bit_width = bit_width
-        self.timeout = timeout
         self.ledger = ledger
 
     # -- infrastructure ------------------------------------------------ #
@@ -251,7 +286,9 @@ class RemoteParty:
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
 
-    def _run_session(self, config: dict, private_values: bytes, protocol) -> Tuple[object, TransportReport]:
+    def _run_session(
+        self, config: dict, private_values: bytes, stand_in: bytes, protocol
+    ) -> Tuple[object, TransportReport]:
         """Spawn the party, run ``protocol(channel)``, reconcile, clean up."""
         context = self._mp_context()
         driver_end, party_end = channel_pair(
@@ -259,7 +296,7 @@ class RemoteParty:
         )
         process = context.Process(
             target=party_main,
-            args=(party_end, config, private_values),
+            args=(party_end, config, private_values, stand_in),
             daemon=True,
         )
         process.start()
@@ -312,15 +349,15 @@ class RemoteParty:
             )
         return result, report
 
-    def _send(self, channel: PartyChannel, kind: FrameKind, payload) -> None:
-        size = channel.send(kind, payload)
+    def _send(self, channel: PartyChannel, kind: FrameKind, *buffers) -> None:
+        size = channel.send(kind, *buffers)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
                 DRIVER_PARTY, REMOTE_PARTY, kind.name,
                 size, size + FRAME_OVERHEAD_BYTES, description="secure-transport",
             )
 
-    def _recv(self, channel: PartyChannel, expected) -> Tuple[FrameKind, bytearray]:
+    def _recv(self, channel: PartyChannel, expected) -> Tuple[FrameKind, memoryview]:
         kind, payload = channel.recv(expected=expected)
         if self.ledger is not None:
             self.ledger.record_transport_frame(
@@ -330,24 +367,31 @@ class RemoteParty:
         return kind, payload
 
     # -- comparison session -------------------------------------------- #
-    def _fetch_leaf_shares(self, channel: PartyChannel, left_blocks: np.ndarray):
+    def _fetch_leaf_shares(self, channel: PartyChannel, stand_in: bytes, left_blocks: np.ndarray):
         """The kernel's leaf source over the wire: party B's ``(greater, equal)``.
 
-        One ``CMP_CHOICES`` / ``CMP_RESPONSE`` exchange per block row, then
-        the combine tree's modeled Beaver bytes as stand-in ``CMP_AND``
-        frames: one per level, 1 byte per gate per comparison, each a slice
-        of one zero array sized for the first (widest) level.
+        Every block row's choices go out as one ``CMP_CHOICES`` frame; party
+        B answers with one ``CMP_RESPONSE`` per row, and the driver unpacks
+        row r while the party computes row r + 1.  Then the combine tree's
+        modeled Beaver bytes go out as stand-in ``CMP_AND`` frames: one per
+        level, 1 byte per gate per comparison, each a slice of ``stand_in``.
         """
         width, count = left_blocks.shape
+        head_bytes, packed = _response_layout(count)
         greater = np.empty(left_blocks.shape, dtype=bool)
         equal = np.empty(left_blocks.shape, dtype=bool)
-        packed = -(-count // 8)
-        for row, choices in enumerate(left_blocks):
-            self._send(channel, FrameKind.CMP_CHOICES, choices)
+        self._send(channel, FrameKind.CMP_CHOICES, left_blocks)
+        for row in range(width):
             _, payload = self._recv(channel, (FrameKind.CMP_RESPONSE,))
-            greater[row] = _unpack_bits(payload[:packed], count)
-            equal[row] = _unpack_bits(payload[packed:2 * packed], count)
-        stand_ins = np.zeros(width // 2 * count, dtype=np.uint8)
+            if len(payload) != RESPONSE_BYTES * count:
+                raise FrameCorruption(
+                    f"CMP_RESPONSE carries {len(payload)} bytes, "
+                    f"expected {RESPONSE_BYTES * count}"
+                )
+            shares = np.frombuffer(payload, dtype=np.uint8, offset=head_bytes)
+            greater[row] = np.unpackbits(shares[:packed], count=count)
+            equal[row] = np.unpackbits(shares[packed:], count=count)
+        stand_ins = memoryview(stand_in)
         while width > 1:
             self._send(channel, FrameKind.CMP_AND, stand_ins[: width // 2 * count])
             width -= width // 2
@@ -366,7 +410,9 @@ class RemoteParty:
         ledger is attached — the same canonical ``SECURE_COMPARISON``
         message charge as the in-process callers, with the physical frames
         recorded in the frame table only.  An empty batch starts no
-        session.
+        session, and a batch whose widest frame would exceed
+        :data:`~repro.runtime.channel.MAX_FRAME_BYTES` raises ``ValueError``
+        before any process starts.
         """
         left = operand_array(left, "left", self.bit_width)
         right = operand_array(right, "right", self.bit_width)
@@ -378,6 +424,14 @@ class RemoteParty:
             return RemoteComparisonOutcome(
                 np.zeros(0, dtype=bool), cost, TransportReport(0, 0, 0, 0, 0, {})
             )
+        # The widest frame is a block row's response or the batch's choices.
+        per_comparison = max(RESPONSE_BYTES, cost.num_blocks)
+        if count * per_comparison > MAX_FRAME_BYTES:
+            raise ValueError(
+                f"a batch of {count} {self.bit_width}-bit comparisons needs a frame of "
+                f"{count * per_comparison} bytes, above the {MAX_FRAME_BYTES}-byte cap; "
+                f"the largest batch at this width is {MAX_FRAME_BYTES // per_comparison}"
+            )
         config = {
             "session_key": session_key,
             "count": count,
@@ -388,10 +442,13 @@ class RemoteParty:
         def protocol(channel: PartyChannel):
             with obs.span("transport.compare", count=count, bit_width=self.bit_width):
                 return self._comparator.execute_batch(
-                    left, partial(self._fetch_leaf_shares, channel)
+                    left, partial(self._fetch_leaf_shares, channel, stand_in)
                 )
 
-        outcomes, report = self._run_session(config, right.astype("<u8").tobytes(), protocol)
+        stand_in = _stand_in(count, self.bit_width)  # before the party forks
+        outcomes, report = self._run_session(
+            config, right.astype("<u8").tobytes(), stand_in, protocol
+        )
         self._comparator.charge_batch(count)
         if self.ledger is not None:
             charge_comparison_ledger(self.ledger, count, cost, DRIVER_PARTY, REMOTE_PARTY)

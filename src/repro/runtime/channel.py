@@ -11,12 +11,14 @@ moves opaque byte payloads as *frames* —
 
 ``[length: u32][crc32: u32][kind: u8][payload: length bytes]``
 
-— and nothing else, checksummed once on each side and copied only by the
-kernel — with a CRC-32 integrity check on every receive, a typed
-:class:`FrameKind` tag so protocol steps are self-describing on the wire,
-and per-kind byte accounting on both directions.  The 9-byte header is the
-channel's own overhead and is reported separately from protocol payload
-bytes: the measured-vs-analytic contract (``docs/architecture.md`` §12)
+— and nothing else, copied only by the kernel — with a CRC-32 integrity
+check on every byte received, a typed :class:`FrameKind` tag so protocol
+steps are self-describing on the wire, and per-kind byte accounting on both
+directions.  A sender may hand a frame over as several buffers (written one
+after another, never joined) together with a CRC it already holds; the
+receiver folds the CRC into its read loop and reads every frame into one
+buffer per endpoint.  The 9-byte header is the channel's own overhead and
+is reported separately from protocol payload bytes: the measured-vs-analytic contract (``docs/architecture.md`` §12)
 compares *payload* bytes against :func:`~repro.crypto.secure_compare.comparison_cost`,
 while ``wire_bytes_*`` tells the true on-the-wire total.
 
@@ -25,9 +27,10 @@ Failure surfaces are typed, never silent:
 * :class:`ChannelClosed` — the peer's end is gone (EOF / broken pipe),
   e.g. a killed party; :class:`~repro.crypto.transport.RemoteParty` maps
   it onto a typed ``RemotePartyError``.
-* :class:`ChannelTimeout` — no complete frame within the deadline; one
-  deadline covers the whole frame, so neither a dead peer nor one that
-  stalls mid-frame can hang the driver.
+* :class:`ChannelTimeout` — a frame not completely received, or not
+  completely sent, within the deadline; one deadline covers the whole
+  frame, so neither a dead peer, nor one that stalls mid-frame, nor one that
+  stops reading can hang the driver.
 * :class:`FrameCorruption` — CRC mismatch, a length field above
   :data:`MAX_FRAME_BYTES`, a frame cut short by EOF, unknown kind tag, or
   an unexpected frame kind mid-protocol.
@@ -39,6 +42,8 @@ pinned bit-for-bit contract.
 
 from __future__ import annotations
 
+import math
+import numbers
 import socket
 import struct
 import time
@@ -60,9 +65,24 @@ FRAME_OVERHEAD_BYTES = HEADER.size
 #: multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Default bound on every receive.  Generous for same-host sockets; the
-#: point is that *no* receive is unbounded.
+#: Default bound on every send and receive.  Generous for same-host sockets;
+#: the point is that *no* frame transfer is unbounded.
 DEFAULT_TIMEOUT_SECONDS = 30.0
+
+
+def check_timeout(timeout) -> float:
+    """Return ``timeout`` in seconds if it is a finite positive real number.
+
+    A bool or a non-number raises ``TypeError`` (``True`` is not one second);
+    zero, a negative, ``nan`` or ``inf`` raises ``ValueError``.  Callers check
+    at construction, so a bad deadline fails before any party process starts
+    rather than as an untyped error mid-session.
+    """
+    if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real):
+        raise TypeError(f"timeout must be a real number of seconds, not {type(timeout).__name__}")
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
+    return float(timeout)
 
 
 class FrameKind(IntEnum):
@@ -90,7 +110,7 @@ class ChannelClosed(ChannelError):
 
 
 class ChannelTimeout(ChannelError):
-    """No complete frame arrived within the receive deadline."""
+    """A frame was not completely received, or sent, within the deadline."""
 
 
 class FrameCorruption(ChannelError):
@@ -149,42 +169,53 @@ class PartyChannel:
         party: str,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
     ) -> None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        self.timeout = check_timeout(timeout)
         self._socket = sock
         self.party = party
-        self.timeout = timeout
         self.stats = ChannelStats()
         self._closed = False
+        # Every receive reads into these two buffers (see recv).
+        self._header = bytearray(FRAME_OVERHEAD_BYTES)
+        self._buffer = bytearray()
 
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
-    def send(self, kind: FrameKind, payload=b"") -> int:
-        """Frame ``payload`` under ``kind`` and write it to the socket.
+    def send(self, kind: FrameKind, *buffers, crc: Optional[int] = None) -> int:
+        """Frame the concatenation of ``buffers`` under ``kind`` and write it.
 
-        ``payload`` is any C-contiguous buffer (bytes, a numpy array, a
-        memoryview), checksummed and written in place after the header.
-        Returns the payload byte count (what the measured-vs-analytic
+        Each buffer is any C-contiguous buffer (bytes, a numpy array, a
+        memoryview); they are written one after another after the header,
+        never joined, and no buffer at all is an empty payload.  ``crc`` is
+        the payload's CRC-32 when the sender already holds it — a constant
+        prefix checksummed once continues as ``zlib.crc32(rest,
+        prefix_crc)`` — and is computed here otherwise.  The receiver
+        verifies every byte it reads whatever the sender claims, so a wrong
+        ``crc`` is a :class:`FrameCorruption` at the peer.
+
+        One deadline, the endpoint's timeout, covers the whole frame: a peer
+        that stops reading surfaces as :class:`ChannelTimeout`, and the
+        endpoint closes, because part of the frame may already be on the
+        wire.  Returns the payload byte count (what the measured-vs-analytic
         contract sums); header overhead is tracked in :attr:`stats` but not
         returned, to keep call sites aligned with the analytic model.
         """
         if self._closed:
             raise ChannelClosed(f"{self.party}: channel already closed")
         kind = FrameKind(kind)
-        view = memoryview(payload)
-        length = view.nbytes
+        views = [memoryview(buffer) for buffer in buffers]
+        if not all(view.c_contiguous for view in views):
+            raise BufferError("frame buffers must be C-contiguous")
+        length = sum(view.nbytes for view in views)
         if length > MAX_FRAME_BYTES:
             raise ValueError(
                 f"frame payload of {length} bytes exceeds cap {MAX_FRAME_BYTES}"
             )
-        header = HEADER.pack(length, zlib.crc32(view), int(kind))
-        try:
-            self._socket.settimeout(None)  # only receives carry a deadline
-            self._socket.sendall(header)
-            self._socket.sendall(view)
-        except OSError as exc:
-            raise ChannelClosed(f"{self.party}: peer hung up during send") from exc
+        if crc is None:
+            crc = 0
+            for view in views:
+                crc = zlib.crc32(view, crc)
+        self._write(HEADER.pack(length, crc, int(kind)), *views)
         self.stats.frames_sent += 1
         self.stats.payload_bytes_sent += length
         self.stats.by_kind_sent[kind.name] = (
@@ -194,6 +225,24 @@ class PartyChannel:
         obs.add_counter("channel.bytes_sent", length + FRAME_OVERHEAD_BYTES)
         return length
 
+    def _write(self, *views) -> None:
+        """``sendall`` each view in turn, all within one deadline."""
+        expires = time.monotonic() + self.timeout
+        for view in views:
+            remaining = expires - time.monotonic()
+            try:
+                if remaining <= 0:
+                    raise socket.timeout
+                self._socket.settimeout(remaining)
+                self._socket.sendall(view)
+            except socket.timeout as exc:
+                self.close()
+                raise ChannelTimeout(
+                    f"{self.party}: frame not sent within {self.timeout:.3f}s"
+                ) from exc
+            except OSError as exc:
+                raise ChannelClosed(f"{self.party}: peer hung up during send") from exc
+
     # ------------------------------------------------------------------ #
     # Receiving
     # ------------------------------------------------------------------ #
@@ -201,8 +250,14 @@ class PartyChannel:
         self,
         expected: Optional[Tuple[FrameKind, ...]] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[FrameKind, bytearray]:
+    ) -> Tuple[FrameKind, memoryview]:
         """Receive one frame, verify its CRC, and return ``(kind, payload)``.
+
+        ``payload`` is a read-only view of this endpoint's receive buffer,
+        which every frame reuses: it is valid until the next ``recv`` on this
+        endpoint, so a caller that keeps it longer copies it first
+        (``bytes(payload)``).  The CRC-32 is folded in chunk by chunk as the
+        payload arrives, over every byte read.
 
         One deadline, ``timeout`` (falling back to the channel default),
         covers the whole frame, so a crashed or stalled peer surfaces as
@@ -215,10 +270,9 @@ class PartyChannel:
         """
         if self._closed:
             raise ChannelClosed(f"{self.party}: channel already closed")
-        deadline = self.timeout if timeout is None else timeout
+        deadline = self.timeout if timeout is None else check_timeout(timeout)
         expires = time.monotonic() + deadline
-        header = bytearray(FRAME_OVERHEAD_BYTES)
-        got = self._fill(header, 0, expires, deadline)
+        got, _ = self._fill(memoryview(self._header), 0, expires, deadline)
         if got == 0:
             raise ChannelClosed(f"{self.party}: peer hung up during recv")
         if got < FRAME_OVERHEAD_BYTES:
@@ -226,20 +280,24 @@ class PartyChannel:
                 f"{self.party}: truncated frame: EOF after {got} of "
                 f"{FRAME_OVERHEAD_BYTES} header bytes"
             )
-        length, crc, kind_tag = HEADER.unpack(header)
+        length, crc, kind_tag = HEADER.unpack(self._header)
         if length > MAX_FRAME_BYTES:
             self.close()
             raise FrameCorruption(
                 f"{self.party}: length field {length} exceeds cap {MAX_FRAME_BYTES}"
             )
-        payload = bytearray(length)
-        got = self._fill(payload, FRAME_OVERHEAD_BYTES, expires, deadline)
+        if length > len(self._buffer):
+            # A new buffer rather than a resize: a payload returned earlier
+            # may still be referenced, and an exported bytearray cannot grow.
+            self._buffer = bytearray(length)
+        payload = memoryview(self._buffer)[:length]
+        got, received_crc = self._fill(payload, FRAME_OVERHEAD_BYTES, expires, deadline)
         if got < length:
             raise FrameCorruption(
                 f"{self.party}: truncated frame: length field {length}, "
                 f"EOF after {got} payload bytes"
             )
-        if zlib.crc32(payload) != crc:
+        if received_crc != crc:
             raise FrameCorruption(f"{self.party}: CRC mismatch on {length}-byte frame")
         try:
             kind = FrameKind(kind_tag)
@@ -256,24 +314,26 @@ class PartyChannel:
             if kind is FrameKind.ERROR:
                 raise ChannelError(
                     f"{self.party}: peer reported failure: "
-                    f"{payload.decode('utf-8', errors='replace')}"
+                    f"{bytes(payload).decode('utf-8', errors='replace')}"
                 )
             names = "/".join(k.name for k in expected)
             raise FrameCorruption(
                 f"{self.party}: expected {names}, received {kind.name}"
             )
-        return kind, payload
+        return kind, payload.toreadonly()
 
-    def _fill(self, buffer: bytearray, offset: int, expires: float, deadline: float) -> int:
-        """Read into ``buffer`` until it is full or the peer closes.
+    def _fill(
+        self, view: memoryview, offset: int, expires: float, deadline: float
+    ) -> Tuple[int, int]:
+        """Read into ``view`` until it is full or the peer closes.
 
-        Returns the bytes read.  ``offset`` is how much of the frame was
-        read before ``buffer``: a timeout after any byte of the frame closes
-        this endpoint.
+        Returns the bytes read and their CRC-32, folded in after each
+        ``recv_into`` while the chunk is still in cache.  ``offset`` is how
+        much of the frame was read before ``view``: a timeout after any byte
+        of the frame closes this endpoint.
         """
-        view = memoryview(buffer)
-        got = 0
-        while got < len(buffer):
+        got = crc = 0
+        while got < len(view):
             remaining = expires - time.monotonic()
             try:
                 if remaining <= 0:
@@ -290,8 +350,9 @@ class PartyChannel:
                 raise ChannelClosed(f"{self.party}: peer hung up during recv") from exc
             if read == 0:
                 break
+            crc = zlib.crc32(view[got:got + read], crc)
             got += read
-        return got
+        return got, crc
 
     def close(self) -> None:
         """Close this endpoint; further sends and receives raise."""
@@ -311,8 +372,7 @@ def channel_pair(
     parties: Tuple[str, str] = ("driver", "party"),
 ) -> Tuple[PartyChannel, PartyChannel]:
     """Create a connected duplex channel pair, one endpoint per party."""
-    if timeout <= 0:  # before the sockets exist, so none is left unclosed
-        raise ValueError("timeout must be positive")
+    check_timeout(timeout)  # before the sockets exist, so none is left unclosed
     left, right = socket.socketpair()
     return (
         PartyChannel(left, party=parties[0], timeout=timeout),

@@ -52,19 +52,19 @@ def party_dies_before_send(send_number: int):
     ``send_number``-th frame (1 is the ``ready`` handshake)."""
     original = transport.party_main
 
-    def party_main(channel, config, private_values):
+    def party_main(channel, *args):
         sends = 0
         send = channel.send
 
-        def counted_send(kind, payload=b""):
+        def counted_send(kind, *buffers, **options):
             nonlocal sends
             sends += 1
             if sends == send_number:
                 os._exit(CRASH_EXIT_CODE)
-            return send(kind, payload)
+            return send(kind, *buffers, **options)
 
         channel.send = counted_send
-        original(channel, config, private_values)
+        original(channel, *args)
 
     return mock.patch.object(transport, "party_main", party_main)
 

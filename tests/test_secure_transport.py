@@ -19,18 +19,24 @@ Contracts pinned here:
 * **typed failure surfaces** — CRC/length/kind violations, timeouts, closed
   pipes, and killed peers all raise typed errors and never hang.  The kills
   are real: ``helpers.crash_points`` makes the party process ``os._exit``
-  before its N-th frame.
+  before its N-th frame.  Adversarial streams (a bit flipped anywhere in a
+  frame larger than the socket buffer, or the stream cut at any offset) are
+  a hypothesis sweep: each ends in a typed error, none returns a payload.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import socket
 import threading
 import time
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers.crash_points import party_dies_before_send
 from helpers.rng_contract import assert_stream_contract
@@ -44,7 +50,12 @@ from repro.crypto import (
     TransportReport,
     comparison_cost,
 )
-from repro.crypto.transport import _serve_comparison, charge_comparison_ledger
+from repro.crypto.transport import (
+    RESPONSE_BYTES,
+    _serve_comparison,
+    _stand_in,
+    charge_comparison_ledger,
+)
 from repro.federation import CommunicationLedger
 from repro.runtime import (
     ChannelClosed,
@@ -78,6 +89,11 @@ def _operands(bit_width: int, count: int, seed: int):
 def _raw_write(channel: PartyChannel, data: bytes) -> None:
     """Put ``data`` on ``channel``'s socket as is, bypassing the framing."""
     channel._socket.sendall(data)
+
+
+def _frame(payload: bytes, kind: FrameKind = FrameKind.CMP_RESPONSE) -> bytes:
+    """One well-formed frame, header and payload, as the wire carries it."""
+    return HEADER.pack(len(payload), zlib.crc32(payload), int(kind)) + payload
 
 
 # --------------------------------------------------------------------------- #
@@ -147,6 +163,43 @@ class TestPartyChannel:
             driver.send(FrameKind.CMP_AND, rows[:, 0])
         driver.close()
         party.close()
+
+    def test_a_frame_sent_in_parts_is_their_concatenation(self):
+        # The parts are written one after another under one header; a CRC
+        # the sender already holds for a prefix continues over the rest.
+        driver, party = channel_pair(timeout=TIMEOUT)
+        head, rows = bytes(300), np.arange(6, dtype="<u8").reshape(2, 3)
+        joined = head + rows.tobytes() + b"tail"
+        held = zlib.crc32(b"tail", zlib.crc32(rows, zlib.crc32(head)))
+        for crc in (None, held):
+            assert driver.send(FrameKind.CMP_RESPONSE, head, rows, b"tail", crc=crc) == len(joined)
+            kind, payload = party.recv(expected=(FrameKind.CMP_RESPONSE,))
+            assert payload == joined and payload.readonly
+        driver.send(FrameKind.CMP_RESPONSE, head, rows, b"tail", crc=held)
+        driver.close()
+        raw = b""
+        while chunk := party._socket.recv(1 << 16):
+            raw += chunk
+        assert raw == _frame(joined)
+        assert driver.stats.by_kind_sent == {"CMP_RESPONSE": 3 * len(joined)}
+        party.close()
+
+    def test_a_wrong_sender_crc_is_corruption_at_the_peer(self):
+        driver, party = channel_pair(timeout=TIMEOUT)
+        body = bytes(range(256)) * 1024  # larger than the socket buffer
+        sender = threading.Thread(
+            target=driver.send, args=(FrameKind.CMP_RESPONSE, body[:1000], body[1000:]),
+            kwargs={"crc": zlib.crc32(body) ^ 1},
+        )
+        sender.start()
+        try:
+            with pytest.raises(FrameCorruption, match="CRC mismatch"):
+                party.recv(expected=(FrameKind.CMP_RESPONSE,))
+        finally:
+            sender.join(timeout=TIMEOUT)
+            driver.close()
+            party.close()
+        assert not sender.is_alive()
 
     def test_crc_corruption_is_detected(self):
         driver, party = channel_pair(timeout=TIMEOUT)
@@ -268,15 +321,80 @@ class TestPartyChannel:
         driver.close()
         party.close()
 
+    def test_send_to_a_peer_that_never_reads_hits_the_deadline(self):
+        # 4 MiB is far more than the socket buffers hold, so the send can
+        # only finish if the peer reads.  Without a send deadline it blocks
+        # for good; the thread's join timeout keeps this test bounded then.
+        driver, party = channel_pair(timeout=0.5)
+        raised = []
+
+        def send():
+            try:
+                driver.send(FrameKind.CMP_CHOICES, bytes(4 << 20))
+            except ChannelError as exc:
+                raised.append(exc)
+
+        sender = threading.Thread(target=send, daemon=True)
+        started = time.monotonic()
+        sender.start()
+        sender.join(timeout=3.0)
+        elapsed = time.monotonic() - started
+        try:
+            assert not sender.is_alive(), "send blocked past its deadline"
+            assert elapsed < 1.0
+            assert len(raised) == 1 and isinstance(raised[0], ChannelTimeout)
+            assert "not sent within 0.500s" in str(raised[0])
+            # Part of the frame is on the wire: the stream cannot resynchronise.
+            with pytest.raises(ChannelClosed, match="already closed"):
+                driver.send(FrameKind.CONTROL)
+        finally:
+            party.close()  # unblocks a send that ignored its deadline
+            driver.close()
+            sender.join(timeout=TIMEOUT)
+
+    #: Deadlines refused before any socket or process exists.
+    BAD_TIMEOUTS = (
+        (0.0, ValueError),
+        (-1.0, ValueError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (True, TypeError),
+        (np.bool_(True), TypeError),
+        ("1", TypeError),
+        (None, TypeError),
+    )
+
     def test_timeout_must_be_positive(self):
-        with pytest.raises(ValueError):
-            channel_pair(timeout=0.0)
+        for timeout, error in self.BAD_TIMEOUTS:
+            with pytest.raises(error, match="timeout must be"):
+                channel_pair(timeout=timeout)
+        left, right = socket.socketpair()
+        try:
+            for timeout, error in self.BAD_TIMEOUTS:
+                with pytest.raises(error, match="timeout must be"):
+                    PartyChannel(left, party="driver", timeout=timeout)
+        finally:
+            left.close()
+            right.close()
+        driver, party = channel_pair(timeout=TIMEOUT)
+        for timeout, error in self.BAD_TIMEOUTS[:-1]:  # None means the default
+            with pytest.raises(error, match="timeout must be"):
+                driver.recv(timeout=timeout)
+        # A refused deadline reads nothing: the endpoint stays usable.
+        party.send(FrameKind.CONTROL, b"ok")
+        assert driver.recv(timeout=np.float64(TIMEOUT)) == (FrameKind.CONTROL, b"ok")
+        driver.close()
+        party.close()
 
     def test_remote_party_timeout_must_be_positive(self):
         # Rejected at construction, not at the first session.
         for timeout in (0, -1.0):
             with pytest.raises(ValueError, match="timeout must be positive"):
                 RemoteParty(timeout=timeout)
+        for timeout, error in self.BAD_TIMEOUTS:
+            with pytest.raises(error, match="timeout must be"):
+                RemoteParty(timeout=timeout)
+        assert RemoteParty(timeout=5).timeout == 5.0
 
 
 # --------------------------------------------------------------------------- #
@@ -390,15 +508,36 @@ class TestRemoteComparisonEquivalence:
         with pytest.raises(ValueError):
             RemoteParty(bit_width=0)
 
+    def test_a_batch_above_the_frame_cap_is_refused_before_forking(self, monkeypatch):
+        # At 24 bits a block row's CMP_RESPONSE is the widest frame; one
+        # comparison more than the cap allows is refused before a session.
+        class Started(Exception):
+            pass
+
+        def started(*_args, **_kwargs):
+            raise Started
+
+        monkeypatch.setattr(RemoteParty, "_run_session", started)
+        driver = RemoteParty(bit_width=24, timeout=TIMEOUT)
+        largest = MAX_FRAME_BYTES // RESPONSE_BYTES
+        operands = np.zeros(largest + 1, dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"the largest batch at this width is {largest}"):
+            driver.compare_batch(operands, operands)
+        with pytest.raises(Started):
+            driver.compare_batch(operands[:largest], operands[:largest])
+        assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+
 
 # --------------------------------------------------------------------------- #
 # One kernel: outcome bits come from the wire, the protocol from the comparator
 # --------------------------------------------------------------------------- #
-#: A CMP_CHOICES body the party must refuse although its CRC is valid.
+#: A CMP_CHOICES body the party must refuse although its CRC is valid, made
+#: from the size of the batch-wide frame (one byte per block row per
+#: comparison).
 BAD_CHOICES = {
-    "byte outside the table": (lambda count: b"\x10" * count, "choice out of table range"),
-    "one byte too many": (lambda count: b"\x01" * (count + 1), "CMP_CHOICES carries"),
-    "one byte too few": (lambda count: b"\x01" * (count - 1), "CMP_CHOICES carries"),
+    "byte outside the table": (lambda size: b"\x10" * size, "choice out of table range"),
+    "one byte too many": (lambda size: b"\x01" * (size + 1), "CMP_CHOICES carries"),
+    "one byte too few": (lambda size: b"\x01" * (size - 1), "CMP_CHOICES carries"),
 }
 
 
@@ -414,7 +553,7 @@ class TestPartyRejectsMalformedChoices:
 
         def serve():
             try:
-                _serve_comparison(party, config, private)
+                _serve_comparison(party, config, private, _stand_in(count, 8))
             except ValueError as exc:
                 raised.append(exc)
 
@@ -422,7 +561,8 @@ class TestPartyRejectsMalformedChoices:
         thread.start()
         try:
             driver.recv(expected=(FrameKind.CONTROL,))  # ready
-            driver.send(FrameKind.CMP_CHOICES, make_body(count))
+            # 8 bits are two block rows: the batch-wide frame is 2 * count bytes.
+            driver.send(FrameKind.CMP_CHOICES, make_body(2 * count))
             thread.join(timeout=TIMEOUT)
             assert not thread.is_alive()
         finally:
@@ -437,10 +577,10 @@ class TestPartyRejectsMalformedChoices:
         make_body, message = BAD_CHOICES[case]
         original = RemoteParty._send
 
-        def corrupting(self, channel, kind, payload):
+        def corrupting(self, channel, kind, *buffers):
             if kind is FrameKind.CMP_CHOICES:
-                payload = make_body(len(payload))
-            original(self, channel, kind, payload)
+                buffers = (make_body(sum(memoryview(part).nbytes for part in buffers)),)
+            original(self, channel, kind, *buffers)
 
         monkeypatch.setattr(RemoteParty, "_send", corrupting)
         driver = RemoteParty(bit_width=8, timeout=TIMEOUT)
@@ -448,6 +588,17 @@ class TestPartyRejectsMalformedChoices:
             driver.compare_batch([3, 200, 7], [5, 100, 7], session_key="bad-choices")
         # A refused session charges nothing.
         assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+
+    def test_driver_refuses_a_response_of_the_wrong_size(self):
+        # The driver reads share rows at fixed offsets of a response, so a
+        # CRC-valid response of any other size is corruption, not data.
+        driver_end, party_end = channel_pair(timeout=TIMEOUT)
+        party_end.send(FrameKind.CMP_RESPONSE, bytes(10))
+        fetch = RemoteParty(bit_width=8, timeout=TIMEOUT)._fetch_leaf_shares
+        with pytest.raises(FrameCorruption, match="CMP_RESPONSE carries 10 bytes, expected 105"):
+            fetch(driver_end, _stand_in(3, 8), np.zeros((2, 3), dtype=np.uint8))
+        driver_end.close()
+        party_end.close()
 
 
 @pytest.mark.transport_smoke
@@ -494,8 +645,8 @@ class TestMeasuredCostContract:
     def test_tampered_accounting_raises_measured_cost_mismatch(self, monkeypatch):
         original = PartyChannel.send
 
-        def inflated(self, kind, payload=b""):
-            size = original(self, kind, payload)
+        def inflated(self, kind, *buffers, crc=None):
+            size = original(self, kind, *buffers, crc=crc)
             if FrameKind(kind) is FrameKind.CMP_CHOICES:
                 # Phantom byte: the accounting claims more than crossed the
                 # wire, exactly the divergence the reconciliation must catch.
@@ -536,6 +687,139 @@ class TestChaosPeerDeath:
         # A session that died charges nothing to the canonical transcript.
         assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
         assert not ledger.message_records()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stalled party reaches the party process by fork inheritance",
+    )
+    def test_party_that_stops_reading_is_a_typed_error(self, monkeypatch):
+        # The party says ready, then never reads: the batch's 600 KB
+        # CMP_CHOICES frame outgrows the socket buffers, and the driver's send
+        # deadline, not the party's exit, ends the session.
+        def stalled(channel, *_args):
+            channel.send(FrameKind.CONTROL, b"ready")
+            time.sleep(1.0)
+
+        monkeypatch.setattr("repro.crypto.transport.party_main", stalled)
+        operands = np.arange(100_000, dtype=np.uint64)
+        driver = RemoteParty(bit_width=24, timeout=0.3)
+        with pytest.raises(RemotePartyError, match="frame not sent within 0.300s"):
+            driver.compare_batch(operands, operands, session_key="stalled")
+        assert driver.accountant.snapshot() == TranscriptAccountant().snapshot()
+
+
+# --------------------------------------------------------------------------- #
+# Adversarial streams: every damaged frame is a typed error
+# --------------------------------------------------------------------------- #
+#: Payload sizes above a default Linux socket buffer (208 KiB), so the folded
+#: CRC spans many ``recv_into`` chunks.
+LARGE = 256 * 1024
+TIER1_FRAMES = dict(max_examples=25, deadline=1000)
+WIDE_FRAMES = dict(max_examples=300, deadline=None)
+
+
+@st.composite
+def damaged_streams(draw, max_size):
+    """A large frame with one bit flipped (header or payload), or cut short."""
+    size = draw(st.integers(LARGE, max_size))
+    payload = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).bytes(size)
+    stream = _frame(payload)
+    damage = draw(st.sampled_from(("header", "payload", "cut")))
+    if damage == "cut":
+        return stream[: draw(st.integers(0, len(stream) - 1))]
+    low = 0 if damage == "header" else 8 * FRAME_OVERHEAD_BYTES
+    high = 8 * (FRAME_OVERHEAD_BYTES if damage == "header" else len(stream))
+    bit = draw(st.integers(low, high - 1))
+    damaged = bytearray(stream)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+def _receive_stream(stream: bytes):
+    """Write ``stream`` raw and hang up; return what one receive makes of it.
+
+    The receive expects ``CMP_RESPONSE``, as every protocol receive names
+    its kind: the tag is outside the CRC, and a flip that turns it into
+    another valid kind is caught by that check.
+    """
+    driver, party = channel_pair(timeout=TIMEOUT)
+
+    def write():
+        try:
+            _raw_write(driver, stream)
+        except OSError:
+            pass  # the receiver refused the frame and hung up first
+        finally:
+            driver.close()
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return party.recv(expected=(FrameKind.CMP_RESPONSE,))
+    except (FrameCorruption, ChannelClosed, ChannelTimeout) as exc:
+        return exc
+    finally:
+        party.close()
+        writer.join(timeout=TIMEOUT)
+        assert not writer.is_alive()
+
+
+def _check_damaged_stream(stream: bytes) -> None:
+    outcome = _receive_stream(stream)
+    assert isinstance(outcome, (FrameCorruption, ChannelClosed, ChannelTimeout)), (
+        "a damaged frame was accepted"
+    )
+
+
+def _check_frame_run(sizes, seed: int) -> None:
+    """Frames that grow and shrink through one endpoint's receive buffer."""
+    rng = np.random.default_rng(seed)
+    payloads = [rng.bytes(size) for size in sizes]
+    driver, party = channel_pair(timeout=TIMEOUT)
+    sender = threading.Thread(
+        target=lambda: [driver.send(FrameKind.CMP_RESPONSE, payload) for payload in payloads]
+    )
+    sender.start()
+    try:
+        for payload in payloads:
+            kind, received = party.recv(expected=(FrameKind.CMP_RESPONSE,))
+            assert len(received) == len(payload) and received == payload
+    finally:
+        sender.join(timeout=TIMEOUT)
+        driver.close()
+        party.close()
+    assert not sender.is_alive()
+    assert party.stats.payload_bytes_received == sum(sizes)
+
+
+class TestAdversarialFrames:
+    @settings(**TIER1_FRAMES)
+    @given(damaged_streams(max_size=2 * LARGE))
+    def test_a_damaged_frame_is_a_typed_error(self, stream):
+        _check_damaged_stream(stream)
+
+    @settings(**TIER1_FRAMES)
+    @given(st.lists(st.integers(0, 3 * LARGE), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_the_reused_receive_buffer_returns_each_payload(self, sizes, seed):
+        _check_frame_run(sizes, seed)
+
+    def test_an_intact_large_frame_is_received(self):
+        # The control of the sweep above: the same stream undamaged.
+        payload = np.random.default_rng(5).bytes(3 * LARGE)
+        kind, received = _receive_stream(_frame(payload))
+        assert kind is FrameKind.CMP_RESPONSE and received == payload
+
+    @pytest.mark.slow
+    @settings(**WIDE_FRAMES)
+    @given(damaged_streams(max_size=4 << 20))
+    def test_a_damaged_frame_is_a_typed_error_wide(self, stream):
+        _check_damaged_stream(stream)
+
+    @pytest.mark.slow
+    @settings(**WIDE_FRAMES)
+    @given(st.lists(st.integers(0, 4 << 20), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    def test_the_reused_receive_buffer_returns_each_payload_wide(self, sizes, seed):
+        _check_frame_run(sizes, seed)
 
 
 # --------------------------------------------------------------------------- #
