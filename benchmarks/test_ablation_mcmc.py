@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Assignment, MCMCBalancer, greedy_initialization
+from repro.core import MCMCBalancer, greedy_initialization
 from repro.eval.reporting import format_table
 from repro.federation import FederatedEnvironment
 from repro.graph import load_dataset
@@ -25,7 +25,7 @@ def test_balancing_stage_contributions(benchmark, scale, dataset):
 
     def run():
         environment = FederatedEnvironment.from_graph(graph, seed=scale.seed)
-        untrimmed = Assignment.full(graph).objective()
+        untrimmed = int(graph.degrees().max())
         greedy = greedy_initialization(environment, rng=np.random.default_rng(scale.seed))
         greedy_objective = greedy.objective()
         balancer = MCMCBalancer(

@@ -18,7 +18,6 @@ import argparse
 import numpy as np
 
 from repro.core import (
-    Assignment,
     EpochCostModel,
     LDPEmbeddingInitializer,
     MCMCBalancer,
@@ -54,7 +53,7 @@ def main() -> None:
           f"max degree {int(graph.degrees().max())}")
 
     # --- Stage 0: no trimming (every device keeps its whole ego network) -----
-    untrimmed = Assignment.full(graph)
+    untrimmed_workloads = graph.degrees()
 
     # --- Stage 1: greedy initialisation (Alg. 1) ------------------------------
     environment = FederatedEnvironment.from_graph(graph, seed=0)
@@ -69,7 +68,7 @@ def main() -> None:
 
     print("\n=== Workload distribution (cf. paper Fig. 7) ===")
     rows = [
-        ["no trimming"] + describe(untrimmed.workload_array()),
+        ["no trimming"] + describe(untrimmed_workloads),
         ["greedy (Alg. 1)"] + describe(greedy.workload_array()),
         ["greedy + MCMC (Alg. 2)"] + describe(mcmc.assignment.workload_array()),
     ]

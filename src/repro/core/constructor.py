@@ -53,7 +53,7 @@ class TreeConstructionResult:
     def total_tree_nodes(self) -> int:
         """Total number of local-graph nodes across all devices: a function
         of the workloads (:func:`~repro.core.tree.local_graph_sizes`)."""
-        workloads = self.assignment.workload_vector(self.num_devices)
+        workloads = self.assignment.workload_array()
         return int(local_graph_sizes(workloads, self.used_virtual_nodes).sum())
 
 
@@ -97,17 +97,15 @@ class TreeConstructor:
             assignment = mcmc_result.assignment
         else:
             indptr, indices = environment.adjacency_csr()
-            rows = np.split(indices, indptr[1:-1])
-            assignment = Assignment(
-                selected={device_id: set(row.tolist()) for device_id, row in enumerate(rows)}
-            )
-            environment.apply_assignment(assignment.selected)
+            everything = np.ones(indices.shape[0], dtype=bool)
+            assignment = Assignment(indptr, indices, everything)
+            environment.apply_assignment(everything)
 
         # Charge the (local, cheap) tree-building computation.
         num_devices = environment.num_devices
         environment.ledger.compute_many(
             np.arange(num_devices),
-            assignment.workload_vector(num_devices).astype(np.float64),
+            assignment.workload_array().astype(np.float64),
             description="tree-construction",
         )
 

@@ -223,7 +223,7 @@ class LDPEmbeddingInitializer:
         # The sender's workload controls the privacy split; devices whose
         # selection ended up empty (possible after trimming) fall back to
         # a single bin so their feature can still be released once.
-        workloads = np.maximum(assignment.workload_vector(num_devices), 1)
+        workloads = np.maximum(assignment.workload_array(), 1)
         # Workloads and bin ids are small: a narrow dtype keeps the released
         # mask of the draw (and ``release``'s sort by workload) cheap.
         workloads = workloads.astype(np.min_scalar_type(int(workloads.max())))

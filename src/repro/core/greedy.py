@@ -117,13 +117,7 @@ def greedy_initialization(
             description="greedy-degree-comparison",
         )
 
-    kept = destinations[keep].tolist()
-    row_ends = np.cumsum(np.bincount(sources[keep], minlength=num_devices)).tolist()
-    assignment = Assignment(
-        selected={
-            device_id: set(kept[start:stop])
-            for device_id, (start, stop) in enumerate(zip([0] + row_ends, row_ends))
-        }
-    )
-    environment.apply_assignment(assignment.selected)
+    # Line 4's outcome bits, in CSR order, are the assignment itself.
+    assignment = Assignment(*environment.adjacency_csr(), keep)
+    environment.apply_assignment(assignment.kept)
     return assignment

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,7 +144,7 @@ class _IncrementalBalancingKernel:
         self.assignment = assignment
         n = environment.num_devices
         self.num_devices = n
-        self.workload = assignment.workload_vector(n)
+        self.workload = assignment.workload_array()
         indptr, indices = environment.adjacency_csr()
         # Adjacency as plain python lists: the delta updates below touch a
         # few dozen entries per transition, where scalar list indexing beats
@@ -325,7 +325,7 @@ class _IncrementalBalancingKernel:
         n = self.num_devices
         base = None
         if self._pending is not None:
-            source, record, base_version = self._pending
+            source, targets, _, base_version = self._pending
             base = self._prefix_memo.get(base_version)
         if base is None:
             rows = np.arange(n)
@@ -334,7 +334,7 @@ class _IncrementalBalancingKernel:
             memo = {}
         else:
             executed, candidate, partners, owners = base[:4]
-            moved = [source] + [target for target, _ in record]
+            moved = [source] + targets
             is_moved = np.zeros(n, dtype=bool)
             is_moved[moved] = True
             rows = np.concatenate([moved, owners[is_moved[partners]]])
@@ -540,17 +540,19 @@ class _IncrementalBalancingKernel:
         """Apply the transition in place; O(degree of the moved vertices)."""
         if self._pending is not None:
             raise RuntimeError("a proposal is already pending")
-        source = int(source)
+        source, targets = int(source), [int(target) for target in targets]
         old_source_workload = int(self.workload[source])
         record = self.assignment.apply_transfer(source, targets)
         increased = [
-            (target, int(self.workload[target])) for target, added in record if added
+            (target, int(self.workload[target]))
+            for target, (_, added) in zip(targets, record)
+            if added
         ]
         touched = self._update_maxima(increased, [(source, old_source_workload)])
         self._refresh_candidates(
             [source] + [target for target, _ in increased] + touched
         )
-        self._pending = (source, record, self._version)
+        self._pending = (source, targets, record, self._version)
         self._next_version += 1
         self._version = self._next_version
 
@@ -563,11 +565,13 @@ class _IncrementalBalancingKernel:
         """Reject the pending proposal by applying the inverse delta."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to revert")
-        source, record, previous_version = self._pending
+        source, targets, record, previous_version = self._pending
         # Pre-undo values of the moved neighbours are the "old" side of the
         # inverse delta; the source's restored workload is its "new" side.
         decreased = [
-            (target, int(self.workload[target])) for target, added in record if added
+            (target, int(self.workload[target]))
+            for target, (_, added) in zip(targets, record)
+            if added
         ]
         self.assignment.undo_transfer(source, record)
         touched = self._update_maxima(
@@ -621,6 +625,7 @@ class MCMCBalancer:
         accepted = 0
         ledger = self.environment.ledger
         rng = self.rng
+        num_devices = self.environment.num_devices
         round_index = ledger.current_round
         # Columnar buffers for the device-to-device traffic of the loop; the
         # same messages environment.exchange would log, flushed as one
@@ -643,8 +648,10 @@ class MCMCBalancer:
                 )
             else:
                 heaviest = kernel.find_max_workload_device(self.accountant, round_index)
-            source_neighbors = sorted(current.selected.get(heaviest, set()))
-            if not source_neighbors:
+            # Its CSR row masked by the selection: ascending, as Alg. 2 draws
+            # from it.  Only a federation without devices has no row.
+            source_neighbors = current.kept_neighbors(heaviest) if num_devices else ()
+            if not len(source_neighbors):
                 # The reference loop `continue`s past its next_round() too,
                 # so the round counter must not advance on this branch.
                 history.append(kernel.objective)
@@ -725,81 +732,10 @@ class MCMCBalancer:
                 constant_column(8, len(accept_senders)), accept_rounds,
                 description="mcmc-accept-notification",
             )
-        self.environment.apply_assignment(current.selected)
+        self.environment.apply_assignment(current.kept)
         return MCMCResult(
             assignment=current,
             objective_history=history,
             accepted_transitions=accepted,
             iterations=self.iterations,
         )
-
-# --------------------------------------------------------------------------- #
-# Localized rebalance (tree maintenance)
-# --------------------------------------------------------------------------- #
-def localized_rebalance(
-    assignment: Assignment,
-    region: Sequence[int],
-    iterations: int,
-    rng: np.random.Generator,
-    accountant: Optional[TranscriptAccountant] = None,
-    bit_width: int = 24,
-) -> Dict[str, int]:
-    """Alg. 2 restricted to ``region``, in place, via the O(k) deltas.
-
-    The maintenance layer calls this after churn has perturbed a constructed
-    tree: instead of re-running the global balancer, only the devices in
-    ``region`` (typically the heaviest device and its ego neighbourhood)
-    participate.  Each iteration mirrors one step of the incremental loop —
-    region-local argmax, ``k ~ Uniform{1, ..., round(ln |targets|)}`` sampled
-    targets, Metropolis-Hastings acceptance — but both the argmax and the
-    objective are evaluated over ``region`` only, so one iteration costs
-    O(|region| + k) regardless of federation size.
-
-    Mutates ``assignment`` through :meth:`Assignment.apply_transfer` /
-    :meth:`Assignment.undo_transfer` (never touching the private workload
-    vector) and charges the analytic comparison cost to ``accountant``.
-    Returns deterministic counters (``accepted`` transitions, neighbour
-    ``moves``, ``comparisons`` charged) for the caller's ledger entry.
-    """
-    region_set = {int(v) for v in region} & set(assignment.selected)
-    region_ids = sorted(region_set)
-    accepted = 0
-    moves = 0
-    comparisons = 0
-    for _ in range(iterations):
-        if not region_ids:
-            break
-        # Region-local Alg. 3: argmax workload, smallest id on ties.
-        heaviest, objective_before = region_ids[0], -1
-        for vertex in region_ids:
-            workload = len(assignment.selected.get(vertex, ()))
-            if workload > objective_before:
-                heaviest, objective_before = vertex, workload
-        comparisons += max(len(region_ids) - 1, 0)
-        # Only region members may receive load: with targets outside the
-        # region the *local* objective could "improve" by piling work onto
-        # devices this rebalance never re-examines.
-        targets_pool = sorted(
-            v for v in assignment.selected.get(heaviest, ()) if v in region_set
-        )
-        if not targets_pool:
-            break  # the whole region is workload-free; nothing to move
-        step_limit = max(1, int(round(math.log(len(targets_pool)))) or 1)
-        step = min(int(rng.integers(1, step_limit + 1)), len(targets_pool))
-        chosen = rng.choice(targets_pool, size=step, replace=False)
-        targets = [int(v) for v in np.atleast_1d(chosen)]
-
-        record = assignment.apply_transfer(heaviest, targets)
-        objective_after = max(
-            len(assignment.selected.get(vertex, ())) for vertex in region_ids
-        )
-        comparisons += 1  # the objective-difference comparison
-        difference = objective_before - objective_after
-        if rng.random() < min(1.0, math.exp(min(difference, 50))):
-            accepted += 1
-            moves += len(targets)
-        else:
-            assignment.undo_transfer(heaviest, record)
-    if accountant is not None and comparisons:
-        _charge_analytic_comparisons(accountant, comparisons, bit_width=bit_width)
-    return {"accepted": accepted, "moves": moves, "comparisons": comparisons}

@@ -1,232 +1,182 @@
 """Workload-balancing problem state (paper Section V-B).
 
-The decision variable of Eq. 10 is the 0/1 edge-direction assignment
-``x_(u,v)`` ("device u keeps neighbour v in its tree").  We represent a
-solution as the list of selected-neighbour sets ``(N_1, ..., N_|V|)`` —
-exactly the output format of Alg. 1 / Alg. 2 — and provide the objective
-``f(X) = max_u |N_u|``, the edge-coverage constraint check and the workload
-statistics used by the evaluation (Fig. 7 CDF).
+The decision variable of Eq. 10 is one bit per directed edge: ``x_(u,v)``,
+"device u keeps neighbour v in its tree".  :class:`Assignment` is exactly
+that, a bool ``kept`` over the positions of the environment's neighbour CSR,
+with the objective ``f(X) = max_u |N_u|``, the edge-coverage constraint
+check and the k-step transition of Eq. 17.  Alg. 1 computes the mask,
+Alg. 2 flips bits of a copy, and the trainer and the LDP exchange read the
+kept pairs off it; the representation never changes on the way.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
+from ..federation.simulator import row_counts, selection_mask
 from ..graph.graph import Graph
 
-# One reversed step of a k-step transition: ``(target, added)`` pairs in
-# application order, where ``added`` records whether ``source`` was newly
-# inserted into ``N_target`` (it may already have been there when both
-# endpoints kept the edge).
+# One reversed step of a k-step transition: ``(position, added)`` pairs in
+# application order, where ``position`` is the CSR position of
+# ``(source, target)`` and ``added`` records whether ``(target, source)`` was
+# newly kept (it may already have been when both endpoints kept the edge).
 TransferRecord = List[Tuple[int, bool]]
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
-    """A candidate solution of the workload-balancing problem."""
+    """A candidate solution: which positions of the neighbour CSR are kept.
 
-    selected: Dict[int, Set[int]]
-    # Flat ``int64`` workload vector indexed by vertex id, maintained
-    # incrementally by :meth:`apply_transfer` / :meth:`undo_transfer`.  Built
-    # lazily by :meth:`workload_vector`; private to the balancing hot path —
-    # callers that mutate ``selected`` directly must not rely on it.
-    _workload_vector: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ``indptr`` / ``indices`` are the environment's read-only CSR, referred
+    to and never copied; ``kept[p]`` is ``x_(u,v)`` for the pair ``(u, v)``
+    at position ``p``.  Device ``u``'s selection is therefore its CSR row
+    masked by ``kept``, ascending by construction.
+    """
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def full(cls, graph: Graph) -> "Assignment":
-        """Every device keeps every neighbour (the untrimmed solution)."""
-        return cls(
-            selected={
-                vertex: set(int(v) for v in graph.neighbors(vertex))
-                for vertex in range(graph.num_nodes)
-            }
-        )
+    indptr: np.ndarray
+    indices: np.ndarray
+    kept: np.ndarray
+    # Per-device workloads, maintained by apply_transfer / undo_transfer.
+    _workloads: np.ndarray = field(init=False, repr=False)
+    # The position of ``(v, u)`` for each ``(u, v)``: built by the first
+    # transfer and shared with later copies.
+    _reverse: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
-    @classmethod
-    def from_lists(cls, lists: Mapping[int, Iterable[int]]) -> "Assignment":
-        """Build from a mapping of vertex -> iterable of selected neighbours."""
-        return cls(selected={int(k): set(map(int, vs)) for k, vs in lists.items()})
+    def __post_init__(self) -> None:
+        self.kept = selection_mask(self.kept, self.indices)
+        self._workloads = row_counts(self.indptr, self.kept)
 
     def copy(self) -> "Assignment":
-        """Deep copy (cheap: sets of ints)."""
-        return Assignment(selected={k: set(v) for k, v in self.selected.items()})
+        """A copy with its own mask and workloads (the CSR is shared)."""
+        clone = copy.copy(self)
+        clone.kept, clone._workloads = self.kept.copy(), self._workloads.copy()
+        return clone
 
     # ------------------------------------------------------------------ #
     # Objective and constraints
     # ------------------------------------------------------------------ #
-    def workload(self, vertex: int) -> int:
-        """``wl(vertex)`` = number of selected neighbours."""
-        return len(self.selected.get(vertex, set()))
-
-    def workloads(self) -> Dict[int, int]:
-        """Workload of every device."""
-        return {vertex: len(neighbors) for vertex, neighbors in self.selected.items()}
-
     def workload_array(self) -> np.ndarray:
-        """Workloads as an array indexed by vertex id."""
-        size = max(self.selected) + 1 if self.selected else 0
-        array = np.zeros(size, dtype=np.int64)
-        for vertex, neighbors in self.selected.items():
-            array[vertex] = len(neighbors)
-        return array
-
-    def workload_vector(self, size: int) -> np.ndarray:
-        """Maintained flat workload vector of length ``size``.
-
-        Unlike :meth:`workload_array` (a fresh copy per call) the returned
-        array is owned by the assignment and updated in place by
-        :meth:`apply_transfer` / :meth:`undo_transfer`, so the balancing
-        kernel can hold one reference for its whole run.
-        """
-        if self._workload_vector is None or self._workload_vector.shape[0] != size:
-            vector = np.zeros(size, dtype=np.int64)
-            for vertex, neighbors in self.selected.items():
-                vector[vertex] = len(neighbors)
-            self._workload_vector = vector
-        return self._workload_vector
+        """Workloads ``|N_u|`` indexed by device id: a read-only view of the
+        vector :meth:`apply_transfer` / :meth:`undo_transfer` update in place,
+        so a holder sees every later transfer."""
+        view = self._workloads.view()
+        view.flags.writeable = False
+        return view
 
     def objective(self) -> int:
         """``f(X) = max_u |N_u|`` — the min-max objective of Eq. 10."""
-        if not self.selected:
-            return 0
-        return max(len(neighbors) for neighbors in self.selected.values())
+        return int(self._workloads.max(initial=0))
 
-    def argmax_workload(self) -> int:
-        """A vertex attaining the maximum workload (smallest id on ties)."""
-        if not self.selected:
-            raise ValueError("empty assignment")
-        best_vertex, best_value = None, -1
-        for vertex in sorted(self.selected):
-            value = len(self.selected[vertex])
-            if value > best_value:
-                best_vertex, best_value = vertex, value
-        return int(best_vertex)
+    def kept_neighbors(self, device: int) -> np.ndarray:
+        """Device ``device``'s selected neighbours, ascending."""
+        start, stop = self.indptr[device], self.indptr[device + 1]
+        return self.indices[start:stop][self.kept[start:stop]]
 
     def covers_all_edges(self, graph: Graph) -> bool:
-        """Constraint of Eq. 10: ``x_(u,v) + x_(v,u) >= 1`` for every edge."""
-        for u, v in graph.edges:
-            u, v = int(u), int(v)
-            if v not in self.selected.get(u, set()) and u not in self.selected.get(v, set()):
-                return False
-        return True
+        """Constraint of Eq. 10 for every edge of ``graph``: ``x_(u,v) +
+        x_(v,u) >= 1``.  Each edge is looked up in the CSR, so an edge the
+        CSR does not hold is uncovered."""
+        n = self.indptr.shape[0] - 1
+        u, v = graph.edges.T
+        if graph.num_edges and int(graph.edges.max()) >= n:
+            return False
+        # Kept pairs as ascending codes ``u * n + v``; the sentinel is what a
+        # lookup past the last one reads.
+        devices, neighbors = self.pairs()
+        codes = np.append(devices * n + neighbors, -1)
 
-    def uncovered_edges(self, graph: Graph) -> List[Tuple[int, int]]:
-        """All edges violating the coverage constraint (empty when feasible)."""
-        missing = []
-        for u, v in graph.edges:
-            u, v = int(u), int(v)
-            if v not in self.selected.get(u, set()) and u not in self.selected.get(v, set()):
-                missing.append((u, v))
-        return missing
+        def kept(a, b):
+            wanted = a * n + b
+            return codes[np.searchsorted(codes[:-1], wanted)] == wanted
 
-    def is_consistent_with(self, graph: Graph) -> bool:
-        """No device selects a vertex that is not its neighbour."""
-        for vertex, neighbors in self.selected.items():
-            allowed = set(int(v) for v in graph.neighbors(vertex))
-            if not neighbors.issubset(allowed):
-                return False
-        return True
+        return bool((kept(u, v) | kept(v, u)).all())
 
     # ------------------------------------------------------------------ #
     # Transitions (Eq. 16 / 17)
     # ------------------------------------------------------------------ #
-    def transfer(self, source: int, targets: Sequence[int]) -> "Assignment":
-        """Return a new assignment after the k-step transition of Eq. 17.
+    def _reverse_positions(self) -> np.ndarray:
+        """The position of ``(v, u)`` for each position of ``(u, v)``.
 
-        Each ``v`` in ``targets`` is removed from ``N_source`` and ``source``
-        is added to ``N_v``; coverage of the edge ``(source, v)`` is therefore
-        preserved by construction.
+        It is the transpose of the CSR whose value at each position is that
+        position: a symmetric CSR is its own transpose, so the transpose's
+        values, in CSR order, are the reversed pairs' positions.  A CSR where
+        ``u`` lists ``v`` but ``v`` does not list ``u`` is not its own
+        transpose and has no reverse, so no transfer (``ValueError``).
         """
-        result = self.copy()
-        result.apply_transfer(source, targets)
-        return result
+        if self._reverse is None:
+            n, size = self.indptr.shape[0] - 1, self.indices.shape[0]
+            positions = sp.csr_matrix((np.arange(size), self.indices, self.indptr), shape=(n, n))
+            transpose = positions.tocsc()
+            if not (
+                np.array_equal(transpose.indptr, self.indptr)
+                and np.array_equal(transpose.indices, self.indices)
+            ):
+                raise ValueError("a transfer needs a symmetric neighbour CSR")
+            self._reverse = transpose.data
+        return self._reverse
 
     def apply_transfer(self, source: int, targets: Sequence[int]) -> TransferRecord:
         """Apply the transition of Eq. 17 *in place*, in O(k).
 
-        Returns an undo record for :meth:`undo_transfer`.  The maintained
-        workload vector (when built) is updated by deltas, so the balancing
-        kernel never rebuilds per-device counts.
+        Each ``v`` in ``targets`` is removed from ``N_source`` and ``source``
+        is added to ``N_v``; coverage of the edge ``(source, v)`` is therefore
+        preserved by construction.  Returns the undo record for
+        :meth:`undo_transfer`; the workloads are updated by deltas.
         """
         source = int(source)
-        source_selected = self.selected.get(source)
+        reverse = self._reverse_positions()
+        start, stop = int(self.indptr[source]), int(self.indptr[source + 1])
+        row = self.indices[start:stop]
+        kept, workloads = self.kept, self._workloads
         record: TransferRecord = []
-        vector = self._workload_vector
         for target in targets:
             target = int(target)
-            if source_selected is None or target not in source_selected:
+            position = start + int(np.searchsorted(row, target))
+            if position == stop or row[position - start] != target or not kept[position]:
                 raise ValueError(f"vertex {target} is not selected by device {source}")
-            source_selected.discard(target)
-            target_selected = self.selected.setdefault(target, set())
-            added = source not in target_selected
+            kept[position] = False
+            back = int(reverse[position])
+            added = not kept[back]
             if added:
-                target_selected.add(source)
-                if vector is not None:
-                    vector[target] += 1
-            if vector is not None:
-                vector[source] -= 1
-            record.append((target, added))
+                kept[back] = True
+                workloads[target] += 1
+            workloads[source] -= 1
+            record.append((position, added))
         return record
 
     def undo_transfer(self, source: int, record: TransferRecord) -> None:
         """Revert an :meth:`apply_transfer` given its undo record."""
-        source = int(source)
-        vector = self._workload_vector
-        for target, added in reversed(record):
+        kept, reverse, workloads = self.kept, self._reverse, self._workloads
+        for position, added in reversed(record):
             if added:
-                self.selected[target].discard(source)
-                if vector is not None:
-                    vector[target] -= 1
-            self.selected[source].add(target)
-            if vector is not None:
-                vector[source] += 1
+                kept[reverse[position]] = False
+                workloads[self.indices[position]] -= 1
+            kept[position] = True
+            workloads[source] += 1
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def as_lists(self) -> Dict[int, List[int]]:
-        """Return the selection as sorted lists (stable output format)."""
-        return {vertex: sorted(neighbors) for vertex, neighbors in self.selected.items()}
+        """Every device's selected neighbours as a sorted list."""
+        kept = self.indices[self.kept].tolist()
+        ends = np.cumsum(self._workloads).tolist()
+        return {device: kept[start:stop] for device, (start, stop) in enumerate(zip([0] + ends, ends))}
 
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The selection as flat ``(vertices, neighbours)`` arrays, one entry
-        per selected pair, ordered by vertex and then by neighbour."""
-        counts = [len(neighbors) for neighbors in self.selected.values()]
-        vertices = np.repeat(np.fromiter(self.selected, dtype=np.int64, count=len(counts)), counts)
-        neighbors = np.fromiter(
-            chain.from_iterable(self.selected.values()), dtype=np.int64, count=vertices.shape[0]
-        )
-        # Pairs are distinct: one sort of ``vertex * size + neighbour`` codes
-        # orders them as a lexsort of the two columns would, in a third of the
-        # time (it is a tenth of the LDP draw at 4 000 devices).
-        size = int(max(vertices.max(initial=-1), neighbors.max(initial=-1))) + 1
-        return np.divmod(np.sort(vertices * size + neighbors), size)
+        """The selection as flat ``(devices, neighbours)`` arrays, one entry
+        per kept pair, in CSR order: by device, then by neighbour."""
+        devices = np.repeat(np.arange(self._workloads.shape[0], dtype=np.int64), self._workloads)
+        return devices, self.indices[self.kept]
 
     def total_selected_edges(self) -> int:
-        """Total number of (vertex, neighbour) selections = total leaves / 2."""
-        return sum(len(neighbors) for neighbors in self.selected.values())
-
-    def statistics(self) -> Dict[str, float]:
-        """Summary statistics of the workload distribution (used by Fig. 7)."""
-        array = self.workload_array().astype(np.float64)
-        if array.size == 0:
-            return {"max": 0.0, "mean": 0.0, "std": 0.0, "p95": 0.0, "p99": 0.0}
-        return {
-            "max": float(array.max()),
-            "mean": float(array.mean()),
-            "std": float(array.std()),
-            "p95": float(np.percentile(array, 95)),
-            "p99": float(np.percentile(array, 99)),
-        }
+        """Total number of (device, neighbour) selections = total leaves / 2."""
+        return int(self._workloads.sum())
 
 
 def workload_cdf(workloads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,7 @@ class TreeConstructionStage(Stage):
         return constructor.construct(context.environment)
 
     def replay(self, context: PipelineContext, value: Any) -> None:
-        context.environment.apply_assignment(value.assignment.selected)
+        context.environment.apply_assignment(value.assignment.kept)
 
 
 class LDPDrawsStage(Stage):

@@ -180,10 +180,11 @@ class DiskSpillStore(ArtifactStore):
     # partition as ``(indptr, indices, features)`` arrays and
     # ``TreeConstructionResult.num_devices`` replacing ``local_graphs``, v8
     # the ledger table's open tail as typed column buffers instead of row
-    # tuples — pickled layouts that changed under unchanged stage keys.  Older
+    # tuples, v9 ``Assignment`` as a mask over the CSR instead of a dict of
+    # sets — pickled layouts that changed under unchanged stage keys.  Older
     # files (or any unreadable version) degrade to a miss and are quarantined
     # like corrupt files.
-    _FORMAT_VERSION = 8
+    _FORMAT_VERSION = 9
 
     def __init__(
         self,

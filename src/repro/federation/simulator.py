@@ -15,7 +15,7 @@ the straggler effect the tree trimmer mitigates — is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +50,9 @@ class FederatedEnvironment:
     server: Server
     ledger: CommunicationLedger
     rng: np.random.Generator
-    #: The installed neighbour selection: one code ``device * n + neighbour``
-    #: per kept pair, ascending (by device, then by neighbour).  Empty until
-    #: :meth:`apply_assignment` installs one.
+    #: The installed neighbour selection: one read-only bool per CSR
+    #: position, ``selection[p]`` when the pair at ``p`` is kept.  Nothing is
+    #: kept until :meth:`apply_assignment` installs one.
     selection: np.ndarray = field(init=False, repr=False)
     #: Current-round availability, indexed by device id.
     #: ``None`` (the default) means fully available — the fault-free fast
@@ -96,7 +96,7 @@ class FederatedEnvironment:
         if features.ndim != 2 or features.shape[0] != n:
             raise ValueError(f"features must have one row per device: {features.shape} for {n}")
         self.indptr, self.indices, self.features = indptr, indices, features
-        self.selection = np.zeros(0, dtype=np.int64)
+        self.selection = _read_only(np.zeros(indices.shape[0], dtype=bool))
 
     @classmethod
     def from_graph(cls, graph: Graph, seed: int = 0) -> "FederatedEnvironment":
@@ -128,8 +128,7 @@ class FederatedEnvironment:
 
     def workload_array(self) -> np.ndarray:
         """Workloads of the installed selection, indexed by device id."""
-        n = self.num_devices
-        return np.bincount(self.selection // max(n, 1), minlength=n)
+        return row_counts(self.indptr, self.selection)
 
     def directed_edges(self) -> np.ndarray:
         """Directed ``(2, 2E)`` edge index of the CSR: sources ascend, and
@@ -208,52 +207,14 @@ class FederatedEnvironment:
         return self.ledger.next_round()
 
     # ------------------------------------------------------------------ #
-    # Assignment helpers used by the tree constructor
+    # The tree constructor's selection
     # ------------------------------------------------------------------ #
-    def apply_assignment(self, assignment: Mapping[int, Iterable[int]]) -> None:
-        """Install a neighbour selection produced by the tree constructor.
-
-        Every device ``assignment`` names gets the ids it maps to, sorted and
-        without duplicates; the other devices keep their selection.  A device
-        can only keep edges it owns, so all ``(device, neighbour)`` pairs are
-        looked up in the CSR in one pass before anything is installed: a
-        non-integer id is a ``TypeError``, an unknown device a ``KeyError``,
-        a pair that is no edge a ``ValueError`` naming the first one, and
-        each leaves the environment as it was.
-        """
-        n = self.num_devices
-        blocks = [
-            chosen if isinstance(chosen, np.ndarray) else np.array(list(chosen))
-            for chosen in assignment.values()
-        ]
-        device_ids = _device_ids(np.array(list(assignment)))
-        for block in blocks:
-            _device_ids(block)
-        unknown = np.flatnonzero((device_ids < 0) | (device_ids >= n))
-        if unknown.size:
-            raise KeyError(f"unknown device {int(device_ids[unknown[0]])}")
-        counts = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
-        owners = np.repeat(device_ids, counts)
-        chosen = np.concatenate([np.zeros(0, np.int64), *blocks], dtype=np.int64, casting="unsafe")
-        # One integer per pair.  The CSR's codes ascend (rows ascend, and each
-        # row's neighbours ascend within it); the sentinel is what a lookup
-        # past the last edge reads.
-        codes = owners * n + chosen
-        sources, neighbors = self.directed_edges()
-        edge_codes = np.append(sources * n + neighbors, -1)
-        owned = edge_codes[np.searchsorted(edge_codes[:-1], codes)] == codes
-        offenders = np.flatnonzero(~(owned & (chosen >= 0) & (chosen < n)))
-        if offenders.size:
-            first = offenders[0]
-            raise ValueError(
-                f"device {int(owners[first])} cannot select non-neighbour {int(chosen[first])}"
-            )
-        named = np.zeros(n, dtype=bool)
-        named[device_ids] = True
-        kept = self.selection[~named[self.selection // max(n, 1)]]
-        # Sorted codes are by device, then by neighbour; codes are >= 0.
-        merged = np.sort(np.concatenate([kept, codes]))
-        self.selection = merged[np.diff(merged, prepend=-1) != 0]
+    def apply_assignment(self, kept: np.ndarray) -> None:
+        """Install a neighbour selection: one bool per CSR position, as
+        :attr:`repro.core.workload.Assignment.kept` holds it.  Another dtype
+        is a ``TypeError``, another shape a ``ValueError``; either leaves the
+        installed selection as it was."""
+        self.selection = _read_only(selection_mask(kept, self.indices).copy())
 
     def summary(self) -> Dict[str, float]:
         """Headline counters of the environment."""
@@ -265,6 +226,26 @@ class FederatedEnvironment:
         }
         result.update(self.ledger.summary(self.num_devices))
         return result
+
+
+def selection_mask(kept, indices: np.ndarray) -> np.ndarray:
+    """``kept`` as a selection over the CSR positions of ``indices``: a
+    boolean array of their shape (``TypeError`` / ``ValueError`` otherwise)."""
+    kept = np.asarray(kept)
+    if kept.dtype != bool:
+        raise TypeError(f"a selection is a boolean mask, not {kept.dtype}")
+    if kept.shape != indices.shape:
+        raise ValueError(
+            f"a selection has one entry per CSR position: {kept.shape} for {indices.shape}"
+        )
+    return kept
+
+
+def row_counts(indptr: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """How many positions of each CSR row ``mask`` holds (int64)."""
+    counts = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask, out=counts[1:])
+    return counts[indptr[1:]] - counts[indptr[:-1]]
 
 
 def _device_ids(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .. import obs
 from ..core.trainer import EpochCostModel
-from ..core.workload import Assignment
 from .tree import MaintainedTree, fresh_assignment
 
 __all__ = ["StalenessMonitor", "StalenessReport"]
@@ -92,7 +91,7 @@ class StalenessMonitor:
         lists, _ = fresh_assignment(
             tree.neighbors, self.reference_iterations, seed
         )
-        return Assignment.from_lists(lists).objective() if lists else 0
+        return max(map(len, lists.values()), default=0)
 
     def check(
         self, tree: MaintainedTree, round_index: Optional[int] = None

@@ -2,17 +2,18 @@
 
 A :class:`MaintainedTree` is the mutable, served form of a
 :class:`~repro.core.constructor.TreeConstructionResult`: the federation's
-adjacency plus the workload-balancing :class:`~repro.core.workload.Assignment`
-it was constructed with, kept consistent under churn by O(degree) delta
-operations instead of from-scratch reconstruction:
+adjacency plus the neighbour selection it was constructed with, kept
+consistent under churn by O(degree) delta operations instead of from-scratch
+reconstruction.  Devices join and leave, so there is no fixed CSR to mask:
+the selection is a :class:`MaintainedSelection`, one set per present device.
 
 * :meth:`insert_device` — a joining device's edges are assigned to the
   lighter endpoint (smaller id on ties), one secure comparison per edge;
 * :meth:`remove_device` — a leaving device's edges (and both endpoints'
   selections of them) vanish;
 * :meth:`update_degree` — edge additions/removals for a present device;
-* :meth:`rebalance` — a localized Alg. 2 pass over a region, built on the
-  incremental kernel's ``apply_transfer``/``undo_transfer`` deltas;
+* :meth:`rebalance` — a localized Alg. 2 pass over a region
+  (:func:`localized_rebalance`), built on O(k) transfer deltas;
 * :meth:`rebuild` — last-resort degradation: a fresh construction over the
   present devices, with a seed derived from the mutation chain.
 
@@ -37,14 +38,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.mcmc import _charge_analytic_comparisons, localized_rebalance
-from ..core.workload import Assignment
+from ..core.mcmc import _charge_analytic_comparisons
 from ..crypto.oblivious_transfer import TranscriptAccountant
 from ..engine.fingerprint import stage_key
 from ..engine.store import ArtifactStore, DiskSpillStore, StoredArtifact
@@ -52,7 +53,13 @@ from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import CommunicationLedger
 from .journal import MutationJournal, _encode, read_records
 
-__all__ = ["MaintenanceConfig", "MaintainedTree", "fresh_assignment"]
+__all__ = [
+    "MaintenanceConfig",
+    "MaintainedSelection",
+    "MaintainedTree",
+    "fresh_assignment",
+    "localized_rebalance",
+]
 
 #: Counter keys, in reporting order.
 _COUNTER_KEYS = (
@@ -132,6 +139,119 @@ def _count(value, name: str) -> int:
     return count
 
 
+@dataclass
+class MaintainedSelection:
+    """The maintained tree's neighbour selection: ``selected[u]`` is the set
+    ``N_u`` of neighbours device ``u`` keeps, one entry per present device."""
+
+    selected: Dict[int, Set[int]]
+
+    def objective(self) -> int:
+        """``f(X) = max_u |N_u|`` (0 without devices)."""
+        return max(map(len, self.selected.values()), default=0)
+
+    def workloads(self) -> Dict[int, int]:
+        """Workload of every present device."""
+        return {vertex: len(neighbors) for vertex, neighbors in self.selected.items()}
+
+    def argmax_workload(self) -> int:
+        """A device attaining the maximum workload (smallest id on ties)."""
+        if not self.selected:
+            raise ValueError("empty selection")
+        return min(self.selected, key=lambda vertex: (-len(self.selected[vertex]), vertex))
+
+    def as_lists(self) -> Dict[int, List[int]]:
+        """The selection as sorted lists (stable output format)."""
+        return {vertex: sorted(neighbors) for vertex, neighbors in self.selected.items()}
+
+    def apply_transfer(self, source: int, targets: Sequence[int]) -> List[Tuple[int, bool]]:
+        """The transition of Eq. 17 in place: each target leaves ``N_source``
+        and ``source`` joins ``N_target``.  Returns ``(target, added)`` pairs,
+        ``added`` when ``source`` was not in ``N_target`` yet."""
+        source_selected = self.selected[source]
+        record = []
+        for target in targets:
+            if target not in source_selected:
+                raise ValueError(f"vertex {target} is not selected by device {source}")
+            source_selected.discard(target)
+            target_selected = self.selected[target]
+            added = source not in target_selected
+            target_selected.add(source)
+            record.append((target, added))
+        return record
+
+    def undo_transfer(self, source: int, record: List[Tuple[int, bool]]) -> None:
+        """Revert an :meth:`apply_transfer` given its record."""
+        for target, added in reversed(record):
+            if added:
+                self.selected[target].discard(source)
+            self.selected[source].add(target)
+
+
+def localized_rebalance(
+    selection: MaintainedSelection,
+    region: Sequence[int],
+    iterations: int,
+    rng: np.random.Generator,
+    accountant: Optional[TranscriptAccountant] = None,
+    bit_width: int = 24,
+) -> Dict[str, int]:
+    """Alg. 2 restricted to ``region``, in place, via the O(k) deltas.
+
+    After churn has perturbed a constructed tree, only the devices in
+    ``region`` (typically the heaviest device and its ego neighbourhood)
+    participate instead of the whole federation.  Each iteration mirrors one
+    step of the global balancer — region-local argmax,
+    ``k ~ Uniform{1, ..., round(ln |targets|)}`` sampled targets,
+    Metropolis-Hastings acceptance — but both the argmax and the objective
+    are evaluated over ``region`` only, so one iteration costs
+    O(|region| + k) regardless of federation size.
+
+    Charges the analytic comparison cost to ``accountant`` and returns
+    deterministic counters (``accepted`` transitions, neighbour ``moves``,
+    ``comparisons`` charged) for the caller's ledger entry.
+    """
+    selected = selection.selected
+    region_set = selected.keys() & {int(v) for v in region}
+    region_ids = sorted(region_set)
+    accepted = 0
+    moves = 0
+    comparisons = 0
+    for _ in range(iterations):
+        if not region_ids:
+            break
+        # Region-local Alg. 3: argmax workload, smallest id on ties.
+        heaviest, objective_before = region_ids[0], -1
+        for vertex in region_ids:
+            workload = len(selected[vertex])
+            if workload > objective_before:
+                heaviest, objective_before = vertex, workload
+        comparisons += max(len(region_ids) - 1, 0)
+        # Only region members may receive load: with targets outside the
+        # region the *local* objective could "improve" by piling work onto
+        # devices this rebalance never re-examines.
+        targets_pool = sorted(v for v in selected[heaviest] if v in region_set)
+        if not targets_pool:
+            break  # the whole region is workload-free; nothing to move
+        step_limit = max(1, int(round(math.log(len(targets_pool)))) or 1)
+        step = min(int(rng.integers(1, step_limit + 1)), len(targets_pool))
+        chosen = rng.choice(targets_pool, size=step, replace=False)
+        targets = [int(v) for v in np.atleast_1d(chosen)]
+
+        record = selection.apply_transfer(heaviest, targets)
+        objective_after = max(len(selected[vertex]) for vertex in region_ids)
+        comparisons += 1  # the objective-difference comparison
+        difference = objective_before - objective_after
+        if rng.random() < min(1.0, math.exp(min(difference, 50))):
+            accepted += 1
+            moves += len(targets)
+        else:
+            selection.undo_transfer(heaviest, record)
+    if accountant is not None and comparisons:
+        _charge_analytic_comparisons(accountant, comparisons, bit_width=bit_width)
+    return {"accepted": accepted, "moves": moves, "comparisons": comparisons}
+
+
 def fresh_assignment(
     neighbors: Mapping[int, Iterable[int]],
     mcmc_iterations: int,
@@ -187,7 +307,7 @@ class MaintainedTree:
     def __init__(
         self,
         neighbors: Dict[int, Set[int]],
-        assignment: Assignment,
+        assignment: MaintainedSelection,
         config: MaintenanceConfig,
         *,
         rng: np.random.Generator,
@@ -226,17 +346,29 @@ class MaintainedTree:
         journal: Optional[MutationJournal] = None,
         snapshots: Optional[ArtifactStore] = None,
     ) -> "MaintainedTree":
-        """Wrap a construction result; journal a genesis snapshot if enabled."""
+        """Wrap a construction result; journal a genesis snapshot if enabled.
+
+        The selection must name exactly the adjacency's devices, each with a
+        subset of its neighbours (``ValueError`` otherwise): no mutation
+        reaches another state.  Coverage and adjacency symmetry are not
+        checked here.
+        """
         if journal is not None and snapshots is None:
             raise ValueError("journaling requires a snapshot store (genesis state)")
         neighbors = {int(v): set(map(int, adjacent)) for v, adjacent in adjacency.items()}
-        assignment = Assignment.from_lists(assignment_lists)
-        for vertex in neighbors:
-            assignment.selected.setdefault(vertex, set())
+        selected = {int(v): set(map(int, chosen)) for v, chosen in assignment_lists.items()}
+        if selected.keys() != neighbors.keys():
+            stray = sorted(selected.keys() ^ neighbors.keys())[0]
+            raise ValueError(
+                f"device {stray} is in only one of the selection and the adjacency"
+            )
+        strangers = [v for v, chosen in selected.items() if not chosen.issubset(neighbors[v])]
+        if strangers:
+            raise ValueError(f"device {strangers[0]} selects a vertex that is not its neighbour")
         genesis = hashlib.sha256(b"lumos-maintenance-genesis").hexdigest()
         tree = cls(
             neighbors,
-            assignment,
+            MaintainedSelection(selected),
             config,
             rng=np.random.default_rng(config.seed),
             ledger=CommunicationLedger(),
@@ -265,7 +397,7 @@ class MaintainedTree:
         rng.bit_generator.state = state["rng_state"]
         return cls(
             {int(v): set(adj) for v, adj in state["neighbors"].items()},
-            Assignment.from_lists(state["selected"]),
+            MaintainedSelection({int(v): set(chosen) for v, chosen in state["selected"].items()}),
             state["config"],
             rng=rng,
             # Copy again: the same stored artifact may seed several replays.
@@ -653,10 +785,7 @@ class MaintainedTree:
 
     def _do_rebuild(self, iterations: int, seed: int) -> None:
         lists, transcript = fresh_assignment(self.neighbors, iterations, seed)
-        assignment = Assignment.from_lists(lists)
-        for vertex in self.neighbors:
-            assignment.selected.setdefault(vertex, set())
-        self.assignment = assignment
+        self.assignment = MaintainedSelection({v: set(chosen) for v, chosen in lists.items()})
         self.accountant.merge(transcript)
         self.ledger.send(
             SERVER_ID,

@@ -19,7 +19,9 @@ communication ledger's columnar tables as plain lists of rows
 GNN layer, the Lumos pooling and head and the masked loss as the composite
 autograd graph of ``Tensor`` ops they replace (:func:`install_composite_forms`;
 the ops only those graphs record are in ``helpers.autograd``).  The vertex
-cover of Eq. 10 is checked the plain way too (:func:`edge_coverage_holds`).
+cover of Eq. 10 is checked the plain way too (:func:`edge_coverage_holds`),
+and the mask ``Assignment`` is the dict of sets it replaced
+(:class:`SelectionOracle`).
 
 ``TreeConstructor`` threads one ``rng`` and one ``TranscriptAccountant``
 through Alg. 1 and Alg. 2; :func:`construct_with_oracles` is the same
@@ -73,6 +75,119 @@ from .autograd import (
 
 
 # --------------------------------------------------------------------------- #
+# The selection
+# --------------------------------------------------------------------------- #
+@dataclass
+class SelectionOracle:
+    """``Assignment`` as the dict of sets it replaced: ``selected[u]`` is the
+    set ``N_u`` of neighbours device ``u`` keeps."""
+
+    selected: Dict[int, Set[int]]
+
+    @classmethod
+    def of(cls, assignment) -> "SelectionOracle":
+        """The oracle's copy of a mask ``Assignment`` (or of another oracle),
+        decoded one CSR position at a time."""
+        if isinstance(assignment, SelectionOracle):
+            return assignment.copy()
+        indptr, indices, kept = assignment.indptr, assignment.indices, assignment.kept
+        return cls({
+            device: {int(indices[p]) for p in range(indptr[device], indptr[device + 1]) if kept[p]}
+            for device in range(indptr.shape[0] - 1)
+        })
+
+    @classmethod
+    def full(cls, environment: FederatedEnvironment) -> "SelectionOracle":
+        """Every device keeps every neighbour (the untrimmed solution)."""
+        return cls({
+            device: set(neighbors_of(environment, device))
+            for device in range(environment.num_devices)
+        })
+
+    def copy(self) -> "SelectionOracle":
+        return SelectionOracle({device: set(chosen) for device, chosen in self.selected.items()})
+
+    def mask(self, environment: FederatedEnvironment) -> np.ndarray:
+        """The selection as the bool mask over the environment's CSR positions."""
+        return np.array([
+            neighbor in self.selected.get(device, ())
+            for device in range(environment.num_devices)
+            for neighbor in neighbors_of(environment, device)
+        ], dtype=bool)
+
+    def workloads(self) -> Dict[int, int]:
+        return {device: len(chosen) for device, chosen in self.selected.items()}
+
+    def workload_array(self) -> np.ndarray:
+        size = max(self.selected) + 1 if self.selected else 0
+        array = np.zeros(size, dtype=np.int64)
+        for device, chosen in self.selected.items():
+            array[device] = len(chosen)
+        return array
+
+    def objective(self) -> int:
+        return max((len(chosen) for chosen in self.selected.values()), default=0)
+
+    def total_selected_edges(self) -> int:
+        return sum(len(chosen) for chosen in self.selected.values())
+
+    def as_lists(self) -> Dict[int, List[int]]:
+        return {device: sorted(chosen) for device, chosen in self.selected.items()}
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        ordered = sorted((u, v) for u, chosen in self.selected.items() for v in chosen)
+        array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+        return array[:, 0], array[:, 1]
+
+    def covers_all_edges(self, graph) -> bool:
+        """Eq. 10 for every edge of ``graph``: one endpoint keeps the other."""
+        return all(
+            int(v) in self.selected.get(int(u), ()) or int(u) in self.selected.get(int(v), ())
+            for u, v in graph.edges
+        )
+
+    def apply_transfer(self, source: int, targets: Sequence[int]) -> List[Tuple[int, bool]]:
+        """The transition of Eq. 17 in place; ``(target, added)`` per target."""
+        record = []
+        for target in targets:
+            if target not in self.selected.get(source, ()):
+                raise ValueError(f"vertex {target} is not selected by device {source}")
+            self.selected[source].discard(target)
+            added = source not in self.selected.setdefault(target, set())
+            self.selected[target].add(source)
+            record.append((target, added))
+        return record
+
+    def undo_transfer(self, source: int, record: List[Tuple[int, bool]]) -> None:
+        for target, added in reversed(record):
+            if added:
+                self.selected[target].discard(source)
+            self.selected[source].add(target)
+
+    def transfer(self, source: int, targets: Sequence[int]) -> "SelectionOracle":
+        """A new selection after the k-step transition of Eq. 17."""
+        result = self.copy()
+        result.apply_transfer(source, targets)
+        return result
+
+
+def assignment_from_lists(environment: FederatedEnvironment, lists) -> Assignment:
+    """The mask ``Assignment`` over ``environment`` keeping ``lists[u]`` for
+    every device ``u`` the mapping names (a non-neighbour is a ``ValueError``)."""
+    oracle = SelectionOracle({int(u): set(map(int, chosen)) for u, chosen in lists.items()})
+    mask = oracle.mask(environment)
+    if int(mask.sum()) != oracle.total_selected_edges():
+        raise ValueError(f"{lists} names a pair that is no edge of the CSR")
+    return Assignment(*environment.adjacency_csr(), mask)
+
+
+def full_assignment(environment: FederatedEnvironment) -> Assignment:
+    """The untrimmed mask ``Assignment``: every device keeps every neighbour."""
+    indptr, indices = environment.adjacency_csr()
+    return Assignment(indptr, indices, np.ones(indices.shape[0], dtype=bool))
+
+
+# --------------------------------------------------------------------------- #
 # Alg. 1
 # --------------------------------------------------------------------------- #
 def greedy_initialization_reference(
@@ -80,7 +195,7 @@ def greedy_initialization_reference(
     accountant: Optional[TranscriptAccountant] = None,
     bit_width: int = 8,
     rng: Optional[np.random.Generator] = None,
-) -> Assignment:
+) -> SelectionOracle:
     """Alg. 1 as the per-edge protocol loop — the equivalence suites' oracle.
 
     Every directed neighbour relation runs one :func:`secure_compare_reference`
@@ -117,10 +232,10 @@ def greedy_initialization_reference(
     return _install(environment, selected)
 
 
-def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -> Assignment:
-    """Wrap the selected sets and install them on the environment's devices."""
-    assignment = Assignment(selected=selected)
-    environment.apply_assignment(assignment.as_lists())
+def _install(environment: FederatedEnvironment, selected: Dict[int, Set[int]]) -> SelectionOracle:
+    """Wrap the selected sets and install them on the environment."""
+    assignment = SelectionOracle(selected)
+    environment.apply_assignment(assignment.mask(environment))
     return assignment
 
 
@@ -132,12 +247,12 @@ def neighbors_of(environment: FederatedEnvironment, device_id: int) -> List[int]
 
 def installed_selection(environment: FederatedEnvironment) -> Dict[int, List[int]]:
     """``device -> sorted kept neighbours`` of the installed selection, every
-    device listed (decoded from ``environment.selection``)."""
-    n = environment.num_devices
-    selected: Dict[int, List[int]] = {device_id: [] for device_id in range(n)}
-    for code in environment.selection.tolist():
-        selected[code // n].append(code % n)
-    return selected
+    device listed (decoded from the mask ``environment.selection``)."""
+    kept = iter(environment.selection.tolist())
+    return {
+        device_id: [v for v in neighbors_of(environment, device_id) if next(kept)]
+        for device_id in range(environment.num_devices)
+    }
 
 
 def exchange(environment, sender, recipient, kind, size_bytes, description="") -> None:
@@ -170,7 +285,7 @@ def edge_coverage_holds(environment: FederatedEnvironment) -> bool:
 # --------------------------------------------------------------------------- #
 def find_max_workload_device(
     environment: FederatedEnvironment,
-    assignment: Assignment,
+    assignment: SelectionOracle,
     comparator: Optional[SecureComparator] = None,
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
@@ -299,13 +414,15 @@ def _charge_comparison_traffic(environment: FederatedEnvironment, count: int) ->
     )
 
 
-def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
+def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
     """Alg. 2 as the from-scratch loop — the oracle of ``MCMCBalancer.run``.
 
     Takes the balancer as ``self``: it reads the balancer's environment, rng,
-    accountant and (in secure mode) comparator.
+    accountant and (in secure mode) comparator.  ``initial`` is a mask
+    ``Assignment`` or a :class:`SelectionOracle`; the result holds the
+    oracle.
     """
-    current = initial.copy()
+    current = SelectionOracle.of(initial)
     history = [current.objective()]
     accepted = 0
 
@@ -378,7 +495,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial: Assignment) -> MCMCResult:
         history.append(current.objective())
         self.environment.next_round()
 
-    self.environment.apply_assignment(current.as_lists())
+    self.environment.apply_assignment(current.mask(self.environment))
     return MCMCResult(
         assignment=current,
         objective_history=history,
@@ -392,7 +509,7 @@ def construct_with_oracles(
     config: TreeConstructorConfig,
     rng: np.random.Generator,
     secure: bool = False,
-) -> Tuple[Assignment, MCMCResult, TranscriptAccountant]:
+) -> Tuple[SelectionOracle, MCMCResult, TranscriptAccountant]:
     """Return ``(greedy_assignment, mcmc_result, transcript)`` of the oracles."""
     transcript = TranscriptAccountant()
     greedy = greedy_initialization_reference(
@@ -562,9 +679,9 @@ def canonical_local_graphs(construction: TreeConstructionResult) -> Dict[int, Lo
     """``device -> LocalGraph`` of a construction: :func:`build_tree` (or
     :func:`build_star`) over each device's sorted selected neighbours."""
     build = build_tree if construction.used_virtual_nodes else build_star
-    selected = construction.assignment.selected
+    selected = construction.assignment.as_lists()
     return {
-        device_id: build(device_id, sorted(selected.get(device_id, ())))
+        device_id: build(device_id, selected.get(device_id, []))
         for device_id in range(construction.num_devices)
     }
 
@@ -697,14 +814,15 @@ def ldp_exchange_reference(
     """
     mechanism = OneBitMechanism(epsilon=epsilon, bounds=bounds)
     requesters: Dict[int, list] = {device_id: [] for device_id in range(environment.num_devices)}
-    for receiver, chosen in assignment.selected.items():
+    lists = assignment.as_lists()
+    for receiver, chosen in lists.items():
         for sender in chosen:
             requesters[int(sender)].append(int(receiver))
     rows: Dict[Tuple[int, int], np.ndarray] = {}
     for sender, receivers in requesters.items():
         feature = environment.features[sender]
         dimension = feature.shape[0]
-        workload = max(assignment.workload(sender), 1)
+        workload = max(len(lists.get(sender, ())), 1)
         partitioner = FeatureBinPartitioner(dimension, workload, rng=rng)
         for rank, receiver in enumerate(sorted(receivers)):
             encoded = mechanism.encode(
@@ -757,7 +875,7 @@ def ldp_draw_reference(initializer, environment, assignment) -> DenseLDPDraws:
     order = np.argsort(senders, kind="stable")
     offsets = np.zeros(num_devices + 1, dtype=np.int64)
     np.cumsum(np.bincount(senders, minlength=num_devices), out=offsets[1:])
-    workloads = np.maximum(assignment.workload_vector(num_devices), 1)
+    workloads = np.maximum(assignment.workload_array(), 1)
     workloads = workloads.astype(np.min_scalar_type(int(workloads.max(initial=1))))
     bins = np.empty((num_devices, dimension), dtype=workloads.dtype)
     uniforms = np.empty((order.shape[0], dimension), dtype=np.float64)

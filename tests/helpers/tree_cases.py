@@ -12,9 +12,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.constructor import TreeConstructionResult
-from repro.core.workload import Assignment
 from repro.crypto.ldp import FeatureBounds
 from repro.federation import FederatedEnvironment
+
+from .oracles import assignment_from_lists
 
 #: Which endpoint keeps an edge ``(u, v)``: ``u``, ``v`` or both (Eq. 10).
 KEEPERS = ("u", "v", "both")
@@ -71,7 +72,7 @@ def materialise(case):
             (indptr, indices, low + (high - low) * features), seed=0
         )
 
-    return environment, Assignment.from_lists(selected), FeatureBounds(low, high)
+    return environment, assignment_from_lists(environment(), selected), FeatureBounds(low, high)
 
 
 def canonical_construction(environment, assignment, use_virtual_nodes) -> TreeConstructionResult:

@@ -53,7 +53,7 @@ def prepared(tiny_graph):
 class TestEmbeddingInitialization:
     def test_every_selected_neighbor_receives_a_feature(self, prepared):
         _, environment, construction, initialization = prepared
-        for receiver, selected in construction.assignment.selected.items():
+        for receiver, selected in construction.assignment.as_lists().items():
             for sender in selected:
                 assert sender in initialization.received_features[receiver]
 

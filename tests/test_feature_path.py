@@ -90,12 +90,9 @@ UGLY = dict(
 
 def _without_first_pair(assignment: Assignment) -> Assignment:
     """``assignment`` minus its first ``(receiver, sender)`` pair, if it has one."""
-    lists = assignment.as_lists()
-    for receiver in sorted(lists):
-        if lists[receiver]:
-            lists[receiver] = lists[receiver][1:]
-            break
-    return Assignment.from_lists(lists)
+    kept = assignment.kept.copy()
+    kept[np.flatnonzero(kept)[:1]] = False
+    return Assignment(assignment.indptr, assignment.indices, kept)
 
 
 # --------------------------------------------------------------------------- #
@@ -111,8 +108,8 @@ def _check_exchange(case):
     environment, rng = make_environment(), np.random.default_rng(case["seed"])
     initializer = LDPEmbeddingInitializer(epsilon, bounds=bounds, rng=rng)
     devices = range(environment.num_devices)
-    workloads = [max(assignment.workload(d), 1) for d in devices]
-    requested = [sum(d in chosen for chosen in assignment.selected.values()) for d in devices]
+    workloads = np.maximum(assignment.workload_array(), 1).tolist()
+    requested = np.bincount(assignment.pairs()[1], minlength=len(devices)).tolist()
     draws = assert_stream_contract(
         lambda _: initializer.draw(environment, assignment),
         rng,

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Assignment
 from repro.federation import (
     SERVER_ID,
     CommunicationLedger,
@@ -18,7 +17,14 @@ from repro.federation import (
 )
 from repro.graph import Graph, generate_star, partition_node_level
 
-from helpers.oracles import edge_coverage_holds, exchange, installed_selection, neighbors_of
+from helpers.oracles import (
+    assignment_from_lists,
+    edge_coverage_holds,
+    exchange,
+    full_assignment,
+    installed_selection,
+    neighbors_of,
+)
 from helpers.rng_contract import assert_stream_contract
 from helpers.tree_cases import csr_from_lists
 
@@ -240,7 +246,9 @@ class TestFederatedEnvironment:
     def test_workload_tracking(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
         assert environment.workload_array().tolist() == [0] * small_graph.num_nodes
-        environment.apply_assignment({0: small_graph.neighbors(0)})
+        kept = np.zeros(environment.indices.shape, dtype=bool)
+        kept[environment.indptr[0] : environment.indptr[1]] = True
+        environment.apply_assignment(kept)
         assert environment.workload_array().max() == small_graph.degrees()[0]
         assert environment.workload_array()[0] == small_graph.degrees()[0]
 
@@ -260,66 +268,37 @@ class TestFederatedEnvironment:
 
     def test_assignment_roundtrip_and_coverage(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        full = {
-            device_id: neighbors_of(environment, device_id)
-            for device_id in range(environment.num_devices)
-        }
-        environment.apply_assignment(full)
+        full = full_assignment(environment)
+        environment.apply_assignment(full.kept)
         assert edge_coverage_holds(environment)
-        assert installed_selection(environment) == {k: sorted(v) for k, v in full.items()}
+        assert installed_selection(environment) == full.as_lists()
+        # The installed selection is a read-only copy, not the caller's mask.
+        assert not np.shares_memory(environment.selection, full.kept)
+        with pytest.raises(ValueError, match="read-only"):
+            environment.selection[0] = False
         # Dropping an edge from both sides breaks coverage.
         u, v = int(small_graph.edges[0, 0]), int(small_graph.edges[0, 1])
         broken = {k: [n for n in vs if not (k == u and n == v) and not (k == v and n == u)]
-                  for k, vs in full.items()}
-        environment.apply_assignment(broken)
+                  for k, vs in full.as_lists().items()}
+        environment.apply_assignment(assignment_from_lists(environment, broken).kept)
         assert not edge_coverage_holds(environment)
 
-    def test_apply_assignment_rejects_non_neighbours(self, small_graph):
+    def test_apply_assignment_takes_one_bool_per_csr_position(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        n = environment.num_devices
-        neighbor = neighbors_of(environment, 0)[0]
-        stranger = next(v for v in range(1, n) if v not in neighbors_of(environment, 0))
-        installed = {0: [neighbor], 1: []}
-        environment.apply_assignment(installed)
+        kept = full_assignment(environment).kept
+        environment.apply_assignment(kept)
         selection = environment.selection
-        for selection_map, error, message in [
-            ({1: [], 0: [neighbor, stranger]}, ValueError,
-             f"device 0 cannot select non-neighbour {stranger}"),
-            ({0: [neighbor, n + 3]}, ValueError, f"device 0 cannot select non-neighbour {n + 3}"),
-            ({0: [-1]}, ValueError, "device 0 cannot select non-neighbour -1"),
-            ({0: [0]}, ValueError, "device 0 cannot select non-neighbour 0"),
-            # The first offender in the mapping's order is the one named.
-            ({1: [1], 0: [stranger]}, ValueError, "device 1 cannot select non-neighbour 1"),
-            ({0: [neighbor], n: []}, KeyError, f"unknown device {n}"),
-            ({-1: []}, KeyError, "unknown device -1"),
+        for mask, error, message in [
+            (kept.astype(np.int64), TypeError, "boolean mask, not int64"),
+            (kept.astype(np.float64), TypeError, "boolean mask, not float64"),
+            (kept[1:], ValueError, "one entry per CSR position"),
+            (kept.reshape(1, -1), ValueError, "one entry per CSR position"),
+            (list(kept[:3]), ValueError, "one entry per CSR position"),
         ]:
             with pytest.raises(error, match=message):
-                environment.apply_assignment(selection_map)
-            # A rejected assignment installs nothing, not even its valid part.
+                environment.apply_assignment(mask)
+            # A rejected mask installs nothing.
             assert environment.selection is selection
-            assert installed_selection(environment)[0] == [neighbor]
-
-    def test_apply_assignment_sorts_and_collapses_duplicates(self, small_graph):
-        environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        neighbors = neighbors_of(environment, 0)
-        assert len(neighbors) >= 2
-        environment.apply_assignment({1: neighbors_of(environment, 1)})
-        kept = installed_selection(environment)[1]
-        # Lists, sets, arrays and one-shot iterables are all accepted.
-        for chosen in (
-            neighbors[::-1] + neighbors,
-            set(neighbors),
-            np.asarray(neighbors[::-1]),
-            iter(neighbors + neighbors[:1]),
-        ):
-            environment.apply_assignment({0: chosen})
-            assert installed_selection(environment)[0] == neighbors
-            # Devices the mapping does not name keep their selection.
-            assert installed_selection(environment)[1] == kept
-        environment.apply_assignment({0: []})
-        assert installed_selection(environment)[0] == []
-        environment.apply_assignment({})
-        assert installed_selection(environment)[1] == kept
 
     def test_directed_edges_are_the_csr(self, small_graph):
         environment = FederatedEnvironment.from_graph(small_graph, seed=0)
@@ -403,24 +382,17 @@ class TestDeviceIdTypes:
                 np.array([0.5]), np.array([1.2]), MessageKind.OTHER, 1), TypeError),
             (lambda env: env.exchange_many(
                 np.array([True]), np.array([0]), MessageKind.OTHER, 1), TypeError),
-            (lambda env: env.apply_assignment({0: [1.9]}), TypeError),
-            (lambda env: env.apply_assignment({0: np.array([1.0])}), TypeError),
-            (lambda env: env.apply_assignment({0.7: [1]}), TypeError),
-            (lambda env: env.apply_assignment({True: [0]}), TypeError),
             (lambda env: env.set_availability(np.array([0.5, 0.0, 2.0])), TypeError),
             (lambda env: env.set_availability(np.array([1, 0, 1])), TypeError),
             (lambda env: env.exchange_many(
                 np.array([0]), np.array([3]), MessageKind.OTHER, 1), KeyError),
-            (lambda env: env.apply_assignment({3: []}), KeyError),
         ],
         ids=[
-            "float-exchange", "bool-exchange", "float-neighbour", "float-array-neighbour",
-            "float-device", "bool-device", "float-mask", "integer-mask",
-            "unknown-exchange", "unknown-device",
+            "float-exchange", "bool-exchange", "float-mask", "integer-mask", "unknown-exchange",
         ],
     )
     def test_non_integer_ids_are_type_errors(self, environment, call, error):
-        environment.apply_assignment({0: [1]})
+        environment.apply_assignment(assignment_from_lists(environment, {0: [1]}).kept)
         selection = environment.selection
         with pytest.raises(error):
             call(environment)
@@ -439,7 +411,7 @@ WIDE = dict(max_examples=400, deadline=None)
 
 @st.composite
 def federations(draw, max_devices: int):
-    """``(graph or None, neighbour lists, selection, partial re-selection)``."""
+    """``(graph or None, neighbour lists, selection)``."""
     n = draw(st.integers(0, max_devices))
     pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
         lambda pair: pair[0] != pair[1]
@@ -455,26 +427,23 @@ def federations(draw, max_devices: int):
     keep = st.lists(st.booleans(), min_size=len(sum(lists, [])), max_size=len(sum(lists, [])))
     kept = iter(draw(keep))
     selection = {device: [v for v in row if next(kept)] for device, row in enumerate(lists)}
-    renamed = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True)) if n else []
-    reselection = {device: draw(st.sets(st.sampled_from(lists[device])))
-                   if lists[device] else set() for device in renamed}
-    return graph, lists, selection, reselection
+    return graph, lists, selection
 
 
 EXAMPLES = [
     # isolated vertices around one edge, a star, one device, the empty graph
     (Graph(num_nodes=4, edges=np.array([[1, 2]]), features=np.zeros((4, 2))),
-     [[], [2], [1], []], {0: [], 1: [2], 2: [], 3: []}, {2: {1}}),
-    (generate_star(num_leaves=4, seed=0), None, None, {0: set()}),
-    (Graph(num_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 2))), [[]], {0: []}, {0: set()}),
-    (Graph(num_nodes=0, edges=np.zeros((0, 2)), features=np.zeros((0, 2))), [], {}, {}),
+     [[], [2], [1], []], {0: [], 1: [2], 2: [], 3: []}),
+    (generate_star(num_leaves=4, seed=0), None, None),
+    (Graph(num_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 2))), [[]], {0: []}),
+    (Graph(num_nodes=0, edges=np.zeros((0, 2)), features=np.zeros((0, 2))), [], {}),
     # device 1 lists no neighbour although device 0 lists it; 3 is isolated
-    (None, [[1, 2], [], [0], []], {0: [1], 1: [], 2: [0], 3: []}, {0: {2}, 3: set()}),
+    (None, [[1, 2], [], [0], []], {0: [1], 1: [], 2: [0], 3: []}),
 ]
 
 
 def _check_federation(case):
-    graph, lists, selection, reselection = case
+    graph, lists, selection = case
     if lists is None:  # a whole graph, everything selected
         lists = [graph.neighbors(v).tolist() for v in range(graph.num_nodes)]
         selection = dict(enumerate(lists))
@@ -490,28 +459,16 @@ def _check_federation(case):
         if graph is not None:
             np.testing.assert_array_equal(neighbors_of(environment, device), graph.neighbors(device))
 
-    environment.apply_assignment(selection)
+    assignment = assignment_from_lists(environment, selection)
+    environment.apply_assignment(assignment.kept)
     installed = {device: sorted(selection.get(device, ())) for device in range(n)}
-    assert installed_selection(environment) == installed
+    assert installed_selection(environment) == installed == assignment.as_lists()
     np.testing.assert_array_equal(environment.workload_array(), [len(installed[d]) for d in range(n)])
     kept = {(u, v) for u, row in installed.items() for v in row}
     covered = all((u, v) in kept or (v, u) in kept for u in range(n) for v in lists[u])
     assert edge_coverage_holds(environment) is covered
     if graph is not None:
-        assert covered is Assignment.from_lists(installed).covers_all_edges(graph)
-
-    # A partial mapping replaces the named devices' selections only.
-    environment.apply_assignment(reselection)
-    installed.update({device: sorted(chosen) for device, chosen in reselection.items()})
-    assert installed_selection(environment) == installed
-    # A mapping with one non-neighbour installs nothing.
-    strangers = [(u, v) for u in range(n) for v in range(n) if v != u and v not in lists[u]]
-    if strangers:
-        u, v = strangers[0]
-        before = environment.selection
-        with pytest.raises(ValueError, match=f"device {u} cannot select non-neighbour {v}"):
-            environment.apply_assignment({**{w: [] for w in range(n)}, u: [v]})
-        assert environment.selection is before
+        assert covered is assignment.covers_all_edges(graph)
 
 
 def _with_examples(test):

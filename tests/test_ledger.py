@@ -29,9 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from helpers.oracles import LedgerOracle
+from helpers.oracles import LedgerOracle, assignment_from_lists
 from repro.core.mcmc import _IncrementalBalancingKernel
-from repro.core.workload import Assignment
 from repro.crypto import SecureComparator
 from repro.crypto.secure_compare import comparison_cost
 from repro.crypto.transport import charge_comparison_ledger
@@ -331,7 +330,7 @@ def test_flushing_secure_alg3_calls_costs_one_arange_plus_bytes_per_call():
     # it is the one most-loaded device and every call has one winner.
     selected = {device: [device + 1] for device in range(n - 2)}
     selected.update({0: [1, n - 1], n - 2: [n - 1], n - 1: []})
-    kernel = _IncrementalBalancingKernel(environment, Assignment.from_lists(selected))
+    kernel = _IncrementalBalancingKernel(environment, assignment_from_lists(environment, selected))
     comparator = SecureComparator(bit_width=24)
     for round_index in range(calls):
         assert kernel.find_max_workload_device_secure(comparator, round_index) == 0

@@ -198,6 +198,21 @@ class TestDeltaOperations:
         tree, _ = _tree()
         _assert_edges_covered(tree)
 
+    @pytest.mark.parametrize(
+        "selection, complaint",
+        [
+            ({0: [5], 1: []}, "device 0 selects a vertex that is not its neighbour"),
+            ({0: [1], 1: [0], 7: []}, "device 7 is in only one of the selection"),
+            ({0: [1]}, "device 1 is in only one of the selection"),
+        ],
+        ids=["non-neighbour", "absent-device", "missing-device"],
+    )
+    def test_genesis_refuses_a_selection_outside_the_adjacency(self, selection, complaint):
+        # No mutation reaches such a state, so the tree would run on one
+        # no journal could have produced.
+        with pytest.raises(ValueError, match=complaint):
+            MaintainedTree.from_construction(selection, {0: [1], 1: [0]})
+
     def test_insert_covers_new_edges_and_filters_absent_neighbors(self):
         tree, _ = _tree()
         device = max(tree.present()) + 1

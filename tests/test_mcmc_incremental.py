@@ -14,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers.oracles import construct_with_oracles, mcmc_run_reference
+from helpers.oracles import (
+    SelectionOracle,
+    assignment_from_lists,
+    construct_with_oracles,
+    full_assignment,
+    mcmc_run_reference,
+)
 from helpers.tree_cases import csr_from_lists
 
 from repro.core import (
@@ -212,9 +218,11 @@ class TestSegmentedRescan:
     )
     def test_maxima_match_the_per_neighbour_loop(self, graph, select):
         environment = FederatedEnvironment.from_graph(graph, seed=0)
-        assignment = Assignment.full(graph)
+        assignment = full_assignment(environment)
         if select == "none":
-            assignment = Assignment(selected={v: set() for v in range(graph.num_nodes)})
+            assignment = Assignment(
+                environment.indptr, environment.indices, np.zeros_like(assignment.kept)
+            )
         kernel = _IncrementalBalancingKernel(environment, assignment)
         vertices = list(range(graph.num_nodes)) + [1, 1, 0]  # repeats allowed
         maxima, attained = kernel._neighborhood_maxima(vertices)
@@ -229,7 +237,7 @@ class TestSegmentedRescan:
         features = np.random.default_rng(0).random((4, 2))
         environment = FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
         kernel = _IncrementalBalancingKernel(
-            environment, Assignment.from_lists({0: [1, 2], 1: [], 2: [0], 3: []})
+            environment, assignment_from_lists(environment, {0: [1, 2], 1: [], 2: [0], 3: []})
         )
         for vertices in ([1], [3, 1], [1, 0, 3, 2, 3], [0, 2], []):
             maxima, attained = kernel._neighborhood_maxima(vertices)
@@ -238,7 +246,7 @@ class TestSegmentedRescan:
     def test_incremental_state_equals_from_scratch_after_apply_and_revert(self):
         graph = _double_star(5)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
-        kernel = _IncrementalBalancingKernel(environment, Assignment.full(graph))
+        kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
         kernel.apply(0, [2, 3, 1])  # hub 0 sheds two leaves and the other hub
         _assert_kernel_state_is_from_scratch(kernel)
         kernel.revert()  # several simultaneous decrements: the two-phase branch
@@ -254,7 +262,7 @@ class TestSegmentedRescan:
         # pass reads the rows of the moved vertices and nothing else.
         graph = generate_star(num_leaves=2000, seed=0)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
-        kernel = _IncrementalBalancingKernel(environment, Assignment.full(graph))
+        kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
         hub = int(np.argmax(kernel.workload))
         leaf = kernel._neighbors[hub][0]
         kernel._neighbors = rows = _CountingRows(kernel._neighbors)
@@ -267,48 +275,39 @@ class TestSegmentedRescan:
 
 class TestTransferDeltas:
     def test_apply_then_undo_restores_everything(self, social_graph):
-        assignment = Assignment.full(social_graph)
+        environment = FederatedEnvironment.from_graph(social_graph, seed=0)
+        assignment = full_assignment(environment)
         baseline = assignment.as_lists()
-        vector = assignment.workload_vector(social_graph.num_nodes)
+        vector = assignment.workload_array()
         baseline_vector = vector.copy()
         source = int(np.argmax(baseline_vector))
-        targets = sorted(assignment.selected[source])[:3]
+        targets = assignment.kept_neighbors(source)[:3].tolist()
 
         record = assignment.apply_transfer(source, targets)
-        assert assignment.workload(source) == baseline_vector[source] - len(targets)
-        np.testing.assert_array_equal(
-            vector, assignment.workload_array()[: vector.shape[0]]
-        )
+        assert vector[source] == baseline_vector[source] - len(targets)
+        np.testing.assert_array_equal(vector, SelectionOracle.of(assignment).workload_array())
         assignment.undo_transfer(source, record)
         assert assignment.as_lists() == baseline
         np.testing.assert_array_equal(vector, baseline_vector)
 
-    def test_transfer_matches_apply_transfer(self, social_graph):
-        base = Assignment.full(social_graph)
-        source = 0
-        targets = sorted(base.selected[source])[:2]
-        fresh = base.transfer(source, targets)
-        mutated = base.copy()
-        mutated.apply_transfer(source, targets)
-        assert fresh.as_lists() == mutated.as_lists()
-        # The original is untouched by transfer().
-        assert base.as_lists() == Assignment.full(social_graph).as_lists()
-
     def test_invalid_target_rejected(self, social_graph):
-        assignment = Assignment.full(social_graph)
+        environment = FederatedEnvironment.from_graph(social_graph, seed=0)
+        assignment = full_assignment(environment)
         not_selected = next(
             v for v in range(social_graph.num_nodes)
-            if v not in assignment.selected[0] and v != 0
+            if v not in assignment.kept_neighbors(0) and v != 0
         )
         with pytest.raises(ValueError):
             assignment.apply_transfer(0, [not_selected])
 
-    def test_workload_vector_is_maintained_not_rebuilt(self, social_graph):
-        assignment = Assignment.full(social_graph)
-        vector = assignment.workload_vector(social_graph.num_nodes)
-        assert vector is assignment.workload_vector(social_graph.num_nodes)
+    def test_workloads_are_maintained_not_rebuilt(self, social_graph):
+        environment = FederatedEnvironment.from_graph(social_graph, seed=0)
+        assignment = full_assignment(environment)
+        vector = assignment.workload_array()
+        assert np.shares_memory(vector, assignment.workload_array())
         copied = assignment.copy()
-        assert copied.workload_vector(social_graph.num_nodes) is not vector
+        assert not np.shares_memory(copied.workload_array(), vector)
+        assert not np.shares_memory(copied.kept, assignment.kept)
 
 
 class TestKernelTranscriptBlocks:
@@ -361,7 +360,8 @@ def _walk_case(name):
     """``(environment, assignment)`` of one speculation-walk case."""
     if name == "star":
         graph = generate_star(num_leaves=12, seed=0)
-        return FederatedEnvironment.from_graph(graph, seed=0), Assignment.full(graph)
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        return environment, full_assignment(environment)
     if name == "social":
         graph = generate_facebook_like(seed=4, num_nodes=70)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
@@ -375,7 +375,7 @@ def _walk_case(name):
     indptr, indices = csr_from_lists(lists)
     features = np.zeros((len(lists), 1))
     environment = FederatedEnvironment.from_partition((indptr, indices, features), seed=0)
-    return environment, Assignment.from_lists({v: list(row) for v, row in enumerate(lists)})
+    return environment, full_assignment(environment)
 
 
 class TestSecureSpeculation:
@@ -395,11 +395,11 @@ class TestSecureSpeculation:
             if rng.random() < 0.8:
                 kernel.find_max_workload_device_secure(comparator, step)
                 _assert_prefixes_are_from_scratch(kernel)
-            holders = [v for v, chosen in kernel.assignment.selected.items() if chosen]
+            holders = [v for v, chosen in kernel.assignment.as_lists().items() if chosen]
             if not holders:
                 break
             source = int(rng.choice(holders))
-            chosen = sorted(kernel.assignment.selected[source])
+            chosen = kernel.assignment.kept_neighbors(source).tolist()
             size = int(rng.integers(1, len(chosen) + 1))
             kernel.apply(source, [int(v) for v in rng.choice(chosen, size, replace=False)])
             kernel.find_max_workload_device_secure(comparator, step)
@@ -423,7 +423,7 @@ class TestSecureSpeculation:
         environment = FederatedEnvironment.from_partition(
             (indptr, indices, np.zeros((2000, 1))), seed=0
         )
-        kernel = _IncrementalBalancingKernel(environment, Assignment.from_lists(selected))
+        kernel = _IncrementalBalancingKernel(environment, assignment_from_lists(environment, selected))
         comparator = SecureComparator(bit_width=24)
         scanned = []
         scan = kernel._scan_prefixes
@@ -454,8 +454,9 @@ class TestTinyFederations:
         "lists", [[], [[]], [[], []], [[1], [0]]], ids=["none", "one", "two-isolated", "two-linked"]
     )
     @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
-    def test_construction_matches_the_reference_loops(self, lists, secure):
-        config = TreeConstructorConfig(mcmc_iterations=6)
+    @pytest.mark.parametrize("use_tree_trimming", [True, False], ids=["trimmed", "untrimmed"])
+    def test_construction_matches_the_reference_loops(self, lists, secure, use_tree_trimming):
+        config = TreeConstructorConfig(mcmc_iterations=6, use_tree_trimming=use_tree_trimming)
         indptr, indices = csr_from_lists(lists)
         features = np.zeros((len(lists), 2))
 
@@ -465,6 +466,13 @@ class TestTinyFederations:
         fast_env, slow_env = environment(), environment()
         fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
         fast = TreeConstructor(config, rng=fast_rng, secure=secure).construct(fast_env)
+        if not use_tree_trimming:
+            # Every device keeps every neighbour, and nothing is compared.
+            assert fast.assignment.as_lists() == SelectionOracle.full(slow_env).as_lists()
+            assert fast.mcmc_result is None and fast.transcript.comparisons == 0
+            assert fast_env.workload_array().tolist() == [len(row) for row in lists]
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+            return
         _, slow, slow_transcript = construct_with_oracles(slow_env, config, slow_rng, secure=secure)
         assert fast.assignment.as_lists() == slow.assignment.as_lists()
         assert fast.mcmc_result.objective_history == slow.objective_history

@@ -98,11 +98,10 @@ class TestDegreePrivacy:
 
     def test_server_only_sees_candidate_ids(self, privacy_graph):
         """Alg. 3: the server learns which devices are candidates, not workloads."""
-        from helpers.oracles import find_max_workload_device
-        from repro.core import Assignment
+        from helpers.oracles import SelectionOracle, find_max_workload_device
 
         environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
-        assignment = Assignment.full(privacy_graph)
+        assignment = SelectionOracle.full(environment)
         find_max_workload_device(environment, assignment, per_device_ledger=True)
         server_sizes = [
             size

@@ -353,6 +353,30 @@ RETIRED_RUNTIME_MEMBERS = {
 }
 
 
+#: The dict-of-sets ``Assignment``.  A selection is a bool mask over the
+#: environment's CSR positions: ``selected`` is ``kept``, ``workload_vector``
+#: folded into ``workload_array``, and the constructors and queries only
+#: tests called moved to ``helpers.oracles.SelectionOracle`` (or went).  The
+#: maintained tree's dict of sets and its localized rebalance live in
+#: ``repro.maintenance.tree``.
+RETIRED_ASSIGNMENT_NAMES = {"localized_rebalance"}
+RETIRED_ASSIGNMENT_MEMBERS = {
+    "repro.core.workload.Assignment": {
+        "selected",
+        "full",
+        "from_lists",
+        "workload",
+        "workloads",
+        "workload_vector",
+        "argmax_workload",
+        "transfer",
+        "statistics",
+        "uncovered_edges",
+        "is_consistent_with",
+    },
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -597,3 +621,15 @@ def test_only_the_ldp_release_and_own_rows_read_environment_features():
         if not any(reader == allowed or reader.startswith(allowed + ".") for allowed in FEATURE_READERS)
     }
     assert not strays, sorted(strays)
+
+
+def test_retired_assignment_members_stay_gone(modules):
+    assert not _retired_names_found(
+        modules, ("repro.core", "repro.federation"), RETIRED_ASSIGNMENT_NAMES
+    )
+    survivors = []
+    for owner, names in RETIRED_ASSIGNMENT_MEMBERS.items():
+        value = _resolve(owner)
+        members = {*vars(value), *(field.name for field in dataclasses.fields(value))}
+        survivors += [f"{owner}.{name}" for name in names & members]
+    assert not survivors
