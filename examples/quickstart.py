@@ -71,16 +71,16 @@ def main() -> None:
     for stage, stats in gat_system.engine_stats().items():
         print(f"stage {stage:<14} hits={stats['hits']} misses={stats['misses']}")
 
-    # An experiment is a work plan (repro.runtime): its arms run one after
-    # another on one artifact store (by default the process-wide one), so the
-    # epsilon-free pipeline prefix is computed for the first point and
+    # An experiment is a loop over its arms (repro.eval.runner): they run one
+    # after another on one artifact store (by default the process-wide one),
+    # so the epsilon-free pipeline prefix is computed for the first point and
     # replayed bit-for-bit for the others.
     sweep = run_epsilon_sweep(
         "facebook",
         epsilons=[0.5, 1.0, 2.0, 4.0],
         scale=ExperimentScale(num_nodes=300, epochs=20, mcmc_iterations=150),
     )
-    print("\n=== Epsilon sweep (one work plan, shared stages) ===")
+    print("\n=== Epsilon sweep (one loop over its points, shared stages) ===")
     for epsilon, accuracy in sweep.items():
         print(f"epsilon={epsilon:<4} test accuracy: {accuracy:.4f}")
 

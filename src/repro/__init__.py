@@ -11,7 +11,8 @@ Top-level subpackages
     GCN / GAT layers, encoders and task heads.
 ``repro.crypto``
     Privacy substrate: local differential privacy encoders and a simulated
-    CrypTFlow2-style secure integer comparison protocol.
+    CrypTFlow2-style secure integer comparison protocol, with the framed
+    channel its two-party transport runs over.
 ``repro.federation``
     Synchronous federated runtime simulator with communication accounting.
 ``repro.core``
@@ -22,12 +23,15 @@ Top-level subpackages
     reuse across sweeps and repeated runs).
 ``repro.baselines``
     Centralized GNN, LPGNN, and the naive federated GNN baseline.
-``repro.runtime``
-    Content-keyed work items (sweep points, ablation arms, baselines)
-    collected in deduplicating work plans, and the two-party transport's
-    framed channel.
+``repro.faults``
+    Seeded fault scenarios (dropout, churn, stragglers, message loss).
+``repro.maintenance``
+    Journalled delta maintenance of a constructed tree under churn.
+``repro.obs``
+    Tracing spans, metrics and their exporters.
 ``repro.eval``
-    Metrics, experiment runner and per-figure reproduction entry points.
+    Metrics, experiment runner (each experiment a loop over its arms) and
+    per-figure reproduction entry points.
 """
 
 __version__ = "1.0.0"
@@ -41,6 +45,8 @@ __all__ = [
     "core",
     "engine",
     "baselines",
-    "runtime",
+    "faults",
+    "maintenance",
+    "obs",
     "eval",
 ]

@@ -73,10 +73,9 @@ class LumosConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     seed: int = 0
     #: Fault-injection scenario applied at training time.  Empty by default;
-    #: a non-empty scenario enters the work-item fingerprint (so cached
-    #: artifacts never mix scenarios) while the pipeline *stage* keys stay
-    #: untouched — every scenario of a sweep shares the partition /
-    #: construction / tree-batch prefix.
+    #: the pipeline *stage* keys never see it — every scenario of a sweep
+    #: shares the partition / construction / tree-batch prefix, and only
+    #: the (never cached) training differs.
     faults: FaultScenarioConfig = field(default_factory=FaultScenarioConfig)
 
     # ------------------------------------------------------------------ #

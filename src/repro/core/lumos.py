@@ -3,8 +3,8 @@
 :class:`LumosSystem` wires the full pipeline together for a given global
 graph: node-level partition, federated environment, heterogeneity-aware tree
 construction, LDP embedding initialisation and tree-based GNN training.  This
-is the class the examples, the ``perfbench`` workloads and the work items
-of the evaluation harness use.
+is the class the examples, the ``perfbench`` workloads and the experiment
+arms of the evaluation harness use.
 
 Typical usage::
 
@@ -49,13 +49,8 @@ from .trainer import (
 _normalized_graphs = IdentityCache()
 
 
-def normalized_graph(graph: Graph) -> Graph:
-    """The per-process normalized twin of ``graph`` (memoised by identity).
-
-    Public because the parallel runtime plans stage keys over the *same*
-    normalized instance a ``LumosSystem`` would train on — sharing the memo
-    keeps the graph-fingerprint cache hot across planner and systems.
-    """
+def _normalized_graph(graph: Graph) -> Graph:
+    """The per-process normalized twin of ``graph`` (memoised by identity)."""
     normalized = _normalized_graphs.get(graph)
     if normalized is None:
         normalized = _normalized_graphs.put(graph, graph.normalized_features(0.0, 1.0))
@@ -111,7 +106,7 @@ class LumosSystem:
         cost_model: Optional[EpochCostModel] = None,
         store: Optional[ArtifactStore] = None,
     ) -> None:
-        self.graph = normalized_graph(graph)
+        self.graph = _normalized_graph(graph)
         self.config = config if config is not None else LumosConfig()
         self.cost_model = cost_model if cost_model is not None else EpochCostModel()
         self.rng = np.random.default_rng(self.config.seed)

@@ -9,7 +9,7 @@ the cost becomes *measured*:
 
 * a party process (:func:`party_main`) holds party B's private operands and
   serves its half of the millionaires' protocol over a
-  :class:`~repro.runtime.channel.PartyChannel`;
+  :class:`~repro.crypto.channel.PartyChannel`;
 * a :class:`RemoteParty` driver holds party A's operands **and all of the
   session's bookkeeping** — the
   :class:`~repro.crypto.oblivious_transfer.TranscriptAccountant` and the
@@ -45,7 +45,7 @@ them first, so the party checksums them once per session and each row's
 CRC-32 continues from theirs.  Session ``CONTROL`` handshakes (ready / done
 / goodbye) are *not* protocol traffic; they are reported separately and
 excluded from the reconciliation, as is the channel's fixed per-frame header
-(:data:`~repro.runtime.channel.FRAME_OVERHEAD_BYTES`).
+(:data:`~repro.crypto.channel.FRAME_OVERHEAD_BYTES`).
 
 Failure model
 -------------
@@ -69,7 +69,7 @@ import numpy as np
 from .. import obs
 from ..federation.events import MessageKind
 from ..federation.network import constant_column
-from ..runtime.channel import (
+from .channel import (
     FRAME_OVERHEAD_BYTES,
     MAX_FRAME_BYTES,
     ChannelError,
@@ -411,7 +411,7 @@ class RemoteParty:
         message charge as the in-process callers, with the physical frames
         recorded in the frame table only.  An empty batch starts no
         session, and a batch whose widest frame would exceed
-        :data:`~repro.runtime.channel.MAX_FRAME_BYTES` raises ``ValueError``
+        :data:`~repro.crypto.channel.MAX_FRAME_BYTES` raises ``ValueError``
         before any process starts.
         """
         left = operand_array(left, "left", self.bit_width)

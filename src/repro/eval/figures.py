@@ -14,6 +14,7 @@ Run from the command line::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 from typing import Dict, List, Optional
 
@@ -452,7 +453,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     selected = sorted(FIGURES) if args.figure == "all" else [args.figure]
     collected = {}
     tracer = obs.Tracer() if args.trace else None
-    with obs.tracing(tracer=tracer) if tracer else _null_context():
+    with obs.tracing(tracer) if tracer else contextlib.nullcontext():
         for name in selected:
             collected[name] = FIGURES[name](scale=scale)
     if args.as_json:
@@ -463,12 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\ntrace written to {path} (load in https://ui.perfetto.dev)")
         print(obs.summary_table(trace))
     return 0
-
-
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def _to_jsonable(value):

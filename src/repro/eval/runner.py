@@ -5,11 +5,12 @@ quick configurations (small synthetic graphs, tens of epochs) and larger
 runs.  The returned dictionaries are consumed by :mod:`repro.eval.figures`
 and by the figure tests under ``benchmarks/``.
 
-Every experiment is a :class:`~repro.runtime.plan.WorkPlan`: an entry point
-describes its independent arms — sweep points, ablation variants, baseline
-comparisons — as work items (the experiment bodies live once, in
-:mod:`repro.runtime.items`) and runs them one after another on ``store``,
-the one artifact store of the plan.  The default is the process-wide
+Every experiment is a loop over its arms — sweep points, ablation
+variants, baseline comparisons.  An entry point loads its graph once and
+runs each arm under a ``runner.arm`` span: a Lumos arm is a
+:class:`~repro.core.LumosSystem` on ``store`` plus the task body
+(:func:`_lumos_value`), a baseline arm one baseline trainer
+(:func:`_baseline_value`).  ``store`` defaults to the process-wide
 :func:`~repro.engine.default_store`, so stages whose inputs do not change
 between arms (tree construction across an epsilon sweep, the whole
 pre-training pipeline across a backbone sweep) are computed once and
@@ -25,15 +26,32 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .. import obs
-from ..core import default_config_for
+from .. import baselines, obs
+from ..core import LumosSystem, default_config_for
 from ..core.config import LumosConfig
-from ..engine import ArtifactStore, default_store
+from ..engine import ArtifactStore
 from ..faults import FaultScenarioConfig, default_robustness_scenarios
+from ..graph import Graph, load_dataset, split_edges, split_nodes
 from ..maintenance.churn import churn_maintenance_metrics
-from ..runtime import BaselineItem, GraphSpec, LumosItem, WorkItem, WorkPlan
-from ..runtime.items import BASELINE_METHODS
 from .metrics import relative_change
+
+#: The tasks :func:`_lumos_value` runs on a built system.
+LUMOS_TASKS = ("supervised", "unsupervised", "workload", "system_cost", "robustness")
+
+#: The baseline trainers per training task: the methods Fig. 3 (supervised)
+#: and Fig. 4 (unsupervised) compare Lumos against.
+_BASELINE_TRAINERS = {
+    "supervised": {
+        "centralized": baselines.train_centralized_supervised,
+        "lpgnn": baselines.train_lpgnn_supervised,
+        "naive_fedgnn": baselines.train_naive_fedgnn_supervised,
+    },
+    "unsupervised": {
+        "centralized": baselines.train_centralized_unsupervised,
+        "naive_fedgnn": baselines.train_naive_fedgnn_unsupervised,
+    },
+}
+
 
 def _traced_entry(fn):
     """Wrap an experiment entry point in a ``runner.<name>`` span.
@@ -75,46 +93,97 @@ class ExperimentScale:
         return cls(num_nodes=None, epochs=300, mcmc_iterations=1000, seed=0)
 
 
-def _run_plan(
-    items: Mapping[Hashable, WorkItem], store: Optional[ArtifactStore]
-) -> Dict[Hashable, Any]:
-    """Run ``items`` (arm name -> work item) as one plan on one store.
-
-    Returns the arms' values under the same names, in the same order.  Arms
-    whose content keys collide run once.
-    """
-    store = default_store() if store is None else store
-    plan = WorkPlan(list(items.values()))
-    values = {}
-    for item in plan.unique_items():
-        with obs.span("runtime.item", label=item.label or type(item).__name__):
-            values[item.key()] = item.execute(store)["value"]
-    return {name: values[key] for name, key in zip(items, plan.requests)}
-
-
 def _require_training_task(task: str) -> None:
-    if task not in BASELINE_METHODS:
-        raise ValueError(f"task must be one of {tuple(BASELINE_METHODS)}, got {task!r}")
+    if task not in _BASELINE_TRAINERS:
+        raise ValueError(f"task must be one of {tuple(_BASELINE_TRAINERS)}, got {task!r}")
 
 
-def _graph_spec(dataset: str, scale: ExperimentScale) -> GraphSpec:
-    """The recipe every arm builds its graph from."""
-    return GraphSpec(dataset=dataset, seed=scale.seed, num_nodes=scale.num_nodes)
+def _load_graph(dataset: str, scale: ExperimentScale) -> Graph:
+    """The graph every arm of one experiment runs on."""
+    return load_dataset(dataset, seed=scale.seed, num_nodes=scale.num_nodes)
 
 
-def _lumos_items(
-    dataset: str, scale: ExperimentScale, task: str,
-    configs: Mapping[Hashable, LumosConfig], label_prefix: str,
-) -> Dict[Hashable, LumosItem]:
-    """One ``LumosItem`` per named config, labelled ``<label_prefix><name>``."""
-    spec = _graph_spec(dataset, scale)
-    return {
-        name: LumosItem(
-            graph_spec=spec, config=config, task=task, split_seed=scale.seed,
-            label=f"{label_prefix}{name}",
+def _lumos_value(system: LumosSystem, task: str, split_seed: int) -> Any:
+    """Run ``task`` on a built system; return what the harness consumes.
+
+    ``supervised`` / ``unsupervised`` train and return the test metric,
+    ``robustness`` the supervised metrics with the fault counters,
+    ``workload`` the per-device workload array after construction, and
+    ``system_cost`` the Fig. 8 communication/epoch-time entry.  The system's
+    ledger, accountant and RNG are left for the caller to read.
+    """
+    if task not in LUMOS_TASKS:
+        raise ValueError(f"task must be one of {LUMOS_TASKS}, got {task!r}")
+    if task == "supervised":
+        return system.run_supervised(split_nodes(system.graph, seed=split_seed)).test_accuracy
+    if task == "unsupervised":
+        return system.run_unsupervised(split_edges(system.graph, seed=split_seed)).test_auc
+    if task == "workload":
+        return system.workload_distribution()
+    trainer = system.trainer()
+    if task == "robustness":
+        result = system.run_supervised(split_nodes(system.graph, seed=split_seed))
+        stats = trainer.fault_stats or {}
+        traffic = system.environment.ledger.summary()
+        return {
+            "test_accuracy": result.test_accuracy,
+            "best_val_accuracy": result.best_val_accuracy,
+            "rounds_per_device": result.communication_rounds_per_device,
+            "mean_epoch_time": stats.get("mean_epoch_time", result.simulated_epoch_time),
+            "mean_participation": stats.get("mean_participation", 1.0),
+            "offline_device_rounds": stats.get("offline_device_rounds", 0.0),
+            "evicted_device_rounds": stats.get("evicted_device_rounds", 0.0),
+            "lost_update_rounds": stats.get("lost_update_rounds", 0.0),
+            "skipped_updates": stats.get("skipped_updates", 0.0),
+            "dropped_messages": traffic.get("dropped_messages", 0.0),
+            "dropped_bytes": traffic.get("dropped_bytes", 0.0),
+        }
+    entry: Dict[str, float] = {}
+    for training in ("supervised", "unsupervised"):
+        profile = trainer.communication_profile(training)
+        entry[f"{training}_rounds_per_device"] = float(profile["per_device_rounds"].mean())
+        entry[f"{training}_epoch_time"] = trainer.simulated_epoch_time(training)
+    entry["max_workload"] = float(system.workload_distribution().max())
+    return entry
+
+
+def _baseline_value(
+    graph: Graph, method: str, task: str, backbone: str, scale: ExperimentScale
+) -> float:
+    """Train one baseline arm; return its test accuracy or test AUC.
+
+    Baselines train centrally or on their own simulated federation: they
+    neither read nor fill the artifact store.
+    """
+    _require_training_task(task)
+    trainers = _BASELINE_TRAINERS[task]
+    if method not in trainers:
+        raise ValueError(
+            f"method must be one of {tuple(trainers)} for task {task!r}, got {method!r}"
         )
-        for name, config in configs.items()
-    }
+    train = functools.partial(
+        trainers[method], backbone=backbone, epochs=scale.epochs, seed=scale.seed
+    )
+    if task == "supervised":
+        return train(graph, split_nodes(graph, seed=scale.seed)).test_accuracy
+    return train(graph, split_edges(graph, seed=scale.seed)).test_auc
+
+
+def _run_lumos_arms(
+    graph: Graph, scale: ExperimentScale, task: str,
+    configs: Mapping[Hashable, LumosConfig], label_prefix: str,
+    store: Optional[ArtifactStore],
+) -> Dict[Hashable, Any]:
+    """One Lumos arm per named config, in order, all on ``store``.
+
+    Each arm runs under a ``runner.arm`` span labelled
+    ``<label_prefix><name>``; the values come back under the same names.
+    """
+    values = {}
+    for name, config in configs.items():
+        with obs.span("runner.arm", label=f"{label_prefix}{name}"):
+            values[name] = _lumos_value(LumosSystem(graph, config, store=store), task, scale.seed)
+    return values
 
 
 def _lumos_config(dataset: str, scale: ExperimentScale, backbone: str, epsilon: float = 2.0) -> LumosConfig:
@@ -135,29 +204,24 @@ def _run_comparison(
     dataset: str, backbone: str, scale: ExperimentScale,
     methods: Optional[Sequence[str]], task: str, store: Optional[ArtifactStore],
 ) -> Dict[str, float]:
-    """One arm per method: Lumos as a ``LumosItem``, baselines as ``BaselineItem``."""
-    allowed = ("lumos",) + BASELINE_METHODS[task]
+    """One arm per method: Lumos on ``store``, each baseline on its own."""
+    allowed = ("lumos", *_BASELINE_TRAINERS[task])
     methods = allowed if methods is None else methods
     if not methods or any(method not in allowed for method in methods):
         raise ValueError(
             f"methods must be a non-empty subset of {allowed} for the {task} "
             f"comparison, got {list(methods)!r}"
         )
-    spec = _graph_spec(dataset, scale)
-    items: Dict[str, WorkItem] = {}
+    graph = _load_graph(dataset, scale)
+    results: Dict[str, float] = {}
     for method in methods:
-        label = f"{method}/{task}/{dataset}/{backbone}"
-        if method == "lumos":
-            items[method] = LumosItem(
-                graph_spec=spec, config=_lumos_config(dataset, scale, backbone),
-                task=task, split_seed=scale.seed, label=label,
-            )
-        else:
-            items[method] = BaselineItem(
-                method=method, task=task, graph_spec=spec, backbone=backbone,
-                epochs=scale.epochs, seed=scale.seed, split_seed=scale.seed, label=label,
-            )
-    return _run_plan(items, store)
+        with obs.span("runner.arm", label=f"{method}/{task}/{dataset}/{backbone}"):
+            if method == "lumos":
+                system = LumosSystem(graph, _lumos_config(dataset, scale, backbone), store=store)
+                results[method] = _lumos_value(system, task, scale.seed)
+            else:
+                results[method] = _baseline_value(graph, method, task, backbone, scale)
+    return results
 
 
 @_traced_entry
@@ -210,8 +274,9 @@ def run_epsilon_sweep(
         epsilon: _lumos_config(dataset, scale, backbone, epsilon=epsilon)
         for epsilon in epsilons
     }
-    items = _lumos_items(dataset, scale, task, configs, f"sweep/{task}/{dataset}/eps=")
-    return _run_plan(items, store)
+    return _run_lumos_arms(
+        _load_graph(dataset, scale), scale, task, configs, f"sweep/{task}/{dataset}/eps=", store
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -238,8 +303,9 @@ def run_ablation(
         "lumos_wo_vn": base.without_virtual_nodes(),
         "lumos_wo_tt": base.without_tree_trimming(),
     }
-    items = _lumos_items(dataset, scale, task, configs, f"ablation/{task}/{dataset}/")
-    return _run_plan(items, store)
+    return _run_lumos_arms(
+        _load_graph(dataset, scale), scale, task, configs, f"ablation/{task}/{dataset}/", store
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -258,11 +324,10 @@ def run_robustness_sweep(
     Each scenario is one ablation arm: the same dataset/config trained under
     a different :class:`~repro.faults.FaultScenarioConfig`.  Scenarios only
     engage at training time, so every arm shares the full pipeline prefix
-    (partition, construction, LDP init, tree batch) through the store; the
-    per-arm work-item keys differ by the scenario fingerprint, so cached
-    training results never mix scenarios (and two empty scenarios collapse
-    to one execution).  A fault-free ``baseline`` arm is added when the grid
-    lacks one, and every arm reports its accuracy delta vs that baseline
+    (partition, construction, LDP init, tree batch) through the store, and
+    training is never cached, so results never mix scenarios (two empty
+    scenarios return identical metrics).  A fault-free ``baseline`` arm is
+    added when the grid lacks one, and every arm reports its accuracy delta vs that baseline
     (``accuracy_vs_baseline_percent``).
     """
     scenarios = default_robustness_scenarios() if scenarios is None else dict(scenarios)
@@ -270,8 +335,9 @@ def run_robustness_sweep(
         scenarios = {"baseline": FaultScenarioConfig(), **scenarios}
     base = _lumos_config(dataset, scale, backbone)
     configs = {name: base.with_faults(faults) for name, faults in scenarios.items()}
-    items = _lumos_items(dataset, scale, "robustness", configs, f"robustness/{dataset}/")
-    results = {name: dict(value) for name, value in _run_plan(items, store).items()}
+    results = _run_lumos_arms(
+        _load_graph(dataset, scale), scale, "robustness", configs, f"robustness/{dataset}/", store
+    )
     baseline_name = next(name for name, faults in scenarios.items() if faults.is_empty())
     baseline_accuracy = results[baseline_name]["test_accuracy"]
     for entry in results.values():
@@ -302,9 +368,8 @@ def run_churn_maintenance(
     rounds; the run replays its own mutation journal at the end and asserts
     bit-identity before returning (``replay_matches_live``).  The body is
     :func:`repro.maintenance.churn.churn_maintenance_metrics`; it returns
-    only deterministic values.  One arm never dedupes, and the run keeps its
-    own journal and snapshot store, so this entry point is no work plan and
-    takes no ``store``.
+    only deterministic values.  The run keeps its own journal and snapshot
+    store, so this entry point takes no ``store``.
     """
     scenario = (
         scenario
@@ -327,11 +392,14 @@ def run_churn_maintenance(
 # --------------------------------------------------------------------------- #
 # Fig. 7 / Fig. 8 — the system side, with / without tree trimming
 # --------------------------------------------------------------------------- #
-def _trimming_pair(dataset: str, scale: ExperimentScale, task: str) -> Dict[Hashable, LumosItem]:
+def _run_trimming_pair(
+    graph: Graph, dataset: str, scale: ExperimentScale, task: str,
+    store: Optional[ArtifactStore],
+) -> Dict[Hashable, Any]:
     """The Lumos / Lumos w.o. TT arms both system-side figures compare."""
     base = _lumos_config(dataset, scale, "gcn")
     configs = {"lumos": base, "lumos_wo_tt": base.without_tree_trimming()}
-    return _lumos_items(dataset, scale, task, configs, f"{task}/{dataset}/")
+    return _run_lumos_arms(graph, scale, task, configs, f"{task}/{dataset}/", store)
 
 
 @_traced_entry
@@ -341,8 +409,9 @@ def run_workload_analysis(
     store: Optional[ArtifactStore] = None,
 ) -> Dict[str, np.ndarray]:
     """Per-device workload arrays for Lumos and Lumos w.o. TT (Fig. 7)."""
-    results = _run_plan(_trimming_pair(dataset, scale, "workload"), store)
-    results["degrees"] = _graph_spec(dataset, scale).load().degrees()
+    graph = _load_graph(dataset, scale)
+    results = _run_trimming_pair(graph, dataset, scale, "workload", store)
+    results["degrees"] = graph.degrees()
     return results
 
 
@@ -353,7 +422,7 @@ def run_system_cost(
     store: Optional[ArtifactStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-epoch communication rounds and simulated epoch time, with/without TT (Fig. 8)."""
-    return _run_plan(_trimming_pair(dataset, scale, "system_cost"), store)
+    return _run_trimming_pair(_load_graph(dataset, scale), dataset, scale, "system_cost", store)
 
 
 # --------------------------------------------------------------------------- #

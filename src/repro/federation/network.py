@@ -320,7 +320,7 @@ class CommunicationLedger:
         """Attribute one measured transport frame to its party endpoints.
 
         ``kind`` is the transport-level frame tag (a
-        :class:`~repro.runtime.channel.FrameKind` name), not a
+        :class:`~repro.crypto.channel.FrameKind` name), not a
         :class:`MessageKind` — the frame is physical evidence alongside the
         modeled traffic, never part of it.
         """

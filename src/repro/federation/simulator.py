@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.graph import Graph, partition_node_level
+from ..graph.graph import Graph, _read_only, partition_node_level
 from .events import MessageKind
 from .network import CommunicationLedger, constant_column
 from .server import Server
@@ -256,10 +256,3 @@ def _device_ids(values: np.ndarray) -> np.ndarray:
         first = values.flat[0].item()
         raise TypeError(f"device ids must be integers, got {first!r} ({values.dtype})")
     return values.astype(np.int64, copy=False)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``."""
-    view = array.view()
-    view.flags.writeable = False
-    return view

@@ -117,29 +117,44 @@ def _sample_edges(
     num_classes = int(communities.max()) + 1
     members = [np.where(communities == c)[0] for c in range(num_classes)]
     target_edges = int(degrees.sum() // 2)
-    probabilities = degrees.astype(np.float64) / degrees.sum()
+    # ``rng.choice(pool, p=p)`` draws ``pool[cdf.searchsorted(rng.random(),
+    # side="right")]``; the CDFs are built once here instead of per draw.
+    cdf = _choice_cdf(degrees.astype(np.float64) / degrees.sum())
+    local_cdfs = [
+        _choice_cdf(degrees[pool] / degrees[pool].sum()) if pool.shape[0] >= 2 else None
+        for pool in members
+    ]
 
     edge_set = set()
     attempts = 0
     max_attempts = target_edges * 30
     while len(edge_set) < target_edges and attempts < max_attempts:
         attempts += 1
-        u = int(rng.choice(num_nodes, p=probabilities))
+        u = int(cdf.searchsorted(rng.random(), side="right"))
         if rng.random() < homophily:
-            pool = members[communities[u]]
-            if pool.shape[0] < 2:
+            community = communities[u]
+            local_cdf = local_cdfs[community]
+            if local_cdf is None:
                 continue
-            local_probabilities = degrees[pool].astype(np.float64)
-            local_probabilities /= local_probabilities.sum()
-            v = int(rng.choice(pool, p=local_probabilities))
+            v = int(members[community][local_cdf.searchsorted(rng.random(), side="right")])
         else:
-            v = int(rng.choice(num_nodes, p=probabilities))
+            v = int(cdf.searchsorted(rng.random(), side="right"))
         if u == v:
             continue
         edge_set.add((min(u, v), max(u, v)))
 
     edges = np.asarray(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
     return _connect_isolated(edges, num_nodes, rng)
+
+
+def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The normalised CDF ``Generator.choice`` builds from ``p``, after its checks."""
+    tolerance = np.sqrt(np.finfo(np.float64).eps)
+    if np.any(probabilities < 0) or abs(probabilities.sum() - 1.0) > tolerance:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _connect_isolated(edges: np.ndarray, num_nodes: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,8 +3,8 @@
 The :class:`Graph` class stores an undirected, simple graph with per-node
 feature vectors and (optionally) integer labels, which is exactly the data
 model of the paper's datasets (Facebook Page-Page and LastFM Asia).  It is an
-immutable value object: every transformation (edge splits, feature scaling)
-returns a new instance.
+immutable value object: its arrays are read-only views, and every
+transformation (edge splits, feature scaling) returns a new instance.
 """
 
 from __future__ import annotations
@@ -36,7 +36,15 @@ class Graph:
         Human-readable dataset name.
 
     Edge endpoints and labels must be integers (integral floats are taken as
-    such) and features finite; anything else is a ``ValueError``.
+    such) and features finite; anything else is a ``ValueError``.  The three
+    arrays are stored as read-only views, so a write through them is a
+    ``ValueError`` too: fingerprints and normalized twins are memoised per
+    graph object and would silently go stale.
+
+    The graph takes ownership of the arrays passed in: the views are not
+    copies, so an array given to the constructor must not be written
+    afterwards.  A write through the caller's own array is not caught and
+    leaves the memoised fingerprint and normalized twin stale.
     """
 
     num_nodes: int
@@ -62,7 +70,7 @@ class Graph:
             hi = np.maximum(edges[:, 0], edges[:, 1])
             codes = np.unique(lo * self.num_nodes + hi)
             edges = np.stack([codes // self.num_nodes, codes % self.num_nodes], axis=1)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", _read_only(edges))
 
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != self.num_nodes:
@@ -75,7 +83,7 @@ class Graph:
             raise ValueError(
                 f"features must be finite: vertex {int(infinite[0])} has a NaN or inf"
             )
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "features", _read_only(features))
 
         if self.labels is not None:
             labels = _integers(self.labels, "labels")
@@ -87,7 +95,7 @@ class Graph:
                     f"labels must be non-negative: vertex {int(negative[0])} has "
                     f"{int(labels[negative[0]])}"
                 )
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _read_only(labels))
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -231,9 +239,14 @@ def partition_node_level(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     ``graph``; no per-vertex object is built.
     """
     indptr, indices = graph.csr
-    features = graph.features.view()
-    features.flags.writeable = False
-    return indptr, indices, features
+    return indptr, indices, graph.features
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the caller's array keeps its flags)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _integers(values, what: str) -> np.ndarray:

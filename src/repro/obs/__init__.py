@@ -4,7 +4,7 @@ The subsystem has two halves:
 
 * the data model — :class:`Tracer` (hierarchical spans with wall + CPU
   time), :class:`MetricsRegistry` (counters/gauges/histograms),
-  :class:`RunTrace` (the whole-run view of the snapshots) and the
+  :class:`RunTrace` (the run's snapshot) and the
   exporters in :mod:`repro.obs.export` (JSON-lines spans, Chrome
   trace-event JSON for Perfetto, a summary table);
 * the *ambient* instrumentation API below — module-level helpers the hot
@@ -113,14 +113,14 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(process: str = "main", tracer: Optional[Tracer] = None):
+def tracing(tracer: Optional[Tracer] = None):
     """Activate a tracer for the duration of the block; yields it.
 
     A fresh :class:`Tracer` is created unless one is passed in.  The
     previously active tracer (usually ``None``) is restored on exit, so
     nested/temporary tracing cannot leak into unrelated code.
     """
-    active = tracer if tracer is not None else Tracer(process=process)
+    active = tracer if tracer is not None else Tracer()
     previous = set_tracer(active)
     try:
         yield active

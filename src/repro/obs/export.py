@@ -6,12 +6,12 @@ Three consumers of a :class:`~repro.obs.runtrace.RunTrace`:
   streamable, and the format most log pipelines ingest directly.
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON object format (``{"traceEvents": [...]}``), loadable in
-  ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev).  One thread
-  track per process snapshot of the trace, with complete (``ph: "X"``)
-  events whose wall durations are the span lengths and whose args carry
-  the CPU time and the span attributes.
+  ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev).  One
+  ``main`` thread track, with complete (``ph: "X"``) events whose wall
+  durations are the span lengths and whose args carry the CPU time and the
+  span attributes.
 * :func:`summary_table` — a human-readable roll-up (per-span-name call
-  counts and total wall/CPU, then the merged counters) for terminals.
+  counts and total wall/CPU, then the metrics) for terminals.
 
 Everything here is stdlib-only and pure (no clock reads, no I/O except the
 two ``write_*`` helpers), so exports are reproducible from a stored trace.
@@ -32,10 +32,9 @@ __all__ = [
     "write_spans_jsonl",
 ]
 
-#: Single logical process id of the whole run in the Chrome export; tracks
-#: are separated by tid (one per process snapshot), so every snapshot of a
-#: trace lands under one timeline.
+#: Process and thread id of the run's one track in the Chrome export.
 _CHROME_PID = 1
+_CHROME_TID = 1
 
 
 def write_spans_jsonl(trace: RunTrace, path) -> Path:
@@ -49,9 +48,6 @@ def write_spans_jsonl(trace: RunTrace, path) -> Path:
 
 def chrome_trace_events(trace: RunTrace) -> Dict[str, Any]:
     """The trace as a Chrome trace-event JSON object (Perfetto-loadable)."""
-    tids: Dict[str, int] = {}
-    for process in trace.processes():
-        tids[process] = len(tids) + 1
     events: List[Dict[str, Any]] = [
         {
             "ph": "M",
@@ -59,18 +55,15 @@ def chrome_trace_events(trace: RunTrace) -> Dict[str, Any]:
             "pid": _CHROME_PID,
             "tid": 0,
             "args": {"name": "repro"},
-        }
+        },
+        {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": _CHROME_PID,
+            "tid": _CHROME_TID,
+            "args": {"name": "main"},
+        },
     ]
-    for process, tid in tids.items():
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": _CHROME_PID,
-                "tid": tid,
-                "args": {"name": process},
-            }
-        )
     for span in trace.spans():
         events.append(
             {
@@ -78,7 +71,7 @@ def chrome_trace_events(trace: RunTrace) -> Dict[str, Any]:
                 "cat": "repro",
                 "name": span["name"],
                 "pid": _CHROME_PID,
-                "tid": tids[span["process"]],
+                "tid": _CHROME_TID,
                 # Trace-event timestamps/durations are microseconds.
                 "ts": span["start"] * 1e6,
                 "dur": span.get("wall", 0.0) * 1e6,
@@ -102,7 +95,7 @@ def write_chrome_trace(trace: RunTrace, path) -> Path:
 
 
 def summary_table(trace: RunTrace) -> str:
-    """Human-readable roll-up: spans by name, then the merged counters."""
+    """Human-readable roll-up: spans by name, then the metrics."""
     by_name: Dict[str, Dict[str, float]] = {}
     for span in trace.spans():
         entry = by_name.setdefault(
@@ -111,11 +104,7 @@ def summary_table(trace: RunTrace) -> str:
         entry["calls"] += 1.0
         entry["wall"] += span.get("wall", 0.0)
         entry["cpu"] += span.get("cpu", 0.0)
-    lines = [
-        f"trace: {len(trace.spans())} spans across "
-        f"{len(trace.processes())} process(es): "
-        + ", ".join(trace.processes())
-    ]
+    lines = [f"trace: {len(trace.spans())} spans"]
     if by_name:
         width = max(len(name) for name in by_name)
         lines.append(f"{'span':<{width}}  {'calls':>6}  {'wall s':>10}  {'cpu s':>10}")
@@ -126,7 +115,7 @@ def summary_table(trace: RunTrace) -> str:
                 f"{name:<{width}}  {int(entry['calls']):>6}  "
                 f"{entry['wall']:>10.4f}  {entry['cpu']:>10.4f}"
             )
-    metrics = trace.merged_metrics()
+    metrics = trace.metrics()
     counters = metrics.get("counters", {})
     if counters:
         lines.append("counters:")

@@ -8,10 +8,7 @@ maintenance) feed it through the ambient helpers in
 
 * zero dependencies, picklable, JSON-serialisable as-is;
 * :meth:`snapshot` returns sorted-key dictionaries, so two registries fed
-  the same events in the same order serialise byte-identically;
-* :meth:`merge` folds a snapshot back in (a :class:`~repro.obs.RunTrace`
-  merging its process snapshots), summing counters and histograms and
-  taking the later gauge.
+  the same events in the same order serialise byte-identically.
 
 The registry records *observations about* a run — it must never feed back
 into one.  Nothing here draws RNG, enters a fingerprint, or is consulted by
@@ -20,7 +17,7 @@ any compute path; see the invisibility contract in :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["MetricsRegistry"]
 
@@ -69,25 +66,6 @@ class MetricsRegistry:
                 for name, summary in sorted(self.histograms.items())
             },
         }
-
-    def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. another process's) into this
-        registry: counters and histograms accumulate, gauges last-write-win."""
-        if not snapshot:
-            return
-        for name, value in snapshot.get("counters", {}).items():
-            self.add_counter(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                self.histograms[name] = dict(summary)
-                continue
-            histogram["count"] += summary["count"]
-            histogram["sum"] += summary["sum"]
-            histogram["min"] = min(histogram["min"], summary["min"])
-            histogram["max"] = max(histogram["max"], summary["max"])
 
     def __bool__(self) -> bool:
         return bool(self.counters or self.gauges or self.histograms)

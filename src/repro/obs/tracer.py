@@ -14,7 +14,7 @@ monotonic clock (immune to NTP jumps) while start times land on an
 absolute axis the Chrome trace export can use as-is.
 
 Everything a tracer accumulates is plain dicts of str/float, so
-:meth:`snapshot` is picklable and exporters read it as data (see
+:meth:`snapshot` is plain data the exporters read (see
 :class:`~repro.obs.runtrace.RunTrace`).
 
 The tracer is an *observer only*: it never draws RNG, never touches a
@@ -33,10 +33,9 @@ __all__ = ["Tracer"]
 
 
 class Tracer:
-    """Collects spans and metrics for one process's share of a run."""
+    """Collects the spans and metrics of one run."""
 
-    def __init__(self, process: str = "main") -> None:
-        self.process = process
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         #: Finished spans (completion order), each a plain dict with keys
         #: ``id`` / ``parent`` / ``name`` / ``start`` (epoch seconds) /
@@ -77,9 +76,8 @@ class Tracer:
     # Export
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:
-        """This process's spans and metrics as one picklable dictionary."""
+        """The run's spans and metrics as one plain dictionary."""
         return {
-            "process": self.process,
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
         }

@@ -173,13 +173,13 @@ class TestLPGNN:
 
 @pytest.fixture
 def never_runs(monkeypatch):
-    """Fail the test if validation lets a plan through."""
+    """Fail the test if validation lets an experiment load its graph."""
     from repro.eval import runner
 
-    def run_plan(items, store):
-        raise AssertionError("work was scheduled before the arguments were validated")
+    def load_graph(dataset, scale):
+        raise AssertionError("work was started before the arguments were validated")
 
-    monkeypatch.setattr(runner, "_run_plan", run_plan)
+    monkeypatch.setattr(runner, "_load_graph", load_graph)
 
 
 class TestExperimentRunner:

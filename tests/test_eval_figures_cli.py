@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.eval import figures
 from repro.eval.runner import ExperimentScale
 
@@ -83,3 +84,25 @@ class TestFigureCLI:
         start = output.index("{")
         payload = json.loads(output[start:])
         assert payload == {"fig8": {"x": 1.5, "y": [1, 2]}}
+
+    def test_trace_writes_one_main_track_and_a_summary(self, capsys, monkeypatch, tmp_path):
+        def traced_figure(scale):
+            with obs.span("figure.body", rows=2):
+                obs.add_counter("figure.cells", 3.0)
+            return {"cells": 3}
+
+        monkeypatch.setitem(figures.FIGURES, "fig7", traced_figure)
+        path = tmp_path / "trace.json"
+        assert figures.main(["fig7", "--trace", str(path)]) == 0
+        assert obs.current_tracer() is None  # the CLI's tracer is uninstalled
+        events = json.loads(path.read_text())["traceEvents"]
+        tracks = [event for event in events if event["name"] == "thread_name"]
+        assert [track["args"]["name"] for track in tracks] == ["main"]
+        spans = [event for event in events if event["ph"] == "X"]
+        assert [(span["name"], span["tid"]) for span in spans] == [
+            ("figure.body", tracks[0]["tid"])
+        ]
+        assert spans[0]["args"]["rows"] == 2
+        table = capsys.readouterr().out.split("trace written to", 1)[1]
+        assert "figure.body" in table
+        assert "figure.cells" in table

@@ -7,10 +7,10 @@ Three contracts under test:
    fixed order so enabling one mechanism never shifts another's schedule,
    and the replay is bit-for-bit identical in a fresh process.
 2. **Empty scenarios are invisible** — the default config and any empty
-   scenario (whatever its ``fault_seed``) produce the *same* work-item key
-   and byte-identical payloads (metrics, canonical ledger transcript,
-   accountant, RNG state), while non-empty scenarios get distinct keys but
-   identical pipeline stage keys (the pipeline prefix stays shared).
+   scenario (whatever its ``fault_seed``) produce byte-identical arms
+   (metrics, canonical ledger transcript, accountant, RNG state), and every
+   scenario shares the fault-free pipeline stage keys (the pipeline prefix
+   stays shared).
 3. **The federation degrades gracefully** — availability masks suppress or
    drop messages with the right charging semantics, and the trainer
    survives rounds with zero participants.
@@ -23,8 +23,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core import default_config_for
-from repro.core.lumos import normalized_graph
+from repro.core import LumosSystem, default_config_for
 from repro.engine import ArtifactStore
 from repro.engine.stages import PipelineContext, lumos_stages
 from repro.faults import (
@@ -33,13 +32,14 @@ from repro.faults import (
     default_robustness_scenarios,
     schedule_digest,
 )
+from repro.eval.runner import ExperimentScale, run_robustness_sweep
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import load_dataset, split_edges, split_nodes
-from repro.runtime import GraphSpec, LumosItem
 
+from helpers.arms import run_lumos_arm
 from helpers.oracles import exchange
 
-SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
+GRAPH = load_dataset("facebook", seed=0, num_nodes=40)
 
 
 def _config(faults=None):
@@ -52,18 +52,18 @@ def _config(faults=None):
     return config.with_faults(faults) if faults is not None else config
 
 
-def _item(faults=None, task="supervised"):
-    return LumosItem(
-        graph_spec=SPEC, config=_config(faults), task=task, keep_transcript=True
-    )
+def _arm(faults=None, task="supervised", store=None):
+    store = ArtifactStore() if store is None else store
+    return run_lumos_arm(GRAPH, _config(faults), store, task=task)
 
 
-def _stage_keys(item):
-    """Every pipeline stage's cache key for ``item``, computing no artifact."""
+def _stage_keys(config):
+    """Every pipeline stage's cache key for ``config``, computing no artifact
+    past the partition."""
     context = PipelineContext(
-        graph=normalized_graph(item.graph_spec.load()),
-        config=item.config,
-        rng=np.random.default_rng(item.config.seed),
+        graph=LumosSystem(GRAPH, config, store=ArtifactStore()).graph,
+        config=config,
+        rng=np.random.default_rng(config.seed),
     )
     for stage in lumos_stages():
         context.keys[stage.name] = stage.key(context)
@@ -316,44 +316,31 @@ class TestChurnBoundaries:
 # Cache-key / fingerprint integration
 # --------------------------------------------------------------------------- #
 class TestFaultKeys:
-    def test_empty_scenario_reproduces_the_fault_free_key(self):
-        # An empty scenario must be the *same work item* as the default
-        # config — including when its fault_seed differs — so pre-PR cache
-        # keys (which had no fault component at all) stay valid.
-        default = _item()
-        explicit = _item(FaultScenarioConfig())
-        reseeded = _item(FaultScenarioConfig(fault_seed=99))
-        assert default.key() == explicit.key() == reseeded.key()
-        assert "faults=" not in default.key()
-
-    def test_distinct_scenarios_get_distinct_keys(self):
-        keys = {
-            _item(config).key()
-            for config in default_robustness_scenarios().values()
-        }
-        keys.add(_item().key())
-        # all non-empty scenarios distinct; baseline collapses onto default.
-        scenarios = default_robustness_scenarios()
-        nonempty = sum(1 for cfg in scenarios.values() if not cfg.is_empty())
-        assert len(keys) == nonempty + 1
-
-    def test_fault_seed_distinguishes_nonempty_scenarios(self):
-        a = _item(FaultScenarioConfig(dropout_rate=0.3, fault_seed=1))
-        b = _item(FaultScenarioConfig(dropout_rate=0.3, fault_seed=2))
-        assert a.key() != b.key()
-
     def test_stage_keys_are_fault_invariant(self):
         # Scenarios only change the training loop, never the pipeline
         # prefix — so every scenario shares the cached construction stages.
         hostile = FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)
-        assert _stage_keys(_item()) == _stage_keys(_item(hostile))
+        assert _stage_keys(_config()) == _stage_keys(_config(hostile))
 
-    def test_empty_scenario_payload_is_bit_identical(self):
+    def test_empty_scenario_arm_is_bit_identical(self):
         # The acceptance criterion: metrics, canonical ledger transcript,
         # accountant totals and RNG state all byte-equal.
-        baseline = _item().execute(ArtifactStore())
-        reseeded = _item(FaultScenarioConfig(fault_seed=99)).execute(ArtifactStore())
-        assert baseline == reseeded
+        assert _arm() == _arm(FaultScenarioConfig(fault_seed=99))
+
+    def test_empty_scenarios_give_identical_sweep_metrics(self):
+        # An empty scenario is fault-free whatever its fault_seed: a sweep
+        # over two of them reports the same metrics for both arms.
+        results = run_robustness_sweep(
+            "facebook",
+            scenarios={
+                "baseline": FaultScenarioConfig(),
+                "reseeded": FaultScenarioConfig(fault_seed=99),
+            },
+            scale=ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0),
+            store=ArtifactStore(),
+        )
+        assert list(results) == ["baseline", "reseeded"]
+        assert results["baseline"] == results["reseeded"]
 
 
 # --------------------------------------------------------------------------- #
@@ -420,18 +407,14 @@ class TestAvailability:
 # --------------------------------------------------------------------------- #
 class TestGracefulDegradation:
     def test_faulted_run_reports_a_fault_summary(self):
-        record = _item(
-            FaultScenarioConfig(dropout_rate=0.4, fault_seed=11), task="robustness"
-        ).execute(ArtifactStore())
+        record = _arm(FaultScenarioConfig(dropout_rate=0.4, fault_seed=11), task="robustness")
         value = record["value"]
         assert 0.0 < value["mean_participation"] < 1.0
         assert value["offline_device_rounds"] > 0
         assert 0.0 <= value["test_accuracy"] <= 1.0
 
     def test_total_dropout_skips_every_update_but_still_evaluates(self):
-        record = _item(
-            FaultScenarioConfig(dropout_rate=1.0), task="robustness"
-        ).execute(ArtifactStore())
+        record = _arm(FaultScenarioConfig(dropout_rate=1.0), task="robustness")
         value = record["value"]
         assert value["mean_participation"] == 0.0
         assert value["skipped_updates"] == 3  # one per epoch
@@ -442,15 +425,15 @@ class TestGracefulDegradation:
             dropout_rate=0.2, straggler_rate=0.2, round_deadline=2.0,
             message_loss_rate=0.1, fault_seed=4,
         )
-        first = _item(config, task="robustness").execute(ArtifactStore())
-        second = _item(config, task="robustness").execute(ArtifactStore())
+        first = _arm(config, task="robustness")
+        second = _arm(config, task="robustness")
         assert first == second
         # The scenario shares its whole pipeline prefix with the fault-free
         # arm, so a store that arm warmed must serve it the same payload.
         warm = ArtifactStore()
-        _item(task="robustness").execute(warm)
-        assert _item(config, task="robustness").execute(warm) == first
-        assert _item(config, task="robustness").execute(warm) == first
+        _arm(task="robustness", store=warm)
+        assert _arm(config, task="robustness", store=warm) == first
+        assert _arm(config, task="robustness", store=warm) == first
 
     def test_unsupervised_training_rejects_fault_scenarios(self):
         from repro.core import LumosSystem

@@ -187,6 +187,19 @@ class TestGraph:
         summary = triangle_graph().summary()
         assert {"num_nodes", "num_edges", "avg_degree", "max_degree"} <= set(summary)
 
+    @pytest.mark.parametrize("attribute", ["edges", "features", "labels"])
+    def test_arrays_cannot_be_written_in_place(self, attribute):
+        # Fingerprints and normalized twins are memoised per graph object, so
+        # an in-place write would go unseen by every cache.
+        features = np.arange(6, dtype=float).reshape(3, 2)
+        graph = Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]), features=features,
+                      labels=np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(graph, attribute)[0] = 0
+        # Only the graph's views are locked: the caller's array is untouched.
+        assert features.flags.writeable
+        assert graph.with_edges(np.array([[0, 2]])).num_edges == 1
+
     def test_empty_graph(self):
         graph = Graph(num_nodes=3, edges=np.zeros((0, 2)), features=np.zeros((3, 1)))
         assert graph.num_edges == 0
@@ -251,8 +264,8 @@ class TestNodeLevelPartition:
         for array in partition_node_level(small_graph):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # The graph's own feature matrix stays writable: the view is read-only.
-        assert small_graph.features.flags.writeable
+        # The partition's features are the graph's own read-only matrix.
+        assert not small_graph.features.flags.writeable
 
 
 class TestSplits:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -122,6 +123,40 @@ class TestSocialGenerators:
         assert graph.num_nodes == 120
         assert graph.edges[:, 0].max() < 120
         assert graph.degrees().min() >= 1
+
+
+#: SHA-256 over ``edges``, ``features`` and ``labels`` (dtype, shape, bytes)
+#: of each synthetic stand-in, keyed by ``(dataset, num_nodes, seed)``;
+#: ``None`` is the full default size.  Every figure, test and cache key reads
+#: these graphs, so the generators' output is pinned bit for bit.
+GOLDEN_GRAPH_DIGESTS = {
+    ("facebook", 40, 0): "98bf7913548caf3bffa7c665b68a1f913c52ef4ced0c933df3a2d9d1b6225dba",
+    ("facebook", 40, 1): "4b108cc9b471889a1cd803c224bbba1c4088c0be4b4f9f4a43a12295079817c6",
+    ("facebook", 400, 0): "6a2b99350bc2109023301d4d34bd80281435ccae635d093fa5ee4ecdaf97bb05",
+    ("facebook", 400, 1): "a7027dfaa03267ad019e582818e732f7aed8af2b38dc1805d853dfcdb846fdf8",
+    ("facebook", None, 0): "84c026713348629c5299b848071a5499e69a87175f1dfad7f8550f5777d4f6c9",
+    ("facebook", None, 1): "cd2949b67e81cacef2bed20d5ef27d4c8aa4e20b1fc02c0fefd0fb35274575e7",
+    ("lastfm", 40, 0): "b9643b2d8a88bb817f0fe6b15ca161bd87aee2b56e2cdb364e077c99079d68ac",
+    ("lastfm", 40, 1): "449c87ed727fba7713695673f6ea57e9715fc6ac794a65e161e79619a0dd97cb",
+    ("lastfm", 400, 0): "59e16849cdf61ba8b5bd8aba9d1524e35a61735d241144498802487a555a33f7",
+    ("lastfm", 400, 1): "3deb6c41e7318b996436ecc88f99b90ef75da70e8ef8ebe3a1cc90b385aa1608",
+    ("lastfm", None, 0): "def4a4eaf22803c2b9b2ab6d2babaa5626eb8c0821f8bbad04cc64aa17f66f86",
+    ("lastfm", None, 1): "4bc3a456be49cf743bbdc0af75b5504a78411587be3502322ef2458f5825d2e0",
+}
+
+
+@pytest.mark.parametrize(
+    "dataset, num_nodes, seed", list(GOLDEN_GRAPH_DIGESTS), ids=lambda value: str(value)
+)
+def test_generators_match_their_golden_digest(dataset, num_nodes, seed):
+    generate = {"facebook": generate_facebook_like, "lastfm": generate_lastfm_like}[dataset]
+    graph = generate(seed=seed, num_nodes=num_nodes)
+    digest = hashlib.sha256()
+    for array in (graph.edges, graph.features, graph.labels):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype}{array.shape}".encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == GOLDEN_GRAPH_DIGESTS[dataset, num_nodes, seed]
 
 
 class TestDatasetRegistry:

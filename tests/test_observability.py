@@ -5,9 +5,9 @@ The contract has three clauses (see ``repro.obs``): instrumentation never
 draws from any RNG, nothing observability-related enters fingerprints or the
 canonical ledger/accountant state, and a run with the tracer disabled is
 bit-for-bit identical to an untraced run — and so is a run with the
-tracer enabled.  The tests here pin all three clauses on single items and
+tracer enabled.  The tests here pin all three clauses on single arms and
 whole sweeps, then check the exporters: the Chrome trace-event JSON must be
-schema-valid and carry a named track for the traced process.
+schema-valid and carry the run's one named track.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from repro.core import TreeConstructor, TreeConstructorConfig, default_config_fo
 from repro.engine import ArtifactStore
 from repro.eval.runner import ExperimentScale, run_epsilon_sweep
 from repro.federation import FederatedEnvironment
-from repro.graph import generate_facebook_like
-from repro.runtime import GraphSpec, LumosItem
+from repro.graph import generate_facebook_like, load_dataset
 
-SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
+from helpers.arms import run_lumos_arm
+
+GRAPH = load_dataset("facebook", seed=0, num_nodes=40)
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
 EPSILONS = [0.5, 1.0, 2.0, 3.0, 4.0]
 
@@ -39,11 +40,8 @@ def _config(epsilon=2.0):
     )
 
 
-def _sweep_item(epsilon):
-    return LumosItem(
-        graph_spec=SPEC, config=_config(epsilon), task="supervised",
-        split_seed=0, label=f"eps={epsilon}", keep_transcript=True,
-    )
+def _sweep_arm(epsilon):
+    return run_lumos_arm(GRAPH, _config(epsilon), ArtifactStore())
 
 
 @pytest.fixture(autouse=True)
@@ -61,11 +59,11 @@ def _no_ambient_tracer():
 # --------------------------------------------------------------------------- #
 class TestInvisibilityContract:
     def test_traced_serial_run_is_bit_identical_plus_obs_side_channel(self):
-        untraced = _sweep_item(2.0).execute(ArtifactStore())
+        untraced = _sweep_arm(2.0)
         with obs.tracing() as tracer:
-            traced = _sweep_item(2.0).execute(ArtifactStore())
+            traced = _sweep_arm(2.0)
 
-        # The payload carries the full determinism surface: final metrics,
+        # The arm carries the full determinism surface: final metrics,
         # canonical ledger transcript, accountant snapshot and the RNG end
         # state.  Tracing must change none of it.
         assert "obs" not in untraced
@@ -104,22 +102,21 @@ class TestTracedSweep:
             )
         return results, obs.RunTrace.from_tracer(tracer)
 
-    def test_item_spans_cover_items_and_stages(self, traced_sweep):
+    def test_arm_spans_cover_arms_and_stages(self, traced_sweep):
         _, trace = traced_sweep
-        assert trace.processes() == ["main"]
         names = {span["name"] for span in trace.spans()}
-        assert "runtime.item" in names
+        assert "runner.arm" in names
         assert any(name.startswith("engine.stage.") for name in names)
         for span in trace.spans():
             assert span["wall"] >= 0.0
             assert span["cpu"] >= 0.0
 
-    def test_item_spans_follow_plan_request_order(self, traced_sweep):
+    def test_arm_spans_follow_the_sweep_order(self, traced_sweep):
         _, trace = traced_sweep
         labels = [
             span["attributes"]["label"]
             for span in trace.spans()
-            if span["name"] == "runtime.item"
+            if span["name"] == "runner.arm"
         ]
         assert labels == [f"sweep/supervised/facebook/eps={e}" for e in EPSILONS]
 
@@ -137,7 +134,7 @@ class TestTracedSweep:
     def test_summary_table_mentions_stages_and_counters(self, traced_sweep):
         _, trace = traced_sweep
         table = obs.summary_table(trace)
-        assert "runtime.item" in table
+        assert "runner.arm" in table
         assert "crypto.comparisons" in table
 
 
@@ -184,7 +181,6 @@ class TestExporters:
         inner = next(line for line in lines if line["name"] == "inner")
         outer = next(line for line in lines if line["name"] == "outer")
         assert inner["parent"] == outer["id"]
-        assert all(line["process"] == "main" for line in lines)
 
     def test_summary_table_lists_metrics(self):
         table = obs.summary_table(_small_trace())
@@ -197,24 +193,6 @@ class TestExporters:
 # Metrics registry semantics
 # --------------------------------------------------------------------------- #
 class TestMetricsRegistry:
-    def test_merge_sums_counters_and_histograms(self):
-        left = obs.MetricsRegistry()
-        left.add_counter("c", 2.0)
-        left.observe("h", 1.0)
-        left.set_gauge("g", 1.0)
-        right = obs.MetricsRegistry()
-        right.add_counter("c", 3.0)
-        right.observe("h", 5.0)
-        right.set_gauge("g", 7.0)
-
-        left.merge(right.snapshot())
-        merged = left.snapshot()
-        assert merged["counters"]["c"] == 5.0
-        assert merged["histograms"]["h"] == {
-            "count": 2.0, "sum": 6.0, "min": 1.0, "max": 5.0,
-        }
-        assert merged["gauges"]["g"] == 7.0  # last write wins
-
     def test_disabled_helpers_are_no_ops(self):
         obs.add_counter("nothing")
         obs.observe("nothing", 1.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -315,8 +315,11 @@ RETIRED_FEDERATION_MEMBERS = {
 #: machinery and report types, the executor classes and the ``executor=``
 #: parameter that chose one, the shared-prefix warm-up and the stage-key
 #: planning behind it, the callable escape hatch, the party start that lifted
-#: a pool worker's daemon flag, and the tracer's cross-process merge.  A plan
-#: is a loop over its unique items on one store (``eval.runner._run_plan``).
+#: a pool worker's daemon flag, and the tracer's cross-process merge.  Then
+#: the rest of ``repro.runtime``: the content-keyed work items with their
+#: graph recipe and its memo, and the deduplicating work plan with the
+#: runner's loop over it.  An experiment is a loop over its arms in
+#: ``repro.eval.runner``, and the channel lives in ``repro.crypto.channel``.
 RETIRED_RUNTIME_NAMES = {
     "Executor",
     "SerialExecutor",
@@ -339,17 +342,30 @@ RETIRED_RUNTIME_NAMES = {
     "executor",
     "attach_remote",
     "_start_party",
+    "WorkItem",
+    "LumosItem",
+    "BaselineItem",
+    "GraphSpec",
+    "_GRAPH_CACHE",
+    "_empty_payload",
+    "WorkPlan",
+    "_run_plan",
+    "_graph_spec",
+    "_lumos_items",
+    "BASELINE_METHODS",
+    "normalized_graph",
 }
 
-#: Retired members whose names live on under other owners (the transport's
-#: ``timeout``): the items' deadline, the plan's report helpers, and the
-#: inline-graph form of a ``GraphSpec`` that no caller used.
-RETIRED_RUNTIME_MEMBERS = {
-    "repro.runtime.items.WorkItem": {"timeout"},
-    "repro.runtime.items.LumosItem": {"timeout"},
-    "repro.runtime.items.BaselineItem": {"timeout"},
-    "repro.runtime.plan.WorkPlan": {"values", "duplicate_requests", "__len__"},
-    "repro.runtime.items.GraphSpec": {"graph"},
+#: What the tracer kept for worker processes: ``RunTrace``'s list of process
+#: snapshots and its views over them, the registry's merge of another
+#: process's snapshot, and the process name of a tracer.  A run has one
+#: tracer, one snapshot and one ``main`` track.
+RETIRED_OBS_NAMES = {
+    "snapshots",
+    "processes",
+    "merged_metrics",
+    "merge",
+    "process",
 }
 
 
@@ -421,7 +437,9 @@ def test_one_module_steps_an_optimizer(modules):
 
 def test_retired_ledger_names_stay_gone(modules):
     assert not _retired_names_found(
-        modules, ("repro.federation", "repro.engine", "repro.runtime"), RETIRED_LEDGER_NAMES
+        modules,
+        ("repro.federation", "repro.engine", "repro.crypto", "repro.eval"),
+        RETIRED_LEDGER_NAMES,
     )
 
 
@@ -433,13 +451,13 @@ def test_retired_backend_names_stay_gone(modules):
 
 def test_retired_chaos_names_stay_gone(modules):
     assert not _retired_names_found(
-        modules, ("repro.runtime", "repro.crypto", "repro.maintenance"), RETIRED_CHAOS_NAMES
+        modules, ("repro.crypto", "repro.eval", "repro.maintenance"), RETIRED_CHAOS_NAMES
     )
 
 
 def test_retired_protocol_names_stay_gone(modules):
     assert not _retired_names_found(
-        modules, ("repro.crypto", "repro.core", "repro.runtime"), RETIRED_PROTOCOL_NAMES
+        modules, ("repro.crypto", "repro.core", "repro.eval"), RETIRED_PROTOCOL_NAMES
     )
 
 
@@ -471,22 +489,27 @@ def test_retired_federation_names_stay_gone(modules):
 
 
 def test_retired_runtime_names_stay_gone(modules):
+    assert importlib.util.find_spec("repro.runtime") is None
     assert not _retired_names_found(
         modules,
-        ("repro.runtime", "repro.eval", "repro.engine", "repro.obs", "repro.core", "repro.crypto"),
+        ("repro.eval", "repro.engine", "repro.obs", "repro.core", "repro.crypto"),
         RETIRED_RUNTIME_NAMES,
     )
-    survivors = []
-    for owner, names in RETIRED_RUNTIME_MEMBERS.items():
-        value = _resolve(owner)
-        members = set(vars(value))
-        if dataclasses.is_dataclass(value):
-            members |= {field.name for field in dataclasses.fields(value)}
-        survivors += [f"{owner}.{name}" for name in names & members]
-    assert not survivors
     from repro.obs import Tracer
 
     assert "remote_snapshots" not in vars(Tracer())
+
+
+def test_retired_obs_names_stay_gone(modules):
+    assert not _retired_names_found(modules, "repro.obs", RETIRED_OBS_NAMES)
+    from repro.obs import MetricsRegistry, RunTrace, Tracer
+
+    survivors = [
+        name
+        for owner in (RunTrace(), MetricsRegistry(), Tracer())
+        for name in RETIRED_OBS_NAMES & {*vars(owner), *dir(type(owner))}
+    ]
+    assert not survivors
 
 
 def test_training_has_one_pooling():

@@ -1,7 +1,7 @@
 """Semantics of the robustness sweep.
 
-``run_robustness_sweep`` runs fault scenarios through the same work plan as
-the epsilon sweep.  The sweep always carries an empty baseline arm so every
+``run_robustness_sweep`` runs fault scenarios through the same loop over
+arms as the epsilon sweep.  The sweep always carries an empty baseline arm so every
 scenario reports an ``accuracy_vs_baseline_percent`` delta.
 """
 

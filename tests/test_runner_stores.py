@@ -1,6 +1,6 @@
 """The evaluation entry points are independent of the store they run on.
 
-Every ``repro.eval.runner.run_*`` work-plan entry point takes
+Every ``repro.eval.runner.run_*`` experiment entry point takes
 ``store: Optional[ArtifactStore] = None`` and defaults to the process-wide
 :func:`~repro.engine.default_store`.  The store is a cache keyed by content,
 so where a run's stages come from must never show in what it returns: the
@@ -19,26 +19,28 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import default_config_for
-from repro.engine import ArtifactStore, DiskSpillStore
+from repro.core import LumosSystem, default_config_for
+from repro.engine import ArtifactStore, DiskSpillStore, default_store
 from repro.eval import runner
 from repro.eval.runner import (
+    LUMOS_TASKS,
     ExperimentScale,
     run_ablation,
     run_epsilon_sweep,
     run_robustness_sweep,
 )
 from repro.faults import FaultScenarioConfig
-from repro.runtime import GraphSpec, LumosItem
-from repro.runtime.items import LUMOS_TASKS
+from repro.graph import load_dataset
+
+from helpers.arms import run_lumos_arm
 
 SCALE = ExperimentScale(num_nodes=40, epochs=3, mcmc_iterations=10, seed=0)
-SPEC = GraphSpec(dataset="facebook", seed=0, num_nodes=40)
+GRAPH = load_dataset("facebook", seed=0, num_nodes=40)
 EPSILONS = [0.5, 2.0]
 PIPELINE_STAGES = ("partition", "construction", "ldp_draws", "ldp_init", "tree_batch")
 DROPOUT = FaultScenarioConfig(dropout_rate=0.3, fault_seed=11)
 
-#: Every ``repro.eval.runner.run_*`` entry point that runs a work plan, with
+#: Every ``repro.eval.runner.run_*`` entry point that takes a store, with
 #: the arguments that keep it at smoke cost.  ``run_churn_maintenance`` keeps
 #: its own journal and snapshot store and takes no ``store``.
 ENTRY_POINTS = [
@@ -76,14 +78,11 @@ def _config(epsilon=2.0):
     )
 
 
-def _item(task, epsilon=2.0):
+def _arm(task, store, epsilon=2.0):
     config = _config(epsilon)
     if task == "robustness":
         config = config.with_faults(DROPOUT)
-    return LumosItem(
-        graph_spec=SPEC, config=config, task=task, split_seed=SCALE.seed,
-        keep_transcript=True, label=f"{task}/eps={epsilon}",
-    )
+    return run_lumos_arm(GRAPH, config, store, task=task, split_seed=SCALE.seed)
 
 
 def _assert_payloads_equal(left, right):
@@ -99,7 +98,10 @@ class TestEntryPointStores:
     def test_isolated_store_equals_default_store(self, name, kwargs):
         entry_point = getattr(runner, name)
         assert inspect.signature(entry_point).parameters["store"].default is None
+        before = sum(default_store().stats()[field] for field in ("hits", "misses"))
         default = entry_point("facebook", scale=SCALE, **kwargs)
+        # Without ``store=`` the arms run on the process-wide store.
+        assert sum(default_store().stats()[field] for field in ("hits", "misses")) > before
         store = ArtifactStore()
         isolated = entry_point("facebook", scale=SCALE, store=store, **kwargs)
         _assert_equal_in_order(default, isolated)
@@ -150,22 +152,48 @@ class TestStageSharing:
 class TestRecordEquivalence:
     @pytest.mark.parametrize("task", LUMOS_TASKS)
     def test_warm_store_payload_equals_cold_payload(self, task):
-        cold = _item(task).execute(ArtifactStore())
+        cold = _arm(task, ArtifactStore())
         store = ArtifactStore()
-        _item(task, epsilon=0.5).execute(store)  # warms the shared prefix
-        warm = _item(task).execute(store)
+        _arm(task, store, epsilon=0.5)  # warms the shared prefix
+        warm = _arm(task, store)
         assert store.hit_count("construction") == 1
         _assert_payloads_equal(cold, warm)
 
     @pytest.mark.parametrize("task", LUMOS_TASKS)
     def test_reloaded_spill_payload_equals_cold_payload(self, task, tmp_path):
-        cold = _item(task).execute(ArtifactStore())
+        cold = _arm(task, ArtifactStore())
         writer = DiskSpillStore(tmp_path, max_bytes=1)  # spill every stage
-        _item(task).execute(writer)
+        _arm(task, writer)
         assert writer.spill_writes > 0
         # A new store on the same directory (a recovering process) loads
         # every stage from disk and computes none.
         reader = DiskSpillStore(tmp_path, max_bytes=1)
-        reloaded = _item(task).execute(reader)
+        reloaded = _arm(task, reader)
         assert reader.stats()["misses"] == 0 and reader.spill_loads > 0
         _assert_payloads_equal(cold, reloaded)
+
+
+class TestArms:
+    @pytest.mark.parametrize(
+        "name", ["run_supervised_comparison", "run_unsupervised_comparison"]
+    )
+    def test_baselines_neither_read_nor_fill_the_store(self, name):
+        stores = [ArtifactStore(), ArtifactStore()]
+        results = [
+            getattr(runner, name)(
+                "facebook", scale=SCALE, methods=["naive_fedgnn"], store=store
+            )
+            for store in stores
+        ]
+        assert results[0] == results[1]
+        for store in stores:
+            assert len(store) == 0 and store.stats()["misses"] == 0
+
+    def test_an_unknown_task_or_method_is_rejected(self):
+        system = LumosSystem(GRAPH, _config(), store=ArtifactStore())
+        with pytest.raises(ValueError, match="task must be one of"):
+            runner._lumos_value(system, "workloads", SCALE.seed)
+        with pytest.raises(ValueError, match="method must be one of"):
+            runner._baseline_value(GRAPH, "lpgnn", "unsupervised", "gcn", SCALE)
+        with pytest.raises(ValueError, match="task must be one of"):
+            runner._baseline_value(GRAPH, "centralized", "workload", "gcn", SCALE)

@@ -57,7 +57,10 @@ from repro.crypto.transport import (
     charge_comparison_ledger,
 )
 from repro.federation import CommunicationLedger
-from repro.runtime import (
+from repro.crypto.channel import (
+    FRAME_OVERHEAD_BYTES,
+    HEADER,
+    MAX_FRAME_BYTES,
     ChannelClosed,
     ChannelError,
     ChannelTimeout,
@@ -66,7 +69,6 @@ from repro.runtime import (
     PartyChannel,
     channel_pair,
 )
-from repro.runtime.channel import FRAME_OVERHEAD_BYTES, HEADER, MAX_FRAME_BYTES
 
 #: Generous bound for same-host sessions; the point is boundedness, not speed.
 TIMEOUT = 20.0
