@@ -16,6 +16,19 @@ from dataclasses import dataclass, field, replace
 from ..faults.config import FaultScenarioConfig
 
 
+def _check_integer(config, name: str, low: int, high: float = math.inf) -> None:
+    """The one integer rule of the configs: an ``int`` (or numpy integer) in
+    ``[low, high]``.  A bool or a float is a ``ValueError`` like a value out
+    of range, raised at construction — not after partition, greedy and MCMC
+    have run, and never silently taken as ``1`` or truncated."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f"in [{low}, {high}]" if high < math.inf else f"at least {low}"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TreeConstructorConfig:
     """Hyper-parameters of the heterogeneity-aware tree constructor."""
@@ -27,11 +40,9 @@ class TreeConstructorConfig:
     workload_comparison_bits: int = 24
 
     def __post_init__(self) -> None:
-        if self.mcmc_iterations < 0:
-            raise ValueError("mcmc_iterations must be non-negative")
+        _check_integer(self, "mcmc_iterations", 0)
         for name in ("degree_comparison_bits", "workload_comparison_bits"):
-            if not 1 <= getattr(self, name) <= 64:
-                raise ValueError(f"{name} must be in [1, 64]")
+            _check_integer(self, name, 1, 64)
 
 
 @dataclass(frozen=True)
@@ -54,9 +65,7 @@ class TrainerConfig:
         if self.backbone not in ("gcn", "gat"):
             raise ValueError(f"unknown backbone '{self.backbone}'")
         for name in ("num_layers", "hidden_dim", "output_dim", "num_heads", "epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_integer(self, name, 1)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         for name in ("learning_rate", "epsilon"):

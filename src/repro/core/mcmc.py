@@ -16,8 +16,12 @@ Two execution modes are provided:
   simulated CrypTFlow2 protocol;
 * ``secure=False`` (default) evaluates the comparisons in the clear but
   charges the *same* analytic communication cost to the transcript
-  accountant and ledger — the resulting assignments are identical, and large
+  accountant — the resulting assignments are identical, and large
   benchmark graphs stay fast.
+
+Both modes record one Alg. 3 transcript in the ledger: per call, every
+device's one-byte candidate announcement, every winner's one-byte maximum
+announcement and one ``alg3-comparisons`` row of the comparisons' bytes.
 
 :meth:`MCMCBalancer.run` is the one implementation: the incremental
 array-backed kernel (delta workload updates, a maintained candidate set,
@@ -173,24 +177,13 @@ class _IncrementalBalancingKernel:
         self.candidate = self.workload >= neighbor_max
         self.objective = int(self.workload.max()) if n else 0
         self._pending: Optional[tuple] = None
-        # Columnar transcript buffers: the balancing loop appends plain ints
-        # here and flush_transcript writes them as ``send_many`` blocks at the
-        # end of the run — identical traffic to the eager reference loop
-        # (compare with CommunicationLedger.message_records) without one
-        # ledger call per protocol step.
-        self._candidate_rounds: List[int] = []
-        self._comparison_rounds: List[int] = []
+        # Columnar transcript buffers: _record_alg3 appends plain ints, and
+        # flush_transcript writes them as ledger blocks after the last
+        # iteration instead of one ledger call per protocol step.
+        self._call_rounds: List[int] = []
         self._comparison_counts: List[int] = []
+        self._winner_ids: List[int] = []
         self._winner_rounds: List[int] = []
-        self._winner_counts: List[int] = []
-        # Secure-mode buffers (the secure reference path logs per-device
-        # candidate announcements and per-winner maximum announcements, not
-        # the aggregated clear-mode coordination messages).
-        self._secure_announce_rounds: List[int] = []
-        self._secure_comparison_rounds: List[int] = []
-        self._secure_comparison_counts: List[int] = []
-        self._secure_winner_ids: List[int] = []
-        self._secure_winner_rounds: List[int] = []
         # Version-keyed memo of the Alg. 3 evaluation: apply() moves to a
         # fresh version, revert() returns to the previous one, so the first
         # call of an iteration always sees a state some earlier call already
@@ -211,7 +204,6 @@ class _IncrementalBalancingKernel:
         self, accountant: Optional[TranscriptAccountant], round_index: int
     ) -> int:
         """Alg. 3 over the maintained candidate set; O(candidates), not O(edges)."""
-        self._candidate_rounds.append(round_index)
         memo = self._winners_memo.get(self._version)
         if memo is not None:
             winners, num_candidates = memo
@@ -231,16 +223,10 @@ class _IncrementalBalancingKernel:
             if len(self._winners_memo) > 8:
                 self._winners_memo.clear()
             self._winners_memo[self._version] = (winners, num_candidates)
-        pairwise_comparisons = num_candidates * (num_candidates - 1)
+        comparisons = self.neighbor_comparisons + num_candidates * (num_candidates - 1)
         if accountant is not None:
-            _charge_analytic_comparisons(
-                accountant, self.neighbor_comparisons + pairwise_comparisons
-            )
-        self._comparison_rounds.append(round_index)
-        self._comparison_counts.append(self.neighbor_comparisons + pairwise_comparisons)
-        self._winner_rounds.append(round_index)
-        self._winner_counts.append(len(winners))
-        return self.environment.server.pick_maximum(winners)
+            _charge_analytic_comparisons(accountant, comparisons)
+        return self._record_alg3(round_index, comparisons, winners)
 
     def find_max_workload_device_secure(
         self, comparator: SecureComparator, round_index: int
@@ -262,9 +248,7 @@ class _IncrementalBalancingKernel:
 
         Candidacy is re-derived from the protocol outcomes and checked
         against the speculation and the maintained flags (mirroring the
-        reference loop's "secure argmax disagrees" guard), and the
-        per-device candidate announcements / per-winner maximum
-        announcements are buffered for a columnar flush.
+        reference loop's "secure argmax disagrees" guard).
         """
         workload = self.workload
         n = self.num_devices
@@ -294,15 +278,20 @@ class _IncrementalBalancingKernel:
         winners = candidates[candidate_workloads == maximum_value].tolist()
         if candidate_workloads[comparator.argmax(candidate_workloads)] != maximum_value:
             raise RuntimeError("secure argmax disagrees with plaintext maximum")
-        pairwise_comparisons = candidates.size * (candidates.size - 1)
+        comparisons = self.neighbor_comparisons + candidates.size * (candidates.size - 1)
+        return self._record_alg3(round_index, comparisons, winners)
 
-        self._secure_announce_rounds.append(round_index)
-        self._secure_comparison_rounds.append(round_index)
-        self._secure_comparison_counts.append(
-            self.neighbor_comparisons + pairwise_comparisons
-        )
-        self._secure_winner_ids.extend(winners)
-        self._secure_winner_rounds.extend([round_index] * len(winners))
+    def _record_alg3(self, round_index: int, comparisons: int, winners: List[int]) -> int:
+        """Buffer one Alg. 3 call's traffic; return the server's pick among ``winners``.
+
+        Both modes record the same transcript: every device announces its
+        candidacy (one byte), each winner announces its maximum (one byte),
+        and the call's ``comparisons`` are one ``alg3-comparisons`` row.
+        """
+        self._call_rounds.append(round_index)
+        self._comparison_counts.append(comparisons)
+        self._winner_ids.extend(winners)
+        self._winner_rounds.extend([round_index] * len(winners))
         return self.environment.server.pick_maximum(winners)
 
     def _speculate(self) -> tuple:
@@ -378,71 +367,41 @@ class _IncrementalBalancingKernel:
     def flush_transcript(self) -> None:
         """Emit the buffered Alg. 3 traffic as columnar ledger events.
 
-        Secure mode's per-device candidate announcements are one block per
-        Alg. 3 call, every block's sender column the same read-only
-        ``arange(n)`` and its other columns stride-0, so ``k`` calls cost the
-        ledger one ``arange(n)`` plus O(k), not ``k * n`` rows of columns.
+        The candidate announcements are one block per Alg. 3 call, every
+        block's sender column the same read-only ``arange(n)`` and its other
+        columns stride-0, so ``k`` calls cost the ledger one ``arange(n)``
+        plus O(k), not ``k * n`` rows of columns.
         """
         ledger = self.environment.ledger
-        if self._candidate_rounds:
-            calls = len(self._candidate_rounds)
-            server = constant_column(SERVER_ID, calls)
+        n = self.num_devices
+        device_ids = np.arange(n, dtype=np.int64)
+        device_ids.flags.writeable = False
+        server, one = constant_column(SERVER_ID, n), constant_column(1, n)
+        for round_index in self._call_rounds:
             ledger.send_many(
-                server, server, MessageKind.SERVER_COORDINATION,
-                constant_column(self.num_devices, calls),
-                self._candidate_rounds,
-                description="alg3-candidate-announcements",
+                device_ids, server, MessageKind.SERVER_COORDINATION, one,
+                constant_column(round_index, n),
+                description="candidate-announcement",
             )
-            ledger.send_many(
-                server, server, MessageKind.SECURE_COMPARISON,
-                np.asarray(self._comparison_counts, dtype=np.int64) * 8,
-                self._comparison_rounds,
-                description="alg3-comparisons",
-            )
-            ledger.send_many(
-                server, server, MessageKind.SERVER_COORDINATION,
-                self._winner_counts,
-                self._winner_rounds,
-                description="alg3-maximum-announcements",
-            )
-        if self._secure_announce_rounds:
-            n = self.num_devices
-            device_ids = np.arange(n, dtype=np.int64)
-            device_ids.flags.writeable = False
-            server, one = constant_column(SERVER_ID, n), constant_column(1, n)
-            for round_index in self._secure_announce_rounds:
-                ledger.send_many(
-                    device_ids, server, MessageKind.SERVER_COORDINATION, one,
-                    constant_column(round_index, n),
-                    description="candidate-announcement",
-                )
-            server = constant_column(SERVER_ID, len(self._secure_announce_rounds))
-            ledger.send_many(
-                server, server, MessageKind.SECURE_COMPARISON,
-                np.asarray(self._secure_comparison_counts, dtype=np.int64) * 8,
-                self._secure_comparison_rounds,
-                description="alg3-comparisons",
-            )
-        if self._secure_winner_ids:
-            winners = len(self._secure_winner_ids)
-            ledger.send_many(
-                self._secure_winner_ids,
-                constant_column(SERVER_ID, winners),
-                MessageKind.SERVER_COORDINATION,
-                constant_column(1, winners),
-                self._secure_winner_rounds,
-                description="maximum-announcement",
-            )
-        self._candidate_rounds = []
-        self._comparison_rounds = []
-        self._comparison_counts = []
-        self._winner_rounds = []
-        self._winner_counts = []
-        self._secure_announce_rounds = []
-        self._secure_comparison_rounds = []
-        self._secure_comparison_counts = []
-        self._secure_winner_ids = []
-        self._secure_winner_rounds = []
+        calls = len(self._call_rounds)
+        server = constant_column(SERVER_ID, calls)
+        ledger.send_many(
+            server, server, MessageKind.SECURE_COMPARISON,
+            np.asarray(self._comparison_counts, dtype=np.int64) * 8,
+            self._call_rounds,
+            description="alg3-comparisons",
+        )
+        winners = len(self._winner_ids)
+        ledger.send_many(
+            self._winner_ids,
+            constant_column(SERVER_ID, winners),
+            MessageKind.SERVER_COORDINATION,
+            constant_column(1, winners),
+            self._winner_rounds,
+            description="maximum-announcement",
+        )
+        self._call_rounds, self._comparison_counts = [], []
+        self._winner_ids, self._winner_rounds = [], []
 
     # ------------------------------------------------------------------ #
     # Transitions (Eq. 17) as journaled delta updates

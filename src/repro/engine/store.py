@@ -181,10 +181,11 @@ class DiskSpillStore(ArtifactStore):
     # ``TreeConstructionResult.num_devices`` replacing ``local_graphs``, v8
     # the ledger table's open tail as typed column buffers instead of row
     # tuples, v9 ``Assignment`` as a mask over the CSR instead of a dict of
-    # sets — pickled layouts that changed under unchanged stage keys.  Older
-    # files (or any unreadable version) degrade to a miss and are quarantined
-    # like corrupt files.
-    _FORMAT_VERSION = 9
+    # sets, v10 clear-mode construction ledgers holding per-device Alg. 3
+    # announcement rows — pickled contents that changed under unchanged stage
+    # keys.  Older files (or any unreadable version) degrade to a miss and are
+    # quarantined like corrupt files.
+    _FORMAT_VERSION = 10
 
     def __init__(
         self,

@@ -29,8 +29,8 @@ class Server:
         workload among the candidate vertex set; if several report (ties),
         the server selects one uniformly at random, exactly as footnote 5 of
         the paper states.  The announcements themselves are logged by the
-        caller (one aggregated coordination message of ``len(winners)``
-        bytes).  ``Generator.choice`` without weights reduces to one bounded
+        caller: a one-byte coordination message from each winner.
+        ``Generator.choice`` without weights reduces to one bounded
         ``integers`` draw, so the direct draw below consumes the stream
         bit-identically to ``rng.choice(winners)`` while skipping its array
         conversion; a single winner draws nothing.

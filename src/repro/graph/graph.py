@@ -3,8 +3,9 @@
 The :class:`Graph` class stores an undirected, simple graph with per-node
 feature vectors and (optionally) integer labels, which is exactly the data
 model of the paper's datasets (Facebook Page-Page and LastFM Asia).  It is an
-immutable value object: its arrays are read-only views, and every
-transformation (edge splits, feature scaling) returns a new instance.
+immutable value object: its arrays are read-only copies of what it was
+given, and every transformation (edge splits, feature scaling) returns a new
+instance.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class Graph:
         Human-readable dataset name.
 
     Edge endpoints and labels must be integers (integral floats are taken as
-    such) and features finite; anything else is a ``ValueError``.  The three
-    arrays are stored as read-only views, so a write through them is a
-    ``ValueError`` too: fingerprints and normalized twins are memoised per
-    graph object and would silently go stale.
-
-    The graph takes ownership of the arrays passed in: the views are not
-    copies, so an array given to the constructor must not be written
-    afterwards.  A write through the caller's own array is not caught and
-    leaves the memoised fingerprint and normalized twin stale.
+    such) and features finite; anything else is a ``ValueError``.  The
+    graph stores its own read-only copy of each array, so no write reaches
+    it: a write through its arrays is a ``ValueError``, and a write through
+    the array the caller passed in changes only the caller's array.
+    Fingerprints and normalized twins are memoised per graph object, so
+    either write would otherwise leave them silently stale.
     """
 
     num_nodes: int
@@ -72,7 +70,7 @@ class Graph:
             edges = np.stack([codes // self.num_nodes, codes % self.num_nodes], axis=1)
         object.__setattr__(self, "edges", _read_only(edges))
 
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.array(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != self.num_nodes:
             raise ValueError(
                 f"features must have shape (num_nodes, d); got {features.shape} "
@@ -250,10 +248,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as int64; a non-integral or non-finite entry is a ``ValueError``."""
+    """``values`` as a new int64 array; a non-integral or non-finite entry is a
+    ``ValueError``."""
     array = np.asarray(values)
     if array.dtype.kind == "f":
         fractional = np.flatnonzero(~np.isfinite(array) | (array != np.round(array)))
         if fractional.size:
             raise ValueError(f"{what} must be integers, got {float(array.flat[fractional[0]])}")
-    return array.astype(np.int64, copy=False)
+    return array.astype(np.int64)

@@ -41,23 +41,3 @@ def row_normalize(adjacency: sp.spmatrix, self_loops: bool = False) -> sp.csr_ma
     inv[nonzero] = 1.0 / degrees[nonzero]
     return (sp.diags(inv) @ matrix).tocsr()
 
-
-def adjacency_from_edge_index(edge_index: np.ndarray, num_nodes: int) -> sp.csr_matrix:
-    """Build a sparse adjacency from a ``(2, E)`` directed edge index."""
-    src, dst = edge_index
-    data = np.ones(src.shape[0], dtype=np.float64)
-    return sp.csr_matrix((data, (dst, src)), shape=(num_nodes, num_nodes))
-
-
-def laplacian(adjacency: sp.spmatrix, normalized: bool = True) -> sp.csr_matrix:
-    """Return the (normalised) graph Laplacian; used in tests as an invariant check."""
-    matrix = adjacency.tocsr().astype(np.float64)
-    degrees = np.asarray(matrix.sum(axis=1)).ravel()
-    if not normalized:
-        return (sp.diags(degrees) - matrix).tocsr()
-    inv_sqrt = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
-    d_inv_sqrt = sp.diags(inv_sqrt)
-    identity = sp.eye(matrix.shape[0], format="csr")
-    return (identity - d_inv_sqrt @ matrix @ d_inv_sqrt).tocsr()

@@ -289,19 +289,15 @@ def find_max_workload_device(
     comparator: Optional[SecureComparator] = None,
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
-    per_device_ledger: bool = False,
 ) -> int:
     """Alg. 3: return the id of the device with the maximum workload.
 
     When ``comparator`` is provided, every comparison runs the protocol one
     at a time (:func:`secure_compare_reference`, :func:`secure_argmax_reference`)
     and is charged to the comparator's accountant; otherwise they run in the
-    clear and their cost is charged analytically to ``accountant`` (when
-    given).  ``per_device_ledger``
-    records one ledger message per candidate announcement (exact transcript,
-    used by small examples/tests); the default aggregates the announcements
-    into a single coordination message so thousands of MCMC iterations stay
-    cheap to log.
+    clear, vectorised, and their cost is charged analytically to
+    ``accountant`` (when given).  Both modes record one transcript: one
+    ledger message per candidate announcement and per maximum announcement.
     """
     rng = rng if rng is not None else environment.rng
     workloads = assignment.workloads()
@@ -310,8 +306,7 @@ def find_max_workload_device(
     # ego-network neighbours and announces candidacy to the server.
     candidates: List[int] = []
     total_neighbor_comparisons = 0
-    if comparator is None and not per_device_ledger:
-        # Vectorised evaluation of exactly the same comparisons.
+    if comparator is None:
         workload_array = np.asarray(
             [workloads[device_id] for device_id in range(environment.num_devices)],
             dtype=np.int64,
@@ -322,35 +317,25 @@ def find_max_workload_device(
             np.maximum.at(neighbor_max, sources, workload_array[destinations])
         total_neighbor_comparisons = int(sources.size)
         candidates = np.flatnonzero(workload_array >= neighbor_max).tolist()
-        environment.ledger.send(
-            sender=SERVER_ID,
-            recipient=SERVER_ID,
-            kind=MessageKind.SERVER_COORDINATION,
-            size_bytes=environment.num_devices,
-            description="alg3-candidate-announcements",
-        )
     else:
         for device_id in range(environment.num_devices):
             neighbor_workloads = [workloads[v] for v in neighbors_of(environment, device_id)]
             total_neighbor_comparisons += len(neighbor_workloads)
-            if comparator is not None:
-                # Device operation 1: am I >= every neighbour?  The scan stops
-                # at the first neighbour that is greater.
-                is_candidate = all(
-                    secure_compare_reference(comparator, workloads[device_id], other)
-                    for other in neighbor_workloads
-                )
-            else:
-                is_candidate = all(workloads[device_id] >= other for other in neighbor_workloads)
-            environment.ledger.send(
-                sender=device_id,
-                recipient=SERVER_ID,
-                kind=MessageKind.SERVER_COORDINATION,
-                size_bytes=1,
-                description="candidate-announcement",
-            )
-            if is_candidate:
+            # Device operation 1: am I >= every neighbour?  The scan stops
+            # at the first neighbour that is greater.
+            if all(
+                secure_compare_reference(comparator, workloads[device_id], other)
+                for other in neighbor_workloads
+            ):
                 candidates.append(device_id)
+    for device_id in range(environment.num_devices):
+        environment.ledger.send(
+            sender=device_id,
+            recipient=SERVER_ID,
+            kind=MessageKind.SERVER_COORDINATION,
+            size_bytes=1,
+            description="candidate-announcement",
+        )
 
     # Part 2 (device operation 2): candidates compare among themselves; the
     # winners (possibly several on ties) report to the server which picks one.
@@ -373,38 +358,19 @@ def find_max_workload_device(
             accountant, total_neighbor_comparisons + pairwise_comparisons
         )
     _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
-
-    if comparator is None and not per_device_ledger:
-        # Aggregated path: the winner announcements collapse into a single
-        # coordination message (same bytes, one ledger entry) so thousands of
-        # MCMC iterations stay cheap to log — mirroring the candidate
-        # announcements above.
+    for device_id in winners:
         environment.ledger.send(
-            sender=SERVER_ID,
+            sender=device_id,
             recipient=SERVER_ID,
             kind=MessageKind.SERVER_COORDINATION,
-            size_bytes=len(winners),
-            description="alg3-maximum-announcements",
+            size_bytes=1,
+            description="maximum-announcement",
         )
-    else:
-        for device_id in winners:
-            environment.ledger.send(
-                sender=device_id,
-                recipient=SERVER_ID,
-                kind=MessageKind.SERVER_COORDINATION,
-                size_bytes=1,
-                description="maximum-announcement",
-            )
     return int(environment.server.pick_maximum(winners))
 
 
 def _charge_comparison_traffic(environment: FederatedEnvironment, count: int) -> None:
-    """Charge aggregated secure-comparison traffic to the environment ledger.
-
-    Alg. 3 traffic belongs to the (one-off) tree-construction phase; we log a
-    single aggregated message so the ledger stays small even for thousands of
-    iterations.
-    """
+    """Charge one Alg. 3 call's secure-comparison traffic as one server row."""
     environment.ledger.send(
         sender=SERVER_ID,
         recipient=SERVER_ID,

@@ -29,6 +29,21 @@ def csr_from_lists(neighbor_lists):
     return indptr, indices
 
 
+def graph_cases(max_nodes):
+    """``(num_nodes, edge list)``: isolated vertices, vertices with one edge,
+    duplicate and reversed edges, the empty graph."""
+    return st.integers(0, max_nodes).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                .filter(lambda edge: edge[0] != edge[1]),
+                max_size=3 * n if n > 1 else 0,
+            ),
+        )
+    )
+
+
 @st.composite
 def exchange_cases(draw, max_devices: int, max_dimension: int, min_devices: int = 2):
     devices = draw(st.integers(min_devices, max_devices))

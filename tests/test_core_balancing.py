@@ -80,8 +80,7 @@ class TestFindMaxWorkloadDevice:
         assignment = SelectionOracle.full(environment)
         fast = find_max_workload_device(environment, assignment)
         secure = find_max_workload_device(
-            environment, assignment, comparator=SecureComparator(bit_width=24),
-            per_device_ledger=True,
+            environment, assignment, comparator=SecureComparator(bit_width=24)
         )
         assert assignment.workloads()[fast] == assignment.workloads()[secure]
 

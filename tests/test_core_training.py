@@ -406,6 +406,27 @@ class TestLumosSystem:
         for bits in (1, 64):
             assert getattr(TreeConstructorConfig(**{field: bits}), field) == bits
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (TreeConstructorConfig, "mcmc_iterations"),
+            (TreeConstructorConfig, "degree_comparison_bits"),
+            (TreeConstructorConfig, "workload_comparison_bits"),
+            (TrainerConfig, "epochs"),
+            (TrainerConfig, "num_layers"),
+            (TrainerConfig, "hidden_dim"),
+            (TrainerConfig, "output_dim"),
+            (TrainerConfig, "num_heads"),
+        ],
+    )
+    def test_an_integer_field_rejects_a_bool_and_a_float(self, config, field):
+        # mcmc_iterations=2.5 used to pass construction and fail with a
+        # TypeError after partition and greedy; True ran one iteration.
+        for value in (True, False, 2.5, 8.0):
+            with pytest.raises(ValueError, match=rf"{field} must be an integer"):
+                config(**{field: value})
+        assert getattr(config(**{field: np.int64(2)}), field) == 2
+
 
 class TestZeroDevices:
     """An empty graph constructs and balances; the stages that need a feature

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.tree_cases import graph_cases
 from repro.graph import (
     Graph,
     partition_node_level,
@@ -17,7 +18,6 @@ from repro.graph import (
 )
 from repro.graph.sparse import (
     add_self_loops,
-    laplacian,
     row_normalize,
     symmetric_normalize,
 )
@@ -27,21 +27,6 @@ def triangle_graph() -> Graph:
     features = np.arange(6, dtype=float).reshape(3, 2)
     return Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2], [0, 2]]), features=features,
                  labels=np.array([0, 1, 0]))
-
-
-def graph_cases(max_nodes):
-    """``(num_nodes, edge list)``: isolated vertices, vertices with one edge,
-    duplicate and reversed edges, the empty graph."""
-    return st.integers(0, max_nodes).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
-                .filter(lambda edge: edge[0] != edge[1]),
-                max_size=3 * n if n > 1 else 0,
-            ),
-        )
-    )
 
 
 def _check_csr_rows(case):
@@ -200,6 +185,24 @@ class TestGraph:
         assert features.flags.writeable
         assert graph.with_edges(np.array([[0, 2]])).num_edges == 1
 
+    def test_a_write_through_the_callers_arrays_does_not_reach_the_graph(self):
+        from repro.engine.fingerprint import fingerprint_graph
+
+        features = np.arange(6, dtype=float).reshape(3, 2)
+        labels = np.array([0, 1, 0])
+        graph = Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]), features=features,
+                      labels=labels)
+        digest = fingerprint_graph(graph)
+        features[:] = 0
+        labels[:] = 5
+        np.testing.assert_array_equal(graph.features, np.arange(6, dtype=float).reshape(3, 2))
+        np.testing.assert_array_equal(graph.labels, [0, 1, 0])
+        assert fingerprint_graph(graph) == digest
+        assert digest == fingerprint_graph(
+            Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]),
+                  features=np.arange(6, dtype=float).reshape(3, 2), labels=np.array([0, 1, 0]))
+        )
+
     def test_empty_graph(self):
         graph = Graph(num_nodes=3, edges=np.zeros((0, 2)), features=np.zeros((3, 1)))
         assert graph.num_edges == 0
@@ -239,12 +242,6 @@ class TestSparseHelpers:
         adjacency = triangle_graph().adjacency()
         looped = add_self_loops(adjacency)
         np.testing.assert_allclose(looped.diagonal(), np.ones(3))
-
-    def test_laplacian_eigenvalues_nonnegative(self):
-        graph = triangle_graph()
-        lap = laplacian(graph.adjacency()).toarray()
-        eigenvalues = np.linalg.eigvalsh(lap)
-        assert eigenvalues.min() > -1e-10
 
 
 class TestNodeLevelPartition:

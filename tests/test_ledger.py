@@ -321,7 +321,10 @@ def test_charging_a_million_comparisons_costs_bytes_per_block_not_per_row():
     assert ledger.summary()["total_bytes"] == 2_000_000 * (cost.bits // 8)
 
 
-def test_flushing_secure_alg3_calls_costs_one_arange_plus_bytes_per_call():
+@pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+def test_flushing_alg3_calls_costs_one_arange_plus_bytes_per_call(secure):
+    # Clear and secure calls record one transcript, so both are held to
+    # the same growth bound.
     n, calls = 2000, 40
     ring = np.arange(n)
     graph = Graph(n, np.stack([ring, (ring + 1) % n], axis=1), np.zeros((n, 1)))
@@ -333,7 +336,10 @@ def test_flushing_secure_alg3_calls_costs_one_arange_plus_bytes_per_call():
     kernel = _IncrementalBalancingKernel(environment, assignment_from_lists(environment, selected))
     comparator = SecureComparator(bit_width=24)
     for round_index in range(calls):
-        assert kernel.find_max_workload_device_secure(comparator, round_index) == 0
+        if secure:
+            assert kernel.find_max_workload_device_secure(comparator, round_index) == 0
+        else:
+            assert kernel.find_max_workload_device(None, round_index) == 0
     grown = _traced_growth(kernel.flush_transcript)
     assert grown <= 8 * n + 2048 * calls
     counts = environment.ledger.messages.label_counts()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers.oracles import (
     SelectionOracle,
@@ -21,7 +23,7 @@ from helpers.oracles import (
     full_assignment,
     mcmc_run_reference,
 )
-from helpers.tree_cases import csr_from_lists
+from helpers.tree_cases import csr_from_lists, graph_cases
 
 from repro.core import (
     Assignment,
@@ -316,11 +318,12 @@ class TestKernelTranscriptBlocks:
         _, environment, _ = _balanced(graph, iterations=50)
         table = environment.ledger.messages
         descriptions = {description for _kind, description in table.labels}
-        assert "alg3-candidate-announcements" in descriptions
-        assert "alg3-comparisons" in descriptions
-        # One block per flushed description, not one row per protocol step.
-        assert len(table.column("round")) <= len(table.labels)
-        assert len(table) > 10 * len(table.labels)
+        assert {"candidate-announcement", "alg3-comparisons"} <= descriptions
+        # One block per flushed description, plus one candidate-announcement
+        # block per Alg. 3 call (two per iteration) — not one row per
+        # protocol step.
+        assert len(table.column("round")) <= len(table.labels) + 2 * 50
+        assert len(table) > 10 * len(table.column("round"))
 
     def test_summary_accounts_for_bulk_messages(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
@@ -482,3 +485,38 @@ class TestTinyFederations:
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
         if not lists:
             assert fast.assignment.as_lists() == {} and fast.total_tree_nodes() == 0
+
+
+class TestOneAlg3Transcript:
+    """Alg. 3 has one traffic model: clear and secure construction record the
+    same per-device announcements, so their ledgers are equal row for row."""
+
+    @staticmethod
+    def _construct(graph, secure: bool, seed: int, iterations: int):
+        environment = FederatedEnvironment.from_graph(graph, seed=0)
+        rng = np.random.default_rng(seed)
+        result = TreeConstructor(
+            TreeConstructorConfig(mcmc_iterations=iterations), rng=rng, secure=secure
+        ).construct(environment)
+        return result, environment, rng
+
+    def _assert_one_transcript(self, graph, seed: int, iterations: int):
+        clear, clear_env, clear_rng = self._construct(graph, False, seed, iterations)
+        secure, secure_env, secure_rng = self._construct(graph, True, seed, iterations)
+        assert clear.assignment.as_lists() == secure.assignment.as_lists()
+        assert clear_env.ledger.message_records() == secure_env.ledger.message_records()
+        assert clear_env.ledger.summary() == secure_env.ledger.summary()
+        assert clear_rng.bit_generator.state == secure_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_facebook_like(self, seed):
+        self._assert_one_transcript(
+            generate_facebook_like(seed=seed, num_nodes=60), seed, iterations=40
+        )
+
+    @settings(max_examples=25, deadline=2000)
+    @given(graph_cases(16), st.integers(0, 2**16))
+    def test_generated_federations(self, case, seed):
+        n, edges = case
+        graph = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+        self._assert_one_transcript(graph, seed, iterations=8)

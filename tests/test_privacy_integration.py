@@ -19,7 +19,7 @@ from repro.core import (
     greedy_initialization,
 )
 from repro.crypto import OneBitMechanism, TranscriptAccountant
-from repro.federation import FederatedEnvironment, MessageKind
+from repro.federation import SERVER_ID, FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like
 
 
@@ -97,20 +97,27 @@ class TestDegreePrivacy:
                 assert size > max(degree_values)
 
     def test_server_only_sees_candidate_ids(self, privacy_graph):
-        """Alg. 3: the server learns which devices are candidates, not workloads."""
-        from helpers.oracles import SelectionOracle, find_max_workload_device
+        """Alg. 3: the server learns which devices are candidates, not workloads.
 
-        environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
-        assignment = SelectionOracle.full(environment)
-        find_max_workload_device(environment, assignment, per_device_ledger=True)
-        server_sizes = [
-            size
-            for _round, _sender, _recipient, kind, size, _description
-            in environment.ledger.message_records()
-            if kind == MessageKind.SERVER_COORDINATION.value
-        ]
-        assert server_sizes, "Alg. 3 must involve the server"
-        assert all(size <= 1 for size in server_sizes)
+        Production construction in clear and in secure mode: every
+        coordination message the server receives is one bit of candidacy or
+        of being the maximum, one byte on the wire.
+        """
+        for secure in (False, True):
+            environment = FederatedEnvironment.from_graph(privacy_graph, seed=0)
+            TreeConstructor(
+                TreeConstructorConfig(mcmc_iterations=10),
+                rng=np.random.default_rng(0),
+                secure=secure,
+            ).construct(environment)
+            server_sizes = [
+                size
+                for _round, _sender, recipient, kind, size, _description
+                in environment.ledger.message_records()
+                if kind == MessageKind.SERVER_COORDINATION.value and recipient == SERVER_ID
+            ]
+            assert len(server_sizes) > 10 * privacy_graph.num_nodes, "Alg. 3 must involve the server"
+            assert all(size <= 1 for size in server_sizes), f"secure={secure}"
 
     def test_labels_never_enter_the_ledger(self, privacy_graph):
         """Labels are used locally only (paper §IV-B): no label-bearing messages."""

@@ -254,6 +254,8 @@ RETIRED_AUTOGRAD_NAMES = {
     "from_edge_list",
     "from_networkx",
     "validate_edge_coverage",
+    "adjacency_from_edge_index",
+    "laplacian",
 }
 
 #: Retired members whose names live on under another owner (``Adam.zero_grad``,
@@ -546,6 +548,20 @@ def test_no_module_mentions_chaos(modules):
     # Fault injection is installed by the tests, so no source under
     # src/repro — docstrings included — has a word for it.
     assert not [m.__name__ for m in modules if "chaos" in inspect.getsource(m).lower()]
+
+
+#: The retired second Alg. 3 traffic model: the aggregated server-to-server
+#: announcement rows and the oracle's switch between the two models.  Spelt
+#: as patterns, so this file does not itself hold the words.
+RETIRED_ALG3_TEXT = re.compile(r"alg3-(?:candidate|maximum)-announcements|per_device[_]ledger")
+
+
+def test_no_source_mentions_the_aggregated_alg3_model():
+    # Clear and secure mode record one Alg. 3 transcript (per-device
+    # announcements), in production and in the oracle alike.
+    tests = Path(__file__).parent
+    sources = [*Path(repro.__file__).parent.rglob("*.py"), *(tests / "helpers").rglob("*.py")]
+    assert not [str(path) for path in sources if RETIRED_ALG3_TEXT.search(path.read_text())]
 
 
 #: The bulk recording calls of ``CommunicationLedger``, and the numpy
