@@ -60,8 +60,7 @@ def main() -> None:
     print(f"simulated epoch completion time:  {result.simulated_epoch_time:.2f} s")
     print(f"secure comparisons executed:      {int(result.construction.transcript.comparisons)}")
 
-    # The expensive pipeline stages went through the staged execution engine;
-    # a second system over the same graph (here: the GAT backbone) replays
+    # A second system over the same graph (here: the GAT backbone) replays
     # partition, tree construction, LDP init and batch assembly from the
     # content-keyed artifact store and only retrains.
     gat_system = LumosSystem(graph, config.with_backbone("gat"))

@@ -19,8 +19,8 @@ Top-level subpackages
     Lumos itself: heterogeneity-aware tree constructor and tree-based GNN
     trainer.
 ``repro.engine``
-    Staged execution pipeline with a content-keyed artifact store (stage
-    reuse across sweeps and repeated runs).
+    The content-keyed artifact store ``LumosSystem`` caches its stages in
+    (stage reuse across sweeps and repeated runs).
 ``repro.baselines``
     Centralized GNN, LPGNN, and the naive federated GNN baseline.
 ``repro.faults``

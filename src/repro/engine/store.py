@@ -1,15 +1,16 @@
 """Content-keyed artifact store with LRU eviction and hit/miss accounting.
 
-The store is the memory of the staged execution engine: every expensive
-pipeline stage (partition, tree construction, LDP initialisation, batch
-assembly) writes its result here under a key derived from the *content* of
-its inputs.  Subsequent runs — another epsilon in a sweep, another backbone,
-a repeated experiment — hit the store instead of recomputing, which is what
-turns a sweep from O(points x full-pipeline) into O(stages-changed).
+The store is what the engine is: every expensive stage of a
+:class:`~repro.core.lumos.LumosSystem` (partition, tree construction, LDP
+draws and thresholding, batch assembly) writes its result here under a key
+derived from the *content* of its inputs (``LumosSystem._cached``).
+Subsequent runs — another epsilon in a sweep, another backbone, a repeated
+experiment — hit the store instead of recomputing, which is what turns a
+sweep from O(points x full-pipeline) into O(stages-changed).
 
-Hit/miss counters are tracked per stage name so tests and benchmarks can
-assert reuse (e.g. "a 5-point epsilon sweep runs tree construction exactly
-once").
+Hit/miss counters are tracked per stage name; :meth:`ArtifactStore.summary`
+reports them, so tests and benchmarks can assert reuse (e.g. "a 5-point
+epsilon sweep runs tree construction exactly once").
 """
 
 from __future__ import annotations
@@ -35,17 +36,13 @@ class StageStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
 
 @dataclass
 class StoredArtifact:
     """One cached stage result plus the side effects needed to replay it.
 
     ``value`` is the stage's return value.  ``rng_state`` is the bit-generator
-    state of the pipeline RNG *after* the stage ran, so a cache hit leaves the
+    state of the system's RNG *after* the stage ran, so a cache hit leaves the
     shared RNG stream exactly where a cold run would have — downstream stages
     (and training) are bit-for-bit identical either way.  ``ledger_delta`` is
     the rows the communication ledger gained while the stage ran
@@ -118,14 +115,6 @@ class ArtifactStore:
 
     def record_miss(self, stage: str) -> None:
         self._stats_for(stage).misses += 1
-
-    def hit_count(self, stage: str) -> int:
-        """Cache hits recorded for ``stage``."""
-        return self.stage_stats.get(stage, StageStats()).hits
-
-    def miss_count(self, stage: str) -> int:
-        """Cache misses (i.e. actual computations) recorded for ``stage``."""
-        return self.stage_stats.get(stage, StageStats()).misses
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss counters per stage, as plain dictionaries."""

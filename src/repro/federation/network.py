@@ -122,7 +122,15 @@ class _Table:
         return self._codes[label]
 
     def _check(self, values, bulk: bool) -> None:
-        """The one validation of both append paths: every floor holds."""
+        """The one validation of both append paths: every floor holds.
+
+        A stride-0 column (and a stride-0 floor) is compared by its one value.
+        """
+        if bulk:
+            values = [
+                column[0] if column.strides == (0,) and column.shape[0] else column
+                for column in values
+            ]
         for column, floor in self._floors:
             below = values[column] < (0 if floor is None else values[floor])
             if below.any() if bulk else below:

@@ -15,7 +15,7 @@ the straggler effect the tree trimmer mitigates — is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -215,17 +215,6 @@ class FederatedEnvironment:
         is a ``TypeError``, another shape a ``ValueError``; either leaves the
         installed selection as it was."""
         self.selection = _read_only(selection_mask(kept, self.indices).copy())
-
-    def summary(self) -> Dict[str, float]:
-        """Headline counters of the environment."""
-        workloads = self.workload_array()
-        result = {
-            "num_devices": float(self.num_devices),
-            "max_workload": float(workloads.max()) if self.num_devices else 0.0,
-            "mean_workload": float(workloads.mean()) if self.num_devices else 0.0,
-        }
-        result.update(self.ledger.summary(self.num_devices))
-        return result
 
 
 def selection_mask(kept, indices: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -211,19 +211,6 @@ class Graph:
             labels=self.labels,
             name=self.name,
         )
-
-    def summary(self) -> Dict[str, float]:
-        """Return basic statistics used for reporting."""
-        degrees = self.degrees()
-        return {
-            "name": self.name,
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "num_features": self.num_features,
-            "num_classes": self.num_classes,
-            "avg_degree": float(degrees.mean()) if self.num_nodes else 0.0,
-            "max_degree": int(degrees.max()) if self.num_nodes else 0,
-        }
 
 
 def partition_node_level(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,9 +23,8 @@ from repro.core import (
     default_config_for,
 )
 from repro.crypto.ldp import FeatureBounds
-from repro.engine import ArtifactStore, build_lumos_pipeline, default_store
+from repro.engine import ArtifactStore, default_store
 from repro.engine.fingerprint import fingerprint_graph, fingerprint_value
-from repro.engine.stages import PipelineContext
 from repro.engine.store import StoredArtifact
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, split_edges, split_nodes
@@ -87,8 +86,7 @@ class TestSeededEquivalence:
         assert warm.history.losses == cold.history.losses
         assert warm.ledger_summary == cold.ledger_summary
         for stage in STAGES:
-            assert store.hit_count(stage) == 1, stage
-            assert store.miss_count(stage) == 1, stage
+            assert store.summary()[stage] == {"hits": 1, "misses": 1}, stage
 
     def test_warm_store_reproduces_cold_run_unsupervised(self, graph, config):
         edge_split = split_edges(graph, seed=0)
@@ -109,17 +107,16 @@ class TestSweepReuse:
             system = LumosSystem(graph, config.with_epsilon(epsilon), store=store)
             sweep[epsilon] = system.run_supervised(split).test_accuracy
 
-        assert store.miss_count("construction") == 1
-        assert store.hit_count("construction") == len(epsilons) - 1
-        assert store.miss_count("partition") == 1
+        summary = store.summary()
+        once = {"hits": len(epsilons) - 1, "misses": 1}
+        assert summary["construction"] == once
+        assert summary["partition"] == once
         # the draws and the batch structure are epsilon-independent: computed
         # once, hit on every later sweep point
-        assert store.miss_count("ldp_draws") == 1
-        assert store.hit_count("ldp_draws") == len(epsilons) - 1
-        assert store.miss_count("tree_batch") == 1
-        assert store.hit_count("tree_batch") == len(epsilons) - 1
+        assert summary["ldp_draws"] == once
+        assert summary["tree_batch"] == once
         # epsilon changes the thresholding, so ldp_init recomputes per point
-        assert store.miss_count("ldp_init") == len(epsilons)
+        assert summary["ldp_init"] == {"hits": 0, "misses": len(epsilons)}
 
         # Reused stages must not leak state between points: every point equals
         # an isolated cold run.
@@ -135,8 +132,7 @@ class TestSweepReuse:
         for backbone in ("gcn", "gat"):
             LumosSystem(graph, config.with_backbone(backbone), store=store).run_supervised(split)
         for stage in STAGES:
-            assert store.miss_count(stage) == 1, stage
-            assert store.hit_count(stage) == 1, stage
+            assert store.summary()[stage] == {"hits": 1, "misses": 1}, stage
 
 
 class TestTreeBatchVectorized:
@@ -209,8 +205,6 @@ class TestArtifactStore:
         store.record_miss("x")
         store.record_hit("x")
         store.record_hit("x")
-        assert store.hit_count("x") == 2
-        assert store.miss_count("x") == 1
         assert store.summary() == {"x": {"hits": 2, "misses": 1}}
         store.clear()
         assert store.summary() == {}
@@ -237,10 +231,52 @@ class TestFingerprints:
             base.without_tree_trimming().constructor
         )
 
-    def test_unknown_pipeline_stage_rejected(self, graph, config):
+    def test_unknown_stage_rejected(self, graph, config):
         system = LumosSystem(graph, config, store=ArtifactStore())
         with pytest.raises(KeyError):
-            system.pipeline.run(system._context, through="no-such-stage")
+            system.advance("no-such-stage")
+
+
+#: The five stage keys of ``generate_facebook_like(seed=11, num_nodes=90)``
+#: under the module's config at epsilon 4, as the store holds them.  A spill
+#: file is named by its key and a pickled artifact is valid only under it, so
+#: these strings changing is a change of ``DiskSpillStore._FORMAT_VERSION``'s
+#: contract as much as a layout change is.
+GOLDEN_KEYS = {
+    "partition": "partition/98737744f8310b1c687e413f/seed=0",
+    "construction": (
+        "construction/partition/98737744f8310b1c687e413f/seed=0/5e4451c215e63656d7b6ace5"
+    ),
+    "ldp_draws": (
+        "ldpdraws/construction/partition/98737744f8310b1c687e413f/seed=0/5e4451c215e63656d7b6ace5"
+    ),
+    "ldp_init": (
+        "ldp/ldpdraws/construction/partition/98737744f8310b1c687e413f/seed=0/"
+        "5e4451c215e63656d7b6ace5/epsilon=4.0"
+    ),
+    "tree_batch": (
+        "batch/construction/partition/98737744f8310b1c687e413f/seed=0/"
+        "5e4451c215e63656d7b6ace5/d=128"
+    ),
+}
+
+
+class TestGoldenKeys:
+    def test_gcn_and_gat_store_exactly_the_golden_keys(self, graph, config):
+        # The backbone is in no key: both systems share all five entries.
+        store = ArtifactStore()
+        for backbone in ("gcn", "gat"):
+            point = config.with_epsilon(4.0).with_backbone(backbone)
+            LumosSystem(graph, point, store=store).advance("tree_batch")
+        assert len(store) == len(GOLDEN_KEYS)
+        assert all(key in store for key in GOLDEN_KEYS.values())
+        assert store.summary() == {stage: {"hits": 1, "misses": 1} for stage in GOLDEN_KEYS}
+
+    def test_artifact_keys_are_the_golden_keys(self, graph, config):
+        from repro.core.lumos import artifact_keys
+
+        system = LumosSystem(graph, config.with_epsilon(4.0), store=ArtifactStore())
+        assert artifact_keys(system.graph, system.config) == GOLDEN_KEYS
 
 
 class TestRngRestoration:

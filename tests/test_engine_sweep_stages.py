@@ -186,8 +186,7 @@ class TestDiskSpillStore:
         assert warm.history.losses == cold.history.losses
         assert warm.ledger_summary == cold.ledger_summary
         for stage in ("partition", "construction", "ldp_draws", "ldp_init", "tree_batch"):
-            assert second_store.hit_count(stage) == 1, stage
-            assert second_store.miss_count(stage) == 0, stage
+            assert second_store.summary()[stage] == {"hits": 1, "misses": 0}, stage
         assert second_store.spill_loads > 0
 
     def test_matches_in_memory_store_results(self, graph, config):

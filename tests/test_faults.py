@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from repro.core import LumosSystem, default_config_for
+from repro.core.lumos import artifact_keys
 from repro.engine import ArtifactStore
-from repro.engine.stages import PipelineContext, lumos_stages
 from repro.faults import (
     FaultPlan,
     FaultScenarioConfig,
@@ -58,16 +58,8 @@ def _arm(faults=None, task="supervised", store=None):
 
 
 def _stage_keys(config):
-    """Every pipeline stage's cache key for ``config``, computing no artifact
-    past the partition."""
-    context = PipelineContext(
-        graph=LumosSystem(GRAPH, config, store=ArtifactStore()).graph,
-        config=config,
-        rng=np.random.default_rng(config.seed),
-    )
-    for stage in lumos_stages():
-        context.keys[stage.name] = stage.key(context)
-    return context.keys
+    """Every stage's cache key for ``config``, over the graph a system runs on."""
+    return artifact_keys(LumosSystem(GRAPH, config, store=ArtifactStore()).graph, config)
 
 
 # --------------------------------------------------------------------------- #

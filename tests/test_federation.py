@@ -15,6 +15,7 @@ from repro.federation import (
     MessageKind,
     Server,
 )
+from repro.federation.network import constant_column
 from repro.graph import Graph, generate_star, partition_node_level
 
 from helpers.oracles import (
@@ -114,6 +115,20 @@ class TestMessagesAndLedger:
             ),
             (
                 None,
+                lambda ledger: ledger.send_many(
+                    [0, 1], [1, 0], MessageKind.OTHER, constant_column(-5, 2), [0, 0]
+                ),
+                "size must not be below 0",
+            ),
+            (
+                None,
+                lambda ledger: ledger.frames.extend(
+                    ("CONTROL", ""), [0, 0], [0, 0], [1, 1], [10, 8], constant_column(9, 2)
+                ),
+                "wire must not be below payload",
+            ),
+            (
+                None,
                 lambda ledger: ledger.send_many([0, 1], [1], MessageKind.OTHER, [1], [0]),
                 "1-D and of one length",
             ),
@@ -128,7 +143,10 @@ class TestMessagesAndLedger:
                 "1-D and of one length",
             ),
         ],
-        ids=["send", "drop", "compute", "payload", "wire", "ragged", "2-d", "0-d"],
+        ids=[
+            "send", "drop", "compute", "payload", "wire", "constant-size", "constant-wire",
+            "ragged", "2-d", "0-d",
+        ],
     )
     def test_scalar_and_bulk_rows_share_one_validation(self, scalar, bulk, complaint):
         ledger = CommunicationLedger()
@@ -308,11 +326,6 @@ class TestFederatedEnvironment:
         assert targets.tolist() == environment.indices.tolist()
         assert environment.adjacency_csr()[1] is environment.indices
 
-    def test_summary_keys(self, small_graph):
-        environment = FederatedEnvironment.from_graph(small_graph, seed=0)
-        summary = environment.summary()
-        assert {"num_devices", "max_workload", "total_messages"} <= set(summary)
-
 
 def _environment(indptr, indices, features=None):
     n = max(len(indptr) - 1, 0)
@@ -398,7 +411,7 @@ class TestDeviceIdTypes:
             call(environment)
         assert environment.selection is selection
         assert environment.ledger.message_records() == []
-        assert environment.summary()["max_workload"] == 1
+        assert environment.workload_array().max() == 1
 
 
 #: Generated federations.  Graph cases: isolated vertices, stars, one

@@ -168,10 +168,6 @@ class TestGraph:
         scaled = graph.normalized_features()
         assert np.all(np.isfinite(scaled.features))
 
-    def test_summary_keys(self):
-        summary = triangle_graph().summary()
-        assert {"num_nodes", "num_edges", "avg_degree", "max_degree"} <= set(summary)
-
     @pytest.mark.parametrize("attribute", ["edges", "features", "labels"])
     def test_arrays_cannot_be_written_in_place(self, attribute):
         # Fingerprints and normalized twins are memoised per graph object, so

@@ -395,6 +395,40 @@ RETIRED_ASSIGNMENT_MEMBERS = {
 }
 
 
+#: The stage framework around the artifact store: a deployment's stages are
+#: ``LumosSystem`` methods over one cached step (``LumosSystem._cached``), so
+#: the pipeline, its context, the stage classes and the stage list are gone.
+RETIRED_ENGINE_NAMES = {
+    "Pipeline",
+    "build_lumos_pipeline",
+    "PipelineContext",
+    "Stage",
+    "PartitionStage",
+    "TreeConstructionStage",
+    "LDPDrawsStage",
+    "EmbeddingInitStage",
+    "TreeBatchStage",
+    "lumos_stages",
+    "_run_stage",
+    "_capture",
+    "_replay_side_effects",
+    "_ledger_mark",
+}
+
+#: Members only tests read: three headline summaries (the tests read the
+#: ledger summary, ``workload_array()`` and the graph's own fields), and the
+#: store's per-stage counters besides ``summary()``.  Owner-scoped, since
+#: ``total`` and ``summary`` live on under other owners (``_Table.total``,
+#: ``CommunicationLedger.summary``, ``ArtifactStore.summary``).
+RETIRED_SUMMARY_MEMBERS = {
+    "repro.core.lumos.LumosSystem": {"summary", "_stage"},
+    "repro.federation.simulator.FederatedEnvironment": {"summary"},
+    "repro.graph.graph.Graph": {"summary"},
+    "repro.engine.store.ArtifactStore": {"hit_count", "miss_count"},
+    "repro.engine.store.StageStats": {"total"},
+}
+
+
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
     attribute, as a function, class or method, or as a parameter of one."""
@@ -672,3 +706,30 @@ def test_retired_assignment_members_stay_gone(modules):
         members = {*vars(value), *(field.name for field in dataclasses.fields(value))}
         survivors += [f"{owner}.{name}" for name in names & members]
     assert not survivors
+
+
+def test_retired_engine_names_stay_gone(modules):
+    # repro.engine is the store and its fingerprints; it reads nothing of the
+    # layers whose stages it caches.
+    for name in ("pipeline", "stages"):
+        assert importlib.util.find_spec(f"repro.engine.{name}") is None
+    assert not _retired_names_found(modules, ("repro.engine", "repro.core"), RETIRED_ENGINE_NAMES)
+    engine = Path(repro.__file__).parent / "engine"
+    imports = re.compile(r"^\s*from \.\.(core|federation|graph)\b", re.MULTILINE)
+    assert not [path.name for path in engine.glob("*.py") if imports.search(path.read_text())]
+    survivors = []
+    for owner, names in RETIRED_SUMMARY_MEMBERS.items():
+        value = _resolve(owner)
+        survivors += [f"{owner}.{name}" for name in names if hasattr(value, name)]
+    assert not survivors
+
+
+def test_every_reachability_keep_entry_names_a_def():
+    # The probe (tests/tools/reachability.py) skips the defs on its keep-list;
+    # an entry whose def is gone or renamed skips nothing and goes stale.
+    path = Path(__file__).parent / "tools" / "reachability.py"
+    spec = importlib.util.spec_from_file_location("reachability", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    found = {(relative, name) for relative, name, _ in probe.collect_defs().values()}
+    assert not sorted(probe.KEEP - found)

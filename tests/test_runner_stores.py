@@ -156,7 +156,7 @@ class TestRecordEquivalence:
         store = ArtifactStore()
         _arm(task, store, epsilon=0.5)  # warms the shared prefix
         warm = _arm(task, store)
-        assert store.hit_count("construction") == 1
+        assert store.summary()["construction"]["hits"] == 1
         _assert_payloads_equal(cold, warm)
 
     @pytest.mark.parametrize("task", LUMOS_TASKS)
