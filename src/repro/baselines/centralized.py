@@ -35,7 +35,6 @@ class CentralizedResult:
     test_auc: float = 0.0
     best_val_metric: float = 0.0
     losses: List[float] = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
 
 
 def encoder_config(
@@ -85,7 +84,6 @@ def fit_node_classifier(
         test_accuracy=accuracy(true_labels, run.best_output, split.test_mask),
         best_val_metric=run.best_metric,
         losses=run.losses,
-        wall_clock_seconds=run.seconds,
     )
 
 
@@ -122,7 +120,6 @@ def fit_link_predictor(
         ),
         best_val_metric=run.best_metric,
         losses=run.losses,
-        wall_clock_seconds=run.seconds,
     )
 
 

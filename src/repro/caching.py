@@ -28,9 +28,9 @@ class IdentityCache:
     Entries hold a weak reference to their anchor: a lookup only hits when
     the weakly referenced object *is* the anchor passed in (so a recycled
     ``id()`` can never alias), and entries are evicted automatically when
-    the anchor is garbage collected.  Anchors that do not support weak
-    references are kept alive by the cache instead (rare; e.g. exotic
-    array subclasses).
+    the anchor is garbage collected.  An anchor must support weak references
+    (arrays, sparse matrices and graphs do); ``put`` raises ``TypeError``
+    for one that does not.
     """
 
     __slots__ = ("_entries",)
@@ -49,20 +49,6 @@ class IdentityCache:
     def put(self, anchor: Any, value: Any, extra: Hashable = None) -> Any:
         """Store ``value`` under ``anchor`` (and ``extra``); returns ``value``."""
         key = (id(anchor), extra)
-        try:
-            ref = weakref.ref(anchor, lambda _ref, _key=key: self._entries.pop(_key, None))
-        except TypeError:
-            ref = _strong_ref(anchor)
+        ref = weakref.ref(anchor, lambda _ref, _key=key: self._entries.pop(_key, None))
         self._entries[key] = (ref, value)
         return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-def _strong_ref(anchor: Any):
-    """A callable mimicking ``weakref.ref`` that pins ``anchor`` alive."""
-    return lambda: anchor

@@ -10,23 +10,9 @@ single tunable).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
-from ..faults.config import FaultScenarioConfig
-
-
-def _check_integer(config, name: str, low: int, high: float = math.inf) -> None:
-    """The one integer rule of the configs: an ``int`` (or numpy integer) in
-    ``[low, high]``.  A bool or a float is a ``ValueError`` like a value out
-    of range, raised at construction — not after partition, greedy and MCMC
-    have run, and never silently taken as ``1`` or truncated."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not low <= value <= high:
-        bounds = f"in [{low}, {high}]" if high < math.inf else f"at least {low}"
-        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+from ..faults.config import FaultScenarioConfig, _check_integer, _check_real
 
 
 @dataclass(frozen=True)
@@ -66,6 +52,8 @@ class TrainerConfig:
             raise ValueError(f"unknown backbone '{self.backbone}'")
         for name in ("num_layers", "hidden_dim", "output_dim", "num_heads", "epochs"):
             _check_integer(self, name, 1)
+        for name in ("dropout", "learning_rate", "epsilon"):
+            _check_real(self, name)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         for name in ("learning_rate", "epsilon"):

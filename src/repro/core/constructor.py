@@ -36,7 +36,6 @@ class TreeConstructionResult:
 
     assignment: Assignment
     num_devices: int
-    greedy_assignment: Optional[Assignment] = None
     mcmc_result: Optional[MCMCResult] = None
     transcript: TranscriptAccountant = field(default_factory=TranscriptAccountant)
     used_virtual_nodes: bool = True
@@ -74,7 +73,6 @@ class TreeConstructor:
         """Run the constructor over ``environment`` and install the assignment."""
         transcript = TranscriptAccountant()
 
-        greedy_assignment: Optional[Assignment] = None
         mcmc_result: Optional[MCMCResult] = None
         if self.config.use_tree_trimming:
             greedy_assignment = greedy_initialization(
@@ -112,7 +110,6 @@ class TreeConstructor:
         return TreeConstructionResult(
             assignment=assignment,
             num_devices=num_devices,
-            greedy_assignment=greedy_assignment,
             mcmc_result=mcmc_result,
             transcript=transcript,
             used_virtual_nodes=self.config.use_virtual_nodes,

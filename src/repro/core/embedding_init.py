@@ -20,8 +20,7 @@ that data never leaves the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,8 +40,8 @@ class EmbeddingInitializationResult:
     sorted by receiver, then sender).  Row ``m`` of ``released`` stores the
     recovered values at the positions that sender released to that receiver;
     every other position carried the neutral symbol and recovers to
-    ``midpoint``.  Dense rows exist only as on-demand views
-    (:attr:`received_features`, :meth:`packed`).
+    ``midpoint``.  Dense rows exist only as an on-demand view
+    (:meth:`packed`).
     """
 
     receivers: np.ndarray
@@ -50,17 +49,7 @@ class EmbeddingInitializationResult:
     released: sp.csr_matrix
     midpoint: float
     messages_sent: int = 0
-    bytes_sent: int = 0
     epsilon: float = 0.0
-
-    @cached_property
-    def received_features(self) -> Dict[int, Dict[int, np.ndarray]]:
-        """``receiver -> {sender: recovered feature}`` over every message (dense)."""
-        table: Dict[int, Dict[int, np.ndarray]] = {}
-        receivers, senders, rows = self.packed()
-        for receiver, sender, row in zip(receivers.tolist(), senders.tolist(), rows):
-            table.setdefault(receiver, {})[sender] = row
-        return table
 
     def packed(self) -> tuple:
         """``(receivers, senders, features)`` arrays over all messages (dense)."""
@@ -304,7 +293,6 @@ class LDPEmbeddingInitializer:
             ),
             midpoint=self.bounds.midpoint,
             messages_sent=int(order.shape[0]),
-            bytes_sent=size_bytes * int(order.shape[0]),
             epsilon=self.epsilon,
         )
 

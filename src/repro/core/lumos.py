@@ -17,7 +17,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -93,7 +93,6 @@ class LumosSupervisedResult:
     construction: TreeConstructionResult
     communication_rounds_per_device: float
     simulated_epoch_time: float
-    ledger_summary: Dict[str, float] = field(default_factory=dict)
     #: Participation/degradation counters when the run trained under a
     #: non-empty fault scenario; ``None`` on the fully-available path.
     fault_summary: Optional[Dict[str, float]] = None
@@ -109,7 +108,6 @@ class LumosUnsupervisedResult:
     construction: TreeConstructionResult
     communication_rounds_per_device: float
     simulated_epoch_time: float
-    ledger_summary: Dict[str, float] = field(default_factory=dict)
 
 
 class LumosSystem:
@@ -331,7 +329,6 @@ class LumosSystem:
             construction=self.construct_trees(),
             communication_rounds_per_device=float(profile["per_device_rounds"].mean()),
             simulated_epoch_time=trainer.simulated_epoch_time("supervised"),
-            ledger_summary=self.environment.ledger.summary(self.environment.num_devices),
             fault_summary=trainer.fault_stats if trainer.faults is not None else None,
         )
 
@@ -351,7 +348,6 @@ class LumosSystem:
             construction=self.construct_trees(),
             communication_rounds_per_device=float(profile["per_device_rounds"].mean()),
             simulated_epoch_time=trainer.simulated_epoch_time("unsupervised"),
-            ledger_summary=self.environment.ledger.summary(self.environment.num_devices),
         )
 
     # ------------------------------------------------------------------ #

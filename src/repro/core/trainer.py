@@ -82,7 +82,6 @@ class TreeBatch:
     layer_input: SharedRowFeatures
     leaf_rows: np.ndarray
     leaf_vertices: np.ndarray
-    device_slices: Dict[int, Tuple[int, int]]
     # Refill recipe for the epsilon-dependent rows: the ``k``-th LDP message
     # sits at node ``neighbor_rows[k]`` and was received by
     # ``neighbor_receivers[k]`` from ``neighbor_senders[k]``.  Everything else
@@ -286,7 +285,6 @@ class TreeBatch:
         dst = np.concatenate([rows, np.arange(num_nodes)])
         edge_index = np.stack([src, dst])
 
-        device_slices = dict(enumerate(zip(offsets.tolist(), sizes.tolist())))
         return cls(
             num_nodes=num_nodes,
             num_vertices=n,
@@ -301,7 +299,6 @@ class TreeBatch:
             ),
             leaf_rows=leaf_rows,
             leaf_vertices=leaf_vertices,
-            device_slices=device_slices,
             neighbor_rows=neighbor_rows,
             neighbor_receivers=pair_owners,
             neighbor_senders=flat_neighbors,
@@ -432,19 +429,6 @@ class EpochCostModel:
         )
         return float(self.fixed_overhead + per_device.max()) if per_device.size else 0.0
 
-    def steady_state_epoch_time(self, workloads: np.ndarray) -> float:
-        """Epoch time implied by a workload distribution alone.
-
-        Derives the structural quantities from the workloads — ``3*wl + 1``
-        tree nodes (:func:`repro.core.tree.local_graph_sizes`) and ``2*wl``
-        communication rounds (one upload + one download per kept neighbour)
-        — so the maintenance layer's :class:`StalenessMonitor` can price a
-        maintained tree against a from-scratch reconstruction without
-        materialising either's local graphs.
-        """
-        workloads = np.asarray(workloads, dtype=np.float64)
-        return self.epoch_time(local_graph_sizes(workloads), 2.0 * workloads)
-
 
 # --------------------------------------------------------------------------- #
 # Training histories
@@ -454,11 +438,9 @@ class SupervisedHistory:
     """Per-epoch record of a supervised training run."""
 
     losses: List[float] = field(default_factory=list)
-    train_accuracy: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
     test_accuracy: float = 0.0
     best_val_accuracy: float = 0.0
-    wall_clock_seconds: float = 0.0
 
 
 @dataclass
@@ -469,7 +451,6 @@ class UnsupervisedHistory:
     val_auc: List[float] = field(default_factory=list)
     test_auc: float = 0.0
     best_val_auc: float = 0.0
-    wall_clock_seconds: float = 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -574,7 +555,7 @@ class TreeBasedGNNTrainer:
         rounds, costs, devices = self._device_work(task)
         ledger = self.environment.ledger
         if plan is not None:
-            online = plan.online_mask(epoch)
+            online = plan.online[epoch]
             self.environment.set_availability(online)
             devices = np.flatnonzero(online)
             rounds, costs = rounds[devices], costs[devices]
@@ -589,7 +570,7 @@ class TreeBasedGNNTrainer:
         if devices.size:
             ledger.compute_many(devices, costs, description="tree-gnn-epoch")
         if plan is not None:
-            undelivered = (plan.evicted_mask(epoch) | plan.lost_mask(epoch))[devices]
+            undelivered = (plan.evicted[epoch] | plan.lost[epoch])[devices]
             undelivered_count = int(undelivered.sum())
             if undelivered_count:
                 ledger.drop(
@@ -666,8 +647,6 @@ class TreeBasedGNNTrainer:
                 if self.faults is not None
                 else None
             )
-            train_accuracy: List[float] = []
-            predictions = None
 
             def loss(epoch: int) -> Optional[Tensor]:
                 logits = model.logits(self.batch, self.batch.layer_input)
@@ -681,30 +660,26 @@ class TreeBasedGNNTrainer:
                     # no participant holding a training vertex the server
                     # skips the update (the forward pass still ran on every
                     # online device).
-                    mask = np.logical_and(mask, plan.participants(epoch))
+                    mask = np.logical_and(mask, plan.participating[epoch])
                     if not mask.any():
                         return None
                 return cross_entropy(logits, labels, mask=mask)
 
             def evaluate() -> Tuple[float, np.ndarray]:
-                nonlocal predictions
                 logits = model.logits(self.batch, self.batch.layer_input)
                 predictions = np.argmax(logits.data, axis=1)
                 return accuracy(labels, predictions, split.val_mask), predictions
 
-            def after_epoch(epoch: int) -> None:
-                train_accuracy.append(accuracy(labels, predictions, split.train_mask))
-                self._charge_epoch("supervised", plan, epoch)
-
-            run = fit(model, self.config.learning_rate, epochs, loss, evaluate, after_epoch)
+            run = fit(
+                model, self.config.learning_rate, epochs, loss, evaluate,
+                lambda epoch: self._charge_epoch("supervised", plan, epoch),
+            )
             self._finalize_fault_stats(plan, "supervised", run.skipped_updates)
             return model, SupervisedHistory(
                 losses=run.losses,
-                train_accuracy=train_accuracy,
                 val_accuracy=run.metrics,
                 test_accuracy=accuracy(labels, run.best_output, split.test_mask),
                 best_val_accuracy=run.best_metric,
-                wall_clock_seconds=run.seconds,
             )
 
     # ------------------------------------------------------------------ #
@@ -751,5 +726,4 @@ class TreeBasedGNNTrainer:
                     run.best_output, edge_split.test_edges, edge_split.test_negatives
                 ),
                 best_val_auc=run.best_metric,
-                wall_clock_seconds=run.seconds,
             )

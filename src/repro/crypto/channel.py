@@ -141,19 +141,6 @@ class ChannelStats:
     def wire_bytes_received(self) -> int:
         return self.payload_bytes_received + FRAME_OVERHEAD_BYTES * self.frames_received
 
-    def snapshot(self) -> dict:
-        """Plain-dict view for reports and bench payloads."""
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "payload_bytes_received": self.payload_bytes_received,
-            "wire_bytes_sent": self.wire_bytes_sent,
-            "wire_bytes_received": self.wire_bytes_received,
-            "by_kind_sent": dict(sorted(self.by_kind_sent.items())),
-            "by_kind_received": dict(sorted(self.by_kind_received.items())),
-        }
-
 
 class PartyChannel:
     """One endpoint of a framed duplex byte channel between two parties.

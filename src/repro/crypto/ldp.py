@@ -46,10 +46,6 @@ class FeatureBounds:
     def midpoint(self) -> float:
         return (self.lower + self.upper) / 2.0
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 class OneBitMechanism:
     """The 1-bit LDP mechanism with unbiased recovery (paper Eq. 26-27).

@@ -112,16 +112,6 @@ class TransportReport:
     wire_bytes: int
     by_kind: dict
 
-    def snapshot(self) -> dict:
-        return {
-            "frames": self.frames,
-            "protocol_payload_bytes": self.protocol_payload_bytes,
-            "analytic_payload_bytes": self.analytic_payload_bytes,
-            "control_payload_bytes": self.control_payload_bytes,
-            "wire_bytes": self.wire_bytes,
-            "by_kind": dict(self.by_kind),
-        }
-
 
 @dataclass(frozen=True)
 class RemoteComparisonOutcome:

@@ -7,7 +7,7 @@ and the replay semantics that make cache hits bit-for-bit identical to cold
 runs.
 """
 
-from .fingerprint import fingerprint_array, fingerprint_graph, fingerprint_value, stage_key
+from .fingerprint import fingerprint_graph, fingerprint_value, stage_key
 from .store import (
     ArtifactStore,
     DiskSpillStore,
@@ -22,7 +22,6 @@ __all__ = [
     "StageStats",
     "StoredArtifact",
     "default_store",
-    "fingerprint_array",
     "fingerprint_graph",
     "fingerprint_value",
     "stage_key",

@@ -5,7 +5,7 @@ that would compute the same value map to the same key, regardless of which
 ``LumosSystem`` instance (or which process-lifetime order) issues them.  The
 helpers here hash the three kinds of content a stage key is built from:
 
-* numpy arrays and :class:`~repro.graph.graph.Graph` objects (data),
+* :class:`~repro.graph.graph.Graph` objects (data),
 * (frozen) dataclass configuration objects (hyper-parameters),
 * plain python scalars / containers.
 
@@ -42,11 +42,6 @@ def _array_parts(array: np.ndarray) -> tuple:
     return (str(array.dtype).encode(), repr(array.shape).encode(), array.tobytes())
 
 
-def fingerprint_array(array: np.ndarray) -> str:
-    """Stable fingerprint of a numpy array (dtype, shape and raw bytes)."""
-    return _hash_bytes(*_array_parts(array))
-
-
 def fingerprint_value(value: Any) -> str:
     """Fingerprint an arbitrary (config-like) python value."""
     return _hash_bytes(_canonical(value).encode())
@@ -72,8 +67,6 @@ def _canonical(value: Any) -> str:
         return repr(float(value))
     if isinstance(value, Enum):
         return f"{type(value).__name__}.{value.name}"
-    if isinstance(value, np.ndarray):
-        return f"ndarray:{fingerprint_array(value)}"
     if isinstance(value, (np.integer, np.floating)):
         return repr(value.item())
     if is_dataclass(value) and not isinstance(value, type):

@@ -171,10 +171,13 @@ class DiskSpillStore(ArtifactStore):
     # the ledger table's open tail as typed column buffers instead of row
     # tuples, v9 ``Assignment`` as a mask over the CSR instead of a dict of
     # sets, v10 clear-mode construction ledgers holding per-device Alg. 3
-    # announcement rows — pickled contents that changed under unchanged stage
-    # keys.  Older files (or any unreadable version) degrade to a miss and are
-    # quarantined like corrupt files.
-    _FORMAT_VERSION = 10
+    # announcement rows, v11 ``TreeConstructionResult`` without
+    # ``greedy_assignment``, ``TreeBatch`` without ``device_slices`` and
+    # ``EmbeddingInitializationResult`` without ``bytes_sent`` — pickled
+    # contents that changed under unchanged stage keys.  Older files (or any
+    # unreadable version) degrade to a miss and are quarantined like corrupt
+    # files.
+    _FORMAT_VERSION = 11
 
     def __init__(
         self,

@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .metrics import relative_change
 
 def format_table(
     headers: Sequence[str],
@@ -40,13 +41,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def relative_difference_percent(reference: float, value: float) -> float:
-    """``100 * (value - reference) / reference`` with a zero-safe guard."""
-    if reference == 0:
-        return 0.0
-    return 100.0 * (value - reference) / reference
-
-
 def relative_savings_percent(baseline: float, improved: float) -> float:
     """``100 * (baseline - improved) / baseline``: how much ``improved`` saves."""
     if baseline == 0:
@@ -72,6 +66,6 @@ def summarize_comparison(results: Mapping[str, float], reference_key: str) -> st
         if key == reference_key:
             parts.append(f"{key}={value:.4f} (reference)")
         else:
-            delta = relative_difference_percent(reference, value)
+            delta = relative_change(reference, value)
             parts.append(f"{key}={value:.4f} ({delta:+.1f}% vs {reference_key})")
     return "; ".join(parts)

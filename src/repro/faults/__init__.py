@@ -7,12 +7,11 @@ staged engine.
 """
 
 from .config import FaultScenarioConfig
-from .plan import FaultPlan, schedule_digest
+from .plan import FaultPlan
 from .scenarios import default_robustness_scenarios
 
 __all__ = [
     "FaultScenarioConfig",
     "FaultPlan",
-    "schedule_digest",
     "default_robustness_scenarios",
 ]

@@ -9,18 +9,45 @@ job of :class:`repro.faults.plan.FaultPlan`.
 
 This module must stay import-light (stdlib only): ``repro.core.config``
 embeds a scenario in every :class:`LumosConfig`, so importing anything from
-``repro.core`` or ``repro.engine`` here would create a cycle.
+``repro.core`` or ``repro.engine`` here would create a cycle.  For the same
+reason the configs' two type rules, :func:`_check_integer` and
+:func:`_check_real`, live here and ``repro.core.config`` imports them.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["FaultScenarioConfig"]
 
 
-def _check_rate(name: str, value: float) -> None:
+def _check_integer(config, name: str, low: int, high: float = math.inf) -> None:
+    """The one integer rule of the configs: an ``int`` (or numpy integer) in
+    ``[low, high]``.  A bool or a float is a ``ValueError`` like a value out
+    of range, raised at construction — not after partition, greedy and MCMC
+    have run, and never silently taken as ``1`` or truncated."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f"in [{low}, {high}]" if high < math.inf else f"at least {low}"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def _check_real(config, name: str) -> None:
+    """The one real-number rule of the configs: a bool is a ``ValueError``,
+    not ``1.0`` or ``0.0`` (``dropout_rate=True`` would drop every device)."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_rate(config, name: str) -> None:
+    _check_real(config, name)
+    value = getattr(config, name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
@@ -67,20 +94,23 @@ class FaultScenarioConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_rate("dropout_rate", self.dropout_rate)
-        _check_rate("join_rate", self.join_rate)
-        _check_rate("leave_rate", self.leave_rate)
-        _check_rate("straggler_rate", self.straggler_rate)
-        _check_rate("message_loss_rate", self.message_loss_rate)
-        if self.straggler_multiplier < 1.0:
+        for name in (
+            "dropout_rate", "join_rate", "leave_rate", "straggler_rate", "message_loss_rate"
+        ):
+            _check_rate(self, name)
+        _check_real(self, "straggler_multiplier")
+        if not self.straggler_multiplier >= 1.0:  # NaN fails too
             raise ValueError(
                 "straggler_multiplier must be >= 1, got "
                 f"{self.straggler_multiplier!r}"
             )
-        if self.round_deadline is not None and self.round_deadline <= 0.0:
-            raise ValueError(
-                f"round_deadline must be positive, got {self.round_deadline!r}"
-            )
+        if self.round_deadline is not None:
+            _check_real(self, "round_deadline")
+            if not self.round_deadline > 0.0:  # NaN fails too
+                raise ValueError(
+                    f"round_deadline must be positive, got {self.round_deadline!r}"
+                )
+        _check_integer(self, "fault_seed", 0)
 
     def is_empty(self) -> bool:
         """True when the scenario cannot perturb any round.

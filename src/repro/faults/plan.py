@@ -38,7 +38,6 @@ This module imports only numpy + stdlib (see ``repro.faults.config``).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from .config import FaultScenarioConfig
 
-__all__ = ["FaultPlan", "schedule_digest"]
+__all__ = ["FaultPlan"]
 
 
 @dataclass(frozen=True)
@@ -144,26 +143,6 @@ class FaultPlan:
             present=present,
         )
 
-    # -- per-round accessors -------------------------------------------------
-
-    def online_mask(self, round_index: int) -> np.ndarray:
-        return self.online[round_index]
-
-    def latency_row(self, round_index: int) -> np.ndarray:
-        return self.latency[round_index]
-
-    def evicted_mask(self, round_index: int) -> np.ndarray:
-        return self.evicted[round_index]
-
-    def lost_mask(self, round_index: int) -> np.ndarray:
-        return self.lost[round_index]
-
-    def participants(self, round_index: int) -> np.ndarray:
-        return self.participating[round_index]
-
-    def present_mask(self, round_index: int) -> np.ndarray:
-        return self.present[round_index]
-
     def churn_events(self):
         """Yield ``(round_index, joins, leaves)`` from the churn chain.
 
@@ -181,17 +160,6 @@ class FaultPlan:
             yield round_index, joins, leaves
             previous = row
 
-    # -- aggregates ----------------------------------------------------------
-
-    def is_empty(self) -> bool:
-        return self.config.is_empty()
-
-    def participation_fraction(self) -> np.ndarray:
-        """Fraction of devices whose update merges, per round."""
-        if self.num_rounds == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self.participating.mean(axis=1)
-
     def summary(self) -> Dict[str, float]:
         total = float(self.num_rounds * self.num_devices)
         mean_participation = (
@@ -204,40 +172,3 @@ class FaultPlan:
             "lost_update_rounds": float(self.lost.sum()),
             "mean_latency_multiplier": float(self.latency.mean()) if total else 1.0,
         }
-
-    def fingerprint(self) -> str:
-        """Engine fingerprint of the scenario that produced this plan.
-
-        The derived arrays are a pure function of ``(config, num_devices,
-        num_rounds)``; the shape comes from the graph and epoch count, which
-        already enter every cache key, so fingerprinting the config suffices.
-        """
-        from ..engine.fingerprint import fingerprint_value  # lazy: avoid cycle
-
-        return fingerprint_value(self.config)
-
-    def schedule_digest(self) -> str:
-        """SHA-256 over the derived training-side arrays (replay witness).
-
-        ``present`` is deliberately excluded: it is a pure function of the
-        same draws (``online = present & ~dropped``), and keeping the hashed
-        tuple fixed preserves every digest recorded before the maintenance
-        layer existed.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(f"{self.num_rounds}x{self.num_devices}".encode("utf-8"))
-        for array in (self.online, self.latency, self.evicted, self.lost):
-            hasher.update(np.ascontiguousarray(array).tobytes())
-        return hasher.hexdigest()
-
-
-def schedule_digest(
-    config: FaultScenarioConfig, num_devices: int, num_rounds: int
-) -> str:
-    """Compile ``config`` and digest the schedule.
-
-    Module-level so a fresh process can import and run it by name, which
-    is how the tests prove the replay is bit-for-bit identical across
-    processes.
-    """
-    return FaultPlan.compile(config, num_devices, num_rounds).schedule_digest()

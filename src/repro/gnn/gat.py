@@ -63,11 +63,6 @@ class GATLayer(Module):
         # kept for the next gradient pass (see forward).
         self._memo = None
 
-    @property
-    def output_dim(self) -> int:
-        """Dimensionality of the produced node embeddings."""
-        return self.num_heads * self.out_features if self.concat_heads else self.out_features
-
     def forward(
         self,
         features: Tensor,
@@ -129,10 +124,4 @@ class GATLayer(Module):
             self.concat_heads,
             self.negative_slope,
             activation=activation,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"GATLayer(in={self.in_features}, out={self.out_features}, "
-            f"heads={self.num_heads}, concat={self.concat_heads})"
         )

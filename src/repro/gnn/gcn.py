@@ -152,6 +152,3 @@ class GCNLayer(Module):
 
         parents = (weight,) if bias is None else (weight, bias)
         return Tensor._make(value, parents, backward)
-
-    def __repr__(self) -> str:
-        return f"GCNLayer(in={self.in_features}, out={self.out_features})"

@@ -1,14 +1,13 @@
-"""Graph substrate: data structures, node-level partition, generators and splits."""
+"""Graph substrate: data structures, node-level partition, the synthetic
+stand-ins for the paper's two datasets, and splits."""
 
-from .datasets import available_datasets, load_dataset
+from .datasets import load_dataset
 from .generators import (
     FACEBOOK_SPEC,
     LASTFM_SPEC,
     SocialGraphSpec,
     generate_facebook_like,
     generate_lastfm_like,
-    generate_small_world,
-    generate_star,
     generate_social_graph,
 )
 from .graph import Graph, partition_node_level
@@ -24,10 +23,7 @@ __all__ = [
     "generate_social_graph",
     "generate_facebook_like",
     "generate_lastfm_like",
-    "generate_small_world",
-    "generate_star",
     "load_dataset",
-    "available_datasets",
     "NodeSplit",
     "EdgeSplit",
     "split_nodes",

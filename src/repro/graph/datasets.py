@@ -1,14 +1,12 @@
 """Dataset registry.
 
 ``load_dataset(name)`` is the single entry point used by examples, the
-evaluation harness and the benchmarks.  Two families are available:
-
-* ``"facebook"`` / ``"lastfm"`` — if the real raw files (SNAP "musae"
-  Facebook Page-Page / LastFM Asia CSV dumps) are present under
-  ``data/<name>/`` they are loaded; otherwise the synthetic stand-ins from
-  :mod:`repro.graph.generators` are generated (its module docstring says
-  which properties of the real graphs they preserve).
-* ``"small-world"`` / ``"star"`` — tiny deterministic graphs for tests.
+evaluation harness and the benchmarks.  It knows the paper's two datasets,
+``"facebook"`` and ``"lastfm"``: if the real raw files (SNAP "musae" Facebook
+Page-Page / LastFM Asia CSV dumps) are present under ``data/<name>/`` they
+are loaded; otherwise the synthetic stand-ins from
+:mod:`repro.graph.generators` are generated (its module docstring says which
+properties of the real graphs they preserve).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import csv
 import json
 import numbers
 import os
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -106,8 +104,9 @@ def load_dataset(name: str, seed: int = 0, num_nodes: Optional[int] = None) -> G
     Parameters
     ----------
     name:
-        One of ``facebook``, ``lastfm``, ``small-world``, ``star`` (synonyms
-        ``synthetic-facebook`` / ``synthetic-lastfm`` accepted).
+        ``facebook`` or ``lastfm`` (synonyms ``synthetic-facebook`` /
+        ``facebook-page-page`` and ``synthetic-lastfm`` / ``lastfm-asia``
+        accepted).
     seed:
         Random seed for the synthetic generators.
     num_nodes:
@@ -130,22 +129,4 @@ def load_dataset(name: str, seed: int = 0, num_nodes: Optional[int] = None) -> G
         if real_dir is not None and num_nodes is None:
             return load_musae_style(real_dir, "lastfm")
         return generators.generate_lastfm_like(seed=seed, num_nodes=num_nodes)
-    if key == "small-world":
-        return generators.generate_small_world(
-            num_nodes=100 if num_nodes is None else num_nodes, seed=seed
-        )
-    if key == "star":
-        return generators.generate_star(
-            num_leaves=5 if num_nodes is None else num_nodes - 1, seed=seed
-        )
-    raise KeyError(f"unknown dataset '{name}'; available: facebook, lastfm, small-world, star")
-
-
-def available_datasets() -> Dict[str, str]:
-    """Return dataset names and a one-line description each."""
-    return {
-        "facebook": "Facebook Page-Page (synthetic stand-in unless raw files are present)",
-        "lastfm": "LastFM Asia (synthetic stand-in unless raw files are present)",
-        "small-world": "small Watts-Strogatz-style test graph",
-        "star": "star graph, maximal degree heterogeneity toy case",
-    }
+    raise KeyError(f"unknown dataset '{name}'; available: facebook, lastfm")

@@ -10,7 +10,7 @@ The paper uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class NodeSplit:
         )
         if overlap.any():
             raise ValueError("node split masks must be disjoint")
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.train_mask.shape[0])
 
 
 @dataclass(frozen=True)

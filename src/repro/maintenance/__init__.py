@@ -14,12 +14,12 @@ staleness:
 * :mod:`~repro.maintenance.monitor` — :class:`StalenessMonitor` comparing
   the maintained tree against a from-scratch reconstruction and triggering
   localized rebalance or a full rebuild past configured bounds;
-* :mod:`~repro.maintenance.churn` — schedule compilation from
-  :class:`~repro.faults.FaultPlan`, the deterministic metrics entry point
+* :mod:`~repro.maintenance.churn` — a :class:`~repro.faults.FaultPlan`'s
+  churn driving a maintained tree: the deterministic metrics entry point
   behind ``run_churn_maintenance``.
 """
 
-from .churn import apply_schedule, churn_maintenance_metrics, compile_churn_schedule
+from .churn import churn_maintenance_metrics
 from .journal import MutationJournal, read_records
 from .monitor import StalenessMonitor, StalenessReport
 from .tree import MaintainedTree, MaintenanceConfig, fresh_assignment
@@ -32,7 +32,5 @@ __all__ = [
     "fresh_assignment",
     "StalenessMonitor",
     "StalenessReport",
-    "compile_churn_schedule",
-    "apply_schedule",
     "churn_maintenance_metrics",
 ]

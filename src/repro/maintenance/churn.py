@@ -1,10 +1,9 @@
-"""Churn-driven maintenance runs: schedules and metrics.
+"""Churn-driven maintenance runs.
 
 Bridges the fault layer to the maintenance layer: a compiled
-:class:`~repro.faults.FaultPlan` churn chain becomes a flat, state-free
-mutation *schedule* (``compile_churn_schedule``), which drives a
-:class:`~repro.maintenance.tree.MaintainedTree` through real joins/leaves
-instead of masks.  :func:`churn_maintenance_metrics` is the body of
+:class:`~repro.faults.FaultPlan` churn chain (``FaultPlan.churn_events``)
+drives a :class:`~repro.maintenance.tree.MaintainedTree` through real
+joins/leaves instead of masks.  :func:`churn_maintenance_metrics` is the body of
 ``eval.runner.run_churn_maintenance``; it returns a fully deterministic
 metrics dictionary (counters, objectives, digests — no wall-clock values),
 so two runs of one configuration are bit-identical, and asserts
@@ -16,7 +15,7 @@ from __future__ import annotations
 import numbers
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,60 +29,7 @@ from .journal import MutationJournal
 from .monitor import StalenessMonitor
 from .tree import MaintainedTree, MaintenanceConfig
 
-__all__ = [
-    "compile_churn_schedule",
-    "apply_schedule",
-    "churn_maintenance_metrics",
-]
-
-#: Schedule entries: ("remove", device) | ("insert", device, neighbors) |
-#: ("rebalance", iterations).  State-free on purpose — entry ``i`` always
-#: produces mutation record ``seq == i + 1``, so a recovered tree resumes at
-#: ``schedule[tree.seq:]``.
-Spec = tuple
-
-
-def compile_churn_schedule(
-    plan: FaultPlan,
-    ego_neighbors: Mapping[int, Iterable[int]],
-    rebalance_every: int = 0,
-    rebalance_iterations: int = 25,
-) -> List[Spec]:
-    """Flatten a fault plan's churn chain into tree-mutation specs.
-
-    Inserts carry the device's *original* ego neighbours; the tree filters
-    them to currently-present peers at apply time, so the schedule stays
-    independent of the state it will be applied to.  When
-    ``rebalance_every > 0`` a localized rebalance spec follows every
-    ``rebalance_every``-th round's churn.
-    """
-    specs: List[Spec] = []
-    for round_index, joins, leaves in plan.churn_events():
-        for device in leaves:
-            specs.append(("remove", device))
-        for device in joins:
-            specs.append(
-                ("insert", device, tuple(int(v) for v in ego_neighbors[device]))
-            )
-        if rebalance_every and (round_index + 1) % rebalance_every == 0:
-            specs.append(("rebalance", rebalance_iterations))
-    return specs
-
-
-def apply_schedule(tree: MaintainedTree, schedule: List[Spec], start: int = 0) -> int:
-    """Apply ``schedule[start:]`` to ``tree``; returns the final ``tree.seq``."""
-    for spec in schedule[start:]:
-        kind = spec[0]
-        if kind == "remove":
-            tree.remove_device(spec[1])
-        elif kind == "insert":
-            tree.insert_device(spec[1], spec[2])
-        elif kind == "rebalance":
-            tree.rebalance(iterations=spec[1])
-        else:
-            raise ValueError(f"unknown schedule spec {spec!r}")
-    return tree.seq
-
+__all__ = ["churn_maintenance_metrics"]
 
 def _constructed_tree(
     dataset: str,
@@ -121,7 +67,6 @@ def churn_maintenance_metrics(
     staleness_bound: float = 0.25,
     rebuild_bound: float = 1.0,
     check_every: int = 6,
-    reference_iterations: int = 60,
 ) -> Dict[str, float]:
     """One churn-maintenance run; every returned value is deterministic.
 
@@ -162,7 +107,7 @@ def churn_maintenance_metrics(
         monitor = StalenessMonitor(
             staleness_bound=staleness_bound,
             rebuild_bound=rebuild_bound,
-            reference_iterations=reference_iterations,
+            reference_iterations=60,
         )
         for round_index, joins, leaves in plan.churn_events():
             for device in leaves:

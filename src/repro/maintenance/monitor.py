@@ -3,13 +3,12 @@
 Under sustained churn the delta operations keep the tree *valid* (every edge
 covered) but not necessarily *balanced*: the insert heuristic and localized
 rebalances drift away from what a full construction would produce.  The
-:class:`StalenessMonitor` quantifies that drift — relative objective excess
-and simulated epoch-time ratio against a shadow reconstruction — and applies
-the degradation policy:
+:class:`StalenessMonitor` quantifies that drift — the relative objective
+excess over a shadow reconstruction — and applies the degradation policy:
 
 1. within ``staleness_bound``: do nothing (the delta path is winning);
 2. above it: a localized :meth:`~MaintainedTree.rebalance` around the
-   heaviest device;
+   heaviest device, with the tree's configured iteration count;
 3. still above ``rebuild_bound`` afterwards: a full
    :meth:`~MaintainedTree.rebuild` — the last-resort degradation, journalled
    like every other mutation.
@@ -25,10 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .. import obs
-from ..core.trainer import EpochCostModel
 from .tree import MaintainedTree, fresh_assignment
 
 __all__ = ["StalenessMonitor", "StalenessReport"]
@@ -42,7 +38,6 @@ class StalenessReport:
     maintained_objective: int
     rebuilt_objective: int
     staleness: float
-    epoch_time_ratio: float
     action: str  # "none" | "rebalance" | "rebuild"
     post_objective: int
     post_staleness: float
@@ -61,8 +56,6 @@ class StalenessMonitor:
         staleness_bound: float = 0.25,
         rebuild_bound: float = 1.0,
         reference_iterations: int = 80,
-        rebalance_iterations: Optional[int] = None,
-        cost_model: Optional[EpochCostModel] = None,
     ) -> None:
         if staleness_bound < 0 or rebuild_bound < staleness_bound:
             raise ValueError(
@@ -72,8 +65,6 @@ class StalenessMonitor:
         self.staleness_bound = staleness_bound
         self.rebuild_bound = rebuild_bound
         self.reference_iterations = reference_iterations
-        self.rebalance_iterations = rebalance_iterations
-        self.cost_model = cost_model if cost_model is not None else EpochCostModel()
         self.reports: List[StalenessReport] = []
 
     def reference_objective(self, tree: MaintainedTree) -> int:
@@ -100,19 +91,10 @@ class StalenessMonitor:
         rebuilt = self.reference_objective(tree)
         maintained = tree.objective()
         staleness = _staleness(maintained, rebuilt)
-        maintained_workloads = np.array(
-            sorted(tree.workloads().values()), dtype=np.float64
-        )
-        maintained_time = self.cost_model.steady_state_epoch_time(maintained_workloads)
-        rebuilt_time = self.cost_model.steady_state_epoch_time(
-            np.array([rebuilt], dtype=np.float64)
-        )
-        epoch_time_ratio = maintained_time / rebuilt_time if rebuilt_time else 1.0
-
         action = "none"
         post_objective, post_staleness = maintained, staleness
         if staleness > self.staleness_bound and tree.num_devices:
-            tree.rebalance(iterations=self.rebalance_iterations)
+            tree.rebalance()
             action = "rebalance"
             post_objective = tree.objective()
             post_staleness = _staleness(post_objective, rebuilt)
@@ -126,7 +108,6 @@ class StalenessMonitor:
             maintained_objective=maintained,
             rebuilt_objective=rebuilt,
             staleness=staleness,
-            epoch_time_ratio=epoch_time_ratio,
             action=action,
             post_objective=post_objective,
             post_staleness=post_staleness,

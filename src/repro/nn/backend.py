@@ -44,10 +44,6 @@ class PreparedMatrix:
         self.csr = csr
         self.csr_t = csr.T.tocsr()
 
-    @property
-    def shape(self):
-        return self.csr.shape
-
 
 MatrixLike = Union[sp.spmatrix, PreparedMatrix]
 

@@ -1,4 +1,4 @@
-"""The training loop: Adam, validation-based model selection, one clock.
+"""The training loop: Adam and validation-based model selection.
 
 Lumos and every comparison method train the same way (paper Section VIII):
 Adam on the task loss, the state with the best validation metric kept.
@@ -8,7 +8,6 @@ two closures that say which tensors go in.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from .module import Module
@@ -24,7 +23,6 @@ class FitResult(NamedTuple):
     best_metric: float
     best_output: Any
     skipped_updates: int
-    seconds: float
 
 
 def fit(
@@ -52,7 +50,6 @@ def fit(
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
-    start = time.perf_counter()
     optimizer = Adam(model.parameters(), lr=learning_rate)
     losses: List[float] = []
     metrics: List[float] = []
@@ -86,7 +83,4 @@ def fit(
             _, best_output = evaluate()
     else:
         model.load_state_dict(best_state)
-    return FitResult(
-        losses, metrics, best_metric, best_output, skipped_updates,
-        time.perf_counter() - start,
-    )
+    return FitResult(losses, metrics, best_metric, best_output, skipped_updates)

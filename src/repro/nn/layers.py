@@ -33,9 +33,6 @@ class Linear(Module):
     def forward(self, inputs: Tensor) -> Tensor:
         return F.linear(inputs, self.weight, self.bias)
 
-    def __repr__(self) -> str:
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
-
 
 class Dropout(Module):
     """Inverted dropout layer; active only in training mode."""
@@ -49,6 +46,3 @@ class Dropout(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return F.dropout(inputs, self.probability, training=self.training, rng=self._rng)
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.probability})"

@@ -55,11 +55,6 @@ class SharedRowFeatures:
             shape=(rows.shape[0], self.values.shape[0]),
         )
 
-    def dense(self) -> np.ndarray:
-        """The ``(N, d)`` matrix itself (for tests and the composite oracles)."""
-        zero_row = np.zeros((1, self.shape[1]))  # what rows == -1 picks
-        return np.vstack([densify(self.values, self.fill), zero_row])[self.rows]
-
     def project(self, weight: np.ndarray) -> np.ndarray:
         """The distinct rows times ``W``: ``(R, out)``."""
         out = get_backend().spmm(self._deviations, weight)

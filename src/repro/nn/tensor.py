@@ -162,10 +162,6 @@ class Tensor:
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
 
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{grad_flag})"
-
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)

@@ -5,8 +5,8 @@ The subsystem has two halves:
 * the data model — :class:`Tracer` (hierarchical spans with wall + CPU
   time), :class:`MetricsRegistry` (counters/gauges/histograms),
   :class:`RunTrace` (the run's snapshot) and the
-  exporters in :mod:`repro.obs.export` (JSON-lines spans, Chrome
-  trace-event JSON for Perfetto, a summary table);
+  exporters in :mod:`repro.obs.export` (Chrome trace-event JSON for
+  Perfetto, a summary table);
 * the *ambient* instrumentation API below — module-level helpers the hot
   layers call unconditionally.  One process has at most one active tracer
   (installed by :func:`tracing` or :func:`set_tracer`); when none is
@@ -43,12 +43,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from .export import (
-    chrome_trace_events,
-    summary_table,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
+from .export import chrome_trace_events, summary_table, write_chrome_trace
 from .metrics import MetricsRegistry
 from .runtrace import RunTrace
 from .tracer import Tracer
@@ -67,7 +62,6 @@ __all__ = [
     "summary_table",
     "tracing",
     "write_chrome_trace",
-    "write_spans_jsonl",
 ]
 
 #: The process-wide active tracer; ``None`` means tracing is disabled and

@@ -1,9 +1,7 @@
-"""Trace exporters: JSON-lines spans, Chrome trace events, summary table.
+"""Trace exporters: Chrome trace events and a summary table.
 
-Three consumers of a :class:`~repro.obs.runtrace.RunTrace`:
+Two consumers of a :class:`~repro.obs.runtrace.RunTrace`:
 
-* :func:`write_spans_jsonl` — one JSON object per span per line; greppable,
-  streamable, and the format most log pipelines ingest directly.
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON object format (``{"traceEvents": [...]}``), loadable in
   ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev).  One
@@ -13,8 +11,8 @@ Three consumers of a :class:`~repro.obs.runtrace.RunTrace`:
 * :func:`summary_table` — a human-readable roll-up (per-span-name call
   counts and total wall/CPU, then the metrics) for terminals.
 
-Everything here is stdlib-only and pure (no clock reads, no I/O except the
-two ``write_*`` helpers), so exports are reproducible from a stored trace.
+Everything here is stdlib-only and pure (no clock reads, no I/O except
+:func:`write_chrome_trace`), so exports are reproducible from a stored trace.
 """
 
 from __future__ import annotations
@@ -29,21 +27,11 @@ __all__ = [
     "chrome_trace_events",
     "summary_table",
     "write_chrome_trace",
-    "write_spans_jsonl",
 ]
 
 #: Process and thread id of the run's one track in the Chrome export.
 _CHROME_PID = 1
 _CHROME_TID = 1
-
-
-def write_spans_jsonl(trace: RunTrace, path) -> Path:
-    """Write every span as one JSON line; returns the path written."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for span in trace.spans():
-            handle.write(json.dumps(span, sort_keys=True) + "\n")
-    return path
 
 
 def chrome_trace_events(trace: RunTrace) -> Dict[str, Any]:

@@ -66,6 +66,3 @@ class MetricsRegistry:
                 for name, summary in sorted(self.histograms.items())
             },
         }
-
-    def __bool__(self) -> bool:
-        return bool(self.counters or self.gauges or self.histograms)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import generate_facebook_like, generate_small_world, generate_star, load_dataset
+from helpers.graphs import generate_small_world, generate_star
+from repro.graph import generate_facebook_like, load_dataset
 from repro.graph.splits import split_edges, split_nodes
 
 

@@ -15,7 +15,8 @@ A killed process exits with :data:`CRASH_EXIT_CODE` through ``os._exit``, so
 no exception handler, ``finally`` or atexit hook runs — what a SIGKILL does.
 
 :func:`run_schedule` / :func:`resume_schedule` are the kill-replay harness:
-one churn schedule through a journalled ``MaintainedTree``, and its
+one churn schedule (:func:`compile_churn_schedule`, applied by
+:func:`apply_schedule`) through a journalled ``MaintainedTree``, and its
 recovery from a torn journal.
 """
 
@@ -23,20 +24,14 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 from unittest import mock
 
 from repro.crypto import transport
 from repro.engine.store import DiskSpillStore
 from repro.faults.config import FaultScenarioConfig
 from repro.faults.plan import FaultPlan
-from repro.maintenance import (
-    MaintainedTree,
-    MaintenanceConfig,
-    MutationJournal,
-    apply_schedule,
-    compile_churn_schedule,
-)
+from repro.maintenance import MaintainedTree, MaintenanceConfig, MutationJournal
 from repro.maintenance.churn import _constructed_tree
 from repro.maintenance.journal import _PREFIX, _encode, _frame
 
@@ -101,6 +96,54 @@ def journal_crash_point(seq: int, *, in_process: bool = False):
 # Kill-replay harness
 # --------------------------------------------------------------------------- #
 _CHURN = FaultScenarioConfig(join_rate=0.30, leave_rate=0.10, fault_seed=13)
+
+#: Schedule entries: ("remove", device) | ("insert", device, neighbors) |
+#: ("rebalance", iterations).  State-free on purpose — entry ``i`` always
+#: produces mutation record ``seq == i + 1``, so a recovered tree resumes at
+#: ``schedule[tree.seq:]``.
+Spec = tuple
+
+
+def compile_churn_schedule(
+    plan: FaultPlan,
+    ego_neighbors: Mapping[int, Iterable[int]],
+    rebalance_every: int = 0,
+    rebalance_iterations: int = 25,
+) -> List[Spec]:
+    """Flatten a fault plan's churn chain into tree-mutation specs.
+
+    Inserts carry the device's *original* ego neighbours; the tree filters
+    them to currently-present peers at apply time, so the schedule stays
+    independent of the state it will be applied to.  When
+    ``rebalance_every > 0`` a localized rebalance spec follows every
+    ``rebalance_every``-th round's churn.
+    """
+    specs: List[Spec] = []
+    for round_index, joins, leaves in plan.churn_events():
+        for device in leaves:
+            specs.append(("remove", device))
+        for device in joins:
+            specs.append(
+                ("insert", device, tuple(int(v) for v in ego_neighbors[device]))
+            )
+        if rebalance_every and (round_index + 1) % rebalance_every == 0:
+            specs.append(("rebalance", rebalance_iterations))
+    return specs
+
+
+def apply_schedule(tree: MaintainedTree, schedule: List[Spec], start: int = 0) -> int:
+    """Apply ``schedule[start:]`` to ``tree``; returns the final ``tree.seq``."""
+    for spec in schedule[start:]:
+        kind = spec[0]
+        if kind == "remove":
+            tree.remove_device(spec[1])
+        elif kind == "insert":
+            tree.insert_device(spec[1], spec[2])
+        elif kind == "rebalance":
+            tree.rebalance(iterations=spec[1])
+        else:
+            raise ValueError(f"unknown schedule spec {spec!r}")
+    return tree.seq
 
 
 @functools.lru_cache(maxsize=8)

@@ -58,7 +58,7 @@ from repro.graph.sparse import symmetric_normalize
 from repro.nn import backend as backend_module
 from repro.nn import functional as F
 from repro.nn.backend import PreparedEdges, PreparedMatrix
-from repro.nn.shared_rows import SharedRowFeatures
+from repro.nn.shared_rows import SharedRowFeatures, densify
 from repro.nn.tensor import Tensor
 
 from .autograd import (
@@ -652,6 +652,17 @@ def canonical_local_graphs(construction: TreeConstructionResult) -> Dict[int, Lo
     }
 
 
+def device_slices(construction: TreeConstructionResult) -> Dict[int, Tuple[int, int]]:
+    """``device -> (first row, node count)`` of its tree in a ``TreeBatch``,
+    whose trees sit one after another in device id order."""
+    slices: Dict[int, Tuple[int, int]] = {}
+    offset = 0
+    for device_id, local_graph in canonical_local_graphs(construction).items():
+        slices[device_id] = (offset, local_graph.num_nodes)
+        offset += local_graph.num_nodes
+    return slices
+
+
 def tree_batch_reference(
     environment: FederatedEnvironment,
     construction: TreeConstructionResult,
@@ -664,7 +675,6 @@ def tree_batch_reference(
     path derives the same layout from the workloads.
     """
     cls = TreeBatch
-    device_slices: Dict[int, Tuple[int, int]] = {}
     rows: List[int] = []
     cols: List[int] = []
     leaf_rows: List[int] = []
@@ -678,7 +688,6 @@ def tree_batch_reference(
 
     for device_id, local_graph in canonical_local_graphs(construction).items():
         size = local_graph.num_nodes
-        device_slices[device_id] = (offset, size)
 
         feature_rows.extend([-1] * size)
         for node in local_graph.nodes:
@@ -728,7 +737,6 @@ def tree_batch_reference(
         ),
         leaf_rows=np.asarray(leaf_rows, dtype=np.int64),
         leaf_vertices=np.asarray(leaf_vertices, dtype=np.int64),
-        device_slices=device_slices,
         neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
         neighbor_receivers=receivers,
         neighbor_senders=senders,
@@ -889,9 +897,19 @@ def ldp_threshold_reference(
         released=sp.csr_matrix((recovered, cols, indptr), shape=released.shape),
         midpoint=initializer.bounds.midpoint,
         messages_sent=int(order.shape[0]),
-        bytes_sent=size_bytes * int(order.shape[0]),
         epsilon=initializer.epsilon,
     )
+
+
+def received_features(
+    initialization: EmbeddingInitializationResult,
+) -> Dict[int, Dict[int, np.ndarray]]:
+    """``receiver -> {sender: recovered feature}`` over every message (dense)."""
+    table: Dict[int, Dict[int, np.ndarray]] = {}
+    receivers, senders, rows = initialization.packed()
+    for receiver, sender, row in zip(receivers.tolist(), senders.tolist(), rows):
+        table.setdefault(receiver, {})[sender] = row
+    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -1192,9 +1210,15 @@ def graph_input_from_adjacency(adjacency) -> GraphInput:
     return GraphInput(symmetric_normalize(adjacency, self_loops=True), edge_index)
 
 
+def dense_features(features: SharedRowFeatures) -> np.ndarray:
+    """The ``(N, d)`` matrix a factored input stands for."""
+    zero_row = np.zeros((1, features.shape[1]))  # what rows == -1 picks
+    return np.vstack([densify(features.values, features.fill), zero_row])[features.rows]
+
+
 def _dense(features):
     if isinstance(features, SharedRowFeatures):
-        return Tensor(features.dense())
+        return Tensor(dense_features(features))
     return features
 
 

@@ -5,14 +5,18 @@ from the shared ``np.random.Generator`` — either *nothing* (the secure
 comparison kernels: simulated table OTs need no masking randomness) or an
 explicit block draw (the LDP draws, the fault plan's churn block, dropout).
 Prose contracts rot; :func:`assert_stream_contract` turns them into
-executable assertions.
+executable assertions, and :func:`schedule_digest` is the fault plan's replay
+witness.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from repro.faults import FaultPlan, FaultScenarioConfig
 
 #: A replay of the documented draw pattern on a twin generator.
 DrawReplay = Callable[[np.random.Generator], None]
@@ -41,6 +45,27 @@ def drain_churn_block(
     rng.random(num_devices)
     if num_rounds > 1:
         rng.random((num_rounds - 1, num_devices))
+
+
+def plan_digest(plan: FaultPlan) -> str:
+    """SHA-256 over a compiled plan's shape and its training-side arrays
+    ``online``, ``latency``, ``evicted`` and ``lost``.
+
+    ``present`` is left out because it is a pure function of the same draws
+    (``online = present & ~dropped``), which keeps every digest recorded
+    before the maintenance layer existed.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(f"{plan.num_rounds}x{plan.num_devices}".encode("utf-8"))
+    for array in (plan.online, plan.latency, plan.evicted, plan.lost):
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    return hasher.hexdigest()
+
+
+def schedule_digest(config: FaultScenarioConfig, num_devices: int, num_rounds: int) -> str:
+    """Compile ``config`` and digest the schedule; module-level so that a
+    fresh (spawned) process can run it by name."""
+    return plan_digest(FaultPlan.compile(config, num_devices, num_rounds))
 
 
 def assert_stream_contract(

@@ -19,7 +19,6 @@ from repro.eval.metrics import accuracy, relative_change, roc_auc_score
 from repro.eval.reporting import (
     cdf_series,
     format_table,
-    relative_difference_percent,
     relative_savings_percent,
     summarize_comparison,
 )
@@ -80,9 +79,7 @@ class TestReporting:
         assert "lumos" in lines[2] and "0.7500" in lines[2]
 
     def test_relative_helpers(self):
-        assert relative_difference_percent(0.5, 0.6) == pytest.approx(20.0)
         assert relative_savings_percent(100.0, 65.0) == pytest.approx(35.0)
-        assert relative_difference_percent(0.0, 1.0) == 0.0
         assert relative_savings_percent(0.0, 1.0) == 0.0
 
     def test_cdf_series(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.graphs import generate_star
 from helpers.oracles import (
     SelectionOracle,
     canonical_local_graphs,
@@ -20,7 +21,7 @@ from repro.core import (
 )
 from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.federation import FederatedEnvironment
-from repro.graph import generate_facebook_like, generate_star
+from repro.graph import generate_facebook_like
 
 
 @pytest.fixture()
@@ -160,7 +161,7 @@ class TestTreeConstructor:
         constructor = TreeConstructor(TreeConstructorConfig(use_tree_trimming=False),
                                       rng=np.random.default_rng(0))
         result = constructor.construct(environment)
-        assert result.mcmc_result is None and result.greedy_assignment is None
+        assert result.mcmc_result is None
         assert result.max_workload() == int(social_graph.degrees().max())
 
     def test_without_virtual_nodes_builds_stars(self, social_graph):

@@ -29,7 +29,13 @@ from repro.engine import ArtifactStore
 from repro.federation import FederatedEnvironment, MessageKind
 from repro.graph import generate_facebook_like, split_edges, split_nodes
 
-from helpers.oracles import canonical_local_graphs, install_composite_forms
+from helpers.oracles import (
+    canonical_local_graphs,
+    dense_features,
+    device_slices,
+    install_composite_forms,
+    received_features,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +59,19 @@ def prepared(tiny_graph):
 class TestEmbeddingInitialization:
     def test_every_selected_neighbor_receives_a_feature(self, prepared):
         _, environment, construction, initialization = prepared
+        received = received_features(initialization)
         for receiver, selected in construction.assignment.as_lists().items():
             for sender in selected:
-                assert sender in initialization.received_features[receiver]
+                assert sender in received[receiver]
 
     def test_messages_match_selection_count(self, prepared):
         _, _, construction, initialization = prepared
         assert initialization.messages_sent == construction.assignment.total_selected_edges()
-        assert initialization.bytes_sent > 0
         assert initialization.epsilon == 2.0
 
     def test_received_features_stay_in_recovery_range(self, prepared):
         graph, _, _, initialization = prepared
-        for per_receiver in initialization.received_features.values():
+        for per_receiver in received_features(initialization).values():
             for feature in per_receiver.values():
                 assert feature.shape == (graph.num_features,)
                 assert np.all(np.isfinite(feature))
@@ -73,7 +79,7 @@ class TestEmbeddingInitialization:
     def test_raw_features_never_transmitted(self, prepared):
         """The exact raw feature vector must not appear in any received message."""
         graph, _, _, initialization = prepared
-        for receiver, per_receiver in initialization.received_features.items():
+        for receiver, per_receiver in received_features(initialization).items():
             for sender, feature in per_receiver.items():
                 assert not np.allclose(feature, graph.features[sender])
 
@@ -93,7 +99,7 @@ class TestTreeBatch:
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
         assert batch.num_nodes == construction.total_tree_nodes()
         assert batch.num_vertices == graph.num_nodes
-        assert batch.layer_input.dense().shape == (batch.num_nodes, graph.num_features)
+        assert dense_features(batch.layer_input).shape == (batch.num_nodes, graph.num_features)
         assert batch.adjacency.shape == (batch.num_nodes, batch.num_nodes)
 
     def test_leaf_mapping_covers_every_vertex(self, prepared):
@@ -104,9 +110,9 @@ class TestTreeBatch:
     def test_center_leaves_carry_raw_features(self, prepared):
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
-        dense = batch.layer_input.dense()
+        dense = dense_features(batch.layer_input)
         local_graphs = canonical_local_graphs(construction)
-        for device_id, (offset, _) in batch.device_slices.items():
+        for device_id, (offset, _) in device_slices(construction).items():
             for node in local_graphs[device_id].nodes:
                 if node.vertex == device_id:
                     np.testing.assert_allclose(
@@ -116,9 +122,9 @@ class TestTreeBatch:
     def test_virtual_nodes_have_zero_features(self, prepared):
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
-        dense = batch.layer_input.dense()
+        dense = dense_features(batch.layer_input)
         local_graphs = canonical_local_graphs(construction)
-        for device_id, (offset, _) in batch.device_slices.items():
+        for device_id, (offset, _) in device_slices(construction).items():
             for node in local_graphs[device_id].nodes:
                 if node.vertex is None:
                     np.testing.assert_allclose(dense[offset + node.local_id], 0.0)
@@ -126,7 +132,7 @@ class TestTreeBatch:
     def test_no_edges_between_different_trees(self, prepared):
         graph, environment, construction, initialization = prepared
         batch = TreeBatch.build(environment, construction, initialization, graph.num_features)
-        slices = sorted(batch.device_slices.values())
+        slices = sorted(device_slices(construction).values())
         owner_of = np.zeros(batch.num_nodes, dtype=np.int64)
         for index, (offset, size) in enumerate(slices):
             owner_of[offset : offset + size] = index
@@ -308,9 +314,8 @@ class TestLumosSystem:
             outcomes[path] = (
                 result.test_accuracy,
                 result.best_val_accuracy,
-                result.history.train_accuracy,
                 result.history.val_accuracy,
-                result.ledger_summary,
+                system.environment.ledger.summary(system.environment.num_devices),
                 system.rng.bit_generator.state,
             )
             losses[path] = result.history.losses
@@ -385,6 +390,10 @@ class TestLumosSystem:
             ("dropout", 1.0, {}),
             ("dropout", -0.1, {}),
             ("dropout", float("nan"), {}),
+            # A bool is not a real number: these used to train at 1.0 / 0.0.
+            ("epsilon", True, {}),
+            ("learning_rate", True, {}),
+            ("dropout", False, {}),
         ],
     )
     def test_config_rejects_what_would_fail_late_or_silently(self, field, value, extra):

@@ -32,7 +32,6 @@ class TestFeatureBounds:
     def test_properties(self):
         bounds = FeatureBounds(-1.0, 3.0)
         assert bounds.midpoint == pytest.approx(1.0)
-        assert bounds.width == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

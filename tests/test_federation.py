@@ -16,8 +16,9 @@ from repro.federation import (
     Server,
 )
 from repro.federation.network import constant_column
-from repro.graph import Graph, generate_star, partition_node_level
+from repro.graph import Graph, partition_node_level
 
+from helpers.graphs import generate_star
 from helpers.oracles import (
     assignment_from_lists,
     edge_coverage_holds,

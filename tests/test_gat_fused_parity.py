@@ -67,7 +67,7 @@ def _check_parity(case):
     )
     layer.bias.data = rng.standard_normal(layer.bias.data.shape)
     features = rng.standard_normal((case["nodes"], 3))
-    upstream = rng.standard_normal((case["nodes"], layer.output_dim))
+    upstream = rng.standard_normal((case["nodes"], layer.bias.shape[0]))
     args = (layer, features, case["edge_index"], upstream, case["activation"])
     composite = [part.copy() for part in _layer_pass(gat_layer_forward, *args)]
     fused = _layer_pass(GATLayer.forward, *args)
@@ -91,7 +91,7 @@ class TestGeneratedParity:
     def test_no_edges_yields_bias_only(self, concat_heads):
         layer = GATLayer(3, 2, num_heads=2, concat_heads=concat_heads,
                          rng=np.random.default_rng(0))
-        layer.bias.data = np.arange(layer.output_dim, dtype=np.float64)
+        layer.bias.data = np.arange(layer.bias.shape[0], dtype=np.float64)
         features = Tensor(np.ones((4, 3)), requires_grad=True)
         out = layer(features, np.zeros((2, 0), dtype=np.int64))
         out.sum().backward()
@@ -120,7 +120,7 @@ class TestPlanReuse:
         )
         layer = GATLayer(4, 3, num_heads=2, rng=rng)
         features = rng.standard_normal((12, 4))
-        upstream = rng.standard_normal((12, layer.output_dim))
+        upstream = rng.standard_normal((12, layer.bias.shape[0]))
         backend = FastNumpyBackend()
         install_kernels(monkeypatch, backend)
 
@@ -150,9 +150,9 @@ class TestPlanReuse:
         edge_index = np.array([[0, 1, 2], [1, 2, 0]])
         plan = backend.prepare_edges(edge_index, 3)
         assert backend.prepare_edges(edge_index, 3) is plan
-        assert len(backend._segment_cache) == 1
+        assert len(backend._segment_cache._entries) == 1
         del edge_index
-        assert len(backend._segment_cache) == 0
+        assert len(backend._segment_cache._entries) == 0
 
 
 def test_fused_layer_allocates_no_edge_by_feature_array(monkeypatch):
@@ -164,7 +164,7 @@ def test_fused_layer_allocates_no_edge_by_feature_array(monkeypatch):
     edge_index = rng.integers(0, nodes, size=(2, edges))
     layer = GATLayer(8, head_dim, num_heads=heads, rng=rng)
     features = Tensor(rng.standard_normal((nodes, 8)), requires_grad=True)
-    upstream = Tensor(rng.standard_normal((nodes, layer.output_dim)))
+    upstream = Tensor(rng.standard_normal((nodes, layer.bias.shape[0])))
     install_kernels(monkeypatch, FastNumpyBackend())  # the edge plan is built in the trace
     tracemalloc.start()
     try:

@@ -14,7 +14,7 @@ from repro.gnn import (
     GraphInput,
     NodeClassifier,
 )
-from repro.graph import Graph, generate_small_world, split_nodes
+from repro.graph import Graph, split_nodes
 from repro.graph.sparse import symmetric_normalize
 from repro.nn import Adam, Tensor, cross_entropy
 
@@ -84,7 +84,6 @@ class TestGATLayer:
         layer = GATLayer(4, 3, num_heads=2, concat_heads=True, rng=np.random.default_rng(0))
         out = layer(Tensor(graph.features), self._edge_index(graph))
         assert out.shape == (4, 6)
-        assert layer.output_dim == 6
 
     def test_output_shape_average(self):
         graph = path_graph()

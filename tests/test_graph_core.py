@@ -318,7 +318,7 @@ class TestSplits:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_node_split_property_all_assigned_once(self, seed):
-        from repro.graph import generate_small_world
+        from helpers.graphs import generate_small_world
 
         graph = generate_small_world(num_nodes=40, seed=seed % 17)
         split = split_nodes(graph, seed=seed)

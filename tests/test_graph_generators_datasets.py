@@ -11,15 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.graphs import generate_small_world, generate_star
 from repro.graph import (
     FACEBOOK_SPEC,
     LASTFM_SPEC,
-    available_datasets,
     generate_facebook_like,
     generate_lastfm_like,
-    generate_small_world,
     generate_social_graph,
-    generate_star,
     load_dataset,
 )
 from repro.graph.datasets import load_musae_style
@@ -161,8 +159,8 @@ def test_generators_match_their_golden_digest(dataset, num_nodes, seed):
 
 class TestDatasetRegistry:
     def test_load_by_canonical_names(self):
-        for name in ("facebook", "lastfm", "small-world", "star"):
-            graph = load_dataset(name, seed=0, num_nodes=60 if name != "star" else 7)
+        for name in ("facebook", "lastfm"):
+            graph = load_dataset(name, seed=0, num_nodes=60)
             assert graph.num_nodes > 0
 
     def test_load_by_synonyms(self):
@@ -173,10 +171,10 @@ class TestDatasetRegistry:
         with pytest.raises(KeyError):
             load_dataset("cora")
 
-    @pytest.mark.parametrize("name", ["facebook", "lastfm", "small-world", "star"])
+    @pytest.mark.parametrize("name", ["facebook", "lastfm"])
     def test_num_nodes_is_checked_never_resized(self, name):
-        # A size of 0 once fell back to the default size (small-world, star)
-        # or failed deep inside the generator with an unrelated message.
+        # A size of 0 once failed deep inside the generator with an
+        # unrelated message.
         for size in (0, -5):
             with pytest.raises(ValueError, match="num_nodes"):
                 load_dataset(name, num_nodes=size)
@@ -184,10 +182,6 @@ class TestDatasetRegistry:
             with pytest.raises(TypeError, match="num_nodes"):
                 load_dataset(name, num_nodes=size)
         assert load_dataset(name, num_nodes=np.int64(60)).num_nodes == 60
-
-    def test_available_datasets_lists_all(self):
-        datasets = available_datasets()
-        assert {"facebook", "lastfm", "small-world", "star"} <= set(datasets)
 
     def test_musae_loader_reads_raw_files(self, tmp_path):
         directory = tmp_path / "facebook"

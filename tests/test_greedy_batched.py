@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     construct_with_oracles,
     greedy_initialization_reference,
@@ -31,7 +32,7 @@ from repro.core import (
 from repro.core.greedy import log_degree_buckets
 from repro.crypto import SecureComparator, TranscriptAccountant, comparison_cost
 from repro.federation import FederatedEnvironment
-from repro.graph import generate_facebook_like, generate_small_world, generate_star
+from repro.graph import generate_facebook_like
 
 
 def _run(make_environment, initialize, seed: int = 0):
@@ -123,7 +124,13 @@ class TestConstructorAndEngineKeys:
             np.random.default_rng(0),
         )
         assert fast.assignment.as_lists() == slow.assignment.as_lists()
-        assert fast.greedy_assignment.as_lists() == slow_greedy.as_lists()
+        greedy = greedy_initialization(
+            FederatedEnvironment.from_graph(social_graph, seed=0),
+            accountant=TranscriptAccountant(),
+            bit_width=config.degree_comparison_bits,
+            rng=np.random.default_rng(0),
+        )
+        assert greedy.as_lists() == slow_greedy.as_lists()
         assert fast.mcmc_result.objective_history == slow.objective_history
         assert fast.transcript.snapshot() == slow_transcript.snapshot()
 

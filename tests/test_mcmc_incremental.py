@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     SelectionOracle,
     assignment_from_lists,
@@ -35,12 +36,7 @@ from repro.core import (
 from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.crypto import SecureComparator
 from repro.federation import FederatedEnvironment
-from repro.graph import (
-    Graph,
-    generate_facebook_like,
-    generate_small_world,
-    generate_star,
-)
+from repro.graph import Graph, generate_facebook_like
 
 
 def _balanced(graph, *, oracle: bool = False, seed: int = 0,

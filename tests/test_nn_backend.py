@@ -279,16 +279,16 @@ class TestPreparedMatrices:
 
         backend = FastNumpyBackend()
         matrix = _random_csr(np.random.default_rng(8)).asformat(fmt)
-        before = len(backend._matrix_cache)
+        before = len(backend._matrix_cache._entries)
         prepared = backend.prepare_matrix(matrix)
-        assert len(backend._matrix_cache) == before + 1
+        assert len(backend._matrix_cache._entries) == before + 1
         if fmt == "csr":
             assert prepared.csr is not matrix
             assert np.shares_memory(prepared.csr.data, matrix.data)
         expected = matrix @ np.ones((12, 2))
         del matrix
         gc.collect()
-        assert len(backend._matrix_cache) == before
+        assert len(backend._matrix_cache._entries) == before
         np.testing.assert_array_equal(backend.spmm(prepared, np.ones((12, 2))), expected)
 
     def test_sparse_matmul_accepts_prepared_matrix(self):
@@ -495,7 +495,7 @@ class TestFusedLayerParity:
         features_data = rng.standard_normal((nodes, 5))
         layer = GATLayer(5, 3, num_heads=2, concat_heads=concat_heads,
                          rng=np.random.default_rng(44))
-        out_dim = layer.output_dim
+        out_dim = layer.bias.shape[0]
         upstream = rng.standard_normal((nodes, out_dim))
         results = {}
         for mode, forward in (("fused", GATLayer.forward), ("composite", gat_layer_forward)):

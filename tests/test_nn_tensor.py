@@ -67,9 +67,6 @@ class TestTensorBasics:
         detached = tensor.detach()
         assert not detached.requires_grad
 
-    def test_repr_mentions_shape(self):
-        assert "shape=(2,)" in repr(Tensor([1.0, 2.0]))
-
     def test_item_on_scalar(self):
         assert Tensor([3.5]).item() == pytest.approx(3.5)
 

@@ -174,12 +174,11 @@ class TestExporters:
         assert outer["dur"] >= inner["dur"]
         assert outer["args"]["scope"] == "test"
 
-    def test_spans_jsonl_round_trips(self, tmp_path):
-        path = obs.write_spans_jsonl(_small_trace(), tmp_path / "spans.jsonl")
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert {line["name"] for line in lines} == {"outer", "inner"}
-        inner = next(line for line in lines if line["name"] == "inner")
-        outer = next(line for line in lines if line["name"] == "outer")
+    def test_spans_link_to_their_parent(self):
+        spans = _small_trace().spans()
+        assert {span["name"] for span in spans} == {"outer", "inner"}
+        inner = next(span for span in spans if span["name"] == "inner")
+        outer = next(span for span in spans if span["name"] == "outer")
         assert inner["parent"] == outer["id"]
 
     def test_summary_table_lists_metrics(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers.oracles import transcript_reveals_only_sizes
+from helpers.oracles import received_features, transcript_reveals_only_sizes
 
 from repro.core import (
     LDPEmbeddingInitializer,
@@ -56,7 +56,7 @@ class TestFeaturePrivacy:
         ).construct(environment)
         initializer = LDPEmbeddingInitializer(epsilon=2.0, rng=np.random.default_rng(1))
         initialization = initializer.run(environment, construction.assignment)
-        for receiver, per_sender in initialization.received_features.items():
+        for receiver, per_sender in received_features(initialization).items():
             for sender, received in per_sender.items():
                 raw = privacy_graph.features[sender]
                 # The received vector is a noisy, partially-neutral estimate,

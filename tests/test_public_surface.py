@@ -428,6 +428,72 @@ RETIRED_SUMMARY_MEMBERS = {
     "repro.engine.store.StageStats": {"total"},
 }
 
+#: What ``src/`` defined or computed for tests alone, or for no reader at
+#: all.  Module-level names, anywhere under ``repro``: the tests' own helpers
+#: replace them (``helpers.rng_contract.schedule_digest``,
+#: ``helpers.crash_points.compile_churn_schedule`` / ``apply_schedule``,
+#: ``helpers.graphs``), or they went (``relative_difference_percent`` is
+#: ``eval.metrics.relative_change``).
+RETIRED_UNREAD_NAMES = {
+    "schedule_digest",
+    "compile_churn_schedule",
+    "apply_schedule",
+    "generate_small_world",
+    "generate_star",
+    "available_datasets",
+    "fingerprint_array",
+    "write_spans_jsonl",
+    "relative_difference_percent",
+    "_strong_ref",
+}
+
+#: Owner-scoped: members, dataclass fields and parameters that went, since
+#: names like ``snapshot``, ``seconds`` or ``__repr__`` live on elsewhere.
+#: The tests derive what they read (``helpers.oracles.received_features`` /
+#: ``dense_features`` / ``device_slices``, ``greedy_initialization`` called
+#: directly, the environment's ``ledger.summary(n)``); the plan's per-round
+#: accessors are array indexing in the trainer.
+RETIRED_UNREAD_MEMBERS = {
+    "repro.faults.plan.FaultPlan": {
+        "online_mask",
+        "latency_row",
+        "evicted_mask",
+        "lost_mask",
+        "participants",
+        "present_mask",
+        "is_empty",
+        "participation_fraction",
+        "fingerprint",
+        "schedule_digest",
+    },
+    "repro.maintenance.monitor.StalenessReport": {"epoch_time_ratio"},
+    "repro.maintenance.monitor.StalenessMonitor": {"cost_model", "rebalance_iterations"},
+    "repro.maintenance.churn.churn_maintenance_metrics": {"reference_iterations"},
+    "repro.core.trainer.EpochCostModel": {"steady_state_epoch_time"},
+    "repro.core.trainer.SupervisedHistory": {"wall_clock_seconds", "train_accuracy"},
+    "repro.core.trainer.UnsupervisedHistory": {"wall_clock_seconds"},
+    "repro.baselines.centralized.CentralizedResult": {"wall_clock_seconds"},
+    "repro.nn.fit.FitResult": {"seconds"},
+    "repro.core.lumos.LumosSupervisedResult": {"ledger_summary"},
+    "repro.core.lumos.LumosUnsupervisedResult": {"ledger_summary"},
+    "repro.core.trainer.TreeBatch": {"device_slices"},
+    "repro.core.constructor.TreeConstructionResult": {"greedy_assignment"},
+    "repro.core.embedding_init.EmbeddingInitializationResult": {"received_features", "bytes_sent"},
+    "repro.crypto.channel.ChannelStats": {"snapshot"},
+    "repro.crypto.transport.TransportReport": {"snapshot"},
+    "repro.crypto.ldp.FeatureBounds": {"width"},
+    "repro.graph.splits.NodeSplit": {"num_nodes"},
+    "repro.nn.backend.PreparedMatrix": {"shape"},
+    "repro.nn.shared_rows.SharedRowFeatures": {"dense"},
+    "repro.gnn.gat.GATLayer": {"output_dim", "__repr__"},
+    "repro.gnn.gcn.GCNLayer": {"__repr__"},
+    "repro.nn.layers.Linear": {"__repr__"},
+    "repro.nn.layers.Dropout": {"__repr__"},
+    "repro.nn.tensor.Tensor": {"__repr__"},
+    "repro.obs.metrics.MetricsRegistry": {"__bool__"},
+    "repro.caching.IdentityCache": {"__len__", "clear"},
+}
+
 
 def _retired_names_found(modules, packages, retired):
     """Where a retired name survives under ``packages``: as a module
@@ -733,3 +799,21 @@ def test_every_reachability_keep_entry_names_a_def():
     spec.loader.exec_module(probe)
     found = {(relative, name) for relative, name, _ in probe.collect_defs().values()}
     assert not sorted(probe.KEEP - found)
+
+
+def _own_members(value):
+    """The names ``value`` defines itself: a class's own attributes and
+    dataclass fields, a callable's parameters (a class's are its
+    ``__init__``'s)."""
+    names = set(vars(value)) if inspect.isclass(value) else set()
+    if dataclasses.is_dataclass(value):
+        names |= {field.name for field in dataclasses.fields(value)}
+    return names | set(inspect.signature(value).parameters)
+
+
+def test_retired_unread_names_stay_gone(modules):
+    assert not _retired_names_found(modules, "repro", RETIRED_UNREAD_NAMES)
+    survivors = []
+    for owner, names in RETIRED_UNREAD_MEMBERS.items():
+        survivors += [f"{owner}.{name}" for name in names & _own_members(_resolve(owner))]
+    assert not survivors

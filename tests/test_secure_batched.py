@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     construct_with_oracles,
     greedy_initialization_reference,
@@ -41,7 +42,7 @@ from repro.core import (
 from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.crypto.oblivious_transfer import transfer_packed_table_batch
 from repro.federation import FederatedEnvironment
-from repro.graph import generate_facebook_like, generate_small_world, generate_star
+from repro.graph import generate_facebook_like
 
 BIT_WIDTHS = (8, 16, 32, 64)
 
@@ -358,7 +359,14 @@ class TestSecureConstructorEquivalence:
             FederatedEnvironment.from_graph(graph, seed=0), config, slow_rng, secure=True
         )
         assert fast.assignment.as_lists() == slow.assignment.as_lists()
-        assert fast.greedy_assignment.as_lists() == slow_greedy.as_lists()
+        greedy = greedy_initialization(
+            FederatedEnvironment.from_graph(graph, seed=0),
+            accountant=TranscriptAccountant(),
+            bit_width=config.degree_comparison_bits,
+            rng=np.random.default_rng(0),
+            secure=True,
+        )
+        assert greedy.as_lists() == slow_greedy.as_lists()
         assert fast.mcmc_result.objective_history == slow.objective_history
         assert fast.transcript.snapshot() == slow_transcript.snapshot()
         assert fast.transcript._log == slow_transcript._log
