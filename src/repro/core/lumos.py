@@ -251,27 +251,19 @@ class LumosSystem:
 
         The LDP features enter the batch as a plain row fill, so a stored
         structure is re-bound to this run's exchange on a hit instead of
-        being reassembled (``TreeBatch.with_initialization``).
+        being reassembled (``TreeBatch.with_initialization``); the pooling
+        operators and edge indices a training run derives from it are then
+        shared by every run of the construction.
         """
         construction = self.construct_trees()
         initialization = self.initialize_embeddings()
 
-        def compute() -> TreeBatch:
-            batch = TreeBatch.build(
-                self.environment, construction, initialization, self.graph.num_features
-            )
-            # Prewarm the pooling operators on the stored batch: every sweep
-            # point re-bound via with_initialization shares them (fold_chain
-            # runs once per construction, not once per epsilon; the GAT edge
-            # plan is kept once per pooled edge index).
-            batch.folded_pool_adjacency()
-            batch.pool_row_sums()
-            if self.config.trainer.backbone == "gat":
-                batch.pooled_edge_index()
-            return batch
-
         return self._cached(
-            "tree_batch", compute, replay=lambda batch: batch.with_initialization(initialization)
+            "tree_batch",
+            lambda: TreeBatch.build(
+                self.environment, construction, initialization, self.graph.num_features
+            ),
+            replay=lambda batch: batch.with_initialization(initialization),
         )
 
     def advance(self, through: str):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,12 +73,17 @@ class TreeBatch:
     per device (id order; every centre-leaf replica shares it), then
     one LDP message per neighbour leaf (the recovered values at its released
     positions, the bounds' midpoint elsewhere); virtual nodes are zero.
+
+    What the structure fields determine — the GAT ``edge_index``, the pooling
+    operators, the pooled edges — is built on first read and kept in
+    ``_derived``, which every batch re-bound by :meth:`with_initialization`
+    shares: whichever of them (or whichever backbone) reads a structure
+    first builds it for all.
     """
 
     num_nodes: int
     num_vertices: int
     adjacency: sp.csr_matrix
-    edge_index: np.ndarray
     layer_input: SharedRowFeatures
     leaf_rows: np.ndarray
     leaf_vertices: np.ndarray
@@ -91,10 +96,14 @@ class TreeBatch:
     neighbor_rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     neighbor_receivers: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     neighbor_senders: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _pool_matrix: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
-    _folded_pool_adjacency: Any = field(default=None, repr=False, compare=False)
-    _pool_row_sums: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _pooled_edge_index: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _derived: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
+
+    def _structure(self, name: str, build: Callable[[], Any]) -> Any:
+        """``build()``, once for this batch and every batch re-bound from it."""
+        value = self._derived.get(name)
+        if value is None:
+            value = self._derived[name] = build()
+        return value
 
     @staticmethod
     def _factored(
@@ -112,47 +121,69 @@ class TreeBatch:
             np.repeat([0.0, initialization.midpoint], [own.shape[0], exchanged.shape[0]]),
         )
 
+    @property
+    def edge_index(self) -> np.ndarray:
+        """The ``(2, E)`` directed edges GAT attends over, self loops last.
+
+        In a tree every node but the root has exactly one neighbour with a
+        smaller row, its parent, so the smallest column of each adjacency row
+        (the self loop's, at a root) names it.  Child by child, each tree
+        edge runs child → parent and then parent → child — the order
+        :meth:`build` lays them out in — and one self loop per node follows.
+        """
+
+        def build() -> np.ndarray:
+            nodes = np.arange(self.num_nodes)
+            smallest = np.minimum.reduceat(self.adjacency.indices, self.adjacency.indptr[:-1])
+            children = np.flatnonzero(smallest < nodes)
+            parents = smallest[children]
+            tree_edges = 2 * children.shape[0]
+            edge_index = np.empty((2, tree_edges + self.num_nodes), dtype=np.int64)
+            edge_index[0, 0:tree_edges:2] = edge_index[1, 1:tree_edges:2] = children
+            edge_index[0, 1:tree_edges:2] = edge_index[1, 0:tree_edges:2] = parents
+            edge_index[:, tree_edges:] = nodes
+            return edge_index
+
+        return self._structure("edge_index", build)
+
     def mean_pool_matrix(self) -> sp.csr_matrix:
         """Sparse ``(num_vertices, num_nodes)`` operator computing Eq. 31.
 
         Row ``v`` holds ``1 / count(v)`` at every leaf row referring to vertex
         ``v``; multiplying node embeddings by it performs gather + mean-pool
         in one sparse product (vertices without leaves yield zeros, matching
-        the scatter-based pooling).  Built lazily and cached on the batch.
+        the scatter-based pooling).
         """
-        if self._pool_matrix is None:
+
+        def build() -> sp.csr_matrix:
             counts = np.bincount(self.leaf_vertices, minlength=self.num_vertices)
             weights = 1.0 / np.maximum(counts[self.leaf_vertices], 1).astype(np.float64)
-            self._pool_matrix = sp.csr_matrix(
+            return sp.csr_matrix(
                 (weights, (self.leaf_vertices, self.leaf_rows)),
                 shape=(self.num_vertices, self.num_nodes),
             )
-        return self._pool_matrix
+
+        return self._structure("pool_matrix", build)
 
     def folded_pool_adjacency(self):
         """Mean-pool and propagation folded into one prepared operator.
 
         ``P (Â H W + 1 bᵀ) = (P Â) (H W) + (P 1) ⊗ b`` — the constant chain
-        ``P Â`` is collapsed once per batch (``FastNumpyBackend.fold_chain``) so the
-        final GCN layer plus pooling costs a single sparse product per epoch
-        instead of two.  The result is a
-        :class:`~repro.nn.backend.PreparedMatrix`, cached on the batch; the
-        engine prewarms it on the cached ``tree_batch`` artifact so every
-        sweep point re-bound via :meth:`with_initialization` shares it.
+        ``P Â`` is collapsed once per construction
+        (``FastNumpyBackend.fold_chain``) so the final GCN layer plus pooling
+        costs a single sparse product per epoch instead of two.  The result
+        is a :class:`~repro.nn.backend.PreparedMatrix`.
         """
-        if self._folded_pool_adjacency is None:
-            self._folded_pool_adjacency = get_backend().fold_chain(
-                [self.mean_pool_matrix(), self.adjacency]
-            )
-        return self._folded_pool_adjacency
+        return self._structure(
+            "folded_pool_adjacency",
+            lambda: get_backend().fold_chain([self.mean_pool_matrix(), self.adjacency]),
+        )
 
     def pool_row_sums(self) -> np.ndarray:
         """Row sums ``P 1`` of the mean-pool operator (bias term of the fold)."""
-        if self._pool_row_sums is None:
-            self._pool_row_sums = np.asarray(
-                self.mean_pool_matrix().sum(axis=1)
-            ).ravel()
-        return self._pool_row_sums
+        return self._structure(
+            "pool_row_sums", lambda: np.asarray(self.mean_pool_matrix().sum(axis=1)).ravel()
+        )
 
     def pooled_edge_index(self) -> np.ndarray:
         """The columns of ``edge_index`` that end at a leaf row, in order.
@@ -161,17 +192,18 @@ class TreeBatch:
         row depends on nothing but its own incoming edges: a final GAT layer
         over these edges gives every leaf row the bits of the full layer (the
         same edges, in the same order), and the rows pooling never reads have
-        zero gradient either way.  Built lazily and cached on the batch as an
-        array of its own, so the backend keeps one edge plan for it.
+        zero gradient either way.  An array of its own, so the backend keeps
+        one edge plan for it.
         """
-        if self._pooled_edge_index is None:
+
+        def build() -> np.ndarray:
+            edge_index = self.edge_index
             is_leaf = np.zeros(self.num_nodes, dtype=bool)
             is_leaf[self.leaf_rows] = True
-            keep = np.flatnonzero(is_leaf[self.edge_index[1]])
-            self._pooled_edge_index = np.stack(
-                [self.edge_index[0][keep], self.edge_index[1][keep]]
-            )
-        return self._pooled_edge_index
+            keep = np.flatnonzero(is_leaf[edge_index[1]])
+            return np.stack([edge_index[0][keep], edge_index[1][keep]])
+
+        return self._structure("pooled_edge_index", build)
 
     def with_initialization(
         self, initialization: EmbeddingInitializationResult
@@ -179,9 +211,9 @@ class TreeBatch:
         """Re-bind the batch to another LDP exchange of the same construction.
 
         Returns a batch sharing every epsilon-independent array (adjacency,
-        edge indices, leaf maps, pool matrix) with ``self``; only the LDP
-        messages of ``layer_input`` are swapped — for exactly the rows a
-        from-scratch build would hold for ``initialization``.
+        leaf maps, and what ``_derived`` holds or will hold) with ``self``;
+        only the LDP messages of ``layer_input`` are swapped — for exactly the
+        rows a from-scratch build would hold for ``initialization``.
         """
         if self.neighbor_rows is None:
             raise ValueError("batch was built without a neighbour-refill recipe")
@@ -275,21 +307,17 @@ class TreeBatch:
             feature_rows[offsets] = np.arange(n)
         feature_rows[neighbor_rows] = n + np.arange(total)
 
-        # --- adjacency and edge index, in the edge order of a per-node traversal ----
+        # --- adjacency (the edge index is derived from it on first read) ----
         rows = undirected.ravel()
         cols = undirected[:, ::-1].ravel()
         data = np.ones(rows.shape[0], dtype=np.float64)
         adjacency_raw = sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
         adjacency = symmetric_normalize(adjacency_raw, self_loops=True)
-        src = np.concatenate([cols, np.arange(num_nodes)])
-        dst = np.concatenate([rows, np.arange(num_nodes)])
-        edge_index = np.stack([src, dst])
 
         return cls(
             num_nodes=num_nodes,
             num_vertices=n,
             adjacency=adjacency,
-            edge_index=edge_index,
             layer_input=cls._factored(
                 feature_rows,
                 cls._own_features(environment, feature_dim),

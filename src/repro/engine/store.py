@@ -173,11 +173,12 @@ class DiskSpillStore(ArtifactStore):
     # sets, v10 clear-mode construction ledgers holding per-device Alg. 3
     # announcement rows, v11 ``TreeConstructionResult`` without
     # ``greedy_assignment``, ``TreeBatch`` without ``device_slices`` and
-    # ``EmbeddingInitializationResult`` without ``bytes_sent`` — pickled
-    # contents that changed under unchanged stage keys.  Older files (or any
-    # unreadable version) degrade to a miss and are quarantined like corrupt
-    # files.
-    _FORMAT_VERSION = 11
+    # ``EmbeddingInitializationResult`` without ``bytes_sent``, v12
+    # ``TreeBatch`` deriving ``edge_index`` and its pooling operators on first
+    # read into one shared ``_derived`` dict — pickled contents that changed
+    # under unchanged stage keys.  Older files (or any unreadable version)
+    # degrade to a miss and are quarantined like corrupt files.
+    _FORMAT_VERSION = 12
 
     def __init__(
         self,

@@ -95,6 +95,9 @@ class GATLayer(Module):
             if memo is not None and all(a is b for a, b in zip(memo[0], key)):
                 return memo[1]
             return self._attend(features, edge_index, activation)
+        if self.training:
+            # A training-mode output is dropped in place: never memoised.
+            return self._attend(features, edge_index, activation)
         with enable_grad():
             out = self._attend(features, edge_index, activation)
         self._memo = (key, out)

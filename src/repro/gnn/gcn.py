@@ -19,7 +19,7 @@ from ..nn import init
 from ..nn.backend import get_backend
 from ..nn.module import Module, Parameter
 from ..nn.shared_rows import SharedRowFeatures
-from ..nn.tensor import Tensor, _as_array
+from ..nn.tensor import Tensor, _as_array, is_grad_enabled
 
 
 class GCNLayer(Module):
@@ -73,6 +73,9 @@ class GCNLayer(Module):
         # Whole layer (spmm -> affine -> activation) as one autograd node.
         return F.fused_gcn_layer(features, adjacency, self.weight, self.bias, activation=activation)
 
+    def drop_memos(self) -> None:
+        self._forward_cache = None
+
     def _propagate_constant(
         self, features, adjacency, backend, activation: Optional[str] = None
     ) -> Tensor:
@@ -92,9 +95,18 @@ class GCNLayer(Module):
           forward per epoch, and the evaluation pass at epoch ``t`` sees the
           same input/weight/bias arrays as the gradient pass at epoch
           ``t + 1`` (optimizer steps rebind ``Parameter.data``), so the layer
-          output itself is reused across the pair.
+          output itself is reused across the pair.  Only an evaluation pass
+          (evaluation mode, no gradient recording) keeps it, and the next
+          pass takes it over: used at most once, so a training-mode pass's
+          output is its own, which the encoder's dropout overwrites in
+          place.  After an epoch whose update was skipped the evaluation
+          pass therefore recomputes the output, bit for bit.
 
-        Both memos key on object identity with strong references.  The
+        Both memos key on object identity with strong references; the output
+        memo goes with the weights it was computed from (:meth:`drop_memos`),
+        the propagated input, which depends on the input alone, stays.  Only
+        an input met in training mode is kept: in evaluation mode a hidden
+        layer's input is new every pass, so neither memo of it could hit.  The
         backward pass uses the folded adjoint ``W.grad = (Â X)^T grad``.  An
         optional ``activation`` is folded into the memoised value (and its
         mask into the adjoint), so the whole layer stays one autograd node.
@@ -113,11 +125,12 @@ class GCNLayer(Module):
             else:
                 propagated = backend.spmm(prepared, constant)
             cached_input = (prepared, constant, propagated)
-            self._propagated_input_cache = cached_input
+            if self.training:
+                self._propagated_input_cache = cached_input
         propagated = cached_input[2]
 
         bias_data = self.bias.data if self.bias is not None else None
-        entry = self._forward_cache
+        entry, self._forward_cache = self._forward_cache, None
         if (
             entry is None
             or entry[0] is not cached_input
@@ -133,6 +146,14 @@ class GCNLayer(Module):
                 value += bias_data
             mask = F.relu_(value) if activation == "relu" else None
             entry = (cached_input, self.weight.data, bias_data, activation, value, mask)
+        if (
+            not self.training
+            and not is_grad_enabled()
+            and cached_input is self._propagated_input_cache
+        ):
+            # Kept from an evaluation pass only (a training-mode pass's output
+            # is dropped in place) for the next gradient pass, which takes it
+            # over: the output becomes that pass's own.
             self._forward_cache = entry
         value, mask = entry[4], entry[5]
         weight, bias = self.weight, self.bias

@@ -104,6 +104,10 @@ class GNNEncoder(Module):
             name = f"layer_{index}"
             self.add_module(name, layer)
             self._layer_names.append(name)
+        # ``Dropout`` works in place: a hidden layer's training-mode output is
+        # that pass's own array (the first-layer memos hand theirs over at
+        # most once), read by nothing after dropout, and no layer's adjoint
+        # reads its output.
         self.dropout = Dropout(config.dropout, rng=rng)
         self.output_dim = dims[-1]
 

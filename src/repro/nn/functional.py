@@ -365,15 +365,39 @@ def fused_masked_cross_entropy(
     return Tensor._make(value, (logits,), backward)
 
 
+#: Uniforms per draw of the dropout mask: 256 KB of float64 at a time.
+_MASK_CHUNK = 1 << 15
+
+
+def _keep_mask(rng: np.random.Generator, shape, keep_probability: float) -> np.ndarray:
+    """``rng.random(shape) < keep_probability`` without the float64 array.
+
+    The uniforms come in chunks of :data:`_MASK_CHUNK`.  A generator makes
+    one double after another from one stream, so the chunks hold the values
+    of a single ``rng.random(shape)`` and leave the generator where it would.
+    """
+    mask = np.empty(shape, dtype=bool)
+    flat = mask.reshape(-1)
+    for start in range(0, flat.size, _MASK_CHUNK):
+        chunk = flat[start : start + _MASK_CHUNK]
+        np.less(rng.random(chunk.size), keep_probability, out=chunk)
+    return mask
+
+
 def dropout(
     tensor: Tensor,
     probability: float,
     training: bool,
     rng: Optional[np.random.Generator] = None,
+    inplace: bool = False,
 ) -> Tensor:
     """Inverted dropout: zero entries with ``probability`` and rescale.
 
-    A no-op when ``training`` is false or ``probability`` is zero.
+    A no-op when ``training`` is false or ``probability`` is zero.  The input
+    is never written unless ``inplace`` is set, which is for an output the
+    caller owns: one that nothing else reads, whose node's adjoint does not
+    read it either (the ``Dropout`` module sets it; the GNN encoder places
+    one after its hidden layers).
     """
     if not training or probability <= 0.0:
         return tensor
@@ -385,9 +409,13 @@ def dropout(
     # multiplying by the mask in place gives, entry for entry, the bits of
     # ``x * ((u < keep) / keep)`` (kept: ``x / keep * 1``; dropped: a zero of
     # ``x``'s sign) without the float64 mask array — forward and adjoint.
-    mask = rng.random(tensor.data.shape) < keep_probability
+    mask = _keep_mask(rng, tensor.data.shape, keep_probability)
     scale = 1.0 / keep_probability
-    out = tensor.data * scale
+    if inplace:
+        out = tensor.data
+        out *= scale
+    else:
+        out = tensor.data * scale
     np.multiply(out, mask, out=out)
 
     def backward(grad: np.ndarray) -> None:

@@ -35,7 +35,12 @@ class Linear(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout layer; active only in training mode."""
+    """Inverted dropout layer; active only in training mode.
+
+    It drops its input in place (``F.dropout(..., inplace=True)``): place it
+    after a node whose output nothing else reads and whose adjoint does not
+    read it either, as the GNN encoder's hidden layers are.
+    """
 
     def __init__(self, probability: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -45,4 +50,6 @@ class Dropout(Module):
         self._rng = rng if rng is not None else np.random.default_rng()
 
     def forward(self, inputs: Tensor) -> Tensor:
-        return F.dropout(inputs, self.probability, training=self.training, rng=self._rng)
+        return F.dropout(
+            inputs, self.probability, training=self.training, rng=self._rng, inplace=True
+        )

@@ -723,11 +723,10 @@ def tree_batch_reference(
 
     receivers = np.asarray(neighbor_receivers, dtype=np.int64)
     senders = np.asarray(neighbor_senders, dtype=np.int64)
-    return cls(
+    batch = cls(
         num_nodes=num_nodes,
         num_vertices=num_devices,
         adjacency=adjacency,
-        edge_index=edge_index,
         layer_input=cls._factored(
             np.asarray(feature_rows, dtype=np.int64),
             cls._own_features(environment, feature_dim),
@@ -741,6 +740,10 @@ def tree_batch_reference(
         neighbor_receivers=receivers,
         neighbor_senders=senders,
     )
+    # The traversal's own edges, where production derives them from the
+    # adjacency on first read: comparing the two compares the derivations.
+    batch._derived["edge_index"] = edge_index
+    return batch
 
 
 class FeatureBinPartitioner:

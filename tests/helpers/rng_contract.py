@@ -127,8 +127,9 @@ def replay_ldp_draws(
 def replay_dropout_draw(rng: np.random.Generator, shape) -> None:
     """Replay ``F.dropout``'s documented stream and discard it.
 
-    A training-mode call with ``p > 0`` draws one uniform per entry as a single
-    ``random(shape)`` — whatever ``p`` is, and however the mask is stored or
-    applied.  Eval mode and ``p <= 0`` draw nothing (``n_draws=0``).
+    A training-mode call with ``p > 0`` draws one uniform per entry, the
+    stream of a single ``random(shape)`` — whatever ``p`` is, however the mask
+    is stored or applied, and in however many chunks it is drawn.  Eval mode
+    and ``p <= 0`` draw nothing (``n_draws=0``).
     """
     rng.random(shape)

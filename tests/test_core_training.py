@@ -189,6 +189,61 @@ class TestTrainer:
         with pytest.raises(ValueError, match="non-negative"):
             train(*args, epochs=-1)
 
+    def test_gcn_output_memo_goes_with_the_weights(self, prepared):
+        # ``fit`` ends by loading the best state, whose arrays replace the
+        # weights the memo is keyed on: it can never hit again, and used to
+        # hold its (num_nodes, hidden) output and mask until the model died.
+        graph = prepared[0]
+        trainer = self._trainer(prepared)
+        model, _ = trainer.train_supervised(graph.labels, split_nodes(graph, seed=0), epochs=3)
+        layer = model.encoder.layer_0
+        assert layer._forward_cache is None
+        assert layer._propagated_input_cache is not None  # depends on the input only
+
+    def test_a_hidden_layer_keeps_nothing_from_evaluation(self, prepared):
+        # In evaluation mode the last layer's input is the new hidden tensor
+        # of that pass, so its memos could never hit; they used to keep two
+        # (num_nodes, hidden) arrays alive through the next gradient pass.
+        graph = prepared[0]
+        trainer = self._trainer(prepared)
+        model, _ = trainer.train_unsupervised(split_edges(graph, seed=0), epochs=2)
+        layer = model.encoder.layer_1
+        assert layer._propagated_input_cache is None and layer._forward_cache is None
+
+    @pytest.mark.parametrize("backbone", ["gcn", "gat"])
+    def test_a_training_mode_pass_without_gradients_memoises_nothing(self, prepared, backbone):
+        # Dropout overwrites a training-mode layer output in place, so a
+        # training-mode pass under ``no_grad`` must not leave layer 0's
+        # output in a memo: the next gradient pass would drop it twice and an
+        # evaluation pass would read dropped values.  The reference runs the
+        # same passes (the same dropout draws) with its memos dropped.
+        from repro.core.trainer import LumosModel
+        from repro.nn import no_grad
+
+        graph = prepared[0]
+        trainer = self._trainer(prepared, backbone=backbone, dropout=0.5)
+        batch, features = trainer.batch, trainer.batch.layer_input
+        models = [
+            LumosModel(
+                trainer.feature_dim, int(graph.labels.max()) + 1, trainer.config,
+                rng=np.random.default_rng(4),
+            )
+            for _ in range(2)
+        ]
+        used, reference = models
+        for model in models:
+            with no_grad():
+                model.logits(batch, features)
+        for module in reference.modules():
+            module.drop_memos()
+        trained = [model.logits(batch, features).data.tobytes() for model in models]
+        assert trained[0] == trained[1]
+        for model in models:
+            model.eval()
+        with no_grad():
+            evaluated = [model.logits(batch, features).data.tobytes() for model in models]
+        assert evaluated[0] == evaluated[1]
+
     def test_gat_backbone_runs(self, prepared):
         graph = prepared[0]
         trainer = self._trainer(prepared, backbone="gat")
@@ -477,3 +532,82 @@ class TestZeroDevices:
         environment, construction = empty
         with pytest.raises(ValueError, match="environment has no devices"):
             TreeBasedGNNTrainer(environment, construction, prepared[3], TrainerConfig())
+
+
+class TestBitPins:
+    """Loss and metric bytes of whole runs, pinned to a sha256 per case.
+
+    Recorded before training began holding each ``(nodes, hidden)``
+    activation once (in-place dropout on the layer output, the chunked mask
+    draw, the GCN forward memo used at most once, the lazy ``edge_index``):
+    those are memory changes, and every bit of every run
+    stays what it was.  ``fault_dropout=1.0`` skips every update, so each
+    evaluation pass recomputes layer 0 from unchanged weights after the
+    gradient pass dropped it in place; the partial scenario mixes skipped
+    and applied updates.
+    """
+
+    CASES = {
+        "gcn-supervised": dict(backbone="gcn", task="supervised"),
+        "gcn-unsupervised": dict(backbone="gcn", task="unsupervised"),
+        "gat-supervised": dict(backbone="gat", task="supervised"),
+        "gat-unsupervised": dict(backbone="gat", task="unsupervised"),
+        "gcn-3-layers": dict(backbone="gcn", task="supervised", num_layers=3),
+        "gcn-every-update-skipped": dict(
+            backbone="gcn", task="supervised", faults=dict(dropout_rate=1.0)
+        ),
+        "gat-every-update-skipped": dict(
+            backbone="gat", task="supervised", faults=dict(dropout_rate=1.0)
+        ),
+        "gcn-partial-faults": dict(
+            backbone="gcn",
+            task="supervised",
+            faults=dict(
+                dropout_rate=0.4, straggler_rate=0.3, round_deadline=2.0,
+                message_loss_rate=0.3, fault_seed=7,
+            ),
+        ),
+    }
+
+    GOLDEN = {
+        "gcn-supervised": "0d27264ccdff76390b0deca690565cf2f3d7319a29502e801d1a2766ec9c7e93",
+        "gcn-unsupervised": "8b21f1403475e4a69fca1ac9a94f6239b1fc568689df3282d93a0059e013f9f3",
+        "gat-supervised": "8865529d66317395cd5210d9c69ebad956de704a4ede7bffe8de2a4b566c1d9c",
+        "gat-unsupervised": "74523754f6e113e85ad52cb5e36318eaf7f71f6b911bb75e32a6f2382c8e2f3a",
+        "gcn-3-layers": "5893a9521b74e7e7c0083302d848d676972fce13a6547393cf0d0f22a6a5963d",
+        "gcn-every-update-skipped": "7a025f0b397b6e84fe65b5fdaf164d3d14ffeacbd34e531da7c3536fdec9e0d6",
+        "gat-every-update-skipped": "68a5414798df40b8ce8940a2f8c6e6b85e26274faa3b25f844a01fb5ce51d59a",
+        "gcn-partial-faults": "5271da20a93887f0ab973a2e0e09cf09e60917e173dc55e07ab393b48a8a674c",
+    }
+
+    @staticmethod
+    def digest(tiny_graph, backbone, task, num_layers=2, faults=None) -> str:
+        import hashlib
+        from dataclasses import replace
+
+        from repro.faults import FaultScenarioConfig
+
+        config = LumosConfig(
+            constructor=TreeConstructorConfig(mcmc_iterations=30),
+            trainer=TrainerConfig(
+                backbone=backbone, epochs=6, dropout=0.3, num_layers=num_layers
+            ),
+            seed=3,
+        )
+        if faults is not None:
+            config = replace(config, faults=FaultScenarioConfig(**faults))
+        system = LumosSystem(tiny_graph, config, store=ArtifactStore())
+        if task == "supervised":
+            result = system.run_supervised(split_nodes(tiny_graph, seed=0))
+            metrics = result.history.val_accuracy + [result.test_accuracy]
+        else:
+            result = system.run_unsupervised(split_edges(tiny_graph, seed=0))
+            metrics = result.history.val_auc + [result.test_auc]
+        hasher = hashlib.sha256()
+        hasher.update(np.asarray(result.history.losses, dtype=np.float64).tobytes())
+        hasher.update(np.asarray(metrics, dtype=np.float64).tobytes())
+        return hasher.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_losses_and_metrics_keep_their_bits(self, tiny_graph, case):
+        assert self.digest(tiny_graph, **self.CASES[case]) == self.GOLDEN[case]

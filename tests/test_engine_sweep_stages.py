@@ -30,6 +30,7 @@ from repro.engine import ArtifactStore, DiskSpillStore
 from repro.engine.store import StoredArtifact
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, split_nodes
+from repro.nn.backend import get_backend
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,29 @@ class TestTreeBatchRebind:
         assert rebound.adjacency is batch.adjacency
         assert rebound.edge_index is batch.edge_index
         np.testing.assert_array_equal(rebound.leaf_rows, fresh.leaf_rows)
+
+    @pytest.mark.parametrize("first", ["gat", "gcn"])
+    def test_rebound_batches_share_what_any_of_them_derived(self, graph, config, first):
+        # The edge index, the pooled edges and their GAT edge plan are built
+        # on first read, once per construction: a GAT sweep point re-binding
+        # a stored batch reads the cold run's, and after a GCN run (which
+        # reads no edge index) the batch it stored sees what the GAT point
+        # built, as Fig. 4 runs GCN and then GAT on one construction.
+        store = ArtifactStore()
+        split = split_nodes(graph, seed=0)
+        cold = LumosSystem(graph, config.with_backbone(first), store=store)
+        cold.run_supervised(split)
+        warm = LumosSystem(graph, config.with_backbone("gat").with_epsilon(4.0), store=store)
+        warm.run_supervised(split)
+        assert store.summary()["tree_batch"] == {"hits": 1, "misses": 1}
+        cold_batch, warm_batch = cold.tree_batch(), warm.tree_batch()
+        assert warm_batch is not cold_batch
+        assert warm_batch.edge_index is cold_batch.edge_index
+        assert warm_batch.pooled_edge_index() is cold_batch.pooled_edge_index()
+        backend, nodes = get_backend(), cold_batch.num_nodes
+        assert backend.prepare_edges(warm_batch.pooled_edge_index(), nodes) is (
+            backend.prepare_edges(cold_batch.pooled_edge_index(), nodes)
+        )
 
     def test_generic_builder_also_carries_recipe(self, graph):
         _, environment, construction = _constructed(graph)

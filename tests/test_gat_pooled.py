@@ -260,9 +260,12 @@ def test_fit_with_the_memo_equals_the_run_without(graph, task, monkeypatch):
 
 
 def _evaluate(layer, features, edge_index) -> Tensor:
-    """An evaluation pass; returns the node the layer kept for the next one."""
+    """An evaluation pass (evaluation mode, no gradients); returns the node
+    the layer kept for the next one, a training-mode pass."""
+    layer.eval()
     with no_grad():
         evaluated = layer(features, edge_index, activation="relu")
+    layer.train()
     kept = layer._memo[1]
     assert not evaluated.requires_grad and kept.requires_grad
     assert evaluated.data is kept.data
@@ -296,6 +299,7 @@ def test_the_memo_is_taken_over_once_and_only_on_its_own_key():
     assert layer(rebound.layer_input, rebound.edge_index, activation="relu") is not kept
 
     # A tensor input (any hidden layer) is never memoised.
+    layer.eval()
     with no_grad():
         layer(Tensor(dense_features(features)), edges, activation="relu")
     assert layer._memo is None

@@ -156,6 +156,8 @@ def _check_dropout_parity(shape, probability, training, seed):
     assert not np.shares_memory(tensor.grad, gradient)
 
 
+CHUNK = F._MASK_CHUNK
+
 dropout_cases = st.tuples(
     hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
     st.sampled_from([0.0, 0.01, 0.5, 0.99]),
@@ -186,8 +188,37 @@ class TestDropoutParity:
     def test_matches_the_float_mask_formula_wide(self, case):
         _check_dropout_parity(*case)
 
+    @pytest.mark.parametrize("probability", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize(
+        "shape",
+        [(0,), (1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (3 * CHUNK + 17,),
+         (3 * CHUNK // 16 + 5, 16)],
+    )
+    def test_matches_the_float_mask_formula_at_chunk_boundaries(self, shape, probability):
+        # The mask is drawn CHUNK uniforms at a time.
+        _check_dropout_parity(shape, probability, True, seed=sum(shape))
+
 
 class TestDropoutAndLinear:
+    @pytest.mark.parametrize("probability", [0.01, 0.5, 0.99])
+    def test_in_place_dropout_overwrites_its_input_with_the_same_bits(self, probability):
+        shape = (CHUNK // 16 + 3, 16)
+        data = np.random.default_rng(0).standard_normal(shape)
+        upstream = np.random.default_rng(1).standard_normal(shape)
+        copied = Tensor(data.copy(), requires_grad=True)
+        owned = Tensor(data.copy(), requires_grad=True)
+        expected = F.dropout(copied, probability, True, rng=np.random.default_rng(2))
+        out = assert_stream_contract(
+            lambda rng: F.dropout(owned, probability, True, rng=rng, inplace=True),
+            np.random.default_rng(2),
+            lambda twin: replay_dropout_draw(twin, shape),
+        )
+        assert out.data is owned.data
+        assert out.data.tobytes() == expected.data.tobytes()
+        out.backward(upstream)
+        expected.backward(upstream)
+        assert owned.grad.tobytes() == copied.grad.tobytes()
+
     def test_dropout_eval_mode_is_identity(self):
         tensor = Tensor(np.ones((10, 10)))
         out = F.dropout(tensor, 0.5, training=False)
