@@ -31,15 +31,14 @@ def test_binning_reduces_recovery_error(benchmark, scale):
         for feature in features:
             bins = bin_assignment(dimension, workload, rng)
             # Binned strategy: per-element budget eps*wl/d, one bin per message.
-            recovered = binned_mechanism.encode_and_recover(
-                feature, workload=workload, dimension=dimension,
-                selected=bins == 0, rng=rng,
-            )
+            encoded = binned_mechanism.encode(feature, workload, dimension=dimension, rng=rng)
+            encoded = np.where(bins == 0, encoded, OneBitMechanism.NEUTRAL)
+            recovered = binned_mechanism.recover(encoded, workload, dimension=dimension)
             binned_errors.append(np.mean((recovered - feature) ** 2))
             # Full strategy: every element encoded in every message, so the
             # per-element budget is eps/d (workload=1 in our parametrisation).
-            recovered_full = full_mechanism.encode_and_recover(
-                feature, workload=1, dimension=dimension, rng=rng
+            recovered_full = full_mechanism.recover(
+                full_mechanism.encode(feature, 1, dimension=dimension, rng=rng), 1, dimension=dimension
             )
             full_errors.append(np.mean((recovered_full - feature) ** 2))
         return {"binned_mse": float(np.mean(binned_errors)), "full_mse": float(np.mean(full_errors))}

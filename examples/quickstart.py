@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core import LumosSystem, default_config_for
+from repro.engine import ArtifactStore
 from repro.eval.runner import (
     ExperimentScale,
     run_churn_maintenance,
@@ -43,7 +44,9 @@ def main() -> None:
         .with_epochs(80)
     )
 
-    system = LumosSystem(graph, config)
+    # Systems share cached stages only through a store they are given.
+    store = ArtifactStore()
+    system = LumosSystem(graph, config, store=store)
     split = split_nodes(graph, train_fraction=0.5, val_fraction=0.25, seed=0)
     result = system.run_supervised(split)
     history = result.history
@@ -60,10 +63,10 @@ def main() -> None:
     print(f"simulated epoch completion time:  {result.simulated_epoch_time:.2f} s")
     print(f"secure comparisons executed:      {int(result.construction.transcript.comparisons)}")
 
-    # A second system over the same graph (here: the GAT backbone) replays
-    # partition, tree construction, LDP init and batch assembly from the
-    # content-keyed artifact store and only retrains.
-    gat_system = LumosSystem(graph, config.with_backbone("gat"))
+    # A second system over the same graph and store (here: the GAT backbone)
+    # replays partition, tree construction, LDP init and batch assembly from
+    # the content-keyed artifact store and only retrains.
+    gat_system = LumosSystem(graph, config.with_backbone("gat"), store=store)
     gat_result = gat_system.run_supervised(split)
     print("\n=== Engine reuse (GAT backbone rides on cached stages) ===")
     print(f"GAT test accuracy:                {gat_result.test_accuracy:.4f}")
@@ -71,7 +74,7 @@ def main() -> None:
         print(f"stage {stage:<14} hits={stats['hits']} misses={stats['misses']}")
 
     # An experiment is a loop over its arms (repro.eval.runner): they run one
-    # after another on one artifact store (by default the process-wide one),
+    # after another on one artifact store (by default one the call creates),
     # so the epsilon-free pipeline prefix is computed for the first point and
     # replayed bit-for-bit for the others.
     sweep = run_epsilon_sweep(

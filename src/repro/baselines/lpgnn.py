@@ -64,13 +64,11 @@ def encode_features_lpgnn(
     dimension = graph.num_features
     # The multi-bit encoder spreads eps_x across all d elements: per-element
     # budget eps_x / d, i.e. workload=1 in the OneBitMechanism parametrisation.
-    encoded = np.empty_like(graph.features)
-    for vertex in range(graph.num_nodes):
-        encoded[vertex] = mechanism.encode_and_recover(
-            graph.features[vertex], workload=1, dimension=dimension, rng=rng
-        )
+    # One draw of the whole (n, d) matrix is row by row the draws of n vectors.
+    encoded = mechanism.encode(graph.features, workload=1, dimension=dimension, rng=rng)
+    recovered = mechanism.recover(encoded, workload=1, dimension=dimension)
     propagation = row_normalize(graph.adjacency(), self_loops=True)
-    return _kprop(encoded, propagation, config.kprop_steps)
+    return _kprop(recovered, propagation, config.kprop_steps)
 
 
 def encode_labels_lpgnn(

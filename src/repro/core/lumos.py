@@ -23,10 +23,9 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from .. import obs
-from ..caching import IdentityCache
 from ..crypto.ldp import FeatureBounds
 from ..engine.fingerprint import fingerprint_graph, fingerprint_value, stage_key
-from ..engine.store import ArtifactStore, StoredArtifact, default_store
+from ..engine.store import ArtifactStore, StoredArtifact
 from ..federation.simulator import FederatedEnvironment
 from ..graph.graph import Graph, partition_node_level
 from ..graph.splits import EdgeSplit, NodeSplit
@@ -45,21 +44,6 @@ from .trainer import (
     TreeBatch,
     UnsupervisedHistory,
 )
-
-
-# Memo of graph -> normalized graph.  Sweeps construct many LumosSystems
-# over one graph; sharing the normalized instance amortizes the
-# normalization *and* lets the engine's per-object graph-fingerprint memo
-# hit across sweep points.
-_normalized_graphs = IdentityCache()
-
-
-def _normalized_graph(graph: Graph) -> Graph:
-    """The per-process normalized twin of ``graph`` (memoised by identity)."""
-    normalized = _normalized_graphs.get(graph)
-    if normalized is None:
-        normalized = _normalized_graphs.put(graph, graph.normalized_features(0.0, 1.0))
-    return normalized
 
 
 def artifact_keys(graph: Graph, config: LumosConfig) -> Dict[str, str]:
@@ -121,8 +105,9 @@ class LumosSystem:
     and computed only on a miss, so any later system whose inputs match
     reuses it — e.g. an epsilon sweep re-runs only the thresholding, a
     backbone sweep only the training.  A hit replays the stage's RNG and
-    ledger side effects, so it is indistinguishable from a cold run.  Pass
-    ``store=`` to isolate a system from the process-wide default store.
+    ledger side effects, so it is indistinguishable from a cold run.
+    Systems share stages only through a store they are given (``store=``);
+    without one a system gets a private store, which goes with it.
     """
 
     def __init__(
@@ -132,12 +117,12 @@ class LumosSystem:
         cost_model: Optional[EpochCostModel] = None,
         store: Optional[ArtifactStore] = None,
     ) -> None:
-        self.graph = _normalized_graph(graph)
+        self.graph = graph.normalized_features(0.0, 1.0)
         self.config = config if config is not None else LumosConfig()
         self.cost_model = cost_model if cost_model is not None else EpochCostModel()
         self.rng = np.random.default_rng(self.config.seed)
 
-        self.store = store if store is not None else default_store()
+        self.store = store if store is not None else ArtifactStore()
         self._keys = artifact_keys(self.graph, self.config)
         self._values: Dict[str, Any] = {}
         self.environment: Optional[FederatedEnvironment] = None

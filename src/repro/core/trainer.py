@@ -41,7 +41,7 @@ from ..gnn.gat import GATLayer
 from ..gnn.gcn import GCNLayer
 from ..gnn.link_prediction import link_prediction_objective, roc_auc_from_embeddings
 from ..gnn.models import EncoderConfig, GNNEncoder
-from ..nn.backend import get_backend
+from ..nn.backend import PreparedEdges, PreparedMatrix, get_backend
 from ..graph.sparse import symmetric_normalize
 from ..graph.splits import EdgeSplit, NodeSplit
 from ..nn import functional as F
@@ -74,11 +74,11 @@ class TreeBatch:
     one LDP message per neighbour leaf (the recovered values at its released
     positions, the bounds' midpoint elsewhere); virtual nodes are zero.
 
-    What the structure fields determine — the GAT ``edge_index``, the pooling
-    operators, the pooled edges — is built on first read and kept in
-    ``_derived``, which every batch re-bound by :meth:`with_initialization`
-    shares: whichever of them (or whichever backbone) reads a structure
-    first builds it for all.
+    What the structure fields determine — the GAT ``edge_index`` and the two
+    edge plans, the prepared propagation, the pooling operators — is built on
+    first read and kept in ``_derived``, which every batch re-bound by
+    :meth:`with_initialization` shares: whichever of them (or whichever
+    backbone) reads a structure first builds it for all.
     """
 
     num_nodes: int
@@ -88,12 +88,11 @@ class TreeBatch:
     leaf_rows: np.ndarray
     leaf_vertices: np.ndarray
     # Refill recipe for the epsilon-dependent rows: the ``k``-th LDP message
-    # sits at node ``neighbor_rows[k]`` and was received by
-    # ``neighbor_receivers[k]`` from ``neighbor_senders[k]``.  Everything else
-    # in the batch (structure, centre features) is epsilon-independent, so a
-    # cached batch can be re-bound to another sweep point's LDP exchange via
-    # :meth:`with_initialization` instead of being rebuilt.
-    neighbor_rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # was received by ``neighbor_receivers[k]`` from ``neighbor_senders[k]``.
+    # Everything else in the batch (structure, centre features) is
+    # epsilon-independent, so a cached batch can be re-bound to another sweep
+    # point's LDP exchange via :meth:`with_initialization` instead of being
+    # rebuilt.
     neighbor_receivers: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     neighbor_senders: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _derived: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
@@ -146,6 +145,16 @@ class TreeBatch:
 
         return self._structure("edge_index", build)
 
+    @property
+    def edge_plan(self) -> PreparedEdges:
+        """:attr:`edge_index`, prepared for the GAT layers."""
+        return self._structure("edge_plan", lambda: PreparedEdges(self.edge_index, self.num_nodes))
+
+    @property
+    def propagation(self) -> PreparedMatrix:
+        """:attr:`adjacency`, prepared for the GCN layers."""
+        return self._structure("propagation", lambda: PreparedMatrix(self.adjacency))
+
     def mean_pool_matrix(self) -> sp.csr_matrix:
         """Sparse ``(num_vertices, num_nodes)`` operator computing Eq. 31.
 
@@ -165,6 +174,11 @@ class TreeBatch:
 
         return self._structure("pool_matrix", build)
 
+    def pool_operator(self) -> PreparedMatrix:
+        """:meth:`mean_pool_matrix`, prepared for the products that pool
+        (and back-propagate through) the node embeddings."""
+        return self._structure("pool_operator", lambda: PreparedMatrix(self.mean_pool_matrix()))
+
     def folded_pool_adjacency(self):
         """Mean-pool and propagation folded into one prepared operator.
 
@@ -176,7 +190,7 @@ class TreeBatch:
         """
         return self._structure(
             "folded_pool_adjacency",
-            lambda: get_backend().fold_chain([self.mean_pool_matrix(), self.adjacency]),
+            lambda: get_backend().fold_chain([self.mean_pool_matrix(), self.propagation]),
         )
 
     def pool_row_sums(self) -> np.ndarray:
@@ -185,25 +199,24 @@ class TreeBatch:
             "pool_row_sums", lambda: np.asarray(self.mean_pool_matrix().sum(axis=1)).ravel()
         )
 
-    def pooled_edge_index(self) -> np.ndarray:
-        """The columns of ``edge_index`` that end at a leaf row, in order.
+    def pooled_edge_plan(self) -> PreparedEdges:
+        """The plan of the columns of ``edge_index`` that end at a leaf row.
 
         Pooling (Eq. 31) reads the leaf rows only, and an attention layer's
         row depends on nothing but its own incoming edges: a final GAT layer
         over these edges gives every leaf row the bits of the full layer (the
         same edges, in the same order), and the rows pooling never reads have
-        zero gradient either way.  An array of its own, so the backend keeps
-        one edge plan for it.
+        zero gradient either way.
         """
 
-        def build() -> np.ndarray:
+        def build() -> PreparedEdges:
             edge_index = self.edge_index
             is_leaf = np.zeros(self.num_nodes, dtype=bool)
             is_leaf[self.leaf_rows] = True
             keep = np.flatnonzero(is_leaf[edge_index[1]])
-            return np.stack([edge_index[0][keep], edge_index[1][keep]])
+            return PreparedEdges(edge_index[:, keep], self.num_nodes)
 
-        return self._structure("pooled_edge_index", build)
+        return self._structure("pooled_edge_plan", build)
 
     def with_initialization(
         self, initialization: EmbeddingInitializationResult
@@ -215,7 +228,7 @@ class TreeBatch:
         only the LDP messages of ``layer_input`` are swapped — for exactly the
         rows a from-scratch build would hold for ``initialization``.
         """
-        if self.neighbor_rows is None:
+        if self.neighbor_receivers is None:
             raise ValueError("batch was built without a neighbour-refill recipe")
         rows, own = self.layer_input.rows, self.layer_input.values[: self.num_vertices]
         factored = self._factored(
@@ -327,7 +340,6 @@ class TreeBatch:
             ),
             leaf_rows=leaf_rows,
             leaf_vertices=leaf_vertices,
-            neighbor_rows=neighbor_rows,
             neighbor_receivers=pair_owners,
             neighbor_senders=flat_neighbors,
         )
@@ -373,12 +385,12 @@ class LumosModel(Module):
         """The encoder's output, exact on the rows pooling reads.
 
         A GAT final layer attends over the edges that end at a leaf only
-        (:meth:`TreeBatch.pooled_edge_index`); its other rows hold the bias.
+        (:meth:`TreeBatch.pooled_edge_plan`); its other rows hold the bias.
         """
         final = self.encoder.final_layer
         if isinstance(final, GATLayer):
             hidden = self.encoder.forward_hidden(features, batch)
-            return final(hidden, batch.pooled_edge_index())
+            return final(hidden, batch.pooled_edge_plan())
         return self.encoder(features, batch)
 
     def vertex_embeddings(self, batch: TreeBatch, features: Tensor) -> Tensor:
@@ -388,7 +400,7 @@ class LumosModel(Module):
         kernel instead of three).
         """
         node_embeddings = self._node_embeddings(batch, features)
-        return F.sparse_matmul(batch.mean_pool_matrix(), node_embeddings)
+        return F.sparse_matmul(batch.pool_operator(), node_embeddings)
 
     def logits(self, batch: TreeBatch, features: Tensor) -> Tensor:
         """Class logits per vertex (supervised task, Eq. 32)."""
@@ -425,7 +437,7 @@ class LumosModel(Module):
         node_embeddings = self._node_embeddings(batch, features)
         return F.fused_pool_head(
             node_embeddings,
-            batch.mean_pool_matrix(),
+            batch.pool_operator(),
             self.head.weight,
             self.head.bias,
         )

@@ -91,11 +91,10 @@ class OneBitMechanism:
         values: np.ndarray,
         workload: int,
         dimension: Optional[int] = None,
-        selected: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
         uniforms: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Encode a feature vector into ``{0, 0.5, 1}^d``.
+        """Encode every element of ``values`` into ``{0, 1}``.
 
         Parameters
         ----------
@@ -105,9 +104,6 @@ class OneBitMechanism:
             The trimmed-tree workload ``wl(u)`` of the releasing device.
         dimension:
             Total feature dimension ``d`` (defaults to ``len(values)``).
-        selected:
-            Boolean mask of the elements to actually encode; the rest are set
-            to the neutral symbol 0.5.  ``None`` encodes every element.
         rng:
             Source of randomness.
         uniforms:
@@ -125,15 +121,7 @@ class OneBitMechanism:
             uniforms = rng.random(values.shape)
         elif uniforms.shape != values.shape:
             raise ValueError("uniforms must have the same shape as values")
-        bits = (uniforms < probability).astype(np.float64)
-        if selected is None:
-            return bits
-        selected = np.asarray(selected, dtype=bool)
-        if selected.shape != values.shape:
-            raise ValueError("selected mask must have the same shape as values")
-        encoded = np.full(values.shape, self.NEUTRAL, dtype=np.float64)
-        encoded[selected] = bits[selected]
-        return encoded
+        return (uniforms < probability).astype(np.float64)
 
     def recover(
         self,
@@ -171,18 +159,6 @@ class OneBitMechanism:
             encoded = self.encode(values[mine], workload, dimension, uniforms=uniforms[mine])
             recovered[mine] = self.recover(encoded, workload, dimension)
         return recovered
-
-    def encode_and_recover(
-        self,
-        values: np.ndarray,
-        workload: int,
-        dimension: Optional[int] = None,
-        selected: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Convenience: encode then recover in one call."""
-        encoded = self.encode(values, workload, dimension=dimension, selected=selected, rng=rng)
-        return self.recover(encoded, workload, dimension=dimension)
 
 
 def bin_assignment(dimension: int, num_bins: int, rng: np.random.Generator) -> np.ndarray:

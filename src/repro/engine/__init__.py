@@ -13,7 +13,6 @@ from .store import (
     DiskSpillStore,
     StageStats,
     StoredArtifact,
-    default_store,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "DiskSpillStore",
     "StageStats",
     "StoredArtifact",
-    "default_store",
     "fingerprint_graph",
     "fingerprint_value",
     "stage_key",

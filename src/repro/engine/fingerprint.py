@@ -8,9 +8,6 @@ helpers here hash the three kinds of content a stage key is built from:
 * :class:`~repro.graph.graph.Graph` objects (data),
 * (frozen) dataclass configuration objects (hyper-parameters),
 * plain python scalars / containers.
-
-Graph fingerprints are memoised per graph object (graphs are immutable value
-objects), so sweeps that re-use one graph pay the hashing cost once.
 """
 
 from __future__ import annotations
@@ -21,10 +18,6 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
-
-from ..caching import IdentityCache
-
-_graph_cache = IdentityCache()
 
 
 def _hash_bytes(*parts: bytes) -> str:
@@ -86,14 +79,11 @@ def _canonical(value: Any) -> str:
 
 
 def fingerprint_graph(graph) -> str:
-    """Fingerprint a :class:`~repro.graph.graph.Graph` (memoised per object)."""
-    cached = _graph_cache.get(graph)
-    if cached is not None:
-        return cached
+    """Fingerprint a :class:`~repro.graph.graph.Graph`."""
     parts = [str(graph.num_nodes).encode()]
     parts.extend(_array_parts(graph.edges))
     parts.extend(_array_parts(graph.features))
     if graph.labels is not None:
         parts.append(b"labels")
         parts.extend(_array_parts(graph.labels))
-    return _graph_cache.put(graph, _hash_bytes(*parts))
+    return _hash_bytes(*parts)

@@ -175,10 +175,12 @@ class DiskSpillStore(ArtifactStore):
     # ``greedy_assignment``, ``TreeBatch`` without ``device_slices`` and
     # ``EmbeddingInitializationResult`` without ``bytes_sent``, v12
     # ``TreeBatch`` deriving ``edge_index`` and its pooling operators on first
-    # read into one shared ``_derived`` dict — pickled contents that changed
-    # under unchanged stage keys.  Older files (or any unreadable version)
-    # degrade to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 12
+    # read into one shared ``_derived`` dict, v13 ``TreeBatch`` without
+    # ``neighbor_rows`` and its ``_derived`` holding the prepared
+    # propagation, pool operator and edge plans — pickled contents that
+    # changed under unchanged stage keys.  Older files (or any unreadable
+    # version) degrade to a miss and are quarantined like corrupt files.
+    _FORMAT_VERSION = 13
 
     def __init__(
         self,
@@ -409,13 +411,3 @@ class DiskSpillStore(ArtifactStore):
                 total += 32
         return total
 
-
-_default_store: Optional[ArtifactStore] = None
-
-
-def default_store() -> ArtifactStore:
-    """The process-wide store shared by all systems that don't pass their own."""
-    global _default_store
-    if _default_store is None:
-        _default_store = ArtifactStore()
-    return _default_store

@@ -452,10 +452,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = _scale_from_name(args.scale)
     selected = sorted(FIGURES) if args.figure == "all" else [args.figure]
     collected = {}
+    # One store per invocation, shared by every figure's Lumos arms (the
+    # churn run of "maintenance" keeps its own stores and takes none).
+    store = ArtifactStore()
     tracer = obs.Tracer() if args.trace else None
     with obs.tracing(tracer) if tracer else contextlib.nullcontext():
         for name in selected:
-            collected[name] = FIGURES[name](scale=scale)
+            shared = {} if name == "maintenance" else {"store": store}
+            collected[name] = FIGURES[name](scale=scale, **shared)
     if args.as_json:
         print(json.dumps(_to_jsonable(collected), indent=2))
     if tracer is not None:

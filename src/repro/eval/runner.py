@@ -10,12 +10,12 @@ variants, baseline comparisons.  An entry point loads its graph once and
 runs each arm under a ``runner.arm`` span: a Lumos arm is a
 :class:`~repro.core.LumosSystem` on ``store`` plus the task body
 (:func:`_lumos_value`), a baseline arm one baseline trainer
-(:func:`_baseline_value`).  ``store`` defaults to the process-wide
-:func:`~repro.engine.default_store`, so stages whose inputs do not change
-between arms (tree construction across an epsilon sweep, the whole
-pre-training pipeline across a backbone sweep) are computed once and
-replayed bit-for-bit afterwards, within and across calls.  Pass
-``store=ArtifactStore()`` to isolate a run from that store.
+(:func:`_baseline_value`).  All arms of a call share one store — the
+``store`` passed in, or one the call creates and drops when it returns — so
+stages whose inputs do not change between arms (tree construction across an
+epsilon sweep, the whole pre-training pipeline across a backbone sweep) are
+computed once and replayed bit-for-bit afterwards.  Pass the same ``store``
+to several calls to share stages across them.
 """
 
 from __future__ import annotations
@@ -174,11 +174,13 @@ def _run_lumos_arms(
     configs: Mapping[Hashable, LumosConfig], label_prefix: str,
     store: Optional[ArtifactStore],
 ) -> Dict[Hashable, Any]:
-    """One Lumos arm per named config, in order, all on ``store``.
+    """One Lumos arm per named config, in order, all on ``store`` (a new
+    store when ``None``).
 
     Each arm runs under a ``runner.arm`` span labelled
     ``<label_prefix><name>``; the values come back under the same names.
     """
+    store = store if store is not None else ArtifactStore()
     values = {}
     for name, config in configs.items():
         with obs.span("runner.arm", label=f"{label_prefix}{name}"):
@@ -440,7 +442,10 @@ def run_headline_summary(
     * accuracy increase of Lumos over the (naive) federated baseline,
     * reduction of inter-device communication rounds from tree trimming,
     * reduction of training time from tree trimming.
+
+    Both calls run on one store (a new one when ``store`` is ``None``).
     """
+    store = store if store is not None else ArtifactStore()
     supervised = run_supervised_comparison(
         dataset, backbone=backbone, scale=scale, methods=["lumos", "naive_fedgnn"],
         store=store,

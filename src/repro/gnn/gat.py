@@ -18,14 +18,14 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn import init
-from ..nn.backend import get_backend
+from ..nn.backend import PreparedEdges
 from ..nn.module import Module, Parameter
 from ..nn.shared_rows import SharedRowFeatures
 from ..nn.tensor import Tensor, enable_grad, is_grad_enabled
 
 
 class GATLayer(Module):
-    """One multi-head graph attention layer operating on an edge index."""
+    """One multi-head graph attention layer operating on a prepared edge plan."""
 
     def __init__(
         self,
@@ -66,58 +66,56 @@ class GATLayer(Module):
     def forward(
         self,
         features: Tensor,
-        edge_index: np.ndarray,
+        edges: PreparedEdges,
         activation: Optional[str] = None,
     ) -> Tensor:
-        """Apply attention over ``edge_index`` (shape ``(2, E)``, src -> dst).
+        """Apply attention over the edges of ``edges`` (src -> dst).
 
-        ``edge_index`` should include self loops;
-        ``Graph.directed_edge_index(add_self_loops=True)`` adds them.
-        ``activation`` (``"relu"``) is folded into the layer node.
+        ``edges`` is the :class:`~repro.nn.backend.PreparedEdges` plan of a
+        ``(2, E)`` edge index, which should include self loops
+        (``Graph.directed_edge_index(add_self_loops=True)`` adds them); a raw
+        edge index is a ``TypeError``.  ``activation`` (``"relu"``) is folded
+        into the layer node.
         """
-        edge_index = np.asarray(edge_index, dtype=np.int64)
-        if edge_index.ndim != 2 or edge_index.shape[0] != 2:
-            raise ValueError("edge_index must have shape (2, E)")
+        if not isinstance(edges, PreparedEdges):
+            raise TypeError("GATLayer expects a PreparedEdges plan")
         if not isinstance(features, SharedRowFeatures):
-            return self._attend(features, edge_index, activation)
+            return self._attend(features, edges, activation)
         # Schedule memo for the constant first-layer input: the trainer's
-        # evaluation pass at epoch t sees the same input, edge index and
+        # evaluation pass at epoch t sees the same input, edge plan and
         # parameter arrays as its gradient pass at t + 1 (optimizer steps
         # rebind ``Parameter.data``), so the evaluation pass records the node
         # and the gradient pass takes it over instead of recomputing it.
         # Keyed on identity with strong references; used at most once.
         key = (
-            features, edge_index, self.weight.data, self.attention_src.data,
+            features, edges, self.weight.data, self.attention_src.data,
             self.attention_dst.data, self.bias.data, activation,
         )
         memo, self._memo = self._memo, None
         if is_grad_enabled():
             if memo is not None and all(a is b for a, b in zip(memo[0], key)):
                 return memo[1]
-            return self._attend(features, edge_index, activation)
+            return self._attend(features, edges, activation)
         if self.training:
             # A training-mode output is dropped in place: never memoised.
-            return self._attend(features, edge_index, activation)
+            return self._attend(features, edges, activation)
         with enable_grad():
-            out = self._attend(features, edge_index, activation)
+            out = self._attend(features, edges, activation)
         self._memo = (key, out)
         return out.detach()
 
     def drop_memos(self) -> None:
         self._memo = None
 
-    def _attend(
-        self, features, edge_index: np.ndarray, activation: Optional[str]
-    ) -> Tensor:
-        """The layer itself, on a validated ``edge_index``."""
+    def _attend(self, features, edges: PreparedEdges, activation: Optional[str]) -> Tensor:
+        """The layer itself."""
         # Whole layer as a single autograd node: transform, attention logits,
         # leaky-relu + segment softmax, weighted aggregation, head
         # concat/mean, bias and activation with closed-form adjoints (parity
-        # with the composite graph pinned by tests/test_gat_fused_parity.py),
-        # on the edge plan the backend keeps per edge index.
+        # with the composite graph pinned by tests/test_gat_fused_parity.py).
         return F.fused_gat_layer(
             features,
-            get_backend().prepare_edges(edge_index, features.shape[0]),
+            edges,
             self.weight,
             self.attention_src,
             self.attention_dst,

@@ -1,10 +1,11 @@
 """Graph Convolutional Network layer (Kipf & Welling, ICLR 2017).
 
 The layer computes ``H' = Â H W + b`` with ``Â = D^-1/2 (A + I) D^-1/2``.
-The normalised adjacency is supplied by the caller as a constant scipy sparse
-matrix so that the same layer works on the global graph (centralized
-baseline), on the per-device trees of Lumos, and on the block-diagonal union
-of all trees used for efficient simulation.
+The normalised adjacency is supplied by the caller as a constant
+:class:`~repro.nn.backend.PreparedMatrix`, prepared once by the object that
+owns the graph, so that the same layer works on the global graph
+(centralized baseline), on the per-device trees of Lumos, and on the
+block-diagonal union of all trees used for efficient simulation.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..nn import functional as F
 from ..nn import init
-from ..nn.backend import get_backend
+from ..nn.backend import PreparedMatrix, get_backend
 from ..nn.module import Module, Parameter
 from ..nn.shared_rows import SharedRowFeatures
 from ..nn.tensor import Tensor, _as_array, is_grad_enabled
@@ -46,7 +46,7 @@ class GCNLayer(Module):
     def forward(
         self,
         features: Tensor,
-        adjacency: sp.spmatrix,
+        adjacency: PreparedMatrix,
         activation: Optional[str] = None,
     ) -> Tensor:
         """Apply the convolution.
@@ -58,14 +58,17 @@ class GCNLayer(Module):
             first layer, the same constant input kept factored
             (:class:`~repro.nn.shared_rows.SharedRowFeatures`).
         adjacency:
-            Pre-normalised propagation matrix of shape ``(N, N)``.
+            Pre-normalised propagation matrix of shape ``(N, N)``, prepared
+            (a raw sparse matrix is a ``TypeError``).
         activation:
             Optional activation (``"relu"``) folded into the single layer
             node.
         """
-        if adjacency.shape[0] != features.shape[0]:
+        if not isinstance(adjacency, PreparedMatrix):
+            raise TypeError("GCNLayer expects a PreparedMatrix propagation operator")
+        if adjacency.csr.shape[0] != features.shape[0]:
             raise ValueError(
-                f"adjacency has {adjacency.shape[0]} rows but features have "
+                f"adjacency has {adjacency.csr.shape[0]} rows but features have "
                 f"{features.shape[0]} rows"
             )
         if not features.requires_grad:
@@ -111,20 +114,19 @@ class GCNLayer(Module):
         optional ``activation`` is folded into the memoised value (and its
         mask into the adjoint), so the whole layer stays one autograd node.
         """
-        prepared = backend.prepare_matrix(adjacency)
         shared = features if isinstance(features, SharedRowFeatures) else None
         constant = features if shared is not None else features.data
         cached_input = self._propagated_input_cache
         if (
             cached_input is None
-            or cached_input[0] is not prepared
+            or cached_input[0] is not adjacency
             or cached_input[1] is not constant
         ):
             if shared is not None:
-                propagated = backend.fold_chain([prepared, shared.gather])
+                propagated = backend.fold_chain([adjacency, shared.gather_matrix()])
             else:
-                propagated = backend.spmm(prepared, constant)
-            cached_input = (prepared, constant, propagated)
+                propagated = backend.spmm(adjacency, constant)
+            cached_input = (adjacency, constant, propagated)
             if self.training:
                 self._propagated_input_cache = cached_input
         propagated = cached_input[2]

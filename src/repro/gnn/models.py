@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graph.sparse import symmetric_normalize
+from ..nn.backend import PreparedEdges, PreparedMatrix
 from ..nn.layers import Dropout, Linear
 from ..nn.module import Module
 from ..nn.tensor import Tensor
@@ -46,7 +47,9 @@ class GraphInput:
     """Bundle of the constant graph structure consumed by an encoder.
 
     ``adjacency`` is the GCN propagation matrix; ``edge_index`` (with self
-    loops) drives the GAT layers.  Both describe the *same* graph.
+    loops) drives the GAT layers.  Both describe the *same* graph.  What an
+    encoder reads — :attr:`propagation` and :attr:`edge_plan` — is prepared
+    on first read and kept for the life of this object.
     """
 
     def __init__(self, adjacency: sp.spmatrix, edge_index: np.ndarray) -> None:
@@ -54,6 +57,22 @@ class GraphInput:
         self.edge_index = np.asarray(edge_index, dtype=np.int64)
         if self.edge_index.ndim != 2 or self.edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, E)")
+        self._propagation: Optional[PreparedMatrix] = None
+        self._edge_plan: Optional[PreparedEdges] = None
+
+    @property
+    def propagation(self) -> PreparedMatrix:
+        """``adjacency``, prepared for the GCN layers."""
+        if self._propagation is None:
+            self._propagation = PreparedMatrix(self.adjacency)
+        return self._propagation
+
+    @property
+    def edge_plan(self) -> PreparedEdges:
+        """``edge_index``, prepared for the GAT layers."""
+        if self._edge_plan is None:
+            self._edge_plan = PreparedEdges(self.edge_index, self.adjacency.shape[0])
+        return self._edge_plan
 
     @classmethod
     def from_graph(cls, graph) -> "GraphInput":
@@ -115,8 +134,8 @@ class GNNEncoder(Module):
         self, layer: Module, hidden: Tensor, graph_input: GraphInput, activation=None
     ) -> Tensor:
         if isinstance(layer, GCNLayer):
-            return layer(hidden, graph_input.adjacency, activation=activation)
-        return layer(hidden, graph_input.edge_index, activation=activation)
+            return layer(hidden, graph_input.propagation, activation=activation)
+        return layer(hidden, graph_input.edge_plan, activation=activation)
 
     @property
     def final_layer(self) -> Module:

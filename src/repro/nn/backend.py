@@ -9,40 +9,34 @@ the operations whose implementation strategy matters for performance:
   matrix (and by its transpose, for the backward pass);
 * ``take_rows`` / ``scatter_rows`` — row gather and its duplicate-aware
   adjoint;
-* ``prepare_edges`` — the per-edge-index :class:`PreparedEdges` plan the
-  fused GAT layer runs on.
+* ``fold_chain`` — a chain of constant operators collapsed into one.
 
-The sparse matrix and its transpose are prepared once and cached, the
-gather adjoint goes through a cached CSR aggregation matrix instead of
-``np.add.at`` (which is unbuffered and an order of magnitude slower), and the
-GAT edge plan, whose segment reductions run on a cached stable sort, is built
-once per edge index.  The ``np.add.at`` kernels and the composite (un-fused) layer graphs
-are the oracles in ``tests/helpers/oracles.py``.
+The kernels keep no state.  What is worth preparing once — a sparse matrix
+with its transpose (:class:`PreparedMatrix`), the GAT plan of an edge index
+(:class:`PreparedEdges`) — is prepared by the object that owns the structure
+(the tree batch, a ``GraphInput``, a factored layer input) and kept for as
+long as that object lives.  The gather adjoint runs through a CSR aggregation
+matrix instead of ``np.add.at`` (which is unbuffered and an order of
+magnitude slower).  The ``np.add.at`` kernels and the composite (un-fused)
+layer graphs are the oracles in ``tests/helpers/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..caching import IdentityCache
-
 
 class PreparedMatrix:
-    """A constant sparse matrix pre-converted to CSR with a cached transpose."""
+    """A constant sparse matrix pre-converted to CSR, with its transpose."""
 
-    __slots__ = ("csr", "csr_t", "__weakref__")
+    __slots__ = ("csr", "csr_t")
 
     def __init__(self, matrix: sp.spmatrix) -> None:
-        csr = matrix.tocsr()
-        if csr is matrix:
-            # The backend caches this object against ``matrix``: share the
-            # arrays, not the object (see the rule in repro.caching).
-            csr = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
-        self.csr = csr
-        self.csr_t = csr.T.tocsr()
+        self.csr = matrix.tocsr()
+        self.csr_t = self.csr.T.tocsr()
 
 
 MatrixLike = Union[sp.spmatrix, PreparedMatrix]
@@ -69,9 +63,8 @@ class PreparedEdges:
 
     Per-edge arrays handed to or returned by the methods are ``(H, E)`` in
     this destination-sorted order (``order`` maps back to the caller's).
-    Like :class:`PreparedMatrix` the plan is structure only: it is cached by
-    the backend against the edge-index array and never stored on a batch, so
-    it enters neither stage fingerprints nor pickles.
+    Like :class:`PreparedMatrix` the plan is structure only, kept by the
+    object that owns the edge index (``TreeBatch`` / ``GraphInput``).
     """
 
     __slots__ = (
@@ -148,53 +141,18 @@ def _aggregation_matrix(index: np.ndarray, num_segments: int) -> sp.csr_matrix:
 
 
 class FastNumpyBackend:
-    """Optimised numpy/scipy kernels.
+    """Optimised numpy/scipy kernels, without state.
 
-    Two caches make the hot paths cheap:
-
-    * :meth:`prepare_matrix` converts a propagation matrix to CSR **once**
-      and also stores its transpose, so the backward pass never re-transposes
-      (the seed code paid an O(nnz) transpose per backward call);
-    * per distinct index array, the gather adjoint builds a CSR aggregation
-      matrix once and reuses it, replacing ``np.add.at`` (unbuffered, slow)
-      with the C-optimised sparse matmul; :meth:`prepare_edges` keeps the
-      GAT plan of an edge index (a stable sort by destination, whose runs
-      its ``reduceat`` calls read) the same way.
-
-    Both caches key on ``id()`` of the input object guarded by a weak
-    reference, so entries die with the arrays they describe; an index that is
-    a view (a row of an edge index) is keyed on the array owning its memory,
-    because the view object itself does not survive the call.  Index arrays
-    must therefore not be mutated in place after first use — which holds for
-    every caller in this repository (graph structure is constant during
-    training).
+    A product with a :class:`PreparedMatrix` reads its CSR form or its
+    stored transpose, so the backward pass never re-transposes; a raw sparse
+    matrix is prepared per call.  The gather adjoint builds its CSR
+    aggregation matrix per call, which still beats ``np.add.at``.
     """
-
-    def __init__(self) -> None:
-        self._matrix_cache = IdentityCache()
-        self._segment_cache = IdentityCache()
-
-    # -- per-index caches ----------------------------------------------- #
-    def _per_index(self, index: np.ndarray, size: int, build: Callable):
-        """``build(index, size)``, cached against the memory ``index`` reads."""
-        anchor, key = index, (build, int(size))
-        if isinstance(index.base, np.ndarray):
-            anchor = index.base
-            key += (index.__array_interface__["data"][0], index.shape, index.strides)
-        value = self._segment_cache.get(anchor, extra=key)
-        if value is None:
-            value = self._segment_cache.put(anchor, build(index, int(size)), extra=key)
-        return value
 
     # -- sparse matmul -------------------------------------------------- #
     def prepare_matrix(self, matrix: MatrixLike) -> PreparedMatrix:
         """Pre-process a constant sparse matrix for repeated products."""
-        if isinstance(matrix, PreparedMatrix):
-            return matrix
-        prepared = self._matrix_cache.get(matrix)
-        if prepared is None:
-            prepared = self._matrix_cache.put(matrix, PreparedMatrix(matrix))
-        return prepared
+        return matrix if isinstance(matrix, PreparedMatrix) else PreparedMatrix(matrix)
 
     def spmm(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
         """``matrix @ dense`` for a constant sparse ``matrix``."""
@@ -232,17 +190,12 @@ class FastNumpyBackend:
         """Adjoint of :meth:`take_rows`: ``out[index[i]] += values[i]``."""
         if values.size == 0:
             return np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
-        matrix = self._per_index(index, num_rows, _aggregation_matrix)
+        matrix = _aggregation_matrix(index, num_rows)
         if values.ndim <= 2:
             return np.asarray(matrix @ values, dtype=np.float64)
         flat = values.reshape(values.shape[0], -1)
         out = matrix @ flat
         return np.asarray(out, dtype=np.float64).reshape((num_rows,) + values.shape[1:])
-
-    # -- GAT edge plan -------------------------------------------------- #
-    def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:
-        """The :class:`PreparedEdges` plan of a constant ``(2, E)`` edge index."""
-        return self._per_index(edge_index, num_nodes, PreparedEdges)
 
 
 _BACKEND = FastNumpyBackend()

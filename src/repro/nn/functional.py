@@ -67,22 +67,16 @@ def fused_gcn_layer(
     weight: Tensor,
     bias: Optional[Tensor] = None,
     activation: Optional[str] = None,
-    bias_operator: Optional[np.ndarray] = None,
 ) -> Tensor:
     """One fused autograd node for a full GCN layer.
 
     Computes ``act(M @ (X W) + b)`` — spmm, affine and activation in a single
     node with closed-form adjoints, instead of the four-node composite
-    (matmul, sparse matmul, bias add, relu).  ``M`` may be the plain
-    propagation matrix or a folded chain (:meth:`FastNumpyBackend.fold_chain`), e.g.
-    ``pool @ adjacency`` for the last layer of the Lumos model; when the fold
-    absorbs a row-scaling prefix, ``bias_operator`` carries that prefix's row
-    sums ``s`` so the bias enters as ``s ⊗ b`` (``M (X W + 1 bᵀ) = M X W +
-    (M 1) ⊗ b``).
+    (matmul, sparse matmul, bias add, relu).
 
     Adjoints (``g`` is the incoming gradient, masked by ``act'``):
 
-    * ``db = Σ_rows g`` (or ``Σ_rows (s ⊙ g)`` under a folded bias),
+    * ``db = Σ_rows g``,
     * ``g_s = Mᵀ g``,
     * ``dW = Xᵀ g_s``,
     * ``dX = g_s Wᵀ``.
@@ -94,10 +88,7 @@ def fused_gcn_layer(
     support = features.data @ weight.data
     out = backend.spmm(prepared, support)
     if bias is not None:
-        if bias_operator is None:
-            out = out + bias.data
-        else:
-            out = out + np.multiply.outer(bias_operator, bias.data)
+        out = out + bias.data
     mask = relu_(out) if activation == "relu" else None
 
     def backward(grad: np.ndarray) -> None:
@@ -105,10 +96,7 @@ def fused_gcn_layer(
         if mask is not None:
             np.multiply(grad, mask, out=grad)
         if bias is not None:
-            if bias_operator is None:
-                bias._accumulate(grad)
-            else:
-                bias._accumulate((grad * bias_operator[:, None]).sum(axis=0), donated=True)
+            bias._accumulate(grad)
         grad_support = backend.spmm_t(prepared, grad)
         weight._accumulate(features.data.T @ grad_support, donated=True)
         if features.requires_grad:
@@ -143,7 +131,7 @@ def fused_gat_layer(
     (:class:`~repro.nn.shared_rows.SharedRowFeatures`): the transform and its
     weight adjoint then run on the distinct rows.  ``edges`` is the
     :class:`~repro.nn.backend.PreparedEdges` plan of the edge
-    index (``backend.prepare_edges``).  Per-edge state is ``(H, E)`` only: the
+    index.  Per-edge state is ``(H, E)`` only: the
     aggregation is one CSR product ``A_h @ T_h`` per head, with the plan as
     structure and that head's attention as data, so no edge-by-feature array
     exists in forward (memory ``O(E H + N H F)``).  Backward is ``A_hᵀ @ G_h``

@@ -30,8 +30,9 @@ class SharedRowFeatures:
     A first layer needs ``X W`` and ``Xᵀ g`` only: with ``D`` the sparse
     deviations ``values - fill``, :meth:`project` / :meth:`project_adjoint`
     compute ``(D + fill ⊗ 1ᵀ) W`` and its adjoint on the ``R`` distinct rows,
-    and ``gather`` (0/1, ``(N, R)``) spreads a projection over the nodes — or
-    is folded into the layer's own constant operator (GCN).  This reassociates
+    and the 0/1 ``(N, R)`` operator :meth:`gather_matrix` spreads a
+    projection over the nodes (GAT, through :attr:`gather`) — or is folded
+    into the layer's own constant operator (GCN).  This reassociates
     ``X W``, i.e. reorders float additions (tolerance: docs/architecture.md §4).
     """
 
@@ -49,11 +50,22 @@ class SharedRowFeatures:
                 shape=self.values.shape,
             )
         )
-        real = np.flatnonzero(rows >= 0)
-        self.gather = sp.csr_matrix(
-            (np.ones(real.shape[0]), (real, rows[real])),
-            shape=(rows.shape[0], self.values.shape[0]),
+        self._gather = None
+
+    def gather_matrix(self) -> sp.csr_matrix:
+        """The 0/1 ``(N, R)`` operator picking each node's distinct row."""
+        real = np.flatnonzero(self.rows >= 0)
+        return sp.csr_matrix(
+            (np.ones(real.shape[0]), (real, self.rows[real])),
+            shape=(self.rows.shape[0], self.values.shape[0]),
         )
+
+    @property
+    def gather(self) -> PreparedMatrix:
+        """:meth:`gather_matrix`, prepared on first use and kept."""
+        if self._gather is None:
+            self._gather = PreparedMatrix(self.gather_matrix())
+        return self._gather
 
     def project(self, weight: np.ndarray) -> np.ndarray:
         """The distinct rows times ``W``: ``(R, out)``."""

@@ -679,7 +679,6 @@ def tree_batch_reference(
     cols: List[int] = []
     leaf_rows: List[int] = []
     leaf_vertices: List[int] = []
-    neighbor_rows: List[int] = []
     neighbor_receivers: List[int] = []
     neighbor_senders: List[int] = []
     feature_rows: List[int] = []
@@ -699,8 +698,7 @@ def tree_batch_reference(
             if node.vertex == device_id:
                 feature_rows[global_row] = device_id
             else:
-                feature_rows[global_row] = num_devices + len(neighbor_rows)
-                neighbor_rows.append(global_row)
+                feature_rows[global_row] = num_devices + len(neighbor_receivers)
                 neighbor_receivers.append(device_id)
                 neighbor_senders.append(int(node.vertex))
 
@@ -736,7 +734,6 @@ def tree_batch_reference(
         ),
         leaf_rows=np.asarray(leaf_rows, dtype=np.int64),
         leaf_vertices=np.asarray(leaf_vertices, dtype=np.int64),
-        neighbor_rows=np.asarray(neighbor_rows, dtype=np.int64),
         neighbor_receivers=receivers,
         neighbor_senders=senders,
     )
@@ -802,10 +799,9 @@ def ldp_exchange_reference(
         workload = max(len(lists.get(sender, ())), 1)
         partitioner = FeatureBinPartitioner(dimension, workload, rng=rng)
         for rank, receiver in enumerate(sorted(receivers)):
-            encoded = mechanism.encode(
-                feature, workload, dimension=dimension,
-                selected=partitioner.mask_for_bin(rank % workload), rng=rng,
-            )
+            selected = partitioner.mask_for_bin(rank % workload)
+            bits = mechanism.encode(feature, workload, dimension=dimension, rng=rng)
+            encoded = np.where(selected, bits, mechanism.NEUTRAL)
             rows[(receiver, sender)] = mechanism.recover(encoded, workload, dimension=dimension)
             exchange(
                 environment, sender, receiver, MessageKind.FEATURE_EXCHANGE,
@@ -1114,7 +1110,7 @@ def _csr(matrix) -> sp.csr_matrix:
 class ReferenceKernels:
     """``FastNumpyBackend``'s interface the straightforward way: per-call CSR
     conversions and transposes, unbuffered ``np.add.at`` / ``np.maximum.at``
-    accumulation, no caches."""
+    accumulation."""
 
     def prepare_matrix(self, matrix):
         return matrix
@@ -1146,14 +1142,10 @@ class ReferenceKernels:
         np.maximum.at(out, index, values)
         return out
 
-    def prepare_edges(self, edge_index: np.ndarray, num_nodes: int) -> PreparedEdges:
-        return PreparedEdges(edge_index, num_nodes)
-
 
 def install_kernels(monkeypatch, kernels) -> None:
     """Make ``kernels`` what ``get_backend()`` returns for the rest of the test
-    (a :class:`ReferenceKernels`, or a fresh ``FastNumpyBackend`` with empty
-    caches)."""
+    (a :class:`ReferenceKernels`, or a ``FastNumpyBackend``)."""
     monkeypatch.setattr(backend_module, "_BACKEND", kernels)
 
 
@@ -1181,14 +1173,24 @@ def composite_gcn(features, matrix, weight, bias=None, activation=None) -> Tenso
     return relu(out) if activation == "relu" else out
 
 
+def edge_rows(edges) -> Tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of a ``(2, E)`` edge index, or of a :class:`PreparedEdges`
+    plan in its destination-sorted order (the caller's order within each
+    destination, so per-destination sums add in the same order)."""
+    if isinstance(edges, PreparedEdges):
+        return edges.src, np.repeat(np.arange(edges.num_nodes), edges.counts)
+    src, dst = np.asarray(edges, dtype=np.int64)
+    return src, dst
+
+
 def composite_gat(
-    features, edge_index, weight, attention_src, attention_dst, bias,
+    features, edges, weight, attention_src, attention_dst, bias,
     num_heads, out_features, concat_heads, negative_slope=0.2, activation=None,
 ) -> Tensor:
     """Multi-head GAT as gather / segment-softmax / scatter nodes
-    (``F.fused_gat_layer``'s oracle)."""
+    (``F.fused_gat_layer``'s oracle) over an edge index or a plan."""
     num_nodes = features.shape[0]
-    src, dst = np.asarray(edge_index, dtype=np.int64)
+    src, dst = edge_rows(edges)
     transformed = reshape(features @ weight, num_nodes, num_heads, out_features)
     src_scores = (transformed * reshape(attention_src, 1, num_heads, out_features)).sum(axis=-1)
     dst_scores = (transformed * reshape(attention_dst, 1, num_heads, out_features)).sum(axis=-1)
@@ -1230,10 +1232,10 @@ def gcn_layer_forward(layer: GCNLayer, features, adjacency, activation=None) -> 
     return composite_gcn(_dense(features), adjacency, layer.weight, layer.bias, activation)
 
 
-def gat_layer_forward(layer: GATLayer, features, edge_index, activation=None) -> Tensor:
+def gat_layer_forward(layer: GATLayer, features, edges, activation=None) -> Tensor:
     """``GATLayer.forward`` as the composite graph, on the dense input."""
     return composite_gat(
-        _dense(features), edge_index, layer.weight, layer.attention_src,
+        _dense(features), edges, layer.weight, layer.attention_src,
         layer.attention_dst, layer.bias, layer.num_heads, layer.out_features,
         layer.concat_heads, layer.negative_slope, activation,
     )

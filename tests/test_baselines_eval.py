@@ -167,6 +167,34 @@ class TestLPGNN:
         # KProp keeps values within the recovery range (finite, bounded).
         assert np.all(np.isfinite(encoded))
 
+    def test_one_matrix_encode_is_the_per_vertex_release(self, bench_graph):
+        # n draws of ``rng.random(d)`` are one ``rng.random((n, d))``: the
+        # whole-matrix encode + recover equals one release per vertex, bit for
+        # bit, and leaves the stream where the per-vertex loop left it.
+        from repro.baselines.lpgnn import _kprop, encode_features_lpgnn
+        from repro.crypto.ldp import FeatureBounds, OneBitMechanism
+        from repro.graph.sparse import row_normalize
+
+        config = LPGNNConfig()
+        rng = np.random.default_rng(3)
+        encoded = encode_features_lpgnn(bench_graph, config, rng)
+
+        reference = np.random.default_rng(3)
+        mechanism = OneBitMechanism(config.feature_epsilon, FeatureBounds(0.0, 1.0))
+        features = bench_graph.normalized_features(0.0, 1.0).features
+        dimension = features.shape[1]
+        rows = [
+            mechanism.recover(
+                mechanism.encode(row, 1, dimension=dimension, rng=reference), 1, dimension
+            )
+            for row in features
+        ]
+        propagation = row_normalize(bench_graph.adjacency(), self_loops=True)
+        np.testing.assert_array_equal(
+            encoded, _kprop(np.array(rows), propagation, config.kprop_steps)
+        )
+        assert rng.bit_generator.state == reference.bit_generator.state
+
 
 @pytest.fixture
 def never_runs(monkeypatch):

@@ -56,15 +56,21 @@ class TestOneBitMechanism:
         encoded = mechanism.encode(np.linspace(0, 1, 50), workload=5, rng=rng)
         assert set(np.unique(encoded)) <= {0.0, 1.0}
 
-    def test_encode_with_selection_mask_uses_neutral_symbol(self):
+    def test_masking_after_encoding_draws_what_encoding_all_draws(self):
+        # Unreleased elements are the neutral symbol; the caller masks the
+        # encoded vector, and the random stream is the same either way.
         mechanism = OneBitMechanism(epsilon=2.0)
-        rng = np.random.default_rng(0)
         values = np.linspace(0, 1, 10)
         mask = np.zeros(10, dtype=bool)
         mask[:3] = True
-        encoded = mechanism.encode(values, workload=2, selected=mask, rng=rng)
+        rng = np.random.default_rng(0)
+        bits = mechanism.encode(values, workload=2, rng=rng)
+        encoded = np.where(mask, bits, OneBitMechanism.NEUTRAL)
         assert np.all(encoded[~mask] == OneBitMechanism.NEUTRAL)
         assert set(np.unique(encoded[mask])) <= {0.0, 1.0}
+        reference = np.random.default_rng(0)
+        assert np.array_equal(bits, mechanism.encode(values, workload=2, rng=reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_recover_maps_neutral_to_midpoint(self):
         mechanism = OneBitMechanism(epsilon=2.0, bounds=FeatureBounds(0.0, 1.0))
@@ -77,7 +83,8 @@ class TestOneBitMechanism:
         rng = np.random.default_rng(0)
         true_value = 0.3
         values = np.full(40_000, true_value)
-        recovered = mechanism.encode_and_recover(values, workload=4, dimension=8, rng=rng)
+        encoded = mechanism.encode(values, workload=4, dimension=8, rng=rng)
+        recovered = mechanism.recover(encoded, workload=4, dimension=8)
         assert recovered.mean() == pytest.approx(true_value, abs=0.02)
 
     @given(st.floats(0.05, 0.95), st.floats(0.5, 6.0), st.integers(1, 10))
@@ -92,11 +99,14 @@ class TestOneBitMechanism:
         assert expectation == pytest.approx(true_value, abs=1e-9)
 
     def test_smaller_epsilon_means_more_noise(self):
-        rng = np.random.default_rng(1)
         values = np.full(20_000, 0.8)
-        noisy = OneBitMechanism(0.5).encode_and_recover(values, workload=1, rng=np.random.default_rng(1))
-        cleaner = OneBitMechanism(8.0).encode_and_recover(values, workload=1, rng=np.random.default_rng(1))
-        assert np.var(noisy) > np.var(cleaner)
+
+        def released(epsilon):
+            mechanism = OneBitMechanism(epsilon)
+            encoded = mechanism.encode(values, workload=1, rng=np.random.default_rng(1))
+            return mechanism.recover(encoded, workload=1)
+
+        assert np.var(released(0.5)) > np.var(released(8.0))
 
     def test_ldp_inequality_holds(self):
         """Definition 1: Pr[R(x)=y] <= e^eps Pr[R(x')=y] for the per-element encoder."""
@@ -113,7 +123,7 @@ class TestOneBitMechanism:
         with pytest.raises(ValueError):
             mechanism.per_element_epsilon(0, 5)
         with pytest.raises(ValueError):
-            mechanism.encode(np.ones(4), workload=2, selected=np.ones(3, dtype=bool))
+            mechanism.encode(np.ones(4), workload=2, uniforms=np.ones(3))
 
     def test_values_outside_bounds_are_clipped(self):
         mechanism = OneBitMechanism(epsilon=2.0)

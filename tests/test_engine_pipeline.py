@@ -23,7 +23,7 @@ from repro.core import (
     default_config_for,
 )
 from repro.crypto.ldp import FeatureBounds
-from repro.engine import ArtifactStore, default_store
+from repro.engine import ArtifactStore
 from repro.engine.fingerprint import fingerprint_graph, fingerprint_value
 from repro.engine.store import StoredArtifact
 from repro.federation import FederatedEnvironment
@@ -212,8 +212,10 @@ class TestArtifactStore:
         assert store.summary() == {}
         assert len(store) == 0
 
-    def test_default_store_is_shared(self):
-        assert default_store() is default_store()
+    def test_a_system_without_a_store_gets_a_private_one(self, graph, config):
+        first, second = LumosSystem(graph, config), LumosSystem(graph, config)
+        assert first.store is not second.store
+        assert len(first.store) == len(second.store) == 1  # its own partition
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from repro.engine import ArtifactStore, DiskSpillStore
 from repro.engine.store import StoredArtifact
 from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like, split_nodes
-from repro.nn.backend import get_backend
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +122,11 @@ class TestTreeBatchRebind:
 
     @pytest.mark.parametrize("first", ["gat", "gcn"])
     def test_rebound_batches_share_what_any_of_them_derived(self, graph, config, first):
-        # The edge index, the pooled edges and their GAT edge plan are built
-        # on first read, once per construction: a GAT sweep point re-binding
-        # a stored batch reads the cold run's, and after a GCN run (which
-        # reads no edge index) the batch it stored sees what the GAT point
-        # built, as Fig. 4 runs GCN and then GAT on one construction.
+        # The edge index, the GAT edge plans and the prepared operators are
+        # built on first read, once per construction: a GAT sweep point
+        # re-binding a stored batch reads the cold run's, and after a GCN run
+        # (which reads no edge index) the batch it stored sees what the GAT
+        # point built, as Fig. 4 runs GCN and then GAT on one construction.
         store = ArtifactStore()
         split = split_nodes(graph, seed=0)
         cold = LumosSystem(graph, config.with_backbone(first), store=store)
@@ -138,11 +137,10 @@ class TestTreeBatchRebind:
         cold_batch, warm_batch = cold.tree_batch(), warm.tree_batch()
         assert warm_batch is not cold_batch
         assert warm_batch.edge_index is cold_batch.edge_index
-        assert warm_batch.pooled_edge_index() is cold_batch.pooled_edge_index()
-        backend, nodes = get_backend(), cold_batch.num_nodes
-        assert backend.prepare_edges(warm_batch.pooled_edge_index(), nodes) is (
-            backend.prepare_edges(cold_batch.pooled_edge_index(), nodes)
-        )
+        assert warm_batch.edge_plan is cold_batch.edge_plan
+        assert warm_batch.pooled_edge_plan() is cold_batch.pooled_edge_plan()
+        assert warm_batch.propagation is cold_batch.propagation
+        assert warm_batch.pool_operator() is cold_batch.pool_operator()
 
     def test_generic_builder_also_carries_recipe(self, graph):
         _, environment, construction = _constructed(graph)
@@ -155,7 +153,6 @@ class TestTreeBatchRebind:
         vectorized = TreeBatch.build(
             environment, construction, initialization, graph.num_features
         )
-        np.testing.assert_array_equal(generic.neighbor_rows, vectorized.neighbor_rows)
         np.testing.assert_array_equal(
             generic.neighbor_receivers, vectorized.neighbor_receivers
         )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.engine import ArtifactStore
 from repro.eval import figures
 from repro.eval.runner import ExperimentScale
 
@@ -56,7 +57,7 @@ class TestFigureCLI:
         # training run; the real figure functions are covered above.
         calls = {}
 
-        def fake_figure(scale):
+        def fake_figure(scale, store):
             calls["scale"] = scale
             return {"facebook": {"max_with_trimming": 3.0}}
 
@@ -65,6 +66,22 @@ class TestFigureCLI:
         assert exit_code == 0
         assert calls["scale"].num_nodes == 300
         capsys.readouterr()  # drain output; JSON parsing is covered below
+
+    def test_one_invocation_runs_every_figure_on_one_store(self, capsys, monkeypatch):
+        stores = {}
+        for name in figures.FIGURES:
+
+            def fake_figure(scale, _name=name, **kwargs):
+                stores[_name] = kwargs.get("store")
+                return {}
+
+            monkeypatch.setitem(figures.FIGURES, name, fake_figure)
+        assert figures.main(["all"]) == 0
+        capsys.readouterr()
+        # The churn run keeps its own stores; every other figure shares one.
+        assert stores.pop("maintenance") is None
+        shared = {id(store) for store in stores.values()}
+        assert len(shared) == 1 and isinstance(stores["fig3"], ArtifactStore)
 
     @pytest.mark.parametrize("flag", [["--workers", "2"], ["--executor", "process"]])
     def test_scheduling_flags_are_gone(self, flag, capsys):
@@ -77,7 +94,7 @@ class TestFigureCLI:
         monkeypatch.setitem(
             figures.FIGURES,
             "fig8",
-            lambda scale: {"x": np.float64(1.5), "y": np.array([1, 2])},
+            lambda scale, store: {"x": np.float64(1.5), "y": np.array([1, 2])},
         )
         figures.main(["fig8", "--json"])
         output = capsys.readouterr().out
@@ -86,7 +103,7 @@ class TestFigureCLI:
         assert payload == {"fig8": {"x": 1.5, "y": [1, 2]}}
 
     def test_trace_writes_one_main_track_and_a_summary(self, capsys, monkeypatch, tmp_path):
-        def traced_figure(scale):
+        def traced_figure(scale, store):
             with obs.span("figure.body", rows=2):
                 obs.add_counter("figure.cells", 3.0)
             return {"cells": 3}

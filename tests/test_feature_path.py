@@ -285,7 +285,7 @@ def _check_batch(case):
     vectorized, generic, environment, construction, draws, initialization = _batches(case)
     assert vectorized is not None
     for name in ("leaf_rows", "leaf_vertices", "edge_index",
-                 "neighbor_rows", "neighbor_receivers", "neighbor_senders"):
+                 "neighbor_receivers", "neighbor_senders"):
         np.testing.assert_array_equal(getattr(vectorized, name), getattr(generic, name))
     np.testing.assert_array_equal(vectorized.layer_input.rows, generic.layer_input.rows)
     assert (vectorized.adjacency != generic.adjacency).nnz == 0
@@ -415,9 +415,12 @@ def _check_first_layer(case, perturbation: float = 0.0):
     batch = _batches(case)[0]
     rng = np.random.default_rng(case["seed"])
     eps = np.finfo(np.float64).eps
-    for layer, structure, oracle in (
-        (GCNLayer(case["dimension"], 3, rng=rng), batch.adjacency, gcn_layer_forward),
-        (GATLayer(case["dimension"], 2, num_heads=2, rng=rng), batch.edge_index, gat_layer_forward),
+    # The oracle reads the raw structure, the layer what the batch prepared.
+    for layer, structure, prepared, oracle in (
+        (GCNLayer(case["dimension"], 3, rng=rng), batch.adjacency, batch.propagation,
+         gcn_layer_forward),
+        (GATLayer(case["dimension"], 2, num_heads=2, rng=rng), batch.edge_index,
+         batch.edge_plan, gat_layer_forward),
     ):
         layer.bias.data = rng.standard_normal(layer.bias.data.shape)
         upstream = rng.standard_normal((batch.num_nodes, layer.bias.data.shape[0]))
@@ -428,7 +431,7 @@ def _check_first_layer(case, perturbation: float = 0.0):
         if perturbation:
             layer.weight.data = layer.weight.data.copy()
             layer.weight.data[0, 0] *= 1.0 + perturbation
-        factored = _first_layer(type(layer).forward, layer, batch.layer_input, structure, upstream)
+        factored = _first_layer(type(layer).forward, layer, batch.layer_input, prepared, upstream)
         scales = _summand_scales(layer, batch.layer_input, structure, upstream)
         for name, factored_part, dense_part, scale in zip(
             ("out", "weight.grad", "bias.grad"), factored, dense, scales

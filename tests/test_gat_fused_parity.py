@@ -2,8 +2,9 @@
 (``gat_layer_forward`` in ``tests/helpers/oracles.py``).
 
 Generated edge lists (destinations without an edge, duplicate edges, self
-loops, unsorted ``dst``, one node, ``E = 0``), plan reuse across passes, and a
-structural guard on the memory the fused layer may touch.
+loops, unsorted ``dst``, one node, ``E = 0``), the plan kept by its owner
+across passes, and a structural guard on the memory the fused layer may
+touch.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching import IdentityCache
 from repro.gnn.gat import GATLayer
-from repro.nn.backend import FastNumpyBackend, PreparedEdges
+from repro.nn import backend as backend_module
+from repro.nn.backend import PreparedEdges
 from repro.nn.tensor import Tensor
 
 from helpers.autograd import zero_grad
-from helpers.oracles import gat_layer_forward, graph_input_from_adjacency, install_kernels
+from helpers.oracles import gat_layer_forward, graph_input_from_adjacency
 
 
 def _layer_pass(forward, layer, features_data, edge_index, upstream, activation):
@@ -68,9 +69,16 @@ def _check_parity(case):
     layer.bias.data = rng.standard_normal(layer.bias.data.shape)
     features = rng.standard_normal((case["nodes"], 3))
     upstream = rng.standard_normal((case["nodes"], layer.bias.shape[0]))
-    args = (layer, features, case["edge_index"], upstream, case["activation"])
-    composite = [part.copy() for part in _layer_pass(gat_layer_forward, *args)]
-    fused = _layer_pass(GATLayer.forward, *args)
+    # The composite graph reads the edges in the caller's order, the fused
+    # layer their destination-sorted plan.
+    plan = PreparedEdges(case["edge_index"], case["nodes"])
+    composite = [
+        part.copy()
+        for part in _layer_pass(
+            gat_layer_forward, layer, features, case["edge_index"], upstream, case["activation"]
+        )
+    ]
+    fused = _layer_pass(GATLayer.forward, layer, features, plan, upstream, case["activation"])
     for fused_part, composite_part in zip(fused, composite):
         np.testing.assert_allclose(fused_part, composite_part, atol=1e-10)
 
@@ -93,7 +101,7 @@ class TestGeneratedParity:
                          rng=np.random.default_rng(0))
         layer.bias.data = np.arange(layer.bias.shape[0], dtype=np.float64)
         features = Tensor(np.ones((4, 3)), requires_grad=True)
-        out = layer(features, np.zeros((2, 0), dtype=np.int64))
+        out = layer(features, PreparedEdges(np.zeros((2, 0), dtype=np.int64), 4))
         out.sum().backward()
         np.testing.assert_array_equal(out.data, np.tile(layer.bias.data, (4, 1)))
         assert not features.grad.any()
@@ -108,12 +116,10 @@ class TestGeneratedParity:
 
 
 class TestPlanReuse:
-    """Structure derived from an edge index is built on the first pass only —
-    also for the ``src`` / ``dst`` rows the composite path unpacks, which are
-    new view objects on every call."""
+    """The edge plan is built by the object that owns the edge index, on its
+    first read, and kept there: a layer pass builds none."""
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_second_pass_builds_nothing(self, fused, monkeypatch):
+    def test_passes_build_no_plan(self, monkeypatch):
         rng = np.random.default_rng(3)
         graph_input = graph_input_from_adjacency(
             sp.csr_matrix((rng.random((12, 12)) < 0.3).astype(np.float64))
@@ -121,41 +127,26 @@ class TestPlanReuse:
         layer = GATLayer(4, 3, num_heads=2, rng=rng)
         features = rng.standard_normal((12, 4))
         upstream = rng.standard_normal((12, layer.bias.shape[0]))
-        backend = FastNumpyBackend()
-        install_kernels(monkeypatch, backend)
 
         builds = []
-        original_put = IdentityCache.put
+        build = PreparedEdges.__init__
 
-        def counting_put(cache, anchor, value, extra=None):
-            if cache is backend._segment_cache:
-                builds.append(type(value).__name__)
-            return original_put(cache, anchor, value, extra)
+        def counting_init(plan, *args):
+            builds.append(plan)
+            build(plan, *args)
 
-        monkeypatch.setattr(IdentityCache, "put", counting_put)
-        forward = GATLayer.forward if fused else gat_layer_forward
-        args = (forward, layer, features, graph_input.edge_index, upstream, "relu")
+        monkeypatch.setattr(backend_module.PreparedEdges, "__init__", counting_init)
+        plan = graph_input.edge_plan
+        assert len(builds) == 1 and graph_input.edge_plan is plan
+        args = (GATLayer.forward, layer, features, plan, upstream, "relu")
         first = [part.copy() for part in _layer_pass(*args)]
-        built_by_first_pass = list(builds)
         second = _layer_pass(*args)
-        assert built_by_first_pass  # the spy sees this backend's builds
-        assert builds == built_by_first_pass
-        if fused:
-            assert built_by_first_pass == ["PreparedEdges"]
+        assert len(builds) == 1
         for first_part, second_part in zip(first, second):
             np.testing.assert_array_equal(first_part, second_part)
 
-    def test_plan_dies_with_its_edge_index(self):
-        backend = FastNumpyBackend()
-        edge_index = np.array([[0, 1, 2], [1, 2, 0]])
-        plan = backend.prepare_edges(edge_index, 3)
-        assert backend.prepare_edges(edge_index, 3) is plan
-        assert len(backend._segment_cache._entries) == 1
-        del edge_index
-        assert len(backend._segment_cache._entries) == 0
 
-
-def test_fused_layer_allocates_no_edge_by_feature_array(monkeypatch):
+def test_fused_layer_allocates_no_edge_by_feature_array():
     # Structural guard in place of a timing test: one fused forward + backward
     # must stay well below the footprint of (E, H, F) temporaries — the old
     # gather/multiply/scatter path peaked above four of them.
@@ -165,10 +156,10 @@ def test_fused_layer_allocates_no_edge_by_feature_array(monkeypatch):
     layer = GATLayer(8, head_dim, num_heads=heads, rng=rng)
     features = Tensor(rng.standard_normal((nodes, 8)), requires_grad=True)
     upstream = Tensor(rng.standard_normal((nodes, layer.bias.shape[0])))
-    install_kernels(monkeypatch, FastNumpyBackend())  # the edge plan is built in the trace
     tracemalloc.start()
     try:
-        out = layer(features, edge_index, activation="relu")
+        # the edge plan is built in the trace
+        out = layer(features, PreparedEdges(edge_index, nodes), activation="relu")
         (out * upstream).sum().backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,7 +1,7 @@
 """GAT does only the work pooling reads, on generated tree batches.
 
 (a) ``LumosModel`` runs its final GAT layer over
-    ``TreeBatch.pooled_edge_index`` (the edges that end at a leaf row).  The
+    ``TreeBatch.pooled_edge_plan`` (the edges that end at a leaf row).  The
     pooled outputs, the loss and every parameter gradient equal those of the
     same layer over the full edge index bit for bit (``assert_array_equal``):
     virtual nodes or none, isolated devices, one device, concatenated and
@@ -41,6 +41,7 @@ from repro.crypto.ldp import FeatureBounds
 from repro.engine import ArtifactStore
 from repro.gnn.gat import GATLayer
 from repro.graph import generate_facebook_like, split_edges, split_nodes
+from repro.nn.backend import PreparedEdges
 from repro.nn.layers import Linear
 from repro.nn.loss import cross_entropy
 from repro.nn.tensor import Tensor, no_grad
@@ -145,17 +146,18 @@ def _gradient_pass(model, batch, seed):
 
 def _full_edges():
     """The final layer over every edge: the path the pooled one replaced."""
-    return mock.patch.object(TreeBatch, "pooled_edge_index", lambda batch: batch.edge_index)
+    return mock.patch.object(TreeBatch, "pooled_edge_plan", lambda batch: batch.edge_plan)
 
 
 def _check_pooled(case):
     batch = _batch(case)
-    pooled = batch.pooled_edge_index()
+    pooled = batch.pooled_edge_plan()
     ends_at_leaf = np.isin(batch.edge_index[1], batch.leaf_rows)
-    np.testing.assert_array_equal(pooled, batch.edge_index[:, ends_at_leaf])
-    np.testing.assert_array_equal(np.unique(pooled[1]), np.unique(batch.leaf_rows))
-    assert pooled.dtype == np.int64 and pooled.base is None
-    assert batch.pooled_edge_index() is pooled
+    expected = PreparedEdges(batch.edge_index[:, ends_at_leaf], batch.num_nodes)
+    for name in ("order", "counts", "src"):
+        np.testing.assert_array_equal(getattr(pooled, name), getattr(expected, name))
+    np.testing.assert_array_equal(pooled.segments, np.unique(batch.leaf_rows))
+    assert batch.pooled_edge_plan() is pooled
 
     model = _model(case)
     out, loss, grads = _gradient_pass(model, batch, case["seed"])
@@ -189,17 +191,17 @@ class TestPooledFinalLayer:
         batch = TreeBatch.build(
             environment, construction, _exchange(UGLY, environment, construction), 3
         )
-        pooled = batch.pooled_edge_index()
+        pooled = batch.pooled_edge_plan()
         rebound = batch.with_initialization(_exchange(UGLY, environment, construction, 0.7))
-        assert rebound.pooled_edge_index() is pooled
+        assert rebound.pooled_edge_plan() is pooled
 
 
 # --------------------------------------------------------------------------- #
 # (b) the layer-0 schedule memo
 # --------------------------------------------------------------------------- #
-def _memoless_forward(layer, features, edge_index, activation=None):
+def _memoless_forward(layer, features, edges, activation=None):
     """``GATLayer.forward`` without the memo: the layer recomputed every pass."""
-    return layer._attend(features, np.asarray(edge_index, dtype=np.int64), activation)
+    return layer._attend(features, edges, activation)
 
 
 def _config(epochs: int, **trainer) -> LumosConfig:
@@ -278,7 +280,7 @@ def test_the_memo_is_taken_over_once_and_only_on_its_own_key():
         environment, construction, _exchange(UGLY, environment, construction), 3
     )
     layer = GATLayer(3, 2, num_heads=2, rng=np.random.default_rng(0))
-    features, edges = batch.layer_input, batch.edge_index
+    features, edges = batch.layer_input, batch.edge_plan
 
     kept = _evaluate(layer, features, edges)
     assert layer(features, edges, activation="relu") is kept
@@ -296,7 +298,7 @@ def test_the_memo_is_taken_over_once_and_only_on_its_own_key():
         np.testing.assert_array_equal(recomputed.data, kept.data)
     kept = _evaluate(layer, features, edges)
     rebound = batch.with_initialization(_exchange(UGLY, environment, construction, 0.7))
-    assert layer(rebound.layer_input, rebound.edge_index, activation="relu") is not kept
+    assert layer(rebound.layer_input, rebound.edge_plan, activation="relu") is not kept
 
     # A tensor input (any hidden layer) is never memoised.
     layer.eval()

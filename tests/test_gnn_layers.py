@@ -17,6 +17,7 @@ from repro.gnn import (
 from repro.graph import Graph, split_nodes
 from repro.graph.sparse import symmetric_normalize
 from repro.nn import Adam, Tensor, cross_entropy
+from repro.nn.backend import PreparedEdges, PreparedMatrix
 
 from helpers.autograd import mean_pool
 
@@ -33,7 +34,7 @@ def path_graph() -> Graph:
 class TestGCNLayer:
     def test_output_shape(self):
         graph = path_graph()
-        adjacency = symmetric_normalize(graph.adjacency())
+        adjacency = PreparedMatrix(symmetric_normalize(graph.adjacency()))
         layer = GCNLayer(4, 3, rng=np.random.default_rng(0))
         out = layer(Tensor(graph.features), adjacency)
         assert out.shape == (4, 3)
@@ -41,7 +42,7 @@ class TestGCNLayer:
     def test_identity_adjacency_reduces_to_linear(self):
         layer = GCNLayer(3, 2, rng=np.random.default_rng(0))
         features = Tensor(np.random.default_rng(1).normal(size=(5, 3)))
-        identity = sp.eye(5, format="csr")
+        identity = PreparedMatrix(sp.eye(5, format="csr"))
         out = layer(features, identity)
         expected = features.data @ layer.weight.data + layer.bias.data
         np.testing.assert_allclose(out.data, expected)
@@ -49,7 +50,7 @@ class TestGCNLayer:
     def test_message_passing_mixes_neighbours(self):
         # With one-hot features, a node's output depends on its neighbours.
         graph = path_graph()
-        adjacency = symmetric_normalize(graph.adjacency())
+        adjacency = PreparedMatrix(symmetric_normalize(graph.adjacency()))
         layer = GCNLayer(4, 4, bias=False, rng=np.random.default_rng(0))
         layer.weight.data = np.eye(4)
         out = layer(Tensor(graph.features), adjacency).data
@@ -58,7 +59,7 @@ class TestGCNLayer:
 
     def test_gradients_flow_to_weights(self):
         graph = path_graph()
-        adjacency = symmetric_normalize(graph.adjacency())
+        adjacency = PreparedMatrix(symmetric_normalize(graph.adjacency()))
         layer = GCNLayer(4, 2, rng=np.random.default_rng(0))
         out = layer(Tensor(graph.features), adjacency)
         out.sum().backward()
@@ -68,7 +69,12 @@ class TestGCNLayer:
     def test_shape_mismatch_raises(self):
         layer = GCNLayer(4, 2)
         with pytest.raises(ValueError):
-            layer(Tensor(np.ones((3, 4))), sp.eye(5, format="csr"))
+            layer(Tensor(np.ones((3, 4))), PreparedMatrix(sp.eye(5, format="csr")))
+
+    def test_raw_adjacency_is_a_type_error(self):
+        # The layer takes structure prepared by the graph's owner only.
+        with pytest.raises(TypeError, match="PreparedMatrix"):
+            GCNLayer(4, 2)(Tensor(np.ones((3, 4))), sp.eye(3, format="csr"))
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -76,8 +82,8 @@ class TestGCNLayer:
 
 
 class TestGATLayer:
-    def _edge_index(self, graph: Graph) -> np.ndarray:
-        return graph.directed_edge_index(add_self_loops=True)
+    def _edge_index(self, graph: Graph) -> PreparedEdges:
+        return PreparedEdges(graph.directed_edge_index(add_self_loops=True), graph.num_nodes)
 
     def test_output_shape_concat(self):
         graph = path_graph()
@@ -93,9 +99,9 @@ class TestGATLayer:
 
     def test_isolated_node_with_self_loop_is_finite(self):
         features = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        edge_index = np.array([[0, 1, 2], [0, 1, 2]])  # only self loops
+        edges = PreparedEdges(np.array([[0, 1, 2], [0, 1, 2]]), 3)  # only self loops
         layer = GATLayer(4, 2, num_heads=2, rng=np.random.default_rng(1))
-        out = layer(features, edge_index)
+        out = layer(features, edges)
         assert np.all(np.isfinite(out.data))
 
     def test_gradients_flow_to_attention_parameters(self):
@@ -108,9 +114,17 @@ class TestGATLayer:
         assert layer.weight.grad is not None
 
     def test_edge_index_validation(self):
-        layer = GATLayer(4, 2)
         with pytest.raises(ValueError):
-            layer(Tensor(np.ones((3, 4))), np.ones((3, 3)))
+            PreparedEdges(np.ones((3, 3), dtype=np.int64), 3)
+
+    def test_raw_edge_index_is_a_type_error(self):
+        # The layer takes the plan prepared by the graph's owner only.
+        with pytest.raises(TypeError, match="PreparedEdges"):
+            GATLayer(4, 2)(Tensor(np.ones((3, 4))), np.array([[0, 1, 2], [0, 1, 2]]))
+
+    def test_plan_for_another_node_count_is_rejected(self):
+        with pytest.raises(ValueError, match="different number of nodes"):
+            GATLayer(4, 2)(Tensor(np.ones((3, 4))), PreparedEdges(np.array([[0], [0]]), 5))
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
 from repro.gnn.models import EncoderConfig, GNNEncoder
 from repro.nn import functional as F
-from repro.nn.backend import FastNumpyBackend, PreparedMatrix, get_backend
+from repro.nn.backend import FastNumpyBackend, PreparedEdges, PreparedMatrix, get_backend
 from repro.nn.loss import cross_entropy
 from repro.nn.tensor import Tensor
 
@@ -85,8 +85,7 @@ class TestKernelParity:
         # by its own max, so the softmax pins the per-destination max.
         index = np.asarray(index, dtype=np.int64)
         edge_index = np.stack([np.zeros_like(index), index])
-        backend = FastNumpyBackend()
-        plan = backend.prepare_edges(edge_index, num_segments)
+        plan = PreparedEdges(edge_index, num_segments)
         values = 1e3 * np.random.default_rng(2).standard_normal((index.shape[0],) + trailing)
         sorted_values = np.moveaxis(values[plan.order], 0, -1)  # (..., E), dst-sorted
 
@@ -105,8 +104,6 @@ class TestKernelParity:
         np.testing.assert_allclose(
             attention, np.moveaxis(expected_attention[plan.order], 0, -1), rtol=1e-12
         )
-        # a second prepare of the same edge index is served by the cached sort
-        assert backend.prepare_edges(edge_index, num_segments) is plan
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_segments(self, name):
@@ -116,18 +113,17 @@ class TestKernelParity:
         assert out.shape == (4, 3)
         assert not out.any()
 
-    @pytest.mark.parametrize("kernel", ["scatter_rows", "prepare_edges"])
+    @pytest.mark.parametrize("kernel", ["scatter_rows", "edge_plan"])
     @pytest.mark.parametrize("bad_id", [2, 3, -1])
     def test_out_of_range_segment_id_raises(self, kernel, bad_id):
         # An id outside [0, num_segments) is an error, never an output of the
         # wrong shape (bincount alone grows the result to the largest id).
         index = np.array([0, bad_id])
-        if kernel == "prepare_edges":  # the destination row is the segment id
-            args = (np.stack([np.zeros(2, dtype=np.int64), index]), 2)
-        else:
-            args = (np.ones((2, 3)), index, 2)
         with pytest.raises(IndexError, match="segment id out of range"):
-            getattr(FastNumpyBackend(), kernel)(*args)
+            if kernel == "edge_plan":  # the destination row is the segment id
+                PreparedEdges(np.stack([np.zeros(2, dtype=np.int64), index]), 2)
+            else:
+                FastNumpyBackend().scatter_rows(np.ones((2, 3)), index, 2)
 
     @pytest.mark.parametrize("bad_id", [2, 3, -1])
     def test_out_of_range_edge_source_raises(self, bad_id):
@@ -135,13 +131,13 @@ class TestKernelParity:
         # outside the aggregation matrix's columns.
         edge_index = np.array([[0, bad_id], [0, 1]])
         with pytest.raises(IndexError, match="edge source out of range"):
-            FastNumpyBackend().prepare_edges(edge_index, 2)
+            PreparedEdges(edge_index, 2)
 
 
 class TestAutogradParity:
     def _gcn_loss_and_grads(self, forward):
         rng = np.random.default_rng(3)
-        adjacency = _random_csr(rng, 10, 10)
+        adjacency = PreparedMatrix(_random_csr(rng, 10, 10))
         features = Tensor(rng.random((10, 6)))
         layer = GCNLayer(6, 4, rng=np.random.default_rng(7))
         out = forward(layer, features, adjacency)
@@ -164,12 +160,12 @@ class TestAutogradParity:
 
     def _gat_outputs(self, forward):
         rng = np.random.default_rng(4)
-        edge_index = np.stack(
-            [rng.integers(0, 8, size=30), rng.integers(0, 8, size=30)]
+        edges = PreparedEdges(
+            np.stack([rng.integers(0, 8, size=30), rng.integers(0, 8, size=30)]), 8
         )
         features = Tensor(rng.random((8, 5)), requires_grad=True)
         layer = GATLayer(5, 3, num_heads=2, rng=np.random.default_rng(9))
-        out = forward(layer, features, edge_index)
+        out = forward(layer, features, edges)
         loss = (out * out).sum()
         loss.backward()
         return out.data.copy(), features.grad.copy(), layer.weight.grad.copy()
@@ -200,7 +196,7 @@ class TestAutogradParity:
         composite = (attention.data, src_scores.grad, dst_scores.grad)
 
         # Same maths on the plan: (H, E) arrays in destination-sorted order.
-        plan = get_backend().prepare_edges(np.stack([src, dst]), num_nodes)
+        plan = PreparedEdges(np.stack([src, dst]), num_nodes)
         edge_logits = (scores[src] + 0.5 * scores[dst])[plan.order].T
         slope = np.where(edge_logits > 0, 1.0, 0.2)
         fused_attention = plan.softmax(edge_logits * slope)
@@ -260,36 +256,28 @@ class TestPreparedMatrices:
         with pytest.raises(TypeError):
             F.sparse_matmul(np.eye(3), Tensor(np.ones((3, 2))))
 
-    def test_prepare_matrix_is_cached_by_identity(self):
+    def test_prepare_matrix_keeps_nothing(self):
+        # The backend is stateless: a raw matrix is prepared anew on every
+        # call, a PreparedMatrix passes through untouched.
         matrix = _random_csr(np.random.default_rng(8))
         backend = FastNumpyBackend()
         first = backend.prepare_matrix(matrix)
-        second = backend.prepare_matrix(matrix)
-        assert first is second
         assert isinstance(first, PreparedMatrix)
-        # a PreparedMatrix passes through untouched
+        assert backend.prepare_matrix(matrix) is not first
         assert backend.prepare_matrix(first) is first
+        assert not vars(backend)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
-    def test_prepared_matrix_dies_with_its_anchor(self, fmt):
-        # A cached value must not reference its anchor (repro.caching): for
-        # CSR input ``tocsr()`` *is* the input, which used to make every
-        # prepared matrix immortal.  The prepared copy still shares the arrays.
-        import gc
-
-        backend = FastNumpyBackend()
+    def test_prepared_matrix_products_match_its_matrix(self, fmt):
+        # Any sparse format; a CSR input is held as is, not copied.
         matrix = _random_csr(np.random.default_rng(8)).asformat(fmt)
-        before = len(backend._matrix_cache._entries)
-        prepared = backend.prepare_matrix(matrix)
-        assert len(backend._matrix_cache._entries) == before + 1
+        prepared = PreparedMatrix(matrix)
         if fmt == "csr":
-            assert prepared.csr is not matrix
-            assert np.shares_memory(prepared.csr.data, matrix.data)
-        expected = matrix @ np.ones((12, 2))
-        del matrix
-        gc.collect()
-        assert len(backend._matrix_cache._entries) == before
-        np.testing.assert_array_equal(backend.spmm(prepared, np.ones((12, 2))), expected)
+            assert prepared.csr is matrix
+        dense = np.random.default_rng(9).random((12, 2))
+        backend = get_backend()
+        np.testing.assert_array_equal(backend.spmm(prepared, dense), matrix @ dense)
+        np.testing.assert_allclose(backend.spmm_t(prepared, dense), matrix.T @ dense, atol=1e-12)
 
     def test_sparse_matmul_accepts_prepared_matrix(self):
         rng = np.random.default_rng(9)
@@ -334,7 +322,7 @@ class TestParameterRebindInvariant:
     def test_stale_cache_detected_after_rebind(self):
         # After any rebind, the fused forward must recompute, not reuse.
         rng = np.random.default_rng(2)
-        adjacency = _random_csr(rng, 8, 8)
+        adjacency = PreparedMatrix(_random_csr(rng, 8, 8))
         features = Tensor(rng.random((8, 4)))
         layer = GCNLayer(4, 3, rng=np.random.default_rng(3))
         first = layer(features, adjacency).data
@@ -426,40 +414,6 @@ class TestFusedLayerParity:
         for fused_part, composite_part in zip(results["fused"], results["composite"]):
             np.testing.assert_allclose(fused_part, composite_part, atol=1e-12)
 
-    def test_fused_gcn_layer_folded_bias_operator(self):
-        # M = fold(P, A) with bias entering as (P @ 1) ⊗ b must equal the
-        # unfolded P @ (A (X W) + 1 bᵀ) — same math, reassociated.
-        rng = np.random.default_rng(41)
-        pool = _random_csr(rng, 6, 15, density=0.4)
-        adjacency = _random_csr(rng, 15, 15)
-        features_data = rng.standard_normal((15, 5))
-        weight_data = rng.standard_normal((5, 4))
-        bias_data = rng.standard_normal(4)
-        upstream = rng.standard_normal((6, 4))
-        backend = get_backend()
-        folded = backend.fold_chain([pool, adjacency])
-        row_sums = np.asarray(pool.sum(axis=1)).ravel()
-
-        features = Tensor(features_data.copy(), requires_grad=True)
-        weight = Tensor(weight_data.copy(), requires_grad=True)
-        bias = Tensor(bias_data.copy(), requires_grad=True)
-        fused = F.fused_gcn_layer(
-            features, folded, weight, bias, bias_operator=row_sums
-        )
-        (fused * Tensor(upstream)).sum().backward()
-
-        features_u = Tensor(features_data.copy(), requires_grad=True)
-        weight_u = Tensor(weight_data.copy(), requires_grad=True)
-        bias_u = Tensor(bias_data.copy(), requires_grad=True)
-        unfolded = F.sparse_matmul(
-            pool, F.sparse_matmul(adjacency, features_u @ weight_u) + bias_u
-        )
-        (unfolded * Tensor(upstream)).sum().backward()
-        np.testing.assert_allclose(fused.data, unfolded.data, atol=1e-10)
-        np.testing.assert_allclose(features.grad, features_u.grad, atol=1e-10)
-        np.testing.assert_allclose(weight.grad, weight_u.grad, atol=1e-10)
-        np.testing.assert_allclose(bias.grad, bias_u.grad, atol=1e-10)
-
     def test_fused_pool_head_matches_composite(self):
         rng = np.random.default_rng(42)
         pool = _random_csr(rng, 5, 12, density=0.5)
@@ -489,8 +443,9 @@ class TestFusedLayerParity:
         # the same backend — so any drift is the fusion, not the kernels.
         rng = np.random.default_rng(43)
         nodes, edges = int(rng.integers(8, 16)), int(rng.integers(25, 50))
-        edge_index = np.stack(
-            [rng.integers(0, nodes, size=edges), rng.integers(0, nodes, size=edges)]
+        plan = PreparedEdges(
+            np.stack([rng.integers(0, nodes, size=edges), rng.integers(0, nodes, size=edges)]),
+            nodes,
         )
         features_data = rng.standard_normal((nodes, 5))
         layer = GATLayer(5, 3, num_heads=2, concat_heads=concat_heads,
@@ -501,7 +456,7 @@ class TestFusedLayerParity:
         for mode, forward in (("fused", GATLayer.forward), ("composite", gat_layer_forward)):
             zero_grad(layer)
             features = Tensor(features_data.copy(), requires_grad=True)
-            out = forward(layer, features, edge_index, activation="relu")
+            out = forward(layer, features, plan, activation="relu")
             (out * Tensor(upstream)).sum().backward()
             results[mode] = (
                 out.data,
@@ -516,7 +471,7 @@ class TestFusedLayerParity:
 
     def test_fused_folded_head_matches_unfolded_chain(self):
         # (M (H W_f) + s ⊗ b_f) W_h + b_h with the weight products collapsed
-        # must match the unfolded fused_gcn_layer -> pool_head pair.
+        # must match the unfolded composite chain P (Â (H W_f) + b_f) W_h + b_h.
         rng = np.random.default_rng(47)
         pool = _random_csr(rng, 6, 14, density=0.4)
         adjacency = _random_csr(rng, 14, 14)
@@ -546,9 +501,8 @@ class TestFusedLayerParity:
         layer_bias_u = Tensor(layer_bias_data.copy(), requires_grad=True)
         head_weight_u = Tensor(head_weight_data.copy(), requires_grad=True)
         head_bias_u = Tensor(head_bias_data.copy(), requires_grad=True)
-        pooled = F.fused_gcn_layer(
-            hidden_u, folded, layer_weight_u, layer_bias_u,
-            bias_operator=row_sums,
+        pooled = F.sparse_matmul(
+            pool, F.sparse_matmul(adjacency, hidden_u @ layer_weight_u) + layer_bias_u
         )
         unfolded = pooled @ head_weight_u + head_bias_u
         (unfolded * Tensor(upstream)).sum().backward()
@@ -578,7 +532,7 @@ class TestFusedLayerParity:
 
     def test_gcn_layer_matches_composite_oracle(self):
         rng = np.random.default_rng(45)
-        adjacency = _random_csr(rng, 9, 9)
+        adjacency = PreparedMatrix(_random_csr(rng, 9, 9))
         features_data = rng.standard_normal((9, 4))
         layer = GCNLayer(4, 3, rng=np.random.default_rng(46))
         results = {}

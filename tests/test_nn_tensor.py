@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
 from repro.nn import functional as F
+from repro.nn.backend import PreparedEdges, PreparedMatrix
 from repro.nn.tensor import (
     Tensor,
     _as_array,
@@ -339,9 +340,11 @@ def _masked_layers(rng, rows, cols, broadcast):
     GCN and a fused GAT layer with ``relu``, a constant-input ``GCNLayer``
     with ``relu`` and ``F.dropout`` — as ``(x, forwards, leaves)``."""
     x = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
-    matrix = sp.csr_matrix(rng.random((rows, rows)) < 0.5, dtype=np.float64)
+    matrix = PreparedMatrix(sp.csr_matrix(rng.random((rows, rows)) < 0.5, dtype=np.float64))
     loops = np.tile(np.arange(rows), (2, 1))
-    edge_index = np.concatenate([rng.integers(rows, size=(2, 2 * rows)), loops], axis=1)
+    edges = PreparedEdges(
+        np.concatenate([rng.integers(rows, size=(2, 2 * rows)), loops], axis=1), rows
+    )
     gcn = GCNLayer(cols, 3, bias=broadcast, rng=rng)
     gat = GATLayer(cols, 2, num_heads=2, concat_heads=broadcast, rng=rng)
     constant = GCNLayer(cols, 3, rng=rng)
@@ -350,7 +353,7 @@ def _masked_layers(rng, rows, cols, broadcast):
             layer.bias.data = rng.standard_normal(layer.bias.data.shape)
     forwards = [
         lambda features: gcn(features, matrix, activation="relu"),
-        lambda features: gat(features, edge_index, activation="relu"),
+        lambda features: gat(features, edges, activation="relu"),
         lambda features: constant(Tensor(features.data), matrix, activation="relu"),
         lambda features: F.dropout(features, 0.5, True, rng),
     ]

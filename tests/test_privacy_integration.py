@@ -46,7 +46,8 @@ class TestFeaturePrivacy:
         feature = privacy_graph.features[0]
         mask = np.zeros(feature.shape[0], dtype=bool)
         mask[::4] = True
-        encoded = mechanism.encode(feature, workload=4, selected=mask, rng=rng)
+        bits = mechanism.encode(feature, workload=4, rng=rng)
+        encoded = np.where(mask, bits, OneBitMechanism.NEUTRAL)
         assert set(np.unique(encoded)) <= {0.0, 0.5, 1.0}
 
     def test_receivers_cannot_reconstruct_raw_features(self, privacy_graph):

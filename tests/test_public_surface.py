@@ -476,12 +476,14 @@ RETIRED_UNREAD_MEMBERS = {
     "repro.nn.fit.FitResult": {"seconds"},
     "repro.core.lumos.LumosSupervisedResult": {"ledger_summary"},
     "repro.core.lumos.LumosUnsupervisedResult": {"ledger_summary"},
-    "repro.core.trainer.TreeBatch": {"device_slices"},
+    "repro.core.trainer.TreeBatch": {"device_slices", "neighbor_rows"},
     "repro.core.constructor.TreeConstructionResult": {"greedy_assignment"},
     "repro.core.embedding_init.EmbeddingInitializationResult": {"received_features", "bytes_sent"},
     "repro.crypto.channel.ChannelStats": {"snapshot"},
     "repro.crypto.transport.TransportReport": {"snapshot"},
     "repro.crypto.ldp.FeatureBounds": {"width"},
+    "repro.crypto.ldp.OneBitMechanism": {"encode_and_recover"},
+    "repro.crypto.ldp.OneBitMechanism.encode": {"selected"},
     "repro.graph.splits.NodeSplit": {"num_nodes"},
     "repro.nn.backend.PreparedMatrix": {"shape"},
     "repro.nn.shared_rows.SharedRowFeatures": {"dense"},
@@ -491,7 +493,6 @@ RETIRED_UNREAD_MEMBERS = {
     "repro.nn.layers.Dropout": {"__repr__"},
     "repro.nn.tensor.Tensor": {"__repr__"},
     "repro.obs.metrics.MetricsRegistry": {"__bool__"},
-    "repro.caching.IdentityCache": {"__len__", "clear"},
 }
 
 
@@ -788,6 +789,32 @@ def test_retired_engine_names_stay_gone(modules):
         value = _resolve(owner)
         survivors += [f"{owner}.{name}" for name in names if hasattr(value, name)]
     assert not survivors
+
+
+#: Process-wide caches.  Derived structure lives on the object it comes from
+#: (``TreeBatch._derived``, ``GraphInput``, ``SharedRowFeatures.gather``) and
+#: a run owns its artifact store, so the identity cache, the memos of the
+#: normalised graph and its fingerprint, the backend's per-index plans and
+#: the default store are gone.
+RETIRED_CACHE_NAMES = {
+    "IdentityCache",
+    "default_store",
+    "_default_store",
+    "_normalized_graph",
+    "_normalized_graphs",
+    "_graph_cache",
+    "_per_index",
+    "prepare_edges",
+    "pooled_edge_index",
+}
+
+
+def test_retired_cache_names_stay_gone(modules):
+    assert importlib.util.find_spec("repro.caching") is None
+    assert not _retired_names_found(modules, "repro", RETIRED_CACHE_NAMES)
+    from repro.nn.backend import FastNumpyBackend
+
+    assert not vars(FastNumpyBackend())  # stateless kernels
 
 
 def test_every_reachability_keep_entry_names_a_def():

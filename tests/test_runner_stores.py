@@ -1,14 +1,13 @@
 """The evaluation entry points are independent of the store they run on.
 
 Every ``repro.eval.runner.run_*`` experiment entry point takes
-``store: Optional[ArtifactStore] = None`` and defaults to the process-wide
-:func:`~repro.engine.default_store`.  The store is a cache keyed by content,
-so where a run's stages come from must never show in what it returns: the
-default store (warm from whatever ran before), a fresh ``ArtifactStore()``,
-a second call on the same store (every stage a hit) and a
-:class:`~repro.engine.DiskSpillStore` reloaded from disk all return the
-same metrics, ledger transcripts, accountant totals and RNG end states,
-bit for bit.  Sweep points and arms share the stages whose keys they have
+``store: Optional[ArtifactStore] = None``; without one, a call creates one
+store that all its arms share.  The store is a cache keyed by content, so
+where a run's stages come from must never show in what it returns: the
+call's own store, a given fresh ``ArtifactStore()``, a second call on the
+same store (every stage a hit) and a :class:`~repro.engine.DiskSpillStore`
+reloaded from disk all return the same metrics, ledger transcripts,
+accountant totals and RNG end states, bit for bit.  Sweep points and arms share the stages whose keys they have
 in common, and only those.
 """
 
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import LumosSystem, default_config_for
-from repro.engine import ArtifactStore, DiskSpillStore, default_store
+from repro.engine import ArtifactStore, DiskSpillStore
 from repro.eval import runner
 from repro.eval.runner import (
     LUMOS_TASKS,
@@ -95,17 +94,28 @@ def _assert_payloads_equal(left, right):
 
 class TestEntryPointStores:
     @pytest.mark.parametrize("name, kwargs", ENTRY_POINTS, ids=ENTRY_POINT_IDS)
-    def test_isolated_store_equals_default_store(self, name, kwargs):
+    def test_a_storeless_call_runs_its_arms_on_one_store_of_its_own(
+        self, name, kwargs, monkeypatch
+    ):
         entry_point = getattr(runner, name)
         assert inspect.signature(entry_point).parameters["store"].default is None
-        before = sum(default_store().stats()[field] for field in ("hits", "misses"))
-        default = entry_point("facebook", scale=SCALE, **kwargs)
-        # Without ``store=`` the arms run on the process-wide store.
-        assert sum(default_store().stats()[field] for field in ("hits", "misses")) > before
+        created = []
+        build = ArtifactStore.__init__
+
+        def spy(store, *args, **kw):
+            created.append(store)
+            build(store, *args, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ArtifactStore, "__init__", spy)
+            storeless = entry_point("facebook", scale=SCALE, **kwargs)
+        # Without ``store=`` the call creates one store for all its arms.
+        assert len(created) == 1
         store = ArtifactStore()
-        isolated = entry_point("facebook", scale=SCALE, store=store, **kwargs)
-        _assert_equal_in_order(default, isolated)
-        assert store.stats()["misses"] > 0  # the isolated run computed for real
+        given = entry_point("facebook", scale=SCALE, store=store, **kwargs)
+        _assert_equal_in_order(storeless, given)
+        assert store.stats()["misses"] > 0  # the given store computed for real
+        assert created[0].stats() == store.stats()
 
     @pytest.mark.parametrize("name, kwargs", ENTRY_POINTS, ids=ENTRY_POINT_IDS)
     def test_second_call_on_one_store_replays_every_stage(self, name, kwargs):
