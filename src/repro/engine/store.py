@@ -177,10 +177,11 @@ class DiskSpillStore(ArtifactStore):
     # ``TreeBatch`` deriving ``edge_index`` and its pooling operators on first
     # read into one shared ``_derived`` dict, v13 ``TreeBatch`` without
     # ``neighbor_rows`` and its ``_derived`` holding the prepared
-    # propagation, pool operator and edge plans — pickled contents that
+    # propagation, pool operator and edge plans, v14 ``PreparedMatrix``
+    # holding its CSR only (no stored transpose) — pickled contents that
     # changed under unchanged stage keys.  Older files (or any unreadable
     # version) degrade to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 13
+    _FORMAT_VERSION = 14
 
     def __init__(
         self,

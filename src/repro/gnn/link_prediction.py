@@ -8,6 +8,7 @@ import numpy as np
 
 from ..eval.metrics import roc_auc_score
 from ..nn import functional as F
+from ..nn.backend import get_backend
 from ..nn.loss import link_prediction_loss
 from ..nn.tensor import Tensor
 
@@ -51,14 +52,21 @@ def link_prediction_objective(
     positive_pairs: np.ndarray, num_vertices: int, rng: np.random.Generator
 ) -> Callable[[Tensor], Tensor]:
     """Eq. 33 over ``positive_pairs`` as a function of the vertex embeddings,
-    with a fresh :func:`negative_sampler` draw per call."""
+    with a fresh :func:`negative_sampler` draw per call.
+
+    The two positive-pair gathers are the same every call: their selection
+    operators are prepared here, once, so no backward rebuilds them.
+    """
     pairs = np.asarray(positive_pairs, dtype=np.int64)
     sample = negative_sampler(pairs, num_vertices, rng)
+    backend = get_backend()
+    sources = backend.row_selection(pairs[:, 0], num_vertices)
+    targets = backend.row_selection(pairs[:, 1], num_vertices)
 
     def objective(embeddings: Tensor) -> Tensor:
         return link_prediction_loss(
-            F.gather(embeddings, pairs[:, 0]),
-            F.gather(embeddings, pairs[:, 1]),
+            F.gather(embeddings, sources),
+            F.gather(embeddings, targets),
             F.gather(embeddings, sample()),
         )
 

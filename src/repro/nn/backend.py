@@ -8,17 +8,20 @@ the operations whose implementation strategy matters for performance:
 * ``spmm`` / ``spmm_t`` — multiplication by a constant sparse propagation
   matrix (and by its transpose, for the backward pass);
 * ``take_rows`` / ``scatter_rows`` — row gather and its duplicate-aware
-  adjoint;
+  adjoint, through the gather's 0/1 ``row_selection`` operator;
 * ``fold_chain`` — a chain of constant operators collapsed into one.
 
 The kernels keep no state.  What is worth preparing once — a sparse matrix
-with its transpose (:class:`PreparedMatrix`), the GAT plan of an edge index
+in CSR form (:class:`PreparedMatrix`), the GAT plan of an edge index
 (:class:`PreparedEdges`) — is prepared by the object that owns the structure
-(the tree batch, a ``GraphInput``, a factored layer input) and kept for as
-long as that object lives.  The gather adjoint runs through a CSR aggregation
-matrix instead of ``np.add.at`` (which is unbuffered and an order of
-magnitude slower).  The ``np.add.at`` kernels and the composite (un-fused)
-layer graphs are the oracles in ``tests/helpers/oracles.py``.
+(the tree batch, a ``GraphInput``, a factored layer input, the
+link-prediction objective's positive pairs) and kept for as long as that
+object lives.  No transpose is ever stored: the adjoint multiplies by the
+CSC view ``csr.T``, which shares the CSR's arrays.  The gather adjoint runs
+through the selection operator instead of ``np.add.at`` (which is unbuffered
+and an order of magnitude slower).  The ``np.add.at`` kernels and the
+composite (un-fused) layer graphs are the oracles in
+``tests/helpers/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,20 @@ import scipy.sparse as sp
 
 
 class PreparedMatrix:
-    """A constant sparse matrix pre-converted to CSR, with its transpose."""
+    """A constant sparse matrix pre-converted to CSR, stored once.
 
-    __slots__ = ("csr", "csr_t")
+    A CSR input is kept as is.  The transpose the backward pass multiplies
+    by is the CSC view ``csr.T`` over the same three arrays, never a copy:
+    scipy's ``csc_matvecs`` adds each output row's contributions in
+    ascending source row, the order in which ``csr_matvecs`` reads the
+    canonical ``csr.T.tocsr()``, so the product has the same bits
+    (``tests/test_nn_backend.py`` pins it against that oracle).
+    """
+
+    __slots__ = ("csr",)
 
     def __init__(self, matrix: sp.spmatrix) -> None:
         self.csr = matrix.tocsr()
-        self.csr_t = self.csr.T.tocsr()
 
 
 MatrixLike = Union[sp.spmatrix, PreparedMatrix]
@@ -130,23 +140,30 @@ class PreparedEdges:
         return weighted - attention * self._expand(self._reduce(np.add, weighted))
 
 
-def _aggregation_matrix(index: np.ndarray, num_segments: int) -> sp.csr_matrix:
-    """``(num_segments, len(index))`` 0/1 matrix whose product sums rows per segment."""
-    _check_segment_ids(index, num_segments)
-    num_rows = index.shape[0]
+def _selection_matrix(index: np.ndarray, num_rows: int) -> sp.csr_matrix:
+    """The 0/1 ``(len(index), num_rows)`` operator ``S`` with
+    ``S @ data == data[index]``; ``S.T`` sums rows per segment.
+
+    Row ``i`` holds its one entry at column ``index[i]``, so the CSR is
+    written down directly, without a sort.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    _check_segment_ids(index, num_rows)
+    size = index.shape[0]
     return sp.csr_matrix(
-        (np.ones(num_rows, dtype=np.float64), (index, np.arange(num_rows))),
-        shape=(num_segments, num_rows),
+        (np.ones(size, dtype=np.float64), index, np.arange(size + 1)), shape=(size, num_rows)
     )
 
 
 class FastNumpyBackend:
     """Optimised numpy/scipy kernels, without state.
 
-    A product with a :class:`PreparedMatrix` reads its CSR form or its
-    stored transpose, so the backward pass never re-transposes; a raw sparse
-    matrix is prepared per call.  The gather adjoint builds its CSR
-    aggregation matrix per call, which still beats ``np.add.at``.
+    A product with a :class:`PreparedMatrix` reads its CSR form, and the
+    adjoint its CSC view, so the backward pass never transposes; a raw
+    sparse matrix is prepared per call.  The gather adjoint multiplies by
+    the transpose of the gather's selection operator, built per call unless
+    the caller prepared it once (:meth:`row_selection`), which still beats
+    ``np.add.at``.
     """
 
     # -- sparse matmul -------------------------------------------------- #
@@ -159,8 +176,8 @@ class FastNumpyBackend:
         return self.prepare_matrix(matrix).csr @ dense
 
     def spmm_t(self, matrix: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        """``matrix.T @ dense`` (the adjoint of :meth:`spmm`)."""
-        return self.prepare_matrix(matrix).csr_t @ dense
+        """``matrix.T @ dense`` (the adjoint of :meth:`spmm`), through the CSC view."""
+        return self.prepare_matrix(matrix).csr.T @ dense
 
     def fold_chain(self, matrices: Sequence[MatrixLike]) -> PreparedMatrix:
         """Collapse a chain of constant sparse operators into one operator.
@@ -182,19 +199,31 @@ class FastNumpyBackend:
         return self.prepare_matrix(product)
 
     # -- row gather / scatter ------------------------------------------- #
+    def row_selection(self, index: np.ndarray, num_rows: int) -> PreparedMatrix:
+        """:func:`_selection_matrix`, prepared for an index that stays constant."""
+        return PreparedMatrix(_selection_matrix(index, num_rows))
+
     def take_rows(self, data: np.ndarray, index: np.ndarray) -> np.ndarray:
         """``data[index]`` along the first axis."""
         return data[index]
 
-    def scatter_rows(self, values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
-        """Adjoint of :meth:`take_rows`: ``out[index[i]] += values[i]``."""
+    def scatter_rows(
+        self, values: np.ndarray, index: Union[np.ndarray, PreparedMatrix], num_rows: int
+    ) -> np.ndarray:
+        """Adjoint of :meth:`take_rows`: ``out[index[i]] += values[i]``.
+
+        ``index`` may be its :meth:`row_selection`, prepared once.  Each
+        output row adds its values in ascending ``i``.
+        """
         if values.size == 0:
             return np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
-        matrix = _aggregation_matrix(index, num_rows)
+        selection = (
+            index.csr if isinstance(index, PreparedMatrix) else _selection_matrix(index, num_rows)
+        )
         if values.ndim <= 2:
-            return np.asarray(matrix @ values, dtype=np.float64)
+            return np.asarray(selection.T @ values, dtype=np.float64)
         flat = values.reshape(values.shape[0], -1)
-        out = matrix @ flat
+        out = selection.T @ flat
         return np.asarray(out, dtype=np.float64).reshape((num_rows,) + values.shape[1:])
 
 

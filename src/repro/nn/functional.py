@@ -48,12 +48,22 @@ def sparse_matmul(matrix: Union[sp.spmatrix, PreparedMatrix], tensor: Tensor) ->
     return Tensor._make(out_data, (tensor,), backward)
 
 
-def gather(tensor: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows ``tensor[index]`` with duplicate-aware gradients."""
+def gather(tensor: Tensor, index: Union[np.ndarray, PreparedMatrix]) -> Tensor:
+    """Select rows ``tensor[index]`` with duplicate-aware gradients.
+
+    An index that stays the same from step to step can be handed over as
+    its :meth:`~repro.nn.backend.FastNumpyBackend.row_selection`, prepared
+    once: the adjoint then builds nothing.  Either way the bits are equal.
+    """
     backend = get_backend()
-    index = np.asarray(index, dtype=np.int64)
-    out_data = backend.take_rows(tensor.data, index)
     num_rows = tensor.data.shape[0]
+    if isinstance(index, PreparedMatrix):
+        if index.csr.shape[1] != num_rows:
+            raise ValueError("row selection was prepared for a different number of rows")
+        rows = index.csr.indices
+    else:
+        rows = index = np.asarray(index, dtype=np.int64)
+    out_data = backend.take_rows(tensor.data, rows)
 
     def backward(grad: np.ndarray) -> None:
         tensor._accumulate(backend.scatter_rows(_as_array(grad), index, num_rows), donated=True)
@@ -282,6 +292,13 @@ def fused_folded_head(
     * ``dW_h = W_fᵀ T + b_f ⊗ r``,
     * ``dW_f = T W_hᵀ``,  ``db_f = r W_hᵀ``,
     * ``dH = S (W_f W_h)ᵀ``.
+
+    ``T`` is the last read of ``H``, so an interior ``hidden`` gets ``dH``
+    written into its own array, which becomes its gradient: call this with
+    an output that nothing else reads, whose node's adjoint does not read it
+    either (``LumosModel.logits`` hands it the encoder's in-place-dropped
+    hidden output; no layer's adjoint reads its output).  A leaf ``hidden``
+    — a tensor the caller built, a ``Parameter`` — is never written.
     """
     backend = get_backend()
     prepared = backend.prepare_matrix(matrix)
@@ -305,7 +322,11 @@ def fused_folded_head(
         layer_weight._accumulate(projected @ head_weight.data.T, donated=True)
         layer_bias._accumulate(row_grad @ head_weight.data.T, donated=True)
         if hidden.requires_grad:
-            hidden._accumulate(scattered @ combined.T, donated=True)
+            if hidden._backward is None:  # a leaf: the caller's array
+                hidden_grad = scattered @ combined.T
+            else:
+                hidden_grad = np.matmul(scattered, combined.T, out=hidden.data)
+            hidden._accumulate(hidden_grad, donated=True)
 
     parents = (hidden, layer_weight, layer_bias, head_weight, head_bias)
     return Tensor._make(out, parents, backward)

@@ -1132,7 +1132,15 @@ class ReferenceKernels:
     def take_rows(self, data: np.ndarray, index: np.ndarray) -> np.ndarray:
         return data[index]
 
-    def scatter_rows(self, values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    def row_selection(self, index: np.ndarray, num_rows: int) -> PreparedMatrix:
+        size = len(index)
+        return PreparedMatrix(
+            sp.csr_matrix((np.ones(size), (np.arange(size), index)), shape=(size, num_rows))
+        )
+
+    def scatter_rows(self, values: np.ndarray, index, num_rows: int) -> np.ndarray:
+        if isinstance(index, PreparedMatrix):
+            index = index.csr.tocoo().col
         out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
         np.add.at(out, index, values)
         return out

@@ -591,11 +591,13 @@ def test_no_dense_feature_matrix_between_ldp_draws_and_training(guard_graph):
     assert train_peak - start < 0.75 * dense
 
 
-def test_at_most_two_hidden_activations_live_at_the_training_peak(guard_graph):
+def test_one_hidden_activation_lives_at_the_training_peak(guard_graph):
     # The training peak is in the backward of the folded GCN head, when it
-    # hands layer 0 its (num_nodes, hidden) gradient.  Besides that gradient
-    # only layer 0's output may be alive, dropped in place: it used to be
-    # three, with the output kept by the layer's memo and a dropped copy.
+    # hands layer 0 its (num_nodes, hidden) gradient.  That gradient is
+    # written into layer 0's dropped output, whose last reader the head's
+    # weight adjoint was, so one array is alive: it used to be two (the
+    # dropped output beside the gradient), and before that three (the output
+    # kept by the layer's memo and a dropped copy).
     system = LumosSystem(guard_graph, _config(epochs=2), store=ArtifactStore())
     split = split_nodes(system.graph, seed=0)
     trainer = system.trainer()
@@ -618,7 +620,7 @@ def test_at_most_two_hidden_activations_live_at_the_training_peak(guard_graph):
     finally:
         tracemalloc.stop()
     assert len(live) == 4  # two gradients per epoch
-    assert max(live) <= 2
+    assert max(live) <= 1
 
 
 def test_repeated_runs_leave_live_memory_flat(guard_graph):

@@ -4,13 +4,18 @@ oracle, and the fused layers against their composite graphs (both oracles in
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
+from repro.gnn.link_prediction import link_prediction_objective
 from repro.gnn.models import EncoderConfig, GNNEncoder
+from repro.nn import backend as backend_module
 from repro.nn import functional as F
 from repro.nn.backend import FastNumpyBackend, PreparedEdges, PreparedMatrix, get_backend
 from repro.nn.loss import cross_entropy
@@ -67,6 +72,10 @@ class TestKernelParity:
         np.add.at(expected, index, values)
         backend = KERNELS[name]()
         np.testing.assert_allclose(backend.scatter_rows(values, index, 6), expected, atol=1e-12)
+        selection = backend.row_selection(index, 6)
+        np.testing.assert_array_equal(
+            backend.scatter_rows(values, selection, 6), backend.scatter_rows(values, index, 6)
+        )
         np.testing.assert_array_equal(backend.take_rows(values, index[:5]), values[index[:5]])
 
     @pytest.mark.parametrize(
@@ -292,6 +301,126 @@ class TestPreparedMatrices:
         )
 
 
+def _awkward_sparse(rng, fmt, rows, cols):
+    """A ``rows x cols`` sparse matrix in ``fmt`` that no canonical form hides.
+
+    The compressed formats are written down directly, with the indices of
+    each run unsorted and some of them repeated (duplicate entries, which a
+    CSR input keeps); a COO input repeats coordinates too.  Some rows and
+    columns are empty, and the values span sixteen orders of magnitude so a
+    changed summation order changes bits.
+    """
+    outer, inner = (rows, cols) if fmt != "csc" else (cols, rows)
+    live_inner = rng.choice(inner, size=max(1, inner - inner // 4), replace=False)
+    counts = rng.integers(0, 6, size=outer) * (rng.random(outer) < 0.8)
+    nnz = int(counts.sum())
+    indices = rng.choice(live_inner, size=nnz)
+    data = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 8, size=nnz)
+    indptr = np.append(0, np.cumsum(counts))
+    if fmt == "csr":
+        return sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+    if fmt == "csc":
+        return sp.csc_matrix((data, indices, indptr), shape=(rows, cols))
+    outer_ids = np.repeat(np.arange(outer), counts)
+    return sp.coo_matrix((data, (outer_ids, indices)), shape=(rows, cols))
+
+
+def _assert_products_match_the_transposing_oracle(seed, fmt, width):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 40, size=2)
+    matrix = _awkward_sparse(rng, fmt, int(rows), int(cols))
+    prepared = PreparedMatrix(matrix)
+    oracle = ReferenceKernels()  # csr @ x and csr.T.tocsr() @ x
+    shape = (lambda n: (n,)) if width == 0 else (lambda n: (n, width))
+    forward = rng.standard_normal(shape(cols)) * 10.0 ** rng.integers(-4, 4, size=shape(cols))
+    adjoint = rng.standard_normal(shape(rows)) * 10.0 ** rng.integers(-4, 4, size=shape(rows))
+    backend = get_backend()
+    np.testing.assert_array_equal(backend.spmm(prepared, forward), oracle.spmm(prepared, forward))
+    np.testing.assert_array_equal(
+        backend.spmm_t(prepared, adjoint), oracle.spmm_t(prepared, adjoint)
+    )
+
+
+class TestTransposeFreeAdjoint:
+    """``spmm_t`` multiplies by the CSC view of the one CSR.  Its bits must be
+    those of the stored transpose it replaced, ``csr.T.tocsr() @ x``, on any
+    input the backend accepts: unsorted and duplicate indices, empty rows and
+    columns, CSR / CSC / COO, one to 64 columns (0: a 1-D vector)."""
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    @pytest.mark.parametrize("width", [0, 1, 2, 7, 16, 33, 64])
+    def test_spmm_and_spmm_t_match_the_transposing_oracle(self, fmt, width):
+        for seed in range(6):
+            _assert_products_match_the_transposing_oracle(seed, fmt, width)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_spmm_and_spmm_t_match_the_transposing_oracle_wide(self, fmt):
+        for seed in range(100, 400):
+            width = int(np.random.default_rng(seed).integers(0, 65))
+            _assert_products_match_the_transposing_oracle(seed, fmt, width)
+
+    def test_prepared_matrix_keeps_one_csr(self):
+        # Preparing a CSR allocates nothing (a transpose of this matrix would
+        # be ~1 MB), and an adjoint allocates its output and no more.
+        rng = np.random.default_rng(10)
+        matrix = sp.random(3000, 2000, density=0.02, format="csr", random_state=rng)
+        grad = rng.standard_normal((3000, 4))
+        tracemalloc.start()
+        try:
+            prepared = PreparedMatrix(matrix)
+            prepared_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = get_backend().spmm_t(prepared, grad)
+            adjoint_bytes = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert prepared.csr is matrix
+        assert not hasattr(prepared, "csr_t")
+        assert prepared_bytes < 1024
+        assert adjoint_bytes < out.nbytes + 16 * 1024
+
+
+class TestRowSelection:
+    def test_prepared_selection_gathers_and_scatters_the_bits_of_its_index(self):
+        rng = np.random.default_rng(11)
+        index = rng.integers(0, 9, size=50)
+        data = rng.standard_normal((9, 5)) * 10.0 ** rng.integers(-8, 8, size=(9, 5))
+        upstream = rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-8, 8, size=(50, 5))
+        grads = []
+        for key in (index, get_backend().row_selection(index, 9)):
+            source = Tensor(data.copy(), requires_grad=True)
+            gathered = F.gather(source, key)
+            np.testing.assert_array_equal(gathered.data, data[index])
+            (gathered * Tensor(upstream)).sum().backward()
+            grads.append(source.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+        expected = np.zeros((9, 5))
+        np.add.at(expected, index, upstream)  # ascending i, as the selection adds
+        np.testing.assert_array_equal(grads[1], expected)
+
+    def test_a_selection_for_other_rows_is_refused(self):
+        selection = get_backend().row_selection(np.array([0, 2]), 3)
+        with pytest.raises(ValueError, match="different number of rows"):
+            F.gather(Tensor(np.ones((4, 2)), requires_grad=True), selection)
+
+    def test_link_objective_prepares_its_positive_selections_once(self):
+        # The positive pairs are constant for a run: only the negative draw's
+        # selection is built per step.
+        rng = np.random.default_rng(12)
+        pairs = rng.integers(0, 20, size=(30, 2))
+        with mock.patch.object(
+            backend_module, "_selection_matrix", wraps=backend_module._selection_matrix
+        ) as built:
+            objective = link_prediction_objective(pairs, 20, np.random.default_rng(0))
+            assert built.call_count == 2
+            for step in range(3):
+                embeddings = Tensor(rng.standard_normal((20, 4)), requires_grad=True)
+                objective(embeddings).backward()
+                assert built.call_count == 2 + (step + 1)
+
+
 class TestParameterRebindInvariant:
     """The fused GCN memos key on `Parameter.data` object identity, which is
     sound only while every weight update REBINDS the array instead of
@@ -512,6 +641,39 @@ class TestFusedLayerParity:
         np.testing.assert_allclose(layer_bias.grad, layer_bias_u.grad, atol=1e-10)
         np.testing.assert_allclose(head_weight.grad, head_weight_u.grad, atol=1e-10)
         np.testing.assert_allclose(head_bias.grad, head_bias_u.grad, atol=1e-10)
+
+    def _folded_head_gradients(self, interior: bool):
+        rng = np.random.default_rng(49)
+        folded = get_backend().fold_chain(
+            [_random_csr(rng, 6, 14, density=0.4), _random_csr(rng, 14, 14)]
+        )
+        row_sums = np.asarray(folded.csr.sum(axis=1)).ravel()
+        hidden_data = rng.standard_normal((14, 5))
+        source = Tensor(hidden_data.copy(), requires_grad=True)
+        # A leaf the caller built, or an interior node whose array is its own.
+        hidden = source * Tensor(np.ones(5)) if interior else source
+        parameters = [
+            Tensor(rng.standard_normal(shape), requires_grad=True)
+            for shape in [(5, 4), (4,), (4, 3), (3,)]
+        ]
+        out = F.fused_folded_head(hidden, folded, *parameters, row_sums)
+        (out * Tensor(rng.standard_normal((6, 3)))).sum().backward()
+        return hidden_data, hidden, source.grad, [p.grad for p in parameters]
+
+    def test_fused_folded_head_leaves_a_leaf_hidden_untouched(self):
+        hidden_data, hidden, _, _ = self._folded_head_gradients(interior=False)
+        np.testing.assert_array_equal(hidden.data, hidden_data)
+        assert hidden.grad is not None and not np.shares_memory(hidden.grad, hidden.data)
+
+    def test_fused_folded_head_writes_the_interior_hidden_gradient_in_place(self):
+        # The interior node's array becomes its gradient; the bits are those
+        # of the copying backward a leaf gets.
+        _, _, copied, copied_parameters = self._folded_head_gradients(interior=False)
+        _, hidden, reused, reused_parameters = self._folded_head_gradients(interior=True)
+        np.testing.assert_array_equal(reused, copied)
+        np.testing.assert_array_equal(hidden.data, copied)
+        for reused_grad, copied_grad in zip(reused_parameters, copied_parameters):
+            np.testing.assert_array_equal(reused_grad, copied_grad)
 
     def test_fused_masked_cross_entropy_matches_composite_bitwise(self):
         rng = np.random.default_rng(48)

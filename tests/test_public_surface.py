@@ -485,7 +485,7 @@ RETIRED_UNREAD_MEMBERS = {
     "repro.crypto.ldp.OneBitMechanism": {"encode_and_recover"},
     "repro.crypto.ldp.OneBitMechanism.encode": {"selected"},
     "repro.graph.splits.NodeSplit": {"num_nodes"},
-    "repro.nn.backend.PreparedMatrix": {"shape"},
+    "repro.nn.backend.PreparedMatrix": {"shape", "csr_t"},
     "repro.nn.shared_rows.SharedRowFeatures": {"dense"},
     "repro.gnn.gat.GATLayer": {"output_dim", "__repr__"},
     "repro.gnn.gcn.GCNLayer": {"__repr__"},
