@@ -178,10 +178,12 @@ class DiskSpillStore(ArtifactStore):
     # read into one shared ``_derived`` dict, v13 ``TreeBatch`` without
     # ``neighbor_rows`` and its ``_derived`` holding the prepared
     # propagation, pool operator and edge plans, v14 ``PreparedMatrix``
-    # holding its CSR only (no stored transpose) — pickled contents that
+    # holding its CSR only (no stored transpose), v15 ``PreparedEdges``
+    # holding ``src`` and ``counts`` only, plus its head-blocked plans (no
+    # per-head ``order`` / runs / CSR arrays) — pickled contents that
     # changed under unchanged stage keys.  Older files (or any unreadable
     # version) degrade to a miss and are quarantined like corrupt files.
-    _FORMAT_VERSION = 14
+    _FORMAT_VERSION = 15
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ composite (un-fused) layer graphs are the oracles in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,27 +60,16 @@ def _check_segment_ids(index: np.ndarray, num_segments: int) -> None:
 class PreparedEdges:
     """Structure of a constant ``(2, E)`` edge index, prepared once for GAT.
 
-    The edges are stably sorted by destination (``order``, original order
-    kept within a destination), so everything the attention layer does per
-    destination is a contiguous run: the segment max / sum of the edge
-    softmax are ``ufunc.reduceat`` calls at ``starts`` (where the run of each
-    node in ``segments``, those with an incoming edge, begins), the
-    destination side of an edge is an ``np.repeat``, and ``(indptr,
-    indices)`` is the CSR structure of the ``N x N`` aggregation matrix whose
-    *data* is one head's attention row of the current step
-    (:meth:`attention_matrix`).  Read as CSC the same three arrays are its
-    transpose, which is all the backward pass needs.
-
-    Per-edge arrays handed to or returned by the methods are ``(H, E)`` in
-    this destination-sorted order (``order`` maps back to the caller's).
-    Like :class:`PreparedMatrix` the plan is structure only, kept by the
-    object that owns the edge index (``TreeBatch`` / ``GraphInput``).
+    The edges are stably sorted by destination, the caller's order kept
+    within a destination: ``src`` holds their sources in that order and
+    ``counts`` every node's in-degree.  A layer with ``H`` heads runs on the
+    head-blocked plan that :meth:`blocked` derives from these two arrays on
+    first use and keeps here.  Like :class:`PreparedMatrix` the plan is
+    structure only, kept by the object that owns the edge index
+    (``TreeBatch`` / ``GraphInput``).
     """
 
-    __slots__ = (
-        "num_nodes", "order", "counts", "segments", "starts", "src", "run_lengths",
-        "indices", "indptr",
-    )
+    __slots__ = ("num_nodes", "src", "counts", "_blocked")
 
     def __init__(self, edge_index: np.ndarray, num_nodes: int) -> None:
         edge_index = np.asarray(edge_index, dtype=np.int64)
@@ -89,55 +78,147 @@ class PreparedEdges:
         dst = edge_index[1]
         _check_segment_ids(dst, num_nodes)
         self.num_nodes = int(num_nodes)
-        self.order = np.argsort(dst, kind="stable")
         self.counts = np.bincount(dst, minlength=num_nodes)
-        self.segments = np.flatnonzero(self.counts)
-        self.starts = (np.cumsum(self.counts) - self.counts)[self.segments]
-        self.run_lengths = self.counts[self.segments]
-        self.src = edge_index[0][self.order]
+        self.src = edge_index[0][np.argsort(dst, kind="stable")]
         if self.src.size and not 0 <= self.src.min() <= self.src.max() < num_nodes:
             raise IndexError(f"edge source out of range for {num_nodes} nodes")
+        self._blocked: Dict[int, HeadBlockedEdges] = {}
+
+    def blocked(self, num_heads: int) -> "HeadBlockedEdges":
+        """The plan laid out for ``num_heads`` heads, built once and kept."""
+        plan = self._blocked.get(num_heads)
+        if plan is None:
+            plan = self._blocked[num_heads] = HeadBlockedEdges(self, num_heads)
+        return plan
+
+
+#: Edges per chunk of :meth:`HeadBlockedEdges.sampled_dots`.
+_DOT_CHUNK = 1 << 12
+
+
+class HeadBlockedEdges:
+    """A :class:`PreparedEdges` plan laid out for ``H`` attention heads.
+
+    Per-node arrays are node-major: head ``h`` of node ``i`` is row
+    ``i·H + h`` of an ``(N·H, F)`` view of the ``(N, H·F)`` array.  Block row
+    ``i·H + h`` holds destination ``i``'s edges for head ``h``, in the
+    plan's ``src`` order, at columns ``src·H + h``.  ``(indptr, indices)`` is
+    thus the CSR structure of the ``(N·H, N·H)`` aggregation matrix whose
+    data is one step's attention (:meth:`matrix`): one product aggregates
+    every head, and its ``(N·H, F)`` output is the heads' concatenation.
+    Read as CSC the same arrays are its transpose.
+
+    Per-edge arrays are ``(E·H,)`` in block order.  Each block is a
+    contiguous run holding the values one head's destination run held, in
+    the same order, so every reduction adds as it did per head: the
+    segment max / sum of the edge softmax are ``ufunc.reduceat`` calls at
+    the starts of the non-empty blocks, the source sum is one
+    ``np.bincount`` over ``indices``, and the destination side of an edge is
+    an ``np.repeat``.  The plan keeps the two index arrays only (and shares
+    ``counts`` with the :class:`PreparedEdges` it came from); the runs of the
+    non-empty blocks are derived per call.
+    """
+
+    __slots__ = ("num_nodes", "num_heads", "counts", "indptr", "indices")
+
+    def __init__(self, edges: PreparedEdges, num_heads: int) -> None:
+        counts, heads = edges.counts, int(num_heads)
+        self.num_nodes, self.num_heads, self.counts = edges.num_nodes, heads, counts
+        rows, size = self.num_nodes * heads, edges.src.shape[0] * heads
+        first = np.cumsum(counts) - counts  # each destination's first sorted edge
+        indptr = np.empty(rows + 1, dtype=np.int64)
+        indptr[:-1] = (heads * first[:, None] + counts[:, None] * np.arange(heads)).ravel()
+        indptr[-1] = size
+        dst = np.repeat(np.arange(self.num_nodes), counts)  # of each sorted edge
+        rank = np.arange(edges.src.shape[0]) - first[dst]  # its place in the run
+        indices = np.empty(size, dtype=np.int64)
+        for h in range(heads):
+            indices[indptr[dst * heads + h] + rank] = edges.src * heads + h
         # Let scipy pick its index dtype once, so the per-step matrices below
         # wrap these arrays without a cast.
-        structure = sp.csr_matrix(
-            (np.zeros(self.src.shape[0]), self.src, np.append(0, np.cumsum(self.counts))),
-            shape=(num_nodes, num_nodes),
-        )
+        structure = sp.csr_matrix((np.empty(size), indices, indptr), shape=(rows, rows))
         self.indices, self.indptr = structure.indices, structure.indptr
 
-    def attention_matrix(self, attention: np.ndarray) -> sp.csr_matrix:
-        """``A[i, j] = sum of attention over the edges j -> i`` (one head)."""
-        return sp.csr_matrix(
-            (attention, self.indices, self.indptr), shape=(self.num_nodes, self.num_nodes)
-        )
+    def matrix(self, attention: np.ndarray) -> sp.csr_matrix:
+        """``A[i·H+h, j·H+h]`` = the attention of head ``h`` summed over the
+        edges ``j -> i``: the block-diagonal ``(N·H, N·H)`` aggregation."""
+        rows = self.num_nodes * self.num_heads
+        return sp.csr_matrix((attention, self.indices, self.indptr), shape=(rows, rows))
 
-    def _reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
-        return ufunc.reduceat(values, self.starts, axis=-1)
+    def node_matrix(self, attention: np.ndarray) -> sp.csr_matrix:
+        """:meth:`matrix` with each destination's ``H`` rows as one row:
+        ``(N, N·H)``, the same data read through ``indptr[::H]``."""
+        shape = (self.num_nodes, self.num_nodes * self.num_heads)
+        return sp.csr_matrix((attention, self.indices, self.indptr[:: self.num_heads]), shape=shape)
 
-    def _expand(self, per_run: np.ndarray) -> np.ndarray:
-        return np.repeat(per_run, self.run_lengths, axis=-1)
+    def _runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The destinations with an edge, and the starts and lengths of
+        their blocks in block order."""
+        segments = np.flatnonzero(self.counts)
+        starts = self.indptr[:-1].reshape(self.num_nodes, self.num_heads)[segments].ravel()
+        return segments, starts, np.repeat(self.counts[segments], self.num_heads)
+
+    def expand_rows(self, values: np.ndarray) -> np.ndarray:
+        """Each edge's entry of the ``(N·H,)`` per-row ``values``."""
+        return np.repeat(values, np.diff(self.indptr))
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum ``(..., E)`` edge values per destination into ``(..., N)``."""
-        out = np.zeros(values.shape[:-1] + (self.num_nodes,), dtype=np.float64)
-        out[..., self.segments] = self._reduce(np.add, values)
-        return out
+        """Sum the ``(E·H,)`` edge values per block row into ``(N·H,)``."""
+        segments, starts, _ = self._runs()
+        out = np.zeros((self.num_nodes, self.num_heads))
+        out[segments] = np.add.reduceat(values, starts).reshape(-1, self.num_heads)
+        return out.reshape(-1)
+
+    def source_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum the ``(E·H,)`` edge values per column into ``(N·H,)``: each
+        bin adds its edges in block order, destination by destination."""
+        return np.bincount(self.indices, weights=values, minlength=self.num_nodes * self.num_heads)
 
     def softmax(self, logits: np.ndarray) -> np.ndarray:
-        """Softmax of ``(..., E)`` logits over the incoming edges of each node."""
-        shifted = logits - self._expand(self._reduce(np.maximum, logits))
-        exp_values = np.exp(shifted, out=shifted)
-        denominator = self._reduce(np.add, exp_values) + 1e-16
-        return np.divide(exp_values, self._expand(denominator), out=exp_values)
+        """Softmax of the ``(E·H,)`` logits over each block, in place."""
+        _, starts, lengths = self._runs()
+        logits -= np.repeat(np.maximum.reduceat(logits, starts), lengths)
+        np.exp(logits, out=logits)
+        denominator = np.add.reduceat(logits, starts) + 1e-16
+        return np.divide(logits, np.repeat(denominator, lengths), out=logits)
 
     def softmax_backward(self, attention: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`softmax`: ``a * (g - sum_segment(a * g))``.
+        """Adjoint of :meth:`softmax`, ``a * (g - sum_block(a * g))``, into ``grad``.
 
-        The max shift and the ``1e-16`` guard are constant within a segment,
+        The max shift and the ``1e-16`` guard are constant within a block,
         so both cancel from the adjoint.
         """
-        weighted = attention * grad
-        return weighted - attention * self._expand(self._reduce(np.add, weighted))
+        _, starts, lengths = self._runs()
+        grad *= attention
+        total = np.repeat(np.add.reduceat(grad, starts), lengths)
+        total *= attention
+        grad -= total
+        return grad
+
+    def sampled_dots(self, grads: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``out[p] = grads[row] · values[indices[p]]`` at every position ``p``.
+
+        ``grads`` has a row per block row, ``(N·H, F)``, or one per
+        destination that its heads share, ``(N, F)``; ``values`` is
+        ``(N·H, F)``.  Both operands are gathered about :data:`_DOT_CHUNK`
+        edges at a time, so no ``(E·H, F)`` array exists.
+        """
+        shared = grads.shape[0] != self.indptr.shape[0] - 1
+        ptr = self.indptr[:: self.num_heads] if shared else self.indptr
+        out = np.empty(self.indices.shape[0])
+        row = 0
+        while row < grads.shape[0]:
+            stop = int(np.searchsorted(ptr, ptr[row] + _DOT_CHUNK, side="right")) - 1
+            stop = max(stop, row + 1)
+            low, high = ptr[row], ptr[stop]
+            np.einsum(
+                "ef,ef->e",
+                np.repeat(grads[row:stop], np.diff(ptr[row : stop + 1]), axis=0),
+                np.take(values, self.indices[low:high], axis=0),
+                out=out[low:high],
+            )
+            row = stop
+        return out
 
 
 def _selection_matrix(index: np.ndarray, num_rows: int) -> sp.csr_matrix:

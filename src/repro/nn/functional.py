@@ -139,83 +139,90 @@ def fused_gat_layer(
 
     ``features`` may be the constant first-layer input kept factored
     (:class:`~repro.nn.shared_rows.SharedRowFeatures`): the transform and its
-    weight adjoint then run on the distinct rows.  ``edges`` is the
-    :class:`~repro.nn.backend.PreparedEdges` plan of the edge
-    index.  Per-edge state is ``(H, E)`` only: the
-    aggregation is one CSR product ``A_h @ T_h`` per head, with the plan as
-    structure and that head's attention as data, so no edge-by-feature array
-    exists in forward (memory ``O(E H + N H F)``).  Backward is ``A_hᵀ @ G_h``
-    for the message adjoint and one sampled dot product per head
-    (``(E, F)`` at a time) for the attention adjoint.
+    weight adjoint then run on the distinct rows.  The layer works
+    node-major on the head-blocked plan of ``edges``
+    (:meth:`~repro.nn.backend.PreparedEdges.blocked`): ``T = X W`` is read as
+    ``(N·H, F)``, never transposed, and the aggregation is one CSR product
+    ``A T`` whose output is the heads' concatenation (mean heads add
+    ``((a0 + a1) + a2) + ...`` and scale by ``1/H``).  Per-edge state is
+    ``(E·H,)``; no edge-by-feature array and no head-major copy exists.
+
+    Backward, in this order: the sampled dot products of the attention
+    adjoint (chunked), the softmax adjoint, the score gradients, the
+    attention-vector gradients — the last reads of ``T``, which is then
+    released — and only then ``G_T = Aᵀ G`` plus the score terms (for mean
+    heads ``G/H`` times the CSC view of the ``(N, N·H)`` node-row matrix),
+    then the weight and input adjoints.  At its peak the layer thus holds
+    one ``(N, H·F)`` array.  Like :func:`fused_folded_head`, an interior
+    ``features`` gets its gradient written into its own array, after the
+    weight adjoint's last read of it: call this with an input that nothing
+    else reads (the encoder's in-place-dropped hidden output).
     """
     if activation not in (None, "relu"):
         raise ValueError(f"unsupported fused activation '{activation}'")
     num_nodes = features.shape[0]
     if edges.num_nodes != num_nodes:
         raise ValueError("edge plan was prepared for a different number of nodes")
-    heads = range(num_heads)
+    blocks = edges.blocked(num_heads)
+    rows, width = num_nodes * num_heads, num_heads * head_dim
     backend = get_backend()
     shared = isinstance(features, SharedRowFeatures)
     if shared:
         support = backend.spmm(features.gather, features.project(weight.data))
     else:
         support = features.data @ weight.data
-    # Head-major (H, N, F): each head's block is the contiguous dense operand
-    # of its sparse product.
-    transformed = np.ascontiguousarray(
-        support.reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
-    )
     # Source and destination attention vectors side by side, (H, 2, F), so
-    # both per-node scores (and later both their adjoints) are one batched gemm.
+    # both per-node scores (and later both their adjoints) are one batched
+    # gemm over the heads' strided (N, F) views of T.
     vectors = np.stack([attention_src.data, attention_dst.data], axis=1)
-    scores = vectors @ transformed.transpose(0, 2, 1)  # (H, 2, N)
-
-    logits = np.take(scores[:, 0], edges.src, axis=1) + np.repeat(
-        scores[:, 1], edges.counts, axis=1
-    )  # (H, E)
-    # Exactly 1.0 / negative_slope like np.where, without its per-element branch.
-    positive = logits > 0
-    slope = positive + ~positive * negative_slope
-    attention = edges.softmax(logits * slope)
-    matrices = [edges.attention_matrix(attention[h]) for h in heads]
-    aggregated = [matrices[h] @ transformed[h] for h in heads]  # H x (N, F)
+    scores = vectors @ support.reshape(num_nodes, num_heads, head_dim).transpose(1, 2, 0)
+    logits = np.ravel(scores[:, 0].T)[blocks.indices]
+    logits += blocks.expand_rows(np.ravel(scores[:, 1].T))
+    # Leaky relu through a mask: x * 1.0 is x, so only the rest is scaled.
+    negative = logits > 0
+    np.logical_not(negative, out=negative)
+    np.multiply(logits, negative_slope, out=logits, where=negative)
+    attention = blocks.softmax(logits)
+    aggregated = blocks.matrix(attention) @ support.reshape(rows, head_dim)
     if concat_heads:
-        out = np.concatenate(aggregated, axis=1)
+        out = aggregated.reshape(num_nodes, width)
     else:
-        out = sum(aggregated[1:], aggregated[0]) * (1.0 / num_heads)
-    out = out + bias.data
+        by_head = aggregated.reshape(num_nodes, num_heads, head_dim)
+        out = by_head[:, 0].copy()
+        for h in range(1, num_heads):
+            out += by_head[:, h]
+        out *= 1.0 / num_heads
+    out += bias.data
     mask = relu_(out) if activation == "relu" else None
 
     def backward(grad: np.ndarray) -> None:
+        nonlocal support
         g = _as_array(grad)
         if mask is not None:
             np.multiply(g, mask, out=g)
         bias._accumulate(g)
-        if concat_heads:
-            g_heads = np.split(g, num_heads, axis=1)
-        else:
-            g_heads = [g * (1.0 / num_heads)] * num_heads
-        g_transformed = np.empty_like(transformed)
-        g_attention = np.empty_like(attention)
-        g_edges = None
-        for h in heads:
-            g_transformed[h] = matrices[h].T @ g_heads[h]
-            if concat_heads or g_edges is None:  # mean heads share one gradient
-                g_edges = np.repeat(g_heads[h], edges.counts, axis=0)  # (E, F)
-            np.einsum(
-                "ef,ef->e", g_edges, np.take(transformed[h], edges.src, axis=0),
-                out=g_attention[h],
-            )
-        g_logits = edges.softmax_backward(attention, g_attention) * slope
+        # One gradient row per block row (concat), or one per node that its
+        # heads share (mean).
+        g_rows = g.reshape(rows, head_dim) if concat_heads else g * (1.0 / num_heads)
+        g_logits = blocks.sampled_dots(g_rows, support.reshape(rows, head_dim))
+        blocks.softmax_backward(attention, g_logits)
+        np.multiply(g_logits, negative_slope, out=g_logits, where=negative)
         g_scores = np.empty_like(scores)
-        for h in heads:
-            g_scores[h, 0] = np.bincount(edges.src, weights=g_logits[h], minlength=num_nodes)
-        g_scores[:, 1] = edges.segment_sum(g_logits)
-        g_transformed += g_scores.transpose(0, 2, 1) @ vectors
-        g_vectors = g_scores @ transformed  # (H, 2, F)
+        g_scores[:, 0] = blocks.source_sum(g_logits).reshape(num_nodes, num_heads).T
+        g_scores[:, 1] = blocks.segment_sum(g_logits).reshape(num_nodes, num_heads).T
+        del g_logits
+        g_vectors = g_scores @ support.reshape(num_nodes, num_heads, head_dim).transpose(1, 0, 2)
         attention_src._accumulate(g_vectors[:, 0])
         attention_dst._accumulate(g_vectors[:, 1])
-        flat = g_transformed.transpose(1, 0, 2).reshape(num_nodes, num_heads * head_dim)
+        support = None  # the last read of T
+        if concat_heads:
+            g_support = blocks.matrix(attention).T @ g_rows
+        else:
+            g_support = blocks.node_matrix(attention).T @ g_rows
+        by_head = g_support.reshape(num_nodes, num_heads, head_dim)
+        for h in range(num_heads):
+            by_head[:, h] += g_scores[h].T @ vectors[h]
+        flat = g_support.reshape(num_nodes, width)
         if shared:
             weight._accumulate(
                 features.project_adjoint(backend.spmm_t(features.gather, flat)), donated=True
@@ -223,7 +230,11 @@ def fused_gat_layer(
         else:
             weight._accumulate(features.data.T @ flat, donated=True)
         if features.requires_grad:
-            features._accumulate(flat @ weight.data.T, donated=True)
+            if features._backward is None:  # a leaf: the caller's array
+                features_grad = flat @ weight.data.T
+            else:
+                features_grad = np.matmul(flat, weight.data.T, out=features.data)
+            features._accumulate(features_grad, donated=True)
 
     parents = (weight, attention_src, attention_dst, bias)
     if features.requires_grad:

@@ -1191,6 +1191,21 @@ def edge_rows(edges) -> Tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
+def block_positions(edge_index, num_nodes: int, num_heads: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(edge, head)`` at every position of ``PreparedEdges.blocked(num_heads)``:
+    destination by destination, head by head, the destination's edges in the
+    caller's order (``edge`` indexes the columns of ``edge_index``)."""
+    dst = np.asarray(edge_index, dtype=np.int64)[1]
+    edge: List[int] = []
+    head: List[int] = []
+    for node in range(num_nodes):
+        incoming = np.flatnonzero(dst == node).tolist()
+        for h in range(num_heads):
+            edge += incoming
+            head += [h] * len(incoming)
+    return np.array(edge, dtype=np.int64), np.array(head, dtype=np.int64)
+
+
 def composite_gat(
     features, edges, weight, attention_src, attention_dst, bias,
     num_heads, out_features, concat_heads, negative_slope=0.2, activation=None,

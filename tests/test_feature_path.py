@@ -17,10 +17,11 @@ computation it replaced:
 The generated assignments include isolated vertices, senders nobody selected,
 workload-1 senders (all ``d`` positions released), pairs whose sender never
 released (a midpoint row) and both local-graph layouts.
-Four ``tracemalloc`` guards hold the structure: the draws keep only the
-released uniforms, no dense feature matrix on the production path, at most
-two ``(num_nodes, hidden)`` arrays at the training peak, and no growth
-across repeated runs.
+Five ``tracemalloc`` guards hold the structure: the draws keep only the
+released uniforms, no dense feature matrix on the production path, one
+``(num_nodes, hidden)`` array at the GCN training peak, one
+``(num_nodes, heads * head_dim)`` array whenever the final GAT layer hands
+over a gradient, and no growth across repeated runs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from repro.crypto.ldp import FeatureBounds
 from repro.engine import ArtifactStore, DiskSpillStore, StoredArtifact
 from repro.gnn.gat import GATLayer
 from repro.gnn.gcn import GCNLayer
-from repro.graph import generate_facebook_like, split_nodes
+from repro.graph import generate_facebook_like, split_edges, split_nodes
+from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
 
 from helpers.autograd import zero_grad
@@ -620,6 +622,43 @@ def test_one_hidden_activation_lives_at_the_training_peak(guard_graph):
     finally:
         tracemalloc.stop()
     assert len(live) == 4  # two gradients per epoch
+    assert max(live) <= 1
+
+
+@pytest.mark.parametrize("task", ["supervised", "unsupervised"])
+def test_one_attention_transform_lives_at_the_gat_backward_peak(guard_graph, task):
+    # The final GAT layer (4 averaged heads of 16) holds T = X W, one
+    # (num_nodes, heads * head_dim) array, from its forward to its backward.
+    # The backward reads T for the last time in the attention-vector
+    # gradients, releases it and only then builds G_T in the same node-major
+    # layout, so one such array is alive whenever the layer hands over a
+    # gradient.  The head-major layer held three at its weight gradient: T's
+    # head-major copy, G_T and the node-major copy of G_T.
+    system = LumosSystem(guard_graph, _config(epochs=2, backbone="gat"), store=ArtifactStore())
+    trainer = system.trainer()
+    config = trainer.config
+    nbytes = trainer.batch.num_nodes * config.num_heads * config.output_dim * 8
+    accumulate = Tensor._accumulate
+    live = []
+
+    def census(tensor, grad, donated=False):
+        accumulate(tensor, grad, donated)
+        if isinstance(tensor, Parameter):
+            traces = tracemalloc.take_snapshot().traces
+            live.append(sum(trace.size == nbytes for trace in traces))
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(Tensor, "_accumulate", census):
+            if task == "supervised":
+                trainer.train_supervised(system.graph.labels, split_nodes(system.graph, seed=0))
+            else:
+                trainer.train_unsupervised(split_edges(system.graph, seed=0))
+    finally:
+        tracemalloc.stop()
+    # Two GAT layers of four parameters each, and the classifier's two.
+    assert len(live) == 2 * (10 if task == "supervised" else 8)
     assert max(live) <= 1
 
 

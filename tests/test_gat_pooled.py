@@ -154,9 +154,9 @@ def _check_pooled(case):
     pooled = batch.pooled_edge_plan()
     ends_at_leaf = np.isin(batch.edge_index[1], batch.leaf_rows)
     expected = PreparedEdges(batch.edge_index[:, ends_at_leaf], batch.num_nodes)
-    for name in ("order", "counts", "src"):
+    for name in ("counts", "src"):
         np.testing.assert_array_equal(getattr(pooled, name), getattr(expected, name))
-    np.testing.assert_array_equal(pooled.segments, np.unique(batch.leaf_rows))
+    np.testing.assert_array_equal(np.flatnonzero(pooled.counts), np.unique(batch.leaf_rows))
     assert batch.pooled_edge_plan() is pooled
 
     model = _model(case)

@@ -24,6 +24,7 @@ from repro.nn.tensor import Tensor
 from helpers.autograd import leaky_relu, scatter_add, zero_grad
 from helpers.oracles import (
     ReferenceKernels,
+    block_positions,
     composite_gcn,
     cross_entropy as composite_cross_entropy,
     gat_layer_forward,
@@ -88,31 +89,32 @@ class TestKernelParity:
     )
     @pytest.mark.parametrize("trailing", [(), (4,)])
     def test_edge_plan_segment_sum_and_softmax_match_add_at(self, index, num_segments, trailing):
-        # The GAT edge plan's sorted reduceat against the oracle's
-        # np.maximum.at / np.add.at, with the index as the destination row.
-        # Logits of order 1e3 overflow exp unless every destination is shifted
-        # by its own max, so the softmax pins the per-destination max.
+        # The GAT edge plan's blocked reduceat against the oracle's
+        # np.maximum.at / np.add.at, with the index as the destination row
+        # and the trailing axis as the heads.  Logits of order 1e3 overflow
+        # exp unless every block is shifted by its own max, so the softmax
+        # pins the per-block max.
         index = np.asarray(index, dtype=np.int64)
         edge_index = np.stack([np.zeros_like(index), index])
-        plan = PreparedEdges(edge_index, num_segments)
+        heads = trailing[0] if trailing else 1
+        plan = PreparedEdges(edge_index, num_segments).blocked(heads)
+        edge, head = block_positions(edge_index, num_segments, heads)
         values = 1e3 * np.random.default_rng(2).standard_normal((index.shape[0],) + trailing)
-        sorted_values = np.moveaxis(values[plan.order], 0, -1)  # (..., E), dst-sorted
+        values = values.reshape(index.shape[0], heads)
 
-        expected_sum = np.zeros((num_segments,) + trailing)
+        expected_sum = np.zeros((num_segments, heads))
         np.add.at(expected_sum, index, values)
         np.testing.assert_allclose(
-            plan.segment_sum(sorted_values), np.moveaxis(expected_sum, 0, -1), rtol=1e-12
+            plan.segment_sum(values[edge, head]), expected_sum.ravel(), rtol=1e-12
         )
 
         shifted = values - ReferenceKernels().segment_max(values, index, num_segments)[index]
-        denominator = np.zeros((num_segments,) + trailing)
+        denominator = np.zeros((num_segments, heads))
         np.add.at(denominator, index, np.exp(shifted))
         expected_attention = np.exp(shifted) / (denominator[index] + 1e-16)
-        attention = plan.softmax(sorted_values)
+        attention = plan.softmax(values[edge, head])
         assert np.isfinite(attention).all()
-        np.testing.assert_allclose(
-            attention, np.moveaxis(expected_attention[plan.order], 0, -1), rtol=1e-12
-        )
+        np.testing.assert_allclose(attention, expected_attention[edge, head], rtol=1e-12)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_segments(self, name):
@@ -204,21 +206,21 @@ class TestAutogradParity:
         (attention * Tensor(weights)).sum().backward()
         composite = (attention.data, src_scores.grad, dst_scores.grad)
 
-        # Same maths on the plan: (H, E) arrays in destination-sorted order.
-        plan = PreparedEdges(np.stack([src, dst]), num_nodes)
-        edge_logits = (scores[src] + 0.5 * scores[dst])[plan.order].T
+        # Same maths on the plan: (E·H,) arrays in block order.
+        edge_index = np.stack([src, dst])
+        plan = PreparedEdges(edge_index, num_nodes).blocked(heads)
+        edge, head = block_positions(edge_index, num_nodes, heads)
+        edge_logits = (scores[src] + 0.5 * scores[dst])[edge, head]
         slope = np.where(edge_logits > 0, 1.0, 0.2)
         fused_attention = plan.softmax(edge_logits * slope)
-        grad_logits = plan.softmax_backward(fused_attention, weights[plan.order].T) * slope
-        src_grad = np.zeros((num_nodes, heads))
-        np.add.at(src_grad, plan.src, grad_logits.T)
+        grad_logits = plan.softmax_backward(fused_attention, weights[edge, head]) * slope
+        caller_attention = np.empty((num_edges, heads))
+        caller_attention[edge, head] = fused_attention
         fused = (
-            fused_attention.T[np.argsort(plan.order)],
-            src_grad,
-            plan.segment_sum(grad_logits).T,
+            caller_attention,
+            plan.source_sum(grad_logits).reshape(num_nodes, heads),
+            plan.segment_sum(grad_logits).reshape(num_nodes, heads),
         )
-        for fused_part, composite_part in zip(fused, composite):
-            np.testing.assert_allclose(fused_part, composite_part, atol=1e-12)
         # Per-destination attention sums to one wherever edges land.
         totals = np.zeros((num_nodes, heads))
         np.add.at(totals, dst, fused[0])

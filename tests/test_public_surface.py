@@ -259,13 +259,18 @@ RETIRED_AUTOGRAD_NAMES = {
 }
 
 #: Retired members whose names live on under another owner (``Adam.zero_grad``,
-#: ``PreparedEdges.softmax``, ``init.zeros``, ``Device.degree``, parameters
-#: called ``size`` or ``assignment``): gone from these owners only.
+#: ``HeadBlockedEdges.softmax``, ``init.zeros``, ``Device.degree``, parameters
+#: called ``size`` or ``assignment``): gone from these owners only.  The edge
+#: plan's per-head arrays and kernels moved to its head-blocked plan.
 RETIRED_AUTOGRAD_MEMBERS = {
     "repro.nn.tensor": {"zeros"},
     "repro.nn.tensor.Tensor": {"__getitem__", "__len__", "copy", "size"},
     "repro.nn.functional": {"softmax"},
     "repro.nn.backend.FastNumpyBackend": {"segment_sum"},
+    "repro.nn.backend.PreparedEdges": {
+        "order", "attention_matrix", "segments", "starts", "run_lengths", "indices", "indptr",
+        "softmax", "softmax_backward", "segment_sum",
+    },
     "repro.nn.module.Module": {"zero_grad", "forward"},
     "repro.gnn.models.GraphInput": {"num_nodes"},
     "repro.graph.graph.Graph": {"degree"},

@@ -4,7 +4,7 @@
     by the tree batch, its factored input and the first layer's memo on the
     first epoch, and never again: no later epoch of a GCN or GAT run, on
     either task, cold or re-bound to another sweep point's LDP exchange,
-    builds a ``PreparedMatrix`` or a ``PreparedEdges``.
+    builds a ``PreparedMatrix``, a ``PreparedEdges`` or a head-blocked plan.
 (b) A ``LumosSystem`` built without ``store=`` keeps its artifacts in a
     store of its own, so once the system is deleted nothing it computed is
     left alive.
@@ -21,7 +21,7 @@ from repro.core import LumosConfig, LumosSystem, TrainerConfig, TreeConstructorC
 from repro.core.trainer import TreeBasedGNNTrainer
 from repro.engine import ArtifactStore
 from repro.graph import generate_facebook_like, split_edges, split_nodes
-from repro.nn.backend import PreparedEdges, PreparedMatrix
+from repro.nn.backend import HeadBlockedEdges, PreparedEdges, PreparedMatrix
 
 EPOCHS = 4
 
@@ -43,7 +43,7 @@ def _builds_per_epoch(system: LumosSystem, task: str, graph, monkeypatch) -> lis
     """The running count of prepared structures at the end of every epoch."""
     builds = []
     epoch_ends = []
-    for cls in (PreparedMatrix, PreparedEdges):
+    for cls in (PreparedMatrix, PreparedEdges, HeadBlockedEdges):
 
         def spy(instance, *args, _build=cls.__init__, **kwargs):
             builds.append(type(instance).__name__)
@@ -82,6 +82,7 @@ def test_no_epoch_after_the_first_prepares_structure(graph, backbone, task, monk
     assert store.summary()["tree_batch"] == {"hits": 1, "misses": 1}
     assert warm_epochs[-1] == warm_epochs[0]
     assert "PreparedEdges" not in warm_epochs[0]
+    assert "HeadBlockedEdges" not in warm_epochs[0]
 
 
 def test_a_storeless_system_holds_nothing_once_deleted():
