@@ -152,8 +152,10 @@ def fused_gat_layer(
     attention-vector gradients — the last reads of ``T``, which is then
     released — and only then ``G_T = Aᵀ G`` plus the score terms (for mean
     heads ``G/H`` times the CSC view of the ``(N, N·H)`` node-row matrix),
-    then the weight and input adjoints.  At its peak the layer thus holds
-    one ``(N, H·F)`` array.  Like :func:`fused_folded_head`, an interior
+    then the weight and input adjoints.  ``T`` and its gradient are thus
+    never alive together: with mean heads (an encoder's final layer, whose
+    incoming gradient is ``(N, F)``) the backward holds one ``(N, H·F)``
+    array at a time.  Like :func:`fused_folded_head`, an interior
     ``features`` gets its gradient written into its own array, after the
     weight adjoint's last read of it: call this with an input that nothing
     else reads (the encoder's in-place-dropped hidden output).

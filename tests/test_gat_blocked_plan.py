@@ -9,7 +9,9 @@ the caller's ``(edge, head)``.  Through it the structure, the edge softmax
 and its adjoint, the destination and source sums, the chunked sampled dot
 products and both aggregation matrices are held to the straightforward
 computation, and the fused layer to the composite graph, with concatenated
-and averaged heads.
+and averaged heads.  Each head's share of a blocked plan is also held, bit
+for bit, to the one-head plan over the same destination-sorted edges: the
+per-head layer's sums and products, in its order.
 """
 
 from __future__ import annotations
@@ -139,6 +141,39 @@ class TestEdgeKernels:
         np.testing.assert_allclose(fused, attention.data[edge, head], atol=1e-12)
         grad = plan.softmax_backward(fused, weights[edge, head])
         np.testing.assert_allclose(grad, logits.grad[edge, head], atol=1e-12)
+
+    @settings(**TIER1)
+    @given(edge_lists(), st.sampled_from([1, 3]))
+    @example(NO_EDGES, 3)
+    @example(POOLED, 3)
+    def test_every_sum_adds_in_the_per_head_order(self, case, head_dim):
+        # The blocked layout's claim to bit-identity: each head's block run,
+        # sum and product is the one-head plan's over the destination-sorted
+        # edges, term for term (assert_array_equal, not a tolerance).
+        plan, (edge, head), src, dst = _plan(case)
+        nodes, heads = case["nodes"], case["heads"]
+        single = PreparedEdges(case["edge_index"], nodes).blocked(1)
+        rng = np.random.default_rng(case["seed"])
+        values = rng.standard_normal((src.shape[0], heads))
+        transformed = rng.standard_normal((nodes, heads, head_dim))
+        grads = rng.standard_normal((nodes, heads, head_dim))
+        blocked = values[edge, head]
+        order = np.argsort(dst, kind="stable")
+        sums = [plan.segment_sum(blocked), plan.source_sum(blocked)]
+        sums = [total.reshape(nodes, heads) for total in sums]
+        attention = plan.softmax(blocked.copy())
+        matrix = plan.matrix(attention)
+        aggregated = (matrix @ transformed.reshape(-1, head_dim)).reshape(transformed.shape)
+        adjoint = (matrix.T @ grads.reshape(-1, head_dim)).reshape(grads.shape)
+        for h in range(heads):
+            run = values[order, h]
+            np.testing.assert_array_equal(sums[0][:, h], single.segment_sum(run))
+            np.testing.assert_array_equal(sums[1][:, h], single.source_sum(run))
+            head_attention = single.softmax(run.copy())
+            np.testing.assert_array_equal(attention[head == h], head_attention)
+            head_matrix = single.matrix(head_attention)
+            np.testing.assert_array_equal(aggregated[:, h], head_matrix @ transformed[:, h])
+            np.testing.assert_array_equal(adjoint[:, h], head_matrix.T @ grads[:, h])
 
     @settings(**TIER1)
     @given(edge_lists(), st.sampled_from([1, 3]), st.integers(1, 7))

@@ -343,7 +343,9 @@ def test_a_gat_training_run_peaks_no_higher_than_the_full_edge_memoless_one():
     # The memo keeps layer 0's recorded node from an evaluation pass to the
     # next gradient pass, which would have built the same node, and the
     # pooled final layer records only the edges that end at a leaf.  Together
-    # they must not raise the peak: it reads 40.2 MB against 45.0 MB (43.8 MB
-    # with a memo on every layer in evaluation mode).
+    # they must not raise the peak: it reads 22.5 MB against 23.1 MB with the
+    # node-major, head-blocked layer, whose pooled plan costs memory of its
+    # own (40.2 MB against 45.0 MB with the head-major layer; 43.8 MB with a
+    # memo on every layer in evaluation mode).
     graph = generate_facebook_like(seed=3, num_nodes=400)
     assert _training_peak(graph, parent=False) <= _training_peak(graph, parent=True)

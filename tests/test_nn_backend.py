@@ -221,6 +221,8 @@ class TestAutogradParity:
             plan.source_sum(grad_logits).reshape(num_nodes, heads),
             plan.segment_sum(grad_logits).reshape(num_nodes, heads),
         )
+        for fused_part, composite_part in zip(fused, composite):
+            np.testing.assert_allclose(fused_part, composite_part, atol=1e-12)
         # Per-destination attention sums to one wherever edges land.
         totals = np.zeros((num_nodes, heads))
         np.add.at(totals, dst, fused[0])
