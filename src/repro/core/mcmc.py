@@ -10,25 +10,29 @@ The iterative balancer repeatedly
 4. accepts or rejects the transition with the Metropolis-Hastings rule of
    Eq. 18: ``P[accept] = min(1, e^{f(X_t) - f(X'_t)})``.
 
-Two execution modes are provided:
+Two execution modes are provided, on one kernel that finds Alg. 3's
+candidates by the same prefix scan:
 
 * ``secure=True`` runs every workload comparison of Alg. 3 through the
-  simulated CrypTFlow2 protocol;
-* ``secure=False`` (default) evaluates the comparisons in the clear but
-  charges the *same* analytic communication cost to the transcript
-  accountant — the resulting assignments are identical, and large
-  benchmark graphs stay fast.
+  simulated CrypTFlow2 protocol, and the accountant counts the executed
+  comparisons;
+* ``secure=False`` (default) charges the accountant the analytic count of
+  Alg. 3 (``E + c(c - 1)`` comparisons per call) at the balancer's bit
+  width, without running the protocol.
 
-Both modes record one Alg. 3 transcript in the ledger: per call, every
-device's one-byte candidate announcement, every winner's one-byte maximum
-announcement and one ``alg3-comparisons`` row of the comparisons' bytes.
+Both modes make the same selection and record the same ledger transcript:
+per Alg. 3 call, every device's one-byte candidate announcement, every
+winner's one-byte maximum announcement and one ``alg3-comparisons`` row of
+the comparisons' bytes.  Their accountants differ: the analytic count is
+never below the executed one, because a device's executed scan stops at
+its first strictly greater neighbour.
 
 :meth:`MCMCBalancer.run` is the one implementation: the incremental
-array-backed kernel (delta workload updates, a maintained candidate set,
-columnar transcript; in secure mode a *batched* vectorised-OT Alg. 3, see
-:meth:`_IncrementalBalancingKernel.find_max_workload_device_secure`).  Its
-oracle — the from-scratch loop that re-derives Alg. 3 every iteration, one
-ledger message at a time — lives with the tests (``tests/helpers/oracles.py``);
+array-backed kernel (workloads updated by the transfers, Alg. 3's scan
+memoised per kernel version and rescanned only where a transfer touched
+it, columnar transcript; see :class:`_IncrementalBalancingKernel`).  Its
+oracle, the from-scratch loop that re-derives Alg. 3 every iteration, one
+ledger message at a time, lives with the tests (``tests/helpers/oracles.py``);
 ``tests/test_mcmc_incremental.py`` and ``tests/test_secure_batched.py``
 require the two to be bit-for-bit equal in every recorded observable.
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,56 +129,39 @@ def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndar
 class _IncrementalBalancingKernel:
     """Array-backed incremental state for the balancing loop (clear + secure).
 
-    Holds the flat workload vector, a prebuilt CSR adjacency, and two derived
-    arrays maintained by deltas across transitions:
-
-    * ``neighbor_max[w]`` — the largest workload among ``w``'s ego-network
-      neighbours (the quantity every device compares itself against in Alg. 3
-      device operation 1);
-    * ``candidate[w]`` — whether ``w`` currently announces candidacy
-      (``workload[w] >= neighbor_max[w]``).
-
-    A k-step transition changes the workloads of at most ``k + 1`` vertices,
-    so :meth:`apply` touches only those vertices and their neighbourhoods —
-    O(degree of the moved vertices) instead of the O(devices + edges) full
-    rescan — and journals every overwritten entry so a rejected proposal is
-    reverted exactly.  The candidate set, the winner set, the transcript
-    charges and the server tie-breaks are identical to the from-scratch
-    evaluation, which is what the seeded equivalence tests pin.
+    Holds the assignment, whose workload vector the transfers update in
+    place, and the environment's CSR.  Alg. 3 device operation 1 is one
+    prefix scan: device ``u`` compares its workload with its neighbours in
+    ego order and stops at the first strictly greater one, so it executes
+    a prefix of its row and is a candidate when the prefix is the whole
+    row.  The scan's result is memoised per kernel version, and after
+    :meth:`apply` only the rows the transfer touched are rescanned.  Clear
+    and secure mode share that scan and differ only in what they charge:
+    the analytic count to the accountant, or the executed comparisons
+    through ``comparator``.
     """
 
-    def __init__(self, environment: FederatedEnvironment, assignment: Assignment) -> None:
+    def __init__(
+        self,
+        environment: FederatedEnvironment,
+        assignment: Assignment,
+        accountant: Optional[TranscriptAccountant] = None,
+        comparator: Optional[SecureComparator] = None,
+        bit_width: int = 24,
+    ) -> None:
         self.environment = environment
         self.assignment = assignment
+        self.accountant = accountant
+        self.comparator = comparator
+        self.bit_width = bit_width
         n = environment.num_devices
         self.num_devices = n
         self.workload = assignment.workload_array()
-        indptr, indices = environment.adjacency_csr()
-        # Adjacency as plain python lists: the delta updates below touch a
-        # few dozen entries per transition, where scalar list indexing beats
-        # numpy fancy-indexing overhead by a wide margin.
-        self._neighbors = [
-            indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)
-        ]
-        # CSR view used by the batched *secure* Alg. 3 path: row ``v`` lists
-        # ``v``'s neighbours in ego order (the order the reference loop's
-        # early-terminating comparisons follow).
-        self._csr_indptr = indptr
-        self._csr_indices = indices
-        self._csr_degrees = np.diff(indptr)
-        # Alg. 3 device operation 1 always evaluates one comparison per
-        # directed neighbour relation, whatever the workloads are.
-        self.neighbor_comparisons = int(indices.shape[0])
-        neighbor_max, neighbor_max_count = self._neighborhood_maxima(np.arange(n))
-        # Maintained per-device maximum over the neighbours' workloads, plus
-        # its multiplicity: how many neighbours attain it.  A lowered
-        # workload then only forces a neighbourhood rescan where the moving
-        # device was the *unique* maximum — with the heavy workload ties of
-        # a balanced state, most decrements reduce the count and touch
-        # nothing else.
-        self.neighbor_max = neighbor_max.tolist()
-        self.neighbor_max_count = neighbor_max_count.tolist()
-        self.candidate = self.workload >= neighbor_max
+        self._indptr, self._indices = environment.adjacency_csr()
+        self._degrees = np.diff(self._indptr)
+        # Alg. 3's analytic count charges one comparison per directed
+        # neighbour relation, whatever the workloads are.
+        self.neighbor_comparisons = int(self._indices.shape[0])
         self.objective = int(self.workload.max()) if n else 0
         self._pending: Optional[tuple] = None
         # Columnar transcript buffers: _record_alg3 appends plain ints, and
@@ -184,102 +171,130 @@ class _IncrementalBalancingKernel:
         self._comparison_counts: List[int] = []
         self._winner_ids: List[int] = []
         self._winner_rounds: List[int] = []
-        # Version-keyed memo of the Alg. 3 evaluation: apply() moves to a
-        # fresh version, revert() returns to the previous one, so the first
-        # call of an iteration always sees a state some earlier call already
-        # evaluated — the candidate scan is skipped while the per-call RNG
-        # consumption and transcript charges still happen.
+        # apply() moves to a fresh version and revert() returns to the
+        # previous one, so every call but the first sees a state whose scan
+        # is memoised or one transfer away from it (see _scan).
         self._version = 0
         self._next_version = 0
-        self._winners_memo: dict = {}
-        # The secure path's counterpart: the speculated executed prefixes and
-        # comparison pairs (the plaintext bookkeeping only — the protocol
-        # itself runs every call), see _speculate.
-        self._prefix_memo: dict = {}
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------ #
-    # Alg. 3 (incremental candidate/argmax evaluation)
+    # Alg. 3
     # ------------------------------------------------------------------ #
-    def find_max_workload_device(
-        self, accountant: Optional[TranscriptAccountant], round_index: int
-    ) -> int:
-        """Alg. 3 over the maintained candidate set; O(candidates), not O(edges)."""
-        memo = self._winners_memo.get(self._version)
-        if memo is not None:
-            winners, num_candidates = memo
-        else:
-            candidate_indices = np.flatnonzero(self.candidate)
-            num_candidates = int(candidate_indices.shape[0])
-            if num_candidates:
-                candidate_workloads = self.workload[candidate_indices]
-                winners = candidate_indices[
-                    candidate_workloads == candidate_workloads.max()
-                ].tolist()
-            else:
-                # Only an environment without devices has no candidate; the
-                # loop then skips "device 0", which selects nothing.
-                num_candidates = 1
-                winners = [0]
-            if len(self._winners_memo) > 8:
-                self._winners_memo.clear()
-            self._winners_memo[self._version] = (winners, num_candidates)
-        comparisons = self.neighbor_comparisons + num_candidates * (num_candidates - 1)
-        if accountant is not None:
-            _charge_analytic_comparisons(accountant, comparisons)
-        return self._record_alg3(round_index, comparisons, winners)
+    def find_max_workload_device(self, round_index: int) -> int:
+        """Alg. 3 over this version's prefix scan.
 
-    def find_max_workload_device_secure(
-        self, comparator: SecureComparator, round_index: int
-    ) -> int:
-        """Alg. 3 under the batched secure protocol, speculate-and-verify.
-
-        Executes *exactly* the comparisons the secure reference loop would:
-        device ``u`` compares its workload against its neighbours in ego
-        order and stops at the first strictly greater one, so the number of
-        executed protocol runs is value-dependent.  Which pairs those are is
-        speculated in the clear as each device's executed-prefix length,
-        kept per ``_version`` (:meth:`_speculate`): the call after
-        :meth:`apply` re-derives only the rows the transfer touched.  The
-        pairs run through the vectorised millionaires' protocol
-        (:meth:`~repro.crypto.secure_compare.SecureComparator.compare_batch`
-        with ``execute=True``) on every call, and part 2's candidate argmax
-        does the same — giving accountant counters *and* capped log
-        entry-for-entry identical to the per-device loop.
-
-        Candidacy is re-derived from the protocol outcomes and checked
-        against the speculation and the maintained flags (mirroring the
-        reference loop's "secure argmax disagrees" guard).
+        Clear mode charges the analytic ``E + c(c - 1)`` comparisons.
+        Secure mode executes exactly the comparisons the per-device loop
+        would (:meth:`_execute`), so the accountant counters and capped
+        log match it entry for entry.  Both modes record the same ledger
+        transcript and return the same device.
         """
-        workload = self.workload
-        n = self.num_devices
-        memo = self._prefix_memo.get(self._version)
-        if memo is None:
-            memo = self._speculate()
-        _, candidate, _, owners, own, other = memo
-        batch = comparator.compare_batch(own, other, execute=True)
-        # Every executed comparison except a non-candidate's last one
-        # returns own >= other.
-        losses = np.bincount(owners[~batch.left_ge_right], minlength=n)
-        if not np.array_equal(losses == 0, candidate) or not np.array_equal(
-            candidate, self.candidate
-        ):
-            raise RuntimeError(
-                "secure batched Alg. 3 disagrees with the maintained candidate set"
-            )
-
-        candidates = np.flatnonzero(candidate)
-        candidate_workloads = workload[candidates]
-        if not n:
-            # The most-loaded device has no greater neighbour, so only a
-            # federation without devices has no candidate; like the clear
-            # path, the loop then skips "device 0", which selects nothing.
-            candidates = candidate_workloads = np.zeros(1, dtype=np.int64)
-        maximum_value = candidate_workloads.max()
-        winners = candidates[candidate_workloads == maximum_value].tolist()
-        if candidate_workloads[comparator.argmax(candidate_workloads)] != maximum_value:
-            raise RuntimeError("secure argmax disagrees with plaintext maximum")
-        comparisons = self.neighbor_comparisons + candidates.size * (candidates.size - 1)
+        executed, candidate, winners, num_candidates = self._scan()
+        comparisons = self.neighbor_comparisons + num_candidates * (num_candidates - 1)
+        if self.comparator is not None:
+            self._execute(executed, candidate)
+        elif self.accountant is not None:
+            _charge_analytic_comparisons(self.accountant, comparisons, bit_width=self.bit_width)
         return self._record_alg3(round_index, comparisons, winners)
+
+    def _scan(self) -> tuple:
+        """This version's ``(executed, candidate, winners, num_candidates)``.
+
+        ``executed[u]`` is the length of the row prefix ``u``'s scan
+        compares against and ``candidate[u]`` whether ``u`` announces
+        candidacy; ``winners`` are the candidates of maximum workload.  A
+        row's scan reads only its own workload and those of its prefix, so
+        right after :meth:`apply` only the moved vertices' rows and the
+        rows whose base prefix holds one of them are rescanned: for ``p``
+        in a moved ``v``'s row, the neighbour ``w = indices[p]`` holds
+        ``v`` at ``reverse[p] - indptr[w]``.  Any other miss (the first
+        call, or a state no call evaluated) rescans every row.  Only this
+        version and the pending proposal's base stay memoised, the two
+        states the loop can return to.
+        """
+        memo = self._memo.get(self._version)
+        if memo is not None:
+            return memo
+        n = self.num_devices
+        base = None
+        if self._pending is not None:
+            source, targets, _, base_version = self._pending
+            base = self._memo.get(base_version)
+        if base is None:
+            rows = np.arange(n)
+            executed = np.empty(n, dtype=np.int64)
+            candidate = np.empty(n, dtype=bool)
+            kept = {}
+        else:
+            executed, candidate = base[0].copy(), base[1].copy()
+            moved = np.asarray([source] + targets, dtype=np.int64)
+            positions, _ = _segment_positions(self._indptr[moved], self._degrees[moved])
+            holders = self._indices[positions]
+            reverse = self.assignment._reverse_positions()[positions]
+            held = reverse - self._indptr[holders] < executed[holders]
+            rows = np.concatenate([moved, holders[held]])
+            kept = {base_version: base}
+        executed[rows], candidate[rows] = self._scan_prefixes(rows)
+        candidates = np.flatnonzero(candidate)
+        if candidates.size:
+            loads = self.workload[candidates]
+            winners = candidates[loads == loads.max()].tolist()
+        else:
+            # Only a federation without devices has no candidate; the loop
+            # then skips "device 0", which selects nothing.
+            winners = [0]
+        memo = (executed, candidate, winners, max(int(candidates.size), 1))
+        kept[self._version] = memo
+        self._memo = kept
+        return memo
+
+    def _scan_prefixes(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's executed-prefix length and candidacy, in one segmented pass.
+
+        A device's first strictly greater neighbour is the comparison at
+        which its scan stops; a device without one is a candidate and
+        compares against its whole row (vacuously so with no neighbours,
+        matching the loop).  ``rows`` may repeat.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self._degrees[rows]
+        flat, starts = _segment_positions(self._indptr[rows], lengths)
+        workload = self.workload
+        hits = np.flatnonzero(
+            workload[self._indices[flat]] > np.repeat(workload[rows], lengths)
+        )
+        cuts = np.searchsorted(hits, starts)
+        candidate = cuts == np.searchsorted(hits, starts + lengths)
+        executed = lengths
+        stopped = np.flatnonzero(~candidate)
+        executed[stopped] = hits[cuts[stopped]] - starts[stopped] + 1
+        return executed, candidate
+
+    def _execute(self, executed: np.ndarray, candidate: np.ndarray) -> None:
+        """Run the scanned comparisons and the candidates' argmax securely.
+
+        The scan's pairs run as one batch through the vectorised
+        millionaires' protocol, part 2's argmax through the comparator's
+        chain, and the protocol outcomes are checked against the scan:
+        every executed comparison but a non-candidate's last one returns
+        ``own >= other``, and the secure argmax attains the maximum.
+        """
+        n = self.num_devices
+        owners = np.repeat(np.arange(n), executed)
+        partners = self._indices[_segment_positions(self._indptr[:-1], executed)[0]]
+        # Workloads are non-negative, so the uint64 view is the protocol's
+        # operand dtype at no copy.
+        workload = self.workload.view(np.uint64)
+        batch = self.comparator.compare_batch(workload[owners], workload[partners], execute=True)
+        losses = np.bincount(owners[~batch.left_ge_right], minlength=n)
+        if not np.array_equal(losses == 0, candidate):
+            raise RuntimeError("secure batched Alg. 3 disagrees with the prefix scan")
+        # A federation without devices compares its one "device 0".
+        candidate_workloads = self.workload[candidate] if n else np.zeros(1, dtype=np.int64)
+        maximum = candidate_workloads.max()
+        if candidate_workloads[self.comparator.argmax(candidate_workloads)] != maximum:
+            raise RuntimeError("secure argmax disagrees with plaintext maximum")
 
     def _record_alg3(self, round_index: int, comparisons: int, winners: List[int]) -> int:
         """Buffer one Alg. 3 call's traffic; return the server's pick among ``winners``.
@@ -293,76 +308,6 @@ class _IncrementalBalancingKernel:
         self._winner_ids.extend(winners)
         self._winner_rounds.extend([round_index] * len(winners))
         return self.environment.server.pick_maximum(winners)
-
-    def _speculate(self) -> tuple:
-        """Speculate this version's Alg. 3 comparisons; memoise and return them.
-
-        Returns ``(executed, candidate, partners, owners, own, other)``: per
-        device the length of the neighbour-row prefix its scan executes and
-        its candidacy, then per executed comparison the neighbour and the
-        device of the pair and their workloads (the protocol operands).  A
-        row's scan reads only its own workload and those of the neighbours
-        in its prefix (the first strictly greater one included), so right
-        after :meth:`apply` only the rows of the moved vertices and the
-        rows whose base prefix holds one of them are rescanned, over the
-        proposal's base version; any other miss (the first call, or a state
-        no call evaluated) rescans every row.  The flat operands are then
-        rebuilt from the prefix lengths.  Only the current version and the
-        pending proposal's base stay memoised — the two states the loop can
-        return to.
-        """
-        n = self.num_devices
-        base = None
-        if self._pending is not None:
-            source, targets, _, base_version = self._pending
-            base = self._prefix_memo.get(base_version)
-        if base is None:
-            rows = np.arange(n)
-            executed = np.empty(n, dtype=np.int64)
-            candidate = np.empty(n, dtype=bool)
-            memo = {}
-        else:
-            executed, candidate, partners, owners = base[:4]
-            moved = [source] + targets
-            is_moved = np.zeros(n, dtype=bool)
-            is_moved[moved] = True
-            rows = np.concatenate([moved, owners[is_moved[partners]]])
-            executed, candidate = executed.copy(), candidate.copy()
-            memo = {base_version: base}
-        executed[rows], candidate[rows] = self._scan_prefixes(rows)
-        # The edge positions of every device's executed prefix, row by row.
-        prefix, _ = _segment_positions(self._csr_indptr[:-1], executed)
-        partners = self._csr_indices[prefix]
-        owners = np.repeat(np.arange(n), executed)
-        # Workloads are non-negative, so the uint64 view is the protocol's
-        # operand dtype at no copy.
-        workload = self.workload.view(np.uint64)
-        result = (executed, candidate, partners, owners, workload[owners], workload[partners])
-        memo[self._version] = result
-        self._prefix_memo = memo
-        return result
-
-    def _scan_prefixes(self, rows) -> Tuple[np.ndarray, np.ndarray]:
-        """Each row's executed-prefix length and candidacy, in one segmented pass.
-
-        A device's first strictly greater neighbour is the comparison at
-        which its scan stops; a device without one is a candidate and
-        compares against its whole row (vacuously so with no neighbours,
-        matching the loop).  ``rows`` may repeat.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        lengths = self._csr_degrees[rows]
-        flat, starts = _segment_positions(self._csr_indptr[rows], lengths)
-        workload = self.workload
-        hits = np.flatnonzero(
-            workload[self._csr_indices[flat]] > np.repeat(workload[rows], lengths)
-        )
-        cuts = np.searchsorted(hits, starts)
-        candidate = cuts == np.searchsorted(hits, starts + lengths)
-        executed = lengths
-        stopped = np.flatnonzero(~candidate)
-        executed[stopped] = hits[cuts[stopped]] - starts[stopped] + 1
-        return executed, candidate
 
     def flush_transcript(self) -> None:
         """Emit the buffered Alg. 3 traffic as columnar ledger events.
@@ -404,152 +349,38 @@ class _IncrementalBalancingKernel:
         self._winner_ids, self._winner_rounds = [], []
 
     # ------------------------------------------------------------------ #
-    # Transitions (Eq. 17) as journaled delta updates
+    # Transitions (Eq. 17)
     # ------------------------------------------------------------------ #
-    def _update_maxima(self, increased: List[tuple], decreased: List[tuple]) -> List[int]:
-        """Propagate workload deltas into ``neighbor_max`` / its multiplicity.
-
-        ``increased`` holds ``(vertex, new_value)`` pairs, ``decreased`` holds
-        ``(vertex, old_value)`` pairs; the workload vector itself must already
-        carry the new values.  Decrements run in two phases (count first, then
-        rescan the neighbourhoods whose count reached zero) so that several
-        simultaneous decrements around one vertex each retire exactly one
-        attainment of the *old* maximum.  Returns the vertices whose maximum
-        (not merely its multiplicity) changed.
-        """
-        neighbors = self._neighbors
-        neighbor_max = self.neighbor_max
-        neighbor_max_count = self.neighbor_max_count
-        touched: List[int] = []
-
-        # Raised workloads can only raise (or join) the maxima around them.
-        for vertex, new_value in increased:
-            for w in neighbors[vertex]:
-                maximum = neighbor_max[w]
-                if maximum < new_value:
-                    neighbor_max[w] = new_value
-                    neighbor_max_count[w] = 1
-                    touched.append(w)
-                elif maximum == new_value:
-                    neighbor_max_count[w] += 1
-
-        # A lowered workload retires one attainment wherever the vertex was
-        # at the (old) maximum; only neighbourhoods left with no attainment
-        # are rescanned — with the heavy workload ties of a balanced state,
-        # most decrements stop at the count.  With a single lowered vertex
-        # (every apply) the rescan can run inline; several simultaneous
-        # decrements (revert of a k-step move) must retire all attainments
-        # of the old maxima before any rescan, hence the two-phase branch.
-        if len(decreased) == 1:
-            vertex, old_value = decreased[0]
-            rescan = []
-            for w in neighbors[vertex]:
-                if neighbor_max[w] == old_value:
-                    count = neighbor_max_count[w]
-                    if count > 1:
-                        neighbor_max_count[w] = count - 1
-                    else:
-                        rescan.append(w)
-        else:
-            marked: List[int] = []
-            for vertex, old_value in decreased:
-                for w in neighbors[vertex]:
-                    if neighbor_max[w] == old_value:
-                        neighbor_max_count[w] -= 1
-                        marked.append(w)
-            rescan = [w for w in marked if neighbor_max_count[w] == 0]
-        if rescan:
-            maxima, attained = self._neighborhood_maxima(rescan)
-            for w, maximum, count in zip(rescan, maxima.tolist(), attained.tolist()):
-                neighbor_max[w] = maximum
-                neighbor_max_count[w] = count
-            touched.extend(rescan)
-        return touched
-
-    def _neighborhood_maxima(self, vertices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Largest workload among each vertex's neighbours, and how many attain it.
-
-        One segmented pass over the CSR rows of all ``vertices`` (repeats
-        allowed): their neighbours' workloads side by side, then
-        ``maximum.reduceat`` / ``add.reduceat`` per row.  An empty row reads
-        ``(0, 0)`` and holds no segment — ``reduceat`` has no identity for it.
-        """
-        rows = np.asarray(vertices, dtype=np.int64)
-        lengths = self._csr_degrees[rows]
-        flat, starts = _segment_positions(self._csr_indptr[rows], lengths)
-        values = self.workload[self._csr_indices[flat]]
-        occupied = lengths > 0
-        maxima = np.zeros(rows.shape[0], dtype=np.int64)
-        attained = np.zeros(rows.shape[0], dtype=np.int64)
-        maxima[occupied] = np.maximum.reduceat(values, starts[occupied])
-        attained[occupied] = np.add.reduceat(
-            values == np.repeat(maxima, lengths), starts[occupied]
-        )
-        return maxima, attained
-
-    def _refresh_candidates(self, vertices: List[int]) -> None:
-        """Re-evaluate candidacy where a workload or a maximum changed."""
-        workload = self.workload
-        neighbor_max = self.neighbor_max
-        candidate = self.candidate
-        for w in vertices:
-            candidate[w] = workload[w] >= neighbor_max[w]
-
     def apply(self, source: int, targets: List[int]) -> None:
-        """Apply the transition in place; O(degree of the moved vertices)."""
+        """Apply the transition in place, in O(k), as a fresh version."""
         if self._pending is not None:
             raise RuntimeError("a proposal is already pending")
-        source, targets = int(source), [int(target) for target in targets]
-        old_source_workload = int(self.workload[source])
         record = self.assignment.apply_transfer(source, targets)
-        increased = [
-            (target, int(self.workload[target]))
-            for target, (_, added) in zip(targets, record)
-            if added
-        ]
-        touched = self._update_maxima(increased, [(source, old_source_workload)])
-        self._refresh_candidates(
-            [source] + [target for target, _ in increased] + touched
-        )
-        self._pending = (source, targets, record, self._version)
+        self._pending = (int(source), [int(target) for target in targets], record, self._version)
         self._next_version += 1
         self._version = self._next_version
 
     def commit(self, objective_after: int) -> None:
-        """Accept the pending proposal (the deltas simply stay applied)."""
+        """Accept the pending proposal (the transfer simply stays applied)."""
         self._pending = None
         self.objective = int(objective_after)
 
     def revert(self) -> None:
-        """Reject the pending proposal by applying the inverse delta."""
+        """Reject the pending proposal: undo its transfer, back to its base version."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to revert")
-        source, targets, record, previous_version = self._pending
-        # Pre-undo values of the moved neighbours are the "old" side of the
-        # inverse delta; the source's restored workload is its "new" side.
-        decreased = [
-            (target, int(self.workload[target]))
-            for target, (_, added) in zip(targets, record)
-            if added
-        ]
+        source, _, record, self._version = self._pending
         self.assignment.undo_transfer(source, record)
-        touched = self._update_maxima(
-            [(source, int(self.workload[source]))], decreased
-        )
-        self._refresh_candidates(
-            [source] + [target for target, _ in decreased] + touched
-        )
-        self._version = previous_version
         self._pending = None
 
 
 class MCMCBalancer:
     """Runs Alg. 2 on a federated environment.
 
-    :meth:`run` drives the array-backed delta kernel.  In secure mode the
-    kernel runs Alg. 3 through the batched vectorised-OT protocol
-    simulation, charging transcripts identical to the early-terminating
-    per-device loop.
+    :meth:`run` drives the array-backed incremental kernel.  In secure mode
+    the kernel executes Alg. 3's comparisons through the batched
+    vectorised-OT protocol simulation, charging transcripts identical to
+    the early-terminating per-device loop.
     """
 
     def __init__(
@@ -579,7 +410,9 @@ class MCMCBalancer:
     def run(self, initial: Assignment) -> MCMCResult:
         """Execute the MCMC iterations starting from ``initial``."""
         current = initial.copy()
-        kernel = _IncrementalBalancingKernel(self.environment, current)
+        kernel = _IncrementalBalancingKernel(
+            self.environment, current, self.accountant, self._comparator, self.bit_width
+        )
         history = [kernel.objective]
         accepted = 0
         ledger = self.environment.ledger
@@ -601,12 +434,7 @@ class MCMCBalancer:
 
         for iteration in range(self.iterations):
             # Line 2: device with the largest workload under X_t.
-            if self._comparator is not None:
-                heaviest = kernel.find_max_workload_device_secure(
-                    self._comparator, round_index
-                )
-            else:
-                heaviest = kernel.find_max_workload_device(self.accountant, round_index)
+            heaviest = kernel.find_max_workload_device(round_index)
             # Its CSR row masked by the selection: ascending, as Alg. 2 draws
             # from it.  Only a federation without devices has no row.
             source_neighbors = current.kept_neighbors(heaviest) if num_devices else ()
@@ -632,14 +460,7 @@ class MCMCBalancer:
                 proposal_rounds.append(round_index)
 
             # Line 6: device with the largest workload under X'_t.
-            if self._comparator is not None:
-                heaviest_after = kernel.find_max_workload_device_secure(
-                    self._comparator, round_index
-                )
-            else:
-                heaviest_after = kernel.find_max_workload_device(
-                    self.accountant, round_index
-                )
+            heaviest_after = kernel.find_max_workload_device(round_index)
 
             # Line 7: f(X_t) - f(X'_t); the winner of Alg. 3 attains the
             # maximum, so both objectives are single workload lookups.

@@ -289,6 +289,7 @@ def find_max_workload_device(
     comparator: Optional[SecureComparator] = None,
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
+    bit_width: int = 24,
 ) -> int:
     """Alg. 3: return the id of the device with the maximum workload.
 
@@ -296,8 +297,9 @@ def find_max_workload_device(
     at a time (:func:`secure_compare_reference`, :func:`secure_argmax_reference`)
     and is charged to the comparator's accountant; otherwise they run in the
     clear, vectorised, and their cost is charged analytically to
-    ``accountant`` (when given).  Both modes record one transcript: one
-    ledger message per candidate announcement and per maximum announcement.
+    ``accountant`` (when given) at ``bit_width``.  Both modes record one
+    transcript: one ledger message per candidate announcement and per
+    maximum announcement.
     """
     rng = rng if rng is not None else environment.rng
     workloads = assignment.workloads()
@@ -355,7 +357,7 @@ def find_max_workload_device(
 
     if accountant is not None and comparator is None:
         _charge_analytic_comparisons(
-            accountant, total_neighbor_comparisons + pairwise_comparisons
+            accountant, total_neighbor_comparisons + pairwise_comparisons, bit_width=bit_width
         )
     _charge_comparison_traffic(environment, total_neighbor_comparisons + pairwise_comparisons)
     for device_id in winners:
@@ -400,6 +402,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
             comparator=self._comparator,
             rng=self.rng,
             accountant=self.accountant,
+            bit_width=self.bit_width,
         )
         source_neighbors = sorted(current.selected.get(heaviest, set()))
         if not source_neighbors:
@@ -428,6 +431,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
             comparator=self._comparator,
             rng=self.rng,
             accountant=self.accountant,
+            bit_width=self.bit_width,
         )
 
         # Line 7: f(X_t) - f(X'_t), computed between the two maximal devices.

@@ -333,13 +333,13 @@ def test_flushing_alg3_calls_costs_one_arange_plus_bytes_per_call(secure):
     # it is the one most-loaded device and every call has one winner.
     selected = {device: [device + 1] for device in range(n - 2)}
     selected.update({0: [1, n - 1], n - 2: [n - 1], n - 1: []})
-    kernel = _IncrementalBalancingKernel(environment, assignment_from_lists(environment, selected))
-    comparator = SecureComparator(bit_width=24)
+    kernel = _IncrementalBalancingKernel(
+        environment,
+        assignment_from_lists(environment, selected),
+        comparator=SecureComparator(bit_width=24) if secure else None,
+    )
     for round_index in range(calls):
-        if secure:
-            assert kernel.find_max_workload_device_secure(comparator, round_index) == 0
-        else:
-            assert kernel.find_max_workload_device(None, round_index) == 0
+        assert kernel.find_max_workload_device(round_index) == 0
     grown = _traced_growth(kernel.flush_transcript)
     assert grown <= 8 * n + 2048 * calls
     counts = environment.ledger.messages.label_counts()

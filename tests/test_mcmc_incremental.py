@@ -1,7 +1,8 @@
 """Equivalence tests pinning the incremental MCMC kernel to the reference loop.
 
 ``MCMCBalancer.run`` replaces the from-scratch Alg. 2/3 evaluation with
-array-backed delta updates; these tests call the from-scratch oracle
+in-place transfers and one memoised prefix scan that a transfer rescans
+only where it touched; these tests call the from-scratch oracle
 ``helpers.oracles.mcmc_run_reference`` directly and assert that the
 difference is purely one of implementation: identical
 assignments, objective history, acceptance count, secure-comparison
@@ -34,13 +35,13 @@ from repro.core import (
     greedy_initialization,
 )
 from repro.core.mcmc import _IncrementalBalancingKernel
-from repro.crypto import SecureComparator
+from repro.crypto import SecureComparator, TranscriptAccountant, comparison_cost
 from repro.federation import FederatedEnvironment
 from repro.graph import Graph, generate_facebook_like
 
 
 def _balanced(graph, *, oracle: bool = False, seed: int = 0,
-              iterations: int = 200, secure: bool = False):
+              iterations: int = 200, secure: bool = False, bit_width: int = 24):
     environment = FederatedEnvironment.from_graph(graph, seed=0)
     initial = greedy_initialization(environment, rng=np.random.default_rng(seed))
     balancer = MCMCBalancer(
@@ -48,18 +49,19 @@ def _balanced(graph, *, oracle: bool = False, seed: int = 0,
         iterations=iterations,
         rng=np.random.default_rng(seed + 7),
         secure=secure,
+        bit_width=bit_width,
     )
     result = mcmc_run_reference(balancer, initial) if oracle else balancer.run(initial)
     return result, environment, balancer.accountant
 
 
 def _assert_equivalent(graph, *, seed: int = 0, iterations: int = 200,
-                       secure: bool = False):
+                       secure: bool = False, bit_width: int = 24):
     fast, fast_env, fast_acc = _balanced(
-        graph, seed=seed, iterations=iterations, secure=secure
+        graph, seed=seed, iterations=iterations, secure=secure, bit_width=bit_width
     )
     slow, slow_env, slow_acc = _balanced(
-        graph, oracle=True, seed=seed, iterations=iterations, secure=secure
+        graph, oracle=True, seed=seed, iterations=iterations, secure=secure, bit_width=bit_width
     )
     assert fast.assignment.as_lists() == slow.assignment.as_lists()
     assert fast.objective_history == slow.objective_history
@@ -151,7 +153,7 @@ class TestKernelEquivalence:
 
 def _double_star(leaves: int):
     """Two adjacent hubs with ``leaves`` leaves each: every leaf's only
-    neighbour is its hub, so the hub is the unique maximum around it."""
+    neighbour is its hub, so every leaf's scan holds its hub."""
     edges = [(0, 1)]
     edges += [(0, 2 + leaf) for leaf in range(leaves)]
     edges += [(1, 2 + leaves + leaf) for leaf in range(leaves)]
@@ -159,50 +161,73 @@ def _double_star(leaves: int):
     return Graph(num_nodes=num_nodes, edges=np.asarray(edges), features=np.zeros((num_nodes, 1)))
 
 
-def _scanned_maxima(kernel, vertices):
-    """``_neighborhood_maxima`` as the per-neighbour loop it replaced."""
-    maxima, attained = [], []
-    for w in vertices:
-        maximum, count = 0, 0
-        for v in kernel._neighbors[w]:
-            value = int(kernel.workload[v])
-            if value > maximum:
-                maximum, count = value, 1
-            elif value == maximum:
-                count += 1
-        maxima.append(maximum)
-        attained.append(count)
-    return maxima, attained
+def _kernel(environment, assignment, secure: bool):
+    """A kernel over ``assignment``; in secure mode it executes Alg. 3."""
+    accountant = TranscriptAccountant()
+    comparator = SecureComparator(bit_width=24, accountant=accountant) if secure else None
+    return _IncrementalBalancingKernel(environment, assignment, accountant, comparator)
 
 
-def _assert_kernel_state_is_from_scratch(kernel):
-    fresh = _IncrementalBalancingKernel(kernel.environment, kernel.assignment.copy())
-    assert kernel.neighbor_max == fresh.neighbor_max
-    assert kernel.neighbor_max_count == fresh.neighbor_max_count
-    np.testing.assert_array_equal(kernel.candidate, fresh.candidate)
-    np.testing.assert_array_equal(kernel.workload, fresh.workload)
+def _looped_prefixes(kernel, devices):
+    """Each device's executed-prefix length and candidacy as the per-device
+    loop scans its row: up to and including the first strictly greater
+    neighbour."""
+    indptr, indices = kernel.environment.adjacency_csr()
+    workload = kernel.workload.tolist()
+    executed, candidate = [], []
+    for device in devices:
+        row = indices[indptr[device]:indptr[device + 1]].tolist()
+        stop = next((i for i, v in enumerate(row) if workload[v] > workload[device]), None)
+        executed.append(len(row) if stop is None else stop + 1)
+        candidate.append(stop is None)
+    return executed, candidate
 
 
-class _CountingRows:
-    """Adjacency rows that count how many of them were read."""
+def _looped_scan(kernel):
+    """This state's ``(executed, candidate, winners, num_candidates)`` from
+    scratch, as the kernel memoises them."""
+    executed, candidate = _looped_prefixes(kernel, range(kernel.num_devices))
+    workload = kernel.workload.tolist()
+    candidates = [device for device, flag in enumerate(candidate) if flag]
+    top = max((workload[device] for device in candidates), default=None)
+    winners = [device for device in candidates if workload[device] == top] or [0]
+    return executed, candidate, winners, max(len(candidates), 1)
 
-    def __init__(self, rows):
-        self._rows = rows
-        self.reads = 0
 
-    def __getitem__(self, vertex):
-        self.reads += 1
-        return self._rows[vertex]
+def _assert_memo_is_from_scratch(kernel):
+    """What the kernel memoised for its current version, if anything, is what
+    the per-device loop scans from scratch."""
+    memo = kernel._memo.get(kernel._version)
+    if memo is not None:
+        executed, candidate, winners, num_candidates = memo
+        got = (executed.tolist(), candidate.tolist(), winners, num_candidates)
+        assert got == _looped_scan(kernel)
+    np.testing.assert_array_equal(
+        kernel.workload, SelectionOracle.of(kernel.assignment).workload_array()
+    )
 
 
-class TestSegmentedRescan:
-    """The rescan of a neighbourhood that lost its unique maximum is one
-    segmented pass over CSR rows; the per-neighbour loop is its oracle."""
+def _counting_scans(kernel, monkeypatch):
+    """Record the rows of every ``_scan_prefixes`` call the kernel makes."""
+    scanned = []
+    scan = kernel._scan_prefixes
+    monkeypatch.setattr(
+        kernel, "_scan_prefixes", lambda rows: scanned.append(list(rows)) or scan(rows)
+    )
+    return scanned
 
-    def test_double_star_run_matches_the_reference_loop(self):
+
+class TestPrefixScan:
+    """Alg. 3's candidates come from one segmented prefix scan over CSR rows;
+    the per-device loop is its oracle."""
+
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    def test_double_star_run_matches_the_reference_loop(self, secure):
         # Every move of a hub rescans all of its leaves.
         for seed in (0, 1):
-            _assert_equivalent(_double_star(12), seed=seed, iterations=80)
+            _assert_equivalent(
+                _double_star(12), seed=seed, iterations=30 if secure else 80, secure=secure
+            )
 
     @pytest.mark.parametrize(
         "graph, select",
@@ -214,7 +239,7 @@ class TestSegmentedRescan:
         ],
         ids=["double-star", "double-star-all-zero", "social", "social-all-zero"],
     )
-    def test_maxima_match_the_per_neighbour_loop(self, graph, select):
+    def test_scan_matches_the_per_device_loop(self, graph, select):
         environment = FederatedEnvironment.from_graph(graph, seed=0)
         assignment = full_assignment(environment)
         if select == "none":
@@ -223,12 +248,11 @@ class TestSegmentedRescan:
             )
         kernel = _IncrementalBalancingKernel(environment, assignment)
         vertices = list(range(graph.num_nodes)) + [1, 1, 0]  # repeats allowed
-        maxima, attained = kernel._neighborhood_maxima(vertices)
-        expected = _scanned_maxima(kernel, vertices)
-        assert (maxima.tolist(), attained.tolist()) == expected
-        assert maxima.dtype == attained.dtype == np.int64
+        executed, candidate = kernel._scan_prefixes(vertices)
+        assert (executed.tolist(), candidate.tolist()) == _looped_prefixes(kernel, vertices)
+        assert executed.dtype == np.int64 and candidate.dtype == bool
 
-    def test_isolated_vertices_read_zero_and_hold_no_segment(self):
+    def test_an_empty_row_is_a_candidate_that_executes_nothing(self):
         # Device 1 lists no neighbour although device 0 lists it, device 3 is
         # isolated outright: empty CSR rows at the front, middle and end.
         indptr, indices = csr_from_lists([[1, 2], [], [0], []])
@@ -238,37 +262,48 @@ class TestSegmentedRescan:
             environment, assignment_from_lists(environment, {0: [1, 2], 1: [], 2: [0], 3: []})
         )
         for vertices in ([1], [3, 1], [1, 0, 3, 2, 3], [0, 2], []):
-            maxima, attained = kernel._neighborhood_maxima(vertices)
-            assert (maxima.tolist(), attained.tolist()) == _scanned_maxima(kernel, vertices)
+            executed, candidate = kernel._scan_prefixes(vertices)
+            assert (executed.tolist(), candidate.tolist()) == _looped_prefixes(kernel, vertices)
+        assert kernel._scan_prefixes([1, 3])[0].tolist() == [0, 0]
 
-    def test_incremental_state_equals_from_scratch_after_apply_and_revert(self):
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    def test_scan_equals_from_scratch_after_apply_and_revert(self, secure):
         graph = _double_star(5)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
-        kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
+        kernel = _kernel(environment, full_assignment(environment), secure)
+        kernel.find_max_workload_device(0)
         kernel.apply(0, [2, 3, 1])  # hub 0 sheds two leaves and the other hub
-        _assert_kernel_state_is_from_scratch(kernel)
-        kernel.revert()  # several simultaneous decrements: the two-phase branch
-        _assert_kernel_state_is_from_scratch(kernel)
+        kernel.find_max_workload_device(0)
+        _assert_memo_is_from_scratch(kernel)
+        kernel.revert()
+        _assert_memo_is_from_scratch(kernel)
         kernel.apply(1, [0])
+        kernel.find_max_workload_device(1)
         kernel.commit(int(kernel.workload.max()))
         kernel.apply(0, [4])
-        _assert_kernel_state_is_from_scratch(kernel)
+        kernel.find_max_workload_device(2)
+        _assert_memo_is_from_scratch(kernel)
 
-    def test_a_hub_decrement_reads_only_the_moved_rows(self):
-        # All 2 000 leaves lose their unique maximum at once.  The loop read
-        # one adjacency row per rescanned leaf (2 001 in all); the segmented
-        # pass reads the rows of the moved vertices and nothing else.
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    def test_a_hub_transfer_is_one_scan_over_the_hub_and_its_holders(
+        self, secure, monkeypatch
+    ):
+        # All 2 000 leaves hold the hub in their prefix (it is their only
+        # neighbour), and the hub holds the moved leaf: the transfer rescans
+        # those rows in one segmented call, not one call per row.
         graph = generate_star(num_leaves=2000, seed=0)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
-        kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
+        kernel = _kernel(environment, full_assignment(environment), secure)
         hub = int(np.argmax(kernel.workload))
-        leaf = kernel._neighbors[hub][0]
-        kernel._neighbors = rows = _CountingRows(kernel._neighbors)
+        leaf = int(kernel.assignment.kept_neighbors(hub)[0])
+        kernel.find_max_workload_device(0)
+        scanned = _counting_scans(kernel, monkeypatch)
         kernel.apply(hub, [leaf])
-        assert rows.reads <= 2
-        kernel._neighbors = rows._rows
-        assert kernel.neighbor_max.count(1999) == 2000
-        _assert_kernel_state_is_from_scratch(kernel)
+        kernel.find_max_workload_device(0)
+        assert len(scanned) == 1 and set(scanned[0]) == set(range(2001))
+        # The moved vertices, every leaf holding the hub, the hub holding the leaf.
+        assert len(scanned[0]) == 2 + 2000 + 1
+        _assert_memo_is_from_scratch(kernel)
 
 
 class TestTransferDeltas:
@@ -333,30 +368,8 @@ class TestKernelTranscriptBlocks:
         assert by_kind == len(records)
 
 
-def _scanned_prefixes(kernel):
-    """Alg. 3's executed prefixes as the per-device scan the loop runs, rebuilt
-    from scratch: ``(executed, candidate, partners, owners, own, other)``."""
-    workload = kernel.workload.tolist()
-    executed, candidate, partners, owners = [], [], [], []
-    for device, row in enumerate(kernel._neighbors):
-        stop = next((i for i, v in enumerate(row) if workload[v] > workload[device]), None)
-        length = len(row) if stop is None else stop + 1
-        executed.append(length)
-        candidate.append(stop is None)
-        partners += row[:length]
-        owners += [device] * length
-    own = [workload[device] for device in owners]
-    other = [workload[v] for v in partners]
-    return executed, candidate, partners, owners, own, other
-
-
-def _assert_prefixes_are_from_scratch(kernel):
-    memo = kernel._prefix_memo[kernel._version]
-    assert [array.tolist() for array in memo] == list(_scanned_prefixes(kernel))
-
-
 def _walk_case(name):
-    """``(environment, assignment)`` of one speculation-walk case."""
+    """``(environment, assignment)`` of one memo-walk case."""
     if name == "star":
         graph = generate_star(num_leaves=12, seed=0)
         environment = FederatedEnvironment.from_graph(graph, seed=0)
@@ -377,23 +390,24 @@ def _walk_case(name):
     return environment, full_assignment(environment)
 
 
-class TestSecureSpeculation:
-    """The secure Alg. 3 keeps each device's executed-prefix length per kernel
-    version and, after a transfer, re-derives only the rows it touched."""
+@pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+class TestPrefixScanMemo:
+    """Both modes keep each device's executed-prefix length per kernel version
+    and, after a transfer, rescan only the rows it touched."""
 
     @pytest.mark.parametrize("case", ["star", "isolated", "ring", "social"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_prefix_lengths_equal_a_from_scratch_scan_along_a_walk(self, case, seed):
+    def test_prefix_lengths_equal_a_from_scratch_scan_along_a_walk(self, case, seed, secure):
         environment, assignment = _walk_case(case)
-        kernel = _IncrementalBalancingKernel(environment, assignment)
-        comparator = SecureComparator(bit_width=24)
+        kernel = _kernel(environment, assignment, secure)
         rng = np.random.default_rng(seed)
         for step in range(40):
             # Skipping some calls leaves versions no call evaluated: the
             # next call then scans every row.
             if rng.random() < 0.8:
-                kernel.find_max_workload_device_secure(comparator, step)
-                _assert_prefixes_are_from_scratch(kernel)
+                kernel.find_max_workload_device(step)
+                assert kernel._version in kernel._memo
+                _assert_memo_is_from_scratch(kernel)
             holders = [v for v, chosen in kernel.assignment.as_lists().items() if chosen]
             if not holders:
                 break
@@ -401,20 +415,20 @@ class TestSecureSpeculation:
             chosen = kernel.assignment.kept_neighbors(source).tolist()
             size = int(rng.integers(1, len(chosen) + 1))
             kernel.apply(source, [int(v) for v in rng.choice(chosen, size, replace=False)])
-            kernel.find_max_workload_device_secure(comparator, step)
-            _assert_prefixes_are_from_scratch(kernel)
+            kernel.find_max_workload_device(step)
+            _assert_memo_is_from_scratch(kernel)
             if rng.random() < 0.5:
                 kernel.commit(int(kernel.workload.max()))
             else:
                 kernel.revert()
-            _assert_kernel_state_is_from_scratch(kernel)
+            _assert_memo_is_from_scratch(kernel)
 
-    def test_a_speculation_miss_reads_only_the_touched_rows(self, monkeypatch):
+    def test_a_transfer_rescans_only_the_touched_rows(self, secure, monkeypatch):
         # A ring of 2 000 where every device keeps both neighbours, except
         # that 499 keeps none and 501 keeps only 502.  Moving 500's edge to
-        # 501 changes those two workloads: the miss rescans their rows and
-        # 502's, whose prefix holds 501 — not 499's, whose scan stops at 498
-        # before it reaches 500, and none of the other 1 996 rows.
+        # 501 changes those two workloads: the call after it rescans their
+        # rows and 502's, whose prefix holds 501 — not 499's, whose scan
+        # stops at 498 before it reaches 500, and none of the other 1 996.
         lists = [[(v - 1) % 2000, (v + 1) % 2000] for v in range(2000)]
         selected = {v: list(row) for v, row in enumerate(lists)}
         selected[499], selected[501] = [], [502]
@@ -422,27 +436,70 @@ class TestSecureSpeculation:
         environment = FederatedEnvironment.from_partition(
             (indptr, indices, np.zeros((2000, 1))), seed=0
         )
-        kernel = _IncrementalBalancingKernel(environment, assignment_from_lists(environment, selected))
-        comparator = SecureComparator(bit_width=24)
-        scanned = []
-        scan = kernel._scan_prefixes
-        monkeypatch.setattr(
-            kernel, "_scan_prefixes", lambda rows: scanned.append(list(rows)) or scan(rows)
-        )
-        kernel.find_max_workload_device_secure(comparator, 0)
+        kernel = _kernel(environment, assignment_from_lists(environment, selected), secure)
+        scanned = _counting_scans(kernel, monkeypatch)
+        kernel.find_max_workload_device(0)
         assert [len(rows) for rows in scanned] == [2000]  # the cold call
         scanned.clear()
         kernel.apply(500, [501])
-        kernel.find_max_workload_device_secure(comparator, 0)
+        kernel.find_max_workload_device(0)
         assert len(scanned) == 1 and sorted(set(scanned[0])) == [500, 501, 502]
         assert len(scanned[0]) == 5  # rows may repeat: 500 and 501 hold each other
-        _assert_prefixes_are_from_scratch(kernel)
+        _assert_memo_is_from_scratch(kernel)
         # A revert returns to a memoised version: nothing is rescanned.
         scanned.clear()
         kernel.revert()
-        kernel.find_max_workload_device_secure(comparator, 1)
+        kernel.find_max_workload_device(1)
         assert scanned == []
-        _assert_prefixes_are_from_scratch(kernel)
+        _assert_memo_is_from_scratch(kernel)
+
+    def test_an_asymmetric_csr_fails_at_the_first_transfer(self, secure):
+        # Device 0 lists 1, which does not list 0: the kernel builds and
+        # answers Alg. 3, and the first transfer finds no reverse position.
+        indptr, indices = csr_from_lists([[1, 2], [], [0], []])
+        environment = FederatedEnvironment.from_partition((indptr, indices, np.zeros((4, 1))), seed=0)
+        assignment = assignment_from_lists(environment, {0: [1, 2], 1: [], 2: [0], 3: []})
+        kernel = _kernel(environment, assignment.copy(), secure)
+        assert kernel.find_max_workload_device(0) == 0
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel.apply(0, [1])
+        balancer = MCMCBalancer(
+            environment, iterations=1, secure=secure, rng=np.random.default_rng(0)
+        )
+        with pytest.raises(ValueError, match="symmetric"):
+            balancer.run(assignment)
+
+
+class TestGeneratedFederations:
+    """Kernel == reference loop on generated graphs: isolated vertices,
+    duplicate and reversed edges, the empty graph."""
+
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    @settings(max_examples=20, deadline=None)
+    @given(case=graph_cases(16), seed=st.integers(0, 2**16))
+    def test_kernel_equals_the_reference_loop(self, secure, case, seed):
+        n, edges = case
+        graph = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+        _assert_equivalent(graph, seed=seed, iterations=8, secure=secure)
+
+
+class TestAnalyticChargeWidth:
+    """Clear mode charges Alg. 3's analytic comparisons at the balancer's
+    width, as it does the objective difference."""
+
+    @pytest.mark.parametrize("bit_width", [8, 24, 32])
+    def test_every_clear_comparison_costs_the_balancer_width(self, bit_width):
+        graph = generate_facebook_like(seed=3, num_nodes=80)
+        _, _, accountant = _balanced(graph, iterations=5, bit_width=bit_width)
+        cost = comparison_cost(bit_width)
+        assert accountant.comparisons > 0
+        assert accountant.bits == accountant.comparisons * cost.bits
+        assert accountant.ot_invocations == accountant.comparisons * cost.ot_invocations
+        assert accountant.messages == accountant.comparisons * cost.messages
+
+    def test_kernel_equals_the_reference_loop_at_32_bits(self):
+        graph = generate_facebook_like(seed=3, num_nodes=80)
+        _assert_equivalent(graph, iterations=40, bit_width=32)
 
 
 class TestTinyFederations:

@@ -400,6 +400,29 @@ RETIRED_ASSIGNMENT_MEMBERS = {
 }
 
 
+#: Alg. 3's second way to find candidates: clear mode's neighbour maxima, their
+#: multiplicities and candidate flags, updated by deltas over Python-list
+#: rows, and secure mode's own entry point, speculation and memo.  One prefix
+#: scan, memoised per kernel version, serves both modes.  The methods are
+#: checked anywhere under ``repro``; the state on a kernel that has run a
+#: transfer (``candidate`` lives on as a local name).
+RETIRED_ALG3_KERNEL_METHODS = {
+    "_update_maxima",
+    "_neighborhood_maxima",
+    "_refresh_candidates",
+    "find_max_workload_device_secure",
+    "_speculate",
+}
+RETIRED_ALG3_KERNEL_STATE = {
+    "_neighbors",
+    "neighbor_max",
+    "neighbor_max_count",
+    "candidate",
+    "_winners_memo",
+    "_prefix_memo",
+}
+
+
 #: The stage framework around the artifact store: a deployment's stages are
 #: ``LumosSystem`` methods over one cached step (``LumosSystem._cached``), so
 #: the pipeline, its context, the stage classes and the stage list are gone.
@@ -778,6 +801,23 @@ def test_retired_assignment_members_stay_gone(modules):
         members = {*vars(value), *(field.name for field in dataclasses.fields(value))}
         survivors += [f"{owner}.{name}" for name in names & members]
     assert not survivors
+
+
+def test_retired_alg3_kernel_members_stay_gone(modules):
+    from helpers.oracles import full_assignment
+    from repro.core.mcmc import _IncrementalBalancingKernel
+    from repro.federation import FederatedEnvironment
+    from repro.graph import generate_facebook_like
+
+    assert not _retired_names_found(modules, "repro", RETIRED_ALG3_KERNEL_METHODS)
+    environment = FederatedEnvironment.from_graph(generate_facebook_like(seed=0, num_nodes=30), seed=0)
+    kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
+    source = kernel.find_max_workload_device(0)
+    kernel.apply(source, kernel.assignment.kept_neighbors(source)[:1].tolist())
+    kernel.find_max_workload_device(0)
+    kernel.revert()
+    retired = RETIRED_ALG3_KERNEL_METHODS | RETIRED_ALG3_KERNEL_STATE
+    assert not retired & {*vars(kernel), *vars(type(kernel))}
 
 
 def test_retired_engine_names_stay_gone(modules):
