@@ -13,9 +13,11 @@ The iterative balancer repeatedly
 Two execution modes are provided, on one kernel that finds Alg. 3's
 candidates by the same prefix scan:
 
-* ``secure=True`` runs every workload comparison of Alg. 3 through the
-  simulated CrypTFlow2 protocol, and the accountant counts the executed
-  comparisons;
+* ``secure=True`` runs Alg. 3's workload comparisons through the simulated
+  CrypTFlow2 protocol, and the accountant counts the executed comparisons.
+  An outcome is stored at its CSR position and reused until a transfer
+  moves one of its two devices, so a call executes only the scanned
+  comparisons that a transfer made stale since the last call;
 * ``secure=False`` (default) charges the accountant the analytic count of
   Alg. 3 (``E + c(c - 1)`` comparisons per call) at the balancer's bit
   width, without running the protocol.
@@ -23,9 +25,9 @@ candidates by the same prefix scan:
 Both modes make the same selection and record the same ledger transcript:
 per Alg. 3 call, every device's one-byte candidate announcement, every
 winner's one-byte maximum announcement and one ``alg3-comparisons`` row of
-the comparisons' bytes.  Their accountants differ: the analytic count is
-never below the executed one, because a device's executed scan stops at
-its first strictly greater neighbour.
+the analytic comparisons' bytes.  Their accountants differ: the analytic
+count is never below the executed one, because a device's executed scan
+stops at its first strictly greater neighbour and reuses stored outcomes.
 
 :meth:`MCMCBalancer.run` is the one implementation: the incremental
 array-backed kernel (workloads updated by the transfers, Alg. 3's scan
@@ -48,6 +50,7 @@ import numpy as np
 from .. import obs
 from ..crypto.oblivious_transfer import TranscriptAccountant
 from ..crypto.secure_compare import SecureComparator, comparison_cost
+from ..faults.config import _check_integer
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import constant_column
 from ..federation.simulator import FederatedEnvironment
@@ -138,7 +141,9 @@ class _IncrementalBalancingKernel:
     :meth:`apply` only the rows the transfer touched are rescanned.  Clear
     and secure mode share that scan and differ only in what they charge:
     the analytic count to the accountant, or the executed comparisons
-    through ``comparator``.
+    through ``comparator``.  Secure mode alone keeps an outcome cache over
+    CSR positions (see :meth:`_execute`), which :meth:`apply` and
+    :meth:`revert` invalidate.
     """
 
     def __init__(
@@ -177,6 +182,14 @@ class _IncrementalBalancingKernel:
         self._version = 0
         self._next_version = 0
         self._memo: dict = {}
+        if comparator is not None:
+            # Secure mode's outcome cache over CSR positions: the bit the
+            # comparison at each position last returned and whether it still
+            # holds, plus the rows a transfer invalidated since the last call.
+            size = self._indices.shape[0]
+            self._outcomes = np.zeros(size, dtype=bool)
+            self._stored = np.zeros(size, dtype=bool)
+            self._stale_rows = np.ones(n, dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Alg. 3
@@ -186,9 +199,10 @@ class _IncrementalBalancingKernel:
 
         Clear mode charges the analytic ``E + c(c - 1)`` comparisons.
         Secure mode executes exactly the comparisons the per-device loop
-        would (:meth:`_execute`), so the accountant counters and capped
-        log match it entry for entry.  Both modes record the same ledger
-        transcript and return the same device.
+        with the same outcome cache would (:meth:`_execute`), so the
+        accountant counters and capped log match it entry for entry.  Both
+        modes record the same ledger transcript, with the analytic count,
+        and return the same device.
         """
         executed, candidate, winners, num_candidates = self._scan()
         comparisons = self.neighbor_comparisons + num_candidates * (num_candidates - 1)
@@ -274,21 +288,42 @@ class _IncrementalBalancingKernel:
     def _execute(self, executed: np.ndarray, candidate: np.ndarray) -> None:
         """Run the scanned comparisons and the candidates' argmax securely.
 
-        The scan's pairs run as one batch through the vectorised
-        millionaires' protocol, part 2's argmax through the comparator's
-        chain, and the protocol outcomes are checked against the scan:
-        every executed comparison but a non-candidate's last one returns
-        ``own >= other``, and the secure argmax attains the maximum.
+        A comparison's outcome is a function of its two workloads, and a
+        transfer changes only the moved vertices' workloads, so the kernel
+        stores each executed outcome at its CSR position until a transfer
+        invalidates it (:meth:`_invalidate`).  Only the rows invalidated
+        since the last call can hold a stale position in their prefix or
+        a changed prefix, so only their prefixes are read: the stale
+        positions in them run as one batch through the vectorised
+        millionaires' protocol, and every other outcome is reused
+        (counted by the ``crypto.comparisons_reused`` counter).  Every
+        outcome of those rows, stored or fresh, is checked against the
+        scan: every comparison but a non-candidate's last one returns
+        ``own >= other``.  Part 2's argmax runs through the comparator's
+        chain and is checked to attain the maximum.
         """
         n = self.num_devices
-        owners = np.repeat(np.arange(n), executed)
-        partners = self._indices[_segment_positions(self._indptr[:-1], executed)[0]]
+        rows = np.flatnonzero(self._stale_rows)
+        self._stale_rows[rows] = False
+        lengths = executed[rows]
+        positions, _ = _segment_positions(self._indptr[rows], lengths)
+        missing = ~self._stored[positions]
+        stale = positions[missing]
         # Workloads are non-negative, so the uint64 view is the protocol's
         # operand dtype at no copy.
         workload = self.workload.view(np.uint64)
-        batch = self.comparator.compare_batch(workload[owners], workload[partners], execute=True)
-        losses = np.bincount(owners[~batch.left_ge_right], minlength=n)
-        if not np.array_equal(losses == 0, candidate):
+        batch = self.comparator.compare_batch(
+            workload[np.repeat(rows, lengths)[missing]], workload[self._indices[stale]],
+            execute=True,
+        )
+        self._outcomes[stale] = batch.left_ge_right
+        self._stored[stale] = True
+        obs.add_counter("crypto.comparisons_reused", int(executed.sum()) - stale.size)
+        losses = np.bincount(
+            np.repeat(np.arange(rows.size), lengths)[~self._outcomes[positions]],
+            minlength=rows.size,
+        )
+        if not np.array_equal(losses == 0, candidate[rows]):
             raise RuntimeError("secure batched Alg. 3 disagrees with the prefix scan")
         # A federation without devices compares its one "device 0".
         candidate_workloads = self.workload[candidate] if n else np.zeros(1, dtype=np.int64)
@@ -356,9 +391,11 @@ class _IncrementalBalancingKernel:
         if self._pending is not None:
             raise RuntimeError("a proposal is already pending")
         record = self.assignment.apply_transfer(source, targets)
-        self._pending = (int(source), [int(target) for target in targets], record, self._version)
+        source, targets = int(source), [int(target) for target in targets]
+        self._pending = (source, targets, record, self._version)
         self._next_version += 1
         self._version = self._next_version
+        self._invalidate(source, targets)
 
     def commit(self, objective_after: int) -> None:
         """Accept the pending proposal (the transfer simply stays applied)."""
@@ -369,9 +406,26 @@ class _IncrementalBalancingKernel:
         """Reject the pending proposal: undo its transfer, back to its base version."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to revert")
-        source, _, record, self._version = self._pending
+        source, targets, record, self._version = self._pending
         self.assignment.undo_transfer(source, record)
         self._pending = None
+        self._invalidate(source, targets)
+
+    def _invalidate(self, source: int, targets: List[int]) -> None:
+        """Secure mode: drop the stored outcomes a transfer made stale.
+
+        The moved vertices' workloads changed, so every comparison they
+        take part in is stale: the positions of their rows and the reverse
+        positions that point into them, which lie in the neighbours' rows.
+        """
+        if self.comparator is None:
+            return
+        moved = np.asarray([source] + targets, dtype=np.int64)
+        positions, _ = _segment_positions(self._indptr[moved], self._degrees[moved])
+        self._stored[positions] = False
+        self._stored[self.assignment._reverse_positions()[positions]] = False
+        self._stale_rows[moved] = True
+        self._stale_rows[self._indices[positions]] = True
 
 
 class MCMCBalancer:
@@ -380,7 +434,8 @@ class MCMCBalancer:
     :meth:`run` drives the array-backed incremental kernel.  In secure mode
     the kernel executes Alg. 3's comparisons through the batched
     vectorised-OT protocol simulation, charging transcripts identical to
-    the early-terminating per-device loop.
+    the early-terminating per-device loop that reuses the outcomes no
+    transfer made stale.
     """
 
     def __init__(
@@ -392,13 +447,16 @@ class MCMCBalancer:
         secure: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        self.environment = environment
         self.iterations = iterations
+        self.bit_width = bit_width
+        # The configs' integer rule, in both modes: secure mode's comparator
+        # would refuse a width outside [1, 64], and clear mode must not charge
+        # comparisons at it either.
+        _check_integer(self, "iterations", 0)
+        _check_integer(self, "bit_width", 1, 64)
+        self.environment = environment
         self.accountant = accountant if accountant is not None else TranscriptAccountant()
         self.secure = secure
-        self.bit_width = bit_width
         self.rng = rng if rng is not None else environment.rng
         self._comparator = (
             SecureComparator(bit_width=bit_width, accountant=self.accountant) if secure else None

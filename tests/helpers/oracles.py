@@ -290,6 +290,7 @@ def find_max_workload_device(
     rng: Optional[np.random.Generator] = None,
     accountant: Optional[TranscriptAccountant] = None,
     bit_width: int = 24,
+    outcomes: Optional[Dict[Tuple[int, int], bool]] = None,
 ) -> int:
     """Alg. 3: return the id of the device with the maximum workload.
 
@@ -300,6 +301,13 @@ def find_max_workload_device(
     ``accountant`` (when given) at ``bit_width``.  Both modes record one
     transcript: one ledger message per candidate announcement and per
     maximum announcement.
+
+    ``outcomes`` holds the bit of every ``(device, neighbour)`` comparison
+    an earlier call executed whose two workloads no transfer has moved
+    since: a scan reuses a stored bit instead of running the protocol
+    (and counts it as ``crypto.comparisons_reused``), and stores every bit
+    it executes.  The caller drops the pairs of the moved devices at every
+    transition (:func:`invalidate_outcomes`); without it a call starts cold.
     """
     rng = rng if rng is not None else environment.rng
     workloads = assignment.workloads()
@@ -320,16 +328,26 @@ def find_max_workload_device(
         total_neighbor_comparisons = int(sources.size)
         candidates = np.flatnonzero(workload_array >= neighbor_max).tolist()
     else:
+        outcomes = {} if outcomes is None else outcomes
+        reused = 0
         for device_id in range(environment.num_devices):
-            neighbor_workloads = [workloads[v] for v in neighbors_of(environment, device_id)]
-            total_neighbor_comparisons += len(neighbor_workloads)
+            neighbors = neighbors_of(environment, device_id)
+            total_neighbor_comparisons += len(neighbors)
             # Device operation 1: am I >= every neighbour?  The scan stops
             # at the first neighbour that is greater.
-            if all(
-                secure_compare_reference(comparator, workloads[device_id], other)
-                for other in neighbor_workloads
-            ):
+            for other in neighbors:
+                pair = (device_id, other)
+                if pair in outcomes:
+                    reused += 1
+                else:
+                    outcomes[pair] = secure_compare_reference(
+                        comparator, workloads[device_id], workloads[other]
+                    )
+                if not outcomes[pair]:
+                    break
+            else:
                 candidates.append(device_id)
+        obs.add_counter("crypto.comparisons_reused", reused)
     for device_id in range(environment.num_devices):
         environment.ledger.send(
             sender=device_id,
@@ -382,17 +400,31 @@ def _charge_comparison_traffic(environment: FederatedEnvironment, count: int) ->
     )
 
 
+def invalidate_outcomes(
+    outcomes: Dict[Tuple[int, int], bool], source: int, targets: Sequence[int]
+) -> None:
+    """Drop the stored comparisons that a transfer of ``targets`` from
+    ``source`` (applied or undone) made stale: every pair holding a moved
+    device."""
+    moved = {source, *targets}
+    for pair in [pair for pair in outcomes if pair[0] in moved or pair[1] in moved]:
+        del outcomes[pair]
+
+
 def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
     """Alg. 2 as the from-scratch loop — the oracle of ``MCMCBalancer.run``.
 
     Takes the balancer as ``self``: it reads the balancer's environment, rng,
     accountant and (in secure mode) comparator.  ``initial`` is a mask
     ``Assignment`` or a :class:`SelectionOracle`; the result holds the
-    oracle.
+    oracle.  Alg. 3's executed comparisons are stored across calls and
+    reused until a transition, proposed or rejected, moves one of their
+    devices (``outcomes``).
     """
     current = SelectionOracle.of(initial)
     history = [current.objective()]
     accepted = 0
+    outcomes: Dict[Tuple[int, int], bool] = {}
 
     for iteration in range(self.iterations):
         # Line 2: device with the largest workload under X_t.
@@ -403,6 +435,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
             rng=self.rng,
             accountant=self.accountant,
             bit_width=self.bit_width,
+            outcomes=outcomes,
         )
         source_neighbors = sorted(current.selected.get(heaviest, set()))
         if not source_neighbors:
@@ -418,6 +451,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
 
         # Line 5: form X'_t with the transition of Eq. 17.
         proposal = current.transfer(heaviest, targets)
+        invalidate_outcomes(outcomes, heaviest, targets)
         for target in targets:
             exchange(
                 self.environment, heaviest, target, MessageKind.SERVER_COORDINATION, 8,
@@ -432,6 +466,7 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
             rng=self.rng,
             accountant=self.accountant,
             bit_width=self.bit_width,
+            outcomes=outcomes,
         )
 
         # Line 7: f(X_t) - f(X'_t), computed between the two maximal devices.
@@ -462,6 +497,8 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
                     self.environment, heaviest, target, MessageKind.SERVER_COORDINATION, 8,
                     description="mcmc-accept-notification",
                 )
+        else:
+            invalidate_outcomes(outcomes, heaviest, targets)
         history.append(current.objective())
         self.environment.next_round()
 

@@ -121,9 +121,30 @@ class TestMCMCBalancer:
         assert result.assignment.as_lists() == initial.as_lists()
         assert result.acceptance_rate == 0.0
 
-    def test_validation(self, social_environment):
-        with pytest.raises(ValueError):
-            MCMCBalancer(social_environment, iterations=-1)
+    @pytest.mark.parametrize("secure", [False, True], ids=["clear", "secure"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("iterations", -1),
+            ("iterations", True),
+            ("iterations", 2.5),
+            ("bit_width", 0),
+            ("bit_width", 65),
+            ("bit_width", 8.0),
+            ("bit_width", False),
+        ],
+    )
+    def test_validation_in_both_modes(self, social_environment, name, value, secure):
+        # The configs' integer rule, before anything runs: clear mode used to
+        # balance at 0 or 65 bits and take True as one iteration.
+        arguments = {"iterations": 3, "bit_width": 24, name: value}
+        with pytest.raises(ValueError, match=name):
+            MCMCBalancer(social_environment, secure=secure, **arguments)
+
+    @pytest.mark.parametrize("bit_width", [1, 64, np.int64(16)])
+    def test_widths_in_range_and_numpy_integers_are_accepted(self, social_environment, bit_width):
+        balancer = MCMCBalancer(social_environment, iterations=np.int32(2), bit_width=bit_width)
+        assert balancer.run(full_assignment(social_environment)).iterations == 2
 
     def test_acceptance_rate_bounded(self, social_graph, social_environment):
         initial = greedy_initialization(social_environment, rng=np.random.default_rng(0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.equivalence import Run, assert_equivalent_runs
 from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     construct_with_oracles,
@@ -35,42 +36,24 @@ from repro.federation import FederatedEnvironment
 from repro.graph import generate_facebook_like
 
 
-def _run(make_environment, initialize, seed: int = 0):
+def _run(make_environment, initialize, seed: int = 0) -> Run:
     environment = make_environment()
     accountant = TranscriptAccountant()
     rng = np.random.default_rng(seed)
     assignment = initialize(environment, accountant=accountant, rng=rng)
-    return assignment, environment, accountant, rng
+    return Run(assignment, environment, accountant, rng)
 
 
 def _assert_equivalent(make_environment, seed: int = 0):
-    fast, fast_env, fast_acc, fast_rng = _run(
-        make_environment, greedy_initialization, seed
-    )
-    slow, slow_env, slow_acc, slow_rng = _run(
-        make_environment, greedy_initialization_reference, seed
-    )
-    # Selected sets / installed assignment.
-    assert fast.as_lists() == slow.as_lists()
-    assert fast_env.workload_array().tolist() == slow_env.workload_array().tolist()
-    # Accountant totals AND the capped transcript log are bit-identical.
-    assert fast_acc.snapshot() == slow_acc.snapshot()
-    assert fast_acc._log == slow_acc._log
-    # Ledger: canonical multiset (the batched block logs one columnar
-    # event, the reference loop individual messages), summaries, per-device
-    # counts.
-    assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
-    assert fast_env.ledger.summary(fast_env.num_devices) == slow_env.ledger.summary(
-        slow_env.num_devices
-    )
-    np.testing.assert_array_equal(
-        fast_env.ledger.per_device_message_counts(fast_env.num_devices),
-        slow_env.ledger.per_device_message_counts(slow_env.num_devices),
+    fast = _run(make_environment, greedy_initialization, seed)
+    slow = _run(make_environment, greedy_initialization_reference, seed)
+    assert_equivalent_runs(fast, slow)
+    assert (
+        fast.environment.workload_array().tolist() == slow.environment.workload_array().tolist()
     )
     # RNG stream contract: neither draws from the shared stream.
     untouched = np.random.default_rng(seed)
-    assert fast_rng.bit_generator.state == untouched.bit_generator.state
-    assert slow_rng.bit_generator.state == untouched.bit_generator.state
+    assert fast.rng.bit_generator.state == untouched.bit_generator.state
 
 
 class TestKernelEquivalence:

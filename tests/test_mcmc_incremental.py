@@ -2,11 +2,12 @@
 
 ``MCMCBalancer.run`` replaces the from-scratch Alg. 2/3 evaluation with
 in-place transfers and one memoised prefix scan that a transfer rescans
-only where it touched; these tests call the from-scratch oracle
-``helpers.oracles.mcmc_run_reference`` directly and assert that the
-difference is purely one of implementation: identical
-assignments, objective history, acceptance count, secure-comparison
-accounting, ledger transcript (canonical form) and RNG stream consumption,
+only where it touched; these tests run the from-scratch oracle
+``helpers.oracles.mcmc_run_reference`` beside it
+(``helpers.equivalence.balanced_run``) and assert that the difference is
+purely one of implementation (``assert_equivalent_runs``): identical
+assignments, objective history, acceptance count, accountant counters and
+capped log, ledger transcript (canonical form) and RNG stream consumption,
 in both clear and secure modes.
 """
 
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.equivalence import assert_equivalent_runs, balanced_run
 from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     SelectionOracle,
     assignment_from_lists,
     construct_with_oracles,
     full_assignment,
-    mcmc_run_reference,
 )
 from helpers.tree_cases import csr_from_lists, graph_cases
 
@@ -40,54 +41,10 @@ from repro.federation import FederatedEnvironment
 from repro.graph import Graph, generate_facebook_like
 
 
-def _balanced(graph, *, oracle: bool = False, seed: int = 0,
-              iterations: int = 200, secure: bool = False, bit_width: int = 24):
-    environment = FederatedEnvironment.from_graph(graph, seed=0)
-    initial = greedy_initialization(environment, rng=np.random.default_rng(seed))
-    balancer = MCMCBalancer(
-        environment,
-        iterations=iterations,
-        rng=np.random.default_rng(seed + 7),
-        secure=secure,
-        bit_width=bit_width,
-    )
-    result = mcmc_run_reference(balancer, initial) if oracle else balancer.run(initial)
-    return result, environment, balancer.accountant
-
-
 def _assert_equivalent(graph, *, seed: int = 0, iterations: int = 200,
                        secure: bool = False, bit_width: int = 24):
-    fast, fast_env, fast_acc = _balanced(
-        graph, seed=seed, iterations=iterations, secure=secure, bit_width=bit_width
-    )
-    slow, slow_env, slow_acc = _balanced(
-        graph, oracle=True, seed=seed, iterations=iterations, secure=secure, bit_width=bit_width
-    )
-    assert fast.assignment.as_lists() == slow.assignment.as_lists()
-    assert fast.objective_history == slow.objective_history
-    assert fast.accepted_transitions == slow.accepted_transitions
-    assert fast.iterations == slow.iterations
-    # Transcript accounting is bit-identical.
-    assert fast_acc.comparisons == slow_acc.comparisons
-    assert fast_acc.ot_invocations == slow_acc.ot_invocations
-    assert fast_acc.messages == slow_acc.messages
-    assert fast_acc.bits == slow_acc.bits
-    # The ledgers carry the same traffic (canonical per-round multiset: the
-    # kernel logs a few ``send_many`` blocks, the reference loop one
-    # ``exchange`` per message).
-    assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
-    assert fast_env.ledger.summary(fast_env.num_devices) == slow_env.ledger.summary(
-        slow_env.num_devices
-    )
-    np.testing.assert_array_equal(
-        fast_env.ledger.per_device_message_counts(fast_env.num_devices),
-        slow_env.ledger.per_device_message_counts(slow_env.num_devices),
-    )
-    # Both loops leave every RNG stream in the same state.
-    assert (
-        fast_env.server.rng.bit_generator.state
-        == slow_env.server.rng.bit_generator.state
-    )
+    options = dict(seed=seed, iterations=iterations, secure=secure, bit_width=bit_width)
+    assert_equivalent_runs(balanced_run(graph, **options), balanced_run(graph, oracle=True, **options))
 
 
 class TestKernelEquivalence:
@@ -346,7 +303,7 @@ class TestTransferDeltas:
 class TestKernelTranscriptBlocks:
     def test_kernel_transcript_is_columnar(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
-        _, environment, _ = _balanced(graph, iterations=50)
+        environment = balanced_run(graph, iterations=50).environment
         table = environment.ledger.messages
         descriptions = {description for _kind, description in table.labels}
         assert {"candidate-announcement", "alg3-comparisons"} <= descriptions
@@ -358,7 +315,7 @@ class TestKernelTranscriptBlocks:
 
     def test_summary_accounts_for_bulk_messages(self):
         graph = generate_facebook_like(seed=3, num_nodes=80)
-        _, environment, _ = _balanced(graph, iterations=50)
+        environment = balanced_run(graph, iterations=50).environment
         ledger = environment.ledger
         summary = ledger.summary()
         records = ledger.message_records()
@@ -490,7 +447,7 @@ class TestAnalyticChargeWidth:
     @pytest.mark.parametrize("bit_width", [8, 24, 32])
     def test_every_clear_comparison_costs_the_balancer_width(self, bit_width):
         graph = generate_facebook_like(seed=3, num_nodes=80)
-        _, _, accountant = _balanced(graph, iterations=5, bit_width=bit_width)
+        accountant = balanced_run(graph, iterations=5, bit_width=bit_width).accountant
         cost = comparison_cost(bit_width)
         assert accountant.comparisons > 0
         assert accountant.bits == accountant.comparisons * cost.bits

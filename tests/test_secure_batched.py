@@ -21,10 +21,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers.equivalence import assert_equivalent_runs, balanced_run
 from helpers.graphs import generate_small_world, generate_star
 from helpers.oracles import (
     construct_with_oracles,
+    full_assignment,
     greedy_initialization_reference,
     mcmc_run_reference,
     secure_argmax_reference,
@@ -32,17 +36,20 @@ from helpers.oracles import (
     transcript_reveals_only_sizes,
 )
 from helpers.rng_contract import assert_stream_contract, clone_generator
+from helpers.tree_cases import csr_from_lists, graph_cases
 
+from repro import obs
 from repro.core import (
     MCMCBalancer,
     TreeConstructor,
     TreeConstructorConfig,
     greedy_initialization,
 )
+from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.crypto.oblivious_transfer import transfer_packed_table_batch
 from repro.federation import FederatedEnvironment
-from repro.graph import generate_facebook_like
+from repro.graph import Graph, generate_facebook_like
 
 BIT_WIDTHS = (8, 16, 32, 64)
 
@@ -283,43 +290,9 @@ class TestSecureGreedyEquivalence:
         )
 
 
-def _run_secure_balancer(graph, oracle, seed=0, iterations=25):
-    environment = FederatedEnvironment.from_graph(graph, seed=0)
-    initial = greedy_initialization(environment, rng=np.random.default_rng(seed))
-    balancer = MCMCBalancer(
-        environment,
-        iterations=iterations,
-        rng=np.random.default_rng(seed + 7),
-        secure=True,
-    )
-    result = mcmc_run_reference(balancer, initial) if oracle else balancer.run(initial)
-    return result, environment, balancer.accountant
-
-
 def _assert_secure_balancing_equivalent(graph, seed=0, iterations=25):
-    fast, fast_env, fast_acc = _run_secure_balancer(
-        graph, oracle=False, seed=seed, iterations=iterations
-    )
-    slow, slow_env, slow_acc = _run_secure_balancer(
-        graph, oracle=True, seed=seed, iterations=iterations
-    )
-    assert fast.assignment.as_lists() == slow.assignment.as_lists()
-    assert fast.objective_history == slow.objective_history
-    assert fast.accepted_transitions == slow.accepted_transitions
-    assert fast_acc.snapshot() == slow_acc.snapshot()
-    assert fast_acc._log == slow_acc._log
-    assert fast_env.ledger.message_records() == slow_env.ledger.message_records()
-    assert fast_env.ledger.summary(fast_env.num_devices) == slow_env.ledger.summary(
-        slow_env.num_devices
-    )
-    np.testing.assert_array_equal(
-        fast_env.ledger.per_device_message_counts(fast_env.num_devices),
-        slow_env.ledger.per_device_message_counts(slow_env.num_devices),
-    )
-    assert (
-        fast_env.server.rng.bit_generator.state
-        == slow_env.server.rng.bit_generator.state
-    )
+    options = dict(seed=seed, iterations=iterations, secure=True)
+    assert_equivalent_runs(balanced_run(graph, **options), balanced_run(graph, oracle=True, **options))
 
 
 class TestSecureBalancingEquivalence:
@@ -343,8 +316,167 @@ class TestSecureBalancingEquivalence:
 
     def test_secure_transcript_is_zero_knowledge(self):
         graph = generate_small_world(num_nodes=30, k=4, seed=9)
-        _, _, accountant = _run_secure_balancer(graph, oracle=False)
+        accountant = balanced_run(graph, iterations=25, secure=True).accountant
         assert transcript_reveals_only_sizes(accountant)
+
+
+def _ring_kernel(size: int = 12):
+    """A secure kernel over a ring where every device keeps both neighbours
+    (every workload 2, every device a candidate)."""
+    indptr, indices = csr_from_lists([[(v - 1) % size, (v + 1) % size] for v in range(size)])
+    environment = FederatedEnvironment.from_partition((indptr, indices, np.zeros((size, 1))), seed=0)
+    comparator = SecureComparator(bit_width=24, accountant=TranscriptAccountant())
+    return _IncrementalBalancingKernel(
+        environment, full_assignment(environment), comparator.accountant, comparator
+    )
+
+
+def _position(kernel, owner: int, partner: int) -> int:
+    """The CSR position of ``partner`` in ``owner``'s row."""
+    indptr, indices = kernel.environment.adjacency_csr()
+    row = indices[indptr[owner]:indptr[owner + 1]]
+    return int(indptr[owner] + np.flatnonzero(row == partner)[0])
+
+
+def _traced_call(kernel, round_index: int):
+    """One Alg. 3 call: ``(comparisons executed, outcomes reused)``."""
+    before = kernel.accountant.comparisons
+    with obs.tracing() as tracer:
+        kernel.find_max_workload_device(round_index)
+    reused = tracer.metrics.snapshot()["counters"].get("crypto.comparisons_reused", 0)
+    return kernel.accountant.comparisons - before, reused
+
+
+def _cache_run(graph, *, oracle: bool, seed: int, iterations: int):
+    """A secure balanced run, the outcomes it reused, and per production
+    Alg. 3 call its scanned comparisons and its candidate count."""
+    calls = []
+    scan = _IncrementalBalancingKernel._scan
+
+    def recording(kernel):
+        memo = scan(kernel)
+        calls.append((int(memo[0].sum()), memo[3]))
+        return memo
+
+    with pytest.MonkeyPatch.context() as patch, obs.tracing() as tracer:
+        patch.setattr(_IncrementalBalancingKernel, "_scan", recording)
+        run = balanced_run(graph, oracle=oracle, seed=seed, iterations=iterations, secure=True)
+    reused = tracer.metrics.snapshot()["counters"].get("crypto.comparisons_reused", 0)
+    return run, reused, calls
+
+
+def _assert_cache_matches_the_oracle(case, seed: int, iterations: int):
+    n, edges = case
+    graph = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+    fast, reused, calls = _cache_run(graph, oracle=False, seed=seed, iterations=iterations)
+    slow, slow_reused, _ = _cache_run(graph, oracle=True, seed=seed, iterations=iterations)
+    assert_equivalent_runs(fast, slow)
+    assert reused == slow_reused
+    # The balancer's comparisons are Alg. 3's executed prefix comparisons,
+    # each call's argmax chain (c - 1) and one objective difference per
+    # iteration that proposed (two calls; a skipped iteration makes one).
+    argmax = sum(candidates - 1 for _, candidates in calls)
+    differences = len(calls) - iterations
+    executed = fast.accountant.comparisons - argmax - differences
+    assert executed + reused == sum(scanned for scanned, _ in calls)
+
+
+class TestOutcomeCache:
+    """Secure Alg. 3 stores each executed outcome at its CSR position and
+    executes again only what a transfer, applied or reverted, made stale."""
+
+    def test_a_call_executes_only_the_stale_positions_in_its_prefixes(self):
+        kernel = _ring_kernel()
+        assert _traced_call(kernel, 0) == (24 + 11, 0)  # cold: every row, then the argmax
+        # 0 hands the edge to 1, which kept it already: workload 0 -> 1.  Rows
+        # 0, 1, 2 and 11 go stale; their prefixes are (0: 1), (1: 0, 2),
+        # (2: 1, 3), (11: 0, 10), and 2 -> 3 and 11 -> 10 are still stored.
+        # Eleven candidates (all but 0), ten argmax pairs.
+        kernel.apply(0, [1])
+        assert _traced_call(kernel, 0) == (5 + 10, 23 - 5)
+        # Back to the tie: the revert makes the moved rows and the positions
+        # pointing into them stale again, even though no call ran between.
+        kernel.revert()
+        assert _traced_call(kernel, 1) == (6 + 11, 24 - 6)
+        assert _traced_call(kernel, 2) == (0 + 11, 24)  # nothing moved: all reused
+
+    def test_a_corrupted_stored_outcome_trips_the_scan_check(self):
+        kernel = _ring_kernel()
+        kernel.find_max_workload_device(0)
+        kernel.apply(0, [1])
+        # 11 compares 10 after 0; neither moved, so that bit is reused.
+        position = _position(kernel, 11, 10)
+        assert kernel._stored[position]
+        kernel._outcomes[position] = False
+        with pytest.raises(RuntimeError, match="disagrees with the prefix scan"):
+            kernel.find_max_workload_device(0)
+
+    def test_a_corrupted_invalidated_outcome_is_executed_again(self):
+        kernel = _ring_kernel()
+        kernel.find_max_workload_device(0)
+        kernel.apply(0, [1])
+        # 11 -> 0 points into a moved row: the transfer invalidated it.
+        position = _position(kernel, 11, 0)
+        assert not kernel._stored[position]
+        kernel._outcomes[position] = False
+        kernel.find_max_workload_device(0)
+        assert kernel._stored[position] and kernel._outcomes[position]
+
+    def test_clear_mode_keeps_no_cache(self):
+        environment = FederatedEnvironment.from_graph(generate_star(num_leaves=8, seed=2), seed=0)
+        kernel = _IncrementalBalancingKernel(environment, full_assignment(environment))
+        kernel.find_max_workload_device(0)
+        kernel.apply(0, [int(kernel.assignment.kept_neighbors(0)[0])])
+        kernel.revert()
+        assert not {"_outcomes", "_stored", "_stale_rows"} & set(vars(kernel))
+
+    def test_secure_and_clear_runs_differ_only_in_the_accountant(self):
+        graph = generate_facebook_like(seed=3, num_nodes=60)
+        clear = balanced_run(graph, iterations=25)
+        secure = balanced_run(graph, iterations=25, secure=True)
+        assert clear.selection.as_lists() == secure.selection.as_lists()
+        assert clear.result.objective_history == secure.result.objective_history
+        # The ledger's alg3-comparisons rows keep the analytic count.
+        assert clear.environment.ledger.message_records() == secure.environment.ledger.message_records()
+        assert 0 < secure.accountant.comparisons < clear.accountant.comparisons
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=graph_cases(16), seed=st.integers(0, 2**16))
+    def test_generated_federations_match_the_cached_oracle(self, case, seed):
+        _assert_cache_matches_the_oracle(case, seed, iterations=8)
+
+    @pytest.mark.slow
+    @settings(max_examples=150, deadline=None)
+    @given(case=graph_cases(40), seed=st.integers(0, 2**16))
+    def test_generated_federations_match_the_cached_oracle_wide(self, case, seed):
+        _assert_cache_matches_the_oracle(case, seed, iterations=20)
+
+    def test_the_whole_log_of_a_300_device_construction(self, monkeypatch):
+        # At 300 devices Alg. 1 alone fills the default 10 000-entry log, so
+        # the log is compared whole: its secure-subtraction entries sit
+        # between the Alg. 3 calls and witness each call's executed count.
+        monkeypatch.setattr(TranscriptAccountant, "LOG_CAP", 10**7)
+        graph = generate_facebook_like(seed=3, num_nodes=300)
+        config = TreeConstructorConfig(mcmc_iterations=60)
+        fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
+        fast_environment = FederatedEnvironment.from_graph(graph, seed=0)
+        fast = TreeConstructor(config, rng=fast_rng, secure=True).construct(fast_environment)
+        slow_environment = FederatedEnvironment.from_graph(graph, seed=0)
+        _, slow, slow_transcript = construct_with_oracles(
+            slow_environment, config, slow_rng, secure=True
+        )
+        log = fast.transcript._log
+        assert 10_000 < len(log) < TranscriptAccountant.LOG_CAP
+        assert log.count("secure-subtraction:48") == len(fast.mcmc_result.objective_history) - 1
+        assert log == slow_transcript._log
+        assert fast.transcript.snapshot() == slow_transcript.snapshot()
+        assert fast.assignment.as_lists() == slow.assignment.as_lists()
+        assert fast.mcmc_result.objective_history == slow.objective_history
+        assert fast.mcmc_result.accepted_transitions == slow.accepted_transitions
+        # The constructor also charges tree-building compute, which the
+        # oracles do not: the messages are compared, not the summary.
+        assert fast_environment.ledger.message_records() == slow_environment.ledger.message_records()
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 class TestSecureConstructorEquivalence:
