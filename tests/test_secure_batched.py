@@ -509,11 +509,14 @@ class TestSecureTranscriptGolden:
     """Everything a secure-kernel rewrite must not move, as one digest.
 
     Production == oracle cannot see drift in code both sides share
-    (``argmax``, ``compare_batch``); a digest recorded once (at PR 17's
-    commit, before the packed-OT / batched-argmax kernel) can.
+    (``argmax``, ``compare_batch``); a digest recorded before the
+    packed-OT / batched-argmax kernel can.  It was re-recorded once, when
+    secure Alg. 3 began reusing the outcomes no transfer made stale: that
+    moves the accountant's counters and capped log on purpose, while the
+    selection, ledger and RNG parts of the payload kept their values.
     """
 
-    GOLDEN = "32e7bc98957556c0d44a4a9705ad24814d3402692702ce38dedf7114bf276823"
+    GOLDEN = "e888417fd3edb7c591b2bfebb51ab19af02754ab407cf9006ad5196645a65729"
 
     def test_secure_construction_digest(self):
         graph = generate_facebook_like(seed=3, num_nodes=60)
