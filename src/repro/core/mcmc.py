@@ -49,7 +49,12 @@ import numpy as np
 
 from .. import obs
 from ..crypto.oblivious_transfer import TranscriptAccountant
-from ..crypto.secure_compare import SecureComparator, comparison_cost
+from ..crypto.secure_compare import (
+    SecureComparator,
+    argmax_from_outcomes,
+    argmax_pairs,
+    comparison_cost,
+)
 from ..faults.config import _check_integer
 from ..federation.events import SERVER_ID, MessageKind
 from ..federation.network import constant_column
@@ -294,15 +299,16 @@ class _IncrementalBalancingKernel:
         invalidates it (:meth:`_invalidate`).  Only the rows invalidated
         since the last call can hold a stale position in their prefix or
         a changed prefix, so only their prefixes are read: the stale
-        positions in them run as one batch through the vectorised
-        millionaires' protocol, and every other outcome is reused
-        (counted by the ``crypto.comparisons_reused`` counter).  Every
-        outcome of those rows, stored or fresh, is checked against the
-        scan: every comparison but a non-candidate's last one returns
-        ``own >= other``.  Part 2's argmax runs through the comparator's
-        chain and is checked to attain the maximum.
+        positions in them are executed, and every other outcome is reused
+        (counted by the ``crypto.comparisons_reused`` counter).  Part 2's
+        argmax chain (:func:`~repro.crypto.secure_compare.argmax_pairs`)
+        rides in the same executed batch of the vectorised millionaires'
+        protocol; every comparison is charged the same pattern, so one
+        batch charges what the two would.  Every outcome of the read rows,
+        stored or fresh, is checked against the scan (every comparison but
+        a non-candidate's last one returns ``own >= other``), and the
+        argmax re-derived from its outcomes must attain the maximum.
         """
-        n = self.num_devices
         rows = np.flatnonzero(self._stale_rows)
         self._stale_rows[rows] = False
         lengths = executed[rows]
@@ -310,13 +316,17 @@ class _IncrementalBalancingKernel:
         missing = ~self._stored[positions]
         stale = positions[missing]
         # Workloads are non-negative, so the uint64 view is the protocol's
-        # operand dtype at no copy.
+        # operand dtype at no copy.  A federation without devices compares
+        # its one "device 0".
         workload = self.workload.view(np.uint64)
-        batch = self.comparator.compare_batch(
-            workload[np.repeat(rows, lengths)[missing]], workload[self._indices[stale]],
+        candidate_workloads = workload[candidate] if self.num_devices else np.zeros(1, np.uint64)
+        chain_left, chain_right = argmax_pairs(candidate_workloads)
+        outcomes = self.comparator.compare_batch(
+            np.concatenate([workload[np.repeat(rows, lengths)[missing]], chain_left]),
+            np.concatenate([workload[self._indices[stale]], chain_right]),
             execute=True,
-        )
-        self._outcomes[stale] = batch.left_ge_right
+        ).left_ge_right
+        self._outcomes[stale] = outcomes[: stale.size]
         self._stored[stale] = True
         obs.add_counter("crypto.comparisons_reused", int(executed.sum()) - stale.size)
         losses = np.bincount(
@@ -325,10 +335,8 @@ class _IncrementalBalancingKernel:
         )
         if not np.array_equal(losses == 0, candidate[rows]):
             raise RuntimeError("secure batched Alg. 3 disagrees with the prefix scan")
-        # A federation without devices compares its one "device 0".
-        candidate_workloads = self.workload[candidate] if n else np.zeros(1, dtype=np.int64)
-        maximum = candidate_workloads.max()
-        if candidate_workloads[self.comparator.argmax(candidate_workloads)] != maximum:
+        winner = argmax_from_outcomes(candidate_workloads, outcomes[stale.size :])
+        if candidate_workloads[winner] != candidate_workloads.max():
             raise RuntimeError("secure argmax disagrees with plaintext maximum")
 
     def _record_alg3(self, round_index: int, comparisons: int, winners: List[int]) -> int:

@@ -120,6 +120,31 @@ class BatchComparisonResult:
     cost: ComparisonCost
 
 
+def argmax_pairs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n - 1`` pairs ``(values[i], best before i)`` that the sequential
+    argmax scan of a non-empty operand array compares, speculated from the
+    running maximum."""
+    return values[1:], np.maximum.accumulate(values)[:-1]
+
+
+def argmax_from_outcomes(values: np.ndarray, outcomes: np.ndarray) -> int:
+    """The argmax of ``values``, re-derived from the protocol outcomes of its
+    :func:`argmax_pairs` alone.
+
+    The best so far after position ``i`` sits at the last position whose
+    comparison returned ">=" (position 0 when none did); a chain that does
+    not reproduce the running maximum raises ``RuntimeError``.  Ties resolve
+    to the earliest index.
+    """
+    last_win = np.arange(values.shape[0])
+    last_win[1:][~outcomes] = 0
+    derived = values[np.maximum.accumulate(last_win)]
+    if not np.array_equal(derived, np.maximum.accumulate(values)):
+        raise RuntimeError("secure argmax disagrees with the speculated running maximum")
+    # Earliest position attaining the final best (deterministic tie-break).
+    return int(np.argmax(derived == derived[-1]))
+
+
 class SecureComparator:
     """Two-party secure comparison with CrypTFlow2-style cost accounting."""
 
@@ -212,25 +237,17 @@ class SecureComparator:
         device among the candidate vertex set (Alg. 3, server part 2).
 
         Speculate-and-verify: the scan's ``n - 1`` pairs ``(values[i], best
-        so far)`` follow from the running maximum, so they run as **one**
-        executed batch (counters and capped log of the ``n - 1`` comparisons
-        of the sequential scan) and the chain is re-derived from the protocol
-        outcomes alone; a disagreement raises.
+        so far)`` follow from the running maximum (:func:`argmax_pairs`), so
+        they run as **one** executed batch (counters and capped log of the
+        ``n - 1`` comparisons of the sequential scan) and the chain is
+        re-derived from the protocol outcomes alone
+        (:func:`argmax_from_outcomes`); a disagreement raises.
         """
         if len(values) == 0:
             raise ValueError("argmax of an empty list")
         values = operand_array(values, "values", self.bit_width)
-        running = np.maximum.accumulate(values)
-        outcomes = self.compare_batch(values[1:], running[:-1], execute=True).left_ge_right
-        # The best so far after position i sits at the last position whose
-        # comparison returned ">=" (position 0 when none did).
-        last_win = np.arange(values.shape[0])
-        last_win[1:][~outcomes] = 0
-        derived = values[np.maximum.accumulate(last_win)]
-        if not np.array_equal(derived, running):
-            raise RuntimeError("secure argmax disagrees with the speculated running maximum")
-        # Earliest position attaining the final best (deterministic tie-break).
-        return int(np.argmax(derived == derived[-1]))
+        outcomes = self.compare_batch(*argmax_pairs(values), execute=True).left_ge_right
+        return argmax_from_outcomes(values, outcomes)
 
     # ------------------------------------------------------------------ #
     # Protocol internals
