@@ -112,7 +112,8 @@ def main() -> None:
     transcript = balancer.accountant
     print(f"\nComparisons charged (analytic): {transcript.comparisons} comparisons, "
           f"{transcript.ot_invocations} OT invocations, {transcript.bits} bits "
-          f"(clear-mode balancing; secure=True executes them).")
+          f"(clear-mode balancing; secure=True executes the ones whose outcome "
+          f"it cannot reuse).")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 Every production kernel has exactly one oracle, and it lives here, not in
 ``src/``: Alg. 1 as the per-edge protocol loop
 (:func:`greedy_initialization_reference`), Alg. 3 from scratch
-(:func:`find_max_workload_device`) inside Alg. 2 as the from-scratch loop
-(:func:`mcmc_run_reference`), the union graph by per-node traversal of
+(:func:`find_max_workload_device`; in secure mode over the comparison
+outcomes that earlier calls stored and no transfer made stale) inside
+Alg. 2 as the from-scratch loop (:func:`mcmc_run_reference`), the union
+graph by per-node traversal of
 one :class:`LocalGraph` per device (:func:`tree_batch_reference`, over
 :func:`build_tree` / :func:`build_star`), the LDP feature exchange one scalar message
 at a time (:func:`ldp_exchange_reference`) — and, for the layout of its
