@@ -395,7 +395,11 @@ class _IncrementalBalancingKernel:
     # Transitions (Eq. 17)
     # ------------------------------------------------------------------ #
     def apply(self, source: int, targets: List[int]) -> None:
-        """Apply the transition in place, in O(k), as a fresh version."""
+        """Apply the transition in place, in O(k), as a fresh version.
+
+        Secure mode also invalidates the moved rows' stored outcomes, in
+        O(degree of the moved vertices).
+        """
         if self._pending is not None:
             raise RuntimeError("a proposal is already pending")
         record = self.assignment.apply_transfer(source, targets)
