@@ -410,9 +410,18 @@ class _IncrementalBalancingKernel:
         self._invalidate(source, targets)
 
     def commit(self, objective_after: int) -> None:
-        """Accept the pending proposal (the transfer simply stays applied)."""
+        """Accept the pending proposal: the transfer stays applied.
+
+        Secure mode invalidates the moved rows again, as :meth:`revert`
+        does, so which comparisons the next call executes does not depend
+        on the Metropolis-Hastings decision.
+        """
+        if self._pending is None:
+            raise RuntimeError("no pending proposal to commit")
+        source, targets = self._pending[:2]
         self._pending = None
         self.objective = int(objective_after)
+        self._invalidate(source, targets)
 
     def revert(self) -> None:
         """Reject the pending proposal: undo its transfer, back to its base version."""

@@ -406,8 +406,8 @@ def invalidate_outcomes(
     outcomes: Dict[Tuple[int, int], bool], source: int, targets: Sequence[int]
 ) -> None:
     """Drop the stored comparisons that a transfer of ``targets`` from
-    ``source`` (applied or undone) made stale: every pair holding a moved
-    device."""
+    ``source`` (proposed, accepted or undone) made stale: every pair
+    holding a moved device."""
     moved = {source, *targets}
     for pair in [pair for pair in outcomes if pair[0] in moved or pair[1] in moved]:
         del outcomes[pair]
@@ -420,8 +420,9 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
     accountant and (in secure mode) comparator.  ``initial`` is a mask
     ``Assignment`` or a :class:`SelectionOracle`; the result holds the
     oracle.  Alg. 3's executed comparisons are stored across calls and
-    reused until a transition, proposed or rejected, moves one of their
-    devices (``outcomes``).
+    reused until a transition moves one of their devices (``outcomes``):
+    its pairs are dropped when it is proposed and again when it is
+    accepted or rejected.
     """
     current = SelectionOracle.of(initial)
     history = [current.objective()]
@@ -499,8 +500,9 @@ def mcmc_run_reference(self: MCMCBalancer, initial) -> MCMCResult:
                     self.environment, heaviest, target, MessageKind.SERVER_COORDINATION, 8,
                     description="mcmc-accept-notification",
                 )
-        else:
-            invalidate_outcomes(outcomes, heaviest, targets)
+        # Accepted or rejected, the moved devices' pairs are dropped again,
+        # so the next call's executed comparisons do not reveal the decision.
+        invalidate_outcomes(outcomes, heaviest, targets)
         history.append(current.objective())
         self.environment.next_round()
 

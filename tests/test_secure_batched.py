@@ -383,7 +383,8 @@ def _assert_cache_matches_the_oracle(case, seed: int, iterations: int):
 
 class TestOutcomeCache:
     """Secure Alg. 3 stores each executed outcome at its CSR position and
-    executes again only what a transfer, applied or reverted, made stale."""
+    executes again only what a transfer, proposed, accepted or reverted,
+    made stale."""
 
     def test_a_call_executes_only_the_stale_positions_in_its_prefixes(self):
         kernel = _ring_kernel()
@@ -399,6 +400,35 @@ class TestOutcomeCache:
         kernel.revert()
         assert _traced_call(kernel, 1) == (6 + 11, 24 - 6)
         assert _traced_call(kernel, 2) == (0 + 11, 24)  # nothing moved: all reused
+
+    def test_what_the_next_call_executes_does_not_depend_on_the_decision(self):
+        runs = {}
+        for decision in ("accept", "reject"):
+            kernel = _ring_kernel()
+            kernel.find_max_workload_device(0)
+            kernel.apply(0, [1])
+            kernel.find_max_workload_device(0)  # Alg. 2's line 6, under the proposal
+            if decision == "accept":
+                kernel.commit(int(kernel.workload.max()))
+            else:
+                kernel.revert()
+            forgotten = ~kernel._stored
+            counts = _traced_call(kernel, 1)
+            runs[decision] = forgotten, forgotten & kernel._stored, counts
+        (forgotten, executed, counts), (forgotten_too, executed_too, counts_too) = runs.values()
+        # Both decisions forget the same outcomes, so a device that did not
+        # move runs again exactly its comparisons with a moved device in its
+        # prefix (2 -> 1 and 11 -> 0) whether the transfer stayed or not.
+        assert np.array_equal(forgotten, forgotten_too)
+        unmoved = np.repeat(np.arange(12), 2) >= 2
+        assert np.array_equal(executed & unmoved, executed_too & unmoved)
+        assert set(np.flatnonzero(executed & unmoved)) == {
+            _position(kernel, 2, 1), _position(kernel, 11, 0)
+        }
+        # Only the source's own prefix differs: after the accept, 0 (workload
+        # 1) stops at 1 and is no candidate; after the reject it ties again.
+        assert counts == (5 + 10, 23 - 5)
+        assert counts_too == (6 + 11, 24 - 6)
 
     def test_a_corrupted_stored_outcome_trips_the_scan_check(self):
         kernel = _ring_kernel()
