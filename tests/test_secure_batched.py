@@ -541,12 +541,13 @@ class TestSecureTranscriptGolden:
     Production == oracle cannot see drift in code both sides share
     (``argmax``, ``compare_batch``); a digest recorded before the
     packed-OT / batched-argmax kernel can.  It was re-recorded once, when
-    secure Alg. 3 began reusing the outcomes no transfer made stale: that
-    moves the accountant's counters and capped log on purpose, while the
+    secure Alg. 3 began reusing the outcomes no transfer made stale (and
+    invalidating a transfer's outcomes after either decision): that moves
+    the accountant's counters and capped log on purpose, while the
     selection, ledger and RNG parts of the payload kept their values.
     """
 
-    GOLDEN = "e888417fd3edb7c591b2bfebb51ab19af02754ab407cf9006ad5196645a65729"
+    GOLDEN = "3da07ed0ce6ea2f9635992229016723d7799ba59929c327e0b6f71cb506e3c75"
 
     def test_secure_construction_digest(self):
         graph = generate_facebook_like(seed=3, num_nodes=60)
