@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -123,7 +123,13 @@ class BatchComparisonResult:
 def argmax_pairs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The ``n - 1`` pairs ``(values[i], best before i)`` that the sequential
     argmax scan of a non-empty operand array compares, speculated from the
-    running maximum."""
+    running maximum.
+
+    Secure Alg. 3's part 2 runs them as one executed batch and re-derives
+    the winner with :func:`argmax_from_outcomes`.
+    """
+    if values.shape[0] == 0:
+        raise ValueError("argmax of an empty list")
     return values[1:], np.maximum.accumulate(values)[:-1]
 
 
@@ -229,25 +235,6 @@ class SecureComparator:
         obs.add_counter("crypto.ot_invocations", cost.ot_invocations * count)
         obs.add_counter("crypto.comparisons", count)
         return cost
-
-    def argmax(self, values: List[int]) -> int:
-        """Return the index of the maximum via pairwise secure comparisons.
-
-        Ties resolve to the earliest index.  Used to pick the most-loaded
-        device among the candidate vertex set (Alg. 3, server part 2).
-
-        Speculate-and-verify: the scan's ``n - 1`` pairs ``(values[i], best
-        so far)`` follow from the running maximum (:func:`argmax_pairs`), so
-        they run as **one** executed batch (counters and capped log of the
-        ``n - 1`` comparisons of the sequential scan) and the chain is
-        re-derived from the protocol outcomes alone
-        (:func:`argmax_from_outcomes`); a disagreement raises.
-        """
-        if len(values) == 0:
-            raise ValueError("argmax of an empty list")
-        values = operand_array(values, "values", self.bit_width)
-        outcomes = self.compare_batch(*argmax_pairs(values), execute=True).left_ge_right
-        return argmax_from_outcomes(values, outcomes)
 
     # ------------------------------------------------------------------ #
     # Protocol internals

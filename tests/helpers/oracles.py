@@ -1010,7 +1010,8 @@ def secure_compare_reference(comparator: SecureComparator, left: int, right: int
 
 
 def secure_argmax_reference(comparator: SecureComparator, values) -> int:
-    """The scalar scan ``SecureComparator.argmax`` runs as one verified batch.
+    """The scalar scan that secure Alg. 3 runs as one verified batch
+    (``argmax_pairs`` / ``argmax_from_outcomes``).
 
     One :func:`secure_compare_reference` per position against the best so
     far; ties resolve to the earliest index.

@@ -19,6 +19,7 @@ from repro.core.greedy import log_degree_buckets
 from repro.core.mcmc import secure_objective_difference
 from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.crypto.oblivious_transfer import transfer_packed_table_batch
+from repro.crypto.secure_compare import argmax_from_outcomes, argmax_pairs
 
 TOP_64 = (1 << 64) - 1
 
@@ -67,9 +68,11 @@ class TestSecureComparator:
 
     def test_argmax(self):
         comparator = SecureComparator(bit_width=16)
-        assert comparator.argmax([3, 9, 2, 9]) == 1  # earliest index wins ties
+        values = np.asarray([3, 9, 2, 9], dtype=np.uint64)
+        outcomes = comparator.compare_batch(*argmax_pairs(values), execute=True).left_ge_right
+        assert argmax_from_outcomes(values, outcomes) == 1  # earliest index wins ties
         with pytest.raises(ValueError):
-            comparator.argmax([])
+            argmax_pairs(np.asarray([], dtype=np.uint64))
 
     def test_validation(self):
         comparator = SecureComparator(bit_width=8)
@@ -200,8 +203,6 @@ class TestWideComparisons:
             comparator.compare_batch(operands, zeros, execute=True)
         with pytest.raises(ValueError):
             comparator.compare_batch(zeros, operands)
-        with pytest.raises(ValueError):
-            comparator.argmax(operands)
         # A batch is rejected whole, before anything is charged.
         assert comparator.accountant.snapshot() == TranscriptAccountant().snapshot()
         with pytest.raises(ValueError):

@@ -48,6 +48,7 @@ from repro.core import (
 from repro.core.mcmc import _IncrementalBalancingKernel
 from repro.crypto import SecureComparator, TranscriptAccountant
 from repro.crypto.oblivious_transfer import transfer_packed_table_batch
+from repro.crypto.secure_compare import argmax_from_outcomes, argmax_pairs, operand_array
 from repro.federation import FederatedEnvironment
 from repro.graph import Graph, generate_facebook_like
 
@@ -181,8 +182,16 @@ def _argmax_cases(bit_width: int):
     }
 
 
+def _executed_argmax(comparator, values) -> int:
+    """Secure Alg. 3's part 2 on its own: the argmax chain's pairs as one
+    executed batch, the winner re-derived from their outcomes."""
+    values = operand_array(values, "values", comparator.bit_width)
+    outcomes = comparator.compare_batch(*argmax_pairs(values), execute=True).left_ge_right
+    return argmax_from_outcomes(values, outcomes)
+
+
 class TestBatchedArgmax:
-    """`argmax` (one verified executed batch) vs the scalar scan it replaced."""
+    """The argmax chain (one verified executed batch) vs the scalar scan it replaced."""
 
     @pytest.mark.parametrize("bit_width", BIT_WIDTHS)
     def test_matches_the_scalar_scan(self, bit_width):
@@ -194,7 +203,7 @@ class TestBatchedArgmax:
             batch_acc = TranscriptAccountant()
             comparator = SecureComparator(bit_width=bit_width, accountant=batch_acc)
             got = assert_stream_contract(
-                lambda _: comparator.argmax(values), np.random.default_rng(1), 0
+                lambda _: _executed_argmax(comparator, values), np.random.default_rng(1), 0
             )
             assert got == expected == values.index(max(values)), label
             assert batch_acc.snapshot() == loop_acc.snapshot(), label
@@ -203,11 +212,11 @@ class TestBatchedArgmax:
     def test_rejects_what_the_scan_rejected(self):
         comparator = SecureComparator(bit_width=8)
         with pytest.raises(ValueError):
-            comparator.argmax([])
+            _executed_argmax(comparator, [])
         with pytest.raises(ValueError):
-            comparator.argmax([1, 256])
+            _executed_argmax(comparator, [1, 256])
         with pytest.raises(ValueError):
-            comparator.argmax([1, -1])
+            _executed_argmax(comparator, [1, -1])
 
 
 @pytest.fixture()
@@ -233,7 +242,7 @@ class TestOutcomesDeriveOnlyFromOTOutputs:
     def test_argmax_refuses_an_answer_the_protocol_did_not_produce(self):
         comparator = SecureComparator(bit_width=16)
         with pytest.raises(RuntimeError, match="secure argmax disagrees"):
-            comparator.argmax([1, 5, 3])
+            _executed_argmax(comparator, [1, 5, 3])
 
     def test_secure_alg3_refuses_an_answer_the_protocol_did_not_produce(self):
         environment = FederatedEnvironment.from_graph(
@@ -539,7 +548,7 @@ class TestSecureTranscriptGolden:
     """Everything a secure-kernel rewrite must not move, as one digest.
 
     Production == oracle cannot see drift in code both sides share
-    (``argmax``, ``compare_batch``); a digest recorded before the
+    (``argmax_pairs``, ``compare_batch``); a digest recorded before the
     packed-OT / batched-argmax kernel can.  It was re-recorded once, when
     secure Alg. 3 began reusing the outcomes no transfer made stale (and
     invalidating a transfer's outcomes after either decision): that moves
