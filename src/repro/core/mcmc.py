@@ -16,8 +16,10 @@ candidates by the same prefix scan:
 * ``secure=True`` runs Alg. 3's workload comparisons through the simulated
   CrypTFlow2 protocol, and the accountant counts the executed comparisons.
   An outcome is stored at its CSR position and reused until a transfer
-  moves one of its two devices, so a call executes only the scanned
-  comparisons that a transfer made stale since the last call;
+  moves one of its two devices (invalidated when the transfer is proposed
+  and again after it is accepted or rejected, so the reuse pattern does
+  not reveal the decision), and a call executes only the scanned
+  comparisons made stale since the last call;
 * ``secure=False`` (default) charges the accountant the analytic count of
   Alg. 3 (``E + c(c - 1)`` comparisons per call) at the balancer's bit
   width, without running the protocol.
@@ -147,8 +149,8 @@ class _IncrementalBalancingKernel:
     and secure mode share that scan and differ only in what they charge:
     the analytic count to the accountant, or the executed comparisons
     through ``comparator``.  Secure mode alone keeps an outcome cache over
-    CSR positions (see :meth:`_execute`), which :meth:`apply` and
-    :meth:`revert` invalidate.
+    CSR positions (see :meth:`_execute`), which :meth:`apply` invalidates
+    and :meth:`commit` and :meth:`revert` invalidate again.
     """
 
     def __init__(
